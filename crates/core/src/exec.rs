@@ -13,8 +13,6 @@
 //! [`RelCostModel`], so measured and estimated costs are directly
 //! comparable.
 
-use std::collections::HashMap;
-
 use textjoin_rel::catalog::Catalog;
 use textjoin_rel::expr::Pred;
 use textjoin_rel::ops::{filter, group_by};
@@ -925,10 +923,6 @@ pub fn canonical_rows(t: &Table) -> Vec<String> {
     rows.sort();
     rows
 }
-
-// HashMap is used for long-document caches in the method implementations.
-#[allow(unused)]
-type _Unused = HashMap<(), ()>;
 
 #[cfg(test)]
 mod tests {

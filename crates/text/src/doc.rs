@@ -8,6 +8,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Unique document identifier within a collection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -29,6 +30,10 @@ pub struct FieldId(pub u16);
 #[derive(Debug, Clone, Default)]
 pub struct TextSchema {
     fields: Vec<FieldDef>,
+    /// Bit `i` is set iff `FieldId(i)` is in the short form. Every
+    /// [`ShortDoc`] carries a copy, so checking a field costs no schema
+    /// lookup and sharing a document costs no second handle.
+    short_mask: u64,
 }
 
 /// Definition of one text field.
@@ -49,6 +54,11 @@ impl TextSchema {
     }
 
     /// Adds a field and returns its [`FieldId`].
+    ///
+    /// # Panics
+    /// Panics if `in_short_form` is set on a field past the first 64 of the
+    /// schema: the short form is a fixed, small projection, and a
+    /// [`ShortDoc`] names its fields in one machine word.
     pub fn add_field(
         &mut self,
         name: impl Into<String>,
@@ -56,6 +66,13 @@ impl TextSchema {
         in_short_form: bool,
     ) -> FieldId {
         let id = FieldId(self.fields.len() as u16);
+        if in_short_form {
+            assert!(
+                u32::from(id.0) < u64::BITS,
+                "short-form fields must be among the first 64 of a schema"
+            );
+            self.short_mask |= 1 << id.0;
+        }
         self.fields.push(FieldDef {
             name: name.into(),
             alias: alias.into(),
@@ -175,35 +192,68 @@ impl Document {
     pub fn value_count(&self) -> usize {
         self.values.values().map(Vec::len).sum()
     }
-
-    /// Projects this document onto the short-form fields of `schema`.
-    pub fn short_form(&self, id: DocId, schema: &TextSchema) -> ShortDoc {
-        let mut fields = BTreeMap::new();
-        for (fid, def) in schema.iter() {
-            if def.in_short_form {
-                if let Some(vs) = self.values.get(&fid) {
-                    fields.insert(fid, vs.clone());
-                }
-            }
-        }
-        ShortDoc { id, fields }
-    }
 }
 
 /// The abbreviated per-document record returned in a search result set:
 /// the docid plus the short-form fields. (Paper, Section 2.1.)
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// A short record is a *view*: it shares the stored [`Document`] and shows
+/// only the fields the schema marks short-form, so producing, caching or
+/// merging one copies no string. Nothing on this type — accessors, `==`,
+/// `Debug` — reaches a long-form field; those still cost a
+/// [`retrieve`](crate::server::TextServer::retrieve).
+#[derive(Clone)]
 pub struct ShortDoc {
     /// The document's id, always present.
     pub id: DocId,
-    /// Short-form field values.
-    pub fields: BTreeMap<FieldId, Vec<String>>,
+    doc: Arc<Document>,
+    short_mask: u64,
 }
 
 impl ShortDoc {
+    /// The short form of `doc` under `schema`, identified as `id`.
+    pub fn new(id: DocId, doc: Arc<Document>, schema: &TextSchema) -> Self {
+        Self {
+            id,
+            doc,
+            short_mask: schema.short_mask,
+        }
+    }
+
+    fn shows(&self, field: FieldId) -> bool {
+        u32::from(field.0) < u64::BITS && self.short_mask & (1 << field.0) != 0
+    }
+
     /// Values of `field` in this short record (empty if not short-form).
     pub fn values(&self, field: FieldId) -> &[String] {
-        self.fields.get(&field).map(Vec::as_slice).unwrap_or(&[])
+        if self.shows(field) {
+            self.doc.values(field)
+        } else {
+            &[]
+        }
+    }
+
+    /// Iterates over the `(FieldId, &[values])` this short record carries.
+    pub fn short_form_fields(&self) -> impl Iterator<Item = (FieldId, &[String])> {
+        self.doc.iter().filter(|(f, _)| self.shows(*f))
+    }
+}
+
+impl PartialEq for ShortDoc {
+    fn eq(&self, other: &Self) -> bool {
+        self.id == other.id && self.short_form_fields().eq(other.short_form_fields())
+    }
+}
+
+impl Eq for ShortDoc {}
+
+impl fmt::Debug for ShortDoc {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let fields: BTreeMap<_, _> = self.short_form_fields().collect();
+        f.debug_struct("ShortDoc")
+            .field("id", &self.id)
+            .field("fields", &fields)
+            .finish()
     }
 }
 
@@ -259,10 +309,72 @@ mod tests {
         let d = Document::new()
             .with(ti, "A Title")
             .with(ab, "A very long abstract ...");
-        let sf = d.short_form(DocId(7), &s);
+        let sf = ShortDoc::new(DocId(7), Arc::new(d), &s);
         assert_eq!(sf.id, DocId(7));
         assert_eq!(sf.values(ti), ["A Title"]);
         assert!(sf.values(ab).is_empty());
+        assert!(
+            sf.values(FieldId(999)).is_empty(),
+            "unknown field is not short-form"
+        );
+        let shown: Vec<FieldId> = sf.short_form_fields().map(|(f, _)| f).collect();
+        assert_eq!(shown, [ti]);
+    }
+
+    #[test]
+    fn short_form_never_exposes_long_fields() {
+        // Two documents that differ only in the abstract: their short forms
+        // are indistinguishable — by `==`, by `Debug`, by iteration — and
+        // neither rendering leaks a word of the long field.
+        let s = schema();
+        let ti = s.field_by_name("title").unwrap();
+        let yr = s.field_by_name("year").unwrap();
+        let ab = s.field_by_name("abstract").unwrap();
+        let base = Document::new().with(ti, "A Title").with(yr, "1995");
+        let a = ShortDoc::new(
+            DocId(3),
+            Arc::new(base.clone().with(ab, "secret alpha")),
+            &s,
+        );
+        let b = ShortDoc::new(DocId(3), Arc::new(base.clone().with(ab, "secret beta")), &s);
+        assert_eq!(a, b);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_eq!(
+            format!("{a:?}"),
+            r#"ShortDoc { id: DocId(3), fields: {FieldId(0): ["A Title"], FieldId(3): ["1995"]} }"#
+        );
+        assert!(a.short_form_fields().eq(b.short_form_fields()));
+        // ... apart from `id`, and from a short-form field.
+        let other_id = ShortDoc::new(DocId(4), Arc::new(base.clone()), &s);
+        assert_ne!(a, other_id);
+        let other_title = ShortDoc::new(DocId(3), Arc::new(base.with(ti, "Another")), &s);
+        assert_ne!(a, other_title);
+    }
+
+    #[test]
+    fn short_form_shares_the_document() {
+        let s = schema();
+        let ti = s.field_by_name("title").unwrap();
+        let doc = Arc::new(Document::new().with(ti, "A Title"));
+        let sf = ShortDoc::new(DocId(0), Arc::clone(&doc), &s);
+        let copy = sf.clone();
+        assert_eq!(
+            Arc::strong_count(&doc),
+            3,
+            "a refcount per short form, no copy"
+        );
+        assert!(std::ptr::eq(copy.values(ti), doc.values(ti)));
+    }
+
+    #[test]
+    #[should_panic(expected = "first 64")]
+    fn short_form_field_past_the_mask_is_refused() {
+        let mut s = TextSchema::new();
+        for i in 0..64 {
+            s.add_field(format!("f{i}"), format!("F{i}"), i == 63);
+        }
+        s.add_field("late", "LT", false);
+        s.add_field("late_short", "LS", true);
     }
 
     #[test]
@@ -270,7 +382,7 @@ mod tests {
         let s = schema();
         let d = Document::new();
         assert_eq!(d.value_count(), 0);
-        let sf = d.short_form(DocId(0), &s);
-        assert!(sf.fields.is_empty());
+        let sf = ShortDoc::new(DocId(0), Arc::new(d), &s);
+        assert_eq!(sf.short_form_fields().count(), 0);
     }
 }

@@ -6,10 +6,12 @@
 //! matching docids, the **sum of the lengths of the inverted lists
 //! processed** — exactly the quantity the cost constant `c_p` multiplies.
 
-use crate::doc::FieldId;
+use std::borrow::Cow;
+
+use crate::doc::{DocId, FieldId};
 use crate::expr::{BasicTerm, SearchExpr, TermKind};
 use crate::index::Collection;
-use crate::postings::{positional_join, DocSet, PostingList};
+use crate::postings::{phrase_step, positional_join, DocSet, PostingList};
 
 /// The outcome of evaluating a search expression.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -21,6 +23,11 @@ pub struct EvalOutcome {
 }
 
 /// Evaluates `expr` against `coll`.
+///
+/// Inverted lists are read where they live: a term's docids come from one
+/// filtered pass over the borrowed list, and the only postings ever copied
+/// are the carrier of a multi-word phrase and the merged list of a
+/// truncated NEAR operand, both of which are new lists.
 pub fn evaluate(coll: &Collection, expr: &SearchExpr) -> EvalOutcome {
     let mut postings_read = 0;
     let docs = eval_expr(coll, expr, &mut postings_read);
@@ -57,12 +64,11 @@ fn eval_expr(coll: &Collection, expr: &SearchExpr, postings_read: &mut usize) ->
             acc
         }
         SearchExpr::Or(cs) => {
-            let mut acc = DocSet::new();
+            let mut ids = Vec::new();
             for c in cs {
-                let rhs = eval_expr(coll, c, postings_read);
-                acc = acc.union(&rhs);
+                ids.extend_from_slice(eval_expr(coll, c, postings_read).ids());
             }
-            acc
+            DocSet::from_unsorted(ids)
         }
         SearchExpr::AndNot(a, b) => {
             let lhs = eval_expr(coll, a, postings_read);
@@ -73,11 +79,19 @@ fn eval_expr(coll: &Collection, expr: &SearchExpr, postings_read: &mut usize) ->
 }
 
 fn all_docs(coll: &Collection) -> DocSet {
-    DocSet::from_sorted(
-        (0..coll.doc_count() as u32)
-            .map(crate::doc::DocId)
-            .collect(),
-    )
+    DocSet::from_sorted((0..coll.doc_count() as u32).map(DocId).collect())
+}
+
+/// Looks up `word`'s inverted list and charges its full length: the list is
+/// read whole whatever field the term is restricted to.
+fn read_list<'a>(
+    coll: &'a Collection,
+    word: &str,
+    postings_read: &mut usize,
+) -> Option<&'a PostingList> {
+    let list = coll.lookup(word)?;
+    *postings_read += list.len();
+    Some(list)
 }
 
 fn eval_term(coll: &Collection, term: &BasicTerm, postings_read: &mut usize) -> DocSet {
@@ -86,11 +100,8 @@ fn eval_term(coll: &Collection, term: &BasicTerm, postings_read: &mut usize) -> 
             if w.is_empty() {
                 return DocSet::new();
             }
-            match coll.lookup(w) {
-                Some(list) => {
-                    *postings_read += list.len();
-                    restrict(list, term.field).docs()
-                }
+            match read_list(coll, w, postings_read) {
+                Some(list) => list.docs(term.field),
                 None => DocSet::new(),
             }
         }
@@ -98,21 +109,14 @@ fn eval_term(coll: &Collection, term: &BasicTerm, postings_read: &mut usize) -> 
             if p.is_empty() {
                 return DocSet::new();
             }
-            let mut acc = DocSet::new();
+            let mut ids = Vec::new();
             for (_, list) in coll.prefix_lookup(p) {
                 *postings_read += list.len();
-                acc = acc.union(&restrict(list, term.field).docs());
+                ids.extend(list.doc_ids(term.field));
             }
-            acc
+            DocSet::from_unsorted(ids)
         }
         TermKind::Phrase(words) => eval_phrase(coll, words, term.field, postings_read),
-    }
-}
-
-fn restrict(list: &PostingList, field: Option<FieldId>) -> PostingList {
-    match field {
-        Some(f) => list.in_field(f),
-        None => list.clone(),
     }
 }
 
@@ -127,66 +131,27 @@ fn eval_phrase(
 ) -> DocSet {
     let mut lists = Vec::with_capacity(words.len());
     for w in words {
-        match coll.lookup(w) {
-            Some(list) => {
-                *postings_read += list.len();
-                lists.push(restrict(list, field));
-            }
+        match read_list(coll, w, postings_read) {
+            Some(list) => lists.push(list),
             // A phrase containing an unindexed word matches nothing, but the
             // lists read so far were still processed.
             None => return DocSet::new(),
         }
     }
-    if lists.is_empty() {
-        return DocSet::new();
-    }
-    if lists.len() == 1 {
-        return lists[0].docs();
-    }
     // Carrier: postings of word i that end a valid prefix of the phrase.
-    let mut carrier = lists[0].clone();
-    for next in &lists[1..] {
-        carrier = advance_phrase(&carrier, next);
+    // Every step matched within `field`, so the carrier needs no filter.
+    let (mut carrier, rest) = match lists.as_slice() {
+        [] => return DocSet::new(),
+        [only] => return only.docs(field),
+        [first, second, rest @ ..] => (phrase_step(first, second, field), rest),
+    };
+    for next in rest {
         if carrier.is_empty() {
-            return DocSet::new();
+            break;
         }
+        carrier = phrase_step(&carrier, next, field);
     }
-    carrier.docs()
-}
-
-/// Returns the postings of `next` that directly follow (gap exactly 1, same
-/// doc/field/value) some posting in `carrier`.
-fn advance_phrase(carrier: &PostingList, next: &PostingList) -> PostingList {
-    let (pa, pb) = (carrier.postings(), next.postings());
-    let mut out = Vec::new();
-    let mut i = 0;
-    let mut j = 0;
-    while i < pa.len() && j < pb.len() {
-        let ka = (pa[i].doc, pa[i].field, pa[i].value_idx);
-        let kb = (pb[j].doc, pb[j].field, pb[j].value_idx);
-        match ka.cmp(&kb) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                let i_end = i + pa[i..]
-                    .iter()
-                    .take_while(|p| (p.doc, p.field, p.value_idx) == ka)
-                    .count();
-                let j_end = j + pb[j..]
-                    .iter()
-                    .take_while(|p| (p.doc, p.field, p.value_idx) == kb)
-                    .count();
-                for y in &pb[j..j_end] {
-                    if pa[i..i_end].iter().any(|x| x.pos + 1 == y.pos) {
-                        out.push(*y);
-                    }
-                }
-                i = i_end;
-                j = j_end;
-            }
-        }
-    }
-    PostingList::from_sorted(out)
+    carrier.docs(None)
 }
 
 fn eval_near(
@@ -196,20 +161,15 @@ fn eval_near(
     distance: u32,
     postings_read: &mut usize,
 ) -> DocSet {
-    let get = |t: &BasicTerm, postings_read: &mut usize| -> Option<PostingList> {
+    let get = |t: &BasicTerm, postings_read: &mut usize| -> Option<Cow<'_, PostingList>> {
         match &t.kind {
-            TermKind::Word(w) => coll.lookup(w).map(|l| {
-                *postings_read += l.len();
-                restrict(l, t.field)
-            }),
+            TermKind::Word(w) => read_list(coll, w, postings_read).map(Cow::Borrowed),
             // Proximity over phrases/prefixes is not part of the paper's
             // model; treat the first word only.
-            TermKind::Phrase(ws) => ws.first().and_then(|w| {
-                coll.lookup(w).map(|l| {
-                    *postings_read += l.len();
-                    restrict(l, t.field)
-                })
-            }),
+            TermKind::Phrase(ws) => ws
+                .first()
+                .and_then(|w| read_list(coll, w, postings_read))
+                .map(Cow::Borrowed),
             TermKind::Prefix(p) => {
                 if p.is_empty() {
                     return None;
@@ -217,17 +177,23 @@ fn eval_near(
                 let mut merged = Vec::new();
                 for (_, l) in coll.prefix_lookup(p) {
                     *postings_read += l.len();
-                    merged.extend_from_slice(restrict(l, t.field).postings());
+                    merged.extend(l.postings().iter().filter(|p| p.is_in(t.field)));
                 }
                 merged.sort_unstable();
-                Some(PostingList::from_sorted(merged))
+                Some(Cow::Owned(PostingList::from_sorted(merged)))
             }
         }
     };
     let (Some(la), Some(lb)) = (get(a, postings_read), get(b, postings_read)) else {
         return DocSet::new();
     };
-    positional_join(&la, &lb, -i64::from(distance), i64::from(distance))
+    // Both operands must hit the same field value, so two restrictions
+    // either agree or can never both hold.
+    let field = match (a.field, b.field) {
+        (Some(fa), Some(fb)) if fa != fb => return DocSet::new(),
+        (fa, fb) => fa.or(fb),
+    };
+    positional_join(&la, &lb, field, -i64::from(distance), i64::from(distance))
 }
 
 #[cfg(test)]

@@ -7,8 +7,10 @@
 //! retrieval by docid.
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
+use std::sync::Arc;
 
-use crate::doc::{DocId, Document, FieldId, TextSchema};
+use crate::doc::{DocId, Document, FieldId, ShortDoc, TextSchema};
 use crate::postings::{Posting, PostingList};
 use crate::token::tokenize;
 
@@ -18,7 +20,9 @@ use crate::token::tokenize;
 #[derive(Debug, Clone)]
 pub struct Collection {
     schema: TextSchema,
-    docs: Vec<Document>,
+    /// Each document is stored once; short forms, replicas and migration
+    /// copies share it by handle.
+    docs: Vec<Arc<Document>>,
     /// Directory: word → inverted list. Ordered for prefix range scans.
     directory: BTreeMap<String, PostingList>,
 }
@@ -50,8 +54,11 @@ impl Collection {
 
     /// Adds a document, indexing every word of every field value, and
     /// returns its docid. Docids are assigned densely in insertion order,
-    /// which keeps every inverted list sorted on append.
-    pub fn add_document(&mut self, doc: Document) -> DocId {
+    /// which keeps every inverted list sorted on append. Passing a handle
+    /// another collection already holds shares the strings; only the
+    /// postings are this collection's own.
+    pub fn add_document(&mut self, doc: impl Into<Arc<Document>>) -> DocId {
+        let doc = doc.into();
         let id = DocId(self.docs.len() as u32);
         for (field, values) in doc.iter() {
             for (value_idx, value) in values.iter().enumerate() {
@@ -72,7 +79,19 @@ impl Collection {
     /// Long-form retrieval: the full document for `id`, or `None` if the
     /// docid is unknown.
     pub fn document(&self, id: DocId) -> Option<&Document> {
+        self.shared_document(id).map(|d| &**d)
+    }
+
+    /// The stored handle of `id`'s document, for placing the same document
+    /// in another collection without copying it.
+    pub fn shared_document(&self, id: DocId) -> Option<&Arc<Document>> {
         self.docs.get(id.0 as usize)
+    }
+
+    /// The short form of `id`: a view sharing the stored document.
+    pub fn short_form(&self, id: DocId) -> Option<ShortDoc> {
+        self.shared_document(id)
+            .map(|d| ShortDoc::new(id, Arc::clone(d), &self.schema))
     }
 
     /// The inverted list for `word` (already normalized), or `None` if the
@@ -89,7 +108,7 @@ impl Collection {
         prefix: &'a str,
     ) -> impl Iterator<Item = (&'a str, &'a PostingList)> + 'a {
         self.directory
-            .range(prefix.to_owned()..)
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
             .take_while(move |(w, _)| w.starts_with(prefix))
             .map(|(w, l)| (w.as_str(), l))
     }
@@ -99,8 +118,7 @@ impl Collection {
     /// paper's statistics (Section 4.2) estimate by sampling.
     pub fn doc_frequency(&self, word: &str, field: FieldId) -> usize {
         self.lookup(word)
-            .map(|l| l.in_field(field).doc_count())
-            .unwrap_or(0)
+            .map_or(0, |l| l.doc_ids(Some(field)).count())
     }
 
     /// Iterates over all `(word, list)` entries — used by the statistics

@@ -23,6 +23,14 @@ pub struct Posting {
     pub pos: u32,
 }
 
+impl Posting {
+    /// Whether this occurrence passes a term's field restriction (`None`
+    /// admits every field).
+    pub fn is_in(&self, field: Option<FieldId>) -> bool {
+        field.is_none_or(|f| self.field == f)
+    }
+}
+
 /// A sorted inverted list. Postings are ordered by
 /// `(doc, field, value_idx, pos)`; the ordering invariant is maintained by
 /// construction (documents are indexed in docid order) and checked in debug
@@ -68,39 +76,19 @@ impl PostingList {
         &self.postings
     }
 
-    /// Number of distinct documents in the list.
-    pub fn doc_count(&self) -> usize {
-        let mut n = 0;
-        let mut last: Option<DocId> = None;
-        for p in &self.postings {
-            if last != Some(p.doc) {
-                n += 1;
-                last = Some(p.doc);
-            }
-        }
-        n
+    /// The distinct docids with a posting in `field` (`None`: in any
+    /// field), ascending — one filtered pass over the borrowed list.
+    pub fn doc_ids(&self, field: Option<FieldId>) -> impl Iterator<Item = DocId> + '_ {
+        let mut last = None;
+        self.postings
+            .iter()
+            .filter(move |p| p.is_in(field))
+            .filter_map(move |p| (last.replace(p.doc) != Some(p.doc)).then_some(p.doc))
     }
 
-    /// The distinct, sorted docids in the list.
-    pub fn docs(&self) -> DocSet {
-        let mut ids = Vec::new();
-        for p in &self.postings {
-            if ids.last() != Some(&p.doc) {
-                ids.push(p.doc);
-            }
-        }
-        DocSet::from_sorted(ids)
-    }
-
-    /// Restricts the list to postings in `field`.
-    pub fn in_field(&self, field: FieldId) -> PostingList {
-        PostingList::from_sorted(
-            self.postings
-                .iter()
-                .filter(|p| p.field == field)
-                .copied()
-                .collect(),
-        )
+    /// [`doc_ids`](Self::doc_ids) as a set.
+    pub fn docs(&self, field: Option<FieldId>) -> DocSet {
+        DocSet::from_sorted(self.doc_ids(field).collect())
     }
 }
 
@@ -127,8 +115,13 @@ impl DocSet {
     }
 
     /// Builds from arbitrary ids (sorts and dedups).
+    ///
+    /// This is also the k-way union: hand it `k` ascending sets back to
+    /// back. The stable sort is a natural merge sort — it finds the runs
+    /// and merges them in balanced order, `O(n log k)` — where folding a
+    /// two-way union re-copies the accumulated result once per operand.
     pub fn from_unsorted(mut ids: Vec<DocId>) -> Self {
-        ids.sort_unstable();
+        ids.sort();
         ids.dedup();
         Self { ids }
     }
@@ -171,32 +164,6 @@ impl DocSet {
         DocSet::from_sorted(out)
     }
 
-    /// Set union by linear merge.
-    pub fn union(&self, other: &DocSet) -> DocSet {
-        let (mut i, mut j) = (0, 0);
-        let mut out = Vec::with_capacity(self.len() + other.len());
-        while i < self.ids.len() && j < other.ids.len() {
-            match self.ids[i].cmp(&other.ids[j]) {
-                std::cmp::Ordering::Less => {
-                    out.push(self.ids[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push(other.ids[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    out.push(self.ids[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        out.extend_from_slice(&self.ids[i..]);
-        out.extend_from_slice(&other.ids[j..]);
-        DocSet::from_sorted(out)
-    }
-
     /// Set difference `self \ other` by linear merge.
     pub fn difference(&self, other: &DocSet) -> DocSet {
         let (mut i, mut j) = (0, 0);
@@ -222,45 +189,88 @@ impl DocSet {
     }
 }
 
-/// Positional join used for phrase and proximity search.
-///
-/// Returns the docids in which some posting of `a` and some posting of `b`
-/// occur in the *same field value* of the same document with
-/// `pos(b) - pos(a)` in `[min_gap, max_gap]`. For a two-word phrase,
-/// `min_gap = max_gap = 1`; for `near10`, use `[-10, 10]` with
-/// `symmetric = true` handled by the caller passing a negative `min_gap`.
-pub fn positional_join(a: &PostingList, b: &PostingList, min_gap: i64, max_gap: i64) -> DocSet {
-    let mut out = Vec::new();
-    let (pa, pb) = (a.postings(), b.postings());
-    let mut i = 0;
-    let mut j = 0;
-    while i < pa.len() && j < pb.len() {
-        let ka = (pa[i].doc, pa[i].field, pa[i].value_idx);
-        let kb = (pb[j].doc, pb[j].field, pb[j].value_idx);
-        match ka.cmp(&kb) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
+/// The `(doc, field, value)` a posting's position counts within.
+fn value_key(p: &Posting) -> (DocId, FieldId, u16) {
+    (p.doc, p.field, p.value_idx)
+}
+
+/// Walks two inverted lists in step and calls `on_run` with each pair of
+/// position runs that share a `(doc, field, value)` within `field`. Each
+/// cursor steps over the postings outside `field` as it advances, so the
+/// walk compares what a filtered copy of each list would hold without
+/// making one.
+fn for_each_shared_value<'a>(
+    a: &'a PostingList,
+    b: &'a PostingList,
+    field: Option<FieldId>,
+    mut on_run: impl FnMut(&'a [Posting], &'a [Posting]),
+) {
+    let (a, b) = (a.postings(), b.postings());
+    // The first index at or after `from` whose posting is in `field`.
+    let next_in_field = |list: &[Posting], from: usize| {
+        from + list[from..].iter().take_while(|p| !p.is_in(field)).count()
+    };
+    let (mut i, mut j) = (next_in_field(a, 0), next_in_field(b, 0));
+    while i < a.len() && j < b.len() {
+        let key = value_key(&a[i]);
+        match key.cmp(&value_key(&b[j])) {
+            std::cmp::Ordering::Less => i = next_in_field(a, i + 1),
+            std::cmp::Ordering::Greater => j = next_in_field(b, j + 1),
             std::cmp::Ordering::Equal => {
-                // Same (doc, field, value): scan the two position runs.
-                let i_end = pa[i..].iter().take_while(|p| (p.doc, p.field, p.value_idx) == ka).count() + i;
-                let j_end = pb[j..].iter().take_while(|p| (p.doc, p.field, p.value_idx) == kb).count() + j;
-                'outer: for x in &pa[i..i_end] {
-                    for y in &pb[j..j_end] {
-                        let gap = i64::from(y.pos) - i64::from(x.pos);
-                        if gap >= min_gap && gap <= max_gap {
-                            if out.last() != Some(&ka.0) {
-                                out.push(ka.0);
-                            }
-                            break 'outer;
-                        }
-                    }
-                }
-                i = i_end;
-                j = j_end;
+                let i_end = i + a[i..].iter().take_while(|p| value_key(p) == key).count();
+                let j_end = j + b[j..].iter().take_while(|p| value_key(p) == key).count();
+                on_run(&a[i..i_end], &b[j..j_end]);
+                i = next_in_field(a, i_end);
+                j = next_in_field(b, j_end);
             }
         }
     }
-    DocSet::from_unsorted(out)
+}
+
+/// Positional join used for proximity search.
+///
+/// Returns the docids in which some posting of `a` and some posting of `b`
+/// occur in the *same field value* of the same document, within `field`
+/// (`None`: any field), with `pos(b) - pos(a)` in `[min_gap, max_gap]`. For
+/// `near10`, use `[-10, 10]`.
+pub fn positional_join(
+    a: &PostingList,
+    b: &PostingList,
+    field: Option<FieldId>,
+    min_gap: i64,
+    max_gap: i64,
+) -> DocSet {
+    let mut out = Vec::new();
+    for_each_shared_value(a, b, field, |xs, ys| {
+        let doc = xs[0].doc;
+        let near = |x: &Posting, y: &Posting| {
+            let gap = i64::from(y.pos) - i64::from(x.pos);
+            gap >= min_gap && gap <= max_gap
+        };
+        if out.last() != Some(&doc) && xs.iter().any(|x| ys.iter().any(|y| near(x, y))) {
+            out.push(doc);
+        }
+    });
+    DocSet::from_sorted(out)
+}
+
+/// One step of phrase matching: the postings of `next` that directly follow
+/// (gap exactly 1, same doc/field/value, within `field`) some posting of
+/// `carrier`.
+pub fn phrase_step(
+    carrier: &PostingList,
+    next: &PostingList,
+    field: Option<FieldId>,
+) -> PostingList {
+    let mut out = Vec::new();
+    for_each_shared_value(carrier, next, field, |xs, ys| {
+        out.extend(
+            ys.iter()
+                .filter(|y| xs.iter().any(|x| x.pos + 1 == y.pos))
+                .copied(),
+        );
+    });
+    PostingList::from_sorted(out)
 }
 
 #[cfg(test)]
@@ -271,12 +281,30 @@ mod tests {
         DocSet::from_sorted(ids.iter().map(|&i| DocId(i)).collect())
     }
 
+    fn union(sets: &[&DocSet]) -> DocSet {
+        DocSet::from_unsorted(sets.iter().flat_map(|s| s.ids()).copied().collect())
+    }
+
+    #[test]
+    fn union_of_many_overlapping_sets() {
+        // 70 sets (an M-sized OR package): set k holds the multiples
+        // of k below 500, so every id is shared by several of them.
+        let sets: Vec<DocSet> = (1..=70u32)
+            .map(|k| ds(&(0..500).filter(|i| i % k == 0).collect::<Vec<_>>()))
+            .collect();
+        let merged = union(&sets.iter().collect::<Vec<_>>());
+        assert_eq!(merged, ds(&(0..500).collect::<Vec<_>>()));
+        let sparse = union(&sets[49..].iter().collect::<Vec<_>>());
+        let expect: Vec<u32> = (0..500).filter(|i| (50..=70).any(|k| i % k == 0)).collect();
+        assert_eq!(sparse, ds(&expect));
+    }
+
     #[test]
     fn intersect_union_difference() {
         let a = ds(&[1, 3, 5, 7]);
         let b = ds(&[3, 4, 5, 8]);
         assert_eq!(a.intersect(&b), ds(&[3, 5]));
-        assert_eq!(a.union(&b), ds(&[1, 3, 4, 5, 7, 8]));
+        assert_eq!(union(&[&a, &b]), ds(&[1, 3, 4, 5, 7, 8]));
         assert_eq!(a.difference(&b), ds(&[1, 7]));
         assert_eq!(b.difference(&a), ds(&[4, 8]));
     }
@@ -286,7 +314,11 @@ mod tests {
         let a = ds(&[1, 2]);
         let e = DocSet::new();
         assert_eq!(a.intersect(&e), e);
-        assert_eq!(a.union(&e), a);
+        assert_eq!(union(&[&a, &e]), a);
+        assert_eq!(union(&[&e, &a]), a);
+        assert_eq!(union(&[&e, &e]), e);
+        assert_eq!(union(&[]), e);
+        assert_eq!(union(&[&a]), a);
         assert_eq!(a.difference(&e), a);
         assert_eq!(e.difference(&a), e);
     }
@@ -322,16 +354,23 @@ mod tests {
     fn posting_list_docs_dedup() {
         let l = pl(&[(1, 0, 0, 0), (1, 0, 0, 4), (2, 1, 0, 1)]);
         assert_eq!(l.len(), 3);
-        assert_eq!(l.doc_count(), 2);
-        assert_eq!(l.docs(), ds(&[1, 2]));
+        assert_eq!(l.doc_ids(None).count(), 2);
+        assert_eq!(l.docs(None), ds(&[1, 2]));
     }
 
     #[test]
-    fn in_field_filters() {
-        let l = pl(&[(1, 0, 0, 0), (1, 1, 0, 0), (2, 0, 0, 3)]);
-        let f0 = l.in_field(FieldId(0));
-        assert_eq!(f0.len(), 2);
-        assert_eq!(f0.docs(), ds(&[1, 2]));
+    fn docs_restricted_to_a_field() {
+        let l = pl(&[
+            (1, 0, 0, 0),
+            (1, 1, 0, 0),
+            (2, 0, 0, 3),
+            (2, 0, 1, 0),
+            (4, 1, 0, 2),
+        ]);
+        assert_eq!(l.docs(Some(FieldId(0))), ds(&[1, 2]));
+        assert_eq!(l.docs(Some(FieldId(1))), ds(&[1, 4]));
+        assert_eq!(l.docs(Some(FieldId(2))), ds(&[]));
+        assert_eq!(l.docs(None), ds(&[1, 2, 4]));
     }
 
     #[test]
@@ -339,11 +378,25 @@ mod tests {
         // doc1: "belief update" in field0 value0; doc2 has the words apart.
         let belief = pl(&[(1, 0, 0, 0), (2, 0, 0, 0)]);
         let update = pl(&[(1, 0, 0, 1), (2, 0, 0, 5)]);
-        let adjacent = positional_join(&belief, &update, 1, 1);
+        let adjacent = positional_join(&belief, &update, None, 1, 1);
         assert_eq!(adjacent, ds(&[1]));
+        assert_eq!(phrase_step(&belief, &update, None), pl(&[(1, 0, 0, 1)]));
         // near5 (either order): doc2's gap of 5 qualifies.
-        let near5 = positional_join(&belief, &update, -5, 5);
+        let near5 = positional_join(&belief, &update, None, -5, 5);
         assert_eq!(near5, ds(&[1, 2]));
+    }
+
+    #[test]
+    fn positional_ops_restrict_by_field_inline() {
+        // doc1 has the pair adjacent in field 0, doc2 in field 1.
+        let a = pl(&[(1, 0, 0, 0), (2, 1, 0, 4)]);
+        let b = pl(&[(1, 0, 0, 1), (2, 1, 0, 5)]);
+        assert_eq!(positional_join(&a, &b, None, 1, 1), ds(&[1, 2]));
+        assert_eq!(positional_join(&a, &b, Some(FieldId(0)), 1, 1), ds(&[1]));
+        assert_eq!(positional_join(&a, &b, Some(FieldId(1)), 1, 1), ds(&[2]));
+        assert_eq!(positional_join(&a, &b, Some(FieldId(2)), 1, 1), ds(&[]));
+        assert_eq!(phrase_step(&a, &b, Some(FieldId(1))), pl(&[(2, 1, 0, 5)]));
+        assert!(phrase_step(&a, &b, Some(FieldId(2))).is_empty());
     }
 
     #[test]
@@ -352,13 +405,13 @@ mod tests {
         // multi-valued field must not match as a phrase.
         let a = pl(&[(1, 0, 0, 0)]);
         let b = pl(&[(1, 0, 1, 1)]);
-        assert!(positional_join(&a, &b, 1, 1).is_empty());
+        assert!(positional_join(&a, &b, None, 1, 1).is_empty());
     }
 
     #[test]
     fn positional_join_multiple_runs() {
         let a = pl(&[(1, 0, 0, 0), (3, 0, 0, 2), (3, 0, 0, 9)]);
         let b = pl(&[(1, 0, 0, 7), (3, 0, 0, 3)]);
-        assert_eq!(positional_join(&a, &b, 1, 1), ds(&[3]));
+        assert_eq!(positional_join(&a, &b, None, 1, 1), ds(&[3]));
     }
 }

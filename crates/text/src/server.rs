@@ -576,9 +576,8 @@ impl TextServer {
             .iter()
             .map(|&id| {
                 self.coll
-                    .document(id)
+                    .short_form(id)
                     .expect("evaluator returns only valid docids")
-                    .short_form(id, self.coll.schema())
             })
             .collect();
         let charge = {

@@ -165,9 +165,7 @@ impl TextService for TextServer {
     }
 
     fn reconstruct_short(&self, id: DocId) -> Option<ShortDoc> {
-        self.collection()
-            .document(id)
-            .map(|d| d.short_form(id, self.collection().schema()))
+        self.collection().short_form(id)
     }
 
     fn recorder(&self) -> Option<std::rc::Rc<textjoin_obs::Recorder>> {

@@ -26,6 +26,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use textjoin_obs::{Charge, EventKind, MetricsSnapshot, Recorder};
 
@@ -208,9 +209,9 @@ impl ShardedTextServer {
         let mut to_global: Vec<Vec<DocId>> = vec![Vec::new(); n_shards];
         for g in 0..coll.doc_count() {
             let global = DocId(g as u32);
-            let doc = coll.document(global).expect("dense docids").clone();
+            let doc = coll.shared_document(global).expect("dense docids");
             let shard = (splitmix64(seed ^ u64::from(global.0)) % n_shards as u64) as usize;
-            let local = colls[shard].add_document(doc);
+            let local = colls[shard].add_document(Arc::clone(doc));
             route.push((shard, local));
             to_global[shard].push(global);
         }
@@ -858,17 +859,18 @@ impl ShardedTextServer {
                 if owner != m.src {
                     continue;
                 }
-                let doc = self.replicas[m.src][0]
-                    .collection()
-                    .document(src_local)
-                    .expect("routed docids are dense")
-                    .clone();
+                let doc = Arc::clone(
+                    self.replicas[m.src][0]
+                        .collection()
+                        .shared_document(src_local)
+                        .expect("routed docids are dense"),
+                );
                 let before = self.replicas[m.dst][0].collection().total_postings();
                 let mut dst_local = None;
                 for r in 0..self.replicas[m.dst].len() {
                     let local = self.replicas[m.dst][r]
                         .collection_mut()
-                        .add_document(doc.clone());
+                        .add_document(Arc::clone(&doc));
                     match dst_local {
                         None => dst_local = Some(local),
                         Some(prev) => {
@@ -1543,9 +1545,9 @@ impl TextService for ShardedTextServer {
 
     fn reconstruct_short(&self, id: DocId) -> Option<ShortDoc> {
         let (shard, local) = self.route.borrow().get(id.0 as usize).copied()?;
-        let coll = self.shard(shard).collection();
-        coll.document(local)
-            .map(|d| d.short_form(id, coll.schema()))
+        let mut short = self.shard(shard).collection().short_form(local)?;
+        short.id = id;
+        Some(short)
     }
 
     fn as_sharded(&self) -> Option<&ShardedTextServer> {
@@ -1715,6 +1717,83 @@ mod tests {
             sf,
             TextService::reconstruct_short(&single, DocId(6)).unwrap()
         );
+    }
+
+    /// A corpus whose documents also carry long-form fields.
+    fn corpus_with_abstracts(n: usize) -> Collection {
+        let schema = TextSchema::bibliographic();
+        let ti = schema.field_by_name("title").unwrap();
+        let ab = schema.field_by_name("abstract").unwrap();
+        let yr = schema.field_by_name("year").unwrap();
+        let mut c = Collection::new(schema);
+        for i in 0..n {
+            c.add_document(
+                Document::new()
+                    .with(ti, format!("shared subject {i}"))
+                    .with(ab, format!("shared abstract of document {i}"))
+                    .with(yr, format!("{}", 1990 + i % 5)),
+            );
+        }
+        c
+    }
+
+    #[test]
+    fn sharded_short_forms_equal_the_single_servers_and_hide_long_fields() {
+        let coll = corpus_with_abstracts(40);
+        let ab = coll.schema().field_by_name("abstract").unwrap();
+        let ti = coll.schema().field_by_name("title").unwrap();
+        let single = TextServer::new(coll.clone());
+        let sharded = ShardedTextServer::replicated(&coll, 4, 2, 7);
+        // The abstract is searchable on both, and shipped by neither.
+        for q in ["AB='shared'", "TI='subject' and AB='document'", "YR=1993"] {
+            let want = single.search_str(q).unwrap();
+            let got = TextService::search_str(&sharded, q).unwrap();
+            assert!(!want.docs.is_empty(), "{q}");
+            assert_eq!(got.docs, want.docs, "{q}: same short forms, global ids");
+            for (i, d) in got.docs.iter().enumerate() {
+                assert_eq!(d.id, want.docs[i].id);
+                assert_eq!(d.values(ti), [format!("shared subject {}", d.id.0)]);
+                assert!(d.values(ab).is_empty(), "long field behind a short form");
+                assert!(d.short_form_fields().all(|(f, _)| f != ab));
+                assert!(!format!("{d:?}").contains("abstract of"));
+                assert_eq!(*d, TextService::reconstruct_short(&sharded, d.id).unwrap());
+            }
+        }
+    }
+
+    #[test]
+    fn topology_copies_share_each_document() {
+        // Every physical copy — shard, replica, staged migration target —
+        // holds the source collection's document by handle: the strings
+        // exist once however wide the topology.
+        let coll = corpus_with_abstracts(40);
+        let mut sharded = ShardedTextServer::replicated(&coll, 4, 3, 7);
+        let shares_source = |sharded: &ShardedTextServer, shard: usize, local: DocId, g: u32| {
+            let source = coll.shared_document(DocId(g)).unwrap();
+            (0..3).all(|r| {
+                let copy = sharded.replica(shard, r).collection().shared_document(local);
+                copy.is_some_and(|c| Arc::ptr_eq(c, source))
+            })
+        };
+        for g in 0..40u32 {
+            let (shard, local) = sharded.route.borrow()[g as usize];
+            assert!(shares_source(&sharded, shard, local, g), "doc {g}");
+        }
+        let journal = sharded.begin_migration(MigrationPlan::seeded(3, 4, 40, 3, 2));
+        assert!(journal.entries.iter().any(|e| e.docs > 0), "something was staged");
+        let staged: Vec<(usize, DocId, u32)> = {
+            let m = sharded.migration.borrow();
+            let state = m.as_ref().unwrap();
+            state
+                .staged
+                .iter()
+                .zip(&state.journal.entries)
+                .flat_map(|(docs, e)| docs.iter().map(|d| (e.dst, d.dst_local, d.global.0)))
+                .collect()
+        };
+        for (dst, dst_local, g) in staged {
+            assert!(shares_source(&sharded, dst, dst_local, g), "staged doc {g}");
+        }
     }
 
     #[test]

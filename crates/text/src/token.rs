@@ -36,6 +36,11 @@ fn is_word_char(c: char) -> bool {
 /// assert_eq!(words, ["belief", "update", "revisited"]);
 /// assert_eq!(toks[2].pos, 2);
 /// ```
+// The index build calls this once per field value from another module.
+// Without the hint, whether it inlines there depends on how rustc happens to
+// partition the crate into codegen units, and the build is a fifth slower
+// when it does not.
+#[inline]
 pub fn tokenize(text: &str) -> Vec<Token> {
     let mut out = Vec::new();
     let mut cur = String::new();
