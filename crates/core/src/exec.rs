@@ -15,6 +15,7 @@
 
 use textjoin_rel::catalog::Catalog;
 use textjoin_rel::expr::Pred;
+use textjoin_rel::join::nested_loop_join;
 use textjoin_rel::ops::{filter, group_by};
 use textjoin_rel::schema::{ColId, RelSchema};
 use textjoin_rel::table::Table;
@@ -505,7 +506,6 @@ impl<'a> MultiExecutor<'a> {
     ) -> Result<Table, MethodError> {
         let q = self.query();
         let off = lt.schema().len();
-        let joined_schema = lt.schema().concat(rt.schema(), rt.name());
         let mut conds = Vec::new();
         for &i in preds {
             let p = &q.rel_joins[i];
@@ -547,20 +547,14 @@ impl<'a> MultiExecutor<'a> {
             });
         }
         let pred = Pred::and(conds);
+        // Booked from the cardinalities, as the planner prices them
+        // (`RelCostModel::join_matching`), not from what the join's
+        // short-circuiting evaluation happens to touch.
         *rel_pairs += (lt.len() * rt.len()) as u64;
         if !residuals.is_empty() {
             *rtp_comparisons += (lt.len() * rt.len() * residuals.len()) as u64;
         }
-        let mut out = Table::new(format!("({} ⋈ {})", lt.name(), rt.name()), joined_schema);
-        for a in lt.iter() {
-            for b in rt.iter() {
-                let row = a.concat(b);
-                if pred.eval(&row) {
-                    out.push(row);
-                }
-            }
-        }
-        Ok(out)
+        Ok(nested_loop_join(lt, rt, &pred))
     }
 
     fn eval_text_join(

@@ -17,6 +17,7 @@
 
 pub mod cache;
 pub mod probe;
+mod rel_match;
 pub mod rtp;
 pub mod sj;
 pub mod ts;
@@ -30,7 +31,7 @@ use textjoin_rel::table::Table;
 use textjoin_rel::tuple::Tuple;
 use textjoin_rel::value::{Value, ValueType};
 use textjoin_text::batch::BatchResult;
-use textjoin_text::doc::{DocId, Document, FieldId, ShortDoc, TextSchema};
+use textjoin_text::doc::{DocId, Document, FieldId, TextSchema};
 use textjoin_text::expr::SearchExpr;
 use textjoin_text::server::{SearchResult, TextError, Usage};
 use textjoin_text::service::TextService;
@@ -1063,13 +1064,13 @@ impl<'a> ForeignJoin<'a> {
 
     /// Emits output rows for one (tuple, matched docs) pair according to the
     /// projection. `docs` must be the long forms when the projection is
-    /// `Full`.
-    pub fn emit(
+    /// `Full`; they may be owned or borrowed.
+    pub fn emit<D: std::borrow::Borrow<Document>>(
         &self,
         out: &mut Table,
         text_schema: &TextSchema,
         tuple: &Tuple,
-        docs: &[(DocId, Document)],
+        docs: &[(DocId, D)],
     ) {
         if docs.is_empty() {
             return;
@@ -1084,7 +1085,7 @@ impl<'a> ForeignJoin<'a> {
             Projection::Full => {
                 for (id, d) in docs {
                     let mut vals = tuple.values().to_vec();
-                    vals.extend(self.doc_values(*id, d, text_schema));
+                    vals.extend(self.doc_values(*id, d.borrow(), text_schema));
                     out.push(Tuple::new(vals));
                 }
             }
@@ -1098,46 +1099,6 @@ impl<'a> ForeignJoin<'a> {
         self.join_fields
             .iter()
             .all(|f| text_schema.def(*f).in_short_form)
-    }
-
-    /// Does `doc_fields` (values of the joined field) contain the tuple's
-    /// join value for predicate `i`, under the relational string-matching
-    /// semantics? Used by the RTP family; counts as one comparison.
-    pub fn rel_match_one(&self, field_values: &[String], needle: &str) -> bool {
-        field_values
-            .iter()
-            .any(|h| textjoin_rel::strmatch::contains_term(h, needle))
-    }
-
-    /// Relationally checks all join predicates of `t` against a short-form
-    /// document. Increments `comparisons` once per predicate checked.
-    pub fn rel_match_short(&self, t: &Tuple, d: &ShortDoc, comparisons: &mut u64) -> bool {
-        for (i, (&col, &field)) in self.join_cols.iter().zip(&self.join_fields).enumerate() {
-            let _ = i;
-            *comparisons += 1;
-            let Some(needle) = t.get(col).as_str() else {
-                return false;
-            };
-            if !self.rel_match_one(d.values(field), needle) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Relationally checks all join predicates of `t` against a long-form
-    /// document. Increments `comparisons` once per predicate checked.
-    pub fn rel_match_long(&self, t: &Tuple, d: &Document, comparisons: &mut u64) -> bool {
-        for (&col, &field) in self.join_cols.iter().zip(&self.join_fields) {
-            *comparisons += 1;
-            let Some(needle) = t.get(col).as_str() else {
-                return false;
-            };
-            if !self.rel_match_one(d.values(field), needle) {
-                return false;
-            }
-        }
-        true
     }
 }
 
@@ -1321,17 +1282,5 @@ mod tests {
             ..j
         };
         assert!(!j2.short_form_sufficient(ts));
-    }
-
-    #[test]
-    fn rel_match_counts_comparisons() {
-        let rel = student();
-        let server = corpus();
-        let j = fj(&rel, &server, Projection::Full);
-        let doc = server.collection().document(textjoin_text::doc::DocId(0)).unwrap();
-        let mut cmp = 0;
-        assert!(j.rel_match_long(&rel.rows()[0], doc, &mut cmp)); // Gravano
-        assert!(!j.rel_match_long(&rel.rows()[2], doc, &mut cmp)); // Pham
-        assert_eq!(cmp, 2);
     }
 }

@@ -18,12 +18,14 @@
 //! processing of the documents the successful probes matched (P+RTP,
 //! Example 3.6).
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 
 use textjoin_rel::ops::group_by;
 use textjoin_text::doc::{DocId, Document, ShortDoc};
 
 use super::cache::{ProbeCache, ProbeOutcome};
+use super::rel_match::Candidates;
 use super::{report, ExecContext, ForeignJoin, MethodError, MethodOutcome, Projection};
 
 /// Probe scheduling discipline.
@@ -503,29 +505,11 @@ pub fn probe_rtp(
     drop(probe_span);
 
     // Phase 2: fetch candidate documents. The probes shipped only docids
-    // (via `probe`), so the matching data comes from retrievals: short form
-    // suffices when all join fields are short-form and the projection
-    // doesn't need full docs. We model short-form re-retrieval as new
-    // search-free short transmissions via long retrieval only when needed.
-    let need_long =
-        fj.projection == Projection::Full || !fj.short_form_sufficient(text_schema);
-    let mut short_docs: HashMap<DocId, ShortDoc> = HashMap::new();
-    let mut long_docs: HashMap<DocId, Document> = HashMap::new();
-    if need_long {
-        let _fetch_span = ctx.span("fetch");
-        for &id in &matched {
-            long_docs.insert(id, ctx.retrieve(id)?);
-        }
-    } else {
-        // The short forms were already transmitted as probe result sets;
-        // reconstruct them locally at no extra charge.
-        for &id in &matched {
-            let sf = ctx.server.reconstruct_short(id).ok_or(MethodError::Text(
-                textjoin_text::server::TextError::UnknownDoc(id),
-            ))?;
-            short_docs.insert(id, sf);
-        }
-    }
+    // (via `probe`), so the matching data comes from retrievals: long forms
+    // when a join field or the projection needs them, else the short forms
+    // the probes' result sets carried, rebuilt locally at no extra charge.
+    let found = matched.into_iter().map(|id| (id, None));
+    let candidates = Candidates::fetch(ctx, fj, "fetch", found)?;
 
     // Phase 3: relational matching of candidates against surviving tuples.
     // A key whose probe outcome stayed unknown degrades to tuple
@@ -542,36 +526,23 @@ pub fn probe_rtp(
         match cache.lookup(ctx, ctx.server.topology_epoch(), &probe_key) {
             Some(ProbeOutcome::Fail) => continue,
             Some(ProbeOutcome::Success) => {
-                let mut hits: Vec<(DocId, Document)> = Vec::new();
-                for &id in &matched {
-                    let is_match = if need_long {
-                        fj.rel_match_long(t, &long_docs[&id], &mut comparisons)
-                    } else {
-                        fj.rel_match_short(t, &short_docs[&id], &mut comparisons)
-                    };
-                    if is_match {
-                        hits.push((id, long_docs.get(&id).cloned().unwrap_or_default()));
-                    }
-                }
-                fj.emit(&mut out, text_schema, t, &hits);
+                candidates.emit_matches(fj, text_schema, t, &mut out, &mut comparisons);
             }
             None => {
                 let Some(full_key) = fj.key_values(t, &all) else {
                     continue;
                 };
-                let docs = match ts_fallback.get(&full_key) {
-                    Some(docs) => docs.clone(),
-                    None => {
+                let docs = match ts_fallback.entry(full_key) {
+                    Entry::Occupied(e) => e.into_mut(),
+                    Entry::Vacant(e) => {
                         let expr = fj
                             .instantiated_search(t, &all)
                             .expect("key_values succeeded");
                         let result = ctx.search(&expr)?;
-                        let docs = fetch_for_projection(ctx, fj, &result.docs)?;
-                        ts_fallback.insert(full_key, docs.clone());
-                        docs
+                        e.insert(fetch_for_projection(ctx, fj, &result.docs)?)
                     }
                 };
-                fj.emit(&mut out, text_schema, t, &docs);
+                fj.emit(&mut out, text_schema, t, docs);
             }
         }
     }

@@ -5,14 +5,13 @@
 //! matching. Requires (1) selection conditions on the text data, and (2)
 //! join predicates whose semantics SQL string matching can mirror — our
 //! `contains_term` matcher is normalization-consistent with the indexer,
-//! so every `col in field` predicate qualifies.
+//! so every `col in field` predicate qualifies. The matching itself is
+//! shared with SJ+RTP and P+RTP (`rel_match`).
 
-use std::collections::HashMap;
-
-use textjoin_text::doc::{DocId, Document};
 use textjoin_text::server::{SearchResult, Usage};
 
-use super::{report, ExecContext, ForeignJoin, MethodError, MethodOutcome, Projection};
+use super::rel_match::Candidates;
+use super::{report, ExecContext, ForeignJoin, MethodError, MethodOutcome};
 
 /// Runs relational text processing.
 pub fn relational_text_processing(
@@ -58,36 +57,13 @@ fn complete(
 ) -> Result<MethodOutcome, MethodError> {
     let text_schema = ctx.server.schema();
     let mut out = fj.output_table(text_schema, "RTP");
-
-    // Decide whether short forms suffice for the relational matching.
-    let need_long =
-        fj.projection == Projection::Full || !fj.short_form_sufficient(text_schema);
-    let long_docs: HashMap<DocId, Document> = if need_long {
-        let _fetch_span = ctx.span("fetch-long");
-        result
-            .ids()
-            .into_iter()
-            .map(|id| Ok((id, ctx.retrieve(id)?)))
-            .collect::<Result<_, MethodError>>()?
-    } else {
-        HashMap::new()
-    };
+    let found = result.docs.into_iter().map(|d| (d.id, Some(d)));
+    let candidates = Candidates::fetch(ctx, fj, "fetch-long", found)?;
 
     let _match_span = ctx.span("relational-match");
     let mut comparisons = 0u64;
     for t in fj.rel.iter() {
-        let mut matched: Vec<(DocId, Document)> = Vec::new();
-        for d in &result.docs {
-            let is_match = if need_long {
-                fj.rel_match_long(t, &long_docs[&d.id], &mut comparisons)
-            } else {
-                fj.rel_match_short(t, d, &mut comparisons)
-            };
-            if is_match {
-                matched.push((d.id, long_docs.get(&d.id).cloned().unwrap_or_default()));
-            }
-        }
-        fj.emit(&mut out, text_schema, t, &matched);
+        candidates.emit_matches(fj, text_schema, t, &mut out, &mut comparisons);
     }
 
     let rows = out.len();

@@ -13,13 +13,14 @@
 //! semi-join). For other projections the matched documents are fetched and
 //! matched back to tuples relationally — SJ+RTP.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use textjoin_rel::ops::group_by;
 use textjoin_text::doc::{DocId, Document, ShortDoc};
 use textjoin_text::expr::SearchExpr;
 use textjoin_text::server::TextError;
 
+use super::rel_match::Candidates;
 use super::{report, ExecContext, ForeignJoin, MethodError, MethodOutcome, Projection};
 
 /// How many conjuncts fit in one search given the term cap `m`, the number
@@ -79,8 +80,7 @@ pub fn semi_join(
     // the server still refuses (`TooManyTerms` / `CapReduced`) is halved
     // and requeued. Degradation bottoms out at single conjuncts — if one
     // conjunct cannot fit, no packaging can, and the error surfaces.
-    let mut matched: BTreeSet<DocId> = BTreeSet::new();
-    let mut short_docs: HashMap<DocId, ShortDoc> = HashMap::new();
+    let mut matched: BTreeMap<DocId, ShortDoc> = BTreeMap::new();
     let mut queue: VecDeque<Vec<(Vec<String>, Vec<usize>)>> = VecDeque::new();
     if !groups.is_empty() {
         queue.push_back(groups);
@@ -111,8 +111,7 @@ pub fn semi_join(
         match ctx.search(&expr) {
             Ok(result) => {
                 for d in result.docs {
-                    matched.insert(d.id);
-                    short_docs.entry(d.id).or_insert(d);
+                    matched.entry(d.id).or_insert(d);
                 }
             }
             Err(TextError::TooManyTerms { .. } | TextError::CapReduced { .. })
@@ -129,7 +128,7 @@ pub fn semi_join(
 
     // Pure semi-join of the text side: emit docids and stop.
     if fj.projection == Projection::DocIds {
-        for id in &matched {
+        for id in matched.keys() {
             fj.emit(
                 &mut out,
                 text_schema,
@@ -146,33 +145,12 @@ pub fn semi_join(
 
     // RTP completion: fetch what the matching needs and match docs back to
     // tuples.
-    let need_long =
-        fj.projection == Projection::Full || !fj.short_form_sufficient(text_schema);
-    let long_docs: HashMap<DocId, Document> = if need_long {
-        let _fetch_span = ctx.span("fetch");
-        matched
-            .iter()
-            .map(|&id| Ok((id, ctx.retrieve(id)?)))
-            .collect::<Result<_, MethodError>>()?
-    } else {
-        HashMap::new()
-    };
-
+    let found = matched.into_iter().map(|(id, d)| (id, Some(d)));
+    let candidates = Candidates::fetch(ctx, fj, "fetch", found)?;
     let _match_span = ctx.span("residual-match");
     let mut comparisons = 0u64;
     for t in fj.rel.iter() {
-        let mut hits: Vec<(DocId, Document)> = Vec::new();
-        for &id in &matched {
-            let is_match = if need_long {
-                fj.rel_match_long(t, &long_docs[&id], &mut comparisons)
-            } else {
-                fj.rel_match_short(t, &short_docs[&id], &mut comparisons)
-            };
-            if is_match {
-                hits.push((id, long_docs.get(&id).cloned().unwrap_or_default()));
-            }
-        }
-        fj.emit(&mut out, text_schema, t, &hits);
+        candidates.emit_matches(fj, text_schema, t, &mut out, &mut comparisons);
     }
 
     let rows = out.len();

@@ -1,13 +1,16 @@
 //! Row predicates.
 //!
 //! Predicates are evaluated over a single tuple; join predicates are
-//! expressed over the *concatenated* schema of the join's operands, which is
-//! how the executor materializes candidate rows.
+//! expressed over the *concatenated* schema of the join's operands. A join
+//! does not concatenate a pair to test it: it [binds](Pred::bind) the
+//! predicate to its two operand tables once and evaluates the bound form on
+//! borrowed row pairs, so only surviving pairs are materialized.
 
 use std::fmt;
 
 use crate::schema::{ColId, RelSchema};
-use crate::strmatch::{contains_term, like};
+use crate::strmatch::{contains_term, like, Normalized};
+use crate::table::Table;
 use crate::tuple::Tuple;
 use crate::value::Value;
 
@@ -212,9 +215,156 @@ impl Pred {
         }
     }
 
+    /// Binds this predicate — expressed over the concatenation of `l`'s
+    /// and `r`'s schemas — to the two tables: every column reference is
+    /// resolved to a side and an index, and every string a containment
+    /// test reads is normalized, once per row (`|l| + |r|` normalizations
+    /// for a `ContainsCol`, where evaluating [`eval`](Self::eval) on each
+    /// concatenated pair does `2·|l|·|r|`).
+    pub fn bind<'a>(&'a self, l: &'a Table, r: &'a Table) -> BoundPred<'a> {
+        let mut bound = BoundPred {
+            left: l.rows(),
+            right: r.rows(),
+            root: BoundNode::True,
+            norm_cols: Vec::new(),
+        };
+        bound.root = bound.bind_node(self, l.schema().len());
+        bound
+    }
+
     /// Renders against `schema` for EXPLAIN output.
     pub fn display<'a>(&'a self, schema: &'a RelSchema) -> DisplayPred<'a> {
         DisplayPred { pred: self, schema }
+    }
+}
+
+/// A column of a join's concatenated schema, resolved to its operand.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SideCol {
+    right: bool,
+    col: ColId,
+}
+
+/// One column's strings in normalized form, row-aligned with its side's
+/// table (`None` where the value is not a string).
+#[derive(Debug)]
+struct NormCol {
+    of: SideCol,
+    rows: Vec<Option<Normalized>>,
+}
+
+/// [`Pred`] with columns resolved to a side and containment operands
+/// replaced by indices into [`BoundPred::norm_cols`].
+#[derive(Debug)]
+enum BoundNode<'a> {
+    True,
+    Cmp(SideCol, CmpOp, &'a Value),
+    CmpCols(SideCol, CmpOp, SideCol),
+    Like(SideCol, &'a str),
+    ContainsTerm { hay: usize, term: Normalized },
+    ContainsCol { hay: usize, needle: usize },
+    And(Vec<BoundNode<'a>>),
+    Or(Vec<BoundNode<'a>>),
+    Not(Box<BoundNode<'a>>),
+}
+
+/// A join predicate bound to its two operand tables by [`Pred::bind`].
+/// [`eval`](Self::eval) on rows `(i, j)` equals [`Pred::eval`] on
+/// `l.rows()[i].concat(&r.rows()[j])`, without building the row.
+#[derive(Debug)]
+pub struct BoundPred<'a> {
+    left: &'a [Tuple],
+    right: &'a [Tuple],
+    root: BoundNode<'a>,
+    norm_cols: Vec<NormCol>,
+}
+
+impl<'a> BoundPred<'a> {
+    fn bind_node(&mut self, p: &'a Pred, split: usize) -> BoundNode<'a> {
+        let side = |c: &ColId| match c.0.checked_sub(split) {
+            Some(i) => SideCol {
+                right: true,
+                col: ColId(i),
+            },
+            None => SideCol {
+                right: false,
+                col: *c,
+            },
+        };
+        match p {
+            Pred::True => BoundNode::True,
+            Pred::Cmp { col, op, rhs } => BoundNode::Cmp(side(col), *op, rhs),
+            Pred::CmpCols { left, op, right } => BoundNode::CmpCols(side(left), *op, side(right)),
+            Pred::Like { col, pattern } => BoundNode::Like(side(col), pattern),
+            Pred::ContainsTerm { col, term } => BoundNode::ContainsTerm {
+                hay: self.norm_col(side(col)),
+                term: Normalized::new(term),
+            },
+            Pred::ContainsCol {
+                hay_col,
+                needle_col,
+            } => BoundNode::ContainsCol {
+                hay: self.norm_col(side(hay_col)),
+                needle: self.norm_col(side(needle_col)),
+            },
+            Pred::And(cs) => BoundNode::And(cs.iter().map(|c| self.bind_node(c, split)).collect()),
+            Pred::Or(cs) => BoundNode::Or(cs.iter().map(|c| self.bind_node(c, split)).collect()),
+            Pred::Not(c) => BoundNode::Not(Box::new(self.bind_node(c, split))),
+        }
+    }
+
+    /// Index of `of`'s normalized column, normalizing it on first use.
+    fn norm_col(&mut self, of: SideCol) -> usize {
+        if let Some(i) = self.norm_cols.iter().position(|n| n.of == of) {
+            return i;
+        }
+        let rows = if of.right { self.right } else { self.left };
+        self.norm_cols.push(NormCol {
+            of,
+            rows: rows
+                .iter()
+                .map(|t| t.get(of.col).as_str().map(Normalized::new))
+                .collect(),
+        });
+        self.norm_cols.len() - 1
+    }
+
+    /// Evaluates on the pair (row `li` of the left table, row `ri` of the
+    /// right one).
+    ///
+    /// # Panics
+    /// Panics if a row index, or a column the predicate names, is out of
+    /// range.
+    pub fn eval(&self, li: usize, ri: usize) -> bool {
+        self.eval_node(&self.root, li, ri)
+    }
+
+    fn eval_node(&self, node: &BoundNode<'_>, li: usize, ri: usize) -> bool {
+        let value = |c: &SideCol| {
+            if c.right {
+                self.right[ri].get(c.col)
+            } else {
+                self.left[li].get(c.col)
+            }
+        };
+        let norm = |i: usize| {
+            let n = &self.norm_cols[i];
+            n.rows[if n.of.right { ri } else { li }].as_ref()
+        };
+        match node {
+            BoundNode::True => true,
+            BoundNode::Cmp(col, op, rhs) => op.eval(value(col).sql_cmp(rhs)),
+            BoundNode::CmpCols(left, op, right) => op.eval(value(left).sql_cmp(value(right))),
+            BoundNode::Like(col, pattern) => value(col).as_str().is_some_and(|s| like(s, pattern)),
+            BoundNode::ContainsTerm { hay, term } => norm(*hay).is_some_and(|h| h.contains(term)),
+            BoundNode::ContainsCol { hay, needle } => match (norm(*hay), norm(*needle)) {
+                (Some(h), Some(n)) => h.contains(n),
+                _ => false,
+            },
+            BoundNode::And(cs) => cs.iter().all(|c| self.eval_node(c, li, ri)),
+            BoundNode::Or(cs) => cs.iter().any(|c| self.eval_node(c, li, ri)),
+            BoundNode::Not(c) => !self.eval_node(c, li, ri),
+        }
     }
 }
 

@@ -19,63 +19,56 @@ fn join_shell(l: &Table, r: &Table) -> Table {
     Table::new(format!("({} ⋈ {})", l.name(), r.name()), schema)
 }
 
-/// Nested-loop join: emits `lrow ++ rrow` for every pair satisfying `pred`.
-/// `pred` is expressed over the concatenated schema (left columns first,
-/// right columns shifted by `l.schema().len()` — see [`Pred::shift`]).
+/// Nested-loop join: emits `lrow ++ rrow` for every pair satisfying `pred`,
+/// left-major in the operands' row order. `pred` is expressed over the
+/// concatenated schema (left columns first, right columns shifted by
+/// `l.schema().len()` — see [`Pred::shift`]); it is bound to the operands
+/// once and only the surviving pairs are concatenated.
 pub fn nested_loop_join(l: &Table, r: &Table, pred: &Pred) -> Table {
-    let mut out = join_shell(l, r);
+    let bound = pred.bind(l, r);
     let mut rows = Vec::new();
-    for lt in l.iter() {
-        for rt in r.iter() {
-            let joined = lt.concat(rt);
-            if pred.eval(&joined) {
-                rows.push(joined);
+    for (i, lt) in l.iter().enumerate() {
+        for (j, rt) in r.iter().enumerate() {
+            if bound.eval(i, j) {
+                rows.push(lt.concat(rt));
             }
         }
     }
-    out = out.with_rows(rows);
-    out
+    join_shell(l, r).with_rows(rows)
 }
 
 /// Hash equi-join on `l.lcol = r.rcol`, with an optional residual predicate
 /// over the concatenated schema. NULL keys never join (SQL semantics).
 pub fn hash_join(l: &Table, r: &Table, lcol: ColId, rcol: ColId, residual: &Pred) -> Table {
-    let mut out = join_shell(l, r);
+    let residual = residual.bind(l, r);
     // Build on the smaller side; probe with the larger.
     let build_left = l.len() <= r.len();
     let (build, probe) = if build_left { (l, r) } else { (r, l) };
     let (bcol, pcol) = if build_left { (lcol, rcol) } else { (rcol, lcol) };
 
-    let mut ht: HashMap<&Value, Vec<&Tuple>> = HashMap::new();
-    for bt in build.iter() {
+    let mut ht: HashMap<&Value, Vec<usize>> = HashMap::new();
+    for (bi, bt) in build.iter().enumerate() {
         let k = bt.get(bcol);
         if !k.is_null() {
-            ht.entry(k).or_default().push(bt);
+            ht.entry(k).or_default().push(bi);
         }
     }
     let mut rows = Vec::new();
-    for pt in probe.iter() {
+    for (pi, pt) in probe.iter().enumerate() {
         let k = pt.get(pcol);
         if k.is_null() {
             continue;
         }
-        if let Some(matches) = ht.get(k) {
-            for bt in matches {
-                let joined = if build_left {
-                    bt.concat(pt)
-                } else {
-                    pt.concat(bt)
-                };
-                if residual.eval(&joined) {
-                    rows.push(joined);
-                }
+        for &bi in ht.get(k).into_iter().flatten() {
+            let (li, ri) = if build_left { (bi, pi) } else { (pi, bi) };
+            if residual.eval(li, ri) {
+                rows.push(l.rows()[li].concat(&r.rows()[ri]));
             }
         }
     }
     // Hash join may permute output order relative to nested loop; sort by
     // nothing — bag semantics, callers must not rely on order.
-    out = out.with_rows(rows);
-    out
+    join_shell(l, r).with_rows(rows)
 }
 
 /// Semi-join `l ⋉ r` on `l.lcol = r.rcol`: rows of `l` with at least one

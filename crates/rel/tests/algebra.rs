@@ -5,7 +5,7 @@ use textjoin_rel::expr::{CmpOp, Pred};
 use textjoin_rel::join::{hash_join, nested_loop_join, semi_join};
 use textjoin_rel::ops::{distinct, distinct_count_multi, filter, project_distinct, sort_by};
 use textjoin_rel::schema::{ColId, RelSchema};
-use textjoin_rel::strmatch::{contains_term, like};
+use textjoin_rel::strmatch::{contains_term, like, Normalized};
 use textjoin_rel::table::Table;
 use textjoin_rel::tuple::Tuple;
 use textjoin_rel::value::{Value, ValueType};
@@ -28,6 +28,186 @@ fn row_set(t: &Table) -> Vec<String> {
     let mut v: Vec<String> = t.iter().map(|r| r.to_string()).collect();
     v.sort();
     v
+}
+
+/// `contains_term` as it was first written — one `String` per word, then a
+/// window compare — kept as the reference for the normalized form.
+fn reference_contains_term(haystack: &str, needle: &str) -> bool {
+    fn words(s: &str) -> Vec<String> {
+        let mut out = Vec::new();
+        let mut cur = String::new();
+        for c in s.chars() {
+            if c.is_alphanumeric() {
+                cur.extend(c.to_lowercase());
+            } else if !cur.is_empty() {
+                out.push(std::mem::take(&mut cur));
+            }
+        }
+        if !cur.is_empty() {
+            out.push(cur);
+        }
+        out
+    }
+    let (hay, ned) = (words(haystack), words(needle));
+    !ned.is_empty() && hay.windows(ned.len()).any(|w| w == ned.as_slice())
+}
+
+/// Letters in both cases, digits, punctuation, and three awkward folds:
+/// 'İ' lowercases to two chars (the second not alphanumeric), 'ß' is
+/// lowercase with a two-char uppercase, 'ǅ' is titlecase.
+const PIECES: &[&str] = &[
+    "a", "B", "ab", "Ab", "bA", "7", "42", "İ", "ß", "ǅ", "é", " ", " ", ", ", "-", "; ", ".",
+];
+
+/// The same letters cut into words at one place or another: a needle that
+/// fails does so only because its word boundary sits elsewhere ("ab a"
+/// against "a ba").
+fn recut() -> impl Strategy<Value = (String, String)> {
+    ("[a-b]{2,6}", 1usize..6, 1usize..6).prop_map(|(letters, hay_cut, needle_cut)| {
+        let cut = |at: usize| {
+            let (head, tail) = letters.split_at(at.min(letters.len()));
+            format!("{head} {tail}")
+        };
+        (cut(hay_cut), cut(needle_cut))
+    })
+}
+
+fn text(max_pieces: usize) -> impl Strategy<Value = String> {
+    prop::collection::vec(prop::sample::select(PIECES), 0..max_pieces)
+        .prop_map(|pieces| pieces.concat())
+}
+
+/// Join operands: a string and an integer column each, NULLs in both, the
+/// strings few and nested so containment between columns hits one way and
+/// not the other.
+fn operand(name: &'static str) -> impl Strategy<Value = Table> {
+    const NAMES: &[&str] = &["a", "b", "a b", "B; a", "c a-b", "ab", "İ ß", ""];
+    let cell = (prop::sample::select(NAMES), 0i64..3, 0usize..4);
+    prop::collection::vec(cell, 0..6).prop_map(move |rows| {
+        let schema = RelSchema::from_columns(vec![("s", ValueType::Str), ("n", ValueType::Int)]);
+        let mut t = Table::new(name, schema);
+        for (s, n, nulls) in rows {
+            let s = if nulls == 1 {
+                Value::Null
+            } else {
+                Value::str(s)
+            };
+            let n = if nulls == 2 {
+                Value::Null
+            } else {
+                Value::int(n)
+            };
+            t.push(Tuple::new(vec![s, n]));
+        }
+        t
+    })
+}
+
+/// Predicates over the four columns of `operand ++ operand`. Operands of
+/// either side and either type land on both ends of every leaf, so
+/// type-mismatched and NULL comparisons are generated too.
+fn join_pred() -> impl Strategy<Value = Pred> {
+    const OPS: &[CmpOp] = &[
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
+    let col = || (0usize..4).prop_map(ColId);
+    let leaf = prop_oneof![
+        (col(), prop::sample::select(OPS), col()).prop_map(|(left, op, right)| Pred::CmpCols {
+            left,
+            op,
+            right
+        }),
+        (col(), col()).prop_map(|(hay_col, needle_col)| Pred::ContainsCol {
+            hay_col,
+            needle_col
+        }),
+        (col(), text(3)).prop_map(|(col, term)| Pred::ContainsTerm { col, term }),
+        (col(), prop::sample::select(OPS), 0i64..3).prop_map(|(col, op, rhs)| Pred::Cmp {
+            col,
+            op,
+            rhs: Value::int(rhs)
+        }),
+        (col(), prop::sample::select(&["%a%", "_", "%"][..])).prop_map(|(col, pattern)| {
+            Pred::Like {
+                col,
+                pattern: pattern.into(),
+            }
+        }),
+    ];
+    leaf.prop_recursive(3, 16, 3, |inner| {
+        prop_oneof![
+            prop::collection::vec(inner.clone(), 0..3).prop_map(Pred::And),
+            prop::collection::vec(inner.clone(), 0..3).prop_map(Pred::Or),
+            inner.prop_map(|p| Pred::Not(Box::new(p))),
+        ]
+    })
+}
+
+proptest! {
+    /// The normalized form answers containment exactly as the reference
+    /// does, and always finds a run of the haystack's own words.
+    #[test]
+    fn normalized_contains_agrees_with_reference(
+        mixed in (text(10), text(4)),
+        recut in recut(),
+        from in 0usize..4,
+    ) {
+        for (hay, needle) in [mixed, recut] {
+            let h = Normalized::new(&hay);
+            let expected = reference_contains_term(&hay, &needle);
+            prop_assert_eq!(h.contains(&Normalized::new(&needle)), expected, "{:?} in {:?}", needle, hay);
+            prop_assert_eq!(contains_term(&hay, &needle), expected);
+            let words: Vec<&str> =
+                hay.split(|c: char| !c.is_alphanumeric()).filter(|w| !w.is_empty()).collect();
+            let run = &words[from.min(words.len())..(from + 2).min(words.len())];
+            if !run.is_empty() {
+                prop_assert!(h.contains(&Normalized::new(&run.join(" ~ "))), "{:?} in {:?}", run, hay);
+            }
+        }
+    }
+
+}
+
+proptest! {
+    // Predicate shape × operand columns × row contents is a large space for
+    // the default 64 cases: a `ContainsCol` over two string columns whose
+    // values contain each other one way only comes up about once in 50.
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// A bound predicate on the borrowed pair is the predicate on the
+    /// concatenated row; the joins built on it keep their rows, and the
+    /// nested loop its left-major order.
+    #[test]
+    fn bound_pair_evaluation_is_concat_evaluation(l in operand("l"), r in operand("r"), p in join_pred()) {
+        let bound = p.bind(&l, &r);
+        let mut expected = Vec::new();
+        for (i, a) in l.iter().enumerate() {
+            for (j, b) in r.iter().enumerate() {
+                let row = a.concat(b);
+                prop_assert_eq!(bound.eval(i, j), p.eval(&row), "pair ({}, {}) of {:?}", i, j, p);
+                if p.eval(&row) {
+                    expected.push(row);
+                }
+            }
+        }
+        let nl = nested_loop_join(&l, &r, &p);
+        prop_assert_eq!(nl.rows(), expected.as_slice());
+        prop_assert_eq!(nl.name(), "(l ⋈ r)");
+        prop_assert_eq!(nl.schema(), &l.schema().concat(r.schema(), r.name()));
+
+        // Hash join on the integer columns with `p` as the residual.
+        let keyed = Pred::and(vec![
+            Pred::CmpCols { left: ColId(1), op: CmpOp::Eq, right: ColId(3) },
+            p.clone(),
+        ]);
+        let hj = hash_join(&l, &r, ColId(1), ColId(1), &p);
+        prop_assert_eq!(row_set(&hj), row_set(&nested_loop_join(&l, &r, &keyed)));
+    }
 }
 
 proptest! {

@@ -323,3 +323,308 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// The RTP family's comparison counts and the multi-join's pair counts
+// are the `c_a` / `c_pair` terms of every recorded cost: they are booked
+// from cardinalities and short-circuit position, so an independent model
+// of those must reproduce them exactly, whatever the matcher touches.
+// ---------------------------------------------------------------------
+
+mod counts {
+    use proptest::prelude::*;
+
+    use textjoin::core::cost::params::CostParams;
+    use textjoin::core::exec::{row_strings, MultiExecutor};
+    use textjoin::core::methods::probe::probe_rtp;
+    use textjoin::core::methods::rtp::relational_text_processing;
+    use textjoin::core::methods::sj::semi_join;
+    use textjoin::core::methods::ts::tuple_substitution;
+    use textjoin::core::methods::{
+        ExecContext, ForeignJoin, MethodOutcome, Projection, TextSelection,
+    };
+    use textjoin::core::optimizer::multi::PlannerInput;
+    use textjoin::core::optimizer::plan::{
+        ForeignSpec, MultiJoinQuery, PlanNode, RelJoinPred, RelSpec,
+    };
+    use textjoin::core::optimizer::single::MethodKind;
+    use textjoin::rel::catalog::Catalog;
+    use textjoin::rel::expr::{CmpOp, Pred};
+    use textjoin::rel::schema::{ColId, RelSchema};
+    use textjoin::rel::strmatch::contains_term;
+    use textjoin::rel::table::Table;
+    use textjoin::rel::tuple::Tuple;
+    use textjoin::rel::value::{Value, ValueType};
+    use textjoin::text::doc::{DocId, Document, FieldId, TextSchema};
+    use textjoin::text::index::Collection;
+    use textjoin::text::server::TextServer;
+
+    const NAMES: &[&str] = &["Ann", "BOB", "cy", "dee"];
+
+    /// A join value: NULL, empty, blank, or a name.
+    fn cell() -> impl Strategy<Value = Value> {
+        (0usize..7).prop_map(|i| match i {
+            0 => Value::Null,
+            1 => Value::str(""),
+            2 => Value::str("  "),
+            i => Value::str(NAMES[i - 3]),
+        })
+    }
+
+    fn relation(name: &'static str) -> impl Strategy<Value = Table> {
+        prop::collection::vec((cell(), cell()), 0..7).prop_map(move |rows| {
+            let schema =
+                RelSchema::from_columns(vec![("name", ValueType::Str), ("dept", ValueType::Str)]);
+            let mut t = Table::new(name, schema);
+            for (a, b) in rows {
+                t.push(Tuple::new(vec![a, b]));
+            }
+            t
+        })
+    }
+
+    /// Documents with 0–3 author values (short form), an abstract of 0–3
+    /// names (long form only), and a title most of them share.
+    fn corpus() -> impl Strategy<Value = TextServer> {
+        let names = || prop::collection::vec(prop::sample::select(NAMES), 0..4);
+        prop::collection::vec((names(), names(), 0usize..4), 1..9).prop_map(|docs| {
+            let schema = TextSchema::bibliographic();
+            let field = |n: &str| schema.field_by_name(n).expect("bibliographic field");
+            let (ti, au, ab) = (field("title"), field("author"), field("abstract"));
+            let mut coll = Collection::new(schema);
+            for (authors, abstract_words, rare) in docs {
+                let title = if rare == 0 { "rare" } else { "common topic" };
+                let mut d = Document::new().with(ti, title);
+                for a in authors {
+                    d.push(au, a.to_lowercase());
+                }
+                if !abstract_words.is_empty() {
+                    d.push(ab, abstract_words.join(", "));
+                }
+                coll.add_document(d);
+            }
+            TextServer::new(coll)
+        })
+    }
+
+    fn holds(doc: &Document, field: FieldId, needle: &str) -> bool {
+        doc.values(field).iter().any(|v| contains_term(v, needle))
+    }
+
+    /// The paper's `c_a` rule for one (tuple, candidate) pair: predicates
+    /// in order, one comparison each, stop at the first that fails; a NULL
+    /// join value is a comparison that fails.
+    fn checks(fj: &ForeignJoin<'_>, t: &Tuple, doc: &Document) -> u64 {
+        let mut n = 0;
+        for (&col, &field) in fj.join_cols.iter().zip(&fj.join_fields) {
+            n += 1;
+            if !t
+                .get(col)
+                .as_str()
+                .is_some_and(|needle| holds(doc, field, needle))
+            {
+                break;
+            }
+        }
+        n
+    }
+
+    /// The join values a search can be instantiated with, if all are usable.
+    fn key<'t>(fj: &ForeignJoin<'_>, t: &'t Tuple, preds: &[usize]) -> Option<Vec<&'t str>> {
+        preds
+            .iter()
+            .map(|&i| {
+                t.get(fj.join_cols[i])
+                    .as_str()
+                    .filter(|s| !s.trim().is_empty())
+            })
+            .collect()
+    }
+
+    /// Docids satisfying the selections and, for `key`, predicates `preds`.
+    fn search(
+        fj: &ForeignJoin<'_>,
+        server: &TextServer,
+        preds: &[usize],
+        key: &[&str],
+    ) -> Vec<DocId> {
+        (0..server.doc_count() as u32)
+            .map(DocId)
+            .filter(|&id| {
+                let doc = server.collection().document(id).expect("dense ids");
+                fj.selections.iter().all(|s| holds(doc, s.field, &s.term))
+                    && preds
+                        .iter()
+                        .zip(key)
+                        .all(|(&i, k)| holds(doc, fj.join_fields[i], k))
+            })
+            .collect()
+    }
+
+    fn total_checks(
+        fj: &ForeignJoin<'_>,
+        server: &TextServer,
+        tuples: &[&Tuple],
+        cands: &[DocId],
+    ) -> u64 {
+        let doc = |id: &DocId| server.collection().document(*id).expect("dense ids");
+        tuples
+            .iter()
+            .map(|t| cands.iter().map(|id| checks(fj, t, doc(id))).sum::<u64>())
+            .sum()
+    }
+
+    fn shape(fj: &ForeignJoin<'_>, out: &MethodOutcome) -> Vec<String> {
+        let mut rows = row_strings(&out.table);
+        if fj.projection == Projection::DocIds {
+            rows.dedup();
+        }
+        rows
+    }
+
+    proptest! {
+        #[test]
+        fn rtp_family_books_the_short_circuit_count(
+            rel in relation("r"),
+            server in corpus(),
+            k in 1usize..3,
+            long_fields in (proptest::bool::ANY, proptest::bool::ANY),
+            projection in prop::sample::select(&[Projection::RelOnly, Projection::DocIds, Projection::Full][..]),
+        ) {
+            let schema = server.collection().schema();
+            let field = |long: bool| schema.field_by_name(if long { "abstract" } else { "author" }).expect("field");
+            let fj = ForeignJoin {
+                rel: &rel,
+                join_cols: [ColId(0), ColId(1)][..k].to_vec(),
+                join_fields: [field(long_fields.0), field(long_fields.1)][..k].to_vec(),
+                selections: vec![TextSelection {
+                    term: "common".into(),
+                    field: schema.field_by_name("title").expect("title"),
+                }],
+                projection,
+            };
+            let ctx = ExecContext::new(&server);
+            let all: Vec<usize> = (0..k).collect();
+            let every_tuple: Vec<&Tuple> = rel.iter().collect();
+            let ts = tuple_substitution(&ctx, &fj, true).expect("TS runs");
+
+            // RTP: every tuple against every selection match.
+            let rtp = relational_text_processing(&ctx, &fj).expect("RTP runs");
+            let selected = search(&fj, &server, &[], &[]);
+            prop_assert_eq!(rtp.report.rtp_comparisons, total_checks(&fj, &server, &every_tuple, &selected));
+            prop_assert_eq!(shape(&fj, &rtp), shape(&fj, &ts));
+
+            // SJ+RTP: every tuple against the union of the full-key matches;
+            // the pure semi-join (docids) matches nothing back.
+            let sj = semi_join(&ctx, &fj).expect("SJ runs");
+            let mut matched: Vec<DocId> = rel
+                .iter()
+                .filter_map(|t| key(&fj, t, &all))
+                .flat_map(|key| search(&fj, &server, &all, &key))
+                .collect();
+            matched.sort_unstable();
+            matched.dedup();
+            let expected = if projection == Projection::DocIds {
+                0
+            } else {
+                total_checks(&fj, &server, &every_tuple, &matched)
+            };
+            prop_assert_eq!(sj.report.rtp_comparisons, expected);
+            prop_assert_eq!(shape(&fj, &sj), shape(&fj, &ts));
+
+            // P+RTP on predicate 0: tuples whose probe matched something,
+            // against the union of the probes' matches.
+            let prtp = probe_rtp(&ctx, &fj, &[0]).expect("P+RTP runs");
+            let probed: Vec<(&Tuple, Vec<DocId>)> = rel
+                .iter()
+                .filter_map(|t| Some((t, search(&fj, &server, &[0], &key(&fj, t, &[0])?))))
+                .filter(|(_, ids)| !ids.is_empty())
+                .collect();
+            let mut cands: Vec<DocId> = probed.iter().flat_map(|(_, ids)| ids.iter().copied()).collect();
+            cands.sort_unstable();
+            cands.dedup();
+            let survivors: Vec<&Tuple> = probed.iter().map(|(t, _)| *t).collect();
+            prop_assert_eq!(prtp.report.rtp_comparisons, total_checks(&fj, &server, &survivors, &cands));
+            prop_assert_eq!(shape(&fj, &prtp), shape(&fj, &ts));
+        }
+
+        /// `student ⋈text` then `⋈ faculty` with `faculty.name in author`
+        /// as the join's residual: pairs and comparisons are the operand
+        /// cardinalities multiplied out, not what evaluation touched (the
+        /// `dept !=` conjunct fails first on most pairs).
+        #[test]
+        fn rel_join_books_pairs_and_residuals_from_cardinalities(
+            student in relation("student"),
+            faculty in relation("faculty"),
+            server in corpus(),
+        ) {
+            let q = MultiJoinQuery {
+                relations: ["student", "faculty"]
+                    .map(|name| RelSpec { name: name.into(), local_pred: Pred::True })
+                    .to_vec(),
+                rel_joins: vec![RelJoinPred {
+                    left_rel: 0,
+                    left_col: "dept".into(),
+                    op: CmpOp::Ne,
+                    right_rel: 1,
+                    right_col: "dept".into(),
+                }],
+                selections: vec![("common".into(), "title".into())],
+                foreign: [0, 1]
+                    .map(|rel| ForeignSpec { rel, column: "name".into(), field: "author".into() })
+                    .to_vec(),
+                projection: Projection::Full,
+            };
+            let plan = PlanNode::RelJoin {
+                left: Box::new(PlanNode::TextJoin {
+                    input: Some(Box::new(PlanNode::Scan { rel: 0 })),
+                    preds: vec![0],
+                    method: MethodKind::Ts,
+                    probe_cols: vec![],
+                }),
+                right: Box::new(PlanNode::Scan { rel: 1 }),
+                preds: vec![0],
+                foreign_residuals: vec![1],
+            };
+            let schema = server.collection().schema();
+            let au = schema.field_by_name("author").expect("author");
+            let ti = schema.field_by_name("title").expect("title");
+            // The left operand, by brute force: (student, document) pairs.
+            let mut left: Vec<(&Tuple, &Document)> = Vec::new();
+            for s in student.iter() {
+                let Some(name) = s.get(ColId(0)).as_str().filter(|n| !n.trim().is_empty()) else {
+                    continue;
+                };
+                for d in 0..server.doc_count() as u32 {
+                    let doc = server.collection().document(DocId(d)).expect("dense ids");
+                    if holds(doc, ti, "common") && holds(doc, au, name) {
+                        left.push((s, doc));
+                    }
+                }
+            }
+            let rows = left
+                .iter()
+                .flat_map(|(s, doc)| faculty.iter().map(move |f| (*s, *doc, f)))
+                .filter(|(s, doc, f)| {
+                    s.get(ColId(1)).sql_cmp(f.get(ColId(1))).is_some_and(|o| o.is_ne())
+                        && f.get(ColId(0)).as_str().is_some_and(|n| holds(doc, au, n))
+                })
+                .count();
+
+            let mut catalog = Catalog::new();
+            catalog.register(student.clone());
+            catalog.register(faculty.clone());
+            let params = CostParams::mercury(server.doc_count() as f64);
+            let input = PlannerInput::gather(&q, &catalog, &server.export_stats(), schema, params)
+                .expect("gathers");
+            let out = MultiExecutor::new(&input, &catalog, &server)
+                .expect("prepares")
+                .execute(&plan)
+                .expect("executes");
+            let pairs = (left.len() * faculty.len()) as u64;
+            prop_assert_eq!(out.rel_pairs, pairs);
+            prop_assert_eq!(out.rtp_comparisons, pairs, "one residual, and TS compares nothing");
+            prop_assert_eq!(out.table.len(), rows);
+        }
+    }
+}
