@@ -730,9 +730,9 @@ pub fn prepare_plan(
 
 /// The parameter-fold + statistics-gather prefix of [`prepare_plan`]:
 /// everything up to (but not including) the optimizer enumeration. A
-/// serving session's plan cache calls this on every request (gathering is
-/// free and must track the live stats epoch) and skips [`plan_prepared`]
-/// on a cache hit.
+/// serving session calls this at every admission — and at dispatch only
+/// if the export changed since, see [`fold_params`] — and skips
+/// [`plan_prepared`] on a plan-cache hit.
 pub fn prepare_input(
     query: &MultiJoinQuery,
     catalog: &Catalog,
@@ -742,6 +742,26 @@ pub fn prepare_input(
     fold_usage: Option<&Usage>,
 ) -> Result<PlannerInput, MethodError> {
     let export = server.export_stats();
+    let params = fold_params(query, server, params, calibration, fold_usage);
+    let mut input = PlannerInput::gather(query, catalog, &export, server.schema(), params)
+        .map_err(|e| MethodError::NotApplicable(e.to_string()))?;
+    input.obs = server.recorder();
+    Ok(input)
+}
+
+/// The params half of [`prepare_input`]: folds the observed fault model
+/// (or adopts a calibration) and the scatter fan-out into `params`. An
+/// input whose statistics are still current ([`PlannerInput::gathered_from`]
+/// the server's export) is brought up to date by stamping it with these
+/// ([`PlannerInput::with_params`]) — what a serving session does between a
+/// request's admission and its dispatch.
+pub fn fold_params(
+    query: &MultiJoinQuery,
+    server: &dyn TextService,
+    params: crate::cost::params::CostParams,
+    calibration: Option<&textjoin_obs::TraceCalibration>,
+    fold_usage: Option<&Usage>,
+) -> crate::cost::params::CostParams {
     let params = match calibration {
         // A calibration carries its own observed fault model; adopting it
         // replaces the analytic fold below wholesale.
@@ -771,7 +791,7 @@ pub fn prepare_input(
     // The selection-only mask is a superset of any instantiated search's
     // relevance (instantiation only ANDs more terms), so the priced
     // fan-out never undercounts a scatter the executor will perform.
-    let params = match server.as_sharded() {
+    match server.as_sharded() {
         Some(sh) if sh.stats_routing_enabled() => {
             let schema = server.schema();
             let sel_exprs: Vec<textjoin_text::expr::SearchExpr> = query
@@ -799,11 +819,7 @@ pub fn prepare_input(
         }
         Some(sh) => params.with_parallelism(sh.shard_count() as f64),
         None => params,
-    };
-    let mut input = PlannerInput::gather(query, catalog, &export, server.schema(), params)
-        .map_err(|e| MethodError::NotApplicable(e.to_string()))?;
-    input.obs = server.recorder();
-    Ok(input)
+    }
 }
 
 /// The optimizer-enumeration suffix of [`prepare_plan`], spanned in the
@@ -1109,6 +1125,53 @@ mod tests {
         let au = t.schema().column_by_name("author").unwrap();
         assert_eq!(t.rows()[0].get(au).as_str(), Some("Gravano; Garcia"));
         assert_eq!(server.usage().docs_long, 2, "long retrieval charged");
+    }
+
+    #[test]
+    fn restamped_input_is_the_input_prepared_from_nothing() {
+        use textjoin_text::rebalance::{MigrationPlan, Move};
+        use textjoin_text::shard::ShardedTextServer;
+        let (catalog, single) = fixture();
+        let mut server = ShardedTextServer::new(single.collection(), 2, 7);
+        server.set_stats_routing(true);
+        let q = q5();
+        let params = CostParams::mercury(server.doc_count() as f64);
+        // Everything gathered and the stamp, map order aside.
+        let render = |i: &PlannerInput| {
+            let base: Vec<_> = i
+                .base
+                .iter()
+                .map(|b| (b.rows, b.distinct.iter().collect::<std::collections::BTreeMap<_, _>>()))
+                .collect();
+            format!(
+                "{:?}",
+                (&i.query, &i.params, base, &i.foreign, i.sel_fanout, i.sel_postings, i.sel_terms)
+            )
+        };
+        let admitted = prepare_input(&q, &catalog, &server, params, None, None).unwrap();
+
+        // Same export, a ledger that moved: the statistics stay, the
+        // stamp is folded anew.
+        let history = Usage {
+            invocations: 10,
+            faults: 4,
+            ..Usage::default()
+        };
+        let fresh = prepare_input(&q, &catalog, &server, params, None, Some(&history)).unwrap();
+        assert_ne!(fresh.params, admitted.params, "fixture: the fold moved the params");
+        assert!(admitted.gathered_from(&server.export_stats()));
+        let kept = admitted.with_params(fold_params(&q, &server, params, None, Some(&history)));
+        assert_eq!(render(&kept), render(&fresh));
+
+        // Staging replaces the export: what was gathered is out of date.
+        let src = server.owner_of(DocId(0)).unwrap();
+        let mv = Move { range: (DocId(0), DocId(3)), src, dst: 1 - src };
+        server.begin_migration(MigrationPlan::new(vec![mv], 1));
+        assert!(!kept.gathered_from(&server.export_stats()));
+        let fresh = prepare_input(&q, &catalog, &server, params, None, None).unwrap();
+        assert!(fresh.gathered_from(&server.export_stats()));
+        assert_ne!(render(&fresh), render(&kept), "fixture: the staged copies moved the statistics");
+        assert_eq!(server.usage().total_cost(), 0.0, "preparing is free");
     }
 
     #[test]

@@ -62,12 +62,15 @@ pub struct BaseRelInfo {
     pub distinct: HashMap<String, f64>,
 }
 
-/// Everything the planner needs, gathered once.
+/// Everything the planner needs, gathered once: the query's statistics — a
+/// function of the query, the catalog and the statistics export alone —
+/// stamped with the cost parameters they are priced under.
 #[derive(Debug, Clone)]
 pub struct PlannerInput {
     /// The query being planned.
     pub query: MultiJoinQuery,
-    /// Cost-model parameters.
+    /// Cost-model parameters: the stamp ([`with_params`](Self::with_params)
+    /// replaces it and nothing else).
     pub params: CostParams,
     /// Relational cost constants.
     pub rel_model: RelCostModel,
@@ -88,11 +91,13 @@ pub struct PlannerInput {
     /// set, and the fault-adjusted `effective_c_i` the estimates priced
     /// invocations with).
     pub obs: Option<Rc<Recorder>>,
+    /// The export the statistics were read from.
+    export: VocabularyStats,
 }
 
 impl PlannerInput {
     /// Gathers statistics for `query` from the catalog and the text
-    /// server's statistics export.
+    /// server's statistics export, and stamps them with `params`.
     pub fn gather(
         query: &MultiJoinQuery,
         catalog: &Catalog,
@@ -171,7 +176,20 @@ impl PlannerInput {
             sel_postings,
             sel_terms,
             obs: None,
+            export: export.clone(),
         })
+    }
+
+    /// Whether `export` is the very export these statistics were gathered
+    /// from: if so, gathering again (same query, same catalog) would
+    /// recompute what is already here.
+    pub fn gathered_from(&self, export: &VocabularyStats) -> bool {
+        self.export.ptr_eq(export)
+    }
+
+    /// The same gathered statistics under other cost parameters.
+    pub fn with_params(self, params: CostParams) -> Self {
+        Self { params, ..self }
     }
 
     /// Builds [`JoinStatistics`] for the foreign predicates `preds`

@@ -67,10 +67,10 @@ use textjoin_text::service::TextService;
 use textjoin_text::shard::ShardedTextServer;
 
 use crate::cost::params::CostParams;
-use crate::exec::{execute_prepared, plan_prepared, prepare_input, ExecHooks};
+use crate::exec::{execute_prepared, fold_params, plan_prepared, prepare_input, ExecHooks};
 use crate::methods::cache::ProbeCache;
 use crate::methods::{CostCeiling, MethodError};
-use crate::optimizer::multi::{ExecutionSpace, PlannedQuery};
+use crate::optimizer::multi::{ExecutionSpace, PlannedQuery, PlannerInput};
 use crate::optimizer::plan::MultiJoinQuery;
 use crate::retry::{RetryBudget, RetryPolicy};
 
@@ -286,6 +286,10 @@ pub struct ServeReport {
     pub migrated_docs: u64,
     /// Calibration refits adopted into the live params.
     pub refits: u64,
+    /// Dispatches that gathered statistics anew because the server's
+    /// export was no longer the one their admission read. Every other
+    /// dispatch kept its admission's statistics and only re-folded params.
+    pub regathered: u64,
 }
 
 /// The shared text backend. `Elastic` grants the session mutable access
@@ -310,10 +314,12 @@ impl Backend<'_> {
 /// An admitted request waiting in its tenant's queue, carrying the plan
 /// and the cache key it was admitted under (a topology change between
 /// admission and dispatch invalidates the key and forces a replan, so
-/// planner pricing and executor routing stay in lockstep).
+/// planner pricing and executor routing stay in lockstep) and the planner
+/// input admission prepared, which dispatch refreshes instead of
+/// preparing from nothing.
 struct QueuedReq {
     arrival: u64,
-    query: MultiJoinQuery,
+    input: PlannerInput,
     est: f64,
     key: String,
     planned: PlannedQuery,
@@ -389,6 +395,7 @@ pub struct ServeSession<'a> {
     refits: u64,
     advice_consumed: usize,
     migrated_docs: u64,
+    regathered: u64,
     records: Vec<QueryRecord>,
     start_usage: Usage,
     start_migration: Usage,
@@ -439,6 +446,7 @@ impl<'a> ServeSession<'a> {
             refits: 0,
             advice_consumed: 0,
             migrated_docs: 0,
+            regathered: 0,
             records: Vec::new(),
             start_usage,
             start_migration,
@@ -541,7 +549,7 @@ impl<'a> ServeSession<'a> {
         self.tenants[ti].committed += est;
         self.tenants[ti].queue.push_back(QueuedReq {
             arrival,
-            query: query.clone(),
+            input,
             est,
             key,
             planned,
@@ -625,14 +633,20 @@ impl<'a> ServeSession<'a> {
         self.dispatches_since_refit += 1;
         let service = self.backend.service();
         let fold = self.tenants[ti].invoice;
-        let input = match prepare_input(
-            &req.query,
-            self.catalog,
-            service,
-            self.cfg.params,
-            self.calibration.as_ref(),
-            Some(&fold),
-        ) {
+        let calibration = self.calibration.as_ref();
+        // Admission gathered this request's statistics. While the server
+        // exports the handle they were read from they are what gathering
+        // would produce again, and only the params (the tenant's ledger,
+        // the calibration, the routed fan-out) can have moved.
+        let (query, params) = (&req.input.query, self.cfg.params);
+        let input = if req.input.gathered_from(&service.export_stats()) {
+            let params = fold_params(query, service, params, calibration, Some(&fold));
+            Ok(req.input.with_params(params))
+        } else {
+            self.regathered += 1;
+            prepare_input(query, self.catalog, service, params, calibration, Some(&fold))
+        };
+        let input = match input {
             Ok(i) => i,
             Err(e) => {
                 self.tenants[ti].exec_errors += 1;
@@ -646,7 +660,7 @@ impl<'a> ServeSession<'a> {
                 return;
             }
         };
-        let key = plan_key(&req.query, service.topology_epoch(), &input.params);
+        let key = plan_key(&input.query, service.topology_epoch(), &input.params);
         let planned = if key == req.key {
             req.planned
         } else {
@@ -741,7 +755,7 @@ impl<'a> ServeSession<'a> {
         &mut self,
         ti: usize,
         key: &str,
-        input: &crate::optimizer::multi::PlannerInput,
+        input: &PlannerInput,
     ) -> Result<PlannedQuery, MethodError> {
         if let Some(p) = self.tenants[ti].plans.get(key).cloned() {
             self.tenants[ti].plan_hits += 1;
@@ -856,6 +870,7 @@ impl<'a> ServeSession<'a> {
             monitor_table: self.monitor.as_ref().map(|m| m.render_table()),
             migrated_docs: self.migrated_docs,
             refits: self.refits,
+            regathered: self.regathered,
         }
     }
 }

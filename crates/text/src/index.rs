@@ -8,10 +8,11 @@
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::doc::{DocId, Document, FieldId, ShortDoc, TextSchema};
 use crate::postings::{Posting, PostingList};
+use crate::stats::VocabularyStats;
 use crate::token::tokenize;
 
 /// A searchable document collection: schema + document store + inverted
@@ -25,6 +26,10 @@ pub struct Collection {
     docs: Vec<Arc<Document>>,
     /// Directory: word → inverted list. Ordered for prefix range scans.
     directory: BTreeMap<String, PostingList>,
+    /// The statistics export of the current content, built when first asked
+    /// for. `add_document` — the only mutation there is — empties it, so a
+    /// handle never outlives the content it describes.
+    stats: OnceLock<VocabularyStats>,
 }
 
 impl Collection {
@@ -34,6 +39,7 @@ impl Collection {
             schema,
             docs: Vec::new(),
             directory: BTreeMap::new(),
+            stats: OnceLock::new(),
         }
     }
 
@@ -59,6 +65,7 @@ impl Collection {
     /// postings are this collection's own.
     pub fn add_document(&mut self, doc: impl Into<Arc<Document>>) -> DocId {
         let doc = doc.into();
+        self.stats.take();
         let id = DocId(self.docs.len() as u32);
         for (field, values) in doc.iter() {
             for (value_idx, value) in values.iter().enumerate() {
@@ -125,6 +132,15 @@ impl Collection {
     /// export extension (Section 8).
     pub fn iter_terms(&self) -> impl Iterator<Item = (&str, &PostingList)> {
         self.directory.iter().map(|(w, l)| (w.as_str(), l))
+    }
+
+    /// The vocabulary statistics of the current content (Section 8
+    /// extension): computed on the first call after a change, the same
+    /// handle on every call until the next [`add_document`].
+    ///
+    /// [`add_document`]: Self::add_document
+    pub fn vocabulary_stats(&self) -> &VocabularyStats {
+        self.stats.get_or_init(|| VocabularyStats::compute(self))
     }
 
     /// Sum of the lengths of all inverted lists (total postings).

@@ -74,7 +74,9 @@ pub trait TextService {
     fn search_batch(&self, exprs: &[SearchExpr]) -> Result<BatchResult, TextError>;
 
     /// Exports vocabulary statistics (Section 8 extension). Free of query
-    /// charges by design.
+    /// charges by design. The value is a handle onto an export the service
+    /// keeps: while its content does not change, every call returns the
+    /// same one ([`VocabularyStats::ptr_eq`]).
     fn export_stats(&self) -> VocabularyStats;
 
     /// Reconstructs the short form of a document whose short form was

@@ -44,7 +44,16 @@ use crate::server::{
     CostConstants, PartialRetrieveError, SearchResult, TextError, TextServer, Usage,
 };
 use crate::service::TextService;
-use crate::stats::VocabularyStats;
+use crate::stats::{FieldStats, VocabularyStats};
+
+/// What the shards export, as of the handles it was built from.
+#[derive(Debug)]
+struct ShardExport {
+    /// `parts[i]` is the handle shard `i`'s primary held at build time.
+    parts: Vec<VocabularyStats>,
+    /// The collection-wide export: the parts, merged.
+    merged: VocabularyStats,
+}
 
 /// A shard that exhausted its retries mid-gather. Carries the per-shard
 /// results already gathered (and charged) before the failure, so callers
@@ -154,9 +163,11 @@ pub struct ShardedTextServer {
     /// provably irrelevant shards. Off by default: pruning changes the
     /// per-shard invoice shape, so callers opt in.
     stats_routing: Cell<bool>,
-    /// Cached per-shard vocabulary stats for routing decisions
-    /// (invalidated when a migration stages new physical content).
-    shard_stats: RefCell<Option<Rc<Vec<VocabularyStats>>>>,
+    /// The one statistics cache: per-shard exports (routing, snapshot)
+    /// and their merge (the service's export). Valid while every shard
+    /// still holds the handle it was built from — migration staging, the
+    /// only thing that changes a shard's content, drops that handle.
+    export: RefCell<Option<Rc<ShardExport>>>,
     /// When > 0, every `pacing`-th query leg advances the active migration
     /// by one batch first — the deterministic interleaving knob that runs
     /// migrations *under* live queries.
@@ -243,7 +254,7 @@ impl ShardedTextServer {
             migration: RefCell::new(None),
             migration_usage: RefCell::new(Usage::default()),
             stats_routing: Cell::new(false),
-            shard_stats: RefCell::new(None),
+            export: RefCell::new(None),
             pacing: Cell::new(0),
             ops_since_step: Cell::new(0),
         }
@@ -274,11 +285,12 @@ impl ShardedTextServer {
     /// Per-shard collection statistics as a metrics snapshot: document
     /// counts and, per field, vocabulary size, total document frequency,
     /// and mean fanout, under `shard{i}.stats.*` keys (plus the aggregate
-    /// under plain `stats.*`). Built from the free `export_stats` of each
-    /// shard, so reading it charges nothing — this is the shard-local
+    /// under plain `stats.*`). Built from the free statistics export of
+    /// each shard, so reading it charges nothing — this is the shard-local
     /// statistics export the planner reads for selectivity estimation.
     pub fn stats_snapshot(&self) -> MetricsSnapshot {
         let mut m = MetricsSnapshot::new();
+        let export = self.shard_export();
         let schema = self.replicas[0][0].collection().schema();
         let fill = |prefix: &str, stats: &VocabularyStats, m: &mut MetricsSnapshot| {
             m.set_counter(&format!("{prefix}stats.docs"), stats.doc_count as u64);
@@ -291,10 +303,10 @@ impl ShardedTextServer {
                 }
             }
         };
-        for i in 0..self.replicas.len() {
-            fill(&format!("shard{i}."), &self.shard(i).export_stats(), &mut m);
+        for (i, part) in export.parts.iter().enumerate() {
+            fill(&format!("shard{i}."), part, &mut m);
         }
-        fill("", &TextService::export_stats(self), &mut m);
+        fill("", &export.merged, &mut m);
         m
     }
 
@@ -766,45 +778,42 @@ impl ShardedTextServer {
         if !self.stats_routing.get() {
             return vec![true; self.replicas.len()];
         }
-        let stats = self.shard_stats_for_routing();
         let schema = self.replicas[0][0].collection().schema();
-        stats
+        self.shard_export()
+            .parts
             .iter()
             .map(|s| Self::expr_may_match(s, schema, expr))
             .collect()
     }
 
-    /// The cached per-shard vocabulary stats backing routing decisions.
-    /// Export is free; the cache is invalidated when a migration stages
-    /// new physical content.
-    fn shard_stats_for_routing(&self) -> Rc<Vec<VocabularyStats>> {
-        if let Some(s) = self.shard_stats.borrow().as_ref() {
-            return s.clone();
+    /// The cached statistics of the current shard contents, rebuilt if any
+    /// shard's collection has replaced its handle since the last build.
+    fn shard_export(&self) -> Rc<ShardExport> {
+        let current = |i: usize| self.shard(i).collection().vocabulary_stats();
+        let mut cached = self.export.borrow_mut();
+        if let Some(e) = cached.as_ref() {
+            if e.parts.iter().enumerate().all(|(i, p)| p.ptr_eq(current(i))) {
+                return Rc::clone(e);
+            }
         }
-        let stats = Rc::new(
-            (0..self.replicas.len())
-                .map(|i| self.shard(i).export_stats())
-                .collect::<Vec<_>>(),
-        );
-        *self.shard_stats.borrow_mut() = Some(stats.clone());
-        stats
+        let parts: Vec<VocabularyStats> =
+            (0..self.replicas.len()).map(|i| current(i).clone()).collect();
+        let merged = VocabularyStats::merged(&parts);
+        let e = Rc::new(ShardExport { parts, merged });
+        *cached = Some(Rc::clone(&e));
+        e
     }
 
     fn term_may_match(stats: &VocabularyStats, schema: &TextSchema, t: &BasicTerm) -> bool {
-        let fields: Vec<_> = match t.field {
-            Some(f) => vec![f],
-            None => schema.iter().map(|(fid, _)| fid).collect(),
+        let hit = |fs: &FieldStats| match &t.kind {
+            TermKind::Word(w) => fs.occurs(w),
+            TermKind::Prefix(p) => fs.occurs_prefix(p),
+            TermKind::Phrase(ws) => ws.iter().all(|w| fs.occurs(w)),
         };
-        fields.into_iter().any(|f| {
-            let Some(fs) = stats.field(f) else {
-                return false;
-            };
-            match &t.kind {
-                TermKind::Word(w) => fs.occurs(w),
-                TermKind::Prefix(p) => fs.occurs_prefix(p),
-                TermKind::Phrase(ws) => ws.iter().all(|w| fs.occurs(w)),
-            }
-        })
+        match t.field {
+            Some(f) => stats.field(f).is_some_and(hit),
+            None => schema.iter().any(|(f, _)| stats.field(f).is_some_and(hit)),
+        }
     }
 
     /// Conservative may-match: `false` only when the vocabulary *proves*
@@ -904,9 +913,6 @@ impl ShardedTextServer {
             total_docs += staged.len() as u64;
             staged_all.push(staged);
         }
-        // New physical content on the destinations: routing stats must
-        // recompute (they now overcount by the staged copies — sound).
-        *self.shard_stats.borrow_mut() = None;
         let journal = MigrationJournal {
             begun_at_epoch: self.epoch.get(),
             entries,
@@ -1540,7 +1546,7 @@ impl TextService for ShardedTextServer {
     }
 
     fn export_stats(&self) -> VocabularyStats {
-        VocabularyStats::merged((0..self.replicas.len()).map(|i| self.shard(i).export_stats()))
+        self.shard_export().merged.clone()
     }
 
     fn reconstruct_short(&self, id: DocId) -> Option<ShortDoc> {
@@ -1683,27 +1689,6 @@ mod tests {
         // The failed attempt was still charged on shard 2's ledger.
         assert_eq!(sharded.shard_usage(2).faults, 1);
         assert_eq!(sharded.shard_usage(2).invocations, 1);
-    }
-
-    #[test]
-    fn merged_stats_equal_single_server_stats() {
-        let coll = corpus(40);
-        let single = TextServer::new(coll.clone());
-        let sharded = ShardedTextServer::new(&coll, 4, 7);
-        let a = single.export_stats();
-        let b = TextService::export_stats(&sharded);
-        assert_eq!(b.doc_count, 40);
-        let au = TextService::schema(&sharded).field_by_name("author").unwrap();
-        let ti = TextService::schema(&sharded).field_by_name("title").unwrap();
-        for field in [au, ti] {
-            let fa = a.field(field).unwrap();
-            let fb = b.field(field).unwrap();
-            assert_eq!(fa.vocabulary, fb.vocabulary);
-            assert_eq!(fa.total_df, fb.total_df);
-            assert_eq!(fa.histogram, fb.histogram);
-        }
-        assert_eq!(a.fanout("shared", ti), b.fanout("shared", ti));
-        assert_eq!(TextService::usage(&sharded).total_cost(), 0.0, "export is free");
     }
 
     #[test]

@@ -6,17 +6,21 @@
 //! all single-column probes to the text system."*
 //!
 //! [`VocabularyStats`] is that export: per-field document frequencies and a
-//! fanout histogram, computed once server-side and handed to the client
-//! optimizer for free (no `c_i`/`c_p` charges — the point of the extension).
+//! fanout histogram, handed to the client optimizer for free (no `c_i`/`c_p`
+//! charges — the point of the extension). It is index data, not a
+//! query-time aggregate: a [`Collection`] builds it once per content
+//! version ([`Collection::vocabulary_stats`]) and every request receives
+//! the same immutable handle.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use crate::doc::FieldId;
+use crate::doc::{DocId, FieldId};
 use crate::index::Collection;
 use crate::server::TextServer;
 
 /// Per-field statistics for one field of the collection.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct FieldStats {
     /// Number of distinct words occurring in the field.
     pub vocabulary: usize,
@@ -25,11 +29,29 @@ pub struct FieldStats {
     /// Histogram of document frequencies: `histogram[b]` counts words whose
     /// df falls in bucket `b` (power-of-two buckets: df ∈ [2^b, 2^(b+1))).
     pub histogram: Vec<u64>,
-    /// Exact per-word document frequencies.
-    df: HashMap<String, u32>,
+    /// The field's words with their document frequencies, ascending by
+    /// word: a prefix question is a range seek, a merge is a sorted walk.
+    words: Vec<(Arc<str>, u32)>,
+    /// Point-lookup index over `words` (the keys are the same strings).
+    df: HashMap<Arc<str>, u32>,
 }
 
 impl FieldStats {
+    /// Appends `word` with document frequency `df > 0`. Words arrive in
+    /// strictly ascending order.
+    fn push(&mut self, word: Arc<str>, df: u32) {
+        debug_assert!(self.words.last().is_none_or(|(w, _)| **w < *word));
+        self.vocabulary += 1;
+        self.total_df += u64::from(df);
+        let bucket = df.ilog2() as usize;
+        if self.histogram.len() <= bucket {
+            self.histogram.resize(bucket + 1, 0);
+        }
+        self.histogram[bucket] += 1;
+        self.words.push((Arc::clone(&word), df));
+        self.df.insert(word, df);
+    }
+
     /// Mean fanout over the field's vocabulary (average documents per word).
     pub fn mean_fanout(&self) -> f64 {
         if self.vocabulary == 0 {
@@ -52,103 +74,110 @@ impl FieldStats {
 
     /// Whether any word in this field starts with `prefix` — the
     /// truncation-query analogue of [`occurs`](Self::occurs), used by
-    /// stats-aware shard routing to prove a shard irrelevant.
+    /// stats-aware shard routing to prove a shard irrelevant. The words
+    /// sharing a prefix are contiguous in ascending order and the first of
+    /// them is the first word not below the prefix itself.
     pub fn occurs_prefix(&self, prefix: &str) -> bool {
-        if prefix.is_empty() {
-            return self.vocabulary > 0;
-        }
-        self.df.keys().any(|w| w.starts_with(prefix))
+        let at = self.words.partition_point(|(w, _)| **w < *prefix);
+        self.words.get(at).is_some_and(|(w, _)| w.starts_with(prefix))
     }
 }
 
-/// The exported statistics bundle.
-#[derive(Debug, Clone)]
+/// The exported statistics bundle: an immutable handle. `clone` copies a
+/// pointer, `==` compares content, [`ptr_eq`](Self::ptr_eq) tells whether
+/// two handles are the same export.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VocabularyStats {
     /// Total number of documents `D`.
     pub doc_count: usize,
-    per_field: HashMap<FieldId, FieldStats>,
+    /// Indexed by [`FieldId`].
+    per_field: Arc<[FieldStats]>,
 }
 
 impl VocabularyStats {
-    /// Computes the export from a collection. In a deployment this runs on
-    /// the server; clients receive the result without paying query costs.
+    /// Computes the export from a collection, in one pass over the index.
+    /// In a deployment this runs on the server; clients receive the result
+    /// without paying query costs. Callers want
+    /// [`Collection::vocabulary_stats`], which runs this once per content
+    /// version.
     pub fn compute(coll: &Collection) -> Self {
-        let mut per_field: HashMap<FieldId, FieldStats> = HashMap::new();
-        for (fid, _) in coll.schema().iter() {
-            per_field.insert(fid, FieldStats::default());
-        }
+        let mut per_field: Vec<FieldStats> = Vec::new();
+        per_field.resize_with(coll.schema().len(), FieldStats::default);
+        // Per field: the current word's document count and the last
+        // document counted.
+        let mut tally: Vec<(u32, Option<DocId>)> = vec![(0, None); per_field.len()];
         for (word, list) in coll.iter_terms() {
-            // Partition the word's postings by field and count distinct docs.
-            let mut seen: HashMap<FieldId, (u32, Option<crate::doc::DocId>)> = HashMap::new();
             for p in list.postings() {
-                let e = seen.entry(p.field).or_insert((0, None));
-                if e.1 != Some(p.doc) {
-                    e.0 += 1;
-                    e.1 = Some(p.doc);
+                let f = usize::from(p.field.0);
+                if tally.len() <= f {
+                    tally.resize(f + 1, (0, None));
+                    per_field.resize_with(f + 1, FieldStats::default);
+                }
+                let (df, last) = &mut tally[f];
+                if *last != Some(p.doc) {
+                    *df += 1;
+                    *last = Some(p.doc);
                 }
             }
-            for (fid, (df, _)) in seen {
-                let fs = per_field.entry(fid).or_default();
-                fs.vocabulary += 1;
-                fs.total_df += u64::from(df);
-                let bucket = (32 - df.leading_zeros()).saturating_sub(1) as usize;
-                if fs.histogram.len() <= bucket {
-                    fs.histogram.resize(bucket + 1, 0);
+            // One string per word, however many fields it occurs in.
+            let mut shared: Option<Arc<str>> = None;
+            for (fs, t) in per_field.iter_mut().zip(&mut tally) {
+                let (df, _) = std::mem::take(t);
+                if df > 0 {
+                    fs.push(Arc::clone(shared.get_or_insert_with(|| Arc::from(word))), df);
                 }
-                fs.histogram[bucket] += 1;
-                fs.df.insert(word.to_owned(), df);
             }
         }
         Self {
             doc_count: coll.doc_count(),
-            per_field,
+            per_field: per_field.into(),
         }
     }
 
     /// Merges per-shard exports into collection-wide statistics. Because
     /// the shards partition the collection, per-word document frequencies
     /// sum exactly; vocabulary, total df, and the fanout histogram are
-    /// rebuilt from the summed frequencies.
-    pub fn merged(parts: impl IntoIterator<Item = VocabularyStats>) -> Self {
-        let mut doc_count = 0;
-        let mut df: HashMap<FieldId, HashMap<String, u32>> = HashMap::new();
-        for part in parts {
-            doc_count += part.doc_count;
-            for (fid, fs) in part.per_field {
-                let merged = df.entry(fid).or_default();
-                for (word, d) in fs.df {
-                    *merged.entry(word).or_insert(0) += d;
-                }
-            }
-        }
-        let per_field = df
-            .into_iter()
-            .map(|(fid, df)| {
-                let mut fs = FieldStats {
-                    vocabulary: df.len(),
-                    total_df: df.values().map(|&d| u64::from(d)).sum(),
-                    histogram: Vec::new(),
-                    df,
-                };
-                for &d in fs.df.values() {
-                    let bucket = (32 - d.leading_zeros()).saturating_sub(1) as usize;
-                    if fs.histogram.len() <= bucket {
-                        fs.histogram.resize(bucket + 1, 0);
+    /// rebuilt from the summed frequencies. The parts are only read, and
+    /// the merged export shares their word strings.
+    pub fn merged(parts: &[VocabularyStats]) -> Self {
+        let fields = parts.iter().map(|p| p.per_field.len()).max().unwrap_or(0);
+        let per_field: Vec<FieldStats> = (0..fields)
+            .map(|f| {
+                // Each part's words are one ascending run: the stable sort
+                // merges the runs, then equal neighbours sum.
+                let mut all: Vec<&(Arc<str>, u32)> = parts
+                    .iter()
+                    .filter_map(|p| p.per_field.get(f))
+                    .flat_map(|fs| &fs.words)
+                    .collect();
+                all.sort_by(|a, b| a.0.cmp(&b.0));
+                let mut fs = FieldStats::default();
+                let mut run = all.into_iter().peekable();
+                while let Some((word, first)) = run.next() {
+                    let mut df = *first;
+                    while let Some((_, d)) = run.next_if(|(w, _)| w == word) {
+                        df += d;
                     }
-                    fs.histogram[bucket] += 1;
+                    fs.push(Arc::clone(word), df);
                 }
-                (fid, fs)
+                fs
             })
             .collect();
         Self {
-            doc_count,
-            per_field,
+            doc_count: parts.iter().map(|p| p.doc_count).sum(),
+            per_field: per_field.into(),
         }
+    }
+
+    /// Whether `self` and `other` are the same export (not merely equal
+    /// ones): the cheap way to tell that statistics did not change.
+    pub fn ptr_eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.per_field, &other.per_field)
     }
 
     /// Statistics for `field`.
     pub fn field(&self, field: FieldId) -> Option<&FieldStats> {
-        self.per_field.get(&field)
+        self.per_field.get(usize::from(field.0))
     }
 
     /// Exact fanout of `word` in `field` (0 if unknown).
@@ -164,9 +193,10 @@ impl VocabularyStats {
 
 impl TextServer {
     /// Exports vocabulary statistics (Section 8 extension). Free of query
-    /// charges by design.
+    /// charges by design, and free of work after the first call: the
+    /// collection owns the export and this hands out its handle.
     pub fn export_stats(&self) -> VocabularyStats {
-        VocabularyStats::compute(self.collection())
+        self.collection().vocabulary_stats().clone()
     }
 }
 

@@ -37,10 +37,12 @@ fn is_word_char(c: char) -> bool {
 /// assert_eq!(toks[2].pos, 2);
 /// ```
 // The index build calls this once per field value from another module.
-// Without the hint, whether it inlines there depends on how rustc happens to
-// partition the crate into codegen units, and the build is a fifth slower
-// when it does not.
-#[inline]
+// Whether it inlines there otherwise depends on how rustc happens to
+// partition the crate into codegen units, and the build is a fifth to a
+// third slower when it does not. A plain `#[inline]` held for the callers
+// compiled outside this crate but not for the shard build inside it
+// (`text.shard.build_ms` 10 → 13 ms when `stats.rs` changed size).
+#[inline(always)]
 pub fn tokenize(text: &str) -> Vec<Token> {
     let mut out = Vec::new();
     let mut cur = String::new();

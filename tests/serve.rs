@@ -673,3 +673,84 @@ fn session_closes_the_rebalance_and_drift_loops() {
     assert_eq!(report.aggregate.faults, sum.faults);
     assert!((report.aggregate.total_cost() - sum.total_cost()).abs() < 1e-9);
 }
+
+/// FNV-1a over everything a session reports that existed before the
+/// statistics export was cached: per-request records (rows, costs,
+/// invoices, typed refusals), tenant accounting, both ledgers, the trace
+/// as JSONL, the monitor table, and the loop counters.
+fn fingerprint(report: &textjoin::core::serve::ServeReport) -> u64 {
+    let mut text = format!(
+        "{:?}\n{:?}\n{:?}\n{:?}\n{:?}\n{} {}\n",
+        report.records,
+        report.tenants,
+        report.aggregate,
+        report.migration,
+        report.monitor_table,
+        report.migrated_docs,
+        report.refits,
+    );
+    for e in &report.trace {
+        text.push_str(&e.to_jsonl());
+        text.push('\n');
+    }
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The rebalance fixture of `session_closes_the_rebalance_and_drift_loops`
+/// under a quantum small enough that requests wait several rounds between
+/// admission and dispatch. With a migration budget the monitor's advice
+/// stages a migration while they wait.
+fn slow_drain_session(migration_budget: f64) -> textjoin::core::serve::ServeReport {
+    let w = world();
+    let mut server = ShardedTextServer::replicated(w.server.collection(), 4, 2, 0x5AD);
+    for r in 0..2 {
+        server
+            .replica_mut(1, r)
+            .set_fault_plan(FaultPlan::transient(0x5EA7 ^ ((r as u64) << 32), 0.35, 2));
+    }
+    let mut cfg = ServeConfig::new(params_for(&w));
+    cfg.quantum = 15.0;
+    cfg.queue_cap = 64;
+    cfg.degrade_depth = 0;
+    cfg.monitor = Some(textjoin::obs::MonitorConfig::new(100.0).with_skew(400_000, 320_000));
+    cfg.migration_budget = migration_budget;
+    let (q5, q6) = (paper::q5(&w), paper::q6(&w));
+    let stream: Vec<(usize, MultiJoinQuery)> = (0..6)
+        .flat_map(|i| vec![(i % 2, q5.clone()), ((i + 1) % 2, q6.clone())])
+        .collect();
+    ServeSession::new(
+        Backend::Elastic(&mut server),
+        &w.catalog,
+        vec![TenantSpec::new("a", 1e9, 1), TenantSpec::new("b", 1e9, 1)],
+        cfg,
+    )
+    .run(&stream)
+}
+
+/// Dispatch re-gathers a request's statistics exactly when the server's
+/// export changed while it queued, and neither path changes an answer: the
+/// fingerprints are those of the commit before the export was cached
+/// (PR 14), where every admission and every dispatch gathered from a
+/// freshly walked index. If a later change legitimately alters a report
+/// (a new event kind, a new ledger field), re-derive both constants on
+/// the commit before that change and check that they agree there.
+#[test]
+fn dispatch_regathers_only_when_the_export_changed_and_answers_never_move() {
+    // Staging lands between admissions and dispatches: the requests
+    // queued across it re-gather, the ones admitted after it do not.
+    let staged = slow_drain_session(1e9);
+    assert!(staged.migrated_docs > 0, "fixture: the monitor's advice staged a migration");
+    let completed = staged.records.iter().filter(|r| r.outcome.is_ok()).count() as u64;
+    assert_eq!(completed, 12);
+    assert!(staged.regathered > 0, "requests queued across the staging re-gathered");
+    assert!(staged.regathered < completed, "the others kept their admission's statistics");
+    assert_eq!(fingerprint(&staged), 0xe8aa_9c0f_194c_bdd1);
+
+    // Same stream, same waits, no staging: nothing to re-gather.
+    let quiet = slow_drain_session(0.0);
+    assert_eq!(quiet.migrated_docs, 0);
+    assert_eq!(quiet.regathered, 0, "an unchanged export is never gathered twice");
+    assert_eq!(fingerprint(&quiet), 0xae95_df63_d3ce_ffec);
+}
