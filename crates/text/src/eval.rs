@@ -11,7 +11,9 @@ use std::borrow::Cow;
 use crate::doc::{DocId, FieldId};
 use crate::expr::{BasicTerm, SearchExpr, TermKind};
 use crate::index::Collection;
-use crate::postings::{phrase_step, positional_join, DocSet, PostingList};
+use crate::postings::{
+    difference, intersect, positional_step, union, DocSet, Occurrence, PostingList,
+};
 
 /// The outcome of evaluating a search expression.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -22,184 +24,218 @@ pub struct EvalOutcome {
     pub postings_read: usize,
 }
 
+/// An ascending distinct docid list: borrowed from the index where a list
+/// head already is the answer, owned where a merge made a new one.
+type Docs<'a> = Cow<'a, [DocId]>;
+
 /// Evaluates `expr` against `coll`.
 ///
-/// Inverted lists are read where they live: a term's docids come from one
-/// filtered pass over the borrowed list, and the only postings ever copied
-/// are the carrier of a multi-word phrase and the merged list of a
-/// truncated NEAR operand, both of which are new lists.
+/// Inverted lists are read where they live. A fielded word is the docid
+/// slice at the head of its field list, the connectives merge such slices,
+/// and phrase and proximity search intersect the slices first and look at
+/// positions only inside the documents that survive. A word's list is
+/// charged whole — every field's postings — whatever the term is restricted
+/// to: the simulated server reads the list it finds in the directory.
 pub fn evaluate(coll: &Collection, expr: &SearchExpr) -> EvalOutcome {
-    let mut postings_read = 0;
-    let docs = eval_expr(coll, expr, &mut postings_read);
+    let mut eval = Eval { coll, read: 0 };
+    let docs = eval.expr(expr);
     EvalOutcome {
-        docs,
-        postings_read,
+        docs: DocSet::from_sorted(docs.into_owned()),
+        postings_read: eval.read,
     }
 }
 
-fn eval_expr(coll: &Collection, expr: &SearchExpr, postings_read: &mut usize) -> DocSet {
-    match expr {
-        SearchExpr::Term(t) => eval_term(coll, t, postings_read),
-        SearchExpr::Near { a, b, distance } => eval_near(coll, a, b, *distance, postings_read),
-        SearchExpr::And(cs) => {
-            let mut iter = cs.iter();
-            let Some(first) = iter.next() else {
-                // An empty conjunction matches everything; Boolean text
-                // systems reject such searches, and the server layer does
-                // too, but the evaluator is total.
-                return all_docs(coll);
-            };
-            let mut acc = eval_expr(coll, first, postings_read);
-            for c in iter {
-                if acc.is_empty() {
-                    // Short-circuit: remaining lists still *could* be read
-                    // by a real system, but sorted-merge intersection stops
-                    // as soon as one side is exhausted; we model the
-                    // favorable case consistently.
-                    break;
-                }
-                let rhs = eval_expr(coll, c, postings_read);
-                acc = acc.intersect(&rhs);
-            }
-            acc
-        }
-        SearchExpr::Or(cs) => {
-            let mut ids = Vec::new();
-            for c in cs {
-                ids.extend_from_slice(eval_expr(coll, c, postings_read).ids());
-            }
-            DocSet::from_unsorted(ids)
-        }
-        SearchExpr::AndNot(a, b) => {
-            let lhs = eval_expr(coll, a, postings_read);
-            let rhs = eval_expr(coll, b, postings_read);
-            lhs.difference(&rhs)
-        }
-    }
+/// `k` ascending lists laid back to back, as one.
+fn merged<'a>(ids: Vec<DocId>) -> Docs<'a> {
+    Cow::Owned(DocSet::from_unsorted(ids).into_ids())
 }
 
-fn all_docs(coll: &Collection) -> DocSet {
-    DocSet::from_sorted((0..coll.doc_count() as u32).map(DocId).collect())
-}
-
-/// Looks up `word`'s inverted list and charges its full length: the list is
-/// read whole whatever field the term is restricted to.
-fn read_list<'a>(
+/// One evaluation: the collection and the postings read so far.
+struct Eval<'a> {
     coll: &'a Collection,
-    word: &str,
-    postings_read: &mut usize,
-) -> Option<&'a PostingList> {
-    let list = coll.lookup(word)?;
-    *postings_read += list.len();
-    Some(list)
+    read: usize,
 }
 
-fn eval_term(coll: &Collection, term: &BasicTerm, postings_read: &mut usize) -> DocSet {
-    match &term.kind {
-        TermKind::Word(w) => {
-            if w.is_empty() {
-                return DocSet::new();
+impl<'a> Eval<'a> {
+    fn expr(&mut self, expr: &SearchExpr) -> Docs<'a> {
+        match expr {
+            SearchExpr::Term(t) => self.term(t),
+            SearchExpr::Near { a, b, distance } => self.near(a, b, *distance),
+            SearchExpr::And(cs) => {
+                let mut iter = cs.iter();
+                let Some(first) = iter.next() else {
+                    // An empty conjunction matches everything; Boolean text
+                    // systems reject such searches, and the server layer
+                    // does too, but the evaluator is total.
+                    return Cow::Owned((0..self.coll.doc_count() as u32).map(DocId).collect());
+                };
+                let mut acc = self.expr(first);
+                for c in iter {
+                    if acc.is_empty() {
+                        // Short-circuit: remaining lists still *could* be
+                        // read by a real system, but sorted-merge
+                        // intersection stops as soon as one side is
+                        // exhausted; we model the favorable case
+                        // consistently.
+                        break;
+                    }
+                    acc = Cow::Owned(intersect(&acc, &self.expr(c)));
+                }
+                acc
             }
-            match read_list(coll, w, postings_read) {
-                Some(list) => list.docs(term.field),
-                None => DocSet::new(),
+            SearchExpr::Or(cs) => match cs.as_slice() {
+                [a, b] => {
+                    let (lhs, rhs) = (self.expr(a), self.expr(b));
+                    Cow::Owned(union(&lhs, &rhs))
+                }
+                cs => {
+                    let mut ids = Vec::new();
+                    for c in cs {
+                        ids.extend_from_slice(&self.expr(c));
+                    }
+                    merged(ids)
+                }
+            },
+            SearchExpr::AndNot(a, b) => {
+                let (lhs, rhs) = (self.expr(a), self.expr(b));
+                Cow::Owned(difference(&lhs, &rhs))
             }
         }
-        TermKind::Prefix(p) => {
-            if p.is_empty() {
-                return DocSet::new();
-            }
-            let mut ids = Vec::new();
-            for (_, list) in coll.prefix_lookup(p) {
-                *postings_read += list.len();
-                ids.extend(list.doc_ids(term.field));
-            }
-            DocSet::from_unsorted(ids)
-        }
-        TermKind::Phrase(words) => eval_phrase(coll, words, term.field, postings_read),
     }
-}
 
-/// Phrase evaluation: the words must appear consecutively within a single
-/// field value. Implemented as a chain of positional joins carrying the
-/// position of the *last* matched word forward.
-fn eval_phrase(
-    coll: &Collection,
-    words: &[String],
-    field: Option<FieldId>,
-    postings_read: &mut usize,
-) -> DocSet {
-    let mut lists = Vec::with_capacity(words.len());
-    for w in words {
-        match read_list(coll, w, postings_read) {
-            Some(list) => lists.push(list),
-            // A phrase containing an unindexed word matches nothing, but the
-            // lists read so far were still processed.
-            None => return DocSet::new(),
-        }
+    /// Looks up `word`'s inverted list and charges its full length: the
+    /// list is read whole whatever field the term is restricted to.
+    fn read_list(&mut self, word: &str) -> Option<&'a PostingList> {
+        self.coll.lookup(word).inspect(|l| self.read += l.len())
     }
-    // Carrier: postings of word i that end a valid prefix of the phrase.
-    // Every step matched within `field`, so the carrier needs no filter.
-    let (mut carrier, rest) = match lists.as_slice() {
-        [] => return DocSet::new(),
-        [only] => return only.docs(field),
-        [first, second, rest @ ..] => (phrase_step(first, second, field), rest),
-    };
-    for next in rest {
-        if carrier.is_empty() {
-            break;
-        }
-        carrier = phrase_step(&carrier, next, field);
-    }
-    carrier.docs(None)
-}
 
-fn eval_near(
-    coll: &Collection,
-    a: &BasicTerm,
-    b: &BasicTerm,
-    distance: u32,
-    postings_read: &mut usize,
-) -> DocSet {
-    let get = |t: &BasicTerm, postings_read: &mut usize| -> Option<Cow<'_, PostingList>> {
+    fn term(&mut self, term: &BasicTerm) -> Docs<'a> {
+        match &term.kind {
+            TermKind::Word(w) => match self.read_list(w) {
+                Some(list) => word_docs(list, term.field),
+                None => Cow::Borrowed(&[]),
+            },
+            TermKind::Prefix(p) => {
+                if p.is_empty() {
+                    return Cow::Borrowed(&[]);
+                }
+                let mut ids = Vec::new();
+                for (_, list) in self.coll.prefix_lookup(p) {
+                    self.read += list.len();
+                    for l in list.fields(term.field) {
+                        ids.extend_from_slice(l.docs());
+                    }
+                }
+                merged(ids)
+            }
+            TermKind::Phrase(words) => self.phrase(words, term.field),
+        }
+    }
+
+    /// Phrase evaluation: the words must appear consecutively within a
+    /// single field value.
+    fn phrase(&mut self, words: &[String], field: Option<FieldId>) -> Docs<'a> {
+        let mut lists = Vec::with_capacity(words.len());
+        for w in words {
+            match self.read_list(w) {
+                Some(list) => lists.push(list),
+                // A phrase containing an unindexed word matches nothing,
+                // but the lists read so far were still processed.
+                None => return Cow::Borrowed(&[]),
+            }
+        }
+        match lists.as_slice() {
+            [] => Cow::Borrowed(&[]),
+            [only] => word_docs(only, field),
+            [first, rest @ ..] => positional_chain(first, rest, field, (1, 1)),
+        }
+    }
+
+    /// The list a NEAR operand stands for.
+    fn operand(&mut self, t: &BasicTerm) -> Option<Cow<'a, PostingList>> {
         match &t.kind {
-            TermKind::Word(w) => read_list(coll, w, postings_read).map(Cow::Borrowed),
+            TermKind::Word(w) => self.read_list(w).map(Cow::Borrowed),
             // Proximity over phrases/prefixes is not part of the paper's
             // model; treat the first word only.
-            TermKind::Phrase(ws) => ws
-                .first()
-                .and_then(|w| read_list(coll, w, postings_read))
-                .map(Cow::Borrowed),
+            TermKind::Phrase(ws) => self.read_list(ws.first()?).map(Cow::Borrowed),
             TermKind::Prefix(p) => {
                 if p.is_empty() {
                     return None;
                 }
-                let mut merged = Vec::new();
-                for (_, l) in coll.prefix_lookup(p) {
-                    *postings_read += l.len();
-                    merged.extend(l.postings().iter().filter(|p| p.is_in(t.field)));
+                // The expansion's lists as one new list.
+                let mut all: Vec<(FieldId, DocId, Occurrence)> = Vec::new();
+                for (_, list) in self.coll.prefix_lookup(p) {
+                    self.read += list.len();
+                    for l in list.fields(t.field) {
+                        all.extend(l.postings().map(|(doc, occ)| (l.field(), doc, occ)));
+                    }
                 }
-                merged.sort_unstable();
-                Some(Cow::Owned(PostingList::from_sorted(merged)))
+                all.sort_unstable();
+                let mut merged = PostingList::default();
+                for (field, doc, occ) in all {
+                    merged.push(doc, field, occ);
+                }
+                Some(Cow::Owned(merged))
             }
         }
-    };
-    let (Some(la), Some(lb)) = (get(a, postings_read), get(b, postings_read)) else {
-        return DocSet::new();
-    };
-    // Both operands must hit the same field value, so two restrictions
-    // either agree or can never both hold.
-    let field = match (a.field, b.field) {
-        (Some(fa), Some(fb)) if fa != fb => return DocSet::new(),
-        (fa, fb) => fa.or(fb),
-    };
-    positional_join(&la, &lb, field, -i64::from(distance), i64::from(distance))
+    }
+
+    fn near(&mut self, a: &BasicTerm, b: &BasicTerm, distance: u32) -> Docs<'a> {
+        let (Some(la), Some(lb)) = (self.operand(a), self.operand(b)) else {
+            return Cow::Borrowed(&[]);
+        };
+        // Both operands must hit the same field value, so two restrictions
+        // either agree or can never both hold.
+        let field = match (a.field, b.field) {
+            (Some(fa), Some(fb)) if fa != fb => return Cow::Borrowed(&[]),
+            (fa, fb) => fa.or(fb),
+        };
+        let distance = i64::from(distance);
+        positional_chain(&la, &[&lb], field, (-distance, distance))
+    }
+}
+
+/// The documents holding a word within `field`: one field's slice as it
+/// stands, or the few field slices of an unrestricted term merged.
+fn word_docs(list: &PostingList, field: Option<FieldId>) -> Docs<'_> {
+    match list.fields(field) {
+        [] => Cow::Borrowed(&[]),
+        [one] => Cow::Borrowed(one.docs()),
+        many => merged(many.iter().flat_map(|l| l.docs()).copied().collect()),
+    }
+}
+
+/// The documents in which, inside one value of a field that `field` admits,
+/// an occurrence of `first` is followed `gaps` positions on by one of each
+/// list of `rest` in turn. Positions never compare across fields, so each
+/// field is walked on its own: a chain of positional steps carrying the
+/// occurrences of the *last* matched word forward.
+fn positional_chain<'a>(
+    first: &PostingList,
+    rest: &[&PostingList],
+    field: Option<FieldId>,
+    gaps: (i64, i64),
+) -> Docs<'a> {
+    let mut ids = Vec::new();
+    'fields: for start in first.fields(field) {
+        let mut carrier = Cow::Borrowed(start);
+        for next in rest {
+            match next.fields(Some(start.field())) {
+                [next] if !carrier.is_empty() => {
+                    carrier = Cow::Owned(positional_step(&carrier, next, gaps));
+                }
+                _ => continue 'fields,
+            }
+        }
+        ids.extend_from_slice(carrier.docs());
+    }
+    merged(ids)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::doc::{DocId, Document, TextSchema};
+    use crate::doc::{Document, TextSchema};
 
     fn fixture() -> (Collection, FieldId, FieldId) {
         let schema = TextSchema::bibliographic();
@@ -377,6 +413,32 @@ mod tests {
         assert!(out.docs.is_empty());
         let out = evaluate(&c, &SearchExpr::term_in("luis", au));
         assert_eq!(ids(&out.docs), [0]);
-        let _ = DocId(0);
+    }
+
+    #[test]
+    fn value_index_past_u16_does_not_wrap() {
+        // Values 0 and 65 536 of one field: a 16-bit value index gave both
+        // the index 0, and "luis" (value 0, position 0) then sat right
+        // before "gravano" (value 65 536, position 1).
+        let schema = TextSchema::bibliographic();
+        let au = schema.field_by_name("author").unwrap();
+        let mut d = Document::new().with(au, "Luis");
+        for _ in 1..65_536 {
+            d.push(au, "Filler");
+        }
+        d.push(au, "Hector Gravano");
+        assert_eq!(d.values(au).len(), 65_537);
+        let mut c = Collection::new(schema);
+        c.add_document(d);
+        let docs = |e: &SearchExpr| ids(&evaluate(&c, e).docs);
+        assert!(docs(&SearchExpr::term_in("luis gravano", au)).is_empty());
+        let near = SearchExpr::Near {
+            a: BasicTerm::parse_text("luis", Some(au)),
+            b: BasicTerm::parse_text("gravano", Some(au)),
+            distance: 1,
+        };
+        assert!(docs(&near).is_empty());
+        assert_eq!(docs(&SearchExpr::term_in("gravano", au)), [0]);
+        assert_eq!(docs(&SearchExpr::term_in("hector gravano", au)), [0]);
     }
 }

@@ -11,9 +11,9 @@ use std::ops::Bound;
 use std::sync::{Arc, OnceLock};
 
 use crate::doc::{DocId, Document, FieldId, ShortDoc, TextSchema};
-use crate::postings::{Posting, PostingList};
+use crate::postings::{Occurrence, PostingList};
 use crate::stats::VocabularyStats;
-use crate::token::tokenize;
+use crate::token::for_each_token;
 
 /// A searchable document collection: schema + document store + inverted
 /// index. This is the passive storage layer; cost accounting lives in
@@ -67,16 +67,22 @@ impl Collection {
         let doc = doc.into();
         self.stats.take();
         let id = DocId(self.docs.len() as u32);
+        let directory = &mut self.directory;
+        // One buffer for every word of the document; a key is allocated
+        // only for a word the directory has not seen.
+        let mut buf = String::new();
         for (field, values) in doc.iter() {
-            for (value_idx, value) in values.iter().enumerate() {
-                for tok in tokenize(value) {
-                    self.directory.entry(tok.word).or_default().push(Posting {
-                        doc: id,
-                        field,
-                        value_idx: value_idx as u16,
-                        pos: tok.pos,
-                    });
-                }
+            for (value_idx, value) in (0u32..).zip(values) {
+                for_each_token(value, &mut buf, |word, pos| {
+                    let occ = Occurrence { value_idx, pos };
+                    match directory.get_mut(word) {
+                        Some(list) => list.push(id, field, occ),
+                        None => directory
+                            .entry(word.to_owned())
+                            .or_default()
+                            .push(id, field, occ),
+                    }
+                });
             }
         }
         self.docs.push(doc);
@@ -103,7 +109,7 @@ impl Collection {
 
     /// The inverted list for `word` (already normalized), or `None` if the
     /// word is not in the vocabulary. The returned list spans all fields;
-    /// callers restrict by field as needed.
+    /// callers pick the field lists they need.
     pub fn lookup(&self, word: &str) -> Option<&PostingList> {
         self.directory.get(word)
     }
@@ -125,7 +131,8 @@ impl Collection {
     /// paper's statistics (Section 4.2) estimate by sampling.
     pub fn doc_frequency(&self, word: &str, field: FieldId) -> usize {
         self.lookup(word)
-            .map_or(0, |l| l.doc_ids(Some(field)).count())
+            .and_then(|l| l.fields(Some(field)).first())
+            .map_or(0, |l| l.docs().len())
     }
 
     /// Iterates over all `(word, list)` entries — used by the statistics
@@ -216,10 +223,10 @@ mod tests {
     fn posting_lists_sorted_across_docs() {
         let (c, _, _) = sample();
         let l = c.lookup("update").unwrap();
-        let docs: Vec<u32> = l.postings().iter().map(|p| p.doc.0).collect();
-        let mut sorted = docs.clone();
-        sorted.sort_unstable();
-        assert_eq!(docs, sorted);
+        for f in l.fields(None) {
+            assert!(f.docs().is_sorted());
+            assert!(f.postings().is_sorted());
+        }
     }
 
     #[test]

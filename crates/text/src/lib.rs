@@ -8,10 +8,15 @@
 //! The crate has two layers:
 //!
 //! * **Storage & evaluation** — [`index::Collection`] holds documents and a
-//!   word→posting-list directory ([`postings`]); [`expr::SearchExpr`] is the
+//!   word→posting-list directory; a word's list is one
+//!   [`postings::FieldList`] per field it occurs in — ascending docids at
+//!   the head, positions in a side array. [`expr::SearchExpr`] is the
 //!   Boolean search AST (words, truncated words, phrases, proximity, AND /
-//!   OR / NOT, field-limited terms); [`eval`] answers searches by sorted-merge
-//!   set operations, reporting how many postings were processed.
+//!   OR / NOT, field-limited terms); [`eval`] answers searches by sorted
+//!   merges of the docid heads, opening positions only for phrase and
+//!   proximity search, and reports how many postings were processed (a
+//!   word's whole list, whatever field the term names). [`token`] is the
+//!   one tokenizer the index and the search terms share.
 //! * **The metered server façade** — [`server::TextServer`] is the *only*
 //!   interface the federated query processor uses (the paper's
 //!   loose-integration premise). Every `search`/`retrieve` is billed with

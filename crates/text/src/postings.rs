@@ -1,110 +1,155 @@
-//! Sorted posting lists and linear-time set operations.
+//! Per-(word, field) inverted lists and the sorted merges that run on them.
 //!
 //! In an inverted index (paper, Section 2.1), each word is associated with an
 //! inverted list of *postings* recording the docids of documents in which the
 //! word appears; a posting may also carry the field and the word position.
-//! Lists are kept sorted, so Boolean set operations (and positional phrase /
-//! proximity checks) run in time linear in the lengths of the input lists —
-//! the assumption under which the paper's processing cost is proportional to
-//! the *sum of the lengths of the inverted lists processed* (constant `c_p`).
+//! A word's list is one [`FieldList`] per field it occurs in: a head of
+//! ascending distinct docids, which is all a Boolean connective reads, and a
+//! side array of positions that only phrase and proximity search touch.
+//! Lists are sorted, so every operation is a merge at most linear in its
+//! inputs — the assumption under which the paper's processing cost is
+//! proportional to the *sum of the lengths of the inverted lists processed*
+//! (constant `c_p`).
 
 use crate::doc::{DocId, FieldId};
 
-/// One posting: a word occurrence in a specific field position of a document.
+/// One occurrence of a word in a field of a document.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Posting {
-    /// Document in which the word occurs.
-    pub doc: DocId,
-    /// Field in which the word occurs.
-    pub field: FieldId,
+pub struct Occurrence {
     /// Index of the field value within the (multi-valued) field.
-    pub value_idx: u16,
+    pub value_idx: u32,
     /// Word position within that field value.
     pub pos: u32,
 }
 
-impl Posting {
-    /// Whether this occurrence passes a term's field restriction (`None`
-    /// admits every field).
-    pub fn is_in(&self, field: Option<FieldId>) -> bool {
-        field.is_none_or(|f| self.field == f)
-    }
+/// The inverted list of one word in one field: the documents holding the
+/// word there and, per document, its occurrences in `(value_idx, pos)`
+/// order. The ordering is maintained by construction (documents are indexed
+/// in docid order) and checked in debug builds.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FieldList {
+    field: FieldId,
+    /// Ascending, distinct.
+    docs: Vec<DocId>,
+    /// `starts[i]` is where `docs[i]`'s occurrences begin in `occs`.
+    starts: Vec<u32>,
+    occs: Vec<Occurrence>,
 }
 
-/// A sorted inverted list. Postings are ordered by
-/// `(doc, field, value_idx, pos)`; the ordering invariant is maintained by
-/// construction (documents are indexed in docid order) and checked in debug
-/// builds.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PostingList {
-    postings: Vec<Posting>,
-}
-
-impl PostingList {
-    /// Creates an empty list.
-    pub fn new() -> Self {
-        Self::default()
+impl FieldList {
+    /// An empty list for `field`.
+    pub fn new(field: FieldId) -> Self {
+        Self {
+            field,
+            docs: Vec::new(),
+            starts: Vec::new(),
+            occs: Vec::new(),
+        }
     }
 
-    /// Creates a list from pre-sorted postings.
-    ///
-    /// # Panics
-    /// Debug builds panic if `postings` is not sorted.
-    pub fn from_sorted(postings: Vec<Posting>) -> Self {
-        debug_assert!(postings.windows(2).all(|w| w[0] <= w[1]));
-        Self { postings }
+    /// The field this list covers.
+    pub fn field(&self) -> FieldId {
+        self.field
     }
 
-    /// Appends a posting, which must sort at or after the current tail.
-    pub fn push(&mut self, p: Posting) {
-        debug_assert!(self.postings.last().is_none_or(|last| *last <= p));
-        self.postings.push(p);
+    /// The documents with the word in this field, ascending — the field's
+    /// document frequency is this slice's length.
+    pub fn docs(&self) -> &[DocId] {
+        &self.docs
     }
 
-    /// Number of postings (the list *length* the cost model charges for).
+    /// Number of postings (occurrences) in this field.
     pub fn len(&self) -> usize {
-        self.postings.len()
+        self.occs.len()
     }
 
     /// Whether the list is empty.
     pub fn is_empty(&self) -> bool {
-        self.postings.is_empty()
+        self.occs.is_empty()
     }
 
-    /// The raw postings, sorted.
-    pub fn postings(&self) -> &[Posting] {
-        &self.postings
+    /// The occurrences within `docs()[i]`, sorted.
+    pub fn occurrences(&self, i: usize) -> &[Occurrence] {
+        let end = self
+            .starts
+            .get(i + 1)
+            .map_or(self.occs.len(), |&e| e as usize);
+        &self.occs[self.starts[i] as usize..end]
     }
 
-    /// The distinct docids with a posting in `field` (`None`: in any
-    /// field), ascending — one filtered pass over the borrowed list.
-    pub fn doc_ids(&self, field: Option<FieldId>) -> impl Iterator<Item = DocId> + '_ {
-        let mut last = None;
-        self.postings
-            .iter()
-            .filter(move |p| p.is_in(field))
-            .filter_map(move |p| (last.replace(p.doc) != Some(p.doc)).then_some(p.doc))
+    /// Every posting, flat: `(doc, occurrence)` ascending.
+    pub fn postings(&self) -> impl Iterator<Item = (DocId, Occurrence)> + '_ {
+        (0..self.docs.len())
+            .flat_map(move |i| self.occurrences(i).iter().map(move |&o| (self.docs[i], o)))
     }
 
-    /// [`doc_ids`](Self::doc_ids) as a set.
-    pub fn docs(&self, field: Option<FieldId>) -> DocSet {
-        DocSet::from_sorted(self.doc_ids(field).collect())
+    /// Appends an occurrence, which must sort at or after the current tail.
+    pub fn push(&mut self, doc: DocId, occ: Occurrence) {
+        let tail = self.docs.last().zip(self.occs.last());
+        debug_assert!(tail.is_none_or(|(&d, &o)| (d, o) <= (doc, occ)));
+        if self.docs.last() != Some(&doc) {
+            let start = u32::try_from(self.occs.len()).expect("under 2^32 postings a list");
+            self.docs.push(doc);
+            self.starts.push(start);
+        }
+        self.occs.push(occ);
     }
 }
 
-/// A sorted, deduplicated set of docids — the docid-level view on which the
-/// Boolean connectives operate.
+/// A word's inverted list: its field lists, ascending by field.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PostingList {
+    fields: Vec<FieldList>,
+}
+
+impl PostingList {
+    /// Appends a posting, which must sort at or after the tail of its
+    /// field's list.
+    pub fn push(&mut self, doc: DocId, field: FieldId, occ: Occurrence) {
+        let at = match self.fields.iter().position(|l| l.field >= field) {
+            Some(at) if self.fields[at].field == field => at,
+            at => {
+                let at = at.unwrap_or(self.fields.len());
+                // A word has a field or two: no room for four up front.
+                self.fields.reserve_exact(1);
+                self.fields.insert(at, FieldList::new(field));
+                at
+            }
+        };
+        self.fields[at].push(doc, occ);
+    }
+
+    /// Number of postings across all fields: the list *length* the cost
+    /// model charges for, whatever field a term is restricted to.
+    pub fn len(&self) -> usize {
+        self.fields.iter().map(FieldList::len).sum()
+    }
+
+    /// Whether the list is empty.
+    pub fn is_empty(&self) -> bool {
+        self.fields.is_empty()
+    }
+
+    /// The field lists a term's restriction admits: all of them for `None`,
+    /// at most one for a field.
+    pub fn fields(&self, field: Option<FieldId>) -> &[FieldList] {
+        match field {
+            None => &self.fields,
+            Some(f) => match self.fields.iter().position(|l| l.field == f) {
+                Some(at) => &self.fields[at..=at],
+                None => &[],
+            },
+        }
+    }
+}
+
+/// A sorted, deduplicated set of docids — the answer of an evaluation.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DocSet {
     ids: Vec<DocId>,
 }
 
 impl DocSet {
-    /// Empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Builds from sorted, deduplicated ids.
     ///
     /// # Panics
@@ -141,277 +186,314 @@ impl DocSet {
         &self.ids
     }
 
-    /// Membership test (binary search).
-    pub fn contains(&self, id: DocId) -> bool {
-        self.ids.binary_search(&id).is_ok()
-    }
-
-    /// Set intersection by linear merge.
-    pub fn intersect(&self, other: &DocSet) -> DocSet {
-        let (mut i, mut j) = (0, 0);
-        let mut out = Vec::with_capacity(self.len().min(other.len()));
-        while i < self.ids.len() && j < other.ids.len() {
-            match self.ids[i].cmp(&other.ids[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(self.ids[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        DocSet::from_sorted(out)
-    }
-
-    /// Set difference `self \ other` by linear merge.
-    pub fn difference(&self, other: &DocSet) -> DocSet {
-        let (mut i, mut j) = (0, 0);
-        let mut out = Vec::with_capacity(self.len());
-        while i < self.ids.len() {
-            if j >= other.ids.len() {
-                out.extend_from_slice(&self.ids[i..]);
-                break;
-            }
-            match self.ids[i].cmp(&other.ids[j]) {
-                std::cmp::Ordering::Less => {
-                    out.push(self.ids[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        DocSet::from_sorted(out)
+    /// The sorted ids, by value.
+    pub fn into_ids(self) -> Vec<DocId> {
+        self.ids
     }
 }
 
-/// The `(doc, field, value)` a posting's position counts within.
-fn value_key(p: &Posting) -> (DocId, FieldId, u16) {
-    (p.doc, p.field, p.value_idx)
+/// How many times longer one ascending list must be than the other before
+/// their intersection gallops through it instead of stepping. Below this a
+/// search per element loses to the plain merge; it is a property of the
+/// two loops, not of a workload, so nothing sets it.
+const GALLOP_RATIO: usize = 16;
+
+/// Calls `on_shared(i, j)` for every `a[i] == b[j]` of two ascending
+/// distinct lists, in ascending order.
+pub fn for_each_shared(a: &[DocId], b: &[DocId], mut on_shared: impl FnMut(usize, usize)) {
+    if a.len() * GALLOP_RATIO <= b.len() {
+        gallop(a, b, on_shared);
+    } else if b.len() * GALLOP_RATIO <= a.len() {
+        gallop(b, a, |j, i| on_shared(i, j));
+    } else {
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            let (x, y) = (a[i], b[j]);
+            if x == y {
+                on_shared(i, j);
+            }
+            // Which cursor moves is data, not a branch to mispredict.
+            i += usize::from(x <= y);
+            j += usize::from(y <= x);
+        }
+    }
 }
 
-/// Walks two inverted lists in step and calls `on_run` with each pair of
-/// position runs that share a `(doc, field, value)` within `field`. Each
-/// cursor steps over the postings outside `field` as it advances, so the
-/// walk compares what a filtered copy of each list would hold without
-/// making one.
-fn for_each_shared_value<'a>(
-    a: &'a PostingList,
-    b: &'a PostingList,
-    field: Option<FieldId>,
-    mut on_run: impl FnMut(&'a [Posting], &'a [Posting]),
-) {
-    let (a, b) = (a.postings(), b.postings());
-    // The first index at or after `from` whose posting is in `field`.
-    let next_in_field = |list: &[Posting], from: usize| {
-        from + list[from..].iter().take_while(|p| !p.is_in(field)).count()
-    };
-    let (mut i, mut j) = (next_in_field(a, 0), next_in_field(b, 0));
+/// [`for_each_shared`] for a `short` list against a much longer one: each
+/// element is located by doubling steps from the previous hit, then a
+/// binary search inside the last step.
+fn gallop(short: &[DocId], long: &[DocId], mut on_shared: impl FnMut(usize, usize)) {
+    let mut j = 0;
+    for (i, x) in short.iter().enumerate() {
+        // Everything before `j` is below `x`.
+        let mut step = 1;
+        while j + step < long.len() && long[j + step] < *x {
+            j += step;
+            step *= 2;
+        }
+        let end = (j + step + 1).min(long.len());
+        j += long[j..end].partition_point(|y| y < x);
+        match long.get(j) {
+            None => return,
+            Some(y) if y == x => on_shared(i, j),
+            Some(_) => {}
+        }
+    }
+}
+
+/// Intersection of two ascending distinct lists.
+pub fn intersect(a: &[DocId], b: &[DocId]) -> Vec<DocId> {
+    let mut out = Vec::with_capacity(a.len().min(b.len()));
+    for_each_shared(a, b, |i, _| out.push(a[i]));
+    out
+}
+
+/// Difference `a \\ b` of two ascending distinct lists, by linear merge.
+pub fn difference(a: &[DocId], b: &[DocId]) -> Vec<DocId> {
+    let mut out = Vec::with_capacity(a.len());
+    let mut j = 0;
+    for x in a {
+        while b.get(j).is_some_and(|y| y < x) {
+            j += 1;
+        }
+        if b.get(j) != Some(x) {
+            out.push(*x);
+        }
+    }
+    out
+}
+
+/// Union of two ascending distinct lists, by linear merge.
+pub fn union(a: &[DocId], b: &[DocId]) -> Vec<DocId> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
-        let key = value_key(&a[i]);
-        match key.cmp(&value_key(&b[j])) {
-            std::cmp::Ordering::Less => i = next_in_field(a, i + 1),
-            std::cmp::Ordering::Greater => j = next_in_field(b, j + 1),
-            std::cmp::Ordering::Equal => {
-                let i_end = i + a[i..].iter().take_while(|p| value_key(p) == key).count();
-                let j_end = j + b[j..].iter().take_while(|p| value_key(p) == key).count();
-                on_run(&a[i..i_end], &b[j..j_end]);
-                i = next_in_field(a, i_end);
-                j = next_in_field(b, j_end);
-            }
-        }
+        let (x, y) = (a[i], b[j]);
+        out.push(x.min(y));
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
     }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
 }
 
-/// Positional join used for proximity search.
-///
-/// Returns the docids in which some posting of `a` and some posting of `b`
-/// occur in the *same field value* of the same document, within `field`
-/// (`None`: any field), with `pos(b) - pos(a)` in `[min_gap, max_gap]`. For
-/// `near10`, use `[-10, 10]`.
-pub fn positional_join(
-    a: &PostingList,
-    b: &PostingList,
-    field: Option<FieldId>,
-    min_gap: i64,
-    max_gap: i64,
-) -> DocSet {
-    let mut out = Vec::new();
-    for_each_shared_value(a, b, field, |xs, ys| {
-        let doc = xs[0].doc;
-        let near = |x: &Posting, y: &Posting| {
-            let gap = i64::from(y.pos) - i64::from(x.pos);
-            gap >= min_gap && gap <= max_gap
+/// One step of positional matching within one field: the occurrences of
+/// `next` that lie in the same document and field value as some occurrence
+/// of `carrier`, with `pos(next) - pos(carrier)` in `[min_gap, max_gap]` —
+/// `[1, 1]` for the next word of a phrase, `[-10, 10]` for `near10`. The
+/// lists are intersected on their docids first; positions are compared
+/// only inside the documents both hold.
+pub fn positional_step(
+    carrier: &FieldList,
+    next: &FieldList,
+    (min_gap, max_gap): (i64, i64),
+) -> FieldList {
+    let mut out = FieldList::new(next.field);
+    debug_assert!(min_gap <= max_gap);
+    // `gap - min_gap` as unsigned: one comparison tells both bounds.
+    let width = (max_gap - min_gap).cast_unsigned();
+    for_each_shared(&carrier.docs, &next.docs, |i, j| {
+        let xs = carrier.occurrences(i);
+        let follows = |y: &Occurrence| {
+            let from = i64::from(y.pos) - min_gap;
+            xs.iter().any(|x| {
+                x.value_idx == y.value_idx && (from - i64::from(x.pos)).cast_unsigned() <= width
+            })
         };
-        if out.last() != Some(&doc) && xs.iter().any(|x| ys.iter().any(|y| near(x, y))) {
-            out.push(doc);
+        for y in next.occurrences(j).iter().filter(|y| follows(y)) {
+            out.push(next.docs[j], *y);
         }
     });
-    DocSet::from_sorted(out)
-}
-
-/// One step of phrase matching: the postings of `next` that directly follow
-/// (gap exactly 1, same doc/field/value, within `field`) some posting of
-/// `carrier`.
-pub fn phrase_step(
-    carrier: &PostingList,
-    next: &PostingList,
-    field: Option<FieldId>,
-) -> PostingList {
-    let mut out = Vec::new();
-    for_each_shared_value(carrier, next, field, |xs, ys| {
-        out.extend(
-            ys.iter()
-                .filter(|y| xs.iter().any(|x| x.pos + 1 == y.pos))
-                .copied(),
-        );
-    });
-    PostingList::from_sorted(out)
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn ds(ids: &[u32]) -> DocSet {
-        DocSet::from_sorted(ids.iter().map(|&i| DocId(i)).collect())
+    fn ids(ids: &[u32]) -> Vec<DocId> {
+        ids.iter().map(|&i| DocId(i)).collect()
     }
 
-    fn union(sets: &[&DocSet]) -> DocSet {
-        DocSet::from_unsorted(sets.iter().flat_map(|s| s.ids()).copied().collect())
+    fn ds(v: &[u32]) -> DocSet {
+        DocSet::from_sorted(ids(v))
+    }
+
+    fn union_all(sets: &[&[DocId]]) -> DocSet {
+        DocSet::from_unsorted(sets.concat())
     }
 
     #[test]
     fn union_of_many_overlapping_sets() {
         // 70 sets (an M-sized OR package): set k holds the multiples
         // of k below 500, so every id is shared by several of them.
-        let sets: Vec<DocSet> = (1..=70u32)
-            .map(|k| ds(&(0..500).filter(|i| i % k == 0).collect::<Vec<_>>()))
+        let sets: Vec<Vec<DocId>> = (1..=70u32)
+            .map(|k| ids(&(0..500).filter(|i| i % k == 0).collect::<Vec<_>>()))
             .collect();
-        let merged = union(&sets.iter().collect::<Vec<_>>());
-        assert_eq!(merged, ds(&(0..500).collect::<Vec<_>>()));
-        let sparse = union(&sets[49..].iter().collect::<Vec<_>>());
+        let sets: Vec<&[DocId]> = sets.iter().map(Vec::as_slice).collect();
+        assert_eq!(union_all(&sets), ds(&(0..500).collect::<Vec<_>>()));
         let expect: Vec<u32> = (0..500).filter(|i| (50..=70).any(|k| i % k == 0)).collect();
-        assert_eq!(sparse, ds(&expect));
+        assert_eq!(union_all(&sets[49..]), ds(&expect));
     }
 
     #[test]
     fn intersect_union_difference() {
-        let a = ds(&[1, 3, 5, 7]);
-        let b = ds(&[3, 4, 5, 8]);
-        assert_eq!(a.intersect(&b), ds(&[3, 5]));
-        assert_eq!(union(&[&a, &b]), ds(&[1, 3, 4, 5, 7, 8]));
-        assert_eq!(a.difference(&b), ds(&[1, 7]));
-        assert_eq!(b.difference(&a), ds(&[4, 8]));
+        let a = ids(&[1, 3, 5, 7]);
+        let b = ids(&[3, 4, 5, 8]);
+        assert_eq!(intersect(&a, &b), ids(&[3, 5]));
+        assert_eq!(union(&a, &b), ids(&[1, 3, 4, 5, 7, 8]));
+        assert_eq!(union_all(&[&a, &b]), ds(&[1, 3, 4, 5, 7, 8]));
+        assert_eq!(difference(&a, &b), ids(&[1, 7]));
+        assert_eq!(difference(&b, &a), ids(&[4, 8]));
     }
 
     #[test]
     fn ops_with_empty() {
-        let a = ds(&[1, 2]);
-        let e = DocSet::new();
-        assert_eq!(a.intersect(&e), e);
-        assert_eq!(union(&[&a, &e]), a);
-        assert_eq!(union(&[&e, &a]), a);
-        assert_eq!(union(&[&e, &e]), e);
-        assert_eq!(union(&[]), e);
-        assert_eq!(union(&[&a]), a);
-        assert_eq!(a.difference(&e), a);
-        assert_eq!(e.difference(&a), e);
+        let a = ids(&[1, 2]);
+        let e: Vec<DocId> = Vec::new();
+        assert_eq!(intersect(&a, &e), e);
+        assert_eq!(intersect(&e, &a), e);
+        assert_eq!(union(&a, &e), a);
+        assert_eq!(union(&e, &a), a);
+        assert_eq!(union(&e, &e), e);
+        assert_eq!(union_all(&[]), DocSet::default());
+        assert_eq!(union_all(&[&a]), ds(&[1, 2]));
+        assert_eq!(difference(&a, &e), a);
+        assert_eq!(difference(&e, &a), e);
+    }
+
+    #[test]
+    fn skewed_lists_gallop_to_the_same_answer() {
+        // One side far more than GALLOP_RATIO times the other, hits at the
+        // head, in the middle, at the tail, and misses between and beyond.
+        let long = ids(&(0..4000).map(|i| i * 3).collect::<Vec<_>>());
+        for short in [
+            vec![0],
+            vec![11_997],
+            vec![1, 2, 4],
+            vec![0, 3, 6, 5_999, 6_000, 11_997, 20_000],
+            vec![12_000, 12_001],
+            vec![],
+        ] {
+            let short = ids(&short);
+            let want: Vec<DocId> = short
+                .iter()
+                .filter(|d| d.0 % 3 == 0 && d.0 < 12_000)
+                .copied()
+                .collect();
+            assert_eq!(intersect(&short, &long), want);
+            assert_eq!(intersect(&long, &short), want);
+            let mut pairs = Vec::new();
+            for_each_shared(&long, &short, |i, j| pairs.push((long[i], short[j])));
+            assert_eq!(pairs, want.iter().map(|&d| (d, d)).collect::<Vec<_>>());
+            let rest: Vec<DocId> = short
+                .iter()
+                .filter(|d| !want.contains(d))
+                .copied()
+                .collect();
+            assert_eq!(difference(&short, &long), rest);
+            assert_eq!(difference(&long, &short).len(), long.len() - want.len());
+        }
     }
 
     #[test]
     fn from_unsorted_dedups() {
-        let s = DocSet::from_unsorted(vec![DocId(5), DocId(1), DocId(5), DocId(3)]);
+        let s = DocSet::from_unsorted(ids(&[5, 1, 5, 3]));
         assert_eq!(s, ds(&[1, 3, 5]));
     }
 
-    #[test]
-    fn contains_binary_search() {
-        let a = ds(&[2, 4, 6]);
-        assert!(a.contains(DocId(4)));
-        assert!(!a.contains(DocId(5)));
+    /// A list from `(doc, field, value_idx, pos)` tuples, each field's in
+    /// order.
+    fn pl(entries: &[(u32, u16, u32, u32)]) -> PostingList {
+        let mut list = PostingList::default();
+        for &(d, f, value_idx, pos) in entries {
+            list.push(DocId(d), FieldId(f), Occurrence { value_idx, pos });
+        }
+        list
     }
 
-    fn pl(entries: &[(u32, u16, u16, u32)]) -> PostingList {
-        PostingList::from_sorted(
-            entries
-                .iter()
-                .map(|&(d, f, v, p)| Posting {
-                    doc: DocId(d),
-                    field: FieldId(f),
-                    value_idx: v,
-                    pos: p,
-                })
-                .collect(),
-        )
+    fn docs_in(l: &PostingList, field: Option<FieldId>) -> Vec<Vec<DocId>> {
+        l.fields(field).iter().map(|f| f.docs().to_vec()).collect()
     }
 
     #[test]
-    fn posting_list_docs_dedup() {
+    fn field_lists_hold_distinct_docs() {
         let l = pl(&[(1, 0, 0, 0), (1, 0, 0, 4), (2, 1, 0, 1)]);
         assert_eq!(l.len(), 3);
-        assert_eq!(l.doc_ids(None).count(), 2);
-        assert_eq!(l.docs(None), ds(&[1, 2]));
+        assert_eq!(docs_in(&l, None), [ids(&[1]), ids(&[2])]);
+        let f0 = &l.fields(Some(FieldId(0)))[0];
+        assert_eq!(
+            f0.occurrences(0).iter().map(|o| o.pos).collect::<Vec<_>>(),
+            [0, 4]
+        );
     }
 
     #[test]
-    fn docs_restricted_to_a_field() {
+    fn fields_restricted_and_kept_ascending() {
+        // Field 1 is pushed before field 0 exists.
         let l = pl(&[
-            (1, 0, 0, 0),
             (1, 1, 0, 0),
+            (1, 0, 0, 0),
             (2, 0, 0, 3),
             (2, 0, 1, 0),
             (4, 1, 0, 2),
         ]);
-        assert_eq!(l.docs(Some(FieldId(0))), ds(&[1, 2]));
-        assert_eq!(l.docs(Some(FieldId(1))), ds(&[1, 4]));
-        assert_eq!(l.docs(Some(FieldId(2))), ds(&[]));
-        assert_eq!(l.docs(None), ds(&[1, 2, 4]));
+        assert_eq!(docs_in(&l, Some(FieldId(0))), [ids(&[1, 2])]);
+        assert_eq!(docs_in(&l, Some(FieldId(1))), [ids(&[1, 4])]);
+        assert!(l.fields(Some(FieldId(2))).is_empty());
+        assert_eq!(docs_in(&l, None), [ids(&[1, 2]), ids(&[1, 4])]);
+        assert_eq!(l.fields(None)[0].occurrences(1).len(), 2);
+    }
+
+    /// The step in field `f`, if both words occur there.
+    fn step(a: &PostingList, b: &PostingList, f: u16, gaps: (i64, i64)) -> Vec<DocId> {
+        let f = Some(FieldId(f));
+        match (a.fields(f), b.fields(f)) {
+            ([a], [b]) => positional_step(a, b, gaps).docs().to_vec(),
+            _ => Vec::new(),
+        }
     }
 
     #[test]
-    fn phrase_positional_join() {
+    fn phrase_and_proximity_steps() {
         // doc1: "belief update" in field0 value0; doc2 has the words apart.
         let belief = pl(&[(1, 0, 0, 0), (2, 0, 0, 0)]);
         let update = pl(&[(1, 0, 0, 1), (2, 0, 0, 5)]);
-        let adjacent = positional_join(&belief, &update, None, 1, 1);
-        assert_eq!(adjacent, ds(&[1]));
-        assert_eq!(phrase_step(&belief, &update, None), pl(&[(1, 0, 0, 1)]));
+        let carried = positional_step(&belief.fields(None)[0], &update.fields(None)[0], (1, 1));
+        assert_eq!(carried, pl(&[(1, 0, 0, 1)]).fields(None)[0]);
         // near5 (either order): doc2's gap of 5 qualifies.
-        let near5 = positional_join(&belief, &update, None, -5, 5);
-        assert_eq!(near5, ds(&[1, 2]));
+        assert_eq!(step(&belief, &update, 0, (-5, 5)), ids(&[1, 2]));
+        assert_eq!(step(&update, &belief, 0, (-5, 5)), ids(&[1, 2]));
+        assert_eq!(step(&update, &belief, 0, (1, 1)), ids(&[]));
     }
 
     #[test]
-    fn positional_ops_restrict_by_field_inline() {
-        // doc1 has the pair adjacent in field 0, doc2 in field 1.
-        let a = pl(&[(1, 0, 0, 0), (2, 1, 0, 4)]);
-        let b = pl(&[(1, 0, 0, 1), (2, 1, 0, 5)]);
-        assert_eq!(positional_join(&a, &b, None, 1, 1), ds(&[1, 2]));
-        assert_eq!(positional_join(&a, &b, Some(FieldId(0)), 1, 1), ds(&[1]));
-        assert_eq!(positional_join(&a, &b, Some(FieldId(1)), 1, 1), ds(&[2]));
-        assert_eq!(positional_join(&a, &b, Some(FieldId(2)), 1, 1), ds(&[]));
-        assert_eq!(phrase_step(&a, &b, Some(FieldId(1))), pl(&[(2, 1, 0, 5)]));
-        assert!(phrase_step(&a, &b, Some(FieldId(2))).is_empty());
+    fn steps_stay_inside_one_field() {
+        // doc2 has the pair adjacent in field 0, doc1 in field 1, and doc3
+        // one word in each field at adjacent positions.
+        let a = pl(&[(2, 0, 0, 0), (3, 0, 0, 0), (1, 1, 0, 4)]);
+        let b = pl(&[(2, 0, 0, 1), (1, 1, 0, 5), (3, 1, 0, 1)]);
+        assert_eq!(step(&a, &b, 0, (1, 1)), ids(&[2]));
+        assert_eq!(step(&a, &b, 1, (1, 1)), ids(&[1]));
+        assert_eq!(step(&a, &b, 2, (1, 1)), ids(&[]));
     }
 
     #[test]
-    fn positional_join_requires_same_value() {
+    fn steps_require_the_same_value() {
         // Words adjacent in positions but in *different* values of a
         // multi-valued field must not match as a phrase.
         let a = pl(&[(1, 0, 0, 0)]);
         let b = pl(&[(1, 0, 1, 1)]);
-        assert!(positional_join(&a, &b, None, 1, 1).is_empty());
+        assert!(step(&a, &b, 0, (1, 1)).is_empty());
+        assert!(step(&a, &b, 0, (-9, 9)).is_empty());
     }
 
     #[test]
-    fn positional_join_multiple_runs() {
+    fn steps_over_multiple_runs() {
         let a = pl(&[(1, 0, 0, 0), (3, 0, 0, 2), (3, 0, 0, 9)]);
-        let b = pl(&[(1, 0, 0, 7), (3, 0, 0, 3)]);
-        assert_eq!(positional_join(&a, &b, None, 1, 1), ds(&[3]));
+        let b = pl(&[(1, 0, 0, 7), (3, 0, 0, 3), (3, 0, 0, 10), (3, 0, 0, 12)]);
+        let carried = positional_step(&a.fields(None)[0], &b.fields(None)[0], (1, 1));
+        assert_eq!(carried, pl(&[(3, 0, 0, 3), (3, 0, 0, 10)]).fields(None)[0]);
     }
 }

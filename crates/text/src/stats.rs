@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::doc::{DocId, FieldId};
+use crate::doc::FieldId;
 use crate::index::Collection;
 use crate::server::TextServer;
 
@@ -95,7 +95,8 @@ pub struct VocabularyStats {
 }
 
 impl VocabularyStats {
-    /// Computes the export from a collection, in one pass over the index.
+    /// Computes the export from a collection, in one pass over the list
+    /// heads of the index.
     /// In a deployment this runs on the server; clients receive the result
     /// without paying query costs. Callers want
     /// [`Collection::vocabulary_stats`], which runs this once per content
@@ -103,29 +104,16 @@ impl VocabularyStats {
     pub fn compute(coll: &Collection) -> Self {
         let mut per_field: Vec<FieldStats> = Vec::new();
         per_field.resize_with(coll.schema().len(), FieldStats::default);
-        // Per field: the current word's document count and the last
-        // document counted.
-        let mut tally: Vec<(u32, Option<DocId>)> = vec![(0, None); per_field.len()];
         for (word, list) in coll.iter_terms() {
-            for p in list.postings() {
-                let f = usize::from(p.field.0);
-                if tally.len() <= f {
-                    tally.resize(f + 1, (0, None));
+            // One string per word, however many fields it occurs in.
+            let word: Arc<str> = Arc::from(word);
+            for l in list.fields(None) {
+                let f = usize::from(l.field().0);
+                if per_field.len() <= f {
                     per_field.resize_with(f + 1, FieldStats::default);
                 }
-                let (df, last) = &mut tally[f];
-                if *last != Some(p.doc) {
-                    *df += 1;
-                    *last = Some(p.doc);
-                }
-            }
-            // One string per word, however many fields it occurs in.
-            let mut shared: Option<Arc<str>> = None;
-            for (fs, t) in per_field.iter_mut().zip(&mut tally) {
-                let (df, _) = std::mem::take(t);
-                if df > 0 {
-                    fs.push(Arc::clone(shared.get_or_insert_with(|| Arc::from(word))), df);
-                }
+                // A list head is the field's documents: its length is df.
+                per_field[f].push(Arc::clone(&word), l.docs().len() as u32);
             }
         }
         Self {

@@ -18,9 +18,12 @@ fn word() -> impl Strategy<Value = &'static str> {
     prop::sample::select(VOCAB)
 }
 
+/// One document: title words, authors (one value each), abstract words.
+type DocSpec = (Vec<&'static str>, Vec<&'static str>, Vec<&'static str>);
+
 #[derive(Debug, Clone)]
 struct Spec {
-    docs: Vec<(Vec<&'static str>, Vec<&'static str>)>, // (title words, authors)
+    docs: Vec<DocSpec>,
 }
 
 fn spec() -> impl Strategy<Value = Spec> {
@@ -28,19 +31,23 @@ fn spec() -> impl Strategy<Value = Spec> {
         (
             prop::collection::vec(word(), 0..5),
             prop::collection::vec(word(), 0..3),
+            prop::collection::vec(word(), 0..6),
         ),
         1..10,
     )
     .prop_map(|docs| Spec { docs })
 }
 
-/// A term's field restriction: title, author, or none (any field).
+/// A term's field restriction: title, author, abstract, institution (which
+/// no generated document fills), or none (any field).
 fn field() -> impl Strategy<Value = Option<FieldId>> {
-    (0u8..3).prop_map(|f| {
+    (0u8..6).prop_map(|f| {
         let schema = TextSchema::bibliographic();
         match f {
             0 => schema.field_by_name("title"),
             1 => schema.field_by_name("author"),
+            2 => schema.field_by_name("abstract"),
+            3 => schema.field_by_name("institution"),
             _ => None,
         }
     })
@@ -48,7 +55,7 @@ fn field() -> impl Strategy<Value = Option<FieldId>> {
 
 /// Random expression trees over title/author/unfielded terms.
 fn expr(depth: u32) -> BoxedStrategy<SearchExpr> {
-    let leaf = ((word(), field()), (word(), field()), 0u8..5).prop_map(
+    let leaf = ((word(), field()), (word(), field()), 0u8..6).prop_map(
         |((w, field), (w2, field2), kind)| {
             match kind {
                 0 => SearchExpr::Term(BasicTerm::parse_text(w, field)),
@@ -59,6 +66,15 @@ fn expr(depth: u32) -> BoxedStrategy<SearchExpr> {
                 2 => SearchExpr::Term(BasicTerm::parse_text(&format!("{w} {w}"), field)),
                 // A phrase that may name a word no document holds.
                 3 => SearchExpr::Term(BasicTerm::parse_text(&format!("{w} {w2} cyan"), field)),
+                // Proximity to a truncated word: every expansion counts.
+                4 => SearchExpr::Near {
+                    a: BasicTerm {
+                        kind: TermKind::Prefix(w[..2.min(w.len())].to_owned()),
+                        field,
+                    },
+                    b: BasicTerm::parse_text(w2, field2),
+                    distance: 1,
+                },
                 _ => SearchExpr::Near {
                     a: BasicTerm::parse_text(w, field),
                     b: BasicTerm::parse_text("blue", field2),
@@ -81,14 +97,18 @@ fn build(spec: &Spec) -> Collection {
     let schema = TextSchema::bibliographic();
     let ti = schema.field_by_name("title").unwrap();
     let au = schema.field_by_name("author").unwrap();
+    let ab = schema.field_by_name("abstract").unwrap();
     let mut coll = Collection::new(schema);
-    for (title, authors) in &spec.docs {
+    for (title, authors, abstr) in &spec.docs {
         let mut d = Document::new();
         if !title.is_empty() {
             d.push(ti, title.join(" "));
         }
         for a in authors {
             d.push(au, *a);
+        }
+        if !abstr.is_empty() {
+            d.push(ab, abstr.join(" "));
         }
         coll.add_document(d);
     }
@@ -100,10 +120,7 @@ fn naive_match(doc: &Document, e: &SearchExpr) -> bool {
     match e {
         SearchExpr::Term(t) => naive_term(doc, t),
         SearchExpr::Near { a, b, distance } => {
-            // Word-only proximity within a single field value.
-            let (Some(wa), Some(wb)) = (term_word(a), term_word(b)) else {
-                return false;
-            };
+            // Proximity of two words within a single field value.
             // Both words sit in one field value, so that value's field
             // must pass both restrictions.
             let schema = TextSchema::bibliographic();
@@ -115,8 +132,8 @@ fn naive_match(doc: &Document, e: &SearchExpr) -> bool {
             {
                 for v in doc.values(f) {
                     let toks = tokenize(v);
-                    for x in toks.iter().filter(|t| t.word == wa) {
-                        for y in toks.iter().filter(|t| t.word == wb) {
+                    for x in toks.iter().filter(|t| operand_accepts(a, &t.word)) {
+                        for y in toks.iter().filter(|t| operand_accepts(b, &t.word)) {
                             let gap = i64::from(y.pos) - i64::from(x.pos);
                             if gap.abs() <= i64::from(*distance) {
                                 return true;
@@ -133,11 +150,13 @@ fn naive_match(doc: &Document, e: &SearchExpr) -> bool {
     }
 }
 
-fn term_word(t: &BasicTerm) -> Option<String> {
+/// Whether `word` is one a NEAR operand stands for: the word itself, a
+/// phrase's first word, or any expansion of a (non-empty) truncation.
+fn operand_accepts(t: &BasicTerm, word: &str) -> bool {
     match &t.kind {
-        TermKind::Word(w) => Some(w.clone()),
-        TermKind::Phrase(ws) => ws.first().cloned(),
-        TermKind::Prefix(_) => None,
+        TermKind::Word(w) => word == w,
+        TermKind::Phrase(ws) => ws.first().is_some_and(|w| word == w),
+        TermKind::Prefix(p) => !p.is_empty() && word.starts_with(p.as_str()),
     }
 }
 
@@ -194,12 +213,7 @@ fn list_len(coll: &Collection, wanted: impl Fn(&str) -> bool) -> usize {
 /// The lists a basic term reads, as a NEAR operand sees it (a phrase stands
 /// for its first word).
 fn operand_postings(coll: &Collection, t: &BasicTerm) -> usize {
-    match &t.kind {
-        TermKind::Word(w) => list_len(coll, |x| x == w),
-        TermKind::Phrase(ws) => ws.first().map_or(0, |w| list_len(coll, |x| x == w)),
-        TermKind::Prefix(p) if p.is_empty() => 0,
-        TermKind::Prefix(p) => list_len(coll, |x| x.starts_with(p.as_str())),
-    }
+    list_len(coll, |x| operand_accepts(t, x))
 }
 
 /// Independent model of `postings_read`, the documented contract of
@@ -334,8 +348,7 @@ fn wide_prefix_matches_models() {
                 b: BasicTerm::parse_text("other", ti),
                 distance: 1,
             };
-            let out = textjoin_text::eval::evaluate(&coll, &near);
-            assert_eq!(out.postings_read, model_postings(&coll, &near), "{near:?}");
+            check(&coll, &near).unwrap();
         }
     }
     let all = textjoin_text::eval::evaluate(
@@ -353,6 +366,287 @@ fn wide_prefix_matches_models() {
     );
 }
 
+/// A collection skewed the way the benchmark's is: `topic` in every one of
+/// 5 200 titles (and in three more fields of some documents), against
+/// author names held by one to three documents each.
+fn skewed_collection() -> Collection {
+    let schema = TextSchema::bibliographic();
+    let field = |name| schema.field_by_name(name).unwrap();
+    let (ti, au, ab, inst) = (
+        field("title"),
+        field("author"),
+        field("abstract"),
+        field("institution"),
+    );
+    let mut coll = Collection::new(schema);
+    for d in 0..5200usize {
+        let mut doc = Document::new().with(ti, format!("topic t{}", d % 7));
+        doc.push(
+            au,
+            match d {
+                17 => "rare".to_owned(),
+                0 | 2600 | 5199 => "few".to_owned(),
+                4000 => "topic".to_owned(),
+                _ => format!("n{}", d % 50),
+            },
+        );
+        if d % 3 == 0 {
+            doc.push(ab, format!("a topical study of topic s{} topics", d % 5));
+        }
+        if d % 11 == 0 {
+            doc.push(inst, format!("topology institute of topic i{}", d % 4));
+        }
+        coll.add_document(doc);
+    }
+    coll
+}
+
+#[test]
+fn skewed_intersections_in_both_orders() {
+    // A one-document and a three-document author list against the
+    // 5 200-document topic list: the short side gallops through the long
+    // one, whichever operand it is, under every connective that merges.
+    let coll = skewed_collection();
+    let ti = coll.schema().field_by_name("title");
+    let au = coll.schema().field_by_name("author");
+    let term = |w: &str, f| SearchExpr::Term(BasicTerm::parse_text(w, f));
+    for name in ["rare", "few", "topic", "nobody"] {
+        for (lhs, rhs) in [
+            (term(name, au), term("topic", ti)),
+            (term("topic", ti), term(name, au)),
+            (term(name, au), term("topic", None)),
+            (term("topic", None), term(name, None)),
+        ] {
+            check(&coll, &SearchExpr::and(vec![lhs.clone(), rhs.clone()])).unwrap();
+            check(&coll, &SearchExpr::or(vec![lhs.clone(), rhs.clone()])).unwrap();
+            check(&coll, &SearchExpr::AndNot(Box::new(lhs), Box::new(rhs))).unwrap();
+        }
+    }
+    let hit = SearchExpr::and(vec![term("topic", ti), term("few", au)]);
+    let out = textjoin_text::eval::evaluate(&coll, &hit);
+    assert_eq!(out.docs.ids(), [DocId(0), DocId(2600), DocId(5199)]);
+    // Positional operands are intersected the same way: `t3` is in a
+    // seventh of the titles `topic` is in, `i2` in one institution in 44.
+    for (a, b, f) in [
+        ("topic", "t3", ti),
+        ("t3", "topic", None),
+        ("i2", "topic", None),
+    ] {
+        check(&coll, &term(&format!("{a} {b}"), f)).unwrap();
+        let near = SearchExpr::Near {
+            a: BasicTerm::parse_text(a, f),
+            b: BasicTerm::parse_text(b, None),
+            distance: 3,
+        };
+        check(&coll, &near).unwrap();
+    }
+}
+
+#[test]
+fn unfielded_word_in_four_fields() {
+    let coll = skewed_collection();
+    let term = |f| SearchExpr::Term(BasicTerm::parse_text("topic", f));
+    let schema = coll.schema().clone();
+    let mut per_field = 0;
+    for (fid, def) in schema.iter() {
+        let held = textjoin_text::eval::evaluate(&coll, &term(Some(fid)))
+            .docs
+            .len();
+        assert_eq!(held > 0, def.name != "year", "{}", def.name);
+        per_field += held;
+        check(&coll, &term(Some(fid))).unwrap();
+    }
+    check(&coll, &term(None)).unwrap();
+    let any = textjoin_text::eval::evaluate(&coll, &term(None));
+    assert_eq!(any.docs.len(), 5200);
+    assert!(
+        per_field > 5200,
+        "the field lists overlap; the answer is a set"
+    );
+}
+
+#[test]
+fn term_in_a_field_its_word_never_occurs_in() {
+    // Empty answer, and the whole list is charged all the same.
+    let coll = skewed_collection();
+    let yr = coll.schema().field_by_name("year");
+    let whole = list_len(&coll, |w| w == "topic");
+    assert!(whole > 5200);
+    let exprs = [
+        SearchExpr::Term(BasicTerm::parse_text("topic", yr)),
+        SearchExpr::Term(BasicTerm::parse_text("topic topic", yr)),
+        SearchExpr::Term(BasicTerm {
+            kind: TermKind::Prefix("topic".into()),
+            field: yr,
+        }),
+        SearchExpr::Near {
+            a: BasicTerm::parse_text("topic", yr),
+            b: BasicTerm::parse_text("rare", None),
+            distance: 9,
+        },
+    ];
+    for e in &exprs {
+        let out = textjoin_text::eval::evaluate(&coll, e);
+        assert!(out.docs.is_empty(), "{e:?}");
+        assert!(out.postings_read >= whole, "{e:?}");
+        check(&coll, e).unwrap();
+    }
+}
+
+/// Documents where the same two words meet in different fields.
+fn crossing_collection() -> Collection {
+    let schema = TextSchema::bibliographic();
+    let field = |name| schema.field_by_name(name).unwrap();
+    let (ti, au, ab, inst) = (
+        field("title"),
+        field("author"),
+        field("abstract"),
+        field("institution"),
+    );
+    let mut coll = Collection::new(schema);
+    // 0: the phrase in the title only.
+    coll.add_document(
+        Document::new()
+            .with(ti, "on belief update")
+            .with(ab, "update belief"),
+    );
+    // 1: the phrase in the abstract only.
+    coll.add_document(
+        Document::new()
+            .with(ti, "update")
+            .with(ab, "a belief update story"),
+    );
+    // 2: `belief` ends the title, `update` starts the abstract: no phrase.
+    coll.add_document(Document::new().with(ti, "belief").with(ab, "update"));
+    // 3: the words in two values of one field: no phrase either.
+    coll.add_document(Document::new().with(au, "belief").with(au, "update"));
+    // 4: truncation's expansions, spread over words and fields.
+    coll.add_document(
+        Document::new()
+            .with(ti, "beliefs update")
+            .with(inst, "believers update belief"),
+    );
+    // 5: an expansion near the word in a third field.
+    coll.add_document(Document::new().with(ab, "update of the belief"));
+    coll
+}
+
+#[test]
+fn unfielded_phrase_in_two_fields_of_different_documents() {
+    let coll = crossing_collection();
+    let phrase = |f| SearchExpr::Term(BasicTerm::parse_text("belief update", f));
+    let any = textjoin_text::eval::evaluate(&coll, &phrase(None));
+    assert_eq!(any.docs.ids(), [DocId(0), DocId(1)]);
+    for f in ["title", "author", "abstract", "year", "institution"] {
+        check(&coll, &phrase(coll.schema().field_by_name(f))).unwrap();
+    }
+    check(&coll, &phrase(None)).unwrap();
+    check(
+        &coll,
+        &SearchExpr::Term(BasicTerm::parse_text("a belief update story", None)),
+    )
+    .unwrap();
+}
+
+#[test]
+fn prefix_near_over_several_words_and_fields() {
+    // `belie?` is belief, beliefs and believers, in four fields.
+    let coll = crossing_collection();
+    let near = |fa, fb, distance| SearchExpr::Near {
+        a: BasicTerm {
+            kind: TermKind::Prefix("belie".into()),
+            field: fa,
+        },
+        b: BasicTerm::parse_text("update", fb),
+        distance,
+    };
+    let any = textjoin_text::eval::evaluate(&coll, &near(None, None, 1));
+    assert_eq!(any.docs.ids(), [DocId(0), DocId(1), DocId(4)]);
+    let wider = textjoin_text::eval::evaluate(&coll, &near(None, None, 3));
+    assert_eq!(wider.docs.ids(), [DocId(0), DocId(1), DocId(4), DocId(5)]);
+    let fields: Vec<Option<FieldId>> = ["title", "abstract", "institution", "year"]
+        .iter()
+        .map(|f| coll.schema().field_by_name(f))
+        .chain([None])
+        .collect();
+    for &fa in &fields {
+        for &fb in &fields {
+            for distance in [0, 1, 3] {
+                check(&coll, &near(fa, fb, distance)).unwrap();
+                let SearchExpr::Near { a, b, .. } = near(fa, fb, distance) else {
+                    unreachable!()
+                };
+                check(
+                    &coll,
+                    &SearchExpr::Near {
+                        a: b,
+                        b: a,
+                        distance,
+                    },
+                )
+                .unwrap();
+            }
+        }
+    }
+}
+
+/// Every posting of the index as `(word, doc, field, value_idx, pos)`.
+fn flattened(coll: &Collection) -> Vec<(String, u32, FieldId, u32, u32)> {
+    let mut out = Vec::new();
+    for (word, list) in coll.iter_terms() {
+        assert!(list.fields(None).is_sorted_by_key(|l| l.field()));
+        for l in list.fields(None) {
+            assert!(l.docs().windows(2).all(|w| w[0] < w[1]), "{word}: docs");
+            assert_eq!(l.postings().count(), l.len());
+            out.extend(
+                l.postings()
+                    .map(|(doc, o)| (word.to_owned(), doc.0, l.field(), o.value_idx, o.pos)),
+            );
+        }
+        assert_eq!(
+            list.fields(None).iter().map(|l| l.len()).sum::<usize>(),
+            list.len()
+        );
+    }
+    out
+}
+
+/// The same tuples from the stored documents alone.
+fn tokenized(coll: &Collection) -> Vec<(String, u32, FieldId, u32, u32)> {
+    let mut out = Vec::new();
+    for d in 0..coll.doc_count() as u32 {
+        for (field, values) in coll.document(DocId(d)).unwrap().iter() {
+            for (value_idx, v) in values.iter().enumerate() {
+                out.extend(
+                    tokenize(v)
+                        .into_iter()
+                        .map(|t| (t.word, d, field, value_idx as u32, t.pos)),
+                );
+            }
+        }
+    }
+    out
+}
+
+/// The layout holds exactly the documents' tokens, each once.
+fn assert_layout_is_the_tokens(coll: &Collection) {
+    let (mut index, mut docs) = (flattened(coll), tokenized(coll));
+    assert_eq!(index.len(), coll.total_postings());
+    // `flattened` is ascending as produced: by word, field, document,
+    // value and position.
+    assert!(index.is_sorted_by_key(|(w, d, f, v, p)| (w.clone(), *f, *d, *v, *p)));
+    index.sort();
+    docs.sort();
+    assert_eq!(index, docs);
+}
+
+#[test]
+fn layout_of_the_fixed_collections_is_their_tokens() {
+    assert_layout_is_the_tokens(&wide_collection());
+    assert_layout_is_the_tokens(&skewed_collection());
+    assert_layout_is_the_tokens(&crossing_collection());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -361,6 +655,11 @@ proptest! {
         let coll = build(&s);
         let checked = check(&coll, &e);
         prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+    }
+
+    #[test]
+    fn layout_is_the_tokens(s in spec()) {
+        assert_layout_is_the_tokens(&build(&s));
     }
 
     #[test]

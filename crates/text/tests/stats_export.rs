@@ -3,13 +3,13 @@
 //!
 //! Over generated sequences of `add_document`, migration stage / commit /
 //! interrupt-and-resume / abort and failover, the handle `export_stats`
-//! returns always equals a from-scratch build — the per-word-map algorithm
-//! this export was computed by on every call before it was cached, kept
-//! here as the oracle ([`oracle_compute`], [`oracle_merged`]) — two calls
-//! with no mutation between them return the same handle, and a mutation
-//! retires every handle it made wrong.
+//! returns always equals a from-scratch count over the stored documents
+//! ([`oracle_compute`], which never reads the index, and [`oracle_merged`],
+//! the per-word sum every request used to make), two calls with no mutation
+//! between them return the same handle, and a mutation retires every handle
+//! it made wrong.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use proptest::prelude::*;
 use textjoin_text::doc::{DocId, Document, FieldId, TextSchema};
@@ -20,6 +20,7 @@ use textjoin_text::rebalance::MigrationPlan;
 use textjoin_text::server::TextServer;
 use textjoin_text::shard::ShardedTextServer;
 use textjoin_text::stats::VocabularyStats;
+use textjoin_text::token::tokenize;
 use textjoin_text::TextService;
 
 /// What an export must say: `D` and every `(field, word)` document
@@ -30,24 +31,25 @@ struct Model {
     df: BTreeMap<FieldId, HashMap<String, u32>>,
 }
 
-/// The export of `coll`, computed the way every request used to compute
-/// it: one map per word, partitioning its postings by field.
+/// The export of `coll`, counted from the stored documents alone: a
+/// `(field, word)` pair's document frequency is the number of documents
+/// with the word among that field's tokens. Nothing here reads the index,
+/// so the suite pins the export whatever the inverted lists look like.
 fn oracle_compute(coll: &Collection) -> Model {
     let mut df: BTreeMap<FieldId, HashMap<String, u32>> = BTreeMap::new();
     for (fid, _) in coll.schema().iter() {
         df.insert(fid, HashMap::new());
     }
-    for (word, list) in coll.iter_terms() {
-        let mut seen: HashMap<FieldId, (u32, Option<DocId>)> = HashMap::new();
-        for p in list.postings() {
-            let e = seen.entry(p.field).or_insert((0, None));
-            if e.1 != Some(p.doc) {
-                e.0 += 1;
-                e.1 = Some(p.doc);
+    for id in 0..coll.doc_count() as u32 {
+        for (fid, values) in coll.document(DocId(id)).unwrap().iter() {
+            let words: BTreeSet<String> = values
+                .iter()
+                .flat_map(|v| tokenize(v))
+                .map(|t| t.word)
+                .collect();
+            for word in words {
+                *df.entry(fid).or_default().entry(word).or_insert(0) += 1;
             }
-        }
-        for (fid, (d, _)) in seen {
-            df.entry(fid).or_default().insert(word.to_owned(), d);
         }
     }
     Model {
@@ -98,6 +100,20 @@ fn assert_says(handle: &VocabularyStats, model: &Model, what: &str) {
     }
 }
 
+/// `Collection::doc_frequency` and the export answer the same question.
+fn assert_doc_frequency_agrees(coll: &Collection) {
+    let export = coll.vocabulary_stats();
+    let model = oracle_compute(coll);
+    for (fid, _) in coll.schema().iter() {
+        for word in model.df.values().flat_map(HashMap::keys) {
+            let df = coll.doc_frequency(word, fid) as u32;
+            assert_eq!(df, export.fanout(word, fid), "{word:?} in {fid:?}");
+            assert_eq!(df, model.df[&fid].get(word).copied().unwrap_or(0));
+        }
+        assert_eq!(coll.doc_frequency("never-indexed", fid), 0);
+    }
+}
+
 /// Words over a three-letter alphabet: short, so that they share prefixes
 /// and are each other's prefixes.
 fn word() -> impl Strategy<Value = String> {
@@ -135,6 +151,7 @@ fn collection(docs: &[DocSpec]) -> Collection {
     for spec in docs {
         coll.add_document(document(&schema, spec));
     }
+    assert_doc_frequency_agrees(&coll);
     coll
 }
 
@@ -201,6 +218,7 @@ proptest! {
             let model = oracle_compute(&coll);
             let handle = coll.vocabulary_stats().clone();
             assert_says(&handle, &model, "after add_document");
+            assert_doc_frequency_agrees(&coll);
             prop_assert_eq!(&handle, &VocabularyStats::compute(&coll));
             prop_assert!(handle.ptr_eq(coll.vocabulary_stats()), "no mutation, same handle");
             for (old, _) in &retired {
