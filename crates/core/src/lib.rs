@@ -23,6 +23,10 @@
 //! * [`sched`] — the deterministic virtual-time transport scheduler:
 //!   bounded-concurrency scatter legs, hedged replica reads, per-query
 //!   deadlines, and the makespan (critical-path) cost they induce.
+//! * [`transport`] — everything between a method and the metered service
+//!   surface: [`ExecContext`](transport::ExecContext)'s retrying wrappers,
+//!   per-shard scatter/gather with replica failover, breakers, hedging,
+//!   and gather completion.
 //! * [`serve`] — the multi-tenant serving session: admission control
 //!   with per-tenant cost budgets, deficit-round-robin fairness with
 //!   typed overload shedding, tenant fault isolation (per-tenant retry
@@ -39,3 +43,4 @@ pub mod runtime;
 pub mod sched;
 pub mod serve;
 pub mod stats;
+pub mod transport;

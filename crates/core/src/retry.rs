@@ -18,7 +18,6 @@
 use std::cell::RefCell;
 
 use textjoin_text::server::TextError;
-use textjoin_text::service::TextService;
 
 /// Bounded-attempt retry schedule with exponential simulated backoff.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,31 +71,31 @@ impl RetryPolicy {
         (1..=waits).map(|f| self.backoff_after(f)).sum::<f64>() / f64::from(waits)
     }
 
-    /// Runs `op`, retrying transient failures up to `max_attempts` total
-    /// tries. Each wait is charged to `server`'s ledger via
-    /// [`TextService::charge_backoff`]. Non-transient errors and the final
-    /// transient error pass through unchanged.
+    /// The one retry loop: runs `op`, retrying transient failures up to
+    /// `max_attempts` total tries. Every attempt's outcome is shown to
+    /// `observe` (`true` = faulted transiently), and before each retry
+    /// `wait` receives the 1-based count of failures absorbed so far and
+    /// the simulated backoff to charge — against the service as a whole or
+    /// against the replica that caused the wait, the caller decides.
+    /// Non-transient errors and the final transient error pass through
+    /// unchanged.
     pub fn run<T>(
         &self,
-        server: &dyn TextService,
         mut op: impl FnMut() -> Result<T, TextError>,
+        mut observe: impl FnMut(bool),
+        mut wait: impl FnMut(u32, f64),
     ) -> Result<T, TextError> {
         let attempts = self.max_attempts.max(1);
         let mut failed = 0u32;
         loop {
-            match op() {
-                Ok(v) => return Ok(v),
+            let out = op();
+            observe(out.as_ref().is_err_and(TextError::is_transient));
+            match out {
                 Err(e) if e.is_transient() && failed + 1 < attempts => {
                     failed += 1;
-                    server.charge_backoff(self.backoff_after(failed));
-                    if let Some(rec) = server.recorder() {
-                        rec.emit(textjoin_obs::EventKind::Retry {
-                            shard: None,
-                            attempt: failed,
-                        });
-                    }
+                    wait(failed, self.backoff_after(failed));
                 }
-                Err(e) => return Err(e),
+                out => return out,
             }
         }
     }
@@ -186,6 +185,12 @@ impl RetryBudget {
             breakers: RefCell::new(Vec::new()),
             latencies: RefCell::new(Vec::new()),
         }
+    }
+
+    /// The policy this budget scales: the schedule of every failover leg,
+    /// and of operations no shard is attributed to.
+    pub fn base(&self) -> RetryPolicy {
+        self.base
     }
 
     /// Records the charged latency of one successful primary leg against
@@ -366,6 +371,7 @@ pub fn migration_step(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::ExecContext;
     use textjoin_text::server::TextServer;
     use textjoin_text::doc::{Document, TextSchema};
     use textjoin_text::faults::{Fault, FaultPlan};
@@ -399,8 +405,7 @@ mod tests {
             (1, Fault::Timeout { after_postings: 7 }),
         ]));
         let expr = parse_search("TI='query'", s.collection().schema()).unwrap();
-        let policy = RetryPolicy::standard();
-        let r = policy.run(&s, || s.search(&expr)).expect("third try wins");
+        let r = ExecContext::new(&s).search(&expr).expect("third try wins");
         assert_eq!(r.len(), 1);
         let u = s.usage();
         assert_eq!(u.faults, 2);
@@ -425,9 +430,7 @@ mod tests {
             (3, Fault::Unavailable),
         ]));
         let expr = parse_search("TI='query'", s.collection().schema()).unwrap();
-        let err = RetryPolicy::standard()
-            .run(&s, || s.search(&expr))
-            .unwrap_err();
+        let err = ExecContext::new(&s).search(&expr).unwrap_err();
         assert!(matches!(err, TextError::Unavailable));
         let u = s.usage();
         assert_eq!(u.invocations, 4, "all four attempts charged");
@@ -441,9 +444,7 @@ mod tests {
             Fault::CapReduced { new_m: 4 },
         )]));
         let expr = parse_search("TI='query'", s.collection().schema()).unwrap();
-        let err = RetryPolicy::standard()
-            .run(&s, || s.search(&expr))
-            .unwrap_err();
+        let err = ExecContext::new(&s).search(&expr).unwrap_err();
         assert!(matches!(err, TextError::CapReduced { new_m: 4 }));
         let u = s.usage();
         assert_eq!(u.invocations, 1, "no second attempt");
@@ -551,7 +552,7 @@ mod tests {
     fn policy_none_never_retries() {
         let s = server_with(FaultPlan::scripted(vec![(0, Fault::Unavailable)]));
         let expr = parse_search("TI='query'", s.collection().schema()).unwrap();
-        let err = RetryPolicy::none().run(&s, || s.search(&expr)).unwrap_err();
+        let err = ExecContext::with_retry(&s, RetryPolicy::none()).search(&expr).unwrap_err();
         assert!(matches!(err, TextError::Unavailable));
         assert_eq!(s.usage().retries, 0);
         assert_eq!(s.usage().time_backoff, 0.0);

@@ -24,10 +24,7 @@
 //!   deterministic simulations of the OpenODB–Mercury testbed.
 //!
 //! Section 8 extensions are included: [`batch`] (multi-query invocations)
-//! and [`stats`] (server-side vocabulary statistics export). The
-//! [`signature`] module implements the signature-file access method the
-//! paper's survey contrasts inverted indexes against, so the "inversion
-//! wins at scale" premise is testable here.
+//! and [`stats`] (server-side vocabulary statistics export).
 //!
 //! ```
 //! use textjoin_text::{doc::{Document, TextSchema}, index::Collection, server::TextServer};
@@ -58,7 +55,6 @@ pub mod rebalance;
 pub mod server;
 pub mod service;
 pub mod shard;
-pub mod signature;
 pub mod stats;
 pub mod token;
 

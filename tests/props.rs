@@ -628,3 +628,96 @@ mod counts {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Result multisets are topology-invariant: the fixed case of
+// `accounting.rs::sharded_answers_match_single_server_with_per_shard_invoice`
+// (Q3, TS, 4 shards) over every applicable method of Q1–Q4 and generated
+// topologies. This is the contract that lets the gather loop move without
+// the answers or the counted work moving with it.
+// ---------------------------------------------------------------------
+
+mod topology {
+    use proptest::prelude::*;
+
+    use textjoin::core::cost::params::CostParams;
+    use textjoin::core::exec::{canonical_rows, execute_single};
+    use textjoin::core::methods::probe::ProbeSchedule;
+    use textjoin::core::methods::ExecContext;
+    use textjoin::core::optimizer::single::enumerate_methods;
+    use textjoin::core::query::prepare;
+    use textjoin::text::server::Usage;
+    use textjoin::text::shard::ShardedTextServer;
+    use textjoin::text::TextService;
+    use textjoin::workload::paper;
+    use textjoin::workload::world::{World, WorldSpec};
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Fault-free, stats routing off: whatever the shard count, replica
+        /// count and partition seed, every method returns the lone
+        /// server's rows and ships the lone server's documents, reads no
+        /// more postings than it, and is invoiced each logical search once
+        /// per shard — on the primaries alone.
+        #[test]
+        fn every_method_answers_alike_on_every_topology(
+            shards in 1usize..7,
+            replicas in 1usize..4,
+            seed in 0u64..1_000_000,
+        ) {
+            let w = World::generate(WorldSpec {
+                background_docs: 120,
+                students: 30,
+                projects: 10,
+                ..WorldSpec::default()
+            });
+            let schema = w.server.collection().schema();
+            let export = w.server.export_stats();
+            let params = CostParams::mercury(w.server.doc_count() as f64);
+            for (name, q) in [
+                ("Q1", paper::q1(&w)),
+                ("Q2", paper::q2(&w)),
+                ("Q3", paper::q3(&w)),
+                ("Q4", paper::q4(&w)),
+            ] {
+                let p = prepare(&q, &w.catalog, schema).expect("prepares");
+                let stats = p.statistics_from_export(&export, schema);
+                for cand in enumerate_methods(&params, &stats, q.projection, false) {
+                    let what = format!("{name} {} on {shards}x{replicas} seed {seed}", cand.label);
+                    w.server.reset_usage();
+                    let lone = execute_single(
+                        &ExecContext::new(&w.server), &p, &cand, ProbeSchedule::ProbeFirst,
+                    ).expect("lone server runs");
+                    let one = lone.report.text;
+
+                    let sharded =
+                        ShardedTextServer::replicated(w.server.collection(), shards, replicas, seed);
+                    let out = execute_single(
+                        &ExecContext::new(&sharded), &p, &cand, ProbeSchedule::ProbeFirst,
+                    ).expect("sharded service runs");
+                    prop_assert_eq!(canonical_rows(&out.table), canonical_rows(&lone.table), "{}", what);
+
+                    let agg = sharded.usage();
+                    prop_assert_eq!(agg.invocations, shards as u64 * one.invocations, "{}", what);
+                    // Transmissions are partitioned, not duplicated: the
+                    // same documents come back, each from one shard, and
+                    // each retrieve is invoiced once.
+                    prop_assert_eq!(agg.docs_short, one.docs_short, "{}", what);
+                    prop_assert_eq!(agg.docs_long, one.docs_long, "{}", what);
+                    // A shard whose first conjunct is empty short-circuits
+                    // its AND before reading the remaining lists.
+                    prop_assert!(agg.postings_processed <= one.postings_processed, "{}", what);
+                    for i in 0..shards {
+                        for r in (0..replicas).filter(|&r| r != sharded.primary_of(i)) {
+                            prop_assert_eq!(
+                                sharded.replica(i, r).usage(), Usage::default(),
+                                "{}: secondary {} of shard {} stays free", what, r, i
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
