@@ -13,14 +13,16 @@
 //! [`RelCostModel`], so measured and estimated costs are directly
 //! comparable.
 
+use std::borrow::Cow;
+
 use textjoin_rel::catalog::Catalog;
 use textjoin_rel::expr::Pred;
 use textjoin_rel::join::nested_loop_join;
-use textjoin_rel::ops::{filter, group_by};
+use textjoin_rel::ops::group_by;
 use textjoin_rel::schema::{ColId, RelSchema};
 use textjoin_rel::table::Table;
 use textjoin_rel::tuple::Tuple;
-use textjoin_rel::value::{Value, ValueType};
+use textjoin_rel::value::ValueType;
 use textjoin_text::doc::{DocId, TextSchema};
 use textjoin_text::expr::SearchExpr;
 use textjoin_obs::{CostVector, NodeActual, NodeEstimate, PlanQuality};
@@ -36,7 +38,7 @@ use crate::methods::{
     rtp::relational_text_processing,
     sj::semi_join,
     ts::tuple_substitution,
-    ExecContext, ForeignJoin, MethodError, MethodOutcome, Projection, TextSelection,
+    doc_values, ExecContext, ForeignJoin, MethodError, MethodOutcome, Projection, TextSelection,
 };
 use crate::optimizer::multi::PlannerInput;
 use crate::optimizer::plan::{MultiJoinQuery, PlanNode};
@@ -89,9 +91,6 @@ pub struct MultiOutcome {
     pub deadline_misses: u64,
     /// Method downgrades taken under deadline pressure instead of erroring.
     pub degradations: u64,
-    /// Deterministic render of the concurrent timeline, when a scheduler
-    /// was attached.
-    pub timeline: Option<String>,
     /// Estimated-vs-actual reconciliation per plan node, when EXPLAIN
     /// ANALYZE attribution was enabled ([`MultiExecutor::set_analyze`]).
     /// Pure post-hoc arithmetic — never present unless asked for, and
@@ -135,16 +134,13 @@ impl<'a> MultiExecutor<'a> {
             let t = catalog.table(&spec.name).ok_or_else(|| {
                 MethodError::NotApplicable(format!("unknown relation {:?}", spec.name))
             })?;
-            let filtered = filter(t, &spec.local_pred);
             let mut schema = RelSchema::new();
-            for (_, def) in filtered.schema().iter() {
+            for (_, def) in t.schema().iter() {
                 schema.add_column(format!("{}.{}", spec.name, def.name), def.ty);
             }
-            let mut qt = Table::new(spec.name.clone(), schema);
-            for row in filtered.iter() {
-                qt.push(row.clone());
-            }
-            base_tables.push(qt);
+            // Filtered straight into the qualified table: one row copy, of handles.
+            let rows = t.iter().filter(|r| spec.local_pred.eval(r)).cloned().collect();
+            base_tables.push(Table::new(spec.name.clone(), schema).with_rows(rows));
         }
         Ok(Self {
             input,
@@ -270,12 +266,14 @@ impl<'a> MultiExecutor<'a> {
         let mut rel_pairs = 0u64;
         let mut rtp_comparisons = 0u64;
         let mut attr = self.analyze.as_ref().map(|_| Vec::new());
-        let table = self.eval(plan, &mut rel_pairs, &mut rtp_comparisons, &mut attr)?;
+        let table = self
+            .eval(plan, &mut rel_pairs, &mut rtp_comparisons, &mut attr)?
+            .into_owned();
         let text = self.server.usage().since(&before);
         let total_cost = text.total_cost()
             + self.rel_model.c_pair * rel_pairs as f64
             + self.c_a * rtp_comparisons as f64;
-        let (makespan, serial_transport, hedges, cancels, deadline_misses, degradations, timeline) =
+        let (makespan, serial_transport, hedges, cancels, deadline_misses, degradations) =
             match self.sched {
                 Some(s) => (
                     s.makespan(),
@@ -284,9 +282,8 @@ impl<'a> MultiExecutor<'a> {
                     s.cancels(),
                     s.deadline_misses(),
                     s.degradations(),
-                    Some(s.timeline()),
                 ),
-                None => (text.total_cost(), text.total_cost(), 0, 0, 0, 0, None),
+                None => (text.total_cost(), text.total_cost(), 0, 0, 0, 0),
             };
         let plan_quality = self
             .analyze
@@ -304,7 +301,6 @@ impl<'a> MultiExecutor<'a> {
             cancels,
             deadline_misses,
             degradations,
-            timeline,
             plan_quality,
         })
     }
@@ -356,7 +352,7 @@ impl<'a> MultiExecutor<'a> {
         rel_pairs: &mut u64,
         rtp_comparisons: &mut u64,
         attr: &mut Option<Vec<NodeActual>>,
-    ) -> Result<Table, MethodError> {
+    ) -> Result<Cow<'_, Table>, MethodError> {
         // Pre-order id assignment: the node books its slot before its
         // children claim theirs — the same walk `estimate_nodes` uses.
         let id = match attr {
@@ -369,9 +365,10 @@ impl<'a> MultiExecutor<'a> {
         match plan {
             PlanNode::Scan { rel } => {
                 let own = self.own_start(attr, *rel_pairs, *rtp_comparisons);
-                let t = self.base_tables[*rel].clone();
+                // Lent, not copied: every operator reads its input by reference.
+                let t = &self.base_tables[*rel];
                 self.book_node(attr, id, own, t.len(), *rel_pairs, *rtp_comparisons);
-                Ok(t)
+                Ok(Cow::Borrowed(t))
             }
             PlanNode::Probe { input, preds } => {
                 let t = self.eval(input, rel_pairs, rtp_comparisons, attr)?;
@@ -389,7 +386,7 @@ impl<'a> MultiExecutor<'a> {
                 }
                 let out = self.eval_probe(&t, preds)?;
                 self.book_node(attr, id, own, out.len(), *rel_pairs, *rtp_comparisons);
-                Ok(out)
+                Ok(Cow::Owned(out))
             }
             PlanNode::RelJoin {
                 left,
@@ -409,7 +406,7 @@ impl<'a> MultiExecutor<'a> {
                     rtp_comparisons,
                 )?;
                 self.book_node(attr, id, own, out.len(), *rel_pairs, *rtp_comparisons);
-                Ok(out)
+                Ok(Cow::Owned(out))
             }
             PlanNode::TextJoin {
                 input,
@@ -423,13 +420,13 @@ impl<'a> MultiExecutor<'a> {
                     let out =
                         self.eval_text_join(&t, preds, *method, probe_cols, rtp_comparisons)?;
                     self.book_node(attr, id, own, out.len(), *rel_pairs, *rtp_comparisons);
-                    Ok(out)
+                    Ok(Cow::Owned(out))
                 }
                 None => {
                     let own = self.own_start(attr, *rel_pairs, *rtp_comparisons);
                     let out = self.eval_text_scan()?;
                     self.book_node(attr, id, own, out.len(), *rel_pairs, *rtp_comparisons);
-                    Ok(out)
+                    Ok(Cow::Owned(out))
                 }
             },
         }
@@ -449,20 +446,13 @@ impl<'a> MultiExecutor<'a> {
         let mut keep = vec![false; t.len()];
         for (key, rows) in group_by(t, &cols) {
             // NULL/empty keys can never match.
-            let mut terms = Vec::with_capacity(key.len());
-            let mut valid = true;
-            for v in &key {
-                match v.as_str() {
-                    Some(s) if !s.trim().is_empty() => terms.push(s.to_owned()),
-                    _ => {
-                        valid = false;
-                        break;
-                    }
-                }
-            }
-            if !valid {
+            let terms: Option<Vec<&str>> = key
+                .iter()
+                .map(|v| v.as_str().filter(|s| !s.trim().is_empty()))
+                .collect();
+            let Some(terms) = terms else {
                 continue;
-            }
+            };
             let mut conj: Vec<SearchExpr> = selections
                 .iter()
                 .map(|s| SearchExpr::term_in(&s.term, s.field))
@@ -639,17 +629,7 @@ pub fn doc_table(
     }
     let mut out = Table::new("mercury", schema);
     for &id in ids {
-        let doc = ctx.retrieve(id)?;
-        let mut vals = vec![Value::str(id.to_string())];
-        for (fid, _) in text_schema.iter() {
-            let vs = doc.values(fid);
-            vals.push(if vs.is_empty() {
-                Value::Null
-            } else {
-                Value::str(vs.join("; "))
-            });
-        }
-        out.push(Tuple::new(vals));
+        out.push(Tuple::new(doc_values(id, &ctx.retrieve(id)?, text_schema)));
     }
     Ok(out)
 }

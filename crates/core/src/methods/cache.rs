@@ -12,8 +12,13 @@
 //! *misses* (the probe is re-sent and re-recorded at the new epoch) rather
 //! than clearing the cache — single servers never change topology, so
 //! their epoch is constantly 0 and behavior is unchanged.
+//!
+//! A cache shared across queries also keys by **namespace** — the probe's
+//! identity besides its key values — so an outcome can only answer a
+//! byte-identical probe.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Outcome recorded for a probe key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,12 +30,20 @@ pub enum ProbeOutcome {
     Fail,
 }
 
-/// A cache from (topology epoch, probe-key values) to outcomes.
+/// The outcomes of one namespace at one epoch, by probe-key values.
+type Outcomes = HashMap<Vec<Arc<str>>, ProbeOutcome>;
+
+/// A cache from (topology epoch, namespace, probe-key values) to outcomes.
 /// Per-execution by default; a serving session promotes one instance to
 /// session scope and threads it through every execution.
+///
+/// A [namespace](Self::namespace) is resolved once per execution and the
+/// key values are the relation's own shared strings, so a lookup hashes a
+/// borrowed slice and builds nothing; only [`record`](Self::record) allocates.
 #[derive(Debug, Default)]
 pub struct ProbeCache {
-    entries: HashMap<u64, HashMap<Vec<String>, ProbeOutcome>>,
+    namespaces: HashMap<Vec<String>, usize>,
+    entries: HashMap<(u64, usize), Outcomes>,
     hits: u64,
     misses: u64,
     evicted: u64,
@@ -41,6 +54,14 @@ impl ProbeCache {
     /// Empty cache.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The namespace of `identity` — whatever besides the key values tells
+    /// one probe from another (a method passes its text selections and
+    /// probed fields). Outcomes never cross namespaces.
+    pub fn namespace(&mut self, identity: Vec<String>) -> usize {
+        let next = self.namespaces.len();
+        *self.namespaces.entry(identity).or_insert(next)
     }
 
     /// Epoch garbage collection: once an operation arrives at `epoch`,
@@ -54,35 +75,29 @@ impl ProbeCache {
         }
         self.latest_epoch = epoch;
         let floor = epoch.saturating_sub(1);
-        let before: usize = self.entries.values().map(HashMap::len).sum();
-        self.entries.retain(|&e, _| e >= floor);
-        let after: usize = self.entries.values().map(HashMap::len).sum();
-        self.evicted += (before - after) as u64;
+        let before = self.len();
+        self.entries.retain(|&(e, _), _| e >= floor);
+        self.evicted += (before - self.len()) as u64;
     }
 
     /// Looks up a key at `epoch`, recording a hit or miss. An outcome
     /// recorded at a different epoch is invisible: routing may have moved
     /// the documents it was proved against.
-    pub fn lookup(&mut self, epoch: u64, key: &[String]) -> Option<ProbeOutcome> {
-        self.advance(epoch);
-        match self.entries.get(&epoch).and_then(|e| e.get(key)) {
-            Some(&o) => {
-                self.hits += 1;
-                Some(o)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+    pub fn lookup(&mut self, epoch: u64, ns: usize, key: &[Arc<str>]) -> Option<ProbeOutcome> {
+        let out = self.peek(epoch, ns, key);
+        match out {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
         }
+        out
     }
 
     /// [`lookup`](Self::lookup) without touching the hit/miss counters —
     /// for phases that can only *act* on one of the two outcomes and must
     /// not claim a hit for the other.
-    pub fn peek(&mut self, epoch: u64, key: &[String]) -> Option<ProbeOutcome> {
+    pub fn peek(&mut self, epoch: u64, ns: usize, key: &[Arc<str>]) -> Option<ProbeOutcome> {
         self.advance(epoch);
-        self.entries.get(&epoch).and_then(|e| e.get(key)).copied()
+        self.entries.get(&(epoch, ns))?.get(key).copied()
     }
 
     /// Counts a hit that [`peek`](Self::peek) proved usable.
@@ -98,9 +113,10 @@ impl ProbeCache {
     /// Records an outcome for a key at `epoch`. Later records overwrite
     /// earlier ones (a success learned from a full query upgrades a
     /// pending state).
-    pub fn record(&mut self, epoch: u64, key: Vec<String>, outcome: ProbeOutcome) {
+    pub fn record(&mut self, epoch: u64, ns: usize, key: &[Arc<str>], outcome: ProbeOutcome) {
         self.advance(epoch);
-        self.entries.entry(epoch).or_default().insert(key, outcome);
+        let keys = self.entries.entry((epoch, ns)).or_default();
+        keys.insert(key.to_vec(), outcome);
     }
 
     /// Number of cached keys, over all epochs.
@@ -129,13 +145,17 @@ impl ProbeCache {
 mod tests {
     use super::*;
 
+    fn key(values: &[&str]) -> Vec<Arc<str>> {
+        values.iter().map(|&v| Arc::from(v)).collect()
+    }
+
     #[test]
     fn lookup_and_record() {
         let mut c = ProbeCache::new();
-        let key = vec!["garcia".to_owned()];
-        assert_eq!(c.lookup(0, &key), None);
-        c.record(0, key.clone(), ProbeOutcome::Fail);
-        assert_eq!(c.lookup(0, &key), Some(ProbeOutcome::Fail));
+        let key = key(&["garcia"]);
+        assert_eq!(c.lookup(0, 0, &key), None);
+        c.record(0, 0, &key, ProbeOutcome::Fail);
+        assert_eq!(c.lookup(0, 0, &key), Some(ProbeOutcome::Fail));
         assert_eq!(c.stats(), (1, 1));
         assert_eq!(c.len(), 1);
     }
@@ -143,38 +163,52 @@ mod tests {
     #[test]
     fn overwrite_upgrades() {
         let mut c = ProbeCache::new();
-        let key = vec!["x".to_owned(), "y".to_owned()];
-        c.record(0, key.clone(), ProbeOutcome::Fail);
-        c.record(0, key.clone(), ProbeOutcome::Success);
-        assert_eq!(c.lookup(0, &key), Some(ProbeOutcome::Success));
+        let key = key(&["x", "y"]);
+        c.record(0, 0, &key, ProbeOutcome::Fail);
+        c.record(0, 0, &key, ProbeOutcome::Success);
+        assert_eq!(c.lookup(0, 0, &key), Some(ProbeOutcome::Success));
+        assert_eq!(c.len(), 1);
     }
 
     #[test]
     fn multi_column_keys_distinct() {
         let mut c = ProbeCache::new();
-        c.record(0, vec!["a".into(), "b".into()], ProbeOutcome::Fail);
-        assert_eq!(c.lookup(0, &["a".to_owned()]), None);
-        assert_eq!(
-            c.lookup(0, &["a".to_owned(), "b".to_owned()]),
-            Some(ProbeOutcome::Fail)
-        );
+        c.record(0, 0, &key(&["a", "b"]), ProbeOutcome::Fail);
+        assert_eq!(c.lookup(0, 0, &key(&["a"])), None);
+        assert_eq!(c.lookup(0, 0, &key(&["a", "b"])), Some(ProbeOutcome::Fail));
+    }
+
+    #[test]
+    fn namespaces_are_interned_and_keep_outcomes_apart() {
+        let mut c = ProbeCache::new();
+        let au = c.namespace(vec!["f:1".into()]);
+        let ti = c.namespace(vec!["s:text@0".into(), "f:1".into()]);
+        assert_ne!(au, ti);
+        assert_eq!(c.namespace(vec!["f:1".into()]), au, "same identity, same namespace");
+        c.record(0, au, &key(&["garcia"]), ProbeOutcome::Fail);
+        assert_eq!(c.lookup(0, ti, &key(&["garcia"])), None);
+        assert_eq!(c.lookup(0, au, &key(&["garcia"])), Some(ProbeOutcome::Fail));
+        // Epoch GC counts keys whatever namespace holds them.
+        c.record(0, ti, &key(&["garcia"]), ProbeOutcome::Success);
+        assert_eq!(c.peek(2, au, &key(&["garcia"])), None);
+        assert_eq!((c.len(), c.full_stats().2), (0, 2));
     }
 
     #[test]
     fn epoch_gc_drops_everything_older_than_the_previous_epoch() {
         let mut c = ProbeCache::new();
-        c.record(0, vec!["a".into()], ProbeOutcome::Fail);
-        c.record(1, vec!["b".into()], ProbeOutcome::Success);
-        c.record(2, vec!["c".into()], ProbeOutcome::Fail);
+        c.record(0, 0, &key(&["a"]), ProbeOutcome::Fail);
+        c.record(1, 0, &key(&["b"]), ProbeOutcome::Success);
+        c.record(2, 0, &key(&["c"]), ProbeOutcome::Fail);
         // Advancing to epoch 3 makes epochs ≤ 1 unreachable: epoch 0 and 1
         // entries are dropped, epoch 2 (the previous epoch) survives.
-        assert_eq!(c.lookup(3, &["c".to_owned()]), None);
+        assert_eq!(c.lookup(3, 0, &key(&["c"])), None);
         assert_eq!(c.full_stats().2, 2, "epochs 0 and 1 evicted");
         assert_eq!(c.len(), 1);
-        assert_eq!(c.lookup(2, &["c".to_owned()]), Some(ProbeOutcome::Fail));
+        assert_eq!(c.lookup(2, 0, &key(&["c"])), Some(ProbeOutcome::Fail));
         // peek never counts.
         let (h, m, _) = c.full_stats();
-        assert_eq!(c.peek(3, &["zzz".to_owned()]), None);
+        assert_eq!(c.peek(3, 0, &key(&["zzz"])), None);
         assert_eq!((h, m), {
             let (h2, m2, _) = c.full_stats();
             (h2, m2)
@@ -184,16 +218,16 @@ mod tests {
     #[test]
     fn epoch_bump_misses_without_clearing() {
         let mut c = ProbeCache::new();
-        let key = vec!["garcia".to_owned()];
-        c.record(3, key.clone(), ProbeOutcome::Fail);
+        let key = key(&["garcia"]);
+        c.record(3, 0, &key, ProbeOutcome::Fail);
         // A migration commit bumped the epoch: the stale fail-entry must
         // not prune against the new routing.
-        assert_eq!(c.lookup(4, &key), None);
+        assert_eq!(c.lookup(4, 0, &key), None);
         // The old entry survives (a still-in-flight gather pinned at the
         // old epoch keeps its pruning power).
-        assert_eq!(c.lookup(3, &key), Some(ProbeOutcome::Fail));
-        c.record(4, key.clone(), ProbeOutcome::Success);
-        assert_eq!(c.lookup(4, &key), Some(ProbeOutcome::Success));
+        assert_eq!(c.lookup(3, 0, &key), Some(ProbeOutcome::Fail));
+        c.record(4, 0, &key, ProbeOutcome::Success);
+        assert_eq!(c.lookup(4, 0, &key), Some(ProbeOutcome::Success));
         assert_eq!(c.len(), 2);
     }
 }

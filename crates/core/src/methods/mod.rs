@@ -26,6 +26,7 @@ pub mod sj;
 pub mod ts;
 
 use std::fmt;
+use std::sync::Arc;
 
 use textjoin_rel::schema::{ColId, RelSchema};
 use textjoin_rel::table::Table;
@@ -209,23 +210,23 @@ impl<'a> ForeignJoin<'a> {
         ))
     }
 
-    /// The join-column values of `t` restricted to predicate indices
-    /// `which` (indices into `join_cols`). Returns `None` if any value is
-    /// NULL or empty — such a tuple can never match, so no search is sent.
-    pub fn key_values(&self, t: &Tuple, which: &[usize]) -> Option<Vec<String>> {
-        let mut out = Vec::with_capacity(which.len());
-        for &i in which {
-            match t.get(self.join_cols[i]).as_str() {
-                Some(s) if !s.trim().is_empty() => out.push(s.to_owned()),
-                _ => return None,
-            }
-        }
-        Some(out)
+    /// Puts the join-column values of `t` at predicate indices `which`
+    /// (indices into `join_cols`) into `out`, replacing what it held; the
+    /// strings are shared with the tuple, not copied. Returns `false` if
+    /// any value is NULL or empty — such a tuple can never match, so no
+    /// search is sent.
+    pub fn key_values(&self, t: &Tuple, which: &[usize], out: &mut Vec<Arc<str>>) -> bool {
+        out.clear();
+        out.extend(which.iter().map_while(|&i| match t.get(self.join_cols[i]) {
+            Value::Str(s) if !s.trim().is_empty() => Some(s.clone()),
+            _ => None,
+        }));
+        out.len() == which.len()
     }
 
     /// Builds the conjunct for predicate indices `which` instantiated with
     /// `values` (parallel to `which`): each becomes `value in field`.
-    pub fn instantiated_conjunct(&self, which: &[usize], values: &[String]) -> SearchExpr {
+    pub fn instantiated_conjunct(&self, which: &[usize], values: &[Arc<str>]) -> SearchExpr {
         debug_assert_eq!(which.len(), values.len());
         SearchExpr::and(
             which
@@ -240,7 +241,10 @@ impl<'a> ForeignJoin<'a> {
     /// `which`: selections ∧ instantiated join predicates. `None` if the
     /// tuple has a NULL/empty join value among `which`.
     pub fn instantiated_search(&self, t: &Tuple, which: &[usize]) -> Option<SearchExpr> {
-        let values = self.key_values(t, which)?;
+        let mut values = Vec::with_capacity(which.len());
+        if !self.key_values(t, which, &mut values) {
+            return None;
+        }
         let conj = self.instantiated_conjunct(which, &values);
         Some(match self.selections_expr() {
             Some(sel) => SearchExpr::and(vec![sel, conj]),
@@ -283,23 +287,6 @@ impl<'a> ForeignJoin<'a> {
         Table::new(name, self.output_schema(text_schema))
     }
 
-    /// Converts a long-form document into the value suffix appended to an
-    /// output row under [`Projection::Full`]: docid, then each field's
-    /// values joined with `"; "` (NULL when the field is absent).
-    pub fn doc_values(&self, id: DocId, doc: &Document, text_schema: &TextSchema) -> Vec<Value> {
-        let mut out = Vec::with_capacity(1 + text_schema.len());
-        out.push(Value::str(id.to_string()));
-        for (fid, _) in text_schema.iter() {
-            let vs = doc.values(fid);
-            if vs.is_empty() {
-                out.push(Value::Null);
-            } else {
-                out.push(Value::str(vs.join("; ")));
-            }
-        }
-        out
-    }
-
     /// Emits output rows for one (tuple, matched docs) pair according to the
     /// projection. `docs` must be the long forms when the projection is
     /// `Full`; they may be owned or borrowed.
@@ -323,7 +310,7 @@ impl<'a> ForeignJoin<'a> {
             Projection::Full => {
                 for (id, d) in docs {
                     let mut vals = tuple.values().to_vec();
-                    vals.extend(self.doc_values(*id, d.borrow(), text_schema));
+                    vals.extend(doc_values(*id, d.borrow(), text_schema));
                     out.push(Tuple::new(vals));
                 }
             }
@@ -338,6 +325,24 @@ impl<'a> ForeignJoin<'a> {
             .iter()
             .all(|f| text_schema.def(*f).in_short_form)
     }
+}
+
+/// A long-form document as relational values — the suffix of an output row
+/// under [`Projection::Full`], a row of [`crate::exec::doc_table`]: docid,
+/// then each field's values joined with `"; "` (NULL when the field is
+/// absent).
+pub fn doc_values(id: DocId, doc: &Document, text_schema: &TextSchema) -> Vec<Value> {
+    let mut out = Vec::with_capacity(1 + text_schema.len());
+    out.push(Value::str(id.to_string()));
+    for (fid, _) in text_schema.iter() {
+        let vs = doc.values(fid);
+        if vs.is_empty() {
+            out.push(Value::Null);
+        } else {
+            out.push(Value::str(vs.join("; ")));
+        }
+    }
+    out
 }
 
 /// Helper: builds a [`MethodReport`] from a usage delta.

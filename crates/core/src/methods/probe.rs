@@ -18,8 +18,10 @@
 //! processing of the documents the successful probes matched (P+RTP,
 //! Example 3.6).
 
+use std::cell::{RefCell, RefMut};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 use textjoin_rel::ops::group_by;
 use textjoin_text::doc::{DocId, Document, ShortDoc};
@@ -83,40 +85,36 @@ fn method_label(prefix: &str, probe_cols: &[usize], suffix: &str) -> String {
 /// session cache additionally emit a charge-free `CacheHit` event (the
 /// per-execution path emits nothing, keeping legacy traces byte-stable).
 struct Probes<'a> {
-    shared: Option<&'a std::cell::RefCell<ProbeCache>>,
-    local: std::cell::RefCell<ProbeCache>,
-    ns: Vec<String>,
+    shared: Option<&'a RefCell<ProbeCache>>,
+    local: RefCell<ProbeCache>,
+    /// The probe identity's namespace in whichever cache is in use,
+    /// resolved once: a lookup hashes the key values and nothing else.
+    ns: usize,
     start: (u64, u64, u64),
 }
 
 impl<'a> Probes<'a> {
     fn new(ctx: &ExecContext<'a>, fj: &ForeignJoin<'_>, probe_cols: &[usize]) -> Self {
-        let mut ns = Vec::with_capacity(fj.selections.len() + probe_cols.len());
+        let mut identity = Vec::with_capacity(fj.selections.len() + probe_cols.len());
         for s in &fj.selections {
-            ns.push(format!("s:{}@{}", s.term, s.field.0));
+            identity.push(format!("s:{}@{}", s.term, s.field.0));
         }
         for &i in probe_cols {
-            ns.push(format!("f:{}", fj.join_fields[i].0));
+            identity.push(format!("f:{}", fj.join_fields[i].0));
         }
-        let start = match ctx.probe_cache {
-            Some(c) => c.borrow().full_stats(),
-            None => (0, 0, 0),
-        };
+        let local = RefCell::new(ProbeCache::new());
+        let mut cache = ctx.probe_cache.unwrap_or(&local).borrow_mut();
+        let (ns, start) = (cache.namespace(identity), cache.full_stats());
+        drop(cache);
         Self {
             shared: ctx.probe_cache,
-            local: std::cell::RefCell::new(ProbeCache::new()),
+            local,
             ns,
             start,
         }
     }
 
-    fn key(&self, values: &[String]) -> Vec<String> {
-        let mut k = self.ns.clone();
-        k.extend(values.iter().cloned());
-        k
-    }
-
-    fn cache(&self) -> std::cell::RefMut<'_, ProbeCache> {
+    fn cache(&self) -> RefMut<'_, ProbeCache> {
         match self.shared {
             Some(c) => c.borrow_mut(),
             None => self.local.borrow_mut(),
@@ -124,8 +122,8 @@ impl<'a> Probes<'a> {
     }
 
     /// Counting lookup; emits a `CacheHit` event on session-cache hits.
-    fn lookup(&self, ctx: &ExecContext<'_>, epoch: u64, values: &[String]) -> Option<ProbeOutcome> {
-        let out = self.cache().lookup(epoch, &self.key(values));
+    fn lookup(&self, ctx: &ExecContext<'_>, epoch: u64, key: &[Arc<str>]) -> Option<ProbeOutcome> {
+        let out = self.cache().lookup(epoch, self.ns, key);
         if out.is_some() {
             self.emit_hit(ctx, epoch);
         }
@@ -133,8 +131,8 @@ impl<'a> Probes<'a> {
     }
 
     /// Non-counting peek, for phases that can only use one outcome.
-    fn peek(&self, epoch: u64, values: &[String]) -> Option<ProbeOutcome> {
-        self.cache().peek(epoch, &self.key(values))
+    fn peek(&self, epoch: u64, key: &[Arc<str>]) -> Option<ProbeOutcome> {
+        self.cache().peek(epoch, self.ns, key)
     }
 
     /// Books a usable peek as a hit (and emits the session `CacheHit`).
@@ -147,8 +145,8 @@ impl<'a> Probes<'a> {
         self.cache().note_miss();
     }
 
-    fn record(&self, epoch: u64, values: &[String], outcome: ProbeOutcome) {
-        self.cache().record(epoch, self.key(values), outcome);
+    fn record(&self, epoch: u64, key: &[Arc<str>], outcome: ProbeOutcome) {
+        self.cache().record(epoch, self.ns, key, outcome);
     }
 
     fn emit_hit(&self, ctx: &ExecContext<'_>, epoch: u64) {
@@ -164,10 +162,7 @@ impl<'a> Probes<'a> {
 
     /// `(hits, misses, evicted)` accrued during this execution.
     fn delta(&self) -> (u64, u64, u64) {
-        let end = match self.shared {
-            Some(c) => c.borrow().full_stats(),
-            None => self.local.borrow().full_stats(),
-        };
+        let end = self.cache().full_stats();
         (
             end.0 - self.start.0,
             end.1 - self.start.1,
@@ -217,11 +212,13 @@ fn probe_first_ts(
     let probe_span = ctx.span("probe-phase");
     let probe_groups = group_by(fj.rel, &cols_of(fj, probe_cols));
     let cache = Probes::new(ctx, fj, probe_cols);
+    // Every tuple's probe key goes through this one buffer.
+    let mut key = Vec::new();
     for (_, rows) in &probe_groups {
         let t = &fj.rel.rows()[rows[0]];
-        let Some(key) = fj.key_values(t, probe_cols) else {
+        if !fj.key_values(t, probe_cols, &mut key) {
             continue; // NULL key: no probe; tuples can never match anyway
-        };
+        }
         // A key an earlier execution already settled (either way) needs no
         // probe: phase 2 only consumes the recorded outcome. Fresh
         // per-execution caches never hit here — phase-1 keys are distinct.
@@ -260,11 +257,11 @@ fn probe_first_ts(
     let groups = group_by(fj.rel, &fj.join_cols);
     for (_, rows) in groups {
         let t = &fj.rel.rows()[rows[0]];
-        let Some(probe_key) = fj.key_values(t, probe_cols) else {
+        if !fj.key_values(t, probe_cols, &mut key) {
             continue;
-        };
+        }
         // Only a *proven* fail prunes; an unknown outcome substitutes.
-        if cache.lookup(ctx, ctx.server.topology_epoch(), &probe_key) == Some(ProbeOutcome::Fail) {
+        if cache.lookup(ctx, ctx.server.topology_epoch(), &key) == Some(ProbeOutcome::Fail) {
             continue;
         }
         let Some(expr) = fj.instantiated_search(t, &all) else {
@@ -308,11 +305,12 @@ fn lazy_ts(
     // Group by the *full* key so the distinct-tuple optimization still
     // applies; the probe cache prunes across full-key groups.
     let groups = group_by(fj.rel, &fj.join_cols);
+    let mut probe_key = Vec::new();
     for (_, rows) in groups {
         let t = &fj.rel.rows()[rows[0]];
-        let Some(probe_key) = fj.key_values(t, probe_cols) else {
+        if !fj.key_values(t, probe_cols, &mut probe_key) {
             continue;
-        };
+        }
         // Paper's pseudocode: if cache has fail entry for probe of t, exit.
         if cache.lookup(ctx, ctx.server.topology_epoch(), &probe_key) == Some(ProbeOutcome::Fail) {
             continue;
@@ -389,15 +387,16 @@ fn ordered_ts(
     for (_, probe_rows) in group_by(fj.rel, &cols_of(fj, probe_cols)) {
         // Sub-group by the full join key for the distinct-tuple variant.
         let sub: Vec<Vec<usize>> = {
-            let mut groups: Vec<(Vec<String>, Vec<usize>)> = Vec::new();
+            let mut groups: Vec<(Vec<Arc<str>>, Vec<usize>)> = Vec::new();
+            let mut key = Vec::new();
             for &ri in &probe_rows {
                 let t = &fj.rel.rows()[ri];
-                let Some(key) = fj.key_values(t, &all) else {
+                if !fj.key_values(t, &all, &mut key) {
                     continue;
-                };
+                }
                 match groups.iter_mut().find(|(k, _)| *k == key) {
                     Some((_, rows)) => rows.push(ri),
-                    None => groups.push((key, vec![ri])),
+                    None => groups.push((key.clone(), vec![ri])),
                 }
             }
             groups.into_iter().map(|(_, rows)| rows).collect()
@@ -467,11 +466,12 @@ pub fn probe_rtp(
     let probe_groups = group_by(fj.rel, &cols_of(fj, probe_cols));
     let cache = Probes::new(ctx, fj, probe_cols);
     let mut matched: BTreeSet<DocId> = BTreeSet::new();
+    let mut key = Vec::new();
     for (_, rows) in &probe_groups {
         let t = &fj.rel.rows()[rows[0]];
-        let Some(key) = fj.key_values(t, probe_cols) else {
+        if !fj.key_values(t, probe_cols, &mut key) {
             continue;
-        };
+        }
         // A session-cached *fail* skips the probe outright: a fail key
         // contributes no candidate docids, so phase 3 loses nothing. A
         // cached success is unusable here — the probe's result set feeds
@@ -517,21 +517,23 @@ pub fn probe_rtp(
     // distinct join key) and its results emitted directly.
     let all = fj.all_preds();
     let _match_span = ctx.span("relational-match");
-    let mut ts_fallback: HashMap<Vec<String>, Vec<(DocId, Document)>> = HashMap::new();
+    let mut matcher = candidates.matcher(fj);
+    let mut ts_fallback: HashMap<Vec<Arc<str>>, Vec<(DocId, Document)>> = HashMap::new();
     let mut comparisons = 0u64;
     for t in fj.rel.iter() {
-        let Some(probe_key) = fj.key_values(t, probe_cols) else {
+        if !fj.key_values(t, probe_cols, &mut key) {
             continue;
-        };
-        match cache.lookup(ctx, ctx.server.topology_epoch(), &probe_key) {
+        }
+        match cache.lookup(ctx, ctx.server.topology_epoch(), &key) {
             Some(ProbeOutcome::Fail) => continue,
             Some(ProbeOutcome::Success) => {
-                candidates.emit_matches(fj, text_schema, t, &mut out, &mut comparisons);
+                matcher.emit_matches(fj, text_schema, t, &mut out, &mut comparisons);
             }
             None => {
-                let Some(full_key) = fj.key_values(t, &all) else {
+                let mut full_key = Vec::new();
+                if !fj.key_values(t, &all, &mut full_key) {
                     continue;
-                };
+                }
                 let docs = match ts_fallback.entry(full_key) {
                     Entry::Occupied(e) => e.into_mut(),
                     Entry::Vacant(e) => {

@@ -61,9 +61,10 @@ fn complete(
     let candidates = Candidates::fetch(ctx, fj, "fetch-long", found)?;
 
     let _match_span = ctx.span("relational-match");
+    let mut matcher = candidates.matcher(fj);
     let mut comparisons = 0u64;
     for t in fj.rel.iter() {
-        candidates.emit_matches(fj, text_schema, t, &mut out, &mut comparisons);
+        matcher.emit_matches(fj, text_schema, t, &mut out, &mut comparisons);
     }
 
     let rows = out.len();

@@ -65,11 +65,12 @@ pub fn semi_join(
     let all = fj.all_preds();
 
     // Distinct join keys with their source rows.
-    let groups: Vec<(Vec<String>, Vec<usize>)> = group_by(fj.rel, &fj.join_cols)
+    let groups: Vec<_> = group_by(fj.rel, &fj.join_cols)
         .into_iter()
         .filter_map(|(_, rows)| {
-            let key = fj.key_values(&fj.rel.rows()[rows[0]], &all)?;
-            Some((key, rows))
+            let mut key = Vec::new();
+            fj.key_values(&fj.rel.rows()[rows[0]], &all, &mut key)
+                .then_some((key, rows))
         })
         .collect();
 
@@ -81,7 +82,7 @@ pub fn semi_join(
     // and requeued. Degradation bottoms out at single conjuncts — if one
     // conjunct cannot fit, no packaging can, and the error surfaces.
     let mut matched: BTreeMap<DocId, ShortDoc> = BTreeMap::new();
-    let mut queue: VecDeque<Vec<(Vec<String>, Vec<usize>)>> = VecDeque::new();
+    let mut queue = VecDeque::new();
     if !groups.is_empty() {
         queue.push_back(groups);
     }
@@ -148,9 +149,10 @@ pub fn semi_join(
     let found = matched.into_iter().map(|(id, d)| (id, Some(d)));
     let candidates = Candidates::fetch(ctx, fj, "fetch", found)?;
     let _match_span = ctx.span("residual-match");
+    let mut matcher = candidates.matcher(fj);
     let mut comparisons = 0u64;
     for t in fj.rel.iter() {
-        candidates.emit_matches(fj, text_schema, t, &mut out, &mut comparisons);
+        matcher.emit_matches(fj, text_schema, t, &mut out, &mut comparisons);
     }
 
     let rows = out.len();

@@ -127,12 +127,15 @@ pub fn guarded_probe_rtp(
     let probe_col_ids: Vec<textjoin_rel::schema::ColId> =
         probe_cols.iter().map(|&i| fj.join_cols[i]).collect();
     let mut cache = ProbeCache::new();
+    // One probe identity throughout: a single, empty namespace.
+    let ns = cache.namespace(Vec::new());
+    let mut key = Vec::new();
     let mut matched: BTreeSet<DocId> = BTreeSet::new();
     for (_, rows) in textjoin_rel::ops::group_by(fj.rel, &probe_col_ids) {
         let t = &fj.rel.rows()[rows[0]];
-        let Some(key) = fj.key_values(t, probe_cols) else {
+        if !fj.key_values(t, probe_cols, &mut key) {
             continue;
-        };
+        }
         let expr: SearchExpr = fj
             .instantiated_search(t, probe_cols)
             .expect("key_values succeeded");
@@ -140,7 +143,8 @@ pub fn guarded_probe_rtp(
             Some(ids) => {
                 cache.record(
                     ctx.server.topology_epoch(),
-                    key,
+                    ns,
+                    &key,
                     if ids.is_empty() {
                         ProbeOutcome::Fail
                     } else {
@@ -152,7 +156,7 @@ pub fn guarded_probe_rtp(
             // Probe outcome unknown: never prune without a proven fail, so
             // the key is kept. Its candidate documents stay uncounted; the
             // primary path re-probes with its own degradation if chosen.
-            None => cache.record(ctx.server.topology_epoch(), key, ProbeOutcome::Success),
+            None => cache.record(ctx.server.topology_epoch(), ns, &key, ProbeOutcome::Success),
         }
     }
     let candidates = matched.len();
@@ -172,10 +176,10 @@ pub fn guarded_probe_rtp(
     // survivors — the probes' pruning is kept, the fetch is avoided.
     let mut survivors = Table::new(format!("{}-survivors", fj.rel.name()), fj.rel.schema().clone());
     for t in fj.rel.iter() {
-        if let Some(key) = fj.key_values(t, probe_cols) {
-            if cache.lookup(ctx.server.topology_epoch(), &key) == Some(ProbeOutcome::Success) {
-                survivors.push(t.clone());
-            }
+        if fj.key_values(t, probe_cols, &mut key)
+            && cache.lookup(ctx.server.topology_epoch(), ns, &key) == Some(ProbeOutcome::Success)
+        {
+            survivors.push(t.clone());
         }
     }
     let reduced = ForeignJoin {

@@ -6,7 +6,7 @@
 //! bottleneck; its reading cost is the same across all join methods and is
 //! omitted from the cost formulas).
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use crate::expr::Pred;
 use crate::schema::ColId;
@@ -94,24 +94,23 @@ pub fn distinct_count_multi(t: &Table, cols: &[ColId]) -> usize {
 /// Groups row indices by key over `cols`, in first-appearance order.
 /// Returns `(key, row indices)` pairs.
 pub fn group_by(t: &Table, cols: &[ColId]) -> Vec<(Vec<Value>, Vec<usize>)> {
-    let mut order: Vec<Vec<Value>> = Vec::new();
-    let mut groups: std::collections::HashMap<Vec<Value>, Vec<usize>> =
-        std::collections::HashMap::new();
+    let mut groups: Vec<(Vec<Value>, Vec<usize>)> = Vec::new();
+    let mut group_of: HashMap<Vec<&Value>, usize> = HashMap::new();
+    // Keys are looked up borrowed, through one buffer; a key is copied
+    // out of the table only when it starts a group.
+    let mut key = Vec::with_capacity(cols.len());
     for (i, r) in t.iter().enumerate() {
-        let key = r.key(cols);
-        let entry = groups.entry(key.clone()).or_insert_with(|| {
-            order.push(key);
-            Vec::new()
-        });
-        entry.push(i);
+        key.clear();
+        key.extend(cols.iter().map(|&c| r.get(c)));
+        match group_of.get(key.as_slice()) {
+            Some(&g) => groups[g].1.push(i),
+            None => {
+                group_of.insert(key.clone(), groups.len());
+                groups.push((r.key(cols), vec![i]));
+            }
+        }
     }
-    order
-        .into_iter()
-        .map(|k| {
-            let idx = groups.remove(&k).expect("group recorded");
-            (k, idx)
-        })
-        .collect()
+    groups
 }
 
 #[cfg(test)]

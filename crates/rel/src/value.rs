@@ -7,6 +7,7 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 /// A scalar value stored in a tuple.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -17,14 +18,16 @@ pub enum Value {
     Null,
     /// A 64-bit integer.
     Int(i64),
-    /// A string (`varchar`).
-    Str(String),
+    /// A string (`varchar`). The bytes are shared: cloning the value (into
+    /// a join row, a grouping key, a filtered table) bumps a reference
+    /// count and copies nothing. `Arc`, not `Rc`, so rows are `Send`.
+    Str(Arc<str>),
 }
 
 impl Value {
-    /// Builds a string value.
-    pub fn str(s: impl Into<String>) -> Self {
-        Value::Str(s.into())
+    /// Builds a string value (one allocation: the shared copy of `s`).
+    pub fn str(s: impl AsRef<str>) -> Self {
+        Value::Str(Arc::from(s.as_ref()))
     }
 
     /// Builds an integer value.
@@ -95,13 +98,13 @@ impl fmt::Display for Value {
 
 impl From<&str> for Value {
     fn from(s: &str) -> Self {
-        Value::Str(s.to_owned())
+        Value::str(s)
     }
 }
 
 impl From<String> for Value {
     fn from(s: String) -> Self {
-        Value::Str(s)
+        Value::str(s)
     }
 }
 

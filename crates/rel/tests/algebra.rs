@@ -1,9 +1,15 @@
 //! Property tests: relational-algebra laws of the operators and joins.
 
+use std::cmp::Ordering;
+use std::hash::{DefaultHasher, Hash, Hasher};
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use textjoin_rel::expr::{CmpOp, Pred};
 use textjoin_rel::join::{hash_join, nested_loop_join, semi_join};
-use textjoin_rel::ops::{distinct, distinct_count_multi, filter, project_distinct, sort_by};
+use textjoin_rel::ops::{
+    distinct, distinct_count_multi, filter, group_by, project_distinct, sort_by,
+};
 use textjoin_rel::schema::{ColId, RelSchema};
 use textjoin_rel::strmatch::{contains_term, like, Normalized};
 use textjoin_rel::table::Table;
@@ -208,6 +214,177 @@ proptest! {
         let hj = hash_join(&l, &r, ColId(1), ColId(1), &p);
         prop_assert_eq!(row_set(&hj), row_set(&nested_loop_join(&l, &r, &keyed)));
     }
+}
+
+/// `Value` as it was while it owned its string — same variants in the same
+/// order, same derives. The shared-string `Value` must be
+/// indistinguishable from it to every hash table, sort and printed table.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum OwnedValue {
+    Null,
+    Int(i64),
+    Text(String),
+}
+
+impl OwnedValue {
+    fn of(v: &Value) -> Self {
+        match v {
+            Value::Null => OwnedValue::Null,
+            Value::Int(i) => OwnedValue::Int(*i),
+            Value::Str(s) => OwnedValue::Text(s.to_string()),
+        }
+    }
+
+    fn sql_cmp(&self, other: &Self) -> Option<Ordering> {
+        match (self, other) {
+            (OwnedValue::Int(a), OwnedValue::Int(b)) => Some(a.cmp(b)),
+            (OwnedValue::Text(a), OwnedValue::Text(b)) => Some(a.cmp(b)),
+            _ => None,
+        }
+    }
+
+    fn total_cmp(&self, other: &Self) -> Ordering {
+        let rank = |v: &Self| match v {
+            OwnedValue::Null => 0,
+            OwnedValue::Int(_) => 1,
+            OwnedValue::Text(_) => 2,
+        };
+        self.sql_cmp(other).unwrap_or_else(|| rank(self).cmp(&rank(other)))
+    }
+
+    fn display(&self) -> String {
+        match self {
+            OwnedValue::Null => "NULL".into(),
+            OwnedValue::Int(i) => i.to_string(),
+            OwnedValue::Text(s) => format!("'{s}'"),
+        }
+    }
+}
+
+fn std_hash(v: &impl Hash) -> u64 {
+    let mut h = DefaultHasher::new();
+    v.hash(&mut h);
+    h.finish()
+}
+
+/// Two columns that take NULLs, integers and strings alike — a few of
+/// each, some one a prefix of another, some multi-byte, `"1"` beside `1`.
+fn mixed_table(name: &'static str) -> impl Strategy<Value = Table> {
+    const STRS: &[&str] = &["", "a", "ab", "b", "B", "1", "é", "ß", "a b; c"];
+    let cell = || {
+        (0usize..STRS.len() + 4).prop_map(|i| match i {
+            0 => Value::Null,
+            1..=3 => Value::int(i as i64 - 2),
+            i => Value::str(STRS[i - 4]),
+        })
+    };
+    prop::collection::vec((cell(), cell()), 0..10).prop_map(move |rows| {
+        let schema = RelSchema::from_columns(vec![("x", ValueType::Str), ("y", ValueType::Str)]);
+        // `with_rows`: a checked `push` would refuse the integers.
+        Table::new(name, schema)
+            .with_rows(rows.into_iter().map(|(x, y)| Tuple::new(vec![x, y])).collect())
+    })
+}
+
+proptest! {
+    /// Cell by cell: equality, both orderings, the printed form and the
+    /// std hash are what the owning representation gave.
+    #[test]
+    fn shared_string_value_is_the_owned_value(t in mixed_table("t")) {
+        let cells: Vec<&Value> = t.iter().flat_map(|r| r.values()).collect();
+        for a in &cells {
+            let oa = OwnedValue::of(a);
+            prop_assert_eq!(a.to_string(), oa.display());
+            prop_assert_eq!(std_hash(*a), std_hash(&oa), "hash of {}", a);
+            for b in &cells {
+                let ob = OwnedValue::of(b);
+                prop_assert_eq!(a == b, oa == ob, "{} == {}", a, b);
+                prop_assert_eq!(a.sql_cmp(b), oa.sql_cmp(&ob), "{} sql_cmp {}", a, b);
+                prop_assert_eq!(a.total_cmp(b), oa.total_cmp(&ob), "{} total_cmp {}", a, b);
+            }
+        }
+    }
+
+    /// The operators that hash rows — grouping, distinct projection, the
+    /// hash join — against a model keyed by owned strings.
+    #[test]
+    fn hashing_operators_agree_with_an_owned_key_model(l in mixed_table("l"), r in mixed_table("r")) {
+        let key = |row: &Tuple, cols: &[ColId]| -> Vec<OwnedValue> {
+            cols.iter().map(|&c| OwnedValue::of(row.get(c))).collect()
+        };
+        for cols in [&[ColId(0)][..], &[ColId(1), ColId(0)], &[]] {
+            // First-appearance order, by linear search: no hashing in the model.
+            let mut model: Vec<(Vec<OwnedValue>, Vec<usize>)> = Vec::new();
+            for (i, row) in l.iter().enumerate() {
+                let k = key(row, cols);
+                match model.iter_mut().find(|(have, _)| *have == k) {
+                    Some((_, rows)) => rows.push(i),
+                    None => model.push((k, vec![i])),
+                }
+            }
+            let groups = group_by(&l, cols);
+            let got: Vec<(Vec<OwnedValue>, Vec<usize>)> = groups
+                .iter()
+                .map(|(k, rows)| (k.iter().map(OwnedValue::of).collect(), rows.clone()))
+                .collect();
+            prop_assert_eq!(&got, &model, "group_by over {:?}", cols);
+            let firsts: Vec<Vec<OwnedValue>> = model.into_iter().map(|(k, _)| k).collect();
+            let all: Vec<ColId> = (0..cols.len()).map(ColId).collect();
+            let projected: Vec<Vec<OwnedValue>> =
+                project_distinct(&l, cols).iter().map(|row| key(row, &all)).collect();
+            prop_assert_eq!(projected, firsts, "project_distinct over {:?}", cols);
+        }
+
+        let mut pairs: Vec<String> = Vec::new();
+        for a in l.iter() {
+            for b in r.iter() {
+                let (ka, kb) = (OwnedValue::of(a.get(ColId(0))), OwnedValue::of(b.get(ColId(1))));
+                if ka != OwnedValue::Null && ka == kb {
+                    pairs.push(a.concat(b).to_string());
+                }
+            }
+        }
+        pairs.sort();
+        prop_assert_eq!(row_set(&hash_join(&l, &r, ColId(0), ColId(1), &Pred::True)), pairs);
+    }
+}
+
+/// Rows can cross threads: the shared strings are `Arc`, not `Rc`.
+#[test]
+fn rows_are_send_and_sync() {
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Value>();
+    assert_send_sync::<Tuple>();
+    assert_send_sync::<Table>();
+}
+
+/// A clone is another handle on the same bytes — in a cell, and so in
+/// every row an operator copies.
+#[test]
+fn cloning_a_string_value_shares_its_allocation() {
+    fn bytes(v: &Value) -> &Arc<str> {
+        match v {
+            Value::Str(s) => s,
+            other => panic!("{other} is not a string"),
+        }
+    }
+    let v = Value::str(String::from("Garcia-Molina"));
+    assert!(Arc::ptr_eq(bytes(&v), bytes(&v.clone())));
+    let row = Tuple::new(vec![v.clone(), Value::int(1)]);
+    let joined = row.concat(&row);
+    for copy in [
+        row.clone().get(ColId(0)),
+        joined.get(ColId(2)),
+        &row.key(&[ColId(0)])[0],
+        row.project(&[ColId(0)]).get(ColId(0)),
+    ] {
+        assert!(Arc::ptr_eq(bytes(&v), bytes(copy)));
+    }
+    let schema = RelSchema::from_columns(vec![("k", ValueType::Str), ("v", ValueType::Int)]);
+    let t = Table::new("t", schema).with_rows(vec![row]);
+    let kept = filter(&t, &Pred::True);
+    assert!(Arc::ptr_eq(bytes(&v), bytes(kept.rows()[0].get(ColId(0)))));
+    assert!(Arc::ptr_eq(bytes(&v), bytes(&group_by(&t, &[ColId(0)])[0].0[0])));
 }
 
 proptest! {
