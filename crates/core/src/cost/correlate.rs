@@ -8,28 +8,46 @@
 //! analogous with a document-count normalization:
 //! `F_{g,K} = Π_{i=1..g} f_i / D^(g-1)`.
 
+use std::borrow::Borrow;
+
+/// The `g` smallest of `xs` — at least one, at most all — multiplied in
+/// ascending order, ties in the order given, and how many that was: what
+/// sorting a copy and multiplying its head gives, to the bit. Each factor
+/// is the least value after the previous one: a pass per factor, no copy.
+fn smallest_product(xs: impl Iterator<Item = f64> + Clone, g: usize) -> (f64, usize) {
+    let order = |a: &(f64, usize), b: &(f64, usize)| a.partial_cmp(b).expect("finite statistics");
+    // `last` is the factor just taken, as (value, place).
+    let (mut product, mut taken, mut last) = (1.0, 0, (f64::NEG_INFINITY, 0));
+    while taken < g.max(1) {
+        let rest = xs.clone().zip(0..).filter(|x| order(&last, x).is_lt());
+        let Some(next) = rest.min_by(order) else {
+            break;
+        };
+        (product, taken, last) = (product * next.0, taken + 1, next);
+    }
+    (product, taken)
+}
+
 /// Joint selectivity `S_{g,K}`: product of the `g` smallest selectivities.
 /// Empty input gives 1.0 (an empty conjunction filters nothing).
-pub fn joint_selectivity(sels: &[f64], g: usize) -> f64 {
-    if sels.is_empty() {
-        return 1.0;
-    }
-    let mut v = sels.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("selectivities are finite"));
-    v.iter().take(g.max(1)).product()
+pub fn joint_selectivity(
+    sels: impl IntoIterator<Item: Borrow<f64>, IntoIter: Clone>,
+    g: usize,
+) -> f64 {
+    smallest_product(sels.into_iter().map(|s| *s.borrow()), g).0
 }
 
 /// Joint fanout `F_{g,K}`: product of the `g` smallest fanouts divided by
 /// `D^(g-1)`. Empty input gives `d` (no predicates match everything).
-pub fn joint_fanout(fanouts: &[f64], d: f64, g: usize) -> f64 {
-    if fanouts.is_empty() {
-        return d;
+pub fn joint_fanout(
+    fanouts: impl IntoIterator<Item: Borrow<f64>, IntoIter: Clone>,
+    d: f64,
+    g: usize,
+) -> f64 {
+    match smallest_product(fanouts.into_iter().map(|f| *f.borrow()), g) {
+        (_, 0) => d,
+        (prod, g) => prod / d.powi(g as i32 - 1),
     }
-    let mut v = fanouts.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("fanouts are finite"));
-    let g = g.max(1).min(v.len());
-    let prod: f64 = v.iter().take(g).product();
-    prod / d.powi(g as i32 - 1)
 }
 
 /// Expected *total* documents across `n` result sets, `V_{n,J} = n × F`
@@ -58,30 +76,81 @@ mod tests {
 
     #[test]
     fn one_correlated_is_min() {
-        assert!((joint_selectivity(&[0.5, 0.1, 0.3], 1) - 0.1).abs() < 1e-12);
+        assert!((joint_selectivity([0.5, 0.1, 0.3], 1) - 0.1).abs() < 1e-12);
     }
 
     #[test]
     fn k_correlated_is_product() {
         let s = [0.5, 0.1, 0.3];
-        assert!((joint_selectivity(&s, 3) - 0.015).abs() < 1e-12);
+        assert!((joint_selectivity(s, 3) - 0.015).abs() < 1e-12);
         // g beyond k behaves like k.
-        assert!((joint_selectivity(&s, 10) - 0.015).abs() < 1e-12);
+        assert!((joint_selectivity(s, 10) - 0.015).abs() < 1e-12);
     }
 
     #[test]
     fn empty_predicates() {
-        assert_eq!(joint_selectivity(&[], 1), 1.0);
-        assert_eq!(joint_fanout(&[], 100.0, 1), 100.0);
+        assert_eq!(joint_selectivity([0.0; 0], 1), 1.0);
+        assert_eq!(joint_fanout([0.0; 0], 100.0, 1), 100.0);
+    }
+
+    /// The products as they were first written — sort a copy, multiply its
+    /// head — kept as the reference the copy-free selection must equal.
+    fn sorted_head(xs: &[f64], g: usize) -> (f64, usize) {
+        let mut v = xs.to_vec();
+        v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        let g = g.max(1).min(v.len());
+        (v.iter().take(g).product(), g)
+    }
+
+    #[test]
+    fn selection_equals_the_sorted_reference_bit_for_bit() {
+        // Few levels, so duplicates abound; both zeros, whose sign a
+        // product keeps; every g from 0 to past the length; no input.
+        let levels = [0.0, -0.0, 0.1, 0.1, 0.3, 0.7, 1.0, 2.5, 1e-9, 40.0];
+        let mut x = 0x5eed_u64;
+        for len in 0..10 {
+            for _ in 0..40 {
+                let xs: Vec<f64> = (0..len)
+                    .map(|_| {
+                        x = x
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        levels[((x >> 33) % levels.len() as u64) as usize]
+                    })
+                    .collect();
+                for g in 0..len + 3 {
+                    let (prod, taken) = sorted_head(&xs, g);
+                    let d = 250.0_f64;
+                    let (sel, fan) = if xs.is_empty() {
+                        (1.0, d)
+                    } else {
+                        (prod, prod / d.powi(taken as i32 - 1))
+                    };
+                    assert_eq!(
+                        joint_selectivity(&xs, g).to_bits(),
+                        sel.to_bits(),
+                        "{xs:?} g={g}"
+                    );
+                    assert_eq!(
+                        joint_fanout(&xs, d, g).to_bits(),
+                        fan.to_bits(),
+                        "{xs:?} g={g}"
+                    );
+                    // From an iterator of values, as the formulas call it.
+                    let by_value = joint_selectivity(xs.iter().copied(), g);
+                    assert_eq!(by_value.to_bits(), joint_selectivity(&xs, g).to_bits());
+                }
+            }
+        }
     }
 
     #[test]
     fn fanout_normalization() {
         // g=2, D=100: F = f1·f2 / D.
-        let f = joint_fanout(&[10.0, 20.0], 100.0, 2);
+        let f = joint_fanout([10.0, 20.0], 100.0, 2);
         assert!((f - 2.0).abs() < 1e-12);
         // g=1: min fanout.
-        assert!((joint_fanout(&[10.0, 20.0], 100.0, 1) - 10.0).abs() < 1e-12);
+        assert!((joint_fanout([10.0, 20.0], 100.0, 1) - 10.0).abs() < 1e-12);
     }
 
     #[test]
@@ -111,9 +180,9 @@ mod tests {
     fn monotone_in_g() {
         // More independence (larger g) → smaller joint selectivity.
         let s = [0.2, 0.4, 0.9];
-        let s1 = joint_selectivity(&s, 1);
-        let s2 = joint_selectivity(&s, 2);
-        let s3 = joint_selectivity(&s, 3);
+        let s1 = joint_selectivity(s, 1);
+        let s2 = joint_selectivity(s, 2);
+        let s3 = joint_selectivity(s, 3);
         assert!(s1 >= s2 && s2 >= s3);
     }
 }

@@ -66,10 +66,14 @@ pub struct MethodCost {
     pub cost: CostBreakdown,
 }
 
+/// A predicate subset `J` as the estimators walk it: indices into
+/// `JoinStatistics::preds`, cheap to walk again.
+trait Subset: Iterator<Item = usize> + Clone {}
+impl<I: Iterator<Item = usize> + Clone> Subset for I {}
+
 /// Joint fanout of predicate subset `J` combined with the selections.
-fn result_fanout(p: &CostParams, s: &JoinStatistics, subset: &[usize]) -> f64 {
-    let fanouts: Vec<f64> = subset.iter().map(|&i| s.preds[i].fanout).collect();
-    let f_join = joint_fanout(&fanouts, p.d, p.g);
+fn result_fanout(p: &CostParams, s: &JoinStatistics, subset: impl Subset) -> f64 {
+    let f_join = joint_fanout(subset.map(|i| s.preds[i].fanout), p.d, p.g);
     if s.sel_terms > 0 && p.d > 0.0 {
         // Selections are a constant extra conjunct: independent thinning.
         f_join * (s.sel_fanout / p.d)
@@ -79,14 +83,13 @@ fn result_fanout(p: &CostParams, s: &JoinStatistics, subset: &[usize]) -> f64 {
 }
 
 /// Postings processed by one search over subset `J`.
-fn postings_per_search(s: &JoinStatistics, subset: &[usize]) -> f64 {
-    subset.iter().map(|&i| s.preds[i].list_len).sum::<f64>() + s.sel_postings
+fn postings_per_search(s: &JoinStatistics, subset: impl Subset) -> f64 {
+    subset.map(|i| s.preds[i].list_len).sum::<f64>() + s.sel_postings
 }
 
 /// Joint selectivity of predicate subset `J` (probe success probability).
-fn probe_selectivity(p: &CostParams, s: &JoinStatistics, subset: &[usize]) -> f64 {
-    let sels: Vec<f64> = subset.iter().map(|&i| s.preds[i].selectivity).collect();
-    joint_selectivity(&sels, p.g)
+fn probe_selectivity(p: &CostParams, s: &JoinStatistics, subset: impl Subset) -> f64 {
+    joint_selectivity(subset.map(|i| s.preds[i].selectivity), p.g)
 }
 
 /// The transmission cost of shipping `v` result documents: always short
@@ -101,8 +104,8 @@ fn xmit(p: &CostParams, s: &JoinStatistics, v: f64) -> f64 {
 
 /// A "tuple-substitution-shaped" phase: `n` searches over subset `J`, each
 /// transmitting its full result set.
-fn ts_phase(p: &CostParams, s: &JoinStatistics, n: f64, subset: &[usize]) -> CostBreakdown {
-    let f = result_fanout(p, s, subset);
+fn ts_phase(p: &CostParams, s: &JoinStatistics, n: f64, subset: impl Subset) -> CostBreakdown {
+    let f = result_fanout(p, s, subset.clone());
     let v = total_docs(n, f);
     CostBreakdown {
         invocation: p.effective_c_i() * n,
@@ -117,19 +120,20 @@ fn ts_phase(p: &CostParams, s: &JoinStatistics, n: f64, subset: &[usize]) -> Cos
 /// join-column tuple (paper: `C_TS = c_i N + c_p L_{N,K} + c_l V_{N,K}`,
 /// with `N` replaced by `n_K` for the distinct variant).
 pub fn cost_ts(p: &CostParams, s: &JoinStatistics) -> CostBreakdown {
-    ts_phase(p, s, s.n_k, &all(s))
+    ts_phase(p, s, s.n_k, all(s))
 }
 
 /// `C_TS` for the naive variant (one search per tuple) — ablation only.
 pub fn cost_ts_naive(p: &CostParams, s: &JoinStatistics) -> CostBreakdown {
-    ts_phase(p, s, s.n, &all(s))
+    ts_phase(p, s, s.n, all(s))
 }
 
 /// The probe phase `C_P = c_i N_J + c_p L_{N_J,J} + c_s V_{N_J,J}`:
 /// one probe per distinct `J`-key, short-form responses.
 pub fn cost_probe_phase(p: &CostParams, s: &JoinStatistics, subset: &[usize]) -> CostBreakdown {
     let n_j = s.n_j(subset);
-    let f = result_fanout(p, s, subset);
+    let subset = subset.iter().copied();
+    let f = result_fanout(p, s, subset.clone());
     CostBreakdown {
         invocation: p.effective_c_i() * n_j,
         processing: p.constants.c_p * n_j * postings_per_search(s, subset),
@@ -149,12 +153,11 @@ pub fn cost_probe_phase(p: &CostParams, s: &JoinStatistics, subset: &[usize]) ->
 /// transmitted is the same for both methods").
 pub fn cost_p_ts(p: &CostParams, s: &JoinStatistics, subset: &[usize]) -> CostBreakdown {
     let probe = cost_probe_phase(p, s, subset);
-    let k = all(s);
-    let r = s.n_k * probe_selectivity(p, s, subset);
-    let v = total_docs(s.n_k, result_fanout(p, s, &k));
+    let r = s.n_k * probe_selectivity(p, s, subset.iter().copied());
+    let v = total_docs(s.n_k, result_fanout(p, s, all(s)));
     probe.plus(CostBreakdown {
         invocation: p.effective_c_i() * r,
-        processing: p.constants.c_p * r * postings_per_search(s, &k),
+        processing: p.constants.c_p * r * postings_per_search(s, all(s)),
         transmission: xmit(p, s, v),
         rtp: 0.0,
         searches: r,
@@ -198,9 +201,9 @@ pub fn cost_sj(
         return None;
     }
     let n_searches = (s.n_k / per as f64).ceil().max(if s.n_k > 0.0 { 1.0 } else { 0.0 });
-    let f_per_conjunct = result_fanout(p, s, &all(s));
+    let f_per_conjunct = result_fanout(p, s, all(s));
     let u = distinct_docs(s.n_k, f_per_conjunct, p.d);
-    let join_postings: f64 = all(s).iter().map(|&i| s.preds[i].list_len).sum();
+    let join_postings: f64 = all(s).map(|i| s.preds[i].list_len).sum();
     let mut c = CostBreakdown {
         invocation: p.effective_c_i() * n_searches,
         processing: p.constants.c_p * (s.n_k * join_postings + n_searches * s.sel_postings),
@@ -224,33 +227,34 @@ pub fn cost_sj(
 pub fn cost_p_rtp(p: &CostParams, s: &JoinStatistics, subset: &[usize]) -> CostBreakdown {
     let mut c = cost_probe_phase(p, s, subset);
     let n_j = s.n_j(subset);
-    let f_probe = result_fanout(p, s, subset);
+    let f_probe = result_fanout(p, s, subset.iter().copied());
     let u = distinct_docs(n_j, f_probe, p.d);
     let need_long = s.needs_long || !s.short_form_sufficient;
     if need_long {
         c.transmission += p.constants.c_l * u;
     }
-    let surviving = s.n * probe_selectivity(p, s, subset);
+    let surviving = s.n * probe_selectivity(p, s, subset.iter().copied());
     c.rtp = p.c_a * u * surviving * s.k() as f64;
     c
 }
 
-fn all(s: &JoinStatistics) -> Vec<usize> {
-    (0..s.k()).collect()
+/// Every predicate, `K`.
+fn all(s: &JoinStatistics) -> std::ops::Range<usize> {
+    0..s.k()
 }
 
 /// Expected matching documents per fully-instantiated search (all join
 /// predicates ∧ selections) — the per-tuple output fanout of the foreign
 /// join, used by the multi-join planner for cardinality estimation.
 pub fn expected_result_fanout(p: &CostParams, s: &JoinStatistics) -> f64 {
-    result_fanout(p, s, &all(s))
+    result_fanout(p, s, all(s))
 }
 
 /// Joint selectivity of a predicate subset — the probability a probe on it
 /// succeeds. Re-exported for the multi-join planner's probe-node
 /// cardinality estimates.
 pub fn probe_success_probability(p: &CostParams, s: &JoinStatistics, subset: &[usize]) -> f64 {
-    probe_selectivity(p, s, subset)
+    probe_selectivity(p, s, subset.iter().copied())
 }
 
 #[cfg(test)]
@@ -363,7 +367,7 @@ mod tests {
     fn sj_transmission_uses_distinct_docs() {
         let (p, s) = stats();
         let c = cost_sj(&p, &s, false).unwrap();
-        let v = 100.0 * result_fanout(&p, &s, &[0, 1]);
+        let v = 100.0 * result_fanout(&p, &s, 0..2);
         // U < V strictly for overlapping result sets.
         assert!(c.transmission / p.constants.c_s < v);
     }
@@ -392,10 +396,10 @@ mod tests {
     #[test]
     fn selections_thin_result_fanout() {
         let (p, mut s) = stats();
-        let f_no_sel = result_fanout(&p, &s, &[0, 1]);
+        let f_no_sel = result_fanout(&p, &s, 0..2);
         s.sel_terms = 1;
         s.sel_fanout = 100.0; // selections match 1% of D
-        let f_sel = result_fanout(&p, &s, &[0, 1]);
+        let f_sel = result_fanout(&p, &s, 0..2);
         assert!((f_sel - f_no_sel * 0.01).abs() < 1e-9);
     }
 

@@ -64,6 +64,8 @@ impl Candidates {
             fj.projection == Projection::Full || !fj.short_form_sufficient(ctx.server.schema());
         let _fetch_span = need_long.then(|| ctx.span(fetch_span));
         let mut docs = Vec::new();
+        // One empty long form for every candidate that needs none.
+        let no_long = Document::new();
         for (id, short) in found {
             let (long, short) = if need_long {
                 (ctx.retrieve(id)?, None)
@@ -71,7 +73,7 @@ impl Candidates {
                 let short = short
                     .or_else(|| ctx.server.reconstruct_short(id))
                     .ok_or(MethodError::Text(TextError::UnknownDoc(id)))?;
-                (Document::new(), Some(short))
+                (no_long.clone(), Some(short))
             };
             let values_of = |f| short.as_ref().map_or_else(|| long.values(f), |s| s.values(f));
             let values = fj

@@ -51,28 +51,41 @@ pub struct MethodCandidate {
     pub cost: CostBreakdown,
 }
 
-/// Enumerates all non-empty subsets of `0..k` with at most `max_size`
-/// elements.
-fn subsets_up_to(k: usize, max_size: usize) -> Vec<Vec<usize>> {
-    assert!(k < 31, "probe-column enumeration supports at most 30 predicates");
-    let mut out = Vec::new();
-    for mask in 1u32..(1u32 << k) {
-        if (mask.count_ones() as usize) <= max_size {
-            let subset: Vec<usize> = (0..k).filter(|&i| mask & (1 << i) != 0).collect();
-            out.push(subset);
+/// Calls `visit` with every non-empty subset of `0..k` of at most
+/// `max_size` columns, each ascending, in one reused buffer: an odometer
+/// over column indices per size, so the work is the subsets visited.
+fn for_each_subset(k: usize, max_size: usize, mut visit: impl FnMut(&[usize])) {
+    let mut cols = Vec::with_capacity(max_size.min(k));
+    for size in 1..=max_size.min(k) {
+        cols.clear();
+        cols.extend(0..size);
+        loop {
+            visit(&cols);
+            // The last column with room above it moves up one, and those
+            // after it close ranks behind it.
+            let Some(i) = (0..size).rfind(|&i| cols[i] < k - size + i) else {
+                break;
+            };
+            cols[i] += 1;
+            for j in i + 1..size {
+                cols[j] = cols[j - 1] + 1;
+            }
         }
     }
-    out
 }
 
 /// Finds the cheapest probe set by exhaustive `O(2^k)` search, under the
 /// cost function `f` (e.g. [`cost_p_ts`] or [`cost_p_rtp`]).
+///
+/// # Panics
+/// Panics at 31 predicates or more: `2^31` cost calls are a hang.
 pub fn optimal_probe_exhaustive(
     p: &CostParams,
     s: &JoinStatistics,
     f: impl Fn(&CostParams, &JoinStatistics, &[usize]) -> CostBreakdown,
 ) -> Option<(Vec<usize>, CostBreakdown)> {
-    best_subset(subsets_up_to(s.k(), s.k()), p, s, f)
+    assert!(s.k() < 31, "exhaustive search: at most 30 predicates");
+    best_subset(s.k(), p, s, f)
 }
 
 /// Finds the cheapest probe set searching only subsets of size
@@ -82,30 +95,38 @@ pub fn optimal_probe_bounded(
     s: &JoinStatistics,
     f: impl Fn(&CostParams, &JoinStatistics, &[usize]) -> CostBreakdown,
 ) -> Option<(Vec<usize>, CostBreakdown)> {
-    let bound = s.k().min(2 * p.g);
-    best_subset(subsets_up_to(s.k(), bound), p, s, f)
+    best_subset(p.g.saturating_mul(2), p, s, f)
 }
 
+/// The cheapest subset of at most `max_size` columns: lowest rank, then
+/// fewer probe columns (cheaper bookkeeping), then the lower bit mask (the
+/// highest column they differ in is the other's) — a total order, so the
+/// answer does not depend on the enumeration's. Only a new best is copied.
 fn best_subset(
-    candidates: Vec<Vec<usize>>,
+    max_size: usize,
     p: &CostParams,
     s: &JoinStatistics,
     f: impl Fn(&CostParams, &JoinStatistics, &[usize]) -> CostBreakdown,
 ) -> Option<(Vec<usize>, CostBreakdown)> {
-    let rank = |c: &CostBreakdown| p.rank(c.invocation, c.processing, c.transmission, c.rtp);
-    candidates
-        .into_iter()
-        .map(|subset| {
-            let c = f(p, s, &subset);
-            (subset, c)
-        })
-        .min_by(|a, b| {
-            rank(&a.1)
-                .partial_cmp(&rank(&b.1))
+    let mut best: Option<(f64, CostBreakdown)> = None;
+    let mut best_cols = Vec::new();
+    for_each_subset(s.k(), max_size, |cols| {
+        let c = f(p, s, cols);
+        let rank = p.rank(c.invocation, c.processing, c.transmission, c.rtp);
+        let better = best.is_none_or(|(best_rank, _)| {
+            rank.partial_cmp(&best_rank)
                 .expect("costs are finite")
-                // Tie-break on fewer probe columns (cheaper bookkeeping).
-                .then(a.0.len().cmp(&b.0.len()))
-        })
+                .then(cols.len().cmp(&best_cols.len()))
+                .then_with(|| cols.iter().rev().cmp(best_cols.iter().rev()))
+                .is_lt()
+        });
+        if better {
+            best = Some((rank, c));
+            best_cols.clear();
+            best_cols.extend_from_slice(cols);
+        }
+    });
+    best.map(|(_, c)| (best_cols, c))
 }
 
 fn probe_label(prefix: &str, cols: &[usize], suffix: &str) -> String {
@@ -221,12 +242,146 @@ mod tests {
         (p, s)
     }
 
+    /// The search as it was first written — every candidate subset
+    /// materialized in ascending mask order, then `min_by` over them — kept
+    /// as the reference the streamed search must equal bit for bit.
+    fn subsets_up_to(k: usize, max_size: usize) -> Vec<Vec<usize>> {
+        (1u32..1 << k)
+            .filter(|mask| mask.count_ones() as usize <= max_size)
+            .map(|mask| (0..k).filter(|&i| mask & (1 << i) != 0).collect())
+            .collect()
+    }
+
+    fn reference_best(
+        max_size: usize,
+        p: &CostParams,
+        s: &JoinStatistics,
+    ) -> Option<(Vec<usize>, CostBreakdown)> {
+        let rank = |c: &CostBreakdown| p.rank(c.invocation, c.processing, c.transmission, c.rtp);
+        subsets_up_to(s.k(), max_size)
+            .into_iter()
+            .map(|subset| {
+                let c = cost_p_ts(p, s, &subset);
+                (subset, c)
+            })
+            .min_by(|a, b| {
+                rank(&a.1)
+                    .partial_cmp(&rank(&b.1))
+                    .expect("costs are finite")
+                    .then(a.0.len().cmp(&b.0.len()))
+            })
+    }
+
+    fn bits(c: &CostBreakdown) -> [u64; 5] {
+        [
+            c.invocation,
+            c.processing,
+            c.transmission,
+            c.rtp,
+            c.searches,
+        ]
+        .map(f64::to_bits)
+    }
+
     #[test]
     fn subsets_enumeration() {
-        assert_eq!(subsets_up_to(3, 3).len(), 7);
-        assert_eq!(subsets_up_to(3, 1).len(), 3);
+        for (k, max_size) in [(3, 3), (3, 1), (3, 2), (0, 2), (5, 0), (6, 4), (7, 9)] {
+            let mut streamed = Vec::new();
+            for_each_subset(k, max_size, |cols| {
+                assert!(cols.is_sorted_by(|a, b| a < b), "ascending: {cols:?}");
+                streamed.push(cols.to_vec());
+            });
+            assert!(streamed.is_sorted_by_key(Vec::len), "size by size");
+            // Each once: in mask order they are the reference's list.
+            streamed.sort_by_key(|cols| cols.iter().map(|i| 1u32 << i).sum::<u32>());
+            assert_eq!(streamed, subsets_up_to(k, max_size), "k={k} max={max_size}");
+        }
         assert_eq!(subsets_up_to(3, 2).len(), 6);
-        assert_eq!(subsets_up_to(0, 2).len(), 0);
+    }
+
+    #[test]
+    fn streamed_search_equals_materialized_reference() {
+        // Generated statistics with duplicated predicates (so whole subsets
+        // tie on cost) and values drawn from a few levels (so columns tie
+        // inside the g-correlated products): the tie-break must pick what
+        // `min_by` over ascending masks picked.
+        let mut x = 0x5eed_u64;
+        let mut draw = |levels: &[f64]| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+            levels[((x >> 33) % levels.len() as u64) as usize]
+        };
+        let (mut ties, mut cases) = (0, 0);
+        for k in 1..=12 {
+            for g in 1..=3 {
+                for _ in 0..6 {
+                    let mut preds: Vec<PredStats> = Vec::new();
+                    while preds.len() < k {
+                        let repeat = !preds.is_empty() && draw(&[0.0, 1.0, 1.0]) == 0.0;
+                        let pred = if repeat {
+                            preds[draw(&[0.0, 1.0, 2.0]) as usize % preds.len()]
+                        } else {
+                            PredStats {
+                                selectivity: draw(&[0.02, 0.1, 0.1, 0.5, 0.9]),
+                                fanout: draw(&[0.0, 1.0, 2.5, 2.5, 40.0]),
+                                distinct: draw(&[3.0, 30.0, 30.0, 400.0]),
+                                list_len: draw(&[1.0, 2.5, 80.0]),
+                            }
+                        };
+                        preds.push(pred);
+                    }
+                    let s = JoinStatistics {
+                        n: 500.0,
+                        n_k: draw(&[120.0, 500.0]),
+                        preds,
+                        sel_fanout: draw(&[40.0, 10_000.0]),
+                        sel_postings: draw(&[0.0, 300.0]),
+                        sel_terms: draw(&[0.0, 1.0]) as usize,
+                        needs_long: draw(&[0.0, 1.0]) == 1.0,
+                        short_form_sufficient: true,
+                    };
+                    let p = CostParams::mercury(10_000.0).with_g(g);
+                    for (got, max_size) in [
+                        (optimal_probe_bounded(&p, &s, cost_p_ts), 2 * g),
+                        (optimal_probe_exhaustive(&p, &s, cost_p_ts), k),
+                    ] {
+                        let (cols, cost) = got.expect("k ≥ 1");
+                        let (want_cols, want) = reference_best(max_size, &p, &s).expect("k ≥ 1");
+                        assert_eq!(cols, want_cols, "k={k} g={g} max={max_size}");
+                        assert_eq!(bits(&cost), bits(&want), "k={k} g={g} cols={cols:?}");
+                        let tied = subsets_up_to(k, max_size)
+                            .iter()
+                            .filter(|j| bits(&cost_p_ts(&p, &s, j)) == bits(&want))
+                            .count();
+                        ties += usize::from(tied > 1);
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert!(ties * 10 > cases, "ties really occur: {ties} of {cases}");
+    }
+
+    #[test]
+    fn bounded_search_is_polynomial_in_k() {
+        // 40 predicates: 40 + 780 subsets at g = 1, no 2^40 walk and no
+        // mask to overflow.
+        let (p, mut s) = base();
+        s.preds = (0..40)
+            .map(|i| PredStats::simple(0.9 - 0.02 * i as f64, 3.0, 50.0))
+            .collect();
+        let mut visited = 0;
+        for_each_subset(s.k(), 2 * p.g, |_| visited += 1);
+        assert_eq!(visited, 40 + 40 * 39 / 2);
+        let (cols, _) = optimal_probe_bounded(&p, &s, cost_p_ts).expect("k ≥ 1");
+        assert!(!cols.is_empty() && cols.len() <= 2 && cols.iter().all(|&c| c < 40));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 30 predicates")]
+    fn exhaustive_search_refuses_what_it_cannot_finish() {
+        let (p, mut s) = base();
+        s.preds = vec![PredStats::simple(0.5, 3.0, 50.0); 31];
+        optimal_probe_exhaustive(&p, &s, cost_p_ts);
     }
 
     #[test]

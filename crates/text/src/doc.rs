@@ -155,9 +155,13 @@ impl TextSchema {
 /// A field may hold multiple values (e.g. several authors), mirroring the
 /// set-valued attributes (`author {varchar}`) in the paper's `create table
 /// mercury` example.
+///
+/// A document is a shared handle on its values: `clone` copies no string,
+/// so the stored document, its short forms, replicas and retrieved long
+/// forms are one allocation. A write to shared values copies them first.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Document {
-    values: BTreeMap<FieldId, Vec<String>>,
+    values: Arc<BTreeMap<FieldId, Vec<String>>>,
 }
 
 impl Document {
@@ -168,7 +172,8 @@ impl Document {
 
     /// Appends a value to `field`.
     pub fn push(&mut self, field: FieldId, value: impl Into<String>) -> &mut Self {
-        self.values.entry(field).or_default().push(value.into());
+        let values = Arc::make_mut(&mut self.values);
+        values.entry(field).or_default().push(value.into());
         self
     }
 
@@ -192,6 +197,12 @@ impl Document {
     pub fn value_count(&self) -> usize {
         self.values.values().map(Vec::len).sum()
     }
+
+    /// Whether both are handles on the same stored values (`==` compares
+    /// content).
+    pub fn ptr_eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.values, &other.values)
+    }
 }
 
 /// The abbreviated per-document record returned in a search result set:
@@ -206,13 +217,13 @@ impl Document {
 pub struct ShortDoc {
     /// The document's id, always present.
     pub id: DocId,
-    doc: Arc<Document>,
+    doc: Document,
     short_mask: u64,
 }
 
 impl ShortDoc {
     /// The short form of `doc` under `schema`, identified as `id`.
-    pub fn new(id: DocId, doc: Arc<Document>, schema: &TextSchema) -> Self {
+    pub fn new(id: DocId, doc: Document, schema: &TextSchema) -> Self {
         Self {
             id,
             doc,
@@ -309,7 +320,7 @@ mod tests {
         let d = Document::new()
             .with(ti, "A Title")
             .with(ab, "A very long abstract ...");
-        let sf = ShortDoc::new(DocId(7), Arc::new(d), &s);
+        let sf = ShortDoc::new(DocId(7), d, &s);
         assert_eq!(sf.id, DocId(7));
         assert_eq!(sf.values(ti), ["A Title"]);
         assert!(sf.values(ab).is_empty());
@@ -331,12 +342,8 @@ mod tests {
         let yr = s.field_by_name("year").unwrap();
         let ab = s.field_by_name("abstract").unwrap();
         let base = Document::new().with(ti, "A Title").with(yr, "1995");
-        let a = ShortDoc::new(
-            DocId(3),
-            Arc::new(base.clone().with(ab, "secret alpha")),
-            &s,
-        );
-        let b = ShortDoc::new(DocId(3), Arc::new(base.clone().with(ab, "secret beta")), &s);
+        let a = ShortDoc::new(DocId(3), base.clone().with(ab, "secret alpha"), &s);
+        let b = ShortDoc::new(DocId(3), base.clone().with(ab, "secret beta"), &s);
         assert_eq!(a, b);
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
         assert_eq!(
@@ -345,9 +352,9 @@ mod tests {
         );
         assert!(a.short_form_fields().eq(b.short_form_fields()));
         // ... apart from `id`, and from a short-form field.
-        let other_id = ShortDoc::new(DocId(4), Arc::new(base.clone()), &s);
+        let other_id = ShortDoc::new(DocId(4), base.clone(), &s);
         assert_ne!(a, other_id);
-        let other_title = ShortDoc::new(DocId(3), Arc::new(base.with(ti, "Another")), &s);
+        let other_title = ShortDoc::new(DocId(3), base.with(ti, "Another"), &s);
         assert_ne!(a, other_title);
     }
 
@@ -355,15 +362,43 @@ mod tests {
     fn short_form_shares_the_document() {
         let s = schema();
         let ti = s.field_by_name("title").unwrap();
-        let doc = Arc::new(Document::new().with(ti, "A Title"));
-        let sf = ShortDoc::new(DocId(0), Arc::clone(&doc), &s);
+        let doc = Document::new().with(ti, "A Title");
+        let sf = ShortDoc::new(DocId(0), doc.clone(), &s);
         let copy = sf.clone();
         assert_eq!(
-            Arc::strong_count(&doc),
+            Arc::strong_count(&doc.values),
             3,
             "a refcount per short form, no copy"
         );
         assert!(std::ptr::eq(copy.values(ti), doc.values(ti)));
+    }
+
+    #[test]
+    fn document_clone_shares_and_writes_copy_first() {
+        let s = schema();
+        let ti = s.field_by_name("title").unwrap();
+        let stored = Document::new().with(ti, "A Title");
+        let mut copy = stored.clone();
+        assert!(copy.ptr_eq(&stored), "clone is a handle, not a copy");
+        copy.push(ti, "A Subtitle");
+        assert!(!copy.ptr_eq(&stored));
+        assert_eq!(stored.values(ti), ["A Title"], "the original is untouched");
+        assert_eq!(copy.values(ti), ["A Title", "A Subtitle"]);
+        // Equality is by content: a rebuilt document equals the stored one
+        // without sharing it.
+        let rebuilt = Document::new().with(ti, "A Title");
+        assert_eq!(rebuilt, stored);
+        assert!(!rebuilt.ptr_eq(&stored));
+        assert_ne!(copy, stored);
+        assert_eq!(Document::default(), Document::new());
+    }
+
+    #[test]
+    fn documents_cross_threads() {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<Document>();
+        send_sync::<ShortDoc>();
+        send_sync::<crate::index::Collection>();
     }
 
     #[test]
@@ -382,7 +417,7 @@ mod tests {
         let s = schema();
         let d = Document::new();
         assert_eq!(d.value_count(), 0);
-        let sf = ShortDoc::new(DocId(0), Arc::new(d), &s);
+        let sf = ShortDoc::new(DocId(0), d, &s);
         assert_eq!(sf.short_form_fields().count(), 0);
     }
 }

@@ -12,7 +12,8 @@ use crate::doc::{DocId, FieldId};
 use crate::expr::{BasicTerm, SearchExpr, TermKind};
 use crate::index::Collection;
 use crate::postings::{
-    difference, intersect, positional_step, union, DocSet, Occurrence, PostingList,
+    difference, intersect, positional_any, positional_list, positional_within, union, DocSet,
+    FieldList, Occurrence, PostingList,
 };
 
 /// The outcome of evaluating a search expression.
@@ -59,29 +60,39 @@ struct Eval<'a> {
 impl<'a> Eval<'a> {
     fn expr(&mut self, expr: &SearchExpr) -> Docs<'a> {
         match expr {
-            SearchExpr::Term(t) => self.term(t),
-            SearchExpr::Near { a, b, distance } => self.near(a, b, *distance),
+            SearchExpr::Term(_) | SearchExpr::Near { .. } => self.open(expr).docs(),
             SearchExpr::And(cs) => {
-                let mut iter = cs.iter();
-                let Some(first) = iter.next() else {
+                let Some((first, rest)) = cs.split_first() else {
                     // An empty conjunction matches everything; Boolean text
                     // systems reject such searches, and the server layer
                     // does too, but the evaluator is total.
                     return Cow::Owned((0..self.coll.doc_count() as u32).map(DocId).collect());
                 };
-                let mut acc = self.expr(first);
-                for c in iter {
-                    if acc.is_empty() {
-                        // Short-circuit: remaining lists still *could* be
-                        // read by a real system, but sorted-merge
-                        // intersection stops as soon as one side is
-                        // exhausted; we model the favorable case
-                        // consistently.
-                        break;
+                // Conjuncts are opened — looked up and charged — left to
+                // right, but a positional one is merged whole only if nothing
+                // listed stands beside it: given candidates, it is verified
+                // inside them.
+                let mut acc = self.open(first);
+                for c in rest {
+                    // Short-circuit: remaining lists still *could* be read
+                    // by a real system, but sorted-merge intersection stops
+                    // as soon as one side is exhausted; we model the
+                    // favorable case consistently.
+                    let empty = match &acc {
+                        Opened::Listed(docs) => docs.is_empty(),
+                        Opened::Held(term) => !term.matches_any(),
+                    };
+                    if empty {
+                        return Cow::Borrowed(&[]);
                     }
-                    acc = Cow::Owned(intersect(&acc, &self.expr(c)));
+                    acc = Opened::Listed(match (acc, self.open(c)) {
+                        (Opened::Listed(a), Opened::Listed(b)) => Cow::Owned(intersect(&a, &b)),
+                        (Opened::Listed(cands), Opened::Held(term))
+                        | (Opened::Held(term), Opened::Listed(cands)) => term.within(&cands),
+                        (Opened::Held(a), Opened::Held(b)) => b.within(&a.list()),
+                    });
                 }
-                acc
+                acc.docs()
             }
             SearchExpr::Or(cs) => match cs.as_slice() {
                 [a, b] => {
@@ -103,22 +114,30 @@ impl<'a> Eval<'a> {
         }
     }
 
+    /// Opens one conjunct: a phrase or NEAR has its lists looked up and
+    /// charged and is held; anything else is evaluated to its documents.
+    fn open(&mut self, expr: &SearchExpr) -> Opened<'a> {
+        match expr {
+            SearchExpr::Term(t) => self.term(t),
+            SearchExpr::Near { a, b, distance } => self.near(a, b, *distance),
+            other => Opened::Listed(self.expr(other)),
+        }
+    }
+
     /// Looks up `word`'s inverted list and charges its full length: the
     /// list is read whole whatever field the term is restricted to.
     fn read_list(&mut self, word: &str) -> Option<&'a PostingList> {
         self.coll.lookup(word).inspect(|l| self.read += l.len())
     }
 
-    fn term(&mut self, term: &BasicTerm) -> Docs<'a> {
-        match &term.kind {
+    fn term(&mut self, term: &BasicTerm) -> Opened<'a> {
+        Opened::Listed(match &term.kind {
             TermKind::Word(w) => match self.read_list(w) {
                 Some(list) => word_docs(list, term.field),
                 None => Cow::Borrowed(&[]),
             },
+            TermKind::Prefix(p) if p.is_empty() => Cow::Borrowed(&[]),
             TermKind::Prefix(p) => {
-                if p.is_empty() {
-                    return Cow::Borrowed(&[]);
-                }
                 let mut ids = Vec::new();
                 for (_, list) in self.coll.prefix_lookup(p) {
                     self.read += list.len();
@@ -128,26 +147,30 @@ impl<'a> Eval<'a> {
                 }
                 merged(ids)
             }
-            TermKind::Phrase(words) => self.phrase(words, term.field),
-        }
+            TermKind::Phrase(words) => return self.phrase(words, term.field),
+        })
     }
 
     /// Phrase evaluation: the words must appear consecutively within a
     /// single field value.
-    fn phrase(&mut self, words: &[String], field: Option<FieldId>) -> Docs<'a> {
+    fn phrase(&mut self, words: &[String], field: Option<FieldId>) -> Opened<'a> {
         let mut lists = Vec::with_capacity(words.len());
         for w in words {
             match self.read_list(w) {
-                Some(list) => lists.push(list),
+                Some(list) => lists.push(Cow::Borrowed(list)),
                 // A phrase containing an unindexed word matches nothing,
                 // but the lists read so far were still processed.
-                None => return Cow::Borrowed(&[]),
+                None => return Opened::Listed(Cow::Borrowed(&[])),
             }
         }
         match lists.as_slice() {
-            [] => Cow::Borrowed(&[]),
-            [only] => word_docs(only, field),
-            [first, rest @ ..] => positional_chain(first, rest, field, (1, 1)),
+            [] => Opened::Listed(Cow::Borrowed(&[])),
+            [Cow::Borrowed(only)] => Opened::Listed(word_docs(only, field)),
+            _ => Opened::Held(Positional {
+                lists,
+                field,
+                gaps: (1, 1),
+            }),
         }
     }
 
@@ -180,18 +203,22 @@ impl<'a> Eval<'a> {
         }
     }
 
-    fn near(&mut self, a: &BasicTerm, b: &BasicTerm, distance: u32) -> Docs<'a> {
+    fn near(&mut self, a: &BasicTerm, b: &BasicTerm, distance: u32) -> Opened<'a> {
         let (Some(la), Some(lb)) = (self.operand(a), self.operand(b)) else {
-            return Cow::Borrowed(&[]);
+            return Opened::Listed(Cow::Borrowed(&[]));
         };
         // Both operands must hit the same field value, so two restrictions
         // either agree or can never both hold.
         let field = match (a.field, b.field) {
-            (Some(fa), Some(fb)) if fa != fb => return Cow::Borrowed(&[]),
+            (Some(fa), Some(fb)) if fa != fb => return Opened::Listed(Cow::Borrowed(&[])),
             (fa, fb) => fa.or(fb),
         };
         let distance = i64::from(distance);
-        positional_chain(&la, &[&lb], field, (-distance, distance))
+        Opened::Held(Positional {
+            lists: vec![la, lb],
+            field,
+            gaps: (-distance, distance),
+        })
     }
 }
 
@@ -205,31 +232,71 @@ fn word_docs(list: &PostingList, field: Option<FieldId>) -> Docs<'_> {
     }
 }
 
-/// The documents in which, inside one value of a field that `field` admits,
-/// an occurrence of `first` is followed `gaps` positions on by one of each
-/// list of `rest` in turn. Positions never compare across fields, so each
-/// field is walked on its own: a chain of positional steps carrying the
-/// occurrences of the *last* matched word forward.
-fn positional_chain<'a>(
-    first: &PostingList,
-    rest: &[&PostingList],
+/// A conjunct as [`Eval::open`] leaves it.
+enum Opened<'a> {
+    /// Evaluated: its documents.
+    Listed(Docs<'a>),
+    /// A phrase or NEAR, charged but not yet merged.
+    Held(Positional<'a>),
+}
+
+impl<'a> Opened<'a> {
+    fn docs(self) -> Docs<'a> {
+        match self {
+            Opened::Listed(docs) => docs,
+            Opened::Held(term) => term.list(),
+        }
+    }
+}
+
+/// A phrase or NEAR over `lists` (the index's own, or a truncation's
+/// expansion merged), two or more: inside one value of a field that `field`
+/// admits, an occurrence of the first must be followed `gaps` positions on
+/// by one of each later list in turn.
+struct Positional<'a> {
+    lists: Vec<Cow<'a, PostingList>>,
     field: Option<FieldId>,
     gaps: (i64, i64),
-) -> Docs<'a> {
-    let mut ids = Vec::new();
-    'fields: for start in first.fields(field) {
-        let mut carrier = Cow::Borrowed(start);
-        for next in rest {
-            match next.fields(Some(start.field())) {
-                [next] if !carrier.is_empty() => {
-                    carrier = Cow::Owned(positional_step(&carrier, next, gaps));
-                }
-                _ => continue 'fields,
+}
+
+impl Positional<'_> {
+    /// Positions never compare across fields, so each field the term
+    /// admits and every word occurs in is walked on its own: its list of
+    /// each word, in order.
+    fn chains(&self) -> impl Iterator<Item = Vec<&FieldList>> {
+        let (first, rest) = self.lists.split_first().expect("two lists or more");
+        first.fields(self.field).iter().filter_map(move |start| {
+            let mut chain = vec![start];
+            for next in rest {
+                chain.push(next.fields(Some(start.field())).first()?);
             }
-        }
-        ids.extend_from_slice(carrier.docs());
+            Some(chain)
+        })
     }
-    merged(ids)
+
+    /// Every document the term matches: the whole-list merge.
+    fn list<'d>(&self) -> Docs<'d> {
+        let mut ids = Vec::new();
+        for chain in self.chains() {
+            ids.extend_from_slice(positional_list(&chain, self.gaps).docs());
+        }
+        merged(ids)
+    }
+
+    /// The documents of `cands` the term matches.
+    fn within<'d>(&self, cands: &[DocId]) -> Docs<'d> {
+        let mut ids = Vec::new();
+        for chain in self.chains() {
+            positional_within(&chain, self.gaps, cands, &mut ids);
+        }
+        merged(ids)
+    }
+
+    /// Whether the term matches at all, which is what the charging of the
+    /// next conjunct turns on, without listing it.
+    fn matches_any(&self) -> bool {
+        self.chains().any(|chain| positional_any(&chain, self.gaps))
+    }
 }
 
 #[cfg(test)]

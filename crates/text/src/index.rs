@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use crate::doc::{DocId, Document, FieldId, ShortDoc, TextSchema};
 use crate::postings::{Occurrence, PostingList};
@@ -21,9 +21,9 @@ use crate::token::for_each_token;
 #[derive(Debug, Clone)]
 pub struct Collection {
     schema: TextSchema,
-    /// Each document is stored once; short forms, replicas and migration
-    /// copies share it by handle.
-    docs: Vec<Arc<Document>>,
+    /// Each document's values are stored once; short forms, long forms,
+    /// replicas and migration copies are clones of this handle.
+    docs: Vec<Document>,
     /// Directory: word → inverted list. Ordered for prefix range scans.
     directory: BTreeMap<String, PostingList>,
     /// The statistics export of the current content, built when first asked
@@ -60,11 +60,10 @@ impl Collection {
 
     /// Adds a document, indexing every word of every field value, and
     /// returns its docid. Docids are assigned densely in insertion order,
-    /// which keeps every inverted list sorted on append. Passing a handle
-    /// another collection already holds shares the strings; only the
+    /// which keeps every inverted list sorted on append. Passing a clone of
+    /// a document another collection holds shares the strings; only the
     /// postings are this collection's own.
-    pub fn add_document(&mut self, doc: impl Into<Arc<Document>>) -> DocId {
-        let doc = doc.into();
+    pub fn add_document(&mut self, doc: Document) -> DocId {
         self.stats.take();
         let id = DocId(self.docs.len() as u32);
         let directory = &mut self.directory;
@@ -90,21 +89,15 @@ impl Collection {
     }
 
     /// Long-form retrieval: the full document for `id`, or `None` if the
-    /// docid is unknown.
+    /// docid is unknown. Cloning it shares the stored values.
     pub fn document(&self, id: DocId) -> Option<&Document> {
-        self.shared_document(id).map(|d| &**d)
-    }
-
-    /// The stored handle of `id`'s document, for placing the same document
-    /// in another collection without copying it.
-    pub fn shared_document(&self, id: DocId) -> Option<&Arc<Document>> {
         self.docs.get(id.0 as usize)
     }
 
     /// The short form of `id`: a view sharing the stored document.
     pub fn short_form(&self, id: DocId) -> Option<ShortDoc> {
-        self.shared_document(id)
-            .map(|d| ShortDoc::new(id, Arc::clone(d), &self.schema))
+        self.document(id)
+            .map(|d| ShortDoc::new(id, d.clone(), &self.schema))
     }
 
     /// The inverted list for `word` (already normalized), or `None` if the

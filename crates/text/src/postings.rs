@@ -11,6 +11,8 @@
 //! proportional to the *sum of the lengths of the inverted lists processed*
 //! (constant `c_p`).
 
+use std::borrow::Cow;
+
 use crate::doc::{DocId, FieldId};
 
 /// One occurrence of a word in a field of a document.
@@ -220,25 +222,30 @@ pub fn for_each_shared(a: &[DocId], b: &[DocId], mut on_shared: impl FnMut(usize
 }
 
 /// [`for_each_shared`] for a `short` list against a much longer one: each
-/// element is located by doubling steps from the previous hit, then a
-/// binary search inside the last step.
+/// element is sought from the previous hit.
 fn gallop(short: &[DocId], long: &[DocId], mut on_shared: impl FnMut(usize, usize)) {
     let mut j = 0;
     for (i, x) in short.iter().enumerate() {
-        // Everything before `j` is below `x`.
-        let mut step = 1;
-        while j + step < long.len() && long[j + step] < *x {
-            j += step;
-            step *= 2;
-        }
-        let end = (j + step + 1).min(long.len());
-        j += long[j..end].partition_point(|y| y < x);
+        j = seek(long, j, *x);
         match long.get(j) {
             None => return,
             Some(y) if y == x => on_shared(i, j),
             Some(_) => {}
         }
     }
+}
+
+/// The first index of ascending `long` whose docid is not below `x`, given
+/// that everything before `from` is: doubling steps from there, then a
+/// binary search inside the last step.
+fn seek(long: &[DocId], from: usize, x: DocId) -> usize {
+    let (mut j, mut step) = (from, 1);
+    while j + step < long.len() && long[j + step] < x {
+        j += step;
+        step *= 2;
+    }
+    let end = (j + step + 1).min(long.len());
+    j + long[j..end].partition_point(|y| *y < x)
 }
 
 /// Intersection of two ascending distinct lists.
@@ -278,6 +285,15 @@ pub fn union(a: &[DocId], b: &[DocId]) -> Vec<DocId> {
     out
 }
 
+/// Whether `y` lies in the same field value as some occurrence of `xs`
+/// with `pos(y) - pos(x)` in `[min_gap, min_gap + width]`.
+fn follows(xs: &[Occurrence], y: &Occurrence, min_gap: i64, width: u64) -> bool {
+    let from = i64::from(y.pos) - min_gap;
+    // `gap - min_gap` as unsigned: one comparison tells both bounds.
+    xs.iter()
+        .any(|x| x.value_idx == y.value_idx && (from - i64::from(x.pos)).cast_unsigned() <= width)
+}
+
 /// One step of positional matching within one field: the occurrences of
 /// `next` that lie in the same document and field value as some occurrence
 /// of `carrier`, with `pos(next) - pos(carrier)` in `[min_gap, max_gap]` —
@@ -291,26 +307,91 @@ pub fn positional_step(
 ) -> FieldList {
     let mut out = FieldList::new(next.field);
     debug_assert!(min_gap <= max_gap);
-    // `gap - min_gap` as unsigned: one comparison tells both bounds.
     let width = (max_gap - min_gap).cast_unsigned();
     for_each_shared(&carrier.docs, &next.docs, |i, j| {
         let xs = carrier.occurrences(i);
-        let follows = |y: &Occurrence| {
-            let from = i64::from(y.pos) - min_gap;
-            xs.iter().any(|x| {
-                x.value_idx == y.value_idx && (from - i64::from(x.pos)).cast_unsigned() <= width
-            })
-        };
-        for y in next.occurrences(j).iter().filter(|y| follows(y)) {
-            out.push(next.docs[j], *y);
+        for y in next.occurrences(j) {
+            if follows(xs, y, min_gap, width) {
+                out.push(next.docs[j], *y);
+            }
         }
     });
     out
 }
 
+/// A positional term listed whole: `chain` is one field's list of each word
+/// in turn, and every [`positional_step`] carries the occurrences of the
+/// *last* matched word forward.
+pub fn positional_list<'a>(chain: &[&'a FieldList], gaps: (i64, i64)) -> Cow<'a, FieldList> {
+    let (first, rest) = chain.split_first().expect("a chain has a first word");
+    rest.iter().fold(Cow::Borrowed(*first), |carrier, next| {
+        Cow::Owned(positional_step(&carrier, next, gaps))
+    })
+}
+
+/// Appends to `out` the documents of ascending `cands` in which `chain`
+/// matches. Candidates [`GALLOP_RATIO`] times fewer than the chain's
+/// shortest head are verified one by one; against anything longer the term
+/// is listed whole and intersected — the same two loops, at the same
+/// sizes, as [`for_each_shared`]'s.
+pub fn positional_within(
+    chain: &[&FieldList],
+    gaps: (i64, i64),
+    cands: &[DocId],
+    out: &mut Vec<DocId>,
+) {
+    let shortest = chain.iter().map(|l| l.docs.len()).min().unwrap_or(0);
+    if cands.len() * GALLOP_RATIO <= shortest {
+        out.extend(positional_at(chain, gaps, cands));
+    } else {
+        let listed = positional_list(chain, gaps);
+        for_each_shared(cands, &listed.docs, |i, _| out.push(cands[i]));
+    }
+}
+
+/// Whether `chain` matches anywhere: the documents of its shortest head are
+/// verified until the first hit.
+pub fn positional_any(chain: &[&FieldList], gaps: (i64, i64)) -> bool {
+    let shortest = chain.iter().min_by_key(|l| l.docs.len());
+    shortest.is_some_and(|l| positional_at(chain, gaps, &l.docs).next().is_some())
+}
+
+/// The positional chain, document at a time: those of ascending `cands` in
+/// which `chain` matches, found as the iterator is advanced. Every head is
+/// sought to the candidate from where the last one left it, and positions
+/// are compared only inside that document, the survivors of each word
+/// carried to the next in two reused buffers.
+fn positional_at<'a>(
+    chain: &'a [&'a FieldList],
+    (min_gap, max_gap): (i64, i64),
+    cands: &'a [DocId],
+) -> impl Iterator<Item = DocId> + 'a {
+    let width = (max_gap - min_gap).cast_unsigned();
+    let mut at = vec![0; chain.len()];
+    let (mut carried, mut spare) = (Vec::new(), Vec::new());
+    cands.iter().copied().filter(move |doc| {
+        for (list, j) in chain.iter().zip(&mut at) {
+            *j = seek(&list.docs, *j, *doc);
+            if list.docs.get(*j) != Some(doc) {
+                return false;
+            }
+        }
+        carried.clear();
+        carried.extend_from_slice(chain[0].occurrences(at[0]));
+        for (list, &j) in chain.iter().zip(&at).skip(1) {
+            spare.clear();
+            let ys = list.occurrences(j).iter();
+            spare.extend(ys.filter(|y| follows(&carried, y, min_gap, width)));
+            std::mem::swap(&mut carried, &mut spare);
+        }
+        !carried.is_empty()
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn ids(ids: &[u32]) -> Vec<DocId> {
         ids.iter().map(|&i| DocId(i)).collect()
@@ -495,5 +576,88 @@ mod tests {
         let b = pl(&[(1, 0, 0, 7), (3, 0, 0, 3), (3, 0, 0, 10), (3, 0, 0, 12)]);
         let carried = positional_step(&a.fields(None)[0], &b.fields(None)[0], (1, 1));
         assert_eq!(carried, pl(&[(3, 0, 0, 3), (3, 0, 0, 10)]).fields(None)[0]);
+    }
+
+    /// A field-0 list of `docs` documents out of `span`, a few occurrences
+    /// each over a few values, from a fixed generator.
+    fn generated(seed: u64, docs: u32, span: u32) -> PostingList {
+        let mut x = seed;
+        let mut draw = |n: u32| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((x >> 33) % u64::from(n)) as u32
+        };
+        let mut entries = BTreeSet::new();
+        for _ in 0..docs {
+            let doc = draw(span);
+            for _ in 0..=draw(3) {
+                entries.insert((doc, 0, draw(2), draw(6)));
+            }
+        }
+        pl(&entries.into_iter().collect::<Vec<_>>())
+    }
+
+    fn matches_at(chain: &[&FieldList], gaps: (i64, i64), cands: &[DocId]) -> Vec<DocId> {
+        positional_at(chain, gaps, cands).collect()
+    }
+
+    #[test]
+    fn candidate_kernel_over_the_whole_head_is_the_merge() {
+        let mut hits = 0;
+        for seed in 0..40u64 {
+            let lists = [
+                generated(seed, 60, 90),
+                generated(seed + 100, 90, 90),
+                generated(seed + 200, 40, 90),
+            ];
+            let [a, b, c] = [0, 1, 2].map(|i| &lists[i].fields(None)[0]);
+            for gaps in [(1, 1), (-2, 2), (0, 0)] {
+                let step = positional_step(a, b, gaps);
+                assert_eq!(
+                    matches_at(&[a, b], gaps, a.docs()),
+                    step.docs(),
+                    "{seed} {gaps:?}"
+                );
+                assert_eq!(
+                    matches_at(&[a, b], gaps, b.docs()),
+                    step.docs(),
+                    "{seed} {gaps:?}"
+                );
+                let chain = [a, b, c];
+                let listed = positional_list(&chain, gaps);
+                assert_eq!(listed.docs(), positional_step(&step, c, gaps).docs());
+                assert_eq!(
+                    matches_at(&chain, gaps, c.docs()),
+                    listed.docs(),
+                    "{seed} {gaps:?}"
+                );
+                assert_eq!(positional_any(&chain, gaps), !listed.is_empty());
+                hits += listed.docs().len();
+                // Any candidates, on either side of the ratio, get the
+                // listed answer restricted to them.
+                let every: Vec<DocId> = (0..95).map(DocId).collect();
+                for cands in [&every[..], &every[40..42], &every[88..], &[]] {
+                    let mut got = Vec::new();
+                    positional_within(&chain, gaps, cands, &mut got);
+                    assert_eq!(got, intersect(cands, listed.docs()));
+                    assert_eq!(matches_at(&chain, gaps, cands), got);
+                }
+            }
+        }
+        assert!(hits > 100, "three-word chains do match: {hits}");
+    }
+
+    #[test]
+    fn candidate_kernel_is_lazy_and_survives_the_end_of_a_head() {
+        let a = pl(&[(1, 0, 0, 0), (4, 0, 0, 0), (9, 0, 0, 0)]);
+        let b = pl(&[(1, 0, 0, 1), (4, 0, 0, 1), (9, 0, 0, 5)]);
+        let chain = [&a.fields(None)[0], &b.fields(None)[0]];
+        let cands = ids(&[0, 1, 2, 4, 9, 12, 13]);
+        // An emptiness probe takes the first match and looks no further.
+        assert_eq!(positional_at(&chain, (1, 1), &cands).next(), Some(DocId(1)));
+        assert_eq!(matches_at(&chain, (1, 1), &cands), ids(&[1, 4]));
+        assert!(positional_any(&chain, (1, 1)));
+        assert!(!positional_any(&chain, (2, 3)));
     }
 }

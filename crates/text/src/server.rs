@@ -881,6 +881,21 @@ mod tests {
     }
 
     #[test]
+    fn retrieve_hands_out_the_stored_document() {
+        // A long form is a handle on the stored values: retrieving copies
+        // no string, and writing to what came back leaves the store alone.
+        let s = server();
+        let stored = s.collection().document(DocId(0)).unwrap().clone();
+        let (a, mut b) = (s.retrieve(DocId(0)).unwrap(), s.retrieve(DocId(0)).unwrap());
+        assert!(a.ptr_eq(&b) && a.ptr_eq(&stored));
+        assert!(s.retrieve_all(&[DocId(0)]).unwrap()[0].ptr_eq(&stored));
+        b.push(crate::doc::FieldId(0), "scribble");
+        assert_ne!(b, stored);
+        assert_eq!(s.retrieve(DocId(0)).unwrap(), a);
+        assert_eq!(s.collection().document(DocId(0)), Some(&a));
+    }
+
+    #[test]
     fn term_cap_rejects_without_charging() {
         let mut s = server();
         s.set_max_terms(2);

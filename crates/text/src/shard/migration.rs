@@ -2,7 +2,6 @@
 //! abort, and the pacing tick that runs batches *under* live queries. Plans
 //! and the journal types live in [`crate::rebalance`].
 
-use std::sync::Arc;
 
 use textjoin_obs::{Charge, EventKind};
 
@@ -100,18 +99,17 @@ impl ShardedTextServer {
                 if owner != m.src {
                     continue;
                 }
-                let doc = Arc::clone(
-                    self.replicas[m.src][0]
-                        .collection()
-                        .shared_document(src_local)
-                        .expect("routed docids are dense"),
-                );
+                let doc = self.replicas[m.src][0]
+                    .collection()
+                    .document(src_local)
+                    .expect("routed docids are dense")
+                    .clone();
                 let before = self.replicas[m.dst][0].collection().total_postings();
                 let mut dst_local = None;
                 for r in 0..self.replicas[m.dst].len() {
                     let local = self.replicas[m.dst][r]
                         .collection_mut()
-                        .add_document(Arc::clone(&doc));
+                        .add_document(doc.clone());
                     match dst_local {
                         None => dst_local = Some(local),
                         Some(prev) => {

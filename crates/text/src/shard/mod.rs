@@ -35,7 +35,6 @@ pub use gather::PartialShardError;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
 use std::rc::Rc;
-use std::sync::Arc;
 
 use textjoin_obs::{Charge, EventKind, MetricsSnapshot, Recorder};
 
@@ -176,9 +175,9 @@ impl ShardedTextServer {
         let mut to_global: Vec<Vec<DocId>> = vec![Vec::new(); n_shards];
         for g in 0..coll.doc_count() {
             let global = DocId(g as u32);
-            let doc = coll.shared_document(global).expect("dense docids");
+            let doc = coll.document(global).expect("dense docids");
             let shard = (splitmix64(seed ^ u64::from(global.0)) % n_shards as u64) as usize;
-            let local = colls[shard].add_document(Arc::clone(doc));
+            let local = colls[shard].add_document(doc.clone());
             route.push((shard, local));
             to_global[shard].push(global);
         }
@@ -749,10 +748,10 @@ mod tests {
         let coll = corpus_with_abstracts(40);
         let mut sharded = ShardedTextServer::replicated(&coll, 4, 3, 7);
         let shares_source = |sharded: &ShardedTextServer, shard: usize, local: DocId, g: u32| {
-            let source = coll.shared_document(DocId(g)).unwrap();
+            let source = coll.document(DocId(g)).unwrap();
             (0..3).all(|r| {
-                let copy = sharded.replica(shard, r).collection().shared_document(local);
-                copy.is_some_and(|c| Arc::ptr_eq(c, source))
+                let copy = sharded.replica(shard, r).collection().document(local);
+                copy.is_some_and(|c| c.ptr_eq(source))
             })
         };
         for g in 0..40u32 {

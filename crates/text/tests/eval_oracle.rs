@@ -590,6 +590,227 @@ fn prefix_near_over_several_words_and_fields() {
     }
 }
 
+/// A collection skewed the way a join's instantiated searches meet it: the
+/// words of `belief update` each sit in hundreds of titles (450 and 300 of
+/// 900) and in a few dozen abstracts, adjacent in some documents, apart or
+/// alone in others, beside author words held by one document or a handful.
+/// A conjunct that lists 18 documents or fewer is 16 times under the title
+/// chain's shortest head, one that lists 19 or more is not.
+fn positional_collection() -> Collection {
+    let schema = TextSchema::bibliographic();
+    let field = |name| schema.field_by_name(name).unwrap();
+    let (ti, au, ab) = (field("title"), field("author"), field("abstract"));
+    let mut coll = Collection::new(schema);
+    for d in 0..900usize {
+        let mut doc = Document::new();
+        match d {
+            // Adjacent positions, but in two values of the field.
+            36 => doc.push(ti, "belief").push(ti, "x update"),
+            // The phrase in the second value only.
+            72 => doc.push(ti, "old belief").push(ti, "belief update"),
+            _ if d % 24 == 0 => doc.push(ti, "belief update notes"),
+            _ if d % 12 == 0 => doc.push(ti, "belief update drafts"),
+            _ if d % 6 == 0 => doc.push(ti, "update on belief"),
+            _ if d % 2 == 0 => doc.push(ti, format!("belief systems s{}", d % 5)),
+            _ if d % 3 == 0 => doc.push(ti, "update logs"),
+            _ => doc.push(ti, "misc paper"),
+        };
+        match d % 50 {
+            7 => doc.push(ab, "a belief update in the abstract"),
+            9 => doc.push(ab, "update the belief"),
+            _ => &mut doc,
+        };
+        doc.push(au, format!("n{}", d % 40));
+        for (held, name) in [
+            (d == 24, "solo"),
+            (d == 6, "lonely"),
+            (d == 1, "nomatch"),
+            (d == 7, "abstracted"),
+            (d == 36, "crossval"),
+            (d == 72, "secondvalue"),
+            (d % 100 == 0, "mixed"),
+            (d % 48 == 12 && d < 860, "edge18"),
+            (d % 48 == 24, "edge19"),
+        ] {
+            if held {
+                doc.push(au, name);
+            }
+        }
+        coll.add_document(doc);
+    }
+    coll
+}
+
+#[test]
+fn positional_conjuncts_match_models() {
+    let coll = positional_collection();
+    let schema = coll.schema().clone();
+    let (ti, au, ab) = (
+        schema.field_by_name("title"),
+        schema.field_by_name("author"),
+        schema.field_by_name("abstract"),
+    );
+    // The sizes the cases below rely on.
+    let df = |w, f: Option<FieldId>| coll.doc_frequency(w, f.unwrap());
+    assert_eq!((df("belief", ti), df("update", ti)), (450, 300));
+    assert_eq!((df("belief", ab), df("update", ab)), (36, 36));
+    assert_eq!((df("edge18", au), df("edge19", au)), (18, 19));
+    // 18 × 16 ≤ 300 < 19 × 16: the two edges straddle the ratio.
+
+    let term = |w: &str, f| SearchExpr::Term(BasicTerm::parse_text(w, f));
+    let phrase = term("belief update", ti);
+    let near = |a: &str, b: &str, distance| SearchExpr::Near {
+        a: BasicTerm::parse_text(a, ti),
+        b: BasicTerm::parse_text(b, ti),
+        distance,
+    };
+    let prefix_near = SearchExpr::Near {
+        a: BasicTerm {
+            kind: TermKind::Prefix("beli".into()),
+            field: ti,
+        },
+        b: BasicTerm::parse_text("update", ti),
+        distance: 1,
+    };
+    let and = SearchExpr::and;
+    let or = SearchExpr::or;
+    let not = |a, b| SearchExpr::AndNot(Box::new(a), Box::new(b));
+    let rare = |w: &str| term(w, au);
+    let package = or(["solo", "lonely", "nomatch", "crossval", "secondvalue"]
+        .map(rare)
+        .to_vec());
+
+    let ids = |e: &SearchExpr| -> Vec<u32> {
+        let out = textjoin_text::eval::evaluate(&coll, e);
+        out.docs.ids().iter().map(|d| d.0).collect()
+    };
+    let read = |e: &SearchExpr| textjoin_text::eval::evaluate(&coll, e).postings_read;
+    let len = |w: &str| list_len(&coll, |x| x == w);
+
+    // Answers pinned outright, so the models are not all there is.
+    assert_eq!(ids(&and(vec![phrase.clone(), rare("solo")])), [24]);
+    assert_eq!(ids(&and(vec![rare("secondvalue"), phrase.clone()])), [72]);
+    assert_eq!(ids(&and(vec![phrase.clone(), rare("crossval")])), [0u32; 0]);
+    assert_eq!(ids(&and(vec![phrase.clone(), rare("lonely")])), [0u32; 0]);
+    assert_eq!(
+        ids(&and(vec![phrase.clone(), rare("mixed")])),
+        [0, 300, 600]
+    );
+    assert_eq!(ids(&and(vec![phrase.clone(), package.clone()])), [24, 72]);
+    assert_eq!(
+        ids(&and(vec![term("belief update", None), rare("abstracted")])),
+        [7]
+    );
+    assert_eq!(ids(&and(vec![phrase.clone(), rare("edge18")])).len(), 18);
+    assert_eq!(ids(&and(vec![phrase.clone(), rare("edge19")])).len(), 19);
+    // A first phrase with no answer stops the charging at its own lists; a
+    // phrase with an unindexed word stops it inside the phrase.
+    let never = term("notes belief", ti);
+    assert_eq!(
+        read(&and(vec![never.clone(), rare("solo"), package.clone()])),
+        len("notes") + len("belief")
+    );
+    let unseen = term("belief unseen update", ti);
+    assert_eq!(
+        read(&and(vec![unseen.clone(), rare("solo")])),
+        len("belief")
+    );
+    assert_eq!(
+        read(&and(vec![phrase.clone(), rare("solo")])),
+        len("belief") + len("update") + len("solo")
+    );
+
+    let cases = vec![
+        // A phrase before, after and between rare words.
+        and(vec![phrase.clone(), rare("solo")]),
+        and(vec![rare("solo"), phrase.clone()]),
+        and(vec![rare("mixed"), phrase.clone(), rare("n0")]),
+        and(vec![phrase.clone(), rare("lonely")]),
+        and(vec![phrase.clone(), rare("nomatch")]),
+        and(vec![rare("nobody"), phrase.clone()]),
+        // A first phrase that is empty, one that is not, one cut short.
+        and(vec![never.clone(), rare("solo"), package.clone()]),
+        and(vec![term("systems update", ti), rare("solo")]),
+        and(vec![rare("solo"), never]),
+        and(vec![unseen, rare("solo")]),
+        and(vec![
+            rare("solo"),
+            term("belief update unseen", ti),
+            rare("mixed"),
+        ]),
+        // Two positional conjuncts, with and without a listed one.
+        and(vec![
+            phrase.clone(),
+            near("update", "notes", 1),
+            rare("mixed"),
+        ]),
+        and(vec![
+            rare("mixed"),
+            phrase.clone(),
+            near("notes", "belief", 2),
+        ]),
+        and(vec![phrase.clone(), near("update", "drafts", 1)]),
+        and(vec![
+            phrase.clone(),
+            term("update notes", ti),
+            rare("edge19"),
+        ]),
+        // Three words; the second value; two values; two fields.
+        and(vec![term("belief update notes", ti), rare("solo")]),
+        and(vec![term("belief update notes", ti), rare("edge18")]),
+        and(vec![rare("mixed"), term("belief update drafts", None)]),
+        and(vec![phrase.clone(), rare("secondvalue")]),
+        and(vec![phrase.clone(), rare("crossval")]),
+        and(vec![rare("crossval"), near("belief", "update", 1)]),
+        and(vec![term("belief update", None), rare("abstracted")]),
+        and(vec![
+            term("belief update", None),
+            or(vec![rare("abstracted"), rare("solo")]),
+        ]),
+        and(vec![term("belief update", ab), rare("abstracted")]),
+        and(vec![term("n7", None), term("belief update", None)]),
+        // NEAR in both operand orders, and over a truncation.
+        and(vec![near("belief", "update", 2), rare("lonely")]),
+        and(vec![near("update", "belief", 2), rare("lonely")]),
+        and(vec![rare("mixed"), near("update", "belief", 2)]),
+        and(vec![near("belief", "update", 0), rare("mixed")]),
+        and(vec![prefix_near.clone(), rare("mixed")]),
+        and(vec![rare("solo"), prefix_near]),
+        // Nested, under an OR package, on either side of AND NOT.
+        SearchExpr::And(vec![
+            SearchExpr::And(vec![phrase.clone(), rare("mixed")]),
+            term("notes", ti),
+        ]),
+        SearchExpr::And(vec![
+            rare("mixed"),
+            SearchExpr::And(vec![phrase.clone(), term("notes", ti)]),
+        ]),
+        and(vec![phrase.clone(), package.clone()]),
+        and(vec![package.clone(), phrase.clone()]),
+        or(vec![
+            and(vec![phrase.clone(), rare("solo")]),
+            and(vec![near("belief", "update", 2), rare("lonely")]),
+        ]),
+        not(and(vec![phrase.clone(), rare("mixed")]), term("notes", ti)),
+        not(package.clone(), and(vec![phrase.clone(), package.clone()])),
+        and(vec![phrase.clone(), not(rare("mixed"), term("notes", ti))]),
+        and(vec![not(term("belief", ti), phrase.clone()), rare("mixed")]),
+        // Candidates just under and just over the ratio, and far over it.
+        and(vec![phrase.clone(), rare("edge18")]),
+        and(vec![rare("edge18"), phrase.clone()]),
+        and(vec![phrase.clone(), rare("edge19")]),
+        and(vec![rare("edge19"), phrase.clone()]),
+        and(vec![near("update", "belief", 2), rare("edge18")]),
+        and(vec![near("update", "belief", 2), rare("edge19")]),
+        and(vec![phrase.clone(), rare("n0")]),
+        and(vec![term("paper", ti), phrase.clone()]),
+        and(vec![phrase, term("belief", ti)]),
+    ];
+    for e in &cases {
+        check(&coll, e).unwrap();
+    }
+}
+
 /// Every posting of the index as `(word, doc, field, value_idx, pos)`.
 fn flattened(coll: &Collection) -> Vec<(String, u32, FieldId, u32, u32)> {
     let mut out = Vec::new();
@@ -645,6 +866,7 @@ fn layout_of_the_fixed_collections_is_their_tokens() {
     assert_layout_is_the_tokens(&wide_collection());
     assert_layout_is_the_tokens(&skewed_collection());
     assert_layout_is_the_tokens(&crossing_collection());
+    assert_layout_is_the_tokens(&positional_collection());
 }
 
 proptest! {
