@@ -54,7 +54,7 @@ pub struct MethodCandidate {
 /// Calls `visit` with every non-empty subset of `0..k` of at most
 /// `max_size` columns, each ascending, in one reused buffer: an odometer
 /// over column indices per size, so the work is the subsets visited.
-fn for_each_subset(k: usize, max_size: usize, mut visit: impl FnMut(&[usize])) {
+pub(crate) fn for_each_subset(k: usize, max_size: usize, mut visit: impl FnMut(&[usize])) {
     let mut cols = Vec::with_capacity(max_size.min(k));
     for size in 1..=max_size.min(k) {
         cols.clear();

@@ -2,6 +2,8 @@
 
 use std::fmt::Write as _;
 
+use crate::trace::{Fields, Get};
+
 /// The per-event charge delta, mirroring the `Usage` ledger field for
 /// field. Counters are signed so a batch *rebate* (the batch extension
 /// refunds per-call invocation and duplicate-transmission charges) can be
@@ -90,334 +92,416 @@ pub struct PlannerChoice {
     pub effective_c_i: f64,
 }
 
-/// What happened. Every chargeable kind carries the exact [`Charge`] the
-/// emitting ledger booked for it.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EventKind {
-    /// A span opened (method, phase, or scatter/gather scope).
-    SpanBegin {
-        /// Trace-unique span id.
-        id: u64,
-        /// Enclosing span, if any.
-        parent: Option<u64>,
-        /// Span label, e.g. `P+RTP` or `sj/package`.
-        label: String,
-    },
-    /// A span closed. Emitted on drop, so error paths close their spans.
-    SpanEnd {
-        /// The span being closed.
-        id: u64,
-        /// The label it was opened with.
-        label: String,
-    },
-    /// One server call: `search`, `probe`, `batch`, or `retrieve`.
-    Call {
-        /// Operation name.
-        op: &'static str,
-        /// Shard that served the call (`None` on an unsharded server or
-        /// for charges on a sharded server's own ledger).
-        shard: Option<usize>,
-        /// Basic terms in the search expression (0 for retrieve).
-        terms: u64,
-        /// Failure description: injected fault, cap rejection, unknown
-        /// docid. `None` on success.
-        err: Option<String>,
-        /// What the ledger booked for this call.
-        charge: Charge,
-    },
-    /// The batch extension refunded per-call charges after a combined
-    /// search; the charge fields are negative.
-    Rebate {
-        /// Shard whose ledger was adjusted, if sharded.
-        shard: Option<usize>,
-        /// The (negative) adjustment.
-        charge: Charge,
-    },
-    /// The client backed off before a retry; simulated seconds charged to
-    /// the emitting ledger.
-    Backoff {
-        /// Shard whose ledger absorbed the backoff, if sharded.
-        shard: Option<usize>,
-        /// Simulated seconds waited.
-        seconds: f64,
-        /// The booked charge (`retries + time_backoff`).
-        charge: Charge,
-    },
-    /// The retry layer is about to re-issue an operation. Free.
-    Retry {
-        /// Shard being retried, if the retry loop is per-shard.
-        shard: Option<usize>,
-        /// 1-based count of failures absorbed so far.
-        attempt: u32,
-    },
-    /// A shard leg moved to the next replica in its routing order (the
-    /// previous replica was exhausted or skipped by an open breaker). Free:
-    /// only real attempts are charged, and those carry their own events.
-    Failover {
-        /// The logical shard being served.
-        shard: usize,
-        /// The replica the leg moves *to*.
-        replica: usize,
-    },
-    /// A shard's circuit breaker opened: its primary replica looks
-    /// persistently dead, so calls route straight to the secondaries. Free.
-    CircuitOpen {
-        /// The shard whose primary is being bypassed.
-        shard: usize,
-        /// The EWMA fault rate (parts-per-1024) that tripped the breaker.
-        rate: u32,
-    },
-    /// A shard's circuit breaker closed after a successful half-open probe
-    /// of the primary. Free.
-    CircuitClose {
-        /// The shard whose primary is back in rotation.
-        shard: usize,
-        /// The EWMA fault rate (parts-per-1024) after the probe.
-        rate: u32,
-    },
-    /// A hedge leg launched against a secondary replica because the
-    /// primary leg exceeded the hedge latency threshold. Free: the hedge
-    /// attempt's own call carries its charge, and the loser's charge is
-    /// refunded by a [`Rebate`](Self::Rebate).
-    Hedge {
-        /// The logical shard being served.
-        shard: usize,
-        /// The replica the hedge leg runs on.
-        replica: usize,
-    },
-    /// A leg was cancelled (the losing half of a hedged read, or a leg
-    /// that would have completed past the query deadline). Free: the
-    /// cancelled leg's already-booked charge is refunded by an adjacent
-    /// [`Rebate`](Self::Rebate) event that carries the negative charge.
-    Cancel {
-        /// The logical shard whose leg was cancelled.
-        shard: usize,
-        /// The replica the cancelled leg ran on.
-        replica: usize,
-    },
-    /// The query's virtual completion time passed its deadline; the
-    /// executor degrades instead of erroring. Free.
-    DeadlineMiss {
-        /// Shard whose leg crossed the deadline, if attributable.
-        shard: Option<usize>,
-    },
-    /// An online shard migration started: the plan's moves were staged and
-    /// journaled. Free — transfer traffic is charged per batch.
-    MigrationBegin {
-        /// Number of moves in the plan.
-        moves: u64,
-        /// Total documents the plan intends to transfer.
-        docs: u64,
-        /// Topology epoch the migration started from.
-        epoch: u64,
-    },
-    /// One migration batch committed: its documents changed owner and the
-    /// topology epoch advanced. Free — the batch's transfer legs carry
-    /// their own `xfer.out`/`xfer.in` [`Call`](Self::Call) charges.
-    MigrationBatch {
-        /// 0-based index of the move within the plan.
-        mv: u64,
-        /// Source shard.
-        src: usize,
-        /// Destination shard.
-        dst: usize,
-        /// Documents committed by this batch.
-        docs: u64,
-        /// Postings transferred by this batch.
-        postings: u64,
-        /// Highest committed global docid of the move so far (the journal
-        /// high-water mark).
-        high_water: u64,
-        /// Topology epoch after the commit.
-        epoch: u64,
-    },
-    /// A batch resumed from the journal: its source-leg documents were
-    /// already bought, so only the destination leg re-runs. Free.
-    MigrationResume {
-        /// 0-based index of the move within the plan.
-        mv: u64,
-        /// Source shard.
-        src: usize,
-        /// Destination shard.
-        dst: usize,
-        /// In-flight documents whose destination leg is being retried.
-        docs: u64,
-        /// Topology epoch at resume time.
-        epoch: u64,
-    },
-    /// An unresumable move aborted: its committed documents reverted to the
-    /// source shard's routing. Free — sunk transfer charges stay booked.
-    MigrationAbort {
-        /// 0-based index of the move within the plan.
-        mv: u64,
-        /// Source shard.
-        src: usize,
-        /// Destination shard.
-        dst: usize,
-        /// Documents whose routing was reverted.
-        reverted: u64,
-        /// Topology epoch after the revert (monotonically increasing even
-        /// though the routing table matches the pre-move state).
-        epoch: u64,
-    },
-    /// A gather detected that the topology epoch advanced after its routing
-    /// decision and re-scattered only the affected shards. Free.
-    RoutingStale {
-        /// Epoch the routing decision was made at.
-        from_epoch: u64,
-        /// Epoch observed after the gather legs completed.
-        to_epoch: u64,
-        /// Shards whose visibility changed in between (re-scattered).
-        shards: Vec<usize>,
-    },
-    /// Docids a gather path routed to the client (search results consumed
-    /// or long forms fetched). Free — the underlying calls carry the
-    /// charges; this is pure routing metadata for the traffic monitor, so
-    /// rebalance advice can be derived from *observed* traffic instead of
-    /// seeded windows.
-    DocTraffic {
-        /// Shard the docids were served from, when attributable.
-        shard: Option<usize>,
-        /// The global docids, in routing order.
-        docs: Vec<u64>,
-    },
-    /// The load-skew detector crossed its hysteresis band for one shard.
-    /// Free, edge-triggered: emitted once when the shard's windowed
-    /// invoice share enters the hot band and once when it clears.
-    SkewAlert {
-        /// 0-based index of the window that closed the edge.
-        window: u64,
-        /// The shard whose invoice share moved.
-        shard: usize,
-        /// The shard's invoice share in that window, parts-per-million.
-        share_ppm: u64,
-        /// `true` on enter (share ≥ threshold), `false` on clear.
-        hot: bool,
-    },
-    /// The SLO burn-rate monitor crossed its dual-window alert condition.
-    /// Free, edge-triggered like [`SkewAlert`](Self::SkewAlert).
-    SloAlert {
-        /// 0-based index of the window that closed the edge.
-        window: u64,
-        /// Fast-window burn rate, parts-per-million of budget.
-        fast_ppm: u64,
-        /// Slow-window burn rate, parts-per-million of budget.
-        slow_ppm: u64,
-        /// `true` when both windows burn above budget, `false` on clear.
-        firing: bool,
-    },
-    /// The drift watchdog re-fitted the cost constants over its trailing
-    /// window and one component drifted past tolerance. Free,
-    /// edge-triggered per component.
-    DriftAlert {
-        /// 0-based index of the window that closed the check.
-        window: u64,
-        /// Which constant drifted (`c_i`, `c_p`, `c_s`, `c_l`).
-        component: &'static str,
-        /// The configured value the planner would otherwise use.
-        configured: f64,
-        /// The trailing-window least-squares fit.
-        fitted: f64,
-        /// `true` when drift exceeds tolerance, `false` on clear.
-        drifted: bool,
-    },
-    /// The skew detector derived an advisory migration from observed
-    /// traffic: move the hot shard's hottest docid range to the coldest
-    /// shard. Free — advice only; executing it is the caller's decision.
-    RebalanceAdvice {
-        /// 0-based index of the window the advice was derived from.
-        window: u64,
-        /// The hot source shard.
-        src: usize,
-        /// The advised destination shard (lowest invoice share).
-        dst: usize,
-        /// Advised half-open docid range start.
-        lo: u64,
-        /// Advised half-open docid range end.
-        hi: u64,
-        /// Observed traffic hits inside the advised range.
-        hits: u64,
-    },
-    /// A serving session admitted a request for execution: its estimated
-    /// plan cost fit the tenant's remaining budget. Free.
-    Admit {
-        /// 0-based tenant index within the session.
-        tenant: u64,
-        /// 0-based arrival index of the request in the session stream.
-        arrival: u64,
-        /// The optimizer's estimated plan cost, simulated seconds.
-        est_cost: f64,
-    },
-    /// A serving session shed a queued request under overload — a typed
-    /// refusal, never a silent drop. Free.
-    Shed {
-        /// 0-based tenant index within the session.
-        tenant: u64,
-        /// 0-based arrival index of the shed request.
-        arrival: u64,
-        /// Requests still queued after the shed.
-        queued: u64,
-    },
-    /// A tenant's cost budget ran out — either at admission (the estimate
-    /// exceeded the remainder) or mid-flight (actuals overran the
-    /// estimate and the per-query guard aborted). Free; any partial
-    /// charges were already booked through the ordinary ledger. Budget
-    /// figures are carried in integer milli-seconds of simulated time so
-    /// the event stays `Eq`-comparable.
-    BudgetExhausted {
-        /// 0-based tenant index within the session.
-        tenant: u64,
-        /// 0-based arrival index of the refused/aborted request.
-        arrival: u64,
-        /// Simulated milliseconds charged (admission: the estimate).
-        spent_ms: u64,
-        /// Simulated milliseconds that remained in the tenant's budget.
-        remaining_ms: u64,
-    },
-    /// A session-scoped cache answered without touching the text server:
-    /// `scope` is `"probe"` (probe-outcome cache) or `"plan"` (plan
-    /// cache). Free — that is the point.
-    CacheHit {
-        /// Which session cache hit (`probe` or `plan`).
-        scope: &'static str,
-        /// Topology/stats epoch the cached entry was proved at.
-        epoch: u64,
-    },
-    /// The optimizer estimated one candidate method. Free.
-    Planner(PlannerChoice),
-    /// One per-query plan-quality sample, emitted by the executor when
-    /// EXPLAIN ANALYZE attribution is enabled. Free — pure arithmetic over
-    /// charges the ledger already booked; emitting it never charges.
-    EstimateSample {
-        /// Q-error of the estimated total plan cost vs the actual charge.
-        cost_q: f64,
-        /// Q-error of the estimated result cardinality vs actual rows —
-        /// the selectivity/statistics side of a misestimate.
-        selectivity_q: f64,
-        /// Q-error of the actual charge vs the actual counts re-priced at
-        /// the configured constants — the `c_i`/`c_p`/`c_s`/`c_l` side.
-        constants_q: f64,
-        /// Fraction of the actual cost that was regret against the best
-        /// counterfactual candidate, when known (`0.0` otherwise).
-        regret_share: f64,
-    },
-    /// The misestimation detector crossed its threshold: trailing-window
-    /// p90 Q-error or regret share is out of band. Free, edge-triggered
-    /// like [`SkewAlert`](Self::SkewAlert); `component` names the worst
-    /// offender (`selectivity` → stats are stale, re-export stats;
-    /// `constants` → the cost constants drifted, run calibrate).
-    EstimateDrift {
-        /// 0-based index of the window that closed the check.
-        window: u64,
-        /// Worst component: `selectivity` or `constants`.
-        component: &'static str,
-        /// Trailing-window p90 Q-error of the worst component.
-        p90_q: f64,
-        /// Trailing-window mean regret share.
-        regret_share: f64,
-        /// `true` on enter (out of band), `false` on clear.
-        firing: bool,
-    },
+/// Declares [`EventKind`] and, from the same entries, everything that has
+/// to agree with it: an entry is a variant, its `"type"` tag and its
+/// fields. A field's name is its wire key and declaration order is wire
+/// order; its type says how it is spelled and parsed ([`Put`] and
+/// [`Get`]). A `&'static str` field lists the words it may hold,
+/// `["what": "word", …]`, and a line holding any other is refused as
+/// `unknown what "x"`. A kind that is not laid out field for key names a
+/// payload type instead, which brings its own `put_fields`/`get_fields`.
+macro_rules! events {
+    (@get $f:ident $key:ident: $ty:ty) => {
+        <$ty as Get>::get($f, stringify!($key))?
+    };
+    (@get $f:ident $key:ident: $ty:ty [$what:literal: $($word:literal),+]) => {
+        $f.word(stringify!($key), $what, &[$($word),+])?
+    };
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident = $tag:literal
+                $({
+                    $(
+                        $(#[$fmeta:meta])*
+                        $field:ident: $ty:ty $([$what:literal: $($word:literal),+])?
+                    ),+ $(,)?
+                })?
+                $(($payload:ty))?
+            ),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $(
+                $(#[$vmeta])*
+                $variant $({ $($(#[$fmeta])* $field: $ty),+ })? $(($payload))?,
+            )+
+        }
+
+        impl $name {
+            /// The `"type"` tag of every kind, in declaration order.
+            pub const TYPES: &'static [&'static str] = &[$($tag),+];
+
+            /// The `"type"` tag this kind is written under.
+            pub fn type_name(&self) -> &'static str {
+                match self {
+                    $($name::$variant { .. } => $tag,)+
+                }
+            }
+
+            /// Appends this kind's fields to a line, in declaration order.
+            fn put_fields(&self, w: &mut Line<'_>) {
+                match self {
+                    $(
+                        $($name::$variant { $($field),+ } => {
+                            $(Put::put($field, w, stringify!($field));)+
+                        })?
+                        $($name::$variant(payload) => <$payload>::put_fields(payload, w),)?
+                    )+
+                }
+            }
+
+            /// The kind written under `tag`, read from the fields of its
+            /// line in declaration order (so of two bad fields the first
+            /// on the wire is the one reported).
+            pub(crate) fn get(tag: &str, f: &Fields<'_, '_>) -> Result<Self, String> {
+                Ok(match tag {
+                    $(
+                        $tag => $($name::$variant {
+                            $($field: events!(@get f $field: $ty $([$what: $($word),+])?)),+
+                        })? $($name::$variant(<$payload>::get_fields(f)?))?,
+                    )+
+                    other => return Err(format!("unknown event type \"{other}\"")),
+                })
+            }
+        }
+    };
+}
+
+events! {
+    /// What happened. Every chargeable kind carries the exact [`Charge`] the
+    /// emitting ledger booked for it.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum EventKind {
+        /// A span opened (method, phase, or scatter/gather scope).
+        SpanBegin = "span_begin" {
+            /// Trace-unique span id.
+            id: u64,
+            /// Enclosing span, if any.
+            parent: Option<u64>,
+            /// Span label, e.g. `P+RTP` or `sj/package`.
+            label: String,
+        },
+        /// A span closed. Emitted on drop, so error paths close their spans.
+        SpanEnd = "span_end" {
+            /// The span being closed.
+            id: u64,
+            /// The label it was opened with.
+            label: String,
+        },
+        /// One server call: `search`, `probe`, `batch`, or `retrieve`.
+        Call = "call" {
+            /// Operation name.
+            op: &'static str
+                ["call op": "search", "probe", "batch", "retrieve", "xfer.out", "xfer.in"],
+            /// Shard that served the call (`None` on an unsharded server or
+            /// for charges on a sharded server's own ledger).
+            shard: Option<usize>,
+            /// Basic terms in the search expression (0 for retrieve).
+            terms: u64,
+            /// Failure description: injected fault, cap rejection, unknown
+            /// docid. `None` on success.
+            err: Option<String>,
+            /// What the ledger booked for this call.
+            charge: Charge,
+        },
+        /// The batch extension refunded per-call charges after a combined
+        /// search; the charge fields are negative.
+        Rebate = "rebate" {
+            /// Shard whose ledger was adjusted, if sharded.
+            shard: Option<usize>,
+            /// The (negative) adjustment.
+            charge: Charge,
+        },
+        /// The client backed off before a retry; simulated seconds charged to
+        /// the emitting ledger.
+        Backoff = "backoff" {
+            /// Shard whose ledger absorbed the backoff, if sharded.
+            shard: Option<usize>,
+            /// Simulated seconds waited.
+            seconds: f64,
+            /// The booked charge (`retries + time_backoff`).
+            charge: Charge,
+        },
+        /// The retry layer is about to re-issue an operation. Free.
+        Retry = "retry" {
+            /// Shard being retried, if the retry loop is per-shard.
+            shard: Option<usize>,
+            /// 1-based count of failures absorbed so far.
+            attempt: u32,
+        },
+        /// A shard leg moved to the next replica in its routing order (the
+        /// previous replica was exhausted or skipped by an open breaker). Free:
+        /// only real attempts are charged, and those carry their own events.
+        Failover = "failover" {
+            /// The logical shard being served.
+            shard: usize,
+            /// The replica the leg moves *to*.
+            replica: usize,
+        },
+        /// A shard's circuit breaker opened: its primary replica looks
+        /// persistently dead, so calls route straight to the secondaries. Free.
+        CircuitOpen = "circuit_open" {
+            /// The shard whose primary is being bypassed.
+            shard: usize,
+            /// The EWMA fault rate (parts-per-1024) that tripped the breaker.
+            rate: u32,
+        },
+        /// A shard's circuit breaker closed after a successful half-open probe
+        /// of the primary. Free.
+        CircuitClose = "circuit_close" {
+            /// The shard whose primary is back in rotation.
+            shard: usize,
+            /// The EWMA fault rate (parts-per-1024) after the probe.
+            rate: u32,
+        },
+        /// A hedge leg launched against a secondary replica because the
+        /// primary leg exceeded the hedge latency threshold. Free: the hedge
+        /// attempt's own call carries its charge, and the loser's charge is
+        /// refunded by a [`Rebate`](Self::Rebate).
+        Hedge = "hedge" {
+            /// The logical shard being served.
+            shard: usize,
+            /// The replica the hedge leg runs on.
+            replica: usize,
+        },
+        /// A leg was cancelled (the losing half of a hedged read, or a leg
+        /// that would have completed past the query deadline). Free: the
+        /// cancelled leg's already-booked charge is refunded by an adjacent
+        /// [`Rebate`](Self::Rebate) event that carries the negative charge.
+        Cancel = "cancel" {
+            /// The logical shard whose leg was cancelled.
+            shard: usize,
+            /// The replica the cancelled leg ran on.
+            replica: usize,
+        },
+        /// The query's virtual completion time passed its deadline; the
+        /// executor degrades instead of erroring. Free.
+        DeadlineMiss = "deadline_miss" {
+            /// Shard whose leg crossed the deadline, if attributable.
+            shard: Option<usize>,
+        },
+        /// An online shard migration started: the plan's moves were staged and
+        /// journaled. Free — transfer traffic is charged per batch.
+        MigrationBegin = "migration_begin" {
+            /// Number of moves in the plan.
+            moves: u64,
+            /// Total documents the plan intends to transfer.
+            docs: u64,
+            /// Topology epoch the migration started from.
+            epoch: u64,
+        },
+        /// One migration batch committed: its documents changed owner and the
+        /// topology epoch advanced. Free — the batch's transfer legs carry
+        /// their own `xfer.out`/`xfer.in` [`Call`](Self::Call) charges.
+        MigrationBatch = "migration_batch" {
+            /// 0-based index of the move within the plan.
+            mv: u64,
+            /// Source shard.
+            src: usize,
+            /// Destination shard.
+            dst: usize,
+            /// Documents committed by this batch.
+            docs: u64,
+            /// Postings transferred by this batch.
+            postings: u64,
+            /// Highest committed global docid of the move so far (the journal
+            /// high-water mark).
+            high_water: u64,
+            /// Topology epoch after the commit.
+            epoch: u64,
+        },
+        /// A batch resumed from the journal: its source-leg documents were
+        /// already bought, so only the destination leg re-runs. Free.
+        MigrationResume = "migration_resume" {
+            /// 0-based index of the move within the plan.
+            mv: u64,
+            /// Source shard.
+            src: usize,
+            /// Destination shard.
+            dst: usize,
+            /// In-flight documents whose destination leg is being retried.
+            docs: u64,
+            /// Topology epoch at resume time.
+            epoch: u64,
+        },
+        /// An unresumable move aborted: its committed documents reverted to the
+        /// source shard's routing. Free — sunk transfer charges stay booked.
+        MigrationAbort = "migration_abort" {
+            /// 0-based index of the move within the plan.
+            mv: u64,
+            /// Source shard.
+            src: usize,
+            /// Destination shard.
+            dst: usize,
+            /// Documents whose routing was reverted.
+            reverted: u64,
+            /// Topology epoch after the revert (monotonically increasing even
+            /// though the routing table matches the pre-move state).
+            epoch: u64,
+        },
+        /// A gather detected that the topology epoch advanced after its routing
+        /// decision and re-scattered only the affected shards. Free.
+        RoutingStale = "routing_stale" {
+            /// Epoch the routing decision was made at.
+            from_epoch: u64,
+            /// Epoch observed after the gather legs completed.
+            to_epoch: u64,
+            /// Shards whose visibility changed in between (re-scattered).
+            shards: Vec<usize>,
+        },
+        /// Docids a gather path routed to the client (search results consumed
+        /// or long forms fetched). Free — the underlying calls carry the
+        /// charges; this is pure routing metadata for the traffic monitor, so
+        /// rebalance advice can be derived from *observed* traffic instead of
+        /// seeded windows.
+        DocTraffic = "doc_traffic" {
+            /// Shard the docids were served from, when attributable.
+            shard: Option<usize>,
+            /// The global docids, in routing order.
+            docs: Vec<u64>,
+        },
+        /// The load-skew detector crossed its hysteresis band for one shard.
+        /// Free, edge-triggered: emitted once when the shard's windowed
+        /// invoice share enters the hot band and once when it clears.
+        SkewAlert = "skew_alert" {
+            /// 0-based index of the window that closed the edge.
+            window: u64,
+            /// The shard whose invoice share moved.
+            shard: usize,
+            /// The shard's invoice share in that window, parts-per-million.
+            share_ppm: u64,
+            /// `true` on enter (share ≥ threshold), `false` on clear.
+            hot: bool,
+        },
+        /// The SLO burn-rate monitor crossed its dual-window alert condition.
+        /// Free, edge-triggered like [`SkewAlert`](Self::SkewAlert).
+        SloAlert = "slo_alert" {
+            /// 0-based index of the window that closed the edge.
+            window: u64,
+            /// Fast-window burn rate, parts-per-million of budget.
+            fast_ppm: u64,
+            /// Slow-window burn rate, parts-per-million of budget.
+            slow_ppm: u64,
+            /// `true` when both windows burn above budget, `false` on clear.
+            firing: bool,
+        },
+        /// The drift watchdog re-fitted the cost constants over its trailing
+        /// window and one component drifted past tolerance. Free,
+        /// edge-triggered per component.
+        DriftAlert = "drift_alert" {
+            /// 0-based index of the window that closed the check.
+            window: u64,
+            /// Which constant drifted (`c_i`, `c_p`, `c_s`, `c_l`).
+            component: &'static str ["drift component": "c_i", "c_p", "c_s", "c_l"],
+            /// The configured value the planner would otherwise use.
+            configured: f64,
+            /// The trailing-window least-squares fit.
+            fitted: f64,
+            /// `true` when drift exceeds tolerance, `false` on clear.
+            drifted: bool,
+        },
+        /// The skew detector derived an advisory migration from observed
+        /// traffic: move the hot shard's hottest docid range to the coldest
+        /// shard. Free — advice only; executing it is the caller's decision.
+        RebalanceAdvice = "rebalance_advice" {
+            /// 0-based index of the window the advice was derived from.
+            window: u64,
+            /// The hot source shard.
+            src: usize,
+            /// The advised destination shard (lowest invoice share).
+            dst: usize,
+            /// Advised half-open docid range start.
+            lo: u64,
+            /// Advised half-open docid range end.
+            hi: u64,
+            /// Observed traffic hits inside the advised range.
+            hits: u64,
+        },
+        /// A serving session admitted a request for execution: its estimated
+        /// plan cost fit the tenant's remaining budget. Free.
+        Admit = "admit" {
+            /// 0-based tenant index within the session.
+            tenant: u64,
+            /// 0-based arrival index of the request in the session stream.
+            arrival: u64,
+            /// The optimizer's estimated plan cost, simulated seconds.
+            est_cost: f64,
+        },
+        /// A serving session shed a queued request under overload — a typed
+        /// refusal, never a silent drop. Free.
+        Shed = "shed" {
+            /// 0-based tenant index within the session.
+            tenant: u64,
+            /// 0-based arrival index of the shed request.
+            arrival: u64,
+            /// Requests still queued after the shed.
+            queued: u64,
+        },
+        /// A tenant's cost budget ran out — either at admission (the estimate
+        /// exceeded the remainder) or mid-flight (actuals overran the
+        /// estimate and the per-query guard aborted). Free; any partial
+        /// charges were already booked through the ordinary ledger. Budget
+        /// figures are carried in integer milli-seconds of simulated time so
+        /// the event stays `Eq`-comparable.
+        BudgetExhausted = "budget_exhausted" {
+            /// 0-based tenant index within the session.
+            tenant: u64,
+            /// 0-based arrival index of the refused/aborted request.
+            arrival: u64,
+            /// Simulated milliseconds charged (admission: the estimate).
+            spent_ms: u64,
+            /// Simulated milliseconds that remained in the tenant's budget.
+            remaining_ms: u64,
+        },
+        /// A session-scoped cache answered without touching the text server:
+        /// `scope` is `"probe"` (probe-outcome cache) or `"plan"` (plan
+        /// cache). Free — that is the point.
+        CacheHit = "cache_hit" {
+            /// Which session cache hit (`probe` or `plan`).
+            scope: &'static str ["cache scope": "probe", "plan"],
+            /// Topology/stats epoch the cached entry was proved at.
+            epoch: u64,
+        },
+        /// The optimizer estimated one candidate method. Free.
+        Planner = "planner" (PlannerChoice),
+        /// One per-query plan-quality sample, emitted by the executor when
+        /// EXPLAIN ANALYZE attribution is enabled. Free — pure arithmetic over
+        /// charges the ledger already booked; emitting it never charges.
+        EstimateSample = "estimate_sample" {
+            /// Q-error of the estimated total plan cost vs the actual charge.
+            cost_q: f64,
+            /// Q-error of the estimated result cardinality vs actual rows —
+            /// the selectivity/statistics side of a misestimate.
+            selectivity_q: f64,
+            /// Q-error of the actual charge vs the actual counts re-priced at
+            /// the configured constants — the `c_i`/`c_p`/`c_s`/`c_l` side.
+            constants_q: f64,
+            /// Fraction of the actual cost that was regret against the best
+            /// counterfactual candidate, when known (`0.0` otherwise).
+            regret_share: f64,
+        },
+        /// The misestimation detector crossed its threshold: trailing-window
+        /// p90 Q-error or regret share is out of band. Free, edge-triggered
+        /// like [`SkewAlert`](Self::SkewAlert); `component` names the worst
+        /// offender (`selectivity` → stats are stale, re-export stats;
+        /// `constants` → the cost constants drifted, run calibrate).
+        EstimateDrift = "estimate_drift" {
+            /// 0-based index of the window that closed the check.
+            window: u64,
+            /// Worst component: `selectivity` or `constants`.
+            component: &'static str ["estimate component": "selectivity", "constants"],
+            /// Trailing-window p90 Q-error of the worst component.
+            p90_q: f64,
+            /// Trailing-window mean regret share.
+            regret_share: f64,
+            /// `true` on enter (out of band), `false` on clear.
+            firing: bool,
+        },
+    }
 }
 
 impl EventKind {
@@ -497,14 +581,6 @@ impl Line<'_> {
         self.digits(v);
     }
 
-    fn u32(&mut self, key: &str, v: u32) {
-        self.u64(key, u64::from(v));
-    }
-
-    fn usize(&mut self, key: &str, v: usize) {
-        self.u64(key, v as u64);
-    }
-
     fn i64(&mut self, key: &str, v: i64) {
         self.key(key);
         if v < 0 {
@@ -554,13 +630,6 @@ impl Line<'_> {
         self.0.push('"');
     }
 
-    fn opt_usize(&mut self, key: &str, v: Option<usize>) {
-        match v {
-            Some(v) => self.usize(key, v),
-            None => self.null(key),
-        }
-    }
-
     fn null(&mut self, key: &str) {
         self.key(key);
         self.0.push_str("null");
@@ -587,21 +656,113 @@ impl Line<'_> {
     fn close(&mut self) {
         self.0.push('}');
     }
+}
 
-    fn charge(&mut self, c: &Charge) {
-        self.open("charge");
-        self.i64("inv", c.invocations);
-        self.i64("rej", c.rejected);
-        self.i64("post", c.postings);
-        self.i64("short", c.docs_short);
-        self.i64("long", c.docs_long);
-        self.f64("t_inv", c.time_invocation);
-        self.f64("t_proc", c.time_processing);
-        self.f64("t_xmit", c.time_transmission);
-        self.i64("faults", c.faults);
-        self.i64("retries", c.retries);
-        self.f64("t_backoff", c.time_backoff);
-        self.close();
+/// How a field of this type is spelled under its key — the writing half of
+/// a table field; [`Get`] is the reading half.
+trait Put {
+    fn put(&self, w: &mut Line<'_>, key: &str);
+}
+
+impl Put for u64 {
+    fn put(&self, w: &mut Line<'_>, key: &str) {
+        w.u64(key, *self);
+    }
+}
+
+impl Put for u32 {
+    fn put(&self, w: &mut Line<'_>, key: &str) {
+        w.u64(key, u64::from(*self));
+    }
+}
+
+impl Put for usize {
+    fn put(&self, w: &mut Line<'_>, key: &str) {
+        w.u64(key, *self as u64);
+    }
+}
+
+impl Put for f64 {
+    fn put(&self, w: &mut Line<'_>, key: &str) {
+        w.f64(key, *self);
+    }
+}
+
+impl Put for bool {
+    fn put(&self, w: &mut Line<'_>, key: &str) {
+        w.bool(key, *self);
+    }
+}
+
+impl Put for String {
+    fn put(&self, w: &mut Line<'_>, key: &str) {
+        w.str(key, self);
+    }
+}
+
+impl Put for &'static str {
+    fn put(&self, w: &mut Line<'_>, key: &str) {
+        w.str(key, self);
+    }
+}
+
+impl<T: Put> Put for Option<T> {
+    fn put(&self, w: &mut Line<'_>, key: &str) {
+        match self {
+            Some(v) => v.put(w, key),
+            None => w.null(key),
+        }
+    }
+}
+
+impl Put for Vec<u64> {
+    fn put(&self, w: &mut Line<'_>, key: &str) {
+        w.ints(key, self.iter().copied());
+    }
+}
+
+impl Put for Vec<usize> {
+    fn put(&self, w: &mut Line<'_>, key: &str) {
+        w.ints(key, self.iter().map(|&v| v as u64));
+    }
+}
+
+impl Put for Charge {
+    fn put(&self, w: &mut Line<'_>, key: &str) {
+        w.open(key);
+        w.i64("inv", self.invocations);
+        w.i64("rej", self.rejected);
+        w.i64("post", self.postings);
+        w.i64("short", self.docs_short);
+        w.i64("long", self.docs_long);
+        w.f64("t_inv", self.time_invocation);
+        w.f64("t_proc", self.time_processing);
+        w.f64("t_xmit", self.time_transmission);
+        w.i64("faults", self.faults);
+        w.i64("retries", self.retries);
+        w.f64("t_backoff", self.time_backoff);
+        w.close();
+    }
+}
+
+impl PlannerChoice {
+    /// The one kind not laid out field for key: the estimate vector nests
+    /// under `est`, where `est_rows`/`est_postings` are `rows`/`postings`.
+    /// `get_fields` (beside [`Get`]) reads it back.
+    fn put_fields(&self, w: &mut Line<'_>) {
+        w.str("label", &self.label);
+        w.bool("chosen", self.chosen);
+        self.probe_cols.put(w, "probe_cols");
+        w.open("est");
+        w.f64("invocation", self.invocation);
+        w.f64("processing", self.processing);
+        w.f64("transmission", self.transmission);
+        w.f64("rtp", self.rtp);
+        w.f64("searches", self.searches);
+        w.f64("rows", self.est_rows);
+        w.f64("postings", self.est_postings);
+        w.close();
+        w.f64("effective_c_i", self.effective_c_i);
     }
 }
 
@@ -633,288 +794,8 @@ impl Event {
             Some(text) => w.raw("clock", text),
             None => w.f64("clock", self.clock),
         }
-        match &self.kind {
-            EventKind::SpanBegin { id, parent, label } => {
-                w.str("type", "span_begin");
-                w.u64("id", *id);
-                match parent {
-                    Some(p) => w.u64("parent", *p),
-                    None => w.null("parent"),
-                }
-                w.str("label", label);
-            }
-            EventKind::SpanEnd { id, label } => {
-                w.str("type", "span_end");
-                w.u64("id", *id);
-                w.str("label", label);
-            }
-            EventKind::Call {
-                op,
-                shard,
-                terms,
-                err,
-                charge,
-            } => {
-                w.str("type", "call");
-                w.str("op", op);
-                w.opt_usize("shard", *shard);
-                w.u64("terms", *terms);
-                match err {
-                    Some(e) => w.str("err", e),
-                    None => w.null("err"),
-                }
-                w.charge(charge);
-            }
-            EventKind::Rebate { shard, charge } => {
-                w.str("type", "rebate");
-                w.opt_usize("shard", *shard);
-                w.charge(charge);
-            }
-            EventKind::Backoff {
-                shard,
-                seconds,
-                charge,
-            } => {
-                w.str("type", "backoff");
-                w.opt_usize("shard", *shard);
-                w.f64("seconds", *seconds);
-                w.charge(charge);
-            }
-            EventKind::Retry { shard, attempt } => {
-                w.str("type", "retry");
-                w.opt_usize("shard", *shard);
-                w.u32("attempt", *attempt);
-            }
-            EventKind::Failover { shard, replica } => {
-                w.str("type", "failover");
-                w.usize("shard", *shard);
-                w.usize("replica", *replica);
-            }
-            EventKind::CircuitOpen { shard, rate } => {
-                w.str("type", "circuit_open");
-                w.usize("shard", *shard);
-                w.u32("rate", *rate);
-            }
-            EventKind::CircuitClose { shard, rate } => {
-                w.str("type", "circuit_close");
-                w.usize("shard", *shard);
-                w.u32("rate", *rate);
-            }
-            EventKind::Hedge { shard, replica } => {
-                w.str("type", "hedge");
-                w.usize("shard", *shard);
-                w.usize("replica", *replica);
-            }
-            EventKind::Cancel { shard, replica } => {
-                w.str("type", "cancel");
-                w.usize("shard", *shard);
-                w.usize("replica", *replica);
-            }
-            EventKind::DeadlineMiss { shard } => {
-                w.str("type", "deadline_miss");
-                w.opt_usize("shard", *shard);
-            }
-            EventKind::MigrationBegin { moves, docs, epoch } => {
-                w.str("type", "migration_begin");
-                w.u64("moves", *moves);
-                w.u64("docs", *docs);
-                w.u64("epoch", *epoch);
-            }
-            EventKind::MigrationBatch {
-                mv,
-                src,
-                dst,
-                docs,
-                postings,
-                high_water,
-                epoch,
-            } => {
-                w.str("type", "migration_batch");
-                w.u64("mv", *mv);
-                w.usize("src", *src);
-                w.usize("dst", *dst);
-                w.u64("docs", *docs);
-                w.u64("postings", *postings);
-                w.u64("high_water", *high_water);
-                w.u64("epoch", *epoch);
-            }
-            EventKind::MigrationResume {
-                mv,
-                src,
-                dst,
-                docs,
-                epoch,
-            } => {
-                w.str("type", "migration_resume");
-                w.u64("mv", *mv);
-                w.usize("src", *src);
-                w.usize("dst", *dst);
-                w.u64("docs", *docs);
-                w.u64("epoch", *epoch);
-            }
-            EventKind::MigrationAbort {
-                mv,
-                src,
-                dst,
-                reverted,
-                epoch,
-            } => {
-                w.str("type", "migration_abort");
-                w.u64("mv", *mv);
-                w.usize("src", *src);
-                w.usize("dst", *dst);
-                w.u64("reverted", *reverted);
-                w.u64("epoch", *epoch);
-            }
-            EventKind::RoutingStale {
-                from_epoch,
-                to_epoch,
-                shards,
-            } => {
-                w.str("type", "routing_stale");
-                w.u64("from_epoch", *from_epoch);
-                w.u64("to_epoch", *to_epoch);
-                w.ints("shards", shards.iter().map(|&s| s as u64));
-            }
-            EventKind::DocTraffic { shard, docs } => {
-                w.str("type", "doc_traffic");
-                w.opt_usize("shard", *shard);
-                w.ints("docs", docs.iter().copied());
-            }
-            EventKind::SkewAlert {
-                window,
-                shard,
-                share_ppm,
-                hot,
-            } => {
-                w.str("type", "skew_alert");
-                w.u64("window", *window);
-                w.usize("shard", *shard);
-                w.u64("share_ppm", *share_ppm);
-                w.bool("hot", *hot);
-            }
-            EventKind::SloAlert {
-                window,
-                fast_ppm,
-                slow_ppm,
-                firing,
-            } => {
-                w.str("type", "slo_alert");
-                w.u64("window", *window);
-                w.u64("fast_ppm", *fast_ppm);
-                w.u64("slow_ppm", *slow_ppm);
-                w.bool("firing", *firing);
-            }
-            EventKind::DriftAlert {
-                window,
-                component,
-                configured,
-                fitted,
-                drifted,
-            } => {
-                w.str("type", "drift_alert");
-                w.u64("window", *window);
-                w.str("component", component);
-                w.f64("configured", *configured);
-                w.f64("fitted", *fitted);
-                w.bool("drifted", *drifted);
-            }
-            EventKind::RebalanceAdvice {
-                window,
-                src,
-                dst,
-                lo,
-                hi,
-                hits,
-            } => {
-                w.str("type", "rebalance_advice");
-                w.u64("window", *window);
-                w.usize("src", *src);
-                w.usize("dst", *dst);
-                w.u64("lo", *lo);
-                w.u64("hi", *hi);
-                w.u64("hits", *hits);
-            }
-            EventKind::Admit {
-                tenant,
-                arrival,
-                est_cost,
-            } => {
-                w.str("type", "admit");
-                w.u64("tenant", *tenant);
-                w.u64("arrival", *arrival);
-                w.f64("est_cost", *est_cost);
-            }
-            EventKind::Shed {
-                tenant,
-                arrival,
-                queued,
-            } => {
-                w.str("type", "shed");
-                w.u64("tenant", *tenant);
-                w.u64("arrival", *arrival);
-                w.u64("queued", *queued);
-            }
-            EventKind::BudgetExhausted {
-                tenant,
-                arrival,
-                spent_ms,
-                remaining_ms,
-            } => {
-                w.str("type", "budget_exhausted");
-                w.u64("tenant", *tenant);
-                w.u64("arrival", *arrival);
-                w.u64("spent_ms", *spent_ms);
-                w.u64("remaining_ms", *remaining_ms);
-            }
-            EventKind::CacheHit { scope, epoch } => {
-                w.str("type", "cache_hit");
-                w.str("scope", scope);
-                w.u64("epoch", *epoch);
-            }
-            EventKind::Planner(p) => {
-                w.str("type", "planner");
-                w.str("label", &p.label);
-                w.bool("chosen", p.chosen);
-                w.ints("probe_cols", p.probe_cols.iter().map(|&c| c as u64));
-                w.open("est");
-                w.f64("invocation", p.invocation);
-                w.f64("processing", p.processing);
-                w.f64("transmission", p.transmission);
-                w.f64("rtp", p.rtp);
-                w.f64("searches", p.searches);
-                w.f64("rows", p.est_rows);
-                w.f64("postings", p.est_postings);
-                w.close();
-                w.f64("effective_c_i", p.effective_c_i);
-            }
-            EventKind::EstimateSample {
-                cost_q,
-                selectivity_q,
-                constants_q,
-                regret_share,
-            } => {
-                w.str("type", "estimate_sample");
-                w.f64("cost_q", *cost_q);
-                w.f64("selectivity_q", *selectivity_q);
-                w.f64("constants_q", *constants_q);
-                w.f64("regret_share", *regret_share);
-            }
-            EventKind::EstimateDrift {
-                window,
-                component,
-                p90_q,
-                regret_share,
-                firing,
-            } => {
-                w.str("type", "estimate_drift");
-                w.u64("window", *window);
-                w.str("component", component);
-                w.f64("p90_q", *p90_q);
-                w.f64("regret_share", *regret_share);
-                w.bool("firing", *firing);
-            }
-        }
+        w.str("type", self.kind.type_name());
+        self.kind.put_fields(&mut w);
         w.close();
     }
 }

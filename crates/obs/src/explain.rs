@@ -5,18 +5,24 @@ use std::collections::BTreeMap;
 
 use crate::event::{Charge, Event, EventKind};
 
+/// One span of the tree. The spans of a trace sit in one flat list and
+/// name their children by index, so building, summing, printing and
+/// dropping a tree all take heap, not stack, however deep the spans nest.
 #[derive(Default)]
 struct Node {
     label: String,
     t0: f64,
     t1: f64,
     direct: Charge,
+    /// `direct` plus every child's `inclusive`; set when the span closes.
+    inclusive: Charge,
     ok_calls: BTreeMap<&'static str, (u64, Charge)>,
     items: Vec<Item>,
 }
 
 enum Item {
-    Child(Node),
+    /// Index of a closed child span.
+    Child(usize),
     Line(String),
 }
 
@@ -59,16 +65,6 @@ fn brief(c: &Charge) -> String {
 }
 
 impl Node {
-    fn inclusive(&self) -> Charge {
-        let mut total = self.direct;
-        for item in &self.items {
-            if let Item::Child(ch) = item {
-                total.accumulate(&ch.inclusive());
-            }
-        }
-        total
-    }
-
     fn absorb(&mut self, ev: &Event) {
         if let Some(c) = ev.kind.charge() {
             self.direct.accumulate(c);
@@ -280,20 +276,21 @@ impl Node {
                     p.effective_c_i
                 )));
             }
-            _ => {}
+            // The two kinds that shape the tree instead of filling it:
+            // `render` opens and closes nodes on them.
+            EventKind::SpanBegin { .. } | EventKind::SpanEnd { .. } => {}
         }
     }
 
-    fn render(&self, depth: usize, out: &mut String) {
-        let pad = "  ".repeat(depth);
-        let incl = self.inclusive();
+    /// The span's own lines: its rollup, then its successful calls by op.
+    fn head(&self, pad: &str, out: &mut String) {
         out.push_str(&format!(
             "{pad}{}  [{:.3}s → {:.3}s]  Σ {:.3}s ({})\n",
             self.label,
             self.t0,
             self.t1,
-            incl.total(),
-            brief(&incl)
+            self.inclusive.total(),
+            brief(&self.inclusive)
         ));
         for (op, (n, c)) in &self.ok_calls {
             out.push_str(&format!(
@@ -302,61 +299,84 @@ impl Node {
                 c.total()
             ));
         }
-        for item in &self.items {
-            match item {
-                Item::Line(l) => out.push_str(&format!("{pad}  {l}\n")),
-                Item::Child(ch) => ch.render(depth + 1, out),
-            }
+    }
+}
+
+/// Closes span `i` at clock `t1`. Its inclusive charge is its own charges,
+/// then each child's inclusive in item order — the order the sums have
+/// always been taken in, so every `Σ` keeps its digits. Children close
+/// before their parent, so theirs are already there.
+fn seal(nodes: &mut [Node], i: usize, t1: f64) {
+    let mut total = nodes[i].direct;
+    for item in &nodes[i].items {
+        if let Item::Child(ch) = item {
+            total.accumulate(&nodes[*ch].inclusive);
         }
     }
+    nodes[i].inclusive = total;
+    nodes[i].t1 = t1;
 }
 
 /// Replays `events` into an indented span tree. Events outside any span
 /// are attributed to a synthetic `(trace)` root; per-span rollups are
 /// inclusive of children.
 pub fn render(events: &[Event]) -> String {
+    const ROOT: usize = 0;
     let final_clock = events.last().map(|e| e.clock).unwrap_or(0.0);
-    let mut root = Node {
+    let mut nodes = vec![Node {
         label: "(trace)".to_string(),
-        t0: 0.0,
-        t1: final_clock,
         ..Node::default()
-    };
-    let mut stack: Vec<Node> = Vec::new();
+    }];
+    // The spans still open, outermost first; events land in the innermost.
+    let mut open: Vec<usize> = Vec::new();
+    let innermost = |open: &[usize]| open.last().copied().unwrap_or(ROOT);
     for ev in events {
         match &ev.kind {
-            EventKind::SpanBegin { label, .. } => stack.push(Node {
-                label: label.clone(),
-                t0: ev.clock,
-                t1: ev.clock,
-                ..Node::default()
-            }),
+            EventKind::SpanBegin { label, .. } => {
+                open.push(nodes.len());
+                nodes.push(Node {
+                    label: label.clone(),
+                    t0: ev.clock,
+                    ..Node::default()
+                });
+            }
             EventKind::SpanEnd { .. } => {
-                if let Some(mut done) = stack.pop() {
-                    done.t1 = ev.clock;
-                    match stack.last_mut() {
-                        Some(parent) => parent.items.push(Item::Child(done)),
-                        None => root.items.push(Item::Child(done)),
-                    }
+                if let Some(done) = open.pop() {
+                    seal(&mut nodes, done, ev.clock);
+                    nodes[innermost(&open)].items.push(Item::Child(done));
                 }
             }
-            _ => stack
-                .last_mut()
-                .unwrap_or(&mut root)
-                .absorb(ev),
+            _ => nodes[innermost(&open)].absorb(ev),
         }
     }
     // A truncated trace may leave spans open; attach them unclosed.
-    while let Some(mut done) = stack.pop() {
-        done.t1 = final_clock;
-        done.label.push_str(" (unclosed)");
-        match stack.last_mut() {
-            Some(parent) => parent.items.push(Item::Child(done)),
-            None => root.items.push(Item::Child(done)),
+    while let Some(done) = open.pop() {
+        nodes[done].label.push_str(" (unclosed)");
+        seal(&mut nodes, done, final_clock);
+        nodes[innermost(&open)].items.push(Item::Child(done));
+    }
+    seal(&mut nodes, ROOT, final_clock);
+
+    let mut out = format!("trace: {} events, clock 0s → {final_clock:.3}s\n", events.len());
+    nodes[ROOT].head("", &mut out);
+    // What is left to print of each span on the way down to the current
+    // one; `pad` indents the current span's items.
+    let mut path = vec![nodes[ROOT].items.iter()];
+    let mut pad = String::from("  ");
+    while let Some(item) = path.last_mut().map(Iterator::next) {
+        match item {
+            Some(Item::Line(l)) => out.push_str(&format!("{pad}{l}\n")),
+            Some(Item::Child(ch)) => {
+                nodes[*ch].head(&pad, &mut out);
+                path.push(nodes[*ch].items.iter());
+                pad.push_str("  ");
+            }
+            None => {
+                path.pop();
+                pad.truncate(pad.len() - 2);
+            }
         }
     }
-    let mut out = format!("trace: {} events, clock 0s → {final_clock:.3}s\n", events.len());
-    root.render(0, &mut out);
     out
 }
 
@@ -421,5 +441,34 @@ mod tests {
         let text = render(&events);
         assert!(text.contains("gather (unclosed)"), "{text}");
         drop(guard);
+    }
+
+    /// Spans nest as deep as a replayed file says; rendering (and dropping)
+    /// the tree must not recurse on that depth. 2 000 levels is ≈ 4 MB of
+    /// output (indentation makes it quadratic), on a stack the recursive
+    /// renderer overflowed.
+    #[test]
+    fn a_deep_span_chain_renders_on_a_small_stack() {
+        let depth = 2_000u64;
+        let (seq, clock, label) = (0, 0.0, || "s".to_string());
+        let begin = (0..depth).map(|id| EventKind::SpanBegin {
+            id,
+            parent: id.checked_sub(1),
+            label: label(),
+        });
+        let end = (0..depth).rev().map(|id| EventKind::SpanEnd { id, label: label() });
+        let events: Vec<Event> = begin
+            .chain(end)
+            .map(|kind| Event { seq, clock, kind })
+            .collect();
+        let text = std::thread::Builder::new()
+            .stack_size(64 * 1024)
+            .spawn(move || render(&events))
+            .expect("spawns")
+            .join()
+            .expect("renders without overflowing its stack");
+        assert_eq!(text.lines().count() as u64, 2 + depth);
+        let innermost = format!("{}s  [", "  ".repeat(depth as usize));
+        assert!(text.lines().last().unwrap().starts_with(&innermost));
     }
 }

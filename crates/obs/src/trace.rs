@@ -293,7 +293,7 @@ impl<'a> Lexer<'a> {
 /// them, in document order. Lookups walk the direct members only, so the
 /// first of two duplicate keys wins and unknown fields cost one compare.
 #[derive(Clone, Copy)]
-struct Fields<'t, 'a> {
+pub(crate) struct Fields<'t, 'a> {
     toks: &'t [Tok<'a>],
 }
 
@@ -323,47 +323,6 @@ impl<'t, 'a> Fields<'t, 'a> {
         }
     }
 
-    fn i64(&self, key: &str) -> Result<i64, String> {
-        self.int(key, "an integer")
-    }
-
-    fn u64(&self, key: &str) -> Result<u64, String> {
-        self.int(key, "a u64")
-    }
-
-    fn u32(&self, key: &str) -> Result<u32, String> {
-        self.int(key, "a u32")
-    }
-
-    fn usize(&self, key: &str) -> Result<usize, String> {
-        self.int(key, "a usize")
-    }
-
-    /// A float. `1e999` and `-1e999` are the infinities (every literal
-    /// past `f64::MAX` parses to one) and `null` is NaN — see
-    /// `Event::write_jsonl`.
-    fn f64(&self, key: &str) -> Result<f64, String> {
-        match self.get(key)? {
-            Val::Num(n) => n.parse().map_err(|_| format!("\"{key}\" is not a float")),
-            Val::Null => Ok(f64::NAN),
-            _ => Err(format!("\"{key}\" is not a number")),
-        }
-    }
-
-    fn str(&self, key: &str) -> Result<&'t str, String> {
-        match self.get(key)? {
-            Val::Str(s) => Ok(s),
-            _ => Err(format!("\"{key}\" is not a string")),
-        }
-    }
-
-    fn bool(&self, key: &str) -> Result<bool, String> {
-        match self.get(key)? {
-            Val::Bool(b) => Ok(*b),
-            _ => Err(format!("\"{key}\" is not a bool")),
-        }
-    }
-
     fn opt_int<T: FromStr>(&self, key: &str, what: &str) -> Result<Option<T>, String> {
         match self.get(key)? {
             Val::Null => Ok(None),
@@ -375,20 +334,25 @@ impl<'t, 'a> Fields<'t, 'a> {
         }
     }
 
-    fn opt_u64(&self, key: &str) -> Result<Option<u64>, String> {
-        self.opt_int(key, "a u64")
-    }
-
-    fn opt_usize(&self, key: &str) -> Result<Option<usize>, String> {
-        self.opt_int(key, "a usize")
-    }
-
-    fn opt_str(&self, key: &str) -> Result<Option<&'t str>, String> {
+    fn str(&self, key: &str) -> Result<&'t str, String> {
         match self.get(key)? {
-            Val::Null => Ok(None),
-            Val::Str(s) => Ok(Some(s)),
-            _ => Err(format!("\"{key}\" is not a string or null")),
+            Val::Str(s) => Ok(s),
+            _ => Err(format!("\"{key}\" is not a string")),
         }
+    }
+
+    /// A `&'static str` field: the one of `words` the line spells. An
+    /// event built in code holds the interned word, and so must one read
+    /// back; `what` names the vocabulary in the error.
+    pub(crate) fn word(
+        &self,
+        key: &str,
+        what: &str,
+        words: &[&'static str],
+    ) -> Result<&'static str, String> {
+        let name = self.str(key)?;
+        let word = words.iter().copied().find(|w| *w == name);
+        word.ok_or_else(|| format!("unknown {what} \"{name}\""))
     }
 
     fn obj(&self, key: &str) -> Result<Fields<'t, 'a>, String> {
@@ -401,15 +365,16 @@ impl<'t, 'a> Fields<'t, 'a> {
         }
     }
 
-    /// An array of integers; an item that is not one fails with `bad`.
-    fn ints<T: FromStr>(&self, key: &str, bad: &str) -> Result<Vec<T>, String> {
+    /// An array of integers.
+    fn ints<T: FromStr>(&self, key: &str) -> Result<Vec<T>, String> {
         let i = self.find(key)?;
+        let bad = || format!("bad entry in \"{key}\"");
         match self.toks[i].val {
             Val::Arr(n) => self.toks[i + 1..i + 1 + n]
                 .iter()
                 .map(|item| match item.val {
-                    Val::Num(n) => n.parse().map_err(|_| bad.to_string()),
-                    _ => Err(bad.to_string()),
+                    Val::Num(n) => n.parse().map_err(|_| bad()),
+                    _ => Err(bad()),
                 })
                 .collect(),
             _ => Err(format!("\"{key}\" is not an array")),
@@ -417,252 +382,124 @@ impl<'t, 'a> Fields<'t, 'a> {
     }
 }
 
-fn charge_of(f: &Fields<'_, '_>) -> Result<Charge, String> {
-    let c = f.obj("charge")?;
-    Ok(Charge {
-        invocations: c.i64("inv")?,
-        rejected: c.i64("rej")?,
-        postings: c.i64("post")?,
-        docs_short: c.i64("short")?,
-        docs_long: c.i64("long")?,
-        time_invocation: c.f64("t_inv")?,
-        time_processing: c.f64("t_proc")?,
-        time_transmission: c.f64("t_xmit")?,
-        faults: c.i64("faults")?,
-        retries: c.i64("retries")?,
-        time_backoff: c.f64("t_backoff")?,
-    })
+/// How a field of this type is read from under its key — the reading half
+/// of a table field, the inverse of `event.rs`'s `Put`.
+pub(crate) trait Get: Sized {
+    fn get(f: &Fields<'_, '_>, key: &str) -> Result<Self, String>;
 }
 
-/// Call events carry a `&'static str` operation name; the serialized name
-/// must map back to the interned one the server would have used.
-fn op_of(name: &str) -> Result<&'static str, String> {
-    match name {
-        "search" => Ok("search"),
-        "probe" => Ok("probe"),
-        "batch" => Ok("batch"),
-        "retrieve" => Ok("retrieve"),
-        "xfer.out" => Ok("xfer.out"),
-        "xfer.in" => Ok("xfer.in"),
-        other => Err(format!("unknown call op \"{other}\"")),
+/// An integer type, and how an error names it.
+macro_rules! get_int {
+    ($($ty:ty = $what:literal),+) => {$(
+        impl Get for $ty {
+            fn get(f: &Fields<'_, '_>, key: &str) -> Result<Self, String> {
+                f.int(key, $what)
+            }
+        }
+
+        impl Get for Option<$ty> {
+            fn get(f: &Fields<'_, '_>, key: &str) -> Result<Self, String> {
+                f.opt_int(key, $what)
+            }
+        }
+    )+};
+}
+get_int! { u64 = "a u64", u32 = "a u32", usize = "a usize", i64 = "an integer" }
+
+/// `1e999` and `-1e999` are the infinities (every literal past `f64::MAX`
+/// parses to one) and `null` is NaN — see `Event::write_jsonl`.
+impl Get for f64 {
+    fn get(f: &Fields<'_, '_>, key: &str) -> Result<Self, String> {
+        match f.get(key)? {
+            Val::Num(n) => n.parse().map_err(|_| format!("\"{key}\" is not a float")),
+            Val::Null => Ok(f64::NAN),
+            _ => Err(format!("\"{key}\" is not a number")),
+        }
     }
 }
 
-/// Drift alerts carry a `&'static str` component name; the serialized
-/// name must map back to the interned one the watchdog would have used.
-fn component_of(name: &str) -> Result<&'static str, String> {
-    match name {
-        "c_i" => Ok("c_i"),
-        "c_p" => Ok("c_p"),
-        "c_s" => Ok("c_s"),
-        "c_l" => Ok("c_l"),
-        other => Err(format!("unknown drift component \"{other}\"")),
+impl Get for bool {
+    fn get(f: &Fields<'_, '_>, key: &str) -> Result<Self, String> {
+        match f.get(key)? {
+            Val::Bool(b) => Ok(*b),
+            _ => Err(format!("\"{key}\" is not a bool")),
+        }
     }
 }
 
-/// Estimate-drift alerts carry a `&'static str` component name; the
-/// serialized name maps back to the interned one the detector uses.
-fn quality_component_of(name: &str) -> Result<&'static str, String> {
-    match name {
-        "selectivity" => Ok("selectivity"),
-        "constants" => Ok("constants"),
-        other => Err(format!("unknown estimate component \"{other}\"")),
+impl Get for String {
+    fn get(f: &Fields<'_, '_>, key: &str) -> Result<Self, String> {
+        f.str(key).map(str::to_string)
     }
 }
 
-/// Cache-hit events carry a `&'static str` scope; the serialized name is
-/// interned back the same way as call ops.
-fn cache_scope_of(name: &str) -> Result<&'static str, String> {
-    match name {
-        "probe" => Ok("probe"),
-        "plan" => Ok("plan"),
-        other => Err(format!("unknown cache scope \"{other}\"")),
+impl Get for Option<String> {
+    fn get(f: &Fields<'_, '_>, key: &str) -> Result<Self, String> {
+        match f.get(key)? {
+            Val::Null => Ok(None),
+            Val::Str(s) => Ok(Some(s.to_string())),
+            _ => Err(format!("\"{key}\" is not a string or null")),
+        }
+    }
+}
+
+impl<T: FromStr> Get for Vec<T> {
+    fn get(f: &Fields<'_, '_>, key: &str) -> Result<Self, String> {
+        f.ints(key)
+    }
+}
+
+impl Get for Charge {
+    fn get(f: &Fields<'_, '_>, key: &str) -> Result<Self, String> {
+        let c = &f.obj(key)?;
+        Ok(Charge {
+            invocations: i64::get(c, "inv")?,
+            rejected: i64::get(c, "rej")?,
+            postings: i64::get(c, "post")?,
+            docs_short: i64::get(c, "short")?,
+            docs_long: i64::get(c, "long")?,
+            time_invocation: f64::get(c, "t_inv")?,
+            time_processing: f64::get(c, "t_proc")?,
+            time_transmission: f64::get(c, "t_xmit")?,
+            faults: i64::get(c, "faults")?,
+            retries: i64::get(c, "retries")?,
+            time_backoff: f64::get(c, "t_backoff")?,
+        })
+    }
+}
+
+impl PlannerChoice {
+    /// Reads what `put_fields` wrote.
+    pub(crate) fn get_fields(f: &Fields<'_, '_>) -> Result<Self, String> {
+        let (label, chosen) = (String::get(f, "label")?, bool::get(f, "chosen")?);
+        let probe_cols = Vec::get(f, "probe_cols")?;
+        let est = &f.obj("est")?;
+        Ok(PlannerChoice {
+            label,
+            chosen,
+            probe_cols,
+            invocation: f64::get(est, "invocation")?,
+            processing: f64::get(est, "processing")?,
+            transmission: f64::get(est, "transmission")?,
+            rtp: f64::get(est, "rtp")?,
+            searches: f64::get(est, "searches")?,
+            est_rows: f64::get(est, "rows")?,
+            est_postings: f64::get(est, "postings")?,
+            effective_c_i: f64::get(f, "effective_c_i")?,
+        })
     }
 }
 
 fn event_of<'a>(line: &'a str, scratch: &mut Scratch<'a>) -> Result<Event, String> {
     Lexer::new(line).line(scratch)?;
-    let f = Fields {
+    let f = &Fields {
         toks: &scratch.toks[1..],
     };
-    let seq = f.u64("seq")?;
-    let clock = f.f64("clock")?;
-    let kind = match f.str("type")? {
-        "span_begin" => EventKind::SpanBegin {
-            id: f.u64("id")?,
-            parent: f.opt_u64("parent")?,
-            label: f.str("label")?.to_string(),
-        },
-        "span_end" => EventKind::SpanEnd {
-            id: f.u64("id")?,
-            label: f.str("label")?.to_string(),
-        },
-        "call" => EventKind::Call {
-            op: op_of(f.str("op")?)?,
-            shard: f.opt_usize("shard")?,
-            terms: f.u64("terms")?,
-            err: f.opt_str("err")?.map(str::to_string),
-            charge: charge_of(&f)?,
-        },
-        "rebate" => EventKind::Rebate {
-            shard: f.opt_usize("shard")?,
-            charge: charge_of(&f)?,
-        },
-        "backoff" => EventKind::Backoff {
-            shard: f.opt_usize("shard")?,
-            seconds: f.f64("seconds")?,
-            charge: charge_of(&f)?,
-        },
-        "retry" => EventKind::Retry {
-            shard: f.opt_usize("shard")?,
-            attempt: f.u32("attempt")?,
-        },
-        "failover" => EventKind::Failover {
-            shard: f.usize("shard")?,
-            replica: f.usize("replica")?,
-        },
-        "circuit_open" => EventKind::CircuitOpen {
-            shard: f.usize("shard")?,
-            rate: f.u32("rate")?,
-        },
-        "circuit_close" => EventKind::CircuitClose {
-            shard: f.usize("shard")?,
-            rate: f.u32("rate")?,
-        },
-        "hedge" => EventKind::Hedge {
-            shard: f.usize("shard")?,
-            replica: f.usize("replica")?,
-        },
-        "cancel" => EventKind::Cancel {
-            shard: f.usize("shard")?,
-            replica: f.usize("replica")?,
-        },
-        "deadline_miss" => EventKind::DeadlineMiss {
-            shard: f.opt_usize("shard")?,
-        },
-        "migration_begin" => EventKind::MigrationBegin {
-            moves: f.u64("moves")?,
-            docs: f.u64("docs")?,
-            epoch: f.u64("epoch")?,
-        },
-        "migration_batch" => EventKind::MigrationBatch {
-            mv: f.u64("mv")?,
-            src: f.usize("src")?,
-            dst: f.usize("dst")?,
-            docs: f.u64("docs")?,
-            postings: f.u64("postings")?,
-            high_water: f.u64("high_water")?,
-            epoch: f.u64("epoch")?,
-        },
-        "migration_resume" => EventKind::MigrationResume {
-            mv: f.u64("mv")?,
-            src: f.usize("src")?,
-            dst: f.usize("dst")?,
-            docs: f.u64("docs")?,
-            epoch: f.u64("epoch")?,
-        },
-        "migration_abort" => EventKind::MigrationAbort {
-            mv: f.u64("mv")?,
-            src: f.usize("src")?,
-            dst: f.usize("dst")?,
-            reverted: f.u64("reverted")?,
-            epoch: f.u64("epoch")?,
-        },
-        "routing_stale" => {
-            // Decoded first, as it always was: of two bad fields the same
-            // one is reported.
-            let shards = f.ints("shards", "bad shard index")?;
-            EventKind::RoutingStale {
-                from_epoch: f.u64("from_epoch")?,
-                to_epoch: f.u64("to_epoch")?,
-                shards,
-            }
-        }
-        "doc_traffic" => EventKind::DocTraffic {
-            shard: f.opt_usize("shard")?,
-            docs: f.ints("docs", "bad entry in \"docs\"")?,
-        },
-        "skew_alert" => EventKind::SkewAlert {
-            window: f.u64("window")?,
-            shard: f.usize("shard")?,
-            share_ppm: f.u64("share_ppm")?,
-            hot: f.bool("hot")?,
-        },
-        "slo_alert" => EventKind::SloAlert {
-            window: f.u64("window")?,
-            fast_ppm: f.u64("fast_ppm")?,
-            slow_ppm: f.u64("slow_ppm")?,
-            firing: f.bool("firing")?,
-        },
-        "drift_alert" => EventKind::DriftAlert {
-            window: f.u64("window")?,
-            component: component_of(f.str("component")?)?,
-            configured: f.f64("configured")?,
-            fitted: f.f64("fitted")?,
-            drifted: f.bool("drifted")?,
-        },
-        "admit" => EventKind::Admit {
-            tenant: f.u64("tenant")?,
-            arrival: f.u64("arrival")?,
-            est_cost: f.f64("est_cost")?,
-        },
-        "shed" => EventKind::Shed {
-            tenant: f.u64("tenant")?,
-            arrival: f.u64("arrival")?,
-            queued: f.u64("queued")?,
-        },
-        "budget_exhausted" => EventKind::BudgetExhausted {
-            tenant: f.u64("tenant")?,
-            arrival: f.u64("arrival")?,
-            spent_ms: f.u64("spent_ms")?,
-            remaining_ms: f.u64("remaining_ms")?,
-        },
-        "cache_hit" => EventKind::CacheHit {
-            scope: cache_scope_of(f.str("scope")?)?,
-            epoch: f.u64("epoch")?,
-        },
-        "rebalance_advice" => EventKind::RebalanceAdvice {
-            window: f.u64("window")?,
-            src: f.usize("src")?,
-            dst: f.usize("dst")?,
-            lo: f.u64("lo")?,
-            hi: f.u64("hi")?,
-            hits: f.u64("hits")?,
-        },
-        "planner" => {
-            // These two first, for the same reason.
-            let est = f.obj("est")?;
-            let probe_cols = f.ints("probe_cols", "bad probe col")?;
-            EventKind::Planner(PlannerChoice {
-                label: f.str("label")?.to_string(),
-                chosen: f.bool("chosen")?,
-                probe_cols,
-                invocation: est.f64("invocation")?,
-                processing: est.f64("processing")?,
-                transmission: est.f64("transmission")?,
-                rtp: est.f64("rtp")?,
-                searches: est.f64("searches")?,
-                est_rows: est.f64("rows")?,
-                est_postings: est.f64("postings")?,
-                effective_c_i: f.f64("effective_c_i")?,
-            })
-        }
-        "estimate_sample" => EventKind::EstimateSample {
-            cost_q: f.f64("cost_q")?,
-            selectivity_q: f.f64("selectivity_q")?,
-            constants_q: f.f64("constants_q")?,
-            regret_share: f.f64("regret_share")?,
-        },
-        "estimate_drift" => EventKind::EstimateDrift {
-            window: f.u64("window")?,
-            component: quality_component_of(f.str("component")?)?,
-            p90_q: f.f64("p90_q")?,
-            regret_share: f.f64("regret_share")?,
-            firing: f.bool("firing")?,
-        },
-        other => return Err(format!("unknown event type \"{other}\"")),
-    };
-    Ok(Event { seq, clock, kind })
+    Ok(Event {
+        seq: u64::get(f, "seq")?,
+        clock: f64::get(f, "clock")?,
+        kind: EventKind::get(f.str("type")?, f)?,
+    })
 }
 
 /// Parses a JSONL trace (one event per non-empty line) back into events.
@@ -688,15 +525,21 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<Event>, TraceParseError> {
 mod tests {
     use super::*;
 
-    fn roundtrip(ev: Event) {
-        let line = ev.to_jsonl();
-        let parsed = parse_jsonl(&line).expect("parses");
-        assert_eq!(parsed, vec![ev], "round trip of {line}");
-        assert_eq!(parsed[0].to_jsonl(), line, "byte-identical re-serialize");
+    /// The event `kind` makes at seq 9, clock 11.17 is written as exactly
+    /// `line`, and `line` parses back to it.
+    fn wire(kind: EventKind, line: &str) {
+        let (seq, clock) = (9, 11.17);
+        let ev = Event { seq, clock, kind };
+        assert_eq!(ev.to_jsonl(), line);
+        assert_eq!(parse_jsonl(line).expect("parses"), vec![ev], "{line}");
     }
 
+    /// Every kind, and each `Option`, vocabulary and sign branch, beside
+    /// the bytes it is written as. `tests/codec.rs` proves write ∘ parse is
+    /// the identity, which a table with two keys swapped would still
+    /// satisfy; this pins what the bytes are.
     #[test]
-    fn round_trips_every_event_kind() {
+    fn wire_format_of_every_event_kind() {
         let charge = Charge {
             invocations: 1,
             rejected: 0,
@@ -710,117 +553,111 @@ mod tests {
             retries: 2,
             time_backoff: 0.125,
         };
-        roundtrip(Event {
-            seq: 0,
-            clock: 0.0,
-            kind: EventKind::SpanBegin {
+        let refund = Charge {
+            invocations: -2,
+            docs_short: -3,
+            time_invocation: -6.0,
+            time_transmission: -0.045,
+            ..Charge::default()
+        };
+        wire(
+            EventKind::SpanBegin {
                 id: 0,
                 parent: None,
                 label: "P+RTP{name}".into(),
             },
-        });
-        roundtrip(Event {
-            seq: 1,
-            clock: 1.5,
-            kind: EventKind::SpanBegin {
+            "{\"seq\":9,\"clock\":11.17,\"type\":\"span_begin\",\"id\":0,\"parent\":null,\"label\":\"P+RTP{name}\"}",
+        );
+        wire(
+            EventKind::SpanBegin {
                 id: 1,
                 parent: Some(0),
                 label: "gather/shard2".into(),
             },
-        });
-        roundtrip(Event {
-            seq: 2,
-            clock: 11.045,
-            kind: EventKind::Call {
+            "{\"seq\":9,\"clock\":11.17,\"type\":\"span_begin\",\"id\":1,\"parent\":0,\"label\":\"gather/shard2\"}",
+        );
+        wire(
+            EventKind::Call {
                 op: "search",
                 shard: Some(2),
                 terms: 4,
                 err: Some("cap \"M\" hit\nline2".into()),
                 charge,
             },
-        });
-        roundtrip(Event {
-            seq: 3,
-            clock: 11.045,
-            kind: EventKind::Rebate {
+            "{\"seq\":9,\"clock\":11.17,\"type\":\"call\",\"op\":\"search\",\"shard\":2,\"terms\":4,\"err\":\"cap \\\"M\\\" hit\\nline2\",\"charge\":{\"inv\":1,\"rej\":0,\"post\":120,\"short\":-3,\"long\":2,\"t_inv\":3,\"t_proc\":0.05080000000000001,\"t_xmit\":8.045,\"faults\":1,\"retries\":2,\"t_backoff\":0.125}}",
+        );
+        wire(
+            EventKind::Rebate {
                 shard: None,
-                charge,
+                charge: refund,
             },
-        });
-        roundtrip(Event {
-            seq: 4,
-            clock: 11.17,
-            kind: EventKind::Backoff {
+            "{\"seq\":9,\"clock\":11.17,\"type\":\"rebate\",\"shard\":null,\"charge\":{\"inv\":-2,\"rej\":0,\"post\":0,\"short\":-3,\"long\":0,\"t_inv\":-6,\"t_proc\":0,\"t_xmit\":-0.045,\"faults\":0,\"retries\":0,\"t_backoff\":0}}",
+        );
+        wire(
+            EventKind::Backoff {
                 shard: Some(0),
                 seconds: 0.125,
                 charge,
             },
-        });
-        roundtrip(Event {
-            seq: 5,
-            clock: 11.17,
-            kind: EventKind::Retry {
+            "{\"seq\":9,\"clock\":11.17,\"type\":\"backoff\",\"shard\":0,\"seconds\":0.125,\"charge\":{\"inv\":1,\"rej\":0,\"post\":120,\"short\":-3,\"long\":2,\"t_inv\":3,\"t_proc\":0.05080000000000001,\"t_xmit\":8.045,\"faults\":1,\"retries\":2,\"t_backoff\":0.125}}",
+        );
+        wire(
+            EventKind::Retry {
                 shard: None,
                 attempt: 3,
             },
-        });
-        roundtrip(Event {
-            seq: 6,
-            clock: 11.17,
-            kind: EventKind::Failover {
+            "{\"seq\":9,\"clock\":11.17,\"type\":\"retry\",\"shard\":null,\"attempt\":3}",
+        );
+        wire(
+            EventKind::Failover {
                 shard: 2,
                 replica: 1,
             },
-        });
-        roundtrip(Event {
-            seq: 7,
-            clock: 11.17,
-            kind: EventKind::CircuitOpen { shard: 2, rate: 801 },
-        });
-        roundtrip(Event {
-            seq: 8,
-            clock: 11.17,
-            kind: EventKind::CircuitClose { shard: 2, rate: 12 },
-        });
-        roundtrip(Event {
-            seq: 9,
-            clock: 11.17,
-            kind: EventKind::Hedge {
+            "{\"seq\":9,\"clock\":11.17,\"type\":\"failover\",\"shard\":2,\"replica\":1}",
+        );
+        wire(
+            EventKind::CircuitOpen {
+                shard: 2,
+                rate: 801,
+            },
+            "{\"seq\":9,\"clock\":11.17,\"type\":\"circuit_open\",\"shard\":2,\"rate\":801}",
+        );
+        wire(
+            EventKind::CircuitClose { shard: 2, rate: 12 },
+            "{\"seq\":9,\"clock\":11.17,\"type\":\"circuit_close\",\"shard\":2,\"rate\":12}",
+        );
+        wire(
+            EventKind::Hedge {
                 shard: 1,
                 replica: 0,
             },
-        });
-        roundtrip(Event {
-            seq: 9,
-            clock: 11.17,
-            kind: EventKind::Cancel {
+            "{\"seq\":9,\"clock\":11.17,\"type\":\"hedge\",\"shard\":1,\"replica\":0}",
+        );
+        wire(
+            EventKind::Cancel {
                 shard: 1,
                 replica: 1,
             },
-        });
-        roundtrip(Event {
-            seq: 9,
-            clock: 11.17,
-            kind: EventKind::DeadlineMiss { shard: Some(3) },
-        });
-        roundtrip(Event {
-            seq: 9,
-            clock: 11.17,
-            kind: EventKind::DeadlineMiss { shard: None },
-        });
-        roundtrip(Event {
-            seq: 9,
-            clock: 11.17,
-            kind: EventKind::MigrationBegin {
+            "{\"seq\":9,\"clock\":11.17,\"type\":\"cancel\",\"shard\":1,\"replica\":1}",
+        );
+        wire(
+            EventKind::DeadlineMiss { shard: Some(3) },
+            "{\"seq\":9,\"clock\":11.17,\"type\":\"deadline_miss\",\"shard\":3}",
+        );
+        wire(
+            EventKind::DeadlineMiss { shard: None },
+            "{\"seq\":9,\"clock\":11.17,\"type\":\"deadline_miss\",\"shard\":null}",
+        );
+        wire(
+            EventKind::MigrationBegin {
                 moves: 2,
                 docs: 17,
                 epoch: 3,
             },
-        });
-        roundtrip(Event {
-            seq: 9,
-            clock: 11.17,
-            kind: EventKind::MigrationBatch {
+            "{\"seq\":9,\"clock\":11.17,\"type\":\"migration_begin\",\"moves\":2,\"docs\":17,\"epoch\":3}",
+        );
+        wire(
+            EventKind::MigrationBatch {
                 mv: 0,
                 src: 2,
                 dst: 0,
@@ -829,109 +666,98 @@ mod tests {
                 high_water: 31,
                 epoch: 4,
             },
-        });
-        roundtrip(Event {
-            seq: 9,
-            clock: 11.17,
-            kind: EventKind::MigrationResume {
+            "{\"seq\":9,\"clock\":11.17,\"type\":\"migration_batch\",\"mv\":0,\"src\":2,\"dst\":0,\"docs\":4,\"postings\":96,\"high_water\":31,\"epoch\":4}",
+        );
+        wire(
+            EventKind::MigrationResume {
                 mv: 1,
                 src: 2,
                 dst: 0,
                 docs: 3,
                 epoch: 4,
             },
-        });
-        roundtrip(Event {
-            seq: 9,
-            clock: 11.17,
-            kind: EventKind::MigrationAbort {
+            "{\"seq\":9,\"clock\":11.17,\"type\":\"migration_resume\",\"mv\":1,\"src\":2,\"dst\":0,\"docs\":3,\"epoch\":4}",
+        );
+        wire(
+            EventKind::MigrationAbort {
                 mv: 1,
                 src: 2,
                 dst: 0,
                 reverted: 3,
                 epoch: 5,
             },
-        });
-        roundtrip(Event {
-            seq: 9,
-            clock: 11.17,
-            kind: EventKind::RoutingStale {
+            "{\"seq\":9,\"clock\":11.17,\"type\":\"migration_abort\",\"mv\":1,\"src\":2,\"dst\":0,\"reverted\":3,\"epoch\":5}",
+        );
+        wire(
+            EventKind::RoutingStale {
                 from_epoch: 3,
                 to_epoch: 5,
                 shards: vec![0, 2],
             },
-        });
-        roundtrip(Event {
-            seq: 9,
-            clock: 11.17,
-            kind: EventKind::RoutingStale {
+            "{\"seq\":9,\"clock\":11.17,\"type\":\"routing_stale\",\"from_epoch\":3,\"to_epoch\":5,\"shards\":[0,2]}",
+        );
+        wire(
+            EventKind::RoutingStale {
                 from_epoch: 0,
                 to_epoch: 1,
                 shards: Vec::new(),
             },
-        });
-        roundtrip(Event {
-            seq: 9,
-            clock: 11.17,
-            kind: EventKind::Call {
+            "{\"seq\":9,\"clock\":11.17,\"type\":\"routing_stale\",\"from_epoch\":0,\"to_epoch\":1,\"shards\":[]}",
+        );
+        wire(
+            EventKind::Call {
                 op: "xfer.out",
                 shard: Some(2),
                 terms: 0,
                 err: None,
                 charge,
             },
-        });
-        roundtrip(Event {
-            seq: 9,
-            clock: 11.17,
-            kind: EventKind::DocTraffic {
+            "{\"seq\":9,\"clock\":11.17,\"type\":\"call\",\"op\":\"xfer.out\",\"shard\":2,\"terms\":0,\"err\":null,\"charge\":{\"inv\":1,\"rej\":0,\"post\":120,\"short\":-3,\"long\":2,\"t_inv\":3,\"t_proc\":0.05080000000000001,\"t_xmit\":8.045,\"faults\":1,\"retries\":2,\"t_backoff\":0.125}}",
+        );
+        wire(
+            EventKind::DocTraffic {
                 shard: Some(1),
                 docs: vec![3, 17, 120],
             },
-        });
-        roundtrip(Event {
-            seq: 9,
-            clock: 11.17,
-            kind: EventKind::DocTraffic {
+            "{\"seq\":9,\"clock\":11.17,\"type\":\"doc_traffic\",\"shard\":1,\"docs\":[3,17,120]}",
+        );
+        wire(
+            EventKind::DocTraffic {
                 shard: None,
                 docs: Vec::new(),
             },
-        });
-        roundtrip(Event {
-            seq: 9,
-            clock: 11.17,
-            kind: EventKind::SkewAlert {
+            "{\"seq\":9,\"clock\":11.17,\"type\":\"doc_traffic\",\"shard\":null,\"docs\":[]}",
+        );
+        wire(
+            EventKind::SkewAlert {
                 window: 4,
                 shard: 1,
                 share_ppm: 612_500,
                 hot: true,
             },
-        });
-        roundtrip(Event {
-            seq: 9,
-            clock: 11.17,
-            kind: EventKind::SloAlert {
+            "{\"seq\":9,\"clock\":11.17,\"type\":\"skew_alert\",\"window\":4,\"shard\":1,\"share_ppm\":612500,\"hot\":true}",
+        );
+        wire(
+            EventKind::SloAlert {
                 window: 7,
                 fast_ppm: 2_000_000,
                 slow_ppm: 1_250_000,
                 firing: false,
             },
-        });
-        roundtrip(Event {
-            seq: 9,
-            clock: 11.17,
-            kind: EventKind::DriftAlert {
+            "{\"seq\":9,\"clock\":11.17,\"type\":\"slo_alert\",\"window\":7,\"fast_ppm\":2000000,\"slow_ppm\":1250000,\"firing\":false}",
+        );
+        wire(
+            EventKind::DriftAlert {
                 window: 6,
                 component: "c_p",
                 configured: 0.0002,
                 fitted: 0.00031,
                 drifted: true,
             },
-        });
-        roundtrip(Event {
-            seq: 9,
-            clock: 11.17,
-            kind: EventKind::RebalanceAdvice {
+            "{\"seq\":9,\"clock\":11.17,\"type\":\"drift_alert\",\"window\":6,\"component\":\"c_p\",\"configured\":0.0002,\"fitted\":0.00031,\"drifted\":true}",
+        );
+        wire(
+            EventKind::RebalanceAdvice {
                 window: 4,
                 src: 1,
                 dst: 3,
@@ -939,55 +765,49 @@ mod tests {
                 hi: 90,
                 hits: 37,
             },
-        });
-        roundtrip(Event {
-            seq: 9,
-            clock: 11.17,
-            kind: EventKind::Admit {
+            "{\"seq\":9,\"clock\":11.17,\"type\":\"rebalance_advice\",\"window\":4,\"src\":1,\"dst\":3,\"lo\":40,\"hi\":90,\"hits\":37}",
+        );
+        wire(
+            EventKind::Admit {
                 tenant: 2,
                 arrival: 17,
                 est_cost: 145.125,
             },
-        });
-        roundtrip(Event {
-            seq: 9,
-            clock: 11.17,
-            kind: EventKind::Shed {
+            "{\"seq\":9,\"clock\":11.17,\"type\":\"admit\",\"tenant\":2,\"arrival\":17,\"est_cost\":145.125}",
+        );
+        wire(
+            EventKind::Shed {
                 tenant: 3,
                 arrival: 19,
                 queued: 7,
             },
-        });
-        roundtrip(Event {
-            seq: 9,
-            clock: 11.17,
-            kind: EventKind::BudgetExhausted {
+            "{\"seq\":9,\"clock\":11.17,\"type\":\"shed\",\"tenant\":3,\"arrival\":19,\"queued\":7}",
+        );
+        wire(
+            EventKind::BudgetExhausted {
                 tenant: 1,
                 arrival: 23,
                 spent_ms: 182_500,
                 remaining_ms: 90_000,
             },
-        });
-        roundtrip(Event {
-            seq: 9,
-            clock: 11.17,
-            kind: EventKind::CacheHit {
+            "{\"seq\":9,\"clock\":11.17,\"type\":\"budget_exhausted\",\"tenant\":1,\"arrival\":23,\"spent_ms\":182500,\"remaining_ms\":90000}",
+        );
+        wire(
+            EventKind::CacheHit {
                 scope: "probe",
                 epoch: 2,
             },
-        });
-        roundtrip(Event {
-            seq: 9,
-            clock: 11.17,
-            kind: EventKind::CacheHit {
+            "{\"seq\":9,\"clock\":11.17,\"type\":\"cache_hit\",\"scope\":\"probe\",\"epoch\":2}",
+        );
+        wire(
+            EventKind::CacheHit {
                 scope: "plan",
                 epoch: 0,
             },
-        });
-        roundtrip(Event {
-            seq: 9,
-            clock: 11.17,
-            kind: EventKind::Planner(PlannerChoice {
+            "{\"seq\":9,\"clock\":11.17,\"type\":\"cache_hit\",\"scope\":\"plan\",\"epoch\":0}",
+        );
+        wire(
+            EventKind::Planner(PlannerChoice {
                 label: "P+RTP{name}".into(),
                 chosen: true,
                 probe_cols: vec![0, 2],
@@ -1000,47 +820,44 @@ mod tests {
                 est_postings: 1200.0,
                 effective_c_i: 3.2,
             }),
-        });
-        roundtrip(Event {
-            seq: 9,
-            clock: 11.17,
-            kind: EventKind::EstimateSample {
+            "{\"seq\":9,\"clock\":11.17,\"type\":\"planner\",\"label\":\"P+RTP{name}\",\"chosen\":true,\"probe_cols\":[0,2],\"est\":{\"invocation\":12,\"processing\":0.5,\"transmission\":3.25,\"rtp\":0.001,\"searches\":4,\"rows\":6.5,\"postings\":1200},\"effective_c_i\":3.2}",
+        );
+        wire(
+            EventKind::EstimateSample {
                 cost_q: 1.75,
                 selectivity_q: 2.5,
                 constants_q: 1.0,
                 regret_share: 0.125,
             },
-        });
-        roundtrip(Event {
-            seq: 9,
-            clock: 11.17,
-            kind: EventKind::EstimateDrift {
+            "{\"seq\":9,\"clock\":11.17,\"type\":\"estimate_sample\",\"cost_q\":1.75,\"selectivity_q\":2.5,\"constants_q\":1,\"regret_share\":0.125}",
+        );
+        wire(
+            EventKind::EstimateDrift {
                 window: 5,
                 component: "selectivity",
                 p90_q: 3.25,
                 regret_share: 0.2,
                 firing: true,
             },
-        });
-        roundtrip(Event {
-            seq: 9,
-            clock: 11.17,
-            kind: EventKind::EstimateDrift {
+            "{\"seq\":9,\"clock\":11.17,\"type\":\"estimate_drift\",\"window\":5,\"component\":\"selectivity\",\"p90_q\":3.25,\"regret_share\":0.2,\"firing\":true}",
+        );
+        wire(
+            EventKind::EstimateDrift {
                 window: 8,
                 component: "constants",
                 p90_q: 1.125,
                 regret_share: 0.0,
                 firing: false,
             },
-        });
-        roundtrip(Event {
-            seq: 10,
-            clock: 12.0,
-            kind: EventKind::SpanEnd {
+            "{\"seq\":9,\"clock\":11.17,\"type\":\"estimate_drift\",\"window\":8,\"component\":\"constants\",\"p90_q\":1.125,\"regret_share\":0,\"firing\":false}",
+        );
+        wire(
+            EventKind::SpanEnd {
                 id: 1,
                 label: "gather/shard2".into(),
             },
-        });
+            "{\"seq\":9,\"clock\":11.17,\"type\":\"span_end\",\"id\":1,\"label\":\"gather/shard2\"}",
+        );
     }
 
     #[test]

@@ -13,9 +13,6 @@ use proptest::prelude::*;
 
 use textjoin_obs::{parse_jsonl, Charge, Event, EventKind, JsonlSink, PlannerChoice, Sink};
 
-/// Event kinds the codec knows.
-const KINDS: usize = 29;
-
 /// The generator's entropy: a fixed list of drawn words, read in order
 /// (zeros once it runs out).
 struct Draw<'a>(std::slice::Iter<'a, u64>);
@@ -127,7 +124,8 @@ impl Draw<'_> {
         names[self.below(names.len())]
     }
 
-    /// An event of the `kind`-th kind with generated fields.
+    /// An event of the `kind`-th kind of `EventKind::TYPES` with generated
+    /// fields.
     fn event(&mut self, kind: usize) -> Event {
         let kind = match kind {
             0 => EventKind::SpanBegin {
@@ -294,7 +292,10 @@ impl Draw<'_> {
                 regret_share: self.f64(),
                 firing: self.flag(),
             },
-            other => panic!("no event kind {other}"),
+            other => panic!(
+                "the generator has no arm for kind {other}, {:?}",
+                EventKind::TYPES[other]
+            ),
         };
         Event {
             seq: self.u64(),
@@ -307,7 +308,7 @@ impl Draw<'_> {
 /// What drives one generated event: its kind and the words its fields are
 /// drawn from.
 fn seeds() -> impl Strategy<Value = (usize, Vec<u64>)> {
-    (0..KINDS, prop::collection::vec(0..u64::MAX, 48))
+    (0..EventKind::TYPES.len(), prop::collection::vec(0..u64::MAX, 48))
 }
 
 fn event_of((kind, words): &(usize, Vec<u64>)) -> Event {
@@ -425,12 +426,15 @@ fn the_generator_reaches_every_kind() {
         .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
         .collect();
     let mut seen = std::collections::HashSet::new();
-    for kind in 0..KINDS {
+    for kind in 0..EventKind::TYPES.len() {
         let ev = event_of(&(kind, words.clone()));
+        // The generator's arms are the table's entries, in order: one added
+        // to the table without an arm here fails by name.
+        assert_eq!(ev.kind.type_name(), EventKind::TYPES[kind]);
         seen.insert(std::mem::discriminant(&ev.kind));
         assert_parses_to(&ev.to_jsonl(), &ev);
     }
-    assert_eq!(seen.len(), KINDS);
+    assert_eq!(seen.len(), EventKind::TYPES.len());
 }
 
 proptest! {

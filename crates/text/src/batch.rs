@@ -13,7 +13,7 @@
 
 use std::collections::BTreeSet;
 
-use textjoin_obs::{Charge, EventKind};
+use textjoin_obs::Charge;
 
 use crate::doc::DocId;
 use crate::expr::SearchExpr;
@@ -50,22 +50,15 @@ impl TextServer {
         for e in exprs {
             let count = e.term_count();
             if count > self.max_terms() {
-                self.adjust_usage(|u| u.rejected += 1);
-                if let Some(rec) = self.recorder() {
-                    rec.emit(EventKind::Call {
-                        op: "batch",
-                        shard: self.shard_index(),
-                        terms: count as u64,
-                        err: Some(format!(
-                            "rejected: member has {count} terms > cap {}",
-                            self.max_terms()
-                        )),
-                        charge: Charge {
-                            rejected: 1,
-                            ..Charge::default()
-                        },
-                    });
-                }
+                let err = format!(
+                    "rejected: member has {count} terms > cap {}",
+                    self.max_terms()
+                );
+                let charge = Charge {
+                    rejected: 1,
+                    ..Charge::default()
+                };
+                self.book_call("batch", count, Some(err), charge);
                 return Err(TextError::TooManyTerms {
                     count,
                     max: self.max_terms(),
@@ -105,28 +98,18 @@ impl TextServer {
     /// Removes the per-call charges a batch should not pay: all but one
     /// invocation, and duplicate short-form transmissions.
     fn adjust_for_batch(&self, extra_invocations: u64, duplicate_docs: u64) {
-        let c = self.constants();
-        self.adjust_usage(|u| {
-            u.invocations -= extra_invocations;
-            u.time_invocation -= c.c_i * extra_invocations as f64;
-            u.docs_short -= duplicate_docs;
-            u.time_transmission -= c.c_s * duplicate_docs as f64;
-        });
         if extra_invocations == 0 && duplicate_docs == 0 {
+            // Nothing to refund, and nothing to report.
             return;
         }
-        if let Some(rec) = self.recorder() {
-            rec.emit(EventKind::Rebate {
-                shard: self.shard_index(),
-                charge: Charge {
-                    invocations: -(extra_invocations as i64),
-                    time_invocation: -(c.c_i * extra_invocations as f64),
-                    docs_short: -(duplicate_docs as i64),
-                    time_transmission: -(c.c_s * duplicate_docs as f64),
-                    ..Charge::default()
-                },
-            });
-        }
+        let c = self.constants();
+        self.book_rebate(Charge {
+            invocations: -(extra_invocations as i64),
+            time_invocation: -(c.c_i * extra_invocations as f64),
+            docs_short: -(duplicate_docs as i64),
+            time_transmission: -(c.c_s * duplicate_docs as f64),
+            ..Charge::default()
+        });
     }
 }
 

@@ -135,6 +135,29 @@ impl Usage {
         self.cache_evicted += other.cache_evicted;
     }
 
+    /// Books a charge: adds each of its eleven fields to the counter it
+    /// mirrors. Resets aside, this is the only way a ledger moves, and the
+    /// event that reports a booking carries the `Charge` that was booked, so
+    /// a trace and its ledger cannot disagree. The counters are unsigned
+    /// and a rebate's charge is negative: the signed add wraps as `-=` does
+    /// in a release build. Of the simulated seconds, `x + -y` is `x - y`,
+    /// and `x + 0.0` and `x + -0.0` are `x` for every value a ledger holds
+    /// (it starts at `+0.0`, and a sum is `-0.0` only if both addends
+    /// are), so a field the charge leaves at zero changes no bit.
+    pub fn book(&mut self, c: &Charge) {
+        self.invocations = self.invocations.wrapping_add_signed(c.invocations);
+        self.rejected = self.rejected.wrapping_add_signed(c.rejected);
+        self.postings_processed = self.postings_processed.wrapping_add_signed(c.postings);
+        self.docs_short = self.docs_short.wrapping_add_signed(c.docs_short);
+        self.docs_long = self.docs_long.wrapping_add_signed(c.docs_long);
+        self.time_invocation += c.time_invocation;
+        self.time_processing += c.time_processing;
+        self.time_transmission += c.time_transmission;
+        self.faults = self.faults.wrapping_add_signed(c.faults);
+        self.retries = self.retries.wrapping_add_signed(c.retries);
+        self.time_backoff += c.time_backoff;
+    }
+
     /// The ledger as a metrics snapshot — the shape the shared bench
     /// formatter and the planner-facing exports consume. Counter keys
     /// mirror the field names; simulated seconds land in `values`.
@@ -508,10 +531,49 @@ impl TextServer {
         *self.usage.borrow_mut() = Usage::default();
     }
 
-    /// Applies an adjustment to the usage counters. Crate-internal: used by
-    /// the batch extension to rebate per-call charges.
-    pub(crate) fn adjust_usage(&self, f: impl FnOnce(&mut Usage)) {
-        f(&mut self.usage.borrow_mut());
+    /// Books `charge` for one call, then reports the call with the same
+    /// value.
+    pub(crate) fn book_call(
+        &self,
+        op: &'static str,
+        terms: usize,
+        err: Option<String>,
+        charge: Charge,
+    ) {
+        self.usage.borrow_mut().book(&charge);
+        self.emit(EventKind::Call {
+            op,
+            shard: self.shard_index.get(),
+            terms: terms as u64,
+            err,
+            charge,
+        });
+    }
+
+    /// Books a (negative) `charge`, then reports the refund with the same
+    /// value.
+    pub(crate) fn book_rebate(&self, charge: Charge) {
+        self.usage.borrow_mut().book(&charge);
+        self.emit(EventKind::Rebate {
+            shard: self.shard_index.get(),
+            charge,
+        });
+    }
+
+    /// Books `seconds` of waiting (and `retries` retries), then reports
+    /// the wait with the same value.
+    fn book_backoff(&self, seconds: f64, retries: i64) {
+        let charge = Charge {
+            retries,
+            time_backoff: seconds,
+            ..Charge::default()
+        };
+        self.usage.borrow_mut().book(&charge);
+        self.emit(EventKind::Backoff {
+            shard: self.shard_index.get(),
+            seconds,
+            charge,
+        });
     }
 
     /// Executes a search, returning the short forms of all matches.
@@ -535,20 +597,12 @@ impl TextServer {
     ) -> Result<SearchResult, TextError> {
         let count = expr.term_count();
         if count > self.max_terms.get() {
-            self.usage.borrow_mut().rejected += 1;
-            self.emit(EventKind::Call {
-                op,
-                shard: self.shard_index.get(),
-                terms: count as u64,
-                err: Some(format!(
-                    "rejected: {count} terms > cap {}",
-                    self.max_terms.get()
-                )),
-                charge: Charge {
-                    rejected: 1,
-                    ..Charge::default()
-                },
-            });
+            let err = format!("rejected: {count} terms > cap {}", self.max_terms.get());
+            let charge = Charge {
+                rejected: 1,
+                ..Charge::default()
+            };
+            self.book_call(op, count, Some(err), charge);
             return Err(TextError::TooManyTerms {
                 count,
                 max: self.max_terms.get(),
@@ -557,9 +611,11 @@ impl TextServer {
         if let Some(fault) = self.fault_plan.next_search_fault(self.max_terms.get()) {
             if let Fault::Slow { delta_s } = fault {
                 // Latency-only: the answer still arrives (late). Charge the
-                // wait as backoff time and fall through to the normal
-                // success path below.
-                self.charge_slow(delta_s);
+                // wait as backoff time (the ledger for *all* simulated time
+                // lives in `Usage`) and fall through to the normal success
+                // path below. Not a retry: no `retries` counter moves and
+                // no fault is surfaced.
+                self.book_backoff(f64::from(delta_s), 0);
             } else {
                 return Err(self.charge_search_fault(fault, op, count));
             }
@@ -580,32 +636,17 @@ impl TextServer {
                     .expect("evaluator returns only valid docids")
             })
             .collect();
-        let charge = {
-            let c = &self.constants;
-            let mut u = self.usage.borrow_mut();
-            u.invocations += 1;
-            u.postings_processed += out.postings_read as u64;
-            u.docs_short += docs.len() as u64;
-            u.time_invocation += c.c_i;
-            u.time_processing += c.c_p * out.postings_read as f64;
-            u.time_transmission += c.c_s * docs.len() as f64;
-            Charge {
-                invocations: 1,
-                postings: out.postings_read as i64,
-                docs_short: docs.len() as i64,
-                time_invocation: c.c_i,
-                time_processing: c.c_p * out.postings_read as f64,
-                time_transmission: c.c_s * docs.len() as f64,
-                ..Charge::default()
-            }
+        let c = &self.constants;
+        let charge = Charge {
+            invocations: 1,
+            postings: out.postings_read as i64,
+            docs_short: docs.len() as i64,
+            time_invocation: c.c_i,
+            time_processing: c.c_p * out.postings_read as f64,
+            time_transmission: c.c_s * docs.len() as f64,
+            ..Charge::default()
         };
-        self.emit(EventKind::Call {
-            op,
-            shard: self.shard_index.get(),
-            terms: count as u64,
-            err: None,
-            charge,
-        });
+        self.book_call(op, count, None, charge);
         Ok(SearchResult { docs })
     }
 
@@ -631,52 +672,27 @@ impl TextServer {
             // `c_i` (counted as an invocation so the cost decomposition
             // stays exact), never the `c_l` of a document that was not
             // shipped.
-            {
-                let mut u = self.usage.borrow_mut();
-                u.faults += 1;
-                u.invocations += 1;
-                u.time_invocation += self.constants.c_i;
-            }
-            self.emit(EventKind::Call {
-                op: "retrieve",
-                shard: self.shard_index.get(),
-                terms: 0,
-                err: Some("unavailable".to_string()),
-                charge: Charge {
-                    invocations: 1,
-                    faults: 1,
-                    time_invocation: self.constants.c_i,
-                    ..Charge::default()
-                },
-            });
+            let charge = Charge {
+                invocations: 1,
+                faults: 1,
+                time_invocation: self.constants.c_i,
+                ..Charge::default()
+            };
+            self.book_call("retrieve", 0, Some("unavailable".to_string()), charge);
             return Err(TextError::Unavailable);
         }
         let Some(doc) = self.coll.document(id).cloned() else {
-            self.emit(EventKind::Call {
-                op: "retrieve",
-                shard: self.shard_index.get(),
-                terms: 0,
-                err: Some(format!("unknown document {id}")),
-                charge: Charge::default(),
-            });
+            // Nothing was shipped and no connection refused: free.
+            let err = format!("unknown document {id}");
+            self.book_call("retrieve", 0, Some(err), Charge::default());
             return Err(TextError::UnknownDoc(id));
         };
-        {
-            let mut u = self.usage.borrow_mut();
-            u.docs_long += 1;
-            u.time_transmission += self.constants.c_l;
-        }
-        self.emit(EventKind::Call {
-            op: "retrieve",
-            shard: self.shard_index.get(),
-            terms: 0,
-            err: None,
-            charge: Charge {
-                docs_long: 1,
-                time_transmission: self.constants.c_l,
-                ..Charge::default()
-            },
-        });
+        let charge = Charge {
+            docs_long: 1,
+            time_transmission: self.constants.c_l,
+            ..Charge::default()
+        };
+        self.book_call("retrieve", 0, None, charge);
         Ok(doc)
     }
 
@@ -712,57 +728,25 @@ impl TextServer {
             time_invocation: c.c_i,
             ..Charge::default()
         };
-        let err = {
-            let mut u = self.usage.borrow_mut();
-            u.faults += 1;
-            u.invocations += 1;
-            u.time_invocation += c.c_i;
-            match fault {
-                Fault::Unavailable => TextError::Unavailable,
-                Fault::Timeout { after_postings } => {
-                    u.postings_processed += after_postings;
-                    u.time_processing += c.c_p * after_postings as f64;
-                    charge.postings = after_postings as i64;
-                    charge.time_processing = c.c_p * after_postings as f64;
-                    TextError::Timeout {
-                        postings: after_postings,
-                    }
-                }
-                Fault::CapReduced { new_m } => {
-                    self.max_terms.set(new_m);
-                    TextError::CapReduced { new_m }
-                }
-                Fault::Slow { .. } => {
-                    unreachable!("Slow is latency-only and handled on the success path")
+        let err = match fault {
+            Fault::Unavailable => TextError::Unavailable,
+            Fault::Timeout { after_postings } => {
+                charge.postings = after_postings as i64;
+                charge.time_processing = c.c_p * after_postings as f64;
+                TextError::Timeout {
+                    postings: after_postings,
                 }
             }
+            Fault::CapReduced { new_m } => {
+                self.max_terms.set(new_m);
+                TextError::CapReduced { new_m }
+            }
+            Fault::Slow { .. } => {
+                unreachable!("Slow is latency-only and handled on the success path")
+            }
         };
-        self.emit(EventKind::Call {
-            op,
-            shard: self.shard_index.get(),
-            terms: terms as u64,
-            err: Some(err.to_string()),
-            charge,
-        });
+        self.book_call(op, terms, Some(err.to_string()), charge);
         err
-    }
-
-    /// Books an injected [`Fault::Slow`]: the operation still succeeds,
-    /// but the extra server-side wait is charged as backoff time (the
-    /// ledger for *all* simulated time lives in [`Usage`]). Unlike
-    /// [`charge_backoff`](Self::charge_backoff) this is not a retry —
-    /// no `retries` counter moves, and no fault is surfaced.
-    fn charge_slow(&self, delta_s: u32) {
-        let seconds = f64::from(delta_s);
-        self.usage.borrow_mut().time_backoff += seconds;
-        self.emit(EventKind::Backoff {
-            shard: self.shard_index.get(),
-            seconds,
-            charge: Charge {
-                time_backoff: seconds,
-                ..Charge::default()
-            },
-        });
     }
 
     /// Rebates (un-books) a previously charged usage delta — the
@@ -774,35 +758,18 @@ impl TextServer {
     /// exactly. Emits a `Rebate` event carrying the negated charge so the
     /// trace↔ledger audit stays exact too.
     pub fn rebate(&self, delta: &Usage) {
-        {
-            let mut u = self.usage.borrow_mut();
-            u.invocations -= delta.invocations;
-            u.rejected -= delta.rejected;
-            u.postings_processed -= delta.postings_processed;
-            u.docs_short -= delta.docs_short;
-            u.docs_long -= delta.docs_long;
-            u.time_invocation -= delta.time_invocation;
-            u.time_processing -= delta.time_processing;
-            u.time_transmission -= delta.time_transmission;
-            u.faults -= delta.faults;
-            u.retries -= delta.retries;
-            u.time_backoff -= delta.time_backoff;
-        }
-        self.emit(EventKind::Rebate {
-            shard: self.shard_index.get(),
-            charge: Charge {
-                invocations: -(delta.invocations as i64),
-                rejected: -(delta.rejected as i64),
-                postings: -(delta.postings_processed as i64),
-                docs_short: -(delta.docs_short as i64),
-                docs_long: -(delta.docs_long as i64),
-                time_invocation: -delta.time_invocation,
-                time_processing: -delta.time_processing,
-                time_transmission: -delta.time_transmission,
-                faults: -(delta.faults as i64),
-                retries: -(delta.retries as i64),
-                time_backoff: -delta.time_backoff,
-            },
+        self.book_rebate(Charge {
+            invocations: -(delta.invocations as i64),
+            rejected: -(delta.rejected as i64),
+            postings: -(delta.postings_processed as i64),
+            docs_short: -(delta.docs_short as i64),
+            docs_long: -(delta.docs_long as i64),
+            time_invocation: -delta.time_invocation,
+            time_processing: -delta.time_processing,
+            time_transmission: -delta.time_transmission,
+            faults: -(delta.faults as i64),
+            retries: -(delta.retries as i64),
+            time_backoff: -delta.time_backoff,
         });
     }
 
@@ -812,20 +779,7 @@ impl TextServer {
     /// keeping a second meter (and `Usage::total_cost` keeps decomposing
     /// exactly).
     pub fn charge_backoff(&self, seconds: f64) {
-        {
-            let mut u = self.usage.borrow_mut();
-            u.retries += 1;
-            u.time_backoff += seconds;
-        }
-        self.emit(EventKind::Backoff {
-            shard: self.shard_index.get(),
-            seconds,
-            charge: Charge {
-                retries: 1,
-                time_backoff: seconds,
-                ..Charge::default()
-            },
-        });
+        self.book_backoff(seconds, 1);
     }
 }
 

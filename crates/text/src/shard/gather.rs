@@ -142,16 +142,17 @@ impl ShardedTextServer {
         let cap = TextService::max_terms(self);
         let count = expr.term_count();
         if count > cap {
-            self.extra.borrow_mut().rejected += 1;
+            let charge = Charge {
+                rejected: 1,
+                ..Charge::default()
+            };
+            self.extra.borrow_mut().book(&charge);
             self.emit(EventKind::Call {
                 op: "search",
                 shard: None,
                 terms: count as u64,
                 err: Some(format!("rejected: {count} terms > aggregate cap {cap}")),
-                charge: Charge {
-                    rejected: 1,
-                    ..Charge::default()
-                },
+                charge,
             });
             return Err(TextError::TooManyTerms { count, max: cap });
         }

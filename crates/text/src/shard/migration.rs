@@ -206,17 +206,7 @@ impl ShardedTextServer {
                 time_invocation: c_i,
                 ..payload
             };
-            {
-                let mut u = self.migration_usage.borrow_mut();
-                u.invocations += charge.invocations as u64;
-                u.postings_processed += charge.postings as u64;
-                u.docs_long += charge.docs_long as u64;
-                u.faults += charge.faults as u64;
-                u.time_invocation += charge.time_invocation;
-                u.time_processing += charge.time_processing;
-                u.time_transmission += charge.time_transmission;
-                u.time_backoff += charge.time_backoff;
-            }
+            self.migration_usage.borrow_mut().book(&charge);
             self.emit(EventKind::Call {
                 op,
                 shard: Some(shard),

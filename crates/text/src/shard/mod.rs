@@ -484,19 +484,16 @@ impl TextService for ShardedTextServer {
     /// not attribute the wait to one shard — per-shard retry loops use
     /// [`charge_shard_backoff`](Self::charge_shard_backoff) instead).
     fn charge_backoff(&self, seconds: f64) {
-        {
-            let mut u = self.extra.borrow_mut();
-            u.retries += 1;
-            u.time_backoff += seconds;
-        }
+        let charge = Charge {
+            retries: 1,
+            time_backoff: seconds,
+            ..Charge::default()
+        };
+        self.extra.borrow_mut().book(&charge);
         self.emit(EventKind::Backoff {
             shard: None,
             seconds,
-            charge: Charge {
-                retries: 1,
-                time_backoff: seconds,
-                ..Charge::default()
-            },
+            charge,
         });
     }
 
