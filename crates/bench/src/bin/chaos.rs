@@ -23,89 +23,147 @@
 
 use textjoin_bench::experiments::{
     chaos_table, default_world, rebalance_chaos_table, replicated_chaos_table,
-    sharded_chaos_table,
+    sharded_chaos_table, BATCH_DOCS, DEAD_SHARD, DST_SHARD, METHODS, N_REPLICAS, N_SHARDS,
+    SRC_SHARD,
 };
 use textjoin_bench::format::chaos_report;
 
+/// Which server every cell of the grid builds.
+#[derive(Debug, PartialEq)]
+enum Scenario {
+    Single,
+    Sharded,
+    Replicated,
+    Rebalance,
+}
+
+/// Parses the argument list (without the program name): at most one
+/// scenario flag, nothing else.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Scenario, String> {
+    let mut scenario = Scenario::Single;
+    for arg in args {
+        let picked = match arg.as_str() {
+            "--sharded" => Scenario::Sharded,
+            "--replicated" => Scenario::Replicated,
+            "--rebalance" => Scenario::Rebalance,
+            _ => return Err(format!("unknown argument {arg}")),
+        };
+        if scenario != Scenario::Single {
+            return Err(format!("{arg} does not combine with another scenario"));
+        }
+        scenario = picked;
+    }
+    Ok(scenario)
+}
+
 fn main() {
-    let sharded = std::env::args().any(|a| a == "--sharded");
-    let replicated = std::env::args().any(|a| a == "--replicated");
-    let rebalance = std::env::args().any(|a| a == "--rebalance");
+    let scenario = parse_args(std::env::args().skip(1)).unwrap_or_else(|msg| {
+        eprintln!("chaos: {msg}");
+        eprintln!("usage: chaos [--sharded | --replicated | --rebalance]");
+        std::process::exit(2);
+    });
+    let labels = METHODS.map(|(label, _)| label);
     let w = default_world();
-    if rebalance {
-        let t = rebalance_chaos_table(&w);
-        println!(
-            "Rebalance chaos — total simulated cost over Q1–Q4 vs per-operation\n\
-             fault rate while an online migration drains shard {} into shard {}\n\
-             ({} docs in {}-doc batches, paced between query legs), {} shards ×\n\
-             {} replicas, source primary dead after batch 1\n\
-             (D = {} documents, seed = {}, transient faults, ≤2 consecutive on\n\
-             survivors, adaptive retry budget + journal-resume transfers)\n",
-            t.src_shard,
-            t.dst_shard,
-            t.migrated_docs,
-            t.batch_docs,
-            t.n_shards,
-            t.n_replicas,
-            w.server.doc_count(),
-            w.spec.seed
-        );
-        print!("{}", chaos_report(&t.methods, &t.rates, &t.cells, &t.fault_cells));
-        println!("Every cell returns the fault-free answer (asserted) while rows");
-        println!("physically move between shards mid-query: stale gathers re-");
-        println!("scatter only the shards a commit touched, source transfer legs");
-        println!("drain via the surviving replica once the primary dies, and the");
-        println!("journal resumes interrupted batches without re-buying postings");
-        println!("— every cell also drains its migration to completion.");
-    } else if replicated {
-        let t = replicated_chaos_table(&w);
-        println!(
-            "Replicated chaos — total simulated cost over Q1–Q4 vs per-operation\n\
-             fault rate on the surviving replicas, {} shards × {} replicas with\n\
-             shard {}'s primary permanently dead\n\
-             (D = {} documents, seed = {}, transient faults, ≤2 consecutive on\n\
-             survivors, adaptive retry budget + per-shard circuit breaker)\n",
-            t.n_shards,
-            t.n_replicas,
-            t.dead_shard,
-            w.server.doc_count(),
-            w.spec.seed
-        );
-        print!("{}", chaos_report(&t.methods, &t.rates, &t.cells, &t.fault_cells));
-        println!("Every cell returns the fault-free answer (asserted) even though");
-        println!("one replica never answers: gather legs fail over to the");
-        println!("surviving replica, and once the per-shard breaker opens the");
-        println!("dead primary is skipped entirely (probed on a fixed cadence).");
-        println!("The rate-0 column is no longer free — it prices discovering");
-        println!("the dead primary before the breaker opens.");
-    } else if sharded {
-        let t = sharded_chaos_table(&w);
-        println!(
-            "Sharded chaos — total simulated cost over Q1–Q4 vs per-operation\n\
-             fault rate, {} shards with independent fault plans\n\
-             (D = {} documents, seed = {}, transient faults, ≤2 consecutive,\n\
-             adaptive retry budget over the 4-attempt/1s/2s/4s base policy)\n",
-            t.n_shards,
-            w.server.doc_count(),
-            w.spec.seed
-        );
-        print!("{}", chaos_report(&t.methods, &t.rates, &t.cells, &t.fault_cells));
-        println!("Every cell returns the fault-free answer (asserted). Scatter");
-        println!("charges one invocation per shard, so sharded baselines sit");
-        println!("above the single-server table; the adaptive budget widens");
-        println!("attempts on healthy shards and absorbs the bounded faults.");
-    } else {
-        let t = chaos_table(&w);
-        println!(
-            "Chaos — total simulated cost over Q1–Q4 vs per-operation fault rate\n\
-             (D = {} documents, seed = {}, transient faults, ≤2 consecutive,\n\
-             retry policy: 4 attempts, 1s/2s/4s simulated backoff)\n",
-            w.server.doc_count(),
-            w.spec.seed
-        );
-        print!("{}", chaos_report(&t.methods, &t.rates, &t.cells, &t.fault_cells));
-        println!("Every cell returns the fault-free answer (asserted); the");
-        println!("overhead is retries, simulated backoff, and partially-charged");
-        println!("timeouts — never a changed result.");
+    match scenario {
+        Scenario::Rebalance => {
+            let (t, migrated_docs) = rebalance_chaos_table(&w);
+            println!(
+                "Rebalance chaos — total simulated cost over Q1–Q4 vs per-operation\n\
+                 fault rate while an online migration drains shard {} into shard {}\n\
+                 ({} docs in {}-doc batches, paced between query legs), {} shards ×\n\
+                 {} replicas, source primary dead after batch 1\n\
+                 (D = {} documents, seed = {}, transient faults, ≤2 consecutive on\n\
+                 survivors, adaptive retry budget + journal-resume transfers)\n",
+                SRC_SHARD,
+                DST_SHARD,
+                migrated_docs,
+                BATCH_DOCS,
+                N_SHARDS,
+                N_REPLICAS,
+                w.server.doc_count(),
+                w.spec.seed
+            );
+            print!("{}", chaos_report(&labels, &t.rates, &t.cells, &t.fault_cells));
+            println!("Every cell returns the fault-free answer (asserted) while rows");
+            println!("physically move between shards mid-query: stale gathers re-");
+            println!("scatter only the shards a commit touched, source transfer legs");
+            println!("drain via the surviving replica once the primary dies, and the");
+            println!("journal resumes interrupted batches without re-buying postings");
+            println!("— every cell also drains its migration to completion.");
+        }
+        Scenario::Replicated => {
+            let t = replicated_chaos_table(&w);
+            println!(
+                "Replicated chaos — total simulated cost over Q1–Q4 vs per-operation\n\
+                 fault rate on the surviving replicas, {} shards × {} replicas with\n\
+                 shard {}'s primary permanently dead\n\
+                 (D = {} documents, seed = {}, transient faults, ≤2 consecutive on\n\
+                 survivors, adaptive retry budget + per-shard circuit breaker)\n",
+                N_SHARDS,
+                N_REPLICAS,
+                DEAD_SHARD,
+                w.server.doc_count(),
+                w.spec.seed
+            );
+            print!("{}", chaos_report(&labels, &t.rates, &t.cells, &t.fault_cells));
+            println!("Every cell returns the fault-free answer (asserted) even though");
+            println!("one replica never answers: gather legs fail over to the");
+            println!("surviving replica, and once the per-shard breaker opens the");
+            println!("dead primary is skipped entirely (probed on a fixed cadence).");
+            println!("The rate-0 column is no longer free — it prices discovering");
+            println!("the dead primary before the breaker opens.");
+        }
+        Scenario::Sharded => {
+            let t = sharded_chaos_table(&w);
+            println!(
+                "Sharded chaos — total simulated cost over Q1–Q4 vs per-operation\n\
+                 fault rate, {} shards with independent fault plans\n\
+                 (D = {} documents, seed = {}, transient faults, ≤2 consecutive,\n\
+                 adaptive retry budget over the 4-attempt/1s/2s/4s base policy)\n",
+                N_SHARDS,
+                w.server.doc_count(),
+                w.spec.seed
+            );
+            print!("{}", chaos_report(&labels, &t.rates, &t.cells, &t.fault_cells));
+            println!("Every cell returns the fault-free answer (asserted). Scatter");
+            println!("charges one invocation per shard, so sharded baselines sit");
+            println!("above the single-server table; the adaptive budget widens");
+            println!("attempts on healthy shards and absorbs the bounded faults.");
+        }
+        Scenario::Single => {
+            let t = chaos_table(&w);
+            println!(
+                "Chaos — total simulated cost over Q1–Q4 vs per-operation fault rate\n\
+                 (D = {} documents, seed = {}, transient faults, ≤2 consecutive,\n\
+                 retry policy: 4 attempts, 1s/2s/4s simulated backoff)\n",
+                w.server.doc_count(),
+                w.spec.seed
+            );
+            print!("{}", chaos_report(&labels, &t.rates, &t.cells, &t.fault_cells));
+            println!("Every cell returns the fault-free answer (asserted); the");
+            println!("overhead is retries, simulated backoff, and partially-charged");
+            println!("timeouts — never a changed result.");
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Scenario, String> {
+        parse_args(args.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn at_most_one_known_scenario_flag() {
+        assert_eq!(parse(&[]), Ok(Scenario::Single));
+        assert_eq!(parse(&["--sharded"]), Ok(Scenario::Sharded));
+        assert_eq!(parse(&["--replicated"]), Ok(Scenario::Replicated));
+        assert_eq!(parse(&["--rebalance"]), Ok(Scenario::Rebalance));
+        assert!(parse(&["--shraded"]).is_err(), "a typo is not the default table");
+        assert!(parse(&["--sharded", "--replicated"]).is_err(), "two scenarios");
+        assert!(parse(&["--sharded", "--sharded"]).is_err(), "a repeated scenario");
+        assert!(parse(&["trace.jsonl"]).is_err(), "no positional arguments");
     }
 }

@@ -40,9 +40,33 @@ fn quantile_summary(events: &[Event]) -> String {
     out
 }
 
+/// The most windows `--windows` may open over one trace.
+const MAX_WINDOWS: f64 = 1_000_000.0;
+
+/// Refuses a `--windows` width the trace's clock makes unrenderable. The
+/// monitor trusts its clock: it closes one dense window per index up to
+/// `floor(clock / window_secs)`, empty ones included (they are rows of
+/// the rendered table), so a trace file's largest clock over a tiny width
+/// would otherwise spin or exhaust memory.
+fn check_windows(events: &[Event], window_secs: f64) -> Result<(), String> {
+    // `f64::max` skips a NaN clock; a negative one lands in window 0.
+    let windows = events.iter().map(|e| e.clock).fold(0.0, f64::max) / window_secs;
+    if windows > MAX_WINDOWS {
+        return Err(format!(
+            "--windows {window_secs:?} would open {:?} windows over this trace \
+             (at most {MAX_WINDOWS:.0}); pick a wider window",
+            windows.floor()
+        ));
+    }
+    Ok(())
+}
+
 /// The optional `--windows` section: the monitor's per-window health
 /// table over the same events the span tree rendered.
 fn window_summary(events: &[Event], window_secs: f64) -> String {
+    if let Err(msg) = check_windows(events, window_secs) {
+        usage(&msg);
+    }
     let mon = Monitor::replay(MonitorConfig::new(window_secs), events);
     format!("\n{}", mon.render_table())
 }
@@ -167,6 +191,32 @@ mod tests {
         assert!(parse(&["--windows", "abc"]).is_err(), "non-numeric width");
         assert!(parse(&["a.jsonl", "b.jsonl"]).is_err(), "two paths");
         assert!(parse(&["a.jsonl", "--analyze"]).is_err(), "analyze needs the built-in run");
+    }
+
+    #[test]
+    fn window_counts_past_the_limit_are_refused_before_the_monitor_runs() {
+        let evil = parse_jsonl(concat!(
+            r#"{"seq":0,"clock":0,"type":"span_begin","id":1,"parent":null,"label":"x"}"#,
+            "\n",
+            r#"{"seq":1,"clock":1e15,"type":"span_end","id":1,"label":"x"}"#,
+            "\n",
+        ))
+        .expect("a well-formed trace");
+        let msg = check_windows(&evil, 50.0).expect_err("2e13 windows");
+        assert!(msg.contains("20000000000000.0 windows") && msg.contains("--windows 50.0"), "{msg}");
+        assert!(check_windows(&evil, 1e10).is_ok(), "100 000 windows render");
+
+        // A clock that is not a position on the timeline opens no window.
+        let mut odd = evil.clone();
+        odd[0].clock = f64::NAN;
+        odd[1].clock = -1e15;
+        assert!(check_windows(&odd, 50.0).is_ok());
+        odd[1].clock = f64::INFINITY;
+        assert!(check_windows(&odd, 50.0).is_err());
+
+        let builtin = explain_run(&default_world());
+        assert!(check_windows(&builtin, 50.0).is_ok(), "the CI invocation");
+        assert!(check_windows(&builtin, 1e-300).is_err());
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //! degrade probing methods TS-style under deadline pressure instead of
 //! erroring — same rows, fewer text round-trips on the critical path.
 
-use textjoin_bench::experiments::{deadline_demo, default_world, makespan_table};
+use textjoin_bench::experiments::{
+    deadline_demo, default_world, makespan_table, DEADLINE, METHODS, N_REPLICAS, N_SHARDS,
+    SLOW_RATE,
+};
 
 fn main() {
     let w = default_world();
@@ -28,10 +31,10 @@ fn main() {
          per-query deadline {}s, hedged reads from the adaptive budget's\n\
          latency EWMA, losers cancelled and rebated\n\
          (D = {} documents, seed = {})\n",
-        t.n_shards,
-        t.n_replicas,
-        t.slow_rate,
-        t.deadline,
+        N_SHARDS,
+        N_REPLICAS,
+        SLOW_RATE,
+        DEADLINE,
         w.server.doc_count(),
         w.spec.seed
     );
@@ -39,7 +42,7 @@ fn main() {
         "{:<10} {:>10} {:>10} {:>8} {:>7} {:>8} {:>8} {:>6}",
         "method", "serial", "makespan", "speedup", "hedges", "cancels", "dl-miss", "rows"
     );
-    for (m, cell) in t.methods.iter().zip(&t.cells) {
+    for ((m, _), cell) in METHODS.iter().zip(&t.cells) {
         match cell {
             Some(c) => println!(
                 "{:<10} {:>9.1}s {:>9.1}s {:>7.2}x {:>7} {:>8} {:>8} {:>6}",

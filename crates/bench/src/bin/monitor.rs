@@ -18,7 +18,8 @@
 //!    mid-trace repricing.
 
 use textjoin_bench::experiments::{
-    default_world, monitor_drift_report, monitor_skew_report, monitor_slo_report,
+    default_world, monitor_drift_report, monitor_skew_report, monitor_slo_report, BATCH_DOCS,
+    DEADLINE, N_REPLICAS, N_SHARDS, SLOW_RATE,
 };
 
 fn main() {
@@ -34,7 +35,7 @@ fn main() {
     println!(
         "== Load skew: closed loop over a {}x{} server, shard {} degraded \
          (transient rate {:.2})\n",
-        skew.n_shards, skew.n_replicas, skew.hot_shard, skew.fault_rate
+        N_SHARDS, N_REPLICAS, skew.hot_shard, skew.fault_rate
     );
     println!("-- phase A: observe (monitor teed into the recorder)\n");
     print!("{}", skew.before.table);
@@ -52,7 +53,7 @@ fn main() {
     println!(
         "advice taken: shard{} -> shard{} docs [{},{}) ({} hits), executed in \
          batches of {} ({} docs migrated)\n",
-        a.src, a.dst, a.lo, a.hi, a.hits, skew.batch_docs, skew.migrated_docs
+        a.src, a.dst, a.lo, a.hi, a.hits, BATCH_DOCS, skew.migrated_docs
     );
     println!("-- phase B: same workload after executing the advice\n");
     print!("{}", skew.after.table);
@@ -67,7 +68,7 @@ fn main() {
     println!(
         "== SLO burn rate: healthy / slow-primary episode (rate {:.2}, \
          deadline {:.0}s) / recovery\n",
-        slo.slow_rate, slo.deadline
+        SLOW_RATE, DEADLINE
     );
     print!("{}", slo.table);
     println!(

@@ -14,7 +14,7 @@
 //!    but more `c_i` invocations; every charge comes from the dedicated
 //!    migration bucket (`migration_usage`), disjoint from query charges.
 
-use textjoin_bench::experiments::{default_world, rebalance_table};
+use textjoin_bench::experiments::{default_world, rebalance_table, DST_SHARD, N_SHARDS, SRC_SHARD};
 use textjoin_bench::format::table;
 
 fn main() {
@@ -23,7 +23,7 @@ fn main() {
     println!(
         "Rebalance — stats-aware routing and online migration over a\n\
          {}-shard server (D = {} documents, seed = {})\n",
-        t.n_shards,
+        N_SHARDS,
         w.server.doc_count(),
         w.spec.seed
     );
@@ -61,7 +61,7 @@ fn main() {
 
     println!(
         "Migration amortization — drain shard {} into shard {} (fault-free):\n",
-        t.src_shard, t.dst_shard
+        SRC_SHARD, DST_SHARD
     );
     let amort_rows: Vec<Vec<String>> = t
         .amortization

@@ -1,6 +1,6 @@
 //! Reproduces Table 2: execution times of each join method on Q1–Q4.
 
-use textjoin_bench::experiments::{default_world, table2};
+use textjoin_bench::experiments::{default_world, table2, METHODS};
 use textjoin_bench::format::{cost_cell, table};
 
 fn main() {
@@ -13,13 +13,12 @@ fn main() {
     );
     let t = table2(&w);
     let headers = ["Join Method", "Q1", "Q2", "Q3", "Q4"];
-    let rows: Vec<Vec<String>> = t
-        .methods
+    let rows: Vec<Vec<String>> = METHODS
         .iter()
-        .enumerate()
-        .map(|(mi, m)| {
+        .zip(&t.cells)
+        .map(|((m, _), cells)| {
             let mut row = vec![m.to_string()];
-            row.extend(t.cells[mi].iter().map(|c| cost_cell(c.secs)));
+            row.extend(cells.iter().map(|c| cost_cell(c.secs)));
             row
         })
         .collect();

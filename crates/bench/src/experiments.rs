@@ -3,20 +3,57 @@
 //! Each function is deterministic (seeded worlds, simulated costs) and
 //! returns structured results; the `src/bin/*` binaries print them in the
 //! paper's shape and `EXPERIMENTS.md` records paper-vs-measured.
+//!
+//! The evaluation is one setting — five join methods over Q1–Q4 against
+//! one text system — and every later table is that setting under a
+//! different server. The first section declares the setting once; every
+//! experiment below reads it from there.
 
-use textjoin_core::cost::formulas::{cost_p_rtp, cost_p_ts, cost_sj, cost_ts};
+use std::rc::Rc;
+
+use textjoin_core::cost::formulas::{cost_p_rtp, cost_p_ts, cost_sj, cost_ts, CostBreakdown};
 use textjoin_core::cost::params::{CostParams, JoinStatistics};
-use textjoin_core::exec::execute_single;
-use textjoin_core::methods::probe::ProbeSchedule;
+use textjoin_core::exec::{
+    execute_prepared, execute_single, plan_and_execute, prepare_plan, ExecHooks, MultiExecutor,
+    MultiOutcome,
+};
+use textjoin_core::methods::probe::{probe_tuple_substitution, ProbeSchedule};
+use textjoin_core::methods::rtp::relational_text_processing;
+use textjoin_core::methods::ts::{tuple_substitution, tuple_substitution_batched};
 use textjoin_core::methods::{ExecContext, MethodError};
-use textjoin_core::optimizer::multi::ExecutionSpace;
+use textjoin_core::optimizer::multi::{
+    text_join_candidates, with_text_method, ExecutionSpace, PlannedQuery, PlannerInput,
+};
+use textjoin_core::optimizer::plan::{MultiJoinQuery, PlanNode};
 use textjoin_core::optimizer::single::{
-    enumerate_methods, optimal_probe_bounded, MethodCandidate, MethodKind,
+    enumerate_methods, optimal_probe_bounded, optimal_probe_exhaustive, MethodCandidate,
+    MethodKind,
 };
 use textjoin_core::query::{prepare, PreparedQuery, SingleJoinQuery};
+use textjoin_core::retry::{RetryBudget, RetryPolicy};
+use textjoin_core::runtime::{guarded_rtp, GuardVerdict};
+use textjoin_core::sched::{SchedConfig, Scheduler};
+use textjoin_core::serve::{
+    percentile, Backend, ServeConfig, ServeError, ServeSession, TenantSpec,
+};
+use textjoin_obs::{
+    calibrate_trace, parse_jsonl, q_error, Advice, Event, EventKind, FanoutSink, JsonlSink,
+    Monitor, MonitorConfig, Recorder, RingSink, Sink,
+};
+use textjoin_text::doc::DocId;
+use textjoin_text::expr::SearchExpr;
+use textjoin_text::faults::FaultPlan;
+use textjoin_text::rebalance::{MigrationPlan, Move, MoveStatus};
+use textjoin_text::server::{TextServer, Usage};
+use textjoin_text::service::TextService;
+use textjoin_text::shard::ShardedTextServer;
 use textjoin_workload::knobs;
 use textjoin_workload::paper;
 use textjoin_workload::world::{World, WorldSpec};
+
+// ---------------------------------------------------------------------
+// The scenario: methods, queries, topology, fault wiring, runners
+// ---------------------------------------------------------------------
 
 /// The default world for execution experiments — sized so Q1–Q4 behave like
 /// the paper's setting (Q3 has ~100 membership rows, a few percent of
@@ -31,38 +68,160 @@ pub fn world_params(w: &World) -> CostParams {
     CostParams::mercury(w.server.doc_count() as f64)
 }
 
-// ---------------------------------------------------------------------
-// Table 2: execution times for sample queries
-// ---------------------------------------------------------------------
+/// The five join methods in the paper's row order (Table 2): the label
+/// every table prints and the method the executor runs for it.
+pub const METHODS: [(&str, MethodKind); 5] = [
+    ("TS", MethodKind::Ts),
+    ("RTP", MethodKind::Rtp),
+    ("SJ/SJ+RTP", MethodKind::Sj),
+    ("P+TS", MethodKind::PTs),
+    ("P+RTP", MethodKind::PRtp),
+];
 
-/// A single measured cell: method × query.
-#[derive(Debug, Clone)]
-pub struct MeasuredCell {
-    /// Method label as in the paper (`TS`, `RTP`, `SJ+RTP`, `P+TS`, `P+RTP`).
-    pub method: &'static str,
-    /// Simulated seconds; `None` if the method is inapplicable to the query.
-    pub secs: Option<f64>,
-    /// Output rows (all applicable methods must agree).
-    pub rows: Option<usize>,
+/// Logical shards in every sharded experiment's server.
+pub const N_SHARDS: usize = 4;
+/// Replicas per shard in the replicated experiments.
+pub const N_REPLICAS: usize = 2;
+/// The shard whose primary replica is permanently dead in the replicated
+/// chaos grid and the serve stream.
+pub const DEAD_SHARD: usize = 2;
+/// The shard the migrations drain; in the rebalance chaos grid its primary
+/// replica dies after batch 1.
+pub const SRC_SHARD: usize = 1;
+/// The shard taking ownership of what [`SRC_SHARD`] gives up.
+pub const DST_SHARD: usize = 3;
+/// Documents per migration batch (rebalance chaos, the monitor's executed
+/// advice).
+pub const BATCH_DOCS: usize = 24;
+/// Per-query deadline in simulated seconds (makespan grid, SLO episode).
+pub const DEADLINE: f64 = 150.0;
+/// Per-operation probability of a latency-only `Slow` fault on each
+/// shard's primary replica (makespan grid, SLO episode).
+pub const SLOW_RATE: f64 = 0.25;
+
+/// One of the paper's single-join queries, prepared once: its statistics
+/// and probe-column choices come from fault-free statistics
+/// (`export_stats` is free and never faulted).
+pub(crate) struct PaperQuery {
+    pub(crate) label: &'static str,
+    pub(crate) query: SingleJoinQuery,
+    pub(crate) prepared: PreparedQuery,
+    stats: JoinStatistics,
+    pts: Vec<usize>,
+    prtp: Vec<usize>,
 }
 
-/// Table 2: rows = methods, columns = Q1..Q4.
-#[derive(Debug, Clone)]
-pub struct Table2 {
-    /// `cells[m][q]` for method `m`, query `q`.
-    pub cells: Vec<Vec<MeasuredCell>>,
-    /// Method labels in row order.
-    pub methods: Vec<&'static str>,
+impl PaperQuery {
+    /// The probe columns `kind` needs on this query, `None` when the
+    /// method is inapplicable: the paper reports P-methods only for the
+    /// multi-predicate queries Q3/Q4 (k ≥ 2).
+    pub(crate) fn probe_cols(&self, kind: MethodKind) -> Option<&[usize]> {
+        match kind {
+            MethodKind::PTs => (self.stats.k() >= 2).then_some(self.pts.as_slice()),
+            MethodKind::PRtp => (self.stats.k() >= 2).then_some(self.prtp.as_slice()),
+            _ => Some(&[]),
+        }
+    }
+
+    /// Every applicable `(row index in METHODS, kind, probe columns)`.
+    pub(crate) fn methods(&self) -> impl Iterator<Item = (usize, MethodKind, &[usize])> {
+        METHODS
+            .iter()
+            .enumerate()
+            .filter_map(move |(mi, &(_, kind))| Some((mi, kind, self.probe_cols(kind)?)))
+    }
 }
 
-fn probe_cols_for(
-    params: &CostParams,
-    stats: &JoinStatistics,
-    f: fn(&CostParams, &JoinStatistics, &[usize]) -> textjoin_core::cost::formulas::CostBreakdown,
-) -> Vec<usize> {
-    optimal_probe_bounded(params, stats, f)
-        .map(|(cols, _)| cols)
-        .unwrap_or_else(|| vec![0])
+/// Q1–Q4, prepared against the world's own server.
+pub(crate) fn paper_queries(w: &World) -> Vec<PaperQuery> {
+    let ts_schema = w.server.collection().schema();
+    let params = world_params(w);
+    let probe_cols = |stats: &JoinStatistics,
+                      f: fn(&CostParams, &JoinStatistics, &[usize]) -> CostBreakdown| {
+        optimal_probe_bounded(&params, stats, f)
+            .map(|(cols, _)| cols)
+            .unwrap_or_else(|| vec![0])
+    };
+    [("Q1", paper::q1(w)), ("Q2", paper::q2(w)), ("Q3", paper::q3(w)), ("Q4", paper::q4(w))]
+        .into_iter()
+        .map(|(label, query)| {
+            let prepared = prepare(&query, &w.catalog, ts_schema).expect("paper query prepares");
+            let stats = prepared.statistics_from_export(&w.server.export_stats(), ts_schema);
+            let pts = probe_cols(&stats, cost_p_ts);
+            let prtp = probe_cols(&stats, cost_p_rtp);
+            PaperQuery { label, query, prepared, stats, pts, prtp }
+        })
+        .collect()
+}
+
+/// The one sharded topology: [`N_SHARDS`] logical shards of `replicas`
+/// servers each over the world's collection, one partition seed.
+fn cluster(w: &World, replicas: usize) -> ShardedTextServer {
+    ShardedTextServer::replicated(w.server.collection(), N_SHARDS, replicas, 0x5AD)
+}
+
+/// The seed of one grid cell: query, method row and rate column folded
+/// into the experiment's base seed.
+fn cell_seed(base: u64, qi: usize, mi: usize, ri: usize) -> u64 {
+    base ^ ((qi as u64) << 16) ^ ((mi as u64) << 8) ^ ri as u64
+}
+
+/// The chaos fault wiring: every replica gets an independent transient
+/// plan (same rate, distinct seeded streams, bounded to 2 consecutive —
+/// below every retry budget), except `dead`'s primary replica, which is
+/// permanently dead: it transiently faults on every single operation.
+fn shake(sharded: &mut ShardedTextServer, seed: u64, rate: f64, dead: Option<usize>) {
+    let dead = dead.map(|shard| (shard, sharded.primary_of(shard)));
+    for i in 0..sharded.shard_count() {
+        for r in 0..sharded.replication_factor() {
+            let plan = if dead == Some((i, r)) {
+                FaultPlan::dead(seed)
+            } else {
+                FaultPlan::transient(seed ^ ((i as u64) << 24) ^ ((r as u64) << 32), rate, 2)
+            };
+            sharded.replica_mut(i, r).set_fault_plan(plan);
+        }
+    }
+}
+
+/// Puts every shard's primary replica on a seeded latency-only
+/// [`FaultPlan::slow`] plan: it always answers, sometimes late.
+fn slow_primaries(sharded: &mut ShardedTextServer, seed: u64) {
+    for i in 0..sharded.shard_count() {
+        sharded.shard_mut(i).set_fault_plan(FaultPlan::slow(seed ^ i as u64, SLOW_RATE));
+    }
+}
+
+/// The migration plan draining all of [`SRC_SHARD`] into [`DST_SHARD`].
+fn drain_plan(w: &World, batch_docs: usize) -> MigrationPlan {
+    let range = (DocId(0), DocId(w.server.doc_count() as u32));
+    MigrationPlan::new(vec![Move { range, src: SRC_SHARD, dst: DST_SHARD }], batch_docs)
+}
+
+/// Begins `plan` and returns the number of documents it staged.
+fn begin_drain(sharded: &mut ShardedTextServer, plan: MigrationPlan) -> u64 {
+    sharded.begin_migration(plan).entries.iter().map(|e| e.docs).sum()
+}
+
+/// Drives the open migration to completion. A transiently refused batch
+/// resumes from the journal on the next attempt, so the loop terminates
+/// (bounded consecutive faults, finite plan).
+fn drain(sharded: &ShardedTextServer) {
+    let mut steps = 0u32;
+    while !sharded.journal().expect("journal exists").finished() {
+        let _ = sharded.migrate_batch();
+        steps += 1;
+        assert!(steps < 10_000, "migration failed to drain");
+    }
+}
+
+/// A fresh seeded virtual-time transport scheduler.
+fn scheduler(deadline: Option<f64>) -> Scheduler {
+    let cfg = SchedConfig::new(0x7E97);
+    Scheduler::new(match deadline {
+        Some(d) => cfg.with_deadline(d),
+        None => cfg,
+    })
 }
 
 /// One measured method run: the simulated cost, the rows emitted, and the
@@ -74,24 +233,14 @@ pub struct RunMeasure {
     /// Rows emitted.
     pub rows: usize,
     /// Text-service usage delta, including `faults` / `retries`.
-    pub text: textjoin_text::server::Usage,
+    pub text: Usage,
 }
 
-/// Runs one method on a prepared query, returning its simulated cost.
-pub fn run_method(
-    w: &World,
-    prepared: &PreparedQuery,
-    kind: MethodKind,
-    probe_cols: &[usize],
-) -> Result<(f64, usize), MethodError> {
-    run_method_ctx(&ExecContext::new(&w.server), prepared, kind, probe_cols)
-        .map(|m| (m.secs, m.rows))
-}
-
-/// Like [`run_method`] but against an explicit service — the chaos benches
-/// hand in fresh (possibly sharded) servers carrying fault plans.
+/// Runs one method on a prepared query against an explicit service — the
+/// world's own server, or a fresh (possibly sharded) one carrying fault
+/// plans.
 pub fn run_method_on(
-    server: &dyn textjoin_text::service::TextService,
+    server: &dyn TextService,
     prepared: &PreparedQuery,
     kind: MethodKind,
     probe_cols: &[usize],
@@ -100,7 +249,7 @@ pub fn run_method_on(
 }
 
 /// Core runner: executes `kind` through an explicit [`ExecContext`] (the
-/// sharded chaos bench attaches an adaptive retry budget to it).
+/// sharded benches attach an adaptive retry budget to it).
 pub fn run_method_ctx(
     ctx: &ExecContext<'_>,
     prepared: &PreparedQuery,
@@ -121,54 +270,108 @@ pub fn run_method_ctx(
     })
 }
 
+/// Runs one method under a fresh adaptive [`RetryBudget`] over the
+/// standard policy — fresh so adaptive state never leaks between cells —
+/// and, when given, on a virtual-time transport.
+fn run_budgeted(
+    sharded: &ShardedTextServer,
+    sched: Option<&Scheduler>,
+    prepared: &PreparedQuery,
+    kind: MethodKind,
+    probe_cols: &[usize],
+) -> Result<RunMeasure, MethodError> {
+    let budget = RetryBudget::new(RetryPolicy::standard());
+    let ctx = ExecContext::with_budget(sharded, &budget);
+    let ctx = match sched {
+        Some(sched) => ctx.with_transport(sched),
+        None => ctx,
+    };
+    run_method_ctx(&ctx, prepared, kind, probe_cols)
+}
+
+/// Attaches a ring-sink recorder to `server`, runs `run`, and returns the
+/// recorded trace.
+fn recorded(server: &TextServer, run: impl FnOnce()) -> Vec<Event> {
+    let sink = Rc::new(RingSink::unbounded());
+    server.set_recorder(Some(Recorder::new(sink.clone())));
+    run();
+    sink.events()
+}
+
+/// Enumerates the cost model's candidate methods for `pq` (cheapest
+/// estimate first), runs each through `run`, and returns
+/// `(label, estimate, measured)` for every candidate that ran.
+fn measure_candidates(
+    w: &World,
+    pq: &PaperQuery,
+    mut run: impl FnMut(&MethodCandidate) -> Result<RunMeasure, MethodError>,
+) -> Vec<(String, f64, f64)> {
+    enumerate_methods(&world_params(w), &pq.stats, pq.query.projection, false)
+        .iter()
+        .filter_map(|c| Some((c.label.clone(), c.cost.total(), run(c).ok()?.secs)))
+        .collect()
+}
+
+/// A charge-free sandbox: a fresh server over a clone of the world's
+/// collection, charging the world's own prices, with no recorder. Its
+/// ledger is private, so replaying counterfactual methods on it is
+/// passive by construction (`tests/audit.rs` pins this).
+fn sandbox(w: &World) -> TextServer {
+    TextServer::with_constants(w.server.collection().clone(), w.server.constants())
+}
+
+/// Plans `q` in the widest execution space from `plan_on`'s statistics,
+/// then executes the chosen plan against `run_on` with EXPLAIN ANALYZE on.
+fn plan_and_analyze(
+    w: &World,
+    q: &MultiJoinQuery,
+    plan_on: &dyn TextService,
+    params: CostParams,
+    run_on: &dyn TextService,
+) -> (PlannerInput, PlannedQuery, MultiOutcome) {
+    let (input, planned) =
+        prepare_plan(q, &w.catalog, plan_on, params, ExecutionSpace::PrlResiduals, None, None)
+            .expect("multi-join query plans");
+    let hooks = ExecHooks { analyze: true, ..ExecHooks::default() };
+    let outcome =
+        execute_prepared(&input, &planned, &w.catalog, run_on, &hooks).expect("executes");
+    (input, planned, outcome)
+}
+
+// ---------------------------------------------------------------------
+// Table 2: execution times for sample queries
+// ---------------------------------------------------------------------
+
+/// A single measured cell: method × query.
+#[derive(Debug, Clone, Default)]
+pub struct MeasuredCell {
+    /// Simulated seconds; `None` if the method is inapplicable to the query.
+    pub secs: Option<f64>,
+    /// Output rows (all applicable methods must agree).
+    pub rows: Option<usize>,
+}
+
+/// Table 2: rows = methods (in [`METHODS`] order), columns = Q1..Q4.
+#[derive(Debug, Clone)]
+pub struct Table2 {
+    /// `cells[m][q]` for method `m`, query `q`.
+    pub cells: Vec<Vec<MeasuredCell>>,
+}
+
 /// Reproduces Table 2: executes every applicable method on Q1–Q4 in the
 /// integrated system, reporting simulated seconds.
 pub fn table2(w: &World) -> Table2 {
-    let queries: Vec<SingleJoinQuery> =
-        vec![paper::q1(w), paper::q2(w), paper::q3(w), paper::q4(w)];
-    let methods: Vec<&'static str> = vec!["TS", "RTP", "SJ/SJ+RTP", "P+TS", "P+RTP"];
-    let ts_schema = w.server.collection().schema();
-    let params = world_params(w);
-
-    let mut cells: Vec<Vec<MeasuredCell>> = vec![Vec::new(); methods.len()];
-    for q in &queries {
-        let prepared = prepare(q, &w.catalog, ts_schema).expect("paper query prepares");
-        let export = w.server.export_stats();
-        let stats = prepared.statistics_from_export(&export, ts_schema);
-        let k = stats.k();
-
-        let mut push = |mi: usize, r: Result<(f64, usize), MethodError>| {
-            let cell = match r {
-                Ok((secs, rows)) => MeasuredCell {
-                    method: methods[mi],
-                    secs: Some(secs),
-                    rows: Some(rows),
-                },
-                Err(_) => MeasuredCell {
-                    method: methods[mi],
-                    secs: None,
-                    rows: None,
-                },
-            };
-            cells[mi].push(cell);
-        };
-
-        push(0, run_method(w, &prepared, MethodKind::Ts, &[]));
-        push(1, run_method(w, &prepared, MethodKind::Rtp, &[]));
-        push(2, run_method(w, &prepared, MethodKind::Sj, &[]));
-        if k >= 2 {
-            let pts = probe_cols_for(&params, &stats, cost_p_ts);
-            push(3, run_method(w, &prepared, MethodKind::PTs, &pts));
-            let prtp = probe_cols_for(&params, &stats, cost_p_rtp);
-            push(4, run_method(w, &prepared, MethodKind::PRtp, &prtp));
-        } else {
-            // The paper reports P-methods only for the multi-predicate
-            // queries Q3/Q4.
-            push(3, Err(MethodError::NotApplicable("k < 2".into())));
-            push(4, Err(MethodError::NotApplicable("k < 2".into())));
+    let queries = paper_queries(w);
+    let mut cells = vec![vec![MeasuredCell::default(); queries.len()]; METHODS.len()];
+    for (qi, pq) in queries.iter().enumerate() {
+        for (mi, kind, cols) in pq.methods() {
+            if let Ok(m) = run_method_on(&w.server, &pq.prepared, kind, cols) {
+                cells[mi][qi].secs = Some(m.secs);
+                cells[mi][qi].rows = Some(m.rows);
+            }
         }
     }
-    Table2 { cells, methods }
+    Table2 { cells }
 }
 
 // ---------------------------------------------------------------------
@@ -332,54 +535,37 @@ pub struct Validation {
     /// Text-service usage summed over the measured runs. Carries the
     /// robustness fields (faults, retries, backoff) so the summary printed
     /// by the `validate` binary cannot silently drop them.
-    pub usage: textjoin_text::server::Usage,
+    pub usage: Usage,
 }
 
 /// For Q1–Q4: rank methods by the cost model and by measured simulated
 /// execution; report both winners.
 pub fn validate(w: &World) -> Vec<Validation> {
-    let ts_schema = w.server.collection().schema();
-    let params = world_params(w);
-    let queries: Vec<(&'static str, SingleJoinQuery)> = vec![
-        ("Q1", paper::q1(w)),
-        ("Q2", paper::q2(w)),
-        ("Q3", paper::q3(w)),
-        ("Q4", paper::q4(w)),
-    ];
-    let mut out = Vec::new();
-    for (label, q) in queries {
-        let prepared = prepare(&q, &w.catalog, ts_schema).expect("prepares");
-        let export = w.server.export_stats();
-        let stats = prepared.statistics_from_export(&export, ts_schema);
-        let cands = enumerate_methods(&params, &stats, q.projection, false);
-        let mut detail = Vec::new();
-        let mut usage = textjoin_text::server::Usage::default();
-        for c in &cands {
-            let ctx = ExecContext::new(&w.server);
-            if let Ok(m) = run_method_ctx(&ctx, &prepared, c.kind, &c.probe_cols) {
-                detail.push((c.label.clone(), c.cost.total(), m.secs));
+    paper_queries(w)
+        .iter()
+        .map(|pq| {
+            let mut usage = Usage::default();
+            let detail = measure_candidates(w, pq, |c| {
+                let m = run_method_on(&w.server, &pq.prepared, c.kind, &c.probe_cols)?;
                 usage.accumulate(&m.text);
+                Ok(m)
+            });
+            let winner = |col: fn(&(String, f64, f64)) -> f64| {
+                detail
+                    .iter()
+                    .min_by(|a, b| col(a).partial_cmp(&col(b)).expect("finite"))
+                    .map(|d| d.0.clone())
+                    .unwrap_or_default()
+            };
+            Validation {
+                query: pq.label,
+                predicted: winner(|d| d.1),
+                measured: winner(|d| d.2),
+                detail,
+                usage,
             }
-        }
-        let predicted = detail
-            .iter()
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
-            .map(|d| d.0.clone())
-            .unwrap_or_default();
-        let measured = detail
-            .iter()
-            .min_by(|a, b| a.2.partial_cmp(&b.2).expect("finite"))
-            .map(|d| d.0.clone())
-            .unwrap_or_default();
-        out.push(Validation {
-            query: label,
-            predicted,
-            measured,
-            detail,
-            usage,
-        });
-    }
-    out
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -473,9 +659,8 @@ pub fn multijoin(w: &World) -> Vec<SpaceResult> {
     let mut out = Vec::new();
     for (label, space) in spaces {
         w.server.reset_usage();
-        let (planned, outcome) =
-            textjoin_core::exec::plan_and_execute(&q, &w.catalog, &w.server, params, space)
-                .expect("q5 plans and executes");
+        let (planned, outcome) = plan_and_execute(&q, &w.catalog, &w.server, params, space)
+            .expect("q5 plans and executes");
         out.push(SpaceResult {
             space: label,
             est_cost: planned.est_cost,
@@ -505,7 +690,7 @@ mod tests {
     fn table2_shape_and_agreement() {
         let w = small_world();
         let t = table2(&w);
-        assert_eq!(t.methods.len(), 5);
+        assert_eq!(t.cells.len(), METHODS.len());
         for row in &t.cells {
             assert_eq!(row.len(), 4, "Q1..Q4 columns");
         }
@@ -640,6 +825,22 @@ mod tests {
         // Same answer everywhere.
         assert!(rs.windows(2).all(|w| w[0].rows == w[1].rows));
     }
+
+    #[test]
+    fn paper_queries_state_the_applicability_rule_once() {
+        let queries = paper_queries(&default_world());
+        let labels: Vec<&str> = queries.iter().map(|pq| pq.label).collect();
+        assert_eq!(labels, ["Q1", "Q2", "Q3", "Q4"]);
+        // P-methods need a composite join (k ≥ 2): Q1/Q2 run the first
+        // three rows, Q3/Q4 all five, always in METHODS order.
+        for (pq, applicable) in queries.iter().zip([3, 3, 5, 5]) {
+            let rows: Vec<(usize, MethodKind)> =
+                pq.methods().map(|(mi, kind, _)| (mi, kind)).collect();
+            let expected: Vec<(usize, MethodKind)> =
+                METHODS.iter().map(|&(_, kind)| kind).enumerate().take(applicable).collect();
+            assert_eq!(rows, expected, "{}", pq.label);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -675,10 +876,6 @@ pub struct Ablation {
 /// 3. probe-column search: Theorem 5.3 bounded vs exhaustive (§5);
 /// 4. runtime guard: unguarded RTP vs guarded with a tight budget (§5/[CDY]).
 pub fn ablations(w: &World) -> Vec<Ablation> {
-    use textjoin_core::methods::ts::{tuple_substitution, tuple_substitution_batched};
-    use textjoin_core::methods::probe::probe_tuple_substitution;
-    use textjoin_core::runtime::{guarded_rtp, GuardVerdict};
-
     let schema = w.server.collection().schema();
     let params = world_params(w);
     let mut out = Vec::new();
@@ -748,13 +945,9 @@ pub fn ablations(w: &World) -> Vec<Ablation> {
             let prepared = prepare(&q, &w.catalog, schema).expect("prepares");
             let export = w.server.export_stats();
             let stats = prepared.statistics_from_export(&export, schema);
-            let bounded =
-                textjoin_core::optimizer::single::optimal_probe_bounded(&params, &stats, cost_p_ts)
-                    .expect("k ≥ 1");
-            let exhaustive = textjoin_core::optimizer::single::optimal_probe_exhaustive(
-                &params, &stats, cost_p_ts,
-            )
-            .expect("k ≥ 1");
+            let bounded = optimal_probe_bounded(&params, &stats, cost_p_ts).expect("k ≥ 1");
+            let exhaustive =
+                optimal_probe_exhaustive(&params, &stats, cost_p_ts).expect("k ≥ 1");
             rows.push(AblationRow {
                 variant: format!("{label} bounded {:?}", bounded.0),
                 secs: bounded.1.total(),
@@ -781,8 +974,7 @@ pub fn ablations(w: &World) -> Vec<Ablation> {
         let fj = prepared.foreign_join();
         let mut rows = Vec::new();
         let ctx = ExecContext::new(&w.server);
-        let unguarded = textjoin_core::methods::rtp::relational_text_processing(&ctx, &fj)
-            .expect("RTP runs");
+        let unguarded = relational_text_processing(&ctx, &fj).expect("RTP runs");
         rows.push(AblationRow {
             variant: "RTP unguarded".into(),
             secs: unguarded.report.total_cost(),
@@ -814,18 +1006,18 @@ pub fn ablations(w: &World) -> Vec<Ablation> {
 }
 
 // ---------------------------------------------------------------------
-// Chaos: cost overhead under injected transient faults
+// Chaos: cost overhead under injected faults, one grid, four servers
 // ---------------------------------------------------------------------
 
 /// Chaos experiment result: per method × fault rate, the total simulated
 /// cost over the paper queries the method applies to, and its overhead
-/// relative to the fault-free column.
+/// relative to the rate-0 column. Rows follow [`METHODS`].
 #[derive(Debug, Clone)]
 pub struct ChaosTable {
-    /// Per-operation fault probabilities, first entry 0.0 (the baseline).
+    /// Per-operation fault probabilities, first entry 0.0 (the baseline —
+    /// which in the replicated and rebalance scenarios still pays for the
+    /// dead primary).
     pub rates: Vec<f64>,
-    /// Method labels in row order.
-    pub methods: Vec<&'static str>,
     /// `cells[m][r]` = `(total_secs, overhead_pct)`; `None` when the
     /// method applies to no query.
     pub cells: Vec<Vec<Option<(f64, f64)>>>,
@@ -834,61 +1026,36 @@ pub struct ChaosTable {
     pub fault_cells: Vec<Vec<Option<(u64, u64)>>>,
 }
 
-/// Per-query preparation shared by the chaos grids: the prepared query and
-/// its probe-column choices, taken from fault-free statistics
-/// (`export_stats` is free and never faulted).
-struct ChaosPrep {
-    prepared: PreparedQuery,
-    pts: Vec<usize>,
-    prtp: Vec<usize>,
-    k: usize,
+/// What the grid hands a scenario for one cell: the method to run on one
+/// query, the column's fault rate, and the cell's seed.
+struct ChaosRun<'a> {
+    prepared: &'a PreparedQuery,
+    kind: MethodKind,
+    cols: &'a [usize],
+    rate: f64,
+    seed: u64,
 }
 
-fn chaos_preps(w: &World) -> Vec<ChaosPrep> {
-    let queries: Vec<SingleJoinQuery> =
-        vec![paper::q1(w), paper::q2(w), paper::q3(w), paper::q4(w)];
-    let ts_schema = w.server.collection().schema();
-    let params = world_params(w);
-    queries
-        .iter()
-        .map(|q| {
-            let prepared = prepare(q, &w.catalog, ts_schema).expect("paper query prepares");
-            let export = w.server.export_stats();
-            let stats = prepared.statistics_from_export(&export, ts_schema);
-            let k = stats.k();
-            let (pts, prtp) = if k >= 2 {
-                (
-                    probe_cols_for(&params, &stats, cost_p_ts),
-                    probe_cols_for(&params, &stats, cost_p_rtp),
-                )
-            } else {
-                (Vec::new(), Vec::new())
-            };
-            ChaosPrep { prepared, pts, prtp, k }
-        })
-        .collect()
-}
-
-/// The method × rate × query grid both chaos tables share; the per-cell
-/// server construction is supplied by the caller (fresh single server vs
-/// fresh sharded server with an adaptive budget). Every rate column is
-/// asserted to return the rate-0 answers, and the surfaced fault/retry
-/// counters are read back through the [`Usage::metrics_snapshot`] bridge so
-/// the printed tables are fed from the same snapshot keys the
-/// observability layer exports.
-///
-/// [`Usage::metrics_snapshot`]: textjoin_text::server::Usage::metrics_snapshot
-#[allow(clippy::type_complexity)]
+/// The method × rate × query grid every chaos table shares; the scenario
+/// supplies only the per-cell server (fresh, so fault and adaptive state
+/// never leak between cells). Plans are bounded to 2 consecutive faults —
+/// below every retry budget — so injected faults cost money (retries,
+/// backoff, partial processing) but never change an answer: every rate
+/// column is asserted to return the rate-0 answers. The surfaced
+/// fault/retry counters are read back through the
+/// [`Usage::metrics_snapshot`] bridge so the printed tables are fed from
+/// the same snapshot keys the observability layer exports.
 fn chaos_grid(
-    preps: &[ChaosPrep],
-    rates: &[f64],
-    methods: &[&'static str],
+    w: &World,
     what: &str,
-    mut run: impl FnMut(usize, usize, usize, f64, MethodKind, &[usize]) -> Option<RunMeasure>,
-) -> (Vec<Vec<Option<(f64, f64)>>>, Vec<Vec<Option<(u64, u64)>>>) {
-    let mut cells: Vec<Vec<Option<(f64, f64)>>> = vec![Vec::new(); methods.len()];
-    let mut fault_cells: Vec<Vec<Option<(u64, u64)>>> = vec![Vec::new(); methods.len()];
-    for mi in 0..methods.len() {
+    seed: u64,
+    mut run: impl FnMut(&ChaosRun<'_>) -> Option<RunMeasure>,
+) -> ChaosTable {
+    let rates = vec![0.0, 0.05, 0.1, 0.2];
+    let queries = paper_queries(w);
+    let mut cells = vec![Vec::new(); METHODS.len()];
+    let mut fault_cells = vec![Vec::new(); METHODS.len()];
+    for (mi, &(label, kind)) in METHODS.iter().enumerate() {
         let mut baseline: Option<f64> = None;
         let mut baseline_rows: Vec<Option<usize>> = Vec::new();
         for (ri, &rate) in rates.iter().enumerate() {
@@ -897,15 +1064,11 @@ fn chaos_grid(
             let mut retries = 0u64;
             let mut any = false;
             let mut rows_at_rate: Vec<Option<usize>> = Vec::new();
-            for (qi, p) in preps.iter().enumerate() {
-                let r = match mi {
-                    0 => run(qi, mi, ri, rate, MethodKind::Ts, &[]),
-                    1 => run(qi, mi, ri, rate, MethodKind::Rtp, &[]),
-                    2 => run(qi, mi, ri, rate, MethodKind::Sj, &[]),
-                    3 if p.k >= 2 => run(qi, mi, ri, rate, MethodKind::PTs, &p.pts),
-                    4 if p.k >= 2 => run(qi, mi, ri, rate, MethodKind::PRtp, &p.prtp),
-                    _ => None,
-                };
+            for (qi, pq) in queries.iter().enumerate() {
+                let r = pq.probe_cols(kind).and_then(|cols| {
+                    let seed = cell_seed(seed, qi, mi, ri);
+                    run(&ChaosRun { prepared: &pq.prepared, kind, cols, rate, seed })
+                });
                 rows_at_rate.push(r.map(|m| m.rows));
                 if let Some(m) = r {
                     let snap = m.text.metrics_snapshot();
@@ -921,8 +1084,7 @@ fn chaos_grid(
             }
             assert_eq!(
                 rows_at_rate, baseline_rows,
-                "{what} changed {} answers at rate {rate}",
-                methods[mi]
+                "{what} changed {label} answers at rate {rate}"
             );
             let cell = match (any, baseline) {
                 (true, Some(base)) if base > 0.0 => {
@@ -935,202 +1097,89 @@ fn chaos_grid(
             cells[mi].push(cell);
         }
     }
-    (cells, fault_cells)
+    ChaosTable { rates, cells, fault_cells }
 }
 
-/// Runs every method over Q1–Q4 under seeded transient fault plans of
-/// increasing rate. Each cell gets a fresh server (same collection, same
-/// constants) so fault state never leaks between cells. Plans are bounded
-/// to 2 consecutive faults — under the standard 4-attempt retry policy
-/// every operation eventually succeeds, so the injected faults cost money
-/// (retries, backoff, partial processing) but never change an answer;
-/// this is asserted per cell against the fault-free run.
+/// Runs every method over Q1–Q4 against a single server under a seeded
+/// transient fault plan of increasing rate; the standard 4-attempt retry
+/// policy absorbs the faults.
 pub fn chaos_table(w: &World) -> ChaosTable {
-    use textjoin_text::faults::FaultPlan;
-    use textjoin_text::server::TextServer;
-
-    let rates = vec![0.0, 0.05, 0.1, 0.2];
-    let methods: Vec<&'static str> = vec!["TS", "RTP", "SJ/SJ+RTP", "P+TS", "P+RTP"];
-    let preps = chaos_preps(w);
-    let (cells, fault_cells) = chaos_grid(
-        &preps,
-        &rates,
-        &methods,
-        "fault injection",
-        |qi, mi, ri, rate, kind, cols| {
-            let seed = 0xC0FFEE ^ ((qi as u64) << 16) ^ ((mi as u64) << 8) ^ ri as u64;
-            let mut server = TextServer::new(w.server.collection().clone());
-            server.set_fault_plan(FaultPlan::transient(seed, rate, 2));
-            run_method_on(&server, &preps[qi].prepared, kind, cols).ok()
-        },
-    );
-    ChaosTable { rates, methods, cells, fault_cells }
+    chaos_grid(w, "fault injection", 0xC0FFEE, |c| {
+        let mut server = TextServer::new(w.server.collection().clone());
+        server.set_fault_plan(FaultPlan::transient(c.seed, c.rate, 2));
+        run_method_on(&server, c.prepared, c.kind, c.cols).ok()
+    })
 }
 
-// ---------------------------------------------------------------------
-// Sharded chaos: scatter/gather joins with per-shard fault plans
-// ---------------------------------------------------------------------
-
-/// Sharded chaos experiment result: like [`ChaosTable`] but every cell
-/// runs over a 4-shard [`ShardedTextServer`] whose shards carry
-/// *independent* seeded fault plans, with the adaptive [`RetryBudget`]
-/// steering per-shard attempts.
-///
-/// [`ShardedTextServer`]: textjoin_text::shard::ShardedTextServer
-/// [`RetryBudget`]: textjoin_core::retry::RetryBudget
-#[derive(Debug, Clone)]
-pub struct ShardedChaosTable {
-    /// Per-operation fault probabilities, first entry 0.0 (the baseline).
-    pub rates: Vec<f64>,
-    /// Method labels in row order.
-    pub methods: Vec<&'static str>,
-    /// `cells[m][r]` = `(total_secs, overhead_pct)`.
-    pub cells: Vec<Vec<Option<(f64, f64)>>>,
-    /// `fault_cells[m][r]` = `(faults, retries)` summed over the queries.
-    pub fault_cells: Vec<Vec<Option<(u64, u64)>>>,
-    /// Number of shards in every cell's server.
-    pub n_shards: usize,
+/// Runs every method over Q1–Q4 against an unreplicated [`N_SHARDS`]-shard
+/// server whose shards fault independently, with the adaptive
+/// [`RetryBudget`] steering per-shard attempts.
+pub fn sharded_chaos_table(w: &World) -> ChaosTable {
+    chaos_grid(w, "sharded fault injection", 0x5EED, |c| {
+        let mut sharded = cluster(w, 1);
+        shake(&mut sharded, c.seed, c.rate, None);
+        run_budgeted(&sharded, None, c.prepared, c.kind, c.cols).ok()
+    })
 }
 
-/// Runs every method over Q1–Q4 against a 4-shard server whose shards
-/// fault independently (per-shard seeded transient plans, bounded to 2
-/// consecutive — below every adaptive attempt budget, so all cells return
-/// the fault-free answer; asserted against the rate-0 column). Each cell
-/// gets a fresh sharded server and a fresh [`RetryBudget`] so adaptive
-/// state never leaks between cells.
-///
-/// [`RetryBudget`]: textjoin_core::retry::RetryBudget
-pub fn sharded_chaos_table(w: &World) -> ShardedChaosTable {
-    use textjoin_core::retry::{RetryBudget, RetryPolicy};
-    use textjoin_text::faults::FaultPlan;
-    use textjoin_text::shard::ShardedTextServer;
-
-    const N_SHARDS: usize = 4;
-    const PARTITION_SEED: u64 = 0x5AD;
-
-    let rates = vec![0.0, 0.05, 0.1, 0.2];
-    let methods: Vec<&'static str> = vec!["TS", "RTP", "SJ/SJ+RTP", "P+TS", "P+RTP"];
-    let preps = chaos_preps(w);
-    let (cells, fault_cells) = chaos_grid(
-        &preps,
-        &rates,
-        &methods,
-        "sharded fault injection",
-        |qi, mi, ri, rate, kind, cols| {
-            let cell_seed = 0x5EED ^ ((qi as u64) << 16) ^ ((mi as u64) << 8) ^ ri as u64;
-            let mut sharded =
-                ShardedTextServer::new(w.server.collection(), N_SHARDS, PARTITION_SEED);
-            for i in 0..N_SHARDS {
-                // Independent per-shard plans: same rate, distinct seeded
-                // streams.
-                sharded.shard_mut(i).set_fault_plan(FaultPlan::transient(
-                    cell_seed ^ ((i as u64) << 24),
-                    rate,
-                    2,
-                ));
-            }
-            let budget = RetryBudget::new(RetryPolicy::standard());
-            let ctx = ExecContext::with_budget(&sharded, &budget);
-            run_method_ctx(&ctx, &preps[qi].prepared, kind, cols).ok()
-        },
-    );
-    ShardedChaosTable { rates, methods, cells, fault_cells, n_shards: N_SHARDS }
+/// Runs every method over Q1–Q4 against an [`N_SHARDS`] × [`N_REPLICAS`]
+/// server in which [`DEAD_SHARD`]'s primary is permanently dead and the
+/// surviving replicas fault transiently. Every cell proves the failover
+/// path (primary exhaustion → circuit breaker → secondary leg) preserves
+/// the result multiset under persistent single-replica death.
+pub fn replicated_chaos_table(w: &World) -> ChaosTable {
+    chaos_grid(w, "replicated fault injection", 0xD0A, |c| {
+        let mut sharded = cluster(w, N_REPLICAS);
+        shake(&mut sharded, c.seed, c.rate, Some(DEAD_SHARD));
+        run_budgeted(&sharded, None, c.prepared, c.kind, c.cols).ok()
+    })
 }
 
-// ---------------------------------------------------------------------
-// Replicated chaos: failover routing with a permanently dead primary
-// ---------------------------------------------------------------------
-
-/// Replicated chaos experiment result: like [`ShardedChaosTable`] but
-/// every cell runs over an `n_shards × n_replicas` replicated server in
-/// which one shard's *primary* replica is permanently dead
-/// ([`FaultPlan::dead`]) — every cell exercises failover routing and the
-/// per-shard circuit breaker, and still returns the fault-free answer.
-///
-/// [`FaultPlan::dead`]: textjoin_text::faults::FaultPlan::dead
-#[derive(Debug, Clone)]
-pub struct ReplicatedChaosTable {
-    /// Per-operation fault probabilities on the *surviving* replicas,
-    /// first entry 0.0 (the baseline — which still pays for discovering
-    /// the dead primary until the breaker opens).
-    pub rates: Vec<f64>,
-    /// Method labels in row order.
-    pub methods: Vec<&'static str>,
-    /// `cells[m][r]` = `(total_secs, overhead_pct)`.
-    pub cells: Vec<Vec<Option<(f64, f64)>>>,
-    /// `fault_cells[m][r]` = `(faults, retries)` summed over the queries.
-    pub fault_cells: Vec<Vec<Option<(u64, u64)>>>,
-    /// Number of logical shards in every cell's server.
-    pub n_shards: usize,
-    /// Replicas per shard.
-    pub n_replicas: usize,
-    /// The shard whose primary replica is permanently dead.
-    pub dead_shard: usize,
+/// Runs every method over Q1–Q4 while a paced online migration drains
+/// [`SRC_SHARD`] into [`DST_SHARD`] in [`BATCH_DOCS`]-document batches.
+/// The first batch commits cleanly; then the source's primary dies and
+/// the survivors fault transiently. Queries interleave with transfer
+/// batches (`set_migration_pacing`), so every cell exercises the
+/// epoch-staleness re-gather, replica-sourced transfer, and the
+/// journal-resume path at once. Each cell then drains its migration,
+/// asserting exactly-once delivery finished every move (never aborted).
+/// Returns the table and the documents each cell's plan staged
+/// (identical across cells — same collection, same partition seed).
+pub fn rebalance_chaos_table(w: &World) -> (ChaosTable, u64) {
+    let mut migrated = 0u64;
+    let table = chaos_grid(w, "rebalance fault injection", 0x4EB, |c| {
+        let mut sharded = cluster(w, N_REPLICAS);
+        migrated = begin_drain(&mut sharded, drain_plan(w, BATCH_DOCS));
+        sharded.migrate_batch().expect("fault-free first batch");
+        shake(&mut sharded, c.seed, c.rate, Some(SRC_SHARD));
+        sharded.set_migration_pacing(3);
+        let out = run_budgeted(&sharded, None, c.prepared, c.kind, c.cols).ok();
+        drain(&sharded);
+        let journal = sharded.journal().expect("journal exists");
+        assert!(
+            journal.entries.iter().all(|e| e.status == MoveStatus::Done),
+            "a move aborted under recoverable faults"
+        );
+        out
+    });
+    (table, migrated)
 }
 
-/// Runs every method over Q1–Q4 against a 4-shard × 2-replica server in
-/// which shard 2's primary faults on *every* operation and the surviving
-/// replicas carry independent bounded transient plans. The grid asserts
-/// each rate column returns the rate-0 answers, so every cell proves the
-/// failover path (primary exhaustion → circuit breaker → secondary leg)
-/// preserves the result multiset under persistent single-replica death.
-pub fn replicated_chaos_table(w: &World) -> ReplicatedChaosTable {
-    use textjoin_core::retry::{RetryBudget, RetryPolicy};
-    use textjoin_text::faults::FaultPlan;
-    use textjoin_text::shard::ShardedTextServer;
-
-    const N_SHARDS: usize = 4;
-    const N_REPLICAS: usize = 2;
-    const PARTITION_SEED: u64 = 0x5AD;
-    const DEAD_SHARD: usize = 2;
-
-    let rates = vec![0.0, 0.05, 0.1, 0.2];
-    let methods: Vec<&'static str> = vec!["TS", "RTP", "SJ/SJ+RTP", "P+TS", "P+RTP"];
-    let preps = chaos_preps(w);
-    let (cells, fault_cells) = chaos_grid(
-        &preps,
-        &rates,
-        &methods,
-        "replicated fault injection",
-        |qi, mi, ri, rate, kind, cols| {
-            let cell_seed = 0xD0A ^ ((qi as u64) << 16) ^ ((mi as u64) << 8) ^ ri as u64;
-            let mut sharded = ShardedTextServer::replicated(
-                w.server.collection(),
-                N_SHARDS,
-                N_REPLICAS,
-                PARTITION_SEED,
-            );
-            let dead_replica = sharded.primary_of(DEAD_SHARD);
-            for i in 0..N_SHARDS {
-                for r in 0..N_REPLICAS {
-                    let plan = if (i, r) == (DEAD_SHARD, dead_replica) {
-                        // Permanent death: the primary transiently faults
-                        // on every single operation.
-                        FaultPlan::dead(cell_seed)
-                    } else {
-                        FaultPlan::transient(
-                            cell_seed ^ ((i as u64) << 24) ^ ((r as u64) << 32),
-                            rate,
-                            2,
-                        )
-                    };
-                    sharded.replica_mut(i, r).set_fault_plan(plan);
-                }
-            }
-            let budget = RetryBudget::new(RetryPolicy::standard());
-            let ctx = ExecContext::with_budget(&sharded, &budget);
-            run_method_ctx(&ctx, &preps[qi].prepared, kind, cols).ok()
-        },
-    );
-    ReplicatedChaosTable {
-        rates,
-        methods,
-        cells,
-        fault_cells,
-        n_shards: N_SHARDS,
-        n_replicas: N_REPLICAS,
-        dead_shard: DEAD_SHARD,
+/// Records the Table-2 workload — every applicable method on Q1–Q4 — as
+/// one continuous trace against one fresh server carrying `fault`.
+fn workload_trace(w: &World, fault: Option<FaultPlan>) -> Vec<Event> {
+    let queries = paper_queries(w);
+    let mut server = TextServer::new(w.server.collection().clone());
+    if let Some(plan) = fault {
+        server.set_fault_plan(plan);
     }
+    recorded(&server, || {
+        for pq in &queries {
+            for (_, kind, cols) in pq.methods() {
+                let _ = run_method_on(&server, &pq.prepared, kind, cols);
+            }
+        }
+    })
 }
 
 /// Records one P+RTP run under transient faults: the first paper query
@@ -1138,54 +1187,30 @@ pub fn replicated_chaos_table(w: &World) -> ReplicatedChaosTable {
 /// a ring-sink recorder attached, and the recorded trace comes back for
 /// the `explain` binary to replay into a span tree. Fully seeded, so the
 /// rendered tree is byte-identical across runs.
-pub fn explain_run(w: &World) -> Vec<textjoin_obs::Event> {
-    use std::rc::Rc;
-    use textjoin_obs::{Recorder, RingSink};
-    use textjoin_text::faults::FaultPlan;
-    use textjoin_text::server::TextServer;
-
-    let preps = chaos_preps(w);
-    let (qi, p) = preps
+pub fn explain_run(w: &World) -> Vec<Event> {
+    let queries = paper_queries(w);
+    let (qi, pq, cols) = queries
         .iter()
         .enumerate()
-        .find(|(_, p)| p.k >= 2)
+        .find_map(|(qi, pq)| Some((qi, pq, pq.probe_cols(MethodKind::PRtp)?)))
         .expect("a paper query with a composite join");
     let mut server = TextServer::new(w.server.collection().clone());
-    server.set_fault_plan(FaultPlan::transient(0xE1A ^ ((qi as u64) << 16), 0.2, 2));
-    let sink = Rc::new(RingSink::unbounded());
-    server.set_recorder(Some(Recorder::new(sink.clone())));
-    run_method_on(&server, &p.prepared, MethodKind::PRtp, &p.prtp).expect("P+RTP runs");
-    sink.events()
+    server.set_fault_plan(FaultPlan::transient(cell_seed(0xE1A, qi, 0, 0), 0.2, 2));
+    recorded(&server, || {
+        run_method_on(&server, &pq.prepared, MethodKind::PRtp, cols).expect("P+RTP runs");
+    })
 }
 
 // ---------------------------------------------------------------------
 // Trace-driven re-calibration (ISSUE 5 tentpole)
 // ---------------------------------------------------------------------
 
-/// Records the Table-2 workload — every applicable method on Q1–Q4
-/// against one healthy server — as a single continuous trace. This is the
+/// Records the Table-2 workload against one healthy server. This is the
 /// calibration corpus for the fault-free drift table: the server's true
 /// prices are the Mercury constants, so fitting them back is a closed
 /// loop.
-pub fn table2_trace(w: &World) -> Vec<textjoin_obs::Event> {
-    use std::rc::Rc;
-    use textjoin_obs::{Recorder, RingSink};
-    use textjoin_text::server::TextServer;
-
-    let preps = chaos_preps(w);
-    let server = TextServer::new(w.server.collection().clone());
-    let sink = Rc::new(RingSink::unbounded());
-    server.set_recorder(Some(Recorder::new(sink.clone())));
-    for p in &preps {
-        let _ = run_method_on(&server, &p.prepared, MethodKind::Ts, &[]);
-        let _ = run_method_on(&server, &p.prepared, MethodKind::Rtp, &[]);
-        let _ = run_method_on(&server, &p.prepared, MethodKind::Sj, &[]);
-        if p.k >= 2 {
-            let _ = run_method_on(&server, &p.prepared, MethodKind::PTs, &p.pts);
-            let _ = run_method_on(&server, &p.prepared, MethodKind::PRtp, &p.prtp);
-        }
-    }
-    sink.events()
+pub fn table2_trace(w: &World) -> Vec<Event> {
+    workload_trace(w, None)
 }
 
 /// Records the same workload under the chaos bench's seeded transient
@@ -1193,27 +1218,8 @@ pub fn table2_trace(w: &World) -> Vec<textjoin_obs::Event> {
 /// linear — faults change *which* calls happen, not their prices — but
 /// the trace now carries backoff events, so the fitted fault model
 /// (`effective_c_i`) diverges from the configured fault-free one.
-pub fn chaos_trace(w: &World) -> Vec<textjoin_obs::Event> {
-    use std::rc::Rc;
-    use textjoin_obs::{Recorder, RingSink};
-    use textjoin_text::faults::FaultPlan;
-    use textjoin_text::server::TextServer;
-
-    let preps = chaos_preps(w);
-    let mut server = TextServer::new(w.server.collection().clone());
-    server.set_fault_plan(FaultPlan::transient(0xCA1, 0.2, 2));
-    let sink = Rc::new(RingSink::unbounded());
-    server.set_recorder(Some(Recorder::new(sink.clone())));
-    for p in &preps {
-        let _ = run_method_on(&server, &p.prepared, MethodKind::Ts, &[]);
-        let _ = run_method_on(&server, &p.prepared, MethodKind::Rtp, &[]);
-        let _ = run_method_on(&server, &p.prepared, MethodKind::Sj, &[]);
-        if p.k >= 2 {
-            let _ = run_method_on(&server, &p.prepared, MethodKind::PTs, &p.pts);
-            let _ = run_method_on(&server, &p.prepared, MethodKind::PRtp, &p.prtp);
-        }
-    }
-    sink.events()
+pub fn chaos_trace(w: &World) -> Vec<Event> {
+    workload_trace(w, Some(FaultPlan::transient(0xCA1, 0.2, 2)))
 }
 
 /// One row of a configured-vs-fitted drift table.
@@ -1256,9 +1262,9 @@ pub struct DriftTable {
 
 /// Fits `events` and compares against the world's configured params —
 /// the adoption path the planner uses via `plan_and_execute_with`.
-pub fn drift_table(w: &World, events: &[textjoin_obs::Event]) -> DriftTable {
+pub fn drift_table(w: &World, events: &[Event]) -> DriftTable {
     let params = world_params(w);
-    let cal = textjoin_obs::calibrate_trace(events);
+    let cal = calibrate_trace(events);
     let adopted = params.with_calibration(&cal);
     let rows = [
         ("c_i", params.constants.c_i, &cal.c_i),
@@ -1292,7 +1298,7 @@ pub fn drift_table(w: &World, events: &[textjoin_obs::Event]) -> DriftTable {
 // ---------------------------------------------------------------------
 
 /// One method's aggregate over Q1–Q4 in the makespan grid.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MakespanCell {
     /// Σ issued leg costs — what a serial transport would have taken
     /// (cancelled hedge legs included).
@@ -1311,146 +1317,51 @@ pub struct MakespanCell {
 
 /// The makespan grid: every method over Q1–Q4 against a replicated
 /// sharded server with one slow replica per shard and a per-query
-/// deadline.
+/// deadline. Rows follow [`METHODS`].
 #[derive(Debug, Clone)]
 pub struct MakespanTable {
-    /// Method labels in row order.
-    pub methods: Vec<&'static str>,
     /// `cells[m]`, `None` when the method applies to no query.
     pub cells: Vec<Option<MakespanCell>>,
-    /// Shards / replicas per shard in every cell's server.
-    pub n_shards: usize,
-    /// Replicas per shard.
-    pub n_replicas: usize,
-    /// Per-query deadline (simulated seconds).
-    pub deadline: f64,
-    /// Per-operation probability of a latency-only `Slow` fault on each
-    /// shard's primary replica.
-    pub slow_rate: f64,
 }
 
-/// Runs every method over Q1–Q4 against a 4-shard × 2-replica server in
-/// which each shard's *primary* replica carries a seeded latency-only
-/// [`FaultPlan::slow`] plan (it always answers, sometimes late) and each
-/// query runs under a per-query deadline on a fresh virtual-time
-/// [`Scheduler`]. Slow primary legs above the budget's hedge threshold
-/// race a hedge read on the secondary; the loser's charge is rebated.
-/// Every cell asserts the fault-free row counts — deadline misses degrade
-/// or simply finish late, they never error — and that the concurrent
-/// makespan lands strictly below the serial transport time.
-///
-/// [`FaultPlan::slow`]: textjoin_text::faults::FaultPlan::slow
-/// [`Scheduler`]: textjoin_core::sched::Scheduler
+/// Runs every method over Q1–Q4 against an [`N_SHARDS`] × [`N_REPLICAS`]
+/// server in which each shard's *primary* replica carries a seeded
+/// latency-only [`FaultPlan::slow`] plan at [`SLOW_RATE`] (it always
+/// answers, sometimes late) and each query runs under the [`DEADLINE`]
+/// on a fresh virtual-time [`Scheduler`]. Slow primary legs above the
+/// budget's hedge threshold race a hedge read on the secondary; the
+/// loser's charge is rebated. Every cell asserts the fault-free row
+/// counts — deadline misses degrade or simply finish late, they never
+/// error — and that the concurrent makespan lands strictly below the
+/// serial transport time.
 pub fn makespan_table(w: &World) -> MakespanTable {
-    use textjoin_core::retry::{RetryBudget, RetryPolicy};
-    use textjoin_core::sched::{SchedConfig, Scheduler};
-    use textjoin_text::faults::FaultPlan;
-    use textjoin_text::shard::ShardedTextServer;
-
-    const N_SHARDS: usize = 4;
-    const N_REPLICAS: usize = 2;
-    const PARTITION_SEED: u64 = 0x5AD;
-    const DEADLINE: f64 = 150.0;
-    const SLOW_RATE: f64 = 0.25;
-
-    let methods: Vec<&'static str> = vec!["TS", "RTP", "SJ/SJ+RTP", "P+TS", "P+RTP"];
-    let kinds = [
-        MethodKind::Ts,
-        MethodKind::Rtp,
-        MethodKind::Sj,
-        MethodKind::PTs,
-        MethodKind::PRtp,
-    ];
-    let preps = chaos_preps(w);
-
-    // Fault-free baseline row counts (the oracle the grid must match).
-    let baseline: Vec<Vec<Option<usize>>> = kinds
-        .iter()
-        .map(|&kind| {
-            preps
-                .iter()
-                .map(|p| {
-                    let cols = probe_cols_of(p, kind)?;
-                    run_method_on(&w.server, &p.prepared, kind, cols)
-                        .ok()
-                        .map(|m| m.rows)
-                })
-                .collect()
-        })
-        .collect();
-    w.server.reset_usage();
-
-    let mut cells = Vec::with_capacity(kinds.len());
-    for (mi, &kind) in kinds.iter().enumerate() {
-        let mut agg = MakespanCell {
-            serial: 0.0,
-            makespan: 0.0,
-            hedges: 0,
-            cancels: 0,
-            deadline_misses: 0,
-            rows: 0,
-        };
-        let mut any = false;
-        for (qi, p) in preps.iter().enumerate() {
-            let Some(cols) = probe_cols_of(p, kind) else { continue };
-            let Some(base_rows) = baseline[mi][qi] else { continue };
-            let mut sharded = ShardedTextServer::replicated(
-                w.server.collection(),
-                N_SHARDS,
-                N_REPLICAS,
-                PARTITION_SEED,
-            );
-            for i in 0..N_SHARDS {
-                let pri = sharded.primary_of(i);
-                sharded.replica_mut(i, pri).set_fault_plan(FaultPlan::slow(
-                    0x510 ^ ((qi as u64) << 16) ^ ((mi as u64) << 8) ^ i as u64,
-                    SLOW_RATE,
-                ));
-            }
-            let budget = RetryBudget::new(RetryPolicy::standard());
-            let sched = Scheduler::new(SchedConfig::new(0x7E97).with_deadline(DEADLINE));
-            let ctx = ExecContext::with_budget(&sharded, &budget).with_transport(&sched);
-            let m = run_method_ctx(&ctx, &p.prepared, kind, cols)
+    let mut cells: Vec<Option<MakespanCell>> = vec![None; METHODS.len()];
+    for (qi, pq) in paper_queries(w).iter().enumerate() {
+        for (mi, kind, cols) in pq.methods() {
+            // The fault-free row count is the oracle the cell must match.
+            let Ok(base) = run_method_on(&w.server, &pq.prepared, kind, cols) else { continue };
+            let mut sharded = cluster(w, N_REPLICAS);
+            slow_primaries(&mut sharded, cell_seed(0x510, qi, mi, 0));
+            let sched = scheduler(Some(DEADLINE));
+            let m = run_budgeted(&sharded, Some(&sched), &pq.prepared, kind, cols)
                 .expect("latency-only faults and deadline misses never error");
-            assert_eq!(
-                m.rows, base_rows,
-                "{} on Q{} changed its answer under slow replicas",
-                methods[mi],
-                qi + 1
-            );
+            let (label, q) = (METHODS[mi].0, pq.label);
+            assert_eq!(m.rows, base.rows, "{label} on {q} changed its answer under slow replicas");
             assert!(
                 sched.makespan() < sched.serial_total(),
-                "{} on Q{}: scatter/gather makespan must beat serial",
-                methods[mi],
-                qi + 1
+                "{label} on {q}: scatter/gather makespan must beat serial"
             );
+            let agg = cells[mi].get_or_insert_with(MakespanCell::default);
             agg.serial += sched.serial_total();
             agg.makespan += sched.makespan();
             agg.hedges += sched.hedges();
             agg.cancels += sched.cancels();
             agg.deadline_misses += sched.deadline_misses();
             agg.rows += m.rows;
-            any = true;
         }
-        cells.push(any.then_some(agg));
     }
-    MakespanTable {
-        methods,
-        cells,
-        n_shards: N_SHARDS,
-        n_replicas: N_REPLICAS,
-        deadline: DEADLINE,
-        slow_rate: SLOW_RATE,
-    }
-}
-
-/// The probe columns `kind` needs on `p`, `None` when inapplicable.
-fn probe_cols_of(p: &ChaosPrep, kind: MethodKind) -> Option<&[usize]> {
-    match kind {
-        MethodKind::PTs => (p.k >= 2).then_some(p.pts.as_slice()),
-        MethodKind::PRtp => (p.k >= 2).then_some(p.prtp.as_slice()),
-        _ => Some(&[]),
-    }
+    w.server.reset_usage();
+    MakespanTable { cells }
 }
 
 /// One Q5 execution in the deadline-degradation demo.
@@ -1483,17 +1394,6 @@ pub struct DeadlineRun {
 /// back TS-style instead of erroring. Both runs must return the same
 /// rows.
 pub fn deadline_demo(w: &World) -> Vec<DeadlineRun> {
-    use textjoin_core::exec::MultiExecutor;
-    use textjoin_core::optimizer::multi::PlannerInput;
-    use textjoin_core::optimizer::plan::PlanNode;
-    use textjoin_core::sched::{SchedConfig, Scheduler};
-    use textjoin_text::service::TextService;
-    use textjoin_text::shard::ShardedTextServer;
-
-    const N_SHARDS: usize = 4;
-    const N_REPLICAS: usize = 2;
-    const PARTITION_SEED: u64 = 0x5AD;
-
     let q = paper::q6(w);
     let params = world_params(w);
     // Text-join project titles first (Sj, the bulk of the transport),
@@ -1521,12 +1421,7 @@ pub fn deadline_demo(w: &World) -> Vec<DeadlineRun> {
         probe_cols: vec![0],
     };
     let run = |label: String, deadline: Option<f64>| -> DeadlineRun {
-        let sharded = ShardedTextServer::replicated(
-            w.server.collection(),
-            N_SHARDS,
-            N_REPLICAS,
-            PARTITION_SEED,
-        );
+        let sharded = cluster(w, N_REPLICAS);
         let export = sharded.export_stats();
         let input = PlannerInput::gather(
             &q,
@@ -1536,10 +1431,7 @@ pub fn deadline_demo(w: &World) -> Vec<DeadlineRun> {
             params,
         )
         .expect("q6 gathers");
-        let sched = Scheduler::new(match deadline {
-            Some(d) => SchedConfig::new(0x7E97).with_deadline(d),
-            None => SchedConfig::new(0x7E97),
-        });
+        let sched = scheduler(deadline);
         let mut exec = MultiExecutor::new(&input, &w.catalog, &sharded).expect("q6 executor");
         exec.set_scheduler(&sched);
         let outcome = exec.execute(&plan).expect("q6 executes");
@@ -1568,153 +1460,6 @@ pub fn deadline_demo(w: &World) -> Vec<DeadlineRun> {
         "the deadline run must actually degrade"
     );
     vec![unbounded, bounded]
-}
-
-// ---------------------------------------------------------------------
-// Rebalance chaos: queries racing an online migration whose source dies
-// ---------------------------------------------------------------------
-
-/// Rebalance chaos experiment result: like [`ReplicatedChaosTable`] but
-/// every cell runs *during* a paced online migration draining shard
-/// `src_shard` into `dst_shard`, and the source's primary replica dies
-/// permanently after the first committed batch — every remaining source
-/// transfer leg must drain via the surviving replica. After each method
-/// run the cell drives the migration to completion and asserts the
-/// journal finished with every staged document committed (never aborted).
-#[derive(Debug, Clone)]
-pub struct RebalanceChaosTable {
-    /// Per-operation fault probabilities on the surviving replicas,
-    /// first entry 0.0 (the baseline — which still pays the dead-primary
-    /// transfer faults and the paced migration itself).
-    pub rates: Vec<f64>,
-    /// Method labels in row order.
-    pub methods: Vec<&'static str>,
-    /// `cells[m][r]` = `(total_secs, overhead_pct)`.
-    pub cells: Vec<Vec<Option<(f64, f64)>>>,
-    /// `fault_cells[m][r]` = `(faults, retries)` summed over the queries.
-    pub fault_cells: Vec<Vec<Option<(u64, u64)>>>,
-    /// Number of logical shards in every cell's server.
-    pub n_shards: usize,
-    /// Replicas per shard.
-    pub n_replicas: usize,
-    /// Shard being drained (its primary dies after batch 1).
-    pub src_shard: usize,
-    /// Shard taking ownership.
-    pub dst_shard: usize,
-    /// Documents per migration batch.
-    pub batch_docs: usize,
-    /// Documents each cell's plan stages (identical across cells — same
-    /// collection, same partition seed).
-    pub migrated_docs: u64,
-}
-
-/// Runs every method over Q1–Q4 against a 4-shard × 2-replica server
-/// while a paced online migration drains shard 1 into shard 3. The first
-/// batch commits cleanly; then shard 1's primary replica faults on
-/// *every* operation (`FaultPlan::dead`) and the surviving replicas carry
-/// independent bounded transient plans. Queries interleave with transfer
-/// batches (`set_migration_pacing`), so every cell exercises the
-/// epoch-staleness re-gather, replica-sourced transfer, and the
-/// journal-resume path at once — and still returns the rate-0 answers
-/// (asserted by the grid). Each cell then drains the migration to
-/// completion, asserting exactly-once delivery finished every move.
-pub fn rebalance_chaos_table(w: &World) -> RebalanceChaosTable {
-    use std::cell::Cell;
-    use textjoin_core::retry::{RetryBudget, RetryPolicy};
-    use textjoin_text::doc::DocId;
-    use textjoin_text::faults::FaultPlan;
-    use textjoin_text::rebalance::{MigrationPlan, Move, MoveStatus};
-    use textjoin_text::shard::ShardedTextServer;
-
-    const N_SHARDS: usize = 4;
-    const N_REPLICAS: usize = 2;
-    const PARTITION_SEED: u64 = 0x5AD;
-    const SRC_SHARD: usize = 1;
-    const DST_SHARD: usize = 3;
-    const BATCH_DOCS: usize = 24;
-
-    let rates = vec![0.0, 0.05, 0.1, 0.2];
-    let methods: Vec<&'static str> = vec!["TS", "RTP", "SJ/SJ+RTP", "P+TS", "P+RTP"];
-    let preps = chaos_preps(w);
-    let migrated = Cell::new(0u64);
-    let (cells, fault_cells) = chaos_grid(
-        &preps,
-        &rates,
-        &methods,
-        "rebalance fault injection",
-        |qi, mi, ri, rate, kind, cols| {
-            let cell_seed = 0x4EB ^ ((qi as u64) << 16) ^ ((mi as u64) << 8) ^ ri as u64;
-            let mut sharded = ShardedTextServer::replicated(
-                w.server.collection(),
-                N_SHARDS,
-                N_REPLICAS,
-                PARTITION_SEED,
-            );
-            let doc_count = w.server.doc_count() as u32;
-            let journal = sharded.begin_migration(MigrationPlan::new(
-                vec![Move {
-                    range: (DocId(0), DocId(doc_count)),
-                    src: SRC_SHARD,
-                    dst: DST_SHARD,
-                }],
-                BATCH_DOCS,
-            ));
-            migrated.set(journal.entries.iter().map(|e| e.docs).sum());
-            // Batch 1 commits against healthy replicas; then the source
-            // primary dies and the survivors start faulting transiently.
-            sharded.migrate_batch().expect("fault-free first batch");
-            let dead_replica = sharded.primary_of(SRC_SHARD);
-            for i in 0..N_SHARDS {
-                for r in 0..N_REPLICAS {
-                    let plan = if (i, r) == (SRC_SHARD, dead_replica) {
-                        FaultPlan::dead(cell_seed)
-                    } else {
-                        FaultPlan::transient(
-                            cell_seed ^ ((i as u64) << 24) ^ ((r as u64) << 32),
-                            rate,
-                            2,
-                        )
-                    };
-                    sharded.replica_mut(i, r).set_fault_plan(plan);
-                }
-            }
-            sharded.set_migration_pacing(3);
-            let budget = RetryBudget::new(RetryPolicy::standard());
-            let ctx = ExecContext::with_budget(&sharded, &budget);
-            let out = run_method_ctx(&ctx, &preps[qi].prepared, kind, cols).ok();
-            // Drain what the paced interleave left. A transiently refused
-            // batch resumes from the journal on the next attempt, so the
-            // loop terminates (bounded consecutive faults, finite plan).
-            let mut steps = 0u32;
-            while !sharded.journal().expect("journal exists").finished() {
-                let _ = sharded.migrate_batch();
-                steps += 1;
-                assert!(steps < 10_000, "migration failed to drain");
-            }
-            assert!(
-                sharded
-                    .journal()
-                    .expect("journal exists")
-                    .entries
-                    .iter()
-                    .all(|e| e.status == MoveStatus::Done),
-                "a move aborted under recoverable faults"
-            );
-            out
-        },
-    );
-    RebalanceChaosTable {
-        rates,
-        methods,
-        cells,
-        fault_cells,
-        n_shards: N_SHARDS,
-        n_replicas: N_REPLICAS,
-        src_shard: SRC_SHARD,
-        dst_shard: DST_SHARD,
-        batch_docs: BATCH_DOCS,
-        migrated_docs: migrated.get(),
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1761,19 +1506,14 @@ pub struct AmortizationRow {
 }
 
 /// Rebalance experiment result for the `rebalance` binary: the
-/// stats-routing fan-out table and the migration amortization grid.
+/// stats-routing fan-out table and the migration amortization grid (a
+/// drain of [`SRC_SHARD`] into [`DST_SHARD`]).
 #[derive(Debug, Clone)]
 pub struct RebalanceTable {
     /// Per-query fan-out rows.
     pub fanout: Vec<FanoutRow>,
     /// Per-batch-size amortization rows.
     pub amortization: Vec<AmortizationRow>,
-    /// Shards in every server.
-    pub n_shards: usize,
-    /// Shard drained by the amortization grid.
-    pub src_shard: usize,
-    /// Shard receiving the amortization drain.
-    pub dst_shard: usize,
 }
 
 /// Measures (a) what vocabulary-based shard pruning saves each paper
@@ -1785,39 +1525,26 @@ pub struct RebalanceTable {
 /// on a full fault-free drain of one shard. Fully seeded; byte-identical
 /// across runs.
 pub fn rebalance_table(w: &World) -> RebalanceTable {
-    use textjoin_text::doc::DocId;
-    use textjoin_text::expr::SearchExpr;
-    use textjoin_text::rebalance::{MigrationPlan, Move};
-    use textjoin_text::service::TextService;
-    use textjoin_text::shard::ShardedTextServer;
-
-    const N_SHARDS: usize = 4;
-    const PARTITION_SEED: u64 = 0x5AD;
-    const SRC_SHARD: usize = 1;
-    const DST_SHARD: usize = 3;
-
-    let ts_schema = w.server.collection().schema();
-    let labels: [&'static str; 4] = ["Q1", "Q2", "Q3", "Q4"];
-    let queries: Vec<SingleJoinQuery> =
-        vec![paper::q1(w), paper::q2(w), paper::q3(w), paper::q4(w)];
     let mut fanout = Vec::new();
-    for (label, q) in labels.iter().zip(&queries) {
-        let prepared = prepare(q, &w.catalog, ts_schema).expect("paper query prepares");
-        let run = |routing: bool| {
-            let sharded =
-                ShardedTextServer::new(w.server.collection(), N_SHARDS, PARTITION_SEED);
+    for pq in &paper_queries(w) {
+        let label = pq.label;
+        let routed = |routing: bool| {
+            let sharded = cluster(w, 1);
             sharded.set_stats_routing(routing);
-            run_method_on(&sharded, &prepared, MethodKind::Ts, &[]).expect("TS runs")
+            sharded
+        };
+        let run = |routing: bool| {
+            run_method_on(&routed(routing), &pq.prepared, MethodKind::Ts, &[]).expect("TS runs")
         };
         let off = run(false);
         let on = run(true);
         assert_eq!(off.rows, on.rows, "stats routing changed {label} answers");
         // The same mask fold the executor applies (exec.rs): a shard is
         // relevant if any selection term may match there.
-        let sharded = ShardedTextServer::new(w.server.collection(), N_SHARDS, PARTITION_SEED);
-        sharded.set_stats_routing(true);
+        let sharded = routed(true);
         let schema = TextService::schema(&sharded);
-        let sel: Vec<SearchExpr> = q
+        let sel: Vec<SearchExpr> = pq
+            .query
             .selections
             .iter()
             .filter_map(|(term, field)| {
@@ -1845,18 +1572,8 @@ pub fn rebalance_table(w: &World) -> RebalanceTable {
 
     let mut amortization = Vec::new();
     for &batch in &[4usize, 16, 64] {
-        let mut sharded =
-            ShardedTextServer::new(w.server.collection(), N_SHARDS, PARTITION_SEED);
-        let doc_count = w.server.doc_count() as u32;
-        let journal = sharded.begin_migration(MigrationPlan::new(
-            vec![Move {
-                range: (DocId(0), DocId(doc_count)),
-                src: SRC_SHARD,
-                dst: DST_SHARD,
-            }],
-            batch,
-        ));
-        let docs: u64 = journal.entries.iter().map(|e| e.docs).sum();
+        let mut sharded = cluster(w, 1);
+        let docs = begin_drain(&mut sharded, drain_plan(w, batch));
         sharded.run_migration().expect("fault-free migration completes");
         let u = sharded.migration_usage();
         amortization.push(AmortizationRow {
@@ -1870,13 +1587,7 @@ pub fn rebalance_table(w: &World) -> RebalanceTable {
         });
     }
 
-    RebalanceTable {
-        fanout,
-        amortization,
-        n_shards: N_SHARDS,
-        src_shard: SRC_SHARD,
-        dst_shard: DST_SHARD,
-    }
+    RebalanceTable { fanout, amortization }
 }
 
 // ---------------------------------------------------------------------
@@ -1891,7 +1602,7 @@ pub struct SkewPhase {
     /// `render_windows` output for the phase.
     pub table: String,
     /// Advisory migrations the monitor derived during the phase.
-    pub advice: Vec<textjoin_obs::Advice>,
+    pub advice: Vec<Advice>,
     /// Per-shard share of the total query invoice (`shard_usage`,
     /// fractions summing to 1).
     pub shares: Vec<f64>,
@@ -1899,22 +1610,17 @@ pub struct SkewPhase {
     pub max_share: f64,
 }
 
-/// The skew closed loop: observe a degraded shard, execute the monitor's
-/// advice through the migration engine, observe again.
+/// The skew closed loop over an [`N_SHARDS`] × [`N_REPLICAS`] server:
+/// observe a degraded shard, execute the monitor's advice through the
+/// migration engine in [`BATCH_DOCS`]-document batches, observe again.
 #[derive(Debug, Clone)]
 pub struct MonitorSkewReport {
-    /// Shards / replicas per shard in both phases' servers.
-    pub n_shards: usize,
-    /// Replicas per shard.
-    pub n_replicas: usize,
     /// The shard whose replicas carry the transient fault plan.
     pub hot_shard: usize,
     /// Per-operation fault probability on the hot shard's replicas.
     pub fault_rate: f64,
     /// Monitor window width (simulated seconds).
     pub window_secs: f64,
-    /// Documents per migration batch when executing the advice.
-    pub batch_docs: usize,
     /// Documents the executed advice actually migrated.
     pub migrated_docs: u64,
     /// Phase A: the skewed workload, monitor attached.
@@ -1924,17 +1630,12 @@ pub struct MonitorSkewReport {
 }
 
 /// The SLO burn-rate episode: healthy traffic, a degraded episode of slow
-/// primaries under a deadline, then recovery — one continuous monitored
-/// timeline.
+/// primaries ([`SLOW_RATE`]) under the [`DEADLINE`], then recovery — one
+/// continuous monitored timeline.
 #[derive(Debug, Clone)]
 pub struct MonitorSloReport {
     /// Monitor window width (simulated seconds).
     pub window_secs: f64,
-    /// Per-query deadline during the degraded episode.
-    pub deadline: f64,
-    /// Slow-fault probability on each shard's primary during the degraded
-    /// episode.
-    pub slow_rate: f64,
     /// `render_windows` output for the whole timeline.
     pub table: String,
     /// SLO alert transitions `(window, firing)` in order.
@@ -1965,20 +1666,9 @@ pub struct MonitorDriftReport {
 /// `hot_shard` replicas carry independent bounded transient fault plans —
 /// retries and backoff inflate that shard's invoice share well above its
 /// even split, which is exactly the signal the skew detector watches.
-fn skew_scenario_server(
-    w: &World,
-    n_shards: usize,
-    n_replicas: usize,
-    partition_seed: u64,
-    hot_shard: usize,
-    rate: f64,
-) -> textjoin_text::shard::ShardedTextServer {
-    use textjoin_text::faults::FaultPlan;
-    use textjoin_text::shard::ShardedTextServer;
-
-    let mut sharded =
-        ShardedTextServer::replicated(w.server.collection(), n_shards, n_replicas, partition_seed);
-    for r in 0..n_replicas {
+fn skew_scenario_server(w: &World, hot_shard: usize, rate: f64) -> ShardedTextServer {
+    let mut sharded = cluster(w, N_REPLICAS);
+    for r in 0..N_REPLICAS {
         sharded.replica_mut(hot_shard, r).set_fault_plan(FaultPlan::transient(
             0x5EA7 ^ ((r as u64) << 32),
             rate,
@@ -1992,17 +1682,7 @@ fn skew_scenario_server(
 /// monitor teed next to a JSONL trace sink, then proves the offline path
 /// agrees: replaying the parsed JSONL through a fresh monitor must
 /// reproduce the live windows and alerts byte-for-byte.
-fn run_monitored_phase(
-    w: &World,
-    sharded: &textjoin_text::shard::ShardedTextServer,
-    n_shards: usize,
-    cfg: &textjoin_obs::MonitorConfig,
-) -> SkewPhase {
-    use std::rc::Rc;
-    use textjoin_core::retry::{RetryBudget, RetryPolicy};
-    use textjoin_obs::{parse_jsonl, FanoutSink, JsonlSink, Monitor, Recorder, Sink};
-
-    let preps = chaos_preps(w);
+fn run_monitored_phase(w: &World, sharded: &ShardedTextServer, cfg: &MonitorConfig) -> SkewPhase {
     let jsonl = Rc::new(JsonlSink::new());
     let mon = Rc::new(Monitor::new(cfg.clone()));
     let tee = Rc::new(FanoutSink::new(vec![
@@ -2010,20 +1690,14 @@ fn run_monitored_phase(
         mon.clone(),
     ]));
     sharded.set_recorder(Some(Recorder::new(tee)));
+    // One budget for the whole phase: its adaptive state carrying over
+    // from query to query is part of what the monitor observes.
     let budget = RetryBudget::new(RetryPolicy::standard());
     let ctx = ExecContext::with_budget(sharded, &budget);
-    for p in &preps {
-        for kind in [
-            MethodKind::Ts,
-            MethodKind::Rtp,
-            MethodKind::Sj,
-            MethodKind::PTs,
-            MethodKind::PRtp,
-        ] {
-            let Some(cols) = probe_cols_of(p, kind) else { continue };
-            // Inapplicable method × query pairs are skipped, like the
-            // chaos grids; bounded transient faults never error.
-            let _ = run_method_ctx(&ctx, &p.prepared, kind, cols);
+    for pq in &paper_queries(w) {
+        for (_, kind, cols) in pq.methods() {
+            // Bounded transient faults never error.
+            let _ = run_method_ctx(&ctx, &pq.prepared, kind, cols);
         }
     }
     mon.finish();
@@ -2039,7 +1713,7 @@ fn run_monitored_phase(
         "offline replay diverged from the live monitor"
     );
 
-    let totals: Vec<f64> = (0..n_shards)
+    let totals: Vec<f64> = (0..N_SHARDS)
         .map(|i| sharded.shard_usage(i).total_cost())
         .collect();
     let sum: f64 = totals.iter().sum();
@@ -2061,25 +1735,15 @@ fn run_monitored_phase(
 /// migration engine ([`MigrationPlan::from_advice`]), then run the same
 /// workload again — the hot shard's invoice share must drop, which the
 /// `monitor` test pins. Fully seeded and byte-identical across runs.
-///
-/// [`MigrationPlan::from_advice`]: textjoin_text::rebalance::MigrationPlan::from_advice
 pub fn monitor_skew_report(w: &World) -> MonitorSkewReport {
-    use textjoin_obs::MonitorConfig;
-    use textjoin_text::rebalance::MigrationPlan;
-
-    const N_SHARDS: usize = 4;
-    const N_REPLICAS: usize = 2;
-    const PARTITION_SEED: u64 = 0x5AD;
     const HOT_SHARD: usize = 1;
     const FAULT_RATE: f64 = 0.35;
     const WINDOW_SECS: f64 = 400.0;
-    const BATCH_DOCS: usize = 24;
 
     let cfg = MonitorConfig::new(WINDOW_SECS).with_skew(400_000, 320_000);
 
-    let before_server =
-        skew_scenario_server(w, N_SHARDS, N_REPLICAS, PARTITION_SEED, HOT_SHARD, FAULT_RATE);
-    let before = run_monitored_phase(w, &before_server, N_SHARDS, &cfg);
+    let before_server = skew_scenario_server(w, HOT_SHARD, FAULT_RATE);
+    let before = run_monitored_phase(w, &before_server, &cfg);
     let advice = before
         .advice
         .first()
@@ -2087,28 +1751,17 @@ pub fn monitor_skew_report(w: &World) -> MonitorSkewReport {
         .clone();
     assert_eq!(advice.src, HOT_SHARD, "advice must target the degraded shard");
 
-    let mut after_server =
-        skew_scenario_server(w, N_SHARDS, N_REPLICAS, PARTITION_SEED, HOT_SHARD, FAULT_RATE);
-    let journal = after_server.begin_migration(MigrationPlan::from_advice(&advice, BATCH_DOCS));
-    let migrated_docs: u64 = journal.entries.iter().map(|e| e.docs).sum();
-    // The hot shard's replicas keep faulting transiently while it drains;
-    // a refused batch resumes from the journal on the next attempt, so
-    // the loop terminates (bounded consecutive faults, finite plan).
-    let mut steps = 0u32;
-    while !after_server.journal().expect("journal exists").finished() {
-        let _ = after_server.migrate_batch();
-        steps += 1;
-        assert!(steps < 10_000, "advice migration failed to drain");
-    }
-    let after = run_monitored_phase(w, &after_server, N_SHARDS, &cfg);
+    // The hot shard's replicas keep faulting transiently while it drains.
+    let mut after_server = skew_scenario_server(w, HOT_SHARD, FAULT_RATE);
+    let migrated_docs =
+        begin_drain(&mut after_server, MigrationPlan::from_advice(&advice, BATCH_DOCS));
+    drain(&after_server);
+    let after = run_monitored_phase(w, &after_server, &cfg);
 
     MonitorSkewReport {
-        n_shards: N_SHARDS,
-        n_replicas: N_REPLICAS,
         hot_shard: HOT_SHARD,
         fault_rate: FAULT_RATE,
         window_secs: WINDOW_SECS,
-        batch_docs: BATCH_DOCS,
         migrated_docs,
         before,
         after,
@@ -2123,61 +1776,25 @@ pub fn monitor_skew_report(w: &World) -> MonitorSkewReport {
 /// dual-window burn rate ignores the first stray bad events, fires during
 /// the sustained degradation, and clears during recovery.
 pub fn monitor_slo_report(w: &World) -> MonitorSloReport {
-    use std::rc::Rc;
-    use textjoin_core::retry::{RetryBudget, RetryPolicy};
-    use textjoin_core::sched::{SchedConfig, Scheduler};
-    use textjoin_obs::{EventKind, Monitor, MonitorConfig, Recorder, Sink};
-    use textjoin_text::faults::FaultPlan;
-    use textjoin_text::shard::ShardedTextServer;
-
-    const N_SHARDS: usize = 4;
-    const N_REPLICAS: usize = 2;
-    const PARTITION_SEED: u64 = 0x5AD;
-    const DEADLINE: f64 = 150.0;
-    const SLOW_RATE: f64 = 0.25;
     const WINDOW_SECS: f64 = 600.0;
 
-    let preps = chaos_preps(w);
+    let queries = paper_queries(w);
     let cfg = MonitorConfig::new(WINDOW_SECS).with_slo(2, 6, 2.0);
     let mon = Rc::new(Monitor::new(cfg));
     let rec = Recorder::new(mon.clone() as Rc<dyn Sink>);
 
     for episode in 0..3u32 {
         let degraded = episode == 1;
-        for (qi, p) in preps.iter().enumerate() {
-            for (mi, kind) in [
-                MethodKind::Ts,
-                MethodKind::Rtp,
-                MethodKind::Sj,
-                MethodKind::PTs,
-                MethodKind::PRtp,
-            ]
-            .into_iter()
-            .enumerate()
-            {
-                let Some(cols) = probe_cols_of(p, kind) else { continue };
-                let mut sharded = ShardedTextServer::replicated(
-                    w.server.collection(),
-                    N_SHARDS,
-                    N_REPLICAS,
-                    PARTITION_SEED,
-                );
+        for (qi, pq) in queries.iter().enumerate() {
+            for (mi, kind, cols) in pq.methods() {
+                let mut sharded = cluster(w, N_REPLICAS);
                 if degraded {
-                    for i in 0..N_SHARDS {
-                        let pri = sharded.primary_of(i);
-                        sharded.replica_mut(i, pri).set_fault_plan(FaultPlan::slow(
-                            0x510 ^ ((qi as u64) << 16) ^ ((mi as u64) << 8) ^ i as u64,
-                            SLOW_RATE,
-                        ));
-                    }
+                    slow_primaries(&mut sharded, cell_seed(0x510, qi, mi, 0));
                 }
                 sharded.set_recorder(Some(rec.clone()));
-                let budget = RetryBudget::new(RetryPolicy::standard());
-                let sched = Scheduler::new(SchedConfig::new(0x7E97).with_deadline(DEADLINE));
-                let ctx = ExecContext::with_budget(&sharded, &budget).with_transport(&sched);
-                // Inapplicable method × query pairs are skipped;
-                // latency-only faults never error.
-                let _ = run_method_ctx(&ctx, &p.prepared, kind, cols);
+                let sched = scheduler(Some(DEADLINE));
+                // Latency-only faults never error.
+                let _ = run_budgeted(&sharded, Some(&sched), &pq.prepared, kind, cols);
             }
         }
     }
@@ -2197,8 +1814,6 @@ pub fn monitor_slo_report(w: &World) -> MonitorSloReport {
         .fold((0, 0), |(m, h), w| (m + w.deadline_misses, h + w.hedges));
     MonitorSloReport {
         window_secs: WINDOW_SECS,
-        deadline: DEADLINE,
-        slow_rate: SLOW_RATE,
         table: mon.render_table(),
         transitions,
         misses,
@@ -2213,8 +1828,6 @@ pub fn monitor_slo_report(w: &World) -> MonitorSloReport {
 /// must flag `c_i` (and only components that actually moved) at its next
 /// re-fit over the trailing window.
 pub fn monitor_drift_report(w: &World) -> MonitorDriftReport {
-    use textjoin_obs::{Event, EventKind, Monitor, MonitorConfig};
-
     const WINDOW_SECS: f64 = 150.0;
     const REPRICING: f64 = 1.5;
 
@@ -2274,12 +1887,11 @@ pub fn monitor_drift_report(w: &World) -> MonitorDriftReport {
 mod chaos_tests {
     use super::*;
 
-    #[test]
-    fn chaos_table_is_deterministic_and_monotone_at_zero() {
-        let w = default_world();
-        let a = chaos_table(&w);
-        let b = chaos_table(&w);
+    /// Two runs of a chaos scenario must agree to the bit, cell for cell.
+    fn assert_same_bits(a: &ChaosTable, b: &ChaosTable) {
+        assert_eq!(a.cells.len(), METHODS.len());
         for (ra, rb) in a.cells.iter().zip(&b.cells) {
+            assert_eq!(ra.len(), a.rates.len());
             for (ca, cb) in ra.iter().zip(rb) {
                 match (ca, cb) {
                     (Some((sa, oa)), Some((sb, ob))) => {
@@ -2291,12 +1903,29 @@ mod chaos_tests {
                 }
             }
         }
-        // Rate 0 must be exactly the fault-free cost: zero overhead.
+        assert_eq!(a.fault_cells, b.fault_cells);
+        // Rate 0 is its own baseline: exactly zero overhead.
         for row in &a.cells {
             if let Some((_, overhead)) = row[0] {
                 assert_eq!(overhead, 0.0);
             }
         }
+    }
+
+    /// Faults surfaced in the faulted columns, summed over the grid.
+    fn injected(t: &ChaosTable) -> u64 {
+        t.fault_cells
+            .iter()
+            .flat_map(|row| row.iter().skip(1).flatten())
+            .map(|&(f, _)| f)
+            .sum()
+    }
+
+    #[test]
+    fn chaos_table_is_deterministic_and_monotone_at_zero() {
+        let w = default_world();
+        let a = chaos_table(&w);
+        assert_same_bits(&a, &chaos_table(&w));
         // Rate 0 must also be fault-free in the surfaced counters.
         for row in &a.fault_cells {
             if let Some((faults, retries)) = row[0] {
@@ -2309,32 +1938,28 @@ mod chaos_tests {
     fn sharded_chaos_table_is_deterministic_with_exact_counters() {
         let w = default_world();
         let a = sharded_chaos_table(&w);
-        let b = sharded_chaos_table(&w);
-        assert_eq!(a.n_shards, 4);
-        for (ra, rb) in a.cells.iter().zip(&b.cells) {
-            for (ca, cb) in ra.iter().zip(rb) {
-                match (ca, cb) {
-                    (Some((sa, oa)), Some((sb, ob))) => {
-                        assert_eq!(sa.to_bits(), sb.to_bits());
-                        assert_eq!(oa.to_bits(), ob.to_bits());
-                    }
-                    (None, None) => {}
-                    _ => panic!("applicability differs between runs"),
-                }
-            }
-        }
-        assert_eq!(a.fault_cells, b.fault_cells);
+        assert_same_bits(&a, &sharded_chaos_table(&w));
         // Faulted columns actually exercised the retry machinery somewhere.
-        let injected: u64 = a
-            .fault_cells
-            .iter()
-            .flat_map(|row| row.iter().skip(1).flatten())
-            .map(|&(f, _)| f)
-            .sum();
-        assert!(injected > 0, "no faults surfaced in the sharded table");
+        assert!(injected(&a) > 0, "no faults surfaced in the sharded table");
         for row in &a.fault_cells {
             if let Some((faults, retries)) = row[0] {
                 assert_eq!((faults, retries), (0, 0), "rate 0 must be fault-free");
+            }
+        }
+    }
+
+    /// Unlike the other chaos tables, even the rate-0 column faults: the
+    /// dead primary is attempted (and charged) until the breaker opens,
+    /// then served by the surviving replica. Every method row must show
+    /// that cost — it proves failover actually ran.
+    fn assert_dead_primary_surfaces_at_rate_zero(t: &ChaosTable) {
+        for (mi, row) in t.fault_cells.iter().enumerate() {
+            if let Some((faults, _)) = row[0] {
+                assert!(
+                    faults > 0,
+                    "{}: dead primary never surfaced a fault at rate 0",
+                    METHODS[mi].0
+                );
             }
         }
     }
@@ -2343,37 +1968,25 @@ mod chaos_tests {
     fn replicated_chaos_table_is_deterministic_and_survives_a_dead_primary() {
         let w = default_world();
         let a = replicated_chaos_table(&w);
-        let b = replicated_chaos_table(&w);
-        assert_eq!((a.n_shards, a.n_replicas), (4, 2));
-        for (ra, rb) in a.cells.iter().zip(&b.cells) {
-            for (ca, cb) in ra.iter().zip(rb) {
-                match (ca, cb) {
-                    (Some((sa, oa)), Some((sb, ob))) => {
-                        assert_eq!(sa.to_bits(), sb.to_bits());
-                        assert_eq!(oa.to_bits(), ob.to_bits());
-                    }
-                    (None, None) => {}
-                    _ => panic!("applicability differs between runs"),
-                }
-            }
-        }
-        assert_eq!(a.fault_cells, b.fault_cells);
-        // Unlike the other chaos tables, even the rate-0 column faults:
-        // the dead primary is attempted (and charged) until the breaker
-        // opens, then served by the surviving replica. Every method row
-        // must show that cost — it proves failover actually ran.
-        for (mi, row) in a.fault_cells.iter().enumerate() {
-            if let Some((faults, _)) = row[0] {
-                assert!(
-                    faults > 0,
-                    "{}: dead primary never surfaced a fault at rate 0",
-                    a.methods[mi]
-                );
-            }
-        }
+        assert_same_bits(&a, &replicated_chaos_table(&w));
+        assert_dead_primary_surfaces_at_rate_zero(&a);
         // And the grid's per-rate answer-equality assertion (inside
         // chaos_grid) has already proven every faulted cell returns the
         // rate-0 answers despite the permanently dead replica.
+    }
+
+    #[test]
+    fn rebalance_chaos_table_is_deterministic_and_drains_every_cell() {
+        let w = default_world();
+        let (a, migrated) = rebalance_chaos_table(&w);
+        let (b, migrated_again) = rebalance_chaos_table(&w);
+        assert_same_bits(&a, &b);
+        assert_eq!(migrated, migrated_again);
+        assert!(migrated > 0, "the drain must stage something");
+        // The source's primary dies after batch 1, so rate 0 still faults;
+        // the drain-to-`Done` assertion lives inside the scenario.
+        assert_dead_primary_surfaces_at_rate_zero(&a);
+        assert!(injected(&a) > 0, "no faults surfaced in the rebalance table");
     }
 
     #[test]
@@ -2381,7 +1994,6 @@ mod chaos_tests {
         let w = default_world();
         let a = makespan_table(&w);
         let b = makespan_table(&w);
-        assert_eq!((a.n_shards, a.n_replicas), (4, 2));
         let mut hedges = 0;
         let mut misses = 0;
         for (ca, cb) in a.cells.iter().zip(&b.cells) {
@@ -2549,16 +2161,10 @@ pub struct ServeBenchReport {
 /// Runs the serve benchmark. Deterministic: seeded world, seeded
 /// partitioning, seeded fault plan, simulated clocks.
 pub fn serve_bench_report(w: &World) -> ServeBenchReport {
-    use textjoin_core::exec::plan_and_execute;
-    use textjoin_core::serve::{percentile, Backend, ServeConfig, ServeSession, TenantSpec};
-    use textjoin_text::faults::FaultPlan;
-    use textjoin_text::server::TextServer;
-    use textjoin_text::shard::ShardedTextServer;
-
     let params = world_params(w);
-    let mut server = ShardedTextServer::replicated(w.server.collection(), 4, 2, 0x5AD);
-    let dead = server.primary_of(2);
-    server.replica_mut(2, dead).set_fault_plan(FaultPlan::dead(77));
+    let mut server = cluster(w, N_REPLICAS);
+    let dead = server.primary_of(DEAD_SHARD);
+    server.replica_mut(DEAD_SHARD, dead).set_fault_plan(FaultPlan::dead(77));
 
     let mut cfg = ServeConfig::new(params);
     cfg.queue_cap = 1;
@@ -2602,8 +2208,8 @@ pub fn serve_bench_report(w: &World) -> ServeBenchReport {
                 completed += 1;
                 degradations += out.degradations;
             }
-            Err(textjoin_core::serve::ServeError::Rejected { .. }) => rejected += 1,
-            Err(textjoin_core::serve::ServeError::Shed { .. }) => shed += 1,
+            Err(ServeError::Rejected { .. }) => rejected += 1,
+            Err(ServeError::Shed { .. }) => shed += 1,
             Err(_) => {}
         }
     }
@@ -2737,20 +2343,9 @@ impl RegretRow {
             best_actual: best.2,
             regret,
             regret_share: if chosen.2 > 0.0 { regret / chosen.2 } else { 0.0 },
-            cost_q: textjoin_obs::q_error(chosen.1, chosen.2),
+            cost_q: q_error(chosen.1, chosen.2),
         })
     }
-}
-
-/// A charge-free sandbox: a fresh server over a clone of the world's
-/// collection, charging the world's own prices, with no recorder. Its
-/// ledger is private, so replaying counterfactual methods on it is
-/// passive by construction (`tests/audit.rs` pins this).
-fn sandbox(w: &World) -> textjoin_text::server::TextServer {
-    textjoin_text::server::TextServer::with_constants(
-        w.server.collection().clone(),
-        w.server.constants(),
-    )
 }
 
 /// Counterfactual regret over the single-join paper queries Q1–Q4. Each
@@ -2758,37 +2353,21 @@ fn sandbox(w: &World) -> textjoin_text::server::TextServer {
 /// gets the same per-query seeded transient plan, so the counterfactuals
 /// face exactly the environment the chosen method faced.
 pub fn single_join_regret(w: &World, fault: Option<(f64, u32)>) -> Vec<RegretRow> {
-    use textjoin_text::faults::FaultPlan;
-
-    let ts_schema = w.server.collection().schema();
-    let params = world_params(w);
-    let queries: Vec<(&'static str, SingleJoinQuery)> = vec![
-        ("Q1", paper::q1(w)),
-        ("Q2", paper::q2(w)),
-        ("Q3", paper::q3(w)),
-        ("Q4", paper::q4(w)),
-    ];
-    let mut out = Vec::new();
-    for (qi, (label, q)) in queries.into_iter().enumerate() {
-        let prepared = prepare(&q, &w.catalog, ts_schema).expect("paper query prepares");
-        let export = w.server.export_stats();
-        let stats = prepared.statistics_from_export(&export, ts_schema);
-        let cands = enumerate_methods(&params, &stats, q.projection, false);
-        let mut measured: Vec<(String, f64, f64)> = Vec::new();
-        for c in &cands {
-            let mut server = sandbox(w);
-            if let Some((rate, burst)) = fault {
-                server.set_fault_plan(FaultPlan::transient(0xA11 ^ ((qi as u64) << 8), rate, burst));
-            }
-            if let Ok(m) = run_method_on(&server, &prepared, c.kind, &c.probe_cols) {
-                measured.push((c.label.clone(), c.cost.total(), m.secs));
-            }
-        }
-        if let Some(row) = RegretRow::from_measured(label, &measured) {
-            out.push(row);
-        }
-    }
-    out
+    paper_queries(w)
+        .iter()
+        .enumerate()
+        .filter_map(|(qi, pq)| {
+            let measured = measure_candidates(w, pq, |c| {
+                let mut server = sandbox(w);
+                if let Some((rate, burst)) = fault {
+                    let seed = 0xA11 ^ ((qi as u64) << 8);
+                    server.set_fault_plan(FaultPlan::transient(seed, rate, burst));
+                }
+                run_method_on(&server, &pq.prepared, c.kind, &c.probe_cols)
+            });
+            RegretRow::from_measured(pq.label, &measured)
+        })
+        .collect()
 }
 
 /// Counterfactual regret over the multi-join queries Q5/Q6: the chosen
@@ -2796,29 +2375,11 @@ pub fn single_join_regret(w: &World, fault: Option<(f64, u32)>) -> Vec<RegretRow
 /// method is grafted into the same tree shape and replayed on a fresh
 /// sandbox. Returns the rows plus the rendered plan-quality tree of Q5.
 pub fn multi_join_regret(w: &World) -> (Vec<RegretRow>, String) {
-    use textjoin_core::exec::{execute_prepared, prepare_plan, ExecHooks};
-    use textjoin_core::optimizer::multi::{text_join_candidates, with_text_method, PlannedQuery};
-
-    let params = world_params(w);
-    let queries: Vec<(&'static str, textjoin_core::optimizer::plan::MultiJoinQuery)> =
-        vec![("Q5", paper::q5(w)), ("Q6", paper::q6(w))];
     let mut rows = Vec::new();
     let mut explain = String::new();
-    for (label, q) in queries {
+    for (label, q) in [("Q5", paper::q5(w)), ("Q6", paper::q6(w))] {
         let server = sandbox(w);
-        let (input, planned) = prepare_plan(
-            &q,
-            &w.catalog,
-            &server,
-            params,
-            ExecutionSpace::PrlResiduals,
-            None,
-            None,
-        )
-        .expect("multi-join query plans");
-        let hooks = ExecHooks { analyze: true, ..ExecHooks::default() };
-        let outcome =
-            execute_prepared(&input, &planned, &w.catalog, &server, &hooks).expect("executes");
+        let (input, planned, outcome) = plan_and_analyze(w, &q, &server, world_params(w), &server);
         let pq = outcome.plan_quality.as_ref().expect("analyze was on");
         if label == "Q5" {
             explain = pq.render();
@@ -2872,8 +2433,6 @@ pub struct ServePlanQualityRow {
 /// Runs a lean two-tenant serve stream with plan-quality analysis on and
 /// reports the per-tenant Q-error columns.
 pub fn serve_plan_quality(w: &World) -> Vec<ServePlanQualityRow> {
-    use textjoin_core::serve::{percentile, Backend, ServeConfig, ServeSession, TenantSpec};
-
     let params = world_params(w);
     let server = sandbox(w);
     let mut cfg = ServeConfig::new(params);
@@ -2903,53 +2462,45 @@ pub fn serve_plan_quality(w: &World) -> Vec<ServePlanQualityRow> {
         .collect()
 }
 
+/// What the two misestimation demos share: three analyzed Q5 runs —
+/// planned from `plan_on`'s statistics, executed against `live` — are
+/// recorded and replayed through the estimates monitor.
+fn estimate_drift_table(
+    w: &World,
+    plan_on: &dyn TextService,
+    params: CostParams,
+    live: &TextServer,
+) -> String {
+    let q = paper::q5(w);
+    let events = recorded(live, || {
+        for _ in 0..3 {
+            plan_and_analyze(w, &q, plan_on, params, live);
+        }
+    });
+    let cfg = MonitorConfig::new(1_000.0).with_estimates(3.0, 1.5, 0.25, 3, 8);
+    Monitor::replay(cfg, &events).render_table()
+}
+
 /// Misestimation-detector demo, constants branch: the server's real
 /// prices are scaled away from the configured Mercury constants, so the
 /// analyzed runs emit samples whose `constants_q` dominates — the monitor
 /// names `constants` and advises re-calibration.
 pub fn estimate_drift_constants_demo(w: &World) -> String {
-    use std::rc::Rc;
-    use textjoin_core::exec::{execute_prepared, prepare_plan, ExecHooks};
-    use textjoin_obs::{Monitor, MonitorConfig, Recorder, RingSink};
-    use textjoin_text::server::TextServer;
-
     let mut k = w.server.constants();
     k.c_i *= 8.0;
     k.c_p *= 8.0;
     k.c_s *= 8.0;
     k.c_l *= 8.0;
     let server = TextServer::with_constants(w.server.collection().clone(), k);
-    let sink = Rc::new(RingSink::unbounded());
-    server.set_recorder(Some(Recorder::new(sink.clone())));
-    let params = world_params(w);
-    let q = paper::q5(w);
-    for _ in 0..3 {
-        let (input, planned) = prepare_plan(
-            &q,
-            &w.catalog,
-            &server,
-            params,
-            ExecutionSpace::PrlResiduals,
-            None,
-            None,
-        )
-        .expect("plans");
-        let hooks = ExecHooks { analyze: true, ..ExecHooks::default() };
-        execute_prepared(&input, &planned, &w.catalog, &server, &hooks).expect("executes");
-    }
-    let cfg = MonitorConfig::new(1_000.0).with_estimates(3.0, 1.5, 0.25, 3, 8);
-    Monitor::replay(cfg, &sink.events()).render_table()
+    estimate_drift_table(w, &server, world_params(w), &server)
 }
 
 /// Misestimation-detector demo, selectivity branch: plans are built from
-/// the exported statistics of a much smaller corpus but execute against
-/// the full one — counts misestimate while prices stay exact, so the
-/// monitor names `selectivity` and advises re-exporting statistics.
+/// the exported statistics of a much smaller corpus (and its document
+/// count) but execute against the full one — counts misestimate while
+/// prices stay exact, so the monitor names `selectivity` and advises
+/// re-exporting statistics.
 pub fn estimate_drift_stale_stats_demo(w: &World) -> String {
-    use std::rc::Rc;
-    use textjoin_core::exec::{execute_prepared, prepare_plan, ExecHooks};
-    use textjoin_obs::{Monitor, MonitorConfig, Recorder, RingSink};
-
     // The stale corpus predates most of the publishing activity: far
     // fewer students and projects had documents when the statistics were
     // exported, so every selectivity and fanout in the export undershoots
@@ -2961,28 +2512,7 @@ pub fn estimate_drift_stale_stats_demo(w: &World) -> String {
         docs_per_hit_project: 1,
         ..w.spec.clone()
     });
-    let live = sandbox(w);
-    let sink = Rc::new(RingSink::unbounded());
-    live.set_recorder(Some(Recorder::new(sink.clone())));
-    let q = paper::q5(w);
-    for _ in 0..3 {
-        // Plan against the stale corpus's export (and its document count),
-        // execute against the live server.
-        let (input, planned) = prepare_plan(
-            &q,
-            &w.catalog,
-            &stale.server,
-            world_params(&stale),
-            ExecutionSpace::PrlResiduals,
-            None,
-            None,
-        )
-        .expect("plans on stale stats");
-        let hooks = ExecHooks { analyze: true, ..ExecHooks::default() };
-        execute_prepared(&input, &planned, &w.catalog, &live, &hooks).expect("executes");
-    }
-    let cfg = MonitorConfig::new(1_000.0).with_estimates(3.0, 1.5, 0.25, 3, 8);
-    Monitor::replay(cfg, &sink.events()).render_table()
+    estimate_drift_table(w, &stale.server, world_params(&stale), &sandbox(w))
 }
 
 /// The full plan-quality report the `analyze` binary prints.
@@ -3024,22 +2554,7 @@ pub fn analyze_report(w: &World) -> AnalyzeReport {
 /// The `explain --analyze` section: runs the chosen Q5 plan on a sandbox
 /// with EXPLAIN ANALYZE on and returns the estimated-vs-actual span tree.
 pub fn explain_analyze(w: &World) -> String {
-    use textjoin_core::exec::{execute_prepared, prepare_plan, ExecHooks};
-
     let server = sandbox(w);
-    let q = paper::q5(w);
-    let (input, planned) = prepare_plan(
-        &q,
-        &w.catalog,
-        &server,
-        world_params(w),
-        ExecutionSpace::PrlResiduals,
-        None,
-        None,
-    )
-    .expect("Q5 plans");
-    let hooks = ExecHooks { analyze: true, ..ExecHooks::default() };
-    let outcome =
-        execute_prepared(&input, &planned, &w.catalog, &server, &hooks).expect("Q5 executes");
+    let (.., outcome) = plan_and_analyze(w, &paper::q5(w), &server, world_params(w), &server);
     outcome.plan_quality.expect("analyze was on").render()
 }
