@@ -39,25 +39,22 @@ enum Scenario {
 
 /// Parses the argument list (without the program name): at most one
 /// scenario flag, nothing else.
-fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Scenario, String> {
-    let mut scenario = Scenario::Single;
-    for arg in args {
-        let picked = match arg.as_str() {
-            "--sharded" => Scenario::Sharded,
-            "--replicated" => Scenario::Replicated,
-            "--rebalance" => Scenario::Rebalance,
-            _ => return Err(format!("unknown argument {arg}")),
-        };
-        if scenario != Scenario::Single {
-            return Err(format!("{arg} does not combine with another scenario"));
-        }
-        scenario = picked;
+fn parse_args(args: &[String]) -> Result<Scenario, String> {
+    match args {
+        [] => Ok(Scenario::Single),
+        [flag] => match flag.as_str() {
+            "--sharded" => Ok(Scenario::Sharded),
+            "--replicated" => Ok(Scenario::Replicated),
+            "--rebalance" => Ok(Scenario::Rebalance),
+            _ => Err(format!("unknown argument {flag}")),
+        },
+        _ => Err("at most one scenario flag".into()),
     }
-    Ok(scenario)
 }
 
 fn main() {
-    let scenario = parse_args(std::env::args().skip(1)).unwrap_or_else(|msg| {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let scenario = parse_args(&args).unwrap_or_else(|msg| {
         eprintln!("chaos: {msg}");
         eprintln!("usage: chaos [--sharded | --replicated | --rebalance]");
         std::process::exit(2);
@@ -152,7 +149,7 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Result<Scenario, String> {
-        parse_args(args.iter().map(|s| s.to_string()))
+        parse_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
     }
 
     #[test]

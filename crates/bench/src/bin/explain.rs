@@ -50,15 +50,14 @@ const MAX_WINDOWS: f64 = 1_000_000.0;
 /// would otherwise spin or exhaust memory.
 fn check_windows(events: &[Event], window_secs: f64) -> Result<(), String> {
     // `f64::max` skips a NaN clock; a negative one lands in window 0.
-    let windows = events.iter().map(|e| e.clock).fold(0.0, f64::max) / window_secs;
-    if windows > MAX_WINDOWS {
-        return Err(format!(
-            "--windows {window_secs:?} would open {:?} windows over this trace \
-             (at most {MAX_WINDOWS:.0}); pick a wider window",
-            windows.floor()
-        ));
+    let windows = (events.iter().map(|e| e.clock).fold(0.0, f64::max) / window_secs).floor();
+    if windows <= MAX_WINDOWS {
+        return Ok(());
     }
-    Ok(())
+    Err(format!(
+        "--windows {window_secs:?} would open {windows:?} windows over this trace \
+         (at most {MAX_WINDOWS:.0})"
+    ))
 }
 
 /// The optional `--windows` section: the monitor's per-window health

@@ -42,7 +42,7 @@ fn main() {
         "{:<10} {:>10} {:>10} {:>8} {:>7} {:>8} {:>8} {:>6}",
         "method", "serial", "makespan", "speedup", "hedges", "cancels", "dl-miss", "rows"
     );
-    for ((m, _), cell) in METHODS.iter().zip(&t.cells) {
+    for ((m, _), cell) in METHODS.iter().zip(&t) {
         match cell {
             Some(c) => println!(
                 "{:<10} {:>9.1}s {:>9.1}s {:>7.2}x {:>7} {:>8} {:>8} {:>6}",

@@ -15,7 +15,7 @@ fn main() {
     let headers = ["Join Method", "Q1", "Q2", "Q3", "Q4"];
     let rows: Vec<Vec<String>> = METHODS
         .iter()
-        .zip(&t.cells)
+        .zip(&t)
         .map(|((m, _), cells)| {
             let mut row = vec![m.to_string()];
             row.extend(cells.iter().map(|c| cost_cell(c.secs)));

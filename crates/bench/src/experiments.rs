@@ -351,16 +351,10 @@ pub struct MeasuredCell {
     pub rows: Option<usize>,
 }
 
-/// Table 2: rows = methods (in [`METHODS`] order), columns = Q1..Q4.
-#[derive(Debug, Clone)]
-pub struct Table2 {
-    /// `cells[m][q]` for method `m`, query `q`.
-    pub cells: Vec<Vec<MeasuredCell>>,
-}
-
 /// Reproduces Table 2: executes every applicable method on Q1–Q4 in the
-/// integrated system, reporting simulated seconds.
-pub fn table2(w: &World) -> Table2 {
+/// integrated system, reporting simulated seconds. Returns `cells[m][q]`
+/// for method `m` (in [`METHODS`] order) and query `q` (Q1..Q4).
+pub fn table2(w: &World) -> Vec<Vec<MeasuredCell>> {
     let queries = paper_queries(w);
     let mut cells = vec![vec![MeasuredCell::default(); queries.len()]; METHODS.len()];
     for (qi, pq) in queries.iter().enumerate() {
@@ -371,7 +365,7 @@ pub fn table2(w: &World) -> Table2 {
             }
         }
     }
-    Table2 { cells }
+    cells
 }
 
 // ---------------------------------------------------------------------
@@ -690,14 +684,13 @@ mod tests {
     fn table2_shape_and_agreement() {
         let w = small_world();
         let t = table2(&w);
-        assert_eq!(t.cells.len(), METHODS.len());
-        for row in &t.cells {
+        assert_eq!(t.len(), METHODS.len());
+        for row in &t {
             assert_eq!(row.len(), 4, "Q1..Q4 columns");
         }
         // All applicable methods agree on output size per query.
         for q in 0..4 {
             let sizes: Vec<usize> = t
-                .cells
                 .iter()
                 .filter_map(|m| m[q].rows)
                 .collect();
@@ -710,8 +703,8 @@ mod tests {
             );
         }
         // TS is never the cheapest on Q1 (the selective selection rules).
-        let ts_q1 = t.cells[0][0].secs.expect("TS applicable");
-        let rtp_q1 = t.cells[1][0].secs.expect("RTP applicable");
+        let ts_q1 = t[0][0].secs.expect("TS applicable");
+        let rtp_q1 = t[1][0].secs.expect("RTP applicable");
         assert!(rtp_q1 < ts_q1, "RTP {rtp_q1} must beat TS {ts_q1} on Q1");
     }
 
@@ -1315,16 +1308,7 @@ pub struct MakespanCell {
     pub rows: usize,
 }
 
-/// The makespan grid: every method over Q1–Q4 against a replicated
-/// sharded server with one slow replica per shard and a per-query
-/// deadline. Rows follow [`METHODS`].
-#[derive(Debug, Clone)]
-pub struct MakespanTable {
-    /// `cells[m]`, `None` when the method applies to no query.
-    pub cells: Vec<Option<MakespanCell>>,
-}
-
-/// Runs every method over Q1–Q4 against an [`N_SHARDS`] × [`N_REPLICAS`]
+/// The makespan grid: runs every method over Q1–Q4 against an [`N_SHARDS`] × [`N_REPLICAS`]
 /// server in which each shard's *primary* replica carries a seeded
 /// latency-only [`FaultPlan::slow`] plan at [`SLOW_RATE`] (it always
 /// answers, sometimes late) and each query runs under the [`DEADLINE`]
@@ -1333,8 +1317,9 @@ pub struct MakespanTable {
 /// loser's charge is rebated. Every cell asserts the fault-free row
 /// counts — deadline misses degrade or simply finish late, they never
 /// error — and that the concurrent makespan lands strictly below the
-/// serial transport time.
-pub fn makespan_table(w: &World) -> MakespanTable {
+/// serial transport time. Returns one cell per method in [`METHODS`]
+/// order, `None` when the method applies to no query.
+pub fn makespan_table(w: &World) -> Vec<Option<MakespanCell>> {
     let mut cells: Vec<Option<MakespanCell>> = vec![None; METHODS.len()];
     for (qi, pq) in paper_queries(w).iter().enumerate() {
         for (mi, kind, cols) in pq.methods() {
@@ -1361,7 +1346,7 @@ pub fn makespan_table(w: &World) -> MakespanTable {
         }
     }
     w.server.reset_usage();
-    MakespanTable { cells }
+    cells
 }
 
 /// One Q5 execution in the deadline-degradation demo.
@@ -1996,7 +1981,7 @@ mod chaos_tests {
         let b = makespan_table(&w);
         let mut hedges = 0;
         let mut misses = 0;
-        for (ca, cb) in a.cells.iter().zip(&b.cells) {
+        for (ca, cb) in a.iter().zip(&b) {
             match (ca, cb) {
                 (Some(ca), Some(cb)) => {
                     assert_eq!(ca.serial.to_bits(), cb.serial.to_bits());
