@@ -71,10 +71,10 @@ pub const SLOW_RATE: f64 = 0.25;
 /// One of the paper's single-join queries, prepared once: its statistics
 /// and probe-column choices come from fault-free statistics
 /// (`export_stats` is free and never faulted).
-pub(crate) struct PaperQuery {
-    pub(crate) label: &'static str,
-    pub(crate) query: SingleJoinQuery,
-    pub(crate) prepared: PreparedQuery,
+pub(super) struct PaperQuery {
+    pub(super) label: &'static str,
+    pub(super) query: SingleJoinQuery,
+    pub(super) prepared: PreparedQuery,
     stats: JoinStatistics,
     pts: Vec<usize>,
     prtp: Vec<usize>,
@@ -84,7 +84,7 @@ impl PaperQuery {
     /// The probe columns `kind` needs on this query, `None` when the
     /// method is inapplicable: the paper reports P-methods only for the
     /// multi-predicate queries Q3/Q4 (k ≥ 2).
-    pub(crate) fn probe_cols(&self, kind: MethodKind) -> Option<&[usize]> {
+    pub(super) fn probe_cols(&self, kind: MethodKind) -> Option<&[usize]> {
         match kind {
             MethodKind::PTs => (self.stats.k() >= 2).then_some(self.pts.as_slice()),
             MethodKind::PRtp => (self.stats.k() >= 2).then_some(self.prtp.as_slice()),
@@ -93,7 +93,7 @@ impl PaperQuery {
     }
 
     /// Every applicable `(row index in METHODS, kind, probe columns)`.
-    pub(crate) fn methods(&self) -> impl Iterator<Item = (usize, MethodKind, &[usize])> {
+    pub(super) fn methods(&self) -> impl Iterator<Item = (usize, MethodKind, &[usize])> {
         METHODS
             .iter()
             .enumerate()
@@ -102,7 +102,7 @@ impl PaperQuery {
 }
 
 /// Q1–Q4, prepared against the world's own server.
-pub(crate) fn paper_queries(w: &World) -> Vec<PaperQuery> {
+pub(super) fn paper_queries(w: &World) -> Vec<PaperQuery> {
     let ts_schema = w.server.collection().schema();
     let params = world_params(w);
     let probe_cols = |stats: &JoinStatistics,
