@@ -119,7 +119,7 @@ impl Default for RetryPolicy {
 /// the fixpoint 1024, all-successes decays toward 0 (integer division
 /// stalls at ≤ 7, comfortably inside the "healthy" band). Integer
 /// arithmetic only — byte-reproducible across runs and platforms.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RetryBudget {
     base: RetryPolicy,
     /// Per-shard EWMA fault rates, parts-per-1024; grows on demand.

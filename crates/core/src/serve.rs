@@ -1,58 +1,39 @@
-//! The multi-tenant serving session.
+//! The multi-tenant serving session (DESIGN.md §11).
 //!
-//! Everything below `serve` executes one `ForeignJoin` at a time; this
-//! module admits a deterministic *stream* of `(tenant, query)` requests
-//! against one shared engine and answers the robustness question the
-//! single-query world never faced: what happens when tenants collectively
-//! demand more than the server's caps, budgets, and fault-degraded
-//! capacity can deliver — and how does one misbehaving tenant get kept
-//! from starving the rest?
+//! A session admits a deterministic stream of `(tenant, query)` requests
+//! against one shared engine and keeps tenants that collectively demand
+//! more than the server's caps, budgets and fault-degraded capacity can
+//! deliver from starving each other. Every mechanism is deterministic and
+//! typed:
 //!
-//! Four mechanisms, all deterministic and all typed (a request is never
-//! silently dropped):
+//! 1. **Admission & budgets.** Admission prices the plan with the real
+//!    (charge-free) optimizer and rejects an estimate above the tenant's
+//!    budget net of queued reservations ([`ServeError::Rejected`]). A
+//!    per-query [`CostCeiling`] aborts mid-flight overruns
+//!    ([`ServeError::BudgetExhausted`]); the partial charge stays booked.
+//! 2. **Fair dispatch, degradation, shedding.** Per-tenant FIFO queues
+//!    drain by deficit round-robin. At the degradation watermark
+//!    dispatches run under forced pressure (cost only, never rows); past
+//!    the queue cap the lowest-priority queued request is shed
+//!    ([`ServeError::Shed`]).
+//! 3. **Tenant isolation.** Each tenant owns its `RetryBudget`, its
+//!    fault-model fold (priced from its *own* ledger) and its invoice, a
+//!    `Usage::since` delta around each execution. The aggregate ledger
+//!    is exactly Σ invoices + the migration bucket.
+//! 4. **Cross-query sharing.** Per-tenant [`ProbeCache`] and plan cache
+//!    (keyed on spec shape, topology epoch, folded params): charge-free,
+//!    result-preserving, visible as charge-free `CacheHit` events.
 //!
-//! 1. **Admission control & budgets.** Each tenant carries a cost budget
-//!    in `Usage` currency (simulated seconds). Admission estimates the
-//!    request's plan cost with the real optimizer — planning is
-//!    charge-free — and rejects requests whose estimate exceeds the
-//!    tenant's remaining budget ([`ServeError::Rejected`]); the estimate
-//!    of every *queued* request is held as a committed reservation so a
-//!    tenant cannot over-admit against the same remainder. A per-query
-//!    [`CostCeiling`] guard aborts mid-flight when actuals overrun
-//!    ([`ServeError::BudgetExhausted`]); partial charges stay booked in
-//!    the ordinary ledger and are reconciled into the tenant's invoice.
-//! 2. **Overload shedding with graceful degradation.** Admitted requests
-//!    wait in per-tenant FIFO queues drained by deficit round-robin:
-//!    every round each backlogged tenant's deficit grows by one quantum
-//!    and it dispatches head requests while their estimates fit, so
-//!    long-run service share is equal per tenant regardless of demand.
-//!    When the total backlog reaches the degradation watermark,
-//!    dispatches run under forced scheduler pressure and the executor's
-//!    degradation lattice (probe skip, PTs/PRtp→Ts) trades cost for
-//!    latency — never rows. Only when the bounded queue still overflows
-//!    is the lowest-priority queued request shed ([`ServeError::Shed`]).
-//! 3. **Tenant fault isolation.** Each tenant owns its `RetryBudget`
-//!    (breakers, adaptive attempts, hedge thresholds), its fault-model
-//!    fold (plans are priced from the tenant's *own* observed ledger, not
-//!    the shared one), and its `Usage` invoice measured as a `since`
-//!    delta around each execution. The aggregate server ledger decomposes
-//!    exactly into Σ tenant invoices + the migration bucket.
-//! 4. **Cross-query sharing.** Each tenant carries a session-scoped
-//!    [`ProbeCache`] (epoch-keyed, namespaced by full probe identity) and
-//!    a plan cache keyed on (spec shape, topology epoch, folded cost
-//!    params). Both are charge-free and result-preserving; hits emit
-//!    charge-free `CacheHit` events so the trace↔ledger audit stays
-//!    exact. Caches are per-tenant by design: sharing *within* a tenant,
-//!    unconditional isolation *across* tenants.
-//!
-//! The session also closes two carried ROADMAP loops when configured: it
-//! auto-executes the windowed monitor's rebalance advice through the
-//! online migration engine under a session migration budget, and it
-//! adopts the drift watchdog's `calibrate_trace` refit into the live
-//! session's `CostParams`.
+//! The session is a step function ([`ServeSession::step`]) over one
+//! outcome log: every request ends in exactly one [`QueryRecord`], and a
+//! tenant's outcome counts are a fold over that log. Between rounds it
+//! can auto-execute the monitor's rebalance advice under a migration
+//! budget and adopt the drift watchdog's `calibrate_trace` refit.
 
 use std::cell::RefCell;
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt;
 use std::rc::Rc;
 
 use textjoin_obs::{
@@ -72,10 +53,17 @@ use crate::methods::cache::ProbeCache;
 use crate::methods::{CostCeiling, MethodError};
 use crate::optimizer::multi::{ExecutionSpace, PlannedQuery, PlannerInput};
 use crate::optimizer::plan::MultiJoinQuery;
-use crate::retry::{RetryBudget, RetryPolicy};
+use crate::retry::RetryBudget;
+
+/// Plan space every request is planned in.
+const SPACE: ExecutionSpace = ExecutionSpace::Prl;
+/// Stats-aware routing on an elastic backend (opt-in everywhere else).
+const STATS_ROUTING: bool = true;
+/// Batch size (documents) for auto-executed migrations.
+const REBALANCE_BATCH_DOCS: usize = 24;
 
 /// A tenant of the serving session.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TenantSpec {
     /// Display name (reports and bench tables).
     pub name: String,
@@ -107,8 +95,6 @@ pub struct ServeConfig {
     /// Cost-model parameters every request is planned with (before the
     /// per-tenant fault fold / calibration adoption).
     pub params: CostParams,
-    /// Plan space for the optimizer.
-    pub space: ExecutionSpace,
     /// Bound on the total number of queued admitted requests; pushing
     /// past it sheds the lowest-priority queued request.
     pub queue_cap: usize,
@@ -119,16 +105,10 @@ pub struct ServeConfig {
     /// scheduler pressure (the degradation lattice: cost only, never
     /// rows). `0` disables forced degradation.
     pub degrade_depth: usize,
-    /// Stats-aware shard routing for the serve path. On by default —
-    /// the legacy single-query bins keep it opt-in so their recorded
-    /// tables stay byte-identical.
-    pub stats_routing: bool,
     /// Simulated-seconds budget for auto-executed rebalance advice;
     /// `0.0` disables auto-rebalancing. Requires an elastic backend and
     /// an attached monitor to have any effect.
     pub migration_budget: f64,
-    /// Batch size (documents) for auto-executed migrations.
-    pub rebalance_batch_docs: usize,
     /// Adopt a `calibrate_trace` refit of the session trace into the
     /// live `CostParams` after every this many dispatches; `0` disables
     /// adoption.
@@ -146,20 +126,17 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// A session over `params` with serving defaults: PrL plan space,
-    /// queue capacity 8, quantum 50 simulated seconds, degradation at
-    /// backlog 6, stats-aware routing on, auto-rebalance and drift
-    /// adoption off, no monitor.
+    /// A session over `params` with serving defaults: queue capacity 8,
+    /// quantum 50 simulated seconds, degradation at backlog 6,
+    /// auto-rebalance and drift adoption off, no monitor. Every session
+    /// plans in the PrL space and routes on statistics.
     pub fn new(params: CostParams) -> Self {
         Self {
             params,
-            space: ExecutionSpace::Prl,
             queue_cap: 8,
             quantum: 50.0,
             degrade_depth: 6,
-            stats_routing: true,
             migration_budget: 0.0,
-            rebalance_batch_docs: 24,
             adopt_drift_every: 0,
             monitor: None,
             analyze: false,
@@ -194,13 +171,19 @@ pub enum ServeError {
         /// Requests still queued after the shed.
         queued: u64,
     },
+    /// The request named a tenant the session was not opened with.
+    /// Nothing was charged and no tenant's report counts it.
+    UnknownTenant {
+        /// The tenant index the request named.
+        tenant: usize,
+    },
     /// Planning or execution failed for engine reasons (unknown
     /// relation, no plan, text-server refusal...).
     Exec(MethodError),
 }
 
 /// A successful execution inside the session.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct QueryOutcome {
     /// The result rows (the same multiset every join method computes).
     pub table: Table,
@@ -210,6 +193,25 @@ pub struct QueryOutcome {
     pub makespan: f64,
     /// Degradation-lattice downgrades taken under pressure.
     pub degradations: u64,
+    /// Plan-level cost Q-error. `None` unless [`ServeConfig::analyze`]
+    /// was on.
+    pub cost_q: Option<f64>,
+}
+
+/// Prints `cost_q` only when analyze measured one, so a session without
+/// analyze renders its records exactly as before the field existed.
+impl fmt::Debug for QueryOutcome {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut d = f.debug_struct("QueryOutcome");
+        d.field("table", &self.table)
+            .field("total_cost", &self.total_cost);
+        d.field("makespan", &self.makespan)
+            .field("degradations", &self.degradations);
+        if let Some(q) = &self.cost_q {
+            d.field("cost_q", q);
+        }
+        d.finish()
+    }
 }
 
 /// The complete, typed story of one request through the session.
@@ -225,12 +227,14 @@ pub struct QueryRecord {
     /// How the request ended.
     pub outcome: Result<QueryOutcome, ServeError>,
     /// `Usage` delta booked to the tenant for this request (zero for
-    /// rejected/shed requests; partial for budget aborts).
+    /// every refusal; partial for budget aborts).
     pub invoice: Usage,
 }
 
-/// Per-tenant session accounting.
-#[derive(Debug, Clone)]
+/// Per-tenant session accounting. The outcome counts, `costs` and
+/// `cost_qs` are folded from the tenant's records; the rest is the
+/// session's live state, which admission reads.
+#[derive(Debug, Clone, Default)]
 pub struct TenantReport {
     /// The spec the session was configured with.
     pub name: String,
@@ -265,7 +269,7 @@ pub struct TenantReport {
     pub plan_hits: u64,
 }
 
-/// What [`ServeSession::run`] returns.
+/// What [`ServeSession::finish`] returns.
 #[derive(Debug, Clone)]
 pub struct ServeReport {
     /// One record per stream request, arrival order. No silent drops:
@@ -311,20 +315,43 @@ impl Backend<'_> {
     }
 }
 
-/// An admitted request waiting in its tenant's queue, carrying the plan
-/// and the cache key it was admitted under (a topology change between
-/// admission and dispatch invalidates the key and forces a replan, so
-/// planner pricing and executor routing stay in lockstep) and the planner
-/// input admission prepared, which dispatch refreshes instead of
-/// preparing from nothing.
-struct QueuedReq {
+/// One event fed to [`ServeSession::step`].
+#[derive(Debug, Clone, Copy)]
+pub enum Input<'q> {
+    /// A request arrives: admit it (an unknown tenant is refused with
+    /// [`ServeError::UnknownTenant`]), run one deficit-round-robin round,
+    /// then between-round maintenance.
+    Arrive {
+        tenant: usize,
+        query: &'q MultiJoinQuery,
+    },
+    /// Rounds and maintenance until the backlog is empty.
+    Drain,
+}
+
+/// A request prepared to run: its planner input, the plan-cache key its
+/// plan was found under, and the plan. Admission queues it; the plan's
+/// estimate is the tenant's reservation while it waits.
+struct Prepared {
     arrival: u64,
     input: PlannerInput,
-    est: f64,
     key: String,
     planned: PlannedQuery,
 }
 
+/// What [`ServeSession::prepare`] starts from: a fresh arrival, or a
+/// request admission queued. Moved into one call, never stored, so the
+/// size of `Queued` costs nothing.
+#[allow(clippy::large_enum_variant)]
+enum Source<'q> {
+    Arrival(&'q MultiJoinQuery),
+    Queued(Prepared),
+}
+
+/// How a request ended.
+type Outcome = Result<QueryOutcome, ServeError>;
+
+#[derive(Default)]
 struct TenantState {
     spec: TenantSpec,
     invoice: Usage,
@@ -336,51 +363,18 @@ struct TenantState {
     probe_cache: RefCell<ProbeCache>,
     plans: BTreeMap<String, PlannedQuery>,
     plan_hits: u64,
-    queue: VecDeque<QueuedReq>,
+    queue: VecDeque<Prepared>,
     deficit: f64,
     admitted: u64,
-    completed: u64,
-    rejected: u64,
-    shed: u64,
-    budget_aborted: u64,
-    exec_errors: u64,
-    costs: Vec<f64>,
-    cost_qs: Vec<f64>,
 }
 
-impl TenantState {
-    fn new(spec: TenantSpec) -> Self {
-        Self {
-            spec,
-            invoice: Usage::default(),
-            spent: 0.0,
-            committed: 0.0,
-            retry: RetryBudget::new(RetryPolicy::standard()),
-            probe_cache: RefCell::new(ProbeCache::new()),
-            plans: BTreeMap::new(),
-            plan_hits: 0,
-            queue: VecDeque::new(),
-            deficit: 0.0,
-            admitted: 0,
-            completed: 0,
-            rejected: 0,
-            shed: 0,
-            budget_aborted: 0,
-            exec_errors: 0,
-            costs: Vec::new(),
-            cost_qs: Vec::new(),
-        }
-    }
-
-    fn remaining(&self) -> f64 {
-        self.spec.budget - self.spent - self.committed
-    }
-}
-
-/// The deterministic serving session. Construct with [`new`], feed a
-/// stream with [`run`].
+/// The deterministic serving session. Construct with [`new`], feed it
+/// with [`step`] and close it with [`finish`], or do all three over a
+/// whole stream with [`run`].
 ///
 /// [`new`]: Self::new
+/// [`step`]: Self::step
+/// [`finish`]: Self::finish
 /// [`run`]: Self::run
 pub struct ServeSession<'a> {
     backend: Backend<'a>,
@@ -391,12 +385,14 @@ pub struct ServeSession<'a> {
     ring: Rc<RingSink>,
     monitor: Option<Rc<Monitor>>,
     calibration: Option<TraceCalibration>,
+    arrivals: u64,
     dispatches_since_refit: usize,
     refits: u64,
     advice_consumed: usize,
     migrated_docs: u64,
     regathered: u64,
-    records: Vec<QueryRecord>,
+    /// Every closed request, in the order it closed.
+    log: Vec<QueryRecord>,
     start_usage: Usage,
     start_migration: Usage,
 }
@@ -404,8 +400,8 @@ pub struct ServeSession<'a> {
 impl<'a> ServeSession<'a> {
     /// Opens a session: installs the session recorder (a ring trace,
     /// teed into the monitor when one is configured) on the backend,
-    /// switches stats-aware routing to the configured serve default, and
-    /// snapshots the ledgers the report's deltas are measured from.
+    /// switches stats-aware routing on, and snapshots the ledgers the
+    /// report's deltas are measured from.
     pub fn new(
         backend: Backend<'a>,
         catalog: &'a Catalog,
@@ -425,7 +421,7 @@ impl<'a> ServeSession<'a> {
             Backend::Single(s) => s.set_recorder(Some(recorder.clone())),
             Backend::Elastic(s) => {
                 s.set_recorder(Some(recorder.clone()));
-                s.set_stats_routing(cfg.stats_routing);
+                s.set_stats_routing(STATS_ROUTING);
             }
         }
         let start_usage = backend.service().usage();
@@ -437,89 +433,92 @@ impl<'a> ServeSession<'a> {
             backend,
             catalog,
             cfg,
-            tenants: tenants.into_iter().map(TenantState::new).collect(),
+            tenants: tenants
+                .into_iter()
+                .map(|spec| TenantState {
+                    spec,
+                    ..Default::default()
+                })
+                .collect(),
             recorder,
             ring,
             monitor,
             calibration: None,
+            arrivals: 0,
             dispatches_since_refit: 0,
             refits: 0,
             advice_consumed: 0,
             migrated_docs: 0,
             regathered: 0,
-            records: Vec::new(),
+            log: Vec::new(),
             start_usage,
             start_migration,
         }
     }
 
-    /// Runs the whole stream: each `(tenant, query)` arrival is admitted
-    /// (or refused, typed), then one DRR round dispatches what the
-    /// deficits afford; after the last arrival the backlog drains with
-    /// further rounds. Returns the full per-request, per-tenant, and
-    /// ledger story.
+    /// Runs the whole stream: one [`Input::Arrive`] step per request,
+    /// then [`finish`](Self::finish), which drains the backlog. Returns
+    /// the full per-request, per-tenant, and ledger story.
     pub fn run(mut self, stream: &[(usize, MultiJoinQuery)]) -> ServeReport {
-        for (arrival, (tenant, query)) in stream.iter().enumerate() {
-            assert!(*tenant < self.tenants.len(), "unknown tenant index");
-            self.admit(arrival as u64, *tenant, query);
-            self.round();
-            self.maintain();
-        }
-        while self.total_queued() > 0 {
-            self.round();
-            self.maintain();
+        for &(tenant, ref query) in stream {
+            self.step(Input::Arrive { tenant, query });
         }
         self.finish()
+    }
+
+    /// Advances the session by one input and returns the records it
+    /// closed, in the order they closed. Arrivals are numbered in the
+    /// order they are stepped.
+    pub fn step(&mut self, input: Input<'_>) -> &[QueryRecord] {
+        let closed = self.log.len();
+        match input {
+            Input::Arrive { tenant, query } => {
+                self.admit(tenant, query);
+                self.round();
+                self.maintain();
+            }
+            Input::Drain => {
+                while self.total_queued() > 0 {
+                    self.round();
+                    self.maintain();
+                }
+            }
+        }
+        &self.log[closed..]
     }
 
     fn total_queued(&self) -> usize {
         self.tenants.iter().map(|t| t.queue.len()).sum()
     }
 
+    /// Closes one request: the only place a record is written.
+    fn record(&mut self, arrival: u64, ti: usize, est: f64, outcome: Outcome, invoice: Usage) {
+        self.log.push(QueryRecord {
+            arrival,
+            tenant: ti,
+            est_cost: est,
+            outcome,
+            invoice,
+        });
+    }
+
     /// Admission: estimate with the real optimizer (charge-free), check
     /// the tenant's uncommitted budget remainder, then queue — shedding
     /// on overflow. Every path records a typed outcome or queues.
-    fn admit(&mut self, arrival: u64, ti: usize, query: &MultiJoinQuery) {
-        let service = self.backend.service();
-        let fold = self.tenants[ti].invoice;
-        let input = match prepare_input(
-            query,
-            self.catalog,
-            service,
-            self.cfg.params,
-            self.calibration.as_ref(),
-            Some(&fold),
-        ) {
-            Ok(i) => i,
-            Err(e) => {
-                self.tenants[ti].exec_errors += 1;
-                self.records.push(QueryRecord {
-                    arrival,
-                    tenant: ti,
-                    est_cost: 0.0,
-                    outcome: Err(ServeError::Exec(e)),
-                    invoice: Usage::default(),
-                });
-                return;
-            }
+    fn admit(&mut self, ti: usize, query: &MultiJoinQuery) {
+        let (arrival, refused) = (self.arrivals, Usage::default());
+        self.arrivals += 1;
+        if ti >= self.tenants.len() {
+            let outcome = Err(ServeError::UnknownTenant { tenant: ti });
+            return self.record(arrival, ti, 0.0, outcome, refused);
+        }
+        let req = match self.prepare(ti, arrival, Source::Arrival(query)) {
+            Ok(req) => req,
+            Err(e) => return self.record(arrival, ti, 0.0, Err(ServeError::Exec(e)), refused),
         };
-        let key = plan_key(query, service.topology_epoch(), &input.params);
-        let planned = match self.lookup_plan(ti, &key, &input) {
-            Ok(p) => p,
-            Err(e) => {
-                self.tenants[ti].exec_errors += 1;
-                self.records.push(QueryRecord {
-                    arrival,
-                    tenant: ti,
-                    est_cost: 0.0,
-                    outcome: Err(ServeError::Exec(e)),
-                    invoice: Usage::default(),
-                });
-                return;
-            }
-        };
-        let est = planned.est_cost;
-        let remaining = self.tenants[ti].remaining();
+        let est = req.planned.est_cost;
+        let t = &self.tenants[ti];
+        let remaining = t.spec.budget - t.spent - t.committed;
         if est > remaining {
             self.recorder.emit(EventKind::BudgetExhausted {
                 tenant: ti as u64,
@@ -527,77 +526,107 @@ impl<'a> ServeSession<'a> {
                 spent_ms: to_ms(est),
                 remaining_ms: to_ms(remaining.max(0.0)),
             });
-            self.tenants[ti].rejected += 1;
-            self.records.push(QueryRecord {
-                arrival,
-                tenant: ti,
+            let outcome = Err(ServeError::Rejected {
                 est_cost: est,
-                outcome: Err(ServeError::Rejected {
-                    est_cost: est,
-                    remaining,
-                }),
-                invoice: Usage::default(),
+                remaining,
             });
-            return;
+            return self.record(arrival, ti, est, outcome, refused);
         }
         self.recorder.emit(EventKind::Admit {
             tenant: ti as u64,
             arrival,
             est_cost: est,
         });
-        self.tenants[ti].admitted += 1;
-        self.tenants[ti].committed += est;
-        self.tenants[ti].queue.push_back(QueuedReq {
-            arrival,
-            input,
-            est,
-            key,
-            planned,
-        });
+        let t = &mut self.tenants[ti];
+        t.admitted += 1;
+        t.committed += est;
+        t.queue.push_back(req);
         while self.total_queued() > self.cfg.queue_cap {
             self.shed_one();
         }
     }
 
+    /// The one prepare → key → plan path. A queued request keeps its
+    /// admission's statistics while the server still exports the handle
+    /// they were read from (only the params can have moved), and its plan
+    /// while the cache key matches; otherwise it replans through the
+    /// cache at today's epoch, so planner pricing and executor routing
+    /// stay in lockstep. The plan cache is keyed on (spec, epoch, folded
+    /// params); a hit emits a charge-free `CacheHit`.
+    fn prepare(&mut self, ti: usize, arrival: u64, src: Source) -> Result<Prepared, MethodError> {
+        let service = self.backend.service();
+        let fold = Some(self.tenants[ti].invoice);
+        let (params, cal) = (self.cfg.params, self.calibration.as_ref());
+        let gather = |query: &MultiJoinQuery| {
+            prepare_input(query, self.catalog, service, params, cal, fold.as_ref())
+        };
+        let (input, admitted) = match src {
+            Source::Queued(p) if p.input.gathered_from(&service.export_stats()) => {
+                let params = fold_params(&p.input.query, service, params, cal, fold.as_ref());
+                (p.input.with_params(params), Some((p.key, p.planned)))
+            }
+            Source::Queued(p) => {
+                self.regathered += 1;
+                (gather(&p.input.query)?, Some((p.key, p.planned)))
+            }
+            Source::Arrival(query) => (gather(query)?, None),
+        };
+        let epoch = service.topology_epoch();
+        let key = plan_key(&input.query, epoch, &input.params);
+        let t = &mut self.tenants[ti];
+        let planned = match admitted {
+            Some((admitted_key, planned)) if admitted_key == key => planned,
+            _ => match t.plans.get(&key) {
+                Some(p) => {
+                    t.plan_hits += 1;
+                    self.recorder.emit(EventKind::CacheHit {
+                        scope: "plan",
+                        epoch,
+                    });
+                    p.clone()
+                }
+                None => {
+                    let planned = plan_prepared(&input, service, SPACE)?;
+                    t.plans.insert(key.clone(), planned.clone());
+                    planned
+                }
+            },
+        };
+        Ok(Prepared {
+            arrival,
+            input,
+            key,
+            planned,
+        })
+    }
+
     /// Sheds the lowest-priority queued request (ties broken toward the
     /// newest arrival) — a typed refusal, never a silent drop.
     fn shed_one(&mut self) {
-        let victim = self
+        let (.., ti, pos) = self
             .tenants
             .iter()
             .enumerate()
             .flat_map(|(ti, t)| {
+                let p = t.spec.priority;
                 t.queue
                     .iter()
-                    .map(move |q| (t.spec.priority, q.arrival, ti))
+                    .enumerate()
+                    .map(move |(pos, q)| (p, Reverse(q.arrival), ti, pos))
             })
-            .min_by(|a, b| {
-                // Lowest priority first; among those, newest arrival.
-                a.0.cmp(&b.0).then(b.1.cmp(&a.1))
-            })
+            .min()
             .expect("shed_one is only called with a non-empty backlog");
-        let (_, arrival, ti) = victim;
-        let pos = self.tenants[ti]
-            .queue
-            .iter()
-            .position(|q| q.arrival == arrival)
-            .expect("victim is queued");
         let req = self.tenants[ti].queue.remove(pos).expect("victim position");
-        self.tenants[ti].committed -= req.est;
-        self.tenants[ti].shed += 1;
+        let est = req.planned.est_cost;
+        self.tenants[ti].committed -= est;
         let queued = self.total_queued() as u64;
         self.recorder.emit(EventKind::Shed {
             tenant: ti as u64,
             arrival: req.arrival,
             queued,
         });
-        self.records.push(QueryRecord {
-            arrival: req.arrival,
-            tenant: ti,
-            est_cost: req.est,
-            outcome: Err(ServeError::Shed { queued }),
-            invoice: Usage::default(),
-        });
+        let outcome = Err(ServeError::Shed { queued });
+        self.record(req.arrival, ti, est, outcome, Usage::default());
     }
 
     /// One deficit-round-robin round: every backlogged tenant's deficit
@@ -610,13 +639,13 @@ impl<'a> ServeSession<'a> {
                 continue;
             }
             self.tenants[ti].deficit += self.cfg.quantum;
-            while let Some(head_est) = self.tenants[ti].queue.front().map(|q| q.est) {
-                if head_est > self.tenants[ti].deficit {
+            while let Some(est) = self.tenants[ti].queue.front().map(|q| q.planned.est_cost) {
+                if est > self.tenants[ti].deficit {
                     break;
                 }
                 let req = self.tenants[ti].queue.pop_front().expect("head exists");
-                self.tenants[ti].deficit -= req.est;
-                self.tenants[ti].committed -= req.est;
+                self.tenants[ti].deficit -= est;
+                self.tenants[ti].committed -= est;
                 self.dispatch(ti, req, pressure);
             }
             if self.tenants[ti].queue.is_empty() {
@@ -629,58 +658,14 @@ impl<'a> ServeSession<'a> {
     /// its retry budget, its session caches, its budget ceiling, and a
     /// plan re-validated against the current topology epoch. The invoice
     /// delta is measured around the execution regardless of outcome.
-    fn dispatch(&mut self, ti: usize, req: QueuedReq, pressure: bool) {
+    fn dispatch(&mut self, ti: usize, req: Prepared, pressure: bool) {
         self.dispatches_since_refit += 1;
-        let service = self.backend.service();
-        let fold = self.tenants[ti].invoice;
-        let calibration = self.calibration.as_ref();
-        // Admission gathered this request's statistics. While the server
-        // exports the handle they were read from they are what gathering
-        // would produce again, and only the params (the tenant's ledger,
-        // the calibration, the routed fan-out) can have moved.
-        let (query, params) = (&req.input.query, self.cfg.params);
-        let input = if req.input.gathered_from(&service.export_stats()) {
-            let params = fold_params(query, service, params, calibration, Some(&fold));
-            Ok(req.input.with_params(params))
-        } else {
-            self.regathered += 1;
-            prepare_input(query, self.catalog, service, params, calibration, Some(&fold))
-        };
-        let input = match input {
-            Ok(i) => i,
+        let (arrival, est) = (req.arrival, req.planned.est_cost);
+        let Prepared { input, planned, .. } = match self.prepare(ti, arrival, Source::Queued(req)) {
+            Ok(req) => req,
             Err(e) => {
-                self.tenants[ti].exec_errors += 1;
-                self.records.push(QueryRecord {
-                    arrival: req.arrival,
-                    tenant: ti,
-                    est_cost: req.est,
-                    outcome: Err(ServeError::Exec(e)),
-                    invoice: Usage::default(),
-                });
-                return;
-            }
-        };
-        let key = plan_key(&input.query, service.topology_epoch(), &input.params);
-        let planned = if key == req.key {
-            req.planned
-        } else {
-            // `service` re-borrows inside `lookup_plan`; end this one.
-            // Topology or pricing moved while the request queued: the
-            // admitted plan may no longer match what the executor will
-            // route, so replan (through the cache) at today's epoch.
-            match self.lookup_plan(ti, &key, &input) {
-                Ok(p) => p,
-                Err(e) => {
-                    self.tenants[ti].exec_errors += 1;
-                    self.records.push(QueryRecord {
-                        arrival: req.arrival,
-                        tenant: ti,
-                        est_cost: req.est,
-                        outcome: Err(ServeError::Exec(e)),
-                        invoice: Usage::default(),
-                    });
-                    return;
-                }
+                let outcome = Err(ServeError::Exec(e));
+                return self.record(arrival, ti, est, outcome, Usage::default());
             }
         };
         let remaining = (self.tenants[ti].spec.budget - self.tenants[ti].spent).max(0.0);
@@ -697,87 +682,43 @@ impl<'a> ServeSession<'a> {
             analyze: self.cfg.analyze,
         };
         let res = execute_prepared(&input, &planned, self.catalog, service, &hooks);
-        let delta = service.usage().since(&before);
-        self.tenants[ti].invoice.accumulate(&delta);
-        let (outcome, spent_now) = match res {
-            Ok(out) => {
-                self.tenants[ti].completed += 1;
-                self.tenants[ti].costs.push(out.total_cost);
-                if let Some(pq) = &out.plan_quality {
-                    self.tenants[ti].cost_qs.push(pq.cost_q);
-                }
-                let spent = out.total_cost;
-                (
-                    Ok(QueryOutcome {
-                        table: out.table,
-                        total_cost: out.total_cost,
-                        makespan: out.makespan,
-                        degradations: out.degradations,
-                    }),
-                    spent,
-                )
-            }
+        let invoice = service.usage().since(&before);
+        self.tenants[ti].invoice.accumulate(&invoice);
+        let outcome = match res {
+            Ok(out) => Ok(QueryOutcome {
+                cost_q: out.plan_quality.map(|pq| pq.cost_q),
+                table: out.table,
+                total_cost: out.total_cost,
+                makespan: out.makespan,
+                degradations: out.degradations,
+            }),
             Err(MethodError::Text(TextError::BudgetExceeded { spent_ms, limit_ms })) => {
-                self.tenants[ti].budget_aborted += 1;
                 self.recorder.emit(EventKind::BudgetExhausted {
                     tenant: ti as u64,
-                    arrival: req.arrival,
+                    arrival,
                     spent_ms,
                     remaining_ms: limit_ms,
                 });
-                (
-                    Err(ServeError::BudgetExhausted {
-                        spent: delta.total_cost(),
-                        remaining,
-                    }),
-                    delta.total_cost(),
-                )
+                Err(ServeError::BudgetExhausted {
+                    spent: invoice.total_cost(),
+                    remaining,
+                })
             }
-            Err(e) => {
-                self.tenants[ti].exec_errors += 1;
-                (Err(ServeError::Exec(e)), delta.total_cost())
-            }
+            Err(e) => Err(ServeError::Exec(e)),
         };
-        self.tenants[ti].spent += spent_now;
-        self.records.push(QueryRecord {
-            arrival: req.arrival,
-            tenant: ti,
-            est_cost: req.est,
-            outcome,
-            invoice: delta,
-        });
-    }
-
-    /// Plan-cache lookup for a tenant: a hit reuses the cached plan and
-    /// emits a charge-free `CacheHit`; a miss runs the optimizer and
-    /// remembers the result under the full (spec, epoch, params) key.
-    fn lookup_plan(
-        &mut self,
-        ti: usize,
-        key: &str,
-        input: &PlannerInput,
-    ) -> Result<PlannedQuery, MethodError> {
-        if let Some(p) = self.tenants[ti].plans.get(key).cloned() {
-            self.tenants[ti].plan_hits += 1;
-            self.recorder.emit(EventKind::CacheHit {
-                scope: "plan",
-                epoch: self.backend.service().topology_epoch(),
-            });
-            return Ok(p);
-        }
-        let planned = plan_prepared(input, self.backend.service(), self.cfg.space)?;
-        self.tenants[ti]
-            .plans
-            .insert(key.to_owned(), planned.clone());
-        Ok(planned)
+        self.tenants[ti].spent += match &outcome {
+            Ok(out) => out.total_cost,
+            Err(_) => invoice.total_cost(),
+        };
+        self.record(arrival, ti, est, outcome, invoice);
     }
 
     /// Between-round maintenance: adopt a drift refit into the live
     /// params, and auto-execute pending monitor advice through the
     /// online migration engine while the migration budget lasts.
     fn maintain(&mut self) {
-        if self.cfg.adopt_drift_every > 0 && self.dispatches_since_refit >= self.cfg.adopt_drift_every
-        {
+        let every = self.cfg.adopt_drift_every;
+        if every > 0 && self.dispatches_since_refit >= every {
             self.dispatches_since_refit = 0;
             self.calibration = Some(calibrate_trace(&self.ring.events()));
             self.refits += 1;
@@ -809,7 +750,7 @@ impl<'a> ServeSession<'a> {
             if spent >= self.cfg.migration_budget {
                 continue;
             }
-            let plan = MigrationPlan::from_advice(a, self.cfg.rebalance_batch_docs);
+            let plan = MigrationPlan::from_advice(a, REBALANCE_BATCH_DOCS);
             let journal = sh.begin_migration(plan);
             self.migrated_docs += journal.entries.iter().map(|e| e.docs).sum::<u64>();
             // Transiently refused batches resume from the journal; the
@@ -823,10 +764,14 @@ impl<'a> ServeSession<'a> {
         }
     }
 
-    /// Closes the session: finishes the monitor, detaches nothing (the
-    /// recorder stays for the caller to inspect), and assembles the
-    /// report.
-    fn finish(mut self) -> ServeReport {
+    /// Closes the session: drains the backlog (so no admitted request is
+    /// left without a record), finishes the monitor, detaches nothing
+    /// (the recorder stays for the caller to inspect), and assembles the
+    /// report. The tenants' outcome counts, `costs` and `cost_qs` are
+    /// folded from the log in the order it closed, so `costs` stays in
+    /// dispatch order.
+    pub fn finish(mut self) -> ServeReport {
+        self.step(Input::Drain);
         if let Some(m) = &self.monitor {
             m.finish();
         }
@@ -839,8 +784,7 @@ impl<'a> ServeSession<'a> {
             Backend::Elastic(s) => s.migration_usage().since(&self.start_migration),
             Backend::Single(_) => Usage::default(),
         };
-        self.records.sort_by_key(|r| r.arrival);
-        let tenants = self
+        let mut tenants: Vec<TenantReport> = self
             .tenants
             .iter()
             .map(|t| TenantReport {
@@ -850,19 +794,31 @@ impl<'a> ServeSession<'a> {
                 invoice: t.invoice,
                 spent: t.spent,
                 admitted: t.admitted,
-                completed: t.completed,
-                rejected: t.rejected,
-                shed: t.shed,
-                budget_aborted: t.budget_aborted,
-                exec_errors: t.exec_errors,
-                costs: t.costs.clone(),
-                cost_qs: t.cost_qs.clone(),
                 probe_cache: t.probe_cache.borrow().full_stats(),
                 plan_hits: t.plan_hits,
+                ..TenantReport::default()
             })
             .collect();
+        for r in &self.log {
+            // An unknown tenant's refusal belongs to no tenant.
+            if let Some(t) = tenants.get_mut(r.tenant) {
+                match &r.outcome {
+                    Ok(out) => {
+                        t.completed += 1;
+                        t.costs.push(out.total_cost);
+                        t.cost_qs.extend(out.cost_q);
+                    }
+                    Err(ServeError::Rejected { .. }) => t.rejected += 1,
+                    Err(ServeError::Shed { .. }) => t.shed += 1,
+                    Err(ServeError::BudgetExhausted { .. }) => t.budget_aborted += 1,
+                    Err(ServeError::Exec(_)) => t.exec_errors += 1,
+                    Err(ServeError::UnknownTenant { .. }) => {}
+                }
+            }
+        }
+        self.log.sort_by_key(|r| r.arrival);
         ServeReport {
-            records: self.records,
+            records: self.log,
             tenants,
             aggregate,
             migration,

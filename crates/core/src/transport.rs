@@ -130,19 +130,6 @@ impl<'a> ExecContext<'a> {
         self
     }
 
-    /// Attaches a session-scoped probe cache (builder-style).
-    pub fn with_probe_cache(mut self, cache: &'a RefCell<ProbeCache>) -> Self {
-        self.probe_cache = Some(cache);
-        self
-    }
-
-    /// Attaches a per-query cost ceiling (builder-style): the mid-flight
-    /// budget guard of a serving session.
-    pub fn with_ceiling(mut self, ceiling: CostCeiling) -> Self {
-        self.ceiling = Some(ceiling);
-        self
-    }
-
     /// The mid-flight budget guard: refuses the next charged operation
     /// once the ledger has overrun the attached ceiling. Free when no
     /// ceiling is attached.

@@ -60,11 +60,6 @@ impl Recorder {
         self.clock.get()
     }
 
-    /// Events emitted so far.
-    pub fn events_emitted(&self) -> u64 {
-        self.seq.get()
-    }
-
     /// Number of spans currently open.
     pub fn open_spans(&self) -> usize {
         self.stack.borrow().len()
@@ -73,12 +68,6 @@ impl Recorder {
     /// A point-in-time copy of the metrics registry.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.metrics.borrow().clone()
-    }
-
-    /// Folds externally computed metrics (e.g. per-shard collection
-    /// statistics) into the registry.
-    pub fn merge_metrics(&self, snap: &MetricsSnapshot) {
-        self.metrics.borrow_mut().merge(snap);
     }
 
     /// Stamps and emits one event: assigns the next sequence number,

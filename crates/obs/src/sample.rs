@@ -103,11 +103,6 @@ impl SamplePolicy {
         self
     }
 
-    /// Whether tail-based retention is enabled.
-    pub fn tail_enabled(&self) -> bool {
-        self.tail
-    }
-
     /// Adds a per-span-kind rule: spans whose label starts with
     /// `label_prefix` are sampled at one-in-`denom` instead of the
     /// default. Rules are consulted in insertion order, first match wins.

@@ -93,11 +93,6 @@ impl SearchExpr {
         SearchExpr::Term(BasicTerm::parse_text(text, Some(field)))
     }
 
-    /// A term searched across all fields.
-    pub fn term_any(text: &str) -> Self {
-        SearchExpr::Term(BasicTerm::parse_text(text, None))
-    }
-
     /// Conjunction; flattens nested `And`s and drops the wrapper for a
     /// single child.
     pub fn and(children: Vec<SearchExpr>) -> Self {

@@ -754,3 +754,241 @@ fn dispatch_regathers_only_when_the_export_changed_and_answers_never_move() {
     assert_eq!(quiet.regathered, 0, "an unchanged export is never gathered twice");
     assert_eq!(fingerprint(&quiet), 0xae95_df63_d3ce_ffec);
 }
+
+/// A request naming a tenant the session was not opened with ends in a
+/// typed, charge-free refusal that no tenant's report counts; the rest of
+/// the stream is served as if it had not been there.
+#[test]
+fn unknown_tenant_is_refused_typed_and_charge_free() {
+    let w = world();
+    let server = TextServer::new(w.server.collection().clone());
+    let mut cfg = ServeConfig::new(params_for(&w));
+    cfg.quantum = 1e9;
+    let q6 = paper::q6(&w);
+    let stream = vec![(0, q6.clone()), (1, q6.clone()), (0, q6)];
+    let before = server.usage();
+    let report = ServeSession::new(
+        Backend::Single(&server),
+        &w.catalog,
+        vec![TenantSpec::new("solo", 1e9, 1)],
+        cfg,
+    )
+    .run(&stream);
+
+    assert_eq!(report.records.len(), stream.len());
+    let unknown = &report.records[1];
+    assert_eq!(unknown.tenant, 1);
+    assert!(matches!(
+        unknown.outcome,
+        Err(ServeError::UnknownTenant { tenant: 1 })
+    ));
+    assert_eq!(unknown.invoice, Usage::default());
+    assert!(report
+        .records
+        .iter()
+        .filter(|r| r.arrival != 1)
+        .all(|r| r.outcome.is_ok()));
+    let solo = &report.tenants[0];
+    assert_eq!((solo.admitted, solo.completed), (2, 2));
+    assert_eq!((solo.rejected, solo.shed, solo.exec_errors), (0, 0, 0));
+    assert_eq!(solo.invoice, server.usage().since(&before));
+}
+
+/// Counts exact, times to 1e-9: the time fields are deltas of a running
+/// ledger, so equal charges can differ in the last ulp.
+fn assert_same_ledger(a: &Usage, b: &Usage, what: &str) {
+    assert_eq!(a.invocations, b.invocations, "{what}: invocations");
+    assert_eq!(a.rejected, b.rejected, "{what}: rejected");
+    assert_eq!(
+        a.postings_processed, b.postings_processed,
+        "{what}: postings"
+    );
+    assert_eq!(a.docs_short, b.docs_short, "{what}: docs_short");
+    assert_eq!(a.docs_long, b.docs_long, "{what}: docs_long");
+    assert_eq!(a.faults, b.faults, "{what}: faults");
+    assert_eq!(a.retries, b.retries, "{what}: retries");
+    for (x, y) in [
+        (a.time_invocation, b.time_invocation),
+        (a.time_processing, b.time_processing),
+        (a.time_transmission, b.time_transmission),
+        (a.time_backoff, b.time_backoff),
+    ] {
+        assert!((x - y).abs() < 1e-9, "{what}: time {x} vs {y}");
+    }
+}
+
+/// Stateful model test over `ServeSession::step`. Seeded sessions of 2–4
+/// tenants (budgets from {0, tight, 1e9}, random queue cap, quantum,
+/// degradation depth and analyze) over a lone server with transient
+/// faults serve a 6–12-arrival Q5/Q6 stream that names one unknown
+/// tenant. After every step: each closed record closes an arrival already
+/// stepped and never closed before, under the tenant it named; every
+/// refusal charges nothing; the records' invoices sum to the server's
+/// ledger delta; every answer is the brute-force multiset. After
+/// `finish`, every tenant count is the count over its records.
+#[test]
+fn every_step_keeps_the_outcome_log_exact() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use textjoin::core::serve::{Input, QueryRecord};
+
+    let w = world();
+    let params = params_for(&w);
+    let queries = [paper::q5(&w), paper::q6(&w)];
+    let expected = queries
+        .iter()
+        .map(|q| brute_force_rows(q, &w.catalog, &w.server))
+        .collect::<Vec<_>>();
+    let est = |q: &MultiJoinQuery| {
+        let (_, planned) = prepare_plan(
+            q,
+            &w.catalog,
+            &w.server,
+            params,
+            ExecutionSpace::Prl,
+            None,
+            None,
+        )
+        .expect("plans");
+        planned.est_cost
+    };
+    // Admits a request or two, then rejects (or aborts mid-flight).
+    let tight = 1.5 * est(&queries[0]).max(est(&queries[1]));
+
+    let mut outcomes = [0usize; 5];
+    for case in 0..32u64 {
+        let mut rng = StdRng::seed_from_u64(0x5E55_10C0 ^ case);
+        let n = rng.gen_range(2..=4usize);
+        let tenants: Vec<TenantSpec> = (0..n)
+            .map(|i| {
+                let budget = [0.0, tight, 1e9][rng.gen_range(0..3usize)];
+                TenantSpec::new(&format!("t{i}"), budget, rng.gen_range(0..3u32))
+            })
+            .collect();
+        let mut cfg = ServeConfig::new(params);
+        cfg.queue_cap = rng.gen_range(1..=4usize);
+        cfg.quantum = [0.25 * tight, tight, 1e9][rng.gen_range(0..3usize)];
+        cfg.degrade_depth = rng.gen_range(0..=3usize);
+        cfg.analyze = rng.gen_bool(0.5);
+        let analyze = cfg.analyze;
+        let mut server = TextServer::new(w.server.collection().clone());
+        server.set_fault_plan(FaultPlan::transient(0xFA17 ^ case, 0.2, 2));
+        let len = rng.gen_range(6..=12usize);
+        let mut stream: Vec<(usize, usize)> = (0..len)
+            .map(|_| (rng.gen_range(0..n), rng.gen_range(0..2usize)))
+            .collect();
+        stream[rng.gen_range(0..len)].0 = n;
+
+        let start = server.usage();
+        let mut session = ServeSession::new(Backend::Single(&server), &w.catalog, tenants, cfg);
+        let inputs = stream
+            .iter()
+            .map(|&(tenant, k)| Input::Arrive {
+                tenant,
+                query: &queries[k],
+            })
+            .chain([Input::Drain]);
+        let mut log: Vec<QueryRecord> = Vec::new();
+        let mut stepped = 0u64;
+        for input in inputs {
+            stepped += u64::from(matches!(input, Input::Arrive { .. }));
+            let closed = session.step(input).to_vec();
+            for r in &closed {
+                let what = format!("case {case} arrival {}", r.arrival);
+                assert!(r.arrival < stepped, "{what}: closed before it arrived");
+                assert!(
+                    log.iter().all(|l| l.arrival != r.arrival),
+                    "{what}: closed twice"
+                );
+                let (tenant, k) = stream[r.arrival as usize];
+                assert_eq!(r.tenant, tenant, "{what}: wrong tenant");
+                match &r.outcome {
+                    Ok(out) => {
+                        assert_eq!(canonical_rows(&out.table), expected[k], "{what}: rows");
+                        assert_eq!(out.cost_q.is_some(), analyze, "{what}: cost_q");
+                        outcomes[0] += 1;
+                    }
+                    Err(ServeError::UnknownTenant { tenant: t }) => {
+                        assert_eq!((*t, tenant), (n, n), "{what}: only the unknown tenant");
+                        assert_eq!(r.invoice, Usage::default(), "{what}: charged");
+                        outcomes[1] += 1;
+                    }
+                    Err(ServeError::Rejected { .. } | ServeError::Shed { .. }) => {
+                        assert_eq!(r.invoice, Usage::default(), "{what}: charged");
+                        outcomes[2] += 1;
+                    }
+                    // Failed before an estimate existed: at admission.
+                    Err(ServeError::Exec(_)) if r.est_cost == 0.0 => {
+                        assert_eq!(r.invoice, Usage::default(), "{what}: charged");
+                    }
+                    Err(ServeError::BudgetExhausted { .. }) => outcomes[3] += 1,
+                    Err(ServeError::Exec(_)) => outcomes[4] += 1,
+                }
+                assert!(
+                    r.tenant < n || r.outcome.is_err(),
+                    "{what}: unknown tenant served"
+                );
+            }
+            log.extend(closed);
+            let mut sum = Usage::default();
+            for r in &log {
+                sum.accumulate(&r.invoice);
+            }
+            let ledger = server.usage().since(&start);
+            assert_same_ledger(
+                &sum,
+                &ledger,
+                &format!("case {case} after {stepped} arrivals"),
+            );
+        }
+        assert_eq!(
+            log.len(),
+            stream.len(),
+            "case {case}: every arrival closed once"
+        );
+
+        let report = session.finish();
+        assert_eq!(report.records.len(), stream.len());
+        for (ti, t) in report.tenants.iter().enumerate() {
+            let mine: Vec<&QueryRecord> = log.iter().filter(|r| r.tenant == ti).collect();
+            let count = |f: fn(&Result<_, ServeError>) -> bool| {
+                mine.iter().filter(|r| f(&r.outcome)).count() as u64
+            };
+            let costs: Vec<f64> = mine
+                .iter()
+                .filter_map(|r| r.outcome.as_ref().ok().map(|o| o.total_cost))
+                .collect();
+            assert_eq!(t.completed, count(|o| o.is_ok()), "case {case} tenant {ti}");
+            assert_eq!(
+                t.rejected,
+                count(|o| matches!(o, Err(ServeError::Rejected { .. })))
+            );
+            assert_eq!(t.shed, count(|o| matches!(o, Err(ServeError::Shed { .. }))));
+            assert_eq!(
+                t.budget_aborted,
+                count(|o| matches!(o, Err(ServeError::BudgetExhausted { .. })))
+            );
+            assert_eq!(
+                t.exec_errors,
+                count(|o| matches!(o, Err(ServeError::Exec(_))))
+            );
+            assert_eq!(
+                t.costs, costs,
+                "case {case} tenant {ti}: costs in dispatch order"
+            );
+            assert_eq!(t.cost_qs.len(), if analyze { costs.len() } else { 0 });
+            assert!(t.admitted >= t.completed + t.shed + t.budget_aborted);
+            let mut invoice = Usage::default();
+            for r in &mine {
+                invoice.accumulate(&r.invoice);
+            }
+            assert_same_ledger(&t.invoice, &invoice, &format!("case {case} tenant {ti}"));
+        }
+    }
+    // The generator reaches every kind of ending but engine failures,
+    // which transient faults under the standard retry policy rarely cause.
+    assert!(
+        outcomes[..4].iter().all(|&k| k > 0),
+        "outcome mix {outcomes:?}"
+    );
+}
