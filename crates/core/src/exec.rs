@@ -16,8 +16,8 @@
 use std::borrow::Cow;
 
 use textjoin_rel::catalog::Catalog;
-use textjoin_rel::expr::Pred;
-use textjoin_rel::join::nested_loop_join;
+use textjoin_rel::expr::{CmpOp, Pred};
+use textjoin_rel::join::{hash_join, nested_loop_join};
 use textjoin_rel::ops::group_by;
 use textjoin_rel::schema::{ColId, RelSchema};
 use textjoin_rel::table::Table;
@@ -380,6 +380,10 @@ impl<'a> MultiExecutor<'a> {
         Ok(Table::new(format!("probe({})", t.name()), t.schema().clone()).with_rows(rows))
     }
 
+    /// Relational join node: a hash join keyed on the first equality among
+    /// `preds`, every other predicate and each foreign residual checked on
+    /// the pairs the key matches; a nested loop when no predicate is an
+    /// equality. Both emit the same rows in the same left-major order.
     fn eval_rel_join(
         &self,
         lt: &Table,
@@ -390,6 +394,7 @@ impl<'a> MultiExecutor<'a> {
     ) -> Result<Table, MethodError> {
         let q = self.query();
         let off = lt.schema().len();
+        let mut key = None;
         let mut conds = Vec::new();
         for &i in preds {
             let p = &q.rel_joins[i];
@@ -408,6 +413,10 @@ impl<'a> MultiExecutor<'a> {
                     self.resolve_col(rt.schema(), p.left_rel, &p.left_col)?,
                 )
             };
+            if p.op == CmpOp::Eq && key.is_none() {
+                key = Some((lcol, rcol));
+                continue;
+            }
             conds.push(Pred::CmpCols {
                 left: lcol,
                 op: p.op,
@@ -430,7 +439,7 @@ impl<'a> MultiExecutor<'a> {
                 needle_col: ColId(needle.0 + off),
             });
         }
-        let pred = Pred::and(conds);
+        let residual = Pred::and(conds);
         // Booked from the cardinalities, as the planner prices them
         // (`RelCostModel::join_matching`), not from what the join's
         // short-circuiting evaluation happens to touch.
@@ -438,7 +447,10 @@ impl<'a> MultiExecutor<'a> {
         if !residuals.is_empty() {
             tally.rtp_comparisons += (lt.len() * rt.len() * residuals.len()) as u64;
         }
-        Ok(nested_loop_join(lt, rt, &pred))
+        Ok(match key {
+            Some((lcol, rcol)) => hash_join(lt, rt, lcol, rcol, &residual),
+            None => nested_loop_join(lt, rt, &residual),
+        })
     }
 
     fn eval_text_join(
@@ -603,8 +615,8 @@ pub fn prepare_plan(
 
 /// The parameter-fold + statistics-gather prefix of [`prepare_plan`]:
 /// everything up to (but not including) the optimizer enumeration. A
-/// serving session calls this at every admission — and at dispatch only
-/// if the export changed since, see [`fold_params`] — and skips
+/// serving session calls this once per query shape and statistics export,
+/// restamping the result for each request (see [`fold_params`]), and skips
 /// [`plan_prepared`] on a plan-cache hit.
 pub fn prepare_input(
     query: &MultiJoinQuery,
@@ -1074,6 +1086,116 @@ mod tests {
         assert_eq!(out.table.len(), 1);
         assert!(out.text.invocations >= 1, "text scan invoked the server");
         assert!(out.rtp_comparisons > 0, "residuals counted");
+    }
+
+    /// Students and advisors joined on department and name equalities, each
+    /// name contained in a 1993 document's authors. The advisors repeat keys
+    /// (two CS Gravanos), so buckets hold several rows.
+    fn advisor_fixture() -> (Catalog, TextServer, MultiJoinQuery) {
+        let (mut catalog, server) = fixture();
+        let schema = RelSchema::from_columns(vec![
+            ("name", ValueType::Str),
+            ("dept", ValueType::Str),
+        ]);
+        let mut advisor = Table::new("advisor", schema);
+        for (name, dept) in [
+            ("Gravano", "CS"),
+            ("Garcia", "CS"),
+            ("Kao", "EE"),
+            ("Pham", "CS"),
+            ("Pham", "EE"),
+            ("Gravano", "CS"),
+        ] {
+            advisor.push(tuple![name, dept]);
+        }
+        catalog.register(advisor);
+        let eq = |col: &str| RelJoinPred {
+            left_rel: 0,
+            left_col: col.into(),
+            op: CmpOp::Eq,
+            right_rel: 1,
+            right_col: col.into(),
+        };
+        let mut q = q5();
+        q.relations[1].name = "advisor".into();
+        q.rel_joins = vec![eq("dept"), eq("name")];
+        (catalog, server, q)
+    }
+
+    #[test]
+    fn rel_join_on_an_equality_is_the_nested_loop_row_for_row() {
+        let (catalog, server, q) = advisor_fixture();
+        let export = server.export_stats();
+        let params = CostParams::mercury(server.doc_count() as f64);
+        let input =
+            PlannerInput::gather(&q, &catalog, &export, server.collection().schema(), params)
+                .unwrap();
+        let exec = MultiExecutor::new(&input, &catalog, ExecContext::new(&server)).unwrap();
+        let col = |t: &Table, name: &str| t.schema().column_by_name(name).unwrap();
+        let shifted = |l: &Table, r: &Table, name: &str| ColId(col(r, name).0 + l.schema().len());
+        let (student, advisor) = (&exec.base_tables[0], &exec.base_tables[1]);
+
+        // Documents ⋈ student on a containment residual alone (no
+        // equality: the nested loop), then ⋈ advisor keyed on the
+        // department equality with the advisor's residual on the pairs.
+        let docs_students = PlanNode::RelJoin {
+            left: Box::new(PlanNode::TextJoin {
+                input: None,
+                preds: vec![],
+                method: MethodKind::Rtp,
+                probe_cols: vec![],
+            }),
+            right: Box::new(PlanNode::Scan { rel: 0 }),
+            preds: vec![],
+            foreign_residuals: vec![0],
+        };
+        let inner = exec.execute(&docs_students).unwrap();
+        let plan = PlanNode::RelJoin {
+            left: Box::new(docs_students),
+            right: Box::new(PlanNode::Scan { rel: 1 }),
+            preds: vec![0],
+            foreign_residuals: vec![1],
+        };
+        let out = exec.execute(&plan).unwrap();
+        let (l, r) = (&inner.table, advisor);
+        let pred = Pred::and(vec![
+            Pred::CmpCols {
+                left: col(l, "student.dept"),
+                op: CmpOp::Eq,
+                right: shifted(l, r, "advisor.dept"),
+            },
+            Pred::ContainsCol {
+                hay_col: col(l, "author"),
+                needle_col: shifted(l, r, "advisor.name"),
+            },
+        ]);
+        let expected = nested_loop_join(l, r, &pred);
+        assert_eq!(out.table.rows(), expected.rows());
+        assert_eq!(out.table.len(), 4, "{}", out.table);
+        let pairs = (l.len() * r.len()) as u64;
+        assert_eq!(out.rel_pairs, inner.rel_pairs + pairs);
+        assert_eq!(out.rtp_comparisons, inner.rtp_comparisons + pairs);
+
+        // Two equalities: the first keys the join, the second is checked
+        // on the pairs it matches.
+        let plan = PlanNode::RelJoin {
+            left: Box::new(PlanNode::Scan { rel: 0 }),
+            right: Box::new(PlanNode::Scan { rel: 1 }),
+            preds: vec![0, 1],
+            foreign_residuals: vec![],
+        };
+        let out = exec.execute(&plan).unwrap();
+        let (l, r) = (student, advisor);
+        let on = |c: &str| Pred::CmpCols {
+            left: col(l, &format!("student.{c}")),
+            op: CmpOp::Eq,
+            right: shifted(l, r, &format!("advisor.{c}")),
+        };
+        let expected = nested_loop_join(l, r, &Pred::and(vec![on("dept"), on("name")]));
+        assert_eq!(out.table.rows(), expected.rows());
+        assert_eq!(out.table.len(), 4, "{}", out.table);
+        assert_eq!(out.rel_pairs, (l.len() * r.len()) as u64);
+        assert_eq!(out.rtp_comparisons, 0);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::methods::Projection;
 use crate::optimizer::single::MethodKind;
 
 /// One relation in a multi-join query.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RelSpec {
     /// Catalog name.
     pub name: String,
@@ -30,7 +30,7 @@ pub struct RelSpec {
 
 /// A relational join predicate `left.col <op> right.col` between two
 /// relations of the query.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RelJoinPred {
     /// Index of the left relation in [`MultiJoinQuery::relations`].
     pub left_rel: usize,
@@ -45,7 +45,7 @@ pub struct RelJoinPred {
 }
 
 /// A foreign predicate `rel.col in text.field`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ForeignSpec {
     /// Index of the relation in [`MultiJoinQuery::relations`].
     pub rel: usize,
@@ -56,7 +56,7 @@ pub struct ForeignSpec {
 }
 
 /// A conjunctive query over several relations and the text source.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiJoinQuery {
     /// The stored relations.
     pub relations: Vec<RelSpec>,

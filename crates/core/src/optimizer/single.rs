@@ -75,16 +75,17 @@ pub(crate) fn for_each_subset(k: usize, max_size: usize, mut visit: impl FnMut(&
 }
 
 /// Finds the cheapest probe set by exhaustive `O(2^k)` search, under the
-/// cost function `f` (e.g. [`cost_p_ts`] or [`cost_p_rtp`]).
-///
-/// # Panics
-/// Panics at 31 predicates or more: `2^31` cost calls are a hang.
+/// cost function `f` (e.g. [`cost_p_ts`] or [`cost_p_rtp`]). `None` when
+/// there is no predicate, or more than 30 of them: `2^31` cost calls are a
+/// hang.
 pub fn optimal_probe_exhaustive(
     p: &CostParams,
     s: &JoinStatistics,
     f: impl Fn(&CostParams, &JoinStatistics, &[usize]) -> CostBreakdown,
 ) -> Option<(Vec<usize>, CostBreakdown)> {
-    assert!(s.k() < 31, "exhaustive search: at most 30 predicates");
+    if s.k() > 30 {
+        return None;
+    }
     best_subset(s.k(), p, s, f)
 }
 
@@ -136,7 +137,8 @@ fn probe_label(prefix: &str, cols: &[usize], suffix: &str) -> String {
 
 /// Costs every applicable method for the join, using the bounded
 /// probe-column search (pass `exhaustive_probe = true` for the `O(2^k)`
-/// ablation). Candidates are returned sorted cheapest-first.
+/// ablation, which lists no probing method past 30 predicates). Candidates
+/// are returned sorted cheapest-first.
 pub fn enumerate_methods(
     p: &CostParams,
     s: &JoinStatistics,
@@ -377,11 +379,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at most 30 predicates")]
     fn exhaustive_search_refuses_what_it_cannot_finish() {
         let (p, mut s) = base();
         s.preds = vec![PredStats::simple(0.5, 3.0, 50.0); 31];
-        optimal_probe_exhaustive(&p, &s, cost_p_ts);
+        assert!(optimal_probe_exhaustive(&p, &s, cost_p_ts).is_none());
+    }
+
+    #[test]
+    fn exhaustive_ablation_at_k31_lists_the_non_probing_methods() {
+        let (p, mut s) = base();
+        s.preds = vec![PredStats::simple(0.5, 3.0, 50.0); 31];
+        let labels = |exhaustive| -> Vec<String> {
+            enumerate_methods(&p, &s, Projection::Full, exhaustive)
+                .into_iter()
+                .map(|c| c.label)
+                .collect()
+        };
+        let ablation = labels(true);
+        assert!(ablation.contains(&"TS".to_owned()), "{ablation:?}");
+        let bounded = labels(false);
+        let non_probing: Vec<&String> = bounded.iter().filter(|l| !l.starts_with('P')).collect();
+        assert_eq!(ablation.iter().collect::<Vec<_>>(), non_probing);
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //!    is exactly Σ invoices + the migration bucket.
 //! 4. **Cross-query sharing.** Per-tenant [`ProbeCache`] and plan cache
 //!    (keyed on spec shape, topology epoch, folded params): charge-free,
-//!    result-preserving, visible as charge-free `CacheHit` events.
+//!    result-preserving, visible as charge-free `CacheHit` events. Below
+//!    both, one statistics gather per query shape and export handle.
 //!
 //! The session is a step function ([`ServeSession::step`]) over one
 //! outcome log: every request ends in exactly one [`QueryRecord`], and a
@@ -290,9 +291,9 @@ pub struct ServeReport {
     pub migrated_docs: u64,
     /// Calibration refits adopted into the live params.
     pub refits: u64,
-    /// Dispatches that gathered statistics anew because the server's
-    /// export was no longer the one their admission read. Every other
-    /// dispatch kept its admission's statistics and only re-folded params.
+    /// Dispatches whose admission read an export the server has since
+    /// replaced. Every other dispatch kept its admission's statistics and
+    /// only re-folded params.
     pub regathered: u64,
 }
 
@@ -339,15 +340,6 @@ struct Prepared {
     planned: PlannedQuery,
 }
 
-/// What [`ServeSession::prepare`] starts from: a fresh arrival, or a
-/// request admission queued. Moved into one call, never stored, so the
-/// size of `Queued` costs nothing.
-#[allow(clippy::large_enum_variant)]
-enum Source<'q> {
-    Arrival(&'q MultiJoinQuery),
-    Queued(Prepared),
-}
-
 /// How a request ended.
 type Outcome = Result<QueryOutcome, ServeError>;
 
@@ -391,6 +383,9 @@ pub struct ServeSession<'a> {
     advice_consumed: usize,
     migrated_docs: u64,
     regathered: u64,
+    /// One statistics gather per query shape, each served only while the
+    /// server still exports the handle it was gathered from.
+    gathered: Vec<PlannerInput>,
     /// Every closed request, in the order it closed.
     log: Vec<QueryRecord>,
     start_usage: Usage,
@@ -450,6 +445,7 @@ impl<'a> ServeSession<'a> {
             advice_consumed: 0,
             migrated_docs: 0,
             regathered: 0,
+            gathered: Vec::new(),
             log: Vec::new(),
             start_usage,
             start_migration,
@@ -512,7 +508,7 @@ impl<'a> ServeSession<'a> {
             let outcome = Err(ServeError::UnknownTenant { tenant: ti });
             return self.record(arrival, ti, 0.0, outcome, refused);
         }
-        let req = match self.prepare(ti, arrival, Source::Arrival(query)) {
+        let req = match self.prepare(ti, arrival, query, None) {
             Ok(req) => req,
             Err(e) => return self.record(arrival, ti, 0.0, Err(ServeError::Exec(e)), refused),
         };
@@ -546,31 +542,22 @@ impl<'a> ServeSession<'a> {
         }
     }
 
-    /// The one prepare → key → plan path. A queued request keeps its
-    /// admission's statistics while the server still exports the handle
-    /// they were read from (only the params can have moved), and its plan
-    /// while the cache key matches; otherwise it replans through the
-    /// cache at today's epoch, so planner pricing and executor routing
-    /// stay in lockstep. The plan cache is keyed on (spec, epoch, folded
-    /// params); a hit emits a charge-free `CacheHit`.
-    fn prepare(&mut self, ti: usize, arrival: u64, src: Source) -> Result<Prepared, MethodError> {
+    /// The one prepare → key → plan path, for an arrival and (with the
+    /// key and plan admission found) a queued request alike. The input
+    /// comes from [`input`](Self::input); a queued request keeps its plan
+    /// while the cache key matches, otherwise it replans through the cache
+    /// at today's epoch, so planner pricing and executor routing stay in
+    /// lockstep. The plan cache is keyed on (spec, epoch, folded params); a
+    /// hit emits a charge-free `CacheHit`.
+    fn prepare(
+        &mut self,
+        ti: usize,
+        arrival: u64,
+        query: &MultiJoinQuery,
+        admitted: Option<(String, PlannedQuery)>,
+    ) -> Result<Prepared, MethodError> {
+        let input = self.input(ti, query)?;
         let service = self.backend.service();
-        let fold = Some(self.tenants[ti].invoice);
-        let (params, cal) = (self.cfg.params, self.calibration.as_ref());
-        let gather = |query: &MultiJoinQuery| {
-            prepare_input(query, self.catalog, service, params, cal, fold.as_ref())
-        };
-        let (input, admitted) = match src {
-            Source::Queued(p) if p.input.gathered_from(&service.export_stats()) => {
-                let params = fold_params(&p.input.query, service, params, cal, fold.as_ref());
-                (p.input.with_params(params), Some((p.key, p.planned)))
-            }
-            Source::Queued(p) => {
-                self.regathered += 1;
-                (gather(&p.input.query)?, Some((p.key, p.planned)))
-            }
-            Source::Arrival(query) => (gather(query)?, None),
-        };
         let epoch = service.topology_epoch();
         let key = plan_key(&input.query, epoch, &input.params);
         let t = &mut self.tenants[ti];
@@ -598,6 +585,29 @@ impl<'a> ServeSession<'a> {
             key,
             planned,
         })
+    }
+
+    /// `query`'s planner input under tenant `ti`'s fold: the session's
+    /// gather for this query shape, restamped with today's params, while
+    /// the server still exports the handle it was gathered from; otherwise
+    /// a fresh gather, which replaces it. The catalog is borrowed for the
+    /// whole session, so the query and the export handle are the whole key.
+    fn input(&mut self, ti: usize, query: &MultiJoinQuery) -> Result<PlannerInput, MethodError> {
+        let service = self.backend.service();
+        let (params, cal) = (self.cfg.params, self.calibration.as_ref());
+        let fold = Some(&self.tenants[ti].invoice);
+        let export = service.export_stats();
+        let shape = self.gathered.iter().position(|i| i.query == *query);
+        if let Some(at) = shape.filter(|&at| self.gathered[at].gathered_from(&export)) {
+            let params = fold_params(query, service, params, cal, fold);
+            return Ok(self.gathered[at].clone().with_params(params));
+        }
+        let input = prepare_input(query, self.catalog, service, params, cal, fold)?;
+        match shape {
+            Some(at) => self.gathered[at] = input.clone(),
+            None => self.gathered.push(input.clone()),
+        }
+        Ok(input)
     }
 
     /// Sheds the lowest-priority queued request (ties broken toward the
@@ -661,7 +671,10 @@ impl<'a> ServeSession<'a> {
     fn dispatch(&mut self, ti: usize, req: Prepared, pressure: bool) {
         self.dispatches_since_refit += 1;
         let (arrival, est) = (req.arrival, req.planned.est_cost);
-        let Prepared { input, planned, .. } = match self.prepare(ti, arrival, Source::Queued(req)) {
+        let export = self.backend.service().export_stats();
+        self.regathered += u64::from(!req.input.gathered_from(&export));
+        let (query, admitted) = (&req.input.query, Some((req.key, req.planned)));
+        let Prepared { input, planned, .. } = match self.prepare(ti, arrival, query, admitted) {
             Ok(req) => req,
             Err(e) => {
                 let outcome = Err(ServeError::Exec(e));
@@ -854,4 +867,141 @@ pub fn percentile(costs: &[f64], q: f64) -> f64 {
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("costs are finite"));
     let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
     sorted[rank - 1]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::methods::Projection;
+    use crate::optimizer::plan::{ForeignSpec, RelJoinPred, RelSpec};
+    use textjoin_rel::expr::{CmpOp, Pred};
+    use textjoin_rel::schema::RelSchema;
+    use textjoin_rel::tuple;
+    use textjoin_rel::value::ValueType;
+    use textjoin_text::doc::{DocId, Document, TextSchema};
+    use textjoin_text::index::Collection;
+    use textjoin_text::rebalance::Move;
+
+    fn fixture() -> (Catalog, Collection) {
+        let mut catalog = Catalog::new();
+        let schema =
+            RelSchema::from_columns(vec![("name", ValueType::Str), ("dept", ValueType::Str)]);
+        for (rel, rows) in [
+            ("student", [("Gravano", "CS"), ("Kao", "EE"), ("Pham", "CS")]),
+            ("faculty", [("Garcia", "EE"), ("Dayal", "CS"), ("Ullman", "CS")]),
+        ] {
+            let mut t = Table::new(rel, schema.clone());
+            for (name, dept) in rows {
+                t.push(tuple![name, dept]);
+            }
+            catalog.register(t);
+        }
+        let schema = TextSchema::bibliographic();
+        let au = schema.field_by_name("author").unwrap();
+        let yr = schema.field_by_name("year").unwrap();
+        let mut coll = Collection::new(schema);
+        for (authors, year) in [
+            (&["Gravano", "Garcia"][..], "1993"),
+            (&["Kao", "Garcia"], "1993"),
+            (&["Pham", "Dayal"], "1990"),
+            (&["Gravano", "Dayal"], "1993"),
+        ] {
+            let doc = authors.iter().fold(Document::new(), |d, a| d.with(au, *a));
+            coll.add_document(doc.with(yr, year));
+        }
+        (catalog, coll)
+    }
+
+    /// Student–faculty co-authors of 1993 whose departments compare by `op`.
+    fn query(op: CmpOp) -> MultiJoinQuery {
+        let rel = |name: &str| RelSpec {
+            name: name.into(),
+            local_pred: Pred::True,
+        };
+        let author = |rel| ForeignSpec {
+            rel,
+            column: "name".into(),
+            field: "author".into(),
+        };
+        MultiJoinQuery {
+            relations: vec![rel("student"), rel("faculty")],
+            rel_joins: vec![RelJoinPred {
+                left_rel: 0,
+                left_col: "dept".into(),
+                op,
+                right_rel: 1,
+                right_col: "dept".into(),
+            }],
+            selections: vec![("1993".into(), "year".into())],
+            foreign: vec![author(0), author(1)],
+            projection: Projection::Full,
+        }
+    }
+
+    /// Everything gathered and the stamp, map order aside: two gathers
+    /// build their distinct-count maps with different hash seeds.
+    fn render(i: &PlannerInput) -> String {
+        let base: Vec<_> = i
+            .base
+            .iter()
+            .map(|b| (b.rows, b.distinct.iter().collect::<BTreeMap<_, _>>()))
+            .collect();
+        format!(
+            "{:?}",
+            (&i.query, &i.params, base, &i.foreign, i.sel_fanout, i.sel_postings, i.sel_terms)
+        )
+    }
+
+    /// Two query shapes arrive in turn while migrations commit between
+    /// same-shape arrivals. After each commit the shape's gather is stale
+    /// and is replaced; every input the session hands out was gathered
+    /// from the current export, never a retired one, and is what a fresh
+    /// `prepare_input` computes at that point.
+    #[test]
+    fn a_gather_is_served_only_while_its_export_is_current() {
+        let (catalog, coll) = fixture();
+        let mut server = ShardedTextServer::new(&coll, 2, 7);
+        let params = CostParams::mercury(server.doc_count() as f64);
+        let tenants = vec![TenantSpec::new("t", 1e9, 1)];
+        let cfg = ServeConfig::new(params);
+        let mut session = ServeSession::new(Backend::Elastic(&mut server), &catalog, tenants, cfg);
+        let shapes = [query(CmpOp::Ne), query(CmpOp::Eq)];
+        let mut retired = Vec::new();
+        for round in 0..5 {
+            let migrate = round % 2 == 1;
+            if migrate {
+                let Backend::Elastic(sh) = &mut session.backend else {
+                    unreachable!("the session was opened elastic")
+                };
+                retired.push(sh.export_stats());
+                let src = sh.owner_of(DocId(round)).unwrap();
+                let mv = Move { range: (DocId(round), DocId(round + 1)), src, dst: 1 - src };
+                sh.begin_migration(MigrationPlan::new(vec![mv], 1));
+                while sh.journal().is_some_and(|j| !j.finished()) {
+                    sh.migrate_batch().unwrap();
+                }
+            }
+            for q in &shapes {
+                let service = session.backend.service();
+                let export = service.export_stats();
+                let replaced = retired.iter().all(|old| !old.ptr_eq(&export));
+                assert!(replaced, "each commit replaced the export");
+                let fold = session.tenants[0].invoice;
+                let fresh = prepare_input(q, &catalog, service, params, None, Some(&fold)).unwrap();
+                let memo = session.gathered.iter().find(|i| i.query == *q);
+                let stale = memo.is_some_and(|i| !i.gathered_from(&export));
+                assert_eq!(stale, migrate, "round {round}: only a commit retires a gather");
+                let input = session.input(0, q).unwrap();
+                assert!(input.gathered_from(&export));
+                assert!(retired.iter().all(|old| !input.gathered_from(old)));
+                assert_eq!(render(&input), render(&fresh), "round {round}");
+                let closed = session.step(Input::Arrive { tenant: 0, query: q });
+                assert!(closed.iter().all(|r| r.outcome.is_ok()), "{closed:?}");
+            }
+            assert_eq!(session.gathered.len(), shapes.len(), "one gather per shape");
+        }
+        let report = session.finish();
+        assert_eq!(report.records.len(), 10);
+        assert!(report.records.iter().all(|r| r.outcome.is_ok()));
+    }
 }

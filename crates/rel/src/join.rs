@@ -10,7 +10,6 @@ use std::collections::HashMap;
 use crate::expr::Pred;
 use crate::schema::ColId;
 use crate::table::Table;
-use crate::tuple::Tuple;
 use crate::value::Value;
 
 /// Builds the concatenated output schema/table shell for a join of `l`, `r`.
@@ -37,55 +36,32 @@ pub fn nested_loop_join(l: &Table, r: &Table, pred: &Pred) -> Table {
     join_shell(l, r).with_rows(rows)
 }
 
-/// Hash equi-join on `l.lcol = r.rcol`, with an optional residual predicate
-/// over the concatenated schema. NULL keys never join (SQL semantics).
+/// Hash equi-join on `l.lcol = r.rcol`, with a residual predicate over the
+/// concatenated schema. NULL keys never join, and keys of different types
+/// never match (SQL semantics, as [`Value::sql_cmp`] has them).
+///
+/// Builds on `r`, each bucket in `r`'s row order, and probes with `l`'s rows
+/// in order, so the output is exactly [`nested_loop_join`]'s sequence under
+/// `l.lcol = r.rcol ∧ residual`: callers may rely on row order.
 pub fn hash_join(l: &Table, r: &Table, lcol: ColId, rcol: ColId, residual: &Pred) -> Table {
     let residual = residual.bind(l, r);
-    // Build on the smaller side; probe with the larger.
-    let build_left = l.len() <= r.len();
-    let (build, probe) = if build_left { (l, r) } else { (r, l) };
-    let (bcol, pcol) = if build_left { (lcol, rcol) } else { (rcol, lcol) };
-
-    let mut ht: HashMap<&Value, Vec<usize>> = HashMap::new();
-    for (bi, bt) in build.iter().enumerate() {
-        let k = bt.get(bcol);
+    let mut buckets: HashMap<&Value, Vec<usize>> = HashMap::new();
+    for (ri, rt) in r.iter().enumerate() {
+        let k = rt.get(rcol);
         if !k.is_null() {
-            ht.entry(k).or_default().push(bi);
+            buckets.entry(k).or_default().push(ri);
         }
     }
     let mut rows = Vec::new();
-    for (pi, pt) in probe.iter().enumerate() {
-        let k = pt.get(pcol);
-        if k.is_null() {
-            continue;
-        }
-        for &bi in ht.get(k).into_iter().flatten() {
-            let (li, ri) = if build_left { (bi, pi) } else { (pi, bi) };
+    for (li, lt) in l.iter().enumerate() {
+        // A NULL probe key finds no bucket: none was built for NULL.
+        for &ri in buckets.get(lt.get(lcol)).into_iter().flatten() {
             if residual.eval(li, ri) {
-                rows.push(l.rows()[li].concat(&r.rows()[ri]));
+                rows.push(lt.concat(&r.rows()[ri]));
             }
         }
     }
-    // Hash join may permute output order relative to nested loop; sort by
-    // nothing — bag semantics, callers must not rely on order.
     join_shell(l, r).with_rows(rows)
-}
-
-/// Semi-join `l ⋉ r` on `l.lcol = r.rcol`: rows of `l` with at least one
-/// match in `r`. Keeps `l`'s schema. This is the relational analogue of the
-/// reduction the paper's *probe nodes* perform on a relation.
-pub fn semi_join(l: &Table, r: &Table, lcol: ColId, rcol: ColId) -> Table {
-    let keys: std::collections::HashSet<&Value> = r
-        .iter()
-        .map(|t| t.get(rcol))
-        .filter(|v| !v.is_null())
-        .collect();
-    let rows: Vec<Tuple> = l
-        .iter()
-        .filter(|t| keys.contains(t.get(lcol)))
-        .cloned()
-        .collect();
-    Table::new(format!("({} ⋉ {})", l.name(), r.name()), l.schema().clone()).with_rows(rows)
 }
 
 #[cfg(test)]
@@ -94,6 +70,7 @@ mod tests {
     use crate::expr::CmpOp;
     use crate::schema::RelSchema;
     use crate::tuple;
+    use crate::tuple::Tuple;
     use crate::value::ValueType;
 
     fn student() -> Table {
@@ -157,12 +134,7 @@ mod tests {
         };
         let nl = nested_loop_join(&s, &f, &eq);
         let hj = hash_join(&s, &f, ColId(1), ColId(1), &Pred::True);
-        assert_eq!(nl.len(), hj.len());
-        let mut nl_rows: Vec<String> = nl.iter().map(|t| t.to_string()).collect();
-        let mut hj_rows: Vec<String> = hj.iter().map(|t| t.to_string()).collect();
-        nl_rows.sort();
-        hj_rows.sort();
-        assert_eq!(nl_rows, hj_rows);
+        assert_eq!(hj.rows(), nl.rows(), "same rows, same order");
     }
 
     #[test]
@@ -190,27 +162,10 @@ mod tests {
     }
 
     #[test]
-    fn semi_join_reduces() {
-        let s = student();
-        let f = faculty();
-        let sj = semi_join(&s, &f, s.col("dept"), f.col("dept"));
-        assert_eq!(sj.len(), 3, "all students have a same-dept faculty");
-        let mut tiny = Table::new(
-            "one",
-            RelSchema::from_columns(vec![("dept", ValueType::Str)]),
-        );
-        tiny.push(tuple!["CS"]);
-        let sj = semi_join(&s, &tiny, s.col("dept"), ColId(0));
-        assert_eq!(sj.len(), 2);
-        assert_eq!(sj.schema(), s.schema(), "semi-join keeps left schema");
-    }
-
-    #[test]
     fn empty_side_joins() {
         let s = student();
         let empty = Table::new("empty", s.schema().clone());
         assert!(nested_loop_join(&empty, &s, &Pred::True).is_empty());
         assert!(hash_join(&s, &empty, ColId(1), ColId(1), &Pred::True).is_empty());
-        assert!(semi_join(&s, &empty, ColId(1), ColId(1)).is_empty());
     }
 }
