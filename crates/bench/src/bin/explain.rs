@@ -223,4 +223,127 @@ mod tests {
         let cli = parse(&[]).expect("parses");
         assert_eq!(cli, Cli::default());
     }
+
+    use proptest::prelude::*;
+
+    /// Widths `--windows` must refuse: zero, negative, not finite, past
+    /// `f64`, or not a number at all.
+    const BAD_WIDTHS: &[&str] = &[
+        "0", "-0", "0.0", "-1", "-1e308", "NaN", "nan", "inf", "-inf", "infinity", "1e309", "",
+        "abc", "5s", "0x10",
+    ];
+
+    /// What argument lists are made of: both flags, their near misses,
+    /// widths good and bad, paths, and junk.
+    const TOKENS: &[&str] = &[
+        "--windows", "--windows", "--analyze", "--analyze", "--window", "--ANALYZE",
+        "--windows=5", "-w", "-", "--", "50", "0.5", "1e-300", "1e308", "+3", "0", "-1", "NaN",
+        "inf", "1e309", "trace.jsonl", "a b.jsonl", "/tmp/t.jsonl", "é", "",
+    ];
+
+    /// The documented grammar, `[trace.jsonl] [--windows <secs>]
+    /// [--analyze]` in any order, with `--analyze` taking no path: what a
+    /// whole argument list means, or `None` if it means nothing.
+    fn grammar(tokens: &[&str]) -> Option<Cli> {
+        let positive = |s: &str| s.parse::<f64>().ok().filter(|v| v.is_finite() && *v > 0.0);
+        let mut cli = Cli::default();
+        let mut rest = tokens;
+        loop {
+            rest = match rest {
+                [] => break,
+                ["--windows", secs, tail @ ..] => {
+                    cli.windows = Some(positive(secs)?);
+                    tail
+                }
+                ["--analyze", tail @ ..] => {
+                    cli.analyze = true;
+                    tail
+                }
+                [path, tail @ ..] if !path.starts_with('-') && cli.path.is_none() => {
+                    cli.path = Some(path.to_string());
+                    tail
+                }
+                _ => return None,
+            };
+        }
+        (!(cli.analyze && cli.path.is_some())).then_some(cli)
+    }
+
+    /// The items of a well-formed list, each whole, in a drawn order.
+    fn items() -> impl Strategy<Value = Vec<Vec<&'static str>>> {
+        const PATHS: &[&str] = &["trace.jsonl", "a b.jsonl", "é", "50"];
+        const WIDTHS: &[&str] = &["50", "0.5", "1e-300", "1e308", "+3"];
+        (
+            (prop::sample::select(PATHS), prop::bool::ANY),
+            (prop::sample::select(WIDTHS), prop::bool::ANY),
+            prop::bool::ANY,
+            prop::collection::vec(0..usize::MAX, 3),
+        )
+            .prop_map(|((path, with_path), (secs, with_secs), analyze, order)| {
+                let mut items: Vec<Vec<&str>> = Vec::new();
+                if with_path {
+                    items.push(vec![path]);
+                }
+                if with_secs {
+                    items.push(vec!["--windows", secs]);
+                }
+                if analyze {
+                    items.push(vec!["--analyze"]);
+                }
+                for (i, at) in (1..items.len()).rev().zip(order) {
+                    items.swap(i, at % (i + 1));
+                }
+                items
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Any token list: no panic, and accepted exactly when the grammar
+        /// gives it a meaning, with that meaning.
+        #[test]
+        fn parse_args_is_the_documented_grammar(
+            tokens in prop::collection::vec(prop::sample::select(TOKENS), 0..7),
+        ) {
+            let got = parse(&tokens);
+            prop_assert_eq!(got.as_ref().ok(), grammar(&tokens).as_ref(), "{:?} -> {:?}", tokens, got);
+            if let Ok(Cli { windows: Some(secs), .. }) = got {
+                prop_assert!(secs.is_finite() && secs > 0.0);
+            }
+        }
+
+        /// Every well-formed list parses to what it says.
+        #[test]
+        fn well_formed_lists_parse(items in items()) {
+            let tokens: Vec<&str> = items.concat();
+            let cli = parse(&tokens);
+            let analyze = tokens.contains(&"--analyze");
+            let path = items.iter().find(|i| i.len() == 1 && i[0] != "--analyze");
+            if analyze && path.is_some() {
+                prop_assert!(cli.is_err(), "{:?}", tokens);
+            } else {
+                let cli = cli.expect("a well-formed list parses");
+                prop_assert_eq!(cli.analyze, analyze);
+                prop_assert_eq!(cli.path.as_deref(), path.map(|p| p[0]));
+                let secs = items.iter().find(|i| i.len() == 2).map(|i| i[1].parse::<f64>().unwrap());
+                prop_assert_eq!(cli.windows, secs);
+            }
+        }
+
+        /// A `--windows` that is not a positive finite number is refused,
+        /// wherever it sits among otherwise good items.
+        #[test]
+        fn a_bad_width_is_always_refused(
+            items in items(),
+            bad in prop::sample::select(BAD_WIDTHS),
+            at in 0..usize::MAX,
+        ) {
+            let mut items = items;
+            let at = at % (items.len() + 1);
+            items.insert(at, vec!["--windows", bad]);
+            let tokens: Vec<&str> = items.concat();
+            prop_assert!(parse(&tokens).is_err(), "{:?}", tokens);
+        }
+    }
 }

@@ -47,18 +47,20 @@ impl Charge {
         *self == Charge::default()
     }
 
-    /// Field-wise sum, for trace↔ledger reconciliation.
+    /// Field-wise sum, for trace↔ledger reconciliation. Counters wrap: a
+    /// replayed file may hold any `i64`, and summing it must not panic.
+    /// A wrapped sum is still exact modulo 2⁶⁴ and the same in any order.
     pub fn accumulate(&mut self, other: &Charge) {
-        self.invocations += other.invocations;
-        self.rejected += other.rejected;
-        self.postings += other.postings;
-        self.docs_short += other.docs_short;
-        self.docs_long += other.docs_long;
+        self.invocations = self.invocations.wrapping_add(other.invocations);
+        self.rejected = self.rejected.wrapping_add(other.rejected);
+        self.postings = self.postings.wrapping_add(other.postings);
+        self.docs_short = self.docs_short.wrapping_add(other.docs_short);
+        self.docs_long = self.docs_long.wrapping_add(other.docs_long);
         self.time_invocation += other.time_invocation;
         self.time_processing += other.time_processing;
         self.time_transmission += other.time_transmission;
-        self.faults += other.faults;
-        self.retries += other.retries;
+        self.faults = self.faults.wrapping_add(other.faults);
+        self.retries = self.retries.wrapping_add(other.retries);
         self.time_backoff += other.time_backoff;
     }
 }

@@ -11,7 +11,9 @@ use std::rc::Rc;
 
 use proptest::prelude::*;
 
-use textjoin_obs::{parse_jsonl, Charge, Event, EventKind, JsonlSink, PlannerChoice, Sink};
+use textjoin_obs::{
+    parse_jsonl, render, Charge, Event, EventKind, JsonlSink, PlannerChoice, Sink,
+};
 
 /// The generator's entropy: a fixed list of drawn words, read in order
 /// (zeros once it runs out).
@@ -311,6 +313,20 @@ fn seeds() -> impl Strategy<Value = (usize, Vec<u64>)> {
     (0..EventKind::TYPES.len(), prop::collection::vec(0..u64::MAX, 48))
 }
 
+/// A stream to replay: about half its events open or close a span, so
+/// spans nest, close with none open and are left open at the end.
+fn trace() -> impl Strategy<Value = Vec<(usize, Vec<u64>)>> {
+    let n = EventKind::TYPES.len();
+    let seed = (0..2 * n, prop::collection::vec(0..u64::MAX, 48));
+    prop::collection::vec(seed, 0..24).prop_map(move |seeds| {
+        seeds
+            .into_iter()
+            // `SpanBegin` and `SpanEnd` are kinds 0 and 1.
+            .map(|(kind, words)| (if kind < n { kind } else { kind % 2 }, words))
+            .collect()
+    })
+}
+
 fn event_of((kind, words): &(usize, Vec<u64>)) -> Event {
     Draw(words.iter()).event(*kind)
 }
@@ -467,6 +483,21 @@ proptest! {
         let parsed = parse_jsonl(&lines.replace('\n', "\n\n \t\n")).expect("a stream parses");
         prop_assert_eq!(parsed.len(), events.len());
         prop_assert!(parsed.iter().zip(&events).all(|(a, b)| same(a, b)));
+    }
+
+    /// What `explain trace.jsonl` prints is what the live session would
+    /// have: rendering the parsed lines gives the live render's bytes, and
+    /// neither panics however the spans nest.
+    #[test]
+    fn a_replayed_trace_renders_as_the_live_one(stream in trace()) {
+        let events: Vec<Event> = stream.iter().map(event_of).collect();
+        let mut lines = String::new();
+        for ev in &events {
+            lines.push_str(&ev.to_jsonl());
+            lines.push('\n');
+        }
+        let replayed = parse_jsonl(&lines).expect("a written stream parses");
+        prop_assert_eq!(render(&replayed), render(&events));
     }
 
     /// Field order and spaces or tabs between tokens do not matter.

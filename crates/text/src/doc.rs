@@ -36,6 +36,30 @@ pub struct TextSchema {
     short_mask: u64,
 }
 
+/// Why [`TextSchema::add_field`] refused a field.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SchemaError {
+    /// The field asked for the short form, which already spans the first
+    /// 64 fields of the schema.
+    ShortFormFull {
+        /// The refused field's name.
+        field: String,
+    },
+}
+
+impl fmt::Display for SchemaError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SchemaError::ShortFormFull { field } => write!(
+                f,
+                "short-form field {field:?} is past the first 64 fields of its schema"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for SchemaError {}
+
 /// Definition of one text field.
 #[derive(Debug, Clone)]
 pub struct FieldDef {
@@ -55,22 +79,22 @@ impl TextSchema {
 
     /// Adds a field and returns its [`FieldId`].
     ///
-    /// # Panics
-    /// Panics if `in_short_form` is set on a field past the first 64 of the
-    /// schema: the short form is a fixed, small projection, and a
-    /// [`ShortDoc`] names its fields in one machine word.
+    /// # Errors
+    /// [`SchemaError::ShortFormFull`] if `in_short_form` is set on a field
+    /// past the first 64 of the schema: the short form is a fixed, small
+    /// projection, and a [`ShortDoc`] names its fields in one machine
+    /// word. The schema is left as it was.
     pub fn add_field(
         &mut self,
         name: impl Into<String>,
         alias: impl Into<String>,
         in_short_form: bool,
-    ) -> FieldId {
+    ) -> Result<FieldId, SchemaError> {
         let id = FieldId(self.fields.len() as u16);
         if in_short_form {
-            assert!(
-                u32::from(id.0) < u64::BITS,
-                "short-form fields must be among the first 64 of a schema"
-            );
+            if u32::from(id.0) >= u64::BITS {
+                return Err(SchemaError::ShortFormFull { field: name.into() });
+            }
             self.short_mask |= 1 << id.0;
         }
         self.fields.push(FieldDef {
@@ -78,7 +102,7 @@ impl TextSchema {
             alias: alias.into(),
             in_short_form,
         });
-        id
+        Ok(id)
     }
 
     /// A bibliographic schema modeled on the CSTR database served by Project
@@ -86,11 +110,16 @@ impl TextSchema {
     /// `institution` (IN). Title, author and year are in the short form.
     pub fn bibliographic() -> Self {
         let mut s = Self::new();
-        s.add_field("title", "TI", true);
-        s.add_field("author", "AU", true);
-        s.add_field("abstract", "AB", false);
-        s.add_field("year", "YR", true);
-        s.add_field("institution", "IN", false);
+        for (name, alias, short) in [
+            ("title", "TI", true),
+            ("author", "AU", true),
+            ("abstract", "AB", false),
+            ("year", "YR", true),
+            ("institution", "IN", false),
+        ] {
+            s.add_field(name, alias, short)
+                .expect("five fields fit the short form");
+        }
         s
     }
 
@@ -402,14 +431,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "first 64")]
     fn short_form_field_past_the_mask_is_refused() {
         let mut s = TextSchema::new();
         for i in 0..64 {
-            s.add_field(format!("f{i}"), format!("F{i}"), i == 63);
+            s.add_field(format!("f{i}"), format!("F{i}"), i == 63)
+                .expect("within the first 64");
         }
-        s.add_field("late", "LT", false);
-        s.add_field("late_short", "LS", true);
+        assert_eq!(s.add_field("late", "LT", false), Ok(FieldId(64)));
+        let before = format!("{s:?}");
+        let err = s.add_field("late_short", "LS", true).unwrap_err();
+        assert_eq!(
+            err,
+            SchemaError::ShortFormFull {
+                field: "late_short".into()
+            }
+        );
+        assert!(err.to_string().contains("first 64"), "{err}");
+        assert_eq!(format!("{s:?}"), before, "a refusal leaves the schema as it was");
+        assert_eq!(s.len(), 65);
+        assert_eq!(s.resolve("LS"), None);
+        // A long-form field still fits after the refusal.
+        assert_eq!(s.add_field("later", "LR", false), Ok(FieldId(65)));
     }
 
     #[test]

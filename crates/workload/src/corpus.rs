@@ -13,11 +13,16 @@ use textjoin_text::doc::TextSchema;
 /// Builds the CSTR text schema.
 pub fn cstr_schema() -> TextSchema {
     let mut s = TextSchema::new();
-    s.add_field("title", "TI", true);
-    s.add_field("author", "AU", false);
-    s.add_field("abstract", "AB", false);
-    s.add_field("year", "YR", true);
-    s.add_field("institution", "IN", false);
+    for (name, alias, short) in [
+        ("title", "TI", true),
+        ("author", "AU", false),
+        ("abstract", "AB", false),
+        ("year", "YR", true),
+        ("institution", "IN", false),
+    ] {
+        s.add_field(name, alias, short)
+            .expect("five fields fit the short form");
+    }
     s
 }
 

@@ -20,15 +20,15 @@ use textjoin::rel::schema::{ColId, RelSchema};
 use textjoin::rel::table::Table;
 use textjoin::rel::tuple;
 use textjoin::rel::value::ValueType;
-use textjoin::text::doc::{Document, TextSchema};
+use textjoin::text::doc::{Document, SchemaError, TextSchema};
 use textjoin::text::index::Collection;
 use textjoin::text::server::TextServer;
 
-fn literature() -> TextServer {
+fn literature() -> Result<TextServer, SchemaError> {
     let mut schema = TextSchema::new();
-    let ti = schema.add_field("title", "TI", true);
-    let ab = schema.add_field("abstract", "AB", false);
-    let jo = schema.add_field("journal", "JO", true);
+    let ti = schema.add_field("title", "TI", true)?;
+    let ab = schema.add_field("abstract", "AB", false)?;
+    let jo = schema.add_field("journal", "JO", true)?;
     let mut coll = Collection::new(schema);
     let mut add = |title: &str, abs: &str, journal: &str| {
         coll.add_document(
@@ -63,7 +63,7 @@ fn literature() -> TextServer {
         "Propranolol efficacy in chronic migraine.",
         "Lancet",
     );
-    TextServer::new(coll)
+    Ok(TextServer::new(coll))
 }
 
 fn patients() -> Catalog {
@@ -88,7 +88,7 @@ fn patients() -> Catalog {
 }
 
 fn main() {
-    let server = literature();
+    let server = literature().expect("three fields fit the short form");
     let catalog = patients();
 
     // select * from patient, literature
