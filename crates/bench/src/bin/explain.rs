@@ -16,7 +16,9 @@
 //! observability appendix is regenerated from this binary.
 
 use textjoin_bench::experiments::{default_world, explain_analyze, explain_run};
-use textjoin_obs::{parse_jsonl, render, Event, MetricsSnapshot, Monitor, MonitorConfig};
+use textjoin_obs::{
+    parse_jsonl, render, Event, MetricsSnapshot, Monitor, MonitorConfig, MAX_WINDOWS,
+};
 
 /// The p50/p90/p99 summary `explain` appends below the span tree. The
 /// quantiles come from the metrics registry's pow2 histograms replayed
@@ -40,23 +42,20 @@ fn quantile_summary(events: &[Event]) -> String {
     out
 }
 
-/// The most windows `--windows` may open over one trace.
-const MAX_WINDOWS: f64 = 1_000_000.0;
-
 /// Refuses a `--windows` width the trace's clock makes unrenderable. The
-/// monitor trusts its clock: it closes one dense window per index up to
-/// `floor(clock / window_secs)`, empty ones included (they are rows of
-/// the rendered table), so a trace file's largest clock over a tiny width
-/// would otherwise spin or exhaust memory.
+/// monitor closes one dense window per index up to `floor(clock /
+/// window_secs)`, empty ones included (they are rows of the rendered
+/// table), and leaves out an event past [`MAX_WINDOWS`]; a width that
+/// would leave events out is refused up front instead.
 fn check_windows(events: &[Event], window_secs: f64) -> Result<(), String> {
     // `f64::max` skips a NaN clock; a negative one lands in window 0.
     let windows = (events.iter().map(|e| e.clock).fold(0.0, f64::max) / window_secs).floor();
-    if windows <= MAX_WINDOWS {
+    if windows <= MAX_WINDOWS as f64 {
         return Ok(());
     }
     Err(format!(
         "--windows {window_secs:?} would open {windows:?} windows over this trace \
-         (at most {MAX_WINDOWS:.0})"
+         (at most {MAX_WINDOWS})"
     ))
 }
 

@@ -24,7 +24,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use textjoin_rel::ops::group_by;
-use textjoin_text::doc::{DocId, Document, ShortDoc};
+use textjoin_text::doc::{DocId, Document};
 
 use super::cache::{ProbeCache, ProbeOutcome};
 use super::rel_match::Candidates;
@@ -274,7 +274,7 @@ fn probe_first_ts(
         if result.is_empty() {
             continue;
         }
-        let docs = fetch_for_projection(ctx, fj, &result.docs)?;
+        let docs = fetch_for_projection(ctx, fj, result.docs.ids())?;
         for &ri in &rows {
             fj.emit(&mut out, text_schema, &fj.rel.rows()[ri], &docs);
         }
@@ -323,7 +323,7 @@ fn lazy_ts(
         if !result.is_empty() {
             // Query success implies probe success: record without sending.
             cache.record(ctx.server.topology_epoch(), &probe_key, ProbeOutcome::Success);
-            let docs = fetch_for_projection(ctx, fj, &result.docs)?;
+            let docs = fetch_for_projection(ctx, fj, result.docs.ids())?;
             for &ri in &rows {
                 fj.emit(&mut out, text_schema, &fj.rel.rows()[ri], &docs);
             }
@@ -413,7 +413,7 @@ fn ordered_ts(
             let result = ctx.search(&expr)?;
             if !result.is_empty() {
                 probe_known_ok = true;
-                let docs = fetch_for_projection(ctx, fj, &result.docs)?;
+                let docs = fetch_for_projection(ctx, fj, result.docs.ids())?;
                 for &ri in rows {
                     fj.emit(&mut out, text_schema, &fj.rel.rows()[ri], &docs);
                 }
@@ -541,7 +541,7 @@ pub fn probe_rtp(
                             .instantiated_search(t, &all)
                             .expect("key_values succeeded");
                         let result = ctx.search(&expr)?;
-                        e.insert(fetch_for_projection(ctx, fj, &result.docs)?)
+                        e.insert(fetch_for_projection(ctx, fj, result.docs.ids())?)
                     }
                 };
                 fj.emit(&mut out, text_schema, t, docs);
@@ -568,14 +568,11 @@ fn cols_of(fj: &ForeignJoin<'_>, probe_cols: &[usize]) -> Vec<textjoin_rel::sche
 fn fetch_for_projection(
     ctx: &ExecContext<'_>,
     fj: &ForeignJoin<'_>,
-    docs: &[ShortDoc],
+    ids: &[DocId],
 ) -> Result<Vec<(DocId, Document)>, MethodError> {
     match fj.projection {
-        Projection::Full => docs
-            .iter()
-            .map(|d| Ok((d.id, ctx.retrieve(d.id)?)))
-            .collect(),
-        _ => Ok(docs.iter().map(|d| (d.id, Document::new())).collect()),
+        Projection::Full => ids.iter().map(|&id| Ok((id, ctx.retrieve(id)?))).collect(),
+        _ => Ok(ids.iter().map(|&id| (id, Document::new())).collect()),
     }
 }
 

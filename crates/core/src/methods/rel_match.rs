@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use textjoin_rel::strmatch::Normalized;
 use textjoin_rel::table::Table;
 use textjoin_rel::tuple::Tuple;
-use textjoin_text::doc::{DocId, Document, ShortDoc, TextSchema};
+use textjoin_text::doc::{DocId, Document, ShortDoc, ShortRef, TextSchema};
 use textjoin_text::server::TextError;
 
 use super::{ExecContext, ForeignJoin, MethodError, Projection};
@@ -50,15 +50,15 @@ impl Candidates {
     /// forms (retrieved and charged, under a span named `fetch_span`) when
     /// the projection is [`Projection::Full`] or a join field is not in the
     /// short form, the short forms otherwise. A search ships short forms
-    /// and its caller passes them on; a probe ships docids only, so its
-    /// caller passes `None` and the short form the probe's result set
-    /// already carried is rebuilt locally — the one sanctioned exception to
-    /// loose integration, not charged again.
-    pub(crate) fn fetch(
+    /// and its caller lends them; a probe ships docids only, so its caller
+    /// passes `None` and the short form the probe's result set already
+    /// carried is rebuilt locally — the one sanctioned exception to loose
+    /// integration, not charged again.
+    pub(crate) fn fetch<'s>(
         ctx: &ExecContext<'_>,
         fj: &ForeignJoin<'_>,
         fetch_span: &str,
-        found: impl IntoIterator<Item = (DocId, Option<ShortDoc>)>,
+        found: impl IntoIterator<Item = (DocId, Option<ShortRef<'s>>)>,
     ) -> Result<Self, MethodError> {
         let need_long =
             fj.projection == Projection::Full || !fj.short_form_sufficient(ctx.server.schema());
@@ -67,12 +67,20 @@ impl Candidates {
         // One empty long form for every candidate that needs none.
         let no_long = Document::new();
         for (id, short) in found {
+            let rebuilt: ShortDoc;
             let (long, short) = if need_long {
                 (ctx.retrieve(id)?, None)
             } else {
-                let short = short
-                    .or_else(|| ctx.server.reconstruct_short(id))
-                    .ok_or(MethodError::Text(TextError::UnknownDoc(id)))?;
+                let short = match short {
+                    Some(short) => short,
+                    None => {
+                        rebuilt = ctx
+                            .server
+                            .reconstruct_short(id)
+                            .ok_or(MethodError::Text(TextError::UnknownDoc(id)))?;
+                        rebuilt.view()
+                    }
+                };
                 (no_long.clone(), Some(short))
             };
             let values_of = |f| short.as_ref().map_or_else(|| long.values(f), |s| s.values(f));

@@ -57,7 +57,7 @@ fn complete(
 ) -> Result<MethodOutcome, MethodError> {
     let text_schema = ctx.server.schema();
     let mut out = fj.output_table(text_schema, "RTP");
-    let found = result.docs.into_iter().map(|d| (d.id, Some(d)));
+    let found = result.docs.iter().map(|d| (d.id, Some(d)));
     let candidates = Candidates::fetch(ctx, fj, "fetch-long", found)?;
 
     let _match_span = ctx.span("relational-match");

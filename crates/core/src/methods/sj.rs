@@ -111,8 +111,8 @@ pub fn semi_join(
         };
         match ctx.search(&expr) {
             Ok(result) => {
-                for d in result.docs {
-                    matched.entry(d.id).or_insert(d);
+                for d in result.docs.iter() {
+                    matched.entry(d.id).or_insert_with(|| d.to_owned());
                 }
             }
             Err(TextError::TooManyTerms { .. } | TextError::CapReduced { .. })
@@ -146,7 +146,7 @@ pub fn semi_join(
 
     // RTP completion: fetch what the matching needs and match docs back to
     // tuples.
-    let found = matched.into_iter().map(|(id, d)| (id, Some(d)));
+    let found = matched.iter().map(|(&id, d)| (id, Some(d.view())));
     let candidates = Candidates::fetch(ctx, fj, "fetch", found)?;
     let _match_span = ctx.span("residual-match");
     let mut matcher = candidates.matcher(fj);

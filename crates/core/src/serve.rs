@@ -835,7 +835,8 @@ impl<'a> ServeSession<'a> {
             tenants,
             aggregate,
             migration,
-            trace: self.ring.events(),
+            // Nothing reads the ring after the session: drained, not cloned.
+            trace: self.ring.take(),
             monitor_table: self.monitor.as_ref().map(|m| m.render_table()),
             migrated_docs: self.migrated_docs,
             refits: self.refits,

@@ -39,7 +39,7 @@ pub use explain::render;
 pub use metrics::{Histogram, MetricsSnapshot};
 pub use monitor::{
     render_windows, Advice, Monitor, MonitorConfig, OwnerFn, ReplicaWindow, ShardWindow,
-    WindowStats,
+    WindowStats, MAX_WINDOWS,
 };
 pub use recorder::{Recorder, SpanGuard};
 pub use sample::{is_hot, splitmix64, SampledSink, SamplePolicy};

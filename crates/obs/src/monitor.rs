@@ -70,6 +70,11 @@ use crate::sink::Sink;
 /// `ShardedTextServer::owner_of`.
 pub type OwnerFn = Rc<dyn Fn(u64) -> usize>;
 
+/// The largest window index a monitor ingests an event into. It closes
+/// every window before that one, empty ones included, so this bounds the
+/// table (and the time and memory) one event can ask for.
+pub const MAX_WINDOWS: u64 = 1_000_000;
+
 /// Tuning for the windowed monitor. All thresholds are deterministic
 /// constants; nothing here reads a clock or a RNG.
 #[derive(Clone)]
@@ -349,6 +354,8 @@ struct WindowAcc {
 struct MonState {
     /// Index of the window currently accumulating.
     current: u64,
+    /// Events not ingested: their window lay past [`MAX_WINDOWS`].
+    skipped: u64,
     acc: WindowAcc,
     windows: Vec<WindowStats>,
     /// Skew hot-state per shard (absent == cold).
@@ -378,6 +385,7 @@ impl Default for MonState {
     fn default() -> Self {
         Self {
             current: 0,
+            skipped: 0,
             acc: WindowAcc::default(),
             windows: Vec::new(),
             hot_shards: BTreeMap::new(),
@@ -473,12 +481,27 @@ impl Monitor {
         });
     }
 
+    /// Events left out because their window index lay past
+    /// [`MAX_WINDOWS`].
+    pub fn skipped(&self) -> u64 {
+        self.state.borrow().skipped
+    }
+
     /// Buckets one event into the current window, closing windows as the
-    /// simulated clock crosses their boundaries.
+    /// simulated clock crosses their boundaries. An event whose window
+    /// index lies past [`MAX_WINDOWS`] is counted and left out: every
+    /// window up to it would be closed (they are rows of the table), so a
+    /// clock of `1e300` would otherwise never finish.
     fn ingest(&self, st: &mut MonState, ev: &Event) {
+        // A NaN or negative clock lands in window 0, as the cast has it.
+        let index = (ev.clock / self.cfg.window_secs).floor();
+        if index > MAX_WINDOWS as f64 {
+            st.skipped += 1;
+            return;
+        }
         st.started = true;
         st.finished = false;
-        let w = (ev.clock / self.cfg.window_secs).floor() as u64;
+        let w = index as u64;
         while st.current < w {
             self.close_window(st);
         }
@@ -1225,6 +1248,30 @@ mod tests {
         let b = Monitor::replay(cfg(), &events).render_table();
         assert_eq!(a, b, "byte-identical across replays");
         assert!(a.starts_with("monitor: "), "{a}");
+    }
+
+    #[test]
+    fn an_event_past_the_last_window_is_skipped_not_waited_for() {
+        let mut lines: Vec<String> = (0..12)
+            .map(|i| call(i as f64 * 3.0, Some(i % 2), 1.0).to_jsonl())
+            .collect();
+        let parse = |lines: &[String]| {
+            crate::trace::parse_jsonl(&(lines.join("\n") + "\n")).expect("a well-formed trace")
+        };
+        let cfg = || MonitorConfig::new(10.0).with_baseline(1.0, 1.0, 1.0, 1.0);
+        let want = Monitor::replay(cfg(), &parse(&lines));
+        assert_eq!(want.skipped(), 0);
+        for clock in ["1e999", "1e300"] {
+            let line = call(0.0, Some(1), 1.0)
+                .to_jsonl()
+                .replace("\"clock\":0", &format!("\"clock\":{clock}"));
+            assert!(line.contains(clock), "{line}");
+            lines.insert(6, line);
+            let mon = Monitor::replay(cfg(), &parse(&lines));
+            lines.remove(6);
+            assert_eq!(mon.skipped(), 1, "clock {clock}");
+            assert_eq!(mon.render_table(), want.render_table(), "clock {clock}");
+        }
     }
 
     #[test]

@@ -33,7 +33,8 @@ impl BatchResult {
         let set: BTreeSet<DocId> = self
             .results
             .iter()
-            .flat_map(|r| r.docs.iter().map(|d| d.id))
+            .flat_map(|r| r.docs.ids())
+            .copied()
             .collect();
         set.into_iter().collect()
     }
@@ -80,8 +81,8 @@ impl TextServer {
         let mut duplicate_docs = 0u64;
         for e in exprs {
             let r = self.search(e)?;
-            for d in &r.docs {
-                if !shipped.insert(d.id) {
+            for &id in r.docs.ids() {
+                if !shipped.insert(id) {
                     duplicate_docs += 1;
                 }
             }

@@ -30,9 +30,9 @@ pub struct FieldId(pub u16);
 #[derive(Debug, Clone, Default)]
 pub struct TextSchema {
     fields: Vec<FieldDef>,
-    /// Bit `i` is set iff `FieldId(i)` is in the short form. Every
-    /// [`ShortDoc`] carries a copy, so checking a field costs no schema
-    /// lookup and sharing a document costs no second handle.
+    /// Bit `i` is set iff `FieldId(i)` is in the short form. Every result
+    /// set and [`ShortDoc`] carries a copy, so checking a field costs no
+    /// schema lookup and sharing a document costs no second handle.
     short_mask: u64,
 }
 
@@ -234,14 +234,135 @@ impl Document {
     }
 }
 
-/// The abbreviated per-document record returned in a search result set:
-/// the docid plus the short-form fields. (Paper, Section 2.1.)
+/// Documents per chunk of a [`DocStore`].
+const CHUNK: usize = 1024;
+
+/// A collection's documents, append-only: `Arc` chunks of [`CHUNK`]
+/// documents behind one `Arc`. Cloning copies that one handle, so a result
+/// set or a replica holds the whole store for one reference count. A push
+/// to a shared store copies the chunk handles and at most the tail chunk's
+/// document handles; every other chunk stays shared.
+#[derive(Clone, Default)]
+pub(crate) struct DocStore {
+    chunks: Arc<Vec<Arc<Vec<Document>>>>,
+}
+
+impl DocStore {
+    /// Number of documents.
+    pub(crate) fn len(&self) -> usize {
+        self.chunks
+            .last()
+            .map_or(0, |tail| (self.chunks.len() - 1) * CHUNK + tail.len())
+    }
+
+    /// Document `i`, or `None` past the end.
+    pub(crate) fn get(&self, i: usize) -> Option<&Document> {
+        self.chunks.get(i / CHUNK)?.get(i % CHUNK)
+    }
+
+    /// Document `i`, which a result set placed there when it found it: the
+    /// store only grows, so it is still there.
+    fn nth(&self, i: usize) -> &Document {
+        &self.chunks[i / CHUNK][i % CHUNK]
+    }
+
+    /// Appends `doc` as document `len()`.
+    pub(crate) fn push(&mut self, doc: Document) {
+        let chunks = Arc::make_mut(&mut self.chunks);
+        match chunks.last_mut() {
+            Some(tail) if tail.len() < CHUNK => Arc::make_mut(tail).push(doc),
+            _ => chunks.push(Arc::new(vec![doc])),
+        }
+    }
+}
+
+impl fmt::Debug for DocStore {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.chunks.iter().flat_map(|c| c.iter())).finish()
+    }
+}
+
+/// Whether `mask` shows `field` in a short form.
+fn shows(mask: u64, field: FieldId) -> bool {
+    u32::from(field.0) < u64::BITS && mask & (1 << field.0) != 0
+}
+
+/// One short form, borrowed from the result set or [`ShortDoc`] that holds
+/// its document: the docid plus the short-form fields. (Paper, Section
+/// 2.1.)
 ///
-/// A short record is a *view*: it shares the stored [`Document`] and shows
-/// only the fields the schema marks short-form, so producing, caching or
-/// merging one copies no string. Nothing on this type — accessors, `==`,
-/// `Debug` — reaches a long-form field; those still cost a
+/// Nothing on this type — accessors, `==`, `Debug` — reaches a long-form
+/// field; those still cost a
 /// [`retrieve`](crate::server::TextServer::retrieve).
+pub struct ShortRef<'a> {
+    /// The document's id, always present.
+    pub id: DocId,
+    doc: Held<'a>,
+    short_mask: u64,
+}
+
+/// Where a [`ShortRef`]'s document is: in a result set's store, looked up
+/// when a field is read, or behind a [`ShortDoc`]'s own handle.
+#[derive(Clone, Copy)]
+enum Held<'a> {
+    Stored(&'a DocStore, DocId),
+    Owned(&'a Document),
+}
+
+impl<'a> ShortRef<'a> {
+    fn doc(&self) -> &'a Document {
+        match self.doc {
+            Held::Stored(store, local) => store.nth(local.0 as usize),
+            Held::Owned(doc) => doc,
+        }
+    }
+
+    /// Values of `field` in this short record (empty if not short-form).
+    pub fn values(&self, field: FieldId) -> &'a [String] {
+        if shows(self.short_mask, field) {
+            self.doc().values(field)
+        } else {
+            &[]
+        }
+    }
+
+    /// Iterates over the `(FieldId, &[values])` this short record carries.
+    pub fn short_form_fields(&self) -> impl Iterator<Item = (FieldId, &'a [String])> + 'a {
+        let mask = self.short_mask;
+        self.doc().iter().filter(move |(f, _)| shows(mask, *f))
+    }
+
+    /// The owned form: a handle on the same document.
+    pub fn to_owned(&self) -> ShortDoc {
+        ShortDoc {
+            id: self.id,
+            doc: self.doc().clone(),
+            short_mask: self.short_mask,
+        }
+    }
+}
+
+impl PartialEq for ShortRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.id == other.id && self.short_form_fields().eq(other.short_form_fields())
+    }
+}
+
+impl Eq for ShortRef<'_> {}
+
+impl fmt::Debug for ShortRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let fields: BTreeMap<_, _> = self.short_form_fields().collect();
+        f.debug_struct("ShortDoc")
+            .field("id", &self.id)
+            .field("fields", &fields)
+            .finish()
+    }
+}
+
+/// A short form that owns a handle on its document, for a caller that
+/// keeps it past the result set it came in. It reads, compares and prints
+/// exactly as its [`ShortRef`] does.
 #[derive(Clone)]
 pub struct ShortDoc {
     /// The document's id, always present.
@@ -260,28 +381,29 @@ impl ShortDoc {
         }
     }
 
-    fn shows(&self, field: FieldId) -> bool {
-        u32::from(field.0) < u64::BITS && self.short_mask & (1 << field.0) != 0
+    /// This short form, borrowed.
+    pub fn view(&self) -> ShortRef<'_> {
+        ShortRef {
+            id: self.id,
+            doc: Held::Owned(&self.doc),
+            short_mask: self.short_mask,
+        }
     }
 
     /// Values of `field` in this short record (empty if not short-form).
     pub fn values(&self, field: FieldId) -> &[String] {
-        if self.shows(field) {
-            self.doc.values(field)
-        } else {
-            &[]
-        }
+        self.view().values(field)
     }
 
     /// Iterates over the `(FieldId, &[values])` this short record carries.
     pub fn short_form_fields(&self) -> impl Iterator<Item = (FieldId, &[String])> {
-        self.doc.iter().filter(|(f, _)| self.shows(*f))
+        self.view().short_form_fields()
     }
 }
 
 impl PartialEq for ShortDoc {
     fn eq(&self, other: &Self) -> bool {
-        self.id == other.id && self.short_form_fields().eq(other.short_form_fields())
+        self.view() == other.view()
     }
 }
 
@@ -289,11 +411,135 @@ impl Eq for ShortDoc {}
 
 impl fmt::Debug for ShortDoc {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let fields: BTreeMap<_, _> = self.short_form_fields().collect();
-        f.debug_struct("ShortDoc")
-            .field("id", &self.id)
-            .field("fields", &fields)
-            .finish()
+        self.view().fmt(f)
+    }
+}
+
+/// The short forms of a search result set, in ascending order of the ids
+/// they report: a view on the document stores the hits live in.
+///
+/// A result holds one handle per store — one for a lone server, at most
+/// one per shard after a gather — and each hit's id and place, so building
+/// one takes no reference on any document. A short form is resolved when
+/// it is read: [`iter`](Self::iter) borrows each as a [`ShortRef`], and
+/// iterating by value hands out owned [`ShortDoc`]s.
+#[derive(Clone, Default)]
+pub struct ShortForms {
+    /// The ids the hits report, ascending.
+    ids: Vec<DocId>,
+    /// Per hit, its store and its id there. Empty when every hit is its
+    /// own id in `stores[0]`, as a lone server's are.
+    places: Vec<(u32, DocId)>,
+    stores: Vec<DocStore>,
+    short_mask: u64,
+}
+
+impl ShortForms {
+    /// The hits `ids` of `store`, under `schema`.
+    pub(crate) fn new(ids: Vec<DocId>, store: &DocStore, schema: &TextSchema) -> Self {
+        Self {
+            ids,
+            places: Vec::new(),
+            stores: vec![store.clone()],
+            short_mask: schema.short_mask,
+        }
+    }
+
+    /// Number of hits.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Whether nothing matched.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// The ids the hits report, ascending.
+    pub fn ids(&self) -> &[DocId] {
+        &self.ids
+    }
+
+    /// The ids, by value.
+    pub(crate) fn into_ids(self) -> Vec<DocId> {
+        self.ids
+    }
+
+    /// Hit `i`'s store and its id there.
+    fn place(&self, i: usize) -> (u32, DocId) {
+        self.places.get(i).copied().unwrap_or((0, self.ids[i]))
+    }
+
+    /// Hit `i`'s short form.
+    fn at(&self, i: usize) -> ShortRef<'_> {
+        let (store, local) = self.place(i);
+        ShortRef {
+            id: self.ids[i],
+            doc: Held::Stored(&self.stores[store as usize], local),
+            short_mask: self.short_mask,
+        }
+    }
+
+    /// The short forms, borrowed, in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = ShortRef<'_>> {
+        (0..self.len()).map(|i| self.at(i))
+    }
+
+    /// Keeps the hits `report` names an id for, renamed to it, in
+    /// ascending order of the new ids.
+    pub(crate) fn rename(&mut self, report: impl Fn(DocId) -> Option<DocId>) {
+        let hits = (0..self.len())
+            .filter_map(|i| Some((report(self.ids[i])?, self.place(i))))
+            .collect();
+        self.set_hits(hits);
+    }
+
+    /// Replaces the hits with `hits` (reported id, place), sorted by id.
+    fn set_hits(&mut self, mut hits: Vec<(DocId, (u32, DocId))>) {
+        hits.sort_unstable_by_key(|&(id, _)| id);
+        (self.ids, self.places) = hits.into_iter().unzip();
+    }
+
+    /// One result set of the hits of `parts`, whose ids are disjoint, in
+    /// ascending order. Each part's stores are kept, once; an empty part
+    /// adds none.
+    pub(crate) fn merge(parts: impl IntoIterator<Item = ShortForms>) -> ShortForms {
+        let mut out = ShortForms::default();
+        let mut hits = Vec::new();
+        for part in parts.into_iter().filter(|p| !p.is_empty()) {
+            let base = out.stores.len() as u32;
+            hits.extend((0..part.len()).map(|i| {
+                let (store, local) = part.place(i);
+                (part.ids[i], (base + store, local))
+            }));
+            out.stores.extend(part.stores);
+            out.short_mask = part.short_mask;
+        }
+        out.set_hits(hits);
+        out
+    }
+}
+
+impl PartialEq for ShortForms {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for ShortForms {}
+
+impl fmt::Debug for ShortForms {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl IntoIterator for ShortForms {
+    type Item = ShortDoc;
+    type IntoIter = std::vec::IntoIter<ShortDoc>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter().map(|r| r.to_owned()).collect::<Vec<_>>().into_iter()
     }
 }
 
@@ -387,19 +633,86 @@ mod tests {
         assert_ne!(a, other_title);
     }
 
-    #[test]
-    fn short_form_shares_the_document() {
+    /// A server over `n` documents that all hold the title word "shared".
+    fn shared_server(n: usize) -> crate::server::TextServer {
         let s = schema();
         let ti = s.field_by_name("title").unwrap();
-        let doc = Document::new().with(ti, "A Title");
-        let sf = ShortDoc::new(DocId(0), doc.clone(), &s);
-        let copy = sf.clone();
-        assert_eq!(
-            Arc::strong_count(&doc.values),
-            3,
-            "a refcount per short form, no copy"
-        );
-        assert!(std::ptr::eq(copy.values(ti), doc.values(ti)));
+        let mut c = crate::index::Collection::new(s);
+        for i in 0..n {
+            c.add_document(Document::new().with(ti, format!("shared {i}")));
+        }
+        crate::server::TextServer::new(c)
+    }
+
+    #[test]
+    fn short_form_shares_the_document() {
+        // A result holds the store, not a handle per hit.
+        let server = shared_server(2 * CHUNK + 5);
+        let ti = FieldId(0);
+        let stored = |i: u32| server.collection().document(DocId(i)).unwrap();
+        let r = server.search_str("TI='shared'").unwrap();
+        assert_eq!(r.len(), 2 * CHUNK + 5);
+        assert_eq!(r.docs.stores.len(), 1, "one store handle");
+        for i in 0..r.len() as u32 {
+            assert_eq!(Arc::strong_count(&stored(i).values), 1, "doc {i}: no handle per hit");
+        }
+        // A read resolves into the stored document, copying nothing.
+        for (hit, i) in r.docs.iter().zip(0..) {
+            assert_eq!(hit.id, DocId(i));
+            assert!(std::ptr::eq(hit.values(ti), stored(i).values(ti)));
+        }
+        // The owned form is a handle on the same document.
+        let owned = r.docs.iter().nth(3).unwrap().to_owned();
+        assert_eq!(Arc::strong_count(&stored(3).values), 2);
+        assert!(std::ptr::eq(owned.values(ti), stored(3).values(ti)));
+        assert_eq!(owned.view(), r.docs.iter().nth(3).unwrap());
+        assert_eq!(owned, server.collection().short_form(DocId(3)).unwrap());
+    }
+
+    #[test]
+    fn a_push_under_a_live_result_copies_at_most_the_tail_chunk() {
+        let mut server = shared_server(2 * CHUNK + 5);
+        let before = server.search_str("TI='shared'").unwrap();
+        let ti = FieldId(0);
+        server
+            .collection_mut()
+            .add_document(Document::new().with(ti, "shared late"));
+        let after = server.search_str("TI='shared'").unwrap();
+        let (old, new) = (&before.docs.stores[0].chunks, &after.docs.stores[0].chunks);
+        assert_eq!((old.len(), new.len()), (3, 3));
+        for c in 0..2 {
+            assert!(Arc::ptr_eq(&old[c], &new[c]), "chunk {c} is shared");
+            assert_eq!(Arc::strong_count(&new[c]), 2, "chunk {c}: the result's and the store's");
+            assert!(new[c].iter().all(|d| Arc::strong_count(&d.values) == 1));
+        }
+        // The tail was copied: one chunk of document handles, no string.
+        assert!(!Arc::ptr_eq(&old[2], &new[2]));
+        assert_eq!((old[2].len(), new[2].len()), (5, 6));
+        assert!(old[2].iter().zip(new[2].iter()).all(|(a, b)| a.ptr_eq(b)));
+        assert!(old[2].iter().all(|d| Arc::strong_count(&d.values) == 2));
+        // The live result still reads what it found.
+        assert_eq!(before.len(), 2 * CHUNK + 5);
+        assert_eq!(after.len(), 2 * CHUNK + 6);
+        assert_eq!(before.docs.iter().last().unwrap().id, DocId(2 * CHUNK as u32 + 4));
+    }
+
+    #[test]
+    fn store_chunks_fill_in_order_and_clones_share_them() {
+        let mut store = DocStore::default();
+        assert_eq!((store.len(), store.get(0).is_none()), (0, true));
+        let docs: Vec<Document> = (0..CHUNK + 2)
+            .map(|i| Document::new().with(FieldId(0), format!("{i}")))
+            .collect();
+        for d in &docs {
+            store.push(d.clone());
+        }
+        assert_eq!(store.len(), CHUNK + 2);
+        assert_eq!(store.chunks.len(), 2);
+        assert!((0..store.len()).all(|i| store.get(i).unwrap().ptr_eq(&docs[i])));
+        assert!(store.get(CHUNK + 2).is_none());
+        let replica = store.clone();
+        assert!(Arc::ptr_eq(&replica.chunks, &store.chunks), "one handle copied");
+        assert_eq!(format!("{replica:?}"), format!("{docs:?}"));
     }
 
     #[test]
@@ -427,7 +740,10 @@ mod tests {
         fn send_sync<T: Send + Sync>() {}
         send_sync::<Document>();
         send_sync::<ShortDoc>();
+        send_sync::<ShortRef<'static>>();
         send_sync::<crate::index::Collection>();
+        send_sync::<crate::server::SearchResult>();
+        send_sync::<crate::batch::BatchResult>();
     }
 
     #[test]

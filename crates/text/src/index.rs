@@ -10,8 +10,8 @@ use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::OnceLock;
 
-use crate::doc::{DocId, Document, FieldId, ShortDoc, TextSchema};
-use crate::postings::{Occurrence, PostingList};
+use crate::doc::{DocId, DocStore, Document, FieldId, ShortDoc, ShortForms, TextSchema};
+use crate::postings::{DocSet, Occurrence, PostingList};
 use crate::stats::VocabularyStats;
 use crate::token::for_each_token;
 
@@ -22,8 +22,9 @@ use crate::token::for_each_token;
 pub struct Collection {
     schema: TextSchema,
     /// Each document's values are stored once; short forms, long forms,
-    /// replicas and migration copies are clones of this handle.
-    docs: Vec<Document>,
+    /// replicas and migration copies are clones of its handle, and a
+    /// result set or a replica holds the store itself.
+    docs: DocStore,
     /// Directory: word → inverted list. Ordered for prefix range scans.
     directory: BTreeMap<String, PostingList>,
     /// The statistics export of the current content, built when first asked
@@ -37,7 +38,7 @@ impl Collection {
     pub fn new(schema: TextSchema) -> Self {
         Self {
             schema,
-            docs: Vec::new(),
+            docs: DocStore::default(),
             directory: BTreeMap::new(),
             stats: OnceLock::new(),
         }
@@ -94,10 +95,16 @@ impl Collection {
         self.docs.get(id.0 as usize)
     }
 
-    /// The short form of `id`: a view sharing the stored document.
+    /// The short form of `id`, owning a handle on the stored document.
     pub fn short_form(&self, id: DocId) -> Option<ShortDoc> {
         self.document(id)
             .map(|d| ShortDoc::new(id, d.clone(), &self.schema))
+    }
+
+    /// The short forms of `hits`, which this collection's evaluator found:
+    /// a view on its store, one handle on the store and none on a document.
+    pub(crate) fn short_forms(&self, hits: DocSet) -> ShortForms {
+        ShortForms::new(hits.into_ids(), &self.docs, &self.schema)
     }
 
     /// The inverted list for `word` (already normalized), or `None` if the

@@ -24,12 +24,13 @@ use std::rc::Rc;
 
 use textjoin_obs::{Charge, EventKind, Recorder};
 
-use crate::doc::{DocId, Document, ShortDoc};
+use crate::doc::{DocId, Document, ShortForms};
 use crate::eval::evaluate;
 use crate::expr::SearchExpr;
 use crate::faults::{Fault, FaultPlan};
 use crate::index::Collection;
 use crate::parse::{parse_search, ParseError};
+use crate::postings::DocSet;
 
 /// The cost-model constants of Table 1 / Section 4.1.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -364,16 +365,16 @@ impl From<ParseError> for TextError {
 
 /// A search result set: the short forms of all matching documents, in docid
 /// order.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SearchResult {
     /// Matching documents, short form, sorted by docid.
-    pub docs: Vec<ShortDoc>,
+    pub docs: ShortForms,
 }
 
 impl SearchResult {
     /// Matching docids in order.
     pub fn ids(&self) -> Vec<DocId> {
-        self.docs.iter().map(|d| d.id).collect()
+        self.docs.ids().to_vec()
     }
 
     /// Number of matches.
@@ -584,17 +585,17 @@ impl TextServer {
     /// (rejected searches are not charged — the connection is refused before
     /// evaluation).
     pub fn search(&self, expr: &SearchExpr) -> Result<SearchResult, TextError> {
-        self.search_as(expr, "search")
+        let hits = self.search_as(expr, "search")?;
+        Ok(SearchResult {
+            docs: self.coll.short_forms(hits),
+        })
     }
 
-    /// [`search`](Self::search) with an explicit operation name for the
-    /// flight recorder (`probe` reuses the search path but traces as its
-    /// own operation).
-    pub(crate) fn search_as(
-        &self,
-        expr: &SearchExpr,
-        op: &'static str,
-    ) -> Result<SearchResult, TextError> {
+    /// The charged search path, named `op` for the flight recorder: the
+    /// matching docids, which [`search`](Self::search) views as short forms
+    /// and [`probe`](Self::probe) hands out as they are. `c_s` is booked
+    /// per match, from the count.
+    fn search_as(&self, expr: &SearchExpr, op: &'static str) -> Result<DocSet, TextError> {
         let count = expr.term_count();
         if count > self.max_terms.get() {
             let err = format!("rejected: {count} terms > cap {}", self.max_terms.get());
@@ -626,28 +627,19 @@ impl TextServer {
                 .push(expr.display(self.coll.schema()).to_string());
         }
         let out = evaluate(&self.coll, expr);
-        let docs: Vec<ShortDoc> = out
-            .docs
-            .ids()
-            .iter()
-            .map(|&id| {
-                self.coll
-                    .short_form(id)
-                    .expect("evaluator returns only valid docids")
-            })
-            .collect();
+        let shipped = out.docs.len();
         let c = &self.constants;
         let charge = Charge {
             invocations: 1,
             postings: out.postings_read as i64,
-            docs_short: docs.len() as i64,
+            docs_short: shipped as i64,
             time_invocation: c.c_i,
             time_processing: c.c_p * out.postings_read as f64,
-            time_transmission: c.c_s * docs.len() as f64,
+            time_transmission: c.c_s * shipped as f64,
             ..Charge::default()
         };
         self.book_call(op, count, None, charge);
-        Ok(SearchResult { docs })
+        Ok(out.docs)
     }
 
     /// Parses and executes a Mercury-syntax search string.
@@ -660,7 +652,7 @@ impl TextServer {
     /// result set's docids (short-form response). Costs exactly like
     /// [`search`](Self::search); the convenience is the return type.
     pub fn probe(&self, expr: &SearchExpr) -> Result<Vec<DocId>, TextError> {
-        Ok(self.search_as(expr, "probe")?.ids())
+        Ok(self.search_as(expr, "probe")?.into_ids())
     }
 
     /// Long-form retrieval of one document by docid. Charges `c_l`, which

@@ -16,7 +16,7 @@ use textjoin_obs::{Charge, EventKind};
 
 use super::ShardedTextServer;
 use crate::batch::BatchResult;
-use crate::doc::{DocId, Document, ShortDoc};
+use crate::doc::{DocId, Document, ShortForms};
 use crate::expr::SearchExpr;
 use crate::server::{SearchResult, TextError};
 use crate::service::TextService;
@@ -75,14 +75,10 @@ impl ShardedTextServer {
     /// from local to global docids.
     fn globalize(&self, i: usize, res: &mut SearchResult) {
         let hidden = self.hidden.borrow();
-        if !hidden[i].is_empty() {
-            res.docs.retain(|d| !hidden[i].contains(&d.id));
-        }
-        for d in &mut res.docs {
-            d.id = self.to_global[i][d.id.0 as usize];
-        }
-        // Staged copies append out of global order; re-sort after the remap.
-        res.docs.sort_by_key(|d| d.id);
+        // Staged copies append out of global order; the rename re-sorts.
+        res.docs.rename(|local| {
+            (!hidden[i].contains(&local)).then(|| self.to_global[i][local.0 as usize])
+        });
     }
 
     /// Searches replica `r` of shard `i` only, remapping result docids to
@@ -129,11 +125,12 @@ impl ShardedTextServer {
 
     /// Union-merges per-shard results into one result set in global docid
     /// order. Shard result sets are disjoint (the partition) and each is
-    /// already sorted, so this is a pure merge.
+    /// already sorted, so this is a pure merge of their hits; the result
+    /// holds each shard's store once.
     pub fn merge(parts: Vec<SearchResult>) -> SearchResult {
-        let mut docs: Vec<ShortDoc> = parts.into_iter().flat_map(|r| r.docs).collect();
-        docs.sort_by_key(|d| d.id);
-        SearchResult { docs }
+        SearchResult {
+            docs: ShortForms::merge(parts.into_iter().map(|r| r.docs)),
+        }
     }
 
     /// Rejects expressions over the aggregate cap before any shard is
@@ -268,12 +265,11 @@ impl ShardedTextServer {
         expr: &SearchExpr,
         leg: impl FnMut(usize) -> Result<SearchResult, TextError>,
     ) -> Result<SearchResult, TextError> {
-        let empty = || SearchResult { docs: Vec::new() };
         let parts = self.gather(
             done,
             from_epoch,
             || self.relevant_shards(expr),
-            empty,
+            SearchResult::default,
             leg,
             |d| d,
         )?;
@@ -298,9 +294,9 @@ impl ShardedTextServer {
                 .collect()
         };
         let empty = || BatchResult {
-            results: vec![SearchResult { docs: Vec::new() }; exprs.len()],
+            results: vec![SearchResult::default(); exprs.len()],
         };
-        let per_shard = self.gather(
+        let mut per_shard = self.gather(
             vec![None; n],
             self.epoch.get(),
             relevant,
@@ -309,7 +305,10 @@ impl ShardedTextServer {
             |_| Vec::new(),
         )?;
         let results = (0..exprs.len())
-            .map(|j| Self::merge(per_shard.iter().map(|b| b.results[j].clone()).collect()))
+            .map(|j| {
+                let parts = per_shard.iter_mut().map(|b| std::mem::take(&mut b.results[j]));
+                Self::merge(parts.collect())
+            })
             .collect();
         Ok(BatchResult { results })
     }

@@ -512,7 +512,7 @@ impl TextService for ShardedTextServer {
     }
 
     fn probe(&self, expr: &SearchExpr) -> Result<Vec<DocId>, TextError> {
-        Ok(TextService::search(self, expr)?.ids())
+        Ok(TextService::search(self, expr)?.docs.into_ids())
     }
 
     /// Routes to the owning shard, failing over through its replica
@@ -726,13 +726,13 @@ mod tests {
             let got = TextService::search_str(&sharded, q).unwrap();
             assert!(!want.docs.is_empty(), "{q}");
             assert_eq!(got.docs, want.docs, "{q}: same short forms, global ids");
-            for (i, d) in got.docs.iter().enumerate() {
-                assert_eq!(d.id, want.docs[i].id);
+            for (d, w) in got.docs.iter().zip(want.docs.iter()) {
+                assert_eq!(d.id, w.id);
                 assert_eq!(d.values(ti), [format!("shared subject {}", d.id.0)]);
                 assert!(d.values(ab).is_empty(), "long field behind a short form");
                 assert!(d.short_form_fields().all(|(f, _)| f != ab));
                 assert!(!format!("{d:?}").contains("abstract of"));
-                assert_eq!(*d, TextService::reconstruct_short(&sharded, d.id).unwrap());
+                assert_eq!(d.to_owned(), TextService::reconstruct_short(&sharded, d.id).unwrap());
             }
         }
     }
