@@ -222,7 +222,7 @@ fn estimate_drift_table(
             plan_and_analyze(w, &q, plan_on, params, live);
         }
     });
-    let cfg = MonitorConfig::new(1_000.0).with_estimates(3.0, 1.5, 0.25, 3, 8);
+    let cfg = MonitorConfig::new(1_000.0).with_estimates(3.0, 1.5);
     Monitor::replay(cfg, &events).render_table()
 }
 

@@ -264,7 +264,7 @@ pub fn monitor_drift_report(w: &World) -> MonitorDriftReport {
             params.constants.c_s,
             params.constants.c_l,
         )
-        .with_drift(2, 4, 0.25);
+        .with_drift(2, 4);
     let events = table2_trace(w);
 
     let clean = Monitor::replay(cfg.clone(), &events);

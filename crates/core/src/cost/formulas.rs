@@ -130,7 +130,11 @@ pub fn cost_ts_naive(p: &CostParams, s: &JoinStatistics) -> CostBreakdown {
 
 /// The probe phase `C_P = c_i N_J + c_p L_{N_J,J} + c_s V_{N_J,J}`:
 /// one probe per distinct `J`-key, short-form responses.
-pub fn cost_probe_phase(p: &CostParams, s: &JoinStatistics, subset: &[usize]) -> CostBreakdown {
+pub(crate) fn cost_probe_phase(
+    p: &CostParams,
+    s: &JoinStatistics,
+    subset: &[usize],
+) -> CostBreakdown {
     let n_j = s.n_j(subset);
     let subset = subset.iter().copied();
     let f = result_fanout(p, s, subset.clone());
@@ -167,7 +171,7 @@ pub fn cost_p_ts(p: &CostParams, s: &JoinStatistics, subset: &[usize]) -> CostBr
 /// `C_RTP` — one search carrying the selections, result documents matched
 /// relationally. `None` when there are no text selections (RTP
 /// inapplicable, Section 3.2).
-pub fn cost_rtp(p: &CostParams, s: &JoinStatistics) -> Option<CostBreakdown> {
+pub(crate) fn cost_rtp(p: &CostParams, s: &JoinStatistics) -> Option<CostBreakdown> {
     if s.sel_terms == 0 {
         return None;
     }
@@ -246,14 +250,18 @@ fn all(s: &JoinStatistics) -> std::ops::Range<usize> {
 /// Expected matching documents per fully-instantiated search (all join
 /// predicates ∧ selections) — the per-tuple output fanout of the foreign
 /// join, used by the multi-join planner for cardinality estimation.
-pub fn expected_result_fanout(p: &CostParams, s: &JoinStatistics) -> f64 {
+pub(crate) fn expected_result_fanout(p: &CostParams, s: &JoinStatistics) -> f64 {
     result_fanout(p, s, all(s))
 }
 
 /// Joint selectivity of a predicate subset — the probability a probe on it
 /// succeeds. Re-exported for the multi-join planner's probe-node
 /// cardinality estimates.
-pub fn probe_success_probability(p: &CostParams, s: &JoinStatistics, subset: &[usize]) -> f64 {
+pub(crate) fn probe_success_probability(
+    p: &CostParams,
+    s: &JoinStatistics,
+    subset: &[usize],
+) -> f64 {
     probe_selectivity(p, s, subset.iter().copied())
 }
 
@@ -436,13 +444,14 @@ mod tests {
         // 100 searches vs 3: SJ already wins, but note the *margin*.
         let margin_clean = ts_clean - sj_clean;
         // A 30% fault rate with the standard schedule (mean 7/3 s/retry).
-        let flaky = p.with_fault_model(
+        let flaky = p.with_fault_model_replicated(
             &textjoin_text::server::Usage {
                 invocations: 10,
                 faults: 3,
                 ..Default::default()
             },
             &crate::retry::RetryPolicy::standard(),
+            1,
         );
         assert!((flaky.fault_rate - 0.3).abs() < 1e-12);
         assert!((flaky.effective_c_i() - (3.0 + 0.3 * 7.0 / 3.0)).abs() < 1e-12);
@@ -457,7 +466,11 @@ mod tests {
         let expected = (100.0 - 3.0) * 0.3 * (7.0 / 3.0);
         assert!(((margin_flaky - margin_clean) - expected).abs() < 1e-9);
         // A fault-free ledger leaves every estimate untouched.
-        let clean = p.with_fault_model(&Default::default(), &crate::retry::RetryPolicy::standard());
+        let clean = p.with_fault_model_replicated(
+            &Default::default(),
+            &crate::retry::RetryPolicy::standard(),
+            1,
+        );
         assert_eq!(cost_ts(&clean, &s).total(), ts_clean);
     }
 }

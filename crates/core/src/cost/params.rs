@@ -89,14 +89,8 @@ impl CostParams {
         self
     }
 
-    /// Sets the per-query completion deadline (simulated seconds).
-    pub fn with_deadline(mut self, deadline: f64) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
     /// Sets the transport parallelism the rank may assume (clamped ≥ 1).
-    pub fn with_parallelism(mut self, parallelism: f64) -> Self {
+    pub(crate) fn with_parallelism(mut self, parallelism: f64) -> Self {
         self.parallelism = parallelism.max(1.0);
         self
     }
@@ -105,7 +99,7 @@ impl CostParams {
     /// at (clamped ≥ 1). Only meaningful when the executor's stats-aware
     /// routing is on; the caller must pass the same pruned fan-out the
     /// scatter paths will use, or planner and executor fall out of sync.
-    pub fn with_scatter_fanout(mut self, fanout: f64) -> Self {
+    pub(crate) fn with_scatter_fanout(mut self, fanout: f64) -> Self {
         self.scatter_fanout = fanout.max(1.0);
         self
     }
@@ -118,7 +112,13 @@ impl CostParams {
     /// scatter across shards and divide by the parallelism — so plans
     /// whose heavy work parallelizes rank ahead even at equal total
     /// charge.
-    pub fn rank(&self, invocation: f64, processing: f64, transmission: f64, rtp: f64) -> f64 {
+    pub(crate) fn rank(
+        &self,
+        invocation: f64,
+        processing: f64,
+        transmission: f64,
+        rtp: f64,
+    ) -> f64 {
         match self.deadline {
             None => invocation + processing + transmission + rtp,
             Some(_) => {
@@ -127,24 +127,16 @@ impl CostParams {
         }
     }
 
-    /// Folds the session's observed fault behavior into the model: the
-    /// rate is `faults / invocations` from the ledger so far, the mean
-    /// backoff comes from the retry schedule in force. A fault-free ledger
-    /// (or an empty one) leaves the model untouched.
-    pub fn with_fault_model(mut self, usage: &Usage, policy: &RetryPolicy) -> Self {
-        self = self.with_fault_model_replicated(usage, policy, 1);
-        self
-    }
-
-    /// Fault model for a service with `replicas` copies of every shard: a
-    /// call only pays retry backoff when *all* replicas of a shard are down
-    /// at once, so the post-failover effective rate is the observed
-    /// per-server rate raised to the replica count (independent-failure
-    /// model). `replicas = 1` is exactly [`with_fault_model`]
-    /// (no failover: every fault is paid for).
-    ///
-    /// [`with_fault_model`]: Self::with_fault_model
-    pub fn with_fault_model_replicated(
+    /// Folds the session's observed fault behavior into the model, for a
+    /// service with `replicas` copies of every shard. The observed rate is
+    /// `faults / invocations` from the ledger so far and the mean backoff
+    /// comes from the retry schedule in force. A call only pays retry
+    /// backoff when *all* replicas of a shard are down at once, so the
+    /// post-failover effective rate is the observed per-server rate raised
+    /// to the replica count (independent-failure model); `replicas = 1`
+    /// pays for every fault. A fault-free ledger (or an empty one) leaves
+    /// the model untouched.
+    pub(crate) fn with_fault_model_replicated(
         mut self,
         usage: &Usage,
         policy: &RetryPolicy,
@@ -304,7 +296,7 @@ impl JoinStatistics {
 
     /// The paper's `N_J` estimate for a predicate subset: `min(Π N_i, N)`
     /// — deliberately an over-estimate (Section 4.3).
-    pub fn n_j(&self, subset: &[usize]) -> f64 {
+    pub(crate) fn n_j(&self, subset: &[usize]) -> f64 {
         let prod: f64 = subset.iter().map(|&i| self.preds[i].distinct).product();
         prod.min(self.n)
     }
@@ -331,14 +323,11 @@ mod tests {
             ..Usage::default()
         };
         let policy = RetryPolicy::standard();
-        let single = CostParams::mercury(100.0).with_fault_model(&u, &policy);
+        let single = CostParams::mercury(100.0).with_fault_model_replicated(&u, &policy, 1);
         assert!((single.fault_rate - 0.5).abs() < 1e-12);
         let repl = CostParams::mercury(100.0).with_fault_model_replicated(&u, &policy, 2);
         assert!((repl.fault_rate - 0.25).abs() < 1e-12, "rate^R for R=2");
         assert!(repl.effective_c_i() < single.effective_c_i());
-        // R=1 replicated == the plain fault model.
-        let r1 = CostParams::mercury(100.0).with_fault_model_replicated(&u, &policy, 1);
-        assert_eq!(r1.fault_rate, single.fault_rate);
     }
 
     #[test]

@@ -159,7 +159,7 @@ impl<'a> MultiExecutor<'a> {
     /// the `Usage` delta of its own work (its inputs ran before it), its
     /// output rows, and its local matching cost. Attribution only reads
     /// ledgers the server already booked; it never charges.
-    pub fn analyze(self) -> Self {
+    pub(crate) fn analyze(self) -> Self {
         Self {
             analyze: true,
             ..self
@@ -522,7 +522,7 @@ impl<'a> MultiExecutor<'a> {
 
 /// Materializes documents as a relation `(docid, field…)`, retrieving the
 /// long forms (charged, with the context's retry policy).
-pub fn doc_table(
+pub(crate) fn doc_table(
     ctx: &ExecContext<'_>,
     ids: &[DocId],
     text_schema: &TextSchema,
@@ -640,7 +640,7 @@ pub fn prepare_input(
 /// the server's export) is brought up to date by stamping it with these
 /// ([`PlannerInput::with_params`]) — what a serving session does between a
 /// request's admission and its dispatch.
-pub fn fold_params(
+pub(crate) fn fold_params(
     query: &MultiJoinQuery,
     server: &dyn TextService,
     params: crate::cost::params::CostParams,
@@ -775,7 +775,7 @@ pub fn execute_prepared(
 /// both sides), so a drift here isolates the constants: backoff seconds
 /// from an unmodelled fault rate, or a server whose real per-unit prices
 /// moved away from the configured `CostConstants`.
-pub fn constants_q(params: &crate::cost::params::CostParams, text: &Usage) -> f64 {
+pub(crate) fn constants_q(params: &crate::cost::params::CostParams, text: &Usage) -> f64 {
     let c = &params.constants;
     let repriced = c.c_i * text.invocations as f64
         + c.c_p * text.postings_processed as f64

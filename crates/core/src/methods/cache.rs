@@ -52,14 +52,14 @@ pub struct ProbeCache {
 
 impl ProbeCache {
     /// Empty cache.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// The namespace of `identity` — whatever besides the key values tells
     /// one probe from another (a method passes its text selections and
     /// probed fields). Outcomes never cross namespaces.
-    pub fn namespace(&mut self, identity: Vec<String>) -> usize {
+    pub(crate) fn namespace(&mut self, identity: Vec<String>) -> usize {
         let next = self.namespaces.len();
         *self.namespaces.entry(identity).or_insert(next)
     }
@@ -83,7 +83,12 @@ impl ProbeCache {
     /// Looks up a key at `epoch`, recording a hit or miss. An outcome
     /// recorded at a different epoch is invisible: routing may have moved
     /// the documents it was proved against.
-    pub fn lookup(&mut self, epoch: u64, ns: usize, key: &[Arc<str>]) -> Option<ProbeOutcome> {
+    pub(crate) fn lookup(
+        &mut self,
+        epoch: u64,
+        ns: usize,
+        key: &[Arc<str>],
+    ) -> Option<ProbeOutcome> {
         let out = self.peek(epoch, ns, key);
         match out {
             Some(_) => self.hits += 1,
@@ -95,48 +100,44 @@ impl ProbeCache {
     /// [`lookup`](Self::lookup) without touching the hit/miss counters —
     /// for phases that can only *act* on one of the two outcomes and must
     /// not claim a hit for the other.
-    pub fn peek(&mut self, epoch: u64, ns: usize, key: &[Arc<str>]) -> Option<ProbeOutcome> {
+    pub(crate) fn peek(&mut self, epoch: u64, ns: usize, key: &[Arc<str>]) -> Option<ProbeOutcome> {
         self.advance(epoch);
         self.entries.get(&(epoch, ns))?.get(key).copied()
     }
 
     /// Counts a hit that [`peek`](Self::peek) proved usable.
-    pub fn note_hit(&mut self) {
+    pub(crate) fn note_hit(&mut self) {
         self.hits += 1;
     }
 
     /// Counts a miss for a [`peek`](Self::peek) that found nothing usable.
-    pub fn note_miss(&mut self) {
+    pub(crate) fn note_miss(&mut self) {
         self.misses += 1;
     }
 
     /// Records an outcome for a key at `epoch`. Later records overwrite
     /// earlier ones (a success learned from a full query upgrades a
     /// pending state).
-    pub fn record(&mut self, epoch: u64, ns: usize, key: &[Arc<str>], outcome: ProbeOutcome) {
+    pub(crate) fn record(
+        &mut self,
+        epoch: u64,
+        ns: usize,
+        key: &[Arc<str>],
+        outcome: ProbeOutcome,
+    ) {
         self.advance(epoch);
         let keys = self.entries.entry((epoch, ns)).or_default();
         keys.insert(key.to_vec(), outcome);
     }
 
     /// Number of cached keys, over all epochs.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.values().map(HashMap::len).sum()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// `(hits, misses)` counters.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
     }
 
     /// `(hits, misses, evicted)` counters — the shape
     /// `Usage::metrics_snapshot` exposes.
-    pub fn full_stats(&self) -> (u64, u64, u64) {
+    pub(crate) fn full_stats(&self) -> (u64, u64, u64) {
         (self.hits, self.misses, self.evicted)
     }
 }
@@ -156,7 +157,7 @@ mod tests {
         assert_eq!(c.lookup(0, 0, &key), None);
         c.record(0, 0, &key, ProbeOutcome::Fail);
         assert_eq!(c.lookup(0, 0, &key), Some(ProbeOutcome::Fail));
-        assert_eq!(c.stats(), (1, 1));
+        assert_eq!(c.full_stats(), (1, 1, 0));
         assert_eq!(c.len(), 1);
     }
 

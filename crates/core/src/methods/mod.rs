@@ -175,7 +175,7 @@ impl<'a> ForeignJoin<'a> {
     }
 
     /// Validates internal consistency (parallel arrays, known columns).
-    pub fn validate(&self) -> Result<(), MethodError> {
+    pub(crate) fn validate(&self) -> Result<(), MethodError> {
         if self.join_cols.len() != self.join_fields.len() {
             return Err(MethodError::NotApplicable(
                 "join_cols and join_fields must be parallel".into(),
@@ -198,7 +198,7 @@ impl<'a> ForeignJoin<'a> {
     }
 
     /// The conjunction of the constant text selections, if any.
-    pub fn selections_expr(&self) -> Option<SearchExpr> {
+    pub(crate) fn selections_expr(&self) -> Option<SearchExpr> {
         if self.selections.is_empty() {
             return None;
         }
@@ -215,7 +215,7 @@ impl<'a> ForeignJoin<'a> {
     /// strings are shared with the tuple, not copied. Returns `false` if
     /// any value is NULL or empty — such a tuple can never match, so no
     /// search is sent.
-    pub fn key_values(&self, t: &Tuple, which: &[usize], out: &mut Vec<Arc<str>>) -> bool {
+    pub(crate) fn key_values(&self, t: &Tuple, which: &[usize], out: &mut Vec<Arc<str>>) -> bool {
         out.clear();
         out.extend(which.iter().map_while(|&i| match t.get(self.join_cols[i]) {
             Value::Str(s) if !s.trim().is_empty() => Some(s.clone()),
@@ -226,7 +226,7 @@ impl<'a> ForeignJoin<'a> {
 
     /// Builds the conjunct for predicate indices `which` instantiated with
     /// `values` (parallel to `which`): each becomes `value in field`.
-    pub fn instantiated_conjunct(&self, which: &[usize], values: &[Arc<str>]) -> SearchExpr {
+    pub(crate) fn instantiated_conjunct(&self, which: &[usize], values: &[Arc<str>]) -> SearchExpr {
         debug_assert_eq!(which.len(), values.len());
         SearchExpr::and(
             which
@@ -240,7 +240,7 @@ impl<'a> ForeignJoin<'a> {
     /// The full instantiated search for tuple `t` over predicate indices
     /// `which`: selections ∧ instantiated join predicates. `None` if the
     /// tuple has a NULL/empty join value among `which`.
-    pub fn instantiated_search(&self, t: &Tuple, which: &[usize]) -> Option<SearchExpr> {
+    pub(crate) fn instantiated_search(&self, t: &Tuple, which: &[usize]) -> Option<SearchExpr> {
         let mut values = Vec::with_capacity(which.len());
         if !self.key_values(t, which, &mut values) {
             return None;
@@ -253,12 +253,12 @@ impl<'a> ForeignJoin<'a> {
     }
 
     /// All predicate indices `[0, k)`.
-    pub fn all_preds(&self) -> Vec<usize> {
+    pub(crate) fn all_preds(&self) -> Vec<usize> {
         (0..self.k()).collect()
     }
 
     /// The output schema for this join's projection.
-    pub fn output_schema(&self, text_schema: &TextSchema) -> RelSchema {
+    pub(crate) fn output_schema(&self, text_schema: &TextSchema) -> RelSchema {
         match self.projection {
             Projection::RelOnly => self.rel.schema().clone(),
             Projection::DocIds => {
@@ -283,14 +283,14 @@ impl<'a> ForeignJoin<'a> {
     }
 
     /// An empty output table for this join.
-    pub fn output_table(&self, text_schema: &TextSchema, name: &str) -> Table {
+    pub(crate) fn output_table(&self, text_schema: &TextSchema, name: &str) -> Table {
         Table::new(name, self.output_schema(text_schema))
     }
 
     /// Emits output rows for one (tuple, matched docs) pair according to the
     /// projection. `docs` must be the long forms when the projection is
     /// `Full`; they may be owned or borrowed.
-    pub fn emit<D: std::borrow::Borrow<Document>>(
+    pub(crate) fn emit<D: std::borrow::Borrow<Document>>(
         &self,
         out: &mut Table,
         text_schema: &TextSchema,
@@ -320,7 +320,7 @@ impl<'a> ForeignJoin<'a> {
     /// Whether every join field is available in short-form results — when
     /// true, RTP-style matching can use the search results themselves and
     /// skip long-form retrieval (unless the projection needs full docs).
-    pub fn short_form_sufficient(&self, text_schema: &TextSchema) -> bool {
+    pub(crate) fn short_form_sufficient(&self, text_schema: &TextSchema) -> bool {
         self.join_fields
             .iter()
             .all(|f| text_schema.def(*f).in_short_form)
@@ -331,7 +331,7 @@ impl<'a> ForeignJoin<'a> {
 /// under [`Projection::Full`], a row of [`crate::exec::doc_table`]: docid,
 /// then each field's values joined with `"; "` (NULL when the field is
 /// absent).
-pub fn doc_values(id: DocId, doc: &Document, text_schema: &TextSchema) -> Vec<Value> {
+pub(crate) fn doc_values(id: DocId, doc: &Document, text_schema: &TextSchema) -> Vec<Value> {
     let mut out = Vec::with_capacity(1 + text_schema.len());
     out.push(Value::str(id.to_string()));
     for (fid, _) in text_schema.iter() {
@@ -376,7 +376,7 @@ pub(crate) mod testkit {
     use textjoin_text::server::TextServer;
 
     /// Students: name, advisor, area.
-    pub fn student() -> Table {
+    pub(crate) fn student() -> Table {
         let schema = RelSchema::from_columns(vec![
             ("name", ValueType::Str),
             ("advisor", ValueType::Str),
@@ -395,7 +395,7 @@ pub(crate) mod testkit {
     /// * doc1: title "text indexing", author Kao
     /// * doc2: title "belief update", author Pham
     /// * doc3: title "query optimization", author Garcia
-    pub fn corpus() -> TextServer {
+    pub(crate) fn corpus() -> TextServer {
         let schema = TextSchema::bibliographic();
         let ti = schema.field_by_name("title").unwrap();
         let au = schema.field_by_name("author").unwrap();

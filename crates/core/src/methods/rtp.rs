@@ -39,7 +39,7 @@ pub fn relational_text_processing(
 /// (and charged). The guarded executor counts the candidate set before
 /// committing to the fetch; threading its result through here means the
 /// selection search is billed exactly once.
-pub fn rtp_with_candidates(
+pub(crate) fn rtp_with_candidates(
     ctx: &ExecContext<'_>,
     fj: &ForeignJoin<'_>,
     result: SearchResult,

@@ -25,7 +25,7 @@ use super::{report, ExecContext, ForeignJoin, MethodError, MethodOutcome, Projec
 
 /// How many conjuncts fit in one search given the term cap `m`, the number
 /// of join predicates `k`, and the number of selection terms factored out.
-pub fn conjuncts_per_search(m: usize, k: usize, selection_terms: usize) -> usize {
+pub(crate) fn conjuncts_per_search(m: usize, k: usize, selection_terms: usize) -> usize {
     m.saturating_sub(selection_terms)
         .checked_div(k.max(1))
         .unwrap_or(0)

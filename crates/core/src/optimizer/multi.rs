@@ -187,12 +187,12 @@ impl PlannerInput {
     /// Whether `export` is the very export these statistics were gathered
     /// from: if so, gathering again (same query, same catalog) would
     /// recompute what is already here.
-    pub fn gathered_from(&self, export: &VocabularyStats) -> bool {
+    pub(crate) fn gathered_from(&self, export: &VocabularyStats) -> bool {
         self.export.ptr_eq(export)
     }
 
     /// The same gathered statistics under other cost parameters.
-    pub fn with_params(self, params: CostParams) -> Self {
+    pub(crate) fn with_params(self, params: CostParams) -> Self {
         Self { params, ..self }
     }
 
@@ -339,7 +339,7 @@ impl PlannerInput {
                     transmission += c.c_l * self.sel_fanout;
                 }
                 let cost = CostBreakdown {
-                    invocation: c.c_i,
+                    invocation: p.effective_c_i(),
                     processing: c.c_p * self.sel_postings,
                     transmission,
                     rtp: 0.0,
@@ -978,7 +978,8 @@ mod tests {
         let planned = plan_query(&input, ExecutionSpace::Prl).unwrap();
         assert!(planned.plan.is_valid_prl());
         assert!(planned.plan.has_text_join());
-        assert_eq!(planned.plan.relations(), vec![0, 1]);
+        let shown = planned.plan.display(&q5()).to_string();
+        assert!(shown.contains("Scan(student)") && shown.contains("Scan(faculty)"));
     }
 
     #[test]
@@ -1089,6 +1090,39 @@ mod tests {
             "{}",
             planned.plan.display(&input.query)
         );
+    }
+
+    #[test]
+    fn text_first_scan_pays_the_effective_invocation_cost() {
+        // A flaky link scattered to four shards: every search pays the
+        // fault model's expected backoff once per shard it reaches.
+        let (catalog, server) = fixture();
+        let flaky = textjoin_text::server::Usage {
+            invocations: 10,
+            faults: 3,
+            ..Default::default()
+        };
+        let params = CostParams::mercury(server.doc_count() as f64)
+            .with_scatter_fanout(4.0)
+            .with_fault_model_replicated(&flaky, &crate::retry::RetryPolicy::standard(), 1);
+        assert!(params.effective_c_i() > 4.0 * params.constants.c_i);
+        let export = server.export_stats();
+        let input = PlannerInput::gather(
+            &q5(),
+            &catalog,
+            &export,
+            server.collection().schema(),
+            params,
+        )
+        .unwrap();
+        let scan = PlanNode::TextJoin {
+            input: None,
+            preds: vec![],
+            method: MethodKind::Rtp,
+            probe_cols: vec![],
+        };
+        let est = estimate_nodes(&input, &scan);
+        assert_eq!(est[0].cost.invocation, params.effective_c_i());
     }
 
     #[test]

@@ -121,7 +121,7 @@ pub enum PlanNode {
 
 impl PlanNode {
     /// The node's inputs, left to right.
-    pub fn children(&self) -> impl Iterator<Item = &PlanNode> {
+    pub(crate) fn children(&self) -> impl Iterator<Item = &PlanNode> {
         let (first, second) = match self {
             PlanNode::Scan { .. } => (None, None),
             PlanNode::Probe { input, .. } => (Some(&**input), None),
@@ -137,7 +137,7 @@ impl PlanNode {
     /// The first `Err` ends the fold: no later node runs. Every per-node
     /// walk (estimates, execution, the method menu) is this one, so node
     /// `i` is the same node on every side.
-    pub fn fold<T, E>(
+    pub(crate) fn fold<T, E>(
         &self,
         f: &mut impl FnMut(&PlanNode, usize, usize, Vec<T>) -> Result<T, E>,
     ) -> Result<T, E> {
@@ -158,18 +158,8 @@ impl PlanNode {
         go(self, &mut 0, 0, f)
     }
 
-    /// Indices of the relations contained in this subtree (text excluded).
-    pub fn relations(&self) -> Vec<usize> {
-        let mut out: Vec<usize> = match self {
-            PlanNode::Scan { rel } => vec![*rel],
-            _ => self.children().flat_map(PlanNode::relations).collect(),
-        };
-        out.sort_unstable();
-        out
-    }
-
     /// Whether the subtree contains the text-join node.
-    pub fn has_text_join(&self) -> bool {
+    pub(crate) fn has_text_join(&self) -> bool {
         matches!(self, PlanNode::TextJoin { .. }) || self.children().any(PlanNode::has_text_join)
     }
 
@@ -324,9 +314,8 @@ mod tests {
     }
 
     #[test]
-    fn relations_and_flags() {
+    fn flags() {
         let p = prl_plan();
-        assert_eq!(p.relations(), vec![0, 1]);
         assert!(p.has_text_join());
         assert_eq!(p.probe_count(), 1);
         assert!(p.is_valid_prl());
@@ -398,6 +387,5 @@ mod tests {
         let s = p.display(&q).to_string();
         assert!(s.contains("TextScan"));
         assert!(p.is_valid_prl());
-        assert_eq!(p.relations(), Vec::<usize>::new());
     }
 }

@@ -15,39 +15,35 @@ use textjoin_rel::expr::CmpOp;
 pub struct RelCostModel {
     /// Cost per tuple pair compared in a nested-loop join.
     pub c_pair: f64,
-    /// Cost per output row materialized.
-    pub c_out: f64,
 }
 
 impl Default for RelCostModel {
     fn default() -> Self {
-        Self {
-            c_pair: 1e-6,
-            c_out: 1e-6,
-        }
+        Self { c_pair: 1e-6 }
     }
 }
 
 impl RelCostModel {
-    /// Cost of a nested-loop join producing `rows_out` rows.
-    pub fn nested_loop(&self, rows_l: f64, rows_r: f64, rows_out: f64) -> f64 {
-        self.c_pair * rows_l * rows_r + self.c_out * rows_out
-    }
-
     /// The matching cost the executor actually books for a relational
     /// join: `c_pair` per tuple pair plus `c_a` per residual containment
     /// comparison (one per pair per residual) — exactly
     /// `exec.rs::eval_rel_join`'s accounting, so exact input
     /// cardinalities price the join exactly (the EXPLAIN ANALYZE
     /// Q-error contract).
-    pub fn join_matching(&self, rows_l: f64, rows_r: f64, residuals: usize, c_a: f64) -> f64 {
+    pub(crate) fn join_matching(
+        &self,
+        rows_l: f64,
+        rows_r: f64,
+        residuals: usize,
+        c_a: f64,
+    ) -> f64 {
         rows_l * rows_r * (self.c_pair + c_a * residuals as f64)
     }
 }
 
 /// Selectivity of `a <op> b` between columns with `dl` and `dr` distinct
 /// values (System-R conventions).
-pub fn join_selectivity(op: CmpOp, dl: f64, dr: f64) -> f64 {
+pub(crate) fn join_selectivity(op: CmpOp, dl: f64, dr: f64) -> f64 {
     let dmax = dl.max(dr).max(1.0);
     match op {
         CmpOp::Eq => 1.0 / dmax,
@@ -61,7 +57,7 @@ pub fn join_selectivity(op: CmpOp, dl: f64, dr: f64) -> f64 {
 /// `rel.col in doc.field` evaluated relationally after the text source was
 /// joined. Per tuple pair, the probability the document contains the term
 /// is `fanout / D`.
-pub fn containment_selectivity(fanout: f64, d: f64) -> f64 {
+pub(crate) fn containment_selectivity(fanout: f64, d: f64) -> f64 {
     if d <= 0.0 {
         0.0
     } else {
@@ -93,13 +89,5 @@ mod tests {
         assert_eq!(containment_selectivity(5.0, 100.0), 0.05);
         assert_eq!(containment_selectivity(500.0, 100.0), 1.0);
         assert_eq!(containment_selectivity(5.0, 0.0), 0.0);
-    }
-
-    #[test]
-    fn nested_loop_scales() {
-        let m = RelCostModel::default();
-        let small = m.nested_loop(10.0, 10.0, 5.0);
-        let big = m.nested_loop(1000.0, 1000.0, 5.0);
-        assert!(big > small * 100.0);
     }
 }

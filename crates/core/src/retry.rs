@@ -19,51 +19,52 @@ use std::cell::RefCell;
 
 use textjoin_text::server::TextError;
 
-/// Bounded-attempt retry schedule with exponential simulated backoff.
+/// Each further failure multiplies the wait by this (classic doubling).
+const BACKOFF_MULTIPLIER: f64 = 2.0;
+/// Ceiling on any single wait, in simulated seconds.
+const MAX_BACKOFF: f64 = 30.0;
+
+/// Bounded-attempt retry schedule with exponential simulated backoff:
+/// the wait after the `n`-th failure is `base_backoff × 2^(n−1)`, capped
+/// at 30 s.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Total attempts, including the first (1 = never retry).
     pub max_attempts: u32,
     /// Simulated seconds waited after the first failed attempt.
     pub base_backoff: f64,
-    /// Multiplier applied per further failure (2.0 = classic doubling).
-    pub multiplier: f64,
-    /// Ceiling on any single wait.
-    pub max_backoff: f64,
 }
 
 impl RetryPolicy {
-    /// Up to 4 attempts, waiting 1s, 2s, 4s (capped at 30s). Paired with
-    /// fault plans whose `max_consecutive < 4`, every operation succeeds.
+    /// Up to 4 attempts, waiting 1s, 2s, 4s. Paired with fault plans
+    /// whose `max_consecutive < 4`, every operation succeeds.
     pub fn standard() -> Self {
         RetryPolicy {
             max_attempts: 4,
             base_backoff: 1.0,
-            multiplier: 2.0,
-            max_backoff: 30.0,
         }
     }
 
     /// One attempt, no retries, no backoff charges — pre-fault behavior.
+    /// A [`RetryBudget`] built on it may still grant more attempts; they
+    /// wait zero seconds.
     pub fn none() -> Self {
         RetryPolicy {
             max_attempts: 1,
             base_backoff: 0.0,
-            multiplier: 1.0,
-            max_backoff: 0.0,
         }
     }
 
     /// Simulated wait after `failed_attempts` consecutive failures (≥ 1).
-    pub fn backoff_after(&self, failed_attempts: u32) -> f64 {
-        let exp = self.multiplier.powi(failed_attempts.saturating_sub(1) as i32);
-        (self.base_backoff * exp).min(self.max_backoff)
+    pub(crate) fn backoff_after(&self, failed_attempts: u32) -> f64 {
+        let exp = BACKOFF_MULTIPLIER.powi(failed_attempts.saturating_sub(1) as i32);
+        (self.base_backoff * exp).min(MAX_BACKOFF)
     }
 
     /// Mean simulated wait per retry under this schedule: the average of
     /// the waits charged between attempts (0 for a never-retry policy).
     /// The planner's expected-retry cost term is `rate × mean_backoff`.
-    pub fn mean_backoff(&self) -> f64 {
+    pub(crate) fn mean_backoff(&self) -> f64 {
         if self.max_attempts <= 1 {
             return 0.0;
         }
@@ -79,7 +80,7 @@ impl RetryPolicy {
     /// against the replica that caused the wait, the caller decides.
     /// Non-transient errors and the final transient error pass through
     /// unchanged.
-    pub fn run<T>(
+    pub(crate) fn run<T>(
         &self,
         mut op: impl FnMut() -> Result<T, TextError>,
         mut observe: impl FnMut(bool),
@@ -189,7 +190,7 @@ impl RetryBudget {
 
     /// The policy this budget scales: the schedule of every failover leg,
     /// and of operations no shard is attributed to.
-    pub fn base(&self) -> RetryPolicy {
+    pub(crate) fn base(&self) -> RetryPolicy {
         self.base
     }
 
@@ -198,7 +199,7 @@ impl RetryBudget {
     /// — the same decay the fault-rate EWMA uses, so both adapt on the same
     /// horizon. IEEE arithmetic on an identical observation stream is
     /// identical, so this stays byte-reproducible.
-    pub fn observe_latency(&self, shard: usize, seconds: f64) {
+    pub(crate) fn observe_latency(&self, shard: usize, seconds: f64) {
         let mut lat = self.latencies.borrow_mut();
         if lat.len() <= shard {
             lat.resize(shard + 1, 0.0);
@@ -208,7 +209,7 @@ impl RetryBudget {
     }
 
     /// The shard's current latency EWMA (0.0 = nothing observed yet).
-    pub fn latency_of(&self, shard: usize) -> f64 {
+    pub(crate) fn latency_of(&self, shard: usize) -> f64 {
         self.latencies.borrow().get(shard).copied().unwrap_or(0.0)
     }
 
@@ -216,7 +217,7 @@ impl RetryBudget {
     /// exceeds this launches a hedge on a secondary replica. Infinite
     /// until the EWMA has seen at least one leg (never hedge cold), then
     /// `max(3 × EWMA, 1s)`.
-    pub fn hedge_threshold(&self, shard: usize) -> f64 {
+    pub(crate) fn hedge_threshold(&self, shard: usize) -> f64 {
         let l = self.latency_of(shard);
         if l == 0.0 {
             f64::INFINITY
@@ -226,7 +227,7 @@ impl RetryBudget {
     }
 
     /// Records the outcome of one attempt against `shard`.
-    pub fn observe(&self, shard: usize, faulted: bool) {
+    pub(crate) fn observe(&self, shard: usize, faulted: bool) {
         let mut rates = self.rates.borrow_mut();
         if rates.len() <= shard {
             rates.resize(shard + 1, 0);
@@ -244,7 +245,7 @@ impl RetryBudget {
     /// `max(2, base − 2)` when the shard looks persistently dead, the base
     /// count in the uncertain middle band, loosened to `base + 2` when the
     /// shard has been healthy.
-    pub fn attempts_for(&self, shard: usize) -> u32 {
+    pub(crate) fn attempts_for(&self, shard: usize) -> u32 {
         let base = self.base.max_attempts.max(1);
         match self.rate_of(shard) {
             r if r >= DEAD_THRESHOLD => base.saturating_sub(2).max(2),
@@ -255,7 +256,7 @@ impl RetryBudget {
 
     /// The base policy with `max_attempts` swapped for the shard's current
     /// budget; backoff schedule unchanged.
-    pub fn policy_for(&self, shard: usize) -> RetryPolicy {
+    pub(crate) fn policy_for(&self, shard: usize) -> RetryPolicy {
         RetryPolicy {
             max_attempts: self.attempts_for(shard),
             ..self.base
@@ -267,7 +268,7 @@ impl RetryBudget {
     /// calls skip the primary, and every [`HALF_OPEN_INTERVAL`]-th one
     /// half-open-probes it. The probe cadence is a plain counter, so two
     /// identical call sequences route identically.
-    pub fn route(&self, shard: usize) -> Route {
+    pub(crate) fn route(&self, shard: usize) -> Route {
         let mut breakers = self.breakers.borrow_mut();
         if breakers.len() <= shard {
             breakers.resize_with(shard + 1, Breaker::default);
@@ -288,7 +289,7 @@ impl RetryBudget {
     /// dead (rate ≥ the dead threshold). Called when a primary retry leg
     /// exhausts transiently. Returns true only on the closed → open
     /// transition, so the caller emits exactly one `CircuitOpen` event.
-    pub fn open_breaker_if_dead(&self, shard: usize) -> bool {
+    pub(crate) fn open_breaker_if_dead(&self, shard: usize) -> bool {
         if self.rate_of(shard) < DEAD_THRESHOLD {
             return false;
         }
@@ -307,7 +308,7 @@ impl RetryBudget {
 
     /// Closes `shard`'s breaker after a successful half-open probe.
     /// Returns true only on the open → closed transition.
-    pub fn close_breaker(&self, shard: usize) -> bool {
+    pub(crate) fn close_breaker(&self, shard: usize) -> bool {
         let mut breakers = self.breakers.borrow_mut();
         match breakers.get_mut(shard) {
             Some(b) if b.open => {
@@ -326,45 +327,6 @@ impl RetryBudget {
             .get(shard)
             .map(|b| b.open)
             .unwrap_or(false)
-    }
-
-    /// Source replica order for a migration transfer off `shard`: the
-    /// shard's routing order with the primary demoted to last while its
-    /// breaker is open. A transfer should not spend its first attempt on a
-    /// replica queries already proved persistently dead, but the primary
-    /// stays reachable as a last resort (it may hold the only copy).
-    pub fn transfer_order(
-        &self,
-        sh: &textjoin_text::shard::ShardedTextServer,
-        shard: usize,
-    ) -> Vec<usize> {
-        let mut order = sh.routing_order(shard);
-        if self.breaker_open(shard) && order.len() > 1 {
-            let primary = sh.primary_of(shard);
-            order.retain(|&r| r != primary);
-            order.push(primary);
-        }
-        order
-    }
-}
-
-/// Runs one migration batch with breaker-aware source routing: while the
-/// current move's source shard has an open breaker, the transfer draws
-/// from the replicas first ([`RetryBudget::transfer_order`]). The
-/// journal-backed resume semantics of
-/// [`migrate_batch_via`](textjoin_text::shard::ShardedTextServer::migrate_batch_via)
-/// are unchanged — this only reorders which replica the source leg tries
-/// first.
-pub fn migration_step(
-    sh: &textjoin_text::shard::ShardedTextServer,
-    budget: &RetryBudget,
-) -> Result<textjoin_text::rebalance::MigrationProgress, TextError> {
-    match sh.current_move() {
-        Some((_, src, _)) => {
-            let order = budget.transfer_order(sh, src);
-            sh.migrate_batch_via(Some(&order))
-        }
-        None => sh.migrate_batch(),
     }
 }
 
@@ -391,10 +353,12 @@ mod tests {
     #[test]
     fn backoff_schedule_is_exponential_and_capped() {
         let p = RetryPolicy::standard();
-        assert_eq!(p.backoff_after(1), 1.0);
-        assert_eq!(p.backoff_after(2), 2.0);
-        assert_eq!(p.backoff_after(3), 4.0);
-        assert_eq!(p.backoff_after(10), 30.0, "capped at max_backoff");
+        let waits: Vec<f64> = (1..=6).map(|f| p.backoff_after(f)).collect();
+        assert_eq!(
+            waits,
+            [1.0, 2.0, 4.0, 8.0, 16.0, 30.0],
+            "doubling, capped at 30s"
+        );
     }
 
     #[test]
@@ -549,6 +513,27 @@ mod tests {
     }
 
     #[test]
+    fn a_budget_over_none_retries_without_waiting() {
+        let p = RetryBudget::new(RetryPolicy::none()).policy_for(0);
+        assert_eq!(p.max_attempts, 3, "a healthy shard gets base + 2");
+        let (mut calls, mut waits) = (0, Vec::new());
+        let out = p.run(
+            || {
+                calls += 1;
+                if calls < 3 {
+                    Err(TextError::Unavailable)
+                } else {
+                    Ok(())
+                }
+            },
+            |_| {},
+            |_, w| waits.push(w),
+        );
+        assert!(out.is_ok());
+        assert_eq!(waits, [0.0, 0.0], "no backoff charged");
+    }
+
+    #[test]
     fn policy_none_never_retries() {
         let s = server_with(FaultPlan::scripted(vec![(0, Fault::Unavailable)]));
         let expr = parse_search("TI='query'", s.collection().schema()).unwrap();
@@ -556,79 +541,5 @@ mod tests {
         assert!(matches!(err, TextError::Unavailable));
         assert_eq!(s.usage().retries, 0);
         assert_eq!(s.usage().time_backoff, 0.0);
-    }
-
-    fn sharded_corpus(n: usize) -> Collection {
-        let schema = TextSchema::bibliographic();
-        let ti = schema.field_by_name("title").unwrap();
-        let mut c = Collection::new(schema);
-        for i in 0..n {
-            c.add_document(Document::new().with(ti, format!("shared subject {i}")));
-        }
-        c
-    }
-
-    #[test]
-    fn transfer_order_demotes_an_open_breaker_primary() {
-        use textjoin_text::shard::ShardedTextServer;
-        let sh = ShardedTextServer::replicated(&sharded_corpus(40), 4, 3, 7);
-        let b = RetryBudget::new(RetryPolicy::standard());
-        // Breaker closed: transfer order is the plain routing order.
-        assert_eq!(b.transfer_order(&sh, 1), sh.routing_order(1));
-        // Open shard 1's breaker the way the failover path does: enough
-        // observed faults to cross the dead threshold.
-        for _ in 0..16 {
-            b.observe(1, true);
-        }
-        assert!(b.open_breaker_if_dead(1));
-        let order = b.transfer_order(&sh, 1);
-        let primary = sh.primary_of(1);
-        assert_eq!(order.last(), Some(&primary), "primary demoted to last");
-        let mut expected = sh.routing_order(1);
-        expected.retain(|&r| r != primary);
-        expected.push(primary);
-        assert_eq!(order, expected, "replica order otherwise preserved");
-        // Other shards are untouched.
-        assert_eq!(b.transfer_order(&sh, 2), sh.routing_order(2));
-    }
-
-    #[test]
-    fn migration_step_drains_an_open_breaker_source_via_replicas() {
-        use textjoin_text::doc::DocId;
-        use textjoin_text::rebalance::{MigrationPlan, MigrationProgress, Move, MoveStatus};
-        use textjoin_text::shard::ShardedTextServer;
-        use textjoin_text::service::TextService;
-
-        let coll = sharded_corpus(40);
-        let mut sh = ShardedTextServer::replicated(&coll, 4, 2, 7);
-        let src = sh.owner_of(DocId(0)).unwrap();
-        let dst = (src + 1) % 4;
-        let primary = sh.primary_of(src);
-        // The primary is persistently dead; queries have already opened
-        // its breaker.
-        sh.replica_mut(src, primary).set_fault_plan(FaultPlan::dead(9));
-        let b = RetryBudget::new(RetryPolicy::standard());
-        for _ in 0..16 {
-            b.observe(src, true);
-        }
-        assert!(b.open_breaker_if_dead(src));
-        sh.begin_migration(MigrationPlan::new(
-            vec![Move { range: (DocId(0), DocId(40)), src, dst }],
-            4,
-        ));
-        loop {
-            match migration_step(&sh, &b).expect("replica-sourced transfer") {
-                MigrationProgress::Idle => break,
-                MigrationProgress::Committed { .. } => {}
-            }
-        }
-        assert_eq!(sh.journal().unwrap().entries[0].status, MoveStatus::Done);
-        // The dead primary was never asked: every out-leg succeeded on the
-        // first (replica) attempt, so the migration bucket carries no
-        // faults at all.
-        assert_eq!(sh.migration_usage().faults, 0, "breaker pre-empted the dead leg");
-        let single = TextServer::new(coll.clone());
-        let got = TextService::search_str(&sh, "TI='shared'").unwrap();
-        assert_eq!(got.docs, single.search_str("TI='shared'").unwrap().docs);
     }
 }

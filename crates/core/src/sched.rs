@@ -22,34 +22,28 @@
 //!
 //! Within a [`begin_phase`](Scheduler::begin_phase) /
 //! [`end_phase`](Scheduler::end_phase) pair, legs on *different* shards
-//! overlap freely and legs on the *same* shard queue on
-//! [`SchedConfig::lanes_per_shard`] lanes. Outside a phase, legs are serial
-//! (the clock advances by the full cost). Hedged legs occupy their shard
-//! lane only until the winner finishes; the loser's charge is rebated by
-//! the transport layer, not here.
+//! overlap freely and legs on the *same* shard queue on that shard's one
+//! lane. Outside a phase, legs are serial (the clock advances by the full
+//! cost). Hedged legs occupy their shard lane only until the winner
+//! finishes; the loser's charge is rebated by the transport layer, not
+//! here.
 
 use std::cell::{Cell, RefCell};
-use std::fmt::Write as _;
 
 /// Configuration for one query's transport schedule.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedConfig {
-    /// Seed stamped into the timeline header; reserved for future
-    /// tie-breaking so two configs with different seeds never compare
-    /// equal by accident.
+    /// Reserved for tie-breaking; nothing reads it.
     pub seed: u64,
-    /// In-flight calls allowed per shard within a scatter phase.
-    pub lanes_per_shard: usize,
     /// Per-query deadline in simulated seconds; `None` = unbounded.
     pub deadline: Option<f64>,
 }
 
 impl SchedConfig {
-    /// Unbounded single-lane config.
+    /// Unbounded config.
     pub fn new(seed: u64) -> Self {
         SchedConfig {
             seed,
-            lanes_per_shard: 1,
             deadline: None,
         }
     }
@@ -57,12 +51,6 @@ impl SchedConfig {
     /// Sets the per-query deadline (simulated seconds).
     pub fn with_deadline(mut self, deadline: f64) -> Self {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// Sets the per-shard in-flight limit (≥ 1).
-    pub fn with_lanes(mut self, lanes: usize) -> Self {
-        self.lanes_per_shard = lanes.max(1);
         self
     }
 }
@@ -92,15 +80,6 @@ pub struct HedgedTiming {
     pub crossed_deadline: bool,
 }
 
-#[derive(Debug, Clone)]
-struct LegRecord {
-    label: String,
-    shard: Option<usize>,
-    start: f64,
-    finish: f64,
-    hedged: bool,
-}
-
 /// The per-query virtual-time scheduler. Interior mutability keeps the API
 /// `&self` so the executor, the methods, and the transport wrappers can
 /// share one schedule within a query, like they share one server.
@@ -119,8 +98,9 @@ pub struct Scheduler {
     gate: Cell<f64>,
     /// Latest completion within the current phase (the barrier target).
     phase_max: Cell<f64>,
-    /// `lanes[shard]` = free-times of that shard's lanes; grown on demand.
-    lanes: RefCell<Vec<Vec<f64>>>,
+    /// `lanes[shard]` = when that shard's lane is next free; grown on
+    /// demand.
+    lanes: RefCell<Vec<f64>>,
     hedges: Cell<u64>,
     cancels: Cell<u64>,
     deadline_misses: Cell<u64>,
@@ -129,7 +109,6 @@ pub struct Scheduler {
     /// Externally asserted pressure (a serving session under overload):
     /// `under_pressure` reports true regardless of the deadline state.
     forced_pressure: Cell<bool>,
-    legs: RefCell<Vec<LegRecord>>,
 }
 
 impl Scheduler {
@@ -150,18 +129,7 @@ impl Scheduler {
             degraded: Cell::new(0),
             missed: Cell::new(false),
             forced_pressure: Cell::new(false),
-            legs: RefCell::new(Vec::new()),
         }
-    }
-
-    /// The config in force.
-    pub fn config(&self) -> SchedConfig {
-        self.cfg
-    }
-
-    /// The per-query deadline, if any.
-    pub fn deadline(&self) -> Option<f64> {
-        self.cfg.deadline
     }
 
     /// Critical-path completion time under the concurrency limit: the
@@ -193,20 +161,20 @@ impl Scheduler {
     }
 
     /// Method downgrades taken under deadline pressure.
-    pub fn degradations(&self) -> u64 {
+    pub(crate) fn degradations(&self) -> u64 {
         self.degraded.get()
     }
 
     /// Records that the executor downgraded a method under deadline
     /// pressure instead of erroring.
-    pub fn note_degradation(&self) {
+    pub(crate) fn note_degradation(&self) {
         self.degraded.set(self.degraded.get() + 1);
     }
 
     /// True once the clock has consumed at least half the deadline — the
     /// executor's trigger for graceful degradation (skip probe phases,
     /// fall back TS-style) rather than erroring at the wire.
-    pub fn under_pressure(&self) -> bool {
+    pub(crate) fn under_pressure(&self) -> bool {
         if self.forced_pressure.get() {
             return true;
         }
@@ -220,16 +188,8 @@ impl Scheduler {
     /// session signalling overload (deep admission queue). The executor's
     /// degradation lattice then fires exactly as it does under deadline
     /// pressure: cost-only downgrades, never rows.
-    pub fn force_pressure(&self) {
+    pub(crate) fn force_pressure(&self) {
         self.forced_pressure.set(true);
-    }
-
-    /// True once the makespan has passed the deadline outright.
-    pub fn past_deadline(&self) -> bool {
-        match self.cfg.deadline {
-            Some(d) => self.makespan() > d,
-            None => false,
-        }
     }
 
     /// Opens a scatter phase: legs issued until [`end_phase`]
@@ -238,7 +198,7 @@ impl Scheduler {
     /// inside an open phase (the inner scatter joins the outer one).
     /// Returns `true` when this call actually opened the phase; callers
     /// that got `false` must not close it.
-    pub fn begin_phase(&self) -> bool {
+    pub(crate) fn begin_phase(&self) -> bool {
         if self.in_phase.get() {
             return false;
         }
@@ -250,7 +210,7 @@ impl Scheduler {
 
     /// Closes the phase: the clock advances to the latest leg completion
     /// (the barrier — a gather returns when its slowest shard does).
-    pub fn end_phase(&self) {
+    pub(crate) fn end_phase(&self) {
         if !self.in_phase.get() {
             return;
         }
@@ -259,33 +219,18 @@ impl Scheduler {
         self.horizon.set(self.horizon.get().max(self.now.get()));
     }
 
-    /// Earliest lane start for `shard` given the phase gate, reserving the
-    /// lane through `finish` once chosen.
-    fn lane_start(&self, shard: usize, gate: f64) -> (usize, f64) {
+    /// Earliest start on `shard`'s lane given the phase gate.
+    fn lane_start(&self, shard: usize, gate: f64) -> f64 {
         let mut lanes = self.lanes.borrow_mut();
         if lanes.len() <= shard {
-            lanes.resize_with(shard + 1, Vec::new);
+            lanes.resize(shard + 1, 0.0);
         }
-        let shard_lanes = &mut lanes[shard];
-        if shard_lanes.len() < self.cfg.lanes_per_shard {
-            shard_lanes.push(0.0);
-        }
-        // Deterministic choice: the earliest-free lane, lowest index wins.
-        let (best, _) = shard_lanes
-            .iter()
-            .enumerate()
-            .fold((0usize, f64::INFINITY), |(bi, bt), (i, &t)| {
-                if t < bt {
-                    (i, t)
-                } else {
-                    (bi, bt)
-                }
-            });
-        (best, shard_lanes[best].max(gate))
+        lanes[shard].max(gate)
     }
 
-    fn reserve_lane(&self, shard: usize, lane: usize, until: f64) {
-        self.lanes.borrow_mut()[shard][lane] = until;
+    /// Holds `shard`'s lane until `until`.
+    fn reserve_lane(&self, shard: usize, until: f64) {
+        self.lanes.borrow_mut()[shard] = until;
     }
 
     fn check_deadline(&self, finish: f64) -> bool {
@@ -300,16 +245,16 @@ impl Scheduler {
     }
 
     /// Issues one leg of charged cost `cost`. Inside a phase with a shard,
-    /// the leg runs on the shard's earliest-free lane concurrently with
-    /// other shards' legs; otherwise it runs serially and advances the
-    /// clock by its full cost.
-    pub fn leg(&self, shard: Option<usize>, label: &str, cost: f64) -> LegTiming {
+    /// the leg runs on the shard's lane concurrently with other shards'
+    /// legs; otherwise it runs serially and advances the clock by its full
+    /// cost. The label names the leg for the caller; it is not recorded.
+    pub fn leg(&self, shard: Option<usize>, _label: &str, cost: f64) -> LegTiming {
         self.serial.set(self.serial.get() + cost);
         let (start, finish) = match (self.in_phase.get(), shard) {
             (true, Some(s)) => {
-                let (lane, start) = self.lane_start(s, self.gate.get());
+                let start = self.lane_start(s, self.gate.get());
                 let finish = start + cost;
-                self.reserve_lane(s, lane, finish);
+                self.reserve_lane(s, finish);
                 self.phase_max.set(self.phase_max.get().max(finish));
                 (start, finish)
             }
@@ -321,13 +266,6 @@ impl Scheduler {
             }
         };
         self.horizon.set(self.horizon.get().max(finish));
-        self.legs.borrow_mut().push(LegRecord {
-            label: label.to_string(),
-            shard,
-            start,
-            finish,
-            hedged: false,
-        });
         LegTiming {
             start,
             finish,
@@ -341,36 +279,33 @@ impl Scheduler {
     /// the loser is cancelled. The lane is held only until the winner
     /// finishes. Both attempts' costs count toward the serial total — both
     /// were issued; overlap-and-cancel is exactly what the hedge buys.
-    pub fn hedged_leg(
+    pub(crate) fn hedged_leg(
         &self,
         shard: usize,
-        label: &str,
         primary_cost: f64,
         threshold: f64,
         hedge_cost: f64,
     ) -> HedgedTiming {
-        self.race(shard, label, primary_cost, threshold, hedge_cost, true)
+        self.race(shard, primary_cost, threshold, hedge_cost, true)
     }
 
     /// A hedge race whose hedge attempt itself failed: the primary's
     /// answer stands regardless of timing. The hedge's issued work still
     /// counts toward the serial total, and the counters still record one
     /// hedge and one cancellation (the failed hedge is the cancelled leg).
-    pub fn failed_hedge_leg(
+    pub(crate) fn failed_hedge_leg(
         &self,
         shard: usize,
-        label: &str,
         primary_cost: f64,
         threshold: f64,
         hedge_cost: f64,
     ) -> HedgedTiming {
-        self.race(shard, label, primary_cost, threshold, hedge_cost, false)
+        self.race(shard, primary_cost, threshold, hedge_cost, false)
     }
 
     fn race(
         &self,
         shard: usize,
-        label: &str,
         primary_cost: f64,
         threshold: f64,
         hedge_cost: f64,
@@ -381,10 +316,10 @@ impl Scheduler {
         self.hedges.set(self.hedges.get() + 1);
         self.cancels.set(self.cancels.get() + 1);
         let (in_phase, gate) = (self.in_phase.get(), self.gate.get());
-        let (lane, start) = if in_phase {
+        let start = if in_phase {
             self.lane_start(shard, gate)
         } else {
-            (usize::MAX, self.now.get())
+            self.now.get()
         };
         let primary_finish = start + primary_cost;
         let hedge_finish = start + threshold + hedge_cost;
@@ -395,65 +330,18 @@ impl Scheduler {
             primary_finish
         };
         if in_phase {
-            self.reserve_lane(shard, lane, finish);
+            self.reserve_lane(shard, finish);
             self.phase_max.set(self.phase_max.get().max(finish));
         } else {
             self.now.set(finish);
         }
         self.horizon.set(self.horizon.get().max(finish));
-        self.legs.borrow_mut().push(LegRecord {
-            label: label.to_string(),
-            shard: Some(shard),
-            start,
-            finish,
-            hedged: true,
-        });
         HedgedTiming {
             start,
             finish,
             hedge_won,
             crossed_deadline: self.check_deadline(finish),
         }
-    }
-
-    /// Deterministic render of the concurrent timeline: one line per leg in
-    /// issue order, with start/finish stamps, plus a summary footer.
-    pub fn timeline(&self) -> String {
-        let mut out = format!(
-            "timeline (seed {:#x}, lanes/shard {}{}):\n",
-            self.cfg.seed,
-            self.cfg.lanes_per_shard,
-            match self.cfg.deadline {
-                Some(d) => format!(", deadline {d:.2}s"),
-                None => String::new(),
-            }
-        );
-        for leg in self.legs.borrow().iter() {
-            let shard = match leg.shard {
-                Some(s) => format!("shard{s}"),
-                None => "-".to_string(),
-            };
-            let _ = writeln!(
-                out,
-                "  [{:>9.3} → {:>9.3}] {:<7} {}{}",
-                leg.start,
-                leg.finish,
-                shard,
-                leg.label,
-                if leg.hedged { " (hedged)" } else { "" }
-            );
-        }
-        let _ = writeln!(
-            out,
-            "  makespan {:.3}s, serial {:.3}s, hedges {}, cancels {}, deadline misses {}, degradations {}",
-            self.makespan(),
-            self.serial_total(),
-            self.hedges(),
-            self.cancels(),
-            self.deadline_misses(),
-            self.degradations()
-        );
-        out
     }
 }
 
@@ -491,17 +379,22 @@ mod tests {
     }
 
     #[test]
-    fn same_shard_legs_queue_on_the_lane_limit() {
-        let s = Scheduler::new(SchedConfig::new(1).with_lanes(2));
+    fn same_shard_legs_in_one_phase_queue_on_the_shards_lane() {
+        let s = Scheduler::new(SchedConfig::new(1));
+        s.leg(None, "plan", 1.0);
         s.begin_phase();
         let a = s.leg(Some(0), "p0", 2.0);
         let b = s.leg(Some(0), "p1", 2.0);
-        let c = s.leg(Some(0), "p2", 2.0);
+        let other = s.leg(Some(1), "q0", 2.0);
         s.end_phase();
-        assert_eq!((a.start, a.finish), (0.0, 2.0));
-        assert_eq!((b.start, b.finish), (0.0, 2.0), "second lane");
-        assert_eq!((c.start, c.finish), (2.0, 4.0), "queued behind lane 0");
-        assert_eq!(s.makespan(), 4.0);
+        assert_eq!((a.start, a.finish), (1.0, 3.0));
+        assert_eq!((b.start, b.finish), (3.0, 5.0), "queued behind p0");
+        assert_eq!(
+            (other.start, other.finish),
+            (1.0, 3.0),
+            "another shard overlaps"
+        );
+        assert_eq!(s.makespan(), 5.0);
     }
 
     #[test]
@@ -521,14 +414,14 @@ mod tests {
     fn hedged_leg_takes_the_winner_time() {
         let s = Scheduler::new(SchedConfig::new(1));
         // Slow primary (10s), hedge after 2s costing 3s → winner at 5s.
-        let t = s.hedged_leg(0, "search", 10.0, 2.0, 3.0);
+        let t = s.hedged_leg(0, 10.0, 2.0, 3.0);
         assert!(t.hedge_won);
         assert_eq!((t.start, t.finish), (0.0, 5.0));
         assert_eq!(s.makespan(), 5.0);
         assert_eq!(s.serial_total(), 13.0, "both attempts were issued");
         assert_eq!((s.hedges(), s.cancels()), (1, 1));
         // Fast primary: the hedge loses.
-        let t = s.hedged_leg(1, "search", 1.0, 2.0, 3.0);
+        let t = s.hedged_leg(1, 1.0, 2.0, 3.0);
         assert!(!t.hedge_won);
         assert_eq!(t.finish - t.start, 1.0);
     }
@@ -537,7 +430,7 @@ mod tests {
     fn failed_hedge_never_wins_but_still_counts() {
         let s = Scheduler::new(SchedConfig::new(1));
         // Timing-wise the hedge would win (5s < 10s), but it faulted.
-        let t = s.failed_hedge_leg(0, "search", 10.0, 2.0, 3.0);
+        let t = s.failed_hedge_leg(0, 10.0, 2.0, 3.0);
         assert!(!t.hedge_won);
         assert_eq!(t.finish, 10.0, "the primary's completion stands");
         assert_eq!(s.serial_total(), 13.0);
@@ -551,31 +444,10 @@ mod tests {
         let a = s.leg(None, "a", 3.0);
         assert!(!a.crossed_deadline);
         assert!(s.under_pressure(), "3.0 ≥ half of 5.0");
-        assert!(!s.past_deadline());
         let b = s.leg(None, "b", 3.0);
         assert!(b.crossed_deadline, "first crossing flagged");
-        assert!(s.past_deadline());
         let c = s.leg(None, "c", 1.0);
         assert!(!c.crossed_deadline, "flagged once per query");
         assert_eq!(s.deadline_misses(), 1);
-    }
-
-    #[test]
-    fn timeline_renders_deterministically() {
-        let run = || {
-            let s = Scheduler::new(SchedConfig::new(7).with_deadline(20.0));
-            s.begin_phase();
-            s.leg(Some(0), "gather/shard0", 3.0);
-            s.leg(Some(1), "gather/shard1", 4.0);
-            s.end_phase();
-            s.hedged_leg(0, "retrieve", 9.0, 2.0, 3.0);
-            s.note_degradation();
-            s.timeline()
-        };
-        let a = run();
-        assert_eq!(a, run(), "byte-identical render");
-        assert!(a.contains("gather/shard1"), "{a}");
-        assert!(a.contains("(hedged)"), "{a}");
-        assert!(a.contains("degradations 1"), "{a}");
     }
 }

@@ -51,7 +51,7 @@ fn stride_sample(n: usize, k: usize) -> Vec<usize> {
 /// fanout the mean result size over all sampled terms (zero-match terms
 /// included, matching the `V = n × F` derivation); `list_len` the mean
 /// postings processed per search.
-pub fn sample_predicate(
+pub(crate) fn sample_predicate(
     server: &dyn TextService,
     rel: &Table,
     col: ColId,
@@ -153,7 +153,7 @@ pub fn export_predicate(
 /// fanout, summed list lengths, term count)`. Joint fanout is the
 /// fully-correlated estimate (the rarest selection's fanout); with no
 /// selections it is `D`.
-pub fn export_selections(
+pub(crate) fn export_selections(
     export: &VocabularyStats,
     selections: &[crate::methods::TextSelection],
 ) -> (f64, f64, usize) {

@@ -149,14 +149,14 @@ impl<'a> ExecContext<'a> {
 
     /// The flight recorder attached to the service, if any. Observation is
     /// passive: recording never books a charge into the [`Usage`] ledger.
-    pub fn recorder(&self) -> Option<Rc<Recorder>> {
+    pub(crate) fn recorder(&self) -> Option<Rc<Recorder>> {
         self.server.recorder()
     }
 
     /// Opens a method-phase span on the attached recorder (no-op when the
     /// service is not being recorded). The guard closes the span on drop,
     /// including on early error returns.
-    pub fn span(&self, label: &str) -> Option<SpanGuard> {
+    pub(crate) fn span(&self, label: &str) -> Option<SpanGuard> {
         self.recorder().map(|r| r.span(label))
     }
 
@@ -195,9 +195,9 @@ impl<'a> ExecContext<'a> {
     /// (no-op without one). The first leg whose completion crosses the
     /// query deadline emits a single chargeless `DeadlineMiss` event —
     /// deadline misses degrade downstream, they never error.
-    fn record_leg(&self, shard: Option<usize>, label: &str, delta: &Usage) {
+    fn record_leg(&self, shard: Option<usize>, delta: &Usage) {
         if let Some(sched) = self.sched {
-            let t = sched.leg(shard, label, delta.total_cost());
+            let t = sched.leg(shard, "leg", delta.total_cost());
             if t.crossed_deadline {
                 self.emit_event(EventKind::DeadlineMiss { shard });
             }
@@ -206,23 +206,19 @@ impl<'a> ExecContext<'a> {
 
     /// Runs `f` as one serial leg on the scheduler, measured by the
     /// service's own ledger delta.
-    fn serial_leg<T>(&self, label: &str, f: impl FnOnce() -> T) -> T {
+    fn serial_leg<T>(&self, f: impl FnOnce() -> T) -> T {
         let before = self.sched.map(|_| self.server.usage());
         let out = f();
         if let Some(before) = before {
-            self.record_leg(None, label, &self.server.usage().since(&before));
+            self.record_leg(None, &self.server.usage().since(&before));
         }
         out
     }
 
     /// Runs an unsharded server operation as one serial leg under the
     /// context's retry policy, each wait charged to the service as a whole.
-    fn unsharded<T>(
-        &self,
-        label: &str,
-        op: impl FnMut() -> Result<T, TextError>,
-    ) -> Result<T, TextError> {
-        self.serial_leg(label, || {
+    fn unsharded<T>(&self, op: impl FnMut() -> Result<T, TextError>) -> Result<T, TextError> {
+        self.serial_leg(|| {
             self.retry.run(
                 op,
                 |_| {},
@@ -291,7 +287,7 @@ impl<'a> ExecContext<'a> {
             let before = self.leg_baseline(sh, shard, order[0]);
             let out =
                 self.leg_attempts(sh, shard, order[0], self.shard_policy(shard), true, &mut op);
-            self.book_leg(sh, shard, order[0], "leg", before);
+            self.book_leg(sh, shard, order[0], before);
             return out;
         }
         let primary = order[0];
@@ -309,7 +305,7 @@ impl<'a> ExecContext<'a> {
                         return Ok(v);
                     }
                     Err(e) => {
-                        self.book_leg(sh, shard, primary, "leg", before);
+                        self.book_leg(sh, shard, primary, before);
                         if !e.is_transient() {
                             return Err(e);
                         }
@@ -326,7 +322,7 @@ impl<'a> ExecContext<'a> {
                 let b = self.budget.expect("half-open probes require a budget");
                 let before = self.leg_baseline(sh, shard, primary);
                 let attempt = op(primary);
-                self.book_leg(sh, shard, primary, "half-open-probe", before);
+                self.book_leg(sh, shard, primary, before);
                 match attempt {
                     Ok(v) => {
                         b.observe(shard, false);
@@ -355,7 +351,7 @@ impl<'a> ExecContext<'a> {
         sh.failover(shard, &order[1..], |r| {
             let before = self.leg_baseline(sh, shard, r);
             let out = self.leg_attempts(sh, shard, r, self.retry, false, &mut op);
-            self.book_leg(sh, shard, r, "failover-leg", before);
+            self.book_leg(sh, shard, r, before);
             out
         })
     }
@@ -372,12 +368,11 @@ impl<'a> ExecContext<'a> {
         sh: &ShardedTextServer,
         shard: usize,
         replica: usize,
-        label: &str,
         before: Option<Usage>,
     ) {
         if let Some(before) = before {
             let delta = sh.replica(shard, replica).usage().since(&before);
-            self.record_leg(Some(shard), label, &delta);
+            self.record_leg(Some(shard), &delta);
         }
     }
 
@@ -409,7 +404,7 @@ impl<'a> ExecContext<'a> {
             t
         });
         let Some((sched, threshold)) = self.sched.zip(threshold).filter(|&(_, t)| cost > t) else {
-            self.record_leg(Some(shard), "leg", &delta);
+            self.record_leg(Some(shard), &delta);
             return;
         };
         self.emit_event(EventKind::Hedge {
@@ -423,11 +418,11 @@ impl<'a> ExecContext<'a> {
             .usage()
             .since(&hedge_before);
         let timing = if hedged.is_ok() {
-            sched.hedged_leg(shard, "leg", cost, threshold, hedge_delta.total_cost())
+            sched.hedged_leg(shard, cost, threshold, hedge_delta.total_cost())
         } else {
             // The hedge itself faulted: the primary's answer stands and
             // the failed hedge is the cancelled leg regardless of timing.
-            sched.failed_hedge_leg(shard, "leg", cost, threshold, hedge_delta.total_cost())
+            sched.failed_hedge_leg(shard, cost, threshold, hedge_delta.total_cost())
         };
         if timing.crossed_deadline {
             self.emit_event(EventKind::DeadlineMiss { shard: Some(shard) });
@@ -532,9 +527,8 @@ impl<'a> ExecContext<'a> {
                 // migration batch that committed since invalidates exactly
                 // the shards it touched, and completion re-scatters those
                 // alongside the failed one.
-                let round = self.serial_leg("complete-gather", || {
-                    sh.complete_gather_from(&pse.partial, expr, pse.epoch)
-                });
+                let round =
+                    self.serial_leg(|| sh.complete_gather_from(&pse.partial, expr, pse.epoch));
                 match round {
                     Err(TextError::Shard(next)) if next.gathered() > gathered => {
                         out = Err(TextError::Shard(next));
@@ -552,7 +546,7 @@ impl<'a> ExecContext<'a> {
         self.guard_budget()?;
         match self.server.as_sharded() {
             Some(sh) => self.sharded_search(sh, expr),
-            None => self.unsharded("search", || self.server.search(expr)),
+            None => self.unsharded(|| self.server.search(expr)),
         }
     }
 
@@ -562,11 +556,11 @@ impl<'a> ExecContext<'a> {
     /// its degradation path instead. With replication the error only
     /// surfaces (and the caller only degrades to "unknown — don't prune")
     /// when *every* replica of some shard is down.
-    pub fn probe(&self, expr: &SearchExpr) -> Result<Vec<DocId>, TextError> {
+    pub(crate) fn probe(&self, expr: &SearchExpr) -> Result<Vec<DocId>, TextError> {
         self.guard_budget()?;
         match self.server.as_sharded() {
             Some(sh) => Ok(self.sharded_search(sh, expr)?.ids()),
-            None => self.unsharded("probe", || self.server.probe(expr)),
+            None => self.unsharded(|| self.server.probe(expr)),
         }
     }
 
@@ -574,7 +568,7 @@ impl<'a> ExecContext<'a> {
     /// requirement, so when the server stays down past the retry budget
     /// this returns `None` ("outcome unknown — don't prune") instead of
     /// failing the whole method.
-    pub fn try_probe(&self, expr: &SearchExpr) -> Option<Vec<DocId>> {
+    pub(crate) fn try_probe(&self, expr: &SearchExpr) -> Option<Vec<DocId>> {
         self.probe(expr).ok()
     }
 
@@ -590,7 +584,7 @@ impl<'a> ExecContext<'a> {
                 self.note_doc_traffic(shard, &[id]);
                 Ok(doc)
             }
-            None => self.unsharded("retrieve", || self.server.retrieve(id)),
+            None => self.unsharded(|| self.server.retrieve(id)),
         }
     }
 
@@ -616,7 +610,7 @@ impl<'a> ExecContext<'a> {
                 })
             }),
             Some(_) => self.server.search_batch(exprs),
-            None => self.unsharded("search-batch", || self.server.search_batch(exprs)),
+            None => self.unsharded(|| self.server.search_batch(exprs)),
         }
     }
 }

@@ -66,7 +66,7 @@ impl CostVector {
     }
 
     /// Component-wise sum, for plan-level rollups.
-    pub fn accumulate(&mut self, other: &CostVector) {
+    pub(crate) fn accumulate(&mut self, other: &CostVector) {
         self.invocation += other.invocation;
         self.processing += other.processing;
         self.transmission += other.transmission;
@@ -180,7 +180,7 @@ impl PlanQuality {
 
     /// Per-component `(name, estimated, actual, q_error)` rollup over the
     /// whole plan, fixed order.
-    pub fn components(&self) -> [(&'static str, f64, f64, f64); 4] {
+    pub(crate) fn components(&self) -> [(&'static str, f64, f64, f64); 4] {
         let e = &self.est_total;
         let a = &self.act_total;
         [

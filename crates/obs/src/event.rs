@@ -38,13 +38,8 @@ pub struct Charge {
 impl Charge {
     /// Total simulated seconds of this charge — the amount it advances the
     /// simulated clock by.
-    pub fn total(&self) -> f64 {
+    pub(crate) fn total(&self) -> f64 {
         self.time_invocation + self.time_processing + self.time_transmission + self.time_backoff
-    }
-
-    /// Whether every field is zero (the event is free).
-    pub fn is_zero(&self) -> bool {
-        *self == Charge::default()
     }
 
     /// Field-wise sum, for trace↔ledger reconciliation. Counters wrap: a
@@ -779,7 +774,7 @@ impl Event {
     }
 
     /// Appends what [`to_jsonl`](Self::to_jsonl) returns to `out`.
-    pub fn write_jsonl(&self, out: &mut String) {
+    pub(crate) fn write_jsonl(&self, out: &mut String) {
         self.write_line(out, None);
     }
 
@@ -822,8 +817,7 @@ mod tests {
         assert_eq!(a.invocations, 1);
         assert_eq!(a.docs_short, 2);
         assert!((a.total() - 3.03).abs() < 1e-12);
-        assert!(!a.is_zero());
-        assert!(Charge::default().is_zero());
+        assert_ne!(a, Charge::default());
     }
 
     #[test]

@@ -38,8 +38,8 @@ pub use event::{Charge, Event, EventKind, PlannerChoice};
 pub use explain::render;
 pub use metrics::{Histogram, MetricsSnapshot};
 pub use monitor::{
-    render_windows, Advice, Monitor, MonitorConfig, OwnerFn, ReplicaWindow, ShardWindow,
-    WindowStats, MAX_WINDOWS,
+    render_windows, Advice, Monitor, MonitorConfig, ReplicaWindow, ShardWindow, WindowStats,
+    MAX_WINDOWS,
 };
 pub use recorder::{Recorder, SpanGuard};
 pub use sample::{is_hot, splitmix64, SampledSink, SamplePolicy};

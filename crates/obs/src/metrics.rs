@@ -1,9 +1,8 @@
 //! BTreeMap-backed metrics: counters, gauges, and fixed-bucket histograms.
 //!
 //! Keys are plain dotted strings; events served by shard `i` additionally
-//! bump a `shard{i}.`-prefixed copy of each key, so a snapshot can be
-//! narrowed to one shard with [`MetricsSnapshot::for_shard`]. BTreeMaps
-//! keep iteration (and therefore rendering) deterministic.
+//! bump a `shard{i}.`-prefixed copy of each key. BTreeMaps keep iteration
+//! (and therefore rendering) deterministic.
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
@@ -13,8 +12,8 @@ use crate::event::{Event, EventKind};
 
 /// A histogram over fixed power-of-two buckets: bucket `k` counts values
 /// `v` with `v <= 2^k` (the last bucket is an unbounded overflow bucket).
-/// The bucket layout is fixed at construction, so merging and rendering
-/// never depend on the data.
+/// The bucket layout is fixed at construction, so rendering never depends
+/// on the data.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     /// Inclusive upper bounds, ascending; one extra overflow bucket
@@ -26,14 +25,14 @@ pub struct Histogram {
 impl Histogram {
     /// `buckets` power-of-two bounds `1, 2, 4, …, 2^(buckets-1)` plus an
     /// overflow bucket.
-    pub fn pow2(buckets: usize) -> Self {
+    pub(crate) fn pow2(buckets: usize) -> Self {
         let bounds: Vec<u64> = (0..buckets as u32).map(|k| 1u64 << k).collect();
         let counts = vec![0; buckets + 1];
         Self { bounds, counts }
     }
 
     /// Records one observation.
-    pub fn observe(&mut self, v: u64) {
+    pub(crate) fn observe(&mut self, v: u64) {
         let idx = self
             .bounds
             .iter()
@@ -43,7 +42,7 @@ impl Histogram {
     }
 
     /// Total observations.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.counts.iter().sum()
     }
 
@@ -70,7 +69,7 @@ impl Histogram {
     /// `q = 0.0` is the lowest occupied bucket and `q = 1.0` the highest —
     /// both always defined on a non-empty histogram. `None` only when the
     /// histogram has no observations at all.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
+    pub(crate) fn quantile(&self, q: f64) -> Option<u64> {
         let total = self.total();
         if total == 0 {
             return None;
@@ -91,7 +90,7 @@ impl Histogram {
 
     /// `(upper_bound, count)` pairs for the non-empty buckets; the
     /// overflow bucket reports `u64::MAX` as its bound.
-    pub fn nonzero(&self) -> Vec<(u64, u64)> {
+    pub(crate) fn nonzero(&self) -> Vec<(u64, u64)> {
         self.counts
             .iter()
             .enumerate()
@@ -118,8 +117,8 @@ impl fmt::Display for Histogram {
     }
 }
 
-/// The registry and its snapshot are the same shape; a snapshot is just a
-/// clone taken at a point in time.
+/// A metrics registry: counters, values and histograms under dotted keys,
+/// built from an event stream ([`from_events`](Self::from_events)).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Monotonic counters.
@@ -156,9 +155,8 @@ fn keyed<'b>(buf: &'b mut String, args: fmt::Arguments<'_>) -> &'b str {
 }
 
 /// [`keyed`] for a key with no number in it: plain copies, not `fmt`.
-/// `CacheHit` is three events in four of a served session and is keyed
-/// twice a round (live and on replay): `trace_pipeline`'s round is 3 %
-/// shorter for it (12.41 → 12.01 ms, 19 of 20 pairs).
+/// `CacheHit` is three events in four of a served session, and every
+/// replay keys it.
 fn joined<'b>(buf: &'b mut String, parts: &[&str]) -> &'b str {
     buf.clear();
     parts.iter().for_each(|part| buf.push_str(part));
@@ -198,7 +196,7 @@ impl MetricsSnapshot {
 
     /// Records `v` into histogram `key`, creating it with `pow2(24)`
     /// buckets on first use.
-    pub fn observe(&mut self, key: &str, v: u64) {
+    pub(crate) fn observe(&mut self, key: &str, v: u64) {
         match self.histograms.get_mut(key) {
             Some(h) => h.observe(v),
             None => {
@@ -217,9 +215,8 @@ impl MetricsSnapshot {
     }
 
     /// Folds one event into the registry — the single definition of how
-    /// the event stream maps to metrics keys, shared by the live
-    /// [`Recorder`](crate::Recorder) and offline trace replay.
-    pub fn absorb(&mut self, kind: &EventKind) {
+    /// the event stream maps to metrics keys.
+    pub(crate) fn absorb(&mut self, kind: &EventKind) {
         let mut buf = std::mem::take(&mut self.key);
         let k = &mut buf;
         match kind {
@@ -426,9 +423,8 @@ impl MetricsSnapshot {
         self.key = buf;
     }
 
-    /// The registry a live recorder would have built for `events` —
-    /// offline replay for rendered traces (the `explain` binary rebuilds
-    /// quantiles from a JSONL file through this).
+    /// The registry of `events` — offline replay for rendered traces (the
+    /// `explain` binary rebuilds quantiles from a JSONL file through this).
     pub fn from_events(events: &[Event]) -> Self {
         let mut m = Self::new();
         for ev in events {
@@ -445,54 +441,6 @@ impl MetricsSnapshot {
     /// Value (0.0 when absent).
     pub fn value(&self, key: &str) -> f64 {
         self.values.get(key).copied().unwrap_or(0.0)
-    }
-
-    /// The sub-snapshot of keys prefixed `shard{i}.`, with the prefix
-    /// stripped — the per-shard view the planner reads.
-    pub fn for_shard(&self, shard: usize) -> MetricsSnapshot {
-        let prefix = format!("shard{shard}.");
-        let strip = |m: &BTreeMap<String, u64>| {
-            m.iter()
-                .filter_map(|(k, &v)| k.strip_prefix(&prefix).map(|s| (s.to_string(), v)))
-                .collect()
-        };
-        MetricsSnapshot {
-            key: String::new(),
-            counters: strip(&self.counters),
-            values: self
-                .values
-                .iter()
-                .filter_map(|(k, &v)| k.strip_prefix(&prefix).map(|s| (s.to_string(), v)))
-                .collect(),
-            histograms: self
-                .histograms
-                .iter()
-                .filter_map(|(k, v)| k.strip_prefix(&prefix).map(|s| (s.to_string(), v.clone())))
-                .collect(),
-        }
-    }
-
-    /// Merges `other` into `self` (counters and values add, histograms
-    /// add bucket-wise when layouts match, otherwise `other` wins).
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        for (k, &v) in &other.counters {
-            bump(&mut self.counters, k, v);
-        }
-        for (k, &v) in &other.values {
-            bump(&mut self.values, k, v);
-        }
-        for (k, h) in &other.histograms {
-            match self.histograms.get_mut(k) {
-                Some(mine) if mine.bounds == h.bounds => {
-                    for (c, o) in mine.counts.iter_mut().zip(&h.counts) {
-                        *c += o;
-                    }
-                }
-                _ => {
-                    self.histograms.insert(k.clone(), h.clone());
-                }
-            }
-        }
     }
 
     /// Deterministic multi-line rendering: one `key value` line per
@@ -526,32 +474,6 @@ mod tests {
         assert_eq!(h.total(), 4);
         assert_eq!(h.nonzero(), vec![(1, 1), (2, 1), (4, 1), (u64::MAX, 1)]);
         assert_eq!(h.to_string(), "[≤1:1 ≤2:1 ≤4:1 inf:1]");
-    }
-
-    #[test]
-    fn shard_filtering_strips_prefix() {
-        let mut m = MetricsSnapshot::new();
-        m.incr("calls.search", 3);
-        m.incr("shard0.calls.search", 2);
-        m.incr("shard1.calls.search", 1);
-        m.add_value("shard0.time_backoff", 1.5);
-        let s0 = m.for_shard(0);
-        assert_eq!(s0.counter("calls.search"), 2);
-        assert!((s0.value("time_backoff") - 1.5).abs() < 1e-12);
-        assert_eq!(s0.counters.len(), 1);
-    }
-
-    #[test]
-    fn merge_adds_counters_and_buckets() {
-        let mut a = MetricsSnapshot::new();
-        a.incr("x", 1);
-        a.observe("h", 2);
-        let mut b = MetricsSnapshot::new();
-        b.incr("x", 2);
-        b.observe("h", 2);
-        a.merge(&b);
-        assert_eq!(a.counter("x"), 3);
-        assert_eq!(a.histograms["h"].total(), 2);
     }
 
     #[test]
@@ -684,17 +606,6 @@ mod tests {
              hist.docs_short [≤2:1]\n\
              hist.postings [≤4:1]\n"
         );
-        // for_shard narrows to the prefixed keys, prefix stripped, and the
-        // narrowed render is golden too.
-        assert_eq!(
-            m.for_shard(1).render(),
-            "calls.search 1\n\
-             docs_short 2\n\
-             failovers 1\n\
-             postings 3\n\
-             replica1.serves 1\n"
-        );
-        assert_eq!(m.for_shard(3).render(), "");
     }
 
     #[test]
@@ -838,46 +749,5 @@ mod tests {
         }
         assert_eq!(m.value("shard1.time_backoff"), 1.0);
         assert_eq!(m.histograms["hist.postings"].total(), 2);
-    }
-
-    /// Seeded pseudo-random snapshot for the merge property test.
-    fn arbitrary_snapshot(seed: u64) -> MetricsSnapshot {
-        fn splitmix64(mut x: u64) -> u64 {
-            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            x ^ (x >> 31)
-        }
-        let keys = ["a", "b.c", "shard0.x", "shard1.x", "zz"];
-        let mut m = MetricsSnapshot::new();
-        let n = 1 + (splitmix64(seed) % 12) as usize;
-        for i in 0..n {
-            let r = splitmix64(seed ^ (i as u64) << 8);
-            let key = keys[(r % keys.len() as u64) as usize];
-            match (r >> 8) % 3 {
-                0 => m.incr(key, 1 + (r >> 16) % 5),
-                1 => m.add_value(key, ((r >> 16) % 100) as f64 / 8.0),
-                _ => m.observe(key, 1 + (r >> 16) % 300),
-            }
-        }
-        m
-    }
-
-    #[test]
-    fn merge_is_order_independent() {
-        // Property: for snapshots built through the public API (all
-        // histograms share the pow2(24) layout), merge(a, b) == merge(b, a)
-        // field for field, and the BTreeMap-backed render is therefore
-        // byte-identical regardless of merge order.
-        for seed in 0..64u64 {
-            let a = arbitrary_snapshot(seed);
-            let b = arbitrary_snapshot(seed.wrapping_mul(0x5851_F42D_4C95_7F2D) ^ 0xDEAD);
-            let mut ab = a.clone();
-            ab.merge(&b);
-            let mut ba = b.clone();
-            ba.merge(&a);
-            assert_eq!(ab, ba, "merge not commutative at seed {seed}");
-            assert_eq!(ab.render(), ba.render(), "render differs at seed {seed}");
-        }
     }
 }

@@ -57,23 +57,32 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
-use std::rc::Rc;
 
 use crate::calibrate::calibrate_trace;
 use crate::event::{Charge, Event, EventKind};
 use crate::sink::Sink;
 
-/// Attributes a global docid to the shard that currently owns it. The
-/// monitor itself is layered below the text system and cannot know the
-/// partition map; callers that want traffic attributed (required for
-/// rebalance advice) inject the owner function, e.g.
-/// `ShardedTextServer::owner_of`.
-pub type OwnerFn = Rc<dyn Fn(u64) -> usize>;
-
 /// The largest window index a monitor ingests an event into. It closes
 /// every window before that one, empty ones included, so this bounds the
 /// table (and the time and memory) one event can ask for.
 pub const MAX_WINDOWS: u64 = 1_000_000;
+
+/// Skew detector: windows with fewer net invocations than this are too
+/// quiet to judge and leave the hot states untouched.
+const SKEW_MIN_INVOCATIONS: i64 = 4;
+/// Smoothing factor of the per-call latency EWMA (weight of the newest
+/// observation).
+const EWMA_ALPHA: f64 = 0.25;
+/// Drift watchdog: relative tolerance before a component is flagged.
+const DRIFT_TOLERANCE: f64 = 0.25;
+/// Misestimation detector: fires when the trailing mean regret share
+/// (regret / chosen cost) reaches this value.
+const EST_REGRET_ALERT: f64 = 0.25;
+/// Misestimation detector: trailing windows with fewer plan-quality
+/// samples than this are too quiet to judge.
+const EST_MIN_SAMPLES: usize = 3;
+/// Misestimation detector: trailing sample buffer, in windows.
+const EST_TRAILING_WINDOWS: usize = 8;
 
 /// Tuning for the windowed monitor. All thresholds are deterministic
 /// constants; nothing here reads a clock or a RNG.
@@ -88,9 +97,6 @@ pub struct MonitorConfig {
     /// Skew detector: a hot shard clears when its share falls to or below
     /// this (must be below `skew_hot_ppm` for hysteresis to bite).
     pub skew_clear_ppm: u64,
-    /// Skew detector: windows with fewer net invocations than this are
-    /// too quiet to judge and leave the hot states untouched.
-    pub skew_min_invocations: i64,
     /// SLO monitor: trailing length of the fast window, in windows.
     pub slo_fast_windows: usize,
     /// SLO monitor: trailing length of the slow window, in windows.
@@ -102,8 +108,6 @@ pub struct MonitorConfig {
     pub drift_every_windows: u64,
     /// Drift watchdog: trailing calibration buffer, in windows.
     pub drift_trailing_windows: usize,
-    /// Drift watchdog: relative tolerance before a component is flagged.
-    pub drift_tolerance: f64,
     /// Drift watchdog baseline `(c_i, c_p, c_s, c_l)`; `None` disables
     /// the watchdog (nothing to compare against).
     pub baseline: Option<(f64, f64, f64, f64)>,
@@ -113,20 +117,6 @@ pub struct MonitorConfig {
     /// Misestimation detector: clears when the trailing p90 falls to or
     /// below this (must be below `est_p90_alert` for hysteresis).
     pub est_p90_clear: f64,
-    /// Misestimation detector: fires when the trailing mean regret share
-    /// (regret / chosen cost) reaches this value.
-    pub est_regret_alert: f64,
-    /// Misestimation detector: trailing windows with fewer plan-quality
-    /// samples than this are too quiet to judge.
-    pub est_min_samples: usize,
-    /// Misestimation detector: trailing sample buffer, in windows.
-    pub est_trailing_windows: usize,
-    /// Smoothing factor of the per-call latency EWMA (weight of the
-    /// newest observation).
-    pub ewma_alpha: f64,
-    /// Optional docid → shard attribution for traffic observed without a
-    /// shard tag (see [`OwnerFn`]).
-    pub owner: Option<OwnerFn>,
 }
 
 impl MonitorConfig {
@@ -143,21 +133,14 @@ impl MonitorConfig {
             window_secs,
             skew_hot_ppm: 450_000,
             skew_clear_ppm: 350_000,
-            skew_min_invocations: 4,
             slo_fast_windows: 3,
             slo_slow_windows: 12,
             slo_budget_per_window: 1.0,
             drift_every_windows: 4,
             drift_trailing_windows: 8,
-            drift_tolerance: 0.25,
             baseline: None,
             est_p90_alert: 4.0,
             est_p90_clear: 2.0,
-            est_regret_alert: 0.25,
-            est_min_samples: 3,
-            est_trailing_windows: 8,
-            ewma_alpha: 0.25,
-            owner: None,
         }
     }
 
@@ -186,43 +169,21 @@ impl MonitorConfig {
         self
     }
 
-    /// Sets the drift cadence, trailing depth, and relative tolerance.
-    pub fn with_drift(mut self, every: u64, trailing: usize, tolerance: f64) -> Self {
+    /// Sets the drift cadence and trailing depth.
+    pub fn with_drift(mut self, every: u64, trailing: usize) -> Self {
         assert!(every >= 1 && trailing >= 1, "cadence and trail must be >= 1");
-        assert!(tolerance > 0.0, "tolerance must be positive");
         self.drift_every_windows = every;
         self.drift_trailing_windows = trailing;
-        self.drift_tolerance = tolerance;
         self
     }
 
     /// Sets the misestimation thresholds: alert at trailing p90 Q-error
-    /// `p90_alert` (clear at `p90_clear`) or mean regret share
-    /// `regret_alert`, judged over `trailing` windows holding at least
-    /// `min_samples` plan-quality samples.
-    pub fn with_estimates(
-        mut self,
-        p90_alert: f64,
-        p90_clear: f64,
-        regret_alert: f64,
-        min_samples: usize,
-        trailing: usize,
-    ) -> Self {
+    /// `p90_alert`, clear at `p90_clear`.
+    pub fn with_estimates(mut self, p90_alert: f64, p90_clear: f64) -> Self {
         assert!(p90_clear < p90_alert, "hysteresis needs clear < alert");
         assert!(p90_clear >= 1.0, "q-error is never below 1");
-        assert!(regret_alert > 0.0, "regret threshold must be positive");
-        assert!(min_samples >= 1 && trailing >= 1, "need samples and trail >= 1");
         self.est_p90_alert = p90_alert;
         self.est_p90_clear = p90_clear;
-        self.est_regret_alert = regret_alert;
-        self.est_min_samples = min_samples;
-        self.est_trailing_windows = trailing;
-        self
-    }
-
-    /// Injects docid → shard attribution for untagged traffic.
-    pub fn with_owner(mut self, owner: OwnerFn) -> Self {
-        self.owner = Some(owner);
         self
     }
 }
@@ -280,12 +241,12 @@ pub struct WindowStats {
 impl WindowStats {
     /// SLO-threatening events this window: deadline misses, breaker
     /// opens, and hedges.
-    pub fn bad_events(&self) -> u64 {
+    pub(crate) fn bad_events(&self) -> u64 {
         self.deadline_misses + self.circuit_opens + self.hedges
     }
 
     /// A shard's share of the windowed invoice, in parts-per-million.
-    pub fn share_ppm(&self, shard: usize) -> u64 {
+    pub(crate) fn share_ppm(&self, shard: usize) -> u64 {
         let total: f64 = self
             .per_shard
             .values()
@@ -516,10 +477,9 @@ impl Monitor {
                     sw.calls += 1;
                     sw.invoice.accumulate(charge);
                 }
-                let alpha = self.cfg.ewma_alpha;
                 let sample = charge.total();
                 st.ewma = if st.ewma_primed {
-                    alpha * sample + (1.0 - alpha) * st.ewma
+                    EWMA_ALPHA * sample + (1.0 - EWMA_ALPHA) * st.ewma
                 } else {
                     st.ewma_primed = true;
                     sample
@@ -562,17 +522,18 @@ impl Monitor {
             }),
             EventKind::DeadlineMiss { .. } => acc.deadline_misses += 1,
             EventKind::CircuitOpen { .. } => acc.circuit_opens += 1,
-            EventKind::DocTraffic { shard, docs } => {
+            // Untagged traffic (a lone server's) belongs to no shard.
+            EventKind::DocTraffic {
+                shard: Some(s),
+                docs,
+            } => {
                 for doc in docs {
-                    let owner = shard.or_else(|| self.cfg.owner.as_ref().map(|f| f(*doc)));
-                    if let Some(s) = owner {
-                        *acc.per_shard
-                            .entry(s)
-                            .or_default()
-                            .traffic
-                            .entry(*doc)
-                            .or_insert(0) += 1;
-                    }
+                    *acc.per_shard
+                        .entry(*s)
+                        .or_default()
+                        .traffic
+                        .entry(*doc)
+                        .or_insert(0) += 1;
                 }
             }
             _ => {}
@@ -599,7 +560,7 @@ impl Monitor {
             st.trailing.pop_front();
         }
         st.est_trailing.push_back(acc.est_samples);
-        while st.est_trailing.len() > self.cfg.est_trailing_windows {
+        while st.est_trailing.len() > EST_TRAILING_WINDOWS {
             st.est_trailing.pop_front();
         }
         self.detect_skew(st, &stats);
@@ -613,7 +574,7 @@ impl Monitor {
     /// Load-skew detector with hysteresis; derives rebalance advice on
     /// each hot entry.
     fn detect_skew(&self, st: &mut MonState, w: &WindowStats) {
-        if w.invoice.invocations < self.cfg.skew_min_invocations {
+        if w.invoice.invocations < SKEW_MIN_INVOCATIONS {
             return; // too quiet to judge
         }
         let total: f64 = w.per_shard.values().map(|s| s.invoice.total()).sum();
@@ -781,7 +742,7 @@ impl Monitor {
                 continue; // no work observed: keep the configured value
             }
             let scale = configured.abs().max(f64::EPSILON);
-            let drifted = (fit.fitted - configured).abs() > self.cfg.drift_tolerance * scale;
+            let drifted = (fit.fitted - configured).abs() > DRIFT_TOLERANCE * scale;
             let was = st.drift_flags.get(fit.name).copied().unwrap_or(false);
             if drifted != was {
                 st.drift_flags.insert(fit.name, drifted);
@@ -808,7 +769,7 @@ impl Monitor {
     /// server).
     fn detect_estimates(&self, st: &mut MonState, window: u64) {
         let samples: Vec<EstSample> = st.est_trailing.iter().flatten().copied().collect();
-        if samples.len() < self.cfg.est_min_samples {
+        if samples.len() < EST_MIN_SAMPLES {
             return; // too quiet to judge
         }
         let p90 = |f: fn(&EstSample) -> f64| -> f64 {
@@ -829,9 +790,9 @@ impl Monitor {
             ("selectivity", sel_q)
         };
         let firing = if st.est_firing {
-            p90_q > self.cfg.est_p90_clear || regret_share >= self.cfg.est_regret_alert
+            p90_q > self.cfg.est_p90_clear || regret_share >= EST_REGRET_ALERT
         } else {
-            p90_q >= self.cfg.est_p90_alert || regret_share >= self.cfg.est_regret_alert
+            p90_q >= self.cfg.est_p90_alert || regret_share >= EST_REGRET_ALERT
         };
         if firing != st.est_firing {
             st.est_firing = firing;
@@ -1015,6 +976,9 @@ mod tests {
         }
         events.push(call(0.6, Some(1), 0.002));
         events.push(traffic(0.6, Some(0), vec![3, 3, 3, 9]));
+        // Untagged traffic is attributed to no shard: it never reaches
+        // the advice below.
+        events.push(traffic(0.6, None, vec![3, 7, 7, 7, 7]));
         // Window 1: still 50% — inside the hysteresis band, stays hot.
         for i in 0..4 {
             events.push(call(10.5 + i as f64 * 0.001, Some(0), 0.001));
@@ -1048,15 +1012,9 @@ mod tests {
         assert_eq!(advice[0].dst, 1);
         assert_eq!((advice[0].lo, advice[0].hi), (3, 4), "hottest docid covers half");
         assert_eq!(advice[0].hits, 3);
-    }
-
-    #[test]
-    fn owner_closure_attributes_untagged_traffic() {
-        let cfg = MonitorConfig::new(10.0).with_owner(Rc::new(|doc| (doc % 2) as usize));
-        let mon = Monitor::replay(cfg, &[traffic(1.0, None, vec![4, 5, 5, 6])]);
-        let w = &mon.windows()[0];
-        assert_eq!(w.per_shard[&0].traffic, BTreeMap::from([(4, 1), (6, 1)]));
-        assert_eq!(w.per_shard[&1].traffic, BTreeMap::from([(5, 2)]));
+        let w0 = &mon.windows()[0];
+        assert_eq!(w0.per_shard[&0].traffic, BTreeMap::from([(3, 3), (9, 1)]));
+        assert!(w0.per_shard[&1].traffic.is_empty());
     }
 
     #[test]
@@ -1104,7 +1062,7 @@ mod tests {
     fn drift_watchdog_flags_perturbation_and_stays_silent_when_clean() {
         let cfg = MonitorConfig::new(10.0)
             .with_baseline(1.0, 0.0, 0.0, 0.0)
-            .with_drift(1, 4, 0.25);
+            .with_drift(1, 4);
         // Clean: calls priced exactly at the baseline c_i.
         let clean = Monitor::replay(
             cfg.clone(),
@@ -1155,15 +1113,15 @@ mod tests {
 
     #[test]
     fn estimate_detector_fires_on_q_error_and_clears_with_hysteresis() {
-        let cfg = MonitorConfig::new(10.0).with_estimates(4.0, 2.0, 0.25, 3, 2);
+        let cfg = MonitorConfig::new(10.0).with_estimates(4.0, 2.0);
         let mut events = Vec::new();
         // Window 0: badly misestimated plans, selectivity-dominated.
         for i in 0..3 {
             events.push(sample(0.5 + i as f64 * 0.1, 10.0, 10.0, 1.0, 0.0));
         }
-        // Windows 1-2: perfect plans; w1 still holds w0 in the trail
-        // (stays firing), w2 drops it (clears).
-        for w in [1u64, 2] {
+        // Windows 1-8: perfect plans; w1-w7 still hold w0 in the 8-window
+        // trail (stays firing), w8 drops it (clears).
+        for w in 1u64..=8 {
             for i in 0..3 {
                 events.push(sample(w as f64 * 10.0 + 0.5 + i as f64 * 0.1, 1.0, 1.0, 1.0, 0.0));
             }
@@ -1181,7 +1139,7 @@ mod tests {
             .collect();
         assert_eq!(
             drifts,
-            vec![(0, "selectivity", true), (2, "selectivity", false)],
+            vec![(0, "selectivity", true), (8, "selectivity", false)],
             "one enter, one clear"
         );
         let table = mon.render_table();
@@ -1191,7 +1149,7 @@ mod tests {
     #[test]
     fn estimate_detector_names_constants_and_watches_regret() {
         // Constants-dominated misses name the calibration knob.
-        let cfg = MonitorConfig::new(10.0).with_estimates(4.0, 2.0, 0.25, 3, 2);
+        let cfg = MonitorConfig::new(10.0).with_estimates(4.0, 2.0);
         let events: Vec<Event> =
             (0..3).map(|i| sample(0.5 + i as f64 * 0.1, 6.0, 1.0, 6.0, 0.0)).collect();
         let mon = Monitor::replay(cfg, &events);
@@ -1209,7 +1167,7 @@ mod tests {
         );
         // Accurate estimates but costly wrong method choices: the regret
         // share alone trips the detector.
-        let cfg = MonitorConfig::new(10.0).with_estimates(4.0, 2.0, 0.25, 3, 2);
+        let cfg = MonitorConfig::new(10.0).with_estimates(4.0, 2.0);
         let events: Vec<Event> =
             (0..3).map(|i| sample(0.5 + i as f64 * 0.1, 1.0, 1.0, 1.0, 0.5)).collect();
         let mon = Monitor::replay(cfg, &events);
@@ -1224,7 +1182,7 @@ mod tests {
 
     #[test]
     fn estimate_detector_is_silent_below_min_samples_and_on_good_plans() {
-        let cfg = MonitorConfig::new(10.0).with_estimates(4.0, 2.0, 0.25, 3, 2);
+        let cfg = MonitorConfig::new(10.0).with_estimates(4.0, 2.0);
         // Two terrible samples: below the minimum, too quiet to judge.
         let quiet = Monitor::replay(
             cfg.clone(),

@@ -1,13 +1,12 @@
-//! The recorder: sequence numbers, the simulated clock, span tracking,
-//! and the metrics registry.
+//! The recorder: sequence numbers, the simulated clock, and span
+//! tracking.
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::rc::Rc;
 
 use crate::event::{Event, EventKind};
-use crate::metrics::MetricsSnapshot;
-use crate::sink::{NoopSink, Sink};
+use crate::sink::Sink;
 
 /// Observes charges and scopes; stamps every event with a dense sequence
 /// number and the simulated clock.
@@ -24,7 +23,6 @@ pub struct Recorder {
     clock: Cell<f64>,
     next_span: Cell<u64>,
     stack: RefCell<Vec<u64>>,
-    metrics: RefCell<MetricsSnapshot>,
 }
 
 impl fmt::Debug for Recorder {
@@ -46,13 +44,7 @@ impl Recorder {
             clock: Cell::new(0.0),
             next_span: Cell::new(0),
             stack: RefCell::new(Vec::new()),
-            metrics: RefCell::new(MetricsSnapshot::new()),
         })
-    }
-
-    /// A recorder that only maintains metrics (events are dropped).
-    pub fn noop() -> Rc<Self> {
-        Self::new(Rc::new(NoopSink))
     }
 
     /// Current simulated clock (seconds).
@@ -65,23 +57,14 @@ impl Recorder {
         self.stack.borrow().len()
     }
 
-    /// A point-in-time copy of the metrics registry.
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.metrics.borrow().clone()
-    }
-
     /// Stamps and emits one event: assigns the next sequence number,
-    /// advances the clock by the event's charge, updates metrics, and
-    /// forwards to the sink.
+    /// advances the clock by the event's charge, and forwards to the sink.
     pub fn emit(&self, kind: EventKind) {
         let seq = self.seq.get();
         self.seq.set(seq + 1);
         if let Some(charge) = kind.charge() {
             self.clock.set(self.clock.get() + charge.total());
         }
-        // The event→metrics mapping lives on the snapshot so offline
-        // trace replay produces the same registry a live run would.
-        self.metrics.borrow_mut().absorb(&kind);
         let ev = Event {
             seq,
             clock: self.clock.get(),
@@ -219,27 +202,5 @@ mod tests {
         let _inner = rec.span("inner");
         drop(outer); // closes outer AND pops inner off the open stack
         assert_eq!(rec.open_spans(), 0);
-    }
-
-    #[test]
-    fn metrics_count_calls_per_shard() {
-        let rec = Recorder::noop();
-        rec.emit(EventKind::Call {
-            op: "search",
-            shard: Some(1),
-            terms: 1,
-            err: None,
-            charge: Charge {
-                invocations: 1,
-                postings: 10,
-                docs_short: 2,
-                ..Charge::default()
-            },
-        });
-        let m = rec.metrics();
-        assert_eq!(m.counter("calls.search"), 1);
-        assert_eq!(m.counter("shard1.calls.search"), 1);
-        assert_eq!(m.counter("postings"), 10);
-        assert_eq!(m.for_shard(1).counter("docs_short"), 2);
     }
 }

@@ -57,30 +57,21 @@ pub fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Seeded per-span-kind sampling rates. A span labelled `L` beginning at
-/// trace sequence `s` is kept iff `splitmix64(seed ^ s) % denom(L) == 0`,
-/// where `denom(L)` comes from the first matching label-prefix rule
-/// (falling back to the default). `denom == 1` keeps everything.
+/// A seeded sampling rate. A span beginning at trace sequence `s` is kept
+/// iff `splitmix64(seed ^ s) % denom == 0`; `denom == 1` keeps everything.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SamplePolicy {
     seed: u64,
-    default_denom: u64,
-    rules: Vec<(String, u64)>,
+    denom: u64,
     tail: bool,
 }
 
 impl SamplePolicy {
-    /// Keeps every span (the identity policy).
-    pub fn keep_all(seed: u64) -> Self {
-        Self::one_in(seed, 1)
-    }
-
     /// Keeps roughly one span in `denom`.
     pub fn one_in(seed: u64, denom: u64) -> Self {
         Self {
             seed,
-            default_denom: denom.max(1),
-            rules: Vec::new(),
+            denom: denom.max(1),
             tail: false,
         }
     }
@@ -103,28 +94,10 @@ impl SamplePolicy {
         self
     }
 
-    /// Adds a per-span-kind rule: spans whose label starts with
-    /// `label_prefix` are sampled at one-in-`denom` instead of the
-    /// default. Rules are consulted in insertion order, first match wins.
-    pub fn with_rule(mut self, label_prefix: &str, denom: u64) -> Self {
-        self.rules.push((label_prefix.to_string(), denom.max(1)));
-        self
-    }
-
-    /// The sampling denominator that applies to a span labelled `label`.
-    pub fn denom_for(&self, label: &str) -> u64 {
-        self.rules
-            .iter()
-            .find(|(prefix, _)| label.starts_with(prefix.as_str()))
-            .map(|&(_, d)| d)
-            .unwrap_or(self.default_denom)
-    }
-
     /// The head-sampling decision for a span: deterministic in
-    /// `(seed, label kind, begin-event sequence number)`.
-    pub fn keeps(&self, label: &str, span_seq: u64) -> bool {
-        let denom = self.denom_for(label);
-        denom <= 1 || splitmix64(self.seed ^ span_seq).is_multiple_of(denom)
+    /// `(seed, begin-event sequence number)`.
+    pub(crate) fn keeps(&self, span_seq: u64) -> bool {
+        self.denom <= 1 || splitmix64(self.seed ^ span_seq).is_multiple_of(self.denom)
     }
 }
 
@@ -193,8 +166,6 @@ struct State {
     /// first is kept, repeats are sampled like cold events.
     open_breakers: BTreeMap<usize, bool>,
     dropped: Charge,
-    seen: u64,
-    kept: u64,
 }
 
 /// A [`Sink`] adapter that forwards a deterministic sample of the event
@@ -223,16 +194,6 @@ impl SampledSink {
         self.state.borrow().dropped
     }
 
-    /// Events observed (kept or not).
-    pub fn events_seen(&self) -> u64 {
-        self.state.borrow().seen
-    }
-
-    /// Events forwarded to the inner sink.
-    pub fn events_kept(&self) -> u64 {
-        self.state.borrow().kept
-    }
-
     /// Forwards one event. In tail mode, first retroactively promotes
     /// every still-unkept enclosing span: their buffered events (span
     /// begins and cold interior events, in original order) flush to the
@@ -246,13 +207,11 @@ impl SampledSink {
                     st.stack[i].promoted = true;
                     let buf = std::mem::take(&mut st.stack[i].buf);
                     for held in &buf {
-                        st.kept += 1;
                         self.inner.record(held);
                     }
                 }
             }
         }
-        st.kept += 1;
         self.inner.record(ev);
     }
 
@@ -307,16 +266,15 @@ impl SampledSink {
 impl Sink for SampledSink {
     fn record(&self, ev: &Event) {
         let mut st = self.state.borrow_mut();
-        st.seen += 1;
         match &ev.kind {
-            EventKind::SpanBegin { id, label, .. } => {
+            EventKind::SpanBegin { id, .. } => {
                 // A span opened while the innermost enclosing span is
                 // *promoted* (tail-retained by a signal) belongs to the
                 // retained scope: it inherits the promotion so the whole
                 // span's events — clean children included — are kept.
                 let inherited = self.policy.tail
                     && st.stack.last().map(|f| f.promoted).unwrap_or(false);
-                let keep = inherited || self.policy.keeps(label, ev.seq);
+                let keep = inherited || self.policy.keeps(ev.seq);
                 let mut buf = Vec::new();
                 if !keep && self.policy.tail {
                     buf.push(ev.clone());
@@ -444,15 +402,6 @@ mod tests {
     }
 
     #[test]
-    fn policy_rules_override_default() {
-        let p = SamplePolicy::one_in(7, 16).with_rule("gather/shard", 4).with_rule("gather", 2);
-        assert_eq!(p.denom_for("gather/shard1"), 4);
-        assert_eq!(p.denom_for("gather"), 2);
-        assert_eq!(p.denom_for("TS"), 16);
-        assert!(SamplePolicy::keep_all(7).keeps("anything", 3));
-    }
-
-    #[test]
     fn hot_events_survive_any_rate_and_dropped_charge_balances() {
         let ring = Rc::new(RingSink::unbounded());
         let sampled = Rc::new(SampledSink::new(
@@ -473,8 +422,6 @@ mod tests {
         let dropped = sampled.dropped_charge();
         assert_eq!(dropped.invocations, 1, "the cold call's charge is accounted");
         assert!((dropped.time_invocation - 3.0).abs() < 1e-12);
-        assert_eq!(sampled.events_seen(), 5);
-        assert_eq!(sampled.events_kept(), 2);
     }
 
     #[test]
@@ -548,7 +495,7 @@ mod tests {
     #[test]
     fn kept_spans_keep_their_cold_events_and_both_ends() {
         let ring = Rc::new(RingSink::unbounded());
-        let sampled = Rc::new(SampledSink::new(ring.clone(), SamplePolicy::keep_all(1)));
+        let sampled = Rc::new(SampledSink::new(ring.clone(), SamplePolicy::one_in(1, 1)));
         let rec = Recorder::new(sampled);
         {
             let _g = rec.span("gather");
@@ -597,7 +544,11 @@ mod tests {
         assert!(matches!(kept[4].kind, EventKind::SpanEnd { .. }));
         let seqs: Vec<u64> = kept.iter().map(|e| e.seq).collect();
         assert!(seqs.windows(2).all(|w| w[0] < w[1]), "ordered: {seqs:?}");
-        assert!(sampled.dropped_charge().is_zero(), "nothing was dropped");
+        assert_eq!(
+            sampled.dropped_charge(),
+            Charge::default(),
+            "nothing was dropped"
+        );
     }
 
     #[test]
@@ -619,7 +570,7 @@ mod tests {
             }
             let kept = ring.events();
             assert_eq!(kept.len(), 4, "begin + cold + signal + end");
-            assert!(sampled.dropped_charge().is_zero());
+            assert_eq!(sampled.dropped_charge(), Charge::default());
         }
     }
 
@@ -678,7 +629,11 @@ mod tests {
         }
         // begin + cold + (begin + cold + end) + (begin + fault + end) + end
         assert_eq!(kept.len(), 9);
-        assert!(sampled.dropped_charge().is_zero(), "nothing was dropped");
+        assert_eq!(
+            sampled.dropped_charge(),
+            Charge::default(),
+            "nothing was dropped"
+        );
     }
 
     #[test]
@@ -704,7 +659,11 @@ mod tests {
         assert_eq!(kept.len(), 6);
         let seqs: Vec<u64> = kept.iter().map(|e| e.seq).collect();
         assert!(seqs.windows(2).all(|w| w[0] < w[1]), "ordered: {seqs:?}");
-        assert!(sampled.dropped_charge().is_zero(), "nothing was dropped");
+        assert_eq!(
+            sampled.dropped_charge(),
+            Charge::default(),
+            "nothing was dropped"
+        );
     }
 
     #[test]

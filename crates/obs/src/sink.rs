@@ -14,9 +14,8 @@ pub trait Sink {
     fn record(&self, ev: &Event);
 }
 
-/// Drops everything. The default when tracing is attached only for
-/// metrics, and the reference point for the "observation never perturbs
-/// the cost model" audit.
+/// Drops everything: the reference point for the "observation never
+/// perturbs the cost model" audit.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NoopSink;
 
@@ -34,7 +33,7 @@ pub struct RingSink {
 
 impl RingSink {
     /// A ring holding at most `capacity` events (oldest evicted first).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Self {
             capacity,
             buf: RefCell::new(VecDeque::new()),

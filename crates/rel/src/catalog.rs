@@ -1,15 +1,13 @@
-//! A named-table catalog with per-table statistics.
+//! A named-table catalog.
 
 use std::collections::BTreeMap;
 
-use crate::stats::TableStats;
 use crate::table::Table;
 
-/// The database: a map of named tables. Statistics are computed lazily and
-/// cached per table version (recomputed on replacement).
+/// The database: a map of named tables.
 #[derive(Debug, Default, Clone)]
 pub struct Catalog {
-    tables: BTreeMap<String, (Table, TableStats)>,
+    tables: BTreeMap<String, Table>,
 }
 
 impl Catalog {
@@ -18,36 +16,14 @@ impl Catalog {
         Self::default()
     }
 
-    /// Registers (or replaces) a table under its own name, computing its
-    /// statistics.
+    /// Registers (or replaces) a table under its own name.
     pub fn register(&mut self, table: Table) {
-        let stats = TableStats::compute(&table);
-        self.tables.insert(table.name().to_owned(), (table, stats));
+        self.tables.insert(table.name().to_owned(), table);
     }
 
     /// The table named `name`.
     pub fn table(&self, name: &str) -> Option<&Table> {
-        self.tables.get(name).map(|(t, _)| t)
-    }
-
-    /// Statistics for the table named `name`.
-    pub fn stats(&self, name: &str) -> Option<&TableStats> {
-        self.tables.get(name).map(|(_, s)| s)
-    }
-
-    /// All table names.
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.tables.keys().map(String::as_str)
-    }
-
-    /// Number of tables.
-    pub fn len(&self) -> usize {
-        self.tables.len()
-    }
-
-    /// Whether the catalog is empty.
-    pub fn is_empty(&self) -> bool {
-        self.tables.is_empty()
+        self.tables.get(name)
     }
 }
 
@@ -65,24 +41,19 @@ mod tests {
         let mut t = Table::new("student", schema);
         t.push(tuple!["Kao"]);
         cat.register(t);
-        assert_eq!(cat.len(), 1);
         assert_eq!(cat.table("student").unwrap().len(), 1);
-        assert_eq!(cat.stats("student").unwrap().rows, 1);
         assert!(cat.table("faculty").is_none());
-        assert_eq!(cat.names().collect::<Vec<_>>(), vec!["student"]);
     }
 
     #[test]
-    fn replace_recomputes_stats() {
+    fn register_replaces_a_table_of_the_same_name() {
         let mut cat = Catalog::new();
         let schema = RelSchema::from_columns(vec![("name", ValueType::Str)]);
-        let t = Table::new("student", schema.clone());
-        cat.register(t);
-        assert_eq!(cat.stats("student").unwrap().rows, 0);
+        cat.register(Table::new("student", schema.clone()));
         let mut t2 = Table::new("student", schema);
         t2.push(tuple!["Kao"]);
         t2.push(tuple!["Pham"]);
         cat.register(t2);
-        assert_eq!(cat.stats("student").unwrap().rows, 2);
+        assert_eq!(cat.table("student").unwrap().len(), 2);
     }
 }

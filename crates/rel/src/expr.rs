@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use crate::schema::{ColId, RelSchema};
+use crate::schema::ColId;
 use crate::strmatch::{contains_term, like, Normalized};
 use crate::table::Table;
 use crate::tuple::Tuple;
@@ -179,42 +179,6 @@ impl Pred {
         }
     }
 
-    /// Shifts every column reference by `offset` — used to rebase a
-    /// predicate onto the concatenated schema of a join.
-    pub fn shift(&self, offset: usize) -> Pred {
-        match self {
-            Pred::True => Pred::True,
-            Pred::Cmp { col, op, rhs } => Pred::Cmp {
-                col: ColId(col.0 + offset),
-                op: *op,
-                rhs: rhs.clone(),
-            },
-            Pred::CmpCols { left, op, right } => Pred::CmpCols {
-                left: ColId(left.0 + offset),
-                op: *op,
-                right: ColId(right.0 + offset),
-            },
-            Pred::Like { col, pattern } => Pred::Like {
-                col: ColId(col.0 + offset),
-                pattern: pattern.clone(),
-            },
-            Pred::ContainsTerm { col, term } => Pred::ContainsTerm {
-                col: ColId(col.0 + offset),
-                term: term.clone(),
-            },
-            Pred::ContainsCol {
-                hay_col,
-                needle_col,
-            } => Pred::ContainsCol {
-                hay_col: ColId(hay_col.0 + offset),
-                needle_col: ColId(needle_col.0 + offset),
-            },
-            Pred::And(cs) => Pred::And(cs.iter().map(|c| c.shift(offset)).collect()),
-            Pred::Or(cs) => Pred::Or(cs.iter().map(|c| c.shift(offset)).collect()),
-            Pred::Not(c) => Pred::Not(Box::new(c.shift(offset))),
-        }
-    }
-
     /// Binds this predicate — expressed over the concatenation of `l`'s
     /// and `r`'s schemas — to the two tables: every column reference is
     /// resolved to a side and an index, and every string a containment
@@ -230,11 +194,6 @@ impl Pred {
         };
         bound.root = bound.bind_node(self, l.schema().len());
         bound
-    }
-
-    /// Renders against `schema` for EXPLAIN output.
-    pub fn display<'a>(&'a self, schema: &'a RelSchema) -> DisplayPred<'a> {
-        DisplayPred { pred: self, schema }
     }
 }
 
@@ -368,63 +327,10 @@ impl<'a> BoundPred<'a> {
     }
 }
 
-/// [`fmt::Display`] helper binding a predicate to its schema.
-pub struct DisplayPred<'a> {
-    pred: &'a Pred,
-    schema: &'a RelSchema,
-}
-
-impl fmt::Display for DisplayPred<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt_pred(self.pred, self.schema, f)
-    }
-}
-
-fn fmt_pred(p: &Pred, s: &RelSchema, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-    match p {
-        Pred::True => write!(f, "true"),
-        Pred::Cmp { col, op, rhs } => write!(f, "{} {op} {rhs}", s.def(*col).name),
-        Pred::CmpCols { left, op, right } => {
-            write!(f, "{} {op} {}", s.def(*left).name, s.def(*right).name)
-        }
-        Pred::Like { col, pattern } => write!(f, "{} like '{pattern}'", s.def(*col).name),
-        Pred::ContainsTerm { col, term } => write!(f, "'{term}' in {}", s.def(*col).name),
-        Pred::ContainsCol {
-            hay_col,
-            needle_col,
-        } => write!(f, "{} in {}", s.def(*needle_col).name, s.def(*hay_col).name),
-        Pred::And(cs) => {
-            for (i, c) in cs.iter().enumerate() {
-                if i > 0 {
-                    write!(f, " and ")?;
-                }
-                fmt_pred(c, s, f)?;
-            }
-            Ok(())
-        }
-        Pred::Or(cs) => {
-            write!(f, "(")?;
-            for (i, c) in cs.iter().enumerate() {
-                if i > 0 {
-                    write!(f, " or ")?;
-                }
-                fmt_pred(c, s, f)?;
-            }
-            write!(f, ")")
-        }
-        Pred::Not(c) => {
-            write!(f, "not (")?;
-            fmt_pred(c, s, f)?;
-            write!(f, ")")
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tuple;
-    use crate::value::ValueType;
 
     #[test]
     fn cmp_literal() {
@@ -489,24 +395,5 @@ mod tests {
         let q = Pred::Or(vec![Pred::eq(ColId(0), 2i64), Pred::eq(ColId(0), 1i64)]);
         assert!(q.eval(&t));
         assert!(!Pred::Not(Box::new(q)).eval(&t));
-    }
-
-    #[test]
-    fn shift_rebases_columns() {
-        let p = Pred::ContainsCol {
-            hay_col: ColId(0),
-            needle_col: ColId(1),
-        };
-        let t = tuple!["ignored", "Update of Belief", "belief"];
-        assert!(p.shift(1).eval(&t));
-    }
-
-    #[test]
-    fn display_readable() {
-        let mut s = RelSchema::new();
-        let name = s.add_column("name", ValueType::Str);
-        let year = s.add_column("year", ValueType::Int);
-        let p = Pred::and(vec![Pred::eq(name, "Kao"), Pred::gt(year, 3i64)]);
-        assert_eq!(p.display(&s).to_string(), "name = 'Kao' and year > 3");
     }
 }

@@ -20,8 +20,8 @@ fn join_shell(l: &Table, r: &Table) -> Table {
 
 /// Nested-loop join: emits `lrow ++ rrow` for every pair satisfying `pred`,
 /// left-major in the operands' row order. `pred` is expressed over the
-/// concatenated schema (left columns first, right columns shifted by
-/// `l.schema().len()` — see [`Pred::shift`]); it is bound to the operands
+/// concatenated schema (left columns first, right columns numbered from
+/// `l.schema().len()`); it is bound to the operands
 /// once and only the surviving pairs are concatenated.
 pub fn nested_loop_join(l: &Table, r: &Table, pred: &Pred) -> Table {
     let bound = pred.bind(l, r);

@@ -7,11 +7,12 @@
 //!
 //! * typed in-memory [`table::Table`]s over [`schema::RelSchema`]s;
 //! * selection / projection / distinct / sort / group operators ([`ops`]);
-//! * nested-loop, hash, and semi joins ([`join`]);
+//! * nested-loop and hash joins ([`join`]);
 //! * SQL string matching ([`strmatch`]) with semantics *consistent* with the
 //!   text system's indexer — the prerequisite for the RTP join method;
-//! * a [`catalog::Catalog`] with the statistics (`N`, `N_i`) the cost model
-//!   consumes ([`stats`]).
+//! * a [`catalog::Catalog`] of named tables. It keeps no statistics: the
+//!   cost model counts the `N` and `N_i` it needs on the tables it reads
+//!   ([`ops::distinct_count`], [`ops::distinct_count_multi`]).
 //!
 //! ```
 //! use textjoin_rel::{schema::RelSchema, table::Table, value::ValueType,
@@ -32,7 +33,6 @@ pub mod expr;
 pub mod join;
 pub mod ops;
 pub mod schema;
-pub mod stats;
 pub mod strmatch;
 pub mod table;
 pub mod tuple;

@@ -78,7 +78,7 @@ impl RelSchema {
     ///
     /// # Panics
     /// Panics if `id` is out of range.
-    pub fn def(&self, id: ColId) -> &ColumnDef {
+    pub(crate) fn def(&self, id: ColId) -> &ColumnDef {
         &self.columns[id.0]
     }
 
@@ -106,7 +106,7 @@ impl RelSchema {
     }
 
     /// Projects onto `cols`, preserving the given order.
-    pub fn project(&self, cols: &[ColId]) -> RelSchema {
+    pub(crate) fn project(&self, cols: &[ColId]) -> RelSchema {
         let mut out = RelSchema::new();
         for &c in cols {
             let d = self.def(c);

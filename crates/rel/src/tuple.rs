@@ -26,7 +26,7 @@ impl Tuple {
     }
 
     /// Number of columns.
-    pub fn arity(&self) -> usize {
+    pub(crate) fn arity(&self) -> usize {
         self.values.len()
     }
 
@@ -86,7 +86,7 @@ mod tests {
         let t = tuple!["Radhika", "AI", 4i64];
         assert_eq!(t.arity(), 3);
         assert_eq!(t.get(ColId(0)).as_str(), Some("Radhika"));
-        assert_eq!(t.get(ColId(2)).as_int(), Some(4));
+        assert_eq!(t.get(ColId(2)), &Value::Int(4));
     }
 
     #[test]

@@ -36,7 +36,7 @@ impl Value {
     }
 
     /// Whether this is NULL.
-    pub fn is_null(&self) -> bool {
+    pub(crate) fn is_null(&self) -> bool {
         matches!(self, Value::Null)
     }
 
@@ -44,14 +44,6 @@ impl Value {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The integer contents if this is an `Int`.
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
             _ => None,
         }
     }
@@ -125,7 +117,7 @@ pub enum ValueType {
 
 impl Value {
     /// Whether the value conforms to `ty` (NULL conforms to every type).
-    pub fn conforms_to(&self, ty: ValueType) -> bool {
+    pub(crate) fn conforms_to(&self, ty: ValueType) -> bool {
         matches!(
             (self, ty),
             (Value::Null, _) | (Value::Int(_), ValueType::Int) | (Value::Str(_), ValueType::Str)
@@ -166,9 +158,8 @@ mod tests {
     fn conversions_and_accessors() {
         let v: Value = "abc".into();
         assert_eq!(v.as_str(), Some("abc"));
-        assert_eq!(v.as_int(), None);
         let v: Value = 42i64.into();
-        assert_eq!(v.as_int(), Some(42));
+        assert_eq!(v, Value::Int(42));
         assert!(Value::Null.is_null());
     }
 

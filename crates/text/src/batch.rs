@@ -27,19 +27,6 @@ pub struct BatchResult {
     pub results: Vec<SearchResult>,
 }
 
-impl BatchResult {
-    /// The union of matching docids across the batch.
-    pub fn all_ids(&self) -> Vec<DocId> {
-        let set: BTreeSet<DocId> = self
-            .results
-            .iter()
-            .flat_map(|r| r.docs.ids())
-            .copied()
-            .collect();
-        set.into_iter().collect()
-    }
-}
-
 impl TextServer {
     /// Executes every query in `exprs` under a **single invocation**.
     ///
@@ -157,7 +144,6 @@ mod tests {
         assert_eq!(br.results[0].len(), 2);
         assert_eq!(br.results[1].len(), 1);
         assert_eq!(s.usage().docs_short, 2, "doc0 shipped once, doc1 once");
-        assert_eq!(br.all_ids().len(), 2);
     }
 
     #[test]

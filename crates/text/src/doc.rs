@@ -170,14 +170,6 @@ impl TextSchema {
             .enumerate()
             .map(|(i, f)| (FieldId(i as u16), f))
     }
-
-    /// Field ids included in the short form.
-    pub fn short_form_fields(&self) -> Vec<FieldId> {
-        self.iter()
-            .filter(|(_, f)| f.in_short_form)
-            .map(|(id, _)| id)
-            .collect()
-    }
 }
 
 /// A document: a docid plus values for (a subset of) the schema's fields.
@@ -225,12 +217,6 @@ impl Document {
     /// Total number of field values across all fields.
     pub fn value_count(&self) -> usize {
         self.values.values().map(Vec::len).sum()
-    }
-
-    /// Whether both are handles on the same stored values (`==` compares
-    /// content).
-    pub fn ptr_eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.values, &other.values)
     }
 }
 
@@ -373,7 +359,7 @@ pub struct ShortDoc {
 
 impl ShortDoc {
     /// The short form of `doc` under `schema`, identified as `id`.
-    pub fn new(id: DocId, doc: Document, schema: &TextSchema) -> Self {
+    pub(crate) fn new(id: DocId, doc: Document, schema: &TextSchema) -> Self {
         Self {
             id,
             doc,
@@ -446,12 +432,12 @@ impl ShortForms {
     }
 
     /// Number of hits.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.ids.len()
     }
 
     /// Whether nothing matched.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.ids.is_empty()
     }
 
@@ -547,6 +533,14 @@ impl IntoIterator for ShortForms {
 mod tests {
     use super::*;
 
+    impl Document {
+        /// Whether both are handles on the same stored values (`==`
+        /// compares content).
+        pub(crate) fn ptr_eq(&self, other: &Self) -> bool {
+            Arc::ptr_eq(&self.values, &other.values)
+        }
+    }
+
     fn schema() -> TextSchema {
         TextSchema::bibliographic()
     }
@@ -567,7 +561,11 @@ mod tests {
     #[test]
     fn short_form_fields_marked() {
         let s = schema();
-        let short = s.short_form_fields();
+        let short: Vec<FieldId> = s
+            .iter()
+            .filter(|(_, f)| f.in_short_form)
+            .map(|(id, _)| id)
+            .collect();
         assert_eq!(short.len(), 3); // title, author, year
         assert!(short.contains(&s.field_by_name("title").unwrap()));
         assert!(!short.contains(&s.field_by_name("abstract").unwrap()));

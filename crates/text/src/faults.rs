@@ -48,13 +48,6 @@ pub enum Fault {
     },
 }
 
-impl Fault {
-    /// True for faults that only add latency and never surface an error.
-    pub fn is_latency_only(&self) -> bool {
-        matches!(self, Fault::Slow { .. })
-    }
-}
-
 impl fmt::Display for Fault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -92,7 +85,7 @@ impl FaultKinds {
     /// `Slow` faults are opt-in (via [`FaultKinds::slow_only`] or the
     /// `slow` field) so existing seeded chaos streams keep their exact
     /// draw sequences.
-    pub fn all() -> Self {
+    pub(crate) fn all() -> Self {
         FaultKinds {
             unavailable: true,
             timeout: true,
@@ -102,7 +95,7 @@ impl FaultKinds {
     }
 
     /// Only latency faults: the server always answers, sometimes late.
-    pub fn slow_only() -> Self {
+    pub(crate) fn slow_only() -> Self {
         FaultKinds {
             unavailable: false,
             timeout: false,
@@ -117,13 +110,12 @@ struct PlanState {
     rng: u64,
     /// Consecutive faults injected without an intervening success.
     consecutive: u32,
-    injected: u64,
 }
 
 /// A seeded, deterministic schedule of server misbehavior.
 ///
 /// Two modes:
-/// * **random** ([`FaultPlan::transient`], [`FaultPlan::chaos`]): each
+/// * **random** ([`FaultPlan::transient`], [`FaultPlan::random`]): each
 ///   operation faults with probability `rate`, drawn from a splitmix64
 ///   stream. `max_consecutive` bounds runs of back-to-back faults; any
 ///   retry policy allowing more attempts than that bound is guaranteed to
@@ -157,7 +149,6 @@ impl FaultPlan {
             state: RefCell::new(PlanState {
                 rng: 0,
                 consecutive: 0,
-                injected: 0,
             }),
         }
     }
@@ -168,11 +159,6 @@ impl FaultPlan {
     /// max_attempts`, every operation eventually succeeds.
     pub fn transient(seed: u64, rate: f64, max_consecutive: u32) -> Self {
         Self::random(seed, rate, FaultKinds::transient_only(), max_consecutive)
-    }
-
-    /// Random faults of every kind, including cap renegotiation.
-    pub fn chaos(seed: u64, rate: f64, max_consecutive: u32) -> Self {
-        Self::random(seed, rate, FaultKinds::all(), max_consecutive)
     }
 
     /// A permanently dead server: every operation faults transiently and no
@@ -202,7 +188,6 @@ impl FaultPlan {
             state: RefCell::new(PlanState {
                 rng: seed ^ 0x6a09_e667_f3bc_c908, // offset so seed 0 still mixes
                 consecutive: 0,
-                injected: 0,
             }),
         }
     }
@@ -221,19 +206,8 @@ impl FaultPlan {
             state: RefCell::new(PlanState {
                 rng: 0,
                 consecutive: 0,
-                injected: 0,
             }),
         }
-    }
-
-    /// True when this plan can never inject anything.
-    pub fn is_none(&self) -> bool {
-        self.rate == 0.0 && self.script.is_empty()
-    }
-
-    /// Faults injected so far.
-    pub fn injected(&self) -> u64 {
-        self.state.borrow().injected
     }
 
     fn next_u64(state: &mut PlanState) -> u64 {
@@ -250,7 +224,7 @@ impl FaultPlan {
 
     /// Decides the fate of the next search attempt. `current_m` is the
     /// server's cap, used to derive a meaningful `CapReduced` target.
-    pub fn next_search_fault(&self, current_m: usize) -> Option<Fault> {
+    pub(crate) fn next_search_fault(&self, current_m: usize) -> Option<Fault> {
         if !self.script.is_empty() {
             let op = {
                 let mut ops = self.search_ops.borrow_mut();
@@ -258,15 +232,11 @@ impl FaultPlan {
                 *ops += 1;
                 op
             };
-            let fault = self
+            return self
                 .script
                 .iter()
                 .find(|&&(at, _)| at == op)
                 .map(|&(_, f)| f);
-            if fault.is_some() {
-                self.state.borrow_mut().injected += 1;
-            }
-            return fault;
         }
         self.draw(|state| {
             // Uniform choice over the enabled kinds.
@@ -307,7 +277,7 @@ impl FaultPlan {
     /// Decides the fate of the next retrieve attempt. Retrievals have no
     /// term cap and their processing is subsumed in `c_l`, so only
     /// `Unavailable` applies.
-    pub fn next_retrieve_fault(&self) -> Option<Fault> {
+    pub(crate) fn next_retrieve_fault(&self) -> Option<Fault> {
         if !self.script.is_empty() {
             return None;
         }
@@ -332,7 +302,6 @@ impl FaultPlan {
         match pick(&mut state) {
             Some(fault) => {
                 state.consecutive += 1;
-                state.injected += 1;
                 Some(fault)
             }
             None => {
@@ -356,23 +325,24 @@ mod tests {
     #[test]
     fn none_never_faults() {
         let p = FaultPlan::none();
-        assert!(p.is_none());
         for _ in 0..1000 {
             assert_eq!(p.next_search_fault(70), None);
             assert_eq!(p.next_retrieve_fault(), None);
         }
-        assert_eq!(p.injected(), 0);
     }
 
     #[test]
     fn same_seed_same_fault_sequence() {
-        let a = FaultPlan::chaos(17, 0.5, 0);
-        let b = FaultPlan::chaos(17, 0.5, 0);
+        let a = FaultPlan::random(17, 0.5, FaultKinds::all(), 0);
+        let b = FaultPlan::random(17, 0.5, FaultKinds::all(), 0);
+        let mut faults = 0;
         for _ in 0..500 {
-            assert_eq!(a.next_search_fault(70), b.next_search_fault(70));
+            let f = a.next_search_fault(70);
+            assert_eq!(f, b.next_search_fault(70));
             assert_eq!(a.next_retrieve_fault(), b.next_retrieve_fault());
+            faults += usize::from(f.is_some());
         }
-        assert!(a.injected() > 0, "rate 0.5 over 1000 draws must fault");
+        assert!(faults > 0, "rate 0.5 over 500 searches must fault");
     }
 
     #[test]
@@ -444,9 +414,7 @@ mod tests {
     fn slow_plans_only_draw_latency_faults() {
         let p = FaultPlan::slow(9, 1.0);
         for _ in 0..200 {
-            let f = p.next_search_fault(70).expect("rate 1.0 must draw");
-            assert!(f.is_latency_only(), "slow plan drew {f:?}");
-            match f {
+            match p.next_search_fault(70).expect("rate 1.0 must draw") {
                 Fault::Slow { delta_s } => assert!((1..=8).contains(&delta_s)),
                 other => panic!("slow plan drew {other:?}"),
             }
@@ -457,10 +425,10 @@ mod tests {
 
     #[test]
     fn erroring_menus_never_draw_slow() {
-        let p = FaultPlan::chaos(21, 1.0, 0);
+        let p = FaultPlan::random(21, 1.0, FaultKinds::all(), 0);
         for _ in 0..300 {
             if let Some(f) = p.next_search_fault(70) {
-                assert!(!f.is_latency_only(), "chaos menu drew {f:?}");
+                assert!(!matches!(f, Fault::Slow { .. }), "erroring menu drew {f:?}");
             }
         }
     }
@@ -479,7 +447,6 @@ mod tests {
             Some(Fault::CapReduced { new_m: 5 })
         ); // op 3
         assert_eq!(p.next_search_fault(70), None); // op 4
-        assert_eq!(p.injected(), 2);
         assert_eq!(p.next_retrieve_fault(), None);
     }
 }

@@ -110,13 +110,13 @@ impl Collection {
     /// The inverted list for `word` (already normalized), or `None` if the
     /// word is not in the vocabulary. The returned list spans all fields;
     /// callers pick the field lists they need.
-    pub fn lookup(&self, word: &str) -> Option<&PostingList> {
+    pub(crate) fn lookup(&self, word: &str) -> Option<&PostingList> {
         self.directory.get(word)
     }
 
     /// Inverted lists for all words with the given prefix — the access path
     /// behind truncated search terms like `filter?`.
-    pub fn prefix_lookup<'a>(
+    pub(crate) fn prefix_lookup<'a>(
         &'a self,
         prefix: &'a str,
     ) -> impl Iterator<Item = (&'a str, &'a PostingList)> + 'a {

@@ -40,7 +40,7 @@ pub struct FieldList {
 
 impl FieldList {
     /// An empty list for `field`.
-    pub fn new(field: FieldId) -> Self {
+    pub(crate) fn new(field: FieldId) -> Self {
         Self {
             field,
             docs: Vec::new(),
@@ -71,7 +71,7 @@ impl FieldList {
     }
 
     /// The occurrences within `docs()[i]`, sorted.
-    pub fn occurrences(&self, i: usize) -> &[Occurrence] {
+    pub(crate) fn occurrences(&self, i: usize) -> &[Occurrence] {
         let end = self
             .starts
             .get(i + 1)
@@ -86,7 +86,7 @@ impl FieldList {
     }
 
     /// Appends an occurrence, which must sort at or after the current tail.
-    pub fn push(&mut self, doc: DocId, occ: Occurrence) {
+    pub(crate) fn push(&mut self, doc: DocId, occ: Occurrence) {
         let tail = self.docs.last().zip(self.occs.last());
         debug_assert!(tail.is_none_or(|(&d, &o)| (d, o) <= (doc, occ)));
         if self.docs.last() != Some(&doc) {
@@ -107,7 +107,7 @@ pub struct PostingList {
 impl PostingList {
     /// Appends a posting, which must sort at or after the tail of its
     /// field's list.
-    pub fn push(&mut self, doc: DocId, field: FieldId, occ: Occurrence) {
+    pub(crate) fn push(&mut self, doc: DocId, field: FieldId, occ: Occurrence) {
         let at = match self.fields.iter().position(|l| l.field >= field) {
             Some(at) if self.fields[at].field == field => at,
             at => {
@@ -156,7 +156,7 @@ impl DocSet {
     ///
     /// # Panics
     /// Debug builds panic if `ids` is not strictly increasing.
-    pub fn from_sorted(ids: Vec<DocId>) -> Self {
+    pub(crate) fn from_sorted(ids: Vec<DocId>) -> Self {
         debug_assert!(ids.windows(2).all(|w| w[0] < w[1]));
         Self { ids }
     }
@@ -167,7 +167,7 @@ impl DocSet {
     /// back. The stable sort is a natural merge sort — it finds the runs
     /// and merges them in balanced order, `O(n log k)` — where folding a
     /// two-way union re-copies the accumulated result once per operand.
-    pub fn from_unsorted(mut ids: Vec<DocId>) -> Self {
+    pub(crate) fn from_unsorted(mut ids: Vec<DocId>) -> Self {
         ids.sort();
         ids.dedup();
         Self { ids }
@@ -189,7 +189,7 @@ impl DocSet {
     }
 
     /// The sorted ids, by value.
-    pub fn into_ids(self) -> Vec<DocId> {
+    pub(crate) fn into_ids(self) -> Vec<DocId> {
         self.ids
     }
 }
@@ -202,7 +202,7 @@ const GALLOP_RATIO: usize = 16;
 
 /// Calls `on_shared(i, j)` for every `a[i] == b[j]` of two ascending
 /// distinct lists, in ascending order.
-pub fn for_each_shared(a: &[DocId], b: &[DocId], mut on_shared: impl FnMut(usize, usize)) {
+pub(crate) fn for_each_shared(a: &[DocId], b: &[DocId], mut on_shared: impl FnMut(usize, usize)) {
     if a.len() * GALLOP_RATIO <= b.len() {
         gallop(a, b, on_shared);
     } else if b.len() * GALLOP_RATIO <= a.len() {
@@ -249,14 +249,14 @@ fn seek(long: &[DocId], from: usize, x: DocId) -> usize {
 }
 
 /// Intersection of two ascending distinct lists.
-pub fn intersect(a: &[DocId], b: &[DocId]) -> Vec<DocId> {
+pub(crate) fn intersect(a: &[DocId], b: &[DocId]) -> Vec<DocId> {
     let mut out = Vec::with_capacity(a.len().min(b.len()));
     for_each_shared(a, b, |i, _| out.push(a[i]));
     out
 }
 
 /// Difference `a \\ b` of two ascending distinct lists, by linear merge.
-pub fn difference(a: &[DocId], b: &[DocId]) -> Vec<DocId> {
+pub(crate) fn difference(a: &[DocId], b: &[DocId]) -> Vec<DocId> {
     let mut out = Vec::with_capacity(a.len());
     let mut j = 0;
     for x in a {
@@ -271,7 +271,7 @@ pub fn difference(a: &[DocId], b: &[DocId]) -> Vec<DocId> {
 }
 
 /// Union of two ascending distinct lists, by linear merge.
-pub fn union(a: &[DocId], b: &[DocId]) -> Vec<DocId> {
+pub(crate) fn union(a: &[DocId], b: &[DocId]) -> Vec<DocId> {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
@@ -300,7 +300,7 @@ fn follows(xs: &[Occurrence], y: &Occurrence, min_gap: i64, width: u64) -> bool 
 /// `[1, 1]` for the next word of a phrase, `[-10, 10]` for `near10`. The
 /// lists are intersected on their docids first; positions are compared
 /// only inside the documents both hold.
-pub fn positional_step(
+pub(crate) fn positional_step(
     carrier: &FieldList,
     next: &FieldList,
     (min_gap, max_gap): (i64, i64),
@@ -322,7 +322,7 @@ pub fn positional_step(
 /// A positional term listed whole: `chain` is one field's list of each word
 /// in turn, and every [`positional_step`] carries the occurrences of the
 /// *last* matched word forward.
-pub fn positional_list<'a>(chain: &[&'a FieldList], gaps: (i64, i64)) -> Cow<'a, FieldList> {
+pub(crate) fn positional_list<'a>(chain: &[&'a FieldList], gaps: (i64, i64)) -> Cow<'a, FieldList> {
     let (first, rest) = chain.split_first().expect("a chain has a first word");
     rest.iter().fold(Cow::Borrowed(*first), |carrier, next| {
         Cow::Owned(positional_step(&carrier, next, gaps))
@@ -334,7 +334,7 @@ pub fn positional_list<'a>(chain: &[&'a FieldList], gaps: (i64, i64)) -> Cow<'a,
 /// shortest head are verified one by one; against anything longer the term
 /// is listed whole and intersected — the same two loops, at the same
 /// sizes, as [`for_each_shared`]'s.
-pub fn positional_within(
+pub(crate) fn positional_within(
     chain: &[&FieldList],
     gaps: (i64, i64),
     cands: &[DocId],
@@ -351,7 +351,7 @@ pub fn positional_within(
 
 /// Whether `chain` matches anywhere: the documents of its shortest head are
 /// verified until the first hit.
-pub fn positional_any(chain: &[&FieldList], gaps: (i64, i64)) -> bool {
+pub(crate) fn positional_any(chain: &[&FieldList], gaps: (i64, i64)) -> bool {
     let shortest = chain.iter().min_by_key(|l| l.docs.len());
     shortest.is_some_and(|l| positional_at(chain, gaps, &l.docs).next().is_some())
 }

@@ -125,16 +125,6 @@ impl MigrationPlan {
             batch_docs,
         )
     }
-
-    /// Total moves in the plan.
-    pub fn len(&self) -> usize {
-        self.moves.len()
-    }
-
-    /// Whether the plan holds no moves.
-    pub fn is_empty(&self) -> bool {
-        self.moves.is_empty()
-    }
 }
 
 /// Lifecycle of one move in the journal.
@@ -250,7 +240,7 @@ mod tests {
         let a = MigrationPlan::seeded(11, 4, 40, 3, 2);
         let b = MigrationPlan::seeded(11, 4, 40, 3, 2);
         assert_eq!(a, b);
-        assert_eq!(a.len(), 3);
+        assert_eq!(a.moves.len(), 3);
         for m in &a.moves {
             assert_ne!(m.src, m.dst, "a move never targets its own source");
             assert!(m.src < 4 && m.dst < 4);
@@ -272,7 +262,7 @@ mod tests {
             hits: 17,
         };
         let plan = MigrationPlan::from_advice(&advice, 8);
-        assert_eq!(plan.len(), 1);
+        assert_eq!(plan.moves.len(), 1);
         assert_eq!(plan.batch_docs, 8);
         assert_eq!(
             plan.moves[0],

@@ -56,16 +56,6 @@ impl CostConstants {
             c_l: 4.0,
         }
     }
-
-    /// A free server — useful for tests that assert on result contents only.
-    pub fn zero() -> Self {
-        Self {
-            c_i: 0.0,
-            c_p: 0.0,
-            c_s: 0.0,
-            c_l: 0.0,
-        }
-    }
 }
 
 impl Default for CostConstants {
@@ -453,7 +443,7 @@ impl TextServer {
     }
 
     /// The fault plan in force.
-    pub fn fault_plan(&self) -> &FaultPlan {
+    pub(crate) fn fault_plan(&self) -> &FaultPlan {
         &self.fault_plan
     }
 
@@ -501,13 +491,8 @@ impl TextServer {
     }
 
     /// The attached flight recorder, if any.
-    pub fn recorder(&self) -> Option<Rc<Recorder>> {
+    pub(crate) fn recorder(&self) -> Option<Rc<Recorder>> {
         self.recorder.borrow().clone()
-    }
-
-    /// This server's position inside a sharded server, if it is a shard.
-    pub fn shard_index(&self) -> Option<usize> {
-        self.shard_index.get()
     }
 
     /// Stamps the shard position; called by the sharded server at

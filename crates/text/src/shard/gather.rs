@@ -127,7 +127,7 @@ impl ShardedTextServer {
     /// order. Shard result sets are disjoint (the partition) and each is
     /// already sorted, so this is a pure merge of their hits; the result
     /// holds each shard's store once.
-    pub fn merge(parts: Vec<SearchResult>) -> SearchResult {
+    pub(crate) fn merge(parts: Vec<SearchResult>) -> SearchResult {
         SearchResult {
             docs: ShortForms::merge(parts.into_iter().map(|r| r.docs)),
         }
@@ -327,7 +327,7 @@ impl ShardedTextServer {
     /// [`complete_gather_from`](Self::complete_gather_from) with the
     /// error's stamped epoch, which additionally invalidates partial slots
     /// a migration commit made stale.
-    pub fn complete_gather(
+    pub(crate) fn complete_gather(
         &self,
         partial: &[Option<SearchResult>],
         expr: &SearchExpr,
@@ -358,15 +358,9 @@ impl ShardedTextServer {
         })
     }
 
-    /// The current topology epoch (also exposed through
-    /// [`TextService::topology_epoch`]).
-    pub fn topology_epoch(&self) -> u64 {
-        self.epoch.get()
-    }
-
     /// Shards touched (as source or destination) by commits and aborts
     /// since `epoch`, sorted and deduplicated.
-    pub fn shards_touched_since(&self, epoch: u64) -> Vec<usize> {
+    pub(crate) fn shards_touched_since(&self, epoch: u64) -> Vec<usize> {
         let mut out: Vec<usize> = self
             .epoch_log
             .borrow()

@@ -218,16 +218,8 @@ impl ShardedTextServer {
         })
     }
 
-    /// Runs the active migration one batch forward, reading the source
-    /// replicas in their routing order. See
-    /// [`migrate_batch_via`](Self::migrate_batch_via).
-    pub fn migrate_batch(&self) -> Result<MigrationProgress, TextError> {
-        self.migrate_batch_via(None)
-    }
-
-    /// Runs one bounded batch of the active migration, with an optional
-    /// explicit source replica order (the retry layer passes one that
-    /// demotes a breaker-open primary, forcing replica-sourced transfer).
+    /// Runs the active migration one bounded batch forward, reading the
+    /// source replicas in their routing order.
     ///
     /// A batch is two charged legs plus a commit:
     ///
@@ -246,10 +238,7 @@ impl ShardedTextServer {
     /// 3. **commit**: the batch's documents flip visibility (hidden on the
     ///    source, visible on the destination), re-route, bump the topology
     ///    epoch, and advance the journal high-water mark.
-    pub fn migrate_batch_via(
-        &self,
-        src_order: Option<&[usize]>,
-    ) -> Result<MigrationProgress, TextError> {
+    pub fn migrate_batch(&self) -> Result<MigrationProgress, TextError> {
         struct Work {
             mv: usize,
             src: usize,
@@ -300,8 +289,7 @@ impl ShardedTextServer {
                 epoch: self.epoch.get(),
             });
         } else {
-            let routing = self.routing_order(work.src);
-            let order = src_order.unwrap_or(&routing);
+            let order = &self.routing_order(work.src);
             self.xfer_leg("xfer.out", "source", work.src, order, |fault| match fault {
                 // An out-leg timeout yields no usable documents: long forms
                 // are all-or-nothing per doc, and the batch is re-read whole

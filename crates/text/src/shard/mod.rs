@@ -98,7 +98,6 @@ pub struct ShardedTextServer {
     /// Aggregate-level counters: cap rejections and client backoff charged
     /// to the service as a whole rather than to one shard.
     extra: RefCell<Usage>,
-    partition_seed: u64,
     /// Flight recorder shared with every shard (shard events carry their
     /// stamped shard index; aggregate-ledger events carry `shard: None`).
     recorder: RefCell<Option<Rc<Recorder>>>,
@@ -160,7 +159,7 @@ impl ShardedTextServer {
     }
 
     /// Same, with explicit cost constants.
-    pub fn replicated_with_constants(
+    pub(crate) fn replicated_with_constants(
         coll: &Collection,
         n_shards: usize,
         n_replicas: usize,
@@ -202,7 +201,6 @@ impl ShardedTextServer {
             to_global,
             hidden: RefCell::new(vec![BTreeSet::new(); n_shards]),
             extra: RefCell::new(Usage::default()),
-            partition_seed: seed,
             recorder: RefCell::new(None),
             epoch: Cell::new(0),
             epoch_log: RefCell::new(Vec::new()),
@@ -227,7 +225,7 @@ impl ShardedTextServer {
     }
 
     /// The attached flight recorder, if any.
-    pub fn recorder(&self) -> Option<Rc<Recorder>> {
+    pub(crate) fn recorder(&self) -> Option<Rc<Recorder>> {
         self.recorder.borrow().clone()
     }
 
@@ -273,11 +271,6 @@ impl ShardedTextServer {
     /// Number of replicas per shard (1 = unreplicated).
     pub fn replication_factor(&self) -> usize {
         self.replicas[0].len()
-    }
-
-    /// The partition seed in force.
-    pub fn partition_seed(&self) -> u64 {
-        self.partition_seed
     }
 
     /// Shared read access to shard `i`'s **primary** replica (its ledger,

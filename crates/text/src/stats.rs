@@ -53,7 +53,7 @@ impl FieldStats {
     }
 
     /// Mean fanout over the field's vocabulary (average documents per word).
-    pub fn mean_fanout(&self) -> f64 {
+    pub(crate) fn mean_fanout(&self) -> f64 {
         if self.vocabulary == 0 {
             0.0
         } else {
@@ -68,7 +68,7 @@ impl FieldStats {
 
     /// Whether `word` occurs in this field at all — answers a single-column
     /// probe without contacting the server.
-    pub fn occurs(&self, word: &str) -> bool {
+    pub(crate) fn occurs(&self, word: &str) -> bool {
         self.fanout(word) > 0
     }
 

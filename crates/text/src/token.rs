@@ -31,7 +31,7 @@ pub struct Token {
 // third slower when it does not (`text.shard.build_ms` 10 → 13 ms when
 // `stats.rs` changed size under a plain `#[inline]`).
 #[inline(always)]
-pub fn for_each_token(text: &str, buf: &mut String, mut on_token: impl FnMut(&str, u32)) {
+pub(crate) fn for_each_token(text: &str, buf: &mut String, mut on_token: impl FnMut(&str, u32)) {
     buf.clear();
     let mut pos = 0u32;
     for c in text.chars() {

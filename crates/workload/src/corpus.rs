@@ -11,7 +11,7 @@
 use textjoin_text::doc::TextSchema;
 
 /// Builds the CSTR text schema.
-pub fn cstr_schema() -> TextSchema {
+pub(crate) fn cstr_schema() -> TextSchema {
     let mut s = TextSchema::new();
     for (name, alias, short) in [
         ("title", "TI", true),

@@ -32,7 +32,7 @@ pub const TOPICS: &[&str] = &[
 
 /// Draws a pronounceable, unique-ish surname. Collisions across draws are
 /// possible; use [`unique_names`] when uniqueness is required.
-pub fn surname(rng: &mut StdRng) -> String {
+pub(crate) fn surname(rng: &mut StdRng) -> String {
     let mut s = String::new();
     s.push_str(ONSETS[rng.gen_range(0..ONSETS.len())]);
     s.push_str(NUCLEI[rng.gen_range(0..NUCLEI.len())]);
@@ -49,7 +49,7 @@ pub fn surname(rng: &mut StdRng) -> String {
 
 /// Draws `n` distinct surnames. Falls back to numbered suffixes once the
 /// syllable space is exhausted, preserving single-token shape.
-pub fn unique_names(rng: &mut StdRng, n: usize) -> Vec<String> {
+pub(crate) fn unique_names(rng: &mut StdRng, n: usize) -> Vec<String> {
     let mut seen = std::collections::HashSet::new();
     let mut out = Vec::with_capacity(n);
     let mut attempts = 0usize;
@@ -68,7 +68,7 @@ pub fn unique_names(rng: &mut StdRng, n: usize) -> Vec<String> {
 
 /// Draws a title of `words` topic words (may repeat across titles —
 /// exactly what gives common words like 'text' a large fanout).
-pub fn title(rng: &mut StdRng, words: usize) -> String {
+pub(crate) fn title(rng: &mut StdRng, words: usize) -> String {
     (0..words)
         .map(|_| TOPICS[rng.gen_range(0..TOPICS.len())])
         .collect::<Vec<_>>()
@@ -76,7 +76,7 @@ pub fn title(rng: &mut StdRng, words: usize) -> String {
 }
 
 /// Draws an abstract-like sentence of `words` topic words.
-pub fn abstract_text(rng: &mut StdRng, words: usize) -> String {
+pub(crate) fn abstract_text(rng: &mut StdRng, words: usize) -> String {
     title(rng, words)
 }
 

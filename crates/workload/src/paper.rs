@@ -5,7 +5,6 @@ use textjoin_core::methods::Projection;
 use textjoin_core::optimizer::plan::{ForeignSpec, MultiJoinQuery, RelJoinPred, RelSpec};
 use textjoin_core::query::SingleJoinQuery;
 use textjoin_rel::expr::{CmpOp, Pred};
-use textjoin_rel::table::Table;
 
 use crate::world::World;
 
@@ -204,13 +203,6 @@ pub fn q6(w: &World) -> MultiJoinQuery {
     }
 }
 
-/// The number of tuples Q_i's local selection keeps — handy when reporting
-/// experiment parameters.
-pub fn local_cardinality(w: &World, q: &SingleJoinQuery) -> usize {
-    let t: &Table = w.catalog.table(&q.relation).expect("relation exists");
-    textjoin_rel::ops::filter(t, &q.local_pred).len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,10 +278,13 @@ mod tests {
     }
 
     #[test]
-    fn local_cardinality_matches_filter() {
+    fn q2_local_selection_is_selective() {
         let w = world();
-        let q = q2(&w);
-        let n = local_cardinality(&w, &q);
+        let ts = w.server.collection().schema();
+        let n = prepare(&q2(&w), &w.catalog, ts)
+            .expect("prepares")
+            .filtered
+            .len();
         assert!(n > 0 && n < 80);
     }
 }

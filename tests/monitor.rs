@@ -201,7 +201,7 @@ fn drift_watchdog_flags_repricing_within_one_trailing_window() {
                 params.constants.c_s,
                 params.constants.c_l,
             )
-            .with_drift(1, TRAILING, 0.25)
+            .with_drift(1, TRAILING)
     };
 
     // Faithful replay: the trace is priced exactly at the baseline, so
