@@ -9,7 +9,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CEILING=98
+CEILING=90
 
 list=0
 case "${1:-}" in

@@ -329,36 +329,14 @@ impl<'a> MultiExecutor<'a> {
     /// Probe node: keep tuples whose probe (selections ∧ instantiated
     /// probe predicates) matches something.
     fn eval_probe(&self, t: &Table, preds: &[usize]) -> Result<Table, MethodError> {
-        let q = self.query();
-        let cols: Vec<ColId> = preds
-            .iter()
-            .map(|&i| self.resolve_col(t.schema(), q.foreign[i].rel, &q.foreign[i].column))
-            .collect::<Result<_, _>>()?;
-        let fields: Vec<_> = preds.iter().map(|&i| self.input.foreign[i].field).collect();
-
+        let fj = self.foreign_join(t, preds)?;
+        let all = fj.all_preds();
         let mut keep = vec![false; t.len()];
-        for (key, rows) in group_by(t, &cols) {
-            // NULL/empty keys can never match.
-            let terms: Option<Vec<&str>> = key
-                .iter()
-                .map(|v| v.as_str().filter(|s| !s.trim().is_empty()))
-                .collect();
-            let Some(terms) = terms else {
+        for (_, rows) in group_by(t, &fj.join_cols) {
+            // NULL/empty keys can never match: no probe is sent.
+            let Some(expr) = fj.instantiated_search(&t.rows()[rows[0]], &all) else {
                 continue;
             };
-            let mut conj: Vec<SearchExpr> = self
-                .input
-                .selections
-                .iter()
-                .map(|s| SearchExpr::term_in(&s.term, s.field))
-                .collect();
-            conj.extend(
-                terms
-                    .iter()
-                    .zip(&fields)
-                    .map(|(v, &f)| SearchExpr::term_in(v, f)),
-            );
-            let expr = SearchExpr::and(conj);
             // Probing prunes; it never decides membership. When the server
             // stays down past the retry budget the outcome is unknown, so
             // the group is kept and the downstream text join settles it.
@@ -453,6 +431,27 @@ impl<'a> MultiExecutor<'a> {
         })
     }
 
+    /// The foreign join of `t` with the text source on the foreign
+    /// predicates `preds`, under the query's text selections.
+    fn foreign_join<'t>(
+        &self,
+        t: &'t Table,
+        preds: &[usize],
+    ) -> Result<ForeignJoin<'t>, MethodError> {
+        let q = self.query();
+        let join_cols = preds
+            .iter()
+            .map(|&i| self.resolve_col(t.schema(), q.foreign[i].rel, &q.foreign[i].column))
+            .collect::<Result<_, _>>()?;
+        Ok(ForeignJoin {
+            rel: t,
+            join_cols,
+            join_fields: preds.iter().map(|&i| self.input.foreign[i].field).collect(),
+            selections: self.input.selections.clone(),
+            projection: self.input.text_projection(preds.len()),
+        })
+    }
+
     fn eval_text_join(
         &self,
         t: &Table,
@@ -461,19 +460,7 @@ impl<'a> MultiExecutor<'a> {
         probe_cols: &[usize],
         tally: &mut Tally,
     ) -> Result<Table, MethodError> {
-        let q = self.query();
-        let join_cols: Vec<ColId> = preds
-            .iter()
-            .map(|&i| self.resolve_col(t.schema(), q.foreign[i].rel, &q.foreign[i].column))
-            .collect::<Result<_, _>>()?;
-        let join_fields: Vec<_> = preds.iter().map(|&i| self.input.foreign[i].field).collect();
-        let fj = ForeignJoin {
-            rel: t,
-            join_cols,
-            join_fields,
-            selections: self.input.selections.clone(),
-            projection: self.input.text_projection(preds.len()),
-        };
+        let fj = self.foreign_join(t, preds)?;
         let ctx = &self.ctx;
         // Graceful degradation: under deadline pressure the probing
         // methods drop their probe phase and fall back TS-style (the
@@ -1320,28 +1307,54 @@ mod tests {
 
     #[test]
     fn probe_node_execution_filters() {
-        let (catalog, server) = fixture();
+        use textjoin_rel::value::Value;
+        use textjoin_text::faults::{FaultKinds, FaultPlan};
+
+        let (mut catalog, server) = fixture();
+        // A NULL-named student, and a second Gravano sharing a probe key.
+        let mut student = catalog.table("student").unwrap().clone();
+        student.push(Tuple::new(vec![Value::Null, Value::str("CS")]));
+        student.push(tuple!["Gravano", "EE"]);
+        catalog.register(student);
         let q = q5();
         let export = server.export_stats();
         let params = CostParams::mercury(server.doc_count() as f64);
         let input =
             PlannerInput::gather(&q, &catalog, &export, server.collection().schema(), params)
                 .unwrap();
-        let exec = MultiExecutor::new(&input, &catalog, ExecContext::new(&server)).unwrap();
+        let names = |t: &Table| -> Vec<Option<String>> {
+            t.iter()
+                .map(|r| r.get(ColId(0)).as_str().map(str::to_owned))
+                .collect()
+        };
+        let some = |names: &[&str]| -> Vec<Option<String>> {
+            names.iter().map(|&n| Some(n.to_owned())).collect()
+        };
+
         // Probe students on pred 0 with the 1993 selection: Gravano and Kao
         // have 1993 docs; Pham's only doc is 1990.
         let plan = PlanNode::Probe {
             input: Box::new(PlanNode::Scan { rel: 0 }),
             preds: vec![0],
         };
+        let exec = MultiExecutor::new(&input, &catalog, ExecContext::new(&server)).unwrap();
         let out = exec.execute(&plan).unwrap();
-        assert_eq!(out.table.len(), 2);
-        let names: Vec<_> = out
-            .table
-            .iter()
-            .map(|r| r.get(ColId(0)).as_str().unwrap().to_owned())
-            .collect();
-        assert!(names.contains(&"Gravano".to_owned()));
-        assert!(names.contains(&"Kao".to_owned()));
+        assert_eq!(names(&out.table), some(&["Gravano", "Kao", "Gravano"]));
+        // One probe per distinct non-NULL key (Gravano, Kao, Pham), none
+        // for the NULL-named student.
+        assert_eq!(out.text.invocations, 3);
+
+        // Every operation faults past the retry budget: each outcome is
+        // unknown and an unknown outcome never prunes, so every non-NULL
+        // group is kept. The NULL-named student still cannot match.
+        let mut down = TextServer::new(server.collection().clone());
+        down.set_fault_plan(FaultPlan::random(77, 1.0, FaultKinds::transient_only(), 0));
+        let exec = MultiExecutor::new(&input, &catalog, ExecContext::new(&down)).unwrap();
+        let out = exec.execute(&plan).unwrap();
+        assert_eq!(
+            names(&out.table),
+            some(&["Gravano", "Kao", "Pham", "Gravano"])
+        );
+        assert!(out.text.faults > 0);
     }
 }

@@ -16,7 +16,10 @@
 //! | P+RTP  | [`probe`] | probes on a column subset     | relational string matching |
 //!
 //! Methods reach the service only through the retrying wrappers of
-//! [`ExecContext`], which live in [`crate::transport`].
+//! [`ExecContext`], which live in [`crate::transport`]. They share their
+//! steps: [`ForeignJoin::search_for`] builds every search a method sends,
+//! [`fetch_for_projection`] fetches every substituted result, and one
+//! probe step in [`probe`] sends and records every cached probe.
 
 pub mod cache;
 pub mod probe;
@@ -237,19 +240,23 @@ impl<'a> ForeignJoin<'a> {
         )
     }
 
-    /// The full instantiated search for tuple `t` over predicate indices
-    /// `which`: selections ∧ instantiated join predicates. `None` if the
-    /// tuple has a NULL/empty join value among `which`.
-    pub(crate) fn instantiated_search(&self, t: &Tuple, which: &[usize]) -> Option<SearchExpr> {
-        let mut values = Vec::with_capacity(which.len());
-        if !self.key_values(t, which, &mut values) {
-            return None;
-        }
-        let conj = self.instantiated_conjunct(which, &values);
-        Some(match self.selections_expr() {
+    /// The search for predicate indices `which` instantiated with `key`, a
+    /// key [`key_values`](Self::key_values) accepted: selections ∧
+    /// instantiated join predicates.
+    pub(crate) fn search_for(&self, which: &[usize], key: &[Arc<str>]) -> SearchExpr {
+        let conj = self.instantiated_conjunct(which, key);
+        match self.selections_expr() {
             Some(sel) => SearchExpr::and(vec![sel, conj]),
             None => conj,
-        })
+        }
+    }
+
+    /// [`search_for`](Self::search_for) tuple `t`'s key over `which`.
+    /// `None` if the tuple has a NULL/empty join value among `which`.
+    pub(crate) fn instantiated_search(&self, t: &Tuple, which: &[usize]) -> Option<SearchExpr> {
+        let mut key = Vec::with_capacity(which.len());
+        self.key_values(t, which, &mut key)
+            .then(|| self.search_for(which, &key))
     }
 
     /// All predicate indices `[0, k)`.
@@ -343,6 +350,20 @@ pub(crate) fn doc_values(id: DocId, doc: &Document, text_schema: &TextSchema) ->
         }
     }
     out
+}
+
+/// Fetches the documents a result set refers to, in the form the
+/// projection needs: long forms (retrieved and charged) for
+/// [`Projection::Full`], empty placeholders otherwise.
+pub(crate) fn fetch_for_projection(
+    ctx: &ExecContext<'_>,
+    fj: &ForeignJoin<'_>,
+    ids: &[DocId],
+) -> Result<Vec<(DocId, Document)>, MethodError> {
+    match fj.projection {
+        Projection::Full => ids.iter().map(|&id| Ok((id, ctx.retrieve(id)?))).collect(),
+        _ => Ok(ids.iter().map(|&id| (id, Document::new())).collect()),
+    }
 }
 
 /// Helper: builds a [`MethodReport`] from a usage delta.

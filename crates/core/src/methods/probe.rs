@@ -16,7 +16,10 @@
 //!
 //! Completion is either tuple substitution (P+TS) or relational text
 //! processing of the documents the successful probes matched (P+RTP,
-//! Example 3.6).
+//! Example 3.6). Every cached schedule sends its probes through one step,
+//! `Probes::send`; P+RTP is its probe phase (`ProbePhase::run`) followed
+//! by its completion (`ProbePhase::complete`), steps the runtime guard
+//! composes too.
 
 use std::cell::{RefCell, RefMut};
 use std::collections::hash_map::Entry;
@@ -24,11 +27,13 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use textjoin_rel::ops::group_by;
+use textjoin_rel::table::Table;
 use textjoin_text::doc::{DocId, Document};
+use textjoin_text::server::Usage;
 
 use super::cache::{ProbeCache, ProbeOutcome};
 use super::rel_match::Candidates;
-use super::{report, ExecContext, ForeignJoin, MethodError, MethodOutcome, Projection};
+use super::{fetch_for_projection, report, ExecContext, ForeignJoin, MethodError, MethodOutcome};
 
 /// Probe scheduling discipline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -45,7 +50,10 @@ pub enum ProbeSchedule {
     Ordered,
 }
 
-fn validate_probe_cols(fj: &ForeignJoin<'_>, probe_cols: &[usize]) -> Result<(), MethodError> {
+pub(crate) fn validate_probe_cols(
+    fj: &ForeignJoin<'_>,
+    probe_cols: &[usize],
+) -> Result<(), MethodError> {
     if probe_cols.is_empty() {
         return Err(MethodError::BadProbeColumns(
             "probe column set must be non-empty".into(),
@@ -149,6 +157,29 @@ impl<'a> Probes<'a> {
         self.cache().record(epoch, self.ns, key, outcome);
     }
 
+    /// The probe step: sends the probe for `key` (values `key_values`
+    /// accepted over `probe_cols`) and records its outcome. A probe is an
+    /// optimization, not a correctness requirement: when the server stays
+    /// down past the retry budget the outcome is unknown, so the key stays
+    /// unrecorded and nothing prunes on it. Returns the matched ids, `None`
+    /// when unknown.
+    fn send(
+        &self,
+        ctx: &ExecContext<'_>,
+        fj: &ForeignJoin<'_>,
+        probe_cols: &[usize],
+        key: &[Arc<str>],
+    ) -> Option<Vec<DocId>> {
+        let ids = ctx.try_probe(&fj.search_for(probe_cols, key))?;
+        let outcome = if ids.is_empty() {
+            ProbeOutcome::Fail
+        } else {
+            ProbeOutcome::Success
+        };
+        self.record(ctx.server.topology_epoch(), key, outcome);
+        Some(ids)
+    }
+
     fn emit_hit(&self, ctx: &ExecContext<'_>, epoch: u64) {
         if self.shared.is_some() {
             if let Some(rec) = ctx.recorder() {
@@ -160,23 +191,24 @@ impl<'a> Probes<'a> {
         }
     }
 
-    /// `(hits, misses, evicted)` accrued during this execution.
-    fn delta(&self) -> (u64, u64, u64) {
+    /// The execution's outcome: `out`, reported over everything since
+    /// `before`, with the cache traffic (hits, misses, evictions) accrued
+    /// during the execution folded into the usage delta — free counters,
+    /// no simulated seconds move.
+    fn finish(
+        &self,
+        label: String,
+        ctx: &ExecContext<'_>,
+        before: &Usage,
+        comparisons: u64,
+        out: Table,
+    ) -> MethodOutcome {
+        let mut report = report(label, ctx, before, comparisons, out.len());
         let end = self.cache().full_stats();
-        (
-            end.0 - self.start.0,
-            end.1 - self.start.1,
-            end.2 - self.start.2,
-        )
-    }
-
-    /// Folds the execution's cache traffic into the report's usage delta
-    /// (free counters — no simulated seconds move).
-    fn fold_into(&self, report: &mut super::MethodReport) {
-        let (h, m, e) = self.delta();
-        report.text.cache_hits += h;
-        report.text.cache_misses += m;
-        report.text.cache_evicted += e;
+        report.text.cache_hits += end.0 - self.start.0;
+        report.text.cache_misses += end.1 - self.start.1;
+        report.text.cache_evicted += end.2 - self.start.2;
+        MethodOutcome { table: out, report }
     }
 }
 
@@ -210,11 +242,10 @@ fn probe_first_ts(
 
     // Phase 1: one probe per distinct key over the probe columns.
     let probe_span = ctx.span("probe-phase");
-    let probe_groups = group_by(fj.rel, &cols_of(fj, probe_cols));
     let cache = Probes::new(ctx, fj, probe_cols);
     // Every tuple's probe key goes through this one buffer.
     let mut key = Vec::new();
-    for (_, rows) in &probe_groups {
+    for (_, rows) in group_by(fj.rel, &cols_of(fj, probe_cols)) {
         let t = &fj.rel.rows()[rows[0]];
         if !fj.key_values(t, probe_cols, &mut key) {
             continue; // NULL key: no probe; tuples can never match anyway
@@ -228,34 +259,13 @@ fn probe_first_ts(
             continue;
         }
         cache.note_miss();
-        let expr = fj
-            .instantiated_search(t, probe_cols)
-            .expect("key_values succeeded");
-        // A probe is an optimization, not a correctness requirement: if the
-        // server stays down past the retry budget, leave the key
-        // unrecorded — outcome unknown, so phase 2 will not prune on it.
-        if let Some(ids) = ctx.try_probe(&expr) {
-            cache.record(
-                ctx.server.topology_epoch(),
-                &key,
-                if ids.is_empty() {
-                    ProbeOutcome::Fail
-                } else {
-                    ProbeOutcome::Success
-                },
-            );
-        }
+        cache.send(ctx, fj, probe_cols, &key);
     }
-
     drop(probe_span);
 
-    // Phase 2: tuple substitution for tuples whose probe succeeded. If the
-    // probe covered every join predicate, the probe already *was* the full
-    // query; re-sending it would be pure waste, so only retrieval remains.
+    // Phase 2: tuple substitution for the tuples no probe proved to fail.
     let _subst_span = ctx.span("substitution");
-    let full_query_needed = probe_cols.len() < fj.k();
-    let groups = group_by(fj.rel, &fj.join_cols);
-    for (_, rows) in groups {
+    for (_, rows) in group_by(fj.rel, &fj.join_cols) {
         let t = &fj.rel.rows()[rows[0]];
         if !fj.key_values(t, probe_cols, &mut key) {
             continue;
@@ -267,9 +277,6 @@ fn probe_first_ts(
         let Some(expr) = fj.instantiated_search(t, &all) else {
             continue;
         };
-        // When the probe was total, its success already implies a match,
-        // but we still need the result set; one search either way.
-        let _ = full_query_needed;
         let result = ctx.search(&expr)?;
         if result.is_empty() {
             continue;
@@ -279,14 +286,7 @@ fn probe_first_ts(
             fj.emit(&mut out, text_schema, &fj.rel.rows()[ri], &docs);
         }
     }
-
-    let rows = out.len();
-    let mut rep = report(label, ctx, &before, 0, rows);
-    cache.fold_into(&mut rep);
-    Ok(MethodOutcome {
-        table: out,
-        report: rep,
-    })
+    Ok(cache.finish(label, ctx, &before, 0, out))
 }
 
 fn lazy_ts(
@@ -304,9 +304,8 @@ fn lazy_ts(
     let cache = Probes::new(ctx, fj, probe_cols);
     // Group by the *full* key so the distinct-tuple optimization still
     // applies; the probe cache prunes across full-key groups.
-    let groups = group_by(fj.rel, &fj.join_cols);
     let mut probe_key = Vec::new();
-    for (_, rows) in groups {
+    for (_, rows) in group_by(fj.rel, &fj.join_cols) {
         let t = &fj.rel.rows()[rows[0]];
         if !fj.key_values(t, probe_cols, &mut probe_key) {
             continue;
@@ -337,31 +336,11 @@ fn lazy_ts(
         {
             continue;
         }
-        let probe_expr = fj
-            .instantiated_search(t, probe_cols)
-            .expect("key_values succeeded");
         // Unknown probe outcome stays uncached: the next tuple with this
         // key substitutes (and may retry the probe) instead of pruning.
-        if let Some(ids) = ctx.try_probe(&probe_expr) {
-            cache.record(
-                ctx.server.topology_epoch(),
-                &probe_key,
-                if ids.is_empty() {
-                    ProbeOutcome::Fail
-                } else {
-                    ProbeOutcome::Success
-                },
-            );
-        }
+        cache.send(ctx, fj, probe_cols, &probe_key);
     }
-
-    let rows = out.len();
-    let mut rep = report(label, ctx, &before, 0, rows);
-    cache.fold_into(&mut rep);
-    Ok(MethodOutcome {
-        table: out,
-        report: rep,
-    })
+    Ok(cache.finish(label, ctx, &before, 0, out))
 }
 
 /// The ordered-relation schedule: the relation is grouped by the probe
@@ -383,34 +362,27 @@ fn ordered_ts(
     let all = fj.all_preds();
 
     // Group rows by probe key (grouping is equivalent to the paper's
-    // "ordered by the probing columns" — only adjacency matters).
+    // "ordered by the probing columns" — only adjacency matters). A group
+    // shares one probe key, so a NULL one voids the whole group.
+    let (mut probe_key, mut key) = (Vec::new(), Vec::new());
     for (_, probe_rows) in group_by(fj.rel, &cols_of(fj, probe_cols)) {
+        if !fj.key_values(&fj.rel.rows()[probe_rows[0]], probe_cols, &mut probe_key) {
+            continue;
+        }
         // Sub-group by the full join key for the distinct-tuple variant.
-        let sub: Vec<Vec<usize>> = {
-            let mut groups: Vec<(Vec<Arc<str>>, Vec<usize>)> = Vec::new();
-            let mut key = Vec::new();
-            for &ri in &probe_rows {
-                let t = &fj.rel.rows()[ri];
-                if !fj.key_values(t, &all, &mut key) {
-                    continue;
-                }
-                match groups.iter_mut().find(|(k, _)| *k == key) {
-                    Some((_, rows)) => rows.push(ri),
-                    None => groups.push((key.clone(), vec![ri])),
-                }
-            }
-            groups.into_iter().map(|(_, rows)| rows).collect()
-        };
-        let mut probe_known_ok = false;
-        let mut i = 0;
-        while i < sub.len() {
-            let rows = &sub[i];
-            let t = &fj.rel.rows()[rows[0]];
-            let Some(expr) = fj.instantiated_search(t, &all) else {
-                i += 1;
+        let mut sub: Vec<(Vec<Arc<str>>, Vec<usize>)> = Vec::new();
+        for &ri in &probe_rows {
+            if !fj.key_values(&fj.rel.rows()[ri], &all, &mut key) {
                 continue;
-            };
-            let result = ctx.search(&expr)?;
+            }
+            match sub.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, rows)) => rows.push(ri),
+                None => sub.push((key.clone(), vec![ri])),
+            }
+        }
+        let mut probe_known_ok = false;
+        for (i, (full_key, rows)) in sub.iter().enumerate() {
+            let result = ctx.search(&fj.search_for(&all, full_key))?;
             if !result.is_empty() {
                 probe_known_ok = true;
                 let docs = fetch_for_projection(ctx, fj, result.docs.ids())?;
@@ -420,10 +392,7 @@ fn ordered_ts(
             } else if !probe_known_ok && i + 1 < sub.len() {
                 // A fail-query, with more full-key subgroups sharing this
                 // probe key still ahead: one probe decides their fate.
-                let probe_expr = fj
-                    .instantiated_search(t, probe_cols)
-                    .expect("key_values succeeded");
-                match ctx.try_probe(&probe_expr) {
+                match ctx.try_probe(&fj.search_for(probe_cols, &probe_key)) {
                     Some(ids) if ids.is_empty() => {
                         break; // the whole probe group is fail-queries
                     }
@@ -433,7 +402,6 @@ fn ordered_ts(
                     _ => probe_known_ok = true,
                 }
             }
-            i += 1;
         }
     }
 
@@ -456,124 +424,142 @@ pub fn probe_rtp(
     fj.validate()?;
     validate_probe_cols(fj, probe_cols)?;
     let before = ctx.server.usage();
-    let text_schema = ctx.server.schema();
-    let label = method_label("P", probe_cols, "RTP");
-    let _method_span = ctx.span(&label);
-    let mut out = fj.output_table(text_schema, &label);
+    let _method_span = ctx.span(&method_label("P", probe_cols, "RTP"));
+    ProbePhase::run(ctx, fj, probe_cols).complete(ctx, fj, probe_cols, &before)
+}
 
-    // Phase 1: probes; collect matched docids and per-key outcomes.
-    let probe_span = ctx.span("probe-phase");
-    let probe_groups = group_by(fj.rel, &cols_of(fj, probe_cols));
-    let cache = Probes::new(ctx, fj, probe_cols);
-    let mut matched: BTreeSet<DocId> = BTreeSet::new();
-    let mut key = Vec::new();
-    for (_, rows) in &probe_groups {
-        let t = &fj.rel.rows()[rows[0]];
-        if !fj.key_values(t, probe_cols, &mut key) {
-            continue;
-        }
-        // A session-cached *fail* skips the probe outright: a fail key
-        // contributes no candidate docids, so phase 3 loses nothing. A
-        // cached success is unusable here — the probe's result set feeds
-        // the candidate pool — so the probe is re-sent for its ids.
-        let epoch = ctx.server.topology_epoch();
-        if cache.peek(epoch, &key) == Some(ProbeOutcome::Fail) {
-            cache.note_hit(ctx, epoch);
-            continue;
-        }
-        if cache.peek(epoch, &key).is_none() {
-            cache.note_miss();
-        }
-        let expr = fj
-            .instantiated_search(t, probe_cols)
-            .expect("key_values succeeded");
-        // A key whose probe stays unknown is left unrecorded; phase 3
-        // degrades it to per-key tuple substitution instead of pruning.
-        if let Some(ids) = ctx.try_probe(&expr) {
-            cache.record(
-                ctx.server.topology_epoch(),
-                &key,
-                if ids.is_empty() {
-                    ProbeOutcome::Fail
-                } else {
-                    ProbeOutcome::Success
-                },
-            );
-            matched.extend(ids);
-        }
-    }
-    drop(probe_span);
+/// P+RTP's probe phase, run: one probe per distinct probe key, each proven
+/// outcome recorded, and the union of the matched docids — the candidate
+/// documents the completion fetches.
+pub(crate) struct ProbePhase<'a> {
+    probes: Probes<'a>,
+    /// Documents the successful probes matched.
+    pub(crate) matched: BTreeSet<DocId>,
+}
 
-    // Phase 2: fetch candidate documents. The probes shipped only docids
-    // (via `probe`), so the matching data comes from retrievals: long forms
-    // when a join field or the projection needs them, else the short forms
-    // the probes' result sets carried, rebuilt locally at no extra charge.
-    let found = matched.into_iter().map(|id| (id, None));
-    let candidates = Candidates::fetch(ctx, fj, "fetch", found)?;
-
-    // Phase 3: relational matching of candidates against surviving tuples.
-    // A key whose probe outcome stayed unknown degrades to tuple
-    // substitution for just that key: the full query is sent (once per
-    // distinct join key) and its results emitted directly.
-    let all = fj.all_preds();
-    let _match_span = ctx.span("relational-match");
-    let mut matcher = candidates.matcher(fj);
-    let mut ts_fallback: HashMap<Vec<Arc<str>>, Vec<(DocId, Document)>> = HashMap::new();
-    let mut comparisons = 0u64;
-    for t in fj.rel.iter() {
-        if !fj.key_values(t, probe_cols, &mut key) {
-            continue;
-        }
-        match cache.lookup(ctx, ctx.server.topology_epoch(), &key) {
-            Some(ProbeOutcome::Fail) => continue,
-            Some(ProbeOutcome::Success) => {
-                matcher.emit_matches(fj, text_schema, t, &mut out, &mut comparisons);
+impl<'a> ProbePhase<'a> {
+    /// Sends the probes of a validated join over validated `probe_cols`.
+    pub(crate) fn run(ctx: &ExecContext<'a>, fj: &ForeignJoin<'_>, probe_cols: &[usize]) -> Self {
+        let _probe_span = ctx.span("probe-phase");
+        let probes = Probes::new(ctx, fj, probe_cols);
+        let mut matched = BTreeSet::new();
+        let mut key = Vec::new();
+        for (_, rows) in group_by(fj.rel, &cols_of(fj, probe_cols)) {
+            if !fj.key_values(&fj.rel.rows()[rows[0]], probe_cols, &mut key) {
+                continue;
             }
-            None => {
-                let mut full_key = Vec::new();
-                if !fj.key_values(t, &all, &mut full_key) {
+            // A session-cached *fail* skips the probe outright: a fail key
+            // contributes no candidate docids, so matching loses nothing. A
+            // cached success is unusable here — the probe's result set
+            // feeds the candidate pool — so the probe is re-sent for its ids.
+            let epoch = ctx.server.topology_epoch();
+            match probes.peek(epoch, &key) {
+                Some(ProbeOutcome::Fail) => {
+                    probes.note_hit(ctx, epoch);
                     continue;
                 }
-                let docs = match ts_fallback.entry(full_key) {
-                    Entry::Occupied(e) => e.into_mut(),
-                    Entry::Vacant(e) => {
-                        let expr = fj
-                            .instantiated_search(t, &all)
-                            .expect("key_values succeeded");
-                        let result = ctx.search(&expr)?;
-                        e.insert(fetch_for_projection(ctx, fj, result.docs.ids())?)
-                    }
-                };
-                fj.emit(&mut out, text_schema, t, docs);
+                Some(ProbeOutcome::Success) => {}
+                None => probes.note_miss(),
+            }
+            // A key whose probe stays unknown is left unrecorded; the
+            // completion degrades it to per-key tuple substitution.
+            if let Some(ids) = probes.send(ctx, fj, probe_cols, &key) {
+                matched.extend(ids);
             }
         }
+        Self { probes, matched }
     }
 
-    let rows = out.len();
-    let mut rep = report(label, ctx, &before, comparisons, rows);
-    cache.fold_into(&mut rep);
-    Ok(MethodOutcome {
-        table: out,
-        report: rep,
-    })
+    /// P+RTP's completion: fetches the matched documents and matches them
+    /// relationally against the tuples whose probe succeeded. The report
+    /// books everything since `before`.
+    pub(crate) fn complete(
+        self,
+        ctx: &ExecContext<'_>,
+        fj: &ForeignJoin<'_>,
+        probe_cols: &[usize],
+        before: &Usage,
+    ) -> Result<MethodOutcome, MethodError> {
+        let Self { probes, matched } = self;
+        let text_schema = ctx.server.schema();
+        let label = method_label("P", probe_cols, "RTP");
+        let mut out = fj.output_table(text_schema, &label);
+
+        // The probes shipped only docids (via `probe`), so the matching
+        // data comes from retrievals: long forms when a join field or the
+        // projection needs them, else the short forms the probes' result
+        // sets carried, rebuilt locally at no extra charge.
+        let found = matched.into_iter().map(|id| (id, None));
+        let candidates = Candidates::fetch(ctx, fj, "fetch", found)?;
+
+        // Relational matching of candidates against surviving tuples. A key
+        // whose probe outcome stayed unknown degrades to tuple substitution
+        // for just that key: the full query is sent (once per distinct join
+        // key) and its results emitted directly.
+        let all = fj.all_preds();
+        let _match_span = ctx.span("relational-match");
+        let mut matcher = candidates.matcher(fj);
+        let mut ts_fallback: HashMap<Vec<Arc<str>>, Vec<(DocId, Document)>> = HashMap::new();
+        let mut comparisons = 0u64;
+        let mut key = Vec::new();
+        for t in fj.rel.iter() {
+            if !fj.key_values(t, probe_cols, &mut key) {
+                continue;
+            }
+            match probes.lookup(ctx, ctx.server.topology_epoch(), &key) {
+                Some(ProbeOutcome::Fail) => continue,
+                Some(ProbeOutcome::Success) => {
+                    matcher.emit_matches(fj, text_schema, t, &mut out, &mut comparisons);
+                }
+                None => {
+                    let mut full_key = Vec::new();
+                    if !fj.key_values(t, &all, &mut full_key) {
+                        continue;
+                    }
+                    let docs = match ts_fallback.entry(full_key) {
+                        Entry::Occupied(e) => e.into_mut(),
+                        Entry::Vacant(e) => {
+                            let result = ctx.search(&fj.search_for(&all, e.key()))?;
+                            e.insert(fetch_for_projection(ctx, fj, result.docs.ids())?)
+                        }
+                    };
+                    fj.emit(&mut out, text_schema, t, docs);
+                }
+            }
+        }
+        Ok(probes.finish(label, ctx, before, comparisons, out))
+    }
+
+    /// The tuples of `fj.rel` no probe proved to fail — an unknown outcome
+    /// never prunes. Reads the outcomes without counting cache traffic.
+    pub(crate) fn unpruned(
+        &self,
+        ctx: &ExecContext<'_>,
+        fj: &ForeignJoin<'_>,
+        probe_cols: &[usize],
+    ) -> Table {
+        let epoch = ctx.server.topology_epoch();
+        let mut key = Vec::new();
+        let rows = fj
+            .rel
+            .iter()
+            .filter(|t| {
+                fj.key_values(t, probe_cols, &mut key)
+                    && self.probes.peek(epoch, &key) != Some(ProbeOutcome::Fail)
+            })
+            .cloned()
+            .collect();
+        Table::new(
+            format!("{}-unpruned", fj.rel.name()),
+            fj.rel.schema().clone(),
+        )
+        .with_rows(rows)
+    }
 }
 
 /// The relational `ColId`s of the probe predicate indices.
 fn cols_of(fj: &ForeignJoin<'_>, probe_cols: &[usize]) -> Vec<textjoin_rel::schema::ColId> {
     probe_cols.iter().map(|&i| fj.join_cols[i]).collect()
-}
-
-/// Fetches the documents a result set refers to, in the form the
-/// projection needs.
-fn fetch_for_projection(
-    ctx: &ExecContext<'_>,
-    fj: &ForeignJoin<'_>,
-    ids: &[DocId],
-) -> Result<Vec<(DocId, Document)>, MethodError> {
-    match fj.projection {
-        Projection::Full => ids.iter().map(|&id| Ok((id, ctx.retrieve(id)?))).collect(),
-        _ => Ok(ids.iter().map(|&id| (id, Document::new())).collect()),
-    }
 }
 
 #[cfg(test)]
@@ -720,6 +706,32 @@ mod tests {
             !log.iter().any(|q| q.contains("desmedt")),
             "ordered schedule must prune DeSmedt: {log:?}"
         );
+    }
+
+    #[test]
+    fn an_unknown_probe_outcome_never_prunes() {
+        use textjoin_text::faults::{Fault, FaultPlan};
+
+        let rel = student();
+        for rtp in [false, true] {
+            // Garcia's probe, the first, faults on every attempt of its
+            // retry budget: its outcome is unknown, so Garcia's students
+            // are still substituted and Gravano still joins.
+            let mut server = TextServer::new(corpus().collection().clone());
+            server.set_fault_plan(FaultPlan::scripted(
+                (0..4).map(|op| (op, Fault::Unavailable)).collect(),
+            ));
+            let ctx = ExecContext::new(&server);
+            let fj = two_pred_join(&rel, &server, Projection::RelOnly);
+            let out = if rtp {
+                probe_rtp(&ctx, &fj, &[0])
+            } else {
+                probe_tuple_substitution(&ctx, &fj, &[0], ProbeSchedule::ProbeFirst)
+            }
+            .unwrap();
+            assert_eq!(out.report.text.faults, 4, "{}", out.report.method);
+            assert_eq!(out.table.len(), 1, "{}", out.report.method);
+        }
     }
 
     #[test]

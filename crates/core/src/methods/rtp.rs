@@ -8,6 +8,7 @@
 //! so every `col in field` predicate qualifies. The matching itself is
 //! shared with SJ+RTP and P+RTP (`rel_match`).
 
+use textjoin_text::expr::SearchExpr;
 use textjoin_text::server::{SearchResult, Usage};
 
 use super::rel_match::Candidates;
@@ -18,38 +19,30 @@ pub fn relational_text_processing(
     ctx: &ExecContext<'_>,
     fj: &ForeignJoin<'_>,
 ) -> Result<MethodOutcome, MethodError> {
-    fj.validate()?;
-    if fj.selections.is_empty() {
-        return Err(MethodError::NotApplicable(
-            "RTP needs selection conditions on the text data".into(),
-        ));
-    }
+    let sel = selection(fj)?;
     let before = ctx.server.usage();
     let _method_span = ctx.span("RTP");
 
     // One search carrying only the text selections.
-    let sel = fj.selections_expr().expect("selections checked non-empty");
     let search_span = ctx.span("selection-search");
     let result = ctx.search(&sel)?;
     drop(search_span);
     complete(ctx, fj, result, &before)
 }
 
-/// RTP completion from a selection search that was *already transmitted*
-/// (and charged). The guarded executor counts the candidate set before
-/// committing to the fetch; threading its result through here means the
-/// selection search is billed exactly once.
-pub(crate) fn rtp_with_candidates(
-    ctx: &ExecContext<'_>,
-    fj: &ForeignJoin<'_>,
-    result: SearchResult,
-) -> Result<MethodOutcome, MethodError> {
+/// RTP's first step: validates the join and returns the one search it
+/// sends, the conjunction of the text selections.
+pub(crate) fn selection(fj: &ForeignJoin<'_>) -> Result<SearchExpr, MethodError> {
     fj.validate()?;
-    let before = ctx.server.usage();
-    complete(ctx, fj, result, &before)
+    fj.selections_expr().ok_or_else(|| {
+        MethodError::NotApplicable("RTP needs selection conditions on the text data".into())
+    })
 }
 
-fn complete(
+/// RTP's completion from the selection search's `result`: fetches the
+/// candidates and matches them relationally. The report books everything
+/// since `before`.
+pub(crate) fn complete(
     ctx: &ExecContext<'_>,
     fj: &ForeignJoin<'_>,
     result: SearchResult,

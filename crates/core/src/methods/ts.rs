@@ -8,10 +8,9 @@
 //! the naive variant is kept for the ablation bench.
 
 use textjoin_rel::ops::group_by;
-use textjoin_text::doc::{DocId, Document};
 use textjoin_text::expr::SearchExpr;
 
-use super::{report, ExecContext, ForeignJoin, MethodError, MethodOutcome, Projection};
+use super::{fetch_for_projection, report, ExecContext, ForeignJoin, MethodError, MethodOutcome};
 
 /// Runs tuple substitution. With `distinct = true` (the default used by the
 /// optimizer), one search is sent per distinct join-column key; all tuples
@@ -53,20 +52,7 @@ pub fn tuple_substitution(
         if result.is_empty() {
             continue;
         }
-        // Fetch long forms when the projection needs them; the short forms
-        // from the result set suffice otherwise.
-        let docs: Vec<(DocId, Document)> = match fj.projection {
-            Projection::Full => result
-                .ids()
-                .into_iter()
-                .map(|id| Ok((id, ctx.retrieve(id)?)))
-                .collect::<Result<_, MethodError>>()?,
-            _ => result
-                .ids()
-                .into_iter()
-                .map(|id| (id, Document::new()))
-                .collect(),
-        };
+        let docs = fetch_for_projection(ctx, fj, result.docs.ids())?;
         for &ri in &rows {
             fj.emit(&mut out, text_schema, &fj.rel.rows()[ri], &docs);
         }
@@ -130,18 +116,7 @@ pub fn tuple_substitution_batched(
             if result.is_empty() {
                 continue;
             }
-            let docs: Vec<(DocId, Document)> = match fj.projection {
-                Projection::Full => result
-                    .ids()
-                    .into_iter()
-                    .map(|id| Ok((id, ctx.retrieve(id)?)))
-                    .collect::<Result<_, MethodError>>()?,
-                _ => result
-                    .ids()
-                    .into_iter()
-                    .map(|id| (id, Document::new()))
-                    .collect(),
-            };
+            let docs = fetch_for_projection(ctx, fj, result.docs.ids())?;
             for &ri in rows {
                 fj.emit(&mut out, text_schema, &fj.rel.rows()[ri], &docs);
             }

@@ -5,22 +5,19 @@
 //! optimization techniques to address such difficulties [CDY]."*
 //!
 //! The fetch-heavy methods (RTP, P+RTP) commit to shipping every candidate
-//! document before any relational matching happens. The guarded executors
-//! here bound that commitment: the candidate set is counted *before*
-//! long-form retrieval, and if it exceeds a document budget the plan is
-//! abandoned mid-flight in favor of tuple substitution, whose cost does
-//! not depend on the misestimated fanout. Whatever was already spent
+//! document before any relational matching happens. The guards here bound
+//! that commitment without a second executor: each runs its method's first
+//! phase (RTP's selection search, P+RTP's probes), counts the candidate
+//! set *before* any retrieval, and then runs either the method's own
+//! completion or — past a document budget — tuple substitution, whose cost
+//! does not depend on the misestimated fanout. Whatever was already spent
 //! (the selection search / the probes) stays on the meter — runtime
 //! re-optimization is not free, it is insurance.
 
-use std::collections::BTreeSet;
+use textjoin_text::server::{TextError, Usage};
 
-use textjoin_rel::table::Table;
-use textjoin_text::doc::DocId;
-use textjoin_text::expr::SearchExpr;
-use textjoin_text::server::TextError;
-
-use crate::methods::cache::{ProbeCache, ProbeOutcome};
+use crate::methods::probe::{validate_probe_cols, ProbePhase};
+use crate::methods::rtp;
 use crate::methods::ts::tuple_substitution;
 use crate::methods::{ExecContext, ForeignJoin, MethodError, MethodOutcome};
 
@@ -53,14 +50,8 @@ pub fn guarded_rtp(
     fj: &ForeignJoin<'_>,
     doc_budget: usize,
 ) -> Result<GuardedOutcome, MethodError> {
-    fj.validate()?;
-    if fj.selections.is_empty() {
-        return Err(MethodError::NotApplicable(
-            "RTP needs selection conditions on the text data".into(),
-        ));
-    }
+    let sel = rtp::selection(fj)?;
     let before = ctx.server.usage();
-    let sel = fj.selections_expr().expect("selections checked non-empty");
     let result = match ctx.search(&sel) {
         Ok(r) => r,
         // The guard's selection search could not be completed — the server
@@ -68,47 +59,29 @@ pub fn guarded_rtp(
         // below the selection. Degrade to tuple substitution instead of
         // failing the query; the failed attempts stay on the meter.
         Err(e) if e.is_transient() || matches!(e, TextError::CapReduced { .. }) => {
-            let mut out = tuple_substitution(ctx, fj, true)?;
-            out.report.text = ctx.server.usage().since(&before);
-            out.report.method = "RTP→TS".into();
-            return Ok(GuardedOutcome {
-                outcome: out,
-                verdict: GuardVerdict::FellBackToTs,
-                candidates_seen: 0,
-            });
+            return fall_back(ctx, fj, &before, "RTP→TS", 0);
         }
         Err(e) => return Err(e.into()),
     };
     let candidates = result.len();
-
-    if candidates <= doc_budget {
-        // Within budget: complete RTP from the candidate set the guard
-        // already has in hand — the selection search is billed exactly
-        // once (`rtp_with_candidates`).
-        let mut out = crate::methods::rtp::rtp_with_candidates(ctx, fj, result)?;
-        out.report.text = ctx.server.usage().since(&before);
-        out.report.method = "RTP(guarded)".into();
-        return Ok(GuardedOutcome {
-            outcome: out,
-            verdict: GuardVerdict::PrimaryCompleted,
-            candidates_seen: candidates,
-        });
+    if candidates > doc_budget {
+        return fall_back(ctx, fj, &before, "RTP→TS", candidates);
     }
-    // Budget exceeded: abandon before fetching anything; fall back.
-    let mut out = tuple_substitution(ctx, fj, true)?;
-    out.report.text = ctx.server.usage().since(&before);
-    out.report.method = "RTP→TS".into();
+    // Within budget: RTP's own completion, from the search already paid.
+    let mut out = rtp::complete(ctx, fj, result, &before)?;
+    out.report.method = "RTP(guarded)".into();
     Ok(GuardedOutcome {
         outcome: out,
-        verdict: GuardVerdict::FellBackToTs,
+        verdict: GuardVerdict::PrimaryCompleted,
         candidates_seen: candidates,
     })
 }
 
 /// P+RTP with a candidate budget: the probe phase runs as usual; if the
 /// union of probe result sets exceeds `doc_budget`, the document fetch is
-/// abandoned and the surviving tuples are finished with tuple substitution
-/// (i.e., the plan degrades to P+TS, keeping the probes' pruning).
+/// abandoned and the tuples no probe proved to fail are finished with
+/// tuple substitution (i.e., the plan degrades to P+TS, keeping the
+/// probes' pruning).
 pub fn guarded_probe_rtp(
     ctx: &ExecContext<'_>,
     fj: &ForeignJoin<'_>,
@@ -116,86 +89,44 @@ pub fn guarded_probe_rtp(
     doc_budget: usize,
 ) -> Result<GuardedOutcome, MethodError> {
     fj.validate()?;
-    if probe_cols.is_empty() || probe_cols.iter().any(|&i| i >= fj.k()) {
-        return Err(MethodError::BadProbeColumns(format!(
-            "invalid probe columns {probe_cols:?}"
-        )));
-    }
+    validate_probe_cols(fj, probe_cols)?;
     let before = ctx.server.usage();
-
-    // Probe phase (identical to probe-first P+RTP).
-    let probe_col_ids: Vec<textjoin_rel::schema::ColId> =
-        probe_cols.iter().map(|&i| fj.join_cols[i]).collect();
-    let mut cache = ProbeCache::new();
-    // One probe identity throughout: a single, empty namespace.
-    let ns = cache.namespace(Vec::new());
-    let mut key = Vec::new();
-    let mut matched: BTreeSet<DocId> = BTreeSet::new();
-    for (_, rows) in textjoin_rel::ops::group_by(fj.rel, &probe_col_ids) {
-        let t = &fj.rel.rows()[rows[0]];
-        if !fj.key_values(t, probe_cols, &mut key) {
-            continue;
-        }
-        let expr: SearchExpr = fj
-            .instantiated_search(t, probe_cols)
-            .expect("key_values succeeded");
-        match ctx.try_probe(&expr) {
-            Some(ids) => {
-                cache.record(
-                    ctx.server.topology_epoch(),
-                    ns,
-                    &key,
-                    if ids.is_empty() {
-                        ProbeOutcome::Fail
-                    } else {
-                        ProbeOutcome::Success
-                    },
-                );
-                matched.extend(ids);
-            }
-            // Probe outcome unknown: never prune without a proven fail, so
-            // the key is kept. Its candidate documents stay uncounted; the
-            // primary path re-probes with its own degradation if chosen.
-            None => cache.record(ctx.server.topology_epoch(), ns, &key, ProbeOutcome::Success),
-        }
+    let phase = ProbePhase::run(ctx, fj, probe_cols);
+    let candidates = phase.matched.len();
+    if candidates > doc_budget {
+        let unpruned = phase.unpruned(ctx, fj, probe_cols);
+        let reduced = ForeignJoin {
+            rel: &unpruned,
+            ..fj.clone()
+        };
+        return fall_back(ctx, &reduced, &before, "P+RTP→TS", candidates);
     }
-    let candidates = matched.len();
+    // Within budget: P+RTP's own completion, from the probes already paid.
+    let mut out = phase.complete(ctx, fj, probe_cols, &before)?;
+    out.report.method = format!("{}(guarded)", out.report.method);
+    Ok(GuardedOutcome {
+        outcome: out,
+        verdict: GuardVerdict::PrimaryCompleted,
+        candidates_seen: candidates,
+    })
+}
 
-    if candidates <= doc_budget {
-        let mut out = crate::methods::probe::probe_rtp(ctx, fj, probe_cols)?;
-        out.report.text = ctx.server.usage().since(&before);
-        out.report.method = format!("{}(guarded)", out.report.method);
-        return Ok(GuardedOutcome {
-            outcome: out,
-            verdict: GuardVerdict::PrimaryCompleted,
-            candidates_seen: candidates,
-        });
-    }
-
-    // Too many candidates: degrade to tuple substitution over the
-    // survivors — the probes' pruning is kept, the fetch is avoided.
-    let mut survivors = Table::new(format!("{}-survivors", fj.rel.name()), fj.rel.schema().clone());
-    for t in fj.rel.iter() {
-        if fj.key_values(t, probe_cols, &mut key)
-            && cache.lookup(ctx.server.topology_epoch(), ns, &key) == Some(ProbeOutcome::Success)
-        {
-            survivors.push(t.clone());
-        }
-    }
-    let reduced = ForeignJoin {
-        rel: &survivors,
-        join_cols: fj.join_cols.clone(),
-        join_fields: fj.join_fields.clone(),
-        selections: fj.selections.clone(),
-        projection: fj.projection,
-    };
-    let mut out = tuple_substitution(ctx, &reduced, true)?;
-    out.report.text = ctx.server.usage().since(&before);
-    out.report.method = "P+RTP→TS".into();
+/// The guards' fallback: tuple substitution over `fj`, its report booking
+/// everything since `before` — the abandoned phase included.
+fn fall_back(
+    ctx: &ExecContext<'_>,
+    fj: &ForeignJoin<'_>,
+    before: &Usage,
+    label: &str,
+    candidates_seen: usize,
+) -> Result<GuardedOutcome, MethodError> {
+    let mut out = tuple_substitution(ctx, fj, true)?;
+    out.report.text = ctx.server.usage().since(before);
+    out.report.method = label.into();
     Ok(GuardedOutcome {
         outcome: out,
         verdict: GuardVerdict::FellBackToTs,
-        candidates_seen: candidates,
+        candidates_seen,
     })
 }
 
@@ -311,13 +242,22 @@ mod tests {
         assert_eq!(g.outcome.report.method, "P+RTP→TS");
         // Same single answer as any other method: Gravano.
         assert_eq!(g.outcome.table.len(), 1);
-        // Large budget: primary completes with the same answer.
+        // The 2 probes stay on the bill, plus TS over the 2 students
+        // Wiederhold's failed probe did not prune.
+        assert_eq!(g.outcome.report.text.invocations, 4);
+        // Large budget: primary completes with the same answer, paying
+        // exactly what unguarded P+RTP pays — each key probed once.
         let server2 = corpus();
         let ctx2 = ExecContext::new(&server2);
-        let fj2 = ForeignJoin { rel: &rel, ..fj.clone() };
-        let g2 = guarded_probe_rtp(&ctx2, &fj2, &[0], 100).unwrap();
+        let g2 = guarded_probe_rtp(&ctx2, &fj, &[0], 100).unwrap();
         assert_eq!(g2.verdict, GuardVerdict::PrimaryCompleted);
+        assert_eq!(g2.outcome.report.method, "P1+RTP(guarded)");
         assert_eq!(g2.outcome.table.len(), 1);
+        let server3 = corpus();
+        let unguarded =
+            crate::methods::probe::probe_rtp(&ExecContext::new(&server3), &fj, &[0]).unwrap();
+        assert_eq!(g2.outcome.report.text, unguarded.report.text);
+        assert_eq!(g2.outcome.report.text.invocations, 2);
     }
 
     #[test]

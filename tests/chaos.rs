@@ -210,7 +210,14 @@ fn all_methods_survive_transient_faults_with_exact_answers() {
                     run!("P+RTP", |ctx| {
                         textjoin::core::methods::probe::probe_rtp(ctx, &fj, &[0])
                     });
-                    // Guarded variants, both sides of the budget.
+                    // Guarded variants, both sides of the budget. Within
+                    // budget a guard books exactly what its unguarded
+                    // method books on a server with the same fault seed.
+                    let unguarded =
+                        |seed: u64, method: &dyn Fn(&ExecContext<'_>) -> MethodReport| {
+                            let s = faulted_server(&w, seed, rate);
+                            method(&ExecContext::new(&s)).text
+                        };
                     for budget in [0usize, 10_000] {
                         let s = faulted_server(&w, fault_seed, rate);
                         if !fj.selections.is_empty() {
@@ -224,6 +231,16 @@ fn all_methods_survive_transient_faults_with_exact_answers() {
                                 &g.outcome.table,
                             );
                             total_faults_seen += s.usage().faults;
+                            if budget == 10_000 {
+                                let rtp = unguarded(fault_seed, &|ctx| {
+                                    textjoin::core::methods::rtp::relational_text_processing(
+                                        ctx, &fj,
+                                    )
+                                    .expect("bounded faults never exhaust retries")
+                                    .report
+                                });
+                                assert_eq!(g.outcome.report.text, rtp, "{qname}: guarded RTP");
+                            }
                         }
                         let s2 = faulted_server(&w, fault_seed.wrapping_add(99), rate);
                         let ctx2 = ExecContext::new(&s2);
@@ -236,6 +253,14 @@ fn all_methods_survive_transient_faults_with_exact_answers() {
                             &g2.outcome.table,
                         );
                         total_faults_seen += s2.usage().faults;
+                        if budget == 10_000 {
+                            let prtp = unguarded(fault_seed.wrapping_add(99), &|ctx| {
+                                textjoin::core::methods::probe::probe_rtp(ctx, &fj, &[0])
+                                    .expect("bounded faults never exhaust retries")
+                                    .report
+                            });
+                            assert_eq!(g2.outcome.report.text, prtp, "{qname}: guarded P+RTP");
+                        }
                     }
                 }
             }
