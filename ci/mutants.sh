@@ -15,14 +15,11 @@
 # Prints `killed/total`. Fails if a named test fails unmutated, a patch no
 # longer applies, a mutant does not build, or a mutant survives — the
 # change that moved the code re-cuts the patch.
-#
-#   ci/mutants.sh              run every mutant
-#   ci/mutants.sh PATCH...     run only these
 set -euo pipefail
 cd "$(dirname "$0")/.."
 root="$PWD"
 
-if [ $# -gt 0 ]; then patches=("$@"); else patches=(ci/mutants/*.patch); fi
+patches=(ci/mutants/*.patch)
 
 scratch="$(mktemp -d)"
 tree="$scratch/tree"
