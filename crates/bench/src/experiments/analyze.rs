@@ -7,8 +7,8 @@ use textjoin_core::optimizer::multi::{
     text_join_candidates, with_text_method, ExecutionSpace, PlannedQuery, PlannerInput,
 };
 use textjoin_core::optimizer::plan::MultiJoinQuery;
-use textjoin_core::serve::{percentile, Backend, ServeConfig, ServeSession, TenantSpec};
-use textjoin_obs::{q_error, Monitor, MonitorConfig};
+use textjoin_core::serve::{Backend, ServeConfig, ServeSession, TenantSpec};
+use textjoin_obs::{q_error, quantile, Monitor, MonitorConfig};
 use textjoin_text::faults::FaultPlan;
 use textjoin_text::server::TextServer;
 use textjoin_text::service::TextService;
@@ -200,8 +200,8 @@ pub fn serve_plan_quality(w: &World) -> Vec<ServePlanQualityRow> {
         .map(|t| ServePlanQualityRow {
             tenant: t.name.clone(),
             analyzed: t.cost_qs.len(),
-            p50_q: percentile(&t.cost_qs, 0.50),
-            p90_q: percentile(&t.cost_qs, 0.90),
+            p50_q: quantile(&t.cost_qs, 0.50),
+            p90_q: quantile(&t.cost_qs, 0.90),
             max_q: t.cost_qs.iter().copied().fold(0.0, f64::max),
         })
         .collect()

@@ -6,13 +6,12 @@ use textjoin_core::cost::formulas::{cost_p_rtp, cost_p_ts, cost_sj, cost_ts};
 use textjoin_core::cost::params::{CostParams, JoinStatistics};
 use textjoin_core::exec::plan_and_execute;
 use textjoin_core::methods::probe::{probe_tuple_substitution, ProbeSchedule};
-use textjoin_core::methods::rtp::relational_text_processing;
+use textjoin_core::methods::rtp::{guarded_rtp, relational_text_processing};
 use textjoin_core::methods::ts::{tuple_substitution, tuple_substitution_batched};
 use textjoin_core::methods::ExecContext;
 use textjoin_core::optimizer::multi::ExecutionSpace;
 use textjoin_core::optimizer::single::{optimal_probe_bounded, optimal_probe_exhaustive};
 use textjoin_core::query::prepare;
-use textjoin_core::runtime::{guarded_rtp, GuardVerdict};
 use textjoin_text::server::Usage;
 use textjoin_workload::knobs;
 use textjoin_workload::paper;
@@ -494,15 +493,15 @@ pub fn ablations(w: &World) -> Vec<Ablation> {
         rows.push(AblationRow {
             variant: format!(
                 "RTP guarded(budget 25) → {}",
-                if guarded.verdict == GuardVerdict::FellBackToTs {
+                if guarded.report.method == "RTP→TS" {
                     "fell back to TS"
                 } else {
                     "completed"
                 }
             ),
-            secs: guarded.outcome.report.total_cost(),
-            invocations: guarded.outcome.report.text.invocations,
-            rows: guarded.outcome.report.output_rows,
+            secs: guarded.report.total_cost(),
+            invocations: guarded.report.text.invocations,
+            rows: guarded.report.output_rows,
         });
         out.push(Ablation {
             name: "runtime guard (Q2, unselective selection)",

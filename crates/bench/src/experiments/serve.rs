@@ -2,9 +2,8 @@
 
 use textjoin_core::exec::plan_and_execute;
 use textjoin_core::optimizer::multi::ExecutionSpace;
-use textjoin_core::serve::{
-    percentile, Backend, ServeConfig, ServeError, ServeSession, TenantSpec,
-};
+use textjoin_core::serve::{Backend, ServeConfig, ServeError, ServeSession, TenantSpec};
+use textjoin_obs::quantile;
 use textjoin_text::faults::FaultPlan;
 use textjoin_text::server::TextServer;
 use textjoin_workload::paper;
@@ -134,7 +133,7 @@ pub fn serve_bench_report(w: &World) -> ServeBenchReport {
             } else {
                 0
             },
-            p99_cost: percentile(&t.costs, 0.99),
+            p99_cost: quantile(&t.costs, 0.99),
             probe_hits: t.probe_cache.0,
             plan_hits: t.plan_hits,
         })
@@ -189,7 +188,7 @@ pub fn serve_bench_report(w: &World) -> ServeBenchReport {
         shed,
         shed_rate_ppm: (shed as f64 / stream.len() as f64 * 1_000_000.0).round() as u64,
         degradations,
-        p99_cost: percentile(&all_costs, 0.99),
+        p99_cost: quantile(&all_costs, 0.99),
         aggregate_cost,
         tenants,
         cache,

@@ -10,12 +10,14 @@
 
 use std::borrow::Borrow;
 
+use textjoin_obs::cmp_nan_last;
+
 /// The `g` smallest of `xs` — at least one, at most all — multiplied in
 /// ascending order, ties in the order given, and how many that was: what
 /// sorting a copy and multiplying its head gives, to the bit. Each factor
 /// is the least value after the previous one: a pass per factor, no copy.
 fn smallest_product(xs: impl Iterator<Item = f64> + Clone, g: usize) -> (f64, usize) {
-    let order = |a: &(f64, usize), b: &(f64, usize)| a.partial_cmp(b).expect("finite statistics");
+    let order = |a: &(f64, usize), b: &(f64, usize)| cmp_nan_last(a.0, b.0).then(a.1.cmp(&b.1));
     // `last` is the factor just taken, as (value, place).
     let (mut product, mut taken, mut last) = (1.0, 0, (f64::NEG_INFINITY, 0));
     while taken < g.max(1) {

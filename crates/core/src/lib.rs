@@ -6,7 +6,9 @@
 //!
 //! * [`methods`] — the foreign-join methods: tuple substitution (TS),
 //!   relational text processing (RTP), semi-join (SJ / SJ+RTP), and the
-//!   probing family (P+TS, P+RTP) with the probe cache.
+//!   probing family (P+TS, P+RTP) with the probe cache; RTP's runtime
+//!   guard (the safeguard Section 5 points to) falls back to tuple
+//!   substitution when the selection matches more documents than a budget.
 //! * [`cost`] — the Section 4 cost model: Table 1 parameters,
 //!   g-correlated joint selectivity/fanout, and closed-form cost formulas
 //!   for every method.
@@ -17,9 +19,6 @@
 //!   System-R enumeration over PrL trees (Section 6).
 //! * [`exec`] — plan execution against a relational catalog and the text
 //!   server, with per-operator cost accounting.
-//! * [`runtime`] — runtime re-optimization: budget-guarded executors for
-//!   the fetch-heavy methods that fall back to tuple substitution when
-//!   fanout estimates prove unreliable (the safeguard Section 5 points to).
 //! * [`sched`] — the deterministic virtual-time transport scheduler:
 //!   bounded-concurrency scatter legs, hedged replica reads, per-query
 //!   deadlines, and the makespan (critical-path) cost they induce.
@@ -39,7 +38,6 @@ pub mod methods;
 pub mod optimizer;
 pub mod query;
 pub mod retry;
-pub mod runtime;
 pub mod sched;
 pub mod serve;
 pub mod stats;

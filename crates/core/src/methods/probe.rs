@@ -17,9 +17,7 @@
 //! Completion is either tuple substitution (P+TS) or relational text
 //! processing of the documents the successful probes matched (P+RTP,
 //! Example 3.6). Every cached schedule sends its probes through one step,
-//! `Probes::send`; P+RTP is its probe phase (`ProbePhase::run`) followed
-//! by its completion (`ProbePhase::complete`), steps the runtime guard
-//! composes too.
+//! `Probes::send`.
 
 use std::cell::{RefCell, RefMut};
 use std::collections::hash_map::Entry;
@@ -50,10 +48,7 @@ pub enum ProbeSchedule {
     Ordered,
 }
 
-pub(crate) fn validate_probe_cols(
-    fj: &ForeignJoin<'_>,
-    probe_cols: &[usize],
-) -> Result<(), MethodError> {
+fn validate_probe_cols(fj: &ForeignJoin<'_>, probe_cols: &[usize]) -> Result<(), MethodError> {
     if probe_cols.is_empty() {
         return Err(MethodError::BadProbeColumns(
             "probe column set must be non-empty".into(),
@@ -424,137 +419,84 @@ pub fn probe_rtp(
     fj.validate()?;
     validate_probe_cols(fj, probe_cols)?;
     let before = ctx.server.usage();
-    let _method_span = ctx.span(&method_label("P", probe_cols, "RTP"));
-    ProbePhase::run(ctx, fj, probe_cols).complete(ctx, fj, probe_cols, &before)
-}
+    let text_schema = ctx.server.schema();
+    let label = method_label("P", probe_cols, "RTP");
+    let _method_span = ctx.span(&label);
+    let mut out = fj.output_table(text_schema, &label);
 
-/// P+RTP's probe phase, run: one probe per distinct probe key, each proven
-/// outcome recorded, and the union of the matched docids — the candidate
-/// documents the completion fetches.
-pub(crate) struct ProbePhase<'a> {
-    probes: Probes<'a>,
-    /// Documents the successful probes matched.
-    pub(crate) matched: BTreeSet<DocId>,
-}
-
-impl<'a> ProbePhase<'a> {
-    /// Sends the probes of a validated join over validated `probe_cols`.
-    pub(crate) fn run(ctx: &ExecContext<'a>, fj: &ForeignJoin<'_>, probe_cols: &[usize]) -> Self {
-        let _probe_span = ctx.span("probe-phase");
-        let probes = Probes::new(ctx, fj, probe_cols);
-        let mut matched = BTreeSet::new();
-        let mut key = Vec::new();
-        for (_, rows) in group_by(fj.rel, &cols_of(fj, probe_cols)) {
-            if !fj.key_values(&fj.rel.rows()[rows[0]], probe_cols, &mut key) {
+    // Phase 1: one probe per distinct probe key; the union of the matched
+    // docids is the candidate set.
+    let probe_span = ctx.span("probe-phase");
+    let probes = Probes::new(ctx, fj, probe_cols);
+    let mut matched = BTreeSet::new();
+    let mut key = Vec::new();
+    for (_, rows) in group_by(fj.rel, &cols_of(fj, probe_cols)) {
+        if !fj.key_values(&fj.rel.rows()[rows[0]], probe_cols, &mut key) {
+            continue;
+        }
+        // A session-cached *fail* skips the probe outright: a fail key
+        // contributes no candidate docids, so matching loses nothing. A
+        // cached success is unusable here — the probe's result set feeds
+        // the candidate pool — so the probe is re-sent for its ids.
+        let epoch = ctx.server.topology_epoch();
+        match probes.peek(epoch, &key) {
+            Some(ProbeOutcome::Fail) => {
+                probes.note_hit(ctx, epoch);
                 continue;
             }
-            // A session-cached *fail* skips the probe outright: a fail key
-            // contributes no candidate docids, so matching loses nothing. A
-            // cached success is unusable here — the probe's result set
-            // feeds the candidate pool — so the probe is re-sent for its ids.
-            let epoch = ctx.server.topology_epoch();
-            match probes.peek(epoch, &key) {
-                Some(ProbeOutcome::Fail) => {
-                    probes.note_hit(ctx, epoch);
+            Some(ProbeOutcome::Success) => {}
+            None => probes.note_miss(),
+        }
+        // A key whose probe stays unknown is left unrecorded; phase 2
+        // degrades it to per-key tuple substitution.
+        if let Some(ids) = probes.send(ctx, fj, probe_cols, &key) {
+            matched.extend(ids);
+        }
+    }
+    drop(probe_span);
+
+    // Phase 2: fetch and match. The probes shipped only docids (via
+    // `probe`), so the matching data comes from retrievals: long forms
+    // when a join field or the projection needs them, else the short forms
+    // the probes' result sets carried, rebuilt locally at no extra charge.
+    let found = matched.into_iter().map(|id| (id, None));
+    let candidates = Candidates::fetch(ctx, fj, "fetch", found)?;
+
+    // Relational matching of candidates against surviving tuples. A key
+    // whose probe outcome stayed unknown degrades to tuple substitution for
+    // just that key: the full query is sent (once per distinct join key)
+    // and its results emitted directly.
+    let all = fj.all_preds();
+    let _match_span = ctx.span("relational-match");
+    let mut matcher = candidates.matcher(fj);
+    let mut ts_fallback: HashMap<Vec<Arc<str>>, Vec<(DocId, Document)>> = HashMap::new();
+    let mut comparisons = 0u64;
+    for t in fj.rel.iter() {
+        if !fj.key_values(t, probe_cols, &mut key) {
+            continue;
+        }
+        match probes.lookup(ctx, ctx.server.topology_epoch(), &key) {
+            Some(ProbeOutcome::Fail) => continue,
+            Some(ProbeOutcome::Success) => {
+                matcher.emit_matches(fj, text_schema, t, &mut out, &mut comparisons);
+            }
+            None => {
+                let mut full_key = Vec::new();
+                if !fj.key_values(t, &all, &mut full_key) {
                     continue;
                 }
-                Some(ProbeOutcome::Success) => {}
-                None => probes.note_miss(),
-            }
-            // A key whose probe stays unknown is left unrecorded; the
-            // completion degrades it to per-key tuple substitution.
-            if let Some(ids) = probes.send(ctx, fj, probe_cols, &key) {
-                matched.extend(ids);
-            }
-        }
-        Self { probes, matched }
-    }
-
-    /// P+RTP's completion: fetches the matched documents and matches them
-    /// relationally against the tuples whose probe succeeded. The report
-    /// books everything since `before`.
-    pub(crate) fn complete(
-        self,
-        ctx: &ExecContext<'_>,
-        fj: &ForeignJoin<'_>,
-        probe_cols: &[usize],
-        before: &Usage,
-    ) -> Result<MethodOutcome, MethodError> {
-        let Self { probes, matched } = self;
-        let text_schema = ctx.server.schema();
-        let label = method_label("P", probe_cols, "RTP");
-        let mut out = fj.output_table(text_schema, &label);
-
-        // The probes shipped only docids (via `probe`), so the matching
-        // data comes from retrievals: long forms when a join field or the
-        // projection needs them, else the short forms the probes' result
-        // sets carried, rebuilt locally at no extra charge.
-        let found = matched.into_iter().map(|id| (id, None));
-        let candidates = Candidates::fetch(ctx, fj, "fetch", found)?;
-
-        // Relational matching of candidates against surviving tuples. A key
-        // whose probe outcome stayed unknown degrades to tuple substitution
-        // for just that key: the full query is sent (once per distinct join
-        // key) and its results emitted directly.
-        let all = fj.all_preds();
-        let _match_span = ctx.span("relational-match");
-        let mut matcher = candidates.matcher(fj);
-        let mut ts_fallback: HashMap<Vec<Arc<str>>, Vec<(DocId, Document)>> = HashMap::new();
-        let mut comparisons = 0u64;
-        let mut key = Vec::new();
-        for t in fj.rel.iter() {
-            if !fj.key_values(t, probe_cols, &mut key) {
-                continue;
-            }
-            match probes.lookup(ctx, ctx.server.topology_epoch(), &key) {
-                Some(ProbeOutcome::Fail) => continue,
-                Some(ProbeOutcome::Success) => {
-                    matcher.emit_matches(fj, text_schema, t, &mut out, &mut comparisons);
-                }
-                None => {
-                    let mut full_key = Vec::new();
-                    if !fj.key_values(t, &all, &mut full_key) {
-                        continue;
+                let docs = match ts_fallback.entry(full_key) {
+                    Entry::Occupied(e) => e.into_mut(),
+                    Entry::Vacant(e) => {
+                        let result = ctx.search(&fj.search_for(&all, e.key()))?;
+                        e.insert(fetch_for_projection(ctx, fj, result.docs.ids())?)
                     }
-                    let docs = match ts_fallback.entry(full_key) {
-                        Entry::Occupied(e) => e.into_mut(),
-                        Entry::Vacant(e) => {
-                            let result = ctx.search(&fj.search_for(&all, e.key()))?;
-                            e.insert(fetch_for_projection(ctx, fj, result.docs.ids())?)
-                        }
-                    };
-                    fj.emit(&mut out, text_schema, t, docs);
-                }
+                };
+                fj.emit(&mut out, text_schema, t, docs);
             }
         }
-        Ok(probes.finish(label, ctx, before, comparisons, out))
     }
-
-    /// The tuples of `fj.rel` no probe proved to fail — an unknown outcome
-    /// never prunes. Reads the outcomes without counting cache traffic.
-    pub(crate) fn unpruned(
-        &self,
-        ctx: &ExecContext<'_>,
-        fj: &ForeignJoin<'_>,
-        probe_cols: &[usize],
-    ) -> Table {
-        let epoch = ctx.server.topology_epoch();
-        let mut key = Vec::new();
-        let rows = fj
-            .rel
-            .iter()
-            .filter(|t| {
-                fj.key_values(t, probe_cols, &mut key)
-                    && self.probes.peek(epoch, &key) != Some(ProbeOutcome::Fail)
-            })
-            .cloned()
-            .collect();
-        Table::new(
-            format!("{}-unpruned", fj.rel.name()),
-            fj.rel.schema().clone(),
-        )
-        .with_rows(rows)
-    }
+    Ok(probes.finish(label, ctx, &before, comparisons, out))
 }
 
 /// The relational `ColId`s of the probe predicate indices.

@@ -8,10 +8,10 @@
 //! so every `col in field` predicate qualifies. The matching itself is
 //! shared with SJ+RTP and P+RTP (`rel_match`).
 
-use textjoin_text::expr::SearchExpr;
-use textjoin_text::server::{SearchResult, Usage};
+use textjoin_text::server::TextError;
 
 use super::rel_match::Candidates;
+use super::ts::tuple_substitution;
 use super::{report, ExecContext, ForeignJoin, MethodError, MethodOutcome};
 
 /// Runs relational text processing.
@@ -19,35 +19,62 @@ pub fn relational_text_processing(
     ctx: &ExecContext<'_>,
     fj: &ForeignJoin<'_>,
 ) -> Result<MethodOutcome, MethodError> {
-    let sel = selection(fj)?;
+    rtp(ctx, fj, None)
+}
+
+/// RTP with a candidate-document budget — the runtime safeguard the paper
+/// points to at the end of Section 5: *"probe, followed by relational text
+/// processing … suffers from the danger that if the selectivity and fanout
+/// estimates are unreliable, then too many documents are fetched. We rely
+/// on runtime optimization techniques to address such difficulties
+/// [CDY]."* The selection search runs; if it matches more than
+/// `doc_budget` documents the fetch is abandoned and tuple substitution,
+/// whose cost does not depend on the misestimated fanout, answers the
+/// query (method `RTP→TS`). Within budget it is RTP (`RTP(guarded)`).
+pub fn guarded_rtp(
+    ctx: &ExecContext<'_>,
+    fj: &ForeignJoin<'_>,
+    doc_budget: usize,
+) -> Result<MethodOutcome, MethodError> {
+    rtp(ctx, fj, Some(doc_budget))
+}
+
+fn rtp(
+    ctx: &ExecContext<'_>,
+    fj: &ForeignJoin<'_>,
+    doc_budget: Option<usize>,
+) -> Result<MethodOutcome, MethodError> {
+    fj.validate()?;
+    let sel = fj.selections_expr().ok_or_else(|| {
+        MethodError::NotApplicable("RTP needs selection conditions on the text data".into())
+    })?;
     let before = ctx.server.usage();
-    let _method_span = ctx.span("RTP");
+    let method_span = ctx.span("RTP");
 
     // One search carrying only the text selections.
     let search_span = ctx.span("selection-search");
-    let result = ctx.search(&sel)?;
+    let searched = ctx.search(&sel);
     drop(search_span);
-    complete(ctx, fj, result, &before)
-}
+    let result = match (searched, doc_budget) {
+        (Ok(r), Some(budget)) if r.len() > budget => None,
+        (Ok(r), _) => Some(r),
+        // A guarded selection search that could not be completed — the
+        // server stayed down past the retry budget, or renegotiated its
+        // term cap below the selection — degrades too.
+        (Err(e), Some(_)) if e.is_transient() || matches!(e, TextError::CapReduced { .. }) => None,
+        (Err(e), _) => return Err(e.into()),
+    };
+    let Some(result) = result else {
+        // The guard tripped: tuple substitution answers, and the report
+        // books everything since `before`, the abandoned search included —
+        // runtime re-optimization is not free, it is insurance.
+        drop(method_span);
+        let mut out = tuple_substitution(ctx, fj, true)?;
+        out.report.text = ctx.server.usage().since(&before);
+        out.report.method = "RTP→TS".into();
+        return Ok(out);
+    };
 
-/// RTP's first step: validates the join and returns the one search it
-/// sends, the conjunction of the text selections.
-pub(crate) fn selection(fj: &ForeignJoin<'_>) -> Result<SearchExpr, MethodError> {
-    fj.validate()?;
-    fj.selections_expr().ok_or_else(|| {
-        MethodError::NotApplicable("RTP needs selection conditions on the text data".into())
-    })
-}
-
-/// RTP's completion from the selection search's `result`: fetches the
-/// candidates and matches them relationally. The report books everything
-/// since `before`.
-pub(crate) fn complete(
-    ctx: &ExecContext<'_>,
-    fj: &ForeignJoin<'_>,
-    result: SearchResult,
-    before: &Usage,
-) -> Result<MethodOutcome, MethodError> {
     let text_schema = ctx.server.schema();
     let mut out = fj.output_table(text_schema, "RTP");
     let found = result.docs.iter().map(|d| (d.id, Some(d)));
@@ -61,9 +88,14 @@ pub(crate) fn complete(
     }
 
     let rows = out.len();
+    let label = if doc_budget.is_some() {
+        "RTP(guarded)"
+    } else {
+        "RTP"
+    };
     Ok(MethodOutcome {
         table: out,
-        report: report("RTP", ctx, before, comparisons, rows),
+        report: report(label, ctx, &before, comparisons, rows),
     })
 }
 
@@ -112,6 +144,10 @@ mod tests {
             relational_text_processing(&ctx, &fj),
             Err(MethodError::NotApplicable(_))
         ));
+        assert!(matches!(
+            guarded_rtp(&ctx, &fj, 10),
+            Err(MethodError::NotApplicable(_))
+        ));
     }
 
     #[test]
@@ -152,11 +188,7 @@ mod tests {
         let ts = super::super::ts::tuple_substitution(&ctx2, &join(&rel, &s2, Projection::Full), true)
             .unwrap();
 
-        let mut a: Vec<String> = rtp.table.iter().map(|t| t.to_string()).collect();
-        let mut b: Vec<String> = ts.table.iter().map(|t| t.to_string()).collect();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "RTP and TS must compute the same join");
+        assert_eq!(rows(&rtp), rows(&ts), "RTP and TS must compute the same join");
     }
 
     #[test]
@@ -169,5 +201,74 @@ mod tests {
         // 4 tuples × 2 selection-matched docs × 1 predicate = 8 comparisons.
         assert_eq!(out.report.rtp_comparisons, 8);
         assert!((out.report.rtp_cost - 8.0 * ctx.c_a).abs() < 1e-12);
+    }
+
+    /// Sorted row renderings, for comparing answers across methods.
+    fn rows(out: &MethodOutcome) -> Vec<String> {
+        let mut v: Vec<String> = out.table.iter().map(|t| t.to_string()).collect();
+        v.sort();
+        v
+    }
+
+    #[test]
+    fn guarded_rtp_within_budget_books_exactly_rtp() {
+        let rel = student();
+        let s1 = corpus();
+        let fj1 = join(&rel, &s1, Projection::Full);
+        let g = guarded_rtp(&ExecContext::new(&s1), &fj1, 100).unwrap();
+        let s2 = corpus();
+        let fj2 = join(&rel, &s2, Projection::Full);
+        let rtp = relational_text_processing(&ExecContext::new(&s2), &fj2).unwrap();
+        assert_eq!(g.report.method, "RTP(guarded)");
+        assert_eq!(g.report.text, rtp.report.text);
+        assert_eq!(rows(&g), rows(&rtp));
+    }
+
+    #[test]
+    fn guarded_rtp_budget_is_inclusive() {
+        let rel = student();
+        // Two 'text'-titled candidates: a budget of 2 admits them.
+        let server = corpus();
+        let fj = join(&rel, &server, Projection::Full);
+        let g = guarded_rtp(&ExecContext::new(&server), &fj, 2).unwrap();
+        assert_eq!(g.report.method, "RTP(guarded)");
+        assert_eq!(g.report.text.invocations, 1);
+        // A budget of 1 does not: 4 TS searches plus the abandoned one.
+        let server = corpus();
+        let fj = join(&rel, &server, Projection::Full);
+        let g = guarded_rtp(&ExecContext::new(&server), &fj, 1).unwrap();
+        assert_eq!(g.report.method, "RTP→TS");
+        assert_eq!(g.report.text.invocations, 5);
+    }
+
+    #[test]
+    fn guarded_rtp_degrades_to_ts_when_selection_search_stays_down() {
+        use textjoin_text::faults::{Fault, FaultPlan};
+
+        let rel = student();
+        let mut server = TextServer::new(corpus().collection().clone());
+        // The first 4 search ops (the selection search and all its
+        // retries) fail; everything after succeeds, so TS runs cleanly.
+        server.set_fault_plan(FaultPlan::scripted(
+            (0..4).map(|op| (op, Fault::Unavailable)).collect(),
+        ));
+        let fj = join(&rel, &server, Projection::Full);
+        let g = guarded_rtp(&ExecContext::new(&server), &fj, 100).unwrap();
+        assert_eq!(g.report.method, "RTP→TS");
+        assert_eq!(g.table.len(), 2, "same answer as clean RTP");
+        assert_eq!(g.report.text.faults, 4);
+    }
+
+    #[test]
+    fn guarded_rtp_falls_back_to_ts_and_bills_the_abandoned_search() {
+        let rel = student();
+        let s1 = corpus();
+        let fj1 = join(&rel, &s1, Projection::Full);
+        let g = guarded_rtp(&ExecContext::new(&s1), &fj1, 1).unwrap();
+        let s2 = corpus();
+        let fj2 = join(&rel, &s2, Projection::Full);
+        let ts = super::super::ts::tuple_substitution(&ExecContext::new(&s2), &fj2, true).unwrap();
+        assert_eq!(rows(&g), rows(&ts), "fallback answer equals TS");
+        assert_eq!(g.report.text.invocations, ts.report.text.invocations + 1);
     }
 }

@@ -25,7 +25,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::convert::Infallible;
 use std::rc::Rc;
 
-use textjoin_obs::{CostVector, EventKind, NodeEstimate, PlannerChoice, Recorder};
+use textjoin_obs::{cmp_nan_last, CostVector, EventKind, NodeEstimate, PlannerChoice, Recorder};
 use textjoin_rel::catalog::Catalog;
 use textjoin_rel::ops::{distinct_count, filter};
 use textjoin_text::doc::{FieldId, TextSchema};
@@ -457,7 +457,7 @@ fn pareto_insert(set: &mut Vec<Candidate>, cand: Candidate) {
     set.retain(|c| !(cand.cost <= c.cost + 1e-12 && cand.rows <= c.rows + 1e-12));
     set.push(cand);
     if set.len() > MAX_CANDIDATES {
-        set.sort_by(|a, b| a.cost.partial_cmp(&b.cost).expect("finite costs"));
+        set.sort_by(|a, b| cmp_nan_last(a.cost, b.cost));
         set.truncate(MAX_CANDIDATES);
     }
 }
@@ -544,7 +544,7 @@ pub fn plan_query(input: &PlannerInput, space: ExecutionSpace) -> Option<Planned
     let finals = best.remove(&full)?;
     let winner = finals
         .into_iter()
-        .min_by(|a, b| a.cost.partial_cmp(&b.cost).expect("finite costs"))?;
+        .min_by(|a, b| cmp_nan_last(a.cost, b.cost))?;
     Some(PlannedQuery {
         plan: winner.node,
         est_cost: winner.cost,

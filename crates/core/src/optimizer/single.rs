@@ -17,6 +17,8 @@
 //! are ranked by the same invoice the executor's scatter paths will
 //! actually charge — see `plan_and_execute_with` for the lockstep fold.
 
+use textjoin_obs::cmp_nan_last;
+
 use crate::cost::formulas::{
     cost_p_rtp, cost_p_ts, cost_rtp, cost_sj, cost_ts, CostBreakdown,
 };
@@ -115,8 +117,7 @@ fn best_subset(
         let c = f(p, s, cols);
         let rank = p.rank(c.invocation, c.processing, c.transmission, c.rtp);
         let better = best.is_none_or(|(best_rank, _)| {
-            rank.partial_cmp(&best_rank)
-                .expect("costs are finite")
+            cmp_nan_last(rank, best_rank)
                 .then(cols.len().cmp(&best_cols.len()))
                 .then_with(|| cols.iter().rev().cmp(best_cols.iter().rev()))
                 .is_lt()
@@ -203,11 +204,7 @@ pub fn enumerate_methods(
     // parallelizes across shards rank ahead at equal total charge.
     let rank =
         |c: &CostBreakdown| p.rank(c.invocation, c.processing, c.transmission, c.rtp);
-    out.sort_by(|a, b| {
-        rank(&a.cost)
-            .partial_cmp(&rank(&b.cost))
-            .expect("costs are finite")
-    });
+    out.sort_by(|a, b| cmp_nan_last(rank(&a.cost), rank(&b.cost)));
     out
 }
 
@@ -574,5 +571,15 @@ mod tests {
         let b = bounded.first().unwrap().cost.total();
         let e = exhaustive.first().unwrap().cost.total();
         assert!(e <= b + 1e-9);
+    }
+
+    #[test]
+    fn choose_survives_a_nan_statistic() {
+        let (p, mut s) = base();
+        s.preds[1] = PredStats::simple(f64::NAN, 2.0, 50.0);
+        // A NaN cost ranks last instead of panicking the comparator.
+        let best = choose_method(&p, &s, Projection::Full).unwrap();
+        let all = enumerate_methods(&p, &s, Projection::Full, false);
+        assert_eq!(best, all[0]);
     }
 }

@@ -858,18 +858,6 @@ fn to_ms(seconds: f64) -> u64 {
     (seconds * 1000.0).round() as u64
 }
 
-/// Deterministic inclusive percentile over completed-query costs
-/// (nearest-rank). Empty input yields `0.0`.
-pub fn percentile(costs: &[f64], q: f64) -> f64 {
-    if costs.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = costs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("costs are finite"));
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -291,12 +291,8 @@ impl<'a> ExecContext<'a> {
             return out;
         }
         let primary = order[0];
-        let route = match self.budget {
-            Some(b) => b.route(shard),
-            None => Route::Primary,
-        };
-        match route {
-            Route::Primary => {
+        match self.budget.map(|b| (b, b.route(shard))) {
+            None | Some((_, Route::Primary)) => {
                 let before = self.leg_baseline(sh, shard, primary);
                 let policy = self.shard_policy(shard);
                 match self.leg_attempts(sh, shard, primary, policy, true, &mut op) {
@@ -318,8 +314,7 @@ impl<'a> ExecContext<'a> {
                     }
                 }
             }
-            Route::HalfOpenProbe => {
-                let b = self.budget.expect("half-open probes require a budget");
+            Some((b, Route::HalfOpenProbe)) => {
                 let before = self.leg_baseline(sh, shard, primary);
                 let attempt = op(primary);
                 self.book_leg(sh, shard, primary, before);
@@ -340,7 +335,7 @@ impl<'a> ExecContext<'a> {
             }
             // Breaker open, not a probe turn: the primary is skipped and
             // charged nothing.
-            Route::Replica => {}
+            Some((_, Route::Replica)) => {}
         }
         // The secondaries: the service's failover pass over the rest of the
         // routing order, each hop a retried leg of its own.
@@ -447,10 +442,10 @@ impl<'a> ExecContext<'a> {
         gather: impl FnOnce() -> Result<T, TextError>,
     ) -> Result<T, TextError> {
         let _gather = self.span("gather");
-        let opened = self.sched.is_some_and(Scheduler::begin_phase);
+        let opened = self.sched.filter(|s| s.begin_phase());
         let out = gather();
-        if opened {
-            self.sched.expect("opened implies a scheduler").end_phase();
+        if let Some(s) = opened {
+            s.end_phase();
         }
         out
     }

@@ -15,6 +15,7 @@
 //! already booked; building or rendering a [`PlanQuality`] never touches
 //! a server.
 
+use std::cmp::Ordering;
 use std::fmt::Write as _;
 
 /// The Q-error of an estimate against an actual: `max(est/act, act/est)`,
@@ -32,14 +33,22 @@ pub fn q_error(est: f64, act: f64) -> f64 {
     }
 }
 
-/// Deterministic nearest-rank quantile (`q` in `[0, 1]`) over a sample.
-/// Empty input yields `0.0`.
+/// A total order on `f64`: `partial_cmp` wherever that is defined (so
+/// `-0.0` and `0.0` tie, unlike `f64::total_cmp`), with NaN after every
+/// number and NaNs tied.
+pub fn cmp_nan_last(a: f64, b: f64) -> Ordering {
+    a.partial_cmp(&b)
+        .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+}
+
+/// Deterministic nearest-rank quantile (`q` in `[0, 1]`) over a sample,
+/// NaNs ranked last. Empty input yields `0.0`.
 pub fn quantile(values: &[f64], q: f64) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
     let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
+    sorted.sort_by(|a, b| cmp_nan_last(*a, *b));
     let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
     sorted[rank - 1]
 }
@@ -250,6 +259,15 @@ mod tests {
         assert_eq!(quantile(&v, 0.9), 9.0);
         assert_eq!(quantile(&v, 0.5), 5.0);
         assert_eq!(quantile(&v, 1.0), 10.0);
+    }
+
+    #[test]
+    fn quantile_ranks_nan_last() {
+        assert_eq!(quantile(&[f64::NAN, 1.0], 0.5), 1.0);
+        assert!(quantile(&[f64::NAN, 1.0], 1.0).is_nan());
+        assert_eq!(cmp_nan_last(-0.0, 0.0), Ordering::Equal);
+        assert_eq!(cmp_nan_last(f64::INFINITY, f64::NAN), Ordering::Less);
+        assert_eq!(cmp_nan_last(f64::NAN, f64::NAN), Ordering::Equal);
     }
 
     fn est(id: usize, depth: usize, rows: f64, inv: f64) -> NodeEstimate {

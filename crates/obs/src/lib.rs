@@ -31,7 +31,7 @@ mod sink;
 mod trace;
 
 pub use analyze::{
-    q_error, quantile, CostVector, NodeActual, NodeEstimate, NodeQuality, PlanQuality,
+    cmp_nan_last, q_error, quantile, CostVector, NodeActual, NodeEstimate, NodeQuality, PlanQuality,
 };
 pub use calibrate::{calibrate_trace, ComponentFit, TraceCalibration};
 pub use event::{Charge, Event, EventKind, PlannerChoice};

@@ -58,6 +58,7 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 
+use crate::analyze::cmp_nan_last;
 use crate::calibrate::calibrate_trace;
 use crate::event::{Charge, Event, EventKind};
 use crate::sink::Sink;
@@ -664,12 +665,7 @@ impl Monitor {
             .per_shard
             .iter()
             .filter(|(&s, _)| s != src)
-            .min_by(|a, b| {
-                a.1.invoice
-                    .total()
-                    .partial_cmp(&b.1.invoice.total())
-                    .expect("invoice totals are finite")
-            })
+            .min_by(|a, b| cmp_nan_last(a.1.invoice.total(), b.1.invoice.total()))
             .map(|(&s, _)| s);
         let Some(dst) = dst else { return };
         st.advice.push(Advice {

@@ -6,8 +6,8 @@
 //! clean error, never a wrong answer.
 
 use textjoin::core::methods::probe::ProbeSchedule;
+use textjoin::core::methods::rtp::guarded_rtp;
 use textjoin::core::methods::{ExecContext, ForeignJoin, MethodReport, Projection};
-use textjoin::core::runtime::{guarded_probe_rtp, guarded_rtp};
 use textjoin::rel::strmatch::contains_term;
 use textjoin::rel::table::Table;
 use textjoin::text::doc::DocId;
@@ -210,56 +210,25 @@ fn all_methods_survive_transient_faults_with_exact_answers() {
                     run!("P+RTP", |ctx| {
                         textjoin::core::methods::probe::probe_rtp(ctx, &fj, &[0])
                     });
-                    // Guarded variants, both sides of the budget. Within
-                    // budget a guard books exactly what its unguarded
-                    // method books on a server with the same fault seed.
-                    let unguarded =
-                        |seed: u64, method: &dyn Fn(&ExecContext<'_>) -> MethodReport| {
-                            let s = faulted_server(&w, seed, rate);
-                            method(&ExecContext::new(&s)).text
-                        };
-                    for budget in [0usize, 10_000] {
-                        let s = faulted_server(&w, fault_seed, rate);
-                        if !fj.selections.is_empty() {
-                            let ctx = ExecContext::new(&s);
-                            let g = guarded_rtp(&ctx, &fj, budget)
+                    // The guard, both sides of the budget. Within budget it
+                    // books exactly what RTP books on a server with the
+                    // same fault seed.
+                    if !fj.selections.is_empty() {
+                        for budget in [0usize, 10_000] {
+                            let s = faulted_server(&w, fault_seed, rate);
+                            let g = guarded_rtp(&ExecContext::new(&s), &fj, budget)
                                 .expect("bounded faults never exhaust retries");
-                            check(
-                                format!("guarded_rtp/{budget}"),
-                                &s,
-                                &g.outcome.report,
-                                &g.outcome.table,
-                            );
+                            check(format!("guarded_rtp/{budget}"), &s, &g.report, &g.table);
                             total_faults_seen += s.usage().faults;
                             if budget == 10_000 {
-                                let rtp = unguarded(fault_seed, &|ctx| {
-                                    textjoin::core::methods::rtp::relational_text_processing(
-                                        ctx, &fj,
-                                    )
-                                    .expect("bounded faults never exhaust retries")
-                                    .report
-                                });
-                                assert_eq!(g.outcome.report.text, rtp, "{qname}: guarded RTP");
+                                let s = faulted_server(&w, fault_seed, rate);
+                                let rtp = textjoin::core::methods::rtp::relational_text_processing(
+                                    &ExecContext::new(&s),
+                                    &fj,
+                                )
+                                .expect("bounded faults never exhaust retries");
+                                assert_eq!(g.report.text, rtp.report.text, "{qname}: guarded RTP");
                             }
-                        }
-                        let s2 = faulted_server(&w, fault_seed.wrapping_add(99), rate);
-                        let ctx2 = ExecContext::new(&s2);
-                        let g2 = guarded_probe_rtp(&ctx2, &fj, &[0], budget)
-                            .expect("bounded faults never exhaust retries");
-                        check(
-                            format!("guarded_probe_rtp/{budget}"),
-                            &s2,
-                            &g2.outcome.report,
-                            &g2.outcome.table,
-                        );
-                        total_faults_seen += s2.usage().faults;
-                        if budget == 10_000 {
-                            let prtp = unguarded(fault_seed.wrapping_add(99), &|ctx| {
-                                textjoin::core::methods::probe::probe_rtp(ctx, &fj, &[0])
-                                    .expect("bounded faults never exhaust retries")
-                                    .report
-                            });
-                            assert_eq!(g2.outcome.report.text, prtp, "{qname}: guarded P+RTP");
                         }
                     }
                 }
@@ -297,10 +266,9 @@ fn exhausted_retries_fail_cleanly_never_wrongly() {
     )
     .is_err());
     assert!(textjoin::core::methods::probe::probe_rtp(&ctx, &fj, &[0]).is_err());
-    // The guards degrade to TS first, but TS cannot run either: still a
+    // The guard degrades to TS first, but TS cannot run either: still a
     // clean error.
     assert!(guarded_rtp(&ctx, &fj, 10).is_err());
-    assert!(guarded_probe_rtp(&ctx, &fj, &[0], 10).is_err());
     // Nothing was emitted, but the failed attempts were charged.
     let u = s.usage();
     assert!(u.faults > 0);
