@@ -9,7 +9,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CEILING=80
+CEILING=76
 
 list=0
 case "${1:-}" in

@@ -32,7 +32,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use textjoin_rel::schema::{ColId, RelSchema};
-use textjoin_rel::table::Table;
+use textjoin_rel::table::{Rows, Table};
 use textjoin_rel::tuple::Tuple;
 use textjoin_rel::value::{Value, ValueType};
 use textjoin_text::doc::{DocId, Document, FieldId, TextSchema};
@@ -72,11 +72,12 @@ pub struct TextSelection {
 /// instantiated predicate is "value of `join_cols[i]` in `t` occurs in
 /// `join_fields[i]`". The relation is assumed already reduced by its local
 /// selection conditions (the paper omits relation-scan cost for the same
-/// reason).
+/// reason). The relation is a [`Table`], or any other [`Rows`] — a
+/// multi-join plan's intermediate view — read in place.
 #[derive(Debug, Clone)]
-pub struct ForeignJoin<'a> {
+pub struct ForeignJoin<'a, R = Table> {
     /// The (locally filtered) outer relation.
-    pub rel: &'a Table,
+    pub rel: &'a R,
     /// Join columns of the relation, parallel to `join_fields`.
     pub join_cols: Vec<ColId>,
     /// Text fields joined against, parallel to `join_cols`.
@@ -171,7 +172,7 @@ pub struct MethodOutcome {
     pub report: MethodReport,
 }
 
-impl<'a> ForeignJoin<'a> {
+impl<R: Rows> ForeignJoin<'_, R> {
     /// Number of foreign join predicates `k`.
     pub fn k(&self) -> usize {
         self.join_cols.len()
@@ -213,17 +214,21 @@ impl<'a> ForeignJoin<'a> {
         ))
     }
 
-    /// Puts the join-column values of `t` at predicate indices `which`
-    /// (indices into `join_cols`) into `out`, replacing what it held; the
-    /// strings are shared with the tuple, not copied. Returns `false` if
-    /// any value is NULL or empty — such a tuple can never match, so no
-    /// search is sent.
-    pub(crate) fn key_values(&self, t: &Tuple, which: &[usize], out: &mut Vec<Arc<str>>) -> bool {
+    /// Puts the join-column values of row `row` at predicate indices
+    /// `which` (indices into `join_cols`) into `out`, replacing what it
+    /// held; the strings are shared with the relation, not copied. Returns
+    /// `false` if any value is NULL or empty — such a tuple can never
+    /// match, so no search is sent.
+    pub(crate) fn key_values(&self, row: usize, which: &[usize], out: &mut Vec<Arc<str>>) -> bool {
         out.clear();
-        out.extend(which.iter().map_while(|&i| match t.get(self.join_cols[i]) {
-            Value::Str(s) if !s.trim().is_empty() => Some(s.clone()),
-            _ => None,
-        }));
+        out.extend(
+            which
+                .iter()
+                .map_while(|&i| match self.rel.value(row, self.join_cols[i]) {
+                    Value::Str(s) if !s.trim().is_empty() => Some(s.clone()),
+                    _ => None,
+                }),
+        );
         out.len() == which.len()
     }
 
@@ -251,11 +256,11 @@ impl<'a> ForeignJoin<'a> {
         }
     }
 
-    /// [`search_for`](Self::search_for) tuple `t`'s key over `which`.
-    /// `None` if the tuple has a NULL/empty join value among `which`.
-    pub(crate) fn instantiated_search(&self, t: &Tuple, which: &[usize]) -> Option<SearchExpr> {
+    /// [`search_for`](Self::search_for) row `row`'s key over `which`.
+    /// `None` if the row has a NULL/empty join value among `which`.
+    pub(crate) fn instantiated_search(&self, row: usize, which: &[usize]) -> Option<SearchExpr> {
         let mut key = Vec::with_capacity(which.len());
-        self.key_values(t, which, &mut key)
+        self.key_values(row, which, &mut key)
             .then(|| self.search_for(which, &key))
     }
 
@@ -294,21 +299,24 @@ impl<'a> ForeignJoin<'a> {
         Table::new(name, self.output_schema(text_schema))
     }
 
-    /// Emits output rows for one (tuple, matched docs) pair according to the
-    /// projection. `docs` must be the long forms when the projection is
-    /// `Full`; they may be owned or borrowed.
+    /// Emits output rows for one (row, matched docs) pair according to the
+    /// projection: the one place a foreign join builds a [`Tuple`]. `docs`
+    /// must be the long forms when the projection is `Full`; they may be
+    /// owned or borrowed.
     pub(crate) fn emit<D: std::borrow::Borrow<Document>>(
         &self,
         out: &mut Table,
         text_schema: &TextSchema,
-        tuple: &Tuple,
+        row: usize,
         docs: &[(DocId, D)],
     ) {
         if docs.is_empty() {
             return;
         }
+        let arity = self.rel.schema().len();
+        let values = || (0..arity).map(|c| self.rel.value(row, ColId(c)).clone());
         match self.projection {
-            Projection::RelOnly => out.push(tuple.clone()),
+            Projection::RelOnly => out.push(Tuple::new(values().collect())),
             Projection::DocIds => {
                 for (id, _) in docs {
                     out.push(Tuple::new(vec![Value::str(id.to_string())]));
@@ -316,7 +324,8 @@ impl<'a> ForeignJoin<'a> {
             }
             Projection::Full => {
                 for (id, d) in docs {
-                    let mut vals = tuple.values().to_vec();
+                    let mut vals = Vec::with_capacity(arity + 1 + text_schema.len());
+                    vals.extend(values());
                     vals.extend(doc_values(*id, d.borrow(), text_schema));
                     out.push(Tuple::new(vals));
                 }
@@ -355,9 +364,9 @@ pub(crate) fn doc_values(id: DocId, doc: &Document, text_schema: &TextSchema) ->
 /// Fetches the documents a result set refers to, in the form the
 /// projection needs: long forms (retrieved and charged) for
 /// [`Projection::Full`], empty placeholders otherwise.
-pub(crate) fn fetch_for_projection(
+pub(crate) fn fetch_for_projection<R>(
     ctx: &ExecContext<'_>,
-    fj: &ForeignJoin<'_>,
+    fj: &ForeignJoin<'_, R>,
     ids: &[DocId],
 ) -> Result<Vec<(DocId, Document)>, MethodError> {
     match fj.projection {
@@ -486,9 +495,7 @@ mod tests {
         let rel = student();
         let server = corpus();
         let j = fj(&rel, &server, Projection::Full);
-        let e = j
-            .instantiated_search(&rel.rows()[0], &j.all_preds())
-            .unwrap();
+        let e = j.instantiated_search(0, &j.all_preds()).unwrap();
         assert_eq!(
             e.display(server.collection().schema()).to_string(),
             "TI='text' and AU='gravano'"
@@ -510,8 +517,8 @@ mod tests {
             selections: vec![],
             projection: Projection::RelOnly,
         };
-        assert!(j.instantiated_search(&rel.rows()[0], &[0]).is_none());
-        assert!(j.instantiated_search(&rel.rows()[1], &[0]).is_none());
+        assert!(j.instantiated_search(0, &[0]).is_none());
+        assert!(j.instantiated_search(1, &[0]).is_none());
     }
 
     #[test]

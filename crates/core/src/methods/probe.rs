@@ -25,7 +25,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use textjoin_rel::ops::group_by;
-use textjoin_rel::table::Table;
+use textjoin_rel::table::{Rows, Table};
 use textjoin_text::doc::{DocId, Document};
 use textjoin_text::server::Usage;
 
@@ -48,7 +48,10 @@ pub enum ProbeSchedule {
     Ordered,
 }
 
-fn validate_probe_cols(fj: &ForeignJoin<'_>, probe_cols: &[usize]) -> Result<(), MethodError> {
+fn validate_probe_cols<R: Rows>(
+    fj: &ForeignJoin<'_, R>,
+    probe_cols: &[usize],
+) -> Result<(), MethodError> {
     if probe_cols.is_empty() {
         return Err(MethodError::BadProbeColumns(
             "probe column set must be non-empty".into(),
@@ -97,7 +100,7 @@ struct Probes<'a> {
 }
 
 impl<'a> Probes<'a> {
-    fn new(ctx: &ExecContext<'a>, fj: &ForeignJoin<'_>, probe_cols: &[usize]) -> Self {
+    fn new<R>(ctx: &ExecContext<'a>, fj: &ForeignJoin<'_, R>, probe_cols: &[usize]) -> Self {
         let mut identity = Vec::with_capacity(fj.selections.len() + probe_cols.len());
         for s in &fj.selections {
             identity.push(format!("s:{}@{}", s.term, s.field.0));
@@ -158,10 +161,10 @@ impl<'a> Probes<'a> {
     /// down past the retry budget the outcome is unknown, so the key stays
     /// unrecorded and nothing prunes on it. Returns the matched ids, `None`
     /// when unknown.
-    fn send(
+    fn send<R: Rows>(
         &self,
         ctx: &ExecContext<'_>,
-        fj: &ForeignJoin<'_>,
+        fj: &ForeignJoin<'_, R>,
         probe_cols: &[usize],
         key: &[Arc<str>],
     ) -> Option<Vec<DocId>> {
@@ -208,9 +211,9 @@ impl<'a> Probes<'a> {
 }
 
 /// Probing with tuple substitution (P+TS).
-pub fn probe_tuple_substitution(
+pub fn probe_tuple_substitution<R: Rows>(
     ctx: &ExecContext<'_>,
-    fj: &ForeignJoin<'_>,
+    fj: &ForeignJoin<'_, R>,
     probe_cols: &[usize],
     schedule: ProbeSchedule,
 ) -> Result<MethodOutcome, MethodError> {
@@ -223,9 +226,9 @@ pub fn probe_tuple_substitution(
     }
 }
 
-fn probe_first_ts(
+fn probe_first_ts<R: Rows>(
     ctx: &ExecContext<'_>,
-    fj: &ForeignJoin<'_>,
+    fj: &ForeignJoin<'_, R>,
     probe_cols: &[usize],
 ) -> Result<MethodOutcome, MethodError> {
     let before = ctx.server.usage();
@@ -241,7 +244,7 @@ fn probe_first_ts(
     // Every tuple's probe key goes through this one buffer.
     let mut key = Vec::new();
     for (_, rows) in group_by(fj.rel, &cols_of(fj, probe_cols)) {
-        let t = &fj.rel.rows()[rows[0]];
+        let t = rows[0];
         if !fj.key_values(t, probe_cols, &mut key) {
             continue; // NULL key: no probe; tuples can never match anyway
         }
@@ -261,7 +264,7 @@ fn probe_first_ts(
     // Phase 2: tuple substitution for the tuples no probe proved to fail.
     let _subst_span = ctx.span("substitution");
     for (_, rows) in group_by(fj.rel, &fj.join_cols) {
-        let t = &fj.rel.rows()[rows[0]];
+        let t = rows[0];
         if !fj.key_values(t, probe_cols, &mut key) {
             continue;
         }
@@ -278,15 +281,15 @@ fn probe_first_ts(
         }
         let docs = fetch_for_projection(ctx, fj, result.docs.ids())?;
         for &ri in &rows {
-            fj.emit(&mut out, text_schema, &fj.rel.rows()[ri], &docs);
+            fj.emit(&mut out, text_schema, ri, &docs);
         }
     }
     Ok(cache.finish(label, ctx, &before, 0, out))
 }
 
-fn lazy_ts(
+fn lazy_ts<R: Rows>(
     ctx: &ExecContext<'_>,
-    fj: &ForeignJoin<'_>,
+    fj: &ForeignJoin<'_, R>,
     probe_cols: &[usize],
 ) -> Result<MethodOutcome, MethodError> {
     let before = ctx.server.usage();
@@ -301,7 +304,7 @@ fn lazy_ts(
     // applies; the probe cache prunes across full-key groups.
     let mut probe_key = Vec::new();
     for (_, rows) in group_by(fj.rel, &fj.join_cols) {
-        let t = &fj.rel.rows()[rows[0]];
+        let t = rows[0];
         if !fj.key_values(t, probe_cols, &mut probe_key) {
             continue;
         }
@@ -319,7 +322,7 @@ fn lazy_ts(
             cache.record(ctx.server.topology_epoch(), &probe_key, ProbeOutcome::Success);
             let docs = fetch_for_projection(ctx, fj, result.docs.ids())?;
             for &ri in &rows {
-                fj.emit(&mut out, text_schema, &fj.rel.rows()[ri], &docs);
+                fj.emit(&mut out, text_schema, ri, &docs);
             }
             continue;
         }
@@ -344,9 +347,9 @@ fn lazy_ts(
 /// substituted in turn; when a substitution fails and *further* full-key
 /// subgroups remain in the probe group, one probe decides whether to skip
 /// them all.
-fn ordered_ts(
+fn ordered_ts<R: Rows>(
     ctx: &ExecContext<'_>,
-    fj: &ForeignJoin<'_>,
+    fj: &ForeignJoin<'_, R>,
     probe_cols: &[usize],
 ) -> Result<MethodOutcome, MethodError> {
     let before = ctx.server.usage();
@@ -361,13 +364,13 @@ fn ordered_ts(
     // shares one probe key, so a NULL one voids the whole group.
     let (mut probe_key, mut key) = (Vec::new(), Vec::new());
     for (_, probe_rows) in group_by(fj.rel, &cols_of(fj, probe_cols)) {
-        if !fj.key_values(&fj.rel.rows()[probe_rows[0]], probe_cols, &mut probe_key) {
+        if !fj.key_values(probe_rows[0], probe_cols, &mut probe_key) {
             continue;
         }
         // Sub-group by the full join key for the distinct-tuple variant.
         let mut sub: Vec<(Vec<Arc<str>>, Vec<usize>)> = Vec::new();
         for &ri in &probe_rows {
-            if !fj.key_values(&fj.rel.rows()[ri], &all, &mut key) {
+            if !fj.key_values(ri, &all, &mut key) {
                 continue;
             }
             match sub.iter_mut().find(|(k, _)| *k == key) {
@@ -382,7 +385,7 @@ fn ordered_ts(
                 probe_known_ok = true;
                 let docs = fetch_for_projection(ctx, fj, result.docs.ids())?;
                 for &ri in rows {
-                    fj.emit(&mut out, text_schema, &fj.rel.rows()[ri], &docs);
+                    fj.emit(&mut out, text_schema, ri, &docs);
                 }
             } else if !probe_known_ok && i + 1 < sub.len() {
                 // A fail-query, with more full-key subgroups sharing this
@@ -411,9 +414,9 @@ fn ordered_ts(
 /// successful probes' result sets *are* the candidate documents; they are
 /// fetched (short or long form as needed) and matched to the surviving
 /// tuples relationally.
-pub fn probe_rtp(
+pub fn probe_rtp<R: Rows>(
     ctx: &ExecContext<'_>,
-    fj: &ForeignJoin<'_>,
+    fj: &ForeignJoin<'_, R>,
     probe_cols: &[usize],
 ) -> Result<MethodOutcome, MethodError> {
     fj.validate()?;
@@ -425,21 +428,25 @@ pub fn probe_rtp(
     let mut out = fj.output_table(text_schema, &label);
 
     // Phase 1: one probe per distinct probe key; the union of the matched
-    // docids is the candidate set.
+    // docids is the candidate set. Each group keeps its key (`None` when
+    // NULL or empty) for phase 3.
     let probe_span = ctx.span("probe-phase");
     let probes = Probes::new(ctx, fj, probe_cols);
     let mut matched = BTreeSet::new();
-    let mut key = Vec::new();
+    let mut groups = Vec::new();
     for (_, rows) in group_by(fj.rel, &cols_of(fj, probe_cols)) {
-        if !fj.key_values(&fj.rel.rows()[rows[0]], probe_cols, &mut key) {
+        let mut key = Vec::new();
+        let usable = fj.key_values(rows[0], probe_cols, &mut key);
+        groups.push((usable.then_some(key), rows));
+        let Some((Some(key), _)) = groups.last() else {
             continue;
-        }
+        };
         // A session-cached *fail* skips the probe outright: a fail key
         // contributes no candidate docids, so matching loses nothing. A
         // cached success is unusable here — the probe's result set feeds
         // the candidate pool — so the probe is re-sent for its ids.
         let epoch = ctx.server.topology_epoch();
-        match probes.peek(epoch, &key) {
+        match probes.peek(epoch, key) {
             Some(ProbeOutcome::Fail) => {
                 probes.note_hit(ctx, epoch);
                 continue;
@@ -447,9 +454,9 @@ pub fn probe_rtp(
             Some(ProbeOutcome::Success) => {}
             None => probes.note_miss(),
         }
-        // A key whose probe stays unknown is left unrecorded; phase 2
+        // A key whose probe stays unknown is left unrecorded; phase 3
         // degrades it to per-key tuple substitution.
-        if let Some(ids) = probes.send(ctx, fj, probe_cols, &key) {
+        if let Some(ids) = probes.send(ctx, fj, probe_cols, key) {
             matched.extend(ids);
         }
     }
@@ -462,27 +469,51 @@ pub fn probe_rtp(
     let found = matched.into_iter().map(|id| (id, None));
     let candidates = Candidates::fetch(ctx, fj, "fetch", found)?;
 
-    // Relational matching of candidates against surviving tuples. A key
-    // whose probe outcome stayed unknown degrades to tuple substitution for
-    // just that key: the full query is sent (once per distinct join key)
-    // and its results emitted directly.
+    // Phase 3: relational matching of candidates against surviving
+    // tuples, in relation order. Each group's key is looked up in the cache
+    // once (again only if the topology epoch moves), and the lookup is
+    // booked per tuple — a hit or a miss, and a session `CacheHit` per hit —
+    // as a lookup per tuple books it. A key whose probe outcome stayed
+    // unknown degrades to tuple substitution for just that key: the full
+    // query is sent (once per distinct join key) and its results emitted
+    // directly.
+    let mut group_of = vec![0; fj.rel.len()];
+    for (g, (_, rows)) in groups.iter().enumerate() {
+        for &row in rows {
+            group_of[row] = g;
+        }
+    }
+    let mut looked_up: Vec<Option<(u64, Option<ProbeOutcome>)>> = vec![None; groups.len()];
     let all = fj.all_preds();
     let _match_span = ctx.span("relational-match");
     let mut matcher = candidates.matcher(fj);
     let mut ts_fallback: HashMap<Vec<Arc<str>>, Vec<(DocId, Document)>> = HashMap::new();
     let mut comparisons = 0u64;
-    for t in fj.rel.iter() {
-        if !fj.key_values(t, probe_cols, &mut key) {
+    for (row, &g) in group_of.iter().enumerate() {
+        let Some(key) = &groups[g].0 else {
             continue;
+        };
+        let epoch = ctx.server.topology_epoch();
+        let outcome = match looked_up[g] {
+            Some((at, outcome)) if at == epoch => outcome,
+            _ => {
+                let outcome = probes.peek(epoch, key);
+                looked_up[g] = Some((epoch, outcome));
+                outcome
+            }
+        };
+        match outcome {
+            Some(_) => probes.note_hit(ctx, epoch),
+            None => probes.note_miss(),
         }
-        match probes.lookup(ctx, ctx.server.topology_epoch(), &key) {
+        match outcome {
             Some(ProbeOutcome::Fail) => continue,
             Some(ProbeOutcome::Success) => {
-                matcher.emit_matches(fj, text_schema, t, &mut out, &mut comparisons);
+                matcher.emit_matches(fj, text_schema, row, &mut out, &mut comparisons);
             }
             None => {
                 let mut full_key = Vec::new();
-                if !fj.key_values(t, &all, &mut full_key) {
+                if !fj.key_values(row, &all, &mut full_key) {
                     continue;
                 }
                 let docs = match ts_fallback.entry(full_key) {
@@ -492,7 +523,7 @@ pub fn probe_rtp(
                         e.insert(fetch_for_projection(ctx, fj, result.docs.ids())?)
                     }
                 };
-                fj.emit(&mut out, text_schema, t, docs);
+                fj.emit(&mut out, text_schema, row, docs);
             }
         }
     }
@@ -500,7 +531,7 @@ pub fn probe_rtp(
 }
 
 /// The relational `ColId`s of the probe predicate indices.
-fn cols_of(fj: &ForeignJoin<'_>, probe_cols: &[usize]) -> Vec<textjoin_rel::schema::ColId> {
+fn cols_of<R>(fj: &ForeignJoin<'_, R>, probe_cols: &[usize]) -> Vec<textjoin_rel::schema::ColId> {
     probe_cols.iter().map(|&i| fj.join_cols[i]).collect()
 }
 
@@ -777,5 +808,90 @@ mod tests {
         let log = server.take_log();
         assert!(log.iter().all(|q| !q.contains("gravano")));
         assert!(log[0].contains("TI='update'"), "probe carries selection: {}", log[0]);
+    }
+
+    /// P+RTP against a session cache books per tuple: one hit or miss per
+    /// tuple with a usable probe key, one `CacheHit` event per hit, in
+    /// relation order. Probe keys repeat, are NULL or blank, and one is
+    /// unknown (its probe faults past the retry budget), and the second
+    /// run finds every key the first one settled.
+    #[test]
+    fn p_rtp_books_each_tuple_against_a_session_cache() {
+        use std::rc::Rc;
+        use textjoin_obs::{JsonlSink, Recorder};
+        use textjoin_rel::tuple::Tuple;
+        use textjoin_rel::value::Value;
+        use textjoin_text::faults::{Fault, FaultPlan};
+
+        let schema = textjoin_rel::schema::RelSchema::from_columns(vec![
+            ("advisor", ValueType::Str),
+            ("name", ValueType::Str),
+        ]);
+        let mut rel = Table::new("student", schema);
+        for (advisor, name) in [
+            ("Garcia", "Gravano"),
+            ("Wiederhold", "Pham"),
+            ("Garcia", "Kao"),
+            ("", "DeSmedt"),
+            ("Kao", "Kao"),
+            ("Garcia", "Gravano"),
+            ("Wiederhold", "DeSmedt"),
+            ("Pham", "Pham"),
+        ] {
+            rel.push(tuple![advisor, name]);
+        }
+        rel.push(Tuple::new(vec![Value::Null, Value::str("Gravano")]));
+        rel.push(tuple!["Kao", "Garcia"]);
+        let mut server = TextServer::new(corpus().collection().clone());
+        // The first probe, Garcia's, faults on every attempt: unknown.
+        server.set_fault_plan(FaultPlan::scripted(
+            (0..4).map(|op| (op, Fault::Unavailable)).collect(),
+        ));
+        let sink = Rc::new(JsonlSink::new());
+        server.set_recorder(Some(Recorder::new(sink.clone())));
+        let cache = RefCell::new(ProbeCache::new());
+        let ctx = ExecContext {
+            probe_cache: Some(&cache),
+            ..ExecContext::new(&server)
+        };
+        let fj = two_pred_join(&rel, &server, Projection::RelOnly);
+        let mut got = Vec::new();
+        for _ in 0..2 {
+            let out = probe_rtp(&ctx, &fj, &[0]).unwrap();
+            let trace = sink.take();
+            let kinds: Vec<&str> = trace
+                .lines()
+                .filter_map(|l| l.split("\"type\":\"").nth(1)?.split('"').next())
+                .collect();
+            let rows: Vec<String> = out.table.iter().map(|t| t.to_string()).collect();
+            got.push(format!(
+                "rows {rows:?} hits {} misses {} cmp {} inv {} events {}",
+                out.report.text.cache_hits,
+                out.report.text.cache_misses,
+                out.report.rtp_comparisons,
+                out.report.text.invocations,
+                kinds.join(",")
+            ));
+        }
+        // Recorded on the per-tuple lookup this phase replaced. The first
+        // run's Garcia tuples substitute (two `call`s in the match phase);
+        // the second run books a hit for each of its eight keyed tuples.
+        let rows = r#"rows ["['Garcia', 'Gravano']", "['Kao', 'Kao']", "['Garcia', 'Gravano']", "['Pham', 'Pham']"]"#;
+        assert_eq!(
+            got,
+            [
+                format!(
+                    "{rows} hits 5 misses 7 cmp 9 inv 9 events span_begin,span_begin,\
+                     call,backoff,retry,call,backoff,retry,call,backoff,retry,call,call,call,call,\
+                     span_end,span_begin,call,cache_hit,call,cache_hit,cache_hit,cache_hit,\
+                     cache_hit,span_end,span_end"
+                ),
+                format!(
+                    "{rows} hits 9 misses 1 cmp 33 inv 3 events span_begin,span_begin,\
+                     call,cache_hit,call,call,span_end,span_begin,cache_hit,cache_hit,cache_hit,\
+                     cache_hit,cache_hit,cache_hit,cache_hit,cache_hit,span_end,span_end"
+                ),
+            ]
+        );
     }
 }

@@ -13,8 +13,7 @@
 use std::collections::HashMap;
 
 use textjoin_rel::strmatch::Normalized;
-use textjoin_rel::table::Table;
-use textjoin_rel::tuple::Tuple;
+use textjoin_rel::table::{Rows, Table};
 use textjoin_text::doc::{DocId, Document, ShortDoc, ShortRef, TextSchema};
 use textjoin_text::server::TextError;
 
@@ -54,9 +53,9 @@ impl Candidates {
     /// passes `None` and the short form the probe's result set already
     /// carried is rebuilt locally — the one sanctioned exception to loose
     /// integration, not charged again.
-    pub(crate) fn fetch<'s>(
+    pub(crate) fn fetch<'s, R: Rows>(
         ctx: &ExecContext<'_>,
-        fj: &ForeignJoin<'_>,
+        fj: &ForeignJoin<'_, R>,
         fetch_span: &str,
         found: impl IntoIterator<Item = (DocId, Option<ShortRef<'s>>)>,
     ) -> Result<Self, MethodError> {
@@ -96,7 +95,7 @@ impl Candidates {
 
     /// Indexes the candidates for matching; the keys are slices of their
     /// own normalized buffers.
-    pub(crate) fn matcher(&self, fj: &ForeignJoin<'_>) -> Matcher<'_> {
+    pub(crate) fn matcher<R: Rows>(&self, fj: &ForeignJoin<'_, R>) -> Matcher<'_> {
         let mut by_word: HashMap<_, Vec<u32>> = HashMap::with_capacity(self.docs.len());
         for (i, d) in self.docs.iter().enumerate() {
             for word in d.values.first().into_iter().flatten().flat_map(Normalized::words) {
@@ -115,24 +114,24 @@ impl Candidates {
 }
 
 impl Matcher<'_> {
-    /// Matches `t` against every candidate and emits the rows of those it
-    /// joins with, in candidate order. `comparisons` is the paper's `c_a`
-    /// count: one per join predicate checked, stopping at a candidate's
-    /// first failed predicate; a NULL (or non-string) join value is one
-    /// check, failed. The first predicate is checked on every candidate —
+    /// Matches row `row` of the relation against every candidate and emits
+    /// the rows of those it joins with, in candidate order. `comparisons`
+    /// is the paper's `c_a` count: one per join predicate checked, stopping
+    /// at a candidate's first failed predicate; a NULL (or non-string) join
+    /// value is one check, failed. The first predicate is checked on every candidate —
     /// `|candidates|`, whatever the index lets the code skip — and each
     /// later one on the survivors of those before it.
-    pub(crate) fn emit_matches(
+    pub(crate) fn emit_matches<R: Rows>(
         &mut self,
-        fj: &ForeignJoin<'_>,
+        fj: &ForeignJoin<'_, R>,
         text_schema: &TextSchema,
-        t: &Tuple,
+        row: usize,
         out: &mut Table,
         comparisons: &mut u64,
     ) {
         for (needle, &c) in self.needles.iter_mut().zip(&fj.join_cols) {
             // NULL and non-strings normalize to no words: they match nothing.
-            needle.set(t.get(c).as_str().unwrap_or(""));
+            needle.set(fj.rel.value(row, c).as_str().unwrap_or(""));
         }
         let hits: Vec<(DocId, &Document)> = match self.needles.split_first() {
             None => self.docs.iter().map(|d| (d.id, &d.long)).collect(),
@@ -156,7 +155,7 @@ impl Matcher<'_> {
                     .collect()
             }
         };
-        fj.emit(out, text_schema, t, &hits);
+        fj.emit(out, text_schema, row, &hits);
     }
 }
 
@@ -167,6 +166,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use textjoin_rel::schema::{ColId, RelSchema};
+    use textjoin_rel::tuple::Tuple;
     use textjoin_rel::value::{Value, ValueType};
     use textjoin_text::doc::FieldId;
 
@@ -275,9 +275,9 @@ mod tests {
             let mut matcher = cands.matcher(&fj);
             let mut out = fj.output_table(&text_schema, "t");
             let (mut booked, mut expected) = (0, 0);
-            for t in rel.iter() {
+            for (i, t) in rel.iter().enumerate() {
                 let from = out.len();
-                matcher.emit_matches(&fj, &text_schema, t, &mut out, &mut booked);
+                matcher.emit_matches(&fj, &text_schema, i, &mut out, &mut booked);
                 let hits: Vec<String> = reference_matches(&cands, &fj, t, &mut expected)
                     .iter()
                     .map(DocId::to_string)
@@ -317,13 +317,7 @@ mod tests {
         let mut out = fj.output_table(text_schema, "t");
         let mut comparisons = 0;
         let mut check = |row: usize, expect_cmp: u64, expect_rows: usize| {
-            matcher.emit_matches(
-                &fj,
-                text_schema,
-                &rel.rows()[row],
-                &mut out,
-                &mut comparisons,
-            );
+            matcher.emit_matches(&fj, text_schema, row, &mut out, &mut comparisons);
             assert_eq!(
                 (comparisons, out.len()),
                 (expect_cmp, expect_rows),

@@ -8,6 +8,7 @@
 //! so every `col in field` predicate qualifies. The matching itself is
 //! shared with SJ+RTP and P+RTP (`rel_match`).
 
+use textjoin_rel::table::Rows;
 use textjoin_text::server::TextError;
 
 use super::rel_match::Candidates;
@@ -15,9 +16,9 @@ use super::ts::tuple_substitution;
 use super::{report, ExecContext, ForeignJoin, MethodError, MethodOutcome};
 
 /// Runs relational text processing.
-pub fn relational_text_processing(
+pub fn relational_text_processing<R: Rows>(
     ctx: &ExecContext<'_>,
-    fj: &ForeignJoin<'_>,
+    fj: &ForeignJoin<'_, R>,
 ) -> Result<MethodOutcome, MethodError> {
     rtp(ctx, fj, None)
 }
@@ -31,17 +32,17 @@ pub fn relational_text_processing(
 /// `doc_budget` documents the fetch is abandoned and tuple substitution,
 /// whose cost does not depend on the misestimated fanout, answers the
 /// query (method `RTP→TS`). Within budget it is RTP (`RTP(guarded)`).
-pub fn guarded_rtp(
+pub fn guarded_rtp<R: Rows>(
     ctx: &ExecContext<'_>,
-    fj: &ForeignJoin<'_>,
+    fj: &ForeignJoin<'_, R>,
     doc_budget: usize,
 ) -> Result<MethodOutcome, MethodError> {
     rtp(ctx, fj, Some(doc_budget))
 }
 
-fn rtp(
+fn rtp<R: Rows>(
     ctx: &ExecContext<'_>,
-    fj: &ForeignJoin<'_>,
+    fj: &ForeignJoin<'_, R>,
     doc_budget: Option<usize>,
 ) -> Result<MethodOutcome, MethodError> {
     fj.validate()?;
@@ -83,8 +84,8 @@ fn rtp(
     let _match_span = ctx.span("relational-match");
     let mut matcher = candidates.matcher(fj);
     let mut comparisons = 0u64;
-    for t in fj.rel.iter() {
-        matcher.emit_matches(fj, text_schema, t, &mut out, &mut comparisons);
+    for row in 0..fj.rel.len() {
+        matcher.emit_matches(fj, text_schema, row, &mut out, &mut comparisons);
     }
 
     let rows = out.len();

@@ -16,6 +16,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use textjoin_rel::ops::group_by;
+use textjoin_rel::table::Rows;
 use textjoin_text::doc::{DocId, Document, ShortDoc};
 use textjoin_text::expr::SearchExpr;
 use textjoin_text::server::TextError;
@@ -33,9 +34,9 @@ pub(crate) fn conjuncts_per_search(m: usize, k: usize, selection_terms: usize) -
 
 /// Runs the semi-join method. For [`Projection::DocIds`] this is pure SJ;
 /// otherwise the RTP completion step runs after the semi-join (SJ+RTP).
-pub fn semi_join(
+pub fn semi_join<R: Rows>(
     ctx: &ExecContext<'_>,
-    fj: &ForeignJoin<'_>,
+    fj: &ForeignJoin<'_, R>,
 ) -> Result<MethodOutcome, MethodError> {
     fj.validate()?;
     if fj.join_cols.is_empty() {
@@ -69,7 +70,7 @@ pub fn semi_join(
         .into_iter()
         .filter_map(|(_, rows)| {
             let mut key = Vec::new();
-            fj.key_values(&fj.rel.rows()[rows[0]], &all, &mut key)
+            fj.key_values(rows[0], &all, &mut key)
                 .then_some((key, rows))
         })
         .collect();
@@ -130,12 +131,7 @@ pub fn semi_join(
     // Pure semi-join of the text side: emit docids and stop.
     if fj.projection == Projection::DocIds {
         for id in matched.keys() {
-            fj.emit(
-                &mut out,
-                text_schema,
-                &fj.rel.rows()[0],
-                &[(*id, Document::new())],
-            );
+            fj.emit(&mut out, text_schema, 0, &[(*id, Document::new())]);
         }
         let rows = out.len();
         return Ok(MethodOutcome {
@@ -151,8 +147,8 @@ pub fn semi_join(
     let _match_span = ctx.span("residual-match");
     let mut matcher = candidates.matcher(fj);
     let mut comparisons = 0u64;
-    for t in fj.rel.iter() {
-        matcher.emit_matches(fj, text_schema, t, &mut out, &mut comparisons);
+    for row in 0..fj.rel.len() {
+        matcher.emit_matches(fj, text_schema, row, &mut out, &mut comparisons);
     }
 
     let rows = out.len();

@@ -8,6 +8,7 @@
 //! the naive variant is kept for the ablation bench.
 
 use textjoin_rel::ops::group_by;
+use textjoin_rel::table::Rows;
 use textjoin_text::expr::SearchExpr;
 
 use super::{fetch_for_projection, report, ExecContext, ForeignJoin, MethodError, MethodOutcome};
@@ -15,9 +16,9 @@ use super::{fetch_for_projection, report, ExecContext, ForeignJoin, MethodError,
 /// Runs tuple substitution. With `distinct = true` (the default used by the
 /// optimizer), one search is sent per distinct join-column key; all tuples
 /// sharing the key reuse its result.
-pub fn tuple_substitution(
+pub fn tuple_substitution<R: Rows>(
     ctx: &ExecContext<'_>,
-    fj: &ForeignJoin<'_>,
+    fj: &ForeignJoin<'_, R>,
     distinct: bool,
 ) -> Result<MethodOutcome, MethodError> {
     fj.validate()?;
@@ -44,7 +45,7 @@ pub fn tuple_substitution(
 
     let _phase_span = ctx.span("substitution");
     for rows in groups {
-        let first = &fj.rel.rows()[rows[0]];
+        let first = rows[0];
         let Some(expr) = fj.instantiated_search(first, &all) else {
             continue; // NULL/empty join value: cannot match, no search sent
         };
@@ -54,7 +55,7 @@ pub fn tuple_substitution(
         }
         let docs = fetch_for_projection(ctx, fj, result.docs.ids())?;
         for &ri in &rows {
-            fj.emit(&mut out, text_schema, &fj.rel.rows()[ri], &docs);
+            fj.emit(&mut out, text_schema, ri, &docs);
         }
     }
 
@@ -75,9 +76,9 @@ pub fn tuple_substitution(
 /// still bounded by the term cap `M`), so the invocation charge drops from
 /// one per key to one per batch, and duplicate documents within a batch
 /// ship once.
-pub fn tuple_substitution_batched(
+pub fn tuple_substitution_batched<R: Rows>(
     ctx: &ExecContext<'_>,
-    fj: &ForeignJoin<'_>,
+    fj: &ForeignJoin<'_, R>,
     batch_size: usize,
 ) -> Result<MethodOutcome, MethodError> {
     fj.validate()?;
@@ -101,7 +102,7 @@ pub fn tuple_substitution_batched(
     let package_span = ctx.span("package");
     let mut units: Vec<(SearchExpr, Vec<usize>)> = Vec::new();
     for (_, rows) in group_by(fj.rel, &fj.join_cols) {
-        let first = &fj.rel.rows()[rows[0]];
+        let first = rows[0];
         if let Some(expr) = fj.instantiated_search(first, &all) {
             units.push((expr, rows));
         }
@@ -118,7 +119,7 @@ pub fn tuple_substitution_batched(
             }
             let docs = fetch_for_projection(ctx, fj, result.docs.ids())?;
             for &ri in rows {
-                fj.emit(&mut out, text_schema, &fj.rel.rows()[ri], &docs);
+                fj.emit(&mut out, text_schema, ri, &docs);
             }
         }
     }

@@ -611,9 +611,10 @@ impl<'a> ServeSession<'a> {
     }
 
     /// Sheds the lowest-priority queued request (ties broken toward the
-    /// newest arrival) — a typed refusal, never a silent drop.
+    /// newest arrival) — a typed refusal, never a silent drop. An empty
+    /// backlog sheds nothing.
     fn shed_one(&mut self) {
-        let (.., ti, pos) = self
+        let victim = self
             .tenants
             .iter()
             .enumerate()
@@ -624,9 +625,13 @@ impl<'a> ServeSession<'a> {
                     .enumerate()
                     .map(move |(pos, q)| (p, Reverse(q.arrival), ti, pos))
             })
-            .min()
-            .expect("shed_one is only called with a non-empty backlog");
-        let req = self.tenants[ti].queue.remove(pos).expect("victim position");
+            .min();
+        let Some((.., ti, pos)) = victim else {
+            return;
+        };
+        let Some(req) = self.tenants[ti].queue.remove(pos) else {
+            return;
+        };
         let est = req.planned.est_cost;
         self.tenants[ti].committed -= est;
         let queued = self.total_queued() as u64;
@@ -649,11 +654,13 @@ impl<'a> ServeSession<'a> {
                 continue;
             }
             self.tenants[ti].deficit += self.cfg.quantum;
-            while let Some(est) = self.tenants[ti].queue.front().map(|q| q.planned.est_cost) {
+            while let Some(req) = self.tenants[ti].queue.pop_front() {
+                let est = req.planned.est_cost;
                 if est > self.tenants[ti].deficit {
+                    // The head waits for the next round's quantum.
+                    self.tenants[ti].queue.push_front(req);
                     break;
                 }
-                let req = self.tenants[ti].queue.pop_front().expect("head exists");
                 self.tenants[ti].deficit -= est;
                 self.tenants[ti].committed -= est;
                 self.dispatch(ti, req, pressure);

@@ -35,14 +35,6 @@ impl Tuple {
         &self.values
     }
 
-    /// Concatenation with another tuple (join output row).
-    pub fn concat(&self, other: &Tuple) -> Tuple {
-        let mut values = Vec::with_capacity(self.values.len() + other.values.len());
-        values.extend_from_slice(&self.values);
-        values.extend_from_slice(&other.values);
-        Tuple { values }
-    }
-
     /// Projection onto `cols` in the given order.
     pub fn project(&self, cols: &[ColId]) -> Tuple {
         Tuple {
@@ -93,7 +85,7 @@ mod tests {
     fn concat_and_project() {
         let a = tuple!["x", 1i64];
         let b = tuple!["y"];
-        let c = a.concat(&b);
+        let c = Tuple::new([a.values(), b.values()].concat());
         assert_eq!(c.arity(), 3);
         assert_eq!(c.get(ColId(2)).as_str(), Some("y"));
         let p = c.project(&[ColId(2), ColId(0)]);
