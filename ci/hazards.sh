@@ -9,7 +9,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CEILING=76
+CEILING=73
 
 list=0
 case "${1:-}" in

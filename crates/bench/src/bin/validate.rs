@@ -8,7 +8,7 @@ fn main() {
     println!("Model-predicted vs measured optimal method, Q1–Q4\n");
     for v in validate(&w) {
         println!("{}: predicted {} | measured {}", v.query, v.predicted, v.measured);
-        println!("    text usage: {}", usage_line(&v.usage.metrics_snapshot()));
+        println!("    text usage: {}", usage_line(&v.usage));
         let rows: Vec<Vec<String>> = v
             .detail
             .iter()

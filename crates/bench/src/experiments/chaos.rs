@@ -48,9 +48,7 @@ struct ChaosRun<'a> {
 /// below every retry budget — so injected faults cost money (retries,
 /// backoff, partial processing) but never change an answer: every rate
 /// column is asserted to return the rate-0 answers. The surfaced
-/// fault/retry counters are read back through the
-/// `Usage::metrics_snapshot` bridge so the printed tables are fed from
-/// the same snapshot keys the observability layer exports.
+/// fault/retry counters are each cell's ledger `faults` and `retries`.
 fn chaos_grid(
     w: &World,
     what: &str,
@@ -77,10 +75,9 @@ fn chaos_grid(
                 });
                 rows_at_rate.push(r.map(|m| m.rows));
                 if let Some(m) = r {
-                    let snap = m.text.metrics_snapshot();
                     total += m.secs;
-                    faults += snap.counter("usage.faults");
-                    retries += snap.counter("usage.retries");
+                    faults += m.text.faults;
+                    retries += m.text.retries;
                     any = true;
                 }
             }

@@ -1,6 +1,6 @@
 //! Plain-text table and series formatting for the experiment binaries.
 
-use textjoin_obs::MetricsSnapshot;
+use textjoin_text::server::Usage;
 
 /// Renders an aligned ASCII table. `headers.len()` must equal each row's
 /// length.
@@ -128,9 +128,7 @@ fn fault_rows(
 
 /// Renders the chaos report both chaos grids share: the method × rate cost
 /// table (with overhead percentages) followed by the fault/retry table.
-/// The fault counters come from the same [`MetricsSnapshot`] keys the
-/// observability layer exports, so the printed numbers and the trace-side
-/// metrics can never drift apart.
+/// The fault counters are the ledgers' own `faults` and `retries`.
 pub fn chaos_report(
     methods: &[&'static str],
     rates: &[f64],
@@ -149,20 +147,20 @@ pub fn chaos_report(
     out
 }
 
-/// One-line usage summary fed from a metrics snapshot — the single place
-/// that decides which ledger fields a summary prints, so binaries cannot
-/// silently drop the robustness columns (faults, retries, backoff).
-pub fn usage_line(snap: &MetricsSnapshot) -> String {
+/// One-line usage summary of a ledger — the single place that decides
+/// which ledger fields a summary prints, so binaries cannot silently drop
+/// the robustness columns (faults, retries, backoff).
+pub fn usage_line(u: &Usage) -> String {
     format!(
         "inv {}  post {}  short {}  long {}  faults {}  retries {}  backoff {:.1}s  total {:.1}s",
-        snap.counter("usage.invocations"),
-        snap.counter("usage.postings"),
-        snap.counter("usage.docs_short"),
-        snap.counter("usage.docs_long"),
-        snap.counter("usage.faults"),
-        snap.counter("usage.retries"),
-        snap.value("usage.time_backoff"),
-        snap.value("usage.total_cost"),
+        u.invocations,
+        u.postings_processed,
+        u.docs_short,
+        u.docs_long,
+        u.faults,
+        u.retries,
+        u.time_backoff,
+        u.total_cost(),
     )
 }
 
@@ -219,13 +217,15 @@ mod tests {
 
     #[test]
     fn usage_line_shows_robustness_fields() {
-        let mut snap = MetricsSnapshot::default();
-        snap.incr("usage.invocations", 7);
-        snap.incr("usage.faults", 2);
-        snap.incr("usage.retries", 2);
-        snap.add_value("usage.time_backoff", 3.0);
-        snap.add_value("usage.total_cost", 41.25);
-        let line = usage_line(&snap);
+        let u = Usage {
+            invocations: 7,
+            faults: 2,
+            retries: 2,
+            time_invocation: 38.25,
+            time_backoff: 3.0,
+            ..Usage::default()
+        };
+        let line = usage_line(&u);
         assert_eq!(
             line,
             "inv 7  post 0  short 0  long 0  faults 2  retries 2  backoff 3.0s  total 41.2s"

@@ -87,7 +87,7 @@ fn method_label(prefix: &str, probe_cols: &[usize], suffix: &str) -> String {
 /// selections and the probed fields — so an outcome proved by one query
 /// can only ever answer a *byte-identical* probe from another. Cache
 /// traffic is counted either way; the counters ride the method's usage
-/// delta so `Usage::metrics_snapshot` can report them. Hits served from a
+/// delta as `Usage::{cache_hits, cache_misses}`. Hits served from a
 /// session cache additionally emit a charge-free `CacheHit` event (the
 /// per-execution path emits nothing, keeping legacy traces byte-stable).
 struct Probes<'a> {

@@ -66,14 +66,10 @@ pub struct TraceCalibration {
     pub c_s: ComponentFit,
     /// Per-long-form-document transmission cost.
     pub c_l: ComponentFit,
-    /// Chargeable `call`/`rebate` events the fit consumed.
-    pub events: u64,
     /// Net invocations observed (rebates subtract, matching the ledger).
     pub invocations: i64,
     /// Faults observed.
     pub faults: i64,
-    /// Backoff pauses observed (one per `backoff` event's retry count).
-    pub retries: i64,
     /// Total observed backoff, simulated seconds.
     pub backoff_seconds: f64,
 }
@@ -130,8 +126,9 @@ impl TraceCalibration {
     }
 }
 
-/// One regression row: work counts and the seconds booked for them.
-struct Row {
+/// One regression row: a `call` or `rebate` event's work counts and the
+/// seconds booked for them.
+pub(crate) struct Row {
     inv: f64,
     post: f64,
     short: f64,
@@ -139,6 +136,34 @@ struct Row {
     t_inv: f64,
     t_proc: f64,
     t_xmit: f64,
+}
+
+impl Row {
+    /// The row of a `call` or `rebate`; `None` for every other kind (a
+    /// backoff's seconds follow the retry schedule, not a price).
+    pub(crate) fn of(kind: &EventKind) -> Option<Row> {
+        match kind {
+            EventKind::Call { charge, .. } | EventKind::Rebate { charge, .. } => Some(Row {
+                inv: charge.invocations as f64,
+                post: charge.postings as f64,
+                short: charge.docs_short as f64,
+                long: charge.docs_long as f64,
+                t_inv: charge.time_invocation,
+                t_proc: charge.time_processing,
+                t_xmit: charge.time_transmission,
+            }),
+            _ => None,
+        }
+    }
+}
+
+/// The least-squares fits of `c_i`, `c_p`, `c_s` and `c_l`, in that
+/// order, over `rows`.
+pub(crate) fn fit<'a>(rows: impl Iterator<Item = &'a Row> + Clone) -> [ComponentFit; 4] {
+    let c_i = fit_slope("c_i", rows.clone(), |r| r.inv, |r| r.t_inv);
+    let c_p = fit_slope("c_p", rows.clone(), |r| r.post, |r| r.t_proc);
+    let (c_s, c_l) = fit_transmission(rows);
+    [c_i, c_p, c_s, c_l]
 }
 
 /// Simple through-origin slope fit `t ≈ c × x` over rows with `x ≠ 0`.
@@ -183,13 +208,15 @@ fn fit_slope<'a>(
 /// Joint 2-parameter fit of `t_xmit ≈ c_s × short + c_l × long` via the
 /// normal equations, degrading to independent slopes when the system is
 /// singular (a component with no work stays undetermined).
-fn fit_transmission(rows: &[Row]) -> (ComponentFit, ComponentFit) {
+fn fit_transmission<'a>(
+    rows: impl Iterator<Item = &'a Row> + Clone,
+) -> (ComponentFit, ComponentFit) {
     let mut sss = 0.0; // Σ short²
     let mut sll = 0.0; // Σ long²
     let mut ssl = 0.0; // Σ short·long
     let mut sst = 0.0; // Σ short·t
     let mut slt = 0.0; // Σ long·t
-    for r in rows {
+    for r in rows.clone() {
         if r.short != 0.0 || r.long != 0.0 {
             sss += r.short * r.short;
             sll += r.long * r.long;
@@ -235,13 +262,13 @@ fn fit_transmission(rows: &[Row]) -> (ComponentFit, ComponentFit) {
         (
             fit_slope(
                 "c_s",
-                rows.iter().filter(|r| r.long == 0.0),
+                rows.clone().filter(|r| r.long == 0.0),
                 |r| r.short,
                 |r| r.t_xmit,
             ),
             fit_slope(
                 "c_l",
-                rows.iter().filter(|r| r.short == 0.0),
+                rows.filter(|r| r.short == 0.0),
                 |r| r.long,
                 |r| r.t_xmit,
             ),
@@ -250,55 +277,34 @@ fn fit_transmission(rows: &[Row]) -> (ComponentFit, ComponentFit) {
 }
 
 /// Fits cost constants and the observed fault model from a recorded
-/// trace. Accepts full or sampled traces: the keep decision never looks
-/// at charges, so a sampled trace estimates the same constants (though
-/// its fault-rate aggregates oversample chaos by design — read those from
-/// full traces only).
+/// trace: the rows of its events, then one fit over the rows. Accepts full
+/// or sampled traces: the keep decision never looks at charges, so a
+/// sampled trace estimates the same constants (though its fault-rate
+/// aggregates oversample chaos by design — read those from full traces
+/// only).
 pub fn calibrate_trace(events: &[Event]) -> TraceCalibration {
-    let mut rows = Vec::new();
-    let mut invocations = 0i64;
-    let mut faults = 0i64;
-    let mut retries = 0i64;
-    let mut backoff_seconds = 0.0f64;
-    let mut chargeable = 0u64;
-    for ev in events {
-        match &ev.kind {
-            EventKind::Call { charge, .. } | EventKind::Rebate { charge, .. } => {
-                chargeable += 1;
-                invocations += charge.invocations;
-                faults += charge.faults;
-                rows.push(Row {
-                    inv: charge.invocations as f64,
-                    post: charge.postings as f64,
-                    short: charge.docs_short as f64,
-                    long: charge.docs_long as f64,
-                    t_inv: charge.time_invocation,
-                    t_proc: charge.time_processing,
-                    t_xmit: charge.time_transmission,
-                });
-            }
-            EventKind::Backoff { charge, .. } => {
-                chargeable += 1;
-                retries += charge.retries;
-                backoff_seconds += charge.time_backoff;
-            }
-            _ => {}
-        }
-    }
-    let c_i = fit_slope("c_i", rows.iter(), |r| r.inv, |r| r.t_inv);
-    let c_p = fit_slope("c_p", rows.iter(), |r| r.post, |r| r.t_proc);
-    let (c_s, c_l) = fit_transmission(&rows);
-    TraceCalibration {
+    let rows: Vec<Row> = events.iter().filter_map(|ev| Row::of(&ev.kind)).collect();
+    let [c_i, c_p, c_s, c_l] = fit(rows.iter());
+    let mut cal = TraceCalibration {
         c_i,
         c_p,
         c_s,
         c_l,
-        events: chargeable,
-        invocations,
-        faults,
-        retries,
-        backoff_seconds,
+        invocations: 0,
+        faults: 0,
+        backoff_seconds: 0.0,
+    };
+    for ev in events {
+        match &ev.kind {
+            EventKind::Call { charge, .. } | EventKind::Rebate { charge, .. } => {
+                cal.invocations += charge.invocations;
+                cal.faults += charge.faults;
+            }
+            EventKind::Backoff { charge, .. } => cal.backoff_seconds += charge.time_backoff,
+            _ => {}
+        }
     }
+    cal
 }
 
 #[cfg(test)]
@@ -356,7 +362,6 @@ mod tests {
         assert!((cal.c_l.fitted - 5.0).abs() < 1e-12, "{:?}", cal.c_l);
         assert!(cal.c_i.determined && cal.c_l.determined);
         assert!(cal.rms_residual() < 1e-9);
-        assert_eq!(cal.events, 21);
     }
 
     #[test]
@@ -422,7 +427,6 @@ mod tests {
         let cal = calibrate_trace(&events);
         assert!((cal.c_i.fitted - 3.0).abs() < 1e-12, "backoff never pollutes c_i");
         assert_eq!(cal.faults, 1);
-        assert_eq!(cal.retries, 1);
         assert!((cal.backoff_seconds - 0.5).abs() < 1e-12);
         assert!((cal.observed_fault_rate() - 1.0 / 3.0).abs() < 1e-12);
         assert!((cal.mean_backoff_per_fault() - 0.5).abs() < 1e-12);

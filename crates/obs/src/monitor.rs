@@ -41,10 +41,11 @@
 //!   recovers.
 //! - **Cost drift** ([`EventKind::DriftAlert`]): every few windows the
 //!   watchdog re-runs the least-squares fit of
-//!   [`calibrate_trace`](crate::calibrate_trace) over a trailing window
-//!   of chargeable events and compares each determined constant against
-//!   the configured baseline; a component whose fit moves beyond the
-//!   relative tolerance is flagged until it returns.
+//!   [`calibrate_trace`](crate::calibrate_trace) over the regression rows
+//!   of a trailing window (one per `call` and `rebate`, buffered only
+//!   while a baseline arms the watchdog) and compares each determined
+//!   constant against the configured baseline; a component whose fit
+//!   moves beyond the relative tolerance is flagged until it returns.
 //! - **Misestimation** ([`EventKind::EstimateDrift`]): plan-quality
 //!   samples ([`EventKind::EstimateSample`], emitted by EXPLAIN ANALYZE
 //!   runs) are collected into a trailing window; the detector fires when
@@ -59,7 +60,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 
 use crate::analyze::cmp_nan_last;
-use crate::calibrate::calibrate_trace;
+use crate::calibrate::{fit, Row};
 use crate::event::{Charge, Event, EventKind};
 use crate::sink::Sink;
 
@@ -192,27 +193,10 @@ impl MonitorConfig {
 /// One shard's slice of a closed window.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShardWindow {
-    /// Server calls routed to the shard (queries of any op).
-    pub calls: u64,
     /// Net invoice of the window, by charge component (rebates subtract).
     pub invoice: Charge,
-    /// Failover hops onto the shard's replicas.
-    pub failovers: u64,
     /// Observed docid traffic: docid → hits this window.
     pub traffic: BTreeMap<u64, u64>,
-}
-
-/// One replica's slice of a closed window. Only the replica-addressed
-/// events (failovers, hedges, cancellations) carry a replica index, so
-/// that is what the per-replica series tracks.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ReplicaWindow {
-    /// Failover hops served by this replica.
-    pub failovers: u64,
-    /// Hedged reads dispatched to this replica.
-    pub hedges: u64,
-    /// Hedged legs cancelled on this replica.
-    pub cancels: u64,
 }
 
 /// Everything the monitor retained about one closed window.
@@ -227,8 +211,6 @@ pub struct WindowStats {
     pub invoice: Charge,
     /// Per-shard series (only shards that saw traffic appear).
     pub per_shard: BTreeMap<usize, ShardWindow>,
-    /// Per-(shard, replica) series for replica-addressed events.
-    pub per_replica: BTreeMap<(usize, usize), ReplicaWindow>,
     /// Deadline misses observed.
     pub deadline_misses: u64,
     /// Circuit-breaker opens observed.
@@ -302,17 +284,18 @@ struct WindowAcc {
     calls: u64,
     invoice: Charge,
     per_shard: BTreeMap<usize, ShardWindow>,
-    per_replica: BTreeMap<(usize, usize), ReplicaWindow>,
     deadline_misses: u64,
     circuit_opens: u64,
     hedges: u64,
-    /// Chargeable events of the window, buffered for the drift trail.
-    chargeable: Vec<Event>,
+    /// Regression rows of the window's calls and rebates, buffered for
+    /// the drift trail while a baseline arms the watchdog.
+    rows: Vec<Row>,
     /// Plan-quality samples of the window, buffered for the
     /// misestimation trail.
     est_samples: Vec<EstSample>,
 }
 
+#[derive(Default)]
 struct MonState {
     /// Index of the window currently accumulating.
     current: u64,
@@ -326,9 +309,9 @@ struct MonState {
     /// window length.
     bad_history: VecDeque<u64>,
     slo_firing: bool,
-    /// Per-window chargeable events, newest last, capped at the drift
-    /// trail length.
-    trailing: VecDeque<Vec<Event>>,
+    /// Per-window regression rows, newest last, capped at the drift trail
+    /// length.
+    trailing: VecDeque<Vec<Row>>,
     drift_flags: BTreeMap<&'static str, bool>,
     /// Per-window plan-quality samples, newest last, capped at the
     /// misestimation trail length.
@@ -341,31 +324,6 @@ struct MonState {
     ewma_primed: bool,
     started: bool,
     finished: bool,
-}
-
-impl Default for MonState {
-    fn default() -> Self {
-        Self {
-            current: 0,
-            skipped: 0,
-            acc: WindowAcc::default(),
-            windows: Vec::new(),
-            hot_shards: BTreeMap::new(),
-            bad_history: VecDeque::new(),
-            slo_firing: false,
-            trailing: VecDeque::new(),
-            drift_flags: BTreeMap::new(),
-            est_trailing: VecDeque::new(),
-            est_firing: false,
-            alerts: Vec::new(),
-            alert_seq: 0,
-            advice: Vec::new(),
-            ewma: 0.0,
-            ewma_primed: false,
-            started: false,
-            finished: false,
-        }
-    }
 }
 
 /// The windowed health monitor. See the module docs for the design.
@@ -469,48 +427,32 @@ impl Monitor {
         }
         let acc = &mut st.acc;
         match &ev.kind {
-            EventKind::Call { shard, charge, .. } => {
-                acc.calls += 1;
+            EventKind::Call { shard, charge, .. }
+            | EventKind::Rebate { shard, charge }
+            | EventKind::Backoff { shard, charge, .. } => {
                 acc.invoice.accumulate(charge);
-                acc.chargeable.push(ev.clone());
-                if let Some(s) = shard {
-                    let sw = acc.per_shard.entry(*s).or_default();
-                    sw.calls += 1;
-                    sw.invoice.accumulate(charge);
-                }
-                let sample = charge.total();
-                st.ewma = if st.ewma_primed {
-                    EWMA_ALPHA * sample + (1.0 - EWMA_ALPHA) * st.ewma
-                } else {
-                    st.ewma_primed = true;
-                    sample
-                };
-            }
-            EventKind::Rebate { shard, charge } => {
-                acc.invoice.accumulate(charge);
-                acc.chargeable.push(ev.clone());
                 if let Some(s) = shard {
                     acc.per_shard.entry(*s).or_default().invoice.accumulate(charge);
                 }
-            }
-            EventKind::Backoff { shard, charge, .. } => {
-                acc.invoice.accumulate(charge);
-                acc.chargeable.push(ev.clone());
-                if let Some(s) = shard {
-                    acc.per_shard.entry(*s).or_default().invoice.accumulate(charge);
+                if self.cfg.baseline.is_some() {
+                    acc.rows.extend(Row::of(&ev.kind));
+                }
+                if let EventKind::Call { .. } = ev.kind {
+                    acc.calls += 1;
+                    let sample = charge.total();
+                    st.ewma = if st.ewma_primed {
+                        EWMA_ALPHA * sample + (1.0 - EWMA_ALPHA) * st.ewma
+                    } else {
+                        st.ewma_primed = true;
+                        sample
+                    };
                 }
             }
-            EventKind::Failover { shard, replica } => {
-                acc.per_shard.entry(*shard).or_default().failovers += 1;
-                acc.per_replica.entry((*shard, *replica)).or_default().failovers += 1;
+            // A failover's shard is a column of the window's shares.
+            EventKind::Failover { shard, .. } => {
+                acc.per_shard.entry(*shard).or_default();
             }
-            EventKind::Hedge { shard, replica } => {
-                acc.hedges += 1;
-                acc.per_replica.entry((*shard, *replica)).or_default().hedges += 1;
-            }
-            EventKind::Cancel { shard, replica } => {
-                acc.per_replica.entry((*shard, *replica)).or_default().cancels += 1;
-            }
+            EventKind::Hedge { .. } => acc.hedges += 1,
             EventKind::EstimateSample {
                 selectivity_q,
                 constants_q,
@@ -550,13 +492,12 @@ impl Monitor {
             calls: acc.calls,
             invoice: acc.invoice,
             per_shard: acc.per_shard,
-            per_replica: acc.per_replica,
             deadline_misses: acc.deadline_misses,
             circuit_opens: acc.circuit_opens,
             hedges: acc.hedges,
             latency_ewma: st.ewma,
         };
-        st.trailing.push_back(acc.chargeable);
+        st.trailing.push_back(acc.rows);
         while st.trailing.len() > self.cfg.drift_trailing_windows {
             st.trailing.pop_front();
         }
@@ -648,8 +589,10 @@ impl Monitor {
                 break;
             }
         }
-        let lo = *picked.iter().min().expect("picked is non-empty");
-        let hi = *picked.iter().max().expect("picked is non-empty") + 1;
+        let (Some(&lo), Some(&max)) = (picked.iter().min(), picked.iter().max()) else {
+            return;
+        };
+        let hi = max + 1;
         // All observed hits that actually fall inside the advised range
         // (it is contiguous, so it may cover more than the picked set).
         let hits: u64 = sw
@@ -725,15 +668,8 @@ impl Monitor {
         if !(window + 1).is_multiple_of(self.cfg.drift_every_windows) {
             return;
         }
-        let events: Vec<Event> = st.trailing.iter().flatten().cloned().collect();
-        let cal = calibrate_trace(&events);
-        let checks = [
-            (&cal.c_i, b_i),
-            (&cal.c_p, b_p),
-            (&cal.c_s, b_s),
-            (&cal.c_l, b_l),
-        ];
-        for (fit, configured) in checks {
+        let fits = fit(st.trailing.iter().flatten());
+        for (fit, configured) in fits.iter().zip([b_i, b_p, b_s, b_l]) {
             if !fit.determined {
                 continue; // no work observed: keep the configured value
             }
@@ -957,7 +893,6 @@ mod tests {
         assert_eq!(ws[1].calls, 0, "gap window is empty");
         assert_eq!(ws[2].calls, 0);
         assert_eq!(ws[3].calls, 1);
-        assert_eq!(ws[3].per_shard[&1].calls, 1);
     }
 
     #[test]

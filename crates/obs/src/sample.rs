@@ -353,7 +353,7 @@ impl Sink for SampledSink {
             } if st.open_breakers.contains_key(s) => {
                 // Probe of a shard already known to be bad: first kept,
                 // repeats sampled (the open breaker is the standing fact).
-                let novel = !std::mem::replace(st.open_breakers.get_mut(s).unwrap(), true);
+                let novel = st.open_breakers.insert(*s, true) == Some(false);
                 if novel || self.cold_keep(&st) {
                     self.forward(&mut st, ev);
                 } else {

@@ -2,7 +2,6 @@
 //! a fan-out tee feeding several sinks at once.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
 
 use crate::event::{push_f64, Event};
@@ -23,36 +22,27 @@ impl Sink for NoopSink {
     fn record(&self, _ev: &Event) {}
 }
 
-/// Keeps the last `capacity` events in memory; tests hold their own
-/// `Rc<RingSink>` and inspect [`RingSink::events`] after the run.
-#[derive(Debug)]
+/// Keeps every event in memory; tests hold their own `Rc<RingSink>` and
+/// inspect [`RingSink::events`] after the run.
+#[derive(Debug, Default)]
 pub struct RingSink {
-    capacity: usize,
-    buf: RefCell<VecDeque<Event>>,
+    buf: RefCell<Vec<Event>>,
 }
 
 impl RingSink {
-    /// A ring holding at most `capacity` events (oldest evicted first).
-    pub(crate) fn new(capacity: usize) -> Self {
-        Self {
-            capacity,
-            buf: RefCell::new(VecDeque::new()),
-        }
-    }
-
-    /// An effectively unbounded ring for short test runs.
+    /// An empty ring.
     pub fn unbounded() -> Self {
-        Self::new(usize::MAX)
+        Self::default()
     }
 
     /// The retained events, oldest first.
     pub fn events(&self) -> Vec<Event> {
-        self.buf.borrow().iter().cloned().collect()
+        self.buf.borrow().clone()
     }
 
     /// Drains and returns the retained events.
     pub fn take(&self) -> Vec<Event> {
-        self.buf.borrow_mut().drain(..).collect()
+        std::mem::take(&mut self.buf.borrow_mut())
     }
 
     /// Number of retained events.
@@ -68,11 +58,7 @@ impl RingSink {
 
 impl Sink for RingSink {
     fn record(&self, ev: &Event) {
-        let mut buf = self.buf.borrow_mut();
-        if buf.len() == self.capacity {
-            buf.pop_front();
-        }
-        buf.push_back(ev.clone());
+        self.buf.borrow_mut().push(ev.clone());
     }
 }
 
@@ -159,16 +145,6 @@ mod tests {
                 attempt: 1,
             },
         }
-    }
-
-    #[test]
-    fn ring_evicts_oldest() {
-        let ring = RingSink::new(2);
-        ring.record(&ev(0));
-        ring.record(&ev(1));
-        ring.record(&ev(2));
-        let kept: Vec<u64> = ring.events().iter().map(|e| e.seq).collect();
-        assert_eq!(kept, vec![1, 2]);
     }
 
     #[test]

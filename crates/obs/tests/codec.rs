@@ -1,7 +1,9 @@
 //! Generated properties of the JSONL trace codec (`Event::write_jsonl` and
 //! `parse_jsonl`): every event round-trips to the same bits and the same
 //! bytes, field order and spacing do not matter, and no damaged line makes
-//! the reader panic or return something that is not an event.
+//! the reader panic or return something that is not an event. `explain`'s
+//! quantile summary, replayed from the same generated streams, reads only
+//! the calls it says it reads.
 //!
 //! Events are compared through `Debug`, not `==`: `Debug` prints a float's
 //! shortest round-trip digits, `-0.0` and `NaN` included, so two events
@@ -12,7 +14,7 @@ use std::rc::Rc;
 use proptest::prelude::*;
 
 use textjoin_obs::{
-    parse_jsonl, render, Charge, Event, EventKind, JsonlSink, PlannerChoice, Sink,
+    parse_jsonl, render, Charge, Event, EventKind, JsonlSink, MetricsSnapshot, PlannerChoice, Sink,
 };
 
 /// The generator's entropy: a fixed list of drawn words, read in order
@@ -586,5 +588,128 @@ proptest! {
         let err = parse_jsonl(&format!("{{{}}}", rest.join(","))).expect_err("a field is missing");
         prop_assert_eq!(err.line, 1);
         prop_assert_eq!(err.message, format!("missing field \"{}\"", key_of(fields[gone])));
+    }
+}
+
+/// The ops a generated call may carry.
+const OPS: &[&str] = &[
+    "search", "probe", "batch", "retrieve", "xfer.out", "xfer.in",
+];
+
+/// A call `explain`'s quantiles might read: its op, whether it failed, and
+/// its postings and short forms (small, negative, or past the last pow2
+/// bound).
+fn call_seed() -> impl Strategy<Value = (usize, bool, i64, i64)> {
+    let count = || prop_oneof![0i64..300, -5i64..0, 0i64..(1 << 26)];
+    (0..OPS.len(), prop::bool::ANY, count(), count())
+}
+
+/// `values` in `explain`'s histogram, computed here from its definition:
+/// the non-empty buckets `≤1, ≤2, …, ≤2^23, inf` spelled as `render`
+/// spells them, and `(p50, p90, p99)`, each the rounded-up midpoint of the
+/// bucket holding the `ceil(q × n)`-th smallest value (the overflow
+/// bucket's range is `(2^23, 2^24]`).
+fn reference_histogram(values: &[u64]) -> (String, Option<(u64, u64, u64)>) {
+    let mut counts = [0u64; 25];
+    for &v in values {
+        counts[(0..24).find(|&k| v <= 1 << k).unwrap_or(24)] += 1;
+    }
+    let spelled: Vec<String> = counts
+        .iter()
+        .enumerate()
+        .filter(|&(_, &c)| c > 0)
+        .map(|(k, &c)| match k {
+            24 => format!("inf:{c}"),
+            _ => format!("≤{}:{c}", 1u64 << k),
+        })
+        .collect();
+    let n = values.len() as u64;
+    let quantile = |q: f64| {
+        let rank = ((q * n as f64).ceil() as u64).clamp(1, n);
+        let mut seen = 0;
+        let k = (0..25)
+            .find(|&k| {
+                seen += counts[k];
+                seen >= rank
+            })
+            .expect("the counts sum to n");
+        let lo = if k == 0 { 0 } else { (1u64 << (k - 1)) + 1 };
+        let hi = 1u64 << k.min(24);
+        lo + (hi - lo).div_ceil(2)
+    };
+    let quantiles = (n > 0).then(|| (quantile(0.5), quantile(0.9), quantile(0.99)));
+    (format!("[{}]", spelled.join(" ")), quantiles)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `explain`'s quantile summary replays only calls that succeeded and
+    /// are not `retrieve`: a failed call, a `retrieve` and every other kind
+    /// move neither histogram, and both equal the reference built here.
+    #[test]
+    fn explain_quantiles_read_only_successful_non_retrieve_calls(
+        calls in prop::collection::vec(call_seed(), 0..40),
+        others in prop::collection::vec(seeds(), 0..EventKind::TYPES.len()),
+    ) {
+        let mut events: Vec<Event> = calls
+            .iter()
+            .map(|&(op, failed, postings, docs_short)| Event {
+                seq: 0,
+                clock: 0.0,
+                kind: EventKind::Call {
+                    op: OPS[op],
+                    shard: None,
+                    terms: 1,
+                    err: failed.then(|| "unavailable".to_string()),
+                    charge: Charge { invocations: 1, postings, docs_short, ..Charge::default() },
+                },
+            })
+            .collect();
+        // Every other kind at most once, so the extreme numbers the
+        // generator draws never sum past what a session could book.
+        let mut kinds = std::collections::BTreeSet::new();
+        let others = others
+            .iter()
+            .map(event_of)
+            .filter(|e| !matches!(e.kind, EventKind::Call { .. }) && kinds.insert(e.kind.type_name()));
+        for (i, ev) in others.enumerate() {
+            events.insert(i * 7 % (events.len() + 1), ev);
+        }
+        let read: Vec<&Charge> = events
+            .iter()
+            .filter_map(|e| match &e.kind {
+                EventKind::Call { op: "retrieve", .. } => None,
+                EventKind::Call { err: None, charge, .. } => Some(charge),
+                _ => None,
+            })
+            .collect();
+        let snap = MetricsSnapshot::from_events(&events);
+        let mut want = Vec::new();
+        for (key, field) in [
+            ("hist.docs_short", (|c: &Charge| c.docs_short) as fn(&Charge) -> i64),
+            ("hist.postings", |c: &Charge| c.postings),
+        ] {
+            let values: Vec<u64> = read.iter().map(|c| field(c).max(0) as u64).collect();
+            let (spelled, quantiles) = reference_histogram(&values);
+            prop_assert_eq!(snap.quantiles(key), quantiles, "{}", key);
+            if !values.is_empty() {
+                want.push(format!("{key} {spelled}"));
+            }
+        }
+        let rendered = snap.render();
+        let hists: Vec<&str> = rendered.lines().filter(|l| l.starts_with("hist.")).collect();
+        prop_assert_eq!(hists, want);
+    }
+
+    /// Replaying any stream, whatever numbers it carries, never panics.
+    #[test]
+    fn explain_quantiles_replay_any_stream(stream in prop::collection::vec(seeds(), 0..24)) {
+        let events: Vec<Event> = stream.iter().map(event_of).collect();
+        let snap = MetricsSnapshot::from_events(&events);
+        for key in ["hist.postings", "hist.docs_short"] {
+            let _ = snap.quantiles(key);
+        }
+        let _ = snap.render();
     }
 }

@@ -149,29 +149,6 @@ impl Usage {
         self.time_backoff += c.time_backoff;
     }
 
-    /// The ledger as a metrics snapshot — the shape the shared bench
-    /// formatter and the planner-facing exports consume. Counter keys
-    /// mirror the field names; simulated seconds land in `values`.
-    pub fn metrics_snapshot(&self) -> textjoin_obs::MetricsSnapshot {
-        let mut m = textjoin_obs::MetricsSnapshot::new();
-        m.set_counter("usage.invocations", self.invocations);
-        m.set_counter("usage.rejected", self.rejected);
-        m.set_counter("usage.postings", self.postings_processed);
-        m.set_counter("usage.docs_short", self.docs_short);
-        m.set_counter("usage.docs_long", self.docs_long);
-        m.set_counter("usage.faults", self.faults);
-        m.set_counter("usage.retries", self.retries);
-        m.set_value("usage.time_invocation", self.time_invocation);
-        m.set_value("usage.time_processing", self.time_processing);
-        m.set_value("usage.time_transmission", self.time_transmission);
-        m.set_value("usage.time_backoff", self.time_backoff);
-        m.set_value("usage.total_cost", self.total_cost());
-        m.set_counter("usage.cache_hits", self.cache_hits);
-        m.set_counter("usage.cache_misses", self.cache_misses);
-        m.set_counter("usage.cache_evicted", self.cache_evicted);
-        m
-    }
-
     /// The difference `self - earlier`, for measuring a sub-operation.
     pub fn since(&self, earlier: &Usage) -> Usage {
         Usage {

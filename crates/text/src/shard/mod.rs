@@ -36,7 +36,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
-use textjoin_obs::{Charge, EventKind, MetricsSnapshot, Recorder};
+use textjoin_obs::{Charge, EventKind, Recorder};
 
 use crate::batch::BatchResult;
 use crate::doc::{DocId, Document, ShortDoc, TextSchema};
@@ -233,34 +233,6 @@ impl ShardedTextServer {
         if let Some(rec) = &*self.recorder.borrow() {
             rec.emit(kind);
         }
-    }
-
-    /// Per-shard collection statistics as a metrics snapshot: document
-    /// counts and, per field, vocabulary size, total document frequency,
-    /// and mean fanout, under `shard{i}.stats.*` keys (plus the aggregate
-    /// under plain `stats.*`). Built from the free statistics export of
-    /// each shard, so reading it charges nothing — this is the shard-local
-    /// statistics export the planner reads for selectivity estimation.
-    pub fn stats_snapshot(&self) -> MetricsSnapshot {
-        let mut m = MetricsSnapshot::new();
-        let export = self.shard_export();
-        let schema = self.replicas[0][0].collection().schema();
-        let fill = |prefix: &str, stats: &VocabularyStats, m: &mut MetricsSnapshot| {
-            m.set_counter(&format!("{prefix}stats.docs"), stats.doc_count as u64);
-            for (fid, def) in schema.iter() {
-                if let Some(fs) = stats.field(fid) {
-                    let base = format!("{prefix}stats.field.{}", def.name);
-                    m.set_counter(&format!("{base}.vocabulary"), fs.vocabulary as u64);
-                    m.set_counter(&format!("{base}.total_df"), fs.total_df);
-                    m.set_value(&format!("{base}.mean_fanout"), fs.mean_fanout());
-                }
-            }
-        };
-        for (i, part) in export.parts.iter().enumerate() {
-            fill(&format!("shard{i}."), part, &mut m);
-        }
-        fill("", &export.merged, &mut m);
-        m
     }
 
     /// Number of shards.

@@ -52,15 +52,6 @@ impl FieldStats {
         self.df.insert(word, df);
     }
 
-    /// Mean fanout over the field's vocabulary (average documents per word).
-    pub(crate) fn mean_fanout(&self) -> f64 {
-        if self.vocabulary == 0 {
-            0.0
-        } else {
-            self.total_df as f64 / self.vocabulary as f64
-        }
-    }
-
     /// Document frequency of `word` in this field, 0 if absent.
     pub fn fanout(&self, word: &str) -> u32 {
         self.df.get(word).copied().unwrap_or(0)
@@ -192,6 +183,18 @@ impl TextServer {
 mod tests {
     use super::*;
     use crate::doc::{Document, TextSchema};
+
+    impl FieldStats {
+        /// Mean fanout over the field's vocabulary (average documents per
+        /// word).
+        fn mean_fanout(&self) -> f64 {
+            if self.vocabulary == 0 {
+                0.0
+            } else {
+                self.total_df as f64 / self.vocabulary as f64
+            }
+        }
+    }
 
     fn coll() -> (Collection, FieldId, FieldId) {
         let schema = TextSchema::bibliographic();

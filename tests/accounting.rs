@@ -358,13 +358,6 @@ fn replicated_backoff_lands_in_both_the_aggregate_and_the_shard_invoice() {
     );
     assert!(agg.retries > 2, "the dead primary forced organic retries too");
     assert!(agg.time_backoff > 6.5, "manual 6.5s + organic failover backoff");
-
-    // And the metrics-snapshot bridge reports exactly the ledger's
-    // numbers, so printed tables can never disagree with the invoice.
-    let snap = agg.metrics_snapshot();
-    assert_eq!(snap.counter("usage.retries"), agg.retries);
-    assert_eq!(snap.counter("usage.faults"), agg.faults);
-    assert!((snap.value("usage.time_backoff") - agg.time_backoff).abs() < 1e-12);
 }
 
 #[test]
@@ -445,15 +438,6 @@ fn cancelled_hedge_rebate_keeps_every_accounting_view_in_agreement() {
             .abs()
             < 1e-6
     );
-
-    // View 4: the metrics-snapshot bridge reports the rebated ledger's
-    // numbers verbatim — a printed table can never disagree with the
-    // invoice about what cancelled work cost.
-    let snap = agg.metrics_snapshot();
-    assert_eq!(snap.counter("usage.invocations"), agg.invocations);
-    assert_eq!(snap.counter("usage.docs_short"), agg.docs_short);
-    assert_eq!(snap.counter("usage.docs_long"), agg.docs_long);
-    assert!((snap.value("usage.total_cost") - agg.total_cost()).abs() < 1e-12);
 }
 
 #[test]
