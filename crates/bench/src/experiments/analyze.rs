@@ -8,7 +8,7 @@ use textjoin_core::optimizer::multi::{
 };
 use textjoin_core::optimizer::plan::MultiJoinQuery;
 use textjoin_core::serve::{Backend, ServeConfig, ServeSession, TenantSpec};
-use textjoin_obs::{q_error, quantile, Monitor, MonitorConfig};
+use textjoin_obs::{cmp_nan_last, q_error, quantile, Monitor, MonitorConfig};
 use textjoin_text::faults::FaultPlan;
 use textjoin_text::server::TextServer;
 use textjoin_text::service::TextService;
@@ -51,7 +51,7 @@ impl RegretRow {
         let chosen = measured.first()?;
         let best = measured
             .iter()
-            .min_by(|a, b| a.2.partial_cmp(&b.2).expect("finite costs"))?;
+            .min_by(|a, b| cmp_nan_last(a.2, b.2))?;
         let regret = chosen.2 - best.2;
         Some(RegretRow {
             query,

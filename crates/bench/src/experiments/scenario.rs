@@ -3,7 +3,7 @@
 
 use std::rc::Rc;
 
-use textjoin_core::cost::formulas::{cost_p_rtp, cost_p_ts, CostBreakdown};
+use textjoin_core::cost::formulas::{cost_p_rtp, cost_p_ts};
 use textjoin_core::cost::params::{CostParams, JoinStatistics};
 use textjoin_core::exec::execute_single;
 use textjoin_core::methods::probe::ProbeSchedule;
@@ -14,7 +14,7 @@ use textjoin_core::optimizer::single::{
 use textjoin_core::query::{prepare, PreparedQuery, SingleJoinQuery};
 use textjoin_core::retry::{RetryBudget, RetryPolicy};
 use textjoin_core::sched::{SchedConfig, Scheduler};
-use textjoin_obs::{Event, Recorder, RingSink};
+use textjoin_obs::{CostVector, Event, Recorder, RingSink};
 use textjoin_text::doc::DocId;
 use textjoin_text::faults::FaultPlan;
 use textjoin_text::rebalance::{MigrationPlan, Move};
@@ -106,7 +106,7 @@ pub(super) fn paper_queries(w: &World) -> Vec<PaperQuery> {
     let ts_schema = w.server.collection().schema();
     let params = world_params(w);
     let probe_cols = |stats: &JoinStatistics,
-                      f: fn(&CostParams, &JoinStatistics, &[usize]) -> CostBreakdown| {
+                      f: fn(&CostParams, &JoinStatistics, &[usize]) -> CostVector| {
         optimal_probe_bounded(&params, stats, f)
             .map(|(cols, _)| cols)
             .unwrap_or_else(|| vec![0])

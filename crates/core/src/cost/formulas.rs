@@ -20,51 +20,10 @@
 //! retrieval (`c_l`) is added when the projection needs full documents, or
 //! — for the RTP family — when some joined field is not in the short form.
 
+use textjoin_obs::CostVector;
+
 use super::correlate::{distinct_docs, joint_fanout, joint_selectivity, total_docs};
 use super::params::{CostParams, JoinStatistics};
-
-/// A cost estimate split into the paper's components.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct CostBreakdown {
-    /// Invocation component (`c_i × searches`).
-    pub invocation: f64,
-    /// Text-system processing component (`c_p × postings`).
-    pub processing: f64,
-    /// Transmission component (`c_s`/`c_l` × documents).
-    pub transmission: f64,
-    /// Relational text-processing component (`c_a × comparisons`).
-    pub rtp: f64,
-    /// Estimated searches sent (for reporting).
-    pub searches: f64,
-}
-
-impl CostBreakdown {
-    /// Total estimated cost in simulated seconds.
-    pub fn total(&self) -> f64 {
-        self.invocation + self.processing + self.transmission + self.rtp
-    }
-
-    fn plus(self, other: CostBreakdown) -> CostBreakdown {
-        CostBreakdown {
-            invocation: self.invocation + other.invocation,
-            processing: self.processing + other.processing,
-            transmission: self.transmission + other.transmission,
-            rtp: self.rtp + other.rtp,
-            searches: self.searches + other.searches,
-        }
-    }
-}
-
-/// A labeled method cost, as produced by the estimators.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MethodCost {
-    /// Method label (`"TS"`, `"P1+TS"`, …).
-    pub label: String,
-    /// Probe predicate indices, for the probing family.
-    pub probe_cols: Vec<usize>,
-    /// The estimate.
-    pub cost: CostBreakdown,
-}
 
 /// A predicate subset `J` as the estimators walk it: indices into
 /// `JoinStatistics::preds`, cheap to walk again.
@@ -104,10 +63,10 @@ fn xmit(p: &CostParams, s: &JoinStatistics, v: f64) -> f64 {
 
 /// A "tuple-substitution-shaped" phase: `n` searches over subset `J`, each
 /// transmitting its full result set.
-fn ts_phase(p: &CostParams, s: &JoinStatistics, n: f64, subset: impl Subset) -> CostBreakdown {
+fn ts_phase(p: &CostParams, s: &JoinStatistics, n: f64, subset: impl Subset) -> CostVector {
     let f = result_fanout(p, s, subset.clone());
     let v = total_docs(n, f);
-    CostBreakdown {
+    CostVector {
         invocation: p.effective_c_i() * n,
         processing: p.constants.c_p * n * postings_per_search(s, subset),
         transmission: xmit(p, s, v),
@@ -119,12 +78,12 @@ fn ts_phase(p: &CostParams, s: &JoinStatistics, n: f64, subset: impl Subset) -> 
 /// `C_TS` — tuple substitution (distinct variant): one search per distinct
 /// join-column tuple (paper: `C_TS = c_i N + c_p L_{N,K} + c_l V_{N,K}`,
 /// with `N` replaced by `n_K` for the distinct variant).
-pub fn cost_ts(p: &CostParams, s: &JoinStatistics) -> CostBreakdown {
+pub fn cost_ts(p: &CostParams, s: &JoinStatistics) -> CostVector {
     ts_phase(p, s, s.n_k, all(s))
 }
 
 /// `C_TS` for the naive variant (one search per tuple) — ablation only.
-pub fn cost_ts_naive(p: &CostParams, s: &JoinStatistics) -> CostBreakdown {
+pub fn cost_ts_naive(p: &CostParams, s: &JoinStatistics) -> CostVector {
     ts_phase(p, s, s.n, all(s))
 }
 
@@ -134,11 +93,11 @@ pub(crate) fn cost_probe_phase(
     p: &CostParams,
     s: &JoinStatistics,
     subset: &[usize],
-) -> CostBreakdown {
+) -> CostVector {
     let n_j = s.n_j(subset);
     let subset = subset.iter().copied();
     let f = result_fanout(p, s, subset.clone());
-    CostBreakdown {
+    CostVector {
         invocation: p.effective_c_i() * n_j,
         processing: p.constants.c_p * n_j * postings_per_search(s, subset),
         transmission: p.constants.c_s * total_docs(n_j, f),
@@ -155,23 +114,24 @@ pub(crate) fn cost_probe_phase(
 /// in phase 2 total `n_K × F` — the same as unprobed TS (this is the
 /// Section 7.2 observation that "the number of long-form documents
 /// transmitted is the same for both methods").
-pub fn cost_p_ts(p: &CostParams, s: &JoinStatistics, subset: &[usize]) -> CostBreakdown {
-    let probe = cost_probe_phase(p, s, subset);
+pub fn cost_p_ts(p: &CostParams, s: &JoinStatistics, subset: &[usize]) -> CostVector {
+    let mut c = cost_probe_phase(p, s, subset);
     let r = s.n_k * probe_selectivity(p, s, subset.iter().copied());
     let v = total_docs(s.n_k, result_fanout(p, s, all(s)));
-    probe.plus(CostBreakdown {
+    c.accumulate(&CostVector {
         invocation: p.effective_c_i() * r,
         processing: p.constants.c_p * r * postings_per_search(s, all(s)),
         transmission: xmit(p, s, v),
         rtp: 0.0,
         searches: r,
-    })
+    });
+    c
 }
 
 /// `C_RTP` — one search carrying the selections, result documents matched
 /// relationally. `None` when there are no text selections (RTP
 /// inapplicable, Section 3.2).
-pub(crate) fn cost_rtp(p: &CostParams, s: &JoinStatistics) -> Option<CostBreakdown> {
+pub(crate) fn cost_rtp(p: &CostParams, s: &JoinStatistics) -> Option<CostVector> {
     if s.sel_terms == 0 {
         return None;
     }
@@ -181,7 +141,7 @@ pub(crate) fn cost_rtp(p: &CostParams, s: &JoinStatistics) -> Option<CostBreakdo
     if need_long {
         transmission += p.constants.c_l * f_sel;
     }
-    Some(CostBreakdown {
+    Some(CostVector {
         invocation: p.effective_c_i(),
         processing: p.constants.c_p * s.sel_postings,
         transmission,
@@ -198,7 +158,7 @@ pub fn cost_sj(
     p: &CostParams,
     s: &JoinStatistics,
     rtp_completion: bool,
-) -> Option<CostBreakdown> {
+) -> Option<CostVector> {
     let k = s.k().max(1);
     let per = (p.m.saturating_sub(s.sel_terms)) / k;
     if per == 0 {
@@ -208,7 +168,7 @@ pub fn cost_sj(
     let f_per_conjunct = result_fanout(p, s, all(s));
     let u = distinct_docs(s.n_k, f_per_conjunct, p.d);
     let join_postings: f64 = all(s).map(|i| s.preds[i].list_len).sum();
-    let mut c = CostBreakdown {
+    let mut c = CostVector {
         invocation: p.effective_c_i() * n_searches,
         processing: p.constants.c_p * (s.n_k * join_postings + n_searches * s.sel_postings),
         transmission: p.constants.c_s * u,
@@ -228,7 +188,7 @@ pub fn cost_sj(
 /// `C_{P+RTP}` — probes on `J` (whose result sets are the candidate
 /// documents), then relational matching against the surviving tuples
 /// (Example 3.6).
-pub fn cost_p_rtp(p: &CostParams, s: &JoinStatistics, subset: &[usize]) -> CostBreakdown {
+pub fn cost_p_rtp(p: &CostParams, s: &JoinStatistics, subset: &[usize]) -> CostVector {
     let mut c = cost_probe_phase(p, s, subset);
     let n_j = s.n_j(subset);
     let f_probe = result_fanout(p, s, subset.iter().copied());

@@ -9,5 +9,4 @@ pub mod correlate;
 pub mod formulas;
 pub mod params;
 
-pub use formulas::{CostBreakdown, MethodCost};
 pub use params::{CostParams, JoinStatistics, PredStats};

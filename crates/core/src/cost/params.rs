@@ -15,7 +15,7 @@
 //! | `s_i` | [`PredStats::selectivity`] | predicate selectivity |
 //! | `f_i` | [`PredStats::fanout`] | predicate fanout |
 
-use textjoin_obs::TraceCalibration;
+use textjoin_obs::{CostVector, TraceCalibration};
 use textjoin_text::server::{CostConstants, Usage};
 
 use crate::retry::RetryPolicy;
@@ -112,17 +112,11 @@ impl CostParams {
     /// scatter across shards and divide by the parallelism — so plans
     /// whose heavy work parallelizes rank ahead even at equal total
     /// charge.
-    pub(crate) fn rank(
-        &self,
-        invocation: f64,
-        processing: f64,
-        transmission: f64,
-        rtp: f64,
-    ) -> f64 {
+    pub(crate) fn rank(&self, c: &CostVector) -> f64 {
         match self.deadline {
-            None => invocation + processing + transmission + rtp,
+            None => c.total(),
             Some(_) => {
-                invocation + rtp + (processing + transmission) / self.parallelism.max(1.0)
+                c.invocation + c.rtp + (c.processing + c.transmission) / self.parallelism.max(1.0)
             }
         }
     }

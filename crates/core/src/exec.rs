@@ -1,7 +1,5 @@
 //! Plan execution.
 //!
-//! Two entry points:
-//!
 //! * [`execute_single`] — runs a [`MethodCandidate`] chosen by the
 //!   single-join optimizer against a prepared query.
 //! * [`MultiExecutor`] — interprets a multi-join [`PlanNode`] (PrL tree)
@@ -9,6 +7,12 @@
 //!   nodes, relational joins (with foreign residuals), and the text join.
 //!   Its intermediate relations are views of row indices (`View`): rows
 //!   are built only where they leave the plan.
+//! * [`plan_and_execute`] and [`plan_and_execute_with`] — plan and run a
+//!   multi-join end to end. Their stages are public too, for callers that
+//!   cache between them (a serving session): [`prepare_input`] folds the
+//!   parameters and gathers statistics, [`plan_prepared`] enumerates,
+//!   [`prepare_plan`] does both, and [`execute_prepared`] runs the plan
+//!   under session hooks.
 //!
 //! All text costs are charged by the server; relational join work is
 //! tallied as tuple-pair counts and charged with the planner's
@@ -29,7 +33,7 @@ use textjoin_rel::tuple::Tuple;
 use textjoin_rel::value::{Value, ValueType};
 use textjoin_text::doc::{DocId, TextSchema};
 use textjoin_text::expr::SearchExpr;
-use textjoin_obs::{CostVector, NodeActual, PlanQuality};
+use textjoin_obs::{CostVector, Measure, PlanQuality};
 use textjoin_text::server::Usage;
 use textjoin_text::service::TextService;
 
@@ -261,7 +265,7 @@ pub struct MultiExecutor<'a> {
 struct Tally {
     rel_pairs: u64,
     rtp_comparisons: u64,
-    actuals: Vec<NodeActual>,
+    actuals: Vec<Measure>,
 }
 
 impl<'a> MultiExecutor<'a> {
@@ -366,7 +370,7 @@ impl<'a> MultiExecutor<'a> {
         let (server, c_a, c_pair) = (self.ctx.server, self.ctx.c_a, self.input.rel_model.c_pair);
         let before = server.usage();
         let mut tally = Tally {
-            actuals: vec![NodeActual::default(); estimates.as_ref().map_or(0, Vec::len)],
+            actuals: vec![Measure::default(); estimates.as_ref().map_or(0, Vec::len)],
             ..Tally::default()
         };
         let table = plan
@@ -381,7 +385,7 @@ impl<'a> MultiExecutor<'a> {
                     // Backoff seconds fold into the invocation component,
                     // mirroring the planner's `effective_c_i` fold.
                     let d = server.usage().since(&u0);
-                    tally.actuals[id] = NodeActual {
+                    tally.actuals[id] = Measure {
                         rows: out.len() as f64,
                         postings: d.postings_processed as f64,
                         cost: CostVector {
@@ -390,6 +394,7 @@ impl<'a> MultiExecutor<'a> {
                             transmission: d.time_transmission,
                             rtp: c_a * (tally.rtp_comparisons - comps0) as f64
                                 + c_pair * (tally.rel_pairs - pairs0) as f64,
+                            searches: d.invocations as f64,
                         },
                     };
                 }

@@ -25,7 +25,9 @@ use std::collections::{BTreeMap, HashMap};
 use std::convert::Infallible;
 use std::rc::Rc;
 
-use textjoin_obs::{cmp_nan_last, CostVector, EventKind, NodeEstimate, PlannerChoice, Recorder};
+use textjoin_obs::{
+    cmp_nan_last, CostVector, EventKind, Measure, NodeEstimate, PlannerChoice, Recorder,
+};
 use textjoin_rel::catalog::Catalog;
 use textjoin_rel::ops::{distinct_count, filter};
 use textjoin_text::doc::{FieldId, TextSchema};
@@ -34,7 +36,6 @@ use textjoin_text::stats::VocabularyStats;
 use crate::cost::formulas::{
     cost_probe_phase, expected_result_fanout, probe_success_probability,
 };
-use crate::cost::formulas::CostBreakdown;
 use crate::cost::params::{CostParams, JoinStatistics, PredStats};
 use crate::methods::{Projection, TextSelection};
 use crate::optimizer::plan::{MultiJoinQuery, PlanNode};
@@ -271,7 +272,7 @@ impl PlannerInput {
         let (p, c) = (&self.params, &self.params.constants);
         let priced = |rows, cost| Priced::new(p, rows, cost, String::new());
         match node {
-            PlanNode::Scan { rel } => priced(self.base[*rel].rows, CostBreakdown::default()),
+            PlanNode::Scan { rel } => priced(self.base[*rel].rows, CostVector::default()),
             PlanNode::Probe { preds, .. } => {
                 let stats = self.stats_for(in_rows[0], preds, Projection::RelOnly);
                 let local: Vec<usize> = (0..preds.len()).collect();
@@ -309,9 +310,9 @@ impl PlannerInput {
                     .join_matching(l, r, foreign_residuals.len(), p.c_a);
                 priced(
                     l * r * sel,
-                    CostBreakdown {
+                    CostVector {
                         rtp,
-                        ..CostBreakdown::default()
+                        ..CostVector::default()
                     },
                 )
             }
@@ -328,7 +329,7 @@ impl PlannerInput {
                     .unwrap_or(0);
                 match menu.into_iter().nth(named) {
                     Some(m) => Priced::new(p, rows, m.cost, m.label),
-                    None => Priced::new(p, rows, CostBreakdown::default(), "?".to_owned()),
+                    None => Priced::new(p, rows, CostVector::default(), "?".to_owned()),
                 }
             }
             // The text-first scan: one search for the selections, every
@@ -338,17 +339,17 @@ impl PlannerInput {
                 if self.query.projection == Projection::Full {
                     transmission += c.c_l * self.sel_fanout;
                 }
-                let cost = CostBreakdown {
+                let cost = CostVector {
                     invocation: p.effective_c_i(),
                     processing: c.c_p * self.sel_postings,
                     transmission,
                     rtp: 0.0,
                     searches: 1.0,
                 };
-                Priced {
-                    postings: self.sel_postings,
-                    ..priced(self.sel_fanout, cost)
-                }
+                // Its postings are known outright, not divided back out.
+                let mut own = priced(self.sel_fanout, cost);
+                own.est.postings = self.sel_postings;
+                own
             }
         }
     }
@@ -357,19 +358,15 @@ impl PlannerInput {
 /// One plan node's own estimate ([`PlannerInput::price`]), its inputs
 /// excluded.
 struct Priced {
-    rows: f64,
-    postings: f64,
-    cost: CostBreakdown,
+    est: Measure,
     /// For a text join, the label of the menu entry it is priced as.
     method: String,
 }
 
 impl Priced {
-    fn new(p: &CostParams, rows: f64, cost: CostBreakdown, method: String) -> Self {
+    fn new(p: &CostParams, rows: f64, cost: CostVector, method: String) -> Self {
         Self {
-            rows,
-            postings: est_postings(p, cost.processing),
-            cost,
+            est: measure(p, rows, cost),
             method,
         }
     }
@@ -431,8 +428,8 @@ impl Candidate {
     /// `node` over `inputs` at its own price `own`: their cost plus its.
     fn priced(node: PlanNode, inputs: &[&Candidate], own: &Priced) -> Self {
         Self {
-            cost: inputs.iter().map(|c| c.cost).sum::<f64>() + own.cost.total(),
-            rows: own.rows,
+            cost: inputs.iter().map(|c| c.cost).sum::<f64>() + own.est.cost.total(),
+            rows: own.est.rows,
             node,
         }
     }
@@ -552,15 +549,14 @@ pub fn plan_query(input: &PlannerInput, space: ExecutionSpace) -> Option<Planned
     })
 }
 
-/// Estimated postings behind a processing-cost component: the formulas
-/// price every processed posting at `c_p`, so the count is recoverable
-/// exactly by dividing the constant back out.
-fn est_postings(params: &CostParams, processing: f64) -> f64 {
-    if params.constants.c_p > 0.0 {
-        processing / params.constants.c_p
-    } else {
-        0.0
-    }
+/// The estimate of a step producing `rows` at `cost`. Its postings are
+/// those behind the processing component: the formulas price every
+/// processed posting at `c_p`, so the count is recoverable exactly by
+/// dividing the constant back out.
+fn measure(params: &CostParams, rows: f64, cost: CostVector) -> Measure {
+    let c_p = params.constants.c_p;
+    let postings = if c_p > 0.0 { cost.processing / c_p } else { 0.0 };
+    Measure { rows, postings, cost }
 }
 
 /// The per-node estimates the dynamic program priced `plan` with, in
@@ -606,16 +602,9 @@ pub fn estimate_nodes(input: &PlannerInput, plan: &PlanNode) -> Vec<NodeEstimate
             id,
             depth,
             label,
-            rows: own.rows,
-            postings: own.postings,
-            cost: CostVector {
-                invocation: own.cost.invocation,
-                processing: own.cost.processing,
-                transmission: own.cost.transmission,
-                rtp: own.cost.rtp,
-            },
+            est: own.est,
         });
-        Ok::<_, Infallible>(own.rows)
+        Ok::<_, Infallible>(own.est.rows)
     });
     out.sort_unstable_by_key(|e| e.id);
     out
@@ -660,7 +649,7 @@ pub fn text_join_candidates(input: &PlannerInput, plan: &PlanNode) -> Option<Vec
                 menu = Some((id, input.text_join_menu(in_rows[0], preds).0));
             }
         }
-        Ok::<_, Infallible>(input.price(node, &in_rows).rows)
+        Ok::<_, Infallible>(input.price(node, &in_rows).est.rows)
     });
     menu.map(|(_, m)| m)
 }
@@ -826,13 +815,7 @@ fn extend_with_text(input: &PlannerInput, cand: &Candidate, s: u64) -> Option<Ca
                     label: c.label.clone(),
                     chosen: idx == 0,
                     probe_cols: c.probe_cols.clone(),
-                    invocation: c.cost.invocation,
-                    processing: c.cost.processing,
-                    transmission: c.cost.transmission,
-                    rtp: c.cost.rtp,
-                    searches: c.cost.searches,
-                    est_rows: rows,
-                    est_postings: est_postings(&input.params, c.cost.processing),
+                    est: measure(&input.params, rows, c.cost),
                     effective_c_i: input.params.effective_c_i(),
                 }));
             }
@@ -1122,7 +1105,7 @@ mod tests {
             probe_cols: vec![],
         };
         let est = estimate_nodes(&input, &scan);
-        assert_eq!(est[0].cost.invocation, params.effective_c_i());
+        assert_eq!(est[0].est.cost.invocation, params.effective_c_i());
     }
 
     #[test]

@@ -17,11 +17,9 @@
 //! are ranked by the same invoice the executor's scatter paths will
 //! actually charge — see `plan_and_execute_with` for the lockstep fold.
 
-use textjoin_obs::cmp_nan_last;
+use textjoin_obs::{cmp_nan_last, CostVector};
 
-use crate::cost::formulas::{
-    cost_p_rtp, cost_p_ts, cost_rtp, cost_sj, cost_ts, CostBreakdown,
-};
+use crate::cost::formulas::{cost_p_rtp, cost_p_ts, cost_rtp, cost_sj, cost_ts};
 use crate::cost::params::{CostParams, JoinStatistics};
 use crate::methods::Projection;
 
@@ -50,7 +48,7 @@ pub struct MethodCandidate {
     /// Probe predicate indices (empty for non-probing methods).
     pub probe_cols: Vec<usize>,
     /// The cost estimate.
-    pub cost: CostBreakdown,
+    pub cost: CostVector,
 }
 
 /// Calls `visit` with every non-empty subset of `0..k` of at most
@@ -83,8 +81,8 @@ pub(crate) fn for_each_subset(k: usize, max_size: usize, mut visit: impl FnMut(&
 pub fn optimal_probe_exhaustive(
     p: &CostParams,
     s: &JoinStatistics,
-    f: impl Fn(&CostParams, &JoinStatistics, &[usize]) -> CostBreakdown,
-) -> Option<(Vec<usize>, CostBreakdown)> {
+    f: impl Fn(&CostParams, &JoinStatistics, &[usize]) -> CostVector,
+) -> Option<(Vec<usize>, CostVector)> {
     if s.k() > 30 {
         return None;
     }
@@ -96,8 +94,8 @@ pub fn optimal_probe_exhaustive(
 pub fn optimal_probe_bounded(
     p: &CostParams,
     s: &JoinStatistics,
-    f: impl Fn(&CostParams, &JoinStatistics, &[usize]) -> CostBreakdown,
-) -> Option<(Vec<usize>, CostBreakdown)> {
+    f: impl Fn(&CostParams, &JoinStatistics, &[usize]) -> CostVector,
+) -> Option<(Vec<usize>, CostVector)> {
     best_subset(p.g.saturating_mul(2), p, s, f)
 }
 
@@ -109,13 +107,13 @@ fn best_subset(
     max_size: usize,
     p: &CostParams,
     s: &JoinStatistics,
-    f: impl Fn(&CostParams, &JoinStatistics, &[usize]) -> CostBreakdown,
-) -> Option<(Vec<usize>, CostBreakdown)> {
-    let mut best: Option<(f64, CostBreakdown)> = None;
+    f: impl Fn(&CostParams, &JoinStatistics, &[usize]) -> CostVector,
+) -> Option<(Vec<usize>, CostVector)> {
+    let mut best: Option<(f64, CostVector)> = None;
     let mut best_cols = Vec::new();
     for_each_subset(s.k(), max_size, |cols| {
         let c = f(p, s, cols);
-        let rank = p.rank(c.invocation, c.processing, c.transmission, c.rtp);
+        let rank = p.rank(&c);
         let better = best.is_none_or(|(best_rank, _)| {
             cmp_nan_last(rank, best_rank)
                 .then(cols.len().cmp(&best_cols.len()))
@@ -175,7 +173,7 @@ pub fn enumerate_methods(
                 cost: c,
             });
         }
-        let search = |f: fn(&CostParams, &JoinStatistics, &[usize]) -> CostBreakdown| {
+        let search = |f: fn(&CostParams, &JoinStatistics, &[usize]) -> CostVector| {
             if exhaustive_probe {
                 optimal_probe_exhaustive(p, s, f)
             } else {
@@ -202,9 +200,7 @@ pub fn enumerate_methods(
     // Without a deadline `rank` is exactly `total()` — the pre-deadline
     // ordering, byte for byte. Under a deadline, methods whose heavy work
     // parallelizes across shards rank ahead at equal total charge.
-    let rank =
-        |c: &CostBreakdown| p.rank(c.invocation, c.processing, c.transmission, c.rtp);
-    out.sort_by(|a, b| cmp_nan_last(rank(&a.cost), rank(&b.cost)));
+    out.sort_by(|a, b| cmp_nan_last(p.rank(&a.cost), p.rank(&b.cost)));
     out
 }
 
@@ -255,8 +251,7 @@ mod tests {
         max_size: usize,
         p: &CostParams,
         s: &JoinStatistics,
-    ) -> Option<(Vec<usize>, CostBreakdown)> {
-        let rank = |c: &CostBreakdown| p.rank(c.invocation, c.processing, c.transmission, c.rtp);
+    ) -> Option<(Vec<usize>, CostVector)> {
         subsets_up_to(s.k(), max_size)
             .into_iter()
             .map(|subset| {
@@ -264,14 +259,14 @@ mod tests {
                 (subset, c)
             })
             .min_by(|a, b| {
-                rank(&a.1)
-                    .partial_cmp(&rank(&b.1))
+                p.rank(&a.1)
+                    .partial_cmp(&p.rank(&b.1))
                     .expect("costs are finite")
                     .then(a.0.len().cmp(&b.0.len()))
             })
     }
 
-    fn bits(c: &CostBreakdown) -> [u64; 5] {
+    fn bits(c: &CostVector) -> [u64; 5] {
         [
             c.invocation,
             c.processing,
@@ -438,6 +433,67 @@ mod tests {
                 }
             }
         }
+        // Generalized: for g-correlated models the optimum has at most
+        // min(k, 2g) columns. Single-valued columns (N_i = 1) probe for
+        // free, so an optimum may need all 2g — g for the joint
+        // selectivity, g more for the joint fanout — and those are the
+        // cases a bound of 2g − 1 gets wrong: one built per g, then
+        // generated statistics, on both probing methods.
+        let stats = |n_k, preds, needs_long, short_form_sufficient| JoinStatistics {
+            n: 1e4,
+            n_k,
+            preds,
+            sel_fanout: d,
+            sel_postings: 0.0,
+            sel_terms: 0,
+            needs_long,
+            short_form_sufficient,
+        };
+        let mut cases = Vec::new();
+        for g in 1..=3 {
+            let mut preds = vec![PredStats::simple(0.5, 2_000.0, 1.0); g];
+            preds.extend(std::iter::repeat_n(PredStats::simple(0.9, 100.0, 1.0), g));
+            preds.push(PredStats::simple(0.95, 3_000.0, 1.0));
+            cases.push((g, stats(1e4, preds, false, true)));
+        }
+        let mut x = 0x005e_ed53_u64;
+        let mut draw = |levels: &[f64]| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+            levels[((x >> 33) % levels.len() as u64) as usize]
+        };
+        for k in 1..=9 {
+            for g in 1..=3 {
+                for _ in 0..40 {
+                    let preds = (0..k)
+                        .map(|_| {
+                            let fanout = draw(&[0.05, 1.0, 5.0, 60.0, 2_000.0]);
+                            PredStats {
+                                selectivity: draw(&[0.001, 0.01, 0.1, 0.5, 0.9]),
+                                fanout,
+                                distinct: draw(&[1.0, 1.0, 2.0, 30.0, 400.0]),
+                                list_len: fanout * draw(&[1.0, 1.0, 3.0]),
+                            }
+                        })
+                        .collect();
+                    let n_k = draw(&[500.0, 1e4]);
+                    let long = draw(&[0.0, 1.0]) == 1.0;
+                    cases.push((g, stats(n_k, preds, long, draw(&[0.0, 1.0, 1.0]) == 1.0)));
+                }
+            }
+        }
+        let mut exactly_2g = [0; 3];
+        for (g, s) in &cases {
+            let (g, k) = (*g, s.k());
+            let p = CostParams::mercury(d).with_g(g);
+            for f in [cost_p_ts, cost_p_rtp] {
+                let exhaustive = optimal_probe_exhaustive(&p, s, f).expect("k ≥ 1");
+                let bounded = optimal_probe_bounded(&p, s, f).expect("k ≥ 1");
+                assert_eq!(bounded, exhaustive, "k={k} g={g}");
+                assert!(exhaustive.0.len() <= 2 * g, "g={g}: {:?}", exhaustive.0);
+                exactly_2g[g - 1] += usize::from(exhaustive.0.len() == 2 * g);
+            }
+        }
+        assert!(exactly_2g.iter().all(|&n| n > 0), "{exactly_2g:?}");
     }
 
     #[test]

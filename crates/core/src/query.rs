@@ -179,17 +179,14 @@ impl PreparedQuery {
             preds.push(sample_predicate(server, &self.filtered, c, f, sample_size)?);
         }
         // Selections are constant: one search answers them exactly.
-        let (sel_fanout, sel_postings) = if self.selections.is_empty() {
-            (server.doc_count() as f64, 0.0)
-        } else {
-            let expr = self
-                .foreign_join()
-                .selections_expr()
-                .expect("selections non-empty");
-            let before = server.usage();
-            let result = server.search(&expr)?;
-            let delta = server.usage().since(&before);
-            (result.len() as f64, delta.postings_processed as f64)
+        let (sel_fanout, sel_postings) = match self.foreign_join().selections_expr() {
+            None => (server.doc_count() as f64, 0.0),
+            Some(expr) => {
+                let before = server.usage();
+                let result = server.search(&expr)?;
+                let delta = server.usage().since(&before);
+                (result.len() as f64, delta.postings_processed as f64)
+            }
         };
         Ok(self.assemble(
             preds,

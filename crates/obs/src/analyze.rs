@@ -8,7 +8,7 @@
 //! the planner side describes each plan node's estimated cost vector and
 //! cardinalities as a [`NodeEstimate`], the executor attributes actual
 //! charge deltas and row/posting counts back to the same node ids as
-//! [`NodeActual`]s, and [`PlanQuality`] pairs them into per-node and
+//! [`Measure`]s, and [`PlanQuality`] pairs them into per-node and
 //! per-component Q-errors with a deterministic rendering.
 //!
 //! Everything here is charge-free arithmetic over numbers the ledger
@@ -66,6 +66,8 @@ pub struct CostVector {
     pub transmission: f64,
     /// Relational text-processing cost (`c_a` × comparisons).
     pub rtp: f64,
+    /// Searches behind the invocation component (a count, not seconds).
+    pub searches: f64,
 }
 
 impl CostVector {
@@ -74,13 +76,26 @@ impl CostVector {
         self.invocation + self.processing + self.transmission + self.rtp
     }
 
-    /// Component-wise sum, for plan-level rollups.
-    pub(crate) fn accumulate(&mut self, other: &CostVector) {
+    /// Component-wise sum, `searches` included.
+    pub fn accumulate(&mut self, other: &CostVector) {
         self.invocation += other.invocation;
         self.processing += other.processing;
         self.transmission += other.transmission;
         self.rtp += other.rtp;
+        self.searches += other.searches;
     }
+}
+
+/// What one plan step produced (the executor's actual), or is expected to
+/// produce (the planner's estimate), its inputs excluded.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Measure {
+    /// Output rows.
+    pub rows: f64,
+    /// Postings processed (`0` for purely relational steps).
+    pub postings: f64,
+    /// Cost vector of the step's own work.
+    pub cost: CostVector,
 }
 
 /// The planner's estimate for one plan node, keyed by the node's
@@ -94,25 +109,8 @@ pub struct NodeEstimate {
     pub depth: usize,
     /// Display label (e.g. `text-join[TS]`, `probe{name}`, `scan student`).
     pub label: String,
-    /// Estimated output rows of the node.
-    pub rows: f64,
-    /// Estimated postings the node's searches process (`0` for purely
-    /// relational nodes).
-    pub postings: f64,
-    /// Estimated cost vector of the node's own work (children excluded).
-    pub cost: CostVector,
-}
-
-/// What the executor actually measured for one plan node: the exclusive
-/// charge delta (children subtracted) and the actual counts.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct NodeActual {
-    /// Actual output rows of the node.
-    pub rows: f64,
-    /// Actual postings charged to the node's own work.
-    pub postings: f64,
-    /// Actual cost vector of the node's own work (children excluded).
-    pub cost: CostVector,
+    /// The node's estimated rows, postings and own cost.
+    pub est: Measure,
 }
 
 /// One reconciled node: the estimate, the actual, and their Q-errors.
@@ -121,7 +119,7 @@ pub struct NodeQuality {
     /// The planner's estimate.
     pub est: NodeEstimate,
     /// The executor's measurement.
-    pub act: NodeActual,
+    pub act: Measure,
     /// Q-error of the node's output cardinality.
     pub rows_q: f64,
     /// Q-error of the node's own total cost.
@@ -150,7 +148,7 @@ impl PlanQuality {
     /// measurement for the node with pre-order id `i`; nodes the executor
     /// skipped (e.g. a probe dropped under pressure) default to zero
     /// actuals and show up as unbounded misses rather than vanishing.
-    pub fn new(estimates: Vec<NodeEstimate>, actuals: &[NodeActual]) -> Self {
+    pub fn new(estimates: Vec<NodeEstimate>, actuals: &[Measure]) -> Self {
         let mut est_total = CostVector::default();
         let mut act_total = CostVector::default();
         let mut est_postings = 0.0;
@@ -158,12 +156,12 @@ impl PlanQuality {
         let mut nodes = Vec::with_capacity(estimates.len());
         for est in estimates {
             let act = actuals.get(est.id).copied().unwrap_or_default();
-            est_total.accumulate(&est.cost);
+            est_total.accumulate(&est.est.cost);
             act_total.accumulate(&act.cost);
-            est_postings += est.postings;
+            est_postings += est.est.postings;
             act_postings += act.postings;
-            let rows_q = q_error(est.rows, act.rows);
-            let cost_q = q_error(est.cost.total(), act.cost.total());
+            let rows_q = q_error(est.est.rows, act.rows);
+            let cost_q = q_error(est.est.cost.total(), act.cost.total());
             nodes.push(NodeQuality {
                 est,
                 act,
@@ -173,7 +171,7 @@ impl PlanQuality {
         }
         let rows_q = nodes
             .first()
-            .map(|n| q_error(n.est.rows, n.act.rows))
+            .map(|n| q_error(n.est.est.rows, n.act.rows))
             .unwrap_or(1.0);
         let cost_q = q_error(est_total.total(), act_total.total());
         let postings_q = q_error(est_postings, act_postings);
@@ -225,10 +223,10 @@ impl PlanQuality {
                 "{indent}[{}] {} rows est {:.1} act {:.1} (q {:.2}) cost est {:.3}s act {:.3}s (q {:.2})",
                 n.est.id,
                 n.est.label,
-                n.est.rows,
+                n.est.est.rows,
                 n.act.rows,
                 n.rows_q,
-                n.est.cost.total(),
+                n.est.est.cost.total(),
                 n.act.cost.total(),
                 n.cost_q
             );
@@ -275,11 +273,13 @@ mod tests {
             id,
             depth,
             label: format!("node{id}"),
-            rows,
-            postings: 10.0,
-            cost: CostVector {
-                invocation: inv,
-                ..CostVector::default()
+            est: Measure {
+                rows,
+                postings: 10.0,
+                cost: CostVector {
+                    invocation: inv,
+                    ..CostVector::default()
+                },
             },
         }
     }
@@ -288,7 +288,7 @@ mod tests {
     fn plan_quality_pairs_by_id_and_rolls_up() {
         let estimates = vec![est(0, 0, 4.0, 6.0), est(1, 1, 8.0, 3.0)];
         let actuals = vec![
-            NodeActual {
+            Measure {
                 rows: 2.0,
                 postings: 10.0,
                 cost: CostVector {
@@ -296,7 +296,7 @@ mod tests {
                     ..CostVector::default()
                 },
             },
-            NodeActual {
+            Measure {
                 rows: 8.0,
                 postings: 30.0,
                 cost: CostVector {

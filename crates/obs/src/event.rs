@@ -2,6 +2,7 @@
 
 use std::fmt::Write as _;
 
+use crate::analyze::Measure;
 use crate::trace::{Fields, Get};
 
 /// The per-event charge delta, mirroring the `Usage` ledger field for
@@ -70,20 +71,9 @@ pub struct PlannerChoice {
     pub chosen: bool,
     /// The probe-column subset the candidate would probe on.
     pub probe_cols: Vec<usize>,
-    /// Estimated invocation cost component (simulated seconds).
-    pub invocation: f64,
-    /// Estimated posting-processing component.
-    pub processing: f64,
-    /// Estimated transmission component.
-    pub transmission: f64,
-    /// Estimated relational text-processing component.
-    pub rtp: f64,
-    /// Estimated number of searches behind the invocation component.
-    pub searches: f64,
-    /// Estimated result cardinality (rows) the candidate would produce.
-    pub est_rows: f64,
-    /// Estimated postings the candidate's searches would process.
-    pub est_postings: f64,
+    /// The candidate's estimate: result rows, postings its searches would
+    /// process, and its cost vector.
+    pub est: Measure,
     /// The fault-adjusted effective invocation constant the estimate used
     /// (`c_i` plus expected backoff per invocation).
     pub effective_c_i: f64,
@@ -743,21 +733,21 @@ impl Put for Charge {
 }
 
 impl PlannerChoice {
-    /// The one kind not laid out field for key: the estimate vector nests
-    /// under `est`, where `est_rows`/`est_postings` are `rows`/`postings`.
+    /// The one kind not laid out field for key: the [`Measure`] nests under
+    /// `est`, its cost vector's fields first, then `rows` and `postings`.
     /// `get_fields` (beside [`Get`]) reads it back.
     fn put_fields(&self, w: &mut Line<'_>) {
         w.str("label", &self.label);
         w.bool("chosen", self.chosen);
         self.probe_cols.put(w, "probe_cols");
         w.open("est");
-        w.f64("invocation", self.invocation);
-        w.f64("processing", self.processing);
-        w.f64("transmission", self.transmission);
-        w.f64("rtp", self.rtp);
-        w.f64("searches", self.searches);
-        w.f64("rows", self.est_rows);
-        w.f64("postings", self.est_postings);
+        w.f64("invocation", self.est.cost.invocation);
+        w.f64("processing", self.est.cost.processing);
+        w.f64("transmission", self.est.cost.transmission);
+        w.f64("rtp", self.est.cost.rtp);
+        w.f64("searches", self.est.cost.searches);
+        w.f64("rows", self.est.rows);
+        w.f64("postings", self.est.postings);
         w.close();
         w.f64("effective_c_i", self.effective_c_i);
     }

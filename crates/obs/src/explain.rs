@@ -262,16 +262,16 @@ fn line(out: &mut String, ev: &Event) -> fmt::Result {
         ),
         EventKind::CacheHit { scope, epoch } => write!(out, "= cache hit [{scope}] epoch {epoch}"),
         EventKind::Planner(p) => {
-            let total = p.invocation + p.processing + p.transmission + p.rtp;
+            let (c, total) = (&p.est.cost, p.est.cost.total());
             write!(
                 out,
                 "? candidate {}{} est {total:.2}s (inv {:.2} proc {:.2} xmit {:.2} rtp {:.2}; eff c_i {:.2})",
                 p.label,
                 if p.chosen { " [chosen]" } else { "" },
-                p.invocation,
-                p.processing,
-                p.transmission,
-                p.rtp,
+                c.invocation,
+                c.processing,
+                c.transmission,
+                c.rtp,
                 p.effective_c_i
             )
         }
@@ -537,13 +537,17 @@ mod tests {
                 label: label.to_string(),
                 chosen,
                 probe_cols: vec![0],
-                invocation: 3.0,
-                processing: 0.125,
-                transmission: 1.5,
-                rtp: 0.0,
-                searches: 1.0,
-                est_rows: 4.0,
-                est_postings: 12.0,
+                est: crate::Measure {
+                    rows: 4.0,
+                    postings: 12.0,
+                    cost: crate::CostVector {
+                        invocation: 3.0,
+                        processing: 0.125,
+                        transmission: 1.5,
+                        rtp: 0.0,
+                        searches: 1.0,
+                    },
+                },
                 effective_c_i: 3.25,
             })
         };

@@ -31,7 +31,7 @@ mod sink;
 mod trace;
 
 pub use analyze::{
-    cmp_nan_last, q_error, quantile, CostVector, NodeActual, NodeEstimate, NodeQuality, PlanQuality,
+    cmp_nan_last, q_error, quantile, CostVector, Measure, NodeEstimate, NodeQuality, PlanQuality,
 };
 pub use calibrate::{calibrate_trace, ComponentFit, TraceCalibration};
 pub use event::{Charge, Event, EventKind, PlannerChoice};
@@ -41,6 +41,15 @@ pub use monitor::{
     render_windows, Advice, Monitor, MonitorConfig, ShardWindow, WindowStats, MAX_WINDOWS,
 };
 pub use recorder::{Recorder, SpanGuard};
-pub use sample::{is_hot, splitmix64, SampledSink, SamplePolicy};
+pub use sample::{is_hot, SampledSink, SamplePolicy};
 pub use sink::{FanoutSink, JsonlSink, NoopSink, RingSink, Sink};
 pub use trace::{parse_jsonl, TraceParseError};
+
+/// SplitMix64's output mixer, the one seeded hash behind span sampling,
+/// shard placement, migration plans and fault streams. Pure: no RNG state.
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}

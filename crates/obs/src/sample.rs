@@ -46,16 +46,8 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use crate::event::{Charge, Event, EventKind};
+use crate::splitmix64;
 use crate::sink::Sink;
-
-/// SplitMix64's output mixer: a well-distributed 64-bit hash used for all
-/// sampling decisions. Pure and seedable — no global RNG state.
-pub fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// A seeded sampling rate. A span beginning at trace sequence `s` is kept
 /// iff `splitmix64(seed ^ s) % denom == 0`; `denom == 1` keeps everything.

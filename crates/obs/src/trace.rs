@@ -17,6 +17,7 @@
 use std::borrow::Cow;
 use std::str::FromStr;
 
+use crate::analyze::{CostVector, Measure};
 use crate::event::{Charge, Event, EventKind, PlannerChoice};
 
 /// Why a trace line failed to parse.
@@ -478,13 +479,18 @@ impl PlannerChoice {
             label,
             chosen,
             probe_cols,
-            invocation: f64::get(est, "invocation")?,
-            processing: f64::get(est, "processing")?,
-            transmission: f64::get(est, "transmission")?,
-            rtp: f64::get(est, "rtp")?,
-            searches: f64::get(est, "searches")?,
-            est_rows: f64::get(est, "rows")?,
-            est_postings: f64::get(est, "postings")?,
+            // Fields evaluate as written: of two damaged, the first on the wire.
+            est: Measure {
+                cost: CostVector {
+                    invocation: f64::get(est, "invocation")?,
+                    processing: f64::get(est, "processing")?,
+                    transmission: f64::get(est, "transmission")?,
+                    rtp: f64::get(est, "rtp")?,
+                    searches: f64::get(est, "searches")?,
+                },
+                rows: f64::get(est, "rows")?,
+                postings: f64::get(est, "postings")?,
+            },
             effective_c_i: f64::get(f, "effective_c_i")?,
         })
     }
@@ -811,13 +817,17 @@ mod tests {
                 label: "P+RTP{name}".into(),
                 chosen: true,
                 probe_cols: vec![0, 2],
-                invocation: 12.0,
-                processing: 0.5,
-                transmission: 3.25,
-                rtp: 0.001,
-                searches: 4.0,
-                est_rows: 6.5,
-                est_postings: 1200.0,
+                est: Measure {
+                    rows: 6.5,
+                    postings: 1200.0,
+                    cost: CostVector {
+                        invocation: 12.0,
+                        processing: 0.5,
+                        transmission: 3.25,
+                        rtp: 0.001,
+                        searches: 4.0,
+                    },
+                },
                 effective_c_i: 3.2,
             }),
             "{\"seq\":9,\"clock\":11.17,\"type\":\"planner\",\"label\":\"P+RTP{name}\",\"chosen\":true,\"probe_cols\":[0,2],\"est\":{\"invocation\":12,\"processing\":0.5,\"transmission\":3.25,\"rtp\":0.001,\"searches\":4,\"rows\":6.5,\"postings\":1200},\"effective_c_i\":3.2}",

@@ -14,7 +14,8 @@ use std::rc::Rc;
 use proptest::prelude::*;
 
 use textjoin_obs::{
-    parse_jsonl, render, Charge, Event, EventKind, JsonlSink, MetricsSnapshot, PlannerChoice, Sink,
+    parse_jsonl, render, Charge, CostVector, Event, EventKind, JsonlSink, Measure, MetricsSnapshot,
+    PlannerChoice, Sink,
 };
 
 /// The generator's entropy: a fixed list of drawn words, read in order
@@ -274,13 +275,18 @@ impl Draw<'_> {
                 label: self.text(),
                 chosen: self.flag(),
                 probe_cols: (0..self.below(4)).map(|_| self.usize()).collect(),
-                invocation: self.f64(),
-                processing: self.f64(),
-                transmission: self.f64(),
-                rtp: self.f64(),
-                searches: self.f64(),
-                est_rows: self.f64(),
-                est_postings: self.f64(),
+                // Fields evaluate as written: the draws keep wire order.
+                est: Measure {
+                    cost: CostVector {
+                        invocation: self.f64(),
+                        processing: self.f64(),
+                        transmission: self.f64(),
+                        rtp: self.f64(),
+                        searches: self.f64(),
+                    },
+                    rows: self.f64(),
+                    postings: self.f64(),
+                },
                 effective_c_i: self.f64(),
             }),
             27 => EventKind::EstimateSample {

@@ -18,6 +18,8 @@
 use std::cell::RefCell;
 use std::fmt;
 
+use textjoin_obs::splitmix64;
+
 /// One injected misbehavior.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
@@ -211,11 +213,9 @@ impl FaultPlan {
     }
 
     fn next_u64(state: &mut PlanState) -> u64 {
-        state.rng = state.rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        let z = splitmix64(state.rng);
+        state.rng = state.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z
     }
 
     fn unit_f64(state: &mut PlanState) -> f64 {

@@ -38,15 +38,9 @@
 //! [`Fault::Timeout`]: crate::faults::Fault::Timeout
 //! [`migrate_batch`]: crate::shard::ShardedTextServer::migrate_batch
 
-use crate::doc::DocId;
+use textjoin_obs::splitmix64;
 
-/// `splitmix64` — the same mixer the partition and fault plans use.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use crate::doc::DocId;
 
 /// One keyspace move: every document in `range` currently owned by shard
 /// `src` migrates to shard `dst`.

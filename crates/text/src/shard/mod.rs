@@ -36,7 +36,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
-use textjoin_obs::{Charge, EventKind, Recorder};
+use textjoin_obs::{splitmix64, Charge, EventKind, Recorder};
 
 use crate::batch::BatchResult;
 use crate::doc::{DocId, Document, ShortDoc, TextSchema};
@@ -57,15 +57,6 @@ struct ShardExport {
     parts: Vec<VocabularyStats>,
     /// The collection-wide export: the parts, merged.
     merged: VocabularyStats,
-}
-
-/// `splitmix64` — the same deterministic mixer the fault plans use, applied
-/// to docids so the partition is a seeded hash, not a modulo striping.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// A deterministic partition of one [`Collection`] across N metered

@@ -139,14 +139,14 @@ fn node_estimates_sum_to_the_planned_cost() {
             ] {
                 let planned = plan_query(&input, space).expect("plans");
                 let nodes = estimate_nodes(&input, &planned.plan);
-                let sum: f64 = nodes.iter().map(|n| n.cost.total()).sum();
+                let sum: f64 = nodes.iter().map(|n| n.est.cost.total()).sum();
                 let case = format!("{label} seed {} {space:?}", w.spec.seed);
                 assert!(
                     (sum - planned.est_cost).abs() <= 1e-9 * planned.est_cost.abs(),
                     "{case}: nodes sum to {sum}, the plan costs {}",
                     planned.est_cost
                 );
-                assert_eq!(nodes[0].rows, planned.est_rows, "{case}");
+                assert_eq!(nodes[0].est.rows, planned.est_rows, "{case}");
             }
         }
     }
