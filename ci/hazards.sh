@@ -9,7 +9,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CEILING=71
+CEILING=69
 
 list=0
 case "${1:-}" in

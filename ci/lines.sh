@@ -11,7 +11,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OBS_CEILING=4006
-LIBRARY_CEILING=18347
+LIBRARY_CEILING=18430
 
 count() {
   find "crates/$1/src" -name '*.rs' | sort | while read -r f; do

@@ -10,9 +10,9 @@ use textjoin_text::server::TextServer;
 use textjoin_workload::world::World;
 
 use super::scenario::{
-    begin_drain, cell_seed, cluster, drain, drain_plan, paper_queries, recorded, run_budgeted,
-    run_method_on, shake, world_params, RunMeasure, BATCH_DOCS, DEAD_SHARD, METHODS, N_REPLICAS,
-    SRC_SHARD,
+    begin_drain, cell_seed, cluster, drain, drain_plan, paper_queries, partition, recorded,
+    run_budgeted, run_method_on, shake, world_params, RunMeasure, BATCH_DOCS, DEAD_SHARD, METHODS,
+    N_REPLICAS, SRC_SHARD,
 };
 
 /// Chaos experiment result: per method × fault rate, the total simulated
@@ -118,8 +118,9 @@ pub fn chaos_table(w: &World) -> ChaosTable {
 /// server whose shards fault independently, with the adaptive
 /// `RetryBudget` steering per-shard attempts.
 pub fn sharded_chaos_table(w: &World) -> ChaosTable {
+    let partition = partition(w);
     chaos_grid(w, "sharded fault injection", 0x5EED, |c| {
-        let mut sharded = cluster(w, 1);
+        let mut sharded = cluster(&partition, 1);
         shake(&mut sharded, c.seed, c.rate, None);
         run_budgeted(&sharded, None, c.prepared, c.kind, c.cols).ok()
     })
@@ -131,8 +132,9 @@ pub fn sharded_chaos_table(w: &World) -> ChaosTable {
 /// path (primary exhaustion → circuit breaker → secondary leg) preserves
 /// the result multiset under persistent single-replica death.
 pub fn replicated_chaos_table(w: &World) -> ChaosTable {
+    let partition = partition(w);
     chaos_grid(w, "replicated fault injection", 0xD0A, |c| {
-        let mut sharded = cluster(w, N_REPLICAS);
+        let mut sharded = cluster(&partition, N_REPLICAS);
         shake(&mut sharded, c.seed, c.rate, Some(DEAD_SHARD));
         run_budgeted(&sharded, None, c.prepared, c.kind, c.cols).ok()
     })
@@ -150,8 +152,9 @@ pub fn replicated_chaos_table(w: &World) -> ChaosTable {
 /// (identical across cells — same collection, same partition seed).
 pub fn rebalance_chaos_table(w: &World) -> (ChaosTable, u64) {
     let mut migrated = 0u64;
+    let partition = partition(w);
     let table = chaos_grid(w, "rebalance fault injection", 0x4EB, |c| {
-        let mut sharded = cluster(w, N_REPLICAS);
+        let mut sharded = cluster(&partition, N_REPLICAS);
         migrated = begin_drain(&mut sharded, drain_plan(w, BATCH_DOCS));
         sharded.migrate_batch().expect("fault-free first batch");
         shake(&mut sharded, c.seed, c.rate, Some(SRC_SHARD));

@@ -10,12 +10,12 @@ use textjoin_obs::{
 };
 use textjoin_text::faults::FaultPlan;
 use textjoin_text::rebalance::MigrationPlan;
-use textjoin_text::shard::ShardedTextServer;
+use textjoin_text::shard::{Partition, ShardedTextServer};
 use textjoin_workload::world::World;
 
 use super::chaos::table2_trace;
 use super::scenario::{
-    begin_drain, cell_seed, cluster, drain, paper_queries, run_budgeted, run_method_ctx,
+    begin_drain, cell_seed, cluster, drain, paper_queries, partition, run_budgeted, run_method_ctx,
     scheduler, slow_primaries, world_params, BATCH_DOCS, DEADLINE, N_REPLICAS, N_SHARDS,
 };
 
@@ -91,8 +91,8 @@ pub struct MonitorDriftReport {
 /// `hot_shard` replicas carry independent bounded transient fault plans —
 /// retries and backoff inflate that shard's invoice share well above its
 /// even split, which is exactly the signal the skew detector watches.
-fn skew_scenario_server(w: &World, hot_shard: usize, rate: f64) -> ShardedTextServer {
-    let mut sharded = cluster(w, N_REPLICAS);
+fn skew_scenario_server(partition: &Partition, hot_shard: usize, rate: f64) -> ShardedTextServer {
+    let mut sharded = cluster(partition, N_REPLICAS);
     for r in 0..N_REPLICAS {
         sharded.replica_mut(hot_shard, r).set_fault_plan(FaultPlan::transient(
             0x5EA7 ^ ((r as u64) << 32),
@@ -167,7 +167,8 @@ pub fn monitor_skew_report(w: &World) -> MonitorSkewReport {
 
     let cfg = MonitorConfig::new(WINDOW_SECS).with_skew(400_000, 320_000);
 
-    let before_server = skew_scenario_server(w, HOT_SHARD, FAULT_RATE);
+    let partition = partition(w);
+    let before_server = skew_scenario_server(&partition, HOT_SHARD, FAULT_RATE);
     let before = run_monitored_phase(w, &before_server, &cfg);
     let advice = before
         .advice
@@ -177,7 +178,7 @@ pub fn monitor_skew_report(w: &World) -> MonitorSkewReport {
     assert_eq!(advice.src, HOT_SHARD, "advice must target the degraded shard");
 
     // The hot shard's replicas keep faulting transiently while it drains.
-    let mut after_server = skew_scenario_server(w, HOT_SHARD, FAULT_RATE);
+    let mut after_server = skew_scenario_server(&partition, HOT_SHARD, FAULT_RATE);
     let migrated_docs =
         begin_drain(&mut after_server, MigrationPlan::from_advice(&advice, BATCH_DOCS));
     drain(&after_server);
@@ -204,6 +205,7 @@ pub fn monitor_slo_report(w: &World) -> MonitorSloReport {
     const WINDOW_SECS: f64 = 600.0;
 
     let queries = paper_queries(w);
+    let partition = partition(w);
     let cfg = MonitorConfig::new(WINDOW_SECS).with_slo(2, 6, 2.0);
     let mon = Rc::new(Monitor::new(cfg));
     let rec = Recorder::new(mon.clone() as Rc<dyn Sink>);
@@ -212,7 +214,7 @@ pub fn monitor_slo_report(w: &World) -> MonitorSloReport {
         let degraded = episode == 1;
         for (qi, pq) in queries.iter().enumerate() {
             for (mi, kind, cols) in pq.methods() {
-                let mut sharded = cluster(w, N_REPLICAS);
+                let mut sharded = cluster(&partition, N_REPLICAS);
                 if degraded {
                     slow_primaries(&mut sharded, cell_seed(0x510, qi, mi, 0));
                 }

@@ -6,7 +6,7 @@ use textjoin_text::service::TextService;
 use textjoin_workload::world::World;
 
 use super::scenario::{
-    begin_drain, cluster, drain_plan, paper_queries, run_method_on, N_SHARDS,
+    begin_drain, cluster, drain_plan, paper_queries, partition, run_method_on, N_SHARDS,
 };
 
 /// One fan-out row: TS over a sharded server with stats-aware routing off
@@ -68,11 +68,12 @@ pub struct RebalanceTable {
 /// on a full fault-free drain of one shard. Fully seeded; byte-identical
 /// across runs.
 pub fn rebalance_table(w: &World) -> RebalanceTable {
+    let partition = partition(w);
     let mut fanout = Vec::new();
     for pq in &paper_queries(w) {
         let label = pq.label;
         let routed = |routing: bool| {
-            let sharded = cluster(w, 1);
+            let sharded = cluster(&partition, 1);
             sharded.set_stats_routing(routing);
             sharded
         };
@@ -115,7 +116,7 @@ pub fn rebalance_table(w: &World) -> RebalanceTable {
 
     let mut amortization = Vec::new();
     for &batch in &[4usize, 16, 64] {
-        let mut sharded = cluster(w, 1);
+        let mut sharded = cluster(&partition, 1);
         let docs = begin_drain(&mut sharded, drain_plan(w, batch));
         sharded.run_migration().expect("fault-free migration completes");
         let u = sharded.migration_usage();

@@ -18,9 +18,9 @@ use textjoin_obs::{CostVector, Event, Recorder, RingSink};
 use textjoin_text::doc::DocId;
 use textjoin_text::faults::FaultPlan;
 use textjoin_text::rebalance::{MigrationPlan, Move};
-use textjoin_text::server::{TextServer, Usage};
+use textjoin_text::server::{CostConstants, TextServer, Usage};
 use textjoin_text::service::TextService;
-use textjoin_text::shard::ShardedTextServer;
+use textjoin_text::shard::{Partition, ShardedTextServer};
 use textjoin_workload::paper;
 use textjoin_workload::world::{World, WorldSpec};
 
@@ -123,10 +123,17 @@ pub(super) fn paper_queries(w: &World) -> Vec<PaperQuery> {
         .collect()
 }
 
-/// The one sharded topology: [`N_SHARDS`] logical shards of `replicas`
-/// servers each over the world's collection, one partition seed.
-pub(super) fn cluster(w: &World, replicas: usize) -> ShardedTextServer {
-    ShardedTextServer::replicated(w.server.collection(), N_SHARDS, replicas, 0x5AD)
+/// The one sharded topology: the world's collection cut into [`N_SHARDS`]
+/// shards with one partition seed. An experiment cuts it once and builds
+/// every [`cluster`] over it.
+pub(super) fn partition(w: &World) -> Partition {
+    Partition::new(w.server.collection(), N_SHARDS, 0x5AD)
+}
+
+/// A fresh cluster of `replicas` servers per shard of `partition`, with
+/// its own ledgers and fault plans over the shared shard collections.
+pub(super) fn cluster(partition: &Partition, replicas: usize) -> ShardedTextServer {
+    ShardedTextServer::over(partition, replicas, CostConstants::default())
 }
 
 /// The seed of one grid cell: query, method row and rate column folded

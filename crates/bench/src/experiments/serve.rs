@@ -9,7 +9,7 @@ use textjoin_text::server::TextServer;
 use textjoin_workload::paper;
 use textjoin_workload::world::{World, WorldSpec};
 
-use super::scenario::{cluster, world_params, DEAD_SHARD, N_REPLICAS};
+use super::scenario::{cluster, partition, world_params, DEAD_SHARD, N_REPLICAS};
 
 /// Per-tenant measurements from the mixed-stream serve session.
 #[derive(Debug, Clone)]
@@ -64,7 +64,7 @@ pub struct ServeBenchReport {
 /// partitioning, seeded fault plan, simulated clocks.
 pub fn serve_bench_report(w: &World) -> ServeBenchReport {
     let params = world_params(w);
-    let mut server = cluster(w, N_REPLICAS);
+    let mut server = cluster(&partition(w), N_REPLICAS);
     let dead = server.primary_of(DEAD_SHARD);
     server.replica_mut(DEAD_SHARD, dead).set_fault_plan(FaultPlan::dead(77));
 

@@ -10,8 +10,8 @@ use textjoin_workload::paper;
 use textjoin_workload::world::World;
 
 use super::scenario::{
-    cell_seed, cluster, paper_queries, run_budgeted, run_method_on, scheduler, slow_primaries,
-    world_params, DEADLINE, METHODS, N_REPLICAS,
+    cell_seed, cluster, paper_queries, partition, run_budgeted, run_method_on, scheduler,
+    slow_primaries, world_params, DEADLINE, METHODS, N_REPLICAS,
 };
 
 /// One method's aggregate over Q1–Q4 in the makespan grid.
@@ -45,11 +45,12 @@ pub struct MakespanCell {
 /// order, `None` when the method applies to no query.
 pub fn makespan_table(w: &World) -> Vec<Option<MakespanCell>> {
     let mut cells: Vec<Option<MakespanCell>> = vec![None; METHODS.len()];
+    let partition = partition(w);
     for (qi, pq) in paper_queries(w).iter().enumerate() {
         for (mi, kind, cols) in pq.methods() {
             // The fault-free row count is the oracle the cell must match.
             let Ok(base) = run_method_on(&w.server, &pq.prepared, kind, cols) else { continue };
-            let mut sharded = cluster(w, N_REPLICAS);
+            let mut sharded = cluster(&partition, N_REPLICAS);
             slow_primaries(&mut sharded, cell_seed(0x510, qi, mi, 0));
             let sched = scheduler(Some(DEADLINE));
             let m = run_budgeted(&sharded, Some(&sched), &pq.prepared, kind, cols)
@@ -129,8 +130,9 @@ pub fn deadline_demo(w: &World) -> Vec<DeadlineRun> {
         method: MethodKind::PTs,
         probe_cols: vec![0],
     };
+    let partition = partition(w);
     let run = |label: String, deadline: Option<f64>| -> DeadlineRun {
-        let sharded = cluster(w, N_REPLICAS);
+        let sharded = cluster(&partition, N_REPLICAS);
         let export = sharded.export_stats();
         let input = PlannerInput::gather(
             &q,

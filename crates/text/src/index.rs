@@ -89,6 +89,31 @@ impl Collection {
         id
     }
 
+    /// Deals this collection out into `n` parts without reading a document
+    /// again. `route` gives each docid here its `(part, docid there)`, the
+    /// part's next dense one, and every `(word, field)` list is cut by it:
+    /// each part equals its documents added in docid order.
+    pub(crate) fn split(&self, route: &[(usize, DocId)], n: usize) -> Vec<Collection> {
+        let mut parts: Vec<Collection> =
+            (0..n).map(|_| Collection::new(self.schema.clone())).collect();
+        for (doc, &(at, _)) in (0..).map_while(|g| self.docs.get(g)).zip(route) {
+            parts[at].docs.push(doc.clone());
+        }
+        let mut dirs = vec![Vec::new(); n];
+        for (word, list) in &self.directory {
+            for (dir, dealt) in dirs.iter_mut().zip(list.deal(route, n)) {
+                if !dealt.is_empty() {
+                    dir.push((word.clone(), dealt));
+                }
+            }
+        }
+        for (part, dir) in parts.iter_mut().zip(dirs) {
+            // Already in word order: the map is built without a search.
+            part.directory = dir.into_iter().collect();
+        }
+        parts
+    }
+
     /// Long-form retrieval: the full document for `id`, or `None` if the
     /// docid is unknown. Cloning it shares the stored values.
     pub fn document(&self, id: DocId) -> Option<&Document> {
@@ -158,6 +183,8 @@ impl Collection {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn sample() -> (Collection, FieldId, FieldId) {
@@ -237,5 +264,59 @@ mod tests {
             c.total_postings(),
             c.iter_terms().map(|(_, l)| l.len()).sum::<usize>()
         );
+    }
+
+    /// Words that land in several fields, one of them lower-cased into two
+    /// characters (`İ` → `i` + U+0307).
+    const WORDS: &[&str] = &["belief", "update", "filter", "Straße", "İzmir", "ai"];
+
+    /// A document: values pushed to title, author or abstract, so a field
+    /// often holds several.
+    fn document() -> impl Strategy<Value = Document> {
+        let value = (0u16..3, prop::collection::vec(prop::sample::select(WORDS), 0..4));
+        prop::collection::vec(value, 0..5).prop_map(|values| {
+            let mut doc = Document::new();
+            for (field, words) in values {
+                doc.push(FieldId(field), words.join(" "));
+            }
+            doc
+        })
+    }
+
+    fn terms(c: &Collection) -> Vec<(String, PostingList)> {
+        c.iter_terms().map(|(w, l)| (w.to_owned(), l.clone())).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Cutting the built index equals indexing each part's documents
+        /// afresh in docid order, for any deal into 1 to 7 parts, empty
+        /// parts included: every list and every document.
+        #[test]
+        fn split_equals_reindexing_each_part(
+            docs in prop::collection::vec(document(), 0..24),
+            n in 1usize..8,
+            deal in prop::collection::vec(0usize..7, 24),
+        ) {
+            let mut coll = Collection::new(TextSchema::bibliographic());
+            let mut want: Vec<Collection> =
+                (0..n).map(|_| Collection::new(coll.schema().clone())).collect();
+            let mut route = Vec::new();
+            for (d, &at) in docs.iter().zip(&deal) {
+                coll.add_document(d.clone());
+                route.push((at % n, want[at % n].add_document(d.clone())));
+            }
+            let parts = coll.split(&route, n);
+            prop_assert_eq!(parts.len(), n);
+            for (got, want) in parts.iter().zip(&want) {
+                prop_assert_eq!(terms(got), terms(want));
+                prop_assert_eq!(got.total_postings(), want.total_postings());
+                prop_assert_eq!(got.doc_count(), want.doc_count());
+                for i in 0..want.doc_count() as u32 {
+                    prop_assert_eq!(got.document(DocId(i)), want.document(DocId(i)));
+                }
+            }
+        }
     }
 }

@@ -69,4 +69,4 @@ pub use server::{
     CostConstants, PartialRetrieveError, SearchResult, TextError, TextServer, Usage,
 };
 pub use service::TextService;
-pub use shard::{PartialShardError, ShardedTextServer};
+pub use shard::{PartialShardError, Partition, ShardedTextServer};

@@ -39,13 +39,14 @@ pub struct FieldList {
 }
 
 impl FieldList {
-    /// An empty list for `field`.
-    pub(crate) fn new(field: FieldId) -> Self {
+    /// An empty list for `field`, with room for `docs` documents and `occs`
+    /// occurrences.
+    pub(crate) fn with_capacity(field: FieldId, docs: usize, occs: usize) -> Self {
         Self {
             field,
-            docs: Vec::new(),
-            starts: Vec::new(),
-            occs: Vec::new(),
+            docs: Vec::with_capacity(docs),
+            starts: Vec::with_capacity(docs),
+            occs: Vec::with_capacity(occs),
         }
     }
 
@@ -114,11 +115,43 @@ impl PostingList {
                 let at = at.unwrap_or(self.fields.len());
                 // A word has a field or two: no room for four up front.
                 self.fields.reserve_exact(1);
-                self.fields.insert(at, FieldList::new(field));
+                self.fields.insert(at, FieldList::with_capacity(field, 0, 0));
                 at
             }
         };
         self.fields[at].push(doc, occ);
+    }
+
+    /// This list dealt out by `route` (docid → `(part, docid there)`) into
+    /// `n` parts, as [`Collection::split`](crate::index::Collection::split)
+    /// deals it: each part's lists allocated at their length, and each
+    /// document's occurrences copied whole.
+    pub(crate) fn deal(&self, route: &[(usize, DocId)], n: usize) -> Vec<PostingList> {
+        let mut parts = vec![PostingList::default(); n];
+        for list in &self.fields {
+            let mut sizes = vec![(0, 0); n];
+            for (i, d) in list.docs.iter().enumerate() {
+                let size = &mut sizes[route[d.0 as usize].0];
+                *size = (size.0 + 1, size.1 + list.occurrences(i).len());
+            }
+            let mut dealt: Vec<FieldList> = sizes
+                .iter()
+                .map(|&(docs, occs)| FieldList::with_capacity(list.field, docs, occs))
+                .collect();
+            for (i, d) in list.docs.iter().enumerate() {
+                let (at, local) = route[d.0 as usize];
+                let part = &mut dealt[at];
+                // No longer than `list`, whose starts are `u32`.
+                part.starts.push(part.occs.len() as u32);
+                part.docs.push(local);
+                part.occs.extend_from_slice(list.occurrences(i));
+            }
+            for (part, l) in parts.iter_mut().zip(dealt).filter(|(_, l)| !l.is_empty()) {
+                part.fields.reserve_exact(1);
+                part.fields.push(l);
+            }
+        }
+        parts
     }
 
     /// Number of postings across all fields: the list *length* the cost
@@ -305,7 +338,7 @@ pub(crate) fn positional_step(
     next: &FieldList,
     (min_gap, max_gap): (i64, i64),
 ) -> FieldList {
-    let mut out = FieldList::new(next.field);
+    let mut out = FieldList::with_capacity(next.field, 0, 0);
     debug_assert!(min_gap <= max_gap);
     let width = (max_gap - min_gap).cast_unsigned();
     for_each_shared(&carrier.docs, &next.docs, |i, j| {

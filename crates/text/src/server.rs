@@ -364,7 +364,8 @@ pub const DEFAULT_MAX_TERMS: usize = 70;
 /// executor, and a statistics sampler can share one server within a query.
 #[derive(Debug)]
 pub struct TextServer {
-    coll: Collection,
+    /// Shared by a shard's replicas and its partition; copied on write.
+    coll: Rc<Collection>,
     constants: CostConstants,
     /// `Cell` because an injected [`Fault::CapReduced`] renegotiates the cap
     /// through the shared `&self` API.
@@ -388,10 +389,11 @@ impl TextServer {
         Self::with_constants(coll, CostConstants::default())
     }
 
-    /// Wraps `coll` with explicit cost constants.
-    pub fn with_constants(coll: Collection, constants: CostConstants) -> Self {
+    /// Wraps `coll`, or a handle other servers share, with explicit cost
+    /// constants.
+    pub fn with_constants(coll: impl Into<Rc<Collection>>, constants: CostConstants) -> Self {
         Self {
-            coll,
+            coll: coll.into(),
             constants,
             max_terms: Cell::new(DEFAULT_MAX_TERMS),
             usage: RefCell::new(Usage::default()),
@@ -437,12 +439,18 @@ impl TextServer {
         &self.coll
     }
 
-    /// Mutable access to the wrapped collection, for the sharded server's
-    /// migration staging only: rebalancing appends copies of in-flight
-    /// documents to the destination replicas before re-routing. Queries
-    /// never mutate the collection.
+    /// Mutable access to the wrapped collection through a copy-on-write: it
+    /// is copied first if another server still holds it. For the sharded
+    /// server's migration staging only, which appends copies of in-flight
+    /// documents to a destination shard before re-routing. Queries never
+    /// mutate the collection.
     pub(crate) fn collection_mut(&mut self) -> &mut Collection {
-        &mut self.coll
+        Rc::make_mut(&mut self.coll)
+    }
+
+    /// Points this server at `coll`, returning the handle it held.
+    pub(crate) fn share(&mut self, coll: Rc<Collection>) -> Rc<Collection> {
+        std::mem::replace(&mut self.coll, coll)
     }
 
     /// Total number of documents `D`. Boolean text services advertise their

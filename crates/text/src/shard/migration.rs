@@ -2,18 +2,36 @@
 //! abort, and the pacing tick that runs batches *under* live queries. Plans
 //! and the journal types live in [`crate::rebalance`].
 
+use std::collections::BTreeSet;
+use std::rc::Rc;
 
 use textjoin_obs::{Charge, EventKind};
 
 use super::ShardedTextServer;
-use crate::doc::DocId;
+use crate::doc::{DocId, TextSchema};
+use crate::index::Collection;
 use crate::faults::Fault;
 use crate::rebalance::{
     MigrationJournal, MigrationPlan, MigrationProgress, MigrationState, MoveJournal, MoveStatus,
     StagedDoc,
 };
-use crate::server::{TextError, Usage};
+use crate::server::{TextError, TextServer, Usage};
 use crate::service::TextService;
+
+/// One write to a shard's collection for all its replicas: the others let go
+/// of their handle, so the first's copy-on-write copies only what a sibling
+/// cluster or the partition still holds, and then all hold the result.
+fn write_shard(copies: &mut [TextServer], write: impl FnOnce(&mut Collection)) {
+    let parked = Rc::new(Collection::new(TextSchema::new()));
+    for s in &mut copies[1..] {
+        s.share(Rc::clone(&parked));
+    }
+    write(copies[0].collection_mut());
+    let coll = copies[0].share(parked);
+    for s in copies.iter_mut() {
+        s.share(Rc::clone(&coll));
+    }
+}
 
 /// The migration's next live move, if it has one: steps past the moves
 /// already `Done` or `Aborted` (a terminal move holds no cursor, so nothing
@@ -70,66 +88,64 @@ impl ShardedTextServer {
 
     /// Stages `plan` for online execution and returns the initial journal.
     ///
-    /// Staging gives every destination replica an invisible physical copy
-    /// of each in-flight document (so any replica can serve it the moment
-    /// its batch commits) and extends the local→global tables. Staging is
-    /// free: the *chargeable* transfer is simulated by the `xfer.out` /
-    /// `xfer.in` legs of [`migrate_batch`](Self::migrate_batch), which
-    /// book into the dedicated [migration bucket](Self::migration_usage).
-    /// Routing is untouched until a batch commits, so queries keep seeing
-    /// exactly the pre-migration topology. Panics on a malformed plan or
-    /// when a migration is already in flight (misuse, same contract as the
-    /// constructor asserts).
+    /// Staging appends an invisible copy of each in-flight document to its
+    /// destination shard, one write that all the shard's replicas share (so
+    /// any can serve it once its batch commits), and extends the
+    /// local→global tables. Staging is free: the *chargeable* transfer is
+    /// simulated by the `xfer.out` / `xfer.in` legs of
+    /// [`migrate_batch`](Self::migrate_batch), which book into the dedicated
+    /// [migration bucket](Self::migration_usage). Routing is untouched until
+    /// a batch commits, so queries keep seeing exactly the pre-migration
+    /// topology. Panics on a malformed plan or when a migration is already
+    /// in flight (misuse, same contract as the constructor asserts).
     pub fn begin_migration(&mut self, plan: MigrationPlan) -> MigrationJournal {
         assert!(!self.migration_active(), "a migration is already in flight");
         let n_shards = self.replicas.len();
-        let mut staged_all = Vec::with_capacity(plan.moves.len());
-        let mut entries = Vec::with_capacity(plan.moves.len());
-        let mut total_docs = 0u64;
+        // Every move's in-flight documents, read before any shard is written.
+        let mut moving = Vec::with_capacity(plan.moves.len());
         for m in &plan.moves {
             assert!(
                 m.src < n_shards && m.dst < n_shards,
                 "move names an unknown shard"
             );
             assert_ne!(m.src, m.dst, "a move never targets its own source");
-            let mut staged = Vec::new();
-            for g in m.range.0 .0..m.range.1 .0 {
-                let global = DocId(g);
-                let (owner, src_local) = self.route.borrow()[g as usize];
-                if owner != m.src {
-                    continue;
-                }
-                let doc = self.replicas[m.src][0]
-                    .collection()
-                    .document(src_local)
-                    .expect("routed docids are dense")
-                    .clone();
-                let before = self.replicas[m.dst][0].collection().total_postings();
-                let mut dst_local = None;
-                for r in 0..self.replicas[m.dst].len() {
-                    let local = self.replicas[m.dst][r]
-                        .collection_mut()
-                        .add_document(doc.clone());
-                    match dst_local {
-                        None => dst_local = Some(local),
-                        Some(prev) => {
-                            assert_eq!(prev, local, "replica collections stay identical")
-                        }
+            let route = self.route.borrow();
+            let src = self.replicas[m.src][0].collection();
+            let docs: Vec<_> = (m.range.0 .0..m.range.1 .0)
+                .filter(|&g| route[g as usize].0 == m.src)
+                .map(|g| {
+                    let src_local = route[g as usize].1;
+                    let doc = src.document(src_local).expect("routed docids are dense");
+                    (DocId(g), src_local, doc.clone())
+                })
+                .collect();
+            moving.push(docs);
+        }
+        let mut staged_all: Vec<Vec<StagedDoc>> = vec![Vec::new(); plan.moves.len()];
+        for d in plan.moves.iter().map(|m| m.dst).collect::<BTreeSet<_>>() {
+            let (hidden, to_global) = (&self.hidden, &mut self.to_global[d]);
+            write_shard(&mut self.replicas[d], |coll| {
+                for (mv, _) in plan.moves.iter().enumerate().filter(|(_, m)| m.dst == d) {
+                    for (global, src_local, doc) in std::mem::take(&mut moving[mv]) {
+                        let before = coll.total_postings();
+                        let dst_local = coll.add_document(doc);
+                        hidden.borrow_mut()[d].insert(dst_local);
+                        to_global.push(global);
+                        staged_all[mv].push(StagedDoc {
+                            global,
+                            src_local,
+                            dst_local,
+                            postings: (coll.total_postings() - before) as u64,
+                        });
                     }
                 }
-                let dst_local = dst_local.expect("at least one replica");
-                let postings =
-                    (self.replicas[m.dst][0].collection().total_postings() - before) as u64;
-                self.hidden.borrow_mut()[m.dst].insert(dst_local);
-                self.to_global[m.dst].push(global);
-                staged.push(StagedDoc {
-                    global,
-                    src_local,
-                    dst_local,
-                    postings,
-                });
-            }
-            entries.push(MoveJournal {
+            });
+        }
+        let entries: Vec<MoveJournal> = plan
+            .moves
+            .iter()
+            .zip(&staged_all)
+            .map(|(m, staged)| MoveJournal {
                 src: m.src,
                 dst: m.dst,
                 docs: staged.len() as u64,
@@ -139,10 +155,9 @@ impl ShardedTextServer {
                 } else {
                     MoveStatus::Pending
                 },
-            });
-            total_docs += staged.len() as u64;
-            staged_all.push(staged);
-        }
+            })
+            .collect();
+        let total_docs = entries.iter().map(|e| e.docs).sum();
         let journal = MigrationJournal {
             begun_at_epoch: self.epoch.get(),
             entries,
@@ -471,10 +486,11 @@ impl ShardedTextServer {
 #[cfg(test)]
 mod tests {
     use super::super::tests::corpus;
+    use super::super::Partition;
     use super::*;
     use crate::faults::{Fault, FaultPlan};
     use crate::rebalance::Move;
-    use crate::server::TextServer;
+    use crate::server::{CostConstants, TextServer};
 
     #[test]
     fn migration_preserves_results_and_reroutes_ownership() {
@@ -699,6 +715,67 @@ mod tests {
                 let got = TextService::search_str(&sharded, probe).unwrap();
                 let want = single.search_str(probe).unwrap();
                 assert_eq!(got.docs, want.docs, "{probe} exact mid-migration");
+            }
+        }
+    }
+
+    /// Two clusters cut from one partition share its shard collections. A
+    /// migration on one writes the destination shard once, into a copy all
+    /// its replicas then share; the sibling keeps the partition's, and its
+    /// answers, ledgers and statistics handle do not move.
+    #[test]
+    fn a_migration_writes_its_own_copy_and_spares_the_sibling() {
+        let coll = corpus(40);
+        let single = TextServer::new(coll.clone());
+        let partition = Partition::new(&coll, 4, 7);
+        let mut moved = ShardedTextServer::over(&partition, 3, CostConstants::default());
+        let sibling = ShardedTextServer::over(&partition, 3, CostConstants::default());
+        let same = |a: &TextServer, b: &TextServer| std::ptr::eq(a.collection(), b.collection());
+        for i in 0..4 {
+            for r in 0..3 {
+                assert!(same(moved.replica(i, r), sibling.replica(i, 0)), "shard {i} replica {r}");
+            }
+        }
+        let probes = ["TI='shared'", "AU='author0'", "TI='subject' and AU='author17'"];
+        let answers = |s: &ShardedTextServer| {
+            probes.map(|q| TextService::search_str(s, q).unwrap().docs)
+        };
+        let before = answers(&sibling);
+        let ledgers = |s: &ShardedTextServer| {
+            (TextService::usage(s), (0..4).map(|i| s.shard_usage(i)).collect::<Vec<_>>())
+        };
+        let sibling_ledgers = ledgers(&sibling);
+        let sibling_stats = TextService::export_stats(&sibling);
+        let moved_stats = TextService::export_stats(&moved);
+
+        let src = moved.owner_of(DocId(0)).unwrap();
+        let dst = (src + 1) % 4;
+        let mv = Move { range: (DocId(0), DocId(40)), src, dst };
+        moved.begin_migration(MigrationPlan::new(vec![mv], 40));
+        moved.run_migration().unwrap();
+
+        assert_eq!(ledgers(&sibling), sibling_ledgers);
+        assert!(TextService::export_stats(&sibling).ptr_eq(&sibling_stats));
+        assert_eq!(answers(&sibling), before);
+        assert!(!TextService::export_stats(&moved).ptr_eq(&moved_stats));
+        for i in 0..4 {
+            assert_eq!(same(moved.replica(i, 0), sibling.replica(i, 0)), i != dst, "shard {i}");
+        }
+        // A cluster cut later still gets the partition as it was.
+        let late = ShardedTextServer::over(&partition, 1, CostConstants::default());
+        assert!(same(late.replica(dst, 0), sibling.replica(dst, 0)));
+        // Every replica of the destination holds the written copy, and each
+        // alone answers what the single server does.
+        let want = single.search_str("TI='shared'").unwrap();
+        for r in 0..3 {
+            assert!(same(moved.replica(dst, r), moved.replica(dst, 0)), "replica {r}");
+            for k in (0..3).filter(|&k| k != r) {
+                moved.replica_mut(dst, k).set_fault_plan(FaultPlan::dead(r as u64));
+            }
+            let got = TextService::search_str(&moved, "TI='shared'").unwrap();
+            assert_eq!(got.docs, want.docs, "served by replica {r}");
+            for k in 0..3 {
+                moved.replica_mut(dst, k).set_fault_plan(FaultPlan::none());
             }
         }
     }

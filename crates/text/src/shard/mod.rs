@@ -2,9 +2,10 @@
 //!
 //! A production-scale Mercury-style deployment spreads its collection across
 //! many search endpoints. [`ShardedTextServer`] models that: a [`Collection`]
-//! is partitioned deterministically (seeded hash of the docid) across N
-//! inner [`TextServer`]s, each with its own fault plan, term cap, and
-//! [`Usage`] ledger. Every service operation is a scatter/gather:
+//! is cut once into a [`Partition`] (seeded hash of the docid), and each
+//! cluster over it serves the N shards through inner [`TextServer`]s, each
+//! with its own fault plan, term cap, and [`Usage`] ledger. Every service
+//! operation is a scatter/gather:
 //!
 //! * `search`/`probe` scatter the expression to **all** shards (each shard
 //!   charges its own `c_i` — the per-shard invocation charge) and
@@ -62,14 +63,14 @@ struct ShardExport {
 /// A deterministic partition of one [`Collection`] across N metered
 /// [`TextServer`] shards, presenting the same [`TextService`] surface.
 ///
-/// Each logical shard owns R replica servers holding identical copies of
-/// the shard's slice, each with its own fault plan, term cap, and ledger.
+/// Each logical shard owns R replica servers sharing one collection, the
+/// shard's slice, each with its own fault plan, term cap, and ledger.
 /// One replica is the seeded-deterministic **primary**; the others form a
 /// failover rotation (`routing_order`). R defaults to 1, in which case
 /// every path below degenerates to the unreplicated behavior exactly.
 #[derive(Debug)]
 pub struct ShardedTextServer {
-    /// `replicas[i]` = the copies of shard `i`'s slice;
+    /// `replicas[i]` = the servers of shard `i`'s slice, one collection;
     /// `replicas[i][primary[i]]` is the preferred one.
     replicas: Vec<Vec<TextServer>>,
     /// Per shard: index of the primary replica.
@@ -121,75 +122,75 @@ pub struct ShardedTextServer {
     ops_since_step: Cell<u64>,
 }
 
-impl ShardedTextServer {
-    /// Partitions `coll` across `n_shards` servers with the default
-    /// (Mercury-calibrated) constants. The partition is the seeded hash
-    /// `splitmix64(seed ⊕ docid) mod n_shards`, so the same `(collection,
-    /// seed, n_shards)` always yields the same placement.
-    pub fn new(coll: &Collection, n_shards: usize, seed: u64) -> Self {
-        Self::with_constants(coll, n_shards, seed, CostConstants::default())
-    }
+/// One collection dealt out across shards, cut once: every cluster built
+/// [`over`](ShardedTextServer::over) it shares its shard collections. The
+/// deal is the seeded hash `splitmix64(seed ⊕ docid) mod n_shards`, so the
+/// same `(collection, seed, n_shards)` always yields the same placement.
+#[derive(Debug)]
+pub struct Partition {
+    shards: Vec<Rc<Collection>>,
+    route: Vec<(usize, DocId)>,
+    to_global: Vec<Vec<DocId>>,
+    seed: u64,
+}
 
-    /// Same, with explicit cost constants (shared by every shard so the
-    /// aggregate decomposition uses a single constant set).
-    pub fn with_constants(
-        coll: &Collection,
-        n_shards: usize,
-        seed: u64,
-        constants: CostConstants,
-    ) -> Self {
-        Self::replicated_with_constants(coll, n_shards, 1, seed, constants)
+impl Partition {
+    /// Cuts `coll` into `n_shards` shards out of its built index.
+    pub fn new(coll: &Collection, n_shards: usize, seed: u64) -> Self {
+        assert!(n_shards > 0, "a sharded server needs at least one shard");
+        let mut to_global: Vec<Vec<DocId>> = vec![Vec::new(); n_shards];
+        let route: Vec<(usize, DocId)> = (0..coll.doc_count() as u32)
+            .map(|g| {
+                let shard = (splitmix64(seed ^ u64::from(g)) % n_shards as u64) as usize;
+                to_global[shard].push(DocId(g));
+                (shard, DocId(to_global[shard].len() as u32 - 1))
+            })
+            .collect();
+        let shards = coll.split(&route, n_shards).into_iter().map(Rc::new).collect();
+        Self { shards, route, to_global, seed }
+    }
+}
+
+impl ShardedTextServer {
+    /// Partitions `coll` across `n_shards` unreplicated servers with the
+    /// default (Mercury-calibrated) constants.
+    pub fn new(coll: &Collection, n_shards: usize, seed: u64) -> Self {
+        Self::replicated(coll, n_shards, 1, seed)
     }
 
     /// Partitions `coll` across `n_shards` logical shards of `n_replicas`
-    /// servers each, with default constants. Placement of both documents
-    /// and primaries is a seeded hash, so the same `(collection, seed,
-    /// n_shards, n_replicas)` always yields the same topology.
+    /// servers each, with default constants.
     pub fn replicated(coll: &Collection, n_shards: usize, n_replicas: usize, seed: u64) -> Self {
-        Self::replicated_with_constants(coll, n_shards, n_replicas, seed, CostConstants::default())
+        Self::over(&Partition::new(coll, n_shards, seed), n_replicas, CostConstants::default())
     }
 
-    /// Same, with explicit cost constants.
-    pub(crate) fn replicated_with_constants(
-        coll: &Collection,
-        n_shards: usize,
-        n_replicas: usize,
-        seed: u64,
-        constants: CostConstants,
-    ) -> Self {
-        assert!(n_shards > 0, "a sharded server needs at least one shard");
+    /// A cluster of `n_replicas` servers per shard of `partition`, each
+    /// with its own ledger, fault plan, recorder and cap, all replicas of a
+    /// shard sharing its collection, and all servers one constant set.
+    /// Primaries are placed by a seeded hash, so the topology is too.
+    pub fn over(partition: &Partition, n_replicas: usize, constants: CostConstants) -> Self {
         assert!(n_replicas > 0, "each shard needs at least one replica");
-        let mut colls: Vec<Collection> =
-            (0..n_shards).map(|_| Collection::new(coll.schema().clone())).collect();
-        let mut route = Vec::with_capacity(coll.doc_count());
-        let mut to_global: Vec<Vec<DocId>> = vec![Vec::new(); n_shards];
-        for g in 0..coll.doc_count() {
-            let global = DocId(g as u32);
-            let doc = coll.document(global).expect("dense docids");
-            let shard = (splitmix64(seed ^ u64::from(global.0)) % n_shards as u64) as usize;
-            let local = colls[shard].add_document(doc.clone());
-            route.push((shard, local));
-            to_global[shard].push(global);
-        }
+        let n_shards = partition.shards.len();
         let mut replicas: Vec<Vec<TextServer>> = Vec::with_capacity(n_shards);
         let mut primary = Vec::with_capacity(n_shards);
-        for (i, c) in colls.into_iter().enumerate() {
+        for (i, coll) in partition.shards.iter().enumerate() {
             let copies: Vec<TextServer> = (0..n_replicas)
-                .map(|_| TextServer::with_constants(c.clone(), constants))
+                .map(|_| TextServer::with_constants(Rc::clone(coll), constants))
                 .collect();
             for s in &copies {
                 s.set_shard_index(i);
             }
             // Seeded primary placement: mixed separately from the document
             // partition so the two deals are independent. R=1 pins it to 0.
-            primary.push((splitmix64(seed ^ 0xCAB1E ^ i as u64) % n_replicas as u64) as usize);
+            let seed = partition.seed ^ 0xCAB1E ^ i as u64;
+            primary.push((splitmix64(seed) % n_replicas as u64) as usize);
             replicas.push(copies);
         }
         Self {
             replicas,
             primary,
-            route: RefCell::new(route),
-            to_global,
+            route: RefCell::new(partition.route.clone()),
+            to_global: partition.to_global.clone(),
             hidden: RefCell::new(vec![BTreeSet::new(); n_shards]),
             extra: RefCell::new(Usage::default()),
             recorder: RefCell::new(None),

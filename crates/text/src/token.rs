@@ -25,11 +25,12 @@ pub struct Token {
 /// else (whitespace, punctuation) separates words and is not indexed. A
 /// lower-casing that yields several characters stays whole inside the word
 /// (`İ` → `i` + U+0307), whatever those characters are on their own.
-// The index build calls this once per field value from another module.
-// Whether it inlines there otherwise depends on how rustc happens to
-// partition the crate into codegen units, and the build is a fifth to a
-// third slower when it does not (`text.shard.build_ms` 10 → 13 ms when
-// `stats.rs` changed size under a plain `#[inline]`).
+// `add_document` calls this once per field value from another module.
+// Whether it inlines there otherwise depends on how rustc partitions the
+// crate into codegen units; when it did not, re-indexing was a fifth to a
+// third slower. Shards are cut, not re-indexed, so the guarded figure is
+// `text.index_build_docs_per_s` (text_search's re-index): 190–225k docs/s
+// on a 2-core x86 box, under today's partition with or without `always`.
 #[inline(always)]
 pub(crate) fn for_each_token(text: &str, buf: &mut String, mut on_token: impl FnMut(&str, u32)) {
     buf.clear();

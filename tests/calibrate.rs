@@ -17,6 +17,7 @@ use textjoin::core::optimizer::multi::ExecutionSpace;
 use textjoin::obs::{calibrate_trace, Event, Recorder, RingSink, SampledSink, SamplePolicy, Sink};
 use textjoin::text::faults::FaultPlan;
 use textjoin::text::server::{CostConstants, TextServer};
+use textjoin::text::shard::{Partition, ShardedTextServer};
 use textjoin::workload::paper;
 use textjoin::workload::world::{World, WorldSpec};
 
@@ -115,12 +116,8 @@ fn calibration_from_a_sampled_trace_recovers_the_same_constants() {
     // default world supplies enough gathers to matter.
     let w = World::generate(WorldSpec::default());
     let truth = skewed_constants();
-    let server = textjoin::text::shard::ShardedTextServer::with_constants(
-        w.server.collection(),
-        4,
-        0x5AD,
-        truth,
-    );
+    let partition = Partition::new(w.server.collection(), 4, 0x5AD);
+    let server = ShardedTextServer::over(&partition, 1, truth);
     let full = Rc::new(RingSink::unbounded());
     let kept = Rc::new(RingSink::unbounded());
     let sampled = Rc::new(SampledSink::new(
