@@ -5,8 +5,8 @@ use std::rc::Rc;
 use textjoin_core::methods::ExecContext;
 use textjoin_core::retry::{RetryBudget, RetryPolicy};
 use textjoin_obs::{
-    parse_jsonl, Advice, Event, EventKind, FanoutSink, JsonlSink, Monitor, MonitorConfig,
-    Recorder, Sink,
+    ns, parse_jsonl, secs, Advice, Event, EventKind, FanoutSink, JsonlSink, Monitor,
+    MonitorConfig, Recorder, Sink,
 };
 use textjoin_text::faults::FaultPlan;
 use textjoin_text::rebalance::MigrationPlan;
@@ -285,7 +285,7 @@ pub fn monitor_drift_report(w: &World) -> MonitorDriftReport {
             let mut ev = ev.clone();
             if ev.clock >= half {
                 if let EventKind::Call { charge, .. } = &mut ev.kind {
-                    charge.time_invocation *= REPRICING;
+                    charge.ns_invocation = ns(secs(charge.ns_invocation) * REPRICING);
                 }
             }
             ev

@@ -12,6 +12,7 @@ use textjoin_core::methods::ExecContext;
 use textjoin_core::optimizer::multi::ExecutionSpace;
 use textjoin_core::optimizer::single::{optimal_probe_bounded, optimal_probe_exhaustive};
 use textjoin_core::query::prepare;
+use textjoin_obs::secs;
 use textjoin_text::server::Usage;
 use textjoin_workload::knobs;
 use textjoin_workload::paper;
@@ -281,12 +282,12 @@ pub fn calibrate(w: &World) -> Calibration {
     server.search_str("TI='query'").expect("search ok");
     let u2 = server.usage();
     let c_s = if u2.docs_short > 0 {
-        (u2.time_transmission) / u2.docs_short as f64
+        secs(u2.ns_transmission as i64) / u2.docs_short as f64
     } else {
         0.0
     };
     let c_p = if u2.postings_processed > 0 {
-        u2.time_processing / u2.postings_processed as f64
+        secs(u2.ns_processing as i64) / u2.postings_processed as f64
     } else {
         0.0
     };
@@ -297,7 +298,7 @@ pub fn calibrate(w: &World) -> Calibration {
     let before = server.usage();
     server.retrieve(ids[0]).expect("retrieve ok");
     let delta = server.usage().since(&before);
-    let c_l = delta.time_transmission / delta.docs_long as f64;
+    let c_l = secs(delta.ns_transmission as i64) / delta.docs_long as f64;
     server.reset_usage();
 
     Calibration { c_i, c_p, c_s, c_l }

@@ -1,5 +1,6 @@
 //! Plain-text table and series formatting for the experiment binaries.
 
+use textjoin_obs::secs;
 use textjoin_text::server::Usage;
 
 /// Renders an aligned ASCII table. `headers.len()` must equal each row's
@@ -159,7 +160,7 @@ pub fn usage_line(u: &Usage) -> String {
         u.docs_long,
         u.faults,
         u.retries,
-        u.time_backoff,
+        secs(u.ns_backoff as i64),
         u.total_cost(),
     )
 }
@@ -221,8 +222,8 @@ mod tests {
             invocations: 7,
             faults: 2,
             retries: 2,
-            time_invocation: 38.25,
-            time_backoff: 3.0,
+            ns_invocation: 38_250_000_000,
+            ns_backoff: 3_000_000_000,
             ..Usage::default()
         };
         let line = usage_line(&u);

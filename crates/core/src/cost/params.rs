@@ -340,8 +340,8 @@ mod tests {
                 charge: Charge {
                     invocations: 1,
                     postings: post,
-                    time_invocation: 6.0,
-                    time_processing: 1e-5 * post as f64,
+                    ns_invocation: 6_000_000_000,
+                    ns_processing: 10_000 * post,
                     ..Charge::default()
                 },
             },
@@ -379,7 +379,7 @@ mod tests {
                 charge: Charge {
                     invocations: 1,
                     faults: 1,
-                    time_invocation: 3.0,
+                    ns_invocation: 3_000_000_000,
                     ..Charge::default()
                 },
             },
@@ -389,10 +389,9 @@ mod tests {
             clock: 0.0,
             kind: EventKind::Backoff {
                 shard: None,
-                seconds: 0.75,
                 charge: Charge {
                     retries: 1,
-                    time_backoff: 0.75,
+                    ns_backoff: 750_000_000,
                     ..Charge::default()
                 },
             },

@@ -33,7 +33,7 @@ use textjoin_rel::tuple::Tuple;
 use textjoin_rel::value::{Value, ValueType};
 use textjoin_text::doc::{DocId, TextSchema};
 use textjoin_text::expr::SearchExpr;
-use textjoin_obs::{CostVector, Measure, PlanQuality};
+use textjoin_obs::{secs, Charge, CostVector, Measure, PlanQuality};
 use textjoin_text::server::Usage;
 use textjoin_text::service::TextService;
 
@@ -389,9 +389,9 @@ impl<'a> MultiExecutor<'a> {
                         rows: out.len() as f64,
                         postings: d.postings_processed as f64,
                         cost: CostVector {
-                            invocation: d.time_invocation + d.time_backoff,
-                            processing: d.time_processing,
-                            transmission: d.time_transmission,
+                            invocation: secs((d.ns_invocation + d.ns_backoff) as i64),
+                            processing: secs(d.ns_processing as i64),
+                            transmission: secs(d.ns_transmission as i64),
                             rtp: c_a * (tally.rtp_comparisons - comps0) as f64
                                 + c_pair * (tally.rel_pairs - pairs0) as f64,
                             searches: d.invocations as f64,
@@ -921,12 +921,15 @@ pub fn execute_prepared(
 /// from an unmodelled fault rate, or a server whose real per-unit prices
 /// moved away from the configured `CostConstants`.
 pub(crate) fn constants_q(params: &crate::cost::params::CostParams, text: &Usage) -> f64 {
-    let c = &params.constants;
-    let repriced = c.c_i * text.invocations as f64
-        + c.c_p * text.postings_processed as f64
-        + c.c_s * text.docs_short as f64
-        + c.c_l * text.docs_long as f64;
-    textjoin_obs::q_error(repriced, text.total_cost())
+    let mut repriced = Usage::default();
+    repriced.book(&params.constants.price(Charge {
+        invocations: text.invocations as i64,
+        postings: text.postings_processed as i64,
+        docs_short: text.docs_short as i64,
+        docs_long: text.docs_long as i64,
+        ..Charge::default()
+    }));
+    textjoin_obs::q_error(repriced.total_cost(), text.total_cost())
 }
 
 /// Comparison helper for result equivalence in tests and benches: rows

@@ -139,6 +139,7 @@ mod tests {
     use textjoin_rel::table::Table;
     use textjoin_rel::tuple;
     use textjoin_rel::value::ValueType;
+    use textjoin_text::server::Usage;
     use textjoin_text::server::TextServer;
 
     fn join<'a>(
@@ -292,9 +293,13 @@ mod tests {
         assert_eq!(batched.report.text.invocations, 1, "4 keys, one batch");
         assert!(batched.report.total_cost() < plain.report.total_cost());
         // The saving is exactly the rebated invocations (same retrievals).
-        let c_i = s1.constants().c_i;
-        assert!(
-            (plain.report.total_cost() - batched.report.total_cost() - 3.0 * c_i).abs() < 1e-6
+        assert_eq!(
+            plain.report.text.since(&batched.report.text),
+            Usage {
+                invocations: 3,
+                ns_invocation: 3 * 3_000_000_000,
+                ..Usage::default()
+            }
         );
     }
 
@@ -316,13 +321,21 @@ mod tests {
         let ctx = ExecContext::new(&server);
         let fj = join(&rel, &server, Projection::Full, false);
         let out = tuple_substitution(&ctx, &fj, true).unwrap();
-        let c = server.constants();
         let u = &out.report.text;
-        let expected = c.c_i * u.invocations as f64
-            + c.c_p * u.postings_processed as f64
-            + c.c_s * u.docs_short as f64
-            + c.c_l * u.docs_long as f64;
-        assert!((u.total_cost() - expected).abs() < 1e-9);
+        assert_eq!(
+            (
+                u.ns_invocation,
+                u.ns_processing,
+                u.ns_transmission,
+                u.ns_backoff
+            ),
+            (
+                3_000_000_000 * u.invocations,
+                10_000 * u.postings_processed,
+                15_000_000 * u.docs_short + 4_000_000_000 * u.docs_long,
+                0
+            )
+        );
         assert_eq!(out.report.rtp_comparisons, 0, "TS does no relational matching");
     }
 }

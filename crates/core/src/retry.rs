@@ -5,7 +5,7 @@
 //! exceptional conditions. This module gives every join method a uniform,
 //! *deterministic* response to them — bounded retries with exponential
 //! backoff whose waiting time is **simulated seconds charged into the
-//! server's [`Usage`] ledger** (`retries` / `time_backoff`), never
+//! server's [`Usage`] ledger** (`retries` / `ns_backoff`), never
 //! wall-clock sleeps. Experiments stay byte-reproducible; the chaos bench
 //! can report fault overhead as exact numbers.
 //!
@@ -375,14 +375,16 @@ mod tests {
         assert_eq!(u.faults, 2);
         assert_eq!(u.retries, 2);
         assert_eq!(u.invocations, 3, "two failed attempts + one success");
-        assert!((u.time_backoff - (1.0 + 2.0)).abs() < 1e-9);
+        assert_eq!(u.ns_backoff, 3_000_000_000, "1 s + 2 s");
         // Decomposition stays exact: 3 c_i + postings + short + backoff.
-        let c = s.constants();
-        let expected = c.c_i * 3.0
-            + c.c_p * u.postings_processed as f64
-            + c.c_s * u.docs_short as f64
-            + u.time_backoff;
-        assert!((u.total_cost() - expected).abs() < 1e-9);
+        assert_eq!(
+            (u.ns_invocation, u.ns_processing, u.ns_transmission),
+            (
+                3 * 3_000_000_000,
+                10_000 * u.postings_processed,
+                15_000_000 * u.docs_short
+            )
+        );
     }
 
     #[test]
@@ -540,6 +542,6 @@ mod tests {
         let err = ExecContext::with_retry(&s, RetryPolicy::none()).search(&expr).unwrap_err();
         assert!(matches!(err, TextError::Unavailable));
         assert_eq!(s.usage().retries, 0);
-        assert_eq!(s.usage().time_backoff, 0.0);
+        assert_eq!(s.usage().ns_backoff, 0);
     }
 }

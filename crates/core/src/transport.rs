@@ -639,8 +639,8 @@ mod tests {
             let u = sh.replica(0, r).usage();
             assert_eq!(u.invocations, 1, "replica {r} is attempted exactly once");
             assert_eq!(
-                (u.retries, u.time_backoff),
-                (0, 0.0),
+                (u.retries, u.ns_backoff),
+                (0, 0),
                 "no backoff on a failover leg"
             );
         }

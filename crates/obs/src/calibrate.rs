@@ -2,10 +2,10 @@
 //!
 //! Every chargeable event in a trace carries both the *work counts* the
 //! server performed (invocations, postings, short/long documents) and the
-//! *simulated seconds* its ledger booked for them. The ledger prices work
-//! linearly — `time_invocation = c_i × invocations`, `time_processing =
-//! c_p × postings`, `time_transmission = c_s × docs_short + c_l ×
-//! docs_long` — so the trace is an exactly-determined regression problem:
+//! *simulated time* its ledger booked for them, in ticks. The ledger prices
+//! work linearly — `ns_invocation = c_i × invocations`, `ns_processing =
+//! c_p × postings`, `ns_transmission = c_s × docs_short + c_l × docs_long`
+//! — so the trace is an exactly-determined regression problem:
 //! least squares over the per-event charge vectors recovers the constants
 //! the run was generated with, and non-zero residuals flag a server whose
 //! real pricing has drifted from the linear model.
@@ -25,7 +25,7 @@
 //! invocation (see `observed_fault_rate`/`mean_backoff_per_fault`; the
 //! product is exactly `backoff_seconds / invocations`).
 
-use crate::event::{Event, EventKind};
+use crate::event::{secs, Event, EventKind};
 
 /// One fitted cost constant plus the evidence behind it.
 #[derive(Debug, Clone, PartialEq)]
@@ -148,9 +148,9 @@ impl Row {
                 post: charge.postings as f64,
                 short: charge.docs_short as f64,
                 long: charge.docs_long as f64,
-                t_inv: charge.time_invocation,
-                t_proc: charge.time_processing,
-                t_xmit: charge.time_transmission,
+                t_inv: secs(charge.ns_invocation),
+                t_proc: secs(charge.ns_processing),
+                t_xmit: secs(charge.ns_transmission),
             }),
             _ => None,
         }
@@ -294,23 +294,25 @@ pub fn calibrate_trace(events: &[Event]) -> TraceCalibration {
         faults: 0,
         backoff_seconds: 0.0,
     };
+    let mut backoff = 0i64;
     for ev in events {
         match &ev.kind {
             EventKind::Call { charge, .. } | EventKind::Rebate { charge, .. } => {
                 cal.invocations += charge.invocations;
                 cal.faults += charge.faults;
             }
-            EventKind::Backoff { charge, .. } => cal.backoff_seconds += charge.time_backoff,
+            EventKind::Backoff { charge, .. } => backoff = backoff.wrapping_add(charge.ns_backoff),
             _ => {}
         }
     }
+    cal.backoff_seconds = secs(backoff);
     cal
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Charge;
+    use crate::event::{ns, Charge};
 
     fn call(charge: Charge) -> Event {
         Event {
@@ -331,9 +333,9 @@ mod tests {
             invocations: inv,
             postings: post,
             docs_short: short,
-            time_invocation: c.0 * inv as f64,
-            time_processing: c.1 * post as f64,
-            time_transmission: c.2 * short as f64,
+            ns_invocation: ns(c.0) * inv,
+            ns_processing: ns(c.1) * post,
+            ns_transmission: ns(c.2) * short,
             ..Charge::default()
         })
     }
@@ -341,7 +343,7 @@ mod tests {
     fn retrieve(c_l: f64) -> Event {
         call(Charge {
             docs_long: 1,
-            time_transmission: c_l,
+            ns_transmission: ns(c_l),
             ..Charge::default()
         })
     }
@@ -377,8 +379,8 @@ mod tests {
                     charge: Charge {
                         invocations: -2,
                         docs_short: -3,
-                        time_invocation: -2.0 * c.0,
-                        time_transmission: -3.0 * c.2,
+                        ns_invocation: -2 * ns(c.0),
+                        ns_transmission: -3 * ns(c.2),
                         ..Charge::default()
                     },
                 },
@@ -408,10 +410,9 @@ mod tests {
             clock: 0.0,
             kind: EventKind::Backoff {
                 shard: None,
-                seconds: 0.5,
                 charge: Charge {
                     retries: 1,
-                    time_backoff: 0.5,
+                    ns_backoff: 500_000_000,
                     faults: 0,
                     ..Charge::default()
                 },
@@ -421,7 +422,7 @@ mod tests {
         events.push(call(Charge {
             invocations: 1,
             faults: 1,
-            time_invocation: c.0,
+            ns_invocation: ns(c.0),
             ..Charge::default()
         }));
         let cal = calibrate_trace(&events);
@@ -441,7 +442,7 @@ mod tests {
         // A second event priced off-model.
         events.push(call(Charge {
             invocations: 1,
-            time_invocation: 4.0,
+            ns_invocation: 4_000_000_000,
             ..Charge::default()
         }));
         let cal = calibrate_trace(&events);

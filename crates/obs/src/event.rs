@@ -5,59 +5,99 @@ use std::fmt::Write as _;
 use crate::analyze::Measure;
 use crate::trace::{Fields, Get};
 
-/// The per-event charge delta, mirroring the `Usage` ledger field for
-/// field. Counters are signed so a batch *rebate* (the batch extension
-/// refunds per-call invocation and duplicate-transmission charges) can be
-/// expressed as a negative charge; summing all charges of a trace then
-/// reproduces the ledger delta exactly.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Charge {
-    /// Search invocations (negative for batch rebates).
-    pub invocations: i64,
-    /// Searches rejected at the term cap (never charged time).
-    pub rejected: i64,
-    /// Postings processed.
-    pub postings: i64,
-    /// Documents transmitted in short form (negative for batch rebates).
-    pub docs_short: i64,
-    /// Documents transmitted in long form.
-    pub docs_long: i64,
-    /// Simulated seconds of invocation cost.
-    pub time_invocation: f64,
-    /// Simulated seconds of posting processing.
-    pub time_processing: f64,
-    /// Simulated seconds of result transmission (both forms).
-    pub time_transmission: f64,
-    /// Injected faults observed.
-    pub faults: i64,
-    /// Client retries performed.
-    pub retries: i64,
-    /// Simulated seconds of retry backoff.
-    pub time_backoff: f64,
+/// Declares [`Charge`] from one list of `field = "key"` entries, every
+/// field an `i64`: the struct, its field-wise sum, and how it is written
+/// under and read from its fields' wire keys, in list order.
+macro_rules! charge {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($(#[$fmeta:meta])* $field:ident = $key:literal),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$fmeta])* pub $field: i64,)+
+        }
+
+        impl $name {
+            /// Field-wise sum, for trace↔ledger reconciliation. Every field
+            /// wraps: a replayed file may hold any `i64`, and summing it
+            /// must not panic. A wrapped sum is still exact modulo 2⁶⁴ and
+            /// the same in any order.
+            pub fn accumulate(&mut self, other: &$name) {
+                $(self.$field = self.$field.wrapping_add(other.$field);)+
+            }
+        }
+
+        impl Put for $name {
+            fn put(&self, w: &mut Line<'_>, key: &str) {
+                w.open(key);
+                $(w.i64($key, self.$field);)+
+                w.close();
+            }
+        }
+
+        impl Get for $name {
+            fn get(f: &Fields<'_, '_>, key: &str) -> Result<Self, String> {
+                let c = &f.obj(key)?;
+                Ok($name { $($field: i64::get(c, $key)?),+ })
+            }
+        }
+    };
+}
+
+charge! {
+    /// The per-event charge delta, mirroring the `Usage` ledger field for
+    /// field. Counters are signed so a batch *rebate* (the batch extension
+    /// refunds per-call invocation and duplicate-transmission charges) can
+    /// be expressed as a negative charge; summing all charges of a trace
+    /// then reproduces the ledger delta exactly.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct Charge {
+        /// Search invocations (negative for batch rebates).
+        invocations = "inv",
+        /// Searches rejected at the term cap (never charged time).
+        rejected = "rej",
+        /// Postings processed.
+        postings = "post",
+        /// Documents transmitted in short form (negative for batch rebates).
+        docs_short = "short",
+        /// Documents transmitted in long form.
+        docs_long = "long",
+        /// Simulated nanoseconds of invocation cost.
+        ns_invocation = "ns_inv",
+        /// Simulated nanoseconds of posting processing.
+        ns_processing = "ns_proc",
+        /// Simulated nanoseconds of result transmission (both forms).
+        ns_transmission = "ns_xmit",
+        /// Injected faults observed.
+        faults = "faults",
+        /// Client retries performed.
+        retries = "retries",
+        /// Simulated nanoseconds of retry backoff.
+        ns_backoff = "ns_backoff",
+    }
+}
+
+/// Simulated seconds as ticks, the nearest whole nanoseconds. Total: out
+/// of range saturates, NaN is 0.
+pub fn ns(seconds: f64) -> i64 {
+    (seconds * 1e9).round() as i64
+}
+
+/// Ticks as simulated seconds.
+pub fn secs(ticks: i64) -> f64 {
+    ticks as f64 / 1e9
 }
 
 impl Charge {
-    /// Total simulated seconds of this charge — the amount it advances the
-    /// simulated clock by.
-    pub(crate) fn total(&self) -> f64 {
-        self.time_invocation + self.time_processing + self.time_transmission + self.time_backoff
-    }
-
-    /// Field-wise sum, for trace↔ledger reconciliation. Counters wrap: a
-    /// replayed file may hold any `i64`, and summing it must not panic.
-    /// A wrapped sum is still exact modulo 2⁶⁴ and the same in any order.
-    pub fn accumulate(&mut self, other: &Charge) {
-        self.invocations = self.invocations.wrapping_add(other.invocations);
-        self.rejected = self.rejected.wrapping_add(other.rejected);
-        self.postings = self.postings.wrapping_add(other.postings);
-        self.docs_short = self.docs_short.wrapping_add(other.docs_short);
-        self.docs_long = self.docs_long.wrapping_add(other.docs_long);
-        self.time_invocation += other.time_invocation;
-        self.time_processing += other.time_processing;
-        self.time_transmission += other.time_transmission;
-        self.faults = self.faults.wrapping_add(other.faults);
-        self.retries = self.retries.wrapping_add(other.retries);
-        self.time_backoff += other.time_backoff;
+    /// Total ticks of this charge — the amount it advances the simulated
+    /// clock by.
+    pub(crate) fn ticks(&self) -> i64 {
+        [self.ns_processing, self.ns_transmission, self.ns_backoff]
+            .into_iter()
+            .fold(self.ns_invocation, i64::wrapping_add)
     }
 }
 
@@ -203,14 +243,12 @@ events! {
             /// The (negative) adjustment.
             charge: Charge,
         },
-        /// The client backed off before a retry; simulated seconds charged to
-        /// the emitting ledger.
+        /// The client backed off before a retry; the wait is charged to the
+        /// emitting ledger.
         Backoff = "backoff" {
             /// Shard whose ledger absorbed the backoff, if sharded.
             shard: Option<usize>,
-            /// Simulated seconds waited.
-            seconds: f64,
-            /// The booked charge (`retries + time_backoff`).
+            /// The booked charge: `retries`, and the wait as `ns_backoff`.
             charge: Charge,
         },
         /// The retry layer is about to re-issue an operation. Free.
@@ -508,8 +546,8 @@ impl EventKind {
 pub struct Event {
     /// Position in the trace (0-based, dense).
     pub seq: u64,
-    /// Simulated clock at emission: cumulative simulated seconds of every
-    /// charge observed up to and including this event.
+    /// Simulated clock at emission: the exact tick sum of every charge
+    /// observed up to and including this event, in simulated seconds.
     pub clock: f64,
     /// The payload.
     pub kind: EventKind,
@@ -714,24 +752,6 @@ impl Put for Vec<usize> {
     }
 }
 
-impl Put for Charge {
-    fn put(&self, w: &mut Line<'_>, key: &str) {
-        w.open(key);
-        w.i64("inv", self.invocations);
-        w.i64("rej", self.rejected);
-        w.i64("post", self.postings);
-        w.i64("short", self.docs_short);
-        w.i64("long", self.docs_long);
-        w.f64("t_inv", self.time_invocation);
-        w.f64("t_proc", self.time_processing);
-        w.f64("t_xmit", self.time_transmission);
-        w.i64("faults", self.faults);
-        w.i64("retries", self.retries);
-        w.f64("t_backoff", self.time_backoff);
-        w.close();
-    }
-}
-
 impl PlannerChoice {
     /// The one kind not laid out field for key: the [`Measure`] nests under
     /// `est`, its cost vector's fields first, then `rows` and `postings`.
@@ -795,18 +815,18 @@ mod tests {
     fn charge_total_and_accumulate() {
         let mut a = Charge {
             invocations: 1,
-            time_invocation: 3.0,
+            ns_invocation: 3_000_000_000,
             ..Charge::default()
         };
         let b = Charge {
             docs_short: 2,
-            time_transmission: 0.03,
+            ns_transmission: 30_000_000,
             ..Charge::default()
         };
         a.accumulate(&b);
         assert_eq!(a.invocations, 1);
         assert_eq!(a.docs_short, 2);
-        assert!((a.total() - 3.03).abs() < 1e-12);
+        assert_eq!(a.ticks(), 3_030_000_000);
         assert_ne!(a, Charge::default());
     }
 
@@ -847,7 +867,7 @@ mod tests {
                 shard: Some(3),
                 charge: Charge {
                     invocations: -2,
-                    time_invocation: -6.0,
+                    ns_invocation: -6_000_000_000,
                     ..Charge::default()
                 },
             },
@@ -863,7 +883,7 @@ mod tests {
         );
         assert!(b.to_jsonl().ends_with(
             "\"shard\":3,\"charge\":{\"inv\":-2,\"rej\":0,\"post\":0,\"short\":0,\"long\":0,\
-             \"t_inv\":-6,\"t_proc\":0,\"t_xmit\":0,\"faults\":0,\"retries\":0,\"t_backoff\":0}}"
+             \"ns_inv\":-6000000000,\"ns_proc\":0,\"ns_xmit\":0,\"faults\":0,\"retries\":0,\"ns_backoff\":0}}"
         ));
     }
 

@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 
-use crate::event::{Charge, Event, EventKind};
+use crate::event::{secs, Charge, Event, EventKind};
 
 /// One span of the tree. The spans of a trace sit in one flat list and
 /// name their children by index, so building, summing, printing and
@@ -16,8 +16,7 @@ struct Node<'e> {
     unclosed: bool,
     t0: f64,
     t1: f64,
-    direct: Charge,
-    /// `direct` plus every child's `inclusive`; set when the span closes.
+    /// Its own charges, and each child's once the child closes.
     inclusive: Charge,
     ok_calls: BTreeMap<&'static str, (u64, Charge)>,
     items: Vec<Item<'e>>,
@@ -75,8 +74,8 @@ impl fmt::Display for Brief<'_> {
             write!(f, "{sep}retries {}", c.retries)?;
             sep = ", ";
         }
-        if c.time_backoff != 0.0 {
-            write!(f, "{sep}backoff {:.2}s", c.time_backoff)?;
+        if c.ns_backoff != 0 {
+            write!(f, "{sep}backoff {:.2}s", secs(c.ns_backoff))?;
             sep = ", ";
         }
         if sep.is_empty() {
@@ -98,8 +97,8 @@ fn line(out: &mut String, ev: &Event) -> fmt::Result {
             charge,
             ..
         } => write!(out, "! {op}{} failed: {e} ({})", ShardTag(*shard), Brief(charge)),
-        EventKind::Backoff { shard, seconds, .. } => {
-            write!(out, "~ backoff{} {seconds:.2}s", ShardTag(*shard))
+        EventKind::Backoff { shard, charge } => {
+            write!(out, "~ backoff{} {:.2}s", ShardTag(*shard), secs(charge.ns_backoff))
         }
         EventKind::Retry { shard, attempt } => {
             write!(out, "~ retry{} attempt {attempt}", ShardTag(*shard))
@@ -287,7 +286,7 @@ fn line(out: &mut String, ev: &Event) -> fmt::Result {
 impl<'e> Node<'e> {
     fn absorb(&mut self, ev: &'e Event) {
         if let Some(c) = ev.kind.charge() {
-            self.direct.accumulate(c);
+            self.inclusive.accumulate(c);
         }
         match &ev.kind {
             EventKind::Call {
@@ -313,11 +312,12 @@ impl<'e> Node<'e> {
             if self.unclosed { " (unclosed)" } else { "" },
             self.t0,
             self.t1,
-            self.inclusive.total(),
+            secs(self.inclusive.ticks()),
             Brief(&self.inclusive)
         )?;
         for (op, (n, c)) in &self.ok_calls {
-            writeln!(out, "{pad}  • {n}× {op}: {} = {:.3}s", Brief(c), c.total())?;
+            let t = secs(c.ticks());
+            writeln!(out, "{pad}  • {n}× {op}: {} = {t:.3}s", Brief(c))?;
         }
         Ok(())
     }
@@ -326,19 +326,14 @@ impl<'e> Node<'e> {
 /// The synthetic `(trace)` span, first in the flat list.
 const ROOT: usize = 0;
 
-/// Closes span `i` at clock `t1`. Its inclusive charge is its own charges,
-/// then each child's inclusive in item order — the order the sums have
-/// always been taken in, so every `Σ` keeps its digits. Children close
-/// before their parent, so theirs are already there.
-fn seal(nodes: &mut [Node<'_>], i: usize, t1: f64) {
-    let mut total = nodes[i].direct;
-    for item in &nodes[i].items {
-        if let Item::Child(ch) = item {
-            total.accumulate(&nodes[*ch].inclusive);
-        }
-    }
-    nodes[i].inclusive = total;
-    nodes[i].t1 = t1;
+/// Closes span `done` at clock `t1` into `parent`, which lists it and adds
+/// its charges to its own. The sums are of integers, so no order in which
+/// spans close changes a digit.
+fn close(nodes: &mut [Node<'_>], done: usize, parent: usize, t1: f64) {
+    nodes[done].t1 = t1;
+    let sum = nodes[done].inclusive;
+    nodes[parent].inclusive.accumulate(&sum);
+    nodes[parent].items.push(Item::Child(done));
 }
 
 /// Replays `events` into an indented span tree. Events outside any span
@@ -365,8 +360,7 @@ pub fn render(events: &[Event]) -> String {
             }
             EventKind::SpanEnd { .. } => {
                 if let Some(done) = open.pop() {
-                    seal(&mut nodes, done, ev.clock);
-                    nodes[innermost(&open)].items.push(Item::Child(done));
+                    close(&mut nodes, done, innermost(&open), ev.clock);
                 }
             }
             _ => nodes[innermost(&open)].absorb(ev),
@@ -375,10 +369,9 @@ pub fn render(events: &[Event]) -> String {
     // A truncated trace may leave spans open; attach them unclosed.
     while let Some(done) = open.pop() {
         nodes[done].unclosed = true;
-        seal(&mut nodes, done, final_clock);
-        nodes[innermost(&open)].items.push(Item::Child(done));
+        close(&mut nodes, done, innermost(&open), final_clock);
     }
-    seal(&mut nodes, ROOT, final_clock);
+    nodes[ROOT].t1 = final_clock;
 
     let mut out = String::new();
     // Writing into a `String` cannot fail.
@@ -437,7 +430,7 @@ mod tests {
                     err: None,
                     charge: Charge {
                         invocations: 1,
-                        time_invocation: 3.0,
+                        ns_invocation: 3_000_000_000,
                         ..Charge::default()
                     },
                 });
@@ -510,10 +503,10 @@ mod tests {
     /// One event of every kind, two spans deep, then a span left open:
     /// every sentence `render` can print, pinned byte for byte.
     fn every_kind() -> Vec<Event> {
-        let charge = |invocations, postings, time_invocation| Charge {
+        let charge = |invocations, postings, ns_invocation| Charge {
             invocations,
             postings,
-            time_invocation,
+            ns_invocation,
             ..Charge::default()
         };
         let call = |op, shard, err: Option<&str>, charge| EventKind::Call {
@@ -557,15 +550,15 @@ mod tests {
                 epoch: 0,
             },
             span(0, None, "P+RTP"),
-            call("search", None, None, charge(1, 40, 3.0)),
-            call("search", Some(1), None, charge(1, 2, 3.0)),
+            call("search", None, None, charge(1, 40, 3_000_000_000)),
+            call("search", Some(1), None, charge(1, 2, 3_000_000_000)),
             call(
                 "retrieve",
                 Some(0),
                 None,
                 Charge {
                     docs_long: 1,
-                    time_transmission: 4.0,
+                    ns_transmission: 4_000_000_000,
                     ..Charge::default()
                 },
             ),
@@ -575,23 +568,22 @@ mod tests {
                 Some("injected transient fault"),
                 Charge {
                     faults: 1,
-                    ..charge(1, 0, 3.0)
+                    ..charge(1, 0, 3_000_000_000)
                 },
             ),
             EventKind::Rebate {
                 shard: Some(1),
                 charge: Charge {
                     docs_short: -2,
-                    time_transmission: -0.03,
-                    ..charge(-1, 0, -3.0)
+                    ns_transmission: -30_000_000,
+                    ..charge(-1, 0, -3_000_000_000)
                 },
             },
             EventKind::Backoff {
                 shard: None,
-                seconds: 1.0,
                 charge: Charge {
                     retries: 1,
-                    time_backoff: 1.0,
+                    ns_backoff: 1_000_000_000,
                     ..Charge::default()
                 },
             },
@@ -762,7 +754,7 @@ mod tests {
                 None,
                 Charge {
                     rejected: 1,
-                    ..charge(1, 5, 3.0)
+                    ..charge(1, 5, 3_000_000_000)
                 },
             ),
             end(1, "gather/shard2"),
@@ -772,17 +764,17 @@ mod tests {
                 shard: None,
                 attempt: 3,
             },
-            call("search", None, None, charge(1, 1, 3.0)),
+            call("search", None, None, charge(1, 1, 3_000_000_000)),
         ];
-        let mut clock = 0.0;
+        let mut ticks = 0;
         kinds
             .into_iter()
             .enumerate()
             .map(|(seq, kind)| {
-                clock += kind.charge().map_or(0.0, Charge::total);
+                ticks += kind.charge().map_or(0, Charge::ticks);
                 Event {
                     seq: seq as u64,
-                    clock,
+                    clock: secs(ticks),
                     kind,
                 }
             })

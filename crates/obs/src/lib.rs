@@ -3,8 +3,9 @@
 //! The cost model already accounts for every simulated charge in a single
 //! aggregate [`Usage`](https://docs.rs) ledger; this crate records *where*
 //! each charge happened. It defines a span/event model stamped with the
-//! **simulated clock** — the cumulative simulated seconds of all charges
-//! observed so far — never wall-clock time, so traces are byte-identical
+//! **simulated clock** — the exact sum of the integer-nanosecond ticks of
+//! all charges observed so far, read in seconds — never wall-clock time,
+//! so traces are byte-identical
 //! across runs (the workspace determinism invariant extends to the trace).
 //!
 //! Layering: this crate sits *below* `textjoin-text` (which emits
@@ -34,7 +35,7 @@ pub use analyze::{
     cmp_nan_last, q_error, quantile, CostVector, Measure, NodeEstimate, NodeQuality, PlanQuality,
 };
 pub use calibrate::{calibrate_trace, ComponentFit, TraceCalibration};
-pub use event::{Charge, Event, EventKind, PlannerChoice};
+pub use event::{ns, secs, Charge, Event, EventKind, PlannerChoice};
 pub use explain::render;
 pub use metrics::MetricsSnapshot;
 pub use monitor::{

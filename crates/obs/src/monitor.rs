@@ -59,9 +59,8 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 
-use crate::analyze::cmp_nan_last;
 use crate::calibrate::{fit, Row};
-use crate::event::{Charge, Event, EventKind};
+use crate::event::{secs, Charge, Event, EventKind};
 use crate::sink::Sink;
 
 /// The largest window index a monitor ingests an event into. It closes
@@ -233,7 +232,7 @@ impl WindowStats {
         let total: f64 = self
             .per_shard
             .values()
-            .map(|s| s.invoice.total())
+            .map(|s| secs(s.invoice.ticks()))
             .sum();
         if total <= 0.0 {
             return 0;
@@ -241,7 +240,7 @@ impl WindowStats {
         let share = self
             .per_shard
             .get(&shard)
-            .map(|s| s.invoice.total())
+            .map(|s| secs(s.invoice.ticks()))
             .unwrap_or(0.0);
         ((share / total) * 1_000_000.0).round() as u64
     }
@@ -439,7 +438,7 @@ impl Monitor {
                 }
                 if let EventKind::Call { .. } = ev.kind {
                     acc.calls += 1;
-                    let sample = charge.total();
+                    let sample = secs(charge.ticks());
                     st.ewma = if st.ewma_primed {
                         EWMA_ALPHA * sample + (1.0 - EWMA_ALPHA) * st.ewma
                     } else {
@@ -519,7 +518,7 @@ impl Monitor {
         if w.invoice.invocations < SKEW_MIN_INVOCATIONS {
             return; // too quiet to judge
         }
-        let total: f64 = w.per_shard.values().map(|s| s.invoice.total()).sum();
+        let total: f64 = w.per_shard.values().map(|s| secs(s.invoice.ticks())).sum();
         if total <= 0.0 {
             return;
         }
@@ -608,7 +607,7 @@ impl Monitor {
             .per_shard
             .iter()
             .filter(|(&s, _)| s != src)
-            .min_by(|a, b| cmp_nan_last(a.1.invoice.total(), b.1.invoice.total()))
+            .min_by_key(|(_, s)| s.invoice.ticks())
             .map(|(&s, _)| s);
         let Some(dst) = dst else { return };
         st.advice.push(Advice {
@@ -774,9 +773,9 @@ pub fn render_windows(window_secs: f64, windows: &[WindowStats], alerts: &[Event
             w.index,
             w.calls,
             w.invoice.postings,
-            w.invoice.total(),
+            secs(w.invoice.ticks()),
             w.invoice.faults,
-            w.invoice.time_backoff,
+            secs(w.invoice.ns_backoff),
             w.deadline_misses,
             w.circuit_opens,
             w.hedges,
@@ -866,7 +865,7 @@ mod tests {
                 err: None,
                 charge: Charge {
                     invocations: 1,
-                    time_invocation: secs,
+                    ns_invocation: crate::event::ns(secs),
                     ..Charge::default()
                 },
             },

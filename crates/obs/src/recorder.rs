@@ -5,22 +5,21 @@ use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::rc::Rc;
 
-use crate::event::{Event, EventKind};
+use crate::event::{secs, Charge, Event, EventKind};
 use crate::sink::Sink;
 
 /// Observes charges and scopes; stamps every event with a dense sequence
 /// number and the simulated clock.
 ///
-/// The simulated clock is defined as the cumulative [`Charge::total`]
-/// (simulated seconds) of every chargeable event observed so far — it
-/// advances exactly as fast as the ledgers it watches, involves no
-/// wall-clock reads, and is therefore deterministic.
-///
-/// [`Charge::total`]: crate::event::Charge::total
+/// The simulated clock is the sum of the ticks (integer simulated
+/// nanoseconds) of every chargeable event observed so far — it advances
+/// exactly as fast as the ledgers it watches, to the tick, involves no
+/// wall-clock reads, and is therefore deterministic. Events and
+/// [`clock`](Self::clock) read it in seconds.
 pub struct Recorder {
     sink: Rc<dyn Sink>,
     seq: Cell<u64>,
-    clock: Cell<f64>,
+    clock: Cell<i64>,
     next_span: Cell<u64>,
     stack: RefCell<Vec<u64>>,
 }
@@ -29,7 +28,7 @@ impl fmt::Debug for Recorder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Recorder")
             .field("seq", &self.seq.get())
-            .field("clock", &self.clock.get())
+            .field("clock", &self.clock())
             .field("open_spans", &self.stack.borrow().len())
             .finish()
     }
@@ -41,7 +40,7 @@ impl Recorder {
         Rc::new(Self {
             sink,
             seq: Cell::new(0),
-            clock: Cell::new(0.0),
+            clock: Cell::new(0),
             next_span: Cell::new(0),
             stack: RefCell::new(Vec::new()),
         })
@@ -49,7 +48,7 @@ impl Recorder {
 
     /// Current simulated clock (seconds).
     pub fn clock(&self) -> f64 {
-        self.clock.get()
+        secs(self.clock.get())
     }
 
     /// Number of spans currently open.
@@ -62,12 +61,11 @@ impl Recorder {
     pub fn emit(&self, kind: EventKind) {
         let seq = self.seq.get();
         self.seq.set(seq + 1);
-        if let Some(charge) = kind.charge() {
-            self.clock.set(self.clock.get() + charge.total());
-        }
+        let ticks = kind.charge().map_or(0, Charge::ticks);
+        self.clock.set(self.clock.get().wrapping_add(ticks));
         let ev = Event {
             seq,
-            clock: self.clock.get(),
+            clock: self.clock(),
             kind,
         };
         self.sink.record(&ev);
@@ -130,7 +128,6 @@ impl Drop for SpanGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Charge;
     use crate::sink::RingSink;
 
     #[test]
@@ -144,7 +141,7 @@ mod tests {
             err: None,
             charge: Charge {
                 invocations: 1,
-                time_invocation: 3.0,
+                ns_invocation: 3_000_000_000,
                 ..Charge::default()
             },
         });
@@ -154,8 +151,8 @@ mod tests {
         });
         let evs = ring.events();
         assert_eq!(evs.len(), 2);
-        assert!((evs[0].clock - 3.0).abs() < 1e-12);
-        assert!((evs[1].clock - 3.0).abs() < 1e-12, "free events hold the clock");
+        assert_eq!(evs[0].clock, 3.0);
+        assert_eq!(evs[1].clock, 3.0, "free events hold the clock");
         assert_eq!(evs[1].seq, 1);
     }
 

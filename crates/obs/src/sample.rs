@@ -378,7 +378,7 @@ mod tests {
             err: err.map(str::to_string),
             charge: Charge {
                 invocations: 1,
-                time_invocation: secs,
+                ns_invocation: crate::event::ns(secs),
                 ..Charge::default()
             },
         }
@@ -413,7 +413,7 @@ mod tests {
         assert_eq!(kept.len(), 2);
         let dropped = sampled.dropped_charge();
         assert_eq!(dropped.invocations, 1, "the cold call's charge is accounted");
-        assert!((dropped.time_invocation - 3.0).abs() < 1e-12);
+        assert_eq!(dropped.ns_invocation, 3_000_000_000);
     }
 
     #[test]
@@ -581,7 +581,7 @@ mod tests {
         assert!(ring.events().is_empty(), "clean span stays dropped");
         let dropped = sampled.dropped_charge();
         assert_eq!(dropped.invocations, 1);
-        assert!((dropped.time_invocation - 3.0).abs() < 1e-12);
+        assert_eq!(dropped.ns_invocation, 3_000_000_000);
     }
 
     #[test]
@@ -677,7 +677,7 @@ mod tests {
         assert!(ring.events().is_empty(), "fully clean subtree stays dropped");
         let dropped = sampled.dropped_charge();
         assert_eq!(dropped.invocations, 2, "both buffered calls accounted");
-        assert!((dropped.time_invocation - 5.0).abs() < 1e-12);
+        assert_eq!(dropped.ns_invocation, 5_000_000_000);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::borrow::Cow;
 use std::str::FromStr;
 
 use crate::analyze::{CostVector, Measure};
-use crate::event::{Charge, Event, EventKind, PlannerChoice};
+use crate::event::{Event, EventKind, PlannerChoice};
 
 /// Why a trace line failed to parse.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -356,7 +356,7 @@ impl<'t, 'a> Fields<'t, 'a> {
         word.ok_or_else(|| format!("unknown {what} \"{name}\""))
     }
 
-    fn obj(&self, key: &str) -> Result<Fields<'t, 'a>, String> {
+    pub(crate) fn obj(&self, key: &str) -> Result<Fields<'t, 'a>, String> {
         let i = self.find(key)?;
         match self.toks[i].val {
             Val::Obj(n) => Ok(Fields {
@@ -450,25 +450,6 @@ impl<T: FromStr> Get for Vec<T> {
     }
 }
 
-impl Get for Charge {
-    fn get(f: &Fields<'_, '_>, key: &str) -> Result<Self, String> {
-        let c = &f.obj(key)?;
-        Ok(Charge {
-            invocations: i64::get(c, "inv")?,
-            rejected: i64::get(c, "rej")?,
-            postings: i64::get(c, "post")?,
-            docs_short: i64::get(c, "short")?,
-            docs_long: i64::get(c, "long")?,
-            time_invocation: f64::get(c, "t_inv")?,
-            time_processing: f64::get(c, "t_proc")?,
-            time_transmission: f64::get(c, "t_xmit")?,
-            faults: i64::get(c, "faults")?,
-            retries: i64::get(c, "retries")?,
-            time_backoff: f64::get(c, "t_backoff")?,
-        })
-    }
-}
-
 impl PlannerChoice {
     /// Reads what `put_fields` wrote.
     pub(crate) fn get_fields(f: &Fields<'_, '_>) -> Result<Self, String> {
@@ -530,6 +511,7 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<Event>, TraceParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Charge;
 
     /// The event `kind` makes at seq 9, clock 11.17 is written as exactly
     /// `line`, and `line` parses back to it.
@@ -552,18 +534,18 @@ mod tests {
             postings: 120,
             docs_short: -3,
             docs_long: 2,
-            time_invocation: 3.0,
-            time_processing: 0.05080000000000001,
-            time_transmission: 8.045,
+            ns_invocation: 3_000_000_000,
+            ns_processing: 50_800_000,
+            ns_transmission: 8_045_000_000,
             faults: 1,
             retries: 2,
-            time_backoff: 0.125,
+            ns_backoff: 125_000_000,
         };
         let refund = Charge {
             invocations: -2,
             docs_short: -3,
-            time_invocation: -6.0,
-            time_transmission: -0.045,
+            ns_invocation: -6_000_000_000,
+            ns_transmission: -45_000_000,
             ..Charge::default()
         };
         wire(
@@ -590,22 +572,21 @@ mod tests {
                 err: Some("cap \"M\" hit\nline2".into()),
                 charge,
             },
-            "{\"seq\":9,\"clock\":11.17,\"type\":\"call\",\"op\":\"search\",\"shard\":2,\"terms\":4,\"err\":\"cap \\\"M\\\" hit\\nline2\",\"charge\":{\"inv\":1,\"rej\":0,\"post\":120,\"short\":-3,\"long\":2,\"t_inv\":3,\"t_proc\":0.05080000000000001,\"t_xmit\":8.045,\"faults\":1,\"retries\":2,\"t_backoff\":0.125}}",
+            "{\"seq\":9,\"clock\":11.17,\"type\":\"call\",\"op\":\"search\",\"shard\":2,\"terms\":4,\"err\":\"cap \\\"M\\\" hit\\nline2\",\"charge\":{\"inv\":1,\"rej\":0,\"post\":120,\"short\":-3,\"long\":2,\"ns_inv\":3000000000,\"ns_proc\":50800000,\"ns_xmit\":8045000000,\"faults\":1,\"retries\":2,\"ns_backoff\":125000000}}",
         );
         wire(
             EventKind::Rebate {
                 shard: None,
                 charge: refund,
             },
-            "{\"seq\":9,\"clock\":11.17,\"type\":\"rebate\",\"shard\":null,\"charge\":{\"inv\":-2,\"rej\":0,\"post\":0,\"short\":-3,\"long\":0,\"t_inv\":-6,\"t_proc\":0,\"t_xmit\":-0.045,\"faults\":0,\"retries\":0,\"t_backoff\":0}}",
+            "{\"seq\":9,\"clock\":11.17,\"type\":\"rebate\",\"shard\":null,\"charge\":{\"inv\":-2,\"rej\":0,\"post\":0,\"short\":-3,\"long\":0,\"ns_inv\":-6000000000,\"ns_proc\":0,\"ns_xmit\":-45000000,\"faults\":0,\"retries\":0,\"ns_backoff\":0}}",
         );
         wire(
             EventKind::Backoff {
                 shard: Some(0),
-                seconds: 0.125,
                 charge,
             },
-            "{\"seq\":9,\"clock\":11.17,\"type\":\"backoff\",\"shard\":0,\"seconds\":0.125,\"charge\":{\"inv\":1,\"rej\":0,\"post\":120,\"short\":-3,\"long\":2,\"t_inv\":3,\"t_proc\":0.05080000000000001,\"t_xmit\":8.045,\"faults\":1,\"retries\":2,\"t_backoff\":0.125}}",
+            "{\"seq\":9,\"clock\":11.17,\"type\":\"backoff\",\"shard\":0,\"charge\":{\"inv\":1,\"rej\":0,\"post\":120,\"short\":-3,\"long\":2,\"ns_inv\":3000000000,\"ns_proc\":50800000,\"ns_xmit\":8045000000,\"faults\":1,\"retries\":2,\"ns_backoff\":125000000}}",
         );
         wire(
             EventKind::Retry {
@@ -718,7 +699,7 @@ mod tests {
                 err: None,
                 charge,
             },
-            "{\"seq\":9,\"clock\":11.17,\"type\":\"call\",\"op\":\"xfer.out\",\"shard\":2,\"terms\":0,\"err\":null,\"charge\":{\"inv\":1,\"rej\":0,\"post\":120,\"short\":-3,\"long\":2,\"t_inv\":3,\"t_proc\":0.05080000000000001,\"t_xmit\":8.045,\"faults\":1,\"retries\":2,\"t_backoff\":0.125}}",
+            "{\"seq\":9,\"clock\":11.17,\"type\":\"call\",\"op\":\"xfer.out\",\"shard\":2,\"terms\":0,\"err\":null,\"charge\":{\"inv\":1,\"rej\":0,\"post\":120,\"short\":-3,\"long\":2,\"ns_inv\":3000000000,\"ns_proc\":50800000,\"ns_xmit\":8045000000,\"faults\":1,\"retries\":2,\"ns_backoff\":125000000}}",
         );
         wire(
             EventKind::DocTraffic {
@@ -939,6 +920,27 @@ mod tests {
     }
 
     #[test]
+    fn a_charge_in_seconds_is_an_error_not_ticks() {
+        // A trace written before charges were ticks spells time in float
+        // seconds under `t_*` keys. Read as ticks, `"t_inv":3` would be
+        // 3 ns; it must be refused at its line instead.
+        let old = "{\"seq\":0,\"clock\":3,\"type\":\"call\",\"op\":\"search\",\"shard\":null,\
+                   \"terms\":1,\"err\":null,\"charge\":{\"inv\":1,\"rej\":0,\"post\":0,\"short\":0,\
+                   \"long\":0,\"t_inv\":3,\"t_proc\":0,\"t_xmit\":0,\"faults\":0,\"retries\":0,\
+                   \"t_backoff\":0}}";
+        let err = parse_jsonl(&format!("\n{old}\n")).unwrap_err();
+        assert_eq!(
+            (err.line, err.message.as_str()),
+            (2, "missing field \"ns_inv\"")
+        );
+        let fractional = old
+            .replace("t_inv\":3", "ns_inv\":3.5")
+            .replace("\"t_", "\"ns_");
+        let err = parse_jsonl(&fractional).unwrap_err();
+        assert_eq!(err.message, "\"ns_inv\" is not an integer");
+    }
+
+    #[test]
     fn any_field_order_spacing_and_unknown_fields_parse() {
         let ev = Event {
             seq: 3,
@@ -954,8 +956,8 @@ mod tests {
                 },
             },
         };
-        let line = "{ \"charge\" : {\"t_backoff\":0,\"retries\":0,\"faults\":0,\"t_xmit\":0,\
-                    \"t_proc\":0,\"t_inv\":0,\"long\":0,\"short\":0,\"post\":9,\"post\":1,\"rej\":0,\
+        let line = "{ \"charge\" : {\"ns_backoff\":0,\"retries\":0,\"faults\":0,\"ns_xmit\":0,\
+                    \"ns_proc\":0,\"ns_inv\":0,\"long\":0,\"short\":0,\"post\":9,\"post\":1,\"rej\":0,\
                     \"inv\":0,\"seq\":99},\t\"err\":\"a\\tb\", \"terms\":2, \"shard\":1,\
                     \"extra\":[{\"seq\":7},[\"x\"],null], \"op\":\"probe\", \"ty\\u0070e\":\"call\",\
                     \"clock\":1.5,\"seq\":3,\"seq\":4 }";

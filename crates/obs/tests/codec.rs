@@ -116,12 +116,12 @@ impl Draw<'_> {
             postings: self.i64(),
             docs_short: self.i64(),
             docs_long: self.i64(),
-            time_invocation: self.f64(),
-            time_processing: self.f64(),
-            time_transmission: self.f64(),
+            ns_invocation: self.i64(),
+            ns_processing: self.i64(),
+            ns_transmission: self.i64(),
             faults: self.i64(),
             retries: self.i64(),
-            time_backoff: self.f64(),
+            ns_backoff: self.i64(),
         }
     }
 
@@ -157,7 +157,6 @@ impl Draw<'_> {
             },
             4 => EventKind::Backoff {
                 shard: self.shard(),
-                seconds: self.f64(),
                 charge: self.charge(),
             },
             5 => EventKind::Retry {

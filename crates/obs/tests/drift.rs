@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 
-use textjoin_obs::{calibrate_trace, Charge, Event, EventKind, Monitor, MonitorConfig};
+use textjoin_obs::{calibrate_trace, ns, Charge, Event, EventKind, Monitor, MonitorConfig};
 
 const WINDOW_SECS: f64 = 10.0;
 
@@ -39,9 +39,9 @@ fn stream(seeds: &[Seed]) -> Vec<Event> {
             postings: post,
             docs_short: short,
             docs_long: long,
-            time_invocation: price * inv as f64 + noise,
-            time_processing: price * 1e-3 * post as f64,
-            time_transmission: price * (0.01 * short as f64 + long as f64) - noise,
+            ns_invocation: ns(price * inv as f64 + noise),
+            ns_processing: ns(price * 1e-3 * post as f64),
+            ns_transmission: ns(price * (0.01 * short as f64 + long as f64) - noise),
             ..Charge::default()
         };
         let kind = match kind {
@@ -59,18 +59,17 @@ fn stream(seeds: &[Seed]) -> Vec<Event> {
                     postings: -post,
                     docs_short: -short,
                     docs_long: -long,
-                    time_invocation: -charge.time_invocation,
-                    time_processing: -charge.time_processing,
-                    time_transmission: -charge.time_transmission,
+                    ns_invocation: -charge.ns_invocation,
+                    ns_processing: -charge.ns_processing,
+                    ns_transmission: -charge.ns_transmission,
                     ..Charge::default()
                 },
             },
             _ => EventKind::Backoff {
                 shard: None,
-                seconds: price,
                 charge: Charge {
                     retries: 1,
-                    time_backoff: price,
+                    ns_backoff: ns(price),
                     ..Charge::default()
                 },
             },

@@ -90,14 +90,11 @@ impl TextServer {
             // Nothing to refund, and nothing to report.
             return;
         }
-        let c = self.constants();
-        self.book_rebate(Charge {
+        self.book_rebate(self.constants().price(Charge {
             invocations: -(extra_invocations as i64),
-            time_invocation: -(c.c_i * extra_invocations as f64),
             docs_short: -(duplicate_docs as i64),
-            time_transmission: -(c.c_s * duplicate_docs as f64),
             ..Charge::default()
-        });
+        }));
     }
 }
 
@@ -107,6 +104,7 @@ mod tests {
     use crate::doc::{Document, TextSchema};
     use crate::index::Collection;
     use crate::parse::parse_search;
+    use crate::server::Usage;
 
     fn server() -> TextServer {
         let schema = TextSchema::bibliographic();
@@ -132,7 +130,7 @@ mod tests {
         assert_eq!(br.results[0].len(), 1);
         let u = s.usage();
         assert_eq!(u.invocations, 1, "batch pays one invocation");
-        assert!((u.time_invocation - s.constants().c_i).abs() < 1e-9);
+        assert_eq!(u.ns_invocation, 3_000_000_000);
     }
 
     #[test]
@@ -151,15 +149,23 @@ mod tests {
         let s1 = server();
         let exprs = vec![q(&s1, "AU='gravano'"), q(&s1, "AU='kao'")];
         s1.search_batch(&exprs).unwrap();
-        let batched = s1.usage().total_cost();
+        let batched = s1.usage();
 
         let s2 = server();
         for e in &exprs {
             s2.search(e).unwrap();
         }
-        let separate = s2.usage().total_cost();
-        assert!(batched < separate);
-        assert!((separate - batched - s1.constants().c_i).abs() < 1e-9);
+        let separate = s2.usage();
+        assert!(batched.total_cost() < separate.total_cost());
+        assert_eq!(
+            separate.since(&batched),
+            Usage {
+                invocations: 1,
+                ns_invocation: 3_000_000_000,
+                ..Usage::default()
+            },
+            "the batch saves exactly one invocation"
+        );
     }
 
     #[test]

@@ -15,14 +15,15 @@
 //! The constants calibrated on the integrated OpenODB–Mercury system were
 //! `c_i = 3 s`, `c_p = 1e-5 s/posting`, `c_s = 0.015 s/doc`, `c_l = 4 s/doc`
 //! — available as [`CostConstants::mercury_calibrated`]. All "time" in this
-//! crate is simulated seconds charged from these constants; wall-clock time
+//! crate is simulated time, integer nanosecond ticks that
+//! [`CostConstants::price`] charges from these constants; wall-clock time
 //! plays no role, which makes every experiment deterministic.
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::rc::Rc;
 
-use textjoin_obs::{Charge, EventKind, Recorder};
+use textjoin_obs::{ns, secs, Charge, EventKind, Recorder};
 
 use crate::doc::{DocId, Document, ShortForms};
 use crate::eval::evaluate;
@@ -56,6 +57,20 @@ impl CostConstants {
             c_l: 4.0,
         }
     }
+
+    /// `counts` with its invocation, processing and transmission ticks
+    /// priced: `ns(c_i)` per invocation, `ns(c_p)` per posting, `ns(c_s)`
+    /// per short and `ns(c_l)` per long document. Backoff passes through.
+    pub fn price(&self, counts: Charge) -> Charge {
+        let per = |c: f64, n: i64| ns(c).wrapping_mul(n);
+        Charge {
+            ns_invocation: per(self.c_i, counts.invocations),
+            ns_processing: per(self.c_p, counts.postings),
+            ns_transmission: per(self.c_s, counts.docs_short)
+                .wrapping_add(per(self.c_l, counts.docs_long)),
+            ..counts
+        }
+    }
 }
 
 impl Default for CostConstants {
@@ -77,18 +92,18 @@ pub struct Usage {
     pub docs_short: u64,
     /// Documents transmitted in long form (charged `c_l` each).
     pub docs_long: u64,
-    /// Simulated seconds spent on invocations.
-    pub time_invocation: f64,
-    /// Simulated seconds spent processing postings.
-    pub time_processing: f64,
-    /// Simulated seconds spent transmitting results (both forms).
-    pub time_transmission: f64,
+    /// Simulated nanoseconds spent on invocations.
+    pub ns_invocation: u64,
+    /// Simulated nanoseconds spent processing postings.
+    pub ns_processing: u64,
+    /// Simulated nanoseconds spent transmitting results (both forms).
+    pub ns_transmission: u64,
     /// Injected faults observed (each failed attempt also charged above).
     pub faults: u64,
     /// Client retries performed after transient faults.
     pub retries: u64,
-    /// Simulated seconds the client spent backing off between retries.
-    pub time_backoff: f64,
+    /// Simulated nanoseconds the client spent backing off between retries.
+    pub ns_backoff: u64,
     /// Probe-cache hits observed by the client during the measured work.
     /// Free — caches never charge; the counters ride the ledger so every
     /// cost report can say how much sharing backed it. Server-side
@@ -104,7 +119,10 @@ pub struct Usage {
 impl Usage {
     /// Total simulated cost in seconds.
     pub fn total_cost(&self) -> f64 {
-        self.time_invocation + self.time_processing + self.time_transmission + self.time_backoff
+        let ticks = [self.ns_processing, self.ns_transmission, self.ns_backoff]
+            .into_iter()
+            .fold(self.ns_invocation, u64::wrapping_add);
+        secs(ticks as i64)
     }
 
     /// Adds another ledger into this one, counter by counter. Used to sum
@@ -115,12 +133,12 @@ impl Usage {
         self.postings_processed += other.postings_processed;
         self.docs_short += other.docs_short;
         self.docs_long += other.docs_long;
-        self.time_invocation += other.time_invocation;
-        self.time_processing += other.time_processing;
-        self.time_transmission += other.time_transmission;
+        self.ns_invocation += other.ns_invocation;
+        self.ns_processing += other.ns_processing;
+        self.ns_transmission += other.ns_transmission;
         self.faults += other.faults;
         self.retries += other.retries;
-        self.time_backoff += other.time_backoff;
+        self.ns_backoff += other.ns_backoff;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.cache_evicted += other.cache_evicted;
@@ -129,24 +147,21 @@ impl Usage {
     /// Books a charge: adds each of its eleven fields to the counter it
     /// mirrors. Resets aside, this is the only way a ledger moves, and the
     /// event that reports a booking carries the `Charge` that was booked, so
-    /// a trace and its ledger cannot disagree. The counters are unsigned
-    /// and a rebate's charge is negative: the signed add wraps as `-=` does
-    /// in a release build. Of the simulated seconds, `x + -y` is `x - y`,
-    /// and `x + 0.0` and `x + -0.0` are `x` for every value a ledger holds
-    /// (it starts at `+0.0`, and a sum is `-0.0` only if both addends
-    /// are), so a field the charge leaves at zero changes no bit.
+    /// a trace and its ledger cannot disagree. The fields are unsigned and
+    /// a rebate's charge is negative: the signed add wraps as `-=` does in
+    /// a release build.
     pub fn book(&mut self, c: &Charge) {
         self.invocations = self.invocations.wrapping_add_signed(c.invocations);
         self.rejected = self.rejected.wrapping_add_signed(c.rejected);
         self.postings_processed = self.postings_processed.wrapping_add_signed(c.postings);
         self.docs_short = self.docs_short.wrapping_add_signed(c.docs_short);
         self.docs_long = self.docs_long.wrapping_add_signed(c.docs_long);
-        self.time_invocation += c.time_invocation;
-        self.time_processing += c.time_processing;
-        self.time_transmission += c.time_transmission;
+        self.ns_invocation = self.ns_invocation.wrapping_add_signed(c.ns_invocation);
+        self.ns_processing = self.ns_processing.wrapping_add_signed(c.ns_processing);
+        self.ns_transmission = self.ns_transmission.wrapping_add_signed(c.ns_transmission);
         self.faults = self.faults.wrapping_add_signed(c.faults);
         self.retries = self.retries.wrapping_add_signed(c.retries);
-        self.time_backoff += c.time_backoff;
+        self.ns_backoff = self.ns_backoff.wrapping_add_signed(c.ns_backoff);
     }
 
     /// The difference `self - earlier`, for measuring a sub-operation.
@@ -157,12 +172,12 @@ impl Usage {
             postings_processed: self.postings_processed - earlier.postings_processed,
             docs_short: self.docs_short - earlier.docs_short,
             docs_long: self.docs_long - earlier.docs_long,
-            time_invocation: self.time_invocation - earlier.time_invocation,
-            time_processing: self.time_processing - earlier.time_processing,
-            time_transmission: self.time_transmission - earlier.time_transmission,
+            ns_invocation: self.ns_invocation - earlier.ns_invocation,
+            ns_processing: self.ns_processing - earlier.ns_processing,
+            ns_transmission: self.ns_transmission - earlier.ns_transmission,
             faults: self.faults - earlier.faults,
             retries: self.retries - earlier.retries,
-            time_backoff: self.time_backoff - earlier.time_backoff,
+            ns_backoff: self.ns_backoff - earlier.ns_backoff,
             cache_hits: self.cache_hits - earlier.cache_hits,
             cache_misses: self.cache_misses - earlier.cache_misses,
             cache_evicted: self.cache_evicted - earlier.cache_evicted,
@@ -177,20 +192,20 @@ impl fmt::Display for Usage {
             "{:.2}s (inv {} = {:.2}s, post {} = {:.2}s, xmit {}s/{}l = {:.2}s",
             self.total_cost(),
             self.invocations,
-            self.time_invocation,
+            secs(self.ns_invocation as i64),
             self.postings_processed,
-            self.time_processing,
+            secs(self.ns_processing as i64),
             self.docs_short,
             self.docs_long,
-            self.time_transmission,
+            secs(self.ns_transmission as i64),
         )?;
         // Only rendered when fault injection was active, so fault-free runs
         // print byte-identically to the pre-fault-model format.
-        if self.faults > 0 || self.retries > 0 || self.time_backoff != 0.0 {
+        if self.faults > 0 || self.retries > 0 || self.ns_backoff != 0 {
             write!(
                 f,
                 ", faults {} / retries {} = {:.2}s backoff",
-                self.faults, self.retries, self.time_backoff,
+                self.faults, self.retries, secs(self.ns_backoff as i64),
             )?;
         }
         write!(f, ")")
@@ -531,18 +546,17 @@ impl TextServer {
         });
     }
 
-    /// Books `seconds` of waiting (and `retries` retries), then reports
-    /// the wait with the same value.
-    fn book_backoff(&self, seconds: f64, retries: i64) {
+    /// Books `ticks` of waiting (and `retries` retries), then reports the
+    /// wait with the same value.
+    fn book_backoff(&self, ticks: i64, retries: i64) {
         let charge = Charge {
             retries,
-            time_backoff: seconds,
+            ns_backoff: ticks,
             ..Charge::default()
         };
         self.usage.borrow_mut().book(&charge);
         self.emit(EventKind::Backoff {
             shard: self.shard_index.get(),
-            seconds,
             charge,
         });
     }
@@ -586,7 +600,7 @@ impl TextServer {
                 // lives in `Usage`) and fall through to the normal success
                 // path below. Not a retry: no `retries` counter moves and
                 // no fault is surfaced.
-                self.book_backoff(f64::from(delta_s), 0);
+                self.book_backoff(ns(f64::from(delta_s)), 0);
             } else {
                 return Err(self.charge_search_fault(fault, op, count));
             }
@@ -597,17 +611,12 @@ impl TextServer {
                 .push(expr.display(self.coll.schema()).to_string());
         }
         let out = evaluate(&self.coll, expr);
-        let shipped = out.docs.len();
-        let c = &self.constants;
-        let charge = Charge {
+        let charge = self.constants.price(Charge {
             invocations: 1,
             postings: out.postings_read as i64,
-            docs_short: shipped as i64,
-            time_invocation: c.c_i,
-            time_processing: c.c_p * out.postings_read as f64,
-            time_transmission: c.c_s * shipped as f64,
+            docs_short: out.docs.len() as i64,
             ..Charge::default()
-        };
+        });
         self.book_call(op, count, None, charge);
         Ok(out.docs)
     }
@@ -634,12 +643,11 @@ impl TextServer {
             // `c_i` (counted as an invocation so the cost decomposition
             // stays exact), never the `c_l` of a document that was not
             // shipped.
-            let charge = Charge {
+            let charge = self.constants.price(Charge {
                 invocations: 1,
                 faults: 1,
-                time_invocation: self.constants.c_i,
                 ..Charge::default()
-            };
+            });
             self.book_call("retrieve", 0, Some("unavailable".to_string()), charge);
             return Err(TextError::Unavailable);
         }
@@ -649,11 +657,10 @@ impl TextServer {
             self.book_call("retrieve", 0, Some(err), Charge::default());
             return Err(TextError::UnknownDoc(id));
         };
-        let charge = Charge {
+        let charge = self.constants.price(Charge {
             docs_long: 1,
-            time_transmission: self.constants.c_l,
             ..Charge::default()
-        };
+        });
         self.book_call("retrieve", 0, None, charge);
         Ok(doc)
     }
@@ -683,18 +690,15 @@ impl TextServer {
     /// invocation); a timeout also charges the postings scanned before the
     /// deadline; a cap renegotiation takes effect immediately.
     fn charge_search_fault(&self, fault: Fault, op: &'static str, terms: usize) -> TextError {
-        let c = &self.constants;
-        let mut charge = Charge {
+        let mut counts = Charge {
             invocations: 1,
             faults: 1,
-            time_invocation: c.c_i,
             ..Charge::default()
         };
         let err = match fault {
             Fault::Unavailable => TextError::Unavailable,
             Fault::Timeout { after_postings } => {
-                charge.postings = after_postings as i64;
-                charge.time_processing = c.c_p * after_postings as f64;
+                counts.postings = after_postings as i64;
                 TextError::Timeout {
                     postings: after_postings,
                 }
@@ -707,7 +711,7 @@ impl TextServer {
                 unreachable!("Slow is latency-only and handled on the success path")
             }
         };
-        self.book_call(op, terms, Some(err.to_string()), charge);
+        self.book_call(op, terms, Some(err.to_string()), self.constants.price(counts));
         err
     }
 
@@ -726,12 +730,12 @@ impl TextServer {
             postings: -(delta.postings_processed as i64),
             docs_short: -(delta.docs_short as i64),
             docs_long: -(delta.docs_long as i64),
-            time_invocation: -delta.time_invocation,
-            time_processing: -delta.time_processing,
-            time_transmission: -delta.time_transmission,
+            ns_invocation: -(delta.ns_invocation as i64),
+            ns_processing: -(delta.ns_processing as i64),
+            ns_transmission: -(delta.ns_transmission as i64),
             faults: -(delta.faults as i64),
             retries: -(delta.retries as i64),
-            time_backoff: -delta.time_backoff,
+            ns_backoff: -(delta.ns_backoff as i64),
         });
     }
 
@@ -741,7 +745,7 @@ impl TextServer {
     /// keeping a second meter (and `Usage::total_cost` keeps decomposing
     /// exactly).
     pub fn charge_backoff(&self, seconds: f64) {
-        self.book_backoff(seconds, 1);
+        self.book_backoff(ns(seconds), 1);
     }
 }
 
@@ -777,10 +781,34 @@ mod tests {
         assert_eq!(u.invocations, 1);
         assert!(u.postings_processed > 0);
         assert_eq!(u.docs_short, 1);
-        let c = s.constants();
-        let expected =
-            c.c_i + c.c_p * u.postings_processed as f64 + c.c_s * u.docs_short as f64;
-        assert!((u.total_cost() - expected).abs() < 1e-9);
+        assert_eq!(
+            (u.ns_invocation, u.ns_processing, u.ns_transmission),
+            (3_000_000_000, 10_000 * u.postings_processed, 15_000_000)
+        );
+    }
+
+    #[test]
+    fn price_fills_three_times_from_counts_and_keeps_the_rest() {
+        let counts = Charge {
+            invocations: -2,
+            postings: 5_080,
+            docs_short: 3,
+            docs_long: 1,
+            faults: 1,
+            ns_invocation: 7,
+            ns_backoff: 125_000_000,
+            ..Charge::default()
+        };
+        let priced = CostConstants::mercury_calibrated().price(counts);
+        assert_eq!(
+            priced,
+            Charge {
+                ns_invocation: -6_000_000_000,
+                ns_processing: 50_800_000,
+                ns_transmission: 4_045_000_000,
+                ..counts
+            }
+        );
     }
 
     #[test]
@@ -792,7 +820,7 @@ mod tests {
         assert!(!doc.values(s.collection().schema().field_by_name("title").unwrap()).is_empty());
         let delta = s.usage().since(&before);
         assert_eq!(delta.docs_long, 1);
-        assert!((delta.time_transmission - s.constants().c_l).abs() < 1e-9);
+        assert_eq!(delta.ns_transmission, 4_000_000_000);
         assert_eq!(delta.invocations, 0, "retrieval is not a search invocation");
     }
 
@@ -884,7 +912,8 @@ mod tests {
         assert!(err.is_transient());
         let u = s.usage();
         assert_eq!((u.faults, u.invocations, u.docs_short), (1, 1, 0));
-        assert!((u.total_cost() - s.constants().c_i).abs() < 1e-9);
+        assert_eq!(u.ns_invocation, 3_000_000_000);
+        assert_eq!(u.total_cost(), 3.0);
         // The next attempt (op 1) goes through and returns the real result.
         let r = s.search_str("TI='text'").unwrap();
         assert_eq!(r.len(), 1);
@@ -902,9 +931,12 @@ mod tests {
         let err = s.search_str("TI='text'").unwrap_err();
         assert!(matches!(err, TextError::Timeout { postings: 250 }));
         let u = s.usage();
-        let c = s.constants();
         assert_eq!(u.postings_processed, 250);
-        assert!((u.total_cost() - (c.c_i + c.c_p * 250.0)).abs() < 1e-9);
+        assert_eq!(
+            (u.ns_invocation, u.ns_processing),
+            (3_000_000_000, 2_500_000)
+        );
+        assert_eq!(u.total_cost(), 3.0025);
     }
 
     #[test]
@@ -939,7 +971,7 @@ mod tests {
         assert_eq!(err.error, TextError::UnknownDoc(DocId(999)));
         let delta = s.usage().since(&before);
         assert_eq!(delta.docs_long, 2, "exactly the returned docs are charged");
-        assert!((delta.time_transmission - 2.0 * s.constants().c_l).abs() < 1e-9);
+        assert_eq!(delta.ns_transmission, 8_000_000_000);
         // Success path is unchanged.
         let docs = s.retrieve_all(&[DocId(1), DocId(0)]).unwrap();
         assert_eq!(docs.len(), 2);
@@ -969,13 +1001,9 @@ mod tests {
         let u = s.usage();
         assert_eq!(u.faults, 0, "latency-only faults are not error faults");
         assert_eq!(u.retries, 0, "no retry happened");
-        assert!((u.time_backoff - 5.0).abs() < 1e-9);
-        let c = s.constants();
-        let expected = c.c_i
-            + c.c_p * u.postings_processed as f64
-            + c.c_s * u.docs_short as f64
-            + 5.0;
-        assert!((u.total_cost() - expected).abs() < 1e-9);
+        assert_eq!(u.ns_backoff, 5_000_000_000);
+        let ticks = 3_000_000_000 + 10_000 * u.postings_processed + 15_000_000 * u.docs_short;
+        assert_eq!(u.ns_invocation + u.ns_processing + u.ns_transmission, ticks);
     }
 
     #[test]
@@ -999,7 +1027,7 @@ mod tests {
         s.charge_backoff(2.0);
         let delta = s.usage().since(&before);
         assert_eq!(delta.retries, 2);
-        assert!((delta.time_backoff - 3.0).abs() < 1e-9);
-        assert!((delta.total_cost() - 3.0).abs() < 1e-9);
+        assert_eq!(delta.ns_backoff, 3_000_000_000);
+        assert_eq!(delta.total_cost(), 3.0);
     }
 }

@@ -8,8 +8,9 @@
 //! across many of them.
 //!
 //! Everything here is metered: implementations charge the paper's cost
-//! constants into a [`Usage`] ledger, and `usage()` must decompose as
-//! `c_i·invocations + c_p·postings + c_s·short + c_l·long + time_backoff`.
+//! constants into a [`Usage`] ledger, and `usage()` must decompose, tick
+//! for tick, as `c_i·invocations + c_p·postings + c_s·short + c_l·long +
+//! ns_backoff` (see [`CostConstants::price`]).
 
 use crate::batch::BatchResult;
 use crate::doc::{DocId, Document, ShortDoc, TextSchema};

@@ -5,7 +5,7 @@
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
-use textjoin_obs::{Charge, EventKind};
+use textjoin_obs::{ns, Charge, EventKind};
 
 use super::ShardedTextServer;
 use crate::doc::{DocId, TextSchema};
@@ -184,8 +184,9 @@ impl ShardedTextServer {
     /// each drawing its fate from the replica's own fault plan. A refusal
     /// costs the connection alone; for any other draw `attempt` gives the
     /// postings delivered before a timeout (`None` when the transfer goes
-    /// through) and the payload charge. The leg adds the connection and
-    /// fault counters, books the attempt into the migration bucket and
+    /// through) and the payload's counts, with any slow wait as backoff
+    /// ticks. The leg adds the connection and fault counters, prices the
+    /// attempt, books it into the migration bucket and
     /// emits the matching `Call` event, so the trace↔ledger audit covers
     /// transfers exactly. Fails transiently when every replica refuses.
     fn xfer_leg(
@@ -196,7 +197,6 @@ impl ShardedTextServer {
         order: &[usize],
         mut attempt: impl FnMut(Option<Fault>) -> (Option<u64>, Charge),
     ) -> Result<(), TextError> {
-        let c_i = self.constants().c_i;
         self.failover(shard, order, |r| {
             let server = &self.replicas[shard][r];
             let (err, payload) = match server.fault_plan().next_search_fault(server.max_terms()) {
@@ -215,12 +215,11 @@ impl ShardedTextServer {
             } else {
                 Ok(())
             };
-            let charge = Charge {
+            let charge = self.constants().price(Charge {
                 invocations: 1,
                 faults: i64::from(out.is_err()),
-                time_invocation: c_i,
                 ..payload
-            };
+            });
             self.migration_usage.borrow_mut().book(&charge);
             self.emit(EventKind::Call {
                 op,
@@ -290,10 +289,9 @@ impl ShardedTextServer {
                 batch_postings,
             }
         };
-        let c = self.constants();
         let slow = |fault: Option<Fault>| match fault {
-            Some(Fault::Slow { delta_s }) => f64::from(delta_s),
-            _ => 0.0,
+            Some(Fault::Slow { delta_s }) => ns(f64::from(delta_s)),
+            _ => 0,
         };
         if work.resumed {
             self.emit(EventKind::MigrationResume {
@@ -318,8 +316,7 @@ impl ShardedTextServer {
                     None,
                     Charge {
                         docs_long: work.n as i64,
-                        time_transmission: c.c_l * work.n as f64,
-                        time_backoff: slow(fault),
+                        ns_backoff: slow(fault),
                         ..Charge::default()
                     },
                 ),
@@ -343,8 +340,7 @@ impl ShardedTextServer {
             };
             let payload = Charge {
                 postings: postings as i64,
-                time_processing: c.c_p * postings as f64,
-                time_backoff: slow(fault),
+                ns_backoff: slow(fault),
                 ..Charge::default()
             };
             (cut, payload)

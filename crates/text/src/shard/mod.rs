@@ -37,7 +37,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
-use textjoin_obs::{splitmix64, Charge, EventKind, Recorder};
+use textjoin_obs::{ns, splitmix64, Charge, EventKind, Recorder};
 
 use crate::batch::BatchResult;
 use crate::doc::{DocId, Document, ShortDoc, TextSchema};
@@ -443,13 +443,12 @@ impl TextService for ShardedTextServer {
     fn charge_backoff(&self, seconds: f64) {
         let charge = Charge {
             retries: 1,
-            time_backoff: seconds,
+            ns_backoff: ns(seconds),
             ..Charge::default()
         };
         self.extra.borrow_mut().book(&charge);
         self.emit(EventKind::Backoff {
             shard: None,
-            seconds,
             charge,
         });
     }

@@ -1,6 +1,6 @@
 //! `Usage::book` is the one function that says what a booking adds to a
 //! ledger. Pinned here: it is exact (a charge and then its negation return
-//! a ledger bit for bit), a field a charge leaves at zero changes no bit,
+//! a ledger to what it held), a field a charge leaves at zero is unchanged,
 //! and folding the charges of a recorded trace through it reproduces the
 //! server's ledger field for field — the audit identity of
 //! `tests/audit.rs`, stated through the function that now defines it.
@@ -15,34 +15,21 @@ use textjoin_text::index::Collection;
 use textjoin_text::parse::parse_search;
 use textjoin_text::server::{TextServer, Usage};
 
-/// The fields `book` moves, floats by bit pattern.
-fn bits(u: &Usage) -> [u64; 11] {
+/// The fields `book` moves.
+fn fields(u: &Usage) -> [u64; 11] {
     [
         u.invocations,
         u.rejected,
         u.postings_processed,
         u.docs_short,
         u.docs_long,
-        u.time_invocation.to_bits(),
-        u.time_processing.to_bits(),
-        u.time_transmission.to_bits(),
+        u.ns_invocation,
+        u.ns_processing,
+        u.ns_transmission,
         u.faults,
         u.retries,
-        u.time_backoff.to_bits(),
+        u.ns_backoff,
     ]
-}
-
-/// Simulated seconds a sum of which is exact: a multiple of 2⁻¹⁰ below
-/// 2²², of either sign, and one draw in four a zero (`0` is `0.0`, `1` is
-/// `-0.0`).
-fn seconds(word: u64) -> f64 {
-    let v = if word & 6 == 0 { 0 } else { (word >> 3) as u32 };
-    let v = f64::from(v) / 1024.0;
-    if word & 1 == 1 {
-        -v
-    } else {
-        v
-    }
 }
 
 /// A charge drawn from `w`, or the one that refunds it.
@@ -54,24 +41,22 @@ fn charge(w: &[u64], refund: bool) -> Charge {
             v as i64
         }
     };
-    let t = |v: u64| if refund { -seconds(v) } else { seconds(v) };
     Charge {
         invocations: n(w[0]),
         rejected: n(w[1]),
         postings: n(w[2]),
         docs_short: n(w[3]),
         docs_long: n(w[4]),
-        time_invocation: t(w[5]),
-        time_processing: t(w[6]),
-        time_transmission: t(w[7]),
+        ns_invocation: n(w[5]),
+        ns_processing: n(w[6]),
+        ns_transmission: n(w[7]),
         faults: n(w[8]),
         retries: n(w[9]),
-        time_backoff: t(w[10]),
+        ns_backoff: n(w[10]),
     }
 }
 
-/// A ledger: any counters, and seconds as a ledger comes to hold them — by
-/// sums from `+0.0`, so of either sign but never `-0.0`.
+/// A ledger holding any values.
 fn ledger(w: &[u64]) -> Usage {
     let mut u = Usage::default();
     u.book(&charge(w, false));
@@ -81,8 +66,8 @@ fn ledger(w: &[u64]) -> Usage {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// A rebate undoes its charge exactly, whatever the counters wrap to
-    /// in between.
+    /// A rebate undoes its charge exactly, whatever the fields wrap to in
+    /// between.
     #[test]
     fn a_charge_and_then_its_negation_return_the_ledger_bit_for_bit(
         l in prop::collection::vec(0..u64::MAX, 11),
@@ -92,25 +77,23 @@ proptest! {
         let mut u = before;
         u.book(&charge(&c, false));
         u.book(&charge(&c, true));
-        prop_assert_eq!(bits(&u), bits(&before));
+        prop_assert_eq!(u, before);
     }
 
-    /// A counter whose field the charge leaves at `0`, `0.0` or `-0.0`
-    /// keeps its bits, whatever it holds.
+    /// A field the charge leaves at zero keeps its value, whatever it
+    /// holds.
     #[test]
     fn a_field_left_at_zero_changes_no_bit(
         l in prop::collection::vec(0..u64::MAX, 11),
         c in prop::collection::vec(0..u64::MAX, 11),
         field in 0..11usize,
-        negative in prop::bool::ANY,
     ) {
         let before = ledger(&l);
         let mut words = c.clone();
-        // An integer has the one zero; see `seconds` for the other.
-        words[field] = u64::from(negative && [5, 6, 7, 10].contains(&field));
+        words[field] = 0;
         let mut u = before;
         u.book(&charge(&words, false));
-        prop_assert_eq!(bits(&u)[field], bits(&before)[field]);
+        prop_assert_eq!(fields(&u)[field], fields(&before)[field]);
     }
 }
 
@@ -169,5 +152,5 @@ fn replaying_a_traces_charges_through_book_reproduces_the_ledger() {
     for c in charges {
         replayed.book(c);
     }
-    assert_eq!(bits(&replayed), bits(&server.usage()));
+    assert_eq!(replayed, server.usage());
 }

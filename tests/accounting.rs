@@ -8,8 +8,25 @@ use textjoin::core::methods::ExecContext;
 use textjoin::core::optimizer::multi::ExecutionSpace;
 use textjoin::core::optimizer::single::enumerate_methods;
 use textjoin::core::query::prepare;
+use textjoin::text::server::Usage;
 use textjoin::workload::paper;
 use textjoin::workload::world::{World, WorldSpec};
+
+/// A ledger's time, in ticks.
+fn ticks(u: &Usage) -> u64 {
+    u.ns_invocation + u.ns_processing + u.ns_transmission + u.ns_backoff
+}
+
+/// What `u`'s counts cost at the Mercury constants, in ticks, written out:
+/// 3 s per invocation, 10 µs per posting, 15 ms per short and 4 s per long
+/// document, plus the backoff it waited.
+fn mercury_ticks(u: &Usage) -> u64 {
+    3_000_000_000 * u.invocations
+        + 10_000 * u.postings_processed
+        + 15_000_000 * u.docs_short
+        + 4_000_000_000 * u.docs_long
+        + u.ns_backoff
+}
 
 fn world() -> World {
     World::generate(WorldSpec {
@@ -34,22 +51,15 @@ fn method_cost_decomposes_into_server_charges() {
         let out = textjoin::core::exec::execute_single(&ctx, &p, &cand, ProbeSchedule::ProbeFirst)
             .expect("runs");
         let u = w.server.usage();
-        let k = w.server.constants();
-        let expected_text = k.c_i * u.invocations as f64
-            + k.c_p * u.postings_processed as f64
-            + k.c_s * u.docs_short as f64
-            + k.c_l * u.docs_long as f64
-            + u.time_backoff;
-        assert!(
-            (out.report.text.total_cost() - expected_text).abs() < 1e-6,
+        assert_eq!(
+            ticks(&out.report.text),
+            mercury_ticks(&u),
             "{}: reported text cost must equal server charges",
             cand.label
         );
-        assert!(
-            (out.report.total_cost()
-                - (expected_text + ctx.c_a * out.report.rtp_comparisons as f64))
-                .abs()
-                < 1e-6,
+        assert_eq!(
+            out.report.total_cost(),
+            u.total_cost() + ctx.c_a * out.report.rtp_comparisons as f64,
             "{}: total = text + c_a × comparisons",
             cand.label
         );
@@ -74,7 +84,7 @@ fn sampling_cost_is_separate_from_execution() {
     let ctx = ExecContext::new(&w.server);
     let out = textjoin::core::methods::ts::tuple_substitution(&ctx, &p.foreign_join(), true)
         .expect("TS runs");
-    assert!((out.report.text.total_cost() - w.server.usage().total_cost()).abs() < 1e-9);
+    assert_eq!(ticks(&out.report.text), ticks(&w.server.usage()));
 }
 
 #[test]
@@ -161,23 +171,31 @@ fn batch_extension_reduces_invocation_cost() {
 
     w.server.reset_usage();
     let batch = w.server.search_batch(&exprs).expect("batch runs");
-    let batched_cost = w.server.usage().total_cost();
+    let batched = w.server.usage();
     assert_eq!(batch.results.len(), 10);
 
     w.server.reset_usage();
     for e in &exprs {
         w.server.search(e).expect("search runs");
     }
-    let separate_cost = w.server.usage().total_cost();
+    let separate = w.server.usage();
+    let (batched_cost, separate_cost) = (batched.total_cost(), separate.total_cost());
     assert!(
         batched_cost < separate_cost,
         "batching must amortize invocations: {batched_cost} vs {separate_cost}"
     );
-    // Exactly 9 invocation charges rebated.
-    assert!(
-        (separate_cost - batched_cost - 9.0 * w.server.constants().c_i).abs() < 1.0,
-        "rebate ≈ 9 × c_i"
+    // Exactly 9 invocation charges rebated, and the duplicate short forms.
+    let saved = separate.since(&batched);
+    assert_eq!(
+        (
+            saved.invocations,
+            saved.ns_invocation,
+            saved.postings_processed
+        ),
+        (9, 9 * 3_000_000_000, 0),
+        "rebate = 9 × c_i"
     );
+    assert_eq!(saved.ns_transmission, 15_000_000 * saved.docs_short);
 }
 
 #[test]
@@ -277,30 +295,23 @@ fn sharded_aggregate_ledger_is_exactly_the_sum_of_shard_ledgers() {
     // sum of the per-shard ledgers — no hidden charges, nothing dropped.
     let agg = sharded.usage();
     let mut sum_inv = 0u64;
-    let mut sum_cost = 0.0;
+    let mut sum_ticks = 0;
     for i in 0..sharded.shard_count() {
         let su = sharded.shard_usage(i);
         assert!(su.invocations > 0, "shard {i} took part in the scatter");
         sum_inv += su.invocations;
-        sum_cost += su.total_cost();
+        sum_ticks += ticks(&su);
     }
     assert_eq!(agg.invocations, sum_inv);
-    assert!((agg.total_cost() - sum_cost).abs() < 1e-9);
+    assert_eq!(ticks(&agg), sum_ticks);
 
     // And the method report's exact decomposition still holds on the
     // aggregate: shard charges + backoff + c_a × comparisons.
-    let k = sharded.constants();
     let u = &out.report.text;
-    let expected_text = k.c_i * u.invocations as f64
-        + k.c_p * u.postings_processed as f64
-        + k.c_s * u.docs_short as f64
-        + k.c_l * u.docs_long as f64
-        + u.time_backoff;
-    assert!((u.total_cost() - expected_text).abs() < 1e-6);
-    assert!(
-        (out.report.total_cost() - (expected_text + ctx.c_a * out.report.rtp_comparisons as f64))
-            .abs()
-            < 1e-6
+    assert_eq!(ticks(u), mercury_ticks(u));
+    assert_eq!(
+        out.report.total_cost(),
+        u.total_cost() + ctx.c_a * out.report.rtp_comparisons as f64
     );
 }
 
@@ -308,7 +319,6 @@ fn sharded_aggregate_ledger_is_exactly_the_sum_of_shard_ledgers() {
 fn replicated_backoff_lands_in_both_the_aggregate_and_the_shard_invoice() {
     use textjoin::core::retry::{RetryBudget, RetryPolicy};
     use textjoin::text::faults::FaultPlan;
-    use textjoin::text::server::Usage;
     use textjoin::text::shard::ShardedTextServer;
     use textjoin::text::TextService;
 
@@ -352,12 +362,12 @@ fn replicated_backoff_lands_in_both_the_aggregate_and_the_shard_invoice() {
         sum.accumulate(&s.shard_usage(i));
     }
     assert_eq!(agg.retries, sum.retries, "retries cannot drift");
-    assert!(
-        (agg.time_backoff - sum.time_backoff).abs() < 1e-9,
-        "backoff seconds cannot drift"
-    );
+    assert_eq!(agg.ns_backoff, sum.ns_backoff, "backoff cannot drift");
     assert!(agg.retries > 2, "the dead primary forced organic retries too");
-    assert!(agg.time_backoff > 6.5, "manual 6.5s + organic failover backoff");
+    assert!(
+        agg.ns_backoff > 6_500_000_000,
+        "manual 6.5s + organic failover backoff"
+    );
 }
 
 #[test]
@@ -365,7 +375,6 @@ fn cancelled_hedge_rebate_keeps_every_accounting_view_in_agreement() {
     use textjoin::core::retry::{RetryBudget, RetryPolicy};
     use textjoin::core::sched::{SchedConfig, Scheduler};
     use textjoin::text::faults::FaultPlan;
-    use textjoin::text::server::Usage;
     use textjoin::text::shard::ShardedTextServer;
     use textjoin::text::TextService;
 
@@ -408,7 +417,7 @@ fn cancelled_hedge_rebate_keeps_every_accounting_view_in_agreement() {
     assert_eq!(delta.invocations, out.report.text.invocations);
     assert_eq!(delta.docs_short, out.report.text.docs_short);
     assert_eq!(delta.docs_long, out.report.text.docs_long);
-    assert!((delta.total_cost() - out.report.text.total_cost()).abs() < 1e-9);
+    assert_eq!(ticks(&delta), ticks(&out.report.text));
 
     // View 3: the aggregate ledger is exactly the sum of the per-shard
     // invoices — a rebate is an inverse charge on the loser's replica,
@@ -421,22 +430,15 @@ fn cancelled_hedge_rebate_keeps_every_accounting_view_in_agreement() {
     assert_eq!(agg.invocations, sum.invocations);
     assert_eq!(agg.docs_short, sum.docs_short);
     assert_eq!(agg.docs_long, sum.docs_long);
-    assert!((agg.total_cost() - sum.total_cost()).abs() < 1e-9);
+    assert_eq!(ticks(&agg), ticks(&sum));
 
     // The exact cost decomposition of CLAUDE.md still holds on the
     // post-rebate ledger: server charges + c_a × comparisons.
-    let k = s.constants();
     let u = &out.report.text;
-    let expected_text = k.c_i * u.invocations as f64
-        + k.c_p * u.postings_processed as f64
-        + k.c_s * u.docs_short as f64
-        + k.c_l * u.docs_long as f64
-        + u.time_backoff;
-    assert!((u.total_cost() - expected_text).abs() < 1e-6);
-    assert!(
-        (out.report.total_cost() - (expected_text + ctx.c_a * out.report.rtp_comparisons as f64))
-            .abs()
-            < 1e-6
+    assert_eq!(ticks(u), mercury_ticks(u));
+    assert_eq!(
+        out.report.total_cost(),
+        u.total_cost() + ctx.c_a * out.report.rtp_comparisons as f64
     );
 }
 
@@ -444,7 +446,6 @@ fn cancelled_hedge_rebate_keeps_every_accounting_view_in_agreement() {
 fn migration_charges_land_in_a_dedicated_bucket_disjoint_from_queries() {
     use textjoin::text::doc::DocId;
     use textjoin::text::rebalance::{MigrationPlan, Move};
-    use textjoin::text::server::Usage;
     use textjoin::text::shard::ShardedTextServer;
     use textjoin::text::TextService;
 
@@ -476,12 +477,11 @@ fn migration_charges_land_in_a_dedicated_bucket_disjoint_from_queries() {
     assert!(mig.postings_processed > 0, "the destination leg ingests postings");
     assert_eq!(mig.docs_short, 0, "no short forms move in a transfer");
     assert_eq!(mig.faults, 0, "fault-free run");
-    let k = s.constants();
-    let expected_mig = k.c_i * mig.invocations as f64
-        + k.c_p * mig.postings_processed as f64
-        + k.c_l * mig.docs_long as f64;
-    assert!(
-        (mig.total_cost() - expected_mig).abs() < 1e-9,
+    assert_eq!(
+        ticks(&mig),
+        3_000_000_000 * mig.invocations
+            + 10_000 * mig.postings_processed
+            + 4_000_000_000 * mig.docs_long,
         "the migration bucket decomposes into c_i/c_p/c_l charges exactly"
     );
 
@@ -499,18 +499,13 @@ fn migration_charges_land_in_a_dedicated_bucket_disjoint_from_queries() {
         agg.postings_processed,
         queries.postings_processed + mig.postings_processed
     );
-    assert!((agg.total_cost() - (queries.total_cost() + mig.total_cost())).abs() < 1e-9);
+    assert_eq!(ticks(&agg), ticks(&queries) + ticks(&mig));
 
     // The method's reported ledger (a `Usage::since` delta over the
     // aggregate) still decomposes exactly, with the paced transfer legs
     // it triggered priced by the same constants.
     let u = &out.report.text;
-    let expected_text = k.c_i * u.invocations as f64
-        + k.c_p * u.postings_processed as f64
-        + k.c_s * u.docs_short as f64
-        + k.c_l * u.docs_long as f64
-        + u.time_backoff;
-    assert!((u.total_cost() - expected_text).abs() < 1e-6);
+    assert_eq!(ticks(u), mercury_ticks(u));
 
     // After the drain, further queries grow only the query invoices: the
     // migration bucket is frozen.
@@ -519,7 +514,7 @@ fn migration_charges_land_in_a_dedicated_bucket_disjoint_from_queries() {
         .expect("TS runs after migration");
     let after = s.migration_usage();
     assert_eq!(after.invocations, frozen.invocations);
-    assert!((after.total_cost() - frozen.total_cost()).abs() < 1e-12);
+    assert_eq!(ticks(&after), ticks(&frozen));
 }
 
 #[test]
@@ -527,9 +522,7 @@ fn serve_aggregate_decomposes_into_tenant_invoices_plus_migration() {
     use textjoin::core::serve::{Backend, ServeConfig, ServeSession, TenantSpec};
     use textjoin::obs::MonitorConfig;
     use textjoin::text::faults::FaultPlan;
-    use textjoin::text::server::Usage;
     use textjoin::text::shard::ShardedTextServer;
-    use textjoin::text::TextService;
 
     let w = world();
     let params = CostParams::mercury(w.server.doc_count() as f64);
@@ -561,7 +554,7 @@ fn serve_aggregate_decomposes_into_tenant_invoices_plus_migration() {
         "the fixture must exercise the migration bucket"
     );
     // Field-for-field: aggregate = Σ tenant invoices + migration bucket.
-    // Counts exact; the times (running-ledger deltas) to 1e-9.
+    // Every field exact, times included.
     let mut sum = Usage::default();
     for t in &report.tenants {
         sum.accumulate(&t.invoice);
@@ -575,24 +568,19 @@ fn serve_aggregate_decomposes_into_tenant_invoices_plus_migration() {
     assert_eq!(a.docs_long, sum.docs_long);
     assert_eq!(a.faults, sum.faults);
     assert_eq!(a.retries, sum.retries);
-    assert!((a.time_invocation - sum.time_invocation).abs() < 1e-9);
-    assert!((a.time_processing - sum.time_processing).abs() < 1e-9);
-    assert!((a.time_transmission - sum.time_transmission).abs() < 1e-9);
-    assert!((a.time_backoff - sum.time_backoff).abs() < 1e-9);
-    assert!((a.total_cost() - sum.total_cost()).abs() < 1e-9);
+    assert_eq!(a.ns_invocation, sum.ns_invocation);
+    assert_eq!(a.ns_processing, sum.ns_processing);
+    assert_eq!(a.ns_transmission, sum.ns_transmission);
+    assert_eq!(a.ns_backoff, sum.ns_backoff);
+    assert_eq!(a.total_cost(), sum.total_cost());
 
     // And each tenant invoice still prices by the server's constants:
     // c_i/c_p/c_s/c_l plus backoff, nothing else.
-    let k = s.constants();
     for t in &report.tenants {
         let u = &t.invoice;
-        let expected = k.c_i * u.invocations as f64
-            + k.c_p * u.postings_processed as f64
-            + k.c_s * u.docs_short as f64
-            + k.c_l * u.docs_long as f64
-            + u.time_backoff;
-        assert!(
-            (u.total_cost() - expected).abs() < 1e-6,
+        assert_eq!(
+            ticks(u),
+            mercury_ticks(u),
             "tenant {} invoice must decompose into server constants",
             t.name
         );

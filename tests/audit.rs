@@ -2,8 +2,8 @@
 //! observer of the cost model.
 //!
 //! Faithful: summing the charge fields of every recorded event reproduces
-//! the server's `Usage` ledger exactly — integer counters field for field,
-//! simulated seconds to 1e-9 — for every join method, on both the single
+//! the server's `Usage` ledger exactly, field for field, counters and time
+//! ticks alike — for every join method, on both the single
 //! server and the sharded scatter/gather server, with and without injected
 //! faults. Nothing is charged off-trace and nothing is traced un-charged.
 //!
@@ -45,10 +45,9 @@ fn charge_sum(events: &[Event]) -> Charge {
     sum
 }
 
-/// The audit proper: integer counters must match exactly; simulated-second
-/// fields to 1e-9 (a sharded aggregate sums shard ledgers in shard order
-/// while the trace accumulated them in temporal order, so the float sums
-/// may differ by rounding, never by a charge).
+/// The audit proper: every field must match exactly. (A sharded aggregate
+/// sums shard ledgers in shard order while the trace accumulated them in
+/// temporal order; integer sums agree in any order.)
 fn assert_reconciles(label: &str, sum: Charge, ledger: &Usage) {
     assert_eq!(sum.invocations, ledger.invocations as i64, "{label}: invocations");
     assert_eq!(sum.rejected, ledger.rejected as i64, "{label}: rejected");
@@ -60,21 +59,22 @@ fn assert_reconciles(label: &str, sum: Charge, ledger: &Usage) {
     assert_eq!(sum.docs_long, ledger.docs_long as i64, "{label}: docs_long");
     assert_eq!(sum.faults, ledger.faults as i64, "{label}: faults");
     assert_eq!(sum.retries, ledger.retries as i64, "{label}: retries");
-    for (name, got, want) in [
-        ("time_invocation", sum.time_invocation, ledger.time_invocation),
-        ("time_processing", sum.time_processing, ledger.time_processing),
-        (
-            "time_transmission",
-            sum.time_transmission,
-            ledger.time_transmission,
-        ),
-        ("time_backoff", sum.time_backoff, ledger.time_backoff),
-    ] {
-        assert!(
-            (got - want).abs() < 1e-9,
-            "{label}: {name} drifted: trace {got} vs ledger {want}"
-        );
-    }
+    assert_eq!(
+        sum.ns_invocation, ledger.ns_invocation as i64,
+        "{label}: ns_invocation"
+    );
+    assert_eq!(
+        sum.ns_processing, ledger.ns_processing as i64,
+        "{label}: ns_processing"
+    );
+    assert_eq!(
+        sum.ns_transmission, ledger.ns_transmission as i64,
+        "{label}: ns_transmission"
+    );
+    assert_eq!(
+        sum.ns_backoff, ledger.ns_backoff as i64,
+        "{label}: ns_backoff"
+    );
 }
 
 /// Runs one method through an explicit context, tolerating the typed
@@ -143,6 +143,35 @@ fn trace_charges_reconcile_with_single_server_ledger() {
         faulted_traces > 0,
         "the faulted half of the matrix must actually fault"
     );
+}
+
+/// The recorder's clock is the ledger's total, bit for bit: both are the
+/// one exact tick sum, read in seconds once. A clock that summed each
+/// charge's seconds instead would drift from the ledger in the last bits.
+#[test]
+fn recorder_clock_is_the_ledger_total_bit_for_bit() {
+    let w = compact_world(7);
+    let schema = w.server.collection().schema();
+    let p = textjoin::core::query::prepare(&paper::q3(&w), &w.catalog, schema)
+        .expect("paper query prepares");
+    let fj = p.foreign_join();
+    let mut s = TextServer::new(w.server.collection().clone());
+    s.set_fault_plan(FaultPlan::transient(11, 0.3, 2));
+    let rec = Recorder::new(Rc::new(NoopSink));
+    s.set_recorder(Some(rec.clone()));
+    let ctx = ExecContext::new(&s);
+    for method in methods_for(&fj) {
+        run_one(&ctx, &fj, method).expect("bounded faults never exhaust retries");
+        let ledger = s.usage();
+        assert_eq!(
+            rec.clock().to_bits(),
+            ledger.total_cost().to_bits(),
+            "after {method}: clock {} vs ledger {}",
+            rec.clock(),
+            ledger.total_cost()
+        );
+    }
+    assert!(s.usage().faults > 0, "the run must fault");
 }
 
 #[test]

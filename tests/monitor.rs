@@ -224,7 +224,7 @@ fn drift_watchdog_flags_repricing_within_one_trailing_window() {
             let mut ev = ev.clone();
             if ev.clock >= half {
                 if let EventKind::Call { charge, .. } = &mut ev.kind {
-                    charge.time_invocation *= 1.5;
+                    charge.ns_invocation = charge.ns_invocation * 3 / 2;
                 }
             }
             ev

@@ -271,7 +271,7 @@ fn admitted_queries_match_brute_force_and_refusals_are_typed() {
     assert_eq!(report.aggregate.postings_processed, sum.postings_processed);
     assert_eq!(report.aggregate.faults, sum.faults);
     assert_eq!(report.aggregate.retries, sum.retries);
-    assert!((report.aggregate.total_cost() - sum.total_cost()).abs() < 1e-9);
+    assert_eq!(report.aggregate.total_cost(), sum.total_cost());
 }
 
 #[test]
@@ -340,11 +340,8 @@ fn faulty_tenant_presence_leaves_healthy_invoices_byte_identical() {
     assert!(hammer.invoice.faults > 0, "the dead primary faults the hammer tenant");
     assert!(hammer.invoice.retries > 0);
 
-    // Healthy tenants' invoices do not move: every count byte-identical,
-    // every time field equal to 1e-9. (The time fields are deltas of the
-    // server's *running* ledger, so interleaving shifts the absolute
-    // offsets the subtraction happens at — equal charges can differ in
-    // the last ulp. The counts have no such artifact and must be exact.)
+    // Healthy tenants' invoices do not move: every count and every time
+    // field identical.
     for ti in 0..2 {
         let a = &report_a.tenants[ti].invoice;
         let b = &report_b.tenants[ti].invoice;
@@ -355,19 +352,18 @@ fn faulty_tenant_presence_leaves_healthy_invoices_byte_identical() {
         assert_eq!(a.docs_long, b.docs_long);
         assert_eq!(a.faults, b.faults, "tenant {ti} faults moved");
         assert_eq!(a.retries, b.retries);
-        assert!((a.time_invocation - b.time_invocation).abs() < 1e-9);
-        assert!((a.time_processing - b.time_processing).abs() < 1e-9);
-        assert!((a.time_transmission - b.time_transmission).abs() < 1e-9);
-        assert!((a.time_backoff - b.time_backoff).abs() < 1e-9);
-        assert!(
-            (report_a.tenants[ti].spent - report_b.tenants[ti].spent).abs() < 1e-9,
+        assert_eq!(a.ns_invocation, b.ns_invocation);
+        assert_eq!(a.ns_processing, b.ns_processing);
+        assert_eq!(a.ns_transmission, b.ns_transmission);
+        assert_eq!(a.ns_backoff, b.ns_backoff);
+        assert_eq!(
+            report_a.tenants[ti].spent, report_b.tenants[ti].spent,
             "tenant {ti} spent moved"
         );
-        let (ca, cb) = (&report_a.tenants[ti].costs, &report_b.tenants[ti].costs);
-        assert_eq!(ca.len(), cb.len());
-        for (x, y) in ca.iter().zip(cb) {
-            assert!((x - y).abs() < 1e-9, "tenant {ti} per-query cost moved");
-        }
+        assert_eq!(
+            report_a.tenants[ti].costs, report_b.tenants[ti].costs,
+            "tenant {ti} per-query cost moved"
+        );
     }
 }
 
@@ -518,7 +514,7 @@ fn session_caches_strictly_reduce_charges_on_repeated_specs() {
     // aggregate ledger, and cache hits carry no charge at all.
     let mut cache_hits = 0;
     let mut sum_inv = 0i64;
-    let mut sum_time = 0.0;
+    let mut sum_ticks = 0i64;
     for ev in &report.trace {
         if let EventKind::CacheHit { .. } = ev.kind {
             cache_hits += 1;
@@ -526,12 +522,14 @@ fn session_caches_strictly_reduce_charges_on_repeated_specs() {
         }
         if let Some(c) = ev.kind.charge() {
             sum_inv += c.invocations;
-            sum_time += c.time_invocation + c.time_processing + c.time_transmission + c.time_backoff;
+            sum_ticks += c.ns_invocation + c.ns_processing + c.ns_transmission + c.ns_backoff;
         }
     }
     assert!(cache_hits > 0, "cache hits are visible in the trace");
     assert_eq!(sum_inv, report.aggregate.invocations as i64);
-    assert!((sum_time - report.aggregate.total_cost()).abs() < 1e-9);
+    let a = &report.aggregate;
+    let ledger_ticks = a.ns_invocation + a.ns_processing + a.ns_transmission + a.ns_backoff;
+    assert_eq!(sum_ticks, ledger_ticks as i64);
 }
 
 #[test]
@@ -671,7 +669,7 @@ fn session_closes_the_rebalance_and_drift_loops() {
     assert_eq!(report.aggregate.invocations, sum.invocations);
     assert_eq!(report.aggregate.docs_long, sum.docs_long);
     assert_eq!(report.aggregate.faults, sum.faults);
-    assert!((report.aggregate.total_cost() - sum.total_cost()).abs() < 1e-9);
+    assert_eq!(report.aggregate.total_cost(), sum.total_cost());
 }
 
 /// FNV-1a over everything a session reports that existed before the
@@ -731,11 +729,15 @@ fn slow_drain_session(migration_budget: f64) -> textjoin::core::serve::ServeRepo
 
 /// Dispatch re-gathers a request's statistics exactly when the server's
 /// export changed while it queued, and neither path changes an answer: the
-/// fingerprints are those of the commit before the export was cached
-/// (PR 14), where every admission and every dispatch gathered from a
-/// freshly walked index. If a later change legitimately alters a report
-/// (a new event kind, a new ledger field), re-derive both constants on
-/// the commit before that change and check that they agree there.
+/// fingerprints go back to the commit before the export was cached, where
+/// every admission and every dispatch gathered from a freshly walked
+/// index. They were re-derived once when the ledger moved from float
+/// seconds to integer ticks, which changes how a report prints; the two
+/// commits' reports agreed in every record, count and tenant field, and in
+/// every time field to the nanosecond. If a later change legitimately
+/// alters a report (a new event kind, a new ledger field), re-derive both
+/// constants on the commit before that change and check that they agree
+/// there.
 #[test]
 fn dispatch_regathers_only_when_the_export_changed_and_answers_never_move() {
     // Staging lands between admissions and dispatches: the requests
@@ -746,13 +748,13 @@ fn dispatch_regathers_only_when_the_export_changed_and_answers_never_move() {
     assert_eq!(completed, 12);
     assert!(staged.regathered > 0, "requests queued across the staging re-gathered");
     assert!(staged.regathered < completed, "the others kept their admission's statistics");
-    assert_eq!(fingerprint(&staged), 0xe8aa_9c0f_194c_bdd1);
+    assert_eq!(fingerprint(&staged), 0x7e91_c799_0c1d_8b14);
 
     // Same stream, same waits, no staging: nothing to re-gather.
     let quiet = slow_drain_session(0.0);
     assert_eq!(quiet.migrated_docs, 0);
     assert_eq!(quiet.regathered, 0, "an unchanged export is never gathered twice");
-    assert_eq!(fingerprint(&quiet), 0xae95_df63_d3ce_ffec);
+    assert_eq!(fingerprint(&quiet), 0x98b5_0f70_a6f2_3b7a);
 }
 
 /// A request naming a tenant the session was not opened with ends in a
@@ -794,8 +796,7 @@ fn unknown_tenant_is_refused_typed_and_charge_free() {
     assert_eq!(solo.invoice, server.usage().since(&before));
 }
 
-/// Counts exact, times to 1e-9: the time fields are deltas of a running
-/// ledger, so equal charges can differ in the last ulp.
+/// Every field exact, counts and time ticks alike.
 fn assert_same_ledger(a: &Usage, b: &Usage, what: &str) {
     assert_eq!(a.invocations, b.invocations, "{what}: invocations");
     assert_eq!(a.rejected, b.rejected, "{what}: rejected");
@@ -807,14 +808,13 @@ fn assert_same_ledger(a: &Usage, b: &Usage, what: &str) {
     assert_eq!(a.docs_long, b.docs_long, "{what}: docs_long");
     assert_eq!(a.faults, b.faults, "{what}: faults");
     assert_eq!(a.retries, b.retries, "{what}: retries");
-    for (x, y) in [
-        (a.time_invocation, b.time_invocation),
-        (a.time_processing, b.time_processing),
-        (a.time_transmission, b.time_transmission),
-        (a.time_backoff, b.time_backoff),
-    ] {
-        assert!((x - y).abs() < 1e-9, "{what}: time {x} vs {y}");
-    }
+    assert_eq!(a.ns_invocation, b.ns_invocation, "{what}: ns_invocation");
+    assert_eq!(a.ns_processing, b.ns_processing, "{what}: ns_processing");
+    assert_eq!(
+        a.ns_transmission, b.ns_transmission,
+        "{what}: ns_transmission"
+    );
+    assert_eq!(a.ns_backoff, b.ns_backoff, "{what}: ns_backoff");
 }
 
 /// Stateful model test over `ServeSession::step`. Seeded sessions of 2–4
