@@ -21,6 +21,9 @@ fn main() {
                 ]
             })
             .collect();
-        println!("{}", table(&["variant", "secs", "invocations", "rows"], &rows));
+        println!(
+            "{}",
+            table(&["variant", "secs", "invocations", "rows"], &rows)
+        );
     }
 }

@@ -44,16 +44,34 @@ fn main() {
     print!("{}", r.explain);
 
     println!("\n== counterfactual regret: single joins, fault-free ==");
-    print!("{}", regret_table("each candidate replayed on its own charge-free sandbox", &r.fault_free));
+    print!(
+        "{}",
+        regret_table(
+            "each candidate replayed on its own charge-free sandbox",
+            &r.fault_free
+        )
+    );
 
     println!("\n== counterfactual regret: single joins, transient faults (rate 0.20, <=2) ==");
-    print!("{}", regret_table("same seeded fault plan on every sandbox", &r.chaos));
+    print!(
+        "{}",
+        regret_table("same seeded fault plan on every sandbox", &r.chaos)
+    );
 
     println!("\n== counterfactual regret: multi-join text-method grafts ==");
-    print!("{}", regret_table("chosen plan vs every text-join method grafted into the same tree", &r.multi));
+    print!(
+        "{}",
+        regret_table(
+            "chosen plan vs every text-join method grafted into the same tree",
+            &r.multi
+        )
+    );
 
     println!("\n== per-tenant plan quality (served stream, analyze on) ==");
-    println!("{:<8} {:>9} {:>8} {:>8} {:>8}", "tenant", "analyzed", "p50 q", "p90 q", "max q");
+    println!(
+        "{:<8} {:>9} {:>8} {:>8} {:>8}",
+        "tenant", "analyzed", "p50 q", "p90 q", "max q"
+    );
     for t in &r.serve {
         println!(
             "{:<8} {:>9} {:>8.2} {:>8.2} {:>8.2}",

@@ -22,9 +22,8 @@
 //! fault-free answer.
 
 use textjoin_bench::experiments::{
-    chaos_table, default_world, rebalance_chaos_table, replicated_chaos_table,
-    sharded_chaos_table, BATCH_DOCS, DEAD_SHARD, DST_SHARD, METHODS, N_REPLICAS, N_SHARDS,
-    SRC_SHARD,
+    chaos_table, default_world, rebalance_chaos_table, replicated_chaos_table, sharded_chaos_table,
+    BATCH_DOCS, DEAD_SHARD, DST_SHARD, METHODS, N_REPLICAS, N_SHARDS, SRC_SHARD,
 };
 use textjoin_bench::format::chaos_report;
 
@@ -80,7 +79,10 @@ fn main() {
                 w.server.doc_count(),
                 w.spec.seed
             );
-            print!("{}", chaos_report(&labels, &t.rates, &t.cells, &t.fault_cells));
+            print!(
+                "{}",
+                chaos_report(&labels, &t.rates, &t.cells, &t.fault_cells)
+            );
             println!("Every cell returns the fault-free answer (asserted) while rows");
             println!("physically move between shards mid-query: stale gathers re-");
             println!("scatter only the shards a commit touched, source transfer legs");
@@ -102,7 +104,10 @@ fn main() {
                 w.server.doc_count(),
                 w.spec.seed
             );
-            print!("{}", chaos_report(&labels, &t.rates, &t.cells, &t.fault_cells));
+            print!(
+                "{}",
+                chaos_report(&labels, &t.rates, &t.cells, &t.fault_cells)
+            );
             println!("Every cell returns the fault-free answer (asserted) even though");
             println!("one replica never answers: gather legs fail over to the");
             println!("surviving replica, and once the per-shard breaker opens the");
@@ -121,7 +126,10 @@ fn main() {
                 w.server.doc_count(),
                 w.spec.seed
             );
-            print!("{}", chaos_report(&labels, &t.rates, &t.cells, &t.fault_cells));
+            print!(
+                "{}",
+                chaos_report(&labels, &t.rates, &t.cells, &t.fault_cells)
+            );
             println!("Every cell returns the fault-free answer (asserted). Scatter");
             println!("charges one invocation per shard, so sharded baselines sit");
             println!("above the single-server table; the adaptive budget widens");
@@ -136,7 +144,10 @@ fn main() {
                 w.server.doc_count(),
                 w.spec.seed
             );
-            print!("{}", chaos_report(&labels, &t.rates, &t.cells, &t.fault_cells));
+            print!(
+                "{}",
+                chaos_report(&labels, &t.rates, &t.cells, &t.fault_cells)
+            );
             println!("Every cell returns the fault-free answer (asserted); the");
             println!("overhead is retries, simulated backoff, and partially-charged");
             println!("timeouts — never a changed result.");
@@ -158,9 +169,18 @@ mod tests {
         assert_eq!(parse(&["--sharded"]), Ok(Scenario::Sharded));
         assert_eq!(parse(&["--replicated"]), Ok(Scenario::Replicated));
         assert_eq!(parse(&["--rebalance"]), Ok(Scenario::Rebalance));
-        assert!(parse(&["--shraded"]).is_err(), "a typo is not the default table");
-        assert!(parse(&["--sharded", "--replicated"]).is_err(), "two scenarios");
-        assert!(parse(&["--sharded", "--sharded"]).is_err(), "a repeated scenario");
+        assert!(
+            parse(&["--shraded"]).is_err(),
+            "a typo is not the default table"
+        );
+        assert!(
+            parse(&["--sharded", "--replicated"]).is_err(),
+            "two scenarios"
+        );
+        assert!(
+            parse(&["--sharded", "--sharded"]).is_err(),
+            "a repeated scenario"
+        );
         assert!(parse(&["trace.jsonl"]).is_err(), "no positional arguments");
     }
 }

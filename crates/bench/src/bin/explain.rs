@@ -30,9 +30,7 @@ fn quantile_summary(events: &[Event]) -> String {
     let mut any = false;
     for key in ["hist.postings", "hist.docs_short"] {
         if let Some((p50, p90, p99)) = snap.quantiles(key) {
-            out.push_str(&format!(
-                "  {key:<16} p50={p50} p90={p90} p99={p99}\n"
-            ));
+            out.push_str(&format!("  {key:<16} p50={p50} p90={p90} p99={p99}\n"));
             any = true;
         }
     }
@@ -188,7 +186,10 @@ mod tests {
         assert!(parse(&["--windows", "-3"]).is_err(), "negative width");
         assert!(parse(&["--windows", "abc"]).is_err(), "non-numeric width");
         assert!(parse(&["a.jsonl", "b.jsonl"]).is_err(), "two paths");
-        assert!(parse(&["a.jsonl", "--analyze"]).is_err(), "analyze needs the built-in run");
+        assert!(
+            parse(&["a.jsonl", "--analyze"]).is_err(),
+            "analyze needs the built-in run"
+        );
     }
 
     #[test]
@@ -201,7 +202,10 @@ mod tests {
         ))
         .expect("a well-formed trace");
         let msg = check_windows(&evil, 50.0).expect_err("2e13 windows");
-        assert!(msg.contains("20000000000000.0 windows") && msg.contains("--windows 50.0"), "{msg}");
+        assert!(
+            msg.contains("20000000000000.0 windows") && msg.contains("--windows 50.0"),
+            "{msg}"
+        );
         assert!(check_windows(&evil, 1e10).is_ok(), "100 000 windows render");
 
         // A clock that is not a position on the timeline opens no window.
@@ -235,9 +239,31 @@ mod tests {
     /// What argument lists are made of: both flags, their near misses,
     /// widths good and bad, paths, and junk.
     const TOKENS: &[&str] = &[
-        "--windows", "--windows", "--analyze", "--analyze", "--window", "--ANALYZE",
-        "--windows=5", "-w", "-", "--", "50", "0.5", "1e-300", "1e308", "+3", "0", "-1", "NaN",
-        "inf", "1e309", "trace.jsonl", "a b.jsonl", "/tmp/t.jsonl", "é", "",
+        "--windows",
+        "--windows",
+        "--analyze",
+        "--analyze",
+        "--window",
+        "--ANALYZE",
+        "--windows=5",
+        "-w",
+        "-",
+        "--",
+        "50",
+        "0.5",
+        "1e-300",
+        "1e308",
+        "+3",
+        "0",
+        "-1",
+        "NaN",
+        "inf",
+        "1e309",
+        "trace.jsonl",
+        "a b.jsonl",
+        "/tmp/t.jsonl",
+        "é",
+        "",
     ];
 
     /// The documented grammar, `[trace.jsonl] [--windows <secs>]

@@ -47,7 +47,15 @@ fn main() {
     print!(
         "{}",
         table(
-            &["Query", "shards", "plan fan-out", "secs off", "secs on", "Δ%", "rows"],
+            &[
+                "Query",
+                "shards",
+                "plan fan-out",
+                "secs off",
+                "secs on",
+                "Δ%",
+                "rows"
+            ],
             &fanout_rows,
         )
     );

@@ -49,9 +49,7 @@ impl RegretRow {
         // `measured` is (label, estimate, actual), cheapest estimate first
         // — the head is what the planner picks.
         let chosen = measured.first()?;
-        let best = measured
-            .iter()
-            .min_by(|a, b| cmp_nan_last(a.2, b.2))?;
+        let best = measured.iter().min_by(|a, b| cmp_nan_last(a.2, b.2))?;
         let regret = chosen.2 - best.2;
         Some(RegretRow {
             query,
@@ -61,7 +59,11 @@ impl RegretRow {
             best: best.0.clone(),
             best_actual: best.2,
             regret,
-            regret_share: if chosen.2 > 0.0 { regret / chosen.2 } else { 0.0 },
+            regret_share: if chosen.2 > 0.0 {
+                regret / chosen.2
+            } else {
+                0.0
+            },
             cost_q: q_error(chosen.1, chosen.2),
         })
     }
@@ -84,12 +86,21 @@ fn plan_and_analyze(
     params: CostParams,
     run_on: &dyn TextService,
 ) -> (PlannerInput, PlannedQuery, MultiOutcome) {
-    let (input, planned) =
-        prepare_plan(q, &w.catalog, plan_on, params, ExecutionSpace::PrlResiduals, None, None)
-            .expect("multi-join query plans");
-    let hooks = ExecHooks { analyze: true, ..ExecHooks::default() };
-    let outcome =
-        execute_prepared(&input, &planned, &w.catalog, run_on, &hooks).expect("executes");
+    let (input, planned) = prepare_plan(
+        q,
+        &w.catalog,
+        plan_on,
+        params,
+        ExecutionSpace::PrlResiduals,
+        None,
+        None,
+    )
+    .expect("multi-join query plans");
+    let hooks = ExecHooks {
+        analyze: true,
+        ..ExecHooks::default()
+    };
+    let outcome = execute_prepared(&input, &planned, &w.catalog, run_on, &hooks).expect("executes");
     (input, planned, outcome)
 }
 
@@ -182,7 +193,10 @@ pub fn serve_plan_quality(w: &World) -> Vec<ServePlanQualityRow> {
     let server = sandbox(w);
     let mut cfg = ServeConfig::new(params);
     cfg.analyze = true;
-    let tenants = vec![TenantSpec::new("alpha", 1e9, 1), TenantSpec::new("beta", 1e9, 1)];
+    let tenants = vec![
+        TenantSpec::new("alpha", 1e9, 1),
+        TenantSpec::new("beta", 1e9, 1),
+    ];
     let q5 = paper::q5(w);
     let q6 = paper::q6(w);
     let stream = vec![

@@ -71,7 +71,13 @@ fn chaos_grid(
             for (qi, pq) in queries.iter().enumerate() {
                 let r = pq.probe_cols(kind).and_then(|cols| {
                     let seed = cell_seed(seed, qi, mi, ri);
-                    run(&ChaosRun { prepared: &pq.prepared, kind, cols, rate, seed })
+                    run(&ChaosRun {
+                        prepared: &pq.prepared,
+                        kind,
+                        cols,
+                        rate,
+                        seed,
+                    })
                 });
                 rows_at_rate.push(r.map(|m| m.rows));
                 if let Some(m) = r {
@@ -90,9 +96,7 @@ fn chaos_grid(
                 "{what} changed {label} answers at rate {rate}"
             );
             let cell = match (any, baseline) {
-                (true, Some(base)) if base > 0.0 => {
-                    Some((total, (total / base - 1.0) * 100.0))
-                }
+                (true, Some(base)) if base > 0.0 => Some((total, (total / base - 1.0) * 100.0)),
                 (true, _) => Some((total, 0.0)),
                 _ => None,
             };
@@ -100,7 +104,11 @@ fn chaos_grid(
             cells[mi].push(cell);
         }
     }
-    ChaosTable { rates, cells, fault_cells }
+    ChaosTable {
+        rates,
+        cells,
+        fault_cells,
+    }
 }
 
 /// Runs every method over Q1–Q4 against a single server under a seeded
@@ -282,7 +290,11 @@ pub fn drift_table(w: &World, events: &[Event]) -> DriftTable {
     .map(|(component, configured, fit)| DriftRow {
         component,
         configured,
-        fitted: if fit.determined { fit.fitted } else { configured },
+        fitted: if fit.determined {
+            fit.fitted
+        } else {
+            configured
+        },
         drift: adopted.drift(component).unwrap_or(0.0),
         observations: fit.observations,
         determined: fit.determined,
@@ -403,6 +415,9 @@ mod tests {
         // The source's primary dies after batch 1, so rate 0 still faults;
         // the drain-to-`Done` assertion lives inside the scenario.
         assert_dead_primary_surfaces_at_rate_zero(&a);
-        assert!(injected(&a) > 0, "no faults surfaced in the rebalance table");
+        assert!(
+            injected(&a) > 0,
+            "no faults surfaced in the rebalance table"
+        );
     }
 }

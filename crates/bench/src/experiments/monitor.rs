@@ -5,8 +5,8 @@ use std::rc::Rc;
 use textjoin_core::methods::ExecContext;
 use textjoin_core::retry::{RetryBudget, RetryPolicy};
 use textjoin_obs::{
-    ns, parse_jsonl, secs, Advice, Event, EventKind, FanoutSink, JsonlSink, Monitor,
-    MonitorConfig, Recorder, Sink,
+    ns, parse_jsonl, secs, Advice, Event, EventKind, FanoutSink, JsonlSink, Monitor, MonitorConfig,
+    Recorder, Sink,
 };
 use textjoin_text::faults::FaultPlan;
 use textjoin_text::rebalance::MigrationPlan;
@@ -94,11 +94,9 @@ pub struct MonitorDriftReport {
 fn skew_scenario_server(partition: &Partition, hot_shard: usize, rate: f64) -> ShardedTextServer {
     let mut sharded = cluster(partition, N_REPLICAS);
     for r in 0..N_REPLICAS {
-        sharded.replica_mut(hot_shard, r).set_fault_plan(FaultPlan::transient(
-            0x5EA7 ^ ((r as u64) << 32),
-            rate,
-            2,
-        ));
+        sharded
+            .replica_mut(hot_shard, r)
+            .set_fault_plan(FaultPlan::transient(0x5EA7 ^ ((r as u64) << 32), rate, 2));
     }
     sharded
 }
@@ -175,12 +173,17 @@ pub fn monitor_skew_report(w: &World) -> MonitorSkewReport {
         .first()
         .expect("the degraded shard must trip the skew detector")
         .clone();
-    assert_eq!(advice.src, HOT_SHARD, "advice must target the degraded shard");
+    assert_eq!(
+        advice.src, HOT_SHARD,
+        "advice must target the degraded shard"
+    );
 
     // The hot shard's replicas keep faulting transiently while it drains.
     let mut after_server = skew_scenario_server(&partition, HOT_SHARD, FAULT_RATE);
-    let migrated_docs =
-        begin_drain(&mut after_server, MigrationPlan::from_advice(&advice, BATCH_DOCS));
+    let migrated_docs = begin_drain(
+        &mut after_server,
+        MigrationPlan::from_advice(&advice, BATCH_DOCS),
+    );
     drain(&after_server);
     let after = run_monitored_phase(w, &after_server, &cfg);
 
@@ -296,9 +299,13 @@ pub fn monitor_drift_report(w: &World) -> MonitorDriftReport {
         .alerts()
         .iter()
         .filter_map(|e| match e.kind {
-            EventKind::DriftAlert { component, configured, fitted, drifted: true, .. } => {
-                Some((component, configured, fitted))
-            }
+            EventKind::DriftAlert {
+                component,
+                configured,
+                fitted,
+                drifted: true,
+                ..
+            } => Some((component, configured, fitted)),
             _ => None,
         })
         .collect();

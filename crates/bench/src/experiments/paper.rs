@@ -18,9 +18,7 @@ use textjoin_workload::knobs;
 use textjoin_workload::paper;
 use textjoin_workload::world::World;
 
-use super::scenario::{
-    measure_candidates, paper_queries, run_method_on, world_params, METHODS,
-};
+use super::scenario::{measure_candidates, paper_queries, run_method_on, world_params, METHODS};
 
 // ---------------------------------------------------------------------
 // Table 2: execution times for sample queries
@@ -67,7 +65,12 @@ pub struct Sweep {
     pub series: Vec<(&'static str, Vec<Option<f64>>)>,
 }
 
-fn sweep_methods(params: &CostParams, stats_at: impl Fn(f64) -> JoinStatistics, xs: Vec<f64>, x_name: &'static str) -> Sweep {
+fn sweep_methods(
+    params: &CostParams,
+    stats_at: impl Fn(f64) -> JoinStatistics,
+    xs: Vec<f64>,
+    x_name: &'static str,
+) -> Sweep {
     let mut ts = Vec::new();
     let mut sj = Vec::new();
     let mut p1_ts = Vec::new();
@@ -100,12 +103,7 @@ pub fn fig1a(d: f64, points: usize) -> Sweep {
     let params = knobs::mercury_params(d);
     let base = knobs::q3_base(d);
     let xs: Vec<f64> = (0..=points).map(|i| i as f64 / points as f64).collect();
-    sweep_methods(
-        &params,
-        |s1| knobs::with_s1(base.clone(), s1),
-        xs,
-        "s1",
-    )
+    sweep_methods(&params, |s1| knobs::with_s1(base.clone(), s1), xs, "s1")
 }
 
 /// Figure 1(B): Q4's method costs as `N_1/N` (distinct advisors over
@@ -431,8 +429,8 @@ pub fn ablations(w: &World) -> Vec<Ablation> {
             ProbeSchedule::Ordered,
         ] {
             let ctx = ExecContext::new(&w.server);
-            let r = probe_tuple_substitution(&ctx, &fj, &[0], schedule)
-                .expect("P+TS schedule runs");
+            let r =
+                probe_tuple_substitution(&ctx, &fj, &[0], schedule).expect("P+TS schedule runs");
             rows.push(AblationRow {
                 variant: format!("{schedule:?}"),
                 secs: r.report.total_cost(),
@@ -454,8 +452,7 @@ pub fn ablations(w: &World) -> Vec<Ablation> {
             let export = w.server.export_stats();
             let stats = prepared.statistics_from_export(&export, schema);
             let bounded = optimal_probe_bounded(&params, &stats, cost_p_ts).expect("k ≥ 1");
-            let exhaustive =
-                optimal_probe_exhaustive(&params, &stats, cost_p_ts).expect("k ≥ 1");
+            let exhaustive = optimal_probe_exhaustive(&params, &stats, cost_p_ts).expect("k ≥ 1");
             rows.push(AblationRow {
                 variant: format!("{label} bounded {:?}", bounded.0),
                 secs: bounded.1.total(),
@@ -537,10 +534,7 @@ mod tests {
         }
         // All applicable methods agree on output size per query.
         for q in 0..4 {
-            let sizes: Vec<usize> = t
-                .iter()
-                .filter_map(|m| m[q].rows)
-                .collect();
+            let sizes: Vec<usize> = t.iter().filter_map(|m| m[q].rows).collect();
             assert!(!sizes.is_empty());
             assert!(
                 sizes.windows(2).all(|w| w[0] == w[1]),
@@ -620,11 +614,7 @@ mod tests {
                 top2,
                 v.detail
             );
-            let best_measured = v
-                .detail
-                .iter()
-                .map(|d| d.2)
-                .fold(f64::INFINITY, f64::min);
+            let best_measured = v.detail.iter().map(|d| d.2).fold(f64::INFINITY, f64::min);
             let picked_measured = v
                 .detail
                 .iter()

@@ -91,9 +91,7 @@ pub fn rebalance_table(w: &World) -> RebalanceTable {
             .query
             .selections
             .iter()
-            .filter_map(|(term, field)| {
-                schema.resolve(field).map(|f| SearchExpr::term_in(term, f))
-            })
+            .filter_map(|(term, field)| schema.resolve(field).map(|f| SearchExpr::term_in(term, f)))
             .collect();
         let pruned = if sel.is_empty() {
             N_SHARDS
@@ -118,7 +116,9 @@ pub fn rebalance_table(w: &World) -> RebalanceTable {
     for &batch in &[4usize, 16, 64] {
         let mut sharded = cluster(&partition, 1);
         let docs = begin_drain(&mut sharded, drain_plan(w, batch));
-        sharded.run_migration().expect("fault-free migration completes");
+        sharded
+            .run_migration()
+            .expect("fault-free migration completes");
         let u = sharded.migration_usage();
         amortization.push(AmortizationRow {
             batch_docs: batch,
@@ -131,5 +131,8 @@ pub fn rebalance_table(w: &World) -> RebalanceTable {
         });
     }
 
-    RebalanceTable { fanout, amortization }
+    RebalanceTable {
+        fanout,
+        amortization,
+    }
 }

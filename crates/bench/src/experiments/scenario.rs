@@ -105,22 +105,34 @@ impl PaperQuery {
 pub(super) fn paper_queries(w: &World) -> Vec<PaperQuery> {
     let ts_schema = w.server.collection().schema();
     let params = world_params(w);
-    let probe_cols = |stats: &JoinStatistics,
-                      f: fn(&CostParams, &JoinStatistics, &[usize]) -> CostVector| {
-        optimal_probe_bounded(&params, stats, f)
-            .map(|(cols, _)| cols)
-            .unwrap_or_else(|| vec![0])
-    };
-    [("Q1", paper::q1(w)), ("Q2", paper::q2(w)), ("Q3", paper::q3(w)), ("Q4", paper::q4(w))]
-        .into_iter()
-        .map(|(label, query)| {
-            let prepared = prepare(&query, &w.catalog, ts_schema).expect("paper query prepares");
-            let stats = prepared.statistics_from_export(&w.server.export_stats(), ts_schema);
-            let pts = probe_cols(&stats, cost_p_ts);
-            let prtp = probe_cols(&stats, cost_p_rtp);
-            PaperQuery { label, query, prepared, stats, pts, prtp }
-        })
-        .collect()
+    let probe_cols =
+        |stats: &JoinStatistics, f: fn(&CostParams, &JoinStatistics, &[usize]) -> CostVector| {
+            optimal_probe_bounded(&params, stats, f)
+                .map(|(cols, _)| cols)
+                .unwrap_or_else(|| vec![0])
+        };
+    [
+        ("Q1", paper::q1(w)),
+        ("Q2", paper::q2(w)),
+        ("Q3", paper::q3(w)),
+        ("Q4", paper::q4(w)),
+    ]
+    .into_iter()
+    .map(|(label, query)| {
+        let prepared = prepare(&query, &w.catalog, ts_schema).expect("paper query prepares");
+        let stats = prepared.statistics_from_export(&w.server.export_stats(), ts_schema);
+        let pts = probe_cols(&stats, cost_p_ts);
+        let prtp = probe_cols(&stats, cost_p_rtp);
+        PaperQuery {
+            label,
+            query,
+            prepared,
+            stats,
+            pts,
+            prtp,
+        }
+    })
+    .collect()
 }
 
 /// The one sharded topology: the world's collection cut into [`N_SHARDS`]
@@ -164,19 +176,33 @@ pub(super) fn shake(sharded: &mut ShardedTextServer, seed: u64, rate: f64, dead:
 /// [`FaultPlan::slow`] plan: it always answers, sometimes late.
 pub(super) fn slow_primaries(sharded: &mut ShardedTextServer, seed: u64) {
     for i in 0..sharded.shard_count() {
-        sharded.shard_mut(i).set_fault_plan(FaultPlan::slow(seed ^ i as u64, SLOW_RATE));
+        sharded
+            .shard_mut(i)
+            .set_fault_plan(FaultPlan::slow(seed ^ i as u64, SLOW_RATE));
     }
 }
 
 /// The migration plan draining all of [`SRC_SHARD`] into [`DST_SHARD`].
 pub(super) fn drain_plan(w: &World, batch_docs: usize) -> MigrationPlan {
     let range = (DocId(0), DocId(w.server.doc_count() as u32));
-    MigrationPlan::new(vec![Move { range, src: SRC_SHARD, dst: DST_SHARD }], batch_docs)
+    MigrationPlan::new(
+        vec![Move {
+            range,
+            src: SRC_SHARD,
+            dst: DST_SHARD,
+        }],
+        batch_docs,
+    )
 }
 
 /// Begins `plan` and returns the number of documents it staged.
 pub(super) fn begin_drain(sharded: &mut ShardedTextServer, plan: MigrationPlan) -> u64 {
-    sharded.begin_migration(plan).entries.iter().map(|e| e.docs).sum()
+    sharded
+        .begin_migration(plan)
+        .entries
+        .iter()
+        .map(|e| e.docs)
+        .sum()
 }
 
 /// Drives the open migration to completion. A transiently refused batch
@@ -302,8 +328,12 @@ mod tests {
         for (pq, applicable) in queries.iter().zip([3, 3, 5, 5]) {
             let rows: Vec<(usize, MethodKind)> =
                 pq.methods().map(|(mi, kind, _)| (mi, kind)).collect();
-            let expected: Vec<(usize, MethodKind)> =
-                METHODS.iter().map(|&(_, kind)| kind).enumerate().take(applicable).collect();
+            let expected: Vec<(usize, MethodKind)> = METHODS
+                .iter()
+                .map(|&(_, kind)| kind)
+                .enumerate()
+                .take(applicable)
+                .collect();
             assert_eq!(rows, expected, "{}", pq.label);
         }
     }

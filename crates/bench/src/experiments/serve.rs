@@ -66,7 +66,9 @@ pub fn serve_bench_report(w: &World) -> ServeBenchReport {
     let params = world_params(w);
     let mut server = cluster(&partition(w), N_REPLICAS);
     let dead = server.primary_of(DEAD_SHARD);
-    server.replica_mut(DEAD_SHARD, dead).set_fault_plan(FaultPlan::dead(77));
+    server
+        .replica_mut(DEAD_SHARD, dead)
+        .set_fault_plan(FaultPlan::dead(77));
 
     let mut cfg = ServeConfig::new(params);
     cfg.queue_cap = 1;

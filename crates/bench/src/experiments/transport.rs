@@ -49,14 +49,19 @@ pub fn makespan_table(w: &World) -> Vec<Option<MakespanCell>> {
     for (qi, pq) in paper_queries(w).iter().enumerate() {
         for (mi, kind, cols) in pq.methods() {
             // The fault-free row count is the oracle the cell must match.
-            let Ok(base) = run_method_on(&w.server, &pq.prepared, kind, cols) else { continue };
+            let Ok(base) = run_method_on(&w.server, &pq.prepared, kind, cols) else {
+                continue;
+            };
             let mut sharded = cluster(&partition, N_REPLICAS);
             slow_primaries(&mut sharded, cell_seed(0x510, qi, mi, 0));
             let sched = scheduler(Some(DEADLINE));
             let m = run_budgeted(&sharded, Some(&sched), &pq.prepared, kind, cols)
                 .expect("latency-only faults and deadline misses never error");
             let (label, q) = (METHODS[mi].0, pq.label);
-            assert_eq!(m.rows, base.rows, "{label} on {q} changed its answer under slow replicas");
+            assert_eq!(
+                m.rows, base.rows,
+                "{label} on {q} changed its answer under slow replicas"
+            );
             assert!(
                 sched.makespan() < sched.serial_total(),
                 "{label} on {q}: scatter/gather makespan must beat serial"
@@ -165,7 +170,10 @@ pub fn deadline_demo(w: &World) -> Vec<DeadlineRun> {
     // byte-identical.
     let deadline = (unbounded.makespan * 0.6).ceil();
     let bounded = run(format!("deadline {deadline:.0}s"), Some(deadline));
-    assert_eq!(unbounded.rows, bounded.rows, "degradation changed the answer");
+    assert_eq!(
+        unbounded.rows, bounded.rows,
+        "degradation changed the answer"
+    );
     assert!(
         bounded.degradations > 0,
         "the deadline run must actually degrade"

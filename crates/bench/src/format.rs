@@ -47,11 +47,7 @@ pub fn cost_cell(v: Option<f64>) -> String {
 
 /// Renders series data (one x column, one column per named series) as an
 /// aligned table — the textual equivalent of a figure.
-pub fn series(
-    x_name: &str,
-    xs: &[f64],
-    series: &[(&str, Vec<Option<f64>>)],
-) -> String {
+pub fn series(x_name: &str, xs: &[f64], series: &[(&str, Vec<Option<f64>>)]) -> String {
     let mut headers = vec![x_name];
     headers.extend(series.iter().map(|(n, _)| *n));
     let rows: Vec<Vec<String>> = xs
@@ -213,7 +209,12 @@ mod tests {
         assert!(r.contains("Injected faults / retries absorbed"));
         assert!(r.contains("3/3"));
         // Inapplicable methods render as dashes in both tables.
-        assert!(r.lines().filter(|l| l.trim_start().starts_with("P+TS")).count() == 2);
+        assert!(
+            r.lines()
+                .filter(|l| l.trim_start().starts_with("P+TS"))
+                .count()
+                == 2
+        );
     }
 
     #[test]
@@ -238,7 +239,10 @@ mod tests {
         let s = series(
             "s1",
             &[0.0, 0.5],
-            &[("TS", vec![Some(1.0), Some(1.0)]), ("P+TS", vec![Some(0.5), None])],
+            &[
+                ("TS", vec![Some(1.0), Some(1.0)]),
+                ("P+TS", vec![Some(0.5), None]),
+            ],
         );
         assert!(s.contains("s1"));
         assert!(s.contains("P+TS"));

@@ -89,11 +89,7 @@ pub fn cost_ts_naive(p: &CostParams, s: &JoinStatistics) -> CostVector {
 
 /// The probe phase `C_P = c_i N_J + c_p L_{N_J,J} + c_s V_{N_J,J}`:
 /// one probe per distinct `J`-key, short-form responses.
-pub(crate) fn cost_probe_phase(
-    p: &CostParams,
-    s: &JoinStatistics,
-    subset: &[usize],
-) -> CostVector {
+pub(crate) fn cost_probe_phase(p: &CostParams, s: &JoinStatistics, subset: &[usize]) -> CostVector {
     let n_j = s.n_j(subset);
     let subset = subset.iter().copied();
     let f = result_fanout(p, s, subset.clone());
@@ -154,17 +150,15 @@ pub(crate) fn cost_rtp(p: &CostParams, s: &JoinStatistics) -> Option<CostVector>
 /// single conjunct does not fit under the term cap. `rtp_completion` adds
 /// the document-fetch + relational matching needed for non-docid
 /// projections.
-pub fn cost_sj(
-    p: &CostParams,
-    s: &JoinStatistics,
-    rtp_completion: bool,
-) -> Option<CostVector> {
+pub fn cost_sj(p: &CostParams, s: &JoinStatistics, rtp_completion: bool) -> Option<CostVector> {
     let k = s.k().max(1);
     let per = (p.m.saturating_sub(s.sel_terms)) / k;
     if per == 0 {
         return None;
     }
-    let n_searches = (s.n_k / per as f64).ceil().max(if s.n_k > 0.0 { 1.0 } else { 0.0 });
+    let n_searches = (s.n_k / per as f64)
+        .ceil()
+        .max(if s.n_k > 0.0 { 1.0 } else { 0.0 });
     let f_per_conjunct = result_fanout(p, s, all(s));
     let u = distinct_docs(s.n_k, f_per_conjunct, p.d);
     let join_postings: f64 = all(s).map(|i| s.preds[i].list_len).sum();
@@ -347,7 +341,10 @@ mod tests {
         let with = cost_sj(&p, &s, true).unwrap();
         assert!(with.total() > plain.total());
         assert!(with.rtp > 0.0);
-        assert!(with.transmission > plain.transmission, "long-form fetch added");
+        assert!(
+            with.transmission > plain.transmission,
+            "long-form fetch added"
+        );
     }
 
     #[test]
@@ -382,9 +379,7 @@ mod tests {
     fn breakdown_total_sums() {
         let (p, s) = stats();
         let c = cost_p_ts(&p, &s, &[0, 1]);
-        assert!(
-            (c.total() - (c.invocation + c.processing + c.transmission + c.rtp)).abs() < 1e-9
-        );
+        assert!((c.total() - (c.invocation + c.processing + c.transmission + c.rtp)).abs() < 1e-9);
     }
 
     /// The fault model charges `rate × mean_backoff` per invocation, so a

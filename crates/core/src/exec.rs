@@ -23,6 +23,7 @@ use std::borrow::Cow;
 use std::ops::Deref;
 use std::rc::Rc;
 
+use textjoin_obs::{secs, Charge, CostVector, Measure, PlanQuality};
 use textjoin_rel::catalog::Catalog;
 use textjoin_rel::expr::{CmpOp, Pred};
 use textjoin_rel::join::{hash_join, nested_loop_join};
@@ -33,7 +34,6 @@ use textjoin_rel::tuple::Tuple;
 use textjoin_rel::value::{Value, ValueType};
 use textjoin_text::doc::{DocId, TextSchema};
 use textjoin_text::expr::SearchExpr;
-use textjoin_obs::{secs, Charge, CostVector, Measure, PlanQuality};
 use textjoin_text::server::Usage;
 use textjoin_text::service::TextService;
 
@@ -42,11 +42,12 @@ use crate::sched::{SchedConfig, Scheduler};
 
 use crate::methods::CostCeiling;
 use crate::methods::{
+    doc_values,
     probe::{probe_rtp, probe_tuple_substitution, ProbeSchedule},
     rtp::relational_text_processing,
     sj::semi_join,
     ts::tuple_substitution,
-    doc_values, ExecContext, ForeignJoin, MethodError, MethodOutcome,
+    ExecContext, ForeignJoin, MethodError, MethodOutcome,
 };
 use crate::optimizer::multi::PlannerInput;
 use crate::optimizer::plan::{MultiJoinQuery, PlanNode};
@@ -179,7 +180,10 @@ impl<'a> View<'a> {
         let (name, schema) = (t.name().to_owned(), t.schema().clone());
         let idx = (0..t.len()).collect();
         let view = Self::of(name, schema, Part::Built(Rc::new(t)), idx);
-        Self { whole: true, ..view }
+        Self {
+            whole: true,
+            ..view
+        }
     }
 
     /// The rows of `self` numbered by `rows`, in that order.
@@ -963,7 +967,6 @@ pub fn canonical_rows(t: &Table) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use textjoin_text::server::TextServer;
     use crate::cost::params::CostParams;
     use crate::methods::Projection;
     use crate::optimizer::multi::ExecutionSpace;
@@ -974,13 +977,12 @@ mod tests {
     use textjoin_rel::tuple;
     use textjoin_text::doc::Document;
     use textjoin_text::index::Collection;
+    use textjoin_text::server::TextServer;
 
     fn fixture() -> (Catalog, TextServer) {
         let mut catalog = Catalog::new();
-        let sschema = RelSchema::from_columns(vec![
-            ("name", ValueType::Str),
-            ("dept", ValueType::Str),
-        ]);
+        let sschema =
+            RelSchema::from_columns(vec![("name", ValueType::Str), ("dept", ValueType::Str)]);
         let mut student = Table::new("student", sschema.clone());
         student.push(tuple!["Gravano", "CS"]);
         student.push(tuple!["Kao", "EE"]);
@@ -1110,8 +1112,14 @@ mod tests {
     fn multi_plan_executes_q5() {
         let (catalog, server) = fixture();
         let params = CostParams::mercury(server.doc_count() as f64);
-        let (planned, outcome) =
-            plan_and_execute(&q5(), &catalog, &server, params, ExecutionSpace::PrlResiduals).unwrap();
+        let (planned, outcome) = plan_and_execute(
+            &q5(),
+            &catalog,
+            &server,
+            params,
+            ExecutionSpace::PrlResiduals,
+        )
+        .unwrap();
         assert!(planned.plan.is_valid_prl());
         // Expected matches in 1993 docs, cross-department co-authorships:
         // doc0: Gravano(CS) × Garcia(EE) qualifies.
@@ -1120,7 +1128,11 @@ mod tests {
         // with name in authors: doc1 has no faculty author → drops.
         assert_eq!(outcome.table.len(), 1, "{}", outcome.table);
         let row = &outcome.table.rows()[0];
-        let name_col = outcome.table.schema().column_by_name("student.name").unwrap();
+        let name_col = outcome
+            .table
+            .schema()
+            .column_by_name("student.name")
+            .unwrap();
         assert_eq!(row.get(name_col).as_str(), Some("Gravano"));
         assert!(outcome.total_cost > 0.0);
     }
@@ -1129,12 +1141,20 @@ mod tests {
     fn multi_prl_and_left_deep_agree_on_rows() {
         let (catalog, server) = fixture();
         let params = CostParams::mercury(server.doc_count() as f64);
-        let (_, with_probes) = plan_and_execute(&q5(), &catalog, &server, params, ExecutionSpace::PrlResiduals).unwrap();
+        let (_, with_probes) = plan_and_execute(
+            &q5(),
+            &catalog,
+            &server,
+            params,
+            ExecutionSpace::PrlResiduals,
+        )
+        .unwrap();
         let server2 = {
             let (_, s) = fixture();
             s
         };
-        let (_, without) = plan_and_execute(&q5(), &catalog, &server2, params, ExecutionSpace::LeftDeep).unwrap();
+        let (_, without) =
+            plan_and_execute(&q5(), &catalog, &server2, params, ExecutionSpace::LeftDeep).unwrap();
         assert_eq!(
             canonical_rows(&with_probes.table),
             canonical_rows(&without.table),
@@ -1167,11 +1187,26 @@ mod tests {
             let base: Vec<_> = i
                 .base
                 .iter()
-                .map(|b| (b.rows, b.distinct.iter().collect::<std::collections::BTreeMap<_, _>>()))
+                .map(|b| {
+                    (
+                        b.rows,
+                        b.distinct
+                            .iter()
+                            .collect::<std::collections::BTreeMap<_, _>>(),
+                    )
+                })
                 .collect();
             format!(
                 "{:?}",
-                (&i.query, &i.params, base, &i.foreign, i.sel_fanout, i.sel_postings, i.sel_terms)
+                (
+                    &i.query,
+                    &i.params,
+                    base,
+                    &i.foreign,
+                    i.sel_fanout,
+                    i.sel_postings,
+                    i.sel_terms
+                )
             )
         };
         let admitted = prepare_input(&q, &catalog, &server, params, None, None).unwrap();
@@ -1184,19 +1219,30 @@ mod tests {
             ..Usage::default()
         };
         let fresh = prepare_input(&q, &catalog, &server, params, None, Some(&history)).unwrap();
-        assert_ne!(fresh.params, admitted.params, "fixture: the fold moved the params");
+        assert_ne!(
+            fresh.params, admitted.params,
+            "fixture: the fold moved the params"
+        );
         assert!(admitted.gathered_from(&server.export_stats()));
         let kept = admitted.with_params(fold_params(&q, &server, params, None, Some(&history)));
         assert_eq!(render(&kept), render(&fresh));
 
         // Staging replaces the export: what was gathered is out of date.
         let src = server.owner_of(DocId(0)).unwrap();
-        let mv = Move { range: (DocId(0), DocId(3)), src, dst: 1 - src };
+        let mv = Move {
+            range: (DocId(0), DocId(3)),
+            src,
+            dst: 1 - src,
+        };
         server.begin_migration(MigrationPlan::new(vec![mv], 1));
         assert!(!kept.gathered_from(&server.export_stats()));
         let fresh = prepare_input(&q, &catalog, &server, params, None, None).unwrap();
         assert!(fresh.gathered_from(&server.export_stats()));
-        assert_ne!(render(&fresh), render(&kept), "fixture: the staged copies moved the statistics");
+        assert_ne!(
+            render(&fresh),
+            render(&kept),
+            "fixture: the staged copies moved the statistics"
+        );
         assert_eq!(server.usage().total_cost(), 0.0, "preparing is free");
     }
 
@@ -1226,7 +1272,7 @@ mod tests {
                 foreign_residuals: vec![0], // student.name in author
             }),
             right: Box::new(PlanNode::Scan { rel: 1 }),
-            preds: vec![0], // dept !=
+            preds: vec![0],             // dept !=
             foreign_residuals: vec![1], // faculty.name in author
         };
         let out = exec.execute(&plan).unwrap();
@@ -1241,10 +1287,8 @@ mod tests {
     /// (two CS Gravanos), so buckets hold several rows.
     fn advisor_fixture() -> (Catalog, TextServer, MultiJoinQuery) {
         let (mut catalog, server) = fixture();
-        let schema = RelSchema::from_columns(vec![
-            ("name", ValueType::Str),
-            ("dept", ValueType::Str),
-        ]);
+        let schema =
+            RelSchema::from_columns(vec![("name", ValueType::Str), ("dept", ValueType::Str)]);
         let mut advisor = Table::new("advisor", schema);
         for (name, dept) in [
             ("Gravano", "CS"),

@@ -185,7 +185,11 @@ mod tests {
         let au = c.namespace(vec!["f:1".into()]);
         let ti = c.namespace(vec!["s:text@0".into(), "f:1".into()]);
         assert_ne!(au, ti);
-        assert_eq!(c.namespace(vec!["f:1".into()]), au, "same identity, same namespace");
+        assert_eq!(
+            c.namespace(vec!["f:1".into()]),
+            au,
+            "same identity, same namespace"
+        );
         c.record(0, au, &key(&["garcia"]), ProbeOutcome::Fail);
         assert_eq!(c.lookup(0, ti, &key(&["garcia"])), None);
         assert_eq!(c.lookup(0, au, &key(&["garcia"])), Some(ProbeOutcome::Fail));

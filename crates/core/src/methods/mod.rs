@@ -273,9 +273,7 @@ impl<R: Rows> ForeignJoin<'_, R> {
     pub(crate) fn output_schema(&self, text_schema: &TextSchema) -> RelSchema {
         match self.projection {
             Projection::RelOnly => self.rel.schema().clone(),
-            Projection::DocIds => {
-                RelSchema::from_columns(vec![("docid", ValueType::Str)])
-            }
+            Projection::DocIds => RelSchema::from_columns(vec![("docid", ValueType::Str)]),
             Projection::Full => {
                 let mut s = self.rel.schema().clone();
                 let mut add = |name: &str| {
@@ -463,8 +461,8 @@ pub(crate) mod testkit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use textjoin_text::server::TextServer;
     use testkit::{corpus, student};
+    use textjoin_text::server::TextServer;
 
     fn fj<'a>(rel: &'a Table, server: &TextServer, projection: Projection) -> ForeignJoin<'a> {
         let ts = server.collection().schema();
@@ -527,11 +525,15 @@ mod tests {
         let server = corpus();
         let ts = server.collection().schema();
         assert_eq!(
-            fj(&rel, &server, Projection::RelOnly).output_schema(ts).len(),
+            fj(&rel, &server, Projection::RelOnly)
+                .output_schema(ts)
+                .len(),
             3
         );
         assert_eq!(
-            fj(&rel, &server, Projection::DocIds).output_schema(ts).len(),
+            fj(&rel, &server, Projection::DocIds)
+                .output_schema(ts)
+                .len(),
             1
         );
         // rel(3) + docid + 5 fields

@@ -319,7 +319,11 @@ fn lazy_ts<R: Rows>(
         let result = ctx.search(&expr)?;
         if !result.is_empty() {
             // Query success implies probe success: record without sending.
-            cache.record(ctx.server.topology_epoch(), &probe_key, ProbeOutcome::Success);
+            cache.record(
+                ctx.server.topology_epoch(),
+                &probe_key,
+                ProbeOutcome::Success,
+            );
             let docs = fetch_for_projection(ctx, fj, result.docs.ids())?;
             for &ri in &rows {
                 fj.emit(&mut out, text_schema, ri, &docs);
@@ -547,7 +551,11 @@ mod tests {
     use textjoin_text::server::TextServer;
 
     /// Q4-like join: advisor in author AND name in author.
-    fn two_pred_join<'a>(rel: &'a Table, server: &TextServer, projection: Projection) -> ForeignJoin<'a> {
+    fn two_pred_join<'a>(
+        rel: &'a Table,
+        server: &TextServer,
+        projection: Projection,
+    ) -> ForeignJoin<'a> {
         let ts = server.collection().schema();
         ForeignJoin {
             rel,
@@ -650,7 +658,11 @@ mod tests {
         let rel = student();
         let server = corpus();
         let ctx = ExecContext::new(&server);
-        let ts_field = server.collection().schema().field_by_name("author").unwrap();
+        let ts_field = server
+            .collection()
+            .schema()
+            .field_by_name("author")
+            .unwrap();
         let fj = ForeignJoin {
             rel: &rel,
             join_cols: vec![rel.col("name"), rel.col("advisor")],
@@ -807,7 +819,11 @@ mod tests {
         assert_eq!(out.table.len(), 1);
         let log = server.take_log();
         assert!(log.iter().all(|q| !q.contains("gravano")));
-        assert!(log[0].contains("TI='update'"), "probe carries selection: {}", log[0]);
+        assert!(
+            log[0].contains("TI='update'"),
+            "probe carries selection: {}",
+            log[0]
+        );
     }
 
     /// P+RTP against a session cache books per tuple: one hit or miss per

@@ -82,7 +82,11 @@ impl Candidates {
                 };
                 (no_long.clone(), Some(short))
             };
-            let values_of = |f| short.as_ref().map_or_else(|| long.values(f), |s| s.values(f));
+            let values_of = |f| {
+                short
+                    .as_ref()
+                    .map_or_else(|| long.values(f), |s| s.values(f))
+            };
             let values = fj
                 .join_fields
                 .iter()
@@ -98,7 +102,13 @@ impl Candidates {
     pub(crate) fn matcher<R: Rows>(&self, fj: &ForeignJoin<'_, R>) -> Matcher<'_> {
         let mut by_word: HashMap<_, Vec<u32>> = HashMap::with_capacity(self.docs.len());
         for (i, d) in self.docs.iter().enumerate() {
-            for word in d.values.first().into_iter().flatten().flat_map(Normalized::words) {
+            for word in d
+                .values
+                .first()
+                .into_iter()
+                .flatten()
+                .flat_map(Normalized::words)
+            {
                 let holders = by_word.entry(word).or_default();
                 if holders.last() != Some(&(i as u32)) {
                     holders.push(i as u32);

@@ -127,8 +127,8 @@ mod tests {
         let rel = student();
         let server = corpus();
         let ctx = ExecContext::new(&server);
-        let out = relational_text_processing(&ctx, &join(&rel, &server, Projection::RelOnly))
-            .unwrap();
+        let out =
+            relational_text_processing(&ctx, &join(&rel, &server, Projection::RelOnly)).unwrap();
         assert_eq!(out.report.text.invocations, 1, "RTP sends one search");
         // doc0 (Gravano, Garcia) and doc1 (Kao) have 'text' in title.
         assert_eq!(out.table.len(), 2);
@@ -157,8 +157,8 @@ mod tests {
         let server = corpus();
         let ctx = ExecContext::new(&server);
         // author is a short-form field; RelOnly projection → no retrieval.
-        let out = relational_text_processing(&ctx, &join(&rel, &server, Projection::RelOnly))
-            .unwrap();
+        let out =
+            relational_text_processing(&ctx, &join(&rel, &server, Projection::RelOnly)).unwrap();
         assert_eq!(out.report.text.docs_long, 0);
     }
 
@@ -167,8 +167,7 @@ mod tests {
         let rel = student();
         let server = corpus();
         let ctx = ExecContext::new(&server);
-        let out =
-            relational_text_processing(&ctx, &join(&rel, &server, Projection::Full)).unwrap();
+        let out = relational_text_processing(&ctx, &join(&rel, &server, Projection::Full)).unwrap();
         assert_eq!(out.report.text.docs_long, 2, "2 selection matches fetched");
         // Gravano⋈doc0, Kao⋈doc1.
         assert_eq!(out.table.len(), 2);
@@ -186,10 +185,15 @@ mod tests {
 
         let s2 = corpus();
         let ctx2 = ExecContext::new(&s2);
-        let ts = super::super::ts::tuple_substitution(&ctx2, &join(&rel, &s2, Projection::Full), true)
-            .unwrap();
+        let ts =
+            super::super::ts::tuple_substitution(&ctx2, &join(&rel, &s2, Projection::Full), true)
+                .unwrap();
 
-        assert_eq!(rows(&rtp), rows(&ts), "RTP and TS must compute the same join");
+        assert_eq!(
+            rows(&rtp),
+            rows(&ts),
+            "RTP and TS must compute the same join"
+        );
     }
 
     #[test]
@@ -197,8 +201,8 @@ mod tests {
         let rel = student();
         let server = corpus();
         let ctx = ExecContext::new(&server);
-        let out = relational_text_processing(&ctx, &join(&rel, &server, Projection::RelOnly))
-            .unwrap();
+        let out =
+            relational_text_processing(&ctx, &join(&rel, &server, Projection::RelOnly)).unwrap();
         // 4 tuples × 2 selection-matched docs × 1 predicate = 8 comparisons.
         assert_eq!(out.report.rtp_comparisons, 8);
         assert!((out.report.rtp_cost - 8.0 * ctx.c_a).abs() < 1e-12);

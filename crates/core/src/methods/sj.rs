@@ -239,9 +239,12 @@ mod tests {
 
         let s2 = corpus();
         let ctx2 = ExecContext::new(&s2);
-        let ts =
-            super::super::ts::tuple_substitution(&ctx2, &join(&rel, &s2, Projection::Full, true), true)
-                .unwrap();
+        let ts = super::super::ts::tuple_substitution(
+            &ctx2,
+            &join(&rel, &s2, Projection::Full, true),
+            true,
+        )
+        .unwrap();
         let mut a: Vec<String> = sj.table.iter().map(|t| t.to_string()).collect();
         let mut b: Vec<String> = ts.table.iter().map(|t| t.to_string()).collect();
         a.sort();

@@ -62,7 +62,13 @@ pub fn tuple_substitution<R: Rows>(
     let rows = out.len();
     Ok(MethodOutcome {
         table: out,
-        report: report(if distinct { "TS" } else { "TS-naive" }, ctx, &before, 0, rows),
+        report: report(
+            if distinct { "TS" } else { "TS-naive" },
+            ctx,
+            &before,
+            0,
+            rows,
+        ),
     })
 }
 
@@ -139,8 +145,8 @@ mod tests {
     use textjoin_rel::table::Table;
     use textjoin_rel::tuple;
     use textjoin_rel::value::ValueType;
-    use textjoin_text::server::Usage;
     use textjoin_text::server::TextServer;
+    use textjoin_text::server::Usage;
 
     fn join<'a>(
         rel: &'a Table,
@@ -336,6 +342,9 @@ mod tests {
                 0
             )
         );
-        assert_eq!(out.report.rtp_comparisons, 0, "TS does no relational matching");
+        assert_eq!(
+            out.report.rtp_comparisons, 0,
+            "TS does no relational matching"
+        );
     }
 }

@@ -33,9 +33,7 @@ use textjoin_rel::ops::{distinct_count, filter};
 use textjoin_text::doc::{FieldId, TextSchema};
 use textjoin_text::stats::VocabularyStats;
 
-use crate::cost::formulas::{
-    cost_probe_phase, expected_result_fanout, probe_success_probability,
-};
+use crate::cost::formulas::{cost_probe_phase, expected_result_fanout, probe_success_probability};
 use crate::cost::params::{CostParams, JoinStatistics, PredStats};
 use crate::methods::{Projection, TextSelection};
 use crate::optimizer::plan::{MultiJoinQuery, PlanNode};
@@ -484,9 +482,7 @@ pub fn plan_query(input: &PlannerInput, space: ExecutionSpace) -> Option<Planned
     // Seed: text-first scan (needs selections, and residual evaluation of
     // every foreign predicate — only legal in the extended space unless the
     // query has no foreign predicates at all).
-    if input.sel_terms > 0
-        && (space == ExecutionSpace::PrlResiduals || input.foreign.is_empty())
-    {
+    if input.sel_terms > 0 && (space == ExecutionSpace::PrlResiduals || input.foreign.is_empty()) {
         let node = PlanNode::TextJoin {
             input: None,
             preds: vec![],
@@ -504,7 +500,9 @@ pub fn plan_query(input: &PlannerInput, space: ExecutionSpace) -> Option<Planned
         let subsets: Vec<u64> = best
             .keys()
             .copied()
-            .filter(|&s| (s & !text_bit).count_ones() as usize + usize::from(s & text_bit != 0) == size)
+            .filter(|&s| {
+                (s & !text_bit).count_ones() as usize + usize::from(s & text_bit != 0) == size
+            })
             .collect();
         for s in subsets {
             // Extended once, into larger subsets only: taken, not copied.
@@ -516,8 +514,7 @@ pub fn plan_query(input: &PlannerInput, space: ExecutionSpace) -> Option<Planned
                     if s & bit != 0 {
                         continue;
                     }
-                    for next in extend_with_relation(input, &cand, s, r, text_bit, enable_probes)
-                    {
+                    for next in extend_with_relation(input, &cand, s, r, text_bit, enable_probes) {
                         pareto_insert(best.entry(s | bit).or_default(), next);
                     }
                 }
@@ -555,8 +552,16 @@ pub fn plan_query(input: &PlannerInput, space: ExecutionSpace) -> Option<Planned
 /// dividing the constant back out.
 fn measure(params: &CostParams, rows: f64, cost: CostVector) -> Measure {
     let c_p = params.constants.c_p;
-    let postings = if c_p > 0.0 { cost.processing / c_p } else { 0.0 };
-    Measure { rows, postings, cost }
+    let postings = if c_p > 0.0 {
+        cost.processing / c_p
+    } else {
+        0.0
+    };
+    Measure {
+        rows,
+        postings,
+        cost,
+    }
 }
 
 /// The per-node estimates the dynamic program priced `plan` with, in
@@ -850,10 +855,8 @@ mod tests {
     /// Q5 fixture: students and faculty, papers in a given year.
     fn fixture() -> (Catalog, TextServer) {
         let mut catalog = Catalog::new();
-        let sschema = RelSchema::from_columns(vec![
-            ("name", ValueType::Str),
-            ("dept", ValueType::Str),
-        ]);
+        let sschema =
+            RelSchema::from_columns(vec![("name", ValueType::Str), ("dept", ValueType::Str)]);
         let mut student = Table::new("student", sschema);
         // Many students, few of whom write papers.
         for i in 0..30 {
@@ -863,10 +866,8 @@ mod tests {
         student.push(tuple!["Kao", "EE"]);
         catalog.register(student);
 
-        let fschema = RelSchema::from_columns(vec![
-            ("name", ValueType::Str),
-            ("dept", ValueType::Str),
-        ]);
+        let fschema =
+            RelSchema::from_columns(vec![("name", ValueType::Str), ("dept", ValueType::Str)]);
         let mut faculty = Table::new("faculty", fschema);
         faculty.push(tuple!["Garcia", "EE"]);
         faculty.push(tuple!["Dayal", "CS"]);
@@ -939,8 +940,7 @@ mod tests {
         let (catalog, server) = fixture();
         let export = server.export_stats();
         let params = CostParams::mercury(server.doc_count() as f64);
-        PlannerInput::gather(q, &catalog, &export, server.collection().schema(), params)
-            .unwrap()
+        PlannerInput::gather(q, &catalog, &export, server.collection().schema(), params).unwrap()
     }
 
     #[test]
@@ -988,10 +988,8 @@ mod tests {
         // intermediate) and then run the foreign join over it; the PrL
         // plan probes student down to the few publishing students first.
         let (mut catalog, server) = fixture();
-        let sschema = RelSchema::from_columns(vec![
-            ("name", ValueType::Str),
-            ("dept", ValueType::Str),
-        ]);
+        let sschema =
+            RelSchema::from_columns(vec![("name", ValueType::Str), ("dept", ValueType::Str)]);
         let mut student = Table::new("student", sschema.clone());
         for i in 0..500 {
             student.push(tuple![format!("Student{i}"), format!("D{}", i % 5)]);
@@ -1009,14 +1007,9 @@ mod tests {
         q.selections.clear(); // no cheap RTP shortcut
         let export = server.export_stats();
         let params = CostParams::mercury(server.doc_count() as f64);
-        let mut input = PlannerInput::gather(
-            &q,
-            &catalog,
-            &export,
-            server.collection().schema(),
-            params,
-        )
-        .unwrap();
+        let mut input =
+            PlannerInput::gather(&q, &catalog, &export, server.collection().schema(), params)
+                .unwrap();
         // A per-pair cost representative of the OpenODB-era nested loop:
         // joining 501 × 501 tuples is NOT free, which is what makes
         // reducing student before the join worthwhile.
@@ -1142,7 +1135,12 @@ mod tests {
         let k = avail.len();
         (1u32..1 << k)
             .filter(|mask| mask.count_ones() as usize <= k.min(2 * g))
-            .map(|mask| (0..k).filter(|i| mask & (1 << i) != 0).map(|i| avail[i]).collect())
+            .map(|mask| {
+                (0..k)
+                    .filter(|i| mask & (1 << i) != 0)
+                    .map(|i| avail[i])
+                    .collect()
+            })
             .collect()
     }
 
@@ -1152,7 +1150,11 @@ mod tests {
             // Predicate indices need not be dense.
             let avail: Vec<usize> = (0..k).map(|i| 3 * i + 1).collect();
             for g in 0..=3 {
-                assert_eq!(probe_subsets(g, &avail), mask_loop(g, &avail), "k {k} g {g}");
+                assert_eq!(
+                    probe_subsets(g, &avail),
+                    mask_loop(g, &avail),
+                    "k {k} g {g}"
+                );
             }
         }
     }
@@ -1164,7 +1166,10 @@ mod tests {
         let avail: Vec<usize> = (0..40).collect();
         let subsets = probe_subsets(1, &avail);
         assert_eq!(subsets.len(), 40 + 40 * 39 / 2);
-        assert_eq!((&subsets[0][..], &subsets[819][..]), (&[0][..], &[38, 39][..]));
+        assert_eq!(
+            (&subsets[0][..], &subsets[819][..]),
+            (&[0][..], &[38, 39][..])
+        );
 
         let mut q = q5();
         let on_student = q.foreign[0].clone();

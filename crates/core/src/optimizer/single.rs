@@ -210,7 +210,9 @@ pub fn choose_method(
     s: &JoinStatistics,
     projection: Projection,
 ) -> Option<MethodCandidate> {
-    enumerate_methods(p, s, projection, false).into_iter().next()
+    enumerate_methods(p, s, projection, false)
+        .into_iter()
+        .next()
 }
 
 #[cfg(test)]
@@ -419,10 +421,9 @@ mod tests {
                         short_form_sufficient: true,
                     };
                     let (ec, e) =
-                        optimal_probe_exhaustive(&p, &s, crate::cost::formulas::cost_p_ts)
-                            .unwrap();
-                    let (bc, b) = optimal_probe_bounded(&p, &s, crate::cost::formulas::cost_p_ts)
-                        .unwrap();
+                        optimal_probe_exhaustive(&p, &s, crate::cost::formulas::cost_p_ts).unwrap();
+                    let (bc, b) =
+                        optimal_probe_bounded(&p, &s, crate::cost::formulas::cost_p_ts).unwrap();
                     assert!(
                         (e.total() - b.total()).abs() < 1e-9,
                         "bounded search missed optimum: {ec:?} ({}) vs {bc:?} ({})",
@@ -583,7 +584,9 @@ mod tests {
         assert!(labels.contains(&"TS"));
         assert!(labels.contains(&"RTP"));
         assert!(labels.contains(&"SJ+RTP"));
-        assert!(labels.iter().any(|l| l.starts_with('P') && l.ends_with("TS")));
+        assert!(labels
+            .iter()
+            .any(|l| l.starts_with('P') && l.ends_with("TS")));
     }
 
     #[test]
@@ -616,7 +619,10 @@ mod tests {
         assert_ne!(best.kind, MethodKind::Ts);
         let rtp = all.iter().find(|c| c.kind == MethodKind::Rtp).unwrap();
         let ts = all.iter().find(|c| c.kind == MethodKind::Ts).unwrap();
-        assert!(rtp.cost.total() < ts.cost.total(), "RTP beats TS at Q1-like params");
+        assert!(
+            rtp.cost.total() < ts.cost.total(),
+            "RTP beats TS at Q1-like params"
+        );
     }
 
     #[test]

@@ -205,7 +205,11 @@ impl RetryBudget {
             lat.resize(shard + 1, 0.0);
         }
         let l = lat[shard];
-        lat[shard] = if l == 0.0 { seconds } else { l + (seconds - l) / 8.0 };
+        lat[shard] = if l == 0.0 {
+            seconds
+        } else {
+            l + (seconds - l) / 8.0
+        };
     }
 
     /// The shard's current latency EWMA (0.0 = nothing observed yet).
@@ -334,11 +338,11 @@ impl RetryBudget {
 mod tests {
     use super::*;
     use crate::transport::ExecContext;
-    use textjoin_text::server::TextServer;
     use textjoin_text::doc::{Document, TextSchema};
     use textjoin_text::faults::{Fault, FaultPlan};
     use textjoin_text::index::Collection;
     use textjoin_text::parse::parse_search;
+    use textjoin_text::server::TextServer;
 
     fn server_with(plan: FaultPlan) -> TextServer {
         let schema = TextSchema::bibliographic();
@@ -463,7 +467,11 @@ mod tests {
             }
             trace
         };
-        assert_eq!(run(), run(), "identical observation stream, identical rates");
+        assert_eq!(
+            run(),
+            run(),
+            "identical observation stream, identical rates"
+        );
     }
 
     #[test]
@@ -539,7 +547,9 @@ mod tests {
     fn policy_none_never_retries() {
         let s = server_with(FaultPlan::scripted(vec![(0, Fault::Unavailable)]));
         let expr = parse_search("TI='query'", s.collection().schema()).unwrap();
-        let err = ExecContext::with_retry(&s, RetryPolicy::none()).search(&expr).unwrap_err();
+        let err = ExecContext::with_retry(&s, RetryPolicy::none())
+            .search(&expr)
+            .unwrap_err();
         assert!(matches!(err, TextError::Unavailable));
         assert_eq!(s.usage().retries, 0);
         assert_eq!(s.usage().ns_backoff, 0);

@@ -766,7 +766,10 @@ impl<'a> ServeSession<'a> {
         while self.advice_consumed < advice.len() {
             let a = &advice[self.advice_consumed];
             self.advice_consumed += 1;
-            let spent = sh.migration_usage().since(&self.start_migration).total_cost();
+            let spent = sh
+                .migration_usage()
+                .since(&self.start_migration)
+                .total_cost();
             if spent >= self.cfg.migration_budget {
                 continue;
             }
@@ -883,8 +886,14 @@ mod tests {
         let schema =
             RelSchema::from_columns(vec![("name", ValueType::Str), ("dept", ValueType::Str)]);
         for (rel, rows) in [
-            ("student", [("Gravano", "CS"), ("Kao", "EE"), ("Pham", "CS")]),
-            ("faculty", [("Garcia", "EE"), ("Dayal", "CS"), ("Ullman", "CS")]),
+            (
+                "student",
+                [("Gravano", "CS"), ("Kao", "EE"), ("Pham", "CS")],
+            ),
+            (
+                "faculty",
+                [("Garcia", "EE"), ("Dayal", "CS"), ("Ullman", "CS")],
+            ),
         ] {
             let mut t = Table::new(rel, schema.clone());
             for (name, dept) in rows {
@@ -944,7 +953,15 @@ mod tests {
             .collect();
         format!(
             "{:?}",
-            (&i.query, &i.params, base, &i.foreign, i.sel_fanout, i.sel_postings, i.sel_terms)
+            (
+                &i.query,
+                &i.params,
+                base,
+                &i.foreign,
+                i.sel_fanout,
+                i.sel_postings,
+                i.sel_terms
+            )
         )
     }
 
@@ -971,7 +988,11 @@ mod tests {
                 };
                 retired.push(sh.export_stats());
                 let src = sh.owner_of(DocId(round)).unwrap();
-                let mv = Move { range: (DocId(round), DocId(round + 1)), src, dst: 1 - src };
+                let mv = Move {
+                    range: (DocId(round), DocId(round + 1)),
+                    src,
+                    dst: 1 - src,
+                };
                 sh.begin_migration(MigrationPlan::new(vec![mv], 1));
                 while sh.journal().is_some_and(|j| !j.finished()) {
                     sh.migrate_batch().unwrap();
@@ -986,12 +1007,18 @@ mod tests {
                 let fresh = prepare_input(q, &catalog, service, params, None, Some(&fold)).unwrap();
                 let memo = session.gathered.iter().find(|i| i.query == *q);
                 let stale = memo.is_some_and(|i| !i.gathered_from(&export));
-                assert_eq!(stale, migrate, "round {round}: only a commit retires a gather");
+                assert_eq!(
+                    stale, migrate,
+                    "round {round}: only a commit retires a gather"
+                );
                 let input = session.input(0, q).unwrap();
                 assert!(input.gathered_from(&export));
                 assert!(retired.iter().all(|old| !input.gathered_from(old)));
                 assert_eq!(render(&input), render(&fresh), "round {round}");
-                let closed = session.step(Input::Arrive { tenant: 0, query: q });
+                let closed = session.step(Input::Arrive {
+                    tenant: 0,
+                    query: q,
+                });
                 assert!(closed.iter().all(|r| r.outcome.is_ok()), "{closed:?}");
             }
             assert_eq!(session.gathered.len(), shapes.len(), "one gather per shape");

@@ -198,7 +198,11 @@ mod tests {
     fn sampling_hits_real_frequencies() {
         let rel = student();
         let server = corpus();
-        let au = server.collection().schema().field_by_name("author").unwrap();
+        let au = server
+            .collection()
+            .schema()
+            .field_by_name("author")
+            .unwrap();
         // Exhaustive sample (4 names ≤ sample size).
         let ps = sample_predicate(&server, &rel, rel.col("name"), au, 20).unwrap();
         // Gravano, Kao, Pham occur; DeSmedt does not → s = 3/4.
@@ -214,7 +218,11 @@ mod tests {
     fn sampling_respects_sample_size() {
         let rel = student();
         let server = corpus();
-        let au = server.collection().schema().field_by_name("author").unwrap();
+        let au = server
+            .collection()
+            .schema()
+            .field_by_name("author")
+            .unwrap();
         sample_predicate(&server, &rel, rel.col("name"), au, 2).unwrap();
         assert_eq!(server.usage().invocations, 2);
     }
@@ -223,7 +231,11 @@ mod tests {
     fn export_matches_sampling_exhaustive() {
         let rel = student();
         let server = corpus();
-        let au = server.collection().schema().field_by_name("author").unwrap();
+        let au = server
+            .collection()
+            .schema()
+            .field_by_name("author")
+            .unwrap();
         let sampled = sample_predicate(&server, &rel, rel.col("name"), au, 100).unwrap();
         let export = server.export_stats();
         let exported = export_predicate(&export, &rel, rel.col("name"), au);
@@ -235,7 +247,11 @@ mod tests {
     fn export_is_free() {
         let rel = student();
         let server = corpus();
-        let au = server.collection().schema().field_by_name("author").unwrap();
+        let au = server
+            .collection()
+            .schema()
+            .field_by_name("author")
+            .unwrap();
         let export = server.export_stats();
         let _ = export_predicate(&export, &rel, rel.col("name"), au);
         assert_eq!(server.usage().invocations, 0);
@@ -266,7 +282,11 @@ mod tests {
     #[test]
     fn empty_relation_zero_stats() {
         let server = corpus();
-        let au = server.collection().schema().field_by_name("author").unwrap();
+        let au = server
+            .collection()
+            .schema()
+            .field_by_name("author")
+            .unwrap();
         let schema = textjoin_rel::schema::RelSchema::from_columns(vec![(
             "name",
             textjoin_rel::value::ValueType::Str,

@@ -188,13 +188,13 @@ impl PlanQuality {
     /// Per-component `(name, estimated, actual, q_error)` rollup over the
     /// whole plan, fixed order.
     pub(crate) fn components(&self) -> [(&'static str, f64, f64, f64); 4] {
-        let e = &self.est_total;
-        let a = &self.act_total;
+        let (e, a) = (&self.est_total, &self.act_total);
+        let row = |name, e, a| (name, e, a, q_error(e, a));
         [
-            ("inv", e.invocation, a.invocation, q_error(e.invocation, a.invocation)),
-            ("proc", e.processing, a.processing, q_error(e.processing, a.processing)),
-            ("xmit", e.transmission, a.transmission, q_error(e.transmission, a.transmission)),
-            ("rtp", e.rtp, a.rtp, q_error(e.rtp, a.rtp)),
+            row("inv", e.invocation, a.invocation),
+            row("proc", e.processing, a.processing),
+            row("xmit", e.transmission, a.transmission),
+            row("rtp", e.rtp, a.rtp),
         ]
     }
 

@@ -426,7 +426,10 @@ mod tests {
             ..Charge::default()
         }));
         let cal = calibrate_trace(&events);
-        assert!((cal.c_i.fitted - 3.0).abs() < 1e-12, "backoff never pollutes c_i");
+        assert!(
+            (cal.c_i.fitted - 3.0).abs() < 1e-12,
+            "backoff never pollutes c_i"
+        );
         assert_eq!(cal.faults, 1);
         assert!((cal.backoff_seconds - 0.5).abs() < 1e-12);
         assert!((cal.observed_fault_rate() - 1.0 / 3.0).abs() < 1e-12);

@@ -450,14 +450,29 @@ mod tests {
         let rec = Recorder::new(ring.clone());
         {
             let _g = rec.span("gather/shard2");
-            rec.emit(EventKind::CircuitOpen { shard: 2, rate: 801 });
-            rec.emit(EventKind::Failover { shard: 2, replica: 1 });
-            rec.emit(EventKind::CircuitClose { shard: 2, rate: 112 });
+            rec.emit(EventKind::CircuitOpen {
+                shard: 2,
+                rate: 801,
+            });
+            rec.emit(EventKind::Failover {
+                shard: 2,
+                replica: 1,
+            });
+            rec.emit(EventKind::CircuitClose {
+                shard: 2,
+                rate: 112,
+            });
         }
         let text = render(&ring.events());
         assert!(text.contains("> failover@shard2 -> replica 1"), "{text}");
-        assert!(text.contains("x circuit open@shard2 (ewma 801/1024)"), "{text}");
-        assert!(text.contains("o circuit close@shard2 (ewma 112/1024)"), "{text}");
+        assert!(
+            text.contains("x circuit open@shard2 (ewma 801/1024)"),
+            "{text}"
+        );
+        assert!(
+            text.contains("o circuit close@shard2 (ewma 112/1024)"),
+            "{text}"
+        );
     }
 
     #[test]
@@ -484,7 +499,9 @@ mod tests {
             parent: id.checked_sub(1),
             label: label(),
         });
-        let end = (0..depth).rev().map(|id| EventKind::SpanEnd { id, label: label() });
+        let end = (0..depth)
+            .rev()
+            .map(|id| EventKind::SpanEnd { id, label: label() });
         let events: Vec<Event> = begin
             .chain(end)
             .map(|kind| Event { seq, clock, kind })

@@ -42,7 +42,7 @@ pub use monitor::{
     render_windows, Advice, Monitor, MonitorConfig, ShardWindow, WindowStats, MAX_WINDOWS,
 };
 pub use recorder::{Recorder, SpanGuard};
-pub use sample::{is_hot, SampledSink, SamplePolicy};
+pub use sample::{is_hot, SamplePolicy, SampledSink};
 pub use sink::{FanoutSink, JsonlSink, NoopSink, RingSink, Sink};
 pub use trace::{parse_jsonl, TraceParseError};
 

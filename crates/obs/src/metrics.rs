@@ -47,7 +47,7 @@ impl Histogram {
     /// bucket reports the midpoint of the *next* doubling — the best
     /// guess the layout allows.
     fn midpoint(&self, idx: usize) -> u64 {
-        let lo = if idx == 0 { 0 } else { self.bounds[idx - 1] + 1 };
+        let lo = idx.checked_sub(1).map_or(0, |i| self.bounds[i] + 1);
         let hi = match self.bounds.get(idx) {
             Some(&b) => b,
             None => self

@@ -172,7 +172,7 @@ impl MonitorConfig {
 
     /// Sets the drift cadence and trailing depth.
     pub fn with_drift(mut self, every: u64, trailing: usize) -> Self {
-        assert!(every >= 1 && trailing >= 1, "cadence and trail must be >= 1");
+        assert!(every > 0 && trailing > 0, "cadence and trail must be >= 1");
         self.drift_every_windows = every;
         self.drift_trailing_windows = trailing;
         self
@@ -431,7 +431,8 @@ impl Monitor {
             | EventKind::Backoff { shard, charge, .. } => {
                 acc.invoice.accumulate(charge);
                 if let Some(s) = shard {
-                    acc.per_shard.entry(*s).or_default().invoice.accumulate(charge);
+                    let sw = acc.per_shard.entry(*s).or_default();
+                    sw.invoice.accumulate(charge);
                 }
                 if self.cfg.baseline.is_some() {
                     acc.rows.extend(Row::of(&ev.kind));
@@ -568,16 +569,14 @@ impl Monitor {
     /// the hottest docid range covering about half the shard's observed
     /// hits, advised toward the coldest shard of the window.
     fn advise(&self, st: &mut MonState, w: &WindowStats, src: usize) {
-        let Some(sw) = w.per_shard.get(&src) else { return };
-        if sw.traffic.is_empty() {
+        let Some(sw) = w.per_shard.get(&src).filter(|sw| !sw.traffic.is_empty()) else {
             return; // no observed traffic to derive a range from
-        }
+        };
         // Rank docids by observed hits (hits descending, docid ascending
         // for determinism) and take the hottest until they cover half the
         // shard's hits.
         let total_hits: u64 = sw.traffic.values().sum();
-        let mut ranked: Vec<(u64, u64)> =
-            sw.traffic.iter().map(|(&d, &h)| (d, h)).collect();
+        let mut ranked: Vec<(u64, u64)> = sw.traffic.iter().map(|(&d, &h)| (d, h)).collect();
         ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         let mut covered = 0u64;
         let mut picked: Vec<u64> = Vec::new();
@@ -594,12 +593,7 @@ impl Monitor {
         let hi = max + 1;
         // All observed hits that actually fall inside the advised range
         // (it is contiguous, so it may cover more than the picked set).
-        let hits: u64 = sw
-            .traffic
-            .iter()
-            .filter(|(&d, _)| d >= lo && d < hi)
-            .map(|(_, &h)| h)
-            .sum();
+        let hits: u64 = sw.traffic.range(lo..hi).map(|(_, &h)| h).sum();
         // Destination: the shard with the lowest invoice share this
         // window, excluding the source (BTreeMap order breaks ties by
         // the lowest shard index).
@@ -663,7 +657,9 @@ impl Monitor {
 
     /// Trailing-window cost-constant drift watchdog.
     fn detect_drift(&self, st: &mut MonState, window: u64) {
-        let Some((b_i, b_p, b_s, b_l)) = self.cfg.baseline else { return };
+        let Some((b_i, b_p, b_s, b_l)) = self.cfg.baseline else {
+            return;
+        };
         if !(window + 1).is_multiple_of(self.cfg.drift_every_windows) {
             return;
         }
@@ -758,16 +754,16 @@ pub fn render_windows(window_secs: f64, windows: &[WindowStats], alerts: &[Event
         windows.len(),
         alerts.len()
     );
-    out.push_str(&format!(
-        "{:>4} {:>6} {:>8} {:>9} {:>6} {:>8} {:>5} {:>5} {:>6} {:>8}  {}\n",
-        "win", "calls", "postings", "invoice", "faults", "backoff", "miss", "open", "hedge", "ewma", "shares"
-    ));
+    out.push_str(
+        " win  calls postings   invoice faults  backoff  miss  open  hedge     ewma  shares\n",
+    );
     for w in windows {
-        let shares: Vec<String> = w
+        let shares = w
             .per_shard
             .keys()
             .map(|&s| format!("s{s}={:.1}%", w.share_ppm(s) as f64 / 10_000.0))
-            .collect();
+            .collect::<Vec<_>>()
+            .join(" ");
         out.push_str(&format!(
             "{:>4} {:>6} {:>8} {:>9.2} {:>6} {:>8.2} {:>5} {:>5} {:>6} {:>8.3}  {}\n",
             w.index,
@@ -780,7 +776,7 @@ pub fn render_windows(window_secs: f64, windows: &[WindowStats], alerts: &[Event
             w.circuit_opens,
             w.hedges,
             w.latency_ewma,
-            if shares.is_empty() { "-".to_string() } else { shares.join(" ") }
+            if shares.is_empty() { "-" } else { &shares }
         ));
     }
     if !alerts.is_empty() {
@@ -930,17 +926,27 @@ mod tests {
             .alerts()
             .iter()
             .filter_map(|e| match e.kind {
-                EventKind::SkewAlert { window, shard, hot, .. } => Some((window, shard, hot)),
+                EventKind::SkewAlert {
+                    window, shard, hot, ..
+                } => Some((window, shard, hot)),
                 _ => None,
             })
             .collect();
-        assert_eq!(skew, vec![(0, 0, true), (2, 0, false)], "one enter, one clear");
+        assert_eq!(
+            skew,
+            vec![(0, 0, true), (2, 0, false)],
+            "one enter, one clear"
+        );
         // The hot entry derived advice from the observed traffic.
         let advice = mon.advice();
         assert_eq!(advice.len(), 1);
         assert_eq!(advice[0].src, 0);
         assert_eq!(advice[0].dst, 1);
-        assert_eq!((advice[0].lo, advice[0].hi), (3, 4), "hottest docid covers half");
+        assert_eq!(
+            (advice[0].lo, advice[0].hi),
+            (3, 4),
+            "hottest docid covers half"
+        );
         assert_eq!(advice[0].hits, 3);
         let w0 = &mon.windows()[0];
         assert_eq!(w0.per_shard[&0].traffic, BTreeMap::from([(3, 3), (9, 1)]));
@@ -959,9 +965,17 @@ mod tests {
         // but not the slow average — no alert.
         let calm = Monitor::replay(
             MonitorConfig::new(10.0).with_slo(1, 3, 1.0),
-            &[call(0.1, None, 0.1), call(10.1, None, 0.1), miss(20.1), call(25.0, None, 5.0)],
+            &[
+                call(0.1, None, 0.1),
+                call(10.1, None, 0.1),
+                miss(20.1),
+                call(25.0, None, 5.0),
+            ],
         );
-        assert!(calm.alerts().iter().all(|e| !matches!(e.kind, EventKind::SloAlert { .. })));
+        assert!(calm
+            .alerts()
+            .iter()
+            .all(|e| !matches!(e.kind, EventKind::SloAlert { .. })));
         // After a quiet warm-up, sustained bad windows burn both windows
         // — fires once the slow average crosses, then clears when the
         // fast window recovers.
@@ -996,10 +1010,15 @@ mod tests {
         // Clean: calls priced exactly at the baseline c_i.
         let clean = Monitor::replay(
             cfg.clone(),
-            &(0..8).map(|i| call(i as f64 * 5.0, Some(0), 1.0)).collect::<Vec<_>>(),
+            &(0..8)
+                .map(|i| call(i as f64 * 5.0, Some(0), 1.0))
+                .collect::<Vec<_>>(),
         );
         assert!(
-            clean.alerts().iter().all(|e| !matches!(e.kind, EventKind::DriftAlert { .. })),
+            clean
+                .alerts()
+                .iter()
+                .all(|e| !matches!(e.kind, EventKind::DriftAlert { .. })),
             "clean trace must not flag drift"
         );
         // Perturbed: the server starts charging 2× per invocation.
@@ -1018,7 +1037,9 @@ mod tests {
             .alerts()
             .iter()
             .filter_map(|e| match e.kind {
-                EventKind::DriftAlert { component, drifted, .. } => Some((component, drifted)),
+                EventKind::DriftAlert {
+                    component, drifted, ..
+                } => Some((component, drifted)),
                 _ => None,
             })
             .collect();
@@ -1053,7 +1074,13 @@ mod tests {
         // trail (stays firing), w8 drops it (clears).
         for w in 1u64..=8 {
             for i in 0..3 {
-                events.push(sample(w as f64 * 10.0 + 0.5 + i as f64 * 0.1, 1.0, 1.0, 1.0, 0.0));
+                events.push(sample(
+                    w as f64 * 10.0 + 0.5 + i as f64 * 0.1,
+                    1.0,
+                    1.0,
+                    1.0,
+                    0.0,
+                ));
             }
         }
         let mon = Monitor::replay(cfg, &events);
@@ -1061,9 +1088,12 @@ mod tests {
             .alerts()
             .iter()
             .filter_map(|e| match e.kind {
-                EventKind::EstimateDrift { window, component, firing, .. } => {
-                    Some((window, component, firing))
-                }
+                EventKind::EstimateDrift {
+                    window,
+                    component,
+                    firing,
+                    ..
+                } => Some((window, component, firing)),
                 _ => None,
             })
             .collect();
@@ -1073,39 +1103,48 @@ mod tests {
             "one enter, one clear"
         );
         let table = mon.render_table();
-        assert!(table.contains("stats stale, re-export export_stats"), "{table}");
+        assert!(
+            table.contains("stats stale, re-export export_stats"),
+            "{table}"
+        );
     }
 
     #[test]
     fn estimate_detector_names_constants_and_watches_regret() {
         // Constants-dominated misses name the calibration knob.
         let cfg = MonitorConfig::new(10.0).with_estimates(4.0, 2.0);
-        let events: Vec<Event> =
-            (0..3).map(|i| sample(0.5 + i as f64 * 0.1, 6.0, 1.0, 6.0, 0.0)).collect();
+        let events: Vec<Event> = (0..3)
+            .map(|i| sample(0.5 + i as f64 * 0.1, 6.0, 1.0, 6.0, 0.0))
+            .collect();
         let mon = Monitor::replay(cfg, &events);
         assert!(
             mon.alerts().iter().any(|e| matches!(
                 e.kind,
-                EventKind::EstimateDrift { component: "constants", firing: true, .. }
+                EventKind::EstimateDrift {
+                    component: "constants",
+                    firing: true,
+                    ..
+                }
             )),
             "constants-dominated q-error must name constants"
         );
         assert!(
-            mon.render_table().contains("constants drifted, run calibrate"),
+            mon.render_table()
+                .contains("constants drifted, run calibrate"),
             "{}",
             mon.render_table()
         );
         // Accurate estimates but costly wrong method choices: the regret
         // share alone trips the detector.
         let cfg = MonitorConfig::new(10.0).with_estimates(4.0, 2.0);
-        let events: Vec<Event> =
-            (0..3).map(|i| sample(0.5 + i as f64 * 0.1, 1.0, 1.0, 1.0, 0.5)).collect();
+        let events: Vec<Event> = (0..3)
+            .map(|i| sample(0.5 + i as f64 * 0.1, 1.0, 1.0, 1.0, 0.5))
+            .collect();
         let mon = Monitor::replay(cfg, &events);
         assert!(
-            mon.alerts().iter().any(|e| matches!(
-                e.kind,
-                EventKind::EstimateDrift { firing: true, .. }
-            )),
+            mon.alerts()
+                .iter()
+                .any(|e| matches!(e.kind, EventKind::EstimateDrift { firing: true, .. })),
             "high regret share must fire even with perfect q-error"
         );
     }
@@ -1116,12 +1155,16 @@ mod tests {
         // Two terrible samples: below the minimum, too quiet to judge.
         let quiet = Monitor::replay(
             cfg.clone(),
-            &[sample(0.5, 100.0, 100.0, 1.0, 0.9), sample(0.6, 100.0, 100.0, 1.0, 0.9)],
+            &[
+                sample(0.5, 100.0, 100.0, 1.0, 0.9),
+                sample(0.6, 100.0, 100.0, 1.0, 0.9),
+            ],
         );
         assert!(quiet.alerts().is_empty(), "below min_samples stays silent");
         // Plenty of accurate samples: nothing to report.
-        let good: Vec<Event> =
-            (0..12).map(|i| sample(i as f64, 1.1, 1.1, 1.0, 0.01)).collect();
+        let good: Vec<Event> = (0..12)
+            .map(|i| sample(i as f64, 1.1, 1.1, 1.0, 0.01))
+            .collect();
         let mon = Monitor::replay(cfg, &good);
         assert!(mon.alerts().is_empty(), "well-estimated plans never alert");
     }

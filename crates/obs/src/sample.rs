@@ -46,8 +46,8 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use crate::event::{Charge, Event, EventKind};
-use crate::splitmix64;
 use crate::sink::Sink;
+use crate::splitmix64;
 
 /// A seeded sampling rate. A span beginning at trace sequence `s` is kept
 /// iff `splitmix64(seed ^ s) % denom == 0`; `denom == 1` keeps everything.
@@ -264,8 +264,8 @@ impl Sink for SampledSink {
                 // *promoted* (tail-retained by a signal) belongs to the
                 // retained scope: it inherits the promotion so the whole
                 // span's events — clean children included — are kept.
-                let inherited = self.policy.tail
-                    && st.stack.last().map(|f| f.promoted).unwrap_or(false);
+                let inherited =
+                    self.policy.tail && st.stack.last().map(|f| f.promoted).unwrap_or(false);
                 let keep = inherited || self.policy.keeps(ev.seq);
                 let mut buf = Vec::new();
                 if !keep && self.policy.tail {
@@ -406,13 +406,19 @@ mod tests {
             let _g = rec.span("gather");
             rec.emit(call(None, 3.0)); // cold: dropped
             rec.emit(call(Some("injected fault"), 3.0)); // hot: kept
-            rec.emit(EventKind::Failover { shard: 0, replica: 1 });
+            rec.emit(EventKind::Failover {
+                shard: 0,
+                replica: 1,
+            });
         }
         let kept = ring.events();
         assert!(kept.iter().all(|e| is_hot(&e.kind)), "only hot events kept");
         assert_eq!(kept.len(), 2);
         let dropped = sampled.dropped_charge();
-        assert_eq!(dropped.invocations, 1, "the cold call's charge is accounted");
+        assert_eq!(
+            dropped.invocations, 1,
+            "the cold call's charge is accounted"
+        );
         assert_eq!(dropped.ns_invocation, 3_000_000_000);
     }
 
@@ -426,13 +432,34 @@ mod tests {
         let rec = Recorder::new(sampled);
         {
             let _g = rec.span("gather");
-            rec.emit(EventKind::Failover { shard: 2, replica: 1 }); // novel: first hop
-            rec.emit(EventKind::Failover { shard: 2, replica: 1 }); // repeat: sampled out
-            rec.emit(EventKind::Failover { shard: 0, replica: 1 }); // novel: other shard
-            rec.emit(EventKind::Failover { shard: 2, replica: 2 }); // novel: replica change
-            rec.emit(EventKind::CircuitOpen { shard: 2, rate: 512 }); // new episode
-            rec.emit(EventKind::Failover { shard: 2, replica: 2 }); // novel again
-            rec.emit(EventKind::Failover { shard: 2, replica: 2 }); // repeat
+            rec.emit(EventKind::Failover {
+                shard: 2,
+                replica: 1,
+            }); // novel: first hop
+            rec.emit(EventKind::Failover {
+                shard: 2,
+                replica: 1,
+            }); // repeat: sampled out
+            rec.emit(EventKind::Failover {
+                shard: 0,
+                replica: 1,
+            }); // novel: other shard
+            rec.emit(EventKind::Failover {
+                shard: 2,
+                replica: 2,
+            }); // novel: replica change
+            rec.emit(EventKind::CircuitOpen {
+                shard: 2,
+                rate: 512,
+            }); // new episode
+            rec.emit(EventKind::Failover {
+                shard: 2,
+                replica: 2,
+            }); // novel again
+            rec.emit(EventKind::Failover {
+                shard: 2,
+                replica: 2,
+            }); // repeat
         }
         let hops: Vec<(usize, usize)> = ring
             .events()
@@ -467,7 +494,10 @@ mod tests {
             let _g = rec.span("gather");
             rec.emit(probe(2)); // breaker closed: genuine fault, kept
             rec.emit(probe(2)); // still closed: kept
-            rec.emit(EventKind::CircuitOpen { shard: 2, rate: 512 });
+            rec.emit(EventKind::CircuitOpen {
+                shard: 2,
+                rate: 512,
+            });
             rec.emit(probe(2)); // first probe of the episode: kept
             rec.emit(probe(2)); // repeat probe: sampled out
             rec.emit(probe(0)); // other shard's breaker closed: kept
@@ -546,7 +576,10 @@ mod tests {
     #[test]
     fn tail_keep_promotes_on_cancel_and_deadline_miss() {
         for signal in [
-            EventKind::Cancel { shard: 1, replica: 0 },
+            EventKind::Cancel {
+                shard: 1,
+                replica: 0,
+            },
             EventKind::DeadlineMiss { shard: Some(1) },
         ] {
             let ring = Rc::new(RingSink::unbounded());
@@ -674,7 +707,10 @@ mod tests {
             }
             rec.emit(call(None, 3.0));
         }
-        assert!(ring.events().is_empty(), "fully clean subtree stays dropped");
+        assert!(
+            ring.events().is_empty(),
+            "fully clean subtree stays dropped"
+        );
         let dropped = sampled.dropped_charge();
         assert_eq!(dropped.invocations, 2, "both buffered calls accounted");
         assert_eq!(dropped.ns_invocation, 5_000_000_000);
@@ -690,10 +726,7 @@ mod tests {
                 let _s = rec.span(&format!("work{i}"));
                 rec.emit(call(None, 1.0));
             }
-            ring.events()
-                .iter()
-                .map(|e| e.seq)
-                .collect::<Vec<_>>()
+            ring.events().iter().map(|e| e.seq).collect::<Vec<_>>()
         };
         let a = run();
         assert_eq!(a, run());

@@ -317,7 +317,10 @@ impl Draw<'_> {
 /// What drives one generated event: its kind and the words its fields are
 /// drawn from.
 fn seeds() -> impl Strategy<Value = (usize, Vec<u64>)> {
-    (0..EventKind::TYPES.len(), prop::collection::vec(0..u64::MAX, 48))
+    (
+        0..EventKind::TYPES.len(),
+        prop::collection::vec(0..u64::MAX, 48),
+    )
 }
 
 /// A stream to replay: about half its events open or close a span, so

@@ -158,14 +158,10 @@ impl Pred {
             Pred::True => true,
             Pred::Cmp { col, op, rhs } => op.eval(t.get(*col).sql_cmp(rhs)),
             Pred::CmpCols { left, op, right } => op.eval(t.get(*left).sql_cmp(t.get(*right))),
-            Pred::Like { col, pattern } => t
-                .get(*col)
-                .as_str()
-                .is_some_and(|s| like(s, pattern)),
-            Pred::ContainsTerm { col, term } => t
-                .get(*col)
-                .as_str()
-                .is_some_and(|s| contains_term(s, term)),
+            Pred::Like { col, pattern } => t.get(*col).as_str().is_some_and(|s| like(s, pattern)),
+            Pred::ContainsTerm { col, term } => {
+                t.get(*col).as_str().is_some_and(|s| contains_term(s, term))
+            }
             Pred::ContainsCol {
                 hay_col,
                 needle_col,

@@ -47,7 +47,11 @@ pub fn hash_join<L: Rows, R: Rows>(
         }
     }
     // A NULL probe key finds no bucket: none was built for NULL.
-    let bucket = |li| buckets.get(l.value(li, lcol)).map_or(&[][..], Vec::as_slice);
+    let bucket = |li| {
+        buckets
+            .get(l.value(li, lcol))
+            .map_or(&[][..], Vec::as_slice)
+    };
     (0..l.len())
         .flat_map(|li| bucket(li).iter().map(move |&ri| (li, ri)))
         .filter(|&(li, ri)| residual.eval(li, ri))
@@ -65,10 +69,8 @@ mod tests {
     use crate::value::ValueType;
 
     fn student() -> Table {
-        let schema = RelSchema::from_columns(vec![
-            ("name", ValueType::Str),
-            ("dept", ValueType::Str),
-        ]);
+        let schema =
+            RelSchema::from_columns(vec![("name", ValueType::Str), ("dept", ValueType::Str)]);
         let mut t = Table::new("student", schema);
         t.push(tuple!["Gravano", "CS"]);
         t.push(tuple!["Kao", "CS"]);
@@ -77,10 +79,8 @@ mod tests {
     }
 
     fn faculty() -> Table {
-        let schema = RelSchema::from_columns(vec![
-            ("name", ValueType::Str),
-            ("dept", ValueType::Str),
-        ]);
+        let schema =
+            RelSchema::from_columns(vec![("name", ValueType::Str), ("dept", ValueType::Str)]);
         let mut t = Table::new("faculty", schema);
         t.push(tuple!["Garcia", "CS"]);
         t.push(tuple!["Dayal", "EE"]);
@@ -116,7 +116,10 @@ mod tests {
             op: CmpOp::Eq,
             right: j.column_by_name("faculty.dept").unwrap(),
         };
-        assert_eq!(nested_loop_join(&s, &f, &same_dept), [(0, 0), (1, 0), (2, 1)]);
+        assert_eq!(
+            nested_loop_join(&s, &f, &same_dept),
+            [(0, 0), (1, 0), (2, 1)]
+        );
     }
 
     #[test]

@@ -154,13 +154,16 @@ mod tests {
     fn sort_groups_equal_keys() {
         let t = sample();
         let s = sort_by(&t, &[t.col("advisor")]);
-        let advisors: Vec<Option<&str>> = s
-            .iter()
-            .map(|r| r.get(t.col("advisor")).as_str())
-            .collect();
+        let advisors: Vec<Option<&str>> =
+            s.iter().map(|r| r.get(t.col("advisor")).as_str()).collect();
         assert_eq!(
             advisors,
-            [Some("Garcia"), Some("Garcia"), Some("Garcia"), Some("Wiederhold")]
+            [
+                Some("Garcia"),
+                Some("Garcia"),
+                Some("Garcia"),
+                Some("Wiederhold")
+            ]
         );
     }
 

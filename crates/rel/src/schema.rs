@@ -68,10 +68,7 @@ impl RelSchema {
 
     /// Looks up a column id by name.
     pub fn column_by_name(&self, name: &str) -> Option<ColId> {
-        self.columns
-            .iter()
-            .position(|c| c.name == name)
-            .map(ColId)
+        self.columns.iter().position(|c| c.name == name).map(ColId)
     }
 
     /// The definition of `id`.
@@ -84,10 +81,7 @@ impl RelSchema {
 
     /// Iterates `(ColId, &ColumnDef)`.
     pub fn iter(&self) -> impl Iterator<Item = (ColId, &ColumnDef)> {
-        self.columns
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (ColId(i), c))
+        self.columns.iter().enumerate().map(|(i, c)| (ColId(i), c))
     }
 
     /// Concatenates two schemas (for join outputs), prefixing clashing

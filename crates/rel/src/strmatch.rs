@@ -246,7 +246,12 @@ mod tests {
 
     #[test]
     fn words_are_the_folded_runs_in_order() {
-        let words = |s| Normalized::new(s).words().map(str::to_owned).collect::<Vec<_>>();
+        let words = |s| {
+            Normalized::new(s)
+                .words()
+                .map(str::to_owned)
+                .collect::<Vec<_>>()
+        };
         assert_eq!(words("O'Neil-LEE, 2nd"), ["o", "neil", "lee", "2nd"]);
         assert_eq!(words("İ ß"), ["i\u{307}", "ß"]);
         assert!(words(" ?! ").is_empty());
@@ -267,8 +272,14 @@ mod tests {
 
     #[test]
     fn contains_term_word_boundaries() {
-        assert!(contains_term("Update of Belief Networks", "belief networks"));
-        assert!(!contains_term("Update of Belief Networks", "update networks"));
+        assert!(contains_term(
+            "Update of Belief Networks",
+            "belief networks"
+        ));
+        assert!(!contains_term(
+            "Update of Belief Networks",
+            "update networks"
+        ));
         assert!(!contains_term("disbelief", "belief"));
         assert!(contains_term("A belief.", "BELIEF"));
     }

@@ -154,10 +154,8 @@ mod tests {
     use crate::value::ValueType;
 
     fn student() -> Table {
-        let schema = RelSchema::from_columns(vec![
-            ("name", ValueType::Str),
-            ("year", ValueType::Int),
-        ]);
+        let schema =
+            RelSchema::from_columns(vec![("name", ValueType::Str), ("year", ValueType::Int)]);
         let mut t = Table::new("student", schema);
         t.push(tuple!["Gravano", 4i64]);
         t.push(tuple!["Kao", 2i64]);

@@ -20,8 +20,7 @@ const KEYS: &[&str] = &["a", "b", "c", "d"];
 
 fn table(name: &'static str) -> impl Strategy<Value = Table> {
     prop::collection::vec((prop::sample::select(KEYS), 0i64..5), 0..12).prop_map(move |rows| {
-        let schema =
-            RelSchema::from_columns(vec![("k", ValueType::Str), ("v", ValueType::Int)]);
+        let schema = RelSchema::from_columns(vec![("k", ValueType::Str), ("v", ValueType::Int)]);
         let mut t = Table::new(name, schema);
         for (k, v) in rows {
             t.push(Tuple::new(vec![Value::str(k), Value::int(v)]));
@@ -253,7 +252,8 @@ impl OwnedValue {
             OwnedValue::Int(_) => 1,
             OwnedValue::Text(_) => 2,
         };
-        self.sql_cmp(other).unwrap_or_else(|| rank(self).cmp(&rank(other)))
+        self.sql_cmp(other)
+            .unwrap_or_else(|| rank(self).cmp(&rank(other)))
     }
 
     fn display(&self) -> String {
@@ -285,8 +285,11 @@ fn mixed_table(name: &'static str) -> impl Strategy<Value = Table> {
     prop::collection::vec((cell(), cell()), 0..10).prop_map(move |rows| {
         let schema = RelSchema::from_columns(vec![("x", ValueType::Str), ("y", ValueType::Str)]);
         // `with_rows`: a checked `push` would refuse the integers.
-        Table::new(name, schema)
-            .with_rows(rows.into_iter().map(|(x, y)| Tuple::new(vec![x, y])).collect())
+        Table::new(name, schema).with_rows(
+            rows.into_iter()
+                .map(|(x, y)| Tuple::new(vec![x, y]))
+                .collect(),
+        )
     })
 }
 
@@ -414,7 +417,10 @@ fn cloning_a_string_value_shares_its_allocation() {
     let t = Table::new("t", schema).with_rows(vec![row]);
     let kept = filter(&t, &Pred::True);
     assert!(Arc::ptr_eq(bytes(&v), bytes(kept.rows()[0].get(ColId(0)))));
-    assert!(Arc::ptr_eq(bytes(&v), bytes(&group_by(&t, &[ColId(0)])[0].0[0])));
+    assert!(Arc::ptr_eq(
+        bytes(&v),
+        bytes(&group_by(&t, &[ColId(0)])[0].0[0])
+    ));
 }
 
 proptest! {

@@ -111,9 +111,17 @@ mod tests {
         let ti = schema.field_by_name("title").unwrap();
         let au = schema.field_by_name("author").unwrap();
         let mut c = Collection::new(schema);
-        c.add_document(Document::new().with(ti, "text retrieval").with(au, "Gravano"));
+        c.add_document(
+            Document::new()
+                .with(ti, "text retrieval")
+                .with(au, "Gravano"),
+        );
         c.add_document(Document::new().with(ti, "text indexing").with(au, "Kao"));
-        c.add_document(Document::new().with(ti, "join processing").with(au, "Garcia"));
+        c.add_document(
+            Document::new()
+                .with(ti, "join processing")
+                .with(au, "Garcia"),
+        );
         TextServer::new(c)
     }
 
@@ -124,7 +132,11 @@ mod tests {
     #[test]
     fn batch_single_invocation() {
         let s = server();
-        let exprs = vec![q(&s, "AU='gravano'"), q(&s, "AU='kao'"), q(&s, "AU='garcia'")];
+        let exprs = vec![
+            q(&s, "AU='gravano'"),
+            q(&s, "AU='kao'"),
+            q(&s, "AU='garcia'"),
+        ];
         let br = s.search_batch(&exprs).unwrap();
         assert_eq!(br.results.len(), 3);
         assert_eq!(br.results[0].len(), 1);

@@ -264,7 +264,9 @@ impl DocStore {
 
 impl fmt::Debug for DocStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.chunks.iter().flat_map(|c| c.iter())).finish()
+        f.debug_list()
+            .entries(self.chunks.iter().flat_map(|c| c.iter()))
+            .finish()
     }
 }
 
@@ -525,7 +527,10 @@ impl IntoIterator for ShortForms {
     type IntoIter = std::vec::IntoIter<ShortDoc>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.iter().map(|r| r.to_owned()).collect::<Vec<_>>().into_iter()
+        self.iter()
+            .map(|r| r.to_owned())
+            .collect::<Vec<_>>()
+            .into_iter()
     }
 }
 
@@ -652,7 +657,11 @@ mod tests {
         assert_eq!(r.len(), 2 * CHUNK + 5);
         assert_eq!(r.docs.stores.len(), 1, "one store handle");
         for i in 0..r.len() as u32 {
-            assert_eq!(Arc::strong_count(&stored(i).values), 1, "doc {i}: no handle per hit");
+            assert_eq!(
+                Arc::strong_count(&stored(i).values),
+                1,
+                "doc {i}: no handle per hit"
+            );
         }
         // A read resolves into the stored document, copying nothing.
         for (hit, i) in r.docs.iter().zip(0..) {
@@ -680,7 +689,11 @@ mod tests {
         assert_eq!((old.len(), new.len()), (3, 3));
         for c in 0..2 {
             assert!(Arc::ptr_eq(&old[c], &new[c]), "chunk {c} is shared");
-            assert_eq!(Arc::strong_count(&new[c]), 2, "chunk {c}: the result's and the store's");
+            assert_eq!(
+                Arc::strong_count(&new[c]),
+                2,
+                "chunk {c}: the result's and the store's"
+            );
             assert!(new[c].iter().all(|d| Arc::strong_count(&d.values) == 1));
         }
         // The tail was copied: one chunk of document handles, no string.
@@ -691,7 +704,10 @@ mod tests {
         // The live result still reads what it found.
         assert_eq!(before.len(), 2 * CHUNK + 5);
         assert_eq!(after.len(), 2 * CHUNK + 6);
-        assert_eq!(before.docs.iter().last().unwrap().id, DocId(2 * CHUNK as u32 + 4));
+        assert_eq!(
+            before.docs.iter().last().unwrap().id,
+            DocId(2 * CHUNK as u32 + 4)
+        );
     }
 
     #[test]
@@ -709,7 +725,10 @@ mod tests {
         assert!((0..store.len()).all(|i| store.get(i).unwrap().ptr_eq(&docs[i])));
         assert!(store.get(CHUNK + 2).is_none());
         let replica = store.clone();
-        assert!(Arc::ptr_eq(&replica.chunks, &store.chunks), "one handle copied");
+        assert!(
+            Arc::ptr_eq(&replica.chunks, &store.chunks),
+            "one handle copied"
+        );
         assert_eq!(format!("{replica:?}"), format!("{docs:?}"));
     }
 
@@ -761,7 +780,11 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("first 64"), "{err}");
-        assert_eq!(format!("{s:?}"), before, "a refusal leaves the schema as it was");
+        assert_eq!(
+            format!("{s:?}"),
+            before,
+            "a refusal leaves the schema as it was"
+        );
         assert_eq!(s.len(), 65);
         assert_eq!(s.resolve("LS"), None);
         // A long-form field still fits after the refusal.

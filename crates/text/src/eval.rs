@@ -364,9 +364,15 @@ mod tests {
     #[test]
     fn three_word_phrase() {
         let (c, ti, _) = fixture();
-        let out = evaluate(&c, &SearchExpr::term_in("information filtering systems", ti));
+        let out = evaluate(
+            &c,
+            &SearchExpr::term_in("information filtering systems", ti),
+        );
         assert_eq!(ids(&out.docs), [1]);
-        let out = evaluate(&c, &SearchExpr::term_in("filtering information systems", ti));
+        let out = evaluate(
+            &c,
+            &SearchExpr::term_in("filtering information systems", ti),
+        );
         assert!(out.docs.is_empty());
     }
 
@@ -440,7 +446,9 @@ mod tests {
     #[test]
     fn unknown_words_match_nothing() {
         let (c, ti, _) = fixture();
-        assert!(evaluate(&c, &SearchExpr::term_in("xyzzy", ti)).docs.is_empty());
+        assert!(evaluate(&c, &SearchExpr::term_in("xyzzy", ti))
+            .docs
+            .is_empty());
         assert!(evaluate(&c, &SearchExpr::term_in("xyzzy update", ti))
             .docs
             .is_empty());

@@ -267,7 +267,10 @@ mod tests {
         let ti = s.field_by_name("title").unwrap();
         let e = SearchExpr::and(vec![
             SearchExpr::term_in("a", ti),
-            SearchExpr::and(vec![SearchExpr::term_in("b", ti), SearchExpr::term_in("c", ti)]),
+            SearchExpr::and(vec![
+                SearchExpr::term_in("b", ti),
+                SearchExpr::term_in("c", ti),
+            ]),
         ]);
         match &e {
             SearchExpr::And(cs) => assert_eq!(cs.len(), 3),

@@ -402,7 +402,10 @@ mod tests {
     fn dead_plan_faults_every_operation() {
         let p = FaultPlan::dead(42);
         for _ in 0..200 {
-            assert!(p.next_search_fault(70).is_some(), "a dead server never answers");
+            assert!(
+                p.next_search_fault(70).is_some(),
+                "a dead server never answers"
+            );
             assert!(matches!(
                 p.next_search_fault(70),
                 Some(Fault::Unavailable | Fault::Timeout { .. })

@@ -94,8 +94,9 @@ impl Collection {
     /// part's next dense one, and every `(word, field)` list is cut by it:
     /// each part equals its documents added in docid order.
     pub(crate) fn split(&self, route: &[(usize, DocId)], n: usize) -> Vec<Collection> {
-        let mut parts: Vec<Collection> =
-            (0..n).map(|_| Collection::new(self.schema.clone())).collect();
+        let mut parts: Vec<Collection> = (0..n)
+            .map(|_| Collection::new(self.schema.clone()))
+            .collect();
         for (doc, &(at, _)) in (0..).map_while(|g| self.docs.get(g)).zip(route) {
             parts[at].docs.push(doc.clone());
         }
@@ -224,7 +225,10 @@ mod tests {
     fn lookup_is_case_normalized() {
         let (c, _, _) = sample();
         assert!(c.lookup("belief").is_some());
-        assert!(c.lookup("Belief").is_none(), "directory stores normalized words");
+        assert!(
+            c.lookup("Belief").is_none(),
+            "directory stores normalized words"
+        );
     }
 
     #[test]
@@ -273,7 +277,10 @@ mod tests {
     /// A document: values pushed to title, author or abstract, so a field
     /// often holds several.
     fn document() -> impl Strategy<Value = Document> {
-        let value = (0u16..3, prop::collection::vec(prop::sample::select(WORDS), 0..4));
+        let value = (
+            0u16..3,
+            prop::collection::vec(prop::sample::select(WORDS), 0..4),
+        );
         prop::collection::vec(value, 0..5).prop_map(|values| {
             let mut doc = Document::new();
             for (field, words) in values {
@@ -284,7 +291,9 @@ mod tests {
     }
 
     fn terms(c: &Collection) -> Vec<(String, PostingList)> {
-        c.iter_terms().map(|(w, l)| (w.to_owned(), l.clone())).collect()
+        c.iter_terms()
+            .map(|(w, l)| (w.to_owned(), l.clone()))
+            .collect()
     }
 
     proptest! {

@@ -150,7 +150,10 @@ impl<'a> Parser<'a> {
     }
 
     fn offset(&self) -> usize {
-        self.toks.get(self.i).map(|&(_, o)| o).unwrap_or(self.src_len)
+        self.toks
+            .get(self.i)
+            .map(|&(_, o)| o)
+            .unwrap_or(self.src_len)
     }
 
     fn bump(&mut self) -> Option<Tok> {

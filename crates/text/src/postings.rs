@@ -115,7 +115,8 @@ impl PostingList {
                 let at = at.unwrap_or(self.fields.len());
                 // A word has a field or two: no room for four up front.
                 self.fields.reserve_exact(1);
-                self.fields.insert(at, FieldList::with_capacity(field, 0, 0));
+                self.fields
+                    .insert(at, FieldList::with_capacity(field, 0, 0));
                 at
             }
         };

@@ -205,7 +205,9 @@ impl fmt::Display for Usage {
             write!(
                 f,
                 ", faults {} / retries {} = {:.2}s backoff",
-                self.faults, self.retries, secs(self.ns_backoff as i64),
+                self.faults,
+                self.retries,
+                secs(self.ns_backoff as i64),
             )?;
         }
         write!(f, ")")
@@ -282,7 +284,10 @@ impl fmt::Display for TextError {
             TextError::Parse(e) => write!(f, "{e}"),
             TextError::Unavailable => write!(f, "text server unavailable (connection refused)"),
             TextError::Timeout { postings } => {
-                write!(f, "text server timed out after processing {postings} postings")
+                write!(
+                    f,
+                    "text server timed out after processing {postings} postings"
+                )
             }
             TextError::CapReduced { new_m } => {
                 write!(f, "text server reduced its term cap to {new_m} mid-query")
@@ -711,7 +716,12 @@ impl TextServer {
                 unreachable!("Slow is latency-only and handled on the success path")
             }
         };
-        self.book_call(op, terms, Some(err.to_string()), self.constants.price(counts));
+        self.book_call(
+            op,
+            terms,
+            Some(err.to_string()),
+            self.constants.price(counts),
+        );
         err
     }
 
@@ -817,7 +827,9 @@ mod tests {
         let ids = s.search_str("AU='gravano'").unwrap().ids();
         let before = s.usage();
         let doc = s.retrieve(ids[0]).unwrap();
-        assert!(!doc.values(s.collection().schema().field_by_name("title").unwrap()).is_empty());
+        assert!(!doc
+            .values(s.collection().schema().field_by_name("title").unwrap())
+            .is_empty());
         let delta = s.usage().since(&before);
         assert_eq!(delta.docs_long, 1);
         assert_eq!(delta.ns_transmission, 4_000_000_000);
@@ -874,7 +886,9 @@ mod tests {
     #[test]
     fn probe_returns_ids_and_costs_like_search() {
         let s = server();
-        let ids = s.probe(&crate::parse::parse_search("TI='text'", s.collection().schema()).unwrap()).unwrap();
+        let ids = s
+            .probe(&crate::parse::parse_search("TI='text'", s.collection().schema()).unwrap())
+            .unwrap();
         assert_eq!(ids.len(), 1);
         let u = s.usage();
         assert_eq!(u.invocations, 1);
@@ -982,11 +996,20 @@ mod tests {
         let s = server();
         s.search_str("TI='text'").unwrap();
         let shown = s.usage().to_string();
-        assert!(!shown.contains("backoff"), "no-fault display changed: {shown}");
+        assert!(
+            !shown.contains("backoff"),
+            "no-fault display changed: {shown}"
+        );
         s.charge_backoff(2.5);
         let shown = s.usage().to_string();
-        assert!(shown.contains("retries 1"), "missing backoff segment: {shown}");
-        assert!(shown.contains("2.50s backoff"), "missing backoff time: {shown}");
+        assert!(
+            shown.contains("retries 1"),
+            "missing backoff segment: {shown}"
+        );
+        assert!(
+            shown.contains("2.50s backoff"),
+            "missing backoff time: {shown}"
+        );
     }
 
     #[test]
@@ -1016,7 +1039,11 @@ mod tests {
         let leg = s.usage().since(&before);
         assert!(leg.total_cost() > 0.0);
         s.rebate(&leg);
-        assert_eq!(s.usage(), before, "rebate must undo the leg field-for-field");
+        assert_eq!(
+            s.usage(),
+            before,
+            "rebate must undo the leg field-for-field"
+        );
     }
 
     #[test]

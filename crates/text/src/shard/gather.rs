@@ -306,7 +306,9 @@ impl ShardedTextServer {
         )?;
         let results = (0..exprs.len())
             .map(|j| {
-                let parts = per_shard.iter_mut().map(|b| std::mem::take(&mut b.results[j]));
+                let parts = per_shard
+                    .iter_mut()
+                    .map(|b| std::mem::take(&mut b.results[j]));
                 Self::merge(parts.collect())
             })
             .collect();

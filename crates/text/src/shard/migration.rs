@@ -9,8 +9,8 @@ use textjoin_obs::{ns, Charge, EventKind};
 
 use super::ShardedTextServer;
 use crate::doc::{DocId, TextSchema};
-use crate::index::Collection;
 use crate::faults::Fault;
+use crate::index::Collection;
 use crate::rebalance::{
     MigrationJournal, MigrationPlan, MigrationProgress, MigrationState, MoveJournal, MoveStatus,
     StagedDoc,
@@ -729,16 +729,25 @@ mod tests {
         let same = |a: &TextServer, b: &TextServer| std::ptr::eq(a.collection(), b.collection());
         for i in 0..4 {
             for r in 0..3 {
-                assert!(same(moved.replica(i, r), sibling.replica(i, 0)), "shard {i} replica {r}");
+                assert!(
+                    same(moved.replica(i, r), sibling.replica(i, 0)),
+                    "shard {i} replica {r}"
+                );
             }
         }
-        let probes = ["TI='shared'", "AU='author0'", "TI='subject' and AU='author17'"];
-        let answers = |s: &ShardedTextServer| {
-            probes.map(|q| TextService::search_str(s, q).unwrap().docs)
-        };
+        let probes = [
+            "TI='shared'",
+            "AU='author0'",
+            "TI='subject' and AU='author17'",
+        ];
+        let answers =
+            |s: &ShardedTextServer| probes.map(|q| TextService::search_str(s, q).unwrap().docs);
         let before = answers(&sibling);
         let ledgers = |s: &ShardedTextServer| {
-            (TextService::usage(s), (0..4).map(|i| s.shard_usage(i)).collect::<Vec<_>>())
+            (
+                TextService::usage(s),
+                (0..4).map(|i| s.shard_usage(i)).collect::<Vec<_>>(),
+            )
         };
         let sibling_ledgers = ledgers(&sibling);
         let sibling_stats = TextService::export_stats(&sibling);
@@ -746,7 +755,11 @@ mod tests {
 
         let src = moved.owner_of(DocId(0)).unwrap();
         let dst = (src + 1) % 4;
-        let mv = Move { range: (DocId(0), DocId(40)), src, dst };
+        let mv = Move {
+            range: (DocId(0), DocId(40)),
+            src,
+            dst,
+        };
         moved.begin_migration(MigrationPlan::new(vec![mv], 40));
         moved.run_migration().unwrap();
 
@@ -755,7 +768,11 @@ mod tests {
         assert_eq!(answers(&sibling), before);
         assert!(!TextService::export_stats(&moved).ptr_eq(&moved_stats));
         for i in 0..4 {
-            assert_eq!(same(moved.replica(i, 0), sibling.replica(i, 0)), i != dst, "shard {i}");
+            assert_eq!(
+                same(moved.replica(i, 0), sibling.replica(i, 0)),
+                i != dst,
+                "shard {i}"
+            );
         }
         // A cluster cut later still gets the partition as it was.
         let late = ShardedTextServer::over(&partition, 1, CostConstants::default());
@@ -764,9 +781,14 @@ mod tests {
         // alone answers what the single server does.
         let want = single.search_str("TI='shared'").unwrap();
         for r in 0..3 {
-            assert!(same(moved.replica(dst, r), moved.replica(dst, 0)), "replica {r}");
+            assert!(
+                same(moved.replica(dst, r), moved.replica(dst, 0)),
+                "replica {r}"
+            );
             for k in (0..3).filter(|&k| k != r) {
-                moved.replica_mut(dst, k).set_fault_plan(FaultPlan::dead(r as u64));
+                moved
+                    .replica_mut(dst, k)
+                    .set_fault_plan(FaultPlan::dead(r as u64));
             }
             let got = TextService::search_str(&moved, "TI='shared'").unwrap();
             assert_eq!(got.docs, want.docs, "served by replica {r}");

@@ -146,8 +146,17 @@ impl Partition {
                 (shard, DocId(to_global[shard].len() as u32 - 1))
             })
             .collect();
-        let shards = coll.split(&route, n_shards).into_iter().map(Rc::new).collect();
-        Self { shards, route, to_global, seed }
+        let shards = coll
+            .split(&route, n_shards)
+            .into_iter()
+            .map(Rc::new)
+            .collect();
+        Self {
+            shards,
+            route,
+            to_global,
+            seed,
+        }
     }
 }
 
@@ -161,7 +170,11 @@ impl ShardedTextServer {
     /// Partitions `coll` across `n_shards` logical shards of `n_replicas`
     /// servers each, with default constants.
     pub fn replicated(coll: &Collection, n_shards: usize, n_replicas: usize, seed: u64) -> Self {
-        Self::over(&Partition::new(coll, n_shards, seed), n_replicas, CostConstants::default())
+        Self::over(
+            &Partition::new(coll, n_shards, seed),
+            n_replicas,
+            CostConstants::default(),
+        )
     }
 
     /// A cluster of `n_replicas` servers per shard of `partition`, each
@@ -353,12 +366,17 @@ impl ShardedTextServer {
         let current = |i: usize| self.shard(i).collection().vocabulary_stats();
         let mut cached = self.export.borrow_mut();
         if let Some(e) = cached.as_ref() {
-            if e.parts.iter().enumerate().all(|(i, p)| p.ptr_eq(current(i))) {
+            if e.parts
+                .iter()
+                .enumerate()
+                .all(|(i, p)| p.ptr_eq(current(i)))
+            {
                 return Rc::clone(e);
             }
         }
-        let parts: Vec<VocabularyStats> =
-            (0..self.replicas.len()).map(|i| current(i).clone()).collect();
+        let parts: Vec<VocabularyStats> = (0..self.replicas.len())
+            .map(|i| current(i).clone())
+            .collect();
         let merged = VocabularyStats::merged(&parts);
         let e = Rc::new(ShardExport { parts, merged });
         *cached = Some(Rc::clone(&e));
@@ -506,7 +524,9 @@ impl TextService for ShardedTextServer {
             self.validate_cap(e)?;
         }
         self.gather_batch(exprs, |i| {
-            self.failover(i, &self.routing_order(i), |r| self.batch_replica(i, r, exprs))
+            self.failover(i, &self.routing_order(i), |r| {
+                self.batch_replica(i, r, exprs)
+            })
         })
     }
 
@@ -565,7 +585,10 @@ mod tests {
         assert_eq!(a.doc_count(), 40);
         let sizes: Vec<usize> = (0..4).map(|i| a.shard(i).doc_count()).collect();
         assert_eq!(sizes.iter().sum::<usize>(), 40);
-        assert!(sizes.iter().all(|&s| s > 0), "seeded hash spreads docs: {sizes:?}");
+        assert!(
+            sizes.iter().all(|&s| s > 0),
+            "seeded hash spreads docs: {sizes:?}"
+        );
         for g in 0..40 {
             assert_eq!(a.owner_of(DocId(g)), b.owner_of(DocId(g)));
         }
@@ -631,8 +654,7 @@ mod tests {
         let mut sharded = ShardedTextServer::new(&coll, 4, 7);
         sharded.shard_mut(2).set_max_terms(2);
         assert_eq!(TextService::max_terms(&sharded), 2);
-        let err =
-            TextService::search_str(&sharded, "AU='a' or AU='b' or AU='c'").unwrap_err();
+        let err = TextService::search_str(&sharded, "AU='a' or AU='b' or AU='c'").unwrap_err();
         assert!(matches!(err, TextError::TooManyTerms { count: 3, max: 2 }));
         let u = TextService::usage(&sharded);
         assert_eq!((u.invocations, u.rejected), (0, 1), "rejected uncharged");
@@ -688,7 +710,10 @@ mod tests {
                 assert!(d.values(ab).is_empty(), "long field behind a short form");
                 assert!(d.short_form_fields().all(|(f, _)| f != ab));
                 assert!(!format!("{d:?}").contains("abstract of"));
-                assert_eq!(d.to_owned(), TextService::reconstruct_short(&sharded, d.id).unwrap());
+                assert_eq!(
+                    d.to_owned(),
+                    TextService::reconstruct_short(&sharded, d.id).unwrap()
+                );
             }
         }
     }
@@ -712,7 +737,10 @@ mod tests {
             assert!(shares_source(&sharded, shard, local, g), "doc {g}");
         }
         let journal = sharded.begin_migration(MigrationPlan::seeded(3, 4, 40, 3, 2));
-        assert!(journal.entries.iter().any(|e| e.docs > 0), "something was staged");
+        assert!(
+            journal.entries.iter().any(|e| e.docs > 0),
+            "something was staged"
+        );
         let staged: Vec<(usize, DocId, u32)> = {
             let m = sharded.migration.borrow();
             let state = m.as_ref().unwrap();
@@ -754,7 +782,10 @@ mod tests {
         assert_eq!(got.docs, want.docs);
         // The healthy path charges only the primaries.
         let u = TextService::usage(&a);
-        assert_eq!(u.invocations, 4, "secondaries are free while primaries answer");
+        assert_eq!(
+            u.invocations, 4,
+            "secondaries are free while primaries answer"
+        );
     }
 
     #[test]
@@ -818,11 +849,14 @@ mod tests {
         let u = TextService::usage(&sharded);
         assert_eq!(u.invocations, 1, "three shards pruned for free");
         let owner = sharded.owner_of(DocId(17)).unwrap();
-        let mask = sharded.relevant_shards(&parse_search("AU='author17'", TextService::schema(&sharded)).unwrap());
+        let mask = sharded.relevant_shards(
+            &parse_search("AU='author17'", TextService::schema(&sharded)).unwrap(),
+        );
         assert_eq!(mask.iter().filter(|&&b| b).count(), 1);
         assert!(mask[owner]);
         // A term present everywhere prunes nothing.
-        let mask = sharded.relevant_shards(&parse_search("TI='shared'", TextService::schema(&sharded)).unwrap());
+        let mask = sharded
+            .relevant_shards(&parse_search("TI='shared'", TextService::schema(&sharded)).unwrap());
         assert!(mask.iter().all(|&b| b));
         // Routing off: no pruning, the invoice shape is the classic one.
         sharded.set_stats_routing(false);

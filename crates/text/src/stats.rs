@@ -70,7 +70,9 @@ impl FieldStats {
     /// them is the first word not below the prefix itself.
     pub fn occurs_prefix(&self, prefix: &str) -> bool {
         let at = self.words.partition_point(|(w, _)| **w < *prefix);
-        self.words.get(at).is_some_and(|(w, _)| w.starts_with(prefix))
+        self.words
+            .get(at)
+            .is_some_and(|(w, _)| w.starts_with(prefix))
     }
 }
 
@@ -201,9 +203,17 @@ mod tests {
         let ti = schema.field_by_name("title").unwrap();
         let au = schema.field_by_name("author").unwrap();
         let mut c = Collection::new(schema);
-        c.add_document(Document::new().with(ti, "text retrieval text").with(au, "Gravano"));
+        c.add_document(
+            Document::new()
+                .with(ti, "text retrieval text")
+                .with(au, "Gravano"),
+        );
         c.add_document(Document::new().with(ti, "text indexing").with(au, "Kao"));
-        c.add_document(Document::new().with(ti, "query processing").with(au, "Gravano"));
+        c.add_document(
+            Document::new()
+                .with(ti, "query processing")
+                .with(au, "Gravano"),
+        );
         (c, ti, au)
     }
 

@@ -123,7 +123,12 @@ fn check(got: &SearchResult, want: &[ShortDoc], schema: &TextSchema) {
 }
 
 /// Every search path of `s` over `exprs` against the short forms of `coll`.
-fn check_service(s: &dyn TextService, coll: &Collection, exprs: &[SearchExpr], want: &[Vec<ShortDoc>]) {
+fn check_service(
+    s: &dyn TextService,
+    coll: &Collection,
+    exprs: &[SearchExpr],
+    want: &[Vec<ShortDoc>],
+) {
     let schema = coll.schema();
     for (e, want) in exprs.iter().zip(want) {
         check(&s.search(e).expect("within the term cap"), want, schema);
@@ -156,7 +161,10 @@ fn check_topologies(coll: &Collection, exprs: &[SearchExpr], seed: u64) {
     check_service(&wide, coll, exprs, &want);
     // Results built over different stores compare by what they show.
     for e in exprs {
-        assert_eq!(TextService::search(&wide, e).unwrap(), lone.search(e).unwrap());
+        assert_eq!(
+            TextService::search(&wide, e).unwrap(),
+            lone.search(e).unwrap()
+        );
     }
 }
 
@@ -180,14 +188,23 @@ fn results_read_across_a_large_store() {
     let docs: Vec<DocSpec> = (0..2_600)
         .map(|i| {
             let w = |k: usize| VOCAB[(i * 7 + k * 3) % VOCAB.len()];
-            (vec![w(0), w(1)], vec![w(2)], vec![w(3), w(4), w(5)], (i % 4) as u8)
+            (
+                vec![w(0), w(1)],
+                vec![w(2)],
+                vec![w(3), w(4), w(5)],
+                (i % 4) as u8,
+            )
         })
         .collect();
     let coll = build(&docs);
     let schema = coll.schema();
-    let exprs: Vec<SearchExpr> = ["TI=join", "AU=text or AB='probe semi'", "TI=qu? not AB=tuple"]
-        .iter()
-        .map(|q| parse_search(q, schema).expect("a valid search"))
-        .collect();
+    let exprs: Vec<SearchExpr> = [
+        "TI=join",
+        "AU=text or AB='probe semi'",
+        "TI=qu? not AB=tuple",
+    ]
+    .iter()
+    .map(|q| parse_search(q, schema).expect("a valid search"))
+    .collect();
     check_topologies(&coll, &exprs, 7);
 }

@@ -80,7 +80,9 @@ fn oracle_merged(parts: &[Model]) -> Model {
 fn assert_says(handle: &VocabularyStats, model: &Model, what: &str) {
     assert_eq!(handle.doc_count, model.doc_count, "{what}: D");
     for (fid, words) in &model.df {
-        let fs = handle.field(*fid).unwrap_or_else(|| panic!("{what}: no field {fid:?}"));
+        let fs = handle
+            .field(*fid)
+            .unwrap_or_else(|| panic!("{what}: no field {fid:?}"));
         // As many words as the model and each of the model's present: the
         // same set.
         assert_eq!(fs.vocabulary, words.len(), "{what}: vocabulary of {fid:?}");
@@ -94,7 +96,10 @@ fn assert_says(handle: &VocabularyStats, model: &Model, what: &str) {
             }
             histogram[bucket] += 1;
         }
-        assert_eq!(fs.total_df, words.values().map(|&d| u64::from(d)).sum::<u64>());
+        assert_eq!(
+            fs.total_df,
+            words.values().map(|&d| u64::from(d)).sum::<u64>()
+        );
         assert_eq!(fs.histogram, histogram, "{what}: histogram of {fid:?}");
         assert_eq!(fs.fanout("never-indexed"), 0);
     }
@@ -159,7 +164,11 @@ fn collection(docs: &[DocSpec]) -> Collection {
 #[derive(Debug, Clone)]
 enum Op {
     /// Stage a seeded plan (skipped while a migration is in flight).
-    Stage { seed: u64, moves: usize, batch: usize },
+    Stage {
+        seed: u64,
+        moves: usize,
+        batch: usize,
+    },
     /// Run one batch. With `interrupt`, every replica of the destination
     /// refuses once first: the batch stays in flight and the next one
     /// resumes it from the journal.

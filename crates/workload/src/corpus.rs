@@ -27,9 +27,7 @@ pub(crate) fn cstr_schema() -> TextSchema {
 }
 
 /// Institutions for the `institution` field.
-pub const INSTITUTIONS: &[&str] = &[
-    "CMU", "Stanford", "Berkeley", "MIT", "Wisconsin", "Toronto",
-];
+pub const INSTITUTIONS: &[&str] = &["CMU", "Stanford", "Berkeley", "MIT", "Wisconsin", "Toronto"];
 
 #[cfg(test)]
 mod tests {

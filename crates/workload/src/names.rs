@@ -22,12 +22,46 @@ const CODAS: &[&str] = &[
 
 /// Research-topic vocabulary used for titles and abstracts.
 pub const TOPICS: &[&str] = &[
-    "query", "optimization", "join", "text", "retrieval", "index", "inverted", "database",
-    "distributed", "transaction", "semantics", "belief", "update", "revision", "filtering",
-    "information", "hypertext", "storage", "concurrency", "recovery", "parallel", "object",
-    "mediator", "heterogeneous", "schema", "integration", "probabilistic", "boolean", "vector",
-    "ranking", "caching", "replication", "logging", "deduction", "constraint", "view",
-    "materialized", "stream", "spatial", "temporal",
+    "query",
+    "optimization",
+    "join",
+    "text",
+    "retrieval",
+    "index",
+    "inverted",
+    "database",
+    "distributed",
+    "transaction",
+    "semantics",
+    "belief",
+    "update",
+    "revision",
+    "filtering",
+    "information",
+    "hypertext",
+    "storage",
+    "concurrency",
+    "recovery",
+    "parallel",
+    "object",
+    "mediator",
+    "heterogeneous",
+    "schema",
+    "integration",
+    "probabilistic",
+    "boolean",
+    "vector",
+    "ranking",
+    "caching",
+    "replication",
+    "logging",
+    "deduction",
+    "constraint",
+    "view",
+    "materialized",
+    "stream",
+    "spatial",
+    "temporal",
 ];
 
 /// Draws a pronounceable, unique-ish surname. Collisions across draws are

@@ -235,8 +235,8 @@ mod tests {
         let p = prepare(&q1(&w), &w.catalog, ts).unwrap();
         assert!(!p.filtered.is_empty(), "some senior AI students exist");
         let ctx = textjoin_core::methods::ExecContext::new(&w.server);
-        let out = textjoin_core::methods::ts::tuple_substitution(&ctx, &p.foreign_join(), true)
-            .unwrap();
+        let out =
+            textjoin_core::methods::ts::tuple_substitution(&ctx, &p.foreign_join(), true).unwrap();
         assert!(
             !out.table.is_empty(),
             "belief-update docs are authored by senior AI students"

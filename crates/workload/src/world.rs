@@ -165,9 +165,13 @@ impl World {
         let schema = cstr_schema();
         let ti = schema.field_by_name("title").expect("schema has title");
         let au = schema.field_by_name("author").expect("schema has author");
-        let ab = schema.field_by_name("abstract").expect("schema has abstract");
+        let ab = schema
+            .field_by_name("abstract")
+            .expect("schema has abstract");
         let yr = schema.field_by_name("year").expect("schema has year");
-        let inst = schema.field_by_name("institution").expect("schema has institution");
+        let inst = schema
+            .field_by_name("institution")
+            .expect("schema has institution");
         let mut coll = Collection::new(schema);
 
         let year_of = |rng: &mut StdRng| {
@@ -177,25 +181,24 @@ impl World {
                 "May 1990"
             }
         };
-        let add_doc = |rng: &mut StdRng,
-                           coll: &mut Collection,
-                           doc_title: String,
-                           authors: Vec<String>| {
-            let mut d = Document::new()
-                .with(ti, doc_title)
-                .with(ab, abstract_text(rng, 12))
-                .with(yr, year_of(rng))
-                .with(inst, INSTITUTIONS[rng.gen_range(0..INSTITUTIONS.len())]);
-            for a in authors {
-                d.push(au, a);
-            }
-            coll.add_document(d);
-        };
+        let add_doc =
+            |rng: &mut StdRng, coll: &mut Collection, doc_title: String, authors: Vec<String>| {
+                let mut d = Document::new()
+                    .with(ti, doc_title)
+                    .with(ab, abstract_text(rng, 12))
+                    .with(yr, year_of(rng))
+                    .with(inst, INSTITUTIONS[rng.gen_range(0..INSTITUTIONS.len())]);
+                for a in authors {
+                    d.push(au, a);
+                }
+                coll.add_document(d);
+            };
 
         // Background documents by faculty and outside authors.
         let outside_authors = unique_names(&mut rng, 300);
         for _ in 0..spec.background_docs {
-            let mut authors = vec![outside_authors[rng.gen_range(0..outside_authors.len())].clone()];
+            let mut authors =
+                vec![outside_authors[rng.gen_range(0..outside_authors.len())].clone()];
             if rng.gen_bool(spec.background_faculty_coauthor_frac) {
                 authors.push(faculty_names[rng.gen_range(0..faculty_names.len())].clone());
             }
@@ -243,17 +246,14 @@ impl World {
         // probe-passes-query-fails cases).
         for pname in project_names.iter().take(hit_projects) {
             for _ in 0..spec.docs_per_hit_project {
-                let member_rows: Vec<&(String, String, String)> = project_rows
-                    .iter()
-                    .filter(|(n, _, _)| n == pname)
-                    .collect();
-                let author = if rng.gen_bool(spec.project_doc_by_member_frac)
-                    && !member_rows.is_empty()
-                {
-                    member_rows[rng.gen_range(0..member_rows.len())].2.clone()
-                } else {
-                    outside_authors[rng.gen_range(0..outside_authors.len())].clone()
-                };
+                let member_rows: Vec<&(String, String, String)> =
+                    project_rows.iter().filter(|(n, _, _)| n == pname).collect();
+                let author =
+                    if rng.gen_bool(spec.project_doc_by_member_frac) && !member_rows.is_empty() {
+                        member_rows[rng.gen_range(0..member_rows.len())].2.clone()
+                    } else {
+                        outside_authors[rng.gen_range(0..outside_authors.len())].clone()
+                    };
                 let t = format!("{pname} {}", title(&mut rng, 3));
                 add_doc(&mut rng, &mut coll, t, vec![author]);
             }
@@ -281,10 +281,8 @@ impl World {
         }
         catalog.register(student);
 
-        let fschema = RelSchema::from_columns(vec![
-            ("name", ValueType::Str),
-            ("dept", ValueType::Str),
-        ]);
+        let fschema =
+            RelSchema::from_columns(vec![("name", ValueType::Str), ("dept", ValueType::Str)]);
         let mut faculty = Table::new("faculty", fschema);
         for f in &faculty_names {
             faculty.push(Tuple::new(vec![
@@ -391,14 +389,15 @@ mod tests {
     fn project_hit_fraction_controls_s1() {
         let w = world();
         let export = w.server.export_stats();
-        let ti = w.server.collection().schema().field_by_name("title").unwrap();
+        let ti = w
+            .server
+            .collection()
+            .schema()
+            .field_by_name("title")
+            .unwrap();
         let project = w.catalog.table("project").unwrap();
-        let stats = textjoin_core::stats::export_predicate(
-            &export,
-            project,
-            project.col("name"),
-            ti,
-        );
+        let stats =
+            textjoin_core::stats::export_predicate(&export, project, project.col("name"), ti);
         // Spec: 16% of 20 projects ≈ 3 hit names.
         assert!(
             (stats.selectivity - 0.15).abs() < 0.06,
@@ -411,14 +410,15 @@ mod tests {
     fn student_publish_fraction_controls_selectivity() {
         let w = world();
         let export = w.server.export_stats();
-        let au = w.server.collection().schema().field_by_name("author").unwrap();
+        let au = w
+            .server
+            .collection()
+            .schema()
+            .field_by_name("author")
+            .unwrap();
         let student = w.catalog.table("student").unwrap();
-        let stats = textjoin_core::stats::export_predicate(
-            &export,
-            student,
-            student.col("name"),
-            au,
-        );
+        let stats =
+            textjoin_core::stats::export_predicate(&export, student, student.col("name"), au);
         // Publishing students plus project members who authored hit-project
         // docs; the knob dominates but does not pin it exactly.
         assert!(
@@ -427,7 +427,11 @@ mod tests {
             stats.selectivity
         );
         // Publishing students author ~2 docs each.
-        assert!(stats.fanout > 0.3 && stats.fanout < 1.5, "f = {}", stats.fanout);
+        assert!(
+            stats.fanout > 0.3 && stats.fanout < 1.5,
+            "f = {}",
+            stats.fanout
+        );
     }
 
     #[test]
@@ -445,7 +449,11 @@ mod tests {
         let advised: Vec<&str> = student
             .iter()
             .filter(|r| r.get(student.col("advisor")).as_str() == Some(&w.anchor_advisor))
-            .map(|r| r.get(student.col("name")).as_str().expect("names are strings"))
+            .map(|r| {
+                r.get(student.col("name"))
+                    .as_str()
+                    .expect("names are strings")
+            })
             .collect();
         assert!(!advised.is_empty());
     }

@@ -30,9 +30,15 @@ fn main() {
     );
 
     for (label, space) in [
-        ("traditional left-deep (text joins last)", ExecutionSpace::LeftDeep),
+        (
+            "traditional left-deep (text joins last)",
+            ExecutionSpace::LeftDeep,
+        ),
         ("PrL trees (probe nodes allowed)", ExecutionSpace::Prl),
-        ("PrL + relational residuals (extension)", ExecutionSpace::PrlResiduals),
+        (
+            "PrL + relational residuals (extension)",
+            ExecutionSpace::PrlResiduals,
+        ),
     ] {
         world.server.reset_usage();
         let (planned, outcome) =

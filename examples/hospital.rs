@@ -120,7 +120,12 @@ fn main() {
     println!("Method costs (the diagnosis column repeats across patients, so probing pays):\n");
     let candidates = enumerate_methods(&params, &stats, q.projection, false);
     for cand in &candidates {
-        println!("  {:<8} est {:>8.2}s  (probe columns {:?})", cand.label, cand.cost.total(), cand.probe_cols);
+        println!(
+            "  {:<8} est {:>8.2}s  (probe columns {:?})",
+            cand.label,
+            cand.cost.total(),
+            cand.probe_cols
+        );
     }
 
     let best = &candidates[0];
@@ -134,7 +139,9 @@ fn main() {
     .expect("method runs");
     println!(
         "\nChosen method {} sent {} text-system invocations and found {} (patient, paper) pairs:\n",
-        best.label, out.report.text.invocations, out.table.len()
+        best.label,
+        out.report.text.invocations,
+        out.table.len()
     );
     println!("{}", out.table);
 }

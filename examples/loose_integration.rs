@@ -45,7 +45,9 @@ fn main() {
     // --- 2. Short vs long form -------------------------------------------
     println!("\n2. Transmission: short form is cheap, long form is 260× dearer:");
     server.reset_usage();
-    let hits = server.search_str("TI='query optimization'").expect("search ok");
+    let hits = server
+        .search_str("TI='query optimization'")
+        .expect("search ok");
     let after_search = server.usage().total_cost();
     for d in hits.docs.iter().take(3) {
         server.retrieve(d.id).expect("retrieve ok");
@@ -58,7 +60,9 @@ fn main() {
     );
 
     // --- 3. Term cap ------------------------------------------------------
-    println!("\n3. The term cap rejects oversized disjunctions (semi-join chunking exists for this):");
+    println!(
+        "\n3. The term cap rejects oversized disjunctions (semi-join chunking exists for this):"
+    );
     let au = schema.field_by_name("author").expect("author");
     let big = SearchExpr::or(
         (0..100)

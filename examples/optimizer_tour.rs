@@ -9,9 +9,7 @@
 use textjoin::core::cost::formulas::cost_p_ts;
 use textjoin::core::cost::params::{CostParams, JoinStatistics, PredStats};
 use textjoin::core::methods::Projection;
-use textjoin::core::optimizer::single::{
-    choose_method, optimal_probe_exhaustive,
-};
+use textjoin::core::optimizer::single::{choose_method, optimal_probe_exhaustive};
 use textjoin::workload::knobs;
 
 fn stats_at_base(d: f64) -> JoinStatistics {
@@ -24,10 +22,7 @@ fn main() {
 
     // --- 1. Method costs vs probe-column selectivity ---------------------
     println!("1. TS vs P1+TS as s_1 sweeps (Q3 base) — probing pays only while probes fail:\n");
-    println!(
-        "   {:>5}  {:>9} {:>9}   cheaper",
-        "s_1", "TS", "P1+TS"
-    );
+    println!("   {:>5}  {:>9} {:>9}   cheaper", "s_1", "TS", "P1+TS");
     for s1 in [0.0, 0.1, 0.25, 0.5, 0.75, 1.0] {
         let stats = knobs::with_s1(knobs::q3_base(d), s1);
         let ts = textjoin::core::cost::formulas::cost_ts(&params, &stats).total();
@@ -40,9 +35,11 @@ fn main() {
             if pts < ts { "P1+TS" } else { "TS" }
         );
     }
-    let overall = choose_method(&params, &stats_at_base(d), Projection::Full)
-        .expect("candidates");
-    println!("\n   Across all methods the optimizer picks {} at the base point.", overall.label);
+    let overall = choose_method(&params, &stats_at_base(d), Projection::Full).expect("candidates");
+    println!(
+        "\n   Across all methods the optimizer picks {} at the base point.",
+        overall.label
+    );
 
     // --- 2. Example 5.1: best probe column is not the most selective ----
     println!("\n2. Example 5.1 — the optimal probe column trades N_i against s_i·N:");
@@ -98,8 +95,7 @@ fn main() {
         let c = cost_p_ts(&ex52, &stats, &subset).total();
         println!("   probe {subset:?}: {c:>9.0}");
     }
-    let (best_cols, best) =
-        optimal_probe_exhaustive(&ex52, &stats, cost_p_ts).expect("non-empty");
+    let (best_cols, best) = optimal_probe_exhaustive(&ex52, &stats, cost_p_ts).expect("non-empty");
     println!(
         "   exhaustive optimum: {best_cols:?} at {:.0} — found by the bounded\n\
          search too, since |optimal| ≤ min(k, 2g) (Theorem 5.3).",

@@ -88,7 +88,10 @@ fn main() {
     let params = textjoin::core::cost::params::CostParams::mercury(server.doc_count() as f64);
     let candidates = enumerate_methods(&params, &stats, q.projection, false);
 
-    println!("{:<10} {:>12} {:>12}  rows", "method", "est cost", "measured");
+    println!(
+        "{:<10} {:>12} {:>12}  rows",
+        "method", "est cost", "measured"
+    );
     for cand in &candidates {
         let ctx = ExecContext::new(&server);
         let out = textjoin::core::exec::execute_single(

@@ -215,8 +215,9 @@ impl Strategy for Range<f64> {
 impl Strategy for &'static str {
     type Value = String;
     fn generate(&self, rng: &mut TestRng) -> String {
-        let (lo, hi, min_len, max_len) = parse_char_class_pattern(self)
-            .unwrap_or_else(|| panic!("unsupported string pattern {self:?} (shim supports [x-y]{{m,n}})"));
+        let (lo, hi, min_len, max_len) = parse_char_class_pattern(self).unwrap_or_else(|| {
+            panic!("unsupported string pattern {self:?} (shim supports [x-y]{{m,n}})")
+        });
         let len = min_len + rng.below(max_len - min_len + 1);
         let span = (hi as u32 - lo as u32 + 1) as usize;
         (0..len)

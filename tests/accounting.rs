@@ -132,8 +132,8 @@ fn term_cap_forces_sj_chunking_without_changing_answers() {
     let schema = w.server.collection().schema();
     let p = prepare(&paper::q2(&w), &w.catalog, schema).expect("q2 prepares");
     let ctx = ExecContext::new(&w.server);
-    let unchunked = textjoin::core::methods::sj::semi_join(&ctx, &p.foreign_join())
-        .expect("SJ runs");
+    let unchunked =
+        textjoin::core::methods::sj::semi_join(&ctx, &p.foreign_join()).expect("SJ runs");
 
     // Same collection under a tiny term cap.
     let mut small = textjoin::text::server::TextServer::new(w.server.collection().clone());
@@ -245,16 +245,15 @@ fn sharded_answers_match_single_server_with_per_shard_invoice() {
     // Plain server baseline.
     w.server.reset_usage();
     let ctx = ExecContext::new(&w.server);
-    let plain = textjoin::core::methods::ts::tuple_substitution(&ctx, &fj, true)
-        .expect("TS runs");
+    let plain = textjoin::core::methods::ts::tuple_substitution(&ctx, &fj, true).expect("TS runs");
 
     // Same join over 4 shards: identical multiset, n_shards × the
     // invocation count (every logical search scatters to every shard).
     const N_SHARDS: u64 = 4;
     let sharded = ShardedTextServer::new(w.server.collection(), N_SHARDS as usize, 0x5AD);
     let sctx = ExecContext::new(&sharded);
-    let out = textjoin::core::methods::ts::tuple_substitution(&sctx, &fj, true)
-        .expect("sharded TS runs");
+    let out =
+        textjoin::core::methods::ts::tuple_substitution(&sctx, &fj, true).expect("sharded TS runs");
     assert_eq!(
         canonical_rows(&out.table),
         canonical_rows(&plain.table),
@@ -288,8 +287,8 @@ fn sharded_aggregate_ledger_is_exactly_the_sum_of_shard_ledgers() {
 
     let sharded = ShardedTextServer::new(w.server.collection(), 4, 0x5AD);
     let ctx = ExecContext::new(&sharded);
-    let out = textjoin::core::methods::probe::probe_rtp(&ctx, &fj, &[0])
-        .expect("sharded P+RTP runs");
+    let out =
+        textjoin::core::methods::probe::probe_rtp(&ctx, &fj, &[0]).expect("sharded P+RTP runs");
 
     // Fault-free run: the aggregate ledger decomposes exactly into the
     // sum of the per-shard ledgers — no hidden charges, nothing dropped.
@@ -343,12 +342,9 @@ fn replicated_backoff_lands_in_both_the_aggregate_and_the_shard_invoice() {
         .expect("failover absorbs the dead primary");
 
     // The answer is still the unreplicated answer.
-    let plain = textjoin::core::methods::ts::tuple_substitution(
-        &ExecContext::new(&w.server),
-        &fj,
-        true,
-    )
-    .expect("plain TS runs");
+    let plain =
+        textjoin::core::methods::ts::tuple_substitution(&ExecContext::new(&w.server), &fj, true)
+            .expect("plain TS runs");
     assert_eq!(canonical_rows(&out.table), canonical_rows(&plain.table));
 
     // The no-drift pin for charge_shard_backoff / charge_replica_backoff:
@@ -363,7 +359,10 @@ fn replicated_backoff_lands_in_both_the_aggregate_and_the_shard_invoice() {
     }
     assert_eq!(agg.retries, sum.retries, "retries cannot drift");
     assert_eq!(agg.ns_backoff, sum.ns_backoff, "backoff cannot drift");
-    assert!(agg.retries > 2, "the dead primary forced organic retries too");
+    assert!(
+        agg.retries > 2,
+        "the dead primary forced organic retries too"
+    );
     assert!(
         agg.ns_backoff > 6_500_000_000,
         "manual 6.5s + organic failover backoff"
@@ -401,7 +400,10 @@ fn cancelled_hedge_rebate_keeps_every_accounting_view_in_agreement() {
 
     // The machinery under test actually engaged, and every race had
     // exactly one cancelled loser.
-    assert!(sched.hedges() > 0, "no hedge fired — the slow plan is too tame");
+    assert!(
+        sched.hedges() > 0,
+        "no hedge fired — the slow plan is too tame"
+    );
     assert_eq!(sched.hedges(), sched.cancels());
 
     // Same answer as the unreplicated baseline.
@@ -457,7 +459,11 @@ fn migration_charges_land_in_a_dedicated_bucket_disjoint_from_queries() {
     let mut s = ShardedTextServer::new(w.server.collection(), 4, 0x5AD);
     let n = w.server.collection().doc_count() as u32;
     s.begin_migration(MigrationPlan::new(
-        vec![Move { range: (DocId(0), DocId(n)), src: 1, dst: 3 }],
+        vec![Move {
+            range: (DocId(0), DocId(n)),
+            src: 1,
+            dst: 3,
+        }],
         32,
     ));
     s.set_migration_pacing(3);
@@ -474,7 +480,10 @@ fn migration_charges_land_in_a_dedicated_bucket_disjoint_from_queries() {
     let mig = s.migration_usage();
     assert!(mig.invocations > 0, "transfers charge invocations");
     assert!(mig.docs_long > 0, "the source leg buys long forms");
-    assert!(mig.postings_processed > 0, "the destination leg ingests postings");
+    assert!(
+        mig.postings_processed > 0,
+        "the destination leg ingests postings"
+    );
     assert_eq!(mig.docs_short, 0, "no short forms move in a transfer");
     assert_eq!(mig.faults, 0, "fault-free run");
     assert_eq!(
@@ -530,8 +539,11 @@ fn serve_aggregate_decomposes_into_tenant_invoices_plus_migration() {
     // the auto-rebalance path actually bills the migration bucket.
     let mut s = ShardedTextServer::replicated(w.server.collection(), 4, 2, 0x5AD);
     for r in 0..2 {
-        s.replica_mut(1, r)
-            .set_fault_plan(FaultPlan::transient(0x5EA7 ^ ((r as u64) << 32), 0.35, 2));
+        s.replica_mut(1, r).set_fault_plan(FaultPlan::transient(
+            0x5EA7 ^ ((r as u64) << 32),
+            0.35,
+            2,
+        ));
     }
     let mut cfg = ServeConfig::new(params);
     cfg.quantum = 1e9;

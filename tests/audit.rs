@@ -49,13 +49,19 @@ fn charge_sum(events: &[Event]) -> Charge {
 /// sums shard ledgers in shard order while the trace accumulated them in
 /// temporal order; integer sums agree in any order.)
 fn assert_reconciles(label: &str, sum: Charge, ledger: &Usage) {
-    assert_eq!(sum.invocations, ledger.invocations as i64, "{label}: invocations");
+    assert_eq!(
+        sum.invocations, ledger.invocations as i64,
+        "{label}: invocations"
+    );
     assert_eq!(sum.rejected, ledger.rejected as i64, "{label}: rejected");
     assert_eq!(
         sum.postings, ledger.postings_processed as i64,
         "{label}: postings"
     );
-    assert_eq!(sum.docs_short, ledger.docs_short as i64, "{label}: docs_short");
+    assert_eq!(
+        sum.docs_short, ledger.docs_short as i64,
+        "{label}: docs_short"
+    );
     assert_eq!(sum.docs_long, ledger.docs_long as i64, "{label}: docs_long");
     assert_eq!(sum.faults, ledger.faults as i64, "{label}: faults");
     assert_eq!(sum.retries, ledger.retries as i64, "{label}: retries");
@@ -115,8 +121,8 @@ fn trace_charges_reconcile_with_single_server_ledger() {
     let mut audited = 0u32;
     let mut faulted_traces = 0u32;
     for (qname, q) in [("q3", paper::q3(&w)), ("q4", paper::q4(&w))] {
-        let p = textjoin::core::query::prepare(&q, &w.catalog, schema)
-            .expect("paper query prepares");
+        let p =
+            textjoin::core::query::prepare(&q, &w.catalog, schema).expect("paper query prepares");
         let fj = p.foreign_join();
         for rate in [0.0, 0.3] {
             for method in methods_for(&fj) {
@@ -181,8 +187,8 @@ fn trace_charges_reconcile_with_sharded_aggregate_ledger() {
     let mut audited = 0u32;
     let mut faulted_traces = 0u32;
     for (qname, q) in [("q3", paper::q3(&w)), ("q4", paper::q4(&w))] {
-        let p = textjoin::core::query::prepare(&q, &w.catalog, schema)
-            .expect("paper query prepares");
+        let p =
+            textjoin::core::query::prepare(&q, &w.catalog, schema).expect("paper query prepares");
         let fj = p.foreign_join();
         for rate in [0.0, 0.3] {
             for method in methods_for(&fj) {
@@ -227,8 +233,8 @@ fn trace_charges_reconcile_with_replicated_failover_ledger() {
     let mut audited = 0u32;
     let mut failover_traces = 0u32;
     for (qname, q) in [("q3", paper::q3(&w)), ("q4", paper::q4(&w))] {
-        let p = textjoin::core::query::prepare(&q, &w.catalog, schema)
-            .expect("paper query prepares");
+        let p =
+            textjoin::core::query::prepare(&q, &w.catalog, schema).expect("paper query prepares");
         let fj = p.foreign_join();
         for rate in [0.0, 0.3] {
             for method in methods_for(&fj) {
@@ -298,7 +304,7 @@ fn trace_charges_reconcile_with_replicated_failover_ledger() {
 #[test]
 fn sampled_audit_reconciles_and_reduces_on_replicated_chaos_grid() {
     use std::collections::BTreeSet;
-    use textjoin::obs::{is_hot, EventKind, SampledSink, SamplePolicy, Sink};
+    use textjoin::obs::{is_hot, EventKind, SamplePolicy, SampledSink, Sink};
 
     struct Tee {
         full: Rc<RingSink>,
@@ -444,8 +450,8 @@ fn hedge_and_cancel_traces_reconcile_with_the_rebated_ledger() {
     let schema = w.server.collection().schema();
     let mut hedged_traces = 0u32;
     for (qname, q) in [("q3", paper::q3(&w)), ("q4", paper::q4(&w))] {
-        let p = textjoin::core::query::prepare(&q, &w.catalog, schema)
-            .expect("paper query prepares");
+        let p =
+            textjoin::core::query::prepare(&q, &w.catalog, schema).expect("paper query prepares");
         let fj = p.foreign_join();
         for method in methods_for(&fj) {
             let mut s = ShardedTextServer::replicated(w.server.collection(), 4, 2, 0x5AD);
@@ -477,7 +483,11 @@ fn hedge_and_cancel_traces_reconcile_with_the_rebated_ledger() {
                 .filter(|e| matches!(e.kind, EventKind::Rebate { .. }))
                 .count() as u64;
             assert_eq!(hedges, sched.hedges(), "{label}: hedge events vs counter");
-            assert_eq!(cancels, sched.cancels(), "{label}: cancel events vs counter");
+            assert_eq!(
+                cancels,
+                sched.cancels(),
+                "{label}: cancel events vs counter"
+            );
             assert_eq!(hedges, cancels, "{label}: every race has exactly one loser");
             assert!(
                 rebates >= cancels,
@@ -500,7 +510,7 @@ fn hedge_and_cancel_traces_reconcile_with_the_rebated_ledger() {
 fn tail_sampling_keeps_cancellation_and_deadline_stories() {
     use std::collections::BTreeSet;
     use textjoin::core::sched::{SchedConfig, Scheduler};
-    use textjoin::obs::{EventKind, SampledSink, SamplePolicy, Sink};
+    use textjoin::obs::{EventKind, SamplePolicy, SampledSink, Sink};
 
     struct Tee {
         full: Rc<RingSink>,
@@ -518,8 +528,8 @@ fn tail_sampling_keeps_cancellation_and_deadline_stories() {
     let mut cancel_stories = 0u64;
     let mut miss_stories = 0u64;
     for (qname, q) in [("q3", paper::q3(&w)), ("q4", paper::q4(&w))] {
-        let p = textjoin::core::query::prepare(&q, &w.catalog, schema)
-            .expect("paper query prepares");
+        let p =
+            textjoin::core::query::prepare(&q, &w.catalog, schema).expect("paper query prepares");
         let fj = p.foreign_join();
         for method in methods_for(&fj) {
             let mut s = ShardedTextServer::replicated(w.server.collection(), 4, 2, 0x5AD);
@@ -580,8 +590,8 @@ fn noop_recorder_never_perturbs_the_ledger() {
     let w = compact_world(7);
     let schema = w.server.collection().schema();
     for (qname, q) in [("q3", paper::q3(&w)), ("q4", paper::q4(&w))] {
-        let p = textjoin::core::query::prepare(&q, &w.catalog, schema)
-            .expect("paper query prepares");
+        let p =
+            textjoin::core::query::prepare(&q, &w.catalog, schema).expect("paper query prepares");
         let fj = p.foreign_join();
         for rate in [0.0, 0.3] {
             for method in methods_for(&fj) {
@@ -620,8 +630,8 @@ fn monitor_never_perturbs_results_or_ledgers() {
     let w = compact_world(7);
     let schema = w.server.collection().schema();
     for (qname, q) in [("q3", paper::q3(&w)), ("q4", paper::q4(&w))] {
-        let p = textjoin::core::query::prepare(&q, &w.catalog, schema)
-            .expect("paper query prepares");
+        let p =
+            textjoin::core::query::prepare(&q, &w.catalog, schema).expect("paper query prepares");
         let fj = p.foreign_join();
         for method in methods_for(&fj) {
             // Single faulted server: result rows + the one ledger.
@@ -655,8 +665,7 @@ fn monitor_never_perturbs_results_or_ledgers() {
             // Replicated sharded server with a degraded shard: result
             // rows, the aggregate ledger, and all four per-shard views.
             let run_sharded = |monitored: bool| -> (Table, Usage, Vec<Usage>) {
-                let mut s =
-                    ShardedTextServer::replicated(w.server.collection(), 4, 2, 0x5AD);
+                let mut s = ShardedTextServer::replicated(w.server.collection(), 4, 2, 0x5AD);
                 for r in 0..2 {
                     s.replica_mut(1, r).set_fault_plan(FaultPlan::transient(
                         0x5EA7 ^ ((r as u64) << 32),
@@ -718,7 +727,11 @@ fn migration_transfer_traces_reconcile_and_never_rebuy_postings() {
         let sink = Rc::new(RingSink::unbounded());
         s.set_recorder(Some(Recorder::new(sink.clone())));
         s.begin_migration(MigrationPlan::new(
-            vec![Move { range: (DocId(0), DocId(n)), src: 1, dst: 3 }],
+            vec![Move {
+                range: (DocId(0), DocId(n)),
+                src: 1,
+                dst: 3,
+            }],
             16,
         ));
         configure(&mut s);
@@ -749,17 +762,22 @@ fn migration_transfer_traces_reconcile_and_never_rebuy_postings() {
     // fetched batch stays in flight and the next call resumes it.
     let (evts, usage, mig) = drain(&|s: &mut ShardedTextServer| {
         let src_pri = s.primary_of(1);
-        s.replica_mut(1, src_pri).set_fault_plan(FaultPlan::dead(0xD1E));
+        s.replica_mut(1, src_pri)
+            .set_fault_plan(FaultPlan::dead(0xD1E));
         let dst_pri = s.primary_of(3);
-        s.replica_mut(3, dst_pri).set_fault_plan(FaultPlan::scripted(vec![(
-            1,
-            Fault::Timeout { after_postings: 7 },
-        )]));
+        s.replica_mut(3, dst_pri)
+            .set_fault_plan(FaultPlan::scripted(vec![(
+                1,
+                Fault::Timeout { after_postings: 7 },
+            )]));
         s.replica_mut(3, 1 - dst_pri)
             .set_fault_plan(FaultPlan::scripted(vec![(0, Fault::Unavailable)]));
     });
     assert_reconciles("interrupted migration", charge_sum(&evts), &usage);
-    assert!(mig.faults >= 3, "dead primary legs + the scripted outage are booked");
+    assert!(
+        mig.faults >= 3,
+        "dead primary legs + the scripted outage are booked"
+    );
     let jsonl: Vec<String> = evts.iter().map(|e| e.to_jsonl()).collect();
     assert!(
         jsonl.iter().any(|l| l.contains("migration_resume")),
@@ -807,7 +825,10 @@ fn explain_analyze_never_perturbs_results_or_ledgers() {
                 None,
             )
             .expect("paper query plans");
-            let hooks = ExecHooks { analyze, ..ExecHooks::default() };
+            let hooks = ExecHooks {
+                analyze,
+                ..ExecHooks::default()
+            };
             let out = execute_prepared(&input, &planned, &w.catalog, &s, &hooks)
                 .expect("bounded faults complete");
             (out.table, s.usage(), out.plan_quality.is_some())

@@ -14,7 +14,7 @@ use textjoin::core::cost::params::CostParams;
 use textjoin::core::exec::{plan_and_execute, plan_and_execute_with, row_strings};
 use textjoin::core::methods::ExecContext;
 use textjoin::core::optimizer::multi::ExecutionSpace;
-use textjoin::obs::{calibrate_trace, Event, Recorder, RingSink, SampledSink, SamplePolicy, Sink};
+use textjoin::obs::{calibrate_trace, Event, Recorder, RingSink, SamplePolicy, SampledSink, Sink};
 use textjoin::text::faults::FaultPlan;
 use textjoin::text::server::{CostConstants, TextServer};
 use textjoin::text::shard::{Partition, ShardedTextServer};

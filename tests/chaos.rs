@@ -203,7 +203,10 @@ fn all_methods_survive_transient_faults_with_exact_answers() {
                     for schedule in [ProbeSchedule::ProbeFirst, ProbeSchedule::Lazy] {
                         run!(format!("P+TS/{schedule:?}"), |ctx| {
                             textjoin::core::methods::probe::probe_tuple_substitution(
-                                ctx, &fj, &[0], schedule,
+                                ctx,
+                                &fj,
+                                &[0],
+                                schedule,
                             )
                         });
                     }
@@ -245,8 +248,8 @@ fn all_methods_survive_transient_faults_with_exact_answers() {
 fn exhausted_retries_fail_cleanly_never_wrongly() {
     let w = compact_world(7);
     let schema = w.server.collection().schema();
-    let p = textjoin::core::query::prepare(&paper::q3(&w), &w.catalog, schema)
-        .expect("q3 prepares");
+    let p =
+        textjoin::core::query::prepare(&paper::q3(&w), &w.catalog, schema).expect("q3 prepares");
     let fj = p.foreign_join();
 
     // Rate 1.0, unbounded consecutive faults: every search/retrieve fails
@@ -406,8 +409,8 @@ fn sharded_methods_return_exact_answers_or_typed_partial_failures() {
 fn dead_shard_yields_partial_shard_error_with_the_failed_shard() {
     let w = compact_world(7);
     let schema = w.server.collection().schema();
-    let p = textjoin::core::query::prepare(&paper::q3(&w), &w.catalog, schema)
-        .expect("q3 prepares");
+    let p =
+        textjoin::core::query::prepare(&paper::q3(&w), &w.catalog, schema).expect("q3 prepares");
     let fj = p.foreign_join();
 
     // Shard 2 faults on every operation, unbounded — past any retry
@@ -432,15 +435,16 @@ fn dead_shard_yields_partial_shard_error_with_the_failed_shard() {
         textjoin::core::methods::probe::probe_rtp(&ctx, &fj, &[0]).unwrap_err(),
     ];
     if !fj.selections.is_empty() {
-        errs.push(
-            textjoin::core::methods::rtp::relational_text_processing(&ctx, &fj).unwrap_err(),
-        );
+        errs.push(textjoin::core::methods::rtp::relational_text_processing(&ctx, &fj).unwrap_err());
     }
     for err in &errs {
         let pse = find_partial_shard(err)
             .unwrap_or_else(|| panic!("expected a PartialShardError in: {err}"));
         assert_eq!(pse.failed_shard, 2, "the dead shard must be named");
-        assert!(pse.error.is_transient(), "the underlying fault is transient");
+        assert!(
+            pse.error.is_transient(),
+            "the underlying fault is transient"
+        );
         // Results gathered before the failure ride along in the error.
         for (i, part) in pse.partial.iter().enumerate() {
             if i < pse.failed_shard && !pse.partial.is_empty() {
@@ -475,8 +479,8 @@ use textjoin::text::faults::Fault;
 fn replicated_dead_primary_yields_exact_answers_with_no_shard_errors() {
     let w = compact_world(7);
     let schema = w.server.collection().schema();
-    let p = textjoin::core::query::prepare(&paper::q3(&w), &w.catalog, schema)
-        .expect("q3 prepares");
+    let p =
+        textjoin::core::query::prepare(&paper::q3(&w), &w.catalog, schema).expect("q3 prepares");
     let fj = p.foreign_join();
     let expected = oracle_shape(&fj, &oracle_pairs(&fj, &w.server));
 
@@ -527,13 +531,19 @@ fn replicated_dead_primary_yields_exact_answers_with_no_shard_errors() {
 
     // The dead primary was attempted (and charged) until the breaker
     // opened; the surviving replica carried every read for shard 2.
-    assert!(s.replica(2, dead).usage().faults > 0, "the death was paid for");
+    assert!(
+        s.replica(2, dead).usage().faults > 0,
+        "the death was paid for"
+    );
     assert!(
         s.replica(2, 1 - dead).usage().invocations > 0,
         "the secondary served"
     );
     assert!(budget.breaker_open(2), "the per-shard breaker latched open");
-    assert!(!budget.breaker_open(0), "healthy shards keep their breakers closed");
+    assert!(
+        !budget.breaker_open(0),
+        "healthy shards keep their breakers closed"
+    );
     // Failover charges are real charges: the aggregate still decomposes
     // into the sum of the shard invoices.
     let mut sum = textjoin::text::server::Usage::default();
@@ -571,7 +581,8 @@ fn breaker_opens_probes_and_closes_with_byte_identical_event_traces() {
         let mut s = ShardedTextServer::replicated(w.server.collection(), 1, 2, 0x5AD);
         let primary = s.primary_of(0);
         let script: Vec<(u64, Fault)> = (0..30).map(|o| (o, Fault::Unavailable)).collect();
-        s.replica_mut(0, primary).set_fault_plan(FaultPlan::scripted(script));
+        s.replica_mut(0, primary)
+            .set_fault_plan(FaultPlan::scripted(script));
         let sink = Rc::new(RingSink::unbounded());
         s.set_recorder(Some(Recorder::new(sink.clone())));
         let budget = RetryBudget::new(RetryPolicy::standard());
@@ -582,14 +593,20 @@ fn breaker_opens_probes_and_closes_with_byte_identical_event_traces() {
                 .unwrap_or_else(|e| panic!("search {i}: the replica always serves: {e}"));
             assert_eq!(r.ids(), fault_free, "search {i} diverged");
         }
-        assert!(!budget.breaker_open(0), "the recovered primary closed the breaker");
+        assert!(
+            !budget.breaker_open(0),
+            "the recovered primary closed the breaker"
+        );
         let trace: Vec<String> = sink.events().iter().map(|e| e.to_jsonl()).collect();
         trace
     };
 
     let a = run();
     let b = run();
-    assert_eq!(a, b, "the breaker event trace must be byte-identical across runs");
+    assert_eq!(
+        a, b,
+        "the breaker event trace must be byte-identical across runs"
+    );
 
     let at = |what: &str| -> Vec<usize> {
         a.iter()
@@ -643,18 +660,22 @@ fn gather_completion_resumes_from_the_partial_without_rebuying_shards() {
     // leg) — so the first gather loses shard 2 on both replicas, and the
     // completion re-scatter finds the secondary recovered.
     let primary = s.primary_of(2);
-    s.replica_mut(2, primary).set_fault_plan(FaultPlan::scripted(
-        (0..10).map(|o| (o, Fault::Unavailable)).collect(),
-    ));
-    s.replica_mut(2, 1 - primary).set_fault_plan(FaultPlan::scripted(
-        (0..4).map(|o| (o, Fault::Unavailable)).collect(),
-    ));
+    s.replica_mut(2, primary)
+        .set_fault_plan(FaultPlan::scripted(
+            (0..10).map(|o| (o, Fault::Unavailable)).collect(),
+        ));
+    s.replica_mut(2, 1 - primary)
+        .set_fault_plan(FaultPlan::scripted(
+            (0..4).map(|o| (o, Fault::Unavailable)).collect(),
+        ));
     let sink = Rc::new(RingSink::unbounded());
     s.set_recorder(Some(Recorder::new(sink.clone())));
     let budget = RetryBudget::new(RetryPolicy::standard());
     let ctx = ExecContext::with_budget(&s, &budget);
 
-    let r = ctx.search(&expr).expect("completion must rescue the gather");
+    let r = ctx
+        .search(&expr)
+        .expect("completion must rescue the gather");
     assert_eq!(r.ids(), fault_free, "the completed gather is exact");
     // The healthy shards' results were reused, not re-bought: one scatter
     // leg each, despite the second pass.
@@ -695,7 +716,11 @@ fn gather_completion_stays_exact_while_a_migration_commits_between_legs() {
     let mut s = ShardedTextServer::replicated(w.server.collection(), 4, 2, 0x5AD);
     let n = w.server.collection().doc_count() as u32;
     s.begin_migration(MigrationPlan::new(
-        vec![Move { range: (DocId(0), DocId(n)), src: 1, dst: 3 }],
+        vec![Move {
+            range: (DocId(0), DocId(n)),
+            src: 1,
+            dst: 3,
+        }],
         8,
     ));
     // A transfer batch commits before every query leg: the gather races
@@ -706,12 +731,14 @@ fn gather_completion_stays_exact_while_a_migration_commits_between_legs() {
     // completion pass. The migration never touches shard 2, so these
     // scripts only serve query legs.
     let primary = s.primary_of(2);
-    s.replica_mut(2, primary).set_fault_plan(FaultPlan::scripted(
-        (0..10).map(|o| (o, Fault::Unavailable)).collect(),
-    ));
-    s.replica_mut(2, 1 - primary).set_fault_plan(FaultPlan::scripted(
-        (0..4).map(|o| (o, Fault::Unavailable)).collect(),
-    ));
+    s.replica_mut(2, primary)
+        .set_fault_plan(FaultPlan::scripted(
+            (0..10).map(|o| (o, Fault::Unavailable)).collect(),
+        ));
+    s.replica_mut(2, 1 - primary)
+        .set_fault_plan(FaultPlan::scripted(
+            (0..4).map(|o| (o, Fault::Unavailable)).collect(),
+        ));
     let sink = Rc::new(RingSink::unbounded());
     s.set_recorder(Some(Recorder::new(sink.clone())));
     let budget = RetryBudget::new(RetryPolicy::standard());
@@ -720,7 +747,11 @@ fn gather_completion_stays_exact_while_a_migration_commits_between_legs() {
     let r = ctx
         .search(&expr)
         .expect("completion must rescue the gather mid-migration");
-    assert_eq!(r.ids(), fault_free, "the completed gather is exact mid-migration");
+    assert_eq!(
+        r.ids(),
+        fault_free,
+        "the completed gather is exact mid-migration"
+    );
     // Shard 0 is neither faulted nor touched by any move: the staleness
     // re-scatter (shards 1 and 3) and the completion re-scatter (shard 2)
     // both leave its single paid leg alone.

@@ -106,7 +106,10 @@ fn partial_retrieve_error_chains_to_its_cause() {
         error: TextError::Unavailable,
     };
     let msg = e.to_string();
-    assert!(msg.contains("2 retrievals"), "message carries progress: {msg}");
+    assert!(
+        msg.contains("2 retrievals"),
+        "message carries progress: {msg}"
+    );
     assert!(msg.contains('3'), "message names the failed docid: {msg}");
     let source = e.source().expect("source chains to the TextError");
     assert_eq!(source.to_string(), TextError::Unavailable.to_string());
@@ -146,7 +149,10 @@ fn partial_failures_compose_through_the_source_chain() {
     // Link 3: the partial error's source is the root fault; non-Shard
     // TextErrors terminate the chain.
     let root = link2.source().expect("partial error chains to the fault");
-    assert_eq!(root.to_string(), TextError::Timeout { postings: 41 }.to_string());
+    assert_eq!(
+        root.to_string(),
+        TextError::Timeout { postings: 41 }.to_string()
+    );
     assert!(root.source().is_none(), "the root fault ends the chain");
 
     // And the same walk works from a MethodError wrapper, as join-method
@@ -223,7 +229,11 @@ fn sj_recovers_by_package_splitting_when_cap_is_lowered_between_batches() {
     let fj = |server: &TextServer| ForeignJoin {
         rel: &rel,
         join_cols: vec![rel.col("name")],
-        join_fields: vec![server.collection().schema().field_by_name("author").unwrap()],
+        join_fields: vec![server
+            .collection()
+            .schema()
+            .field_by_name("author")
+            .unwrap()],
         selections: vec![TextSelection {
             term: "common".into(),
             field: server.collection().schema().field_by_name("title").unwrap(),
@@ -242,7 +252,8 @@ fn sj_recovers_by_package_splitting_when_cap_is_lowered_between_batches() {
         1,
         Fault::CapReduced { new_m: 3 },
     )]));
-    let out = semi_join(&ExecContext::new(&faulted), &fj(&faulted)).expect("SJ degrades, not fails");
+    let out =
+        semi_join(&ExecContext::new(&faulted), &fj(&faulted)).expect("SJ degrades, not fails");
     assert_eq!(out.table.len(), 8, "same answer under the lowered cap");
     assert_eq!(faulted.max_terms(), 3, "the renegotiated cap is in force");
     // ok(4) + faulted attempt + ok(2) + ok(2): all four attempts charged.
@@ -382,7 +393,11 @@ fn sj_surfaces_unpackageable_cap_cleanly() {
     let fj = ForeignJoin {
         rel: &rel,
         join_cols: vec![rel.col("name")],
-        join_fields: vec![server.collection().schema().field_by_name("author").unwrap()],
+        join_fields: vec![server
+            .collection()
+            .schema()
+            .field_by_name("author")
+            .unwrap()],
         selections: vec![TextSelection {
             term: "anything".into(),
             field: server.collection().schema().field_by_name("title").unwrap(),

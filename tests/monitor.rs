@@ -70,26 +70,31 @@ fn degraded_server(w: &World) -> ShardedTextServer {
     let mut s =
         ShardedTextServer::replicated(w.server.collection(), N_SHARDS, N_REPLICAS, PARTITION_SEED);
     for r in 0..N_REPLICAS {
-        s.replica_mut(HOT_SHARD, r).set_fault_plan(FaultPlan::transient(
-            0x5EA7 ^ ((r as u64) << 32),
-            FAULT_RATE,
-            2,
-        ));
+        s.replica_mut(HOT_SHARD, r)
+            .set_fault_plan(FaultPlan::transient(
+                0x5EA7 ^ ((r as u64) << 32),
+                FAULT_RATE,
+                2,
+            ));
     }
     s
 }
 
 /// Runs the compact paper workload on `s` with a live monitor attached,
 /// returning the monitor and the per-shard ledger invoice shares.
-fn monitored_workload(w: &World, s: &ShardedTextServer, cfg: MonitorConfig) -> (Rc<Monitor>, Vec<f64>) {
+fn monitored_workload(
+    w: &World,
+    s: &ShardedTextServer,
+    cfg: MonitorConfig,
+) -> (Rc<Monitor>, Vec<f64>) {
     let schema = w.server.collection().schema();
     let mon = Rc::new(Monitor::new(cfg));
     s.set_recorder(Some(Recorder::new(mon.clone())));
     let budget = RetryBudget::new(RetryPolicy::standard());
     let ctx = ExecContext::with_budget(s, &budget);
     for q in [paper::q3(w), paper::q4(w)] {
-        let p = textjoin::core::query::prepare(&q, &w.catalog, schema)
-            .expect("paper query prepares");
+        let p =
+            textjoin::core::query::prepare(&q, &w.catalog, schema).expect("paper query prepares");
         let fj = p.foreign_join();
         for method in methods_for(&fj) {
             run_one(&ctx, &fj, method).expect("bounded faults never exhaust retries");
@@ -97,7 +102,9 @@ fn monitored_workload(w: &World, s: &ShardedTextServer, cfg: MonitorConfig) -> (
     }
     mon.finish();
     s.set_recorder(None);
-    let totals: Vec<f64> = (0..N_SHARDS).map(|i| s.shard_usage(i).total_cost()).collect();
+    let totals: Vec<f64> = (0..N_SHARDS)
+        .map(|i| s.shard_usage(i).total_cost())
+        .collect();
     let sum: f64 = totals.iter().sum();
     (mon, totals.iter().map(|t| t / sum).collect())
 }
@@ -114,7 +121,9 @@ fn advice_closed_loop_reduces_the_hot_shard_share() {
     let before_server = degraded_server(&w);
     let (mon, shares_before) = monitored_workload(&w, &before_server, cfg());
     let advice = mon.advice();
-    let adv = advice.first().expect("the degraded shard must trip the skew detector");
+    let adv = advice
+        .first()
+        .expect("the degraded shard must trip the skew detector");
     assert_eq!(adv.src, HOT_SHARD, "advice targets the degraded shard");
     assert!(adv.lo < adv.hi && adv.hits > 0);
     // The advisory also surfaced on the alert stream, disjoint from the
@@ -171,8 +180,8 @@ fn healthy_trace(w: &World) -> Vec<Event> {
     s.set_recorder(Some(Recorder::new(sink.clone())));
     let ctx = ExecContext::new(&s);
     for q in [paper::q3(w), paper::q4(w)] {
-        let p = textjoin::core::query::prepare(&q, &w.catalog, schema)
-            .expect("paper query prepares");
+        let p =
+            textjoin::core::query::prepare(&q, &w.catalog, schema).expect("paper query prepares");
         let fj = p.foreign_join();
         for method in methods_for(&fj) {
             run_one(&ctx, &fj, method).expect("healthy server never faults");
@@ -235,9 +244,12 @@ fn drift_watchdog_flags_repricing_within_one_trailing_window() {
         .alerts()
         .iter()
         .filter_map(|e| match e.kind {
-            EventKind::DriftAlert { window, component, drifted: true, .. } => {
-                Some((window, component))
-            }
+            EventKind::DriftAlert {
+                window,
+                component,
+                drifted: true,
+                ..
+            } => Some((window, component)),
             _ => None,
         })
         .collect();

@@ -45,13 +45,9 @@ fn chosen_method_is_measured_competitive() {
             let mut measured: Vec<(String, f64)> = Vec::new();
             for c in &cands {
                 let ctx = ExecContext::new(&w.server);
-                let out = textjoin::core::exec::execute_single(
-                    &ctx,
-                    &p,
-                    c,
-                    ProbeSchedule::ProbeFirst,
-                )
-                .expect("runs");
+                let out =
+                    textjoin::core::exec::execute_single(&ctx, &p, c, ProbeSchedule::ProbeFirst)
+                        .expect("runs");
                 measured.push((c.label.clone(), out.report.total_cost()));
             }
             let best_measured = measured

@@ -153,7 +153,9 @@ fn check_all_methods(fj: &ForeignJoin<'_>, server: &TextServer) {
         "SJ".into(),
         method_shape(
             fj,
-            &textjoin::core::methods::sj::semi_join(&ctx, fj).expect("SJ runs").table,
+            &textjoin::core::methods::sj::semi_join(&ctx, fj)
+                .expect("SJ runs")
+                .table,
         ),
     ));
     for probe in [vec![0], (0..fj.k()).collect::<Vec<_>>()] {
@@ -222,9 +224,8 @@ fn q4_all_methods_match_oracle_all_projections() {
         for projection in [Projection::RelOnly, Projection::DocIds, Projection::Full] {
             let mut q = paper::q4(&w);
             q.projection = projection;
-            let p =
-                textjoin::core::query::prepare(&q, &w.catalog, w.server.collection().schema())
-                    .expect("q4 prepares");
+            let p = textjoin::core::query::prepare(&q, &w.catalog, w.server.collection().schema())
+                .expect("q4 prepares");
             check_all_methods(&p.foreign_join(), &w.server);
         }
     }
@@ -290,36 +291,51 @@ fn all_methods_match_oracle_under_slow_replicas_hedging_and_deadlines() {
 
         type MethodRun<'a> = Box<dyn Fn(&ExecContext<'_>) -> Table + 'a>;
         let runs: Vec<(&str, MethodRun<'_>)> = vec![
-            ("TS", Box::new(|ctx: &ExecContext<'_>| {
-                textjoin::core::methods::ts::tuple_substitution(ctx, &fj, true)
-                    .expect("TS survives slow replicas")
+            (
+                "TS",
+                Box::new(|ctx: &ExecContext<'_>| {
+                    textjoin::core::methods::ts::tuple_substitution(ctx, &fj, true)
+                        .expect("TS survives slow replicas")
+                        .table
+                }),
+            ),
+            (
+                "RTP",
+                Box::new(|ctx: &ExecContext<'_>| {
+                    textjoin::core::methods::rtp::relational_text_processing(ctx, &fj)
+                        .expect("RTP survives slow replicas")
+                        .table
+                }),
+            ),
+            (
+                "SJ",
+                Box::new(|ctx: &ExecContext<'_>| {
+                    textjoin::core::methods::sj::semi_join(ctx, &fj)
+                        .expect("SJ survives slow replicas")
+                        .table
+                }),
+            ),
+            (
+                "P+TS",
+                Box::new(|ctx: &ExecContext<'_>| {
+                    textjoin::core::methods::probe::probe_tuple_substitution(
+                        ctx,
+                        &fj,
+                        &[0],
+                        ProbeSchedule::ProbeFirst,
+                    )
+                    .expect("P+TS survives slow replicas")
                     .table
-            })),
-            ("RTP", Box::new(|ctx: &ExecContext<'_>| {
-                textjoin::core::methods::rtp::relational_text_processing(ctx, &fj)
-                    .expect("RTP survives slow replicas")
-                    .table
-            })),
-            ("SJ", Box::new(|ctx: &ExecContext<'_>| {
-                textjoin::core::methods::sj::semi_join(ctx, &fj)
-                    .expect("SJ survives slow replicas")
-                    .table
-            })),
-            ("P+TS", Box::new(|ctx: &ExecContext<'_>| {
-                textjoin::core::methods::probe::probe_tuple_substitution(
-                    ctx,
-                    &fj,
-                    &[0],
-                    ProbeSchedule::ProbeFirst,
-                )
-                .expect("P+TS survives slow replicas")
-                .table
-            })),
-            ("P+RTP", Box::new(|ctx: &ExecContext<'_>| {
-                textjoin::core::methods::probe::probe_rtp(ctx, &fj, &[0])
-                    .expect("P+RTP survives slow replicas")
-                    .table
-            })),
+                }),
+            ),
+            (
+                "P+RTP",
+                Box::new(|ctx: &ExecContext<'_>| {
+                    textjoin::core::methods::probe::probe_rtp(ctx, &fj, &[0])
+                        .expect("P+RTP survives slow replicas")
+                        .table
+                }),
+            ),
         ];
         for (label, run) in &runs {
             let mut s = ShardedTextServer::replicated(w.server.collection(), 4, 2, 0x5AD);
@@ -376,49 +392,69 @@ fn all_methods_match_oracle_mid_migration_with_dead_source() {
 
         type MethodRun<'a> = Box<dyn Fn(&ExecContext<'_>) -> Table + 'a>;
         let runs: Vec<(&str, MethodRun<'_>)> = vec![
-            ("TS", Box::new(|ctx: &ExecContext<'_>| {
-                textjoin::core::methods::ts::tuple_substitution(ctx, &fj, true)
-                    .expect("TS survives migration")
+            (
+                "TS",
+                Box::new(|ctx: &ExecContext<'_>| {
+                    textjoin::core::methods::ts::tuple_substitution(ctx, &fj, true)
+                        .expect("TS survives migration")
+                        .table
+                }),
+            ),
+            (
+                "RTP",
+                Box::new(|ctx: &ExecContext<'_>| {
+                    textjoin::core::methods::rtp::relational_text_processing(ctx, &fj)
+                        .expect("RTP survives migration")
+                        .table
+                }),
+            ),
+            (
+                "SJ",
+                Box::new(|ctx: &ExecContext<'_>| {
+                    textjoin::core::methods::sj::semi_join(ctx, &fj)
+                        .expect("SJ survives migration")
+                        .table
+                }),
+            ),
+            (
+                "P+TS",
+                Box::new(|ctx: &ExecContext<'_>| {
+                    textjoin::core::methods::probe::probe_tuple_substitution(
+                        ctx,
+                        &fj,
+                        &[0],
+                        ProbeSchedule::ProbeFirst,
+                    )
+                    .expect("P+TS survives migration")
                     .table
-            })),
-            ("RTP", Box::new(|ctx: &ExecContext<'_>| {
-                textjoin::core::methods::rtp::relational_text_processing(ctx, &fj)
-                    .expect("RTP survives migration")
-                    .table
-            })),
-            ("SJ", Box::new(|ctx: &ExecContext<'_>| {
-                textjoin::core::methods::sj::semi_join(ctx, &fj)
-                    .expect("SJ survives migration")
-                    .table
-            })),
-            ("P+TS", Box::new(|ctx: &ExecContext<'_>| {
-                textjoin::core::methods::probe::probe_tuple_substitution(
-                    ctx,
-                    &fj,
-                    &[0],
-                    ProbeSchedule::ProbeFirst,
-                )
-                .expect("P+TS survives migration")
-                .table
-            })),
-            ("P+RTP", Box::new(|ctx: &ExecContext<'_>| {
-                textjoin::core::methods::probe::probe_rtp(ctx, &fj, &[0])
-                    .expect("P+RTP survives migration")
-                    .table
-            })),
+                }),
+            ),
+            (
+                "P+RTP",
+                Box::new(|ctx: &ExecContext<'_>| {
+                    textjoin::core::methods::probe::probe_rtp(ctx, &fj, &[0])
+                        .expect("P+RTP survives migration")
+                        .table
+                }),
+            ),
         ];
         for (label, run) in &runs {
             let mut s = ShardedTextServer::replicated(w.server.collection(), 4, 2, 0x5AD);
             let n = w.server.collection().doc_count() as u32;
             s.begin_migration(MigrationPlan::new(
-                vec![Move { range: (DocId(0), DocId(n)), src: 1, dst: 3 }],
+                vec![Move {
+                    range: (DocId(0), DocId(n)),
+                    src: 1,
+                    dst: 3,
+                }],
                 16,
             ));
             // Batch 1 commits cleanly, then the source primary dies: every
             // further source transfer leg must fail over to the replica.
             s.migrate_batch().expect("fault-free first batch");
             let pri = s.primary_of(1);
-            s.replica_mut(1, pri).set_fault_plan(FaultPlan::dead(0xDEAD));
+            s.replica_mut(1, pri)
+                .set_fault_plan(FaultPlan::dead(0xDEAD));
             s.set_migration_pacing(2);
             let budget = RetryBudget::new(RetryPolicy::standard());
             let ctx = ExecContext::with_budget(&s, &budget);

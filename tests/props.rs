@@ -217,14 +217,11 @@ fn uniform_world(
     use textjoin::rel::expr::Pred;
     use textjoin::rel::schema::RelSchema;
     use textjoin::rel::table::Table;
-    use textjoin::rel::value::ValueType;
     use textjoin::rel::tuple;
+    use textjoin::rel::value::ValueType;
 
     let mut catalog = Catalog::new();
-    let mut r = Table::new(
-        "r",
-        RelSchema::from_columns(vec![("name", ValueType::Str)]),
-    );
+    let mut r = Table::new("r", RelSchema::from_columns(vec![("name", ValueType::Str)]));
     r.push(tuple!["alpha"]);
     catalog.register(r);
 
@@ -369,7 +366,14 @@ mod counts {
     /// words, punctuation inside a name, and one first word shared by
     /// three of them — the candidate word index finds "Ann Lee" among
     /// "ann", "ann lee" and "ann b. lee" and must tell them apart.
-    const WORDY_NAMES: &[&str] = &["Ann", "Ann Lee", "Ann B. Lee", "O'Neil-LEE", "BOB", "cy lee"];
+    const WORDY_NAMES: &[&str] = &[
+        "Ann",
+        "Ann Lee",
+        "Ann B. Lee",
+        "O'Neil-LEE",
+        "BOB",
+        "cy lee",
+    ];
 
     /// A join value: NULL, empty, blank, or a name.
     fn cell(names: &'static [&'static str]) -> impl Strategy<Value = Value> {
@@ -493,7 +497,10 @@ mod counts {
     fn residual_query() -> (MultiJoinQuery, PlanNode) {
         let q = MultiJoinQuery {
             relations: ["student", "faculty"]
-                .map(|name| RelSpec { name: name.into(), local_pred: Pred::True })
+                .map(|name| RelSpec {
+                    name: name.into(),
+                    local_pred: Pred::True,
+                })
                 .to_vec(),
             rel_joins: vec![RelJoinPred {
                 left_rel: 0,
@@ -504,7 +511,11 @@ mod counts {
             }],
             selections: vec![("common".into(), "title".into())],
             foreign: [0, 1]
-                .map(|rel| ForeignSpec { rel, column: "name".into(), field: "author".into() })
+                .map(|rel| ForeignSpec {
+                    rel,
+                    column: "name".into(),
+                    field: "author".into(),
+                })
                 .to_vec(),
             projection: Projection::Full,
         };
@@ -695,7 +706,11 @@ mod counts {
             .expect("prepares")
             .execute(&plan)
             .expect("executes");
-        assert_eq!(out.table.len(), STRADDLES, "the residual, across two author values");
+        assert_eq!(
+            out.table.len(),
+            STRADDLES,
+            "the residual, across two author values"
+        );
 
         // The same predicate as a foreign join of `faculty`: no match, by
         // the text index (TS) and by the relational matcher (RTP) alike.
@@ -703,14 +718,23 @@ mod counts {
             rel: &faculty,
             join_cols: vec![ColId(0)],
             join_fields: vec![au],
-            selections: vec![TextSelection { term: "common".into(), field: ti }],
+            selections: vec![TextSelection {
+                term: "common".into(),
+                field: ti,
+            }],
             projection: Projection::Full,
         };
         let ctx = ExecContext::new(&server);
-        assert!(tuple_substitution(&ctx, &fj, true).expect("TS runs").table.is_empty());
+        assert!(tuple_substitution(&ctx, &fj, true)
+            .expect("TS runs")
+            .table
+            .is_empty());
         let rtp = relational_text_processing(&ctx, &fj).expect("RTP runs");
         assert!(rtp.table.is_empty(), "values are matched one at a time");
-        assert_eq!(rtp.report.rtp_comparisons, 1, "one tuple, one candidate, one check");
+        assert_eq!(
+            rtp.report.rtp_comparisons, 1,
+            "one tuple, one candidate, one check"
+        );
     }
 }
 

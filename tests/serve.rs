@@ -16,12 +16,12 @@ use textjoin::core::optimizer::plan::MultiJoinQuery;
 use textjoin::core::serve::{Backend, ServeConfig, ServeError, ServeSession, TenantSpec};
 use textjoin::obs::EventKind;
 use textjoin::rel::catalog::Catalog;
+use textjoin::rel::expr::CmpOp;
 use textjoin::rel::ops::filter;
 use textjoin::rel::strmatch::contains_term;
 use textjoin::rel::table::Table;
 use textjoin::rel::value::Value;
 use textjoin::text::doc::DocId;
-use textjoin::rel::expr::CmpOp;
 use textjoin::text::faults::{FaultKinds, FaultPlan};
 use textjoin::text::server::{TextServer, Usage};
 use textjoin::text::shard::ShardedTextServer;
@@ -256,7 +256,10 @@ fn admitted_queries_match_brute_force_and_refusals_are_typed() {
 
     // Shedding respects priority: the lowest-priority tenant with queued
     // work is the victim, never the highest.
-    assert!(shed.iter().all(|r| r.tenant != 3), "priority-3 work is never shed first");
+    assert!(
+        shed.iter().all(|r| r.tenant != 3),
+        "priority-3 work is never shed first"
+    );
 
     // The aggregate ledger decomposes exactly into Σ tenant invoices
     // (+ the migration bucket, zero here — no monitor, no advice).
@@ -337,7 +340,10 @@ fn faulty_tenant_presence_leaves_healthy_invoices_byte_identical() {
     // The hammer tenant really pays failover: faults and retries land in
     // its invoice and nobody else's.
     let hammer = &report_b.tenants[2];
-    assert!(hammer.invoice.faults > 0, "the dead primary faults the hammer tenant");
+    assert!(
+        hammer.invoice.faults > 0,
+        "the dead primary faults the hammer tenant"
+    );
     assert!(hammer.invoice.retries > 0);
 
     // Healthy tenants' invoices do not move: every count and every time
@@ -345,9 +351,15 @@ fn faulty_tenant_presence_leaves_healthy_invoices_byte_identical() {
     for ti in 0..2 {
         let a = &report_a.tenants[ti].invoice;
         let b = &report_b.tenants[ti].invoice;
-        assert_eq!(a.invocations, b.invocations, "tenant {ti} invocations moved");
+        assert_eq!(
+            a.invocations, b.invocations,
+            "tenant {ti} invocations moved"
+        );
         assert_eq!(a.rejected, b.rejected);
-        assert_eq!(a.postings_processed, b.postings_processed, "tenant {ti} postings moved");
+        assert_eq!(
+            a.postings_processed, b.postings_processed,
+            "tenant {ti} postings moved"
+        );
         assert_eq!(a.docs_short, b.docs_short);
         assert_eq!(a.docs_long, b.docs_long);
         assert_eq!(a.faults, b.faults, "tenant {ti} faults moved");
@@ -377,12 +389,7 @@ fn zero_budget_tenant_is_fully_rejected_with_zero_charges() {
         TenantSpec::new("broke", 0.0, 1),
     ];
     let q5 = paper::q5(&w);
-    let stream = vec![
-        (1, q5.clone()),
-        (0, q5.clone()),
-        (1, q5.clone()),
-        (1, q5),
-    ];
+    let stream = vec![(1, q5.clone()), (0, q5.clone()), (1, q5.clone()), (1, q5)];
     let mut server = dead_primary_server(&w);
     let before = server.usage();
     let report =
@@ -391,7 +398,11 @@ fn zero_budget_tenant_is_fully_rejected_with_zero_charges() {
     let broke = &report.tenants[1];
     assert_eq!(broke.rejected, 3, "every zero-budget request is rejected");
     assert_eq!(broke.admitted, 0);
-    assert_eq!(broke.invoice, Usage::default(), "zero charges for the zero budget");
+    assert_eq!(
+        broke.invoice,
+        Usage::default(),
+        "zero charges for the zero budget"
+    );
     for r in report.records.iter().filter(|r| r.tenant == 1) {
         assert!(matches!(r.outcome, Err(ServeError::Rejected { .. })));
     }
@@ -428,14 +439,8 @@ fn single_tenant_session_is_passive() {
     let mut base_costs = Vec::new();
     for (_, q) in &stream {
         let before = base_server.usage();
-        let (_, out) = plan_and_execute(
-            q,
-            &w.catalog,
-            &base_server,
-            params,
-            ExecutionSpace::Prl,
-        )
-        .expect("baseline runs");
+        let (_, out) = plan_and_execute(q, &w.catalog, &base_server, params, ExecutionSpace::Prl)
+            .expect("baseline runs");
         base_usage.push(base_server.usage().since(&before));
         base_rows.push(canonical_rows(&out.table));
         base_costs.push(out.total_cost);
@@ -444,7 +449,11 @@ fn single_tenant_session_is_passive() {
     assert_eq!(report.records.len(), 2);
     for (i, r) in report.records.iter().enumerate() {
         let out = r.outcome.as_ref().expect("admitted and completed");
-        assert_eq!(canonical_rows(&out.table), base_rows[i], "request {i} rows differ");
+        assert_eq!(
+            canonical_rows(&out.table),
+            base_rows[i],
+            "request {i} rows differ"
+        );
         assert_eq!(r.invoice, base_usage[i], "request {i} invoice differs");
         assert_eq!(out.total_cost, base_costs[i], "request {i} cost differs");
     }
@@ -460,8 +469,7 @@ fn session_caches_strictly_reduce_charges_on_repeated_specs() {
     let w = world();
     let params = params_for(&w);
     let q5 = paper::q5(&w);
-    let stream: Vec<(usize, MultiJoinQuery)> =
-        (0..4).map(|_| (0usize, q5.clone())).collect();
+    let stream: Vec<(usize, MultiJoinQuery)> = (0..4).map(|_| (0usize, q5.clone())).collect();
 
     let serve_server = TextServer::new(w.server.collection().clone());
     let mut cfg = ServeConfig::new(params);
@@ -481,14 +489,8 @@ fn session_caches_strictly_reduce_charges_on_repeated_specs() {
     let mut base_total = 0.0;
     let mut base_rows = None;
     for (_, q) in &stream {
-        let (_, out) = plan_and_execute(
-            q,
-            &w.catalog,
-            &base_server,
-            params,
-            ExecutionSpace::Prl,
-        )
-        .expect("baseline runs");
+        let (_, out) = plan_and_execute(q, &w.catalog, &base_server, params, ExecutionSpace::Prl)
+            .expect("baseline runs");
         base_total += out.total_cost;
         base_rows = Some(canonical_rows(&out.table));
     }
@@ -506,8 +508,14 @@ fn session_caches_strictly_reduce_charges_on_repeated_specs() {
         "session caches must strictly reduce charge: {serve_total} vs {base_total}"
     );
     let (hits, _, _) = report.tenants[0].probe_cache;
-    assert!(hits > 0, "the session probe cache took hits across executions");
-    assert!(report.tenants[0].plan_hits >= 3, "repeat specs hit the plan cache");
+    assert!(
+        hits > 0,
+        "the session probe cache took hits across executions"
+    );
+    assert!(
+        report.tenants[0].plan_hits >= 3,
+        "repeat specs hit the plan cache"
+    );
 
     // The trace↔ledger audit stays exact with the charge-free cache
     // events in the stream: summing every recorded charge reproduces the
@@ -620,9 +628,7 @@ fn session_closes_the_rebalance_and_drift_loops() {
     let mut cfg = ServeConfig::new(params);
     cfg.quantum = 1e9;
     cfg.degrade_depth = 0;
-    cfg.monitor = Some(
-        textjoin::obs::MonitorConfig::new(100.0).with_skew(400_000, 320_000),
-    );
+    cfg.monitor = Some(textjoin::obs::MonitorConfig::new(100.0).with_skew(400_000, 320_000));
     cfg.migration_budget = 1e9;
     cfg.adopt_drift_every = 3;
     let epoch_before = server.topology_epoch();
@@ -645,7 +651,10 @@ fn session_closes_the_rebalance_and_drift_loops() {
     // migration budget, moving documents and advancing the epoch.
     assert!(report.migrated_docs > 0, "monitor advice was auto-executed");
     assert!(server.topology_epoch() > epoch_before);
-    assert!(report.migration.invocations > 0, "transfers billed the migration bucket");
+    assert!(
+        report.migration.invocations > 0,
+        "transfers billed the migration bucket"
+    );
 
     // Everything completed still matches the oracle — a mid-session
     // topology change must never change an answer.
@@ -743,17 +752,29 @@ fn dispatch_regathers_only_when_the_export_changed_and_answers_never_move() {
     // Staging lands between admissions and dispatches: the requests
     // queued across it re-gather, the ones admitted after it do not.
     let staged = slow_drain_session(1e9);
-    assert!(staged.migrated_docs > 0, "fixture: the monitor's advice staged a migration");
+    assert!(
+        staged.migrated_docs > 0,
+        "fixture: the monitor's advice staged a migration"
+    );
     let completed = staged.records.iter().filter(|r| r.outcome.is_ok()).count() as u64;
     assert_eq!(completed, 12);
-    assert!(staged.regathered > 0, "requests queued across the staging re-gathered");
-    assert!(staged.regathered < completed, "the others kept their admission's statistics");
+    assert!(
+        staged.regathered > 0,
+        "requests queued across the staging re-gathered"
+    );
+    assert!(
+        staged.regathered < completed,
+        "the others kept their admission's statistics"
+    );
     assert_eq!(fingerprint(&staged), 0x7e91_c799_0c1d_8b14);
 
     // Same stream, same waits, no staging: nothing to re-gather.
     let quiet = slow_drain_session(0.0);
     assert_eq!(quiet.migrated_docs, 0);
-    assert_eq!(quiet.regathered, 0, "an unchanged export is never gathered twice");
+    assert_eq!(
+        quiet.regathered, 0,
+        "an unchanged export is never gathered twice"
+    );
     assert_eq!(fingerprint(&quiet), 0x98b5_0f70_a6f2_3b7a);
 }
 

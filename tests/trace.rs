@@ -39,8 +39,14 @@ fn golden_chaos_trace(w: &World) -> String {
     let sink = Rc::new(JsonlSink::new());
     server.set_recorder(Some(Recorder::new(sink.clone())));
     let q5 = paper::q5(w);
-    plan_and_execute(&q5, &w.catalog, &server, params, ExecutionSpace::PrlResiduals)
-        .expect("bounded faults never exhaust retries");
+    plan_and_execute(
+        &q5,
+        &w.catalog,
+        &server,
+        params,
+        ExecutionSpace::PrlResiduals,
+    )
+    .expect("bounded faults never exhaust retries");
     sink.contents()
 }
 
@@ -77,7 +83,7 @@ fn golden_chaos_trace_is_byte_identical_across_runs() {
 /// One fixed replicated chaos run recorded twice from the same event
 /// stream: the full JSONL and a 1/16 head-sampled JSONL. Returns both.
 fn golden_sampled_pair(w: &World) -> (String, String) {
-    use textjoin::obs::{Event, SampledSink, SamplePolicy, Sink};
+    use textjoin::obs::{Event, SamplePolicy, SampledSink, Sink};
 
     struct Tee {
         full: Rc<JsonlSink>,
@@ -91,8 +97,7 @@ fn golden_sampled_pair(w: &World) -> (String, String) {
     }
 
     let schema = w.server.collection().schema();
-    let p = textjoin::core::query::prepare(&paper::q3(w), &w.catalog, schema)
-        .expect("q3 prepares");
+    let p = textjoin::core::query::prepare(&paper::q3(w), &w.catalog, schema).expect("q3 prepares");
     let fj = p.foreign_join();
     let mut s = ShardedTextServer::replicated(w.server.collection(), 4, 2, 0x5AD);
     let dead = s.primary_of(2);
@@ -146,7 +151,10 @@ fn golden_sampled_trace_is_byte_identical_and_a_subsequence() {
         matched += 1;
     }
     let full_count = full_a.lines().count();
-    assert!(matched > 0 && matched < full_count / 2, "sampling must actually drop events ({matched} of {full_count} kept)");
+    assert!(
+        matched > 0 && matched < full_count / 2,
+        "sampling must actually drop events ({matched} of {full_count} kept)"
+    );
 
     // The chaos signal survives sampling.
     for needle in [
@@ -186,8 +194,8 @@ fn parsed_golden_traces_round_trip_byte_identically() {
 fn dead_shard_mid_gather_leaves_no_open_span() {
     let w = compact_world(7);
     let schema = w.server.collection().schema();
-    let p = textjoin::core::query::prepare(&paper::q3(&w), &w.catalog, schema)
-        .expect("q3 prepares");
+    let p =
+        textjoin::core::query::prepare(&paper::q3(&w), &w.catalog, schema).expect("q3 prepares");
     let fj = p.foreign_join();
 
     // Shard 2 faults on every operation, unbounded — the gather dies
@@ -245,7 +253,9 @@ fn golden_serve_trace(w: &World) -> (String, String) {
     let params = CostParams::mercury(w.server.doc_count() as f64);
     let mut server = ShardedTextServer::replicated(w.server.collection(), 4, 2, 0x5AD);
     let dead = server.primary_of(2);
-    server.replica_mut(2, dead).set_fault_plan(FaultPlan::dead(77));
+    server
+        .replica_mut(2, dead)
+        .set_fault_plan(FaultPlan::dead(77));
     let mut cfg = ServeConfig::new(params);
     cfg.queue_cap = 2;
     cfg.quantum = 40.0;
@@ -282,7 +292,10 @@ fn golden_serve_trace_is_byte_identical_and_renders_serve_events() {
     let w = compact_world(7);
     let (a, ea) = golden_serve_trace(&w);
     let (b, eb) = golden_serve_trace(&w);
-    assert_eq!(a, b, "two identical sessions must serialize identical traces");
+    assert_eq!(
+        a, b,
+        "two identical sessions must serialize identical traces"
+    );
     assert_eq!(ea, eb, "explain renderings must match byte-for-byte");
 
     // The serve taxonomy is present in the JSONL...
@@ -304,7 +317,10 @@ fn golden_serve_trace_is_byte_identical_and_renders_serve_events() {
         "! budget exhausted tenant",
         "= cache hit [",
     ] {
-        assert!(ea.contains(needle), "explain rendering is missing {needle:?}");
+        assert!(
+            ea.contains(needle),
+            "explain rendering is missing {needle:?}"
+        );
     }
 
     // The serialized serve events round-trip through the parser.
@@ -314,5 +330,9 @@ fn golden_serve_trace_is_byte_identical_and_renders_serve_events() {
         use textjoin::obs::Sink;
         resink.record(ev);
     }
-    assert_eq!(resink.contents(), a, "serve trace round-trips byte-identically");
+    assert_eq!(
+        resink.contents(),
+        a,
+        "serve trace round-trips byte-identically"
+    );
 }
