@@ -10,8 +10,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OBS_CEILING=4000
-LIBRARY_CEILING=18516
+OBS_CEILING=3993
+LIBRARY_CEILING=18569
 
 count() {
   find "crates/$1/src" -name '*.rs' | sort | while read -r f; do

@@ -18,12 +18,12 @@
 //! retrieval in the workload) is *undetermined*: its fit is flagged and
 //! callers keep their configured value.
 //!
-//! Backoff events are deliberately excluded from the constant fit — their
-//! seconds follow the retry schedule, not a per-unit price. Instead the
-//! calibration aggregates them so the planner can replace its analytic
-//! `fault_rate × mean_backoff` surcharge with the *observed* backoff per
-//! invocation (see `observed_fault_rate`/`mean_backoff_per_fault`; the
-//! product is exactly `backoff_seconds / invocations`).
+//! Waits are excluded from the constant fit (they follow the retry
+//! schedule, not a per-unit price). The calibration sums the wait of every
+//! charge the ledger books — a `Backoff` event's, or one a transfer `Call`
+//! folds in — so the planner can replace its `fault_rate × mean_backoff`
+//! surcharge with the observed `backoff_seconds / invocations`, exactly
+//! `observed_fault_rate × mean_backoff_per_fault`.
 
 use crate::event::{secs, Event, EventKind};
 
@@ -294,16 +294,13 @@ pub fn calibrate_trace(events: &[Event]) -> TraceCalibration {
         faults: 0,
         backoff_seconds: 0.0,
     };
+    // Every charge the ledger books, as it books it: a wait is a
+    // `Backoff` event of its own, or folded into a transfer's `Call`.
     let mut backoff = 0i64;
-    for ev in events {
-        match &ev.kind {
-            EventKind::Call { charge, .. } | EventKind::Rebate { charge, .. } => {
-                cal.invocations += charge.invocations;
-                cal.faults += charge.faults;
-            }
-            EventKind::Backoff { charge, .. } => backoff = backoff.wrapping_add(charge.ns_backoff),
-            _ => {}
-        }
+    for charge in events.iter().filter_map(|ev| ev.kind.charge()) {
+        cal.invocations += charge.invocations;
+        cal.faults += charge.faults;
+        backoff = backoff.wrapping_add(charge.ns_backoff);
     }
     cal.backoff_seconds = secs(backoff);
     cal

@@ -180,9 +180,32 @@ impl TextSchema {
 /// A document is a shared handle on its values: `clone` copies no string,
 /// so the stored document, its short forms, replicas and retrieved long
 /// forms are one allocation. A write to shared values copies them first.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct Document {
-    values: Arc<BTreeMap<FieldId, Vec<String>>>,
+    values: Arc<Values>,
+}
+
+/// A document's values in one list, grouped by ascending field and in
+/// push order within a field, and where each field's run of the list
+/// ends. No run is empty, so equal contents are equal lists and runs.
+#[derive(Clone, Default, PartialEq, Eq)]
+struct Values {
+    list: Vec<String>,
+    /// `(field, end)`, ascending by field: the field's values are
+    /// `list[start..end]`, where `start` is the previous run's `end`.
+    runs: Vec<(FieldId, u32)>,
+}
+
+impl Values {
+    /// Where run `i` starts in the list: where the run before it ends.
+    fn start(&self, i: usize) -> usize {
+        i.checked_sub(1).map_or(0, |j| self.runs[j].1 as usize)
+    }
+
+    /// Run `i`'s values.
+    fn run(&self, i: usize) -> &[String] {
+        &self.list[self.start(i)..self.runs[i].1 as usize]
+    }
 }
 
 impl Document {
@@ -193,8 +216,16 @@ impl Document {
 
     /// Appends a value to `field`.
     pub fn push(&mut self, field: FieldId, value: impl Into<String>) -> &mut Self {
-        let values = Arc::make_mut(&mut self.values);
-        values.entry(field).or_default().push(value.into());
+        let v = Arc::make_mut(&mut self.values);
+        let i = v.runs.partition_point(|&(f, _)| f < field);
+        if v.runs.get(i).is_none_or(|&(f, _)| f != field) {
+            let start = v.start(i) as u32;
+            v.runs.insert(i, (field, start));
+        }
+        v.list.insert(v.runs[i].1 as usize, value.into());
+        for run in &mut v.runs[i..] {
+            run.1 += 1;
+        }
         self
     }
 
@@ -206,17 +237,40 @@ impl Document {
 
     /// Values stored in `field` (empty slice if absent).
     pub fn values(&self, field: FieldId) -> &[String] {
-        self.values.get(&field).map(Vec::as_slice).unwrap_or(&[])
+        let v = &*self.values;
+        match v.runs.binary_search_by_key(&field, |&(f, _)| f) {
+            Ok(i) => v.run(i),
+            Err(_) => &[],
+        }
     }
 
     /// Iterates over `(FieldId, &[values])`.
     pub fn iter(&self) -> impl Iterator<Item = (FieldId, &[String])> {
-        self.values.iter().map(|(k, v)| (*k, v.as_slice()))
+        let v = &*self.values;
+        (0..v.runs.len()).map(|i| (v.runs[i].0, v.run(i)))
     }
 
     /// Total number of field values across all fields.
     pub fn value_count(&self) -> usize {
-        self.values.values().map(Vec::len).sum()
+        self.values.list.len()
+    }
+
+    /// Drops the spare capacity of the list, the runs and every value,
+    /// when no other handle shares them; shared values are left as they
+    /// are.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        if let Some(v) = Arc::get_mut(&mut self.values) {
+            v.list.iter_mut().for_each(String::shrink_to_fit);
+            v.list.shrink_to_fit();
+            v.runs.shrink_to_fit();
+        }
+    }
+}
+
+impl fmt::Debug for Document {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let values: BTreeMap<_, _> = self.iter().collect();
+        f.debug_struct("Document").field("values", &values).finish()
     }
 }
 
@@ -537,12 +591,23 @@ impl IntoIterator for ShortForms {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     impl Document {
         /// Whether both are handles on the same stored values (`==`
         /// compares content).
         pub(crate) fn ptr_eq(&self, other: &Self) -> bool {
             Arc::ptr_eq(&self.values, &other.values)
+        }
+
+        /// Bytes allocated and not used: the list's, the runs' and every
+        /// value's.
+        pub(crate) fn spare_capacity(&self) -> usize {
+            let v = &*self.values;
+            let list = (v.list.capacity() - v.list.len()) * size_of::<String>();
+            let runs = (v.runs.capacity() - v.runs.len()) * size_of::<(FieldId, u32)>();
+            let values: usize = v.list.iter().map(|s| s.capacity() - s.len()).sum();
+            list + runs + values
         }
     }
 
@@ -627,6 +692,11 @@ mod tests {
         assert_eq!(
             format!("{a:?}"),
             r#"ShortDoc { id: DocId(3), fields: {FieldId(0): ["A Title"], FieldId(3): ["1995"]} }"#
+        );
+        // The document itself prints every field, as a field map.
+        assert_eq!(
+            format!("{:?}", base.clone().with(ab, "secret alpha")),
+            r#"Document { values: {FieldId(0): ["A Title"], FieldId(2): ["secret alpha"], FieldId(3): ["1995"]} }"#
         );
         assert!(a.short_form_fields().eq(b.short_form_fields()));
         // ... apart from `id`, and from a short-form field.
@@ -789,6 +859,70 @@ mod tests {
         assert_eq!(s.resolve("LS"), None);
         // A long-form field still fits after the refusal.
         assert_eq!(s.add_field("later", "LR", false), Ok(FieldId(65)));
+    }
+
+    /// A step of building two documents: push a value to one, or make the
+    /// second a clone of the first, which the next push to either copies.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Push(usize, u16, &'static str),
+        Clone,
+    }
+
+    /// Mostly pushes; one step in nine is a clone.
+    fn step() -> impl Strategy<Value = Step> {
+        let value = prop::sample::select(&["", "belief", "update", "belief update"][..]);
+        (0u8..9, 0usize..2, 0u16..5, value).prop_map(|(op, d, f, v)| match op {
+            0 => Step::Clone,
+            _ => Step::Push(d, f, v),
+        })
+    }
+
+    type Model = BTreeMap<FieldId, Vec<String>>;
+
+    fn assert_models(doc: &Document, model: &Model) {
+        for f in (0..7).map(FieldId) {
+            let want = model.get(&f).map_or(&[][..], Vec::as_slice);
+            assert_eq!(doc.values(f), want, "field {f:?}");
+        }
+        assert!(doc.iter().eq(model.iter().map(|(f, v)| (*f, v.as_slice()))));
+        assert_eq!(
+            doc.value_count(),
+            model.values().map(Vec::len).sum::<usize>()
+        );
+        assert_eq!(
+            format!("{doc:?}"),
+            format!("Document {{ values: {model:?} }}")
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A document reads, compares and prints as a map from field to
+        /// its values in push order, whatever order the fields come in,
+        /// and a push to a clone leaves the original as it was.
+        #[test]
+        fn values_match_a_field_map(steps in prop::collection::vec(step(), 0..40)) {
+            let mut docs = [Document::new(), Document::new()];
+            let mut models = [Model::new(), Model::new()];
+            for step in steps {
+                match step {
+                    Step::Push(d, f, v) => {
+                        docs[d].push(FieldId(f), v);
+                        models[d].entry(FieldId(f)).or_default().push(v.to_owned());
+                    }
+                    Step::Clone => {
+                        docs[1] = docs[0].clone();
+                        models[1] = models[0].clone();
+                    }
+                }
+                for (doc, model) in docs.iter().zip(&models) {
+                    assert_models(doc, model);
+                }
+                prop_assert_eq!(docs[0] == docs[1], models[0] == models[1]);
+            }
+        }
     }
 
     #[test]

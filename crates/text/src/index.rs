@@ -63,9 +63,11 @@ impl Collection {
     /// returns its docid. Docids are assigned densely in insertion order,
     /// which keeps every inverted list sorted on append. Passing a clone of
     /// a document another collection holds shares the strings; only the
-    /// postings are this collection's own.
-    pub fn add_document(&mut self, doc: Document) -> DocId {
+    /// postings are this collection's own. A document no other handle
+    /// shares is stored at exact capacity.
+    pub fn add_document(&mut self, mut doc: Document) -> DocId {
         self.stats.take();
+        doc.shrink_to_fit();
         let id = DocId(self.docs.len() as u32);
         let directory = &mut self.directory;
         // One buffer for every word of the document; a key is allocated
@@ -268,6 +270,36 @@ mod tests {
             c.total_postings(),
             c.iter_terms().map(|(_, l)| l.len()).sum::<usize>()
         );
+    }
+
+    #[test]
+    fn a_stored_document_has_no_spare_capacity() {
+        let mut c = Collection::new(TextSchema::bibliographic());
+        // Fields out of order, one value at a time: the list, the runs and
+        // the title all have room to spare.
+        let build = || {
+            Document::new()
+                .with(FieldId(2), "an abstract")
+                .with(FieldId(1), "Garcia")
+                .with(FieldId(0), String::with_capacity(64) + "belief update")
+                .with(FieldId(1), "Radhika")
+                .with(FieldId(4), "Uni")
+        };
+        let want = build();
+        assert!(want.spare_capacity() > 0);
+        let id = c.add_document(build());
+        let stored = c.document(id).unwrap();
+        assert_eq!(stored.spare_capacity(), 0);
+        assert_eq!(stored, &want);
+        // A document another handle holds is stored as it is: no copy, no
+        // shrink.
+        let shared = Document::new().with(FieldId(0), String::with_capacity(64) + "shared");
+        let spare = shared.spare_capacity();
+        let id = c.add_document(shared.clone());
+        let stored = c.document(id).unwrap();
+        assert!(stored.ptr_eq(&shared));
+        assert_eq!(stored.spare_capacity(), spare);
+        assert!(spare > 0);
     }
 
     /// Words that land in several fields, one of them lower-cased into two

@@ -485,6 +485,7 @@ mod tests {
     use super::super::Partition;
     use super::*;
     use crate::faults::{Fault, FaultPlan};
+    use crate::obs::{calibrate_trace, secs, Recorder, RingSink};
     use crate::rebalance::Move;
     use crate::server::{CostConstants, TextServer};
 
@@ -623,6 +624,26 @@ mod tests {
         assert_eq!(mu.faults, 2);
         // The source leg ran exactly once: docs_long charged once.
         assert_eq!(mu.docs_long, control.migration_usage().docs_long);
+    }
+
+    #[test]
+    fn calibration_counts_the_waits_a_transfer_books() {
+        let coll = corpus(40);
+        let mut sharded = ShardedTextServer::new(&coll, 4, 7);
+        for s in 0..4 {
+            sharded
+                .replica_mut(s, 0)
+                .set_fault_plan(FaultPlan::slow(s as u64, 0.5));
+        }
+        let sink = Rc::new(RingSink::unbounded());
+        sharded.set_recorder(Some(Recorder::new(sink.clone())));
+        sharded.begin_migration(MigrationPlan::seeded(3, 4, 40, 3, 2));
+        sharded.run_migration().unwrap();
+        // A slowed transfer leg books its wait inside its `Call` charge.
+        let waited = sharded.migration_usage().ns_backoff;
+        assert!(waited > 0, "a transfer leg was slowed");
+        let cal = calibrate_trace(&sink.events());
+        assert_eq!(cal.backoff_seconds, secs(waited as i64));
     }
 
     #[test]
