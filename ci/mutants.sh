@@ -10,7 +10,11 @@
 # every named test must pass there first. Then each patch is applied,
 # only its test is run, and the patch is reverted. All builds share one
 # CARGO_TARGET_DIR (the caller's, else one in the scratch directory), so
-# each mutant rebuilds incrementally.
+# each mutant rebuilds incrementally. Once every patch is reverted, each
+# named test is built once more from the unmutated tree: cargo keys its
+# fingerprints on package-relative paths and mtimes, so a checkout sharing
+# the target directory would otherwise take the last mutant's build as
+# fresh and run it.
 #
 # Prints `killed/total`. Fails if a named test fails unmutated, a patch no
 # longer applies, a mutant does not build, or a mutant survives — the
@@ -62,6 +66,11 @@ for p in "${patches[@]}"; do
     killed=$((killed + 1))
   fi
   git -C "$tree" apply -R "$root/$p"
+done
+for p in "${patches[@]}"; do
+  read -r -a args <<< "$(header Test "$root/$p")"
+  (cd "$tree" && cargo test -q --no-run "${args[@]}" >/dev/null 2>&1) ||
+    { echo "FAIL: the unmutated tree does not rebuild for $p" >&2; failed=1; }
 done
 echo "mutants killed: $killed/${#patches[@]}"
 exit "$failed"

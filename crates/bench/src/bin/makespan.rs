@@ -21,6 +21,7 @@ use textjoin_bench::experiments::{
     deadline_demo, default_world, makespan_table, DEADLINE, METHODS, N_REPLICAS, N_SHARDS,
     SLOW_RATE,
 };
+use textjoin_obs::secs;
 
 fn main() {
     let w = default_world();
@@ -47,9 +48,9 @@ fn main() {
             Some(c) => println!(
                 "{:<10} {:>9.1}s {:>9.1}s {:>7.2}x {:>7} {:>8} {:>8} {:>6}",
                 m,
-                c.serial,
-                c.makespan,
-                c.serial / c.makespan,
+                secs(c.serial as i64),
+                secs(c.makespan as i64),
+                c.serial as f64 / c.makespan as f64,
                 c.hedges,
                 c.cancels,
                 c.deadline_misses,
@@ -76,7 +77,13 @@ fn main() {
     for r in &runs {
         println!(
             "{:<14} {:>9.1}s {:>9.1}s {:>9.1}s {:>9} {:>8} {:>6}",
-            r.label, r.total, r.serial, r.makespan, r.degradations, r.deadline_misses, r.rows
+            r.label,
+            r.total,
+            secs(r.serial as i64),
+            secs(r.makespan as i64),
+            r.degradations,
+            r.deadline_misses,
+            r.rows
         );
     }
     println!();

@@ -14,7 +14,7 @@ use textjoin_core::optimizer::single::{
 use textjoin_core::query::{prepare, PreparedQuery, SingleJoinQuery};
 use textjoin_core::retry::{RetryBudget, RetryPolicy};
 use textjoin_core::sched::{SchedConfig, Scheduler};
-use textjoin_obs::{CostVector, Event, Recorder, RingSink};
+use textjoin_obs::{ns, CostVector, Event, Recorder, RingSink};
 use textjoin_text::doc::DocId;
 use textjoin_text::faults::FaultPlan;
 use textjoin_text::rebalance::{MigrationPlan, Move};
@@ -221,7 +221,7 @@ pub(super) fn drain(sharded: &ShardedTextServer) {
 pub(super) fn scheduler(deadline: Option<f64>) -> Scheduler {
     let cfg = SchedConfig::new(0x7E97);
     Scheduler::new(match deadline {
-        Some(d) => cfg.with_deadline(d),
+        Some(d) => cfg.with_deadline(ns(d) as u64),
         None => cfg,
     })
 }

@@ -5,6 +5,7 @@ use textjoin_core::methods::ExecContext;
 use textjoin_core::optimizer::multi::PlannerInput;
 use textjoin_core::optimizer::plan::PlanNode;
 use textjoin_core::optimizer::single::MethodKind;
+use textjoin_obs::secs;
 use textjoin_text::service::TextService;
 use textjoin_workload::paper;
 use textjoin_workload::world::World;
@@ -17,11 +18,11 @@ use super::scenario::{
 /// One method's aggregate over Q1–Q4 in the makespan grid.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MakespanCell {
-    /// Σ issued leg costs — what a serial transport would have taken
+    /// Σ issued leg ticks — what a serial transport would have taken
     /// (cancelled hedge legs included).
-    pub serial: f64,
-    /// Σ per-query critical-path times under the concurrency limit.
-    pub makespan: f64,
+    pub serial: u64,
+    /// Σ per-query critical-path ticks under the concurrency limit.
+    pub makespan: u64,
     /// Hedge legs launched against slow-but-alive primaries.
     pub hedges: u64,
     /// Race losers cancelled (their charges rebated).
@@ -86,10 +87,10 @@ pub struct DeadlineRun {
     pub label: String,
     /// Total charge of the run.
     pub total: f64,
-    /// Critical-path transport time.
-    pub makespan: f64,
-    /// Serial transport time.
-    pub serial: f64,
+    /// Critical-path transport time, in ticks.
+    pub makespan: u64,
+    /// Serial transport time, in ticks.
+    pub serial: u64,
     /// Method downgrades taken under deadline pressure.
     pub degradations: u64,
     /// Whether the critical path crossed the deadline anyway.
@@ -168,7 +169,7 @@ pub fn deadline_demo(w: &World) -> Vec<DeadlineRun> {
     // is skipped and the P+TS join runs TS-style. Derived
     // deterministically from the first run, so the printed table stays
     // byte-identical.
-    let deadline = (unbounded.makespan * 0.6).ceil();
+    let deadline = (secs(unbounded.makespan as i64) * 0.6).ceil();
     let bounded = run(format!("deadline {deadline:.0}s"), Some(deadline));
     assert_eq!(
         unbounded.rows, bounded.rows,
@@ -196,8 +197,7 @@ mod tests {
         for (ca, cb) in a.iter().zip(&b) {
             match (ca, cb) {
                 (Some(ca), Some(cb)) => {
-                    assert_eq!(ca.serial.to_bits(), cb.serial.to_bits());
-                    assert_eq!(ca.makespan.to_bits(), cb.makespan.to_bits());
+                    assert_eq!((ca.serial, ca.makespan), (cb.serial, cb.makespan));
                     assert_eq!(
                         (ca.hedges, ca.cancels, ca.deadline_misses, ca.rows),
                         (cb.hedges, cb.cancels, cb.deadline_misses, cb.rows)
@@ -228,7 +228,7 @@ mod tests {
         for (ra, rb) in a.iter().zip(&b) {
             assert_eq!(ra.label, rb.label);
             assert_eq!(ra.total.to_bits(), rb.total.to_bits());
-            assert_eq!(ra.makespan.to_bits(), rb.makespan.to_bits());
+            assert_eq!(ra.makespan, rb.makespan);
             assert_eq!(ra.rows, rb.rows);
         }
         // deadline_demo itself asserts equal rows and degradations > 0;

@@ -15,10 +15,18 @@
 //! | `s_i` | [`PredStats::selectivity`] | predicate selectivity |
 //! | `f_i` | [`PredStats::fanout`] | predicate fanout |
 
-use textjoin_obs::{CostVector, TraceCalibration};
+use textjoin_obs::{ns, CostVector, TraceCalibration};
 use textjoin_text::server::{CostConstants, Usage};
 
 use crate::retry::RetryPolicy;
+
+/// Relational work in ticks: `ns(c_a)` per document–tuple comparison plus
+/// `ns(c_pair)` per tuple pair — the relational twin of
+/// [`CostConstants::price`], so an execution's total is one tick sum.
+pub(crate) fn rel_ticks(c_a: f64, comparisons: u64, c_pair: f64, pairs: u64) -> u64 {
+    let per = |c: f64, n: u64| (ns(c) as u64).wrapping_mul(n);
+    per(c_a, comparisons).wrapping_add(per(c_pair, pairs))
+}
 
 /// Environment-level parameters: the text database size, the term cap, and
 /// the cost constants.

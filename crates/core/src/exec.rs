@@ -23,7 +23,7 @@ use std::borrow::Cow;
 use std::ops::Deref;
 use std::rc::Rc;
 
-use textjoin_obs::{secs, Charge, CostVector, Measure, PlanQuality};
+use textjoin_obs::{ns, secs, Charge, CostVector, Measure, PlanQuality};
 use textjoin_rel::catalog::Catalog;
 use textjoin_rel::expr::{CmpOp, Pred};
 use textjoin_rel::join::{hash_join, nested_loop_join};
@@ -37,6 +37,7 @@ use textjoin_text::expr::SearchExpr;
 use textjoin_text::server::Usage;
 use textjoin_text::service::TextService;
 
+use crate::cost::params::rel_ticks;
 use crate::retry::{RetryBudget, RetryPolicy};
 use crate::sched::{SchedConfig, Scheduler};
 
@@ -82,15 +83,17 @@ pub struct MultiOutcome {
     pub rel_pairs: u64,
     /// Relational text-processing comparisons (residuals + RTP methods).
     pub rtp_comparisons: u64,
-    /// Total simulated cost: text + `c_pair`·pairs + `c_a`·comparisons.
+    /// Total simulated cost in seconds: the tick sum text +
+    /// `ns(c_pair)`·pairs + `ns(c_a)`·comparisons, rendered once.
     pub total_cost: f64,
     /// Critical-path completion time of the transport under bounded
-    /// concurrency. Without a scheduler the transport is modelled as
-    /// serial: `makespan == serial_transport == text.total_cost()`.
-    pub makespan: f64,
-    /// What a fully serial transport would have taken (cancelled hedge
-    /// legs included — their work was issued).
-    pub serial_transport: f64,
+    /// concurrency, in ticks. Whenever no leg overlaps another (no
+    /// scheduler, or a lone server: no scatter phase) the transport is
+    /// serial: `makespan == serial_transport == text.ticks()`.
+    pub makespan: u64,
+    /// What a fully serial transport would have taken, in ticks
+    /// (cancelled hedge legs included — their work was issued).
+    pub serial_transport: u64,
     /// Hedge legs launched against a slow-but-alive primary replica.
     pub hedges: u64,
     /// Legs cancelled (one race loser per hedge, its charge rebated).
@@ -396,8 +399,12 @@ impl<'a> MultiExecutor<'a> {
                             invocation: secs((d.ns_invocation + d.ns_backoff) as i64),
                             processing: secs(d.ns_processing as i64),
                             transmission: secs(d.ns_transmission as i64),
-                            rtp: c_a * (tally.rtp_comparisons - comps0) as f64
-                                + c_pair * (tally.rel_pairs - pairs0) as f64,
+                            rtp: secs(rel_ticks(
+                                c_a,
+                                tally.rtp_comparisons - comps0,
+                                c_pair,
+                                tally.rel_pairs - pairs0,
+                            ) as i64),
                             searches: d.invocations as f64,
                         },
                     };
@@ -407,9 +414,7 @@ impl<'a> MultiExecutor<'a> {
             .into_owned()
             .into_table();
         let text = server.usage().since(&before);
-        let total_cost = text.total_cost()
-            + c_pair * tally.rel_pairs as f64
-            + c_a * tally.rtp_comparisons as f64;
+        let total = text.ticks() + rel_ticks(c_a, tally.rtp_comparisons, c_pair, tally.rel_pairs);
         let (makespan, serial_transport, hedges, cancels, deadline_misses, degradations) =
             match self.ctx.sched {
                 Some(s) => (
@@ -420,7 +425,7 @@ impl<'a> MultiExecutor<'a> {
                     s.deadline_misses(),
                     s.degradations(),
                 ),
-                None => (text.total_cost(), text.total_cost(), 0, 0, 0, 0),
+                None => (text.ticks(), text.ticks(), 0, 0, 0, 0),
             };
         let plan_quality = estimates.map(|est| PlanQuality::new(est, &tally.actuals));
         Ok(MultiOutcome {
@@ -428,7 +433,7 @@ impl<'a> MultiExecutor<'a> {
             text,
             rel_pairs: tally.rel_pairs,
             rtp_comparisons: tally.rtp_comparisons,
-            total_cost,
+            total_cost: secs(total as i64),
             makespan,
             serial_transport,
             hedges,
@@ -886,7 +891,7 @@ pub fn execute_prepared(
     // deadline no degradation can trigger, so charges are exactly as
     // before — the scheduler is then purely observational.
     let sched = Scheduler::new(match input.params.deadline {
-        Some(d) => SchedConfig::new(0x7e97).with_deadline(d),
+        Some(d) => SchedConfig::new(0x7e97).with_deadline(ns(d).max(0) as u64),
         None => SchedConfig::new(0x7e97),
     });
     if hooks.force_pressure {

@@ -31,6 +31,7 @@ pub mod ts;
 use std::fmt;
 use std::sync::Arc;
 
+use textjoin_obs::{ns, secs};
 use textjoin_rel::schema::{ColId, RelSchema};
 use textjoin_rel::table::{Rows, Table};
 use textjoin_rel::tuple::Tuple;
@@ -39,6 +40,7 @@ use textjoin_text::doc::{DocId, Document, FieldId, TextSchema};
 use textjoin_text::expr::SearchExpr;
 use textjoin_text::server::{TextError, Usage};
 
+use crate::cost::params::rel_ticks;
 pub use crate::transport::{CostCeiling, ExecContext};
 
 /// What the query projects — determines how much document data a method
@@ -134,17 +136,23 @@ pub struct MethodReport {
     pub text: Usage,
     /// Document–tuple comparisons performed relationally.
     pub rtp_comparisons: u64,
-    /// `c_a ×` comparisons.
+    /// `ns(c_a) ×` comparisons, rendered in seconds (exactly: `ns` of it
+    /// recovers the ticks).
     pub rtp_cost: f64,
     /// Rows emitted.
     pub output_rows: usize,
 }
 
 impl MethodReport {
-    /// Total simulated cost: text-server charges plus relational text
-    /// processing.
+    /// Total simulated cost in ticks: text-server charges plus relational
+    /// text processing.
+    pub fn ticks(&self) -> u64 {
+        self.text.ticks() + ns(self.rtp_cost) as u64
+    }
+
+    /// [`ticks`](Self::ticks) in seconds.
     pub fn total_cost(&self) -> f64 {
-        self.text.total_cost() + self.rtp_cost
+        secs(self.ticks() as i64)
     }
 }
 
@@ -385,7 +393,7 @@ pub(crate) fn report(
         method: method.into(),
         text: ctx.server.usage().since(before),
         rtp_comparisons,
-        rtp_cost: ctx.c_a * rtp_comparisons as f64,
+        rtp_cost: secs(rel_ticks(ctx.c_a, rtp_comparisons, 0.0, 0) as i64),
         output_rows,
     }
 }

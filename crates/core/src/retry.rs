@@ -128,9 +128,10 @@ pub struct RetryBudget {
     /// Per-shard circuit breakers over the primary replica; grows on
     /// demand alongside `rates`.
     breakers: RefCell<Vec<Breaker>>,
-    /// Per-shard EWMA of the primary leg's charged latency (simulated
-    /// seconds); 0.0 = no observation yet. Drives the hedge threshold.
-    latencies: RefCell<Vec<f64>>,
+    /// Per-shard EWMA of the primary leg's charged latency, in ticks
+    /// (simulated nanoseconds); 0 = no observation yet. Drives the hedge
+    /// threshold.
+    latencies: RefCell<Vec<u64>>,
 }
 
 /// Per-shard circuit-breaker state. While open, routed calls skip the
@@ -171,10 +172,11 @@ const HEALTHY_THRESHOLD: u32 = 256;
 
 /// A primary leg this many times slower than its shard's latency EWMA is a
 /// straggler worth hedging.
-const HEDGE_MULTIPLIER: f64 = 3.0;
-/// Hedging never fires below this absolute latency (seconds) — protects
-/// cold EWMAs and trivially cheap legs from spurious duplicate work.
-const HEDGE_FLOOR: f64 = 1.0;
+const HEDGE_MULTIPLIER: u64 = 3;
+/// Hedging never fires below this absolute latency (1 s, in ticks) —
+/// protects cold EWMAs and trivially cheap legs from spurious duplicate
+/// work.
+const HEDGE_FLOOR: u64 = 1_000_000_000;
 
 impl RetryBudget {
     /// A budget that scales `base` per shard; all shards start neutral
@@ -194,39 +196,33 @@ impl RetryBudget {
         self.base
     }
 
-    /// Records the charged latency of one successful primary leg against
-    /// `shard`. Float EWMA with α = 1/8, seeded with the first observation
-    /// — the same decay the fault-rate EWMA uses, so both adapt on the same
-    /// horizon. IEEE arithmetic on an identical observation stream is
-    /// identical, so this stays byte-reproducible.
-    pub(crate) fn observe_latency(&self, shard: usize, seconds: f64) {
+    /// Records the charged latency, in ticks, of one successful primary
+    /// leg against `shard`. Integer EWMA `l ← l − l/8 + ticks/8`, seeded
+    /// with the first observation — the decay the fault-rate EWMA uses, so
+    /// both adapt on the same horizon.
+    pub(crate) fn observe_latency(&self, shard: usize, ticks: u64) {
         let mut lat = self.latencies.borrow_mut();
         if lat.len() <= shard {
-            lat.resize(shard + 1, 0.0);
+            lat.resize(shard + 1, 0);
         }
         let l = lat[shard];
-        lat[shard] = if l == 0.0 {
-            seconds
-        } else {
-            l + (seconds - l) / 8.0
-        };
+        lat[shard] = if l == 0 { ticks } else { l - l / 8 + ticks / 8 };
     }
 
-    /// The shard's current latency EWMA (0.0 = nothing observed yet).
-    pub(crate) fn latency_of(&self, shard: usize) -> f64 {
-        self.latencies.borrow().get(shard).copied().unwrap_or(0.0)
+    /// The shard's current latency EWMA in ticks (0 = nothing observed
+    /// yet).
+    pub(crate) fn latency_of(&self, shard: usize) -> u64 {
+        self.latencies.borrow().get(shard).copied().unwrap_or(0)
     }
 
-    /// The hedge threshold for `shard`: a primary leg whose charged cost
-    /// exceeds this launches a hedge on a secondary replica. Infinite
-    /// until the EWMA has seen at least one leg (never hedge cold), then
-    /// `max(3 × EWMA, 1s)`.
-    pub(crate) fn hedge_threshold(&self, shard: usize) -> f64 {
-        let l = self.latency_of(shard);
-        if l == 0.0 {
-            f64::INFINITY
-        } else {
-            (HEDGE_MULTIPLIER * l).max(HEDGE_FLOOR)
+    /// The hedge threshold for `shard`, in ticks: a primary leg whose
+    /// charged cost exceeds this launches a hedge on a secondary replica.
+    /// `None` until the EWMA has seen at least one leg (never hedge cold),
+    /// then `max(3 × EWMA, 1 s)`.
+    pub(crate) fn hedge_threshold(&self, shard: usize) -> Option<u64> {
+        match self.latency_of(shard) {
+            0 => None,
+            l => Some((HEDGE_MULTIPLIER * l).max(HEDGE_FLOOR)),
         }
     }
 
@@ -504,22 +500,23 @@ mod tests {
 
     #[test]
     fn latency_ewma_drives_the_hedge_threshold() {
+        const S: u64 = 1_000_000_000;
         let b = RetryBudget::new(RetryPolicy::standard());
         // Cold shard: never hedge.
-        assert_eq!(b.latency_of(0), 0.0);
-        assert_eq!(b.hedge_threshold(0), f64::INFINITY);
+        assert_eq!(b.latency_of(0), 0);
+        assert_eq!(b.hedge_threshold(0), None);
         // First observation seeds the EWMA outright.
-        b.observe_latency(0, 4.0);
-        assert!((b.latency_of(0) - 4.0).abs() < 1e-12);
-        assert!((b.hedge_threshold(0) - 12.0).abs() < 1e-12, "3 × EWMA");
+        b.observe_latency(0, 4 * S);
+        assert_eq!(b.latency_of(0), 4 * S);
+        assert_eq!(b.hedge_threshold(0), Some(12 * S), "3 × EWMA");
         // Further observations decay with α = 1/8.
-        b.observe_latency(0, 12.0);
-        assert!((b.latency_of(0) - 5.0).abs() < 1e-12);
+        b.observe_latency(0, 12 * S);
+        assert_eq!(b.latency_of(0), 5 * S);
         // The floor protects trivially cheap legs.
-        b.observe_latency(1, 0.05);
-        assert!((b.hedge_threshold(1) - 1.0).abs() < 1e-12, "floored at 1s");
+        b.observe_latency(1, S / 20);
+        assert_eq!(b.hedge_threshold(1), Some(S), "floored at 1 s");
         // Shards are independent.
-        assert_eq!(b.latency_of(2), 0.0);
+        assert_eq!(b.latency_of(2), 0);
     }
 
     #[test]

@@ -38,8 +38,8 @@ use std::fmt;
 use std::rc::Rc;
 
 use textjoin_obs::{
-    calibrate_trace, Event, EventKind, FanoutSink, Monitor, MonitorConfig, Recorder, RingSink,
-    Sink, TraceCalibration,
+    calibrate_trace, ns, secs, Event, EventKind, FanoutSink, Monitor, MonitorConfig, Recorder,
+    RingSink, Sink, TraceCalibration,
 };
 use textjoin_rel::catalog::Catalog;
 use textjoin_rel::table::Table;
@@ -190,8 +190,9 @@ pub struct QueryOutcome {
     pub table: Table,
     /// Total simulated cost charged to the query.
     pub total_cost: f64,
-    /// Critical-path completion time under the transport scheduler.
-    pub makespan: f64,
+    /// Critical-path completion time under the transport scheduler, in
+    /// ticks.
+    pub makespan: u64,
     /// Degradation-lattice downgrades taken under pressure.
     pub degradations: u64,
     /// Plan-level cost Q-error. `None` unless [`ServeConfig::analyze`]
@@ -206,7 +207,7 @@ impl fmt::Debug for QueryOutcome {
         let mut d = f.debug_struct("QueryOutcome");
         d.field("table", &self.table)
             .field("total_cost", &self.total_cost);
-        d.field("makespan", &self.makespan)
+        d.field("makespan", &secs(self.makespan as i64))
             .field("degradations", &self.degradations);
         if let Some(q) = &self.cost_q {
             d.field("cost_q", q);
@@ -695,8 +696,8 @@ impl<'a> ServeSession<'a> {
             retry_budget: Some(&self.tenants[ti].retry),
             probe_cache: Some(&self.tenants[ti].probe_cache),
             ceiling: Some(CostCeiling {
-                baseline: before.total_cost(),
-                limit: remaining,
+                baseline: before.ticks(),
+                limit: ns(remaining) as u64,
             }),
             force_pressure: pressure,
             analyze: self.cfg.analyze,

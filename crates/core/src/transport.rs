@@ -19,7 +19,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use textjoin_obs::{EventKind, Recorder, SpanGuard};
+use textjoin_obs::{ns, EventKind, Recorder, SpanGuard};
 use textjoin_text::batch::BatchResult;
 use textjoin_text::doc::{DocId, Document};
 use textjoin_text::expr::SearchExpr;
@@ -29,7 +29,7 @@ use textjoin_text::shard::ShardedTextServer;
 
 use crate::methods::cache::ProbeCache;
 use crate::retry::{RetryBudget, RetryPolicy, Route};
-use crate::sched::Scheduler;
+use crate::sched::{LegTiming, Scheduler};
 
 /// Execution context shared by the methods: the metered text service, the
 /// relational text-processing cost constant `c_a` (sec per document–tuple
@@ -78,20 +78,20 @@ pub struct ExecContext<'a> {
     pub probe_cache: Option<&'a RefCell<ProbeCache>>,
     /// Optional per-query cost ceiling. When attached, every charged
     /// wrapper refuses to issue the next operation once the server's
-    /// ledger has grown past `baseline + limit`, returning the
+    /// ledger has grown past `baseline + limit` ticks, returning the
     /// non-transient [`TextError::BudgetExceeded`] — the serving
     /// session's mid-flight budget guard. Charges already booked stay.
     pub ceiling: Option<CostCeiling>,
 }
 
-/// A per-query charge ceiling for [`ExecContext`]: operations are refused
-/// once `server.usage().total_cost() - baseline` exceeds `limit`.
+/// A per-query charge ceiling for [`ExecContext`], in ticks: operations
+/// are refused once `server.usage().ticks() - baseline` exceeds `limit`.
 #[derive(Debug, Clone, Copy)]
 pub struct CostCeiling {
-    /// The server ledger's `total_cost()` when the query started.
-    pub baseline: f64,
-    /// Simulated seconds the query may charge beyond the baseline.
-    pub limit: f64,
+    /// The server ledger's `ticks()` when the query started.
+    pub baseline: u64,
+    /// Ticks the query may charge beyond the baseline.
+    pub limit: u64,
 }
 
 impl<'a> ExecContext<'a> {
@@ -137,11 +137,12 @@ impl<'a> ExecContext<'a> {
         let Some(c) = self.ceiling else {
             return Ok(());
         };
-        let spent = self.server.usage().total_cost() - c.baseline;
+        let spent = self.server.usage().ticks().saturating_sub(c.baseline);
         if spent > c.limit {
+            let ms = |t: u64| t.saturating_add(500_000) / 1_000_000;
             return Err(TextError::BudgetExceeded {
-                spent_ms: (spent * 1000.0).round() as u64,
-                limit_ms: (c.limit * 1000.0).round() as u64,
+                spent_ms: ms(spent),
+                limit_ms: ms(c.limit),
             });
         }
         Ok(())
@@ -197,7 +198,7 @@ impl<'a> ExecContext<'a> {
     /// deadline misses degrade downstream, they never error.
     fn record_leg(&self, shard: Option<usize>, delta: &Usage) {
         if let Some(sched) = self.sched {
-            let t = sched.leg(shard, "leg", delta.total_cost());
+            let t = sched.issue(shard, delta.ticks());
             if t.crossed_deadline {
                 self.emit_event(EventKind::DeadlineMiss { shard });
             }
@@ -390,10 +391,10 @@ impl<'a> ExecContext<'a> {
     ) {
         let Some(before) = before else { return };
         let delta = sh.replica(shard, primary).usage().since(&before);
-        let cost = delta.total_cost();
+        let cost = delta.ticks();
         // Threshold first, then feed: a straggler must not raise the bar
         // it is judged against.
-        let threshold = self.budget.map(|b| {
+        let threshold = self.budget.and_then(|b| {
             let t = b.hedge_threshold(shard);
             b.observe_latency(shard, cost);
             t
@@ -412,13 +413,7 @@ impl<'a> ExecContext<'a> {
             .replica(shard, hedge_replica)
             .usage()
             .since(&hedge_before);
-        let timing = if hedged.is_ok() {
-            sched.hedged_leg(shard, cost, threshold, hedge_delta.total_cost())
-        } else {
-            // The hedge itself faulted: the primary's answer stands and
-            // the failed hedge is the cancelled leg regardless of timing.
-            sched.failed_hedge_leg(shard, cost, threshold, hedge_delta.total_cost())
-        };
+        let timing = sched.race(shard, cost, threshold, hedge_delta.ticks(), hedged.is_ok());
         if timing.crossed_deadline {
             self.emit_event(EventKind::DeadlineMiss { shard: Some(shard) });
         }
@@ -607,6 +602,15 @@ impl<'a> ExecContext<'a> {
             Some(_) => self.server.search_batch(exprs),
             None => self.unsharded(|| self.server.search_batch(exprs)),
         }
+    }
+}
+
+impl Scheduler {
+    /// [`issue`](Scheduler::issue) for a leg costed in simulated seconds,
+    /// converted to ticks once. The label names the leg for the caller; it
+    /// is not recorded.
+    pub fn leg(&self, shard: Option<usize>, _label: &str, seconds: f64) -> LegTiming {
+        self.issue(shard, ns(seconds).max(0) as u64)
     }
 }
 

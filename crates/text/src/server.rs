@@ -117,12 +117,16 @@ pub struct Usage {
 }
 
 impl Usage {
-    /// Total simulated cost in seconds.
-    pub fn total_cost(&self) -> f64 {
-        let ticks = [self.ns_processing, self.ns_transmission, self.ns_backoff]
+    /// Total simulated cost in ticks (nanoseconds).
+    pub fn ticks(&self) -> u64 {
+        [self.ns_processing, self.ns_transmission, self.ns_backoff]
             .into_iter()
-            .fold(self.ns_invocation, u64::wrapping_add);
-        secs(ticks as i64)
+            .fold(self.ns_invocation, u64::wrapping_add)
+    }
+
+    /// Total simulated cost in seconds: [`ticks`](Self::ticks) rendered.
+    pub fn total_cost(&self) -> f64 {
+        secs(self.ticks() as i64)
     }
 
     /// Adds another ledger into this one, counter by counter. Used to sum

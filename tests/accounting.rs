@@ -2,7 +2,7 @@
 //! the join methods, and the executors.
 
 use textjoin::core::cost::params::CostParams;
-use textjoin::core::exec::{canonical_rows, plan_and_execute};
+use textjoin::core::exec::{canonical_rows, execute_single, plan_and_execute};
 use textjoin::core::methods::probe::ProbeSchedule;
 use textjoin::core::methods::ExecContext;
 use textjoin::core::optimizer::multi::ExecutionSpace;
@@ -58,9 +58,9 @@ fn method_cost_decomposes_into_server_charges() {
             cand.label
         );
         assert_eq!(
-            out.report.total_cost(),
-            u.total_cost() + ctx.c_a * out.report.rtp_comparisons as f64,
-            "{}: total = text + c_a × comparisons",
+            out.report.ticks(),
+            ticks(&u) + 10_000 * out.report.rtp_comparisons,
+            "{}: total = text + c_a × comparisons, in ticks",
             cand.label
         );
     }
@@ -102,6 +102,94 @@ fn multi_join_outcome_cost_matches_components() {
             plan_and_execute(&q5, &w.catalog, &w.server, params, space).expect("q5 runs");
         assert!(outcome.total_cost >= outcome.text.total_cost());
         assert!(outcome.total_cost.is_finite());
+    }
+}
+
+/// On a lone server no leg overlaps another (there is no scatter phase),
+/// so the virtual clock lays every leg end to end: the makespan, the
+/// serial transport and the ledger's ticks are one number, for every
+/// method on Q1–Q4 and for planned Q5 and Q6.
+#[test]
+fn a_lone_server_makespan_is_its_serial_transport_and_its_ledger_ticks() {
+    use textjoin::core::sched::{SchedConfig, Scheduler};
+
+    let w = world();
+    let schema = w.server.collection().schema();
+    let export = w.server.export_stats();
+    let params = CostParams::mercury(w.server.doc_count() as f64);
+    let mut runs = 0;
+    for q in [paper::q1(&w), paper::q2(&w), paper::q3(&w), paper::q4(&w)] {
+        let p = prepare(&q, &w.catalog, schema).expect("paper query prepares");
+        let stats = p.statistics_from_export(&export, schema);
+        for cand in enumerate_methods(&params, &stats, q.projection, false) {
+            for schedule in [ProbeSchedule::ProbeFirst, ProbeSchedule::Lazy] {
+                let sched = Scheduler::new(SchedConfig::new(0x7E97));
+                let ctx = ExecContext::new(&w.server).with_transport(&sched);
+                let out = execute_single(&ctx, &p, &cand, schedule).expect("runs");
+                let label = &cand.label;
+                assert_eq!(sched.makespan(), sched.serial_total(), "{label}");
+                assert_eq!(sched.makespan(), out.report.text.ticks(), "{label}");
+                runs += 1;
+            }
+        }
+    }
+    assert!(runs >= 20, "every method ran on Q1–Q4 ({runs} runs)");
+    for q in [paper::q5(&w), paper::q6(&w)] {
+        let (_, out) = plan_and_execute(
+            &q,
+            &w.catalog,
+            &w.server,
+            params,
+            ExecutionSpace::PrlResiduals,
+        )
+        .expect("planned query runs");
+        assert!(out.text.ticks() > 0, "the plan reached the text system");
+        assert_eq!(out.makespan, out.serial_transport);
+        assert_eq!(out.makespan, out.text.ticks());
+    }
+}
+
+/// The mid-flight budget guard compares integer ticks, so its boundary is
+/// exact: under a ceiling equal to a query's charge the query finishes and
+/// the next operation is still within budget; one tick lower, the query
+/// still finishes (the guard refuses operations, it never interrupts one)
+/// and the next charged operation is refused.
+#[test]
+fn the_budget_guard_refuses_one_tick_past_the_ceiling() {
+    use textjoin::core::methods::ts::tuple_substitution;
+    use textjoin::core::methods::CostCeiling;
+    use textjoin::text::parse::parse_search;
+    use textjoin::text::server::TextError;
+
+    let w = world();
+    let schema = w.server.collection().schema();
+    let p = prepare(&paper::q3(&w), &w.catalog, schema).expect("q3 prepares");
+    let fj = p.foreign_join();
+    let charge = tuple_substitution(&ExecContext::new(&w.server), &fj, true)
+        .expect("q3 runs")
+        .report
+        .text
+        .ticks();
+    let next = parse_search("TI='database'", schema).expect("parses");
+    for (limit, refused) in [(charge, false), (charge - 1, true)] {
+        let ctx = ExecContext {
+            ceiling: Some(CostCeiling {
+                baseline: w.server.usage().ticks(),
+                limit,
+            }),
+            ..ExecContext::new(&w.server)
+        };
+        let out = tuple_substitution(&ctx, &fj, true).expect("the query finishes");
+        assert_eq!(out.report.text.ticks(), charge);
+        match ctx.search(&next) {
+            Ok(_) => assert!(!refused, "limit {limit}: the overrun went unnoticed"),
+            Err(TextError::BudgetExceeded { spent_ms, limit_ms }) => {
+                assert!(refused, "limit {limit}: refused within budget");
+                let ms = |t: u64| (t + 500_000) / 1_000_000;
+                assert_eq!((spent_ms, limit_ms), (ms(charge), ms(limit)));
+            }
+            Err(e) => panic!("limit {limit}: unexpected {e}"),
+        }
     }
 }
 
@@ -309,8 +397,8 @@ fn sharded_aggregate_ledger_is_exactly_the_sum_of_shard_ledgers() {
     let u = &out.report.text;
     assert_eq!(ticks(u), mercury_ticks(u));
     assert_eq!(
-        out.report.total_cost(),
-        u.total_cost() + ctx.c_a * out.report.rtp_comparisons as f64
+        out.report.ticks(),
+        ticks(u) + 10_000 * out.report.rtp_comparisons
     );
 }
 
@@ -439,8 +527,8 @@ fn cancelled_hedge_rebate_keeps_every_accounting_view_in_agreement() {
     let u = &out.report.text;
     assert_eq!(ticks(u), mercury_ticks(u));
     assert_eq!(
-        out.report.total_cost(),
-        u.total_cost() + ctx.c_a * out.report.rtp_comparisons as f64
+        out.report.ticks(),
+        ticks(u) + 10_000 * out.report.rtp_comparisons
     );
 }
 

@@ -549,9 +549,10 @@ fn tail_sampling_keeps_cancellation_and_deadline_stories() {
                 sampled: sampled.clone(),
             }))));
             let budget = RetryBudget::new(RetryPolicy::standard());
-            // A deliberately tight deadline: the first crossing emits a
-            // DeadlineMiss — flagged and traced, never an error.
-            let sched = Scheduler::new(SchedConfig::new(0x7E97).with_deadline(5.0));
+            // A deliberately tight deadline (5 s, in ticks): the first
+            // crossing emits a DeadlineMiss — flagged and traced, never an
+            // error.
+            let sched = Scheduler::new(SchedConfig::new(0x7E97).with_deadline(5_000_000_000));
             let ctx = ExecContext::with_budget(&s, &budget).with_transport(&sched);
             run_one(&ctx, &fj, method).expect("deadline misses never error");
             let label = format!("tail {qname}/{method}");

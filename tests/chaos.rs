@@ -8,6 +8,7 @@
 use textjoin::core::methods::probe::ProbeSchedule;
 use textjoin::core::methods::rtp::guarded_rtp;
 use textjoin::core::methods::{ExecContext, ForeignJoin, MethodReport, Projection};
+use textjoin::obs::ns;
 use textjoin::rel::strmatch::contains_term;
 use textjoin::rel::table::Table;
 use textjoin::text::doc::DocId;
@@ -148,9 +149,9 @@ fn assert_decomposition(label: &str, report: &MethodReport, c_a: f64) {
         "{label}: text cost must decompose into server charges + backoff"
     );
     assert_eq!(
-        report.total_cost(),
-        u.total_cost() + c_a * report.rtp_comparisons as f64,
-        "{label}: total = text + backoff + c_a × comparisons"
+        report.ticks(),
+        u.ticks() + ns(c_a) as u64 * report.rtp_comparisons,
+        "{label}: total = text + backoff + c_a × comparisons, in ticks"
     );
 }
 

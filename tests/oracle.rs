@@ -345,7 +345,8 @@ fn all_methods_match_oracle_under_slow_replicas_hedging_and_deadlines() {
                     .set_fault_plan(FaultPlan::slow(0xBEEF ^ ((i as u64) << 16), 0.2));
             }
             let budget = RetryBudget::new(RetryPolicy::standard());
-            let sched = Scheduler::new(SchedConfig::new(0x7E97).with_deadline(40.0));
+            // A 40 s deadline, in ticks.
+            let sched = Scheduler::new(SchedConfig::new(0x7E97).with_deadline(40_000_000_000));
             let ctx = ExecContext::with_budget(&s, &budget).with_transport(&sched);
             let table = run(&ctx);
             assert_eq!(

@@ -740,10 +740,13 @@ fn slow_drain_session(migration_budget: f64) -> textjoin::core::serve::ServeRepo
 /// export changed while it queued, and neither path changes an answer: the
 /// fingerprints go back to the commit before the export was cached, where
 /// every admission and every dispatch gathered from a freshly walked
-/// index. They were re-derived once when the ledger moved from float
-/// seconds to integer ticks, which changes how a report prints; the two
-/// commits' reports agreed in every record, count and tenant field, and in
-/// every time field to the nanosecond. If a later change legitimately
+/// index. They were re-derived when the ledger moved from float seconds
+/// to integer ticks, which changes how a report prints, and `staged` again
+/// when an execution's total and makespan became tick sums rendered once
+/// (ten times moved in their last bits, e.g. 22.091440000000002 →
+/// 22.09144). Each time the two commits' reports agreed in every record,
+/// count and tenant field, and in every time field to the nanosecond. If
+/// a later change legitimately
 /// alters a report (a new event kind, a new ledger field), re-derive both
 /// constants on the commit before that change and check that they agree
 /// there.
@@ -766,7 +769,7 @@ fn dispatch_regathers_only_when_the_export_changed_and_answers_never_move() {
         staged.regathered < completed,
         "the others kept their admission's statistics"
     );
-    assert_eq!(fingerprint(&staged), 0x7e91_c799_0c1d_8b14);
+    assert_eq!(fingerprint(&staged), 0x937f_3f19_3a94_e9cd);
 
     // Same stream, same waits, no staging: nothing to re-gather.
     let quiet = slow_drain_session(0.0);
