@@ -91,6 +91,17 @@ impl Collection {
         id
     }
 
+    /// Adds `docs` as [`add_document`](Self::add_document) adds each, then
+    /// frees the room the lists grew into: a bulk-built index has none.
+    pub fn extend(&mut self, docs: impl IntoIterator<Item = Document>) {
+        for doc in docs {
+            self.add_document(doc);
+        }
+        for list in self.directory.values_mut() {
+            list.shrink_to_fit();
+        }
+    }
+
     /// Deals this collection out into `n` parts without reading a document
     /// again. `route` gives each docid here its `(part, docid there)`, the
     /// part's next dense one, and every `(word, field)` list is cut by it:
@@ -300,6 +311,40 @@ mod tests {
         assert!(stored.ptr_eq(&shared));
         assert_eq!(stored.spare_capacity(), spare);
         assert!(spare > 0);
+    }
+
+    #[test]
+    fn a_built_index_has_no_spare_capacity() {
+        // Enough documents for every list to grow several times, words
+        // repeated within a value (offsets kept) and values long enough to
+        // widen the occurrence lanes partway through.
+        let docs: Vec<Document> = (0..300)
+            .map(|i| {
+                let filler = "w ".repeat(i % 40);
+                Document::new()
+                    .with(FieldId(0), format!("belief {filler} update belief"))
+                    .with(FieldId(1), format!("author{} garcia", i % 7))
+                    .with(FieldId(1), "garcia")
+            })
+            .collect();
+        let mut bulk = Collection::new(TextSchema::bibliographic());
+        bulk.extend(docs.iter().cloned());
+        let mut single = Collection::new(TextSchema::bibliographic());
+        for d in &docs {
+            single.add_document(d.clone());
+        }
+        assert_eq!(terms(&bulk), terms(&single));
+        assert!(single.iter_terms().any(|(_, l)| l.spare_capacity() > 0));
+        let spare = |c: &Collection| {
+            c.iter_terms()
+                .map(|(_, l)| l.spare_capacity())
+                .sum::<usize>()
+        };
+        assert_eq!(spare(&bulk), 0);
+        let route: Vec<(usize, DocId)> = (0..300).map(|i| (i % 3, DocId(i as u32 / 3))).collect();
+        for part in bulk.split(&route, 3) {
+            assert_eq!(spare(&part), 0);
+        }
     }
 
     /// Words that land in several fields, one of them lower-cased into two

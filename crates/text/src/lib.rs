@@ -10,7 +10,7 @@
 //! * **Storage & evaluation** — [`index::Collection`] holds documents and a
 //!   word→posting-list directory; a word's list is one
 //!   [`postings::FieldList`] per field it occurs in — ascending docids at
-//!   the head, positions in a side array. [`expr::SearchExpr`] is the
+//!   the head, positions packed narrow. [`expr::SearchExpr`] is the
 //!   Boolean search AST (words, truncated words, phrases, proximity, AND /
 //!   OR / NOT, field-limited terms); [`eval`] answers searches by sorted
 //!   merges of the docid heads, opening positions only for phrase and

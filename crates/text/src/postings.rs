@@ -4,12 +4,12 @@
 //! inverted list of *postings* recording the docids of documents in which the
 //! word appears; a posting may also carry the field and the word position.
 //! A word's list is one [`FieldList`] per field it occurs in: a head of
-//! ascending distinct docids, which is all a Boolean connective reads, and a
-//! side array of positions that only phrase and proximity search touch.
-//! Lists are sorted, so every operation is a merge at most linear in its
-//! inputs — the assumption under which the paper's processing cost is
-//! proportional to the *sum of the lengths of the inverted lists processed*
-//! (constant `c_p`).
+//! ascending distinct docids, which is all a Boolean connective reads, and
+//! positions packed as narrow as the list allows, which only phrase and
+//! proximity search decode. Lists are sorted, so every operation is a merge
+//! at most linear in its inputs — the assumption under which the paper's
+//! processing cost is proportional to the *sum of the lengths of the
+//! inverted lists processed* (constant `c_p`), whatever their bytes.
 
 use std::borrow::Cow;
 
@@ -24,6 +24,60 @@ pub struct Occurrence {
     pub pos: u32,
 }
 
+/// Unsigned integers packed into words, each in a lane of the narrowest of
+/// 8, 16, 32 and 64 bits that holds every one of them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Packed {
+    lane: u32,
+    len: usize,
+    words: Vec<u64>,
+}
+
+impl Packed {
+    /// Empty, in the lane that holds `bits`, with room for `n` values.
+    fn new(bits: u32, n: usize) -> Self {
+        let (lane, len) = (bits.next_power_of_two().max(8), 0);
+        let words = Vec::with_capacity((n * lane as usize).div_ceil(64));
+        Self { lane, len, words }
+    }
+
+    fn get(&self, i: usize) -> u64 {
+        let bit = i * self.lane as usize;
+        self.words[bit / 64] >> (bit % 64) & u64::MAX >> (64 - self.lane)
+    }
+
+    /// Appends `x`, widening the lane if it does not hold `x`.
+    fn push(&mut self, x: u64) {
+        self.widen(u64::BITS - x.leading_zeros(), |x, _| x);
+        let bit = self.len * self.lane as usize;
+        if bit.is_multiple_of(64) {
+            self.words.push(0);
+        }
+        self.words[bit / 64] |= x << (bit % 64);
+        self.len += 1;
+    }
+
+    /// Re-lays each value `x` as `relay(x, lane)` in a lane holding `bits`.
+    fn widen(&mut self, bits: u32, relay: impl Fn(u64, u32) -> u64) {
+        if bits > self.lane {
+            let mut wide = Packed::new(bits, self.words.capacity() * 64 / self.lane as usize);
+            (0..self.len).for_each(|i| wide.push(relay(self.get(i), wide.lane)));
+            *self = wide;
+        }
+    }
+}
+
+/// `occ` in a `lane`-bit lane: `value_idx` in the high half, `pos` below.
+fn encode(occ: Occurrence, lane: u32) -> u64 {
+    u64::from(occ.value_idx) << (lane / 2) | u64::from(occ.pos)
+}
+
+fn decode(x: u64, lane: u32) -> Occurrence {
+    let value_idx = (x >> (lane / 2)) as u32;
+    let pos = (x & u64::MAX >> (64 - lane / 2)) as u32;
+    Occurrence { value_idx, pos }
+}
+
 /// The inverted list of one word in one field: the documents holding the
 /// word there and, per document, its occurrences in `(value_idx, pos)`
 /// order. The ordering is maintained by construction (documents are indexed
@@ -33,20 +87,22 @@ pub struct FieldList {
     field: FieldId,
     /// Ascending, distinct.
     docs: Vec<DocId>,
-    /// `starts[i]` is where `docs[i]`'s occurrences begin in `occs`.
-    starts: Vec<u32>,
-    occs: Vec<Occurrence>,
+    /// `starts[i]` is where `docs[i]`'s occurrences begin in `occs`, kept
+    /// only once some document holds two: until then it is `i`.
+    starts: Packed,
+    /// Each occurrence [`encode`]d in a lane whose halves hold every
+    /// `value_idx` and `pos` of the list.
+    occs: Packed,
 }
 
 impl FieldList {
-    /// An empty list for `field`, with room for `docs` documents and `occs`
-    /// occurrences.
-    pub(crate) fn with_capacity(field: FieldId, docs: usize, occs: usize) -> Self {
+    /// An empty list for `field`.
+    pub(crate) fn new(field: FieldId) -> Self {
         Self {
             field,
-            docs: Vec::with_capacity(docs),
-            starts: Vec::with_capacity(docs),
-            occs: Vec::with_capacity(occs),
+            docs: Vec::new(),
+            starts: Packed::new(0, 0),
+            occs: Packed::new(0, 0),
         }
     }
 
@@ -63,39 +119,50 @@ impl FieldList {
 
     /// Number of postings (occurrences) in this field.
     pub fn len(&self) -> usize {
-        self.occs.len()
+        self.occs.len
     }
 
     /// Whether the list is empty.
     pub fn is_empty(&self) -> bool {
-        self.occs.is_empty()
+        self.occs.len == 0
     }
 
     /// The occurrences within `docs()[i]`, sorted.
-    pub(crate) fn occurrences(&self, i: usize) -> &[Occurrence] {
-        let end = self
-            .starts
-            .get(i + 1)
-            .map_or(self.occs.len(), |&e| e as usize);
-        &self.occs[self.starts[i] as usize..end]
+    #[inline]
+    pub(crate) fn occurrences(&self, i: usize) -> impl Iterator<Item = Occurrence> + '_ {
+        let (starts, n) = (&self.starts, self.starts.len);
+        let span = match i + 1 < n {
+            true => starts.get(i) as usize..starts.get(i + 1) as usize,
+            false if n > 0 => starts.get(i) as usize..self.len(),
+            false => i..i + 1,
+        };
+        span.map(|k| decode(self.occs.get(k), self.occs.lane))
     }
 
     /// Every posting, flat: `(doc, occurrence)` ascending.
     pub fn postings(&self) -> impl Iterator<Item = (DocId, Occurrence)> + '_ {
-        (0..self.docs.len())
-            .flat_map(move |i| self.occurrences(i).iter().map(move |&o| (self.docs[i], o)))
+        (0..self.docs.len()).flat_map(move |i| self.occurrences(i).map(move |o| (self.docs[i], o)))
     }
 
-    /// Appends an occurrence, which must sort at or after the current tail.
+    /// Appends an occurrence, which must sort at or after the current tail,
+    /// widening the lanes it does not fit.
     pub(crate) fn push(&mut self, doc: DocId, occ: Occurrence) {
-        let tail = self.docs.last().zip(self.occs.last());
-        debug_assert!(tail.is_none_or(|(&d, &o)| (d, o) <= (doc, occ)));
+        let tail = |d| (d, decode(self.occs.get(self.len() - 1), self.occs.lane));
+        debug_assert!(self.docs.last().is_none_or(|&d| tail(d) <= (doc, occ)));
         if self.docs.last() != Some(&doc) {
-            let start = u32::try_from(self.occs.len()).expect("under 2^32 postings a list");
+            if self.starts.len > 0 {
+                self.starts.push(self.len() as u64);
+            }
             self.docs.push(doc);
-            self.starts.push(start);
+        } else if self.starts.len == 0 {
+            // The tail document's second occurrence: each before held one.
+            self.starts = Packed::new(0, self.docs.capacity());
+            (0..self.docs.len() as u64).for_each(|i| self.starts.push(i));
         }
-        self.occs.push(occ);
+        let need = 2 * (u32::BITS - occ.value_idx.max(occ.pos).leading_zeros());
+        let (from, occs) = (self.occs.lane, &mut self.occs);
+        occs.widen(need, |x, to| encode(decode(x, from), to));
+        occs.push(encode(occ, occs.lane));
     }
 }
 
@@ -115,8 +182,7 @@ impl PostingList {
                 let at = at.unwrap_or(self.fields.len());
                 // A word has a field or two: no room for four up front.
                 self.fields.reserve_exact(1);
-                self.fields
-                    .insert(at, FieldList::with_capacity(field, 0, 0));
+                self.fields.insert(at, FieldList::new(field));
                 at
             }
         };
@@ -125,34 +191,28 @@ impl PostingList {
 
     /// This list dealt out by `route` (docid → `(part, docid there)`) into
     /// `n` parts, as [`Collection::split`](crate::index::Collection::split)
-    /// deals it: each part's lists allocated at their length, and each
-    /// document's occurrences copied whole.
+    /// deals it: each document's occurrences pushed as indexing pushes
+    /// them, and each part's lists at exact capacity.
     pub(crate) fn deal(&self, route: &[(usize, DocId)], n: usize) -> Vec<PostingList> {
         let mut parts = vec![PostingList::default(); n];
         for list in &self.fields {
-            let mut sizes = vec![(0, 0); n];
-            for (i, d) in list.docs.iter().enumerate() {
-                let size = &mut sizes[route[d.0 as usize].0];
-                *size = (size.0 + 1, size.1 + list.occurrences(i).len());
-            }
-            let mut dealt: Vec<FieldList> = sizes
-                .iter()
-                .map(|&(docs, occs)| FieldList::with_capacity(list.field, docs, occs))
-                .collect();
             for (i, d) in list.docs.iter().enumerate() {
                 let (at, local) = route[d.0 as usize];
-                let part = &mut dealt[at];
-                // No longer than `list`, whose starts are `u32`.
-                part.starts.push(part.occs.len() as u32);
-                part.docs.push(local);
-                part.occs.extend_from_slice(list.occurrences(i));
-            }
-            for (part, l) in parts.iter_mut().zip(dealt).filter(|(_, l)| !l.is_empty()) {
-                part.fields.reserve_exact(1);
-                part.fields.push(l);
+                for o in list.occurrences(i) {
+                    parts[at].push(local, list.field, o);
+                }
             }
         }
+        parts.iter_mut().for_each(PostingList::shrink_to_fit);
         parts
+    }
+
+    pub(crate) fn shrink_to_fit(&mut self) {
+        for l in &mut self.fields {
+            l.docs.shrink_to_fit();
+            l.starts.words.shrink_to_fit();
+            l.occs.words.shrink_to_fit();
+        }
     }
 
     /// Number of postings across all fields: the list *length* the cost
@@ -321,11 +381,15 @@ pub(crate) fn union(a: &[DocId], b: &[DocId]) -> Vec<DocId> {
 
 /// Whether `y` lies in the same field value as some occurrence of `xs`
 /// with `pos(y) - pos(x)` in `[min_gap, min_gap + width]`.
-fn follows(xs: &[Occurrence], y: &Occurrence, min_gap: i64, width: u64) -> bool {
+fn follows(
+    mut xs: impl Iterator<Item = Occurrence>,
+    y: &Occurrence,
+    min_gap: i64,
+    width: u64,
+) -> bool {
     let from = i64::from(y.pos) - min_gap;
     // `gap - min_gap` as unsigned: one comparison tells both bounds.
-    xs.iter()
-        .any(|x| x.value_idx == y.value_idx && (from - i64::from(x.pos)).cast_unsigned() <= width)
+    xs.any(|x| x.value_idx == y.value_idx && (from - i64::from(x.pos)).cast_unsigned() <= width)
 }
 
 /// One step of positional matching within one field: the occurrences of
@@ -339,14 +403,13 @@ pub(crate) fn positional_step(
     next: &FieldList,
     (min_gap, max_gap): (i64, i64),
 ) -> FieldList {
-    let mut out = FieldList::with_capacity(next.field, 0, 0);
+    let mut out = FieldList::new(next.field);
     debug_assert!(min_gap <= max_gap);
     let width = (max_gap - min_gap).cast_unsigned();
     for_each_shared(&carrier.docs, &next.docs, |i, j| {
-        let xs = carrier.occurrences(i);
         for y in next.occurrences(j) {
-            if follows(xs, y, min_gap, width) {
-                out.push(next.docs[j], *y);
+            if follows(carrier.occurrences(i), &y, min_gap, width) {
+                out.push(next.docs[j], y);
             }
         }
     });
@@ -411,11 +474,11 @@ fn positional_at<'a>(
             }
         }
         carried.clear();
-        carried.extend_from_slice(chain[0].occurrences(at[0]));
+        carried.extend(chain[0].occurrences(at[0]));
         for (list, &j) in chain.iter().zip(&at).skip(1) {
             spare.clear();
-            let ys = list.occurrences(j).iter();
-            spare.extend(ys.filter(|y| follows(&carried, y, min_gap, width)));
+            let ys = list.occurrences(j);
+            spare.extend(ys.filter(|y| follows(carried.iter().copied(), y, min_gap, width)));
             std::mem::swap(&mut carried, &mut spare);
         }
         !carried.is_empty()
@@ -426,6 +489,22 @@ fn positional_at<'a>(
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
+
+    use proptest::prelude::*;
+
+    impl PostingList {
+        /// Bytes this list's vectors hold allocated past their length.
+        pub(crate) fn spare_capacity(&self) -> usize {
+            fn spare<T>(v: &Vec<T>) -> usize {
+                (v.capacity() - v.len()) * size_of::<T>()
+            }
+            let lists = self.fields.iter();
+            spare(&self.fields)
+                + lists
+                    .map(|l| spare(&l.docs) + spare(&l.starts.words) + spare(&l.occs.words))
+                    .sum::<usize>()
+        }
+    }
 
     fn ids(ids: &[u32]) -> Vec<DocId> {
         ids.iter().map(|&i| DocId(i)).collect()
@@ -538,10 +617,7 @@ mod tests {
         assert_eq!(l.len(), 3);
         assert_eq!(docs_in(&l, None), [ids(&[1]), ids(&[2])]);
         let f0 = &l.fields(Some(FieldId(0)))[0];
-        assert_eq!(
-            f0.occurrences(0).iter().map(|o| o.pos).collect::<Vec<_>>(),
-            [0, 4]
-        );
+        assert_eq!(f0.occurrences(0).map(|o| o.pos).collect::<Vec<_>>(), [0, 4]);
     }
 
     #[test]
@@ -558,7 +634,7 @@ mod tests {
         assert_eq!(docs_in(&l, Some(FieldId(1))), [ids(&[1, 4])]);
         assert!(l.fields(Some(FieldId(2))).is_empty());
         assert_eq!(docs_in(&l, None), [ids(&[1, 2]), ids(&[1, 4])]);
-        assert_eq!(l.fields(None)[0].occurrences(1).len(), 2);
+        assert_eq!(l.fields(None)[0].occurrences(1).count(), 2);
     }
 
     /// The step in field `f`, if both words occur there.
@@ -693,5 +769,102 @@ mod tests {
         assert_eq!(matches_at(&chain, (1, 1), &cands), ids(&[1, 4]));
         assert!(positional_any(&chain, (1, 1)));
         assert!(!positional_any(&chain, (2, 3)));
+    }
+
+    /// Values at and around every lane boundary.
+    const EDGES: &[u32] = &[
+        0,
+        1,
+        15,
+        16,
+        255,
+        256,
+        65_535,
+        65_536,
+        u32::MAX - 1,
+        u32::MAX,
+    ];
+
+    /// Sorted, distinct `(doc, occurrence)` entries: a run of small values,
+    /// then a run drawn from [`EDGES`], so the lanes widen partway through.
+    fn entries() -> impl Strategy<Value = Vec<(DocId, Occurrence)>> {
+        let entry = (0u32..3, 0..EDGES.len(), 0..EDGES.len());
+        let runs = (
+            prop::collection::vec(entry.clone(), 0..30),
+            prop::collection::vec(entry, 0..30),
+        );
+        runs.prop_map(|(small, wide)| {
+            let mut doc = 0;
+            let mut out = BTreeSet::new();
+            let small = small
+                .into_iter()
+                .map(|(g, v, p)| (g, v as u32 % 16, p as u32 % 16));
+            let wide = wide.into_iter().map(|(g, v, p)| (g, EDGES[v], EDGES[p]));
+            for (gap, value_idx, pos) in small.chain(wide) {
+                doc += gap;
+                out.insert((DocId(doc), Occurrence { value_idx, pos }));
+            }
+            out.into_iter().collect()
+        })
+    }
+
+    fn packed(field: FieldId, model: &[(DocId, Occurrence)]) -> FieldList {
+        let mut list = FieldList::new(field);
+        model.iter().for_each(|&(d, o)| list.push(d, o));
+        list
+    }
+
+    /// The positional step read off the models: the entries of `next` with
+    /// an entry of `carrier` in the same document and value, `gaps` before.
+    fn model_step(
+        carrier: &[(DocId, Occurrence)],
+        next: &[(DocId, Occurrence)],
+        (min_gap, max_gap): (i64, i64),
+    ) -> Vec<(DocId, Occurrence)> {
+        let follows = |&(d, y): &(DocId, Occurrence)| {
+            carrier.iter().any(|&(e, x)| {
+                let gap = i64::from(y.pos) - i64::from(x.pos);
+                e == d && x.value_idx == y.value_idx && (min_gap..=max_gap).contains(&gap)
+            })
+        };
+        next.iter().copied().filter(follows).collect()
+    }
+
+    fn model_docs(model: &[(DocId, Occurrence)]) -> Vec<DocId> {
+        let mut docs: Vec<DocId> = model.iter().map(|&(d, _)| d).collect();
+        docs.dedup();
+        docs
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A packed list reads back as the plain list of postings it was
+        /// built from, whatever lanes its values need, and every positional
+        /// kernel over packed lists answers as over the plain ones.
+        #[test]
+        fn packed_lists_agree_with_the_plain_model(
+            a in entries(),
+            b in entries(),
+            gaps in prop::sample::select(&[(1, 1), (-3, 3), (0, 0), (-1, 1)][..]),
+        ) {
+            let (la, lb) = (packed(FieldId(0), &a), packed(FieldId(0), &b));
+            prop_assert_eq!(la.postings().collect::<Vec<_>>(), a.clone());
+            prop_assert_eq!(la.len(), a.len());
+            prop_assert_eq!(la.docs(), &model_docs(&a)[..]);
+            let want = model_step(&a, &b, gaps);
+            let step = positional_step(&la, &lb, gaps);
+            prop_assert_eq!(step.postings().collect::<Vec<_>>(), want.clone());
+            prop_assert_eq!(&step, &packed(FieldId(0), &want));
+            let chain = [&la, &lb];
+            prop_assert_eq!(positional_any(&chain, gaps), !want.is_empty());
+            let every: Vec<DocId> = (0..200).map(DocId).collect();
+            let hits = model_docs(&want);
+            for cands in [&every[..], la.docs(), lb.docs(), hits.get(..1).unwrap_or(&[])] {
+                let mut got = Vec::new();
+                positional_within(&chain, gaps, cands, &mut got);
+                prop_assert_eq!(got, intersect(cands, &hits));
+            }
+        }
     }
 }

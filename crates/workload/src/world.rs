@@ -3,6 +3,8 @@
 //! pin the statistics the paper's experiments sweep — relation size `N`,
 //! distinct counts `N_i`, predicate selectivities `s_i`, and fanouts `f_i`.
 
+use std::cell::RefCell;
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -172,8 +174,6 @@ impl World {
         let inst = schema
             .field_by_name("institution")
             .expect("schema has institution");
-        let mut coll = Collection::new(schema);
-
         let year_of = |rng: &mut StdRng| {
             if rng.gen_bool(spec.year_1993_frac) {
                 "May 1993"
@@ -181,43 +181,50 @@ impl World {
                 "May 1990"
             }
         };
-        let add_doc =
-            |rng: &mut StdRng, coll: &mut Collection, doc_title: String, authors: Vec<String>| {
-                let mut d = Document::new()
-                    .with(ti, doc_title)
-                    .with(ab, abstract_text(rng, 12))
-                    .with(yr, year_of(rng))
-                    .with(inst, INSTITUTIONS[rng.gen_range(0..INSTITUTIONS.len())]);
-                for a in authors {
-                    d.push(au, a);
-                }
-                coll.add_document(d);
-            };
+        // Each document is drawn when the bulk build reaches it, so none
+        // waits unindexed; the four groups below share the generator in turn.
+        let outside_authors = &unique_names(&mut rng, 300);
+        let rng = RefCell::new(rng);
+        let doc = |draw: &dyn Fn(&mut StdRng) -> (String, Vec<String>)| {
+            let rng = &mut *rng.borrow_mut();
+            let (doc_title, authors) = draw(rng);
+            let mut d = Document::new()
+                .with(ti, doc_title)
+                .with(ab, abstract_text(rng, 12))
+                .with(yr, year_of(rng))
+                .with(inst, INSTITUTIONS[rng.gen_range(0..INSTITUTIONS.len())]);
+            for a in authors {
+                d.push(au, a);
+            }
+            d
+        };
+        let doc = &doc;
 
         // Background documents by faculty and outside authors.
-        let outside_authors = unique_names(&mut rng, 300);
-        for _ in 0..spec.background_docs {
-            let mut authors =
-                vec![outside_authors[rng.gen_range(0..outside_authors.len())].clone()];
-            if rng.gen_bool(spec.background_faculty_coauthor_frac) {
-                authors.push(faculty_names[rng.gen_range(0..faculty_names.len())].clone());
-            }
-            let t = title(&mut rng, 5);
-            add_doc(&mut rng, &mut coll, t, authors);
-        }
+        let background = (0..spec.background_docs).map(|_| {
+            doc(&|rng| {
+                let mut authors =
+                    vec![outside_authors[rng.gen_range(0..outside_authors.len())].clone()];
+                if rng.gen_bool(spec.background_faculty_coauthor_frac) {
+                    authors.push(faculty_names[rng.gen_range(0..faculty_names.len())].clone());
+                }
+                (title(rng, 5), authors)
+            })
+        });
 
         // Publishing students.
         let publishing = ((spec.students as f64) * spec.student_publish_frac).round() as usize;
-        for s in students.iter().take(publishing) {
-            for _ in 0..spec.docs_per_student_author {
-                let mut authors = vec![s.name.clone()];
-                if rng.gen_bool(spec.coauthor_with_advisor_frac) {
-                    authors.push(s.advisor.clone());
-                }
-                let t = title(&mut rng, 5);
-                add_doc(&mut rng, &mut coll, t, authors);
-            }
-        }
+        let by_students = students.iter().take(publishing).flat_map(|s| {
+            (0..spec.docs_per_student_author).map(move |_| {
+                doc(&|rng| {
+                    let mut authors = vec![s.name.clone()];
+                    if rng.gen_bool(spec.coauthor_with_advisor_frac) {
+                        authors.push(s.advisor.clone());
+                    }
+                    (title(rng, 5), authors)
+                })
+            })
+        });
 
         // 'belief update' documents for Q1, authored by senior AI students
         // when available (so Q1 has answers), else by outsiders.
@@ -226,38 +233,46 @@ impl World {
             .take(publishing)
             .filter(|s| s.area == "AI" && s.year > 3)
             .collect();
-        for i in 0..spec.belief_update_docs {
+        let belief = (0..spec.belief_update_docs).map(|i| {
             let author = if !senior_ai.is_empty() {
                 senior_ai[i % senior_ai.len()].name.clone()
             } else {
                 outside_authors[i % outside_authors.len()].clone()
             };
-            let filler = TOPICS[rng.gen_range(0..TOPICS.len())];
-            add_doc(
-                &mut rng,
-                &mut coll,
-                format!("belief update {filler}"),
-                vec![author],
-            );
-        }
+            doc(&|rng| {
+                let filler = TOPICS[rng.gen_range(0..TOPICS.len())];
+                (format!("belief update {filler}"), vec![author.clone()])
+            })
+        });
 
         // Documents titled with hit project names; authored by a project
         // member half the time (so Q3 has both full matches and
         // probe-passes-query-fails cases).
-        for pname in project_names.iter().take(hit_projects) {
-            for _ in 0..spec.docs_per_hit_project {
-                let member_rows: Vec<&(String, String, String)> =
-                    project_rows.iter().filter(|(n, _, _)| n == pname).collect();
-                let author =
-                    if rng.gen_bool(spec.project_doc_by_member_frac) && !member_rows.is_empty() {
+        let by_projects = project_names.iter().take(hit_projects).flat_map(|pname| {
+            let member_rows: Vec<&(String, String, String)> =
+                project_rows.iter().filter(|(n, _, _)| n == pname).collect();
+            (0..spec.docs_per_hit_project).map(move |_| {
+                doc(&|rng| {
+                    let author = if rng.gen_bool(spec.project_doc_by_member_frac)
+                        && !member_rows.is_empty()
+                    {
                         member_rows[rng.gen_range(0..member_rows.len())].2.clone()
                     } else {
                         outside_authors[rng.gen_range(0..outside_authors.len())].clone()
                     };
-                let t = format!("{pname} {}", title(&mut rng, 3));
-                add_doc(&mut rng, &mut coll, t, vec![author]);
-            }
-        }
+                    (format!("{pname} {}", title(rng, 3)), vec![author])
+                })
+            })
+        });
+
+        let mut coll = Collection::new(schema);
+        coll.extend(
+            background
+                .chain(by_students)
+                .chain(belief)
+                .chain(by_projects),
+        );
+        let mut rng = rng.into_inner();
 
         // --- Relational tables -------------------------------------------
         let mut catalog = Catalog::new();
