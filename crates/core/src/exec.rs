@@ -314,9 +314,9 @@ impl<'a> MultiExecutor<'a> {
     /// Switches on EXPLAIN ANALYZE attribution: [`execute`](Self::execute)
     /// prices the plan with `optimizer::multi::estimate_nodes` and books
     /// each node's *exclusive* actuals under the same [`PlanNode::fold`] —
-    /// the `Usage` delta of its own work (its inputs ran before it), its
-    /// output rows, and its local matching cost. Attribution only reads
-    /// ledgers the server already booked; it never charges.
+    /// the invoices of its own work (its inputs ran before it), its
+    /// output rows, and its local matching cost. Attribution only sums
+    /// invoices the context already received; it never charges.
     pub(crate) fn analyze(self) -> Self {
         Self {
             analyze: true,
@@ -374,24 +374,25 @@ impl<'a> MultiExecutor<'a> {
         let estimates = self
             .analyze
             .then(|| crate::optimizer::multi::estimate_nodes(self.input, plan));
-        let (server, c_a, c_pair) = (self.ctx.server, self.ctx.c_a, self.input.rel_model.c_pair);
-        let before = server.usage();
+        let (c_a, c_pair) = (self.ctx.c_a, self.input.rel_model.c_pair);
+        let invoice = &self.ctx.invoice;
+        let start = invoice.get();
         let mut tally = Tally {
             actuals: vec![Measure::default(); estimates.as_ref().map_or(0, Vec::len)],
             ..Tally::default()
         };
         let table = plan
             .fold(&mut |node, id, _, inputs| {
-                // One snapshot before the node's own work (its inputs have
-                // run), one booking after it.
+                // The node's own work (its inputs have run) is what it is
+                // billed from here on.
                 let start = self
                     .analyze
-                    .then(|| (server.usage(), tally.rel_pairs, tally.rtp_comparisons));
+                    .then(|| (invoice.get(), tally.rel_pairs, tally.rtp_comparisons));
                 let out = self.eval(node, inputs, &mut tally)?;
                 if let Some((u0, pairs0, comps0)) = start {
                     // Backoff seconds fold into the invocation component,
                     // mirroring the planner's `effective_c_i` fold.
-                    let d = server.usage().since(&u0);
+                    let d = invoice.get().since(&u0);
                     tally.actuals[id] = Measure {
                         rows: out.len() as f64,
                         postings: d.postings_processed as f64,
@@ -413,7 +414,7 @@ impl<'a> MultiExecutor<'a> {
             })?
             .into_owned()
             .into_table();
-        let text = server.usage().since(&before);
+        let text = invoice.get().since(&start);
         let total = text.ticks() + rel_ticks(c_a, tally.rtp_comparisons, c_pair, tally.rel_pairs);
         let (makespan, serial_transport, hedges, cancels, deadline_misses, degradations) =
             match self.ctx.sched {
@@ -816,6 +817,8 @@ pub(crate) fn fold_params(
                 .as_sharded()
                 .map(|s| s.replication_factor())
                 .unwrap_or(1);
+            // A ledger read, when no invoice is given: the fault history
+            // the fold prices.
             let observed = fold_usage.copied().unwrap_or_else(|| server.usage());
             params.with_fault_model_replicated(&observed, &RetryPolicy::standard(), replicas)
         }
@@ -874,10 +877,9 @@ pub fn plan_prepared(
     Ok(planned)
 }
 
-/// The execution half of [`plan_and_execute_with`]: builds the seeded
-/// virtual-time scheduler from the folded params' deadline, applies any
-/// session hooks, and runs the plan. With default hooks this is
-/// byte-identical to the tail of the original fused pipeline.
+/// The execution half of [`plan_and_execute_with`]: runs the plan under
+/// a seeded virtual-time scheduler with the folded params' deadline and
+/// any session hooks.
 pub fn execute_prepared(
     input: &PlannerInput,
     planned: &crate::optimizer::multi::PlannedQuery,
@@ -885,11 +887,21 @@ pub fn execute_prepared(
     server: &dyn TextService,
     hooks: &ExecHooks<'_>,
 ) -> Result<MultiOutcome, MethodError> {
-    // Every execution gets a virtual-time schedule (seeded; deadline from
-    // the cost params) so the outcome reports a real makespan next to the
-    // total charge. Without a budget no hedging can fire, and without a
-    // deadline no degradation can trigger, so charges are exactly as
-    // before — the scheduler is then purely observational.
+    execute_billed(input, planned, catalog, server, hooks).0
+}
+
+/// [`execute_prepared`], with what the execution was billed whatever its
+/// outcome: the sum of the invoices its context received.
+pub(crate) fn execute_billed(
+    input: &PlannerInput,
+    planned: &crate::optimizer::multi::PlannedQuery,
+    catalog: &Catalog,
+    server: &dyn TextService,
+    hooks: &ExecHooks<'_>,
+) -> (Result<MultiOutcome, MethodError>, Usage) {
+    // Every execution gets a schedule, so the outcome reports a makespan
+    // next to the total charge. Without a budget no hedge fires and without
+    // a deadline nothing degrades: the scheduler then only observes.
     let sched = Scheduler::new(match input.params.deadline {
         Some(d) => SchedConfig::new(0x7e97).with_deadline(ns(d).max(0) as u64),
         None => SchedConfig::new(0x7e97),
@@ -906,9 +918,15 @@ pub fn execute_prepared(
         ceiling: hooks.ceiling,
         ..ctx.with_transport(&sched)
     };
-    let exec = MultiExecutor::new(input, catalog, ctx)?;
-    let exec = if hooks.analyze { exec.analyze() } else { exec };
-    let outcome = exec.execute(&planned.plan)?;
+    let exec = match MultiExecutor::new(input, catalog, ctx) {
+        Ok(exec) if hooks.analyze => exec.analyze(),
+        Ok(exec) => exec,
+        Err(e) => return (Err(e), Usage::default()),
+    };
+    let outcome = match exec.execute(&planned.plan) {
+        Ok(outcome) => outcome,
+        Err(e) => return (Err(e), exec.ctx.invoice.get()),
+    };
     if let (Some(pq), Some(rec)) = (&outcome.plan_quality, server.recorder()) {
         // One free sample per analyzed query: the plan-level Q-errors the
         // misestimation detector windows over. `regret_share` is filled by
@@ -920,7 +938,7 @@ pub fn execute_prepared(
             regret_share: 0.0,
         });
     }
-    Ok(outcome)
+    (Ok(outcome), exec.ctx.invoice.get())
 }
 
 /// Q-error between what the run actually paid the text system and what

@@ -135,7 +135,7 @@ impl ProbeCache {
         self.entries.values().map(HashMap::len).sum()
     }
 
-    /// `(hits, misses, evicted)` counters — the ledger's `cache_hits`,
+    /// `(hits, misses, evicted)` counters — a report's `cache_hits`,
     /// `cache_misses` and `cache_evicted`.
     pub(crate) fn full_stats(&self) -> (u64, u64, u64) {
         (self.hits, self.misses, self.evicted)

@@ -132,7 +132,8 @@ impl From<TextError> for MethodError {
 pub struct MethodReport {
     /// Method label (`"TS"`, `"P1+TS"`, ...).
     pub method: String,
-    /// Text-server usage charged to this method (delta).
+    /// What the text service billed this method: the sum of the invoices
+    /// it received.
     pub text: Usage,
     /// Document–tuple comparisons performed relationally.
     pub rtp_comparisons: u64,
@@ -381,17 +382,18 @@ pub(crate) fn fetch_for_projection<R>(
     }
 }
 
-/// Helper: builds a [`MethodReport`] from a usage delta.
+/// Helper: builds a [`MethodReport`] from the invoices `ctx` received
+/// since its invoice read `start`.
 pub(crate) fn report(
     method: impl Into<String>,
     ctx: &ExecContext<'_>,
-    before: &Usage,
+    start: &Usage,
     rtp_comparisons: u64,
     output_rows: usize,
 ) -> MethodReport {
     MethodReport {
         method: method.into(),
-        text: ctx.server.usage().since(before),
+        text: ctx.invoice.get().since(start),
         rtp_comparisons,
         rtp_cost: secs(rel_ticks(ctx.c_a, rtp_comparisons, 0.0, 0) as i64),
         output_rows,

@@ -86,8 +86,8 @@ fn method_label(prefix: &str, probe_cols: &[usize], suffix: &str) -> String {
 /// Shared entries are namespaced by the full probe identity — the text
 /// selections and the probed fields — so an outcome proved by one query
 /// can only ever answer a *byte-identical* probe from another. Cache
-/// traffic is counted either way; the counters ride the method's usage
-/// delta as `Usage::{cache_hits, cache_misses}`. Hits served from a
+/// traffic is counted either way; the counters ride the method's report
+/// as `Usage::{cache_hits, cache_misses}`. Hits served from a
 /// session cache additionally emit a charge-free `CacheHit` event (the
 /// per-execution path emits nothing, keeping legacy traces byte-stable).
 struct Probes<'a> {
@@ -189,19 +189,17 @@ impl<'a> Probes<'a> {
         }
     }
 
-    /// The execution's outcome: `out`, reported over everything since
-    /// `before`, with the cache traffic (hits, misses, evictions) accrued
-    /// during the execution folded into the usage delta — free counters,
-    /// no simulated seconds move.
+    /// The execution's outcome: `out`, reported over everything billed
+    /// since `start`, with the execution's (free) cache traffic folded in.
     fn finish(
         &self,
         label: String,
         ctx: &ExecContext<'_>,
-        before: &Usage,
+        start: &Usage,
         comparisons: u64,
         out: Table,
     ) -> MethodOutcome {
-        let mut report = report(label, ctx, before, comparisons, out.len());
+        let mut report = report(label, ctx, start, comparisons, out.len());
         let end = self.cache().full_stats();
         report.text.cache_hits += end.0 - self.start.0;
         report.text.cache_misses += end.1 - self.start.1;
@@ -231,7 +229,7 @@ fn probe_first_ts<R: Rows>(
     fj: &ForeignJoin<'_, R>,
     probe_cols: &[usize],
 ) -> Result<MethodOutcome, MethodError> {
-    let before = ctx.server.usage();
+    let start = ctx.invoice.get();
     let text_schema = ctx.server.schema();
     let label = method_label("P", probe_cols, "TS");
     let _method_span = ctx.span(&label);
@@ -284,7 +282,7 @@ fn probe_first_ts<R: Rows>(
             fj.emit(&mut out, text_schema, ri, &docs);
         }
     }
-    Ok(cache.finish(label, ctx, &before, 0, out))
+    Ok(cache.finish(label, ctx, &start, 0, out))
 }
 
 fn lazy_ts<R: Rows>(
@@ -292,7 +290,7 @@ fn lazy_ts<R: Rows>(
     fj: &ForeignJoin<'_, R>,
     probe_cols: &[usize],
 ) -> Result<MethodOutcome, MethodError> {
-    let before = ctx.server.usage();
+    let start = ctx.invoice.get();
     let text_schema = ctx.server.schema();
     let label = format!("{}-lazy", method_label("P", probe_cols, "TS"));
     let _method_span = ctx.span(&label);
@@ -342,7 +340,7 @@ fn lazy_ts<R: Rows>(
         // key substitutes (and may retry the probe) instead of pruning.
         cache.send(ctx, fj, probe_cols, &probe_key);
     }
-    Ok(cache.finish(label, ctx, &before, 0, out))
+    Ok(cache.finish(label, ctx, &start, 0, out))
 }
 
 /// The ordered-relation schedule: the relation is grouped by the probe
@@ -356,7 +354,7 @@ fn ordered_ts<R: Rows>(
     fj: &ForeignJoin<'_, R>,
     probe_cols: &[usize],
 ) -> Result<MethodOutcome, MethodError> {
-    let before = ctx.server.usage();
+    let start = ctx.invoice.get();
     let text_schema = ctx.server.schema();
     let label = format!("{}-ord", method_label("P", probe_cols, "TS"));
     let _method_span = ctx.span(&label);
@@ -410,7 +408,7 @@ fn ordered_ts<R: Rows>(
     let rows = out.len();
     Ok(MethodOutcome {
         table: out,
-        report: report(label, ctx, &before, 0, rows),
+        report: report(label, ctx, &start, 0, rows),
     })
 }
 
@@ -425,7 +423,7 @@ pub fn probe_rtp<R: Rows>(
 ) -> Result<MethodOutcome, MethodError> {
     fj.validate()?;
     validate_probe_cols(fj, probe_cols)?;
-    let before = ctx.server.usage();
+    let start = ctx.invoice.get();
     let text_schema = ctx.server.schema();
     let label = method_label("P", probe_cols, "RTP");
     let _method_span = ctx.span(&label);
@@ -531,7 +529,7 @@ pub fn probe_rtp<R: Rows>(
             }
         }
     }
-    Ok(probes.finish(label, ctx, &before, comparisons, out))
+    Ok(probes.finish(label, ctx, &start, comparisons, out))
 }
 
 /// The relational `ColId`s of the probe predicate indices.

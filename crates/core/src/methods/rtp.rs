@@ -49,7 +49,7 @@ fn rtp<R: Rows>(
     let sel = fj.selections_expr().ok_or_else(|| {
         MethodError::NotApplicable("RTP needs selection conditions on the text data".into())
     })?;
-    let before = ctx.server.usage();
+    let start = ctx.invoice.get();
     let method_span = ctx.span("RTP");
 
     // One search carrying only the text selections.
@@ -67,11 +67,11 @@ fn rtp<R: Rows>(
     };
     let Some(result) = result else {
         // The guard tripped: tuple substitution answers, and the report
-        // books everything since `before`, the abandoned search included —
+        // books everything since `start`, the abandoned search included —
         // runtime re-optimization is not free, it is insurance.
         drop(method_span);
         let mut out = tuple_substitution(ctx, fj, true)?;
-        out.report.text = ctx.server.usage().since(&before);
+        out.report.text = ctx.invoice.get().since(&start);
         out.report.method = "RTP→TS".into();
         return Ok(out);
     };
@@ -96,7 +96,7 @@ fn rtp<R: Rows>(
     };
     Ok(MethodOutcome {
         table: out,
-        report: report(label, ctx, &before, comparisons, rows),
+        report: report(label, ctx, &start, comparisons, rows),
     })
 }
 

@@ -54,7 +54,7 @@ pub fn semi_join<R: Rows>(
         )));
     }
 
-    let before = ctx.server.usage();
+    let start = ctx.invoice.get();
     let text_schema = ctx.server.schema();
     let label = if fj.projection == Projection::DocIds {
         "SJ"
@@ -136,7 +136,7 @@ pub fn semi_join<R: Rows>(
         let rows = out.len();
         return Ok(MethodOutcome {
             table: out,
-            report: report(label, ctx, &before, 0, rows),
+            report: report(label, ctx, &start, 0, rows),
         });
     }
 
@@ -154,7 +154,7 @@ pub fn semi_join<R: Rows>(
     let rows = out.len();
     Ok(MethodOutcome {
         table: out,
-        report: report(label, ctx, &before, comparisons, rows),
+        report: report(label, ctx, &start, comparisons, rows),
     })
 }
 

@@ -27,7 +27,7 @@ pub fn tuple_substitution<R: Rows>(
             "TS needs at least one foreign join predicate".into(),
         ));
     }
-    let before = ctx.server.usage();
+    let start = ctx.invoice.get();
     let _method_span = ctx.span(if distinct { "TS" } else { "TS-naive" });
     let text_schema = ctx.server.schema();
     let mut out = fj.output_table(text_schema, "TS");
@@ -65,7 +65,7 @@ pub fn tuple_substitution<R: Rows>(
         report: report(
             if distinct { "TS" } else { "TS-naive" },
             ctx,
-            &before,
+            &start,
             0,
             rows,
         ),
@@ -98,7 +98,7 @@ pub fn tuple_substitution_batched<R: Rows>(
             "batch size must be positive".into(),
         ));
     }
-    let before = ctx.server.usage();
+    let start = ctx.invoice.get();
     let _method_span = ctx.span("TS-batch");
     let text_schema = ctx.server.schema();
     let mut out = fj.output_table(text_schema, "TS-batch");
@@ -133,7 +133,7 @@ pub fn tuple_substitution_batched<R: Rows>(
     let rows = out.len();
     Ok(MethodOutcome {
         table: out,
-        report: report("TS-batch", ctx, &before, 0, rows),
+        report: report("TS-batch", ctx, &start, 0, rows),
     })
 }
 

@@ -182,10 +182,9 @@ impl PreparedQuery {
         let (sel_fanout, sel_postings) = match self.foreign_join().selections_expr() {
             None => (server.doc_count() as f64, 0.0),
             Some(expr) => {
-                let before = server.usage();
-                let result = server.search(&expr)?;
-                let delta = server.usage().since(&before);
-                (result.len() as f64, delta.postings_processed as f64)
+                let search = server.search_billed(&expr);
+                let postings = search.invoice.postings_processed as f64;
+                (search.value?.len() as f64, postings)
             }
         };
         Ok(self.assemble(

@@ -1,23 +1,20 @@
 //! Deterministic retry with simulated exponential backoff.
 //!
 //! The loose-integration boundary is a WAN (paper, Sections 2.3 and 7):
-//! connection refusals and timeouts are part of the service contract, not
-//! exceptional conditions. This module gives every join method a uniform,
-//! *deterministic* response to them — bounded retries with exponential
-//! backoff whose waiting time is **simulated seconds charged into the
-//! server's [`Usage`] ledger** (`retries` / `ns_backoff`), never
-//! wall-clock sleeps. Experiments stay byte-reproducible; the chaos bench
-//! can report fault overhead as exact numbers.
+//! connection refusals and timeouts are part of the service contract. Every
+//! join method meets them the same deterministic way: bounded retries with
+//! exponential backoff, the wait **simulated seconds the service bills**
+//! (`retries` / `ns_backoff`), never a wall-clock sleep.
 //!
-//! Only errors whose [`TextError::is_transient`] is true are retried.
-//! Everything else (term-cap violations, cap renegotiation, unknown ids,
-//! parse errors) is deterministic — retrying verbatim cannot help, so the
-//! error surfaces immediately and the caller decides whether to *degrade*
-//! (split the package, fall back to TS, skip the probe) instead.
+//! Only errors whose [`TextError::is_transient`] is true are retried. The
+//! rest (cap violations, unknown ids, parse errors) would fail verbatim
+//! again, so they surface at once and the caller may *degrade* instead
+//! (split the package, fall back to TS, skip the probe).
 
 use std::cell::RefCell;
 
-use textjoin_text::server::TextError;
+use textjoin_text::server::{TextError, Usage};
+use textjoin_text::service::Billed;
 
 /// Each further failure multiplies the wait by this (classic doubling).
 const BACKOFF_MULTIPLIER: f64 = 2.0;
@@ -77,26 +74,29 @@ impl RetryPolicy {
     /// `observe` (`true` = faulted transiently), and before each retry
     /// `wait` receives the 1-based count of failures absorbed so far and
     /// the simulated backoff to charge — against the service as a whole or
-    /// against the replica that caused the wait, the caller decides.
-    /// Non-transient errors and the final transient error pass through
-    /// unchanged.
+    /// against the replica that caused the wait, the caller decides — and
+    /// returns the wait's invoice. Non-transient errors and the final
+    /// transient error pass through unchanged, billed with the sum of every
+    /// attempt's and every wait's invoice.
     pub(crate) fn run<T>(
         &self,
-        mut op: impl FnMut() -> Result<T, TextError>,
+        mut op: impl FnMut() -> Billed<T>,
         mut observe: impl FnMut(bool),
-        mut wait: impl FnMut(u32, f64),
-    ) -> Result<T, TextError> {
+        mut wait: impl FnMut(u32, f64) -> Usage,
+    ) -> Billed<T> {
         let attempts = self.max_attempts.max(1);
         let mut failed = 0u32;
+        let mut invoice = Usage::default();
         loop {
             let out = op();
-            observe(out.as_ref().is_err_and(TextError::is_transient));
-            match out {
+            invoice.accumulate(&out.invoice);
+            observe(out.value.as_ref().is_err_and(TextError::is_transient));
+            match out.value {
                 Err(e) if e.is_transient() && failed + 1 < attempts => {
                     failed += 1;
-                    wait(failed, self.backoff_after(failed));
+                    invoice.accumulate(&wait(failed, self.backoff_after(failed)));
                 }
-                out => return out,
+                value => return Billed { value, invoice },
             }
         }
     }
@@ -527,16 +527,22 @@ mod tests {
         let out = p.run(
             || {
                 calls += 1;
-                if calls < 3 {
-                    Err(TextError::Unavailable)
-                } else {
-                    Ok(())
+                Billed {
+                    value: if calls < 3 {
+                        Err(TextError::Unavailable)
+                    } else {
+                        Ok(())
+                    },
+                    invoice: Usage::default(),
                 }
             },
             |_| {},
-            |_, w| waits.push(w),
+            |_, w| {
+                waits.push(w);
+                Usage::default()
+            },
         );
-        assert!(out.is_ok());
+        assert!(out.value.is_ok());
         assert_eq!(waits, [0.0, 0.0], "no backoff charged");
     }
 

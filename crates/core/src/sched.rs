@@ -1,35 +1,23 @@
 //! Deterministic virtual-time transport scheduler.
 //!
-//! Execution in this repo is synchronous and single-threaded — that is what
-//! keeps every experiment byte-reproducible. But the *modelled* transport is
-//! not serial: a scatter/gather sends its shard legs concurrently, a hedged
-//! read races two replicas, and a deadline bounds the whole query. This
-//! module is the discrete-event model of that concurrency: a simulated
-//! clock (no wall time, no threads, no external dependencies — std only)
-//! over which the executor replays each leg's *charged* cost as a timed
-//! interval on a bounded number of per-shard lanes. The clock counts the
-//! ledger's unit, integer ticks (simulated nanoseconds), so every clock
-//! comparison — deadline pressure, a deadline miss, a hedge race — is
-//! exact and independent of summation order.
+//! Execution is synchronous and single-threaded, which keeps every
+//! experiment byte-reproducible; the *modelled* transport is not: a scatter
+//! sends its shard legs concurrently, a hedged read races two replicas, and
+//! a deadline bounds the query. This is the discrete-event model of that
+//! concurrency, std only: a simulated clock over which the transport
+//! replays each leg's *invoiced* cost as a timed interval on per-shard
+//! lanes. It counts integer ticks (simulated nanoseconds), so deadline
+//! pressure, a miss and a hedge race are exact in any summation order.
 //!
-//! The separation of concerns is deliberate:
-//!
-//! * the **ledger** ([`Usage`](../../textjoin_text/server/struct.Usage.html))
-//!   keeps recording what work was charged — the scheduler never books or
-//!   rebates a charge;
-//! * the **scheduler** decides *when* that work would have happened under
-//!   bounded concurrency, yielding the **makespan** (critical-path time),
-//!   which becomes a first-class cost next to the total charge;
-//! * results are computed exactly as before — the scheduler cannot change a
-//!   method's output multiset, so oracle equivalence is structural.
+//! The scheduler never bills or rebates: it decides *when* billed work
+//! would have happened, yielding the **makespan** (critical-path time) next
+//! to the total charge, and it cannot change a method's output multiset.
 //!
 //! Within a [`begin_phase`](Scheduler::begin_phase) /
 //! [`end_phase`](Scheduler::end_phase) pair, legs on *different* shards
-//! overlap freely and legs on the *same* shard queue on that shard's one
-//! lane. Outside a phase, legs are serial (the clock advances by the full
-//! cost). Hedged legs occupy their shard lane only until the winner
-//! finishes; the loser's charge is rebated by the transport layer, not
-//! here.
+//! overlap and legs on the *same* shard queue on its lane; outside a phase
+//! legs are serial. A hedge race holds its lane until the winner finishes;
+//! the transport rebates the loser.
 
 use std::cell::{Cell, RefCell};
 

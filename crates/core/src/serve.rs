@@ -17,9 +17,9 @@
 //!    the queue cap the lowest-priority queued request is shed
 //!    ([`ServeError::Shed`]).
 //! 3. **Tenant isolation.** Each tenant owns its `RetryBudget`, its
-//!    fault-model fold (priced from its *own* ledger) and its invoice, a
-//!    `Usage::since` delta around each execution. The aggregate ledger
-//!    is exactly Σ invoices + the migration bucket.
+//!    fault-model fold (priced from its *own* invoice) and its invoice, the
+//!    sum of what its executions were billed. The aggregate ledger is
+//!    exactly Σ invoices + the migration bucket.
 //! 4. **Cross-query sharing.** Per-tenant [`ProbeCache`] and plan cache
 //!    (keyed on spec shape, topology epoch, folded params): charge-free,
 //!    result-preserving, visible as charge-free `CacheHit` events. Below
@@ -49,7 +49,7 @@ use textjoin_text::service::TextService;
 use textjoin_text::shard::ShardedTextServer;
 
 use crate::cost::params::CostParams;
-use crate::exec::{execute_prepared, fold_params, plan_prepared, prepare_input, ExecHooks};
+use crate::exec::{execute_billed, fold_params, plan_prepared, prepare_input, ExecHooks};
 use crate::methods::cache::ProbeCache;
 use crate::methods::{CostCeiling, MethodError};
 use crate::optimizer::multi::{ExecutionSpace, PlannedQuery, PlannerInput};
@@ -228,8 +228,8 @@ pub struct QueryRecord {
     pub est_cost: f64,
     /// How the request ended.
     pub outcome: Result<QueryOutcome, ServeError>,
-    /// `Usage` delta booked to the tenant for this request (zero for
-    /// every refusal; partial for budget aborts).
+    /// What the request's execution was billed (zero for every refusal;
+    /// partial for budget aborts).
     pub invoice: Usage,
 }
 
@@ -244,7 +244,7 @@ pub struct TenantReport {
     pub budget: f64,
     /// Shedding priority.
     pub priority: u32,
-    /// Sum of the tenant's per-request `Usage` deltas — the invoice.
+    /// Sum of the tenant's per-request invoices.
     pub invoice: Usage,
     /// Simulated seconds drawn from the budget (text + relational).
     pub spent: f64,
@@ -279,8 +279,8 @@ pub struct ServeReport {
     pub records: Vec<QueryRecord>,
     /// Per-tenant accounting, tenant-index order.
     pub tenants: Vec<TenantReport>,
-    /// Aggregate server `Usage` over the session (delta from session
-    /// start). Decomposes exactly into Σ tenant invoices + `migration`.
+    /// The aggregate ledger's delta over the session: exactly Σ tenant
+    /// invoices + `migration`.
     pub aggregate: Usage,
     /// The migration bucket's delta over the session.
     pub migration: Usage,
@@ -396,8 +396,8 @@ pub struct ServeSession<'a> {
 impl<'a> ServeSession<'a> {
     /// Opens a session: installs the session recorder (a ring trace,
     /// teed into the monitor when one is configured) on the backend,
-    /// switches stats-aware routing on, and snapshots the ledgers the
-    /// report's deltas are measured from.
+    /// switches stats-aware routing on, and reads the aggregate ledger and
+    /// the migration bucket the report's record starts from.
     pub fn new(
         backend: Backend<'a>,
         catalog: &'a Catalog,
@@ -420,6 +420,8 @@ impl<'a> ServeSession<'a> {
                 s.set_stats_routing(STATS_ROUTING);
             }
         }
+        // Ledger reads: where the session's aggregate and migration-bucket
+        // record starts.
         let start_usage = backend.service().usage();
         let start_migration = match &backend {
             Backend::Elastic(s) => s.migration_usage(),
@@ -674,8 +676,8 @@ impl<'a> ServeSession<'a> {
 
     /// Executes one dequeued request with the tenant's isolation kit:
     /// its retry budget, its session caches, its budget ceiling, and a
-    /// plan re-validated against the current topology epoch. The invoice
-    /// delta is measured around the execution regardless of outcome.
+    /// plan re-validated against the current topology epoch. The tenant is
+    /// invoiced what the execution was billed, whatever its outcome.
     fn dispatch(&mut self, ti: usize, req: Prepared, pressure: bool) {
         self.dispatches_since_refit += 1;
         let (arrival, est) = (req.arrival, req.planned.est_cost);
@@ -691,19 +693,16 @@ impl<'a> ServeSession<'a> {
         };
         let remaining = (self.tenants[ti].spec.budget - self.tenants[ti].spent).max(0.0);
         let service = self.backend.service();
-        let before = service.usage();
         let hooks = ExecHooks {
             retry_budget: Some(&self.tenants[ti].retry),
             probe_cache: Some(&self.tenants[ti].probe_cache),
             ceiling: Some(CostCeiling {
-                baseline: before.ticks(),
                 limit: ns(remaining) as u64,
             }),
             force_pressure: pressure,
             analyze: self.cfg.analyze,
         };
-        let res = execute_prepared(&input, &planned, self.catalog, service, &hooks);
-        let invoice = service.usage().since(&before);
+        let (res, invoice) = execute_billed(&input, &planned, self.catalog, service, &hooks);
         self.tenants[ti].invoice.accumulate(&invoice);
         let outcome = match res {
             Ok(out) => Ok(QueryOutcome {
@@ -750,8 +749,8 @@ impl<'a> ServeSession<'a> {
     /// Auto-executes pending monitor advice through the online migration
     /// engine while the migration budget lasts. Runs strictly between
     /// dispatches (and once at session close, where the monitor flushes
-    /// its final window), so every transfer lands in the migration
-    /// bucket and never inside a tenant's invoice delta.
+    /// its final window): no query receives a transfer's invoice, which
+    /// the migration bucket books.
     fn rebalance(&mut self) {
         if self.cfg.migration_budget <= 0.0 {
             return;
@@ -767,10 +766,9 @@ impl<'a> ServeSession<'a> {
         while self.advice_consumed < advice.len() {
             let a = &advice[self.advice_consumed];
             self.advice_consumed += 1;
-            let spent = sh
-                .migration_usage()
-                .since(&self.start_migration)
-                .total_cost();
+            // A ledger read: the migration bucket is the budget's record.
+            let spent = sh.migration_usage().since(&self.start_migration);
+            let spent = spent.total_cost();
             if spent >= self.cfg.migration_budget {
                 continue;
             }
@@ -803,6 +801,8 @@ impl<'a> ServeSession<'a> {
         // which may have derived fresh advice; act on it so a session
         // never exits leaving funded advice unexecuted.
         self.rebalance();
+        // Ledger reads: the servers' record of the session, Σ invoices +
+        // the migration bucket.
         let aggregate = self.backend.service().usage().since(&self.start_usage);
         let migration = match &self.backend {
             Backend::Elastic(s) => s.migration_usage().since(&self.start_migration),

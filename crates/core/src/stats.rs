@@ -77,10 +77,9 @@ pub(crate) fn sample_predicate(
     let mut total_docs = 0usize;
     let mut total_postings = 0u64;
     for &i in &picks {
-        let before = server.usage();
-        let result = server.search(&SearchExpr::term_in(values[i], field))?;
-        let delta = server.usage().since(&before);
-        total_postings += delta.postings_processed;
+        let search = server.search_billed(&SearchExpr::term_in(values[i], field));
+        total_postings += search.invoice.postings_processed;
+        let result = search.value?;
         if !result.is_empty() {
             hits += 1;
             total_docs += result.len();

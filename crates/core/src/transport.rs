@@ -8,6 +8,10 @@
 //! breakers, hedged reads, gather completion, and the virtual-time
 //! scheduler's leg bookkeeping.
 //!
+//! Every call hands back its invoice ([`Billed`]); the context sums what
+//! it receives, and that sum is what a method, plan node or query costs.
+//! The scheduler times each leg by the leg's own invoices.
+//!
 //! A sharded scatter is the service's own gather loop
 //! ([`ShardedTextServer::gather_search`] / [`gather_batch`]) run over the
 //! client's leg — a `gather/shard{i}` span, the retrying, breaker-aware
@@ -16,7 +20,7 @@
 //!
 //! [`gather_batch`]: ShardedTextServer::gather_batch
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use textjoin_obs::{ns, EventKind, Recorder, SpanGuard};
@@ -24,7 +28,7 @@ use textjoin_text::batch::BatchResult;
 use textjoin_text::doc::{DocId, Document};
 use textjoin_text::expr::SearchExpr;
 use textjoin_text::server::{SearchResult, TextError, Usage};
-use textjoin_text::service::TextService;
+use textjoin_text::service::{Billed, TextService};
 use textjoin_text::shard::ShardedTextServer;
 
 use crate::methods::cache::ProbeCache;
@@ -33,26 +37,17 @@ use crate::sched::{LegTiming, Scheduler};
 
 /// Execution context shared by the methods: the metered text service, the
 /// relational text-processing cost constant `c_a` (sec per document–tuple
-/// comparison), and the retry policy applied to every server operation.
+/// comparison), the retry policy, and what the calls have been billed.
 ///
-/// Methods reach the service through the retrying wrappers below
-/// ([`search`](Self::search), [`probe`](Self::probe), …) instead of calling
-/// `ctx.server.*` directly, so transient faults are absorbed uniformly and
-/// their simulated backoff is charged into the same [`Usage`] ledger the
-/// cost decomposition audits.
-///
-/// Against a [`ShardedTextServer`] the wrappers switch to *per-shard*
-/// scatter/gather: each shard gets its own retry loop (so one flaky shard
-/// does not burn the budget of its healthy peers), backoff is charged to
-/// the shard that caused the wait, and a shard that exhausts its attempts
-/// yields a typed [`PartialShardError`] carrying the per-shard results
-/// gathered so far — methods then either re-route around the hole (probes
-/// degrade to "unknown", P+RTP's per-key TS fallback recovers) or fail
-/// cleanly, never with a wrong multiset. When a [`RetryBudget`] is
-/// attached, each shard's attempt count adapts to its observed fault rate.
+/// Methods reach the service only through the retrying wrappers below.
+/// Against a [`ShardedTextServer`] they scatter per shard: each shard gets
+/// its own retry loop and pays its own backoff, and a shard that exhausts
+/// its attempts yields a typed [`PartialShardError`] with the results
+/// gathered so far, so methods re-route around the hole or fail cleanly,
+/// never with a wrong multiset. A [`RetryBudget`] adapts each shard's
+/// attempts to its observed fault rate.
 ///
 /// [`PartialShardError`]: textjoin_text::shard::PartialShardError
-#[derive(Clone, Copy)]
 pub struct ExecContext<'a> {
     /// The text service (a single server or a sharded one).
     pub server: &'a dyn TextService,
@@ -62,35 +57,30 @@ pub struct ExecContext<'a> {
     pub retry: RetryPolicy,
     /// Optional adaptive per-shard retry budget (sharded services only).
     pub budget: Option<&'a RetryBudget>,
-    /// Optional virtual-time transport scheduler. When attached, every
-    /// server leg's charged cost is also booked as a timed leg, scatter
-    /// legs overlap under the configured concurrency, slow-but-successful
-    /// primary legs are hedged against a replica (with the loser's charge
-    /// rebated), and per-query deadlines are tracked. Results are never
-    /// affected: the scheduler models *when* work completes, not *what*
-    /// it computes.
+    /// Optional virtual-time transport scheduler: times every leg by its
+    /// invoice, overlaps scatter legs, hedges slow primary legs against a
+    /// replica (rebating the loser) and tracks the deadline. It models
+    /// *when* work completes, never *what* it computes.
     pub sched: Option<&'a Scheduler>,
-    /// Optional session-scoped probe cache. `None` (the default) keeps
-    /// the paper's per-execution caches; a serving session threads one
-    /// shared cache through every execution so probe outcomes proved by
-    /// one query prune the next (namespaced by the full probe identity,
-    /// so only identical probes ever share an entry).
+    /// Optional session-scoped probe cache: a serving session shares one
+    /// across executions, so a probe outcome one query proved prunes the
+    /// next identical probe. `None` keeps the per-execution caches.
     pub probe_cache: Option<&'a RefCell<ProbeCache>>,
-    /// Optional per-query cost ceiling. When attached, every charged
-    /// wrapper refuses to issue the next operation once the server's
-    /// ledger has grown past `baseline + limit` ticks, returning the
-    /// non-transient [`TextError::BudgetExceeded`] — the serving
-    /// session's mid-flight budget guard. Charges already booked stay.
+    /// Optional per-query cost ceiling, the serving session's mid-flight
+    /// budget guard (see [`CostCeiling`]).
     pub ceiling: Option<CostCeiling>,
+    /// The sum of every invoice the context's calls received. Client-side,
+    /// shared with no server.
+    pub invoice: Cell<Usage>,
 }
 
-/// A per-query charge ceiling for [`ExecContext`], in ticks: operations
-/// are refused once `server.usage().ticks() - baseline` exceeds `limit`.
+/// A per-query charge ceiling for [`ExecContext`]: once the context's
+/// invoice exceeds `limit` ticks, every charged wrapper refuses the next
+/// operation with the non-transient [`TextError::BudgetExceeded`].
+/// Charges already booked stay.
 #[derive(Debug, Clone, Copy)]
 pub struct CostCeiling {
-    /// The server ledger's `ticks()` when the query started.
-    pub baseline: u64,
-    /// Ticks the query may charge beyond the baseline.
+    /// Ticks the query may be billed.
     pub limit: u64,
 }
 
@@ -111,6 +101,7 @@ impl<'a> ExecContext<'a> {
             sched: None,
             probe_cache: None,
             ceiling: None,
+            invoice: Cell::default(),
         }
     }
 
@@ -130,14 +121,19 @@ impl<'a> ExecContext<'a> {
         self
     }
 
-    /// The mid-flight budget guard: refuses the next charged operation
-    /// once the ledger has overrun the attached ceiling. Free when no
-    /// ceiling is attached.
+    /// Adds a received invoice to the context's.
+    pub(crate) fn bill(&self, invoice: &Usage) {
+        let mut sum = self.invoice.get();
+        sum.accumulate(invoice);
+        self.invoice.set(sum);
+    }
+
+    /// The mid-flight budget guard (see [`CostCeiling`]).
     fn guard_budget(&self) -> Result<(), TextError> {
         let Some(c) = self.ceiling else {
             return Ok(());
         };
-        let spent = self.server.usage().ticks().saturating_sub(c.baseline);
+        let spent = self.invoice.get().ticks();
         if spent > c.limit {
             let ms = |t: u64| t.saturating_add(500_000) / 1_000_000;
             return Err(TextError::BudgetExceeded {
@@ -148,15 +144,13 @@ impl<'a> ExecContext<'a> {
         Ok(())
     }
 
-    /// The flight recorder attached to the service, if any. Observation is
-    /// passive: recording never books a charge into the [`Usage`] ledger.
+    /// The flight recorder attached to the service, if any.
     pub(crate) fn recorder(&self) -> Option<Rc<Recorder>> {
         self.server.recorder()
     }
 
-    /// Opens a method-phase span on the attached recorder (no-op when the
-    /// service is not being recorded). The guard closes the span on drop,
-    /// including on early error returns.
+    /// Opens a method-phase span on the attached recorder, if any; the
+    /// guard closes it on drop, error returns included.
     pub(crate) fn span(&self, label: &str) -> Option<SpanGuard> {
         self.recorder().map(|r| r.span(label))
     }
@@ -177,11 +171,9 @@ impl<'a> ExecContext<'a> {
         }
     }
 
-    /// Emits the docids a gather leg just routed to the client as a free
-    /// `DocTraffic` event, attributed to the serving shard. These ids were
-    /// *already transmitted* (their charges live on the `Call` events);
-    /// this is pure routing metadata so the traffic monitor can derive
-    /// rebalance advice from observed traffic instead of seeded windows.
+    /// Emits the docids a gather leg routed to the client as a free
+    /// `DocTraffic` event of the serving shard: routing metadata the
+    /// traffic monitor derives rebalance advice from.
     fn note_doc_traffic(&self, shard: usize, ids: &[DocId]) {
         if ids.is_empty() || self.recorder().is_none() {
             return;
@@ -192,53 +184,37 @@ impl<'a> ExecContext<'a> {
         });
     }
 
-    /// Books one transport leg's charged cost on the attached scheduler
-    /// (no-op without one). The first leg whose completion crosses the
-    /// query deadline emits a single chargeless `DeadlineMiss` event —
-    /// deadline misses degrade downstream, they never error.
-    fn record_leg(&self, shard: Option<usize>, delta: &Usage) {
+    /// Receives one transport leg: bills its invoice and times it on the
+    /// scheduler, if any. The first leg to finish past the deadline emits
+    /// the one free `DeadlineMiss` event; a miss degrades, never errors.
+    fn leg<T>(&self, shard: Option<usize>, leg: Billed<T>) -> Result<T, TextError> {
+        self.bill(&leg.invoice);
         if let Some(sched) = self.sched {
-            let t = sched.issue(shard, delta.ticks());
+            let t = sched.issue(shard, leg.invoice.ticks());
             if t.crossed_deadline {
                 self.emit_event(EventKind::DeadlineMiss { shard });
             }
         }
+        leg.value
     }
 
-    /// Runs `f` as one serial leg on the scheduler, measured by the
-    /// service's own ledger delta.
-    fn serial_leg<T>(&self, f: impl FnOnce() -> T) -> T {
-        let before = self.sched.map(|_| self.server.usage());
-        let out = f();
-        if let Some(before) = before {
-            self.record_leg(None, &self.server.usage().since(&before));
-        }
-        out
+    /// Receives a call that is no transport leg: bills its invoice.
+    fn billed<T>(&self, call: Billed<T>) -> Result<T, TextError> {
+        self.bill(&call.invoice);
+        call.value
     }
 
     /// Runs an unsharded server operation as one serial leg under the
     /// context's retry policy, each wait charged to the service as a whole.
-    fn unsharded<T>(&self, op: impl FnMut() -> Result<T, TextError>) -> Result<T, TextError> {
-        self.serial_leg(|| {
-            self.retry.run(
-                op,
-                |_| {},
-                |attempt, seconds| {
-                    self.server.charge_backoff(seconds);
-                    self.emit_event(EventKind::Retry {
-                        shard: None,
-                        attempt,
-                    });
-                },
-            )
-        })
+    fn unsharded<T>(&self, op: impl FnMut() -> Billed<T>) -> Result<T, TextError> {
+        let backoff = |seconds| self.server.backoff_billed(seconds);
+        let leg = self.attempts(None, self.retry, |_| {}, op, backoff);
+        self.leg(None, leg)
     }
 
-    /// Retry loop for one replica leg: the backoff is charged against the
-    /// failing replica's ledger and — on the primary leg only
-    /// (`feed_budget`) — every attempt's outcome feeds the adaptive
-    /// budget's EWMA. Secondary legs stay out of the EWMA: it models the
-    /// *primary's* health, which is what the breaker routes on.
+    /// Retry loop for one replica leg, its backoff charged to that replica.
+    /// On the primary leg only (`feed_budget`) each attempt's outcome feeds
+    /// the budget's EWMA, which models the primary's health for the breaker.
     fn leg_attempts<T>(
         &self,
         sh: &ShardedTextServer,
@@ -246,94 +222,86 @@ impl<'a> ExecContext<'a> {
         replica: usize,
         policy: RetryPolicy,
         feed_budget: bool,
-        op: &mut impl FnMut(usize) -> Result<T, TextError>,
-    ) -> Result<T, TextError> {
+        op: &mut impl FnMut(usize) -> Billed<T>,
+    ) -> Billed<T> {
         let fed = self.budget.filter(|_| feed_budget);
-        policy.run(
-            || op(replica),
-            |faulted| {
-                if let Some(b) = fed {
-                    b.observe(shard, faulted);
-                }
-            },
-            |attempt, seconds| {
-                sh.charge_replica_backoff(shard, replica, seconds);
-                self.emit_event(EventKind::Retry {
-                    shard: Some(shard),
-                    attempt,
-                });
-            },
-        )
+        let observe = |faulted| fed.iter().for_each(|b| b.observe(shard, faulted));
+        let backoff = |seconds| sh.charge_replica_backoff(shard, replica, seconds);
+        self.attempts(Some(shard), policy, observe, || op(replica), backoff)
     }
 
-    /// One shard leg with replica failover. `op` is called with the replica
-    /// index to address. With R=1 this is exactly the pre-replication
-    /// per-shard retry loop. With R>1 it consults the breaker (when a
-    /// budget is attached): an open breaker skips the primary outright
-    /// (charging it nothing), a half-open turn probes it with a single
-    /// attempt (success closes the breaker), and otherwise the primary gets
-    /// its full adaptive retry loop. On transient exhaustion the leg fails
-    /// over through the secondaries in routing order — base policy, EWMA
-    /// untouched — emitting a `Failover` event per hop. The caller sees a
-    /// transient error (the last secondary's) only when every replica is
-    /// down.
+    /// One retried leg, billed for the caller to receive: `op`'s attempts
+    /// under `policy`, each shown to `observe`, each wait charged by
+    /// `backoff` and announced as a `Retry` on `shard`.
+    fn attempts<T>(
+        &self,
+        shard: Option<usize>,
+        policy: RetryPolicy,
+        observe: impl FnMut(bool),
+        op: impl FnMut() -> Billed<T>,
+        backoff: impl Fn(f64) -> Usage,
+    ) -> Billed<T> {
+        policy.run(op, observe, |attempt, seconds| {
+            let wait = backoff(seconds);
+            self.emit_event(EventKind::Retry { shard, attempt });
+            wait
+        })
+    }
+
+    /// One shard leg with replica failover; `op` addresses a replica.
+    /// With R=1 it is the shard's retry loop. With R>1 it consults the
+    /// breaker, if a budget is attached: open, the primary is skipped
+    /// (charged nothing); on a half-open turn it gets one attempt, whose
+    /// success closes the breaker; otherwise its full adaptive retry loop.
+    /// On transient exhaustion the leg fails over through the secondaries
+    /// in routing order (base policy, EWMA untouched), and errs only when
+    /// every replica is down.
     fn replicated_attempts<T>(
         &self,
         sh: &ShardedTextServer,
         shard: usize,
-        mut op: impl FnMut(usize) -> Result<T, TextError>,
+        mut op: impl FnMut(usize) -> Billed<T>,
     ) -> Result<T, TextError> {
         let order = sh.routing_order(shard);
         if order.len() == 1 {
-            let before = self.leg_baseline(sh, shard, order[0]);
-            let out =
-                self.leg_attempts(sh, shard, order[0], self.shard_policy(shard), true, &mut op);
-            self.book_leg(sh, shard, order[0], before);
-            return out;
+            let policy = self.shard_policy(shard);
+            let leg = self.leg_attempts(sh, shard, order[0], policy, true, &mut op);
+            return self.leg(Some(shard), leg);
         }
         let primary = order[0];
         match self.budget.map(|b| (b, b.route(shard))) {
             None | Some((_, Route::Primary)) => {
-                let before = self.leg_baseline(sh, shard, primary);
                 let policy = self.shard_policy(shard);
-                match self.leg_attempts(sh, shard, primary, policy, true, &mut op) {
-                    Ok(v) => {
-                        self.settle_primary_leg(sh, shard, primary, order[1], before, &mut op);
-                        return Ok(v);
+                let leg = self.leg_attempts(sh, shard, primary, policy, true, &mut op);
+                if leg.value.is_ok() {
+                    return self.settle_primary_leg(sh, shard, primary, order[1], leg, &mut op);
+                }
+                if let Err(e) = self.leg(Some(shard), leg) {
+                    if !e.is_transient() {
+                        return Err(e);
                     }
-                    Err(e) => {
-                        self.book_leg(sh, shard, primary, before);
-                        if !e.is_transient() {
-                            return Err(e);
-                        }
-                        if let Some(b) = self.budget.filter(|b| b.open_breaker_if_dead(shard)) {
-                            self.emit_event(EventKind::CircuitOpen {
-                                shard,
-                                rate: b.rate_of(shard),
-                            });
-                        }
+                    if let Some(b) = self.budget.filter(|b| b.open_breaker_if_dead(shard)) {
+                        self.emit_event(EventKind::CircuitOpen {
+                            shard,
+                            rate: b.rate_of(shard),
+                        });
                     }
                 }
             }
-            Some((b, Route::HalfOpenProbe)) => {
-                let before = self.leg_baseline(sh, shard, primary);
-                let attempt = op(primary);
-                self.book_leg(sh, shard, primary, before);
-                match attempt {
-                    Ok(v) => {
-                        b.observe(shard, false);
-                        if b.close_breaker(shard) {
-                            self.emit_event(EventKind::CircuitClose {
-                                shard,
-                                rate: b.rate_of(shard),
-                            });
-                        }
-                        return Ok(v);
+            Some((b, Route::HalfOpenProbe)) => match self.leg(Some(shard), op(primary)) {
+                Ok(v) => {
+                    b.observe(shard, false);
+                    if b.close_breaker(shard) {
+                        self.emit_event(EventKind::CircuitClose {
+                            shard,
+                            rate: b.rate_of(shard),
+                        });
                     }
-                    Err(e) if e.is_transient() => b.observe(shard, true),
-                    Err(e) => return Err(e),
+                    return Ok(v);
                 }
-            }
+                Err(e) if e.is_transient() => b.observe(shard, true),
+                Err(e) => return Err(e),
+            },
             // Breaker open, not a probe turn: the primary is skipped and
             // charged nothing.
             Some((_, Route::Replica)) => {}
@@ -345,40 +313,15 @@ impl<'a> ExecContext<'a> {
             replica: order[1],
         });
         sh.failover(shard, &order[1..], |r| {
-            let before = self.leg_baseline(sh, shard, r);
-            let out = self.leg_attempts(sh, shard, r, self.retry, false, &mut op);
-            self.book_leg(sh, shard, r, before);
-            out
+            let leg = self.leg_attempts(sh, shard, r, self.retry, false, &mut op);
+            self.leg(Some(shard), leg)
         })
     }
 
-    /// Snapshot of one replica's ledger before a leg, taken only when a
-    /// scheduler is attached (the unscheduled hot path stays free).
-    fn leg_baseline(&self, sh: &ShardedTextServer, shard: usize, replica: usize) -> Option<Usage> {
-        self.sched.map(|_| sh.replica(shard, replica).usage())
-    }
-
-    /// Books one completed (or exhausted) replica leg on the scheduler.
-    fn book_leg(
-        &self,
-        sh: &ShardedTextServer,
-        shard: usize,
-        replica: usize,
-        before: Option<Usage>,
-    ) {
-        if let Some(before) = before {
-            let delta = sh.replica(shard, replica).usage().since(&before);
-            self.record_leg(Some(shard), &delta);
-        }
-    }
-
-    /// Books a *successful* primary leg's timing and — when the leg was a
-    /// straggler (charged cost above the shard's hedge threshold, i.e. the
-    /// seeded latency quantile from the budget's EWMA) — races a hedge
-    /// read against the first secondary. The hedge replica runs the same
-    /// operation once; the virtual clock picks the winner and the loser's
-    /// *entire* leg charge is rebated through the ledger (first-winner-
-    /// cancels-loser). The result multiset is never affected: replicas are
+    /// Receives a *successful* primary leg and, when it was a straggler
+    /// (invoiced above the shard's hedge threshold), races one hedge
+    /// attempt on the first secondary: the virtual clock picks the winner
+    /// and the loser is rebated by its own invoice. Replicas are
     /// consistent, so the caller keeps the primary's answer either way.
     fn settle_primary_leg<T>(
         &self,
@@ -386,12 +329,13 @@ impl<'a> ExecContext<'a> {
         shard: usize,
         primary: usize,
         hedge_replica: usize,
-        before: Option<Usage>,
-        op: &mut impl FnMut(usize) -> Result<T, TextError>,
-    ) {
-        let Some(before) = before else { return };
-        let delta = sh.replica(shard, primary).usage().since(&before);
-        let cost = delta.ticks();
+        leg: Billed<T>,
+        op: &mut impl FnMut(usize) -> Billed<T>,
+    ) -> Result<T, TextError> {
+        let Some(sched) = self.sched else {
+            return self.billed(leg);
+        };
+        let cost = leg.invoice.ticks();
         // Threshold first, then feed: a straggler must not raise the bar
         // it is judged against.
         let threshold = self.budget.and_then(|b| {
@@ -399,39 +343,36 @@ impl<'a> ExecContext<'a> {
             b.observe_latency(shard, cost);
             t
         });
-        let Some((sched, threshold)) = self.sched.zip(threshold).filter(|&(_, t)| cost > t) else {
-            self.record_leg(Some(shard), &delta);
-            return;
+        let Some(threshold) = threshold.filter(|&t| cost > t) else {
+            return self.leg(Some(shard), leg);
         };
+        self.bill(&leg.invoice);
         self.emit_event(EventKind::Hedge {
             shard,
             replica: hedge_replica,
         });
-        let hedge_before = sh.replica(shard, hedge_replica).usage();
         let hedged = op(hedge_replica);
-        let hedge_delta = sh
-            .replica(shard, hedge_replica)
-            .usage()
-            .since(&hedge_before);
-        let timing = sched.race(shard, cost, threshold, hedge_delta.ticks(), hedged.is_ok());
+        self.bill(&hedged.invoice);
+        let (hedge, ok) = (hedged.invoice.ticks(), hedged.value.is_ok());
+        let timing = sched.race(shard, cost, threshold, hedge, ok);
         if timing.crossed_deadline {
             self.emit_event(EventKind::DeadlineMiss { shard: Some(shard) });
         }
-        let (loser, loser_delta) = if timing.hedge_won {
-            (primary, &delta)
+        let (loser, invoice) = if timing.hedge_won {
+            (primary, &leg.invoice)
         } else {
-            (hedge_replica, &hedge_delta)
+            (hedge_replica, &hedged.invoice)
         };
-        sh.rebate_replica(shard, loser, loser_delta);
+        self.bill(&sh.replica(shard, loser).rebate(invoice));
         self.emit_event(EventKind::Cancel {
             shard,
             replica: loser,
         });
+        leg.value
     }
 
-    /// One scatter phase: `gather` runs under a `gather` span with the
-    /// shard legs overlapping on the virtual clock, and the phase closes on
-    /// every exit, error paths included.
+    /// One scatter phase: `gather` runs under a `gather` span, its shard
+    /// legs overlapping on the virtual clock.
     fn scatter_phase<T>(
         &self,
         gather: impl FnOnce() -> Result<T, TextError>,
@@ -452,7 +393,7 @@ impl<'a> ExecContext<'a> {
         &self,
         sh: &ShardedTextServer,
         i: usize,
-        op: impl FnMut(usize) -> Result<T, TextError>,
+        op: impl FnMut(usize) -> Billed<T>,
         ids: impl FnOnce(&T) -> Vec<DocId>,
     ) -> Result<T, TextError> {
         let _shard_span = self.span(&format!("gather/shard{i}"));
@@ -461,33 +402,18 @@ impl<'a> ExecContext<'a> {
         Ok(out)
     }
 
-    /// Scatter/gather search over every shard with per-shard retries: the
-    /// service's gather loop (stats-routing pruning, which the planner
-    /// folds into its costs through `CostParams::with_scatter_fanout`, and
-    /// the re-scatter of exactly the shards a migration commit touched
-    /// mid-gather) over the client's legs. Transient exhaustion at shard
-    /// `i` wraps the results gathered so far in a typed
+    /// Scatter/gather search: the service's gather loop (stats-routing
+    /// pruning, epoch re-scatter) over the client's shard legs. Transient
+    /// exhaustion at a shard yields a typed
     /// [`PartialShardError`](textjoin_text::shard::PartialShardError);
-    /// non-transient errors (cap renegotiations, syntax) propagate raw so
-    /// the callers' re-packaging degradation paths keep working unchanged.
+    /// other errors propagate raw for the callers' re-packaging paths.
     ///
-    /// Then gather completion: when a replicated gather still fails
-    /// mid-way (every replica of one shard down after retries and
-    /// failover), resume from the error's partial results —
-    /// already-transmitted shard responses are reused verbatim, only the
-    /// missing keyspace is re-scattered. Unreplicated services keep the
-    /// abort-with-partial contract unchanged: with no replica to fail over
-    /// to, an immediate re-scatter would just re-buy the same postings from
-    /// the same dead shard.
-    ///
-    /// A completion round can itself fail partially (a *different* shard
-    /// exhausts its replicas mid-re-scatter). Each round gets its own
-    /// `complete-gather[k/n]` span computed from the round's *own* partial
-    /// state, so the spans nest in completion order instead of the first
-    /// round's counts being stamped on every retry. Rounds continue while
-    /// they make progress (strictly more shards gathered); a round that
-    /// gathers nothing new means some shard is down on every replica, and
-    /// its error propagates.
+    /// A replicated gather that still fails is completed from the error's
+    /// partial results: what was shipped is reused, only the missing
+    /// keyspace re-scattered (unreplicated, that would re-buy the same
+    /// postings from the same dead shard). Each round, a serial leg under
+    /// a `complete-gather[k/n]` span of its own partial state, continues
+    /// while it gathers strictly more shards; otherwise its error stands.
     fn sharded_search(
         &self,
         sh: &ShardedTextServer,
@@ -495,15 +421,14 @@ impl<'a> ExecContext<'a> {
     ) -> Result<SearchResult, TextError> {
         if expr.term_count() > self.server.max_terms() {
             // Route through the service so the rejection is ledgered once.
-            return self.server.search(expr);
+            return self.billed(self.server.search_billed(expr));
         }
+        let leg = |i| {
+            let search = |r| self.paced(sh, || sh.search_replica(i, r, expr));
+            self.shard_leg(sh, i, search, SearchResult::ids)
+        };
         let mut out = self.scatter_phase(|| {
-            sh.gather_search(
-                vec![None; sh.shard_count()],
-                sh.topology_epoch(),
-                expr,
-                |i| self.shard_leg(sh, i, |r| sh.search_replica(i, r, expr), SearchResult::ids),
-            )
+            sh.gather_search(vec![None; sh.shard_count()], sh.topology_epoch(), expr, leg)
         });
         if sh.replication_factor() > 1 {
             while let Err(TextError::Shard(pse)) = out {
@@ -517,9 +442,8 @@ impl<'a> ExecContext<'a> {
                 // migration batch that committed since invalidates exactly
                 // the shards it touched, and completion re-scatters those
                 // alongside the failed one.
-                let round =
-                    self.serial_leg(|| sh.complete_gather_from(&pse.partial, expr, pse.epoch));
-                match round {
+                let round = sh.complete_gather_from(&pse.partial, expr, pse.epoch);
+                match self.leg(None, round) {
                     Err(TextError::Shard(next)) if next.gathered() > gathered => {
                         out = Err(TextError::Shard(next));
                     }
@@ -536,28 +460,23 @@ impl<'a> ExecContext<'a> {
         self.guard_budget()?;
         match self.server.as_sharded() {
             Some(sh) => self.sharded_search(sh, expr),
-            None => self.unsharded(|| self.server.search(expr)),
+            None => self.unsharded(|| self.server.search_billed(expr)),
         }
     }
 
     /// Retrying [`TextService::probe`]. Sharded probing is all-shards-or-
-    /// error: a probe's ids feed candidate sets, so a partial id list would
-    /// silently drop matches — the typed error forces the caller through
-    /// its degradation path instead. With replication the error only
-    /// surfaces (and the caller only degrades to "unknown — don't prune")
-    /// when *every* replica of some shard is down.
+    /// error: a partial id list would silently drop candidates, so the
+    /// typed error sends the caller down its degradation path instead.
     pub(crate) fn probe(&self, expr: &SearchExpr) -> Result<Vec<DocId>, TextError> {
         self.guard_budget()?;
         match self.server.as_sharded() {
             Some(sh) => Ok(self.sharded_search(sh, expr)?.ids()),
-            None => self.unsharded(|| self.server.probe(expr)),
+            None => self.unsharded(|| self.server.probe_billed(expr)),
         }
     }
 
-    /// Degrading probe: probing is an optimization, never a correctness
-    /// requirement, so when the server stays down past the retry budget
-    /// this returns `None` ("outcome unknown — don't prune") instead of
-    /// failing the whole method.
+    /// Degrading probe: probing only prunes, so a server down past the
+    /// retry budget yields `None` ("unknown — don't prune"), not an error.
     pub(crate) fn try_probe(&self, expr: &SearchExpr) -> Option<Vec<DocId>> {
         self.probe(expr).ok()
     }
@@ -574,15 +493,14 @@ impl<'a> ExecContext<'a> {
                 self.note_doc_traffic(shard, &[id]);
                 Ok(doc)
             }
-            None => self.unsharded(|| self.server.retrieve(id)),
+            None => self.unsharded(|| self.server.retrieve_billed(id)),
         }
     }
 
-    /// Retrying [`TextService::search_batch`]. The batch façade validates
-    /// caps before charging, so a transient fault fails (and retries) the
-    /// whole batch. Sharded batches scatter per shard with per-shard
-    /// retries; a shard exhausting its budget yields the typed shard error
-    /// (no per-member partial sets — the batch is all-or-error).
+    /// Retrying [`TextService::search_batch`]: a transient fault retries
+    /// the whole batch. Sharded batches scatter per shard; a shard that
+    /// exhausts its budget yields the typed shard error with no partial
+    /// sets (the batch is all-or-error).
     pub fn search_batch(&self, exprs: &[SearchExpr]) -> Result<BatchResult, TextError> {
         self.guard_budget()?;
         let cap = self.server.max_terms();
@@ -594,14 +512,22 @@ impl<'a> ExecContext<'a> {
                     self.shard_leg(
                         sh,
                         i,
-                        |r| sh.batch_replica(i, r, exprs),
+                        |r| self.paced(sh, || sh.batch_replica(i, r, exprs)),
                         |b| b.results.iter().flat_map(SearchResult::ids).collect(),
                     )
                 })
             }),
-            Some(_) => self.server.search_batch(exprs),
-            None => self.unsharded(|| self.server.search_batch(exprs)),
+            Some(_) => self.billed(self.server.search_batch_billed(exprs)),
+            None => self.unsharded(|| self.server.search_batch_billed(exprs)),
         }
+    }
+
+    /// A replica search or batch after the migration pacing tick it owes.
+    /// The paced transfer is billed to the context but not to the leg: the
+    /// scheduler times a leg by what its replica booked.
+    fn paced<T>(&self, sh: &ShardedTextServer, call: impl FnOnce() -> Billed<T>) -> Billed<T> {
+        self.bill(&sh.pace_migration());
+        call()
     }
 }
 

@@ -18,6 +18,7 @@ use textjoin_obs::Charge;
 use crate::doc::DocId;
 use crate::expr::SearchExpr;
 use crate::server::{SearchResult, TextError, TextServer};
+use crate::service::Billed;
 
 /// The answers to a batch: one [`SearchResult`] per member query, in order,
 /// preserving the query↔answer correspondence the paper asks for.
@@ -35,66 +36,65 @@ impl TextServer {
     /// document's short form is charged once per batch even if several
     /// member queries match it.
     pub fn search_batch(&self, exprs: &[SearchExpr]) -> Result<BatchResult, TextError> {
-        for e in exprs {
-            let count = e.term_count();
-            if count > self.max_terms() {
-                let err = format!(
-                    "rejected: member has {count} terms > cap {}",
-                    self.max_terms()
-                );
-                let charge = Charge {
-                    rejected: 1,
-                    ..Charge::default()
-                };
-                self.book_call("batch", count, Some(err), charge);
-                return Err(TextError::TooManyTerms {
-                    count,
-                    max: self.max_terms(),
-                });
-            }
-        }
-        if exprs.is_empty() {
-            return Ok(BatchResult {
-                results: Vec::new(),
-            });
-        }
-        // Run the member searches through the ordinary metered path, then
-        // rebate the extra invocation charges and duplicate transmissions so
-        // the batch is billed as one call.
-        let _span = self.recorder().map(|r| r.span("batch"));
-        let before = self.usage();
-        let mut results = Vec::with_capacity(exprs.len());
-        let mut shipped: BTreeSet<DocId> = BTreeSet::new();
-        let mut duplicate_docs = 0u64;
-        for e in exprs {
-            let r = self.search(e)?;
-            for &id in r.docs.ids() {
-                if !shipped.insert(id) {
-                    duplicate_docs += 1;
+        self.search_batch_billed(exprs).value
+    }
+
+    /// [`search_batch`](Self::search_batch) with its invoice: the members'
+    /// invoices and the batch rebate, summed.
+    pub(crate) fn search_batch_billed(&self, exprs: &[SearchExpr]) -> Billed<BatchResult> {
+        Billed::summed(|invoice| {
+            for e in exprs {
+                let count = e.term_count();
+                if count > self.max_terms() {
+                    let err = format!(
+                        "rejected: member has {count} terms > cap {}",
+                        self.max_terms()
+                    );
+                    let charge = Charge {
+                        rejected: 1,
+                        ..Charge::default()
+                    };
+                    invoice.book(&self.book_call("batch", count, Some(err), charge));
+                    return Err(TextError::TooManyTerms {
+                        count,
+                        max: self.max_terms(),
+                    });
                 }
             }
-            results.push(r);
-        }
-        let after = self.usage();
-        let extra_invocations = (after.invocations - before.invocations).saturating_sub(1);
-        self.adjust_for_batch(extra_invocations, duplicate_docs);
-        Ok(BatchResult { results })
-    }
-}
-
-impl TextServer {
-    /// Removes the per-call charges a batch should not pay: all but one
-    /// invocation, and duplicate short-form transmissions.
-    fn adjust_for_batch(&self, extra_invocations: u64, duplicate_docs: u64) {
-        if extra_invocations == 0 && duplicate_docs == 0 {
-            // Nothing to refund, and nothing to report.
-            return;
-        }
-        self.book_rebate(self.constants().price(Charge {
-            invocations: -(extra_invocations as i64),
-            docs_short: -(duplicate_docs as i64),
-            ..Charge::default()
-        }));
+            if exprs.is_empty() {
+                return Ok(BatchResult {
+                    results: Vec::new(),
+                });
+            }
+            // Run the member searches through the ordinary metered path,
+            // then rebate the extra invocation charges and duplicate
+            // transmissions so the batch is billed as one call.
+            let _span = self.recorder().map(|r| r.span("batch"));
+            let mut results = Vec::with_capacity(exprs.len());
+            let mut shipped: BTreeSet<DocId> = BTreeSet::new();
+            let mut duplicate_docs = 0u64;
+            for e in exprs {
+                let member = self.search_billed(e);
+                invoice.accumulate(&member.invoice);
+                let r = member.value?;
+                for &id in r.docs.ids() {
+                    if !shipped.insert(id) {
+                        duplicate_docs += 1;
+                    }
+                }
+                results.push(r);
+            }
+            let extra_invocations = invoice.invocations.saturating_sub(1);
+            if extra_invocations > 0 || duplicate_docs > 0 {
+                // Otherwise there is nothing to refund, and nothing to report.
+                invoice.book(&self.book_rebate(self.constants().price(Charge {
+                    invocations: -(extra_invocations as i64),
+                    docs_short: -(duplicate_docs as i64),
+                    ..Charge::default()
+                })));
+            }
+            Ok(BatchResult { results })
+        })
     }
 }
 

@@ -66,5 +66,5 @@ pub use faults::{Fault, FaultKinds, FaultPlan};
 pub use index::Collection;
 pub use rebalance::{MigrationJournal, MigrationPlan, MigrationProgress, Move, MoveStatus};
 pub use server::{CostConstants, PartialRetrieveError, SearchResult, TextError, TextServer, Usage};
-pub use service::TextService;
+pub use service::{Billed, TextService};
 pub use shard::{PartialShardError, Partition, ShardedTextServer};

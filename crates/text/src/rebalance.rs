@@ -13,7 +13,7 @@
 //! migration usage bucket and emitted as `Call` events so the
 //! trace↔ledger audit extends to transfers.
 //!
-//! Robustness mirrors `complete_gather`:
+//! Robustness mirrors `complete_gather_from`:
 //!
 //! * either leg can fault ([`Fault::Unavailable`]/[`Fault::Timeout`] —
 //!   drawn from the replica's own fault plan) and fail over through the

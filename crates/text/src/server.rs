@@ -32,6 +32,7 @@ use crate::faults::{Fault, FaultPlan};
 use crate::index::Collection;
 use crate::parse::{parse_search, ParseError};
 use crate::postings::DocSet;
+use crate::service::Billed;
 
 /// The cost-model constants of Table 1 / Section 4.1.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -79,41 +80,73 @@ impl Default for CostConstants {
     }
 }
 
-/// Running usage counters and the simulated cost accumulated so far.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Usage {
-    /// Number of search invocations (each charged `c_i`).
-    pub invocations: u64,
-    /// Number of searches rejected (term cap exceeded); not charged.
-    pub rejected: u64,
-    /// Postings processed across all searches (charged `c_p` each).
-    pub postings_processed: u64,
-    /// Documents transmitted in short form (charged `c_s` each).
-    pub docs_short: u64,
-    /// Documents transmitted in long form (charged `c_l` each).
-    pub docs_long: u64,
-    /// Simulated nanoseconds spent on invocations.
-    pub ns_invocation: u64,
-    /// Simulated nanoseconds spent processing postings.
-    pub ns_processing: u64,
-    /// Simulated nanoseconds spent transmitting results (both forms).
-    pub ns_transmission: u64,
-    /// Injected faults observed (each failed attempt also charged above).
-    pub faults: u64,
-    /// Client retries performed after transient faults.
-    pub retries: u64,
-    /// Simulated nanoseconds the client spent backing off between retries.
-    pub ns_backoff: u64,
-    /// Probe-cache hits observed by the client during the measured work.
-    /// Free — caches never charge; the counters ride the ledger so every
-    /// cost report can say how much sharing backed it. Server-side
-    /// ledgers always carry zero here; methods fold their cache stats
-    /// into the *delta* they report.
-    pub cache_hits: u64,
-    /// Probe-cache misses observed by the client (free, see `cache_hits`).
-    pub cache_misses: u64,
-    /// Probe-cache entries evicted by epoch garbage collection (free).
-    pub cache_evicted: u64,
+/// Declares [`Usage`] from one list of its `u64` counters: the struct, its
+/// field-wise sum and its field-wise difference.
+macro_rules! usage {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($(#[$fmeta:meta])* $field:ident),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$fmeta])* pub $field: u64,)+
+        }
+
+        impl $name {
+            /// Adds another ledger or invoice into this one, counter by
+            /// counter. The add wraps, as [`book`](Self::book)'s does, so a
+            /// rebate's invoice (its fields wrapped negative) subtracts.
+            pub fn accumulate(&mut self, other: &$name) {
+                $(self.$field = self.$field.wrapping_add(other.$field);)+
+            }
+
+            /// The difference `self - earlier`, for measuring a sub-operation.
+            pub fn since(&self, earlier: &$name) -> $name {
+                $name { $($field: self.$field - earlier.$field),+ }
+            }
+        }
+    };
+}
+
+usage! {
+    /// Running usage counters and the simulated cost accumulated so far.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct Usage {
+        /// Number of search invocations (each charged `c_i`).
+        invocations,
+        /// Number of searches rejected (term cap exceeded); not charged.
+        rejected,
+        /// Postings processed across all searches (charged `c_p` each).
+        postings_processed,
+        /// Documents transmitted in short form (charged `c_s` each).
+        docs_short,
+        /// Documents transmitted in long form (charged `c_l` each).
+        docs_long,
+        /// Simulated nanoseconds spent on invocations.
+        ns_invocation,
+        /// Simulated nanoseconds spent processing postings.
+        ns_processing,
+        /// Simulated nanoseconds spent transmitting results (both forms).
+        ns_transmission,
+        /// Injected faults observed (each failed attempt also charged above).
+        faults,
+        /// Client retries performed after transient faults.
+        retries,
+        /// Simulated nanoseconds the client spent backing off between retries.
+        ns_backoff,
+        /// Probe-cache hits observed by the client during the measured work.
+        /// Free — caches never charge; the counters ride along so every
+        /// cost report can say how much sharing backed it. Ledgers and
+        /// invoices always carry zero here; methods fold their cache stats
+        /// into the report.
+        cache_hits,
+        /// Probe-cache misses observed by the client (free, see `cache_hits`).
+        cache_misses,
+        /// Probe-cache entries evicted by epoch garbage collection (free).
+        cache_evicted,
+    }
 }
 
 impl Usage {
@@ -127,25 +160,6 @@ impl Usage {
     /// Total simulated cost in seconds: [`ticks`](Self::ticks) rendered.
     pub fn total_cost(&self) -> f64 {
         secs(self.ticks() as i64)
-    }
-
-    /// Adds another ledger into this one, counter by counter. Used to sum
-    /// per-shard ledgers into a sharded server's aggregate `Usage`.
-    pub fn accumulate(&mut self, other: &Usage) {
-        self.invocations += other.invocations;
-        self.rejected += other.rejected;
-        self.postings_processed += other.postings_processed;
-        self.docs_short += other.docs_short;
-        self.docs_long += other.docs_long;
-        self.ns_invocation += other.ns_invocation;
-        self.ns_processing += other.ns_processing;
-        self.ns_transmission += other.ns_transmission;
-        self.faults += other.faults;
-        self.retries += other.retries;
-        self.ns_backoff += other.ns_backoff;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.cache_evicted += other.cache_evicted;
     }
 
     /// Books a charge: adds each of its eleven fields to the counter it
@@ -167,25 +181,40 @@ impl Usage {
         self.retries = self.retries.wrapping_add_signed(c.retries);
         self.ns_backoff = self.ns_backoff.wrapping_add_signed(c.ns_backoff);
     }
+}
 
-    /// The difference `self - earlier`, for measuring a sub-operation.
-    pub fn since(&self, earlier: &Usage) -> Usage {
-        Usage {
-            invocations: self.invocations - earlier.invocations,
-            rejected: self.rejected - earlier.rejected,
-            postings_processed: self.postings_processed - earlier.postings_processed,
-            docs_short: self.docs_short - earlier.docs_short,
-            docs_long: self.docs_long - earlier.docs_long,
-            ns_invocation: self.ns_invocation - earlier.ns_invocation,
-            ns_processing: self.ns_processing - earlier.ns_processing,
-            ns_transmission: self.ns_transmission - earlier.ns_transmission,
-            faults: self.faults - earlier.faults,
-            retries: self.retries - earlier.retries,
-            ns_backoff: self.ns_backoff - earlier.ns_backoff,
-            cache_hits: self.cache_hits - earlier.cache_hits,
-            cache_misses: self.cache_misses - earlier.cache_misses,
-            cache_evicted: self.cache_evicted - earlier.cache_evicted,
+/// A server, a sharded server's aggregate level or its migration bucket:
+/// each books into a `Ledger`, whose `book` and `reset` are its only writers.
+mod ledger {
+    use super::{Charge, RefCell, Usage};
+
+    #[derive(Debug, Default)]
+    pub(crate) struct Ledger(RefCell<Usage>);
+
+    impl Ledger {
+        /// Books `charge` ([`Usage::book`]) and hands it back.
+        pub(crate) fn book(&self, charge: Charge) -> Charge {
+            self.0.borrow_mut().book(&charge);
+            charge
         }
+
+        pub(crate) fn reset(&self) {
+            *self.0.borrow_mut() = Usage::default();
+        }
+
+        pub(crate) fn get(&self) -> Usage {
+            *self.0.borrow()
+        }
+    }
+}
+pub(crate) use ledger::Ledger;
+
+/// The invoice of one booked charge.
+impl From<Charge> for Usage {
+    fn from(c: Charge) -> Usage {
+        let mut u = Usage::default();
+        u.book(&c);
+        u
     }
 }
 
@@ -348,6 +377,28 @@ impl std::error::Error for PartialRetrieveError {
     }
 }
 
+/// `retrieve` over `ids` in order, the charged prefix kept inside the
+/// error of the first that fails.
+pub(crate) fn retrieve_each(
+    ids: &[DocId],
+    retrieve: impl Fn(DocId) -> Result<Document, TextError>,
+) -> Result<Vec<Document>, Box<PartialRetrieveError>> {
+    let mut docs = Vec::with_capacity(ids.len());
+    for &id in ids {
+        match retrieve(id) {
+            Ok(doc) => docs.push(doc),
+            Err(error) => {
+                return Err(Box::new(PartialRetrieveError {
+                    docs,
+                    failed: id,
+                    error,
+                }))
+            }
+        }
+    }
+    Ok(docs)
+}
+
 impl From<ParseError> for TextError {
     fn from(e: ParseError) -> Self {
         TextError::Parse(e)
@@ -394,7 +445,7 @@ pub struct TextServer {
     /// `Cell` because an injected [`Fault::CapReduced`] renegotiates the cap
     /// through the shared `&self` API.
     max_terms: Cell<usize>,
-    usage: RefCell<Usage>,
+    usage: Ledger,
     trace: Cell<bool>,
     log: RefCell<Vec<String>>,
     fault_plan: FaultPlan,
@@ -420,7 +471,7 @@ impl TextServer {
             coll: coll.into(),
             constants,
             max_terms: Cell::new(DEFAULT_MAX_TERMS),
-            usage: RefCell::new(Usage::default()),
+            usage: Ledger::default(),
             trace: Cell::new(false),
             log: RefCell::new(Vec::new()),
             fault_plan: FaultPlan::none(),
@@ -518,56 +569,56 @@ impl TextServer {
 
     /// Snapshot of the usage counters.
     pub fn usage(&self) -> Usage {
-        *self.usage.borrow()
+        self.usage.get()
     }
 
     /// Resets the usage counters.
     pub fn reset_usage(&self) {
-        *self.usage.borrow_mut() = Usage::default();
+        self.usage.reset();
     }
 
     /// Books `charge` for one call, then reports the call with the same
-    /// value.
+    /// value, and hands it back.
     pub(crate) fn book_call(
         &self,
         op: &'static str,
         terms: usize,
         err: Option<String>,
         charge: Charge,
-    ) {
-        self.usage.borrow_mut().book(&charge);
+    ) -> Charge {
         self.emit(EventKind::Call {
             op,
             shard: self.shard_index.get(),
             terms: terms as u64,
             err,
-            charge,
+            charge: self.usage.book(charge),
         });
+        charge
     }
 
     /// Books a (negative) `charge`, then reports the refund with the same
-    /// value.
-    pub(crate) fn book_rebate(&self, charge: Charge) {
-        self.usage.borrow_mut().book(&charge);
+    /// value, and hands it back.
+    pub(crate) fn book_rebate(&self, charge: Charge) -> Charge {
         self.emit(EventKind::Rebate {
             shard: self.shard_index.get(),
-            charge,
+            charge: self.usage.book(charge),
         });
+        charge
     }
 
     /// Books `ticks` of waiting (and `retries` retries), then reports the
-    /// wait with the same value.
-    fn book_backoff(&self, ticks: i64, retries: i64) {
+    /// wait with the same value, and hands it back.
+    pub(crate) fn book_backoff(&self, ticks: i64, retries: i64) -> Charge {
         let charge = Charge {
             retries,
             ns_backoff: ticks,
             ..Charge::default()
         };
-        self.usage.borrow_mut().book(&charge);
         self.emit(EventKind::Backoff {
             shard: self.shard_index.get(),
-            charge,
+            charge: self.usage.book(charge),
         });
+        charge
     }
 
     /// Executes a search, returning the short forms of all matches.
@@ -578,56 +629,62 @@ impl TextServer {
     /// (rejected searches are not charged — the connection is refused before
     /// evaluation).
     pub fn search(&self, expr: &SearchExpr) -> Result<SearchResult, TextError> {
-        let hits = self.search_as(expr, "search")?;
-        Ok(SearchResult {
+        self.search_billed(expr).value
+    }
+
+    /// [`search`](Self::search) with its invoice.
+    pub(crate) fn search_billed(&self, expr: &SearchExpr) -> Billed<SearchResult> {
+        self.search_as(expr, "search").map(|hits| SearchResult {
             docs: self.coll.short_forms(hits),
         })
     }
 
     /// The charged search path, named `op` for the flight recorder: the
     /// matching docids, which [`search`](Self::search) views as short forms
-    /// and [`probe`](Self::probe) hands out as they are. `c_s` is booked
-    /// per match, from the count.
-    fn search_as(&self, expr: &SearchExpr, op: &'static str) -> Result<DocSet, TextError> {
-        let count = expr.term_count();
-        if count > self.max_terms.get() {
-            let err = format!("rejected: {count} terms > cap {}", self.max_terms.get());
-            let charge = Charge {
-                rejected: 1,
-                ..Charge::default()
-            };
-            self.book_call(op, count, Some(err), charge);
-            return Err(TextError::TooManyTerms {
-                count,
-                max: self.max_terms.get(),
-            });
-        }
-        if let Some(fault) = self.fault_plan.next_search_fault(self.max_terms.get()) {
-            if let Fault::Slow { delta_s } = fault {
-                // Latency-only: the answer still arrives (late). Charge the
-                // wait as backoff time (the ledger for *all* simulated time
-                // lives in `Usage`) and fall through to the normal success
-                // path below. Not a retry: no `retries` counter moves and
-                // no fault is surfaced.
-                self.book_backoff(ns(f64::from(delta_s)), 0);
-            } else {
-                return Err(self.charge_search_fault(fault, op, count));
+    /// and [`probe`](Self::probe) hands out as they are, with the call's
+    /// invoice. `c_s` is booked per match, from the count.
+    fn search_as(&self, expr: &SearchExpr, op: &'static str) -> Billed<DocSet> {
+        Billed::summed(|invoice| {
+            let count = expr.term_count();
+            if count > self.max_terms.get() {
+                let err = format!("rejected: {count} terms > cap {}", self.max_terms.get());
+                let charge = Charge {
+                    rejected: 1,
+                    ..Charge::default()
+                };
+                invoice.book(&self.book_call(op, count, Some(err), charge));
+                return Err(TextError::TooManyTerms {
+                    count,
+                    max: self.max_terms.get(),
+                });
             }
-        }
-        if self.trace.get() {
-            self.log
-                .borrow_mut()
-                .push(expr.display(self.coll.schema()).to_string());
-        }
-        let out = evaluate(&self.coll, expr);
-        let charge = self.constants.price(Charge {
-            invocations: 1,
-            postings: out.postings_read as i64,
-            docs_short: out.docs.len() as i64,
-            ..Charge::default()
-        });
-        self.book_call(op, count, None, charge);
-        Ok(out.docs)
+            if let Some(fault) = self.fault_plan.next_search_fault(self.max_terms.get()) {
+                if let Fault::Slow { delta_s } = fault {
+                    // Latency-only: the answer still arrives (late). Charge
+                    // the wait as backoff time (the ledger for *all*
+                    // simulated time lives in `Usage`) and fall through to
+                    // the normal success path below. Not a retry: no
+                    // `retries` counter moves and no fault is surfaced.
+                    invoice.book(&self.book_backoff(ns(f64::from(delta_s)), 0));
+                } else {
+                    return Err(self.charge_search_fault(fault, op, count, invoice));
+                }
+            }
+            if self.trace.get() {
+                self.log
+                    .borrow_mut()
+                    .push(expr.display(self.coll.schema()).to_string());
+            }
+            let out = evaluate(&self.coll, expr);
+            let charge = self.constants.price(Charge {
+                invocations: 1,
+                postings: out.postings_read as i64,
+                docs_short: out.docs.len() as i64,
+                ..Charge::default()
+            });
+            invoice.book(&self.book_call(op, count, None, charge));
+            Ok(out.docs)
+        })
     }
 
     /// Parses and executes a Mercury-syntax search string.
@@ -640,65 +697,72 @@ impl TextServer {
     /// result set's docids (short-form response). Costs exactly like
     /// [`search`](Self::search); the convenience is the return type.
     pub fn probe(&self, expr: &SearchExpr) -> Result<Vec<DocId>, TextError> {
-        Ok(self.search_as(expr, "probe")?.into_ids())
+        self.probe_billed(expr).value
+    }
+
+    /// [`probe`](Self::probe) with its invoice.
+    pub(crate) fn probe_billed(&self, expr: &SearchExpr) -> Billed<Vec<DocId>> {
+        self.search_as(expr, "probe").map(DocSet::into_ids)
     }
 
     /// Long-form retrieval of one document by docid. Charges `c_l`, which
     /// subsumes the per-retrieval connection overhead (Section 4.1 notes
     /// each retrieval needs a separate connection).
     pub fn retrieve(&self, id: DocId) -> Result<Document, TextError> {
-        if self.fault_plan.next_retrieve_fault().is_some() {
-            // A refused retrieval still burned a connection attempt: charge
-            // `c_i` (counted as an invocation so the cost decomposition
-            // stays exact), never the `c_l` of a document that was not
-            // shipped.
+        self.retrieve_billed(id).value
+    }
+
+    /// [`retrieve`](Self::retrieve) with its invoice.
+    pub(crate) fn retrieve_billed(&self, id: DocId) -> Billed<Document> {
+        Billed::summed(|invoice| {
+            if self.fault_plan.next_retrieve_fault().is_some() {
+                // A refused retrieval still burned a connection attempt:
+                // charge `c_i` (counted as an invocation so the cost
+                // decomposition stays exact), never the `c_l` of a document
+                // that was not shipped.
+                let charge = self.constants.price(Charge {
+                    invocations: 1,
+                    faults: 1,
+                    ..Charge::default()
+                });
+                let err = Some("unavailable".to_string());
+                invoice.book(&self.book_call("retrieve", 0, err, charge));
+                return Err(TextError::Unavailable);
+            }
+            let Some(doc) = self.coll.document(id).cloned() else {
+                // Nothing was shipped and no connection refused: free.
+                let err = format!("unknown document {id}");
+                invoice.book(&self.book_call("retrieve", 0, Some(err), Charge::default()));
+                return Err(TextError::UnknownDoc(id));
+            };
             let charge = self.constants.price(Charge {
-                invocations: 1,
-                faults: 1,
+                docs_long: 1,
                 ..Charge::default()
             });
-            self.book_call("retrieve", 0, Some("unavailable".to_string()), charge);
-            return Err(TextError::Unavailable);
-        }
-        let Some(doc) = self.coll.document(id).cloned() else {
-            // Nothing was shipped and no connection refused: free.
-            let err = format!("unknown document {id}");
-            self.book_call("retrieve", 0, Some(err), Charge::default());
-            return Err(TextError::UnknownDoc(id));
-        };
-        let charge = self.constants.price(Charge {
-            docs_long: 1,
-            ..Charge::default()
-        });
-        self.book_call("retrieve", 0, None, charge);
-        Ok(doc)
+            invoice.book(&self.book_call("retrieve", 0, None, charge));
+            Ok(doc)
+        })
     }
 
     /// Retrieves many documents, in order. On failure the documents fetched
     /// (and charged) before the failing id are returned inside the error —
     /// see [`PartialRetrieveError`] — so no paid-for result is dropped.
     pub fn retrieve_all(&self, ids: &[DocId]) -> Result<Vec<Document>, Box<PartialRetrieveError>> {
-        let mut docs = Vec::with_capacity(ids.len());
-        for &id in ids {
-            match self.retrieve(id) {
-                Ok(doc) => docs.push(doc),
-                Err(error) => {
-                    return Err(Box::new(PartialRetrieveError {
-                        docs,
-                        failed: id,
-                        error,
-                    }))
-                }
-            }
-        }
-        Ok(docs)
+        retrieve_each(ids, |id| self.retrieve(id))
     }
 
-    /// Books a fault against the meter and maps it to its error. Every
-    /// failed search attempt burned a connection (`c_i`, counted as an
-    /// invocation); a timeout also charges the postings scanned before the
-    /// deadline; a cap renegotiation takes effect immediately.
-    fn charge_search_fault(&self, fault: Fault, op: &'static str, terms: usize) -> TextError {
+    /// Books a fault against the meter, adds it to `invoice` and maps it to
+    /// its error. Every failed search attempt burned a connection (`c_i`,
+    /// counted as an invocation); a timeout also charges the postings
+    /// scanned before the deadline; a cap renegotiation takes effect
+    /// immediately.
+    fn charge_search_fault(
+        &self,
+        fault: Fault,
+        op: &'static str,
+        terms: usize,
+        invoice: &mut Usage,
+    ) -> TextError {
         let mut counts = Charge {
             invocations: 1,
             faults: 1,
@@ -720,44 +784,33 @@ impl TextServer {
                 unreachable!("Slow is latency-only and handled on the success path")
             }
         };
-        self.book_call(
-            op,
-            terms,
-            Some(err.to_string()),
-            self.constants.price(counts),
-        );
+        let msg = Some(err.to_string());
+        invoice.book(&self.book_call(op, terms, msg, self.constants.price(counts)));
         err
     }
 
-    /// Rebates (un-books) a previously charged usage delta — the
-    /// cancellation path for hedged reads and deadline-cancelled legs.
-    /// The loser leg's work was booked call-by-call as it ran; cancelling
-    /// refunds the *entire* leg field-for-field, so the winner's charge is
-    /// the only one that counts and the cost-decomposition identity
-    /// (`total_cost = server charges + c_a × comparisons`) survives
-    /// exactly. Emits a `Rebate` event carrying the negated charge so the
-    /// trace↔ledger audit stays exact too.
-    pub fn rebate(&self, delta: &Usage) {
-        self.book_rebate(Charge {
-            invocations: -(delta.invocations as i64),
-            rejected: -(delta.rejected as i64),
-            postings: -(delta.postings_processed as i64),
-            docs_short: -(delta.docs_short as i64),
-            docs_long: -(delta.docs_long as i64),
-            ns_invocation: -(delta.ns_invocation as i64),
-            ns_processing: -(delta.ns_processing as i64),
-            ns_transmission: -(delta.ns_transmission as i64),
-            faults: -(delta.faults as i64),
-            retries: -(delta.retries as i64),
-            ns_backoff: -(delta.ns_backoff as i64),
-        });
+    /// Rebates (un-books) a leg's invoice field for field — the
+    /// cancellation path of a hedge race's loser, so only the winner's
+    /// charge counts — and emits the `Rebate` with the negated charge.
+    /// Returns the rebate's invoice, its fields wrapped negative.
+    pub fn rebate(&self, invoice: &Usage) -> Usage {
+        Usage::from(self.book_rebate(Charge {
+            invocations: -(invoice.invocations as i64),
+            rejected: -(invoice.rejected as i64),
+            postings: -(invoice.postings_processed as i64),
+            docs_short: -(invoice.docs_short as i64),
+            docs_long: -(invoice.docs_long as i64),
+            ns_invocation: -(invoice.ns_invocation as i64),
+            ns_processing: -(invoice.ns_processing as i64),
+            ns_transmission: -(invoice.ns_transmission as i64),
+            faults: -(invoice.faults as i64),
+            retries: -(invoice.retries as i64),
+            ns_backoff: -(invoice.ns_backoff as i64),
+        }))
     }
 
     /// Charges simulated backoff time a client spent waiting before a
-    /// retry. The ledger for *all* simulated time lives in the server's
-    /// [`Usage`], so the core crate's retry layer calls this instead of
-    /// keeping a second meter (and `Usage::total_cost` keeps decomposing
-    /// exactly).
+    /// retry, so all simulated time is billed by the service.
     pub fn charge_backoff(&self, seconds: f64) {
         self.book_backoff(ns(seconds), 1);
     }

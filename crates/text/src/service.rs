@@ -7,10 +7,11 @@
 //! [`TextServer`] or a [`ShardedTextServer`] that scatters each operation
 //! across many of them.
 //!
-//! Everything here is metered: implementations charge the paper's cost
-//! constants into a [`Usage`] ledger, and `usage()` must decompose, tick
-//! for tick, as `c_i·invocations + c_p·postings + c_s·short + c_l·long +
-//! ns_backoff` (see [`CostConstants::price`]).
+//! The paper bills each invocation on its own (§4.1), and so does every
+//! call here: its [`Billed`] form returns the value with its invoice.
+//! Implementations also book each charge into a [`Usage`] ledger, the
+//! second record, which decomposes tick for tick as `c_i·invocations +
+//! c_p·postings + c_s·short + c_l·long + ns_backoff` ([`CostConstants::price`]).
 
 use crate::batch::BatchResult;
 use crate::doc::{DocId, Document, ShortDoc, TextSchema};
@@ -20,6 +21,46 @@ use crate::server::{
 };
 use crate::shard::ShardedTextServer;
 use crate::stats::VocabularyStats;
+
+/// One call's outcome with its invoice.
+#[derive(Debug)]
+pub struct Billed<T> {
+    /// What the call returned.
+    pub value: Result<T, TextError>,
+    /// The sum of the charges the call booked, a failed call's too.
+    pub invoice: Usage,
+}
+
+impl<T> Billed<T> {
+    /// `call`'s outcome, billed with what it added to the invoice it is
+    /// handed.
+    pub(crate) fn summed(call: impl FnOnce(&mut Usage) -> Result<T, TextError>) -> Self {
+        let mut invoice = Usage::default();
+        let value = call(&mut invoice);
+        Billed { value, invoice }
+    }
+
+    /// The same invoice over the value `f` makes of this one.
+    pub(crate) fn map<U>(self, f: impl FnOnce(T) -> U) -> Billed<U> {
+        Billed {
+            value: self.value.map(f),
+            invoice: self.invoice,
+        }
+    }
+}
+
+/// `call`, billed by the ledger delta around it: the billed forms' default.
+fn ledger_delta<S: TextService + ?Sized, T>(
+    service: &S,
+    call: impl FnOnce() -> Result<T, TextError>,
+) -> Billed<T> {
+    let before = service.usage();
+    let value = call();
+    Billed {
+        value,
+        invoice: service.usage().since(&before),
+    }
+}
 
 /// The metered search/retrieve surface of a text retrieval service.
 ///
@@ -74,6 +115,39 @@ pub trait TextService {
     /// Multi-query invocation (Section 8 batch extension).
     fn search_batch(&self, exprs: &[SearchExpr]) -> Result<BatchResult, TextError>;
 
+    /// [`search`](Self::search) with its invoice. The billed forms'
+    /// default takes the ledger delta around the call, the library's one
+    /// ledger diff, kept for implementors outside the workspace (`perf/`'s
+    /// `TimedService`) until they are unhooked; in-tree services override
+    /// each form they can bill from what they booked.
+    fn search_billed(&self, expr: &SearchExpr) -> Billed<SearchResult> {
+        ledger_delta(self, || self.search(expr))
+    }
+
+    /// [`probe`](Self::probe) with its invoice.
+    fn probe_billed(&self, expr: &SearchExpr) -> Billed<Vec<DocId>> {
+        ledger_delta(self, || self.probe(expr))
+    }
+
+    /// [`retrieve`](Self::retrieve) with its invoice.
+    fn retrieve_billed(&self, id: DocId) -> Billed<Document> {
+        ledger_delta(self, || self.retrieve(id))
+    }
+
+    /// [`search_batch`](Self::search_batch) with its invoice.
+    fn search_batch_billed(&self, exprs: &[SearchExpr]) -> Billed<BatchResult> {
+        ledger_delta(self, || self.search_batch(exprs))
+    }
+
+    /// [`charge_backoff`](Self::charge_backoff), returning its invoice.
+    fn backoff_billed(&self, seconds: f64) -> Usage {
+        let wait = || {
+            self.charge_backoff(seconds);
+            Ok(())
+        };
+        ledger_delta(self, wait).invoice
+    }
+
     /// Exports vocabulary statistics (Section 8 extension). Free of query
     /// charges by design. The value is a handle onto an export the service
     /// keeps: while its content does not change, every call returns the
@@ -110,68 +184,48 @@ pub trait TextService {
     }
 }
 
+/// Forwards each listed method to the inherent [`TextServer`] method of
+/// the same name.
+macro_rules! forward {
+    ($(fn $name:ident(&self $(, $arg:ident: $ty:ty)*) -> $ret:ty;)+) => {
+        $(fn $name(&self $(, $arg: $ty)*) -> $ret {
+            TextServer::$name(self $(, $arg)*)
+        })+
+    };
+}
+
 impl TextService for TextServer {
+    forward! {
+        fn doc_count(&self) -> usize;
+        fn max_terms(&self) -> usize;
+        fn constants(&self) -> CostConstants;
+        fn usage(&self) -> Usage;
+        fn reset_usage(&self) -> ();
+        fn charge_backoff(&self, seconds: f64) -> ();
+        fn search(&self, expr: &SearchExpr) -> Result<SearchResult, TextError>;
+        fn search_str(&self, query: &str) -> Result<SearchResult, TextError>;
+        fn probe(&self, expr: &SearchExpr) -> Result<Vec<DocId>, TextError>;
+        fn retrieve(&self, id: DocId) -> Result<Document, TextError>;
+        fn retrieve_all(&self, ids: &[DocId])
+            -> Result<Vec<Document>, Box<PartialRetrieveError>>;
+        fn search_batch(&self, exprs: &[SearchExpr]) -> Result<BatchResult, TextError>;
+        fn search_billed(&self, expr: &SearchExpr) -> Billed<SearchResult>;
+        fn probe_billed(&self, expr: &SearchExpr) -> Billed<Vec<DocId>>;
+        fn retrieve_billed(&self, id: DocId) -> Billed<Document>;
+        fn search_batch_billed(&self, exprs: &[SearchExpr]) -> Billed<BatchResult>;
+        fn export_stats(&self) -> VocabularyStats;
+        fn recorder(&self) -> Option<std::rc::Rc<textjoin_obs::Recorder>>;
+    }
+
     fn schema(&self) -> &TextSchema {
         self.collection().schema()
     }
 
-    fn doc_count(&self) -> usize {
-        TextServer::doc_count(self)
-    }
-
-    fn max_terms(&self) -> usize {
-        TextServer::max_terms(self)
-    }
-
-    fn constants(&self) -> CostConstants {
-        TextServer::constants(self)
-    }
-
-    fn usage(&self) -> Usage {
-        TextServer::usage(self)
-    }
-
-    fn reset_usage(&self) {
-        TextServer::reset_usage(self)
-    }
-
-    fn charge_backoff(&self, seconds: f64) {
-        TextServer::charge_backoff(self, seconds)
-    }
-
-    fn search(&self, expr: &SearchExpr) -> Result<SearchResult, TextError> {
-        TextServer::search(self, expr)
-    }
-
-    fn search_str(&self, query: &str) -> Result<SearchResult, TextError> {
-        TextServer::search_str(self, query)
-    }
-
-    fn probe(&self, expr: &SearchExpr) -> Result<Vec<DocId>, TextError> {
-        TextServer::probe(self, expr)
-    }
-
-    fn retrieve(&self, id: DocId) -> Result<Document, TextError> {
-        TextServer::retrieve(self, id)
-    }
-
-    fn retrieve_all(&self, ids: &[DocId]) -> Result<Vec<Document>, Box<PartialRetrieveError>> {
-        TextServer::retrieve_all(self, ids)
-    }
-
-    fn search_batch(&self, exprs: &[SearchExpr]) -> Result<BatchResult, TextError> {
-        TextServer::search_batch(self, exprs)
-    }
-
-    fn export_stats(&self) -> VocabularyStats {
-        TextServer::export_stats(self)
+    fn backoff_billed(&self, seconds: f64) -> Usage {
+        self.book_backoff(textjoin_obs::ns(seconds), 1).into()
     }
 
     fn reconstruct_short(&self, id: DocId) -> Option<ShortDoc> {
         self.collection().short_form(id)
-    }
-
-    fn recorder(&self) -> Option<std::rc::Rc<textjoin_obs::Recorder>> {
-        TextServer::recorder(self)
     }
 }

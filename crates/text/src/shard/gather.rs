@@ -1,14 +1,12 @@
 //! Scatter/gather over the shards: the per-replica legs, the one failover
 //! pass, and the one epoch-watching gather loop.
 //!
-//! Every scatter in the system — the service's own `search` /
-//! `search_batch`, gather completion, and the core execution layer's
-//! per-shard retrying scatter — is the private `gather` below with a
-//! different leg, so "what a gather does when a shard is pruned, a replica
-//! fails, or a migration commits underneath it" is written once. Legs run
-//! in ascending shard order and replicas in routing order: the per-replica
-//! ledgers are `f64` sums, and that order is what keeps every ledger and
-//! trace byte-identical whoever calls the loop.
+//! Every scatter — the service's own `search` / `search_batch`, gather
+//! completion, and the core layer's per-shard retrying scatter — is the
+//! private `gather` below with a different leg, so what a gather does when
+//! a shard is pruned, a replica fails or a migration commits underneath it
+//! is written once. Legs run in ascending shard order and replicas in
+//! routing order, which keeps every trace byte-identical whoever calls.
 
 use std::fmt;
 
@@ -19,7 +17,7 @@ use crate::batch::BatchResult;
 use crate::doc::{DocId, Document, ShortForms};
 use crate::expr::SearchExpr;
 use crate::server::{SearchResult, TextError};
-use crate::service::TextService;
+use crate::service::{Billed, TextService};
 
 /// A shard that exhausted its retries mid-gather. Carries the per-shard
 /// results already gathered (and charged) before the failure, so callers
@@ -82,44 +80,35 @@ impl ShardedTextServer {
     }
 
     /// Searches replica `r` of shard `i` only, remapping result docids to
-    /// global ids. Charges (and faults) exactly like a search on that
-    /// replica's server.
-    pub fn search_replica(
-        &self,
-        i: usize,
-        r: usize,
-        expr: &SearchExpr,
-    ) -> Result<SearchResult, TextError> {
-        self.pace_migration();
-        let mut res = self.replicas[i][r].search(expr)?;
-        self.globalize(i, &mut res);
-        Ok(res)
+    /// global ids, billed as that replica's search. A query leg ticks
+    /// [`pace_migration`](Self::pace_migration) first, billed on its own.
+    pub fn search_replica(&self, i: usize, r: usize, expr: &SearchExpr) -> Billed<SearchResult> {
+        self.replicas[i][r].search_billed(expr).map(|mut res| {
+            self.globalize(i, &mut res);
+            res
+        })
     }
 
     /// Runs a batch on replica `r` of shard `i` only, remapping every
     /// member result's docids to global ids (the replica applies its own
-    /// invocation rebates).
-    pub fn batch_replica(
-        &self,
-        i: usize,
-        r: usize,
-        exprs: &[SearchExpr],
-    ) -> Result<BatchResult, TextError> {
-        self.pace_migration();
-        let mut b = self.replicas[i][r].search_batch(exprs)?;
-        for res in &mut b.results {
-            self.globalize(i, res);
-        }
-        Ok(b)
+    /// invocation rebates), billed like [`search_replica`](Self::search_replica).
+    pub fn batch_replica(&self, i: usize, r: usize, exprs: &[SearchExpr]) -> Billed<BatchResult> {
+        self.replicas[i][r].search_batch_billed(exprs).map(|mut b| {
+            for res in &mut b.results {
+                self.globalize(i, res);
+            }
+            b
+        })
     }
 
-    /// Retrieves global docid `id` from replica `r` of shard `i`. Errors
-    /// with `UnknownDoc` when `id` is unknown or not owned by shard `i`.
-    pub fn retrieve_replica(&self, i: usize, r: usize, id: DocId) -> Result<Document, TextError> {
+    /// Retrieves global docid `id` from replica `r` of shard `i`, billed.
+    /// Fails, free, with `UnknownDoc` when `id` is unknown or not owned by
+    /// shard `i`.
+    pub fn retrieve_replica(&self, i: usize, r: usize, id: DocId) -> Billed<Document> {
         let routed = self.route.borrow().get(id.0 as usize).copied();
         match routed {
-            Some((owner, local)) if owner == i => self.replicas[i][r].retrieve(local),
-            _ => Err(TextError::UnknownDoc(id)),
+            Some((owner, local)) if owner == i => self.replicas[i][r].retrieve_billed(local),
+            _ => Billed::summed(|_| Err(TextError::UnknownDoc(id))),
         }
     }
 
@@ -143,13 +132,12 @@ impl ShardedTextServer {
                 rejected: 1,
                 ..Charge::default()
             };
-            self.extra.borrow_mut().book(&charge);
             self.emit(EventKind::Call {
                 op: "search",
                 shard: None,
                 terms: count as u64,
                 err: Some(format!("rejected: {count} terms > aggregate cap {cap}")),
-                charge,
+                charge: self.extra.book(charge),
             });
             return Err(TextError::TooManyTerms { count, max: cap });
         }
@@ -315,47 +303,35 @@ impl ShardedTextServer {
         Ok(BatchResult { results })
     }
 
-    /// Resumes a failed gather from the partial results a
-    /// [`PartialShardError`] carried: shards that already answered are
-    /// reused verbatim — their postings were transmitted and paid for once
-    /// and are never re-bought — and only the missing shards' keyspace is
-    /// re-scattered, each leg failing over through the shard's replica
-    /// routing order. Fails with a fresh `TextError::Shard` (carrying the
-    /// updated partial) only when every replica of a missing shard is still
-    /// down. A `partial` whose length does not match the shard count (e.g.
-    /// the empty partial of a batch gather) is treated as all-missing.
-    /// Resumes at the current epoch; callers holding a
-    /// [`PartialShardError`] should prefer
-    /// [`complete_gather_from`](Self::complete_gather_from) with the
-    /// error's stamped epoch, which additionally invalidates partial slots
-    /// a migration commit made stale.
-    pub(crate) fn complete_gather(
-        &self,
-        partial: &[Option<SearchResult>],
-        expr: &SearchExpr,
-    ) -> Result<SearchResult, TextError> {
-        self.complete_gather_from(partial, expr, self.epoch.get())
-    }
-
-    /// [`complete_gather`](Self::complete_gather) for a gather whose
-    /// routing was decided at `from_epoch`: partial slots for shards a
-    /// migration batch has touched since are discarded (their reuse could
-    /// double-count or drop a moved document) and re-gathered at the
-    /// current epoch, announced by a charge-free `RoutingStale` event.
+    /// Resumes a gather routed at `from_epoch` from the partial results a
+    /// [`PartialShardError`] carried. Shards that answered are reused
+    /// verbatim — their postings were paid for once — unless a migration
+    /// batch has touched them since (a charge-free `RoutingStale` event
+    /// names those); the rest of the keyspace is re-scattered, each leg
+    /// failing over through the shard's replicas. A `partial` of another
+    /// length (a batch gather's empty one) counts as all-missing. Fails
+    /// with a fresh `TextError::Shard` only when every replica of a
+    /// missing shard is still down. Bills everything the completion
+    /// booked: each leg's attempts and the paced transfers before them.
     pub fn complete_gather_from(
         &self,
         partial: &[Option<SearchResult>],
         expr: &SearchExpr,
         from_epoch: u64,
-    ) -> Result<SearchResult, TextError> {
+    ) -> Billed<SearchResult> {
         let done: Vec<Option<SearchResult>> = if partial.len() == self.replicas.len() {
             partial.to_vec()
         } else {
             vec![None; self.replicas.len()]
         };
-        self.gather_search(done, from_epoch, expr, |i| {
-            self.failover(i, &self.routing_order(i), |r| {
-                self.search_replica(i, r, expr)
+        Billed::summed(|invoice| {
+            self.gather_search(done, from_epoch, expr, |i| {
+                self.failover(i, &self.routing_order(i), |r| {
+                    invoice.accumulate(&self.pace_migration());
+                    let leg = self.search_replica(i, r, expr);
+                    invoice.accumulate(&leg.invoice);
+                    leg.value
+                })
             })
         })
     }
@@ -421,7 +397,8 @@ mod tests {
             panic!("expected a shard error");
         };
         let before = s.shard_usage(0);
-        let done = s.complete_gather(&pse.partial, &expr).unwrap();
+        let done = s.complete_gather_from(&pse.partial, &expr, pse.epoch);
+        let done = done.value.unwrap();
         assert_eq!(
             s.shard_usage(0),
             before,
@@ -493,7 +470,7 @@ mod tests {
             .map(|i| {
                 Some(
                     sharded
-                        .failover(i, &[0], |r| sharded.search_replica(i, r, &expr))
+                        .failover(i, &[0], |r| sharded.search_replica(i, r, &expr).value)
                         .unwrap(),
                 )
             })
@@ -510,9 +487,14 @@ mod tests {
         ));
         sharded.run_migration().unwrap();
         let before = TextService::usage(&sharded);
-        let res = sharded.complete_gather_from(&partial, &expr, 0).unwrap();
+        let completed = sharded.complete_gather_from(&partial, &expr, 0);
+        let res = completed.value.unwrap();
         assert_eq!(res.docs, single.search_str("TI='shared'").unwrap().docs);
         let delta = TextService::usage(&sharded).since(&before);
+        assert_eq!(
+            completed.invoice, delta,
+            "the completion bills what it booked"
+        );
         assert_eq!(
             delta.invocations, 2,
             "only the move's source and destination re-gathered"

@@ -61,7 +61,7 @@ impl ShardedTextServer {
     /// every per-shard query ledger, included in the aggregate
     /// [`usage`](TextService::usage).
     pub fn migration_usage(&self) -> Usage {
-        *self.migration_usage.borrow()
+        self.migration_usage.get()
     }
 
     /// The current journal, if a migration was ever begun.
@@ -180,24 +180,23 @@ impl ShardedTextServer {
     }
 
     /// One transfer leg (`xfer.out` at the `"source"` end, `xfer.in` at the
-    /// `"destination"`): a single attempt per replica of `shard` in `order`,
-    /// each drawing its fate from the replica's own fault plan. A refusal
-    /// costs the connection alone; for any other draw `attempt` gives the
-    /// postings delivered before a timeout (`None` when the transfer goes
-    /// through) and the payload's counts, with any slow wait as backoff
-    /// ticks. The leg adds the connection and fault counters, prices the
-    /// attempt, books it into the migration bucket and
-    /// emits the matching `Call` event, so the trace↔ledger audit covers
-    /// transfers exactly. Fails transiently when every replica refuses.
+    /// `"destination"`): a single attempt per replica of `shard` in its
+    /// routing order, each drawing its fate from the replica's fault plan.
+    /// A refusal costs the connection alone; for any other draw `attempt`
+    /// gives the postings delivered before a timeout (`None` when the
+    /// transfer goes through) and the payload's counts, with any slow wait
+    /// as backoff ticks. The leg prices each attempt, books it into the
+    /// migration bucket, adds it to `invoice` and emits the matching `Call`
+    /// event. Fails transiently when every replica refuses.
     fn xfer_leg(
         &self,
         op: &'static str,
         end: &str,
         shard: usize,
-        order: &[usize],
+        invoice: &mut Usage,
         mut attempt: impl FnMut(Option<Fault>) -> (Option<u64>, Charge),
     ) -> Result<(), TextError> {
-        self.failover(shard, order, |r| {
+        self.failover(shard, &self.routing_order(shard), |r| {
             let server = &self.replicas[shard][r];
             let (err, payload) = match server.fault_plan().next_search_fault(server.max_terms()) {
                 Some(Fault::Unavailable) => (
@@ -220,14 +219,14 @@ impl ShardedTextServer {
                 faults: i64::from(out.is_err()),
                 ..payload
             });
-            self.migration_usage.borrow_mut().book(&charge);
             self.emit(EventKind::Call {
                 op,
                 shard: Some(shard),
                 terms: 0,
                 err,
-                charge,
+                charge: self.migration_usage.book(charge),
             });
+            invoice.book(&charge);
             out
         })
     }
@@ -253,6 +252,11 @@ impl ShardedTextServer {
     ///    source, visible on the destination), re-route, bump the topology
     ///    epoch, and advance the journal high-water mark.
     pub fn migrate_batch(&self) -> Result<MigrationProgress, TextError> {
+        self.migrate_batch_into(&mut Usage::default())
+    }
+
+    /// [`migrate_batch`](Self::migrate_batch), adding its legs to `invoice`.
+    fn migrate_batch_into(&self, invoice: &mut Usage) -> Result<MigrationProgress, TextError> {
         struct Work {
             mv: usize,
             src: usize,
@@ -302,25 +306,30 @@ impl ShardedTextServer {
                 epoch: self.epoch.get(),
             });
         } else {
-            let order = &self.routing_order(work.src);
-            self.xfer_leg("xfer.out", "source", work.src, order, |fault| match fault {
-                // An out-leg timeout yields no usable documents: long forms
-                // are all-or-nothing per doc, and the batch is re-read whole
-                // from the next replica.
-                Some(Fault::Timeout { after_postings }) => {
-                    (Some(after_postings), Charge::default())
-                }
-                // None, CapReduced (caps do not bound transfers), or Slow
-                // (latency-only) — the read succeeds.
-                fault => (
-                    None,
-                    Charge {
-                        docs_long: work.n as i64,
-                        ns_backoff: slow(fault),
-                        ..Charge::default()
-                    },
-                ),
-            })?;
+            self.xfer_leg(
+                "xfer.out",
+                "source",
+                work.src,
+                invoice,
+                |fault| match fault {
+                    // An out-leg timeout yields no usable documents: long forms
+                    // are all-or-nothing per doc, and the batch is re-read whole
+                    // from the next replica.
+                    Some(Fault::Timeout { after_postings }) => {
+                        (Some(after_postings), Charge::default())
+                    }
+                    // None, CapReduced (caps do not bound transfers), or Slow
+                    // (latency-only) — the read succeeds.
+                    fault => (
+                        None,
+                        Charge {
+                            docs_long: work.n as i64,
+                            ns_backoff: slow(fault),
+                            ..Charge::default()
+                        },
+                    ),
+                },
+            )?;
             let mut st = self.migration.borrow_mut();
             let state = st.as_mut().expect("active migration");
             state.in_flight = work.n;
@@ -328,8 +337,7 @@ impl ShardedTextServer {
             state.journal.entries[work.mv].status = MoveStatus::InProgress;
         }
         let mut delivered = work.delivered;
-        let order = self.routing_order(work.dst);
-        let ingested = self.xfer_leg("xfer.in", "destination", work.dst, &order, |fault| {
+        let ingested = self.xfer_leg("xfer.in", "destination", work.dst, invoice, |fault| {
             let (cut, postings) = match fault {
                 Some(Fault::Timeout { after_postings }) => {
                     let part = after_postings.min(work.batch_postings - delivered);
@@ -461,21 +469,24 @@ impl ShardedTextServer {
         }
     }
 
-    /// The per-query-leg migration pacing tick (free when pacing is off or
-    /// no migration is active). A transiently failed step simply waits for
-    /// the next tick — that retry is exactly the journal-resume path.
-    pub(super) fn pace_migration(&self) {
+    /// The migration pacing tick each replica search or batch runs first,
+    /// returning the invoice of the transfer it ran (none when pacing is
+    /// off). A transiently failed step waits for the next tick: the
+    /// journal-resume path.
+    pub fn pace_migration(&self) -> Usage {
+        let mut invoice = Usage::default();
         let every = self.pacing.get();
         if every == 0 || !self.migration_active() {
-            return;
+            return invoice;
         }
         let n = self.ops_since_step.get() + 1;
         if n >= every {
             self.ops_since_step.set(0);
-            let _ = self.migrate_batch();
+            let _ = self.migrate_batch_into(&mut invoice);
         } else {
             self.ops_since_step.set(n);
         }
+        invoice
     }
 }
 

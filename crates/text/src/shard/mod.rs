@@ -1,32 +1,24 @@
 //! Sharded text collections: one logical service over many physical servers.
 //!
-//! A production-scale Mercury-style deployment spreads its collection across
-//! many search endpoints. [`ShardedTextServer`] models that: a [`Collection`]
-//! is cut once into a [`Partition`] (seeded hash of the docid), and each
-//! cluster over it serves the N shards through inner [`TextServer`]s, each
-//! with its own fault plan, term cap, and [`Usage`] ledger. Every service
-//! operation is a scatter/gather:
+//! A Mercury-style deployment spreads its collection across many search
+//! endpoints. [`ShardedTextServer`] models that: a [`Collection`] is cut
+//! once into a [`Partition`] (seeded hash of the docid), and each cluster
+//! over it serves the N shards through inner [`TextServer`]s, each with its
+//! own fault plan, term cap and [`Usage`] ledger. `search`/`probe` scatter
+//! to **all** shards (each charges its own `c_i`) and union-merge in global
+//! docid order; `retrieve` routes to the owning shard. The aggregate
+//! [`Usage`] is the exact sum of the shard ledgers, the aggregate-level
+//! counters (cap rejections, service-wide backoff) and the migration
+//! bucket, so `c_i·I + c_p·P + c_s·S + c_l·L + backoff` keeps holding.
 //!
-//! * `search`/`probe` scatter the expression to **all** shards (each shard
-//!   charges its own `c_i` — the per-shard invocation charge) and
-//!   union-merge the postings in global docid order;
-//! * `retrieve` routes to the single shard owning the docid;
-//! * the aggregate [`Usage`] is the exact sum of the shard ledgers plus the
-//!   aggregate-level counters (cap rejections, client backoff charged to
-//!   the service as a whole), so the cost decomposition
-//!   `c_i·I + c_p·P + c_s·S + c_l·L + backoff` keeps holding.
-//!
-//! Partial failure is typed: when a caller's per-shard retry loop gives up
-//! on one shard mid-gather, it wraps the per-shard results gathered so far
-//! into a [`PartialShardError`] (carried by `TextError::Shard`), so no
-//! paid-for shard response is silently dropped and callers can either
-//! re-route the missing sub-query or fail cleanly — never return a wrong
-//! multiset.
+//! Partial failure is typed: a shard that exhausts its retries mid-gather
+//! yields a [`PartialShardError`] (in `TextError::Shard`) carrying the
+//! results gathered so far, so callers re-route the missing sub-query or
+//! fail cleanly — never with a wrong multiset.
 //!
 //! This module holds the topology, the ledgers, stats routing and the
-//! [`TextService`] impl; [`gather`] holds the replica legs, the failover
-//! pass and the one gather loop every scatter runs; [`migration`] holds the
-//! online rebalancing engine.
+//! [`TextService`] impl; `gather` the replica legs, the failover pass and
+//! the one gather loop; `migration` the online rebalancing engine.
 
 mod gather;
 mod migration;
@@ -46,7 +38,8 @@ use crate::index::Collection;
 use crate::parse::parse_search;
 use crate::rebalance::MigrationState;
 use crate::server::{
-    CostConstants, PartialRetrieveError, SearchResult, TextError, TextServer, Usage,
+    retrieve_each, CostConstants, Ledger, PartialRetrieveError, SearchResult, TextError,
+    TextServer, Usage,
 };
 use crate::service::TextService;
 use crate::stats::{FieldStats, VocabularyStats};
@@ -89,7 +82,7 @@ pub struct ShardedTextServer {
     hidden: RefCell<Vec<BTreeSet<DocId>>>,
     /// Aggregate-level counters: cap rejections and client backoff charged
     /// to the service as a whole rather than to one shard.
-    extra: RefCell<Usage>,
+    extra: Ledger,
     /// Flight recorder shared with every shard (shard events carry their
     /// stamped shard index; aggregate-ledger events carry `shard: None`).
     recorder: RefCell<Option<Rc<Recorder>>>,
@@ -104,7 +97,7 @@ pub struct ShardedTextServer {
     /// The dedicated migration usage bucket: every transfer-leg charge
     /// lands here, disjoint from the per-shard query ledgers, and is
     /// added into the aggregate [`usage`](TextService::usage).
-    migration_usage: RefCell<Usage>,
+    migration_usage: Ledger,
     /// Whether scatter paths consult per-shard vocabulary stats to skip
     /// provably irrelevant shards. Off by default: pruning changes the
     /// per-shard invoice shape, so callers opt in.
@@ -205,12 +198,12 @@ impl ShardedTextServer {
             route: RefCell::new(partition.route.clone()),
             to_global: partition.to_global.clone(),
             hidden: RefCell::new(vec![BTreeSet::new(); n_shards]),
-            extra: RefCell::new(Usage::default()),
+            extra: Ledger::default(),
             recorder: RefCell::new(None),
             epoch: Cell::new(0),
             epoch_log: RefCell::new(Vec::new()),
             migration: RefCell::new(None),
-            migration_usage: RefCell::new(Usage::default()),
+            migration_usage: Ledger::default(),
             stats_routing: Cell::new(false),
             export: RefCell::new(None),
             pacing: Cell::new(0),
@@ -303,29 +296,16 @@ impl ShardedTextServer {
         total
     }
 
-    /// Charges simulated retry backoff against shard `i`'s primary ledger
-    /// (the shard that caused the wait pays for it). Because
-    /// [`shard_usage`](Self::shard_usage) sums every replica and the
-    /// aggregate [`usage`](TextService::usage) sums the same ledgers, the
-    /// backoff lands in both views at once — they cannot drift.
-    pub fn charge_shard_backoff(&self, i: usize, seconds: f64) {
-        self.charge_replica_backoff(i, self.primary[i], seconds);
+    /// Charges simulated retry backoff against shard `i`'s primary (the
+    /// shard that caused the wait pays), returning the wait's invoice.
+    pub fn charge_shard_backoff(&self, i: usize, seconds: f64) -> Usage {
+        self.charge_replica_backoff(i, self.primary[i], seconds)
     }
 
-    /// Charges simulated retry backoff against one specific replica's
-    /// ledger (failover retry loops attribute the wait to the replica that
-    /// caused it).
-    pub fn charge_replica_backoff(&self, i: usize, r: usize, seconds: f64) {
-        self.replicas[i][r].charge_backoff(seconds);
-    }
-
-    /// Rebates a previously charged usage delta against one specific
-    /// replica's ledger — the cancellation path for a hedged read whose
-    /// leg lost the race. Exactly inverts the leg's charges field-for-field
-    /// (see [`TextServer::rebate`]), so both the shard sum and the
-    /// aggregate ledger forget the cancelled work.
-    pub fn rebate_replica(&self, i: usize, r: usize, delta: &Usage) {
-        self.replicas[i][r].rebate(delta);
+    /// Charges simulated retry backoff against replica `r` of shard `i`,
+    /// returning the wait's invoice.
+    pub fn charge_replica_backoff(&self, i: usize, r: usize, seconds: f64) -> Usage {
+        self.replicas[i][r].backoff_billed(seconds)
     }
 
     /// Opts scatter paths in (or out) of stats-aware routing: when on,
@@ -436,11 +416,11 @@ impl TextService for ShardedTextServer {
         self.replicas[0][0].constants()
     }
 
-    /// Exact sum of the per-replica ledgers plus the aggregate-level
-    /// counters and the migration bucket.
+    /// The per-replica ledgers, the aggregate-level counters and the
+    /// migration bucket, summed.
     fn usage(&self) -> Usage {
-        let mut total = *self.extra.borrow();
-        total.accumulate(&self.migration_usage.borrow());
+        let mut total = self.extra.get();
+        total.accumulate(&self.migration_usage.get());
         for s in self.replicas.iter().flatten() {
             total.accumulate(&s.usage());
         }
@@ -448,8 +428,8 @@ impl TextService for ShardedTextServer {
     }
 
     fn reset_usage(&self) {
-        *self.extra.borrow_mut() = Usage::default();
-        *self.migration_usage.borrow_mut() = Usage::default();
+        self.extra.reset();
+        self.migration_usage.reset();
         for s in self.replicas.iter().flatten() {
             s.reset_usage();
         }
@@ -459,16 +439,20 @@ impl TextService for ShardedTextServer {
     /// not attribute the wait to one shard — per-shard retry loops use
     /// [`charge_shard_backoff`](Self::charge_shard_backoff) instead).
     fn charge_backoff(&self, seconds: f64) {
+        self.backoff_billed(seconds);
+    }
+
+    fn backoff_billed(&self, seconds: f64) -> Usage {
         let charge = Charge {
             retries: 1,
             ns_backoff: ns(seconds),
             ..Charge::default()
         };
-        self.extra.borrow_mut().book(&charge);
         self.emit(EventKind::Backoff {
             shard: None,
-            charge,
+            charge: self.extra.book(charge),
         });
+        charge.into()
     }
 
     /// A scatter is a gather completed from nothing: single attempt per
@@ -477,7 +461,7 @@ impl TextService for ShardedTextServer {
     /// [`PartialShardError`].
     fn search(&self, expr: &SearchExpr) -> Result<SearchResult, TextError> {
         self.validate_cap(expr)?;
-        self.complete_gather(&[], expr)
+        self.complete_gather_from(&[], expr, self.epoch.get()).value
     }
 
     fn search_str(&self, query: &str) -> Result<SearchResult, TextError> {
@@ -500,20 +484,7 @@ impl TextService for ShardedTextServer {
     }
 
     fn retrieve_all(&self, ids: &[DocId]) -> Result<Vec<Document>, Box<PartialRetrieveError>> {
-        let mut docs = Vec::with_capacity(ids.len());
-        for &id in ids {
-            match TextService::retrieve(self, id) {
-                Ok(doc) => docs.push(doc),
-                Err(error) => {
-                    return Err(Box::new(PartialRetrieveError {
-                        docs,
-                        failed: id,
-                        error,
-                    }))
-                }
-            }
-        }
-        Ok(docs)
+        retrieve_each(ids, |id| TextService::retrieve(self, id))
     }
 
     /// Scatters the whole batch to every shard (each applies its own
@@ -525,7 +496,8 @@ impl TextService for ShardedTextServer {
         }
         self.gather_batch(exprs, |i| {
             self.failover(i, &self.routing_order(i), |r| {
-                self.batch_replica(i, r, exprs)
+                self.pace_migration();
+                self.batch_replica(i, r, exprs).value
             })
         })
     }
@@ -805,7 +777,7 @@ mod tests {
         assert_eq!(s.replica(2, sec).usage().invocations, 1);
         // Shard and aggregate ledgers both see every replica's charges.
         assert_eq!(s.shard_usage(2).faults, 1);
-        let mut summed = *s.extra.borrow();
+        let mut summed = s.extra.get();
         for i in 0..4 {
             summed.accumulate(&s.shard_usage(i));
         }
@@ -820,17 +792,24 @@ mod tests {
     }
 
     #[test]
-    fn rebate_replica_unbooks_a_cancelled_leg_everywhere() {
+    fn a_replica_rebate_unbooks_a_cancelled_leg_everywhere() {
         let coll = corpus(40);
         let s = ShardedTextServer::replicated(&coll, 4, 2, 7);
         let expr = parse_search("TI='shared'", TextService::schema(&s)).unwrap();
         let loser = (s.primary_of(1) + 1) % 2;
         let aggregate_before = TextService::usage(&s);
         let leg_before = s.replica(1, loser).usage();
-        s.search_replica(1, loser, &expr).unwrap();
-        let leg = s.replica(1, loser).usage().since(&leg_before);
-        assert!(leg.total_cost() > 0.0, "the leg did chargeable work");
-        s.rebate_replica(1, loser, &leg);
+        let leg = s.search_replica(1, loser, &expr);
+        assert!(leg.value.is_ok());
+        let booked = s.replica(1, loser).usage().since(&leg_before);
+        assert_eq!(leg.invoice, booked, "the leg bills what its replica booked");
+        assert!(
+            leg.invoice.total_cost() > 0.0,
+            "the leg did chargeable work"
+        );
+        let mut net = s.replica(1, loser).rebate(&leg.invoice);
+        net.accumulate(&leg.invoice);
+        assert_eq!(net, Usage::default(), "the rebate bills the leg's negation");
         assert_eq!(s.replica(1, loser).usage(), leg_before);
         assert_eq!(s.shard_usage(1), Usage::default());
         assert_eq!(TextService::usage(&s), aggregate_before);

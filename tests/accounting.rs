@@ -173,10 +173,7 @@ fn the_budget_guard_refuses_one_tick_past_the_ceiling() {
     let next = parse_search("TI='database'", schema).expect("parses");
     for (limit, refused) in [(charge, false), (charge - 1, true)] {
         let ctx = ExecContext {
-            ceiling: Some(CostCeiling {
-                baseline: w.server.usage().ticks(),
-                limit,
-            }),
+            ceiling: Some(CostCeiling { limit }),
             ..ExecContext::new(&w.server)
         };
         let out = tuple_substitution(&ctx, &fj, true).expect("the query finishes");
@@ -612,6 +609,55 @@ fn migration_charges_land_in_a_dedicated_bucket_disjoint_from_queries() {
     let after = s.migration_usage();
     assert_eq!(after.invocations, frozen.invocations);
     assert_eq!(ticks(&after), ticks(&frozen));
+}
+
+/// A paced transfer runs before a query leg and is billed to the method
+/// that triggered it, but the transfer is not that leg's work: the method
+/// reports it, and the scheduler does not time it. Under pacing, each
+/// method's serial transport is its reported ticks less the ticks of the
+/// transfers paced in its window.
+#[test]
+fn paced_transfers_reach_the_method_invoice_but_not_its_leg_time() {
+    use textjoin::core::sched::{SchedConfig, Scheduler};
+    use textjoin::text::doc::DocId;
+    use textjoin::text::rebalance::{MigrationPlan, Move};
+    use textjoin::text::shard::ShardedTextServer;
+
+    let w = world();
+    let schema = w.server.collection().schema();
+    let export = w.server.export_stats();
+    let params = CostParams::mercury(w.server.doc_count() as f64);
+    let n = w.server.collection().doc_count() as u32;
+    let mut paced_runs = 0;
+    for q in [paper::q1(&w), paper::q2(&w), paper::q3(&w), paper::q4(&w)] {
+        let p = prepare(&q, &w.catalog, schema).expect("paper query prepares");
+        let stats = p.statistics_from_export(&export, schema);
+        for cand in enumerate_methods(&params, &stats, q.projection, false) {
+            let mut s = ShardedTextServer::replicated(w.server.collection(), 4, 2, 0x5AD);
+            s.begin_migration(MigrationPlan::new(
+                vec![Move {
+                    range: (DocId(0), DocId(n)),
+                    src: 1,
+                    dst: 3,
+                }],
+                4,
+            ));
+            s.set_migration_pacing(2);
+            let sched = Scheduler::new(SchedConfig::new(0x7E97));
+            let ctx = ExecContext::new(&s).with_transport(&sched);
+            let before = s.migration_usage();
+            let out = execute_single(&ctx, &p, &cand, ProbeSchedule::ProbeFirst).expect("runs");
+            let paced = s.migration_usage().since(&before).ticks();
+            let label = &cand.label;
+            assert_eq!(
+                sched.serial_total(),
+                out.report.text.ticks() - paced,
+                "{label}"
+            );
+            paced_runs += usize::from(paced > 0);
+        }
+    }
+    assert!(paced_runs >= 10, "transfers ran under {paced_runs} methods");
 }
 
 #[test]

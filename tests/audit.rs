@@ -982,3 +982,224 @@ fn regret_replays_are_deterministic_and_never_touch_the_audited_ledger() {
         "counterfactual replays charged the audited server"
     );
 }
+
+/// The invoice audit: every call returns its invoice, and what a context
+/// adds up from them is a record of its own, independent of the servers'
+/// ledgers. The two must agree, `u64` for `u64` on every field.
+fn assert_invoices_sum_to(label: &str, invoices: &Usage, ledger_delta: &Usage) {
+    let fields = |u: &Usage| {
+        [
+            ("invocations", u.invocations),
+            ("rejected", u.rejected),
+            ("postings_processed", u.postings_processed),
+            ("docs_short", u.docs_short),
+            ("docs_long", u.docs_long),
+            ("ns_invocation", u.ns_invocation),
+            ("ns_processing", u.ns_processing),
+            ("ns_transmission", u.ns_transmission),
+            ("faults", u.faults),
+            ("retries", u.retries),
+            ("ns_backoff", u.ns_backoff),
+            ("cache_hits", u.cache_hits),
+            ("cache_misses", u.cache_misses),
+            ("cache_evicted", u.cache_evicted),
+        ]
+    };
+    for ((name, billed), (_, booked)) in fields(invoices).into_iter().zip(fields(ledger_delta)) {
+        assert_eq!(billed, booked, "{label}: {name}");
+    }
+}
+
+/// Every topology the transport drives — a lone server, 4×1 and 4×2 with
+/// a dead primary under transient faults, a hedging scheduler over slow
+/// primaries, and a migration paced under the queries — runs every method
+/// of q3 and q4 through one context, and the invoices that context
+/// received sum to the aggregate ledger's delta: faulted attempts,
+/// backoffs, hedges, rebates and paced transfers included.
+#[test]
+fn the_invoices_a_run_received_sum_to_the_aggregate_ledger_delta() {
+    use textjoin::core::sched::{SchedConfig, Scheduler};
+    use textjoin::text::doc::DocId;
+    use textjoin::text::rebalance::{MigrationPlan, Move};
+
+    let w = compact_world(7);
+    let schema = w.server.collection().schema();
+    let n = w.server.collection().doc_count() as u32;
+    let transient = |seed: u64| FaultPlan::transient(seed, 0.3, 2);
+    let sharded = |replicas: usize| {
+        let mut s = ShardedTextServer::replicated(w.server.collection(), 4, replicas, 0x5AD);
+        for i in 0..4 {
+            for r in 0..replicas {
+                let plan = transient(11 ^ ((i as u64) << 24) ^ ((r as u64) << 32));
+                s.replica_mut(i, r).set_fault_plan(plan);
+            }
+        }
+        s
+    };
+    let lone = || {
+        let mut s = TextServer::new(w.server.collection().clone());
+        s.set_fault_plan(transient(11));
+        s
+    };
+    let dead_primary = || {
+        let mut s = sharded(2);
+        let dead = s.primary_of(2);
+        s.replica_mut(2, dead).set_fault_plan(FaultPlan::dead(11));
+        s
+    };
+    let slow_primaries = || {
+        let mut s = ShardedTextServer::replicated(w.server.collection(), 4, 2, 0x5AD);
+        for i in 0..4 {
+            let pri = s.primary_of(i);
+            s.replica_mut(i, pri)
+                .set_fault_plan(FaultPlan::slow(11 ^ ((i as u64) << 24), 0.5));
+        }
+        s
+    };
+    let paced = || {
+        let mut s = sharded(2);
+        s.begin_migration(MigrationPlan::new(
+            vec![Move {
+                range: (DocId(0), DocId(n)),
+                src: 1,
+                dst: 3,
+            }],
+            8,
+        ));
+        s.set_migration_pacing(2);
+        s
+    };
+    let mut paced_transfers = 0;
+    let mut hedges = 0;
+    for (qname, q) in [("q3", paper::q3(&w)), ("q4", paper::q4(&w))] {
+        let p =
+            textjoin::core::query::prepare(&q, &w.catalog, schema).expect("paper query prepares");
+        let fj = p.foreign_join();
+        for method in methods_for(&fj) {
+            let topologies: Vec<(&str, Box<dyn TextService>)> = vec![
+                ("lone", Box::new(lone())),
+                ("4x1", Box::new(sharded(1))),
+                ("4x2 dead primary", Box::new(dead_primary())),
+                ("4x2 hedged", Box::new(slow_primaries())),
+                ("4x2 paced", Box::new(paced())),
+            ];
+            for (topology, s) in &topologies {
+                let sched = Scheduler::new(SchedConfig::new(0x7E97));
+                let budget = RetryBudget::new(RetryPolicy::standard());
+                let ctx = ExecContext::with_budget(s.as_ref(), &budget).with_transport(&sched);
+                let before = s.usage();
+                let mig_before = s.as_sharded().map(|sh| sh.migration_usage());
+                // Bounded chaos may surface a typed failure; what was
+                // billed must reconcile either way.
+                let _ = run_one(&ctx, &fj, method);
+                let label = format!("{topology} {qname}/{method}");
+                let delta = s.usage().since(&before);
+                assert_invoices_sum_to(&label, &ctx.invoice.get(), &delta);
+                hedges += sched.hedges();
+                if let (Some(sh), Some(m)) = (s.as_sharded(), mig_before) {
+                    paced_transfers += sh.migration_usage().since(&m).invocations;
+                }
+            }
+        }
+    }
+    assert!(hedges > 0, "the hedged topology never hedged");
+    assert!(paced_transfers > 0, "the paced topology never transferred");
+}
+
+/// A serving session bills each query what its execution received; with
+/// the migration bucket, those invoices are everything the servers booked
+/// over the session.
+#[test]
+fn a_serve_session_invoices_sum_to_the_aggregate_ledger_delta() {
+    use textjoin::core::cost::params::CostParams;
+    use textjoin::core::serve::{Backend, ServeConfig, ServeSession, TenantSpec};
+    use textjoin::obs::MonitorConfig;
+
+    let w = compact_world(7);
+    let mut s = ShardedTextServer::replicated(w.server.collection(), 4, 2, 0x5AD);
+    let dead = s.primary_of(2);
+    s.replica_mut(2, dead).set_fault_plan(FaultPlan::dead(11));
+    for r in 0..2 {
+        s.replica_mut(1, r).set_fault_plan(FaultPlan::transient(
+            0x5EA7 ^ ((r as u64) << 32),
+            0.35,
+            2,
+        ));
+    }
+    let (before, mig_before) = (s.usage(), s.migration_usage());
+    let mut cfg = ServeConfig::new(CostParams::mercury(w.server.doc_count() as f64));
+    cfg.quantum = 1e9;
+    cfg.monitor = Some(MonitorConfig::new(100.0).with_skew(400_000, 320_000));
+    cfg.migration_budget = 1e9;
+    let tenants = vec![TenantSpec::new("a", 1e9, 1), TenantSpec::new("b", 60.0, 1)];
+    let stream: Vec<_> = (0..8)
+        .map(|i| {
+            (
+                i % 2,
+                if i % 3 == 0 {
+                    paper::q5(&w)
+                } else {
+                    paper::q6(&w)
+                },
+            )
+        })
+        .collect();
+    let report = ServeSession::new(Backend::Elastic(&mut s), &w.catalog, tenants, cfg).run(&stream);
+    let mut billed = s.migration_usage().since(&mig_before);
+    for r in &report.records {
+        billed.accumulate(&r.invoice);
+    }
+    assert!(
+        report.records.iter().any(|r| r.invoice.faults > 0),
+        "the fixture must bill faulted attempts"
+    );
+    assert_invoices_sum_to("serve session", &billed, &s.usage().since(&before));
+}
+
+/// A context's invoice is a running sum, and a method reports what it
+/// added: one context reused across two methods reports exactly what two
+/// fresh contexts report over the same calls, and it holds their sum.
+#[test]
+fn a_reused_context_reports_what_fresh_contexts_report() {
+    let w = compact_world(7);
+    let schema = w.server.collection().schema();
+    let p = textjoin::core::query::prepare(&paper::q3(&w), &w.catalog, schema)
+        .expect("paper query prepares");
+    let fj = p.foreign_join();
+    let server = || {
+        let mut s = ShardedTextServer::replicated(w.server.collection(), 4, 2, 0x5AD);
+        for i in 0..4 {
+            for r in 0..2 {
+                let seed = 11 ^ ((i as u64) << 24) ^ ((r as u64) << 32);
+                s.replica_mut(i, r)
+                    .set_fault_plan(FaultPlan::transient(seed, 0.3, 2));
+            }
+        }
+        s
+    };
+    let (reused_server, fresh_server) = (server(), server());
+    let (reused_budget, fresh_budget) = (
+        RetryBudget::new(RetryPolicy::standard()),
+        RetryBudget::new(RetryPolicy::standard()),
+    );
+    let reused = ExecContext::with_budget(&reused_server, &reused_budget);
+    let mut sum = Usage::default();
+    for method in ["TS", "P+RTP"] {
+        let fresh = ExecContext::with_budget(&fresh_server, &fresh_budget);
+        let again = run_one(&reused, &fj, method).expect("the method runs");
+        let once = run_one(&fresh, &fj, method).expect("the method runs");
+        assert_eq!(again.report, once.report, "{method}: the reused context");
+        // A report also counts its probe-cache traffic, which is free and
+        // was never invoiced.
+        let invoiced = Usage {
+            cache_hits: 0,
+            cache_misses: 0,
+            cache_evicted: 0,
+            ..once.report.text
+        };
+        assert_eq!(fresh.invoice.get(), invoiced, "{method}: the fresh context");
+        sum.accumulate(&invoiced);
+    }
+    assert!(sum.faults > 0, "the fixture must bill faulted attempts");
+    assert_eq!(reused.invoice.get(), sum);
+}
