@@ -76,13 +76,14 @@ fn sweep_methods(
     let mut p1_ts = Vec::new();
     let mut p2_ts = Vec::new();
     let mut p1_rtp = Vec::new();
+    let total = |w| Some(params.price(&w).total());
     for &x in &xs {
         let s = stats_at(x);
-        ts.push(Some(cost_ts(params, &s).total()));
-        sj.push(cost_sj(params, &s, true).map(|c| c.total()));
-        p1_ts.push(Some(cost_p_ts(params, &s, &[0]).total()));
-        p2_ts.push(Some(cost_p_ts(params, &s, &[1]).total()));
-        p1_rtp.push(Some(cost_p_rtp(params, &s, &[0]).total()));
+        ts.push(total(cost_ts(params, &s)));
+        sj.push(cost_sj(params, &s, true).and_then(total));
+        p1_ts.push(total(cost_p_ts(params, &s, &[0])));
+        p2_ts.push(total(cost_p_ts(params, &s, &[1])));
+        p1_rtp.push(total(cost_p_rtp(params, &s, &[0])));
     }
     Sweep {
         x_name,
@@ -180,8 +181,8 @@ pub fn fig2(d: f64, points: usize) -> Fig2 {
     for (i, &s1) in s1s.iter().enumerate() {
         for (j, &frac) in fracs.iter().enumerate() {
             let stats = knobs::with_n1_frac(knobs::with_s1(base.clone(), s1), frac);
-            let ts = cost_ts(&params, &stats).total();
-            let pts = cost_p_ts(&params, &stats, &[0]).total();
+            let ts = params.price(&cost_ts(&params, &stats)).total();
+            let pts = params.price(&cost_p_ts(&params, &stats, &[0])).total();
             p_ts_wins[i][j] = pts < ts;
         }
     }
@@ -453,18 +454,14 @@ pub fn ablations(w: &World) -> Vec<Ablation> {
             let stats = prepared.statistics_from_export(&export, schema);
             let bounded = optimal_probe_bounded(&params, &stats, cost_p_ts).expect("k ≥ 1");
             let exhaustive = optimal_probe_exhaustive(&params, &stats, cost_p_ts).expect("k ≥ 1");
-            rows.push(AblationRow {
-                variant: format!("{label} bounded {:?}", bounded.0),
-                secs: bounded.1.total(),
-                invocations: bounded.1.searches as u64,
-                rows: 0,
-            });
-            rows.push(AblationRow {
-                variant: format!("{label} exhaustive {:?}", exhaustive.0),
-                secs: exhaustive.1.total(),
-                invocations: exhaustive.1.searches as u64,
-                rows: 0,
-            });
+            for (search, (cols, work)) in [("bounded", bounded), ("exhaustive", exhaustive)] {
+                rows.push(AblationRow {
+                    variant: format!("{label} {search} {cols:?}"),
+                    secs: params.price(&work).total(),
+                    invocations: work.searches as u64,
+                    rows: 0,
+                });
+            }
         }
         out.push(Ablation {
             name: "probe-column search (estimated P+TS cost)",

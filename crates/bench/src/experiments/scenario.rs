@@ -4,7 +4,7 @@
 use std::rc::Rc;
 
 use textjoin_core::cost::formulas::{cost_p_rtp, cost_p_ts};
-use textjoin_core::cost::params::{CostParams, JoinStatistics};
+use textjoin_core::cost::params::{CostParams, JoinStatistics, Work};
 use textjoin_core::exec::execute_single;
 use textjoin_core::methods::probe::ProbeSchedule;
 use textjoin_core::methods::{ExecContext, MethodError};
@@ -14,7 +14,7 @@ use textjoin_core::optimizer::single::{
 use textjoin_core::query::{prepare, PreparedQuery, SingleJoinQuery};
 use textjoin_core::retry::{RetryBudget, RetryPolicy};
 use textjoin_core::sched::{SchedConfig, Scheduler};
-use textjoin_obs::{ns, CostVector, Event, Recorder, RingSink};
+use textjoin_obs::{ns, Event, Recorder, RingSink};
 use textjoin_text::doc::DocId;
 use textjoin_text::faults::FaultPlan;
 use textjoin_text::rebalance::{MigrationPlan, Move};
@@ -105,12 +105,12 @@ impl PaperQuery {
 pub(super) fn paper_queries(w: &World) -> Vec<PaperQuery> {
     let ts_schema = w.server.collection().schema();
     let params = world_params(w);
-    let probe_cols =
-        |stats: &JoinStatistics, f: fn(&CostParams, &JoinStatistics, &[usize]) -> CostVector| {
-            optimal_probe_bounded(&params, stats, f)
-                .map(|(cols, _)| cols)
-                .unwrap_or_else(|| vec![0])
-        };
+    let probe_cols = |stats: &JoinStatistics,
+                      f: fn(&CostParams, &JoinStatistics, &[usize]) -> Work| {
+        optimal_probe_bounded(&params, stats, f)
+            .map(|(cols, _)| cols)
+            .unwrap_or_else(|| vec![0])
+    };
     [
         ("Q1", paper::q1(w)),
         ("Q2", paper::q2(w)),
@@ -262,6 +262,7 @@ pub fn run_method_ctx(
         kind,
         label: String::new(),
         probe_cols: probe_cols.to_vec(),
+        work: Work::default(),
         cost: Default::default(),
     };
     let out = execute_single(ctx, prepared, &cand, ProbeSchedule::ProbeFirst)?;

@@ -19,11 +19,12 @@
 //! Every search result is transmitted short-form (`c_s`); long-form
 //! retrieval (`c_l`) is added when the projection needs full documents, or
 //! — for the RTP family — when some joined field is not in the short form.
-
-use textjoin_obs::CostVector;
+//!
+//! The formulas return expected counts ([`Work`]), not seconds: the
+//! constants are applied by [`CostParams::price`] alone.
 
 use super::correlate::{distinct_docs, joint_fanout, joint_selectivity, total_docs};
-use super::params::{CostParams, JoinStatistics};
+use super::params::{CostParams, JoinStatistics, Work};
 
 /// A predicate subset `J` as the estimators walk it: indices into
 /// `JoinStatistics::preds`, cheap to walk again.
@@ -51,55 +52,44 @@ fn probe_selectivity(p: &CostParams, s: &JoinStatistics, subset: impl Subset) ->
     joint_selectivity(subset.map(|i| s.preds[i].selectivity), p.g)
 }
 
-/// The transmission cost of shipping `v` result documents: always short
-/// form; long form too when the projection needs it.
-fn xmit(p: &CostParams, s: &JoinStatistics, v: f64) -> f64 {
-    let mut c = p.constants.c_s * v;
-    if s.needs_long {
-        c += p.constants.c_l * v;
+/// `n` searches processing `postings_each` postings apiece, shipping `v`
+/// documents: short form always, long form too when `long`.
+fn phase(n: f64, postings_each: f64, v: f64, long: bool) -> Work {
+    Work {
+        searches: n,
+        postings: n * postings_each,
+        docs_short: v,
+        docs_long: if long { v } else { 0.0 },
+        ..Work::default()
     }
-    c
 }
 
 /// A "tuple-substitution-shaped" phase: `n` searches over subset `J`, each
 /// transmitting its full result set.
-fn ts_phase(p: &CostParams, s: &JoinStatistics, n: f64, subset: impl Subset) -> CostVector {
-    let f = result_fanout(p, s, subset.clone());
-    let v = total_docs(n, f);
-    CostVector {
-        invocation: p.effective_c_i() * n,
-        processing: p.constants.c_p * n * postings_per_search(s, subset),
-        transmission: xmit(p, s, v),
-        rtp: 0.0,
-        searches: n,
-    }
+fn ts_phase(p: &CostParams, s: &JoinStatistics, n: f64, subset: impl Subset) -> Work {
+    let v = total_docs(n, result_fanout(p, s, subset.clone()));
+    phase(n, postings_per_search(s, subset), v, s.needs_long)
 }
 
 /// `C_TS` — tuple substitution (distinct variant): one search per distinct
 /// join-column tuple (paper: `C_TS = c_i N + c_p L_{N,K} + c_l V_{N,K}`,
 /// with `N` replaced by `n_K` for the distinct variant).
-pub fn cost_ts(p: &CostParams, s: &JoinStatistics) -> CostVector {
+pub fn cost_ts(p: &CostParams, s: &JoinStatistics) -> Work {
     ts_phase(p, s, s.n_k, all(s))
 }
 
 /// `C_TS` for the naive variant (one search per tuple) — ablation only.
-pub fn cost_ts_naive(p: &CostParams, s: &JoinStatistics) -> CostVector {
+pub fn cost_ts_naive(p: &CostParams, s: &JoinStatistics) -> Work {
     ts_phase(p, s, s.n, all(s))
 }
 
 /// The probe phase `C_P = c_i N_J + c_p L_{N_J,J} + c_s V_{N_J,J}`:
 /// one probe per distinct `J`-key, short-form responses.
-pub(crate) fn cost_probe_phase(p: &CostParams, s: &JoinStatistics, subset: &[usize]) -> CostVector {
+pub(crate) fn cost_probe_phase(p: &CostParams, s: &JoinStatistics, subset: &[usize]) -> Work {
     let n_j = s.n_j(subset);
     let subset = subset.iter().copied();
-    let f = result_fanout(p, s, subset.clone());
-    CostVector {
-        invocation: p.effective_c_i() * n_j,
-        processing: p.constants.c_p * n_j * postings_per_search(s, subset),
-        transmission: p.constants.c_s * total_docs(n_j, f),
-        rtp: 0.0,
-        searches: n_j,
-    }
+    let v = total_docs(n_j, result_fanout(p, s, subset.clone()));
+    phase(n_j, postings_per_search(s, subset), v, false)
 }
 
 /// `C_{P+TS} = C_P + c_i R + c_p L_{R,K} + c_l V_{R,K}` with
@@ -110,39 +100,23 @@ pub(crate) fn cost_probe_phase(p: &CostParams, s: &JoinStatistics, subset: &[usi
 /// in phase 2 total `n_K × F` — the same as unprobed TS (this is the
 /// Section 7.2 observation that "the number of long-form documents
 /// transmitted is the same for both methods").
-pub fn cost_p_ts(p: &CostParams, s: &JoinStatistics, subset: &[usize]) -> CostVector {
-    let mut c = cost_probe_phase(p, s, subset);
+pub fn cost_p_ts(p: &CostParams, s: &JoinStatistics, subset: &[usize]) -> Work {
     let r = s.n_k * probe_selectivity(p, s, subset.iter().copied());
     let v = total_docs(s.n_k, result_fanout(p, s, all(s)));
-    c.accumulate(&CostVector {
-        invocation: p.effective_c_i() * r,
-        processing: p.constants.c_p * r * postings_per_search(s, all(s)),
-        transmission: xmit(p, s, v),
-        rtp: 0.0,
-        searches: r,
-    });
-    c
+    cost_probe_phase(p, s, subset) + phase(r, postings_per_search(s, all(s)), v, s.needs_long)
 }
 
 /// `C_RTP` — one search carrying the selections, result documents matched
 /// relationally. `None` when there are no text selections (RTP
 /// inapplicable, Section 3.2).
-pub(crate) fn cost_rtp(p: &CostParams, s: &JoinStatistics) -> Option<CostVector> {
+pub(crate) fn cost_rtp(s: &JoinStatistics) -> Option<Work> {
     if s.sel_terms == 0 {
         return None;
     }
-    let f_sel = s.sel_fanout;
     let need_long = s.needs_long || !s.short_form_sufficient;
-    let mut transmission = p.constants.c_s * f_sel;
-    if need_long {
-        transmission += p.constants.c_l * f_sel;
-    }
-    Some(CostVector {
-        invocation: p.effective_c_i(),
-        processing: p.constants.c_p * s.sel_postings,
-        transmission,
-        rtp: p.c_a * f_sel * s.n * s.k() as f64,
-        searches: 1.0,
+    Some(Work {
+        comparisons: s.sel_fanout * s.n * s.k() as f64,
+        ..phase(1.0, s.sel_postings, s.sel_fanout, need_long)
     })
 }
 
@@ -150,7 +124,7 @@ pub(crate) fn cost_rtp(p: &CostParams, s: &JoinStatistics) -> Option<CostVector>
 /// single conjunct does not fit under the term cap. `rtp_completion` adds
 /// the document-fetch + relational matching needed for non-docid
 /// projections.
-pub fn cost_sj(p: &CostParams, s: &JoinStatistics, rtp_completion: bool) -> Option<CostVector> {
+pub fn cost_sj(p: &CostParams, s: &JoinStatistics, rtp_completion: bool) -> Option<Work> {
     let k = s.k().max(1);
     let per = (p.m.saturating_sub(s.sel_terms)) / k;
     if per == 0 {
@@ -159,41 +133,34 @@ pub fn cost_sj(p: &CostParams, s: &JoinStatistics, rtp_completion: bool) -> Opti
     let n_searches = (s.n_k / per as f64)
         .ceil()
         .max(if s.n_k > 0.0 { 1.0 } else { 0.0 });
-    let f_per_conjunct = result_fanout(p, s, all(s));
-    let u = distinct_docs(s.n_k, f_per_conjunct, p.d);
+    let u = distinct_docs(s.n_k, result_fanout(p, s, all(s)), p.d);
     let join_postings: f64 = all(s).map(|i| s.preds[i].list_len).sum();
-    let mut c = CostVector {
-        invocation: p.effective_c_i() * n_searches,
-        processing: p.constants.c_p * (s.n_k * join_postings + n_searches * s.sel_postings),
-        transmission: p.constants.c_s * u,
-        rtp: 0.0,
-        searches: n_searches,
+    let need_long = rtp_completion && (s.needs_long || !s.short_form_sufficient);
+    let comparisons = if rtp_completion {
+        u * s.n * k as f64
+    } else {
+        0.0
     };
-    if rtp_completion {
-        let need_long = s.needs_long || !s.short_form_sufficient;
-        if need_long {
-            c.transmission += p.constants.c_l * u;
-        }
-        c.rtp = p.c_a * u * s.n * k as f64;
-    }
-    Some(c)
+    Some(Work {
+        postings: s.n_k * join_postings + n_searches * s.sel_postings,
+        comparisons,
+        ..phase(n_searches, 0.0, u, need_long)
+    })
 }
 
 /// `C_{P+RTP}` — probes on `J` (whose result sets are the candidate
 /// documents), then relational matching against the surviving tuples
 /// (Example 3.6).
-pub fn cost_p_rtp(p: &CostParams, s: &JoinStatistics, subset: &[usize]) -> CostVector {
-    let mut c = cost_probe_phase(p, s, subset);
+pub fn cost_p_rtp(p: &CostParams, s: &JoinStatistics, subset: &[usize]) -> Work {
     let n_j = s.n_j(subset);
-    let f_probe = result_fanout(p, s, subset.iter().copied());
-    let u = distinct_docs(n_j, f_probe, p.d);
+    let u = distinct_docs(n_j, result_fanout(p, s, subset.iter().copied()), p.d);
     let need_long = s.needs_long || !s.short_form_sufficient;
-    if need_long {
-        c.transmission += p.constants.c_l * u;
-    }
     let surviving = s.n * probe_selectivity(p, s, subset.iter().copied());
-    c.rtp = p.c_a * u * surviving * s.k() as f64;
-    c
+    Work {
+        docs_long: if need_long { u } else { 0.0 },
+        comparisons: u * surviving * s.k() as f64,
+        ..cost_probe_phase(p, s, subset)
+    }
 }
 
 /// Every predicate, `K`.
@@ -246,7 +213,7 @@ mod tests {
     #[test]
     fn ts_formula_components() {
         let (p, s) = stats();
-        let c = cost_ts(&p, &s);
+        let c = p.price(&cost_ts(&p, &s));
         assert!((c.invocation - 3.0 * 100.0).abs() < 1e-9);
         assert!((c.searches - 100.0).abs() < 1e-12);
         // g=1: joint fanout = min(2,5) = 2; V = 200 docs; long+short.
@@ -257,8 +224,8 @@ mod tests {
     #[test]
     fn p_ts_beats_ts_when_selective_probe() {
         let (p, s) = stats();
-        let ts = cost_ts(&p, &s).total();
-        let pts = cost_p_ts(&p, &s, &[0]).total();
+        let ts = p.price(&cost_ts(&p, &s)).total();
+        let pts = p.price(&cost_p_ts(&p, &s, &[0])).total();
         // s_1 = 0.16, N_1/N = 0.2: probing pays (0.16 < 1 - 0.2).
         assert!(
             pts < ts,
@@ -271,8 +238,8 @@ mod tests {
         let (p, mut s) = stats();
         s.preds[0].selectivity = 1.0; // every probe succeeds
         s.preds[0].distinct = 100.0; // and every key is unique
-        let ts = cost_ts(&p, &s).total();
-        let pts = cost_p_ts(&p, &s, &[0]).total();
+        let ts = p.price(&cost_ts(&p, &s)).total();
+        let pts = p.price(&cost_p_ts(&p, &s, &[0])).total();
         assert!(pts > ts, "pure overhead: P+TS {pts:.1} vs TS {ts:.1}");
     }
 
@@ -288,8 +255,8 @@ mod tests {
         for &(s1, n1_frac) in &[(0.3, 0.5), (0.6, 0.5), (0.1, 0.95), (0.9, 0.05)] {
             s.preds[0].selectivity = s1;
             s.preds[0].distinct = n1_frac * s.n;
-            let ts = cost_ts(&p, &s).total();
-            let pts = cost_p_ts(&p, &s, &[0]).total();
+            let ts = p.price(&cost_ts(&p, &s)).total();
+            let pts = p.price(&cost_p_ts(&p, &s, &[0])).total();
             let predicted_pts_wins = s1 < 1.0 - n1_frac;
             assert_eq!(
                 pts < ts,
@@ -302,14 +269,17 @@ mod tests {
     #[test]
     fn rtp_needs_selections() {
         let (p, s) = stats();
-        assert!(cost_rtp(&p, &s).is_none());
+        assert!(cost_rtp(&s).is_none());
         let mut s2 = s;
         s2.sel_terms = 1;
         s2.sel_fanout = 8.0;
         s2.sel_postings = 8.0;
-        let c = cost_rtp(&p, &s2).unwrap();
+        let c = p.price(&cost_rtp(&s2).unwrap());
         assert!((c.invocation - 3.0).abs() < 1e-12, "single invocation");
-        assert!(c.total() < cost_ts(&p, &s2).total(), "selective RTP wins");
+        assert!(
+            c.total() < p.price(&cost_ts(&p, &s2)).total(),
+            "selective RTP wins"
+        );
     }
 
     #[test]
@@ -317,7 +287,7 @@ mod tests {
         let (p, mut s) = stats();
         s.needs_long = false;
         // k=2, no selections: 35 conjuncts/search; 100 keys → 3 searches.
-        let c = cost_sj(&p, &s, false).unwrap();
+        let c = p.price(&cost_sj(&p, &s, false).unwrap());
         assert!((c.searches - 3.0).abs() < 1e-12);
         // Tiny cap: inapplicable.
         let mut p2 = p;
@@ -328,17 +298,17 @@ mod tests {
     #[test]
     fn sj_transmission_uses_distinct_docs() {
         let (p, s) = stats();
-        let c = cost_sj(&p, &s, false).unwrap();
+        let w = cost_sj(&p, &s, false).unwrap();
         let v = 100.0 * result_fanout(&p, &s, 0..2);
         // U < V strictly for overlapping result sets.
-        assert!(c.transmission / p.constants.c_s < v);
+        assert!(w.docs_short < v);
     }
 
     #[test]
     fn sj_rtp_adds_completion() {
         let (p, s) = stats();
-        let plain = cost_sj(&p, &s, false).unwrap();
-        let with = cost_sj(&p, &s, true).unwrap();
+        let plain = p.price(&cost_sj(&p, &s, false).unwrap());
+        let with = p.price(&cost_sj(&p, &s, true).unwrap());
         assert!(with.total() > plain.total());
         assert!(with.rtp > 0.0);
         assert!(
@@ -351,10 +321,10 @@ mod tests {
     fn p_rtp_cheaper_with_fewer_docs() {
         let (p, mut s) = stats();
         s.needs_long = false;
-        let a = cost_p_rtp(&p, &s, &[0]);
+        let a = p.price(&cost_p_rtp(&p, &s, &[0]));
         let mut s2 = s.clone();
         s2.preds[0].fanout = 0.2; // far fewer candidate docs
-        let b = cost_p_rtp(&p, &s2, &[0]);
+        let b = p.price(&cost_p_rtp(&p, &s2, &[0]));
         assert!(b.total() < a.total());
     }
 
@@ -372,13 +342,13 @@ mod tests {
     fn naive_ts_never_cheaper() {
         let (p, mut s) = stats();
         s.n_k = 60.0; // duplicates exist
-        assert!(cost_ts_naive(&p, &s).total() > cost_ts(&p, &s).total());
+        assert!(p.price(&cost_ts_naive(&p, &s)).total() > p.price(&cost_ts(&p, &s)).total());
     }
 
     #[test]
     fn breakdown_total_sums() {
         let (p, s) = stats();
-        let c = cost_p_ts(&p, &s, &[0, 1]);
+        let c = p.price(&cost_p_ts(&p, &s, &[0, 1]));
         assert!((c.total() - (c.invocation + c.processing + c.transmission + c.rtp)).abs() < 1e-9);
     }
 
@@ -394,8 +364,8 @@ mod tests {
         p.constants.c_p = 0.0;
         p.constants.c_s = 0.0;
         p.constants.c_l = 0.0;
-        let ts_clean = cost_ts(&p, &s).total();
-        let sj_clean = cost_sj(&p, &s, false).unwrap().total();
+        let ts_clean = p.price(&cost_ts(&p, &s)).total();
+        let sj_clean = p.price(&cost_sj(&p, &s, false).unwrap()).total();
         // 100 searches vs 3: SJ already wins, but note the *margin*.
         let margin_clean = ts_clean - sj_clean;
         // A 30% fault rate with the standard schedule (mean 7/3 s/retry).
@@ -410,8 +380,8 @@ mod tests {
         );
         assert!((flaky.fault_rate - 0.3).abs() < 1e-12);
         assert!((flaky.effective_c_i() - (3.0 + 0.3 * 7.0 / 3.0)).abs() < 1e-12);
-        let ts_flaky = cost_ts(&flaky, &s).total();
-        let sj_flaky = cost_sj(&flaky, &s, false).unwrap().total();
+        let ts_flaky = flaky.price(&cost_ts(&flaky, &s)).total();
+        let sj_flaky = flaky.price(&cost_sj(&flaky, &s, false).unwrap()).total();
         let margin_flaky = ts_flaky - sj_flaky;
         assert!(
             margin_flaky > margin_clean,
@@ -426,6 +396,6 @@ mod tests {
             &crate::retry::RetryPolicy::standard(),
             1,
         );
-        assert_eq!(cost_ts(&clean, &s).total(), ts_clean);
+        assert_eq!(clean.price(&cost_ts(&clean, &s)).total(), ts_clean);
     }
 }

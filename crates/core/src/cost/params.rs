@@ -9,6 +9,7 @@
 //! | `c_s` | [`CostParams::constants.c_s`] | short-form transmission cost |
 //! | `c_l` | [`CostParams::constants.c_l`] | long-form transmission cost |
 //! | `c_a` | [`CostParams::c_a`] | relational text-processing cost |
+//! | —     | [`CostParams::c_pair`] | relational cost per tuple pair joined |
 //! | `N`   | [`JoinStatistics::n`] | joining tuples |
 //! | `k`   | `preds.len()` | join predicates |
 //! | `N_i` | [`PredStats::distinct`] | distinct values in join column i |
@@ -28,6 +29,41 @@ pub(crate) fn rel_ticks(c_a: f64, comparisons: u64, c_pair: f64, pairs: u64) -> 
     per(c_a, comparisons).wrapping_add(per(c_pair, pairs))
 }
 
+/// What an estimate predicts, in expected counts: the work a step makes the
+/// text system and the relational engine do, before any of it is priced.
+/// [`CostParams::price`] turns it into seconds, as [`CostConstants::price`]
+/// turns the counts an execution books into ticks.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Work {
+    /// Searches sent to the text system.
+    pub searches: f64,
+    /// Postings the text system processes.
+    pub postings: f64,
+    /// Documents shipped in short form.
+    pub docs_short: f64,
+    /// Documents shipped in long form.
+    pub docs_long: f64,
+    /// Document–tuple comparisons made relationally.
+    pub comparisons: f64,
+    /// Tuple pairs a relational join compares.
+    pub pairs: f64,
+}
+
+impl std::ops::Add for Work {
+    type Output = Work;
+
+    fn add(self, o: Work) -> Work {
+        Work {
+            searches: self.searches + o.searches,
+            postings: self.postings + o.postings,
+            docs_short: self.docs_short + o.docs_short,
+            docs_long: self.docs_long + o.docs_long,
+            comparisons: self.comparisons + o.comparisons,
+            pairs: self.pairs + o.pairs,
+        }
+    }
+}
+
 /// Environment-level parameters: the text database size, the term cap, and
 /// the cost constants.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,6 +77,8 @@ pub struct CostParams {
     /// `c_a` — relational text processing cost per document–tuple
     /// comparison.
     pub c_a: f64,
+    /// Relational cost per tuple pair a join compares.
+    pub c_pair: f64,
     /// `g` — the correlation parameter of the joint selectivity/fanout
     /// model (Section 4.2): 1 = fully correlated, k = fully independent.
     pub g: usize,
@@ -82,6 +120,7 @@ impl CostParams {
             m: 70,
             constants: CostConstants::mercury_calibrated(),
             c_a: 1e-5,
+            c_pair: 1e-6,
             g: 1,
             fault_rate: 0.0,
             mean_backoff: 0.0,
@@ -152,6 +191,21 @@ impl CostParams {
         self.fault_rate = observed.powi(replicas.max(1) as i32);
         self.mean_backoff = policy.mean_backoff();
         self
+    }
+
+    /// The seconds `work` costs: `effective_c_i` per search, `c_p` per
+    /// posting, `c_s` per short and `c_l` per long document, `c_a` per
+    /// comparison and `c_pair` per tuple pair. Every estimate is priced
+    /// here and nowhere else.
+    pub fn price(&self, work: &Work) -> CostVector {
+        let c = &self.constants;
+        CostVector {
+            invocation: self.effective_c_i() * work.searches,
+            processing: c.c_p * work.postings,
+            transmission: c.c_s * work.docs_short + c.c_l * work.docs_long,
+            rtp: self.c_a * work.comparisons + self.c_pair * work.pairs,
+            searches: work.searches,
+        }
     }
 
     /// Effective invocation cost under the fault model and the scatter

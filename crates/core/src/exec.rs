@@ -15,9 +15,9 @@
 //!   under session hooks.
 //!
 //! All text costs are charged by the server; relational join work is
-//! tallied as tuple-pair counts and charged with the planner's
-//! [`RelCostModel`](crate::optimizer::relcost::RelCostModel), so measured
-//! and estimated costs are directly comparable.
+//! tallied as tuple-pair and comparison counts and charged with the
+//! planner's `c_pair` and `c_a`, so measured and estimated costs are
+//! directly comparable.
 
 use std::borrow::Cow;
 use std::ops::Deref;
@@ -374,7 +374,7 @@ impl<'a> MultiExecutor<'a> {
         let estimates = self
             .analyze
             .then(|| crate::optimizer::multi::estimate_nodes(self.input, plan));
-        let (c_a, c_pair) = (self.ctx.c_a, self.input.rel_model.c_pair);
+        let (c_a, c_pair) = (self.ctx.c_a, self.input.params.c_pair);
         let invoice = &self.ctx.invoice;
         let start = invoice.get();
         let mut tally = Tally {
@@ -584,8 +584,8 @@ impl<'a> MultiExecutor<'a> {
             });
         }
         let residual = Pred::and(conds);
-        // Booked from the cardinalities, as the planner prices them
-        // (`RelCostModel::join_matching`), not from what the join's
+        // Booked from the cardinalities, as the planner counts them
+        // (`PlannerInput::price`), not from what the join's
         // short-circuiting evaluation happens to touch.
         tally.rel_pairs += (lt.len() * rt.len()) as u64;
         if !residuals.is_empty() {

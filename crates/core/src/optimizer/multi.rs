@@ -25,19 +25,19 @@ use std::collections::{BTreeMap, HashMap};
 use std::convert::Infallible;
 use std::rc::Rc;
 
-use textjoin_obs::{
-    cmp_nan_last, CostVector, EventKind, Measure, NodeEstimate, PlannerChoice, Recorder,
-};
+use textjoin_obs::{cmp_nan_last, EventKind, Measure, NodeEstimate, PlannerChoice, Recorder};
 use textjoin_rel::catalog::Catalog;
 use textjoin_rel::ops::{distinct_count, filter};
 use textjoin_text::doc::{FieldId, TextSchema};
 use textjoin_text::stats::VocabularyStats;
 
-use crate::cost::formulas::{cost_probe_phase, expected_result_fanout, probe_success_probability};
-use crate::cost::params::{CostParams, JoinStatistics, PredStats};
+use crate::cost::formulas::{
+    cost_probe_phase, cost_rtp, expected_result_fanout, probe_success_probability,
+};
+use crate::cost::params::{CostParams, JoinStatistics, PredStats, Work};
 use crate::methods::{Projection, TextSelection};
 use crate::optimizer::plan::{MultiJoinQuery, PlanNode};
-use crate::optimizer::relcost::{containment_selectivity, join_selectivity, RelCostModel};
+use crate::optimizer::relcost::{containment_selectivity, join_selectivity};
 use crate::optimizer::single::{enumerate_methods, for_each_subset, MethodCandidate, MethodKind};
 use crate::query::QueryError;
 use crate::stats::{export_predicate, export_selections};
@@ -72,8 +72,6 @@ pub struct PlannerInput {
     /// Cost-model parameters: the stamp ([`with_params`](Self::with_params)
     /// replaces it and nothing else).
     pub params: CostParams,
-    /// Relational cost constants.
-    pub rel_model: RelCostModel,
     /// Per-relation statistics.
     pub base: Vec<BaseRelInfo>,
     /// Per-foreign-predicate statistics.
@@ -171,7 +169,6 @@ impl PlannerInput {
         Ok(Self {
             query: query.clone(),
             params,
-            rel_model: RelCostModel::default(),
             base,
             foreign,
             sel_fanout,
@@ -267,10 +264,10 @@ impl PlannerInput {
     /// program, EXPLAIN ANALYZE and the method menu alike. A text join is
     /// priced as the menu entry its method and probe columns name.
     fn price(&self, node: &PlanNode, in_rows: &[f64]) -> Priced {
-        let (p, c) = (&self.params, &self.params.constants);
-        let priced = |rows, cost| Priced::new(p, rows, cost, String::new());
+        let p = &self.params;
+        let priced = |rows, work| Priced::new(p, rows, work, String::new());
         match node {
-            PlanNode::Scan { rel } => priced(self.base[*rel].rows, CostVector::default()),
+            PlanNode::Scan { rel } => priced(self.base[*rel].rows, Work::default()),
             PlanNode::Probe { preds, .. } => {
                 let stats = self.stats_for(in_rows[0], preds, Projection::RelOnly);
                 let local: Vec<usize> = (0..preds.len()).collect();
@@ -300,19 +297,14 @@ impl PlannerInput {
                             .map(|&i| containment_selectivity(self.foreign[i].stats.fanout, p.d)),
                     )
                     .product::<f64>();
-                // Relational matching work lands in the rtp slot, priced
-                // exactly as the executor books it: `c_pair`·pairs +
-                // `c_a`·residual comparisons.
-                let rtp = self
-                    .rel_model
-                    .join_matching(l, r, foreign_residuals.len(), p.c_a);
-                priced(
-                    l * r * sel,
-                    CostVector {
-                        rtp,
-                        ..CostVector::default()
-                    },
-                )
+                // Counted as the executor books it: every pair, and one
+                // containment comparison per pair per residual.
+                let work = Work {
+                    pairs: l * r,
+                    comparisons: l * r * foreign_residuals.len() as f64,
+                    ..Work::default()
+                };
+                priced(l * r * sel, work)
             }
             PlanNode::TextJoin {
                 input: Some(_),
@@ -326,28 +318,15 @@ impl PlannerInput {
                     .position(|m| m.kind == *method && m.probe_cols == *probe_cols)
                     .unwrap_or(0);
                 match menu.into_iter().nth(named) {
-                    Some(m) => Priced::new(p, rows, m.cost, m.label),
-                    None => Priced::new(p, rows, CostVector::default(), "?".to_owned()),
+                    Some(m) => Priced::new(p, rows, m.work, m.label),
+                    None => Priced::new(p, rows, Work::default(), "?".to_owned()),
                 }
             }
-            // The text-first scan: one search for the selections, every
-            // match shipped.
+            // The text-first scan is RTP over no predicates: the selections'
+            // one search, every match shipped, nothing matched relationally.
             PlanNode::TextJoin { input: None, .. } => {
-                let mut transmission = c.c_s * self.sel_fanout;
-                if self.query.projection == Projection::Full {
-                    transmission += c.c_l * self.sel_fanout;
-                }
-                let cost = CostVector {
-                    invocation: p.effective_c_i(),
-                    processing: c.c_p * self.sel_postings,
-                    transmission,
-                    rtp: 0.0,
-                    searches: 1.0,
-                };
-                // Its postings are known outright, not divided back out.
-                let mut own = priced(self.sel_fanout, cost);
-                own.est.postings = self.sel_postings;
-                own
+                let stats = self.stats_for(0.0, &[], self.query.projection);
+                priced(self.sel_fanout, cost_rtp(&stats).unwrap_or_default())
             }
         }
     }
@@ -362,9 +341,14 @@ struct Priced {
 }
 
 impl Priced {
-    fn new(p: &CostParams, rows: f64, cost: CostVector, method: String) -> Self {
+    /// `work` priced, producing `rows`.
+    fn new(p: &CostParams, rows: f64, work: Work, method: String) -> Self {
         Self {
-            est: measure(p, rows, cost),
+            est: Measure {
+                rows,
+                postings: work.postings,
+                cost: p.price(&work),
+            },
             method,
         }
     }
@@ -544,24 +528,6 @@ pub fn plan_query(input: &PlannerInput, space: ExecutionSpace) -> Option<Planned
         est_cost: winner.cost,
         est_rows: winner.rows,
     })
-}
-
-/// The estimate of a step producing `rows` at `cost`. Its postings are
-/// those behind the processing component: the formulas price every
-/// processed posting at `c_p`, so the count is recoverable exactly by
-/// dividing the constant back out.
-fn measure(params: &CostParams, rows: f64, cost: CostVector) -> Measure {
-    let c_p = params.constants.c_p;
-    let postings = if c_p > 0.0 {
-        cost.processing / c_p
-    } else {
-        0.0
-    };
-    Measure {
-        rows,
-        postings,
-        cost,
-    }
 }
 
 /// The per-node estimates the dynamic program priced `plan` with, in
@@ -820,7 +786,11 @@ fn extend_with_text(input: &PlannerInput, cand: &Candidate, s: u64) -> Option<Ca
                     label: c.label.clone(),
                     chosen: idx == 0,
                     probe_cols: c.probe_cols.clone(),
-                    est: measure(&input.params, rows, c.cost),
+                    est: Measure {
+                        rows,
+                        postings: c.work.postings,
+                        cost: c.cost,
+                    },
                     effective_c_i: input.params.effective_c_i(),
                 }));
             }
@@ -835,7 +805,7 @@ fn extend_with_text(input: &PlannerInput, cand: &Candidate, s: u64) -> Option<Ca
         method: best.kind,
         probe_cols: best.probe_cols,
     };
-    let own = Priced::new(&input.params, rows, best.cost, best.label);
+    let own = Priced::new(&input.params, rows, best.work, best.label);
     Some(Candidate::priced(node, &[cand], &own))
 }
 
@@ -1013,7 +983,7 @@ mod tests {
         // A per-pair cost representative of the OpenODB-era nested loop:
         // joining 501 × 501 tuples is NOT free, which is what makes
         // reducing student before the join worthwhile.
-        input.rel_model.c_pair = 1e-3;
+        input.params.c_pair = 1e-3;
 
         let prl = plan_query(&input, ExecutionSpace::Prl).unwrap();
         let ld = plan_query(&input, ExecutionSpace::LeftDeep).unwrap();

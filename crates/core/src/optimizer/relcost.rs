@@ -5,41 +5,10 @@
 //! scan entirely). Multi-join planning, however, needs *relative* relational
 //! costs — Example 6.1 turns on the fact that reducing `student` with a
 //! probe lowers the cost of `student ⋈ faculty`. We use the classic
-//! System-R style estimates: nested-loop pair costs and
-//! distinct-value-based join selectivities.
+//! System-R style distinct-value-based join selectivities; the pairs a
+//! join compares are priced at `CostParams::c_pair`.
 
 use textjoin_rel::expr::CmpOp;
-
-/// Relational engine cost constants (simulated seconds).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RelCostModel {
-    /// Cost per tuple pair compared in a nested-loop join.
-    pub c_pair: f64,
-}
-
-impl Default for RelCostModel {
-    fn default() -> Self {
-        Self { c_pair: 1e-6 }
-    }
-}
-
-impl RelCostModel {
-    /// The matching cost the executor actually books for a relational
-    /// join: `c_pair` per tuple pair plus `c_a` per residual containment
-    /// comparison (one per pair per residual) — exactly
-    /// `exec.rs::eval_rel_join`'s accounting, so exact input
-    /// cardinalities price the join exactly (the EXPLAIN ANALYZE
-    /// Q-error contract).
-    pub(crate) fn join_matching(
-        &self,
-        rows_l: f64,
-        rows_r: f64,
-        residuals: usize,
-        c_a: f64,
-    ) -> f64 {
-        rows_l * rows_r * (self.c_pair + c_a * residuals as f64)
-    }
-}
 
 /// Selectivity of `a <op> b` between columns with `dl` and `dr` distinct
 /// values (System-R conventions).

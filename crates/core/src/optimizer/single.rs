@@ -20,7 +20,7 @@
 use textjoin_obs::{cmp_nan_last, CostVector};
 
 use crate::cost::formulas::{cost_p_rtp, cost_p_ts, cost_rtp, cost_sj, cost_ts};
-use crate::cost::params::{CostParams, JoinStatistics};
+use crate::cost::params::{CostParams, JoinStatistics, Work};
 use crate::methods::Projection;
 
 /// Which executable method a candidate names.
@@ -47,7 +47,9 @@ pub struct MethodCandidate {
     pub label: String,
     /// Probe predicate indices (empty for non-probing methods).
     pub probe_cols: Vec<usize>,
-    /// The cost estimate.
+    /// The estimated work, in counts.
+    pub work: Work,
+    /// The estimated cost: `work` priced by [`CostParams::price`].
     pub cost: CostVector,
 }
 
@@ -74,15 +76,15 @@ pub(crate) fn for_each_subset(k: usize, max_size: usize, mut visit: impl FnMut(&
     }
 }
 
-/// Finds the cheapest probe set by exhaustive `O(2^k)` search, under the
-/// cost function `f` (e.g. [`cost_p_ts`] or [`cost_p_rtp`]). `None` when
-/// there is no predicate, or more than 30 of them: `2^31` cost calls are a
-/// hang.
+/// Finds the cheapest probe set by exhaustive `O(2^k)` search, ranking the
+/// priced work estimate `f` (e.g. [`cost_p_ts`] or [`cost_p_rtp`]). `None`
+/// when there is no predicate, or more than 30 of them: `2^31` cost calls
+/// are a hang.
 pub fn optimal_probe_exhaustive(
     p: &CostParams,
     s: &JoinStatistics,
-    f: impl Fn(&CostParams, &JoinStatistics, &[usize]) -> CostVector,
-) -> Option<(Vec<usize>, CostVector)> {
+    f: impl Fn(&CostParams, &JoinStatistics, &[usize]) -> Work,
+) -> Option<(Vec<usize>, Work)> {
     if s.k() > 30 {
         return None;
     }
@@ -94,8 +96,8 @@ pub fn optimal_probe_exhaustive(
 pub fn optimal_probe_bounded(
     p: &CostParams,
     s: &JoinStatistics,
-    f: impl Fn(&CostParams, &JoinStatistics, &[usize]) -> CostVector,
-) -> Option<(Vec<usize>, CostVector)> {
+    f: impl Fn(&CostParams, &JoinStatistics, &[usize]) -> Work,
+) -> Option<(Vec<usize>, Work)> {
     best_subset(p.g.saturating_mul(2), p, s, f)
 }
 
@@ -107,13 +109,13 @@ fn best_subset(
     max_size: usize,
     p: &CostParams,
     s: &JoinStatistics,
-    f: impl Fn(&CostParams, &JoinStatistics, &[usize]) -> CostVector,
-) -> Option<(Vec<usize>, CostVector)> {
-    let mut best: Option<(f64, CostVector)> = None;
+    f: impl Fn(&CostParams, &JoinStatistics, &[usize]) -> Work,
+) -> Option<(Vec<usize>, Work)> {
+    let mut best: Option<(f64, Work)> = None;
     let mut best_cols = Vec::new();
     for_each_subset(s.k(), max_size, |cols| {
-        let c = f(p, s, cols);
-        let rank = p.rank(&c);
+        let w = f(p, s, cols);
+        let rank = p.rank(&p.price(&w));
         let better = best.is_none_or(|(best_rank, _)| {
             cmp_nan_last(rank, best_rank)
                 .then(cols.len().cmp(&best_cols.len()))
@@ -121,12 +123,12 @@ fn best_subset(
                 .is_lt()
         });
         if better {
-            best = Some((rank, c));
+            best = Some((rank, w));
             best_cols.clear();
             best_cols.extend_from_slice(cols);
         }
     });
-    best.map(|(_, c)| (best_cols, c))
+    best.map(|(_, w)| (best_cols, w))
 }
 
 fn probe_label(prefix: &str, cols: &[usize], suffix: &str) -> String {
@@ -145,56 +147,41 @@ pub fn enumerate_methods(
     exhaustive_probe: bool,
 ) -> Vec<MethodCandidate> {
     let mut out = Vec::new();
+    let mut push = |kind, label: String, probe_cols, work| {
+        out.push(MethodCandidate {
+            kind,
+            label,
+            probe_cols,
+            work,
+            cost: p.price(&work),
+        })
+    };
     let has_joins = s.k() > 0;
 
     if has_joins {
-        out.push(MethodCandidate {
-            kind: MethodKind::Ts,
-            label: "TS".into(),
-            probe_cols: vec![],
-            cost: cost_ts(p, s),
-        });
+        push(MethodKind::Ts, "TS".into(), vec![], cost_ts(p, s));
     }
-    if let Some(c) = cost_rtp(p, s) {
-        out.push(MethodCandidate {
-            kind: MethodKind::Rtp,
-            label: "RTP".into(),
-            probe_cols: vec![],
-            cost: c,
-        });
+    if let Some(w) = cost_rtp(s) {
+        push(MethodKind::Rtp, "RTP".into(), vec![], w);
     }
     if has_joins {
         let rtp_completion = projection != Projection::DocIds;
-        if let Some(c) = cost_sj(p, s, rtp_completion) {
-            out.push(MethodCandidate {
-                kind: MethodKind::Sj,
-                label: if rtp_completion { "SJ+RTP" } else { "SJ" }.into(),
-                probe_cols: vec![],
-                cost: c,
-            });
+        if let Some(w) = cost_sj(p, s, rtp_completion) {
+            let label = if rtp_completion { "SJ+RTP" } else { "SJ" };
+            push(MethodKind::Sj, label.into(), vec![], w);
         }
-        let search = |f: fn(&CostParams, &JoinStatistics, &[usize]) -> CostVector| {
+        let search = |f: fn(&CostParams, &JoinStatistics, &[usize]) -> Work| {
             if exhaustive_probe {
                 optimal_probe_exhaustive(p, s, f)
             } else {
                 optimal_probe_bounded(p, s, f)
             }
         };
-        if let Some((cols, c)) = search(cost_p_ts) {
-            out.push(MethodCandidate {
-                kind: MethodKind::PTs,
-                label: probe_label("P", &cols, "TS"),
-                probe_cols: cols,
-                cost: c,
-            });
+        if let Some((cols, w)) = search(cost_p_ts) {
+            push(MethodKind::PTs, probe_label("P", &cols, "TS"), cols, w);
         }
-        if let Some((cols, c)) = search(cost_p_rtp) {
-            out.push(MethodCandidate {
-                kind: MethodKind::PRtp,
-                label: probe_label("P", &cols, "RTP"),
-                probe_cols: cols,
-                cost: c,
-            });
+        if let Some((cols, w)) = search(cost_p_rtp) {
+            push(MethodKind::PRtp, probe_label("P", &cols, "RTP"), cols, w);
         }
     }
     // Without a deadline `rank` is exactly `total()` — the pre-deadline
@@ -253,7 +240,7 @@ mod tests {
         max_size: usize,
         p: &CostParams,
         s: &JoinStatistics,
-    ) -> Option<(Vec<usize>, CostVector)> {
+    ) -> Option<(Vec<usize>, Work)> {
         subsets_up_to(s.k(), max_size)
             .into_iter()
             .map(|subset| {
@@ -261,20 +248,21 @@ mod tests {
                 (subset, c)
             })
             .min_by(|a, b| {
-                p.rank(&a.1)
-                    .partial_cmp(&p.rank(&b.1))
+                p.rank(&p.price(&a.1))
+                    .partial_cmp(&p.rank(&p.price(&b.1)))
                     .expect("costs are finite")
                     .then(a.0.len().cmp(&b.0.len()))
             })
     }
 
-    fn bits(c: &CostVector) -> [u64; 5] {
+    fn bits(w: &Work) -> [u64; 6] {
         [
-            c.invocation,
-            c.processing,
-            c.transmission,
-            c.rtp,
-            c.searches,
+            w.searches,
+            w.postings,
+            w.docs_short,
+            w.docs_long,
+            w.comparisons,
+            w.pairs,
         ]
         .map(f64::to_bits)
     }
@@ -425,10 +413,10 @@ mod tests {
                     let (bc, b) =
                         optimal_probe_bounded(&p, &s, crate::cost::formulas::cost_p_ts).unwrap();
                     assert!(
-                        (e.total() - b.total()).abs() < 1e-9,
+                        (p.price(&e).total() - p.price(&b).total()).abs() < 1e-9,
                         "bounded search missed optimum: {ec:?} ({}) vs {bc:?} ({})",
-                        e.total(),
-                        b.total()
+                        p.price(&e).total(),
+                        p.price(&b).total()
                     );
                     assert!(ec.len() <= 2, "g=1 optimum uses ≤2 columns, got {ec:?}");
                 }
@@ -524,15 +512,18 @@ mod tests {
         };
         let best1 = subsets_up_to(3, 1)
             .into_iter()
-            .map(|j| crate::cost::formulas::cost_p_ts(&p, &s, &j).total())
+            .map(|j| {
+                p.price(&crate::cost::formulas::cost_p_ts(&p, &s, &j))
+                    .total()
+            })
             .fold(f64::INFINITY, f64::min);
         let (cols, best) =
             optimal_probe_exhaustive(&p, &s, crate::cost::formulas::cost_p_ts).unwrap();
         assert!(cols.len() == 2, "optimal probe is 2-column: {cols:?}");
-        assert!(best.total() < best1);
+        assert!(p.price(&best).total() < best1);
         // And the bounded search (min(k, 2g) = 3) finds it too.
         let (_, b) = optimal_probe_bounded(&p, &s, crate::cost::formulas::cost_p_ts).unwrap();
-        assert!((b.total() - best.total()).abs() < 1e-9);
+        assert!((p.price(&b).total() - p.price(&best).total()).abs() < 1e-9);
     }
 
     #[test]
@@ -561,8 +552,12 @@ mod tests {
             needs_long: false,
             short_form_sufficient: true,
         };
-        let c0 = crate::cost::formulas::cost_p_ts(&p, &s, &[0]).total();
-        let c1 = crate::cost::formulas::cost_p_ts(&p, &s, &[1]).total();
+        let c0 = p
+            .price(&crate::cost::formulas::cost_p_ts(&p, &s, &[0]))
+            .total();
+        let c1 = p
+            .price(&crate::cost::formulas::cost_p_ts(&p, &s, &[1]))
+            .total();
         assert!(
             c1 < c0,
             "column 2 (s=0.2, N_2=10) must beat column 1 (s=0.1, N_1=900): {c1} vs {c0}"

@@ -25,8 +25,10 @@ fn main() {
     println!("   {:>5}  {:>9} {:>9}   cheaper", "s_1", "TS", "P1+TS");
     for s1 in [0.0, 0.1, 0.25, 0.5, 0.75, 1.0] {
         let stats = knobs::with_s1(knobs::q3_base(d), s1);
-        let ts = textjoin::core::cost::formulas::cost_ts(&params, &stats).total();
-        let pts = cost_p_ts(&params, &stats, &[0]).total();
+        let ts = params
+            .price(&textjoin::core::cost::formulas::cost_ts(&params, &stats))
+            .total();
+        let pts = params.price(&cost_p_ts(&params, &stats, &[0])).total();
         println!(
             "   {:>5.2}  {:>8.1}s {:>8.1}s   {}",
             s1,
@@ -63,8 +65,8 @@ fn main() {
         needs_long: false,
         short_form_sufficient: true,
     };
-    let c0 = cost_p_ts(&inv_only, &stats, &[0]).total();
-    let c1 = cost_p_ts(&inv_only, &stats, &[1]).total();
+    let c0 = inv_only.price(&cost_p_ts(&inv_only, &stats, &[0])).total();
+    let c1 = inv_only.price(&cost_p_ts(&inv_only, &stats, &[1])).total();
     println!("   probe on col 1 (s=0.10, N_1=900): {c0:>7.0} invocations");
     println!("   probe on col 2 (s=0.20, N_2= 10): {c1:>7.0} invocations  ← wins despite higher s");
 
@@ -92,13 +94,13 @@ fn main() {
         short_form_sufficient: true,
     };
     for subset in [vec![0], vec![1], vec![0, 1], vec![1, 2]] {
-        let c = cost_p_ts(&ex52, &stats, &subset).total();
+        let c = ex52.price(&cost_p_ts(&ex52, &stats, &subset)).total();
         println!("   probe {subset:?}: {c:>9.0}");
     }
     let (best_cols, best) = optimal_probe_exhaustive(&ex52, &stats, cost_p_ts).expect("non-empty");
     println!(
         "   exhaustive optimum: {best_cols:?} at {:.0} — found by the bounded\n\
          search too, since |optimal| ≤ min(k, 2g) (Theorem 5.3).",
-        best.total()
+        ex52.price(&best).total()
     );
 }

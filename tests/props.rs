@@ -160,7 +160,8 @@ proptest! {
             needs_long: false,
             short_form_sufficient: true,
         };
-        prop_assert!(cost_ts(&p, &stats).total() <= cost_ts_naive(&p, &stats).total() + 1e-9);
+        let (ts, naive) = (p.price(&cost_ts(&p, &stats)), p.price(&cost_ts_naive(&p, &stats)));
+        prop_assert!(ts.total() <= naive.total() + 1e-9);
     }
 
     /// Theorem 5.3: under the fully-correlated model (g = 1) the bounded
@@ -187,6 +188,7 @@ proptest! {
         };
         let (_, e) = optimal_probe_exhaustive(&p, &stats, cost_p_ts).expect("k ≥ 1");
         let (cols, b) = optimal_probe_bounded(&p, &stats, cost_p_ts).expect("k ≥ 1");
+        let (e, b) = (p.price(&e), p.price(&b));
         prop_assert!((e.total() - b.total()).abs() < 1e-6,
             "bounded {} ({:?}) vs exhaustive {}", b.total(), cols, e.total());
     }
@@ -319,6 +321,67 @@ proptest! {
             }
         }
     }
+}
+
+/// Estimates are counts priced once, so on exact statistics an estimate's
+/// postings are the booked postings as floats, not just within noise: for
+/// every node of the chosen plan and of every counterfactual method
+/// grafted into it, over a grid of uniform worlds.
+#[test]
+fn exact_stats_estimate_the_booked_postings_exactly() {
+    use textjoin::core::exec::{execute_prepared, prepare_plan, ExecHooks};
+    use textjoin::core::methods::Projection;
+    use textjoin::core::optimizer::multi::{
+        text_join_candidates, with_text_method, ExecutionSpace, PlannedQuery,
+    };
+
+    let analyze = ExecHooks {
+        analyze: true,
+        ..ExecHooks::default()
+    };
+    let mut checked = 0;
+    for f in 1..40 {
+        for bg in 0..7 {
+            for with_selection in [false, true] {
+                for projection in [Projection::RelOnly, Projection::Full] {
+                    let (catalog, server, q) = uniform_world(f, bg, with_selection, projection);
+                    let params = CostParams::mercury(server.doc_count() as f64);
+                    let (input, planned) = prepare_plan(
+                        &q,
+                        &catalog,
+                        &server,
+                        params,
+                        ExecutionSpace::PrlResiduals,
+                        None,
+                        None,
+                    )
+                    .expect("plans");
+                    let mut plans = vec![planned.plan.clone()];
+                    for c in text_join_candidates(&input, &planned.plan).unwrap_or_default() {
+                        plans.extend(with_text_method(&planned.plan, c.kind, &c.probe_cols));
+                    }
+                    for plan in plans {
+                        let planned = PlannedQuery { plan, ..planned };
+                        let fresh = TextServer::new(server.collection().clone());
+                        let Ok(out) =
+                            execute_prepared(&input, &planned, &catalog, &fresh, &analyze)
+                        else {
+                            continue;
+                        };
+                        for n in &out.plan_quality.expect("analyze was on").nodes {
+                            assert_eq!(
+                                n.est.est.postings, n.act.postings,
+                                "{} (f={f} bg={bg} sel={with_selection} {projection:?})",
+                                n.est.label
+                            );
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(checked > 39 * 7 * 4, "{checked} nodes checked");
 }
 
 // ---------------------------------------------------------------------

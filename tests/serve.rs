@@ -744,12 +744,14 @@ fn slow_drain_session(migration_budget: f64) -> textjoin::core::serve::ServeRepo
 /// to integer ticks, which changes how a report prints, and `staged` again
 /// when an execution's total and makespan became tick sums rendered once
 /// (ten times moved in their last bits, e.g. 22.091440000000002 →
-/// 22.09144). Each time the two commits' reports agreed in every record,
-/// count and tenant field, and in every time field to the nanosecond. If
-/// a later change legitimately
-/// alters a report (a new event kind, a new ledger field), re-derive both
-/// constants on the commit before that change and check that they agree
-/// there.
+/// 22.09144), and both when every planner estimate became counts priced
+/// once (only planner events' `est` fields moved, in their last bits, and
+/// estimated postings became integers, e.g. 723.0000000000001 → 723).
+/// Each time the two commits' reports agreed in every record, count and
+/// tenant field, and in every time field to the nanosecond. If a later
+/// change legitimately alters a report (a new event kind, a new ledger
+/// field), re-derive both constants on the commit before that change and
+/// check that they agree there.
 #[test]
 fn dispatch_regathers_only_when_the_export_changed_and_answers_never_move() {
     // Staging lands between admissions and dispatches: the requests
@@ -769,7 +771,7 @@ fn dispatch_regathers_only_when_the_export_changed_and_answers_never_move() {
         staged.regathered < completed,
         "the others kept their admission's statistics"
     );
-    assert_eq!(fingerprint(&staged), 0x937f_3f19_3a94_e9cd);
+    assert_eq!(fingerprint(&staged), 0x18df_8975_b95b_9052);
 
     // Same stream, same waits, no staging: nothing to re-gather.
     let quiet = slow_drain_session(0.0);
@@ -778,7 +780,7 @@ fn dispatch_regathers_only_when_the_export_changed_and_answers_never_move() {
         quiet.regathered, 0,
         "an unchanged export is never gathered twice"
     );
-    assert_eq!(fingerprint(&quiet), 0x98b5_0f70_a6f2_3b7a);
+    assert_eq!(fingerprint(&quiet), 0x01af_4d03_ee93_e747);
 }
 
 /// A request naming a tenant the session was not opened with ends in a
