@@ -1,8 +1,8 @@
 //! Search evaluation against a [`Collection`].
 //!
 //! Processing follows the paper's model (Sections 2.1, 4.1): the inverted
-//! lists named by the search are retrieved, and sorted-merge set operations
-//! are performed on them. The evaluator therefore reports, alongside the
+//! lists named by the search are retrieved, and sorted set operations are
+//! performed on them. The evaluator therefore reports, alongside the
 //! matching docids, the **sum of the lengths of the inverted lists
 //! processed** — exactly the quantity the cost constant `c_p` multiplies.
 
@@ -12,8 +12,8 @@ use crate::doc::{DocId, FieldId};
 use crate::expr::{BasicTerm, SearchExpr, TermKind};
 use crate::index::Collection;
 use crate::postings::{
-    difference, intersect, positional_any, positional_list, positional_within, union, DocSet,
-    FieldList, Occurrence, PostingList,
+    difference, intersect, positional_any, positional_list, positional_within, sift, union, DocSet,
+    FieldList, Marks, Occurrence, PostingList, GALLOP_RATIO,
 };
 
 /// The outcome of evaluating a search expression.
@@ -26,19 +26,23 @@ pub struct EvalOutcome {
 }
 
 /// An ascending distinct docid list: borrowed from the index where a list
-/// head already is the answer, owned where a merge made a new one.
+/// head already is the answer, owned where a kernel made a new one.
 type Docs<'a> = Cow<'a, [DocId]>;
 
 /// Evaluates `expr` against `coll`.
 ///
 /// Inverted lists are read where they live. A fielded word is the docid
-/// slice at the head of its field list, the connectives merge such slices,
+/// slice at the head of its field list, the connectives meet such slices,
 /// and phrase and proximity search intersect the slices first and look at
 /// positions only inside the documents that survive. A word's list is
 /// charged whole — every field's postings — whatever the term is restricted
 /// to: the simulated server reads the list it finds in the directory.
 pub fn evaluate(coll: &Collection, expr: &SearchExpr) -> EvalOutcome {
-    let mut eval = Eval { coll, read: 0 };
+    let mut eval = Eval {
+        coll,
+        read: 0,
+        marks: Marks::default(),
+    };
     let docs = eval.expr(expr);
     EvalOutcome {
         docs: DocSet::from_sorted(docs.into_owned()),
@@ -46,21 +50,17 @@ pub fn evaluate(coll: &Collection, expr: &SearchExpr) -> EvalOutcome {
     }
 }
 
-/// `k` ascending lists laid back to back, as one.
-fn merged<'a>(ids: Vec<DocId>) -> Docs<'a> {
-    Cow::Owned(DocSet::from_unsorted(ids).into_ids())
-}
-
-/// One evaluation: the collection and the postings read so far.
+/// One evaluation: the collection, the postings read so far, and the one
+/// bitmap every kernel of the evaluation marks in.
 struct Eval<'a> {
     coll: &'a Collection,
     read: usize,
+    marks: Marks,
 }
 
 impl<'a> Eval<'a> {
     fn expr(&mut self, expr: &SearchExpr) -> Docs<'a> {
         match expr {
-            SearchExpr::Term(_) | SearchExpr::Near { .. } => self.open(expr).docs(),
             SearchExpr::And(cs) => {
                 let Some((first, rest)) = cs.split_first() else {
                     // An empty conjunction matches everything; Boolean text
@@ -69,57 +69,40 @@ impl<'a> Eval<'a> {
                     return Cow::Owned((0..self.coll.doc_count() as u32).map(DocId).collect());
                 };
                 // Conjuncts are opened — looked up and charged — left to
-                // right, but a positional one is merged whole only if nothing
-                // listed stands beside it: given candidates, it is verified
-                // inside them.
+                // right, but a positional one is listed whole only if nothing
+                // listed stands beside it (given candidates, it is verified
+                // inside them), and a disjunction is marked, not united.
                 let mut acc = self.open(first);
                 for c in rest {
                     // Short-circuit: remaining lists still *could* be read
                     // by a real system, but sorted-merge intersection stops
                     // as soon as one side is exhausted; we model the
                     // favorable case consistently.
-                    let empty = match &acc {
-                        Opened::Listed(docs) => docs.is_empty(),
-                        Opened::Held(term) => !term.matches_any(),
-                    };
-                    if empty {
+                    if acc.is_empty() {
                         return Cow::Borrowed(&[]);
                     }
-                    acc = Opened::Listed(match (acc, self.open(c)) {
-                        (Opened::Listed(a), Opened::Listed(b)) => Cow::Owned(intersect(&a, &b)),
-                        (Opened::Listed(cands), Opened::Held(term))
-                        | (Opened::Held(term), Opened::Listed(cands)) => term.within(&cands),
-                        (Opened::Held(a), Opened::Held(b)) => b.within(&a.list()),
-                    });
+                    let next = self.open(c);
+                    acc = Opened::Listed(Cow::Owned(acc.and(next, &mut self.marks)));
                 }
-                acc.docs()
+                acc.docs(&mut self.marks)
             }
-            SearchExpr::Or(cs) => match cs.as_slice() {
-                [a, b] => {
-                    let (lhs, rhs) = (self.expr(a), self.expr(b));
-                    Cow::Owned(union(&lhs, &rhs))
-                }
-                cs => {
-                    let mut ids = Vec::new();
-                    for c in cs {
-                        ids.extend_from_slice(&self.expr(c));
-                    }
-                    merged(ids)
-                }
-            },
             SearchExpr::AndNot(a, b) => {
                 let (lhs, rhs) = (self.expr(a), self.expr(b));
-                Cow::Owned(difference(&lhs, &rhs))
+                Cow::Owned(difference(&lhs, &rhs, &mut self.marks))
             }
+            other => self.open(other).docs(&mut self.marks),
         }
     }
 
     /// Opens one conjunct: a phrase or NEAR has its lists looked up and
-    /// charged and is held; anything else is evaluated to its documents.
+    /// charged and is held; a disjunction has each operand evaluated in
+    /// turn, to be marked rather than merged; anything else is evaluated
+    /// to its documents.
     fn open(&mut self, expr: &SearchExpr) -> Opened<'a> {
         match expr {
             SearchExpr::Term(t) => self.term(t),
             SearchExpr::Near { a, b, distance } => self.near(a, b, *distance),
+            SearchExpr::Or(cs) => Opened::Any(cs.iter().map(|c| self.expr(c)).collect()),
             other => Opened::Listed(self.expr(other)),
         }
     }
@@ -133,19 +116,17 @@ impl<'a> Eval<'a> {
     fn term(&mut self, term: &BasicTerm) -> Opened<'a> {
         Opened::Listed(match &term.kind {
             TermKind::Word(w) => match self.read_list(w) {
-                Some(list) => word_docs(list, term.field),
+                Some(list) => word_docs(list, term.field, &mut self.marks),
                 None => Cow::Borrowed(&[]),
             },
             TermKind::Prefix(p) if p.is_empty() => Cow::Borrowed(&[]),
             TermKind::Prefix(p) => {
-                let mut ids = Vec::new();
+                let mut heads = Vec::new();
                 for (_, list) in self.coll.prefix_lookup(p) {
                     self.read += list.len();
-                    for l in list.fields(term.field) {
-                        ids.extend_from_slice(l.docs());
-                    }
+                    heads.extend(list.fields(term.field).iter().map(FieldList::docs));
                 }
-                merged(ids)
+                Cow::Owned(union(&heads, &mut self.marks))
             }
             TermKind::Phrase(words) => return self.phrase(words, term.field),
         })
@@ -165,7 +146,7 @@ impl<'a> Eval<'a> {
         }
         match lists.as_slice() {
             [] => Opened::Listed(Cow::Borrowed(&[])),
-            [Cow::Borrowed(only)] => Opened::Listed(word_docs(only, field)),
+            [Cow::Borrowed(only)] => Opened::Listed(word_docs(only, field, &mut self.marks)),
             _ => Opened::Held(Positional {
                 lists,
                 field,
@@ -223,12 +204,15 @@ impl<'a> Eval<'a> {
 }
 
 /// The documents holding a word within `field`: one field's slice as it
-/// stands, or the few field slices of an unrestricted term merged.
-fn word_docs(list: &PostingList, field: Option<FieldId>) -> Docs<'_> {
+/// stands, or the few field slices of an unrestricted term in one.
+fn word_docs<'a>(list: &'a PostingList, field: Option<FieldId>, marks: &mut Marks) -> Docs<'a> {
     match list.fields(field) {
         [] => Cow::Borrowed(&[]),
         [one] => Cow::Borrowed(one.docs()),
-        many => merged(many.iter().flat_map(|l| l.docs()).copied().collect()),
+        many => Cow::Owned(union(
+            &many.iter().map(FieldList::docs).collect::<Vec<_>>(),
+            marks,
+        )),
     }
 }
 
@@ -238,13 +222,45 @@ enum Opened<'a> {
     Listed(Docs<'a>),
     /// A phrase or NEAR, charged but not yet merged.
     Held(Positional<'a>),
+    /// A disjunction: each operand's documents, not yet united.
+    Any(Vec<Docs<'a>>),
 }
 
 impl<'a> Opened<'a> {
-    fn docs(self) -> Docs<'a> {
+    fn docs(self, marks: &mut Marks) -> Docs<'a> {
         match self {
             Opened::Listed(docs) => docs,
-            Opened::Held(term) => term.list(),
+            Opened::Held(term) => Cow::Owned(term.list(marks)),
+            Opened::Any(any) => Cow::Owned(union(&any, marks)),
+        }
+    }
+
+    /// Whether nothing can match, which is what the charging of the next
+    /// conjunct turns on, found without listing a held term.
+    fn is_empty(&self) -> bool {
+        match self {
+            Opened::Listed(docs) => docs.is_empty(),
+            Opened::Held(term) => !term.matches_any(),
+            Opened::Any(any) => any.iter().all(|docs| docs.is_empty()),
+        }
+    }
+
+    /// The documents two conjuncts share. A held term is verified inside a
+    /// listed one's documents; a disjunction filters the other side through
+    /// its marks, unless its operands together are so few beside a held
+    /// term that verifying their union is cheaper than listing the term.
+    fn and(self, other: Opened<'a>, marks: &mut Marks) -> Vec<DocId> {
+        use Opened::{Any, Held, Listed};
+        match (self, other) {
+            (Listed(a), Listed(b)) => intersect(&a, &b, marks),
+            (Listed(cands), Held(term)) | (Held(term), Listed(cands)) => term.within(&cands, marks),
+            (Held(a), Held(b)) => b.within(&a.list(marks), marks),
+            (Any(any), Held(term)) | (Held(term), Any(any))
+                if any.iter().map(|l| l.len()).sum::<usize>() * GALLOP_RATIO <= term.shortest() =>
+            {
+                term.within(&union(&any, marks), marks)
+            }
+            (Any(any), other) | (other, Any(any)) => sift(&other.docs(marks), &any, marks),
         }
     }
 }
@@ -266,7 +282,8 @@ impl Positional<'_> {
     fn chains(&self) -> impl Iterator<Item = Vec<&FieldList>> {
         let (first, rest) = self.lists.split_first().expect("two lists or more");
         first.fields(self.field).iter().filter_map(move |start| {
-            let mut chain = vec![start];
+            let mut chain = Vec::with_capacity(self.lists.len());
+            chain.push(start);
             for next in rest {
                 chain.push(next.fields(Some(start.field())).first()?);
             }
@@ -274,28 +291,38 @@ impl Positional<'_> {
         })
     }
 
+    /// The fewest documents one word holds in the fields the term admits:
+    /// what candidates are weighed against.
+    fn shortest(&self) -> usize {
+        let docs = |l: &PostingList| l.fields(self.field).iter().map(|f| f.docs().len()).sum();
+        self.lists.iter().map(|l| docs(l)).min().unwrap_or(0)
+    }
+
     /// Every document the term matches: the whole-list merge.
-    fn list<'d>(&self) -> Docs<'d> {
-        let mut ids = Vec::new();
-        for chain in self.chains() {
-            ids.extend_from_slice(positional_list(&chain, self.gaps).docs());
-        }
-        merged(ids)
+    fn list(&self, marks: &mut Marks) -> Vec<DocId> {
+        let each = self
+            .chains()
+            .map(|chain| positional_list(&chain, self.gaps, marks));
+        one_of(each.collect(), marks)
     }
 
     /// The documents of `cands` the term matches.
-    fn within<'d>(&self, cands: &[DocId]) -> Docs<'d> {
-        let mut ids = Vec::new();
-        for chain in self.chains() {
-            positional_within(&chain, self.gaps, cands, &mut ids);
-        }
-        merged(ids)
+    fn within(&self, cands: &[DocId], marks: &mut Marks) -> Vec<DocId> {
+        let each = (self.chains()).map(|chain| positional_within(&chain, self.gaps, cands, marks));
+        one_of(each.collect(), marks)
     }
 
-    /// Whether the term matches at all, which is what the charging of the
-    /// next conjunct turns on, without listing it.
+    /// Whether the term matches at all, without listing it.
     fn matches_any(&self) -> bool {
         self.chains().any(|chain| positional_any(&chain, self.gaps))
+    }
+}
+
+/// Each chain's documents as one list: a lone chain's as they are.
+fn one_of(mut each: Vec<Vec<DocId>>, marks: &mut Marks) -> Vec<DocId> {
+    match each.len() {
+        1 => each.swap_remove(0),
+        _ => union(&each, marks),
     }
 }
 

@@ -12,11 +12,11 @@
 //!   [`postings::FieldList`] per field it occurs in — ascending docids at
 //!   the head, positions packed narrow. [`expr::SearchExpr`] is the
 //!   Boolean search AST (words, truncated words, phrases, proximity, AND /
-//!   OR / NOT, field-limited terms); [`eval`] answers searches by sorted
-//!   merges of the docid heads, opening positions only for phrase and
-//!   proximity search, and reports how many postings were processed (a
-//!   word's whole list, whatever field the term names). [`token`] is the
-//!   one tokenizer the index and the search terms share.
+//!   OR / NOT, field-limited terms); [`eval`] answers searches by meeting
+//!   the docid heads (gallop, bitmap or merge), opening positions only for
+//!   phrase and proximity search, and reports how many postings were
+//!   processed (a word's whole list, whatever field the term names).
+//!   [`token`] is the one tokenizer the index and the search terms share.
 //! * **The metered server façade** — [`server::TextServer`] is the *only*
 //!   interface the federated query processor uses (the paper's
 //!   loose-integration premise). Every `search`/`retrieve` is billed with

@@ -811,6 +811,80 @@ fn positional_conjuncts_match_models() {
     }
 }
 
+/// A collection dense the way the benchmark's topic words are: 2 000
+/// documents over a six-word vocabulary, three title words and six abstract
+/// words each, so every word's title list holds about 840 documents and its
+/// abstract list about 1 330, within a span of 32 bitmap words. Every
+/// conjunction, difference and disjunction over such lists is marked, not
+/// merged, and adjacent pairs make phrases hold in about one abstract in
+/// eight.
+fn dense_collection() -> Collection {
+    const WORDS: [&str; 6] = ["alpha", "beta", "gamma", "delta", "eps", "zeta"];
+    let schema = TextSchema::bibliographic();
+    let ti = schema.field_by_name("title").unwrap();
+    let ab = schema.field_by_name("abstract").unwrap();
+    let mut coll = Collection::new(schema);
+    let mut x = 17u64;
+    let mut words = |n: usize| {
+        let drawn: Vec<&str> = (0..n)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                WORDS[(x >> 33) as usize % WORDS.len()]
+            })
+            .collect();
+        drawn.join(" ")
+    };
+    for _ in 0..2000 {
+        coll.add_document(Document::new().with(ti, words(3)).with(ab, words(6)));
+    }
+    coll
+}
+
+#[test]
+fn dense_lists_are_marked_and_match_models() {
+    let coll = dense_collection();
+    let ti = coll.schema().field_by_name("title");
+    let ab = coll.schema().field_by_name("abstract");
+    let term = |w: &str, f| SearchExpr::Term(BasicTerm::parse_text(w, f));
+    let any = |f| SearchExpr::or(vec![term("beta", f), term("gamma", f), term("delta", f)]);
+    let not = |a, b| SearchExpr::AndNot(Box::new(a), Box::new(b));
+    let near = |a, b, f| SearchExpr::Near {
+        a: BasicTerm::parse_text(a, f),
+        b: BasicTerm::parse_text(b, f),
+        distance: 2,
+    };
+    let cases = [
+        // An AND over a marked OR: the listed side filtered through it.
+        SearchExpr::and(vec![term("alpha", ti), any(ab)]),
+        SearchExpr::and(vec![any(ab), term("alpha", ti)]),
+        SearchExpr::and(vec![term("alpha", None), any(None), term("zeta", ab)]),
+        SearchExpr::and(vec![any(ti), any(ab)]),
+        // A NOT with a dense subtrahend, a word's or a disjunction's.
+        not(term("alpha", ti), term("beta", ab)),
+        not(term("alpha", None), any(None)),
+        not(any(ab), term("eps", ti)),
+        // A held phrase or NEAR beside a marked OR.
+        SearchExpr::and(vec![term("alpha beta", ab), any(ti)]),
+        SearchExpr::and(vec![any(ti), term("gamma delta", None)]),
+        SearchExpr::and(vec![near("alpha", "eps", ab), any(ti)]),
+        // Positional terms listed whole: the last step keeps documents only.
+        term("alpha beta", ab),
+        term("beta gamma delta", None),
+        near("zeta", "alpha", None),
+        // The union itself the answer.
+        any(None),
+    ];
+    for e in &cases {
+        check(&coll, e).unwrap();
+        assert!(
+            !textjoin_text::eval::evaluate(&coll, e).docs.is_empty(),
+            "{e:?} matches"
+        );
+    }
+}
+
 /// Every posting of the index as `(word, doc, field, value_idx, pos)`.
 fn flattened(coll: &Collection) -> Vec<(String, u32, FieldId, u32, u32)> {
     let mut out = Vec::new();

@@ -14,7 +14,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use textjoin::text::doc::{DocId, Document};
+use textjoin::text::eval::evaluate;
 use textjoin::text::index::Collection;
+use textjoin::text::parse::parse_search;
+use textjoin::workload::names::TOPICS;
 use textjoin::workload::world::{World, WorldSpec};
 
 struct Counting;
@@ -92,6 +95,29 @@ fn deep_copy(doc: &Document) -> Document {
     copy
 }
 
+/// One search of each positional and Boolean class the `text_search`
+/// benchmark times, over three topic words and the world's first 69
+/// student names: the phrase, NEAR, AND/OR, NOT and 70-term package
+/// searches, as the benchmark writes them.
+fn searches(world: &World) -> [(&'static str, String); 5] {
+    let (a, b, c) = (TOPICS[0], TOPICS[1], TOPICS[2]);
+    let student = world.catalog.table("student").expect("world has students");
+    let names = student.column_values(student.col("name"));
+    let authors: Vec<String> = (names.iter().take(69))
+        .map(|n| format!("AU={}", n.as_str().expect("names are strings")))
+        .collect();
+    [
+        ("phrase", format!("AB='{a} {b}'")),
+        ("NEAR", format!("AB={a} near3 AB={c}")),
+        ("AND/OR", format!("TI={a} and (AB={b} or AB={c})")),
+        ("NOT", format!("TI={a} not AB={b}")),
+        (
+            "70-term package",
+            format!("TI={a} and ({})", authors.join(" or ")),
+        ),
+    ]
+}
+
 /// One reading against its ceiling, both to the hundredth printed.
 fn check(name: &str, reading: f64, ceiling: f64) -> bool {
     println!("{name:<40} {reading:>14.2}  ceiling {ceiling:>14.2}");
@@ -123,8 +149,21 @@ fn heap_readings_stay_under_their_ceilings() {
     });
     assert_eq!(owning.total_postings(), index.total_postings());
 
+    // Allocations of one evaluation per search class: its answers and the
+    // lists its kernels build, and one marks buffer however many kernels
+    // run.
+    let mut evaluations = Vec::new();
+    for (class, query) in searches(&world) {
+        let expr = parse_search(&query, coll.schema()).expect("benchmark searches parse");
+        let (out, allocs, _) = counted(|| evaluate(coll, &expr));
+        assert!(!out.docs.is_empty(), "{query} matches");
+        evaluations.push((class, allocs));
+    }
+
     let postings = index.total_postings() as f64;
     let stored = (owning_bytes - index_bytes) as f64 / docs.len() as f64;
+    let ceilings = [8.0, 8.0, 4.0, 3.0, 4.0];
+    let each = evaluations.iter().zip(ceilings);
     let ok = [
         check(
             "index bytes per posting",
@@ -134,7 +173,16 @@ fn heap_readings_stay_under_their_ceilings() {
         check("world live heap, bytes", world_bytes as f64, 12_431_487.0),
         check("heap bytes per stored document", stored, 400.5),
         check("re-index allocations", index_allocs as f64, 54_491.0),
-    ];
+    ]
+    .into_iter()
+    .chain(each.map(|(&(class, allocs), ceiling)| {
+        check(
+            &format!("allocations, one {class} search"),
+            allocs as f64,
+            ceiling,
+        )
+    }))
+    .collect::<Vec<_>>();
     assert!(
         ok.iter().all(|&ok| ok),
         "a heap reading rose past its ceiling"
