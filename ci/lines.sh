@@ -11,7 +11,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OBS_CEILING=3993
-LIBRARY_CEILING=18910
+LIBRARY_CEILING=19022
 
 count() {
   find "crates/$1/src" -name '*.rs' | sort | while read -r f; do

